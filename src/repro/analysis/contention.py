@@ -126,7 +126,7 @@ def collect(world: "World") -> ContentionReport:
                 hw_context_shared=vci.hw_context.is_shared,
             ))
     for node in world.nodes:
-        used = [c for c in node.nic.contexts if c.sharers > 0]
+        used = [c for c in node.nic.built_contexts() if c.sharers > 0]
         report.nodes.append(NodeReport(
             node_id=node.node_id,
             contexts_used=len(used),

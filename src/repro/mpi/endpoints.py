@@ -40,11 +40,11 @@ class Endpoint(Communicator):
     def __init__(self, lib: "MpiLibrary", group: list[int], ep_rank: int,
                  context_id: int, vci_map: EndpointVciMap,
                  parent: Communicator, local_index: int, name: str):
+        # An endpoint commits exactly one channel, ``vci_map.my_vci`` —
+        # "only as many endpoints as there are communicating threads"
+        # (Lesson 12).
         super().__init__(lib, group, ep_rank, context_id,
                          hints=parent.hints, vci_map=vci_map, name=name)
-        # An endpoint commits exactly one channel — "only as many
-        # endpoints as there are communicating threads" (Lesson 12).
-        lib.vci_pool.get(vci_map.my_vci)
         self.parent = parent
         #: Index of this endpoint among the creating process's endpoints.
         self.local_index = local_index

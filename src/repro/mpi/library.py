@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import MpiUsageError, TruncationError
 from ..netsim.config import NetworkConfig
-from ..netsim.message import MessageKind, WireMessage
+from ..netsim.message import HEADER_BYTES, MessageKind, WireMessage
 from ..sim.core import Event, Simulator
 from ..sim.trace import TraceCategory, Tracer
 from .matching import MatchingEngine, PostedRecv
@@ -116,20 +116,21 @@ class MpiLibrary:
         earlier messages in the context's injector.
         """
         cpu, nicp = self.cpu, self.node.nic.params
+        sim = self.sim
         tracer = self.tracer
         span = None
         if tracer.enabled:
             span = tracer.span_id()
             tracer.emit(TraceCategory.ISSUE_BEGIN,
                         self._trace_payload(vci, msg, span))
-        t_post = self.sim.now
+        t_post = sim._now
         lock = vci.lock
         was_contended = lock.locked
         if was_contended:
             yield from lock.acquire()
         else:
             lock.try_acquire()
-        t_lock = self.sim.now
+        t_lock = sim._now
         cost = cpu.lock_acquire + (cpu.lock_handoff if was_contended else 0.0)
         ctx = vci.hw_context
         db_lock = ctx.doorbell_lock
@@ -138,19 +139,19 @@ class MpiLibrary:
             yield from db_lock.acquire()
         else:
             db_lock.try_acquire()
-        t_doorbell = self.sim.now
+        t_doorbell = sim._now
         cost += nicp.doorbell
-        shared = ctx.is_shared
+        shared = ctx.sharers > 1
         if shared:
             cost += nicp.shared_post_penalty
         if db_contended:
             cost += cpu.lock_handoff
-        yield self.sim.timeout(cost)
-        depart = ctx.issue(msg.wire_bytes)
+        yield sim.timeout(cost)
+        depart = ctx.issue(msg.size + HEADER_BYTES)
         vci.sends += 1
         self._transmit(msg, depart)
-        ctx.doorbell_lock.release()
-        vci.lock.release()
+        db_lock.release()
+        lock.release()
         self.sends_posted += 1
         self.bytes_sent += msg.size
         if vci.m_issue is not None:
@@ -158,7 +159,7 @@ class MpiLibrary:
             vci.m_lock_wait.observe(t_lock - t_post)
             vci.m_db_wait.observe(t_doorbell - t_lock)
             vci.m_sw_cost.observe(cost)
-            vci.m_inject_delay.observe(max(0.0, depart - self.sim.now))
+            vci.m_inject_delay.observe(max(0.0, depart - sim._now))
             if shared:
                 vci.m_shared_post.inc()
         if tracer.enabled:
@@ -234,17 +235,18 @@ class MpiLibrary:
     def _transmit(self, msg: WireMessage, depart: float) -> None:
         if msg.dst_node == self.node.node_id:
             # Intra-node transport bypasses the fabric: shared-memory copy.
-            delay = max(0.0, depart - self.sim.now) \
+            sim = self.sim
+            delay = max(0.0, depart - sim._now) \
                 + self.cpu.shm_copy_base + msg.size / self.cpu.shm_bandwidth
             event = Event.__new__(Event)
-            event.sim = self.sim
+            event.sim = sim
             event.callbacks = [
                 lambda e: self.world.proc(msg.dst_rank).lib.deliver(e._value)]
             event._value = msg
             event._exc = None
             event._triggered = True
             event._processed = False
-            self.sim._enqueue(event, delay, priority=1)
+            sim._enqueue(event, delay, priority=1)
         elif self.transport is not None:
             # Reliable transport: sequence + checksum the message, track
             # it for ACK/retransmission, then hand it to the fabric.
@@ -275,8 +277,9 @@ class MpiLibrary:
         scans the whole queue (and parks the message as unexpected).
         """
         vci = self.vci_pool.get(msg.dst_vci)
-        service = (self.cpu.match_base
-                   + self.cpu.match_per_element
+        cpu = self.cpu
+        service = (cpu.match_base
+                   + cpu.match_per_element
                    * vci.engine.scan_cost_posted(msg))
         tracer = self.tracer
         span = None
@@ -285,8 +288,8 @@ class MpiLibrary:
             payload = self._trace_payload(vci, msg, span)
             payload["task"] = f"vci{vci.index}.match"
             tracer.emit(TraceCategory.MATCH_BEGIN, payload)
-        done = vci.match_server.submit(service)
-        done.add_callback(lambda e: self._match_incoming(vci, msg, span))
+        vci.match_server.submit(
+            service, lambda e: self._match_incoming(vci, msg, span))
 
     def _match_incoming(self, vci: Vci, msg: WireMessage,
                         span: Optional[int] = None) -> None:
@@ -305,13 +308,14 @@ class MpiLibrary:
         if entry is None:
             return  # parked in the unexpected queue
         if msg.kind is MessageKind.EAGER:
-            self._complete_recv(entry, msg, _inline=True)
+            self._complete_recv(vci, entry, msg, _inline=True)
         else:  # RNDV_RTS matched by a pre-posted receive
             self._send_cts(vci, entry, msg)
 
-    def _complete_recv(self, entry: PostedRecv, msg: WireMessage, *,
-                       _inline: bool = False) -> None:
-        """Copy an eager/rendezvous-data payload and complete the recv.
+    def _complete_recv(self, vci: Vci, entry: PostedRecv, msg: WireMessage,
+                       *, _inline: bool = False) -> None:
+        """Copy an eager/rendezvous-data payload and complete the recv
+        posted on ``vci`` (the channel ``msg`` arrived on).
 
         ``_inline=True`` dispatches the request's completion synchronously
         (see :meth:`Request._complete_inline`); callers must be the last
@@ -321,12 +325,14 @@ class MpiLibrary:
         resume the first waiter before the later messages are delivered.
         """
         payload = msg.payload
-        if self.sim.checker is not None:
-            hb = msg.meta.get("_hb")
+        meta = msg.meta
+        checker = self.sim.checker
+        if checker is not None:
+            hb = meta.get("_hb")
             if hb is not None:
                 # The sender's clock rode in the meta; the receive's
                 # completion inherits the send's happens-before edges.
-                self.sim.checker.on_msg_join(entry.req, hb)
+                checker.on_msg_join(entry.req, hb)
         recv_bytes = entry.count * entry.buf.dtype.itemsize
         if msg.size > recv_bytes:
             entry.req.complete_with_error(TruncationError(
@@ -339,10 +345,9 @@ class MpiLibrary:
             count = n
         else:
             count = 0
-        vci = self.vci_pool.get(msg.dst_vci)
         vci.recvs += 1
         self.recvs_completed += 1
-        source = msg.meta.get("src_addr", msg.src_rank)
+        source = meta.get("src_addr", msg.src_rank)
         if _inline:
             entry.req._complete_inline(source, msg.tag, count)
         else:
@@ -392,7 +397,7 @@ class MpiLibrary:
     def _on_rndv_data(self, msg: WireMessage) -> None:
         """Receiver side: rendezvous payload arrived — no matching needed."""
         entry = self._rndv_recvs.pop(msg.meta["rid"])
-        self._complete_recv(entry, msg)
+        self._complete_recv(self.vci_pool.get(msg.dst_vci), entry, msg)
 
     # ------------------------------------------------------------------
     # misc
@@ -431,9 +436,11 @@ class MpiLibrary:
         done._triggered = True
         done._value = status
         done.callbacks.insert(0, req._finalize)
-        if self.sim.checker is not None:
+        sim = self.sim
+        if sim.checker is not None:
             # The completion is scheduled, not immediate, but the
             # happens-before contribution is the scheduling task's clock
             # (a local send completion), so record it here.
-            self.sim.checker.on_request_complete(req)
-        self.sim._enqueue(done, max(0.0, when - self.sim.now), priority=1)
+            sim.checker.on_request_complete(req)
+        delay = when - sim._now
+        sim._enqueue(done, delay if delay > 0.0 else 0.0, 1)

@@ -73,7 +73,7 @@ def key_matches(context_id: int, source: int, tag: int, dst_addr: int,
             and (tag == ANY_TAG or tag == msg.tag))
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedRecv:
     """One posted receive awaiting a message.
 
@@ -453,30 +453,6 @@ class MatchingEngine(_EngineBase):
             self._h_unexpected_depth.observe(depth)
         return None, scanned
 
-    def incoming_bulk(self, msgs: list[WireMessage]
-                      ) -> list[tuple[Optional[PostedRecv], int]]:
-        """Bulk match-poll: match a burst of arrivals in one call.
-
-        Results, counters and histograms are identical to
-        ``[self.incoming(m) for m in msgs]``. The common flood case —
-        no receive posted, so every message parks unexpected with a
-        zero-length scan — is fast-pathed: the burst's sequence numbers
-        are appended to the order-statistics array in one ``extend``
-        instead of one append (plus bisect bookkeeping) per message.
-        """
-        if self._po_seqs or self._h_scan_posted is not None or len(msgs) < 2:
-            return [self.incoming(m) for m in msgs]
-        seq = self._ux_seq
-        for msg in msgs:
-            self._index_unexpected([seq, msg, True])
-            seq += 1
-        self._ux_seq = seq
-        self._ux_seqs.extend(range(seq - len(msgs), seq))
-        depth = len(self._ux_seqs)
-        if depth > self.max_unexpected_depth:
-            self.max_unexpected_depth = depth
-        return [(None, 0)] * len(msgs)
-
     # -- introspection ---------------------------------------------------
     @property
     def posted_depth(self) -> int:
@@ -609,11 +585,6 @@ class LinearMatchingEngine(_EngineBase):
             self._h_scan_posted.observe(scanned)
             self._h_unexpected_depth.observe(len(self.unexpected))
         return None, scanned
-
-    def incoming_bulk(self, msgs: list[WireMessage]
-                      ) -> list[tuple[Optional[PostedRecv], int]]:
-        """Bulk match-poll, reference semantics: scalar calls in order."""
-        return [self.incoming(m) for m in msgs]
 
     # -- introspection ---------------------------------------------------
     @property

@@ -12,7 +12,7 @@ __all__ = ["Status", "Request", "waitall", "testall", "waitany",
            "testany"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Status:
     """Completion status of one operation (MPI_Status)."""
 
@@ -41,8 +41,8 @@ class Request:
         # diagnostics) must be a function of the run alone, not of how
         # many Worlds this process executed before — campaign replays
         # compare diagnostics byte for byte.
-        self.rid = getattr(sim, "_next_rid", 0)
-        sim._next_rid = self.rid + 1
+        self.rid = rid = sim._next_rid
+        sim._next_rid = rid + 1
         # Hand-built pending Event: requests are the hot path's dominant
         # allocation after timeouts, and the shell needs no __init__ logic.
         done = Event.__new__(Event)

@@ -172,6 +172,12 @@ class VciPool:
 class VciMap:
     """Policy mapping an operation to (local VCI, remote VCI)."""
 
+    #: The one local VCI index every operation under this map uses, or
+    #: None when the VCIs depend on the tag and are picked per message.
+    #: When set, ``send_remote`` depends on the destination alone, so a
+    #: communicator may resolve its route to a peer once.
+    fixed_vci: Optional[int] = None
+
     def send_local(self, src_addr: int, dst_addr: int, tag: int) -> int:
         raise NotImplementedError
 
@@ -189,7 +195,7 @@ class SingleVciMap(VciMap):
     """Everything on one VCI — MPI's default per-communicator behaviour."""
 
     def __init__(self, index: int):
-        self.index = index
+        self.index = self.fixed_vci = index
 
     def send_local(self, src_addr: int, dst_addr: int, tag: int) -> int:
         return self.index
@@ -284,7 +290,7 @@ class EndpointVciMap(VciMap):
     """Dedicated VCI per endpoint; target VCI derived from target rank."""
 
     def __init__(self, my_vci: int, ep_vci_table: list[int]):
-        self.my_vci = my_vci
+        self.my_vci = self.fixed_vci = my_vci
         #: ``ep_vci_table[ep_rank]`` = VCI index on the *owner process* of
         #: that endpoint. Shared by all endpoints of the communicator.
         self.table = ep_vci_table

@@ -19,7 +19,7 @@ from ..sim.core import Event, Simulator
 from ..sim.resources import FIFOServer
 from ..sim.trace import TraceCategory, Tracer
 from .config import FabricParams
-from .message import WireMessage
+from .message import HEADER_BYTES, WireMessage
 
 __all__ = ["Fabric"]
 
@@ -90,21 +90,37 @@ class Fabric:
     def transmit(self, msg: WireMessage, depart_time: float) -> None:
         """Schedule delivery of ``msg`` that departs its NIC hardware
         context at ``depart_time`` (absolute simulated time, >= now)."""
-        if msg.dst_node not in self._handlers:
-            raise KeyError(f"no node {msg.dst_node} on this fabric "
+        dst_node = msg.dst_node
+        if dst_node not in self._handlers:
+            raise KeyError(f"no node {dst_node} on this fabric "
                            f"(message {msg!r})")
-        now = self.sim.now
-        depart_time = max(depart_time, now)
-        wire_time = msg.wire_bytes / self.params.bandwidth
-        if self.params.model_egress and msg.src_node in self._egress:
-            # All hardware contexts of a node feed one link: aggregate
-            # message-rate and bandwidth ceiling at the source.
-            service = max(self.params.node_msg_gap, wire_time)
-            depart_time, queued = self._serialize(self._egress[msg.src_node],
-                                                  depart_time, service)
-            h = self._h_egress.get(msg.src_node)
-            if h is not None:
-                h.observe(queued)
+        params = self.params
+        now = self.sim._now
+        if depart_time < now:
+            depart_time = now
+        wire_time = (msg.size + HEADER_BYTES) / params.bandwidth
+        if params.model_egress:
+            server = self._egress.get(msg.src_node)
+            if server is not None:
+                # All hardware contexts of a node feed one link: aggregate
+                # message-rate and bandwidth ceiling at the source. This is
+                # :meth:`_serialize` written out (once per message).
+                service = params.node_msg_gap
+                if service < wire_time:
+                    service = wire_time
+                busy_until = server._free_at
+                if busy_until < depart_time:  # depart_time >= now
+                    busy_until = depart_time
+                queued = busy_until - depart_time
+                depart_time = server._free_at = busy_until + service
+                stats = server.stats
+                stats.requests += 1
+                stats.busy_time += service
+                stats.total_queue_delay += queued
+                if self._h_egress:
+                    h = self._h_egress.get(msg.src_node)
+                    if h is not None:
+                        h.observe(queued)
         if self.injector is not None:
             # The injector decides the message's physical fate: zero, one
             # or two deliveries, each possibly delayed or corrupted. Drops
@@ -139,7 +155,7 @@ class Fabric:
             if msg.dst_node not in self._handlers:
                 raise KeyError(f"no node {msg.dst_node} on this fabric "
                                f"(message {msg!r})")
-        now = self.sim.now
+        now = self.sim._now
         wire_arr = (np.asarray([m.wire_bytes for m, _ in items],
                                dtype=np.float64)
                     / self.params.bandwidth)
@@ -164,33 +180,54 @@ class Fabric:
 
     def _schedule_arrival(self, msg: WireMessage, depart_time: float,
                           wire_time: float) -> None:
-        """Apply latency + ingress queueing and schedule the arrival."""
-        arrival = depart_time + self.params.latency + wire_time
-        if self.params.model_ingress:
-            head_arrival = depart_time + self.params.latency
-            arrival, queued = self._serialize(self._ingress[msg.dst_node],
-                                              head_arrival, wire_time)
-            h = self._h_ingress.get(msg.dst_node)
-            if h is not None:
-                h.observe(queued)
+        """Apply latency + ingress queueing and schedule the arrival.
+
+        The one step a routed fabric replaces. Like the egress side in
+        :meth:`transmit`, the ingress busy-chain is :meth:`_serialize`
+        written out.
+        """
+        params = self.params
+        head_arrival = depart_time + params.latency
+        if params.model_ingress:
+            dst_node = msg.dst_node
+            server = self._ingress[dst_node]
+            now = self.sim._now
+            busy_until = server._free_at
+            if busy_until < now:
+                busy_until = now
+            if busy_until < head_arrival:
+                busy_until = head_arrival
+            queued = busy_until - head_arrival
+            arrival = server._free_at = busy_until + wire_time
+            stats = server.stats
+            stats.requests += 1
+            stats.busy_time += wire_time
+            stats.total_queue_delay += queued
+            if self._h_ingress:
+                h = self._h_ingress.get(dst_node)
+                if h is not None:
+                    h.observe(queued)
+        else:
+            arrival = head_arrival + wire_time
         self._enqueue_arrival(msg, arrival)
 
     def _enqueue_arrival(self, msg: WireMessage, arrival: float) -> None:
         """Enqueue the delivery event for ``msg`` at absolute ``arrival``."""
         # Hand-built pre-triggered event (one per wire message — hot path).
+        sim = self.sim
         event = Event.__new__(Event)
-        event.sim = self.sim
+        event.sim = sim
         event.callbacks = [self._on_arrival]
         event._value = msg
         event._exc = None
         event._triggered = True
         event._processed = False
-        self.sim._enqueue(event, arrival - self.sim.now, priority=1)
+        sim._enqueue(event, arrival - sim._now, 1)
 
     def _on_arrival(self, event: Event) -> None:
         msg: WireMessage = event._value
         self.messages_delivered += 1
-        self.bytes_delivered += msg.wire_bytes
+        self.bytes_delivered += msg.size + HEADER_BYTES
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(TraceCategory.MSG_DELIVER, {

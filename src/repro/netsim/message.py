@@ -32,13 +32,18 @@ class MessageKind(enum.Enum):
     REL_ACK = "rel_ack"           # reliable-transport cumulative ACK
     BACKGROUND = "background"     # injected background-traffic flow unit
 
+    # Members are singletons compared by identity; ``Enum.__hash__`` is a
+    # Python-level function, and the library's handler table hashes a
+    # kind once per delivered message.
+    __hash__ = object.__hash__
+
 
 #: Header bytes added to every wire message (envelope: context id, rank,
 #: tag, seq). Affects bandwidth only for large counts of tiny messages.
 HEADER_BYTES = 48
 
 
-@dataclass
+@dataclass(slots=True)
 class WireMessage:
     """One message on the wire.
 
@@ -58,7 +63,7 @@ class WireMessage:
     payload: Any = None
     src_vci: int = 0
     dst_vci: int = 0
-    seq: int = field(default_factory=lambda: next(_seq_counter))
+    seq: int = field(default_factory=_seq_counter.__next__)
     #: Sequence number within the sender's (context, dst_rank) ordered
     #: stream — used to enforce/relax non-overtaking at the receiver.
     stream_seq: int = 0

@@ -8,7 +8,9 @@ is serialized among the software channels (VCIs) mapped onto it.
 A :class:`Nic` owns a fixed pool of contexts. VCIs request contexts through
 :meth:`Nic.allocate_context`; when more VCIs exist than contexts, contexts
 are shared round-robin — the Omni-Path resource-exhaustion effect of
-Lesson 3.
+Lesson 3. The pool is fixed in *size*; the Python object behind a slot is
+built when the slot is first handed out (or first inspected), because a
+Fig 1(a) point touches 1–128 of an Omni-Path node pair's 320 contexts.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class HardwareContext:
         inj = self.fault_injector
         if inj is not None:
             stall_end = inj.stall_until(self._node_id, self.index,
-                                        self.sim.now)
+                                        self.sim._now)
             if stall_end > 0.0:
                 target = None if self.nic is None else \
                     self.nic.failover_target(self)
@@ -123,14 +125,15 @@ class HardwareContext:
                 self.stall_waits += 1
                 if self.injector.free_at < stall_end:
                     self.injector._free_at = stall_end
-        service = self.params.issue_gap + self._jitter() \
-            + wire_bytes * self.params.issue_per_byte
+        params = self.params
+        service = params.issue_gap + self._jitter() \
+            + wire_bytes * params.issue_per_byte
         depart = self.injector.occupy(service)
         self.messages_issued += 1
         self.bytes_issued += wire_bytes
         if self.m_inject_queue is not None:
             self.m_inject_queue.observe(
-                max(0.0, depart - service - self.sim.now))
+                max(0.0, depart - service - self.sim._now))
         return depart
 
     def issue_batch(self, sizes: Sequence[int]) -> list[float]:
@@ -152,7 +155,7 @@ class HardwareContext:
                     + np.asarray(sizes, dtype=np.float64)
                     * self.params.issue_per_byte)
         injector = self.injector
-        now = self.sim.now
+        now = self.sim._now
         departs: list[float] = []
         observe = self.m_inject_queue
         for service in services.tolist():
@@ -178,7 +181,14 @@ class HardwareContext:
 
 
 class Nic:
-    """A NIC with a fixed pool of hardware contexts."""
+    """A NIC with a fixed pool of hardware contexts.
+
+    A slot's :class:`HardwareContext` is built on first use. An unbuilt
+    slot is by definition a pristine context (no sharers, nothing issued,
+    idle injector), and a context's only construction-time state — its
+    jitter seed — depends on the slot index alone, so *when* a slot is
+    built can never show in simulated results.
+    """
 
     def __init__(self, sim: Simulator, params: NicParams, node_id: int = 0,
                  metrics: Optional[MetricsRegistry] = None):
@@ -187,16 +197,40 @@ class Nic:
         self.sim = sim
         self.params = params
         self.node_id = node_id
-        self.contexts = [HardwareContext(sim, i, params, metrics=metrics,
-                                         node_id=node_id)
-                         for i in range(params.num_hardware_contexts)]
-        for ctx in self.contexts:
-            ctx.nic = self
+        self._metrics = metrics
+        self._fault_injector = None
+        #: One entry per hardware context; None until the slot is built.
+        self._slots: list[Optional[HardwareContext]] = \
+            [None] * params.num_hardware_contexts
         self._next = 0
 
+    def _context(self, index: int) -> HardwareContext:
+        """The context in slot ``index``, built now if it never was."""
+        ctx = self._slots[index]
+        if ctx is None:
+            ctx = self._slots[index] = HardwareContext(
+                self.sim, index, self.params, metrics=self._metrics,
+                node_id=self.node_id)
+            ctx.nic = self
+            ctx.fault_injector = self._fault_injector
+        return ctx
+
+    @property
+    def contexts(self) -> list[HardwareContext]:
+        """Every context of the pool in index order, building the slots
+        not yet used — the full-pool view of snapshots and tests."""
+        return [self._context(i) for i in range(len(self._slots))]
+
+    def built_contexts(self) -> list[HardwareContext]:
+        """The contexts built so far, in index order. Everything that was
+        ever allocated or issued on is among them."""
+        return [ctx for ctx in self._slots if ctx is not None]
+
     def attach_fault_injector(self, injector) -> None:
-        """Subject every context to ``injector``'s stall windows."""
-        for ctx in self.contexts:
+        """Subject every context, built or not yet, to ``injector``'s
+        stall windows."""
+        self._fault_injector = injector
+        for ctx in self.built_contexts():
             ctx.fault_injector = injector
 
     def failover_target(self, stalled: HardwareContext
@@ -206,18 +240,22 @@ class Nic:
         Deterministic preference order: the lowest-index healthy context
         that is already allocated to VCIs (its owners will feel the extra
         contention — graceful degradation, not a free lunch), else the
-        lowest-index healthy context at all.
+        lowest-index healthy context at all (an unbuilt slot is a healthy
+        unallocated one; it is built only if it is chosen).
         """
         inj = stalled.fault_injector
-        now = self.sim.now
-        healthy = [c for c in self.contexts
-                   if c is not stalled
-                   and (inj is None
-                        or inj.stall_until(c._node_id, c.index, now) == 0.0)]
-        for ctx in healthy:
-            if ctx.sharers > 0:
+        now = self.sim._now
+        fallback = None
+        for i, ctx in enumerate(self._slots):
+            if ctx is stalled or (
+                    inj is not None
+                    and inj.stall_until(self.node_id, i, now) != 0.0):
+                continue
+            if ctx is not None and ctx.sharers > 0:
                 return ctx
-        return healthy[0] if healthy else None
+            if fallback is None:
+                fallback = i
+        return None if fallback is None else self._context(fallback)
 
     def allocate_context(self) -> HardwareContext:
         """Allocate a context round-robin.
@@ -228,7 +266,7 @@ class Nic:
         of network resources at init and map logical channels onto them
         (Section II-B of the paper).
         """
-        ctx = self.contexts[self._next % len(self.contexts)]
+        ctx = self._context(self._next % len(self._slots))
         self._next += 1
         ctx.sharers += 1
         ctx._instrument()
@@ -241,7 +279,7 @@ class Nic:
     @property
     def oversubscription(self) -> float:
         """Mean number of VCIs per *used* hardware context."""
-        used = [c for c in self.contexts if c.sharers > 0]
+        used = [c for c in self.built_contexts() if c.sharers > 0]
         if not used:
             return 0.0
         return sum(c.sharers for c in used) / len(used)
@@ -252,11 +290,12 @@ class Nic:
         A perfectly balanced mapping gives 1.0. Used by the RMA hashing
         experiment (Fig 6): hash collisions show up as imbalance > 1.
         """
-        counts = [c.messages_issued for c in self.contexts if c.messages_issued]
+        counts = [c.messages_issued for c in self.built_contexts()
+                  if c.messages_issued]
         if not counts:
             return 0.0
         mean = sum(counts) / len(counts)
         return max(counts) / mean if mean else 0.0
 
     def total_messages(self) -> int:
-        return sum(c.messages_issued for c in self.contexts)
+        return sum(c.messages_issued for c in self.built_contexts())

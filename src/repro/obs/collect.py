@@ -72,7 +72,7 @@ def collect_world(world: Any, metrics: MetricsRegistry) -> None:
                           node=node.node_id)
         metrics.set_gauge("nic.load_imbalance", nic.load_imbalance(),
                           node=node.node_id)
-        for ctx in nic.contexts:
+        for ctx in nic.built_contexts():
             if ctx.sharers == 0 and ctx.messages_issued == 0:
                 continue
             labels = {"node": node.node_id, "ctx": ctx.index}

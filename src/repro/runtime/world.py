@@ -57,14 +57,17 @@ class Node:
         self.node_id = node_id
         self.nic = Nic(sim, cfg.nic, node_id=node_id, metrics=metrics)
         self.procs: list["MpiProcess"] = []
+        #: The node's processes by world rank (filled by :meth:`attach`).
+        self.procs_by_rank: dict[int, "MpiProcess"] = {}
+
+    def attach(self, proc: "MpiProcess") -> None:
+        """Place ``proc`` on this node."""
+        self.procs.append(proc)
+        self.procs_by_rank[proc.rank] = proc
 
     def deliver(self, msg: WireMessage) -> None:
         """Fabric handler: route an arriving message to its process."""
         self.procs_by_rank[msg.dst_rank].lib.deliver(msg)
-
-    @property
-    def procs_by_rank(self) -> dict[int, "MpiProcess"]:
-        return {p.rank: p for p in self.procs}
 
 
 class MpiProcess:
@@ -248,7 +251,7 @@ class World:
         for rank in range(self.num_procs):
             node = self.nodes[rank // procs_per_node]
             proc = MpiProcess(self, rank, node)
-            node.procs.append(proc)
+            node.attach(proc)
             self.procs.append(proc)
 
         # -- fault injection + reliable transport (opt-in) -------------

@@ -342,6 +342,9 @@ class Simulator:
         #: processes remove themselves so long sweeps don't accumulate.
         self._processes: dict[int, Process] = {}
         self._next_pid = 0
+        #: Next MPI request id (:class:`repro.mpi.request.Request` numbers
+        #: itself per simulator, so ids are a function of the run alone).
+        self._next_rid = 0
         #: Recycled Timeout shells (see :meth:`timeout` and :meth:`run`).
         self._timeout_pool: list[Timeout] = []
         #: Extra report providers consulted when a deadlock is detected

@@ -15,14 +15,14 @@ request, no process switch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import Event, Simulator
 
 __all__ = ["FIFOServer", "ServerStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ServerStats:
     """Utilization counters for a :class:`FIFOServer`."""
 
@@ -48,6 +48,11 @@ class FIFOServer:
     ``submit(service_time)`` returns an :class:`Event` that triggers when
     the request finishes service. Requests are serviced in submission
     order; a request begins service at ``max(now, previous completion)``.
+
+    The per-message methods read the clock as ``sim._now`` and spell
+    ``max`` of two floats as a comparison: a property call and a builtin
+    call per read are measurable at one to three reads per simulated
+    message, and the result is the same float either way.
     """
 
     __slots__ = ("sim", "name", "default_service_time", "_free_at", "stats")
@@ -62,28 +67,34 @@ class FIFOServer:
         self._free_at = 0.0
         self.stats = ServerStats()
 
-    def submit(self, service_time: Optional[float] = None) -> Event:
-        """Enqueue one request; returns its completion event."""
+    def submit(self, service_time: Optional[float] = None,
+               callback: Optional[Callable[[Event], None]] = None) -> Event:
+        """Enqueue one request; returns its completion event, which runs
+        ``callback(event)`` first when one is given."""
         st = self.default_service_time if service_time is None else service_time
         if st < 0:
             raise ValueError("service time must be non-negative")
-        now = self.sim.now
-        start = max(now, self._free_at)
+        sim = self.sim
+        now = sim._now
+        start = self._free_at
+        if start < now:
+            start = now
         done_at = start + st
         self._free_at = done_at
-        self.stats.requests += 1
-        self.stats.busy_time += st
-        self.stats.total_queue_delay += start - now
+        stats = self.stats
+        stats.requests += 1
+        stats.busy_time += st
+        stats.total_queue_delay += start - now
         # Hand-built pre-triggered event: submit() runs once per simulated
         # message, so the Event.__init__ dispatch is worth skipping.
         event = Event.__new__(Event)
-        event.sim = self.sim
-        event.callbacks = []
+        event.sim = sim
+        event.callbacks = [] if callback is None else [callback]
         event._value = None
         event._exc = None
         event._triggered = True
         event._processed = False
-        self.sim._enqueue(event, done_at - now, priority=1)
+        sim._enqueue(event, done_at - now, 1)
         return event
 
     def occupy(self, service_time: Optional[float] = None) -> float:
@@ -93,13 +104,16 @@ class FIFOServer:
         example a fire-and-forget doorbell ring) — no event is allocated.
         """
         st = self.default_service_time if service_time is None else service_time
-        now = self.sim.now
-        start = max(now, self._free_at)
-        self._free_at = start + st
-        self.stats.requests += 1
-        self.stats.busy_time += st
-        self.stats.total_queue_delay += start - now
-        return self._free_at
+        now = self.sim._now
+        start = self._free_at
+        if start < now:
+            start = now
+        self._free_at = done_at = start + st
+        stats = self.stats
+        stats.requests += 1
+        stats.busy_time += st
+        stats.total_queue_delay += start - now
+        return done_at
 
     @property
     def free_at(self) -> float:

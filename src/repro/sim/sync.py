@@ -17,7 +17,7 @@ from .core import Event, Simulator, SimulationError
 __all__ = ["Lock", "Semaphore", "Barrier", "Gate", "Mailbox", "ContentionStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ContentionStats:
     """Aggregate wait/hold statistics for a synchronization object."""
 
@@ -77,59 +77,65 @@ class Lock:
 
     def acquire(self) -> Generator[Event, Any, None]:
         """Generator: acquire the lock, waiting FIFO if held."""
-        self.stats.acquisitions += 1
+        sim = self.sim
+        stats = self.stats
+        stats.acquisitions += 1
         if not self.locked:
             self.locked = True
-            self._acquired_at = self.sim.now
+            self._acquired_at = sim._now
             if self.observer is not None:
                 self.observer("acquire", 0.0, 0)
-            if self.sim.checker is not None:
-                self.sim.checker.lock_acquired(self)
+            if sim.checker is not None:
+                sim.checker.lock_acquired(self)
             return
-        self.stats.contended_acquisitions += 1
-        waiter = self.sim.event()
+        stats.contended_acquisitions += 1
+        waiter = sim.event()
         self._waiters.append(waiter)
         queue_position = len(self._waiters)
-        self.stats.max_queue_length = max(self.stats.max_queue_length,
-                                          queue_position)
-        t0 = self.sim.now
+        if queue_position > stats.max_queue_length:
+            stats.max_queue_length = queue_position
+        t0 = sim._now
         yield waiter
-        wait = self.sim.now - t0
-        self.stats.total_wait_time += wait
-        self._acquired_at = self.sim.now
+        now = sim._now
+        wait = now - t0
+        stats.total_wait_time += wait
+        self._acquired_at = now
         if self.observer is not None:
             self.observer("acquire", wait, queue_position)
-        if self.sim.checker is not None:
-            self.sim.checker.lock_acquired(self)
+        if sim.checker is not None:
+            sim.checker.lock_acquired(self)
 
     def try_acquire(self) -> bool:
         """Non-blocking acquire; returns True on success."""
         if self.locked:
             return False
+        sim = self.sim
         self.stats.acquisitions += 1
         self.locked = True
-        self._acquired_at = self.sim.now
+        self._acquired_at = sim._now
         if self.observer is not None:
             self.observer("acquire", 0.0, 0)
-        if self.sim.checker is not None:
-            self.sim.checker.lock_acquired(self)
+        if sim.checker is not None:
+            sim.checker.lock_acquired(self)
         return True
 
     def release(self) -> None:
         """Release the lock, accounting hold time; wakes one waiter."""
         if not self.locked:
             raise SimulationError(f"release of unheld lock {self.name!r}")
-        hold = self.sim.now - self._acquired_at
+        sim = self.sim
+        now = sim._now
+        hold = now - self._acquired_at
         self.stats.total_hold_time += hold
         if self.observer is not None:
             self.observer("hold", hold, len(self._waiters))
         # Publish before any handoff so a directly-resumed waiter joins
         # this holder's clock when its acquire() continues.
-        if self.sim.checker is not None:
-            self.sim.checker.lock_released(self)
+        if sim.checker is not None:
+            sim.checker.lock_released(self)
         if self._waiters:
             # Hand the lock to the next waiter; it stays locked.
-            self._acquired_at = self.sim.now
+            self._acquired_at = now
             self._waiters.popleft().succeed()
         else:
             self.locked = False

@@ -1,17 +1,16 @@
 """Batched hot paths vs their scalar references: byte-identity.
 
-The numpy-batched issue/transmit/match paths exist for host throughput
+The numpy-batched issue/transmit paths exist for host throughput
 only — every batch entry point must produce the exact floats, counters
 and event order of calling its scalar sibling once per item, so state
 digests are engine- and batching-invariant. These tests pin that down
-per layer (NIC injector, fabric, MPI library burst, matching engine) and
-end-to-end (a partitioned workload with the burst path swapped out).
+per layer (NIC injector, fabric, MPI library burst) and end-to-end (a
+partitioned workload with the burst path swapped out).
 """
 
 import numpy as np
 import pytest
 
-from repro.mpi.matching import LinearMatchingEngine, MatchingEngine, PostedRecv
 from repro.mpi.partitioned import PsendRequest, precv_init, psend_init
 from repro.netsim.config import FabricParams, NicParams
 from repro.netsim.message import MessageKind, WireMessage
@@ -103,48 +102,6 @@ def test_transmit_batch_rejects_unknown_node():
     fabric.register_node(0, lambda m: None)
     with pytest.raises(KeyError):
         fabric.transmit_batch([(_msg(0, 7, 0, 8), 0.0)])
-
-
-def _recv(tag: int) -> PostedRecv:
-    return PostedRecv(req=None, buf=None, count=1, context_id=0, source=0,
-                      tag=tag, dst_addr=1)
-
-
-@pytest.mark.parametrize("engine_cls", [MatchingEngine, LinearMatchingEngine])
-def test_incoming_bulk_matches_scalar_incoming(engine_cls):
-    def feed(bulk: bool):
-        engine = engine_cls()
-        msgs = [_msg(0, 1, tag, 8) for tag in (3, 1, 4, 1, 5, 9, 2, 6)]
-        if bulk:
-            out = engine.incoming_bulk(msgs)
-        else:
-            out = [engine.incoming(m) for m in msgs]
-        # Drain through posted receives afterwards: unexpected-queue
-        # order and indexes must have ended up identical.
-        matches = []
-        for tag in (1, 9, 1, 3):
-            matched, cost = engine.post_recv(_recv(tag))
-            matches.append((None if matched is None else matched.tag, cost))
-        return out, matches, engine.max_unexpected_depth
-
-    assert feed(bulk=True) == feed(bulk=False)
-
-
-def test_incoming_bulk_with_posted_recvs_falls_back():
-    """A non-empty posted queue routes the bulk path through scalar
-    ``incoming`` calls (matching may consume posted entries mid-burst)."""
-    def feed(bulk: bool):
-        engine = MatchingEngine()
-        engine.post_recv(_recv(4))
-        msgs = [_msg(0, 1, tag, 8) for tag in (3, 4, 4)]
-        if bulk:
-            out = engine.incoming_bulk(msgs)
-        else:
-            out = [engine.incoming(m) for m in msgs]
-        return [(m is not None, c) for m, c in out]
-
-    assert feed(bulk=True) == feed(bulk=False)
-    assert feed(bulk=True)[1][0] is True  # tag-4 arrival found the recv
 
 
 def _partitioned_world(seed: int = 0):

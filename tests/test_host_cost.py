@@ -1,0 +1,316 @@
+"""Counts, not clocks: what the host-cost work of the issue path may not move.
+
+Making a simulated message cheaper on the host is only a gain if the
+simulation did the same work: the same kernel events, the same NIC
+contexts handed out in the same order, the same state tree, the same
+errors. Nothing here reads a host clock (that is ``benchmarks/stack/``'s
+job); every expectation is an exact count, digest or message pinned at
+the commit before NIC contexts became first-use objects.
+"""
+
+import numpy as np
+import pytest
+
+from repro.bench import MsgRateConfig, run_msgrate
+from repro.check import CheckConfig
+from repro.errors import (
+    HintViolationError,
+    MpiUsageError,
+    TagOverflowError,
+)
+from repro.faults import CtxStall, FaultPlan
+from repro.mpi import ANY_SOURCE, ANY_TAG, Info
+from repro.mpi.request import Request
+from repro.mpi.vci import TAG_UB
+from repro.netsim import ClusterSpec, NetworkConfig
+from repro.runtime import World
+from repro.snap import (
+    SnapController,
+    capture_state,
+    recording,
+    restore_snapshot,
+    state_digest,
+    take_snapshot,
+)
+from tests.helpers import flat_world, run_ranks, run_same
+
+FIG1A_MODES = ("everywhere", "threads-original", "threads-tags",
+               "threads-comms", "threads-endpoints")
+
+
+def msgrate_world(mode: str, cores: int, msgs_per_core: int = 16) -> World:
+    """Run one Fig 1(a) point and hand back its finished world."""
+    with recording(SnapController()) as ctrl:
+        run_msgrate(MsgRateConfig(mode=mode, cores=cores, msg_bytes=8,
+                                  window=16, msgs_per_core=msgs_per_core),
+                    net=NetworkConfig.omnipath())
+    (world,) = ctrl.worlds
+    return world
+
+
+# ---------------------------------------------- (a) events per message
+
+#: mode -> (kernel steps, receives completed) of the 8-core point.
+FIG1A_STEPS = {
+    "everywhere": (929, 128),
+    "threads-original": (1189, 128),
+    "threads-tags": (936, 128),
+    "threads-comms": (1005, 128),
+    "threads-endpoints": (936, 128),
+}
+
+
+@pytest.mark.parametrize("mode", FIG1A_MODES)
+def test_fig1a_point_costs_the_pinned_number_of_events(mode):
+    world = msgrate_world(mode, cores=8)
+    recvs = sum(p.lib.recvs_completed for p in world.procs)
+    assert (world.sim.steps, recvs) == FIG1A_STEPS[mode]
+
+
+# -------------------------------------------- (b) contexts on first use
+
+def test_fresh_world_builds_no_hardware_contexts():
+    world = World(cluster=ClusterSpec(nodes=2,
+                                      network=NetworkConfig.omnipath()))
+    pool = world.cfg.nic.num_hardware_contexts
+    for node in world.nodes:
+        # COMM_WORLD commits one VCI, hence one context, per process.
+        assert len(node.nic.built_contexts()) == node.nic.num_allocated == 1
+        assert len(node.nic.contexts) == pool  # the view materialises
+        assert len(node.nic.built_contexts()) == pool
+
+
+def test_run_builds_exactly_the_allocated_contexts():
+    world = msgrate_world("threads-endpoints", cores=4)
+    pool = world.cfg.nic.num_hardware_contexts
+    for node in world.nodes:
+        nic = node.nic
+        built = nic.built_contexts()
+        assert 0 < nic.num_allocated < pool
+        assert [c.index for c in built] == list(range(nic.num_allocated))
+        assert all(c.sharers == 1 for c in built)
+        assert len(nic.contexts) == pool
+
+
+# ------------------------------------------------- (c) the state digest
+
+#: ``state_digest`` of the finished threads-endpoints x4 world, from the
+#: commit that still built every context in ``Nic.__init__``.
+ENDPOINTS_X4_DIGEST = \
+    "e674e6f277bf21e77ba366d99b68d10c50508a5556ac8b5bd42ca085e24dd7c6"
+
+
+def test_state_digest_ignores_when_contexts_are_built():
+    world = msgrate_world("threads-endpoints", cores=4)
+    assert len(world.nodes[0].nic.built_contexts()) \
+        < world.cfg.nic.num_hardware_contexts
+    before = state_digest(capture_state(world))  # materialises all slots
+    assert len(world.nodes[0].nic.built_contexts()) \
+        == world.cfg.nic.num_hardware_contexts
+    assert state_digest(capture_state(world)) == before
+    assert before == ENDPOINTS_X4_DIGEST
+
+
+# ----------------------------------------------------- (d) failover order
+
+def test_failover_picks_the_same_target_when_its_slot_was_never_built():
+    """Context 0 is stalled, context 1 too: the lowest-index healthy
+    context is slot 2, which nothing allocated — it must be consulted by
+    index, chosen, and only then built."""
+    plan = FaultPlan(stalls=(
+        CtxStall(node=0, ctx=0, start=0.0, duration=1.0),
+        CtxStall(node=0, ctx=1, start=0.0, duration=1.0)))
+    world = World(num_nodes=2, procs_per_node=1, faults=plan, seed=0)
+    nic0 = world.nodes[0].nic
+    assert [c.index for c in nic0.built_contexts()] == [0]
+
+    def rank0(proc):
+        yield from proc.comm_world.Send(np.arange(4.0), dest=1, tag=0)
+
+    def rank1(proc):
+        buf = np.zeros(4)
+        yield from proc.comm_world.Recv(buf, source=0, tag=0)
+        assert np.array_equal(buf, np.arange(4.0))
+
+    run_ranks(world, rank0, rank1)
+    assert [c.index for c in nic0.built_contexts()] == [0, 2]
+    target = nic0.contexts[2]
+    assert target.failovers_in == world.injector.failovers > 0
+    assert target.messages_issued == target.failovers_in
+    assert target.sharers == 0
+    assert target.fault_injector is world.injector  # attached after build
+    assert nic0.contexts[0].messages_issued == 0
+
+
+def test_failover_prefers_an_allocated_context_over_a_lower_unbuilt_one():
+    plan = FaultPlan(stalls=(CtxStall(node=0, ctx=0, start=0.0,
+                                      duration=1.0),))
+    world = World(num_nodes=2, procs_per_node=2, faults=plan, seed=0)
+    nic0 = world.nodes[0].nic  # rank 0 on context 0, rank 1 on context 1
+    assert nic0.failover_target(nic0.contexts[0]).index == 1
+    assert nic0.failover_target(nic0.contexts[1]).index == 2
+
+
+# ------------------------------------------------ (e) the inline checks
+
+def _raises(world, fn):
+    """Run ``fn(proc)`` on rank 0 and return the exception it raises."""
+    caught = []
+
+    def rank0(proc):
+        try:
+            yield from fn(proc)
+        except Exception as exc:  # noqa: BLE001 - the test inspects it
+            caught.append(exc)
+
+    def idle(proc):
+        return
+        yield
+
+    run_ranks(world, rank0, idle)
+    (exc,) = caught
+    return exc
+
+
+def test_isend_rejections_are_the_full_checks_errors():
+    buf = np.zeros(1)
+    cases = [
+        (dict(dest=2, tag=0), MpiUsageError,
+         "rank 2 out of range for communicator of size 2"),
+        (dict(dest=ANY_SOURCE, tag=0), MpiUsageError,
+         "ANY_SOURCE is invalid for sends"),
+        (dict(dest=1, tag=-5), MpiUsageError, "negative tag: -5"),
+        (dict(dest=1, tag=ANY_TAG), MpiUsageError,
+         "ANY_TAG is invalid for sends"),
+    ]
+    for kwargs, exc_type, text in cases:
+        exc = _raises(flat_world(2), lambda proc, kw=kwargs:
+                      proc.comm_world.Isend(buf, **kw))
+        assert type(exc) is exc_type and str(exc) == text
+    exc = _raises(flat_world(2), lambda proc:
+                  proc.comm_world.Isend(buf, dest=1, tag=TAG_UB + 1))
+    assert type(exc) is TagOverflowError
+    assert str(exc).startswith(f"tag {TAG_UB + 1} exceeds TAG_UB={TAG_UB}")
+    # The largest legal tag and rank still go through.
+    world = flat_world(2)
+
+    def rank0(proc):
+        yield from proc.comm_world.Send(buf, dest=1, tag=TAG_UB)
+
+    def rank1(proc):
+        status = yield from proc.comm_world.Recv(np.zeros(1), source=0,
+                                                 tag=TAG_UB)
+        return status.tag
+
+    assert run_ranks(world, rank0, rank1)[1] == TAG_UB
+
+
+def test_irecv_out_of_range_and_freed():
+    buf = np.zeros(1)
+    exc = _raises(flat_world(2), lambda proc:
+                  proc.comm_world.Irecv(buf, source=2, tag=0))
+    assert str(exc) == "rank 2 out of range for communicator of size 2"
+    exc = _raises(flat_world(2), lambda proc:
+                  proc.comm_world.Irecv(buf, source=0, tag=TAG_UB + 1))
+    assert type(exc) is TagOverflowError
+
+    def freed(proc):
+        proc.comm_world.Free()
+        # A freed handle wins over the bad rank, as in the full checks.
+        yield from proc.comm_world.Irecv(buf, source=7, tag=0)
+
+    exc = _raises(flat_world(2), freed)
+    assert str(exc) == "operation on freed communicator 'COMM_WORLD'"
+
+
+NO_WILDCARDS = {"mpi_assert_no_any_source": "true",
+                "mpi_assert_no_any_tag": "true"}
+
+
+@pytest.mark.parametrize("kwargs, text", [
+    (dict(source=ANY_SOURCE, tag=3),
+     "ANY_SOURCE used on a communicator asserting "
+     "mpi_assert_no_any_source"),
+    (dict(source=1, tag=ANY_TAG),
+     "ANY_TAG used on a communicator asserting mpi_assert_no_any_tag"),
+])
+def test_wildcards_under_no_wildcard_hints_raise_without_a_checker(
+        kwargs, text):
+    def worker(proc):
+        comm = yield from proc.comm_world.Dup(Info(NO_WILDCARDS))
+        if proc.rank == 0:
+            with pytest.raises(HintViolationError) as info:
+                yield from comm.Irecv(np.zeros(1), **kwargs)
+            assert str(info.value) == text
+
+    run_same(flat_world(2), worker)
+
+
+def test_wildcards_under_no_wildcard_hints_report_chk104_with_a_checker():
+    world = flat_world(2, check=CheckConfig(emit_warnings=False))
+
+    def rank0(proc):
+        comm = yield from proc.comm_world.Dup(Info(NO_WILDCARDS))
+        buf = np.zeros(2)
+        status = yield from comm.Recv(buf, source=ANY_SOURCE, tag=ANY_TAG)
+        return status.source, status.tag, buf[0]
+
+    def rank1(proc):
+        comm = yield from proc.comm_world.Dup(Info(NO_WILDCARDS))
+        yield from comm.Send(np.full(2, 3.0), dest=0, tag=9)
+
+    assert run_ranks(world, rank0, rank1)[0] == (1, 9, 3.0)
+    report = world.check_report()
+    assert report.counts() == {"CHK104": 2}
+    assert sorted(v.message for v in report.violations) == [
+        "ANY_SOURCE used on communicator 'COMM_WORLD.dup0' asserting "
+        "mpi_assert_no_any_source",
+        "ANY_TAG used on communicator 'COMM_WORLD.dup0' asserting "
+        "mpi_assert_no_any_tag",
+    ]
+
+
+# ------------------------------------------ request ids are per simulator
+
+def _exchange_world() -> World:
+    """Two ranks trading four messages; tasks spawned, nothing run."""
+    world = World(num_nodes=2, procs_per_node=1, seed=1)
+
+    def rank0(proc):
+        for i in range(4):
+            yield from proc.comm_world.Send(np.full(2, float(i)), dest=1,
+                                            tag=i)
+
+    def rank1(proc):
+        for i in range(4):
+            yield from proc.comm_world.Recv(np.zeros(2), source=0, tag=i)
+
+    world.procs[0].spawn(rank0(world.procs[0]))
+    world.procs[1].spawn(rank1(world.procs[1]))
+    return world
+
+
+def test_request_ids_start_at_zero_in_every_world():
+    first, second = _exchange_world(), _exchange_world()
+    assert first.sim._next_rid == second.sim._next_rid == 0
+    first.run()
+    assert first.sim._next_rid == 8  # four sends, four receives
+    # The second world numbers its requests as if it were alone.
+    assert Request(second.sim).rid == 0
+    assert Request(second.sim).rid == 1
+    assert Request(first.sim).rid == 8
+
+
+def test_restored_snapshot_continues_the_request_numbering():
+    world = _exchange_world()
+    world.sim.run_steps(25)
+    assert 0 < world.sim._next_rid < 8
+    snap = take_snapshot(world)
+    issued_at_snapshot = world.sim._next_rid
+    world.run()
+    restored = restore_snapshot(snap, _exchange_world)
+    assert restored.sim._next_rid == issued_at_snapshot
+    restored.run()
+    assert restored.sim._next_rid == world.sim._next_rid == 8
+    assert state_digest(capture_state(restored)) \
+        == state_digest(capture_state(world))
