@@ -9,8 +9,8 @@ A :class:`Nic` owns a fixed pool of contexts. VCIs request contexts through
 :meth:`Nic.allocate_context`; when more VCIs exist than contexts, contexts
 are shared round-robin — the Omni-Path resource-exhaustion effect of
 Lesson 3. The pool is fixed in *size*; the Python object behind a slot is
-built when the slot is first handed out (or first inspected), because a
-Fig 1(a) point touches 1–128 of an Omni-Path node pair's 320 contexts.
+built when the slot is first handed out (never by looking at it), because
+a Fig 1(a) point touches 1–128 of an Omni-Path node pair's 320 contexts.
 """
 
 from __future__ import annotations
@@ -183,11 +183,13 @@ class HardwareContext:
 class Nic:
     """A NIC with a fixed pool of hardware contexts.
 
-    A slot's :class:`HardwareContext` is built on first use. An unbuilt
-    slot is by definition a pristine context (no sharers, nothing issued,
-    idle injector), and a context's only construction-time state — its
-    jitter seed — depends on the slot index alone, so *when* a slot is
-    built can never show in simulated results.
+    A slot's :class:`HardwareContext` is built on first use: when it is
+    allocated to a VCI or chosen as a failover target. An unbuilt slot is
+    by definition a pristine context (no sharers, nothing issued, idle
+    injector), and a context's only construction-time state — its jitter
+    seed — depends on the slot index alone, so *when* a slot is built can
+    never show in simulated results. Observers read :meth:`slots` or
+    :meth:`built_contexts`; neither builds anything.
     """
 
     def __init__(self, sim: Simulator, params: NicParams, node_id: int = 0,
@@ -215,11 +217,10 @@ class Nic:
             ctx.fault_injector = self._fault_injector
         return ctx
 
-    @property
-    def contexts(self) -> list[HardwareContext]:
-        """Every context of the pool in index order, building the slots
-        not yet used — the full-pool view of snapshots and tests."""
-        return [self._context(i) for i in range(len(self._slots))]
+    def slots(self) -> tuple[Optional[HardwareContext], ...]:
+        """The whole pool in index order, ``None`` where no context was
+        built yet — the read-only view state captures walk."""
+        return tuple(self._slots)
 
     def built_contexts(self) -> list[HardwareContext]:
         """The contexts built so far, in index order. Everything that was

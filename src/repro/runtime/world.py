@@ -17,7 +17,6 @@ Typical use::
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -283,7 +282,7 @@ class World:
         # Context ids are allocated in strides of four per communicator:
         # +0 point-to-point, +1 collectives, +2 partitioned, +3 reserved.
         # COMM_WORLD holds 0..3.
-        self._next_context = itertools.count(4, 4)
+        self._next_context = 4
         self._meetings: dict[Any, _Meeting] = {}
 
         # -- snapshot / record-replay session (opt-in) ------------------
@@ -345,7 +344,9 @@ class World:
 
     def alloc_context_id(self) -> int:
         """Allocate a fresh (even) context id, globally consistent."""
-        return next(self._next_context)
+        context_id = self._next_context
+        self._next_context = context_id + 4
+        return context_id
 
     # ------------------------------------------------------------------
     def meet(self, key: Any, nmembers: int, rank: int,

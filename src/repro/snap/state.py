@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import re
 from collections import deque
 from dataclasses import is_dataclass
 from typing import Any, Iterable, Optional
@@ -39,6 +38,7 @@ import numpy as np
 from ..mpi.matching import LinearMatchingEngine, MatchingEngine, PostedRecv
 from ..mpi.request import Request
 from ..netsim.message import WireMessage
+from ..netsim.nic import HardwareContext
 from ..sim.core import AllOf, AnyOf, Event, Process, Timeout
 
 __all__ = ["capture_state", "canonical_json", "state_digest",
@@ -54,6 +54,11 @@ STATE_FORMAT_VERSION = 2
 #: Depth cap for user payload description — deep enough for every wire
 #: payload the library produces, shallow enough to stop runaway graphs.
 _MAX_DEPTH = 8
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"),
+#: allow_nan=True)`` without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           allow_nan=True).encode
 
 
 def canon_key(key: Any) -> str:
@@ -316,6 +321,33 @@ def _context_state(ctx: Any) -> dict[str, Any]:
             "doorbell": _lock_state(ctx.doorbell_lock)}
 
 
+#: ``slot index -> (pristine record, its canonical JSON text)``: what
+#: :func:`_context_state` says of a context nothing has touched yet, which
+#: depends on the slot index alone (see :class:`~repro.netsim.nic.Nic`).
+#: One record per index therefore describes the unbuilt slots of every NIC
+#: of every world. Captured trees *share* these records, so they are
+#: read-only, and :func:`canonical_json` knows them by identity.
+_PRISTINE: dict[int, tuple[dict[str, Any], str]] = {}
+
+
+def _nic_state(nic: Any) -> dict[str, Any]:
+    """A NIC's pool; an unbuilt slot is its index's pristine record, made
+    once by capturing a throwaway context so it cannot drift from the
+    class. Nothing is built on the NIC itself."""
+    contexts = []
+    for index, ctx in enumerate(nic.slots()):
+        if ctx is not None:
+            contexts.append(_context_state(ctx))
+            continue
+        entry = _PRISTINE.get(index)
+        if entry is None:
+            record = _context_state(
+                HardwareContext(nic.sim, index, nic.params))
+            entry = _PRISTINE[index] = (record, _encode(record))
+        contexts.append(entry[0])
+    return {"next": nic._next, "contexts": contexts}
+
+
 def _proc_state(proc: Any) -> dict[str, Any]:
     lib = proc.lib
     vcis = {}
@@ -393,10 +425,12 @@ def capture_state(world: Any) -> dict[str, Any]:
     """The full canonical state tree of a world at the current step.
 
     Pure observation: captures between kernel steps schedule no events,
-    advance no sequence numbers, and touch no RNG, so a run interleaved
-    with captures is byte-identical to an uninterrupted one.
+    advance no sequence numbers, touch no RNG and build no simulation
+    object (an unused NIC slot stays unbuilt), so a run interleaved with
+    captures is byte-identical to an uninterrupted one. The tree shares
+    the pristine hardware-context records with every other capture:
+    treat it as read-only.
     """
-    match = re.match(r"count\((\d+)", repr(world._next_context))
     meetings = {canon_key(k): {"arrived": m.arrived, "expected": m.expected}
                 for k, m in world._meetings.items()}
     state: dict[str, Any] = {
@@ -408,14 +442,11 @@ def capture_state(world: Any) -> dict[str, Any]:
             "procs_per_node": world.procs_per_node,
             "threads_per_proc": world.threads_per_proc,
             "max_vcis_per_proc": world.max_vcis_per_proc,
-            "next_context": int(match.group(1)) if match else None,
+            "next_context": world._next_context,
             "meetings": meetings,
         },
         "procs": {str(p.rank): _proc_state(p) for p in world.procs},
-        "nics": {str(node.node_id): {
-                     "next": node.nic._next,
-                     "contexts": [_context_state(c)
-                                  for c in node.nic.contexts]}
+        "nics": {str(node.node_id): _nic_state(node.nic)
                  for node in world.nodes},
         "fabric": {
             "messages_delivered": world.fabric.messages_delivered,
@@ -452,10 +483,49 @@ def capture_state(world: Any) -> dict[str, Any]:
     return state
 
 
+def _object_json(obj: Any, member_json: Any) -> str:
+    """What :func:`_encode` emits for ``obj``; when that is a str-keyed
+    dict, each member's text comes from ``member_json(key, value)``."""
+    if type(obj) is not dict or not all(type(k) is str for k in obj):
+        return _encode(obj)
+    return "{" + ",".join([f"{_encode(k)}:{member_json(k, v)}"
+                           for k, v in sorted(obj.items())]) + "}"
+
+
+def _state_member_json(key: str, value: Any) -> str:
+    if key != "nics":
+        return _encode(value)
+    return _object_json(
+        value, lambda _, nic: _object_json(nic, _nic_member_json))
+
+
+def _nic_member_json(key: str, value: Any) -> str:
+    if key != "contexts" or type(value) is not list:
+        return _encode(value)
+    # ``is``, never ``==``: 0 == 0.0 yet they encode differently. A record
+    # that merely equals a pristine one (a built-but-idle context, a tree
+    # read back from a file) takes the encoder and yields the same text.
+    parts = []
+    for index, record in enumerate(value):
+        entry = _PRISTINE.get(index)
+        parts.append(entry[1] if entry is not None and record is entry[0]
+                     else _encode(record))
+    return "[" + ",".join(parts) + "]"
+
+
 def canonical_json(state: Any) -> str:
-    """The byte-stable encoding the digest is computed over."""
-    return json.dumps(state, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True)
+    """The byte-stable encoding the digest is computed over:
+    ``json.dumps(state, sort_keys=True, separators=(",", ":"))``.
+
+    Nine tenths of a world's tree is hardware contexts no run touched, so
+    the top level and the ``nics -> <node> -> contexts`` lists of a state
+    tree are composed here — exactly as the encoder would — and each
+    shared pristine record contributes its cached text; everything else,
+    and every value that is not a state tree, goes through the encoder.
+    """
+    if type(state) is dict and "nics" in state:
+        return _object_json(state, _state_member_json)
+    return _encode(state)
 
 
 def state_digest(state: Any) -> str:

@@ -22,6 +22,22 @@ def flat_world(nprocs: int, threads_per_proc: int = 1,
                                      network=network), **kwargs)
 
 
+def hw_context(nic, index: int):
+    """The hardware context in slot ``index`` of ``nic``, built now if the
+    run never touched it. Production code has no such view (observers read
+    ``nic.slots()``/``nic.built_contexts()``); tests that drive or inspect
+    one particular slot ask for it here."""
+    return nic._context(index)
+
+
+def build_out_pools(world: World) -> None:
+    """Build every slot of every NIC of ``world`` — what ``Nic.__init__``
+    once did; simulated results and state digests must not notice."""
+    for node in world.nodes:
+        for index in range(len(node.nic.slots())):
+            hw_context(node.nic, index)
+
+
 def run_ranks(world: World, *fns, max_steps=2_000_000):
     """Spawn ``fns[i]`` (a generator function taking the process) on rank
     ``i``, run to completion, and return their return values."""

@@ -33,7 +33,7 @@ from repro.runtime import World
 from repro.sim.core import SimulationError
 from repro.sim.trace import TraceCategory, Tracer
 from repro.netsim import ClusterSpec
-from tests.helpers import run_ranks, run_same
+from tests.helpers import hw_context, run_ranks, run_same
 
 MECHANISMS = ("original", "tags", "communicators", "endpoints",
               "partitioned")
@@ -322,8 +322,8 @@ def test_context_stall_fails_over_to_another_context():
     run_ranks(world, rank0, rank1)
     assert world.injector.failovers > 0
     nic0 = world.nodes[0].nic
-    assert nic0.contexts[0].messages_issued == 0  # wedged queue unused
-    assert sum(c.failovers_in for c in nic0.contexts) > 0
+    assert hw_context(nic0, 0).messages_issued == 0  # wedged queue unused
+    assert sum(c.failovers_in for c in nic0.built_contexts()) > 0
 
 
 def test_context_stall_waits_when_no_failover_target():
@@ -343,7 +343,7 @@ def test_context_stall_waits_when_no_failover_target():
         return proc.sim.now
 
     t0, t1 = run_ranks(world, rank0, rank1)
-    assert world.nodes[0].nic.contexts[0].stall_waits > 0
+    assert hw_context(world.nodes[0].nic, 0).stall_waits > 0
     assert t1 >= stall_end  # nothing left node 0 before the stall ended
 
 

@@ -32,7 +32,13 @@ from repro.snap import (
     state_digest,
     take_snapshot,
 )
-from tests.helpers import flat_world, run_ranks, run_same
+from tests.helpers import (
+    build_out_pools,
+    flat_world,
+    hw_context,
+    run_ranks,
+    run_same,
+)
 
 FIG1A_MODES = ("everywhere", "threads-original", "threads-tags",
                "threads-comms", "threads-endpoints")
@@ -76,8 +82,10 @@ def test_fresh_world_builds_no_hardware_contexts():
     for node in world.nodes:
         # COMM_WORLD commits one VCI, hence one context, per process.
         assert len(node.nic.built_contexts()) == node.nic.num_allocated == 1
-        assert len(node.nic.contexts) == pool  # the view materialises
-        assert len(node.nic.built_contexts()) == pool
+        # Looking at the pool builds nothing; asking for a slot does.
+        assert node.nic.slots().count(None) == pool - 1
+        assert hw_context(node.nic, pool - 1).index == pool - 1
+        assert len(node.nic.built_contexts()) == 2
 
 
 def test_run_builds_exactly_the_allocated_contexts():
@@ -89,7 +97,7 @@ def test_run_builds_exactly_the_allocated_contexts():
         assert 0 < nic.num_allocated < pool
         assert [c.index for c in built] == list(range(nic.num_allocated))
         assert all(c.sharers == 1 for c in built)
-        assert len(nic.contexts) == pool
+        assert nic.slots() == tuple(built) + (None,) * (pool - len(built))
 
 
 # ------------------------------------------------- (c) the state digest
@@ -102,13 +110,16 @@ ENDPOINTS_X4_DIGEST = \
 
 def test_state_digest_ignores_when_contexts_are_built():
     world = msgrate_world("threads-endpoints", cores=4)
-    assert len(world.nodes[0].nic.built_contexts()) \
-        < world.cfg.nic.num_hardware_contexts
-    before = state_digest(capture_state(world))  # materialises all slots
-    assert len(world.nodes[0].nic.built_contexts()) \
-        == world.cfg.nic.num_hardware_contexts
-    assert state_digest(capture_state(world)) == before
-    assert before == ENDPOINTS_X4_DIGEST
+    pool = world.cfg.nic.num_hardware_contexts
+    built = [len(node.nic.built_contexts()) for node in world.nodes]
+    assert max(built) < pool
+    # Capturing and digesting observe: no slot is built on their account.
+    assert state_digest(capture_state(world)) == ENDPOINTS_X4_DIGEST
+    assert [len(n.nic.built_contexts()) for n in world.nodes] == built
+    # ... and a pool that was built out describes the same state.
+    build_out_pools(world)
+    assert all(len(n.nic.built_contexts()) == pool for n in world.nodes)
+    assert state_digest(capture_state(world)) == ENDPOINTS_X4_DIGEST
 
 
 # ----------------------------------------------------- (d) failover order
@@ -134,12 +145,12 @@ def test_failover_picks_the_same_target_when_its_slot_was_never_built():
 
     run_ranks(world, rank0, rank1)
     assert [c.index for c in nic0.built_contexts()] == [0, 2]
-    target = nic0.contexts[2]
+    target = hw_context(nic0, 2)
     assert target.failovers_in == world.injector.failovers > 0
     assert target.messages_issued == target.failovers_in
     assert target.sharers == 0
     assert target.fault_injector is world.injector  # attached after build
-    assert nic0.contexts[0].messages_issued == 0
+    assert hw_context(nic0, 0).messages_issued == 0
 
 
 def test_failover_prefers_an_allocated_context_over_a_lower_unbuilt_one():
@@ -147,8 +158,8 @@ def test_failover_prefers_an_allocated_context_over_a_lower_unbuilt_one():
                                       duration=1.0),))
     world = World(num_nodes=2, procs_per_node=2, faults=plan, seed=0)
     nic0 = world.nodes[0].nic  # rank 0 on context 0, rank 1 on context 1
-    assert nic0.failover_target(nic0.contexts[0]).index == 1
-    assert nic0.failover_target(nic0.contexts[1]).index == 2
+    assert nic0.failover_target(hw_context(nic0, 0)).index == 1
+    assert nic0.failover_target(hw_context(nic0, 1)).index == 2
 
 
 # ------------------------------------------------ (e) the inline checks

@@ -13,6 +13,7 @@ from repro.netsim import (
     WireMessage,
 )
 from repro.sim import Simulator
+from tests.helpers import hw_context
 
 
 def make_msg(src=0, dst=1, size=0, tag=7, **meta):
@@ -89,7 +90,8 @@ def test_context_issue_charges_bytes():
 def test_load_imbalance_perfectly_balanced_is_one():
     sim = Simulator()
     nic = Nic(sim, NicParams(num_hardware_contexts=4, issue_gap=1e-9))
-    for ctx in nic.contexts:
+    for index in range(4):
+        ctx = hw_context(nic, index)
         ctx.issue(0)
         ctx.issue(0)
     assert nic.load_imbalance() == pytest.approx(1.0)
@@ -100,9 +102,9 @@ def test_load_imbalance_detects_skew():
     sim = Simulator()
     nic = Nic(sim, NicParams(num_hardware_contexts=4, issue_gap=1e-9))
     for _ in range(6):
-        nic.contexts[0].issue(0)
-    nic.contexts[1].issue(0)
-    nic.contexts[2].issue(0)
+        hw_context(nic, 0).issue(0)
+    hw_context(nic, 1).issue(0)
+    hw_context(nic, 2).issue(0)
     # counts 6,1,1 -> mean 8/3, max 6 -> 2.25
     assert nic.load_imbalance() == pytest.approx(2.25)
 
