@@ -62,17 +62,6 @@ class MemoStats:
     #: Digest of each warm prefix, keyed by canonical prefix JSON.
     prefix_digests: dict[str, str] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-able summary (for ``BENCH_kernel.json``)."""
-        return {
-            "warmups_simulated": self.warmups_simulated,
-            "warmup_reuses": self.warmup_reuses,
-            "result_hits": self.result_hits,
-            "forks": self.forks,
-            "points_run": self.points_run,
-            "unique_prefixes": len(self.prefix_digests),
-        }
-
 
 def canonical_params(params: dict) -> str:
     """Canonical JSON for a parameter mapping (sorted keys, no spaces).

@@ -49,7 +49,7 @@ def auto_jobs(requested: Optional[int] = None,
     The ``scaling_run`` records showed why: at ``jobs > cpu_count`` the
     fork pool's *dispatch* overhead (IPC, scheduling) is pure loss — on
     the 1-CPU CI host, jobs=2/4 ran the Fig 1(a) sweep *slower* than
-    serial (the ``expected_on_host`` flags in ``BENCH_kernel.json``).
+    serial (0.85x / 0.80x).
     So the sizing rule consulted by the serve orchestrator is:
 
     - ``requested is None`` — use every CPU, no more (``os.cpu_count()``);
@@ -259,8 +259,8 @@ def scaling_run(fn: Callable[..., Any], points: Iterable[dict],
 
     Returns ``{jobs: {"wall_sec", "cpu_count", "dispatch_sec",
     "chunk_size", "rss_self_kb", "rss_children_kb"}}``. Every record
-    carries what an ``expected_on_host`` verdict needs, so a
-    ``BENCH_kernel.json`` explains itself without rerunning anything:
+    carries what judging it against the host needs, so a saved record
+    explains itself without rerunning anything:
 
     - ``cpu_count`` — ``jobs > cpu_count`` cannot beat serial, and a
       gate that ignores that tracks noise;

@@ -14,7 +14,8 @@ Design constraints, in order:
    raise mode turns detections into :class:`~repro.errors.CheckError`.
 2. **Zero-cost when off**: every hook site guards on
    ``sim.checker is not None``; with no checker the added work is one
-   attribute load per site (benchmarked in ``benchmarks/bench_kernel.py``).
+   attribute load per site (``benchmarks/stack`` runs Fig 1(a) with the
+   checker off and on: ``fig1a_eager`` / ``fig1a_checked``).
 3. **Epoch-cheap when on**: per-object access checks use the FastTrack
    epoch shortcut (see :mod:`repro.check.hb`); full vector-clock
    snapshots happen only at release points.

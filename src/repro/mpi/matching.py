@@ -37,9 +37,8 @@ earliest candidate in O(1)-ish host time, and the ``scanned`` count the
 linear scan *would* have produced is recovered analytically from the
 position of the matched element's sequence number among the live queue —
 so every simulated timing, ``total_scans`` and histogram is byte-identical
-to the reference :class:`LinearMatchingEngine` kept below (the property
-tests assert this under randomized interleavings; see
-``docs/performance.md``).
+to the linear-scan reference in ``tests/oracles.py`` (the property tests
+assert this under randomized interleavings; see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from ..netsim.message import WireMessage
 from .request import Request
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "PostedRecv", "MatchingEngine",
-           "LinearMatchingEngine", "key_matches"]
+           "key_matches"]
 
 #: Wildcards (MPI_ANY_SOURCE / MPI_ANY_TAG).
 ANY_SOURCE = -1
@@ -97,13 +96,56 @@ class PostedRecv:
                            self.dst_addr, msg)
 
 
-class _EngineBase:
-    """Counters, depth high-water marks and metric handles shared by the
-    indexed engine and the linear reference engine."""
+# Bucket-record field indices: a record is the mutable triple
+# ``[seq, item, alive]`` shared by every bucket that indexes the item.
+_SEQ, _ITEM, _ALIVE = 0, 1, 2
+
+
+def _live_head(bucket: Optional[deque]) -> Optional[list]:
+    """Drop dead records off the bucket head; return the live head."""
+    if not bucket:
+        return None
+    while bucket:
+        rec = bucket[0]
+        if rec[_ALIVE]:
+            return rec
+        bucket.popleft()
+    return None
+
+
+def _live_items(buckets: dict[tuple, deque]) -> list:
+    """The items of a bucket map's live records, in sequence order."""
+    live = [rec for bucket in buckets.values() for rec in bucket
+            if rec[_ALIVE]]
+    live.sort(key=lambda rec: rec[_SEQ])
+    return [rec[_ITEM] for rec in live]
+
+
+class MatchingEngine:
+    """Posted-receive and unexpected-message queues for one channel.
+
+    When constructed with a :class:`repro.obs.MetricsRegistry`, every
+    match records its scan length and the queue depth it left behind —
+    the per-match observability of the O(n) serial-matching cost
+    (Section II-C); ``labels`` (typically ``rank``/``vci``) tag the
+    series.
+
+    Host-side lookups are O(1)-ish hash-bucket operations; the reported
+    ``scanned`` counts are exactly those of a linear scan-until-match
+    (see the module docstring). Wildcard side-indexes for the unexpected
+    queue are built lazily on the first wildcard lookup, so engines that
+    never see a wildcard maintain a single bucket per message; live
+    wildcard-receive counters let arrivals skip the wildcard posted
+    buckets entirely when none are pending.
+    """
 
     __slots__ = ("max_posted_depth", "max_unexpected_depth", "total_scans",
                  "_h_scan_posted", "_h_scan_unexpected",
-                 "_h_posted_depth", "_h_unexpected_depth")
+                 "_h_posted_depth", "_h_unexpected_depth",
+                 "_po_seq", "_po_seqs", "_po_buckets", "_po_by_req",
+                 "_po_dead", "_po_w_src", "_po_w_tag", "_po_w_both",
+                 "_ux_seq", "_ux_seqs", "_ux_full", "_ux_by_src",
+                 "_ux_by_tag", "_ux_any", "_ux_wild", "_ux_dead")
 
     def __init__(self, metrics=None, labels: Optional[dict] = None):
         self.max_posted_depth = 0
@@ -128,50 +170,6 @@ class _EngineBase:
             self._h_scan_unexpected = None
             self._h_posted_depth = None
             self._h_unexpected_depth = None
-
-
-# Bucket-record field indices: a record is the mutable triple
-# ``[seq, item, alive]`` shared by every bucket that indexes the item.
-_SEQ, _ITEM, _ALIVE = 0, 1, 2
-
-
-def _live_head(bucket: Optional[deque]) -> Optional[list]:
-    """Drop dead records off the bucket head; return the live head."""
-    if not bucket:
-        return None
-    while bucket:
-        rec = bucket[0]
-        if rec[_ALIVE]:
-            return rec
-        bucket.popleft()
-    return None
-
-
-class MatchingEngine(_EngineBase):
-    """Posted-receive and unexpected-message queues for one channel.
-
-    When constructed with a :class:`repro.obs.MetricsRegistry`, every
-    match records its scan length and the queue depth it left behind —
-    the per-match observability of the O(n) serial-matching cost
-    (Section II-C); ``labels`` (typically ``rank``/``vci``) tag the
-    series.
-
-    Host-side lookups are O(1)-ish hash-bucket operations; the reported
-    ``scanned`` counts are exactly those of a linear scan-until-match
-    (see the module docstring). Wildcard side-indexes for the unexpected
-    queue are built lazily on the first wildcard lookup, so engines that
-    never see a wildcard maintain a single bucket per message; live
-    wildcard-receive counters let arrivals skip the wildcard posted
-    buckets entirely when none are pending.
-    """
-
-    __slots__ = ("_po_seq", "_po_seqs", "_po_buckets", "_po_by_req",
-                 "_po_dead", "_po_w_src", "_po_w_tag", "_po_w_both",
-                 "_ux_seq", "_ux_seqs", "_ux_full", "_ux_by_src",
-                 "_ux_by_tag", "_ux_any", "_ux_wild", "_ux_dead")
-
-    def __init__(self, metrics=None, labels: Optional[dict] = None):
-        super().__init__(metrics, labels)
         # -- posted-receive queue ------------------------------------------
         self._po_seq = 0
         #: Live sequence numbers in ascending order — the FIFO order of the
@@ -462,6 +460,29 @@ class MatchingEngine(_EngineBase):
     def unexpected_depth(self) -> int:
         return len(self._ux_seqs)
 
+    # What :func:`repro.snap.state.engine_state` captures. The two queue
+    # views are common to every engine that matches like this one (the
+    # linear test oracle offers them too); ``internals`` is private
+    # bookkeeping a cross-implementation comparison ignores.
+    def live_posted(self) -> list[PostedRecv]:
+        """The posted receives still waiting, in FIFO order."""
+        return _live_items(self._po_buckets)
+
+    def live_unexpected(self) -> list[WireMessage]:
+        """The unexpected messages still queued, in FIFO order."""
+        return _live_items(self._ux_full)
+
+    def internals(self) -> dict:
+        """Implementation-private state: sequence counters, tombstone
+        counts, wildcard bookkeeping."""
+        return {
+            "impl": "indexed",
+            "po_seq": self._po_seq, "ux_seq": self._ux_seq,
+            "po_dead": self._po_dead, "ux_dead": self._ux_dead,
+            "po_wild": [self._po_w_src, self._po_w_tag, self._po_w_both],
+            "ux_wild": self._ux_wild,
+        }
+
     def cancel_posted(self, req: Request) -> bool:
         """Remove a posted receive by request (MPI_Cancel, simplified).
 
@@ -479,126 +500,3 @@ class MatchingEngine(_EngineBase):
             self._compact_posted()
         return True
 
-
-class LinearMatchingEngine(_EngineBase):
-    """The reference O(n) engine: plain deques and scan-until-match.
-
-    Host-side cost equals the modelled cost — every lookup really walks
-    the queue. Kept as the behavioural reference for the indexed engine
-    (the equivalence property tests drive both through identical
-    interleavings) and for host-cost ablations.
-    """
-
-    __slots__ = ("posted", "unexpected", "_po_seq")
-
-    def __init__(self, metrics=None, labels: Optional[dict] = None):
-        super().__init__(metrics, labels)
-        self.posted: deque[PostedRecv] = deque()
-        self.unexpected: deque[WireMessage] = deque()
-        self._po_seq = 0
-
-    # -- receive side ------------------------------------------------------
-    def post_recv(self, entry: PostedRecv) -> tuple[Optional[WireMessage], int]:
-        """Scan unexpected linearly for a match, else append to posted."""
-        scanned = 0
-        for i, msg in enumerate(self.unexpected):
-            scanned += 1
-            if entry.matches(msg):
-                del self.unexpected[i]
-                self.total_scans += scanned
-                if self._h_scan_unexpected is not None:
-                    self._h_scan_unexpected.observe(scanned)
-                    self._h_unexpected_depth.observe(len(self.unexpected))
-                return msg, scanned
-        entry.seq = self._po_seq
-        self._po_seq += 1
-        self.posted.append(entry)
-        self.max_posted_depth = max(self.max_posted_depth, len(self.posted))
-        self.total_scans += scanned
-        if self._h_scan_unexpected is not None:
-            self._h_scan_unexpected.observe(scanned)
-            self._h_posted_depth.observe(len(self.posted))
-        return None, scanned
-
-    def probe(self, context_id: int, source: int, tag: int,
-              dst_addr: int) -> tuple[Optional[WireMessage], int]:
-        """Non-destructive linear scan of the unexpected queue."""
-        scanned = 0
-        for msg in self.unexpected:
-            scanned += 1
-            if key_matches(context_id, source, tag, dst_addr, msg):
-                self.total_scans += scanned
-                return msg, scanned
-        self.total_scans += scanned
-        return None, scanned
-
-    def claim_unexpected(self, context_id: int, source: int, tag: int,
-                         dst_addr: int) -> tuple[Optional[WireMessage], int]:
-        """Linearly find, remove and return a matching unexpected message."""
-        scanned = 0
-        for i, msg in enumerate(self.unexpected):
-            scanned += 1
-            if key_matches(context_id, source, tag, dst_addr, msg):
-                del self.unexpected[i]
-                self.total_scans += scanned
-                return msg, scanned
-        self.total_scans += scanned
-        return None, scanned
-
-    def scan_cost_unexpected(self, context_id: int, source: int, tag: int,
-                             dst_addr: int) -> int:
-        """Entries a matching scan of the unexpected queue would visit."""
-        scanned = 0
-        for msg in self.unexpected:
-            scanned += 1
-            if key_matches(context_id, source, tag, dst_addr, msg):
-                return scanned
-        return scanned
-
-    def scan_cost_posted(self, msg: WireMessage) -> int:
-        """Entries a matching scan of the posted queue would visit."""
-        scanned = 0
-        for entry in self.posted:
-            scanned += 1
-            if entry.matches(msg):
-                return scanned
-        return scanned
-
-    # -- arrival side --------------------------------------------------------
-    def incoming(self, msg: WireMessage) -> tuple[Optional[PostedRecv], int]:
-        """Linearly match an arrival against posted, else enqueue unexpected."""
-        scanned = 0
-        for i, entry in enumerate(self.posted):
-            scanned += 1
-            if entry.matches(msg):
-                del self.posted[i]
-                self.total_scans += scanned
-                if self._h_scan_posted is not None:
-                    self._h_scan_posted.observe(scanned)
-                    self._h_posted_depth.observe(len(self.posted))
-                return entry, scanned
-        self.unexpected.append(msg)
-        self.max_unexpected_depth = max(self.max_unexpected_depth,
-                                        len(self.unexpected))
-        self.total_scans += scanned
-        if self._h_scan_posted is not None:
-            self._h_scan_posted.observe(scanned)
-            self._h_unexpected_depth.observe(len(self.unexpected))
-        return None, scanned
-
-    # -- introspection ---------------------------------------------------
-    @property
-    def posted_depth(self) -> int:
-        return len(self.posted)
-
-    @property
-    def unexpected_depth(self) -> int:
-        return len(self.unexpected)
-
-    def cancel_posted(self, req: Request) -> bool:
-        """Linear-scan removal of the posted entry for ``req``."""
-        for i, entry in enumerate(self.posted):
-            if entry.req is req:
-                del self.posted[i]
-                return True
-        return False

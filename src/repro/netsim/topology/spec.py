@@ -14,8 +14,8 @@ any callable ``builder(nodes, params, **kwargs) -> Topology | None``
 registered under a name with :func:`register_topology`. ``None`` means
 "no link graph" — the World then uses the legacy single-hop
 :class:`~repro.netsim.fabric.Fabric`, which is exactly what the built-in
-``direct`` topology returns (hence byte-identical timing with the old
-``World(cfg=...)`` path). The built-ins cover ``direct``, ``fat_tree``,
+``direct`` topology returns (hence byte-identical timing with a world
+built from bare dimension keywords). The built-ins cover ``direct``, ``fat_tree``,
 ``dragonfly``, and ``torus``; applications may register their own.
 """
 

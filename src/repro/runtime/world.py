@@ -17,7 +17,6 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -37,7 +36,6 @@ from ..netsim.nic import Nic
 from ..netsim.topology import ClusterSpec, RoutedFabric
 from ..obs.collect import collect_world
 from ..obs.metrics import MetricsRegistry
-from ..sim.calendar import make_simulator
 from ..sim.core import Event, Process, Simulator
 from ..sim.random import RandomStreams
 from ..sim.sync import Gate
@@ -153,37 +151,24 @@ class World:
     def __init__(self, num_nodes: Optional[int] = None,
                  procs_per_node: Optional[int] = None,
                  threads_per_proc: Optional[int] = None,
-                 cfg: Optional[NetworkConfig] = None,
                  max_vcis_per_proc: int = 64, seed: int = 0,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  faults: Optional[FaultPlan] = None,
                  transport: Optional[TransportParams] = None,
                  check: Optional[CheckConfig | bool] = None,
-                 cluster: Optional[ClusterSpec] = None,
-                 engine: Optional[str] = None):
+                 cluster: Optional[ClusterSpec] = None):
         # -- cluster resolution -----------------------------------------
         # The declarative path is `cluster=ClusterSpec(...)`; bare
         # dimension keywords remain first-class sugar for a direct
-        # (single-hop) cluster. `cfg=` survives as a deprecation shim
-        # mapping onto `ClusterSpec(topology="direct", network=cfg)`.
+        # (single-hop) cluster.
         if cluster is not None:
-            if cfg is not None:
-                raise MpiUsageError(
-                    "pass either cluster= or the deprecated cfg=, not both "
-                    "(put the NetworkConfig in ClusterSpec(network=...))")
             if (num_nodes is not None or procs_per_node is not None
                     or threads_per_proc is not None):
                 raise MpiUsageError(
                     "with cluster=, the cluster dimensions come from the "
                     "ClusterSpec (nodes/procs_per_node/threads_per_proc)")
         else:
-            if cfg is not None:
-                warnings.warn(
-                    "World(cfg=...) is deprecated; use "
-                    "World(cluster=ClusterSpec(..., network=cfg)) — see "
-                    "docs/model.md (migration note) and docs/topology.md",
-                    DeprecationWarning, stacklevel=2)
             num_nodes = 2 if num_nodes is None else num_nodes
             procs_per_node = 1 if procs_per_node is None else procs_per_node
             threads_per_proc = 1 if threads_per_proc is None else threads_per_proc
@@ -192,16 +177,12 @@ class World:
             cluster = ClusterSpec(nodes=num_nodes,
                                   procs_per_node=procs_per_node,
                                   threads_per_proc=threads_per_proc,
-                                  topology="direct", network=cfg)
+                                  topology="direct")
         self.cluster = cluster
         num_nodes = cluster.nodes
         procs_per_node = cluster.procs_per_node
         threads_per_proc = cluster.threads_per_proc
-        # `engine` picks the event-loop implementation ("calendar" is the
-        # batched default, "heap" the legacy reference; None defers to
-        # REPRO_SIM_ENGINE). Both execute byte-identical event sequences —
-        # see repro.sim.calendar — so this only affects host wall-clock.
-        self.sim = make_simulator(engine)
+        self.sim = Simulator()
         # -- correctness checking (opt-in) ------------------------------
         # check=None adopts the session default (set by `python -m repro
         # check`), check=False forces it off, check=True/CheckConfig(...)

@@ -6,13 +6,6 @@ contexts are :class:`~repro.sim.resources.FIFOServer` instances, and
 contention is modelled with the primitives in :mod:`repro.sim.sync`.
 """
 
-from .calendar import (
-    ENGINE_ENV,
-    ENGINES,
-    CalendarSimulator,
-    default_engine,
-    make_simulator,
-)
 from .core import (
     AllOf,
     AnyOf,
@@ -27,7 +20,6 @@ from .resources import FIFOServer, ServerStats
 from .sync import Barrier, ContentionStats, Gate, Lock, Mailbox, Semaphore
 from .trace import (
     Category,
-    NullTracer,
     SpanPairing,
     TraceCategory,
     TraceRecord,
@@ -38,25 +30,19 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Barrier",
-    "CalendarSimulator",
     "Category",
     "ContentionStats",
-    "ENGINES",
-    "ENGINE_ENV",
     "Event",
     "FIFOServer",
     "Gate",
     "Lock",
     "Mailbox",
-    "NullTracer",
     "Process",
     "RandomStreams",
     "Semaphore",
     "ServerStats",
     "SimulationError",
     "Simulator",
-    "default_engine",
-    "make_simulator",
     "SpanPairing",
     "Timeout",
     "TraceCategory",

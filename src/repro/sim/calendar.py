@@ -1,729 +1,14 @@
-"""Batched calendar-queue event scheduler (the kernel's fast engine).
+"""``make_simulator()``, kept for ``benchmarks/stack/layers.py::probe_kernel``.
 
-:class:`CalendarSimulator` replaces the binary heap of
-:class:`~repro.sim.core.Simulator` with a *bucketed* schedule: one bucket
-per distinct timestamp, drained in a single pass. The workloads this
-kernel runs are heavily time-clustered — every rank's threads wake at the
-same tick, a NIC doorbell batch departs together, collective rounds
-complete in lockstep — so the heap pays ``O(log n)`` tuple pushes and
-pops for events that are, in fact, batch-mates. The calendar pays one
-small-heap pop per *distinct timestamp* and a plain list append per
-event.
-
-Storage is struct-of-arrays rather than an array of 4-tuples: a bucket
-is a flat list of bare events (no per-event tuple allocation), the
-priority is the bucket lane (normal bucket vs urgent lane), and the
-schedule sequence number lives on the event itself (``Event._seq``) —
-it is only ever read back by snapshot capture, never compared during the
-drain, because appends are seq-monotone.
-
-Ordering is **byte-identical** to the heap engine. The heap executes in
-``(time, priority, seq)`` lexicographic order; the calendar reproduces it
-batch-wise:
-
-- buckets are drained in ascending time order (a heap of *distinct*
-  times, pushed once per bucket);
-- within a bucket, every urgent (priority-0) event runs before every
-  normal event, each class in seq (FIFO append) order;
-- events scheduled *into the draining bucket* by callbacks are picked up
-  in-pass: the drain re-checks the urgent lane before each event, exactly
-  matching ``(t, 0, new_seq) < (t, 1, old_seq)``.
-
-Urgent events come only from ``succeed``/``fail``, which always schedule
-at the current time (delay 0.0) — so the engine keeps a single
-current-time urgent lane instead of one per bucket. A defensive overflow
-table preserves correctness if an urgent event is ever scheduled at any
-other time.
-
-Engine selection: :func:`make_simulator` builds the engine named by its
-argument or the ``REPRO_SIM_ENGINE`` environment variable (``calendar``
-by default, ``heap`` for the legacy reference engine). Equivalence is
-enforced the same way PR 3 proved indexed-vs-linear matching: the
-snapshot digests of ``tests/test_sim_calendar.py`` must agree byte-for-
-byte between engines at arbitrary cut points.
+The calendar queue is :class:`repro.sim.core.Simulator` itself; this module
+goes once the (frozen) stack benchmark builds a ``Simulator()`` directly.
 """
 
-from __future__ import annotations
+from .core import Simulator
 
-import os
-from heapq import heappop, heappush
-from sys import getrefcount
-from typing import Any, Iterator, Optional
-
-from .core import Event, SimulationError, Simulator, Timeout
-
-__all__ = ["CalendarSimulator", "make_simulator", "default_engine",
-           "ENGINES", "ENGINE_ENV"]
-
-#: Environment knob naming the default event engine.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-
-#: Recognised engine names, fastest first.
-ENGINES = ("calendar", "heap")
+__all__ = ["make_simulator"]
 
 
-def default_engine() -> str:
-    """The engine name selected by ``REPRO_SIM_ENGINE`` (else calendar)."""
-    name = os.environ.get(ENGINE_ENV, ENGINES[0])
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown {ENGINE_ENV}={name!r}; expected one of {ENGINES}")
-    return name
-
-
-def make_simulator(engine: Optional[str] = None) -> Simulator:
-    """Build a simulator running the named (or default) event engine.
-
-    Both engines execute identical event sequences — the choice affects
-    host wall-clock only, proven by digest equality at arbitrary cut
-    points (``tests/test_sim_calendar.py``).
-    """
-    name = engine or default_engine()
-    if name == "calendar":
-        return CalendarSimulator()
-    if name == "heap":
-        return Simulator()
-    raise ValueError(f"unknown simulator engine {name!r}; "
-                     f"expected one of {ENGINES}")
-
-
-class CalendarSimulator(Simulator):
-    """Drop-in :class:`Simulator` with a bucketed same-timestamp schedule.
-
-    Inherits the event/process machinery untouched; overrides only the
-    scheduling surface (``timeout``/``_enqueue``) and the run loops. The
-    base class's ``_heap`` stays empty — pending events live in the
-    calendar structures and are exposed through :meth:`pending_entries`.
-    """
-
-    def __init__(self):
-        super().__init__()
-        #: Min-heap of *distinct* bucket timestamps (each pushed exactly
-        #: once, when its bucket is created; popped at batch start).
-        self._times: list[float] = []
-        #: time -> normal-priority bucket: a flat list of events in
-        #: enqueue (= seq) order.
-        self._buckets: dict[float, list] = {}
-        #: The urgent (priority-0) lane for :attr:`_u_time` — urgent
-        #: events are always scheduled at the current time, so one lane
-        #: serves every bucket in turn.
-        self._u: list = []
-        self._ui = 0
-        self._u_time = 0.0
-        #: Defensive overflow: urgent events at a *non-current* time
-        #: (impossible through the public API, preserved for correctness).
-        self._uf: dict[float, list] = {}
-        #: The bucket currently being drained (None outside a batch) and
-        #: its timestamp/drain index. Drain state persists across
-        #: ``run_steps`` slices so slicing stays invisible.
-        self._cur: Optional[list] = None
-        self._cur_time: Optional[float] = None
-        self._ci = 0
-
-    # -- scheduling -------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        event._seq = self._seq = self._seq + 1
-        t = self._now + delay
-        if priority:
-            # Existing-bucket append is the hot case; the draining
-            # bucket's own time is never in the dict (popped at batch
-            # start), so a miss distinguishes cur-time from new-time.
-            b = self._buckets.get(t)
-            if b is not None:
-                b.append(event)
-            elif t == self._cur_time:
-                self._cur.append(event)
-            else:
-                self._buckets[t] = [event]
-                heappush(self._times, t)
-            return
-        u = self._u
-        if t == self._u_time:
-            u.append(event)
-        elif self._ui >= len(u) and t == self._now:
-            # Lane drained: retarget it to the current time (the common
-            # shape after a float-horizon run advanced the clock). The
-            # run loops process lane events without touching the clock,
-            # so only current-time events may enter this way.
-            if u:
-                del u[:]
-            self._ui = 0
-            self._u_time = t
-            u.append(event)
-        else:
-            # Urgent at a non-current time while the lane is busy —
-            # unreachable via succeed/fail, kept correct regardless.
-            fu = self._uf.get(t)
-            if fu is None:
-                self._uf[t] = [event]
-                if t not in self._buckets:
-                    self._buckets[t] = []
-                    heappush(self._times, t)
-            else:
-                fu.append(event)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Pooled timeout fast path: recycle a shell straight into its
-        bucket — no tuple, no heap push, no callbacks-list allocation
-        (recycled shells keep their cleared list attached)."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
-            t = pool.pop()
-            t.delay = delay
-            t._value = value
-            t._processed = False
-            t._seq = self._seq = self._seq + 1
-            tk = self._now + delay
-            b = self._buckets.get(tk)
-            if b is not None:
-                b.append(t)
-            elif tk == self._cur_time:
-                self._cur.append(t)
-            else:
-                self._buckets[tk] = [t]
-                heappush(self._times, tk)
-            return t
-        return Timeout(self, delay, value)
-
-    # -- introspection ----------------------------------------------------
-    def _pending(self) -> Iterator[tuple[float, int, int, Event]]:
-        """Every pending event as a ``(when, prio, seq, event)`` entry."""
-        u = self._u
-        for i in range(self._ui, len(u)):
-            yield (self._u_time, 0, u[i]._seq, u[i])
-        for t, fu in self._uf.items():
-            for ev in fu:
-                yield (t, 0, ev._seq, ev)
-        cur = self._cur
-        if cur is not None:
-            for i in range(self._ci, len(cur)):
-                yield (self._cur_time, 1, cur[i]._seq, cur[i])
-        for t, b in self._buckets.items():
-            for ev in b:
-                yield (t, 1, ev._seq, ev)
-
-    def pending_entries(self) -> list[tuple[float, int, int, Event]]:
-        """Pending events in execution order — identical, entry for
-        entry, to the heap engine's (the snapshot digest contract)."""
-        return sorted(self._pending(), key=lambda e: e[:3])
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or None when drained."""
-        if self._ui < len(self._u):
-            return self._u_time
-        cur = self._cur
-        if cur is not None and self._ci < len(cur):
-            return self._cur_time
-        best: Optional[float] = self._times[0] if self._times else None
-        if self._uf:  # defensive lane may hold an earlier time
-            t = min(self._uf)
-            if best is None or t < best:
-                best = t
-        return best
-
-    def queue_empty(self) -> bool:
-        """True when no events remain scheduled."""
-        return self.peek_time() is None
-
-    # -- batch machinery --------------------------------------------------
-    def _merge_urgent(self, fu: list) -> None:
-        """Merge an overflow urgent list into the lane, seq-sorted
-        (cold path: only reachable through non-API urgent scheduling)."""
-        u = self._u
-        rest = u[self._ui:] + fu
-        rest.sort(key=lambda ev: ev._seq)
-        del u[:]
-        u.extend(rest)
-        self._ui = 0
-
-    def _start_batch(self) -> bool:
-        """Select and activate the earliest bucket; False when drained.
-
-        On return the urgent lane targets the batch time and
-        ``_cur``/``_ci`` frame the normal bucket. Raises if time would
-        move backwards (corrupted schedule). This is the generic (cold)
-        path; the run loops inline the common case.
-        """
-        u = self._u
-        ui = self._ui
-        times = self._times
-        if ui < len(u):
-            t = self._u_time
-            if times and times[0] == t:
-                heappop(times)
-                cur = self._buckets.pop(t)
-            else:
-                cur = []
-        elif times:
-            t = heappop(times)
-            cur = self._buckets.pop(t)
-            if u:
-                del u[:]
-            self._ui = 0
-            self._u_time = t
-        else:
-            return False
-        if self._uf:
-            fu = self._uf.pop(t, None)
-            if fu is not None:
-                self._u_time = t
-                self._merge_urgent(fu)
-        if t < self._now:
-            raise SimulationError("time went backwards")
-        self._now = t
-        self._cur = cur
-        self._cur_time = t
-        self._ci = 0
-        return True
-
-    def _retire_batch(self) -> None:
-        """Deactivate a fully drained batch so later same-time enqueues
-        open a fresh bucket instead of landing behind the drain index."""
-        self._cur = None
-        self._cur_time = None
-        self._ci = 0
-        if self._u:
-            del self._u[:]
-        self._ui = 0
-
-    # -- execution --------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event (slow path; loops inline this)."""
-        if self.run_steps(1) == 0:
-            raise IndexError("step() on an empty schedule")
-
-    def run_steps(self, n: int, horizon: Optional[float] = None,
-                  stop_event: Optional[Event] = None) -> int:
-        """Process up to ``n`` events; same contract as the heap engine's
-        (early-stop on drained schedule, horizon, or stop_event; the
-        remaining events — including a part-drained batch — stay queued).
-        """
-        if horizon is not None:
-            nt = self.peek_time()
-            if nt is not None and nt > horizon:
-                return 0
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
-        timeout_cls = Timeout
-        typ = type
-        refcount = getrefcount
-        processed = 0
-        u = self._u
-        ui = self._ui
-        cur = self._cur
-        ci = self._ci
-        steps = self.steps
-        try:
-            while processed < n:
-                if not u:
-                    if cur is not None and ci < len(cur):
-                        event = cur[ci]
-                        ci += 1
-                    else:
-                        self._ui = ui
-                        self._ci = ci
-                        if cur is not None:
-                            self._retire_batch()
-                        if horizon is not None:
-                            nt = self.peek_time()
-                            if nt is None or nt > horizon:
-                                break
-                        if not self._start_batch():
-                            break
-                        u = self._u
-                        ui = self._ui
-                        cur = self._cur
-                        ci = self._ci
-                        continue
-                elif ui < len(u):
-                    event = u[ui]
-                    ui += 1
-                else:
-                    del u[:]
-                    ui = 0
-                    continue
-                processed += 1
-                self.steps = steps = steps + 1
-                cbs = event.callbacks
-                event._processed = True
-                if typ(event) is timeout_cls:
-                    # The bucket slot is deliberately left in place: the
-                    # pooling proof counts it (event local + getrefcount
-                    # arg + cur slot = 3); any other referent pushes the
-                    # count past 3 and blocks recycling, exactly as the
-                    # heap engine's cleared-slot ==2 proof does.
-                    if cbs:
-                        try:
-                            fn, = cbs
-                        except ValueError:
-                            event.callbacks = None
-                            for fn in cbs:
-                                fn(event)
-                        else:
-                            del cbs[:]
-                            fn(event)
-                    if len(pool) < pool_max and refcount(event) == 3:
-                        event._value = None
-                        if event.callbacks is None:
-                            event.callbacks = []
-                        pool.append(event)
-                else:
-                    event.callbacks = None
-                    if cbs:
-                        if len(cbs) == 1:
-                            cbs[0](event)
-                        else:
-                            for fn in cbs:
-                                fn(event)
-                if stop_event is not None and stop_event._processed:
-                    break
-        finally:
-            self._ui = ui
-            self._ci = ci
-        return processed
-
-    def _run(self, until: Optional[float | Event], max_steps: Optional[int],
-             start_steps: int) -> Any:
-        if max_steps is not None:
-            return self._run_budgeted(until, max_steps, start_steps)
-        if isinstance(until, Event):
-            return self._run_until_event(until)
-        if until is None:
-            self._run_all()
-            return None
-        horizon = float(until)
-        self._run_horizon(horizon)
-        self._now = max(self._now, horizon)
-        return None
-
-    def _run_budgeted(self, until: Optional[float | Event],
-                      max_steps: int, start_steps: int) -> Any:
-        """The ``max_steps`` variants, via exact ``run_steps`` slices."""
-        if isinstance(until, Event):
-            target = until
-            while not target._processed:
-                left = max_steps - (self.steps - start_steps)
-                if left <= 0:
-                    raise SimulationError(f"exceeded max_steps={max_steps}")
-                if self.run_steps(min(left, 8192), stop_event=target) == 0:
-                    raise SimulationError(self._deadlock_report())
-            return target.value
-        horizon = None if until is None else float(until)
-        while True:
-            left = max_steps - (self.steps - start_steps)
-            chunk = min(left, 8192)
-            if chunk > 0 and self.run_steps(chunk, horizon=horizon) == 0:
-                break
-            if self.steps - start_steps >= max_steps:
-                nt = self.peek_time()
-                if nt is not None and (horizon is None or nt <= horizon):
-                    raise SimulationError(f"exceeded max_steps={max_steps}")
-                break
-        if horizon is not None:
-            self._now = max(self._now, horizon)
-        return None
-
-    # The three loops below are textually near-identical on purpose (as
-    # the heap engine's are): the fetch/advance/dispatch body is the
-    # kernel's innermost loop and a shared helper call per event is
-    # measurable across millions of events. Invariants relied on:
-    #
-    # - Timeouts are never urgent (``Timeout.__init__``/``timeout()``
-    #   schedule at PRIORITY_NORMAL and a triggered event cannot be
-    #   succeed()ed again), so a Timeout always came from ``cur`` and
-    #   ``cur[ci - 1]`` is its slot — left in place and counted by the
-    #   ==3 refcount pooling proof (event local + getrefcount arg +
-    #   bucket slot); any other referent pushes the count past 3.
-    # - The urgent lane is probed by truthiness (``if not u``), so it is
-    #   cleared the moment its last event is fetched — a non-empty ``u``
-    #   always means undispatched urgent events, and the common (no
-    #   urgent) case costs one truth test instead of a ``len`` call.
-    # - ``self._now``/``_cur``/``_cur_time``/``_u_time`` are updated at
-    #   every batch advance because scheduling calls read them; the drain
-    #   indices are flushed in ``finally`` so captures see exact state
-    #   even if a callback raises. ``self.steps`` is stored before every
-    #   dispatch: observers inside callbacks (the checker's violation
-    #   hook records ``sim.steps``) must see the exact per-event count,
-    #   same as the heap engine.
-
-    def _run_until_event(self, target: Event) -> Any:
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
-        timeout_cls = Timeout
-        typ = type
-        refcount = getrefcount
-        buckets = self._buckets
-        times = self._times
-        u = self._u
-        ui = self._ui
-        cur = self._cur
-        if cur is None:
-            cur = self._cur = []
-        ci = self._ci
-        steps = self.steps
-        try:
-            while not target._processed:
-                if not u:
-                    if ci < len(cur):
-                        event = cur[ci]
-                        ci += 1
-                    else:
-                        ui = 0
-                        if not times or self._uf:
-                            self._ui = 0
-                            self._ci = ci
-                            self._retire_batch()
-                            if not self._start_batch():
-                                raise SimulationError(self._deadlock_report())
-                            u = self._u
-                            ui = self._ui
-                            cur = self._cur
-                            ci = self._ci
-                            continue
-                        t = heappop(times)
-                        if t < self._now:
-                            raise SimulationError("time went backwards")
-                        cur = self._cur = buckets.pop(t)
-                        ci = 0
-                        self._u_time = t
-                        self._cur_time = t
-                        self._now = t
-                        continue
-                elif ui < len(u):
-                    event = u[ui]
-                    ui += 1
-                else:
-                    del u[:]
-                    ui = 0
-                    continue
-                self.steps = steps = steps + 1
-                cbs = event.callbacks
-                event._processed = True
-                if typ(event) is timeout_cls:
-                    # The bucket slot is deliberately left in place: the
-                    # pooling proof counts it (event local + getrefcount
-                    # arg + cur slot = 3); any other referent pushes the
-                    # count past 3 and blocks recycling, exactly as the
-                    # heap engine's cleared-slot ==2 proof does.
-                    if cbs:
-                        try:
-                            fn, = cbs
-                        except ValueError:
-                            event.callbacks = None
-                            for fn in cbs:
-                                fn(event)
-                        else:
-                            del cbs[:]
-                            fn(event)
-                    if len(pool) < pool_max and refcount(event) == 3:
-                        event._value = None
-                        if event.callbacks is None:
-                            event.callbacks = []
-                        pool.append(event)
-                else:
-                    event.callbacks = None
-                    if cbs:
-                        if len(cbs) == 1:
-                            cbs[0](event)
-                        else:
-                            for fn in cbs:
-                                fn(event)
-        finally:
-            self._ui = ui
-            self._ci = ci
-        return target.value
-
-    def _run_all(self) -> None:
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
-        timeout_cls = Timeout
-        typ = type
-        refcount = getrefcount
-        buckets = self._buckets
-        times = self._times
-        u = self._u
-        ui = self._ui
-        cur = self._cur
-        if cur is None:
-            cur = self._cur = []
-        ci = self._ci
-        steps = self.steps
-        try:
-            while True:
-                if not u:
-                    if ci < len(cur):
-                        event = cur[ci]
-                        ci += 1
-                    else:
-                        ui = 0
-                        if not times or self._uf:
-                            self._ui = 0
-                            self._ci = ci
-                            self._retire_batch()
-                            if not self._start_batch():
-                                ci = self._ci
-                                cur = self._cur
-                                return
-                            u = self._u
-                            ui = self._ui
-                            cur = self._cur
-                            ci = self._ci
-                            continue
-                        t = heappop(times)
-                        if t < self._now:
-                            raise SimulationError("time went backwards")
-                        cur = self._cur = buckets.pop(t)
-                        ci = 0
-                        self._u_time = t
-                        self._cur_time = t
-                        self._now = t
-                        continue
-                elif ui < len(u):
-                    event = u[ui]
-                    ui += 1
-                else:
-                    del u[:]
-                    ui = 0
-                    continue
-                self.steps = steps = steps + 1
-                cbs = event.callbacks
-                event._processed = True
-                if typ(event) is timeout_cls:
-                    # The bucket slot is deliberately left in place: the
-                    # pooling proof counts it (event local + getrefcount
-                    # arg + cur slot = 3); any other referent pushes the
-                    # count past 3 and blocks recycling, exactly as the
-                    # heap engine's cleared-slot ==2 proof does.
-                    if cbs:
-                        try:
-                            fn, = cbs
-                        except ValueError:
-                            event.callbacks = None
-                            for fn in cbs:
-                                fn(event)
-                        else:
-                            del cbs[:]
-                            fn(event)
-                    if len(pool) < pool_max and refcount(event) == 3:
-                        event._value = None
-                        if event.callbacks is None:
-                            event.callbacks = []
-                        pool.append(event)
-                else:
-                    event.callbacks = None
-                    if cbs:
-                        if len(cbs) == 1:
-                            cbs[0](event)
-                        else:
-                            for fn in cbs:
-                                fn(event)
-        finally:
-            self._ui = ui
-            self._ci = ci
-
-    def _run_horizon(self, horizon: float) -> None:
-        # A pending lane/batch always sits at the current time, but a
-        # caller may pass a horizon *behind* it — match the heap engine
-        # and process nothing.
-        nt = self.peek_time()
-        if nt is None or nt > horizon:
-            return
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
-        timeout_cls = Timeout
-        typ = type
-        refcount = getrefcount
-        buckets = self._buckets
-        times = self._times
-        u = self._u
-        ui = self._ui
-        cur = self._cur
-        if cur is None:
-            cur = self._cur = []
-        ci = self._ci
-        steps = self.steps
-        try:
-            while True:
-                if not u:
-                    if ci < len(cur):
-                        event = cur[ci]
-                        ci += 1
-                    else:
-                        ui = 0
-                        if not times or self._uf:
-                            self._ui = 0
-                            self._ci = ci
-                            self._retire_batch()
-                            nt = self.peek_time()
-                            if nt is None or nt > horizon:
-                                ci = self._ci
-                                cur = self._cur
-                                return
-                            self._start_batch()
-                            u = self._u
-                            ui = self._ui
-                            cur = self._cur
-                            ci = self._ci
-                            continue
-                        t = times[0]
-                        if t > horizon:
-                            self._ui = 0
-                            self._ci = ci
-                            self._retire_batch()
-                            ci = self._ci
-                            cur = self._cur
-                            base = ui + ci
-                            return
-                        heappop(times)
-                        if t < self._now:
-                            raise SimulationError("time went backwards")
-                        cur = self._cur = buckets.pop(t)
-                        ci = 0
-                        self._u_time = t
-                        self._cur_time = t
-                        self._now = t
-                        continue
-                elif ui < len(u):
-                    event = u[ui]
-                    ui += 1
-                else:
-                    del u[:]
-                    ui = 0
-                    continue
-                self.steps = steps = steps + 1
-                cbs = event.callbacks
-                event._processed = True
-                if typ(event) is timeout_cls:
-                    # The bucket slot is deliberately left in place: the
-                    # pooling proof counts it (event local + getrefcount
-                    # arg + cur slot = 3); any other referent pushes the
-                    # count past 3 and blocks recycling, exactly as the
-                    # heap engine's cleared-slot ==2 proof does.
-                    if cbs:
-                        try:
-                            fn, = cbs
-                        except ValueError:
-                            event.callbacks = None
-                            for fn in cbs:
-                                fn(event)
-                        else:
-                            del cbs[:]
-                            fn(event)
-                    if len(pool) < pool_max and refcount(event) == 3:
-                        event._value = None
-                        if event.callbacks is None:
-                            event.callbacks = []
-                        pool.append(event)
-                else:
-                    event.callbacks = None
-                    if cbs:
-                        if len(cbs) == 1:
-                            cbs[0](event)
-                        else:
-                            for fn in cbs:
-                                fn(event)
-        finally:
-            self._ui = ui
-            self._ci = ci
+def make_simulator() -> Simulator:
+    """A new :class:`~repro.sim.core.Simulator`."""
+    return Simulator()

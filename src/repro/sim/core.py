@@ -9,9 +9,9 @@ The design is a deliberately small SimPy-style kernel:
 - an :class:`Event` is a one-shot occurrence with a value and callbacks;
 - a :class:`Process` wraps a Python generator; each ``yield`` suspends the
   task until the yielded event triggers;
-- the :class:`Simulator` owns the clock and a binary heap of scheduled
-  events and executes them in ``(time, priority, sequence)`` order, so runs
-  are fully deterministic.
+- the :class:`Simulator` owns the clock and a calendar queue of scheduled
+  events (one bucket per distinct time) and executes them in
+  ``(time, priority, sequence)`` order, so runs are fully deterministic.
 
 Simulated time is a ``float`` in **seconds**. Determinism is load-bearing
 for the reproduction: two runs with identical parameters produce identical
@@ -22,7 +22,7 @@ exact.
 from __future__ import annotations
 
 import gc
-import heapq
+from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -53,16 +53,15 @@ class Event:
     """A one-shot simulation event.
 
     An event goes through three states: *pending* (created), *triggered*
-    (value set and scheduled on the simulator heap), and *processed*
+    (value set and scheduled on the simulator), and *processed*
     (callbacks executed). Once triggered, an event carries either a value
     (success) or an exception (failure).
     """
 
-    # ``_seq`` is the schedule sequence number, written at enqueue time by
-    # the calendar engine (:mod:`repro.sim.calendar`), which stores bare
-    # events in its buckets instead of the heap engine's
-    # ``(time, priority, seq, event)`` tuples. It is deliberately left
-    # unset here: the heap engine never reads it, and initializing it
+    # ``_seq`` is the schedule sequence number, written by the simulator
+    # at enqueue time (its buckets hold bare events, not
+    # ``(time, priority, seq, event)`` tuples). ``__init__`` leaves it
+    # unset: nothing reads it before the enqueue, and initializing it
     # would tax every event allocation.
     __slots__ = ("sim", "callbacks", "_value", "_exc", "_triggered",
                  "_processed", "_seq")
@@ -153,8 +152,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
         super().__init__(sim)
         self.delay = delay
         self._triggered = True
@@ -323,15 +322,52 @@ class AnyOf(Event):
 
 
 class Simulator:
-    """The discrete-event loop: clock + scheduled-event heap."""
+    """The discrete-event loop: clock + calendar queue of scheduled events.
+
+    The schedule is one *bucket* per distinct timestamp — a flat list of
+    bare events in enqueue order — plus a min-heap of those timestamps.
+    The workloads this kernel runs are heavily time-clustered (a rank's
+    threads wake at the same tick, a doorbell batch departs together,
+    collective rounds complete in lockstep), so the queue pays one heap
+    pop per *distinct time* and a plain list append per event.
+
+    Execution order is ``(time, priority, seq)``:
+
+    - buckets are drained in ascending time order;
+    - at one time, every urgent (priority-0) event runs before every
+      normal one, each class in enqueue (= seq) order. Urgent events come
+      only from ``succeed``/``fail``, which schedule at the current time,
+      so a single *urgent lane* serves every bucket in turn; the drain
+      re-checks it before each event, so an urgent event triggered by a
+      callback runs ahead of the rest of the draining bucket;
+    - events scheduled *into* the draining bucket are appended to it and
+      picked up in the same pass.
+
+    The sequence number lives on the event (``Event._seq``) and is only
+    read back by :meth:`pending_entries`; the drain never compares it,
+    because appends are seq-monotone. The drain indices persist across
+    :meth:`run_steps` calls, so slicing a run is invisible to it.
+    """
 
     #: Maximum number of dead Timeout shells kept for reuse.
     _POOL_MAX = 1024
 
     def __init__(self):
         self._now = 0.0
-        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
+        #: Min-heap of the keys of :attr:`_buckets` (each pushed once,
+        #: when its bucket is created).
+        self._times: list[float] = []
+        #: time -> the normal-priority events scheduled then, in seq order.
+        self._buckets: dict[float, list[Event]] = {}
+        #: The bucket being drained, its timestamp and the drain index;
+        #: its timestamp is never a key of :attr:`_buckets`.
+        self._cur: list[Event] = []
+        self._cur_time: Optional[float] = None
+        self._ci = 0
+        #: The urgent lane — events at the current time — and its index.
+        self._u: list[Event] = []
+        self._ui = 0
         self._active_process: Optional[Process] = None
         #: Installed by ``World(check=...)``: a :class:`repro.check.Checker`
         #: observing this simulator, or None. Hook sites guard on this so
@@ -345,7 +381,8 @@ class Simulator:
         #: Next MPI request id (:class:`repro.mpi.request.Request` numbers
         #: itself per simulator, so ids are a function of the run alone).
         self._next_rid = 0
-        #: Recycled Timeout shells (see :meth:`timeout` and :meth:`run`).
+        #: Recycled Timeout shells (see :meth:`timeout` and
+        #: :meth:`run_steps`); a shell keeps its emptied callbacks list.
         self._timeout_pool: list[Timeout] = []
         #: Extra report providers consulted when a deadlock is detected
         #: (see :meth:`add_diagnostic`).
@@ -369,22 +406,27 @@ class Simulator:
 
         Fast path: pop a recycled shell off the free-list (dead timeouts
         are returned by the run loop once provably unreferenced) and
-        enqueue it directly, skipping ``Timeout.__init__``.
+        append it straight to its bucket — no ``Timeout.__init__``, no
+        callbacks-list allocation, no call into :meth:`_enqueue`.
         """
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay}")
+            if not delay >= 0:
+                raise ValueError(f"timeout delay must be >= 0, got {delay}")
             t = pool.pop()
             t.delay = delay
             t._value = value
-            t._exc = None
-            t._triggered = True
             t._processed = False
-            t.callbacks = []
-            self._seq += 1
-            heapq.heappush(self._heap,
-                           (self._now + delay, PRIORITY_NORMAL, self._seq, t))
+            t._seq = self._seq = self._seq + 1
+            when = self._now + delay
+            bucket = self._buckets.get(when)
+            if bucket is not None:
+                bucket.append(t)
+            elif when == self._cur_time:
+                self._cur.append(t)
+            else:
+                self._buckets[when] = [t]
+                heappush(self._times, when)
             return t
         return Timeout(self, delay, value)
 
@@ -405,7 +447,7 @@ class Simulator:
     def add_diagnostic(self, fn: Callable[[], list[str]]) -> None:
         """Register a provider of extra deadlock-report lines.
 
-        When the event heap runs dry while a ``run(until=event)`` target is
+        When the schedule runs dry while a ``run(until=event)`` target is
         still pending, the simulator raises a report that names every
         blocked task; providers registered here (e.g. the runtime's
         per-rank pending-MPI-state dump) append domain detail to it.
@@ -439,86 +481,168 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
     def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+        event._seq = self._seq = self._seq + 1
+        if priority:
+            when = self._now + delay
+            # An existing bucket is the hot case; the draining bucket's
+            # time is never in the dict, so a miss tells it from a new time.
+            bucket = self._buckets.get(when)
+            if bucket is not None:
+                bucket.append(event)
+            elif when == self._cur_time:
+                self._cur.append(event)
+            else:
+                self._buckets[when] = [event]
+                heappush(self._times, when)
+        elif delay:
+            raise SimulationError(
+                f"an urgent event must be scheduled at the current time, "
+                f"not {delay} s from it")
+        else:
+            self._u.append(event)
 
     # -- schedule introspection -------------------------------------------
-    # These three methods are the engine-agnostic view of the pending
-    # schedule. Snapshot capture (:mod:`repro.snap.state`) and the snap
-    # session driver consume them instead of reaching into ``_heap``, so
-    # alternative engines (:mod:`repro.sim.calendar`) only need to
-    # override them to stay digest-compatible.
+    # Snapshot capture (:mod:`repro.snap.state`) and the snap session
+    # driver read the pending schedule through these three methods only.
     def pending_entries(self) -> list[tuple[float, int, int, Event]]:
         """Pending ``(when, priority, seq, event)`` entries in execution
         order — the canonical schedule view captured by state digests."""
-        return sorted(self._heap, key=lambda entry: entry[:3])
+        entries = [(self._now, PRIORITY_URGENT, ev._seq, ev)
+                   for ev in self._u[self._ui:]]
+        entries += [(self._cur_time, PRIORITY_NORMAL, ev._seq, ev)
+                    for ev in self._cur[self._ci:]]
+        for when, bucket in self._buckets.items():
+            entries += [(when, PRIORITY_NORMAL, ev._seq, ev) for ev in bucket]
+        entries.sort(key=lambda entry: entry[:3])
+        return entries
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None when drained."""
-        return self._heap[0][0] if self._heap else None
+        if self._ui < len(self._u):
+            return self._now
+        if self._ci < len(self._cur):
+            return self._cur_time
+        return self._times[0] if self._times else None
 
     def queue_empty(self) -> bool:
         """True when no events remain scheduled."""
-        return not self._heap
+        return self.peek_time() is None
 
+    # -- execution --------------------------------------------------------
     def step(self) -> None:
         """Process the single next event."""
-        when, _prio, _seq, event = heapq.heappop(self._heap)
-        if when < self._now:
-            raise SimulationError("time went backwards")
-        self._now = when
-        self.steps += 1
-        event._process()
+        if self.run_steps(1) == 0:
+            raise IndexError("step() on an empty schedule")
 
     def run_steps(self, n: int, horizon: Optional[float] = None,
                   stop_event: Optional[Event] = None) -> int:
         """Process up to ``n`` events; returns the number processed.
 
-        This is the sliced-execution primitive behind snapshotting and
-        record-replay (:mod:`repro.snap`): a driver alternates
-        ``run_steps`` slices with zero-footprint state captures, and the
-        event sequence is *identical* to an uninterrupted :meth:`run` —
+        This is the kernel's only dispatch loop. :meth:`run` calls it with
+        an unbounded budget; snapshotting and record-replay
+        (:mod:`repro.snap`) alternate slices of it with zero-footprint
+        state captures, and the event sequence is *identical* either way —
         slicing schedules nothing and perturbs no sequence numbers.
 
         Early-stop conditions (all leave the remaining events queued):
 
-        - the heap runs dry;
+        - the schedule runs dry;
         - ``horizon`` is given and the next event lies strictly beyond it
-          (the clock is *not* advanced to the horizon — callers that need
-          :meth:`run`'s clamp semantics apply it themselves);
-        - ``stop_event`` is given and becomes processed (checked after
-          each event, exactly like ``run(until=event)``).
+          (the clock is *not* advanced to the horizon — :meth:`run`
+          applies its clamp itself);
+        - ``stop_event`` is given and is processed (tested before each
+          event, so nothing runs if it already was).
         """
-        heap = self._heap
+        if horizon is not None and horizon < self._now:
+            return 0  # everything pending is at or after the clock
+        if stop_event is None:
+            stop_event = _NEVER_PROCESSED
         pool = self._timeout_pool
         pool_max = self._POOL_MAX
-        pop = heapq.heappop
-        processed = 0
-        while processed < n and heap:
-            if horizon is not None and heap[0][0] > horizon:
-                break
-            when, _prio, _seq, event = pop(heap)
-            if when < self._now:
-                raise SimulationError("time went backwards")
-            self._now = when
-            self.steps += 1
-            processed += 1
-            event._processed = True
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                if len(callbacks) == 1:
-                    callbacks[0](event)
+        buckets = self._buckets
+        times = self._times
+        u = self._u
+        ui = self._ui
+        cur = self._cur
+        ci = self._ci
+        first = steps = self.steps
+        last = first + n
+        try:
+            while steps < last and not stop_event._processed:
+                # The urgent lane is probed by truthiness: it is emptied
+                # as soon as its last event has been fetched, so the
+                # common (no urgent event) case costs one truth test.
+                if u:
+                    if ui < len(u):
+                        event = u[ui]
+                        ui += 1
+                    else:
+                        del u[:]
+                        ui = 0
+                        continue
+                elif ci < len(cur):
+                    event = cur[ci]
+                    ci += 1
                 else:
-                    for fn in callbacks:
-                        fn(event)
-            if type(event) is Timeout and len(pool) < pool_max \
-                    and getrefcount(event) == 2:
-                event._value = None
-                pool.append(event)
-            if stop_event is not None and stop_event._processed:
-                break
-        return processed
+                    # Bucket exhausted: the one place the clock moves, so
+                    # the one place the horizon needs testing.
+                    if not times:
+                        break
+                    when = times[0]
+                    if horizon is not None and when > horizon:
+                        break
+                    if when < self._now:
+                        raise SimulationError("time went backwards")
+                    heappop(times)
+                    cur = self._cur = buckets.pop(when)
+                    ci = 0
+                    self._cur_time = self._now = when
+                    continue
+                # ``self.steps`` is stored before the dispatch: observers
+                # inside callbacks (the checker records ``sim.steps`` with
+                # a violation) must see the exact per-event count.
+                self.steps = steps = steps + 1
+                callbacks = event.callbacks
+                event._processed = True
+                if type(event) is Timeout:
+                    if callbacks:
+                        # Most events have exactly one waiter: skip the
+                        # loop set-up and keep the emptied list on the
+                        # shell for its next use.
+                        try:
+                            fn, = callbacks
+                        except ValueError:
+                            event.callbacks = None
+                            for fn in callbacks:
+                                fn(event)
+                        else:
+                            del callbacks[:]
+                            fn(event)
+                    # A dead timeout is recycled when the refcount proves
+                    # nothing else holds it. Timeouts are never urgent, so
+                    # this one came from ``cur``, whose slot is left in
+                    # place: the ``event`` local + the getrefcount argument
+                    # + that slot = 3. Any other referent (a process or
+                    # user still watching it) pushes the count past 3.
+                    if len(pool) < pool_max and getrefcount(event) == 3:
+                        event._value = None
+                        if event.callbacks is None:
+                            event.callbacks = []
+                        pool.append(event)
+                else:
+                    event.callbacks = None
+                    if callbacks:
+                        if len(callbacks) == 1:
+                            callbacks[0](event)
+                        else:
+                            for fn in callbacks:
+                                fn(event)
+        finally:
+            # Flushed even when a callback raises, so a capture always
+            # sees the exact drain state.
+            self._ui = ui
+            self._ci = ci
+        return steps - first
 
     def run(self, until: Optional[float | Event] = None,
             max_steps: Optional[int] = None) -> Any:
@@ -529,15 +653,9 @@ class Simulator:
         ``None`` (run until no events remain). ``max_steps`` guards against
         runaway loops.
         """
-        start_steps = self.steps
-        # The three loop variants below inline :meth:`step` — the heap pop,
-        # clock advance and callback dispatch are the kernel's innermost
-        # loop, and a method call per event is measurable across millions
-        # of events. Dead timeouts are recycled onto the free-list when the
-        # refcount proves nothing else holds them (exactly the pop'd local
-        # and the getrefcount argument), so pooling can never resurrect an
-        # event some process or user still watches.
-        #
+        target = until if isinstance(until, Event) else None
+        horizon = None if target is not None or until is None else float(until)
+        budget = _UNBOUNDED if max_steps is None else max_steps
         # Cyclic GC is suspended for the duration of the loop: the kernel
         # allocates one-or-more short-lived objects per event, and gen-0
         # collections triggered mid-run cost real host time without freeing
@@ -549,71 +667,29 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run(until, max_steps, start_steps)
+            done = self.run_steps(budget, horizon, target)
         finally:
             if gc_was_enabled:
                 gc.enable()
                 gc.collect(0)
-
-    def _run(self, until: Optional[float | Event], max_steps: Optional[int],
-             start_steps: int) -> Any:
-        heap = self._heap
-        pop = heapq.heappop
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
-        if isinstance(until, Event):
-            target = until
-            while not target._processed:
-                if not heap:
-                    raise SimulationError(self._deadlock_report())
-                if max_steps is not None and self.steps - start_steps >= max_steps:
-                    raise SimulationError(f"exceeded max_steps={max_steps}")
-                when, _prio, _seq, event = pop(heap)
-                if when < self._now:
-                    raise SimulationError("time went backwards")
-                self._now = when
-                self.steps += 1
-                event._processed = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for fn in callbacks:
-                            fn(event)
-                if type(event) is Timeout and len(pool) < pool_max \
-                        and getrefcount(event) == 2:
-                    event._value = None
-                    pool.append(event)
-            return target.value
-        if until is None:
-            while heap:
-                if max_steps is not None and self.steps - start_steps >= max_steps:
-                    raise SimulationError(f"exceeded max_steps={max_steps}")
-                when, _prio, _seq, event = pop(heap)
-                if when < self._now:
-                    raise SimulationError("time went backwards")
-                self._now = when
-                self.steps += 1
-                event._processed = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                    else:
-                        for fn in callbacks:
-                            fn(event)
-                if type(event) is Timeout and len(pool) < pool_max \
-                        and getrefcount(event) == 2:
-                    event._value = None
-                    pool.append(event)
-            return None
-        horizon = float(until)
-        while heap and heap[0][0] <= horizon:
-            if max_steps is not None and self.steps - start_steps >= max_steps:
+        if target is not None:
+            if target._processed:
+                return target.value
+            if self.queue_empty():
+                raise SimulationError(self._deadlock_report())
+            raise SimulationError(f"exceeded max_steps={max_steps}")
+        if done >= budget:
+            when = self.peek_time()
+            if when is not None and (horizon is None or when <= horizon):
                 raise SimulationError(f"exceeded max_steps={max_steps}")
-            self.step()
-        self._now = max(self._now, horizon)
+        if horizon is not None:
+            self._now = max(self._now, horizon)
         return None
+
+
+#: ``run_steps``' stand-in for a missing ``stop_event``: never triggered,
+#: so never processed, and the loop tests one attribute either way.
+_NEVER_PROCESSED = Event(None)
+
+#: ``run``'s step budget when no ``max_steps`` is given.
+_UNBOUNDED = 1 << 62

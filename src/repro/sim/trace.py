@@ -17,7 +17,6 @@ sites are rejected by the lint test in ``tests/test_obs.py``.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
@@ -30,7 +29,6 @@ __all__ = [
     "TraceRecord",
     "SpanPairing",
     "Tracer",
-    "NullTracer",
 ]
 
 
@@ -202,10 +200,10 @@ class SpanPairing:
 class Tracer:
     """Collects trace records; filterable by category.
 
-    ``Tracer(enabled=False)`` is the zero-overhead null tracer (the old
-    :class:`NullTracer`). ``sim`` may be omitted and bound later through
-    :meth:`bind` — :class:`~repro.runtime.world.World` does this for
-    tracers passed to its ``tracer=`` keyword.
+    ``Tracer(enabled=False)`` is the zero-overhead null tracer. ``sim`` may
+    be omitted and bound later through :meth:`bind` —
+    :class:`~repro.runtime.world.World` does this for tracers passed to its
+    ``tracer=`` keyword.
     """
 
     def __init__(self, sim: Optional[Simulator] = None, enabled: bool = True):
@@ -277,12 +275,3 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.records)
 
-
-class NullTracer(Tracer):
-    """Deprecated alias for ``Tracer(enabled=False)``."""
-
-    def __init__(self, sim: Optional[Simulator] = None):
-        warnings.warn(
-            "NullTracer is deprecated; use Tracer(enabled=False) instead",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(sim, enabled=False)

@@ -35,7 +35,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from ..mpi.matching import LinearMatchingEngine, MatchingEngine, PostedRecv
+from ..mpi.matching import PostedRecv
 from ..mpi.request import Request
 from ..netsim.message import WireMessage
 from ..netsim.nic import HardwareContext
@@ -191,10 +191,9 @@ def _describe_heap_event(event: Event) -> dict[str, Any]:
 
 
 def _kernel_state(sim: Any) -> dict[str, Any]:
-    # ``pending_entries()`` is the engine-agnostic schedule view: both the
-    # heap and the calendar engine (REPRO_SIM_ENGINE) yield identical
-    # (when, prio, seq, event) entries here, which is what makes state
-    # digests comparable across engines.
+    # ``pending_entries()`` is the schedule as (when, prio, seq, event)
+    # entries in execution order, whatever structure holds it — so the
+    # digest is also comparable with the heap oracle of tests/oracles.py.
     heap = [[when, prio, seq, _describe_heap_event(ev)]
             for when, prio, seq, ev in sim.pending_entries()]
     tasks = {}
@@ -228,59 +227,27 @@ def _lock_state(lock: Any) -> dict[str, Any]:
             "max_queue_length": stats.max_queue_length}
 
 
-def _indexed_queue(records: Iterable[list]) -> list[Any]:
-    """Live records of an indexed bucket map, in engine-sequence order."""
-    live = [rec for rec in records if rec[2]]
-    live.sort(key=lambda rec: rec[0])
-    return [describe_value(rec[1], 1) for rec in live]
-
-
 def engine_state(engine: Any) -> dict[str, Any]:
     """Canonical matching-engine state, comparable across implementations.
 
     The logical queues (live posted receives and unexpected messages in
-    FIFO order) and the analytic counters are identical between the
-    indexed and linear engines by PR 3's equivalence property, so they
-    form the comparable core; implementation-private bookkeeping
-    (tombstone counts, wildcard side-index state) goes under
+    FIFO order) and the analytic counters are what any implementation of
+    the matching rules must agree on (``tests/test_matching_indexed.py``
+    holds the production engine to a linear-scan oracle on exactly
+    these), so they form the comparable core; implementation-private
+    bookkeeping (tombstone counts, wildcard side-index state) goes under
     ``internals`` where :func:`repro.snap.bisect.first_divergence` can
-    exclude it when comparing different engine configurations.
+    exclude it when comparing different engine implementations.
     """
-    state: dict[str, Any] = {
+    return {
         "max_posted_depth": engine.max_posted_depth,
         "max_unexpected_depth": engine.max_unexpected_depth,
         "total_scans": engine.total_scans,
+        "posted": [describe_value(e, 1) for e in engine.live_posted()],
+        "unexpected": [describe_value(m, 1)
+                       for m in engine.live_unexpected()],
+        "internals": engine.internals(),
     }
-    if isinstance(engine, MatchingEngine):
-        posted: list[list] = []
-        for bucket in engine._po_buckets.values():
-            posted.extend(rec for rec in bucket if rec[2])
-        posted.sort(key=lambda rec: rec[0])
-        unexpected: list[list] = []
-        for bucket in engine._ux_full.values():
-            unexpected.extend(rec for rec in bucket if rec[2])
-        unexpected.sort(key=lambda rec: rec[0])
-        state["posted"] = [describe_value(rec[1], 1) for rec in posted]
-        state["unexpected"] = [describe_value(rec[1], 1)
-                               for rec in unexpected]
-        state["internals"] = {
-            "impl": "indexed",
-            "po_seq": engine._po_seq, "ux_seq": engine._ux_seq,
-            "po_dead": engine._po_dead, "ux_dead": engine._ux_dead,
-            "po_wild": [engine._po_w_src, engine._po_w_tag,
-                        engine._po_w_both],
-            "ux_wild": engine._ux_wild,
-        }
-    elif isinstance(engine, LinearMatchingEngine):
-        state["posted"] = [describe_value(e, 1) for e in engine.posted]
-        state["unexpected"] = [describe_value(m, 1)
-                               for m in engine.unexpected]
-        state["internals"] = {"impl": "linear", "po_seq": engine._po_seq}
-    else:  # future engines degrade to their public queue depths
-        state["posted"] = [{"__depth__": engine.posted_depth}]
-        state["unexpected"] = [{"__depth__": engine.unexpected_depth}]
-        state["internals"] = {"impl": type(engine).__name__}
-    return state
 
 
 def _transport_state(transport: Any) -> Optional[dict[str, Any]]:
@@ -407,7 +374,7 @@ def _topology_state(topology: Any) -> Optional[dict[str, Any]]:
 
     ``None`` for direct (single-hop) worlds, keeping their trees — and
     digests — identical whether built through ``ClusterSpec`` or the
-    legacy ``cfg=`` path.
+    bare dimension keywords.
     """
     if topology is None:
         return None

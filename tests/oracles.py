@@ -1,0 +1,225 @@
+"""Reference implementations the production code is held to.
+
+Neither class is reachable from ``src/``: a test substitutes one for its
+production counterpart where that is constructed —
+``monkeypatch.setattr(repro.runtime.world, "Simulator", HeapSimulator)``,
+``monkeypatch.setattr(repro.mpi.vci, "MatchingEngine",
+LinearMatchingEngine)`` — and asserts that nothing observable changes.
+
+- :class:`HeapSimulator` is the textbook scheduler: one binary heap of
+  ``(time, priority, seq, event)`` tuples, popped one at a time. The
+  calendar queue of :class:`repro.sim.core.Simulator` must dispatch the
+  same events in the same order (``tests/test_sim_engines.py``).
+- :class:`LinearMatchingEngine` is the textbook matcher: two deques and
+  scan-until-match. The indexed :class:`repro.mpi.matching.MatchingEngine`
+  must return the same matches and the same ``scanned`` counts
+  (``tests/test_matching_indexed.py``).
+"""
+
+from __future__ import annotations
+
+import heapq
+from collections import deque
+from typing import Any, Optional
+
+from repro.mpi.matching import PostedRecv, key_matches
+from repro.mpi.request import Request
+from repro.netsim.message import WireMessage
+from repro.sim.core import Event, SimulationError, Simulator, Timeout
+
+
+class HeapSimulator(Simulator):
+    """The production event/process machinery on a plain binary heap: no
+    buckets, no urgent lane, no timeout pooling, no inlined dispatch."""
+
+    def __init__(self):
+        super().__init__()
+        self._heap: list[tuple[float, int, int, Event]] = []
+
+    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
+        self._seq += 1
+        heapq.heappush(self._heap,
+                       (self._now + delay, priority, self._seq, event))
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        return Timeout(self, delay, value)
+
+    def pending_entries(self) -> list[tuple[float, int, int, Event]]:
+        return sorted(self._heap, key=lambda entry: entry[:3])
+
+    def peek_time(self) -> Optional[float]:
+        return self._heap[0][0] if self._heap else None
+
+    def run_steps(self, n: int, horizon: Optional[float] = None,
+                  stop_event: Optional[Event] = None) -> int:
+        heap = self._heap
+        processed = 0
+        while processed < n and heap:
+            if stop_event is not None and stop_event.processed:
+                break
+            if horizon is not None and heap[0][0] > horizon:
+                break
+            when, _prio, _seq, event = heapq.heappop(heap)
+            if when < self._now:
+                raise SimulationError("time went backwards")
+            self._now = when
+            self.steps += 1
+            processed += 1
+            event._process()
+        return processed
+
+
+class LinearMatchingEngine:
+    """The reference O(n) engine: plain deques and scan-until-match.
+
+    Host-side cost equals the modelled cost — every lookup really walks
+    the queue. The behavioural reference for the indexed engine (the
+    equivalence property tests drive both through identical
+    interleavings).
+    """
+
+    __slots__ = ("posted", "unexpected", "_po_seq",
+                 "max_posted_depth", "max_unexpected_depth", "total_scans",
+                 "_h_scan_posted", "_h_scan_unexpected",
+                 "_h_posted_depth", "_h_unexpected_depth")
+
+    def __init__(self, metrics=None, labels: Optional[dict] = None):
+        self.posted: deque[PostedRecv] = deque()
+        self.unexpected: deque[WireMessage] = deque()
+        self._po_seq = 0
+        # The counters and metric series every matching engine reports.
+        self.max_posted_depth = 0
+        self.max_unexpected_depth = 0
+        self.total_scans = 0
+        self._h_scan_posted = None
+        self._h_scan_unexpected = None
+        self._h_posted_depth = None
+        self._h_unexpected_depth = None
+        if metrics is not None and metrics.enabled:
+            from repro.obs.metrics import DEPTH_BUCKETS
+            labels = labels or {}
+            self._h_scan_posted = metrics.histogram(
+                "match.scan", bounds=DEPTH_BUCKETS, queue="posted", **labels)
+            self._h_scan_unexpected = metrics.histogram(
+                "match.scan", bounds=DEPTH_BUCKETS, queue="unexpected",
+                **labels)
+            self._h_posted_depth = metrics.histogram(
+                "match.posted_depth", bounds=DEPTH_BUCKETS, **labels)
+            self._h_unexpected_depth = metrics.histogram(
+                "match.unexpected_depth", bounds=DEPTH_BUCKETS, **labels)
+
+    # -- receive side ------------------------------------------------------
+    def post_recv(self, entry: PostedRecv) -> tuple[Optional[WireMessage], int]:
+        """Scan unexpected linearly for a match, else append to posted."""
+        scanned = 0
+        for i, msg in enumerate(self.unexpected):
+            scanned += 1
+            if entry.matches(msg):
+                del self.unexpected[i]
+                self.total_scans += scanned
+                if self._h_scan_unexpected is not None:
+                    self._h_scan_unexpected.observe(scanned)
+                    self._h_unexpected_depth.observe(len(self.unexpected))
+                return msg, scanned
+        entry.seq = self._po_seq
+        self._po_seq += 1
+        self.posted.append(entry)
+        self.max_posted_depth = max(self.max_posted_depth, len(self.posted))
+        self.total_scans += scanned
+        if self._h_scan_unexpected is not None:
+            self._h_scan_unexpected.observe(scanned)
+            self._h_posted_depth.observe(len(self.posted))
+        return None, scanned
+
+    def probe(self, context_id: int, source: int, tag: int,
+              dst_addr: int) -> tuple[Optional[WireMessage], int]:
+        """Non-destructive linear scan of the unexpected queue."""
+        scanned = 0
+        for msg in self.unexpected:
+            scanned += 1
+            if key_matches(context_id, source, tag, dst_addr, msg):
+                self.total_scans += scanned
+                return msg, scanned
+        self.total_scans += scanned
+        return None, scanned
+
+    def claim_unexpected(self, context_id: int, source: int, tag: int,
+                         dst_addr: int) -> tuple[Optional[WireMessage], int]:
+        """Linearly find, remove and return a matching unexpected message."""
+        scanned = 0
+        for i, msg in enumerate(self.unexpected):
+            scanned += 1
+            if key_matches(context_id, source, tag, dst_addr, msg):
+                del self.unexpected[i]
+                self.total_scans += scanned
+                return msg, scanned
+        self.total_scans += scanned
+        return None, scanned
+
+    def scan_cost_unexpected(self, context_id: int, source: int, tag: int,
+                             dst_addr: int) -> int:
+        """Entries a matching scan of the unexpected queue would visit."""
+        scanned = 0
+        for msg in self.unexpected:
+            scanned += 1
+            if key_matches(context_id, source, tag, dst_addr, msg):
+                return scanned
+        return scanned
+
+    def scan_cost_posted(self, msg: WireMessage) -> int:
+        """Entries a matching scan of the posted queue would visit."""
+        scanned = 0
+        for entry in self.posted:
+            scanned += 1
+            if entry.matches(msg):
+                return scanned
+        return scanned
+
+    # -- arrival side --------------------------------------------------------
+    def incoming(self, msg: WireMessage) -> tuple[Optional[PostedRecv], int]:
+        """Linearly match an arrival against posted, else enqueue unexpected."""
+        scanned = 0
+        for i, entry in enumerate(self.posted):
+            scanned += 1
+            if entry.matches(msg):
+                del self.posted[i]
+                self.total_scans += scanned
+                if self._h_scan_posted is not None:
+                    self._h_scan_posted.observe(scanned)
+                    self._h_posted_depth.observe(len(self.posted))
+                return entry, scanned
+        self.unexpected.append(msg)
+        self.max_unexpected_depth = max(self.max_unexpected_depth,
+                                        len(self.unexpected))
+        self.total_scans += scanned
+        if self._h_scan_posted is not None:
+            self._h_scan_posted.observe(scanned)
+            self._h_unexpected_depth.observe(len(self.unexpected))
+        return None, scanned
+
+    # -- introspection ---------------------------------------------------
+    @property
+    def posted_depth(self) -> int:
+        return len(self.posted)
+
+    @property
+    def unexpected_depth(self) -> int:
+        return len(self.unexpected)
+
+    def cancel_posted(self, req: Request) -> bool:
+        """Linear-scan removal of the posted entry for ``req``."""
+        for i, entry in enumerate(self.posted):
+            if entry.req is req:
+                del self.posted[i]
+                return True
+        return False
+
+    # -- what repro.snap.state.engine_state captures -----------------------
+    def live_posted(self) -> list[PostedRecv]:
+        return list(self.posted)
+
+    def live_unexpected(self) -> list[WireMessage]:
+        return list(self.unexpected)
+
+    def internals(self) -> dict:
+        return {"impl": "linear", "po_seq": self._po_seq}

@@ -131,8 +131,8 @@ def test_worker_exception_propagates():
 
 def test_auto_jobs_defaults_to_cpu_count():
     # The serve orchestrator's sizing bugfix: never oversubscribe the
-    # host by default (jobs > cpus is pure dispatch overhead — see the
-    # scaling_run records in BENCH_kernel.json).
+    # host by default (jobs > cpus is pure dispatch overhead — see
+    # auto_jobs' docstring).
     assert auto_jobs(cpu_count=4) == 4
     assert auto_jobs(cpu_count=1) == 1
 

@@ -1,7 +1,8 @@
 """Equivalence of the indexed matching engine and the linear reference.
 
 The indexed :class:`~repro.mpi.matching.MatchingEngine` must be
-*observationally identical* to :class:`LinearMatchingEngine`: same match
+*observationally identical* to ``tests/oracles.py``'s
+:class:`LinearMatchingEngine`: same match
 results, same ``scanned`` counts (they feed the cost model, so simulated
 timings depend on them), same depths and ``total_scans``. These tests
 drive both engines through identical operation interleavings — randomized
@@ -14,12 +15,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi.matching import (ANY_SOURCE, ANY_TAG, LinearMatchingEngine,
-                                MatchingEngine, PostedRecv)
+from repro.mpi.matching import (ANY_SOURCE, ANY_TAG, MatchingEngine,
+                                PostedRecv)
 from repro.mpi.request import Request
 from repro.netsim.message import MessageKind, WireMessage
 from repro.sim import Simulator
 from repro.netsim import ClusterSpec
+from tests.oracles import LinearMatchingEngine
 
 BUF = np.zeros(1, dtype=np.uint8)
 

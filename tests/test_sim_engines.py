@@ -1,27 +1,28 @@
-"""Engine equivalence: the calendar scheduler vs the reference heap.
+"""Scheduler equivalence: the calendar queue vs the reference heap.
 
-The calendar-queue engine (``repro.sim.calendar``) is a pure host-side
-optimisation: for ANY workload, mechanism and seed it must dispatch the
-exact same events in the exact same order as the legacy binary-heap
-engine, so the two produce byte-identical state digests at EVERY kernel
-step — mid-run cut points included, since observers (checker, snapshot
-controller) read state between arbitrary events. Hypothesis drives the
-workload shapes; the Fig 1(a) golden table pins the calendar engine to
-the published numbers.
+The calendar queue of :class:`repro.sim.core.Simulator` is a pure
+host-side optimisation: for ANY workload, mechanism and seed it must
+dispatch the exact same events in the exact same order as the textbook
+binary heap (``tests/oracles.py::HeapSimulator``), so the two produce
+byte-identical state digests at EVERY kernel step — mid-run cut points
+included, since observers (checker, snapshot controller) read state
+between arbitrary events. Hypothesis drives the workload shapes; the
+Fig 1(a) golden table pins the scheduler to the published numbers.
 """
 
-import os
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.runtime.world as world_mod
 from repro.bench import MsgRateConfig, run_msgrate
-from repro.sim.calendar import (ENGINES, CalendarSimulator, default_engine,
-                                make_simulator)
 from repro.sim.core import Simulator
 from repro.snap import capture_state, state_digest
 from repro.snap.bisect import first_divergence
+from tests.oracles import HeapSimulator
 from tests.test_golden_tables import parse_fig1a
 from tests.test_snap_property import make_build, workload_specs
 
@@ -30,37 +31,16 @@ SETTINGS = settings(max_examples=20, deadline=None,
                                            HealthCheck.data_too_large])
 
 
-def _with_engine(build, engine: str):
-    """``build`` pinned to one engine via the selection knob."""
-    def pinned():
-        old = os.environ.get("REPRO_SIM_ENGINE")
-        os.environ["REPRO_SIM_ENGINE"] = engine
-        try:
-            return build()
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_SIM_ENGINE", None)
-            else:
-                os.environ["REPRO_SIM_ENGINE"] = old
+def on_heap(build):
+    """``build`` with every World it makes scheduled by the heap oracle."""
+    def pinned(*args, **kwargs):
+        with mock.patch.object(world_mod, "Simulator", HeapSimulator):
+            return build(*args, **kwargs)
     return pinned
 
 
 def _digest(world) -> str:
     return state_digest(capture_state(world))
-
-
-def test_engine_registry_and_knob(monkeypatch):
-    assert set(ENGINES) == {"calendar", "heap"}
-    assert isinstance(make_simulator("calendar"), CalendarSimulator)
-    heap = make_simulator("heap")
-    assert isinstance(heap, Simulator)
-    assert not isinstance(heap, CalendarSimulator)
-    with pytest.raises(ValueError):
-        make_simulator("btree")
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "heap")
-    assert default_engine() == "heap"
-    monkeypatch.delenv("REPRO_SIM_ENGINE")
-    assert default_engine() == "calendar"
 
 
 @given(spec=workload_specs(), frac=st.floats(0.0, 1.0))
@@ -69,16 +49,16 @@ def test_engines_digest_identical_at_any_cut(spec, frac):
     """Random workloads x mechanisms x seeds: equal digests at a random
     cut point AND at completion, with equal step counts."""
     build = make_build(spec)
-    heap_ref = _with_engine(build, "heap")()
+    heap_ref = on_heap(build)()
     heap_ref.run()
     total = heap_ref.sim.steps
     assert total > 0
     cut = min(total - 1, int(total * frac))
 
-    heap = _with_engine(build, "heap")()
-    cal = _with_engine(build, "calendar")()
-    assert type(cal.sim) is CalendarSimulator
-    assert type(heap.sim) is Simulator
+    heap = on_heap(build)()
+    cal = build()
+    assert type(cal.sim) is Simulator
+    assert type(heap.sim) is HeapSimulator
     heap.sim.run_steps(cut)
     cal.sim.run_steps(cut)
     assert _digest(heap) == _digest(cal)
@@ -94,46 +74,78 @@ def test_first_divergence_finds_none_between_engines():
     spec = {"kind": "ring", "seed": 11, "threads": 2, "nmsg": 3,
             "nbytes": 4096, "instruments": True, "faults": True}
     build = make_build(spec)
-    assert first_divergence(_with_engine(build, "heap"),
-                            _with_engine(build, "calendar")) is None
+    assert first_divergence(on_heap(build), build) is None
 
 
 @pytest.mark.parametrize("mode", ["everywhere", "threads-tags",
                                   "threads-original"])
 def test_fig1a_heap_calendar_byte_identical(mode):
     cfg = MsgRateConfig(mode=mode, cores=2, msgs_per_core=8)
-    results = {}
-    for engine in ENGINES:
-        old = os.environ.get("REPRO_SIM_ENGINE")
-        os.environ["REPRO_SIM_ENGINE"] = engine
-        try:
-            r = run_msgrate(cfg)
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_SIM_ENGINE", None)
-            else:
-                os.environ["REPRO_SIM_ENGINE"] = old
-        results[engine] = (r.rate, r.span, r.messages)
+
+    def rates(run):
+        r = run(cfg)
+        return r.rate, r.span, r.messages
     # Exact float equality: same events, same order, same arithmetic.
-    assert results["calendar"] == results["heap"]
+    assert rates(run_msgrate) == rates(on_heap(run_msgrate))
 
 
 def test_fig1a_golden_under_calendar():
-    """The calendar engine reproduces the EXPERIMENTS.md Fig 1(a) cells
-    (the golden table is exact, not a tolerance band)."""
+    """The production scheduler reproduces the EXPERIMENTS.md Fig 1(a)
+    cells (the golden table is exact, not a tolerance band)."""
     from repro.netsim import NetworkConfig
     golden = parse_fig1a()
-    old = os.environ.get("REPRO_SIM_ENGINE")
-    os.environ["REPRO_SIM_ENGINE"] = "calendar"
-    try:
-        for mode, cores in [("everywhere", 8), ("threads-original", 8),
-                            ("threads-tags", 8)]:
-            r = run_msgrate(MsgRateConfig(mode=mode, cores=cores,
-                                          msgs_per_core=64),
-                            net=NetworkConfig.omnipath())
-            assert round(r.rate / 1e6, 1) == golden[(mode, cores)]
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_SIM_ENGINE", None)
-        else:
-            os.environ["REPRO_SIM_ENGINE"] = old
+    for mode, cores in [("everywhere", 8), ("threads-original", 8),
+                        ("threads-tags", 8)]:
+        r = run_msgrate(MsgRateConfig(mode=mode, cores=cores,
+                                      msgs_per_core=64),
+                        net=NetworkConfig.omnipath())
+        assert round(r.rate / 1e6, 1) == golden[(mode, cores)]
+
+
+# ------------------------------------------- the scheduler's own contract
+SCHEDULERS = pytest.mark.parametrize("sim_cls", [Simulator, HeapSimulator])
+
+
+@SCHEDULERS
+def test_timeout_rejects_nan_and_accepts_signed_zero(sim_cls):
+    sim = sim_cls()
+    # Both validation sites: Timeout.__init__ (empty pool) and the pooled
+    # fast path (production scheduler, after a run has recycled shells).
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nan"):
+            sim.timeout(math.nan)
+        with pytest.raises(ValueError, match="-1"):
+            sim.timeout(-1.0)
+        sim.timeout(0.0)
+        sim.timeout(-0.0)
+
+        def churn():
+            for _ in range(4):
+                yield sim.timeout(1.0)
+        sim.spawn(churn())
+        sim.run()
+        assert not math.isnan(sim.now)
+    assert sim_cls is HeapSimulator or sim._timeout_pool
+
+
+@SCHEDULERS
+def test_run_steps_with_processed_stop_event_runs_nothing(sim_cls):
+    sim = sim_cls()
+    stop = sim.event().succeed()
+    sim.run()
+    assert stop.processed
+    sim.timeout(1.0)
+    sim.timeout(2.0)
+    assert sim.run_steps(10, stop_event=stop) == 0
+    assert sim.steps == 1 and sim.now == 0.0
+    assert sim.run_steps(10) == 2
+
+
+def test_urgent_event_off_the_current_time_is_rejected():
+    """succeed()/fail() schedule at the current time and nothing else is
+    urgent, so the lane has no notion of any other time."""
+    from repro.sim.core import PRIORITY_URGENT, SimulationError
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="urgent"):
+        sim._enqueue(sim.event(), 1e-9, PRIORITY_URGENT)
+    assert sim.queue_empty()

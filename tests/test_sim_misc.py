@@ -1,9 +1,8 @@
 """Tests for the tracer and deterministic random streams."""
 
 import numpy as np
-import pytest
 
-from repro.sim import NullTracer, RandomStreams, Simulator, TraceCategory, Tracer
+from repro.sim import RandomStreams, Simulator, TraceCategory, Tracer
 
 START = TraceCategory.custom("test.start")
 STOP = TraceCategory.custom("test.stop")
@@ -70,13 +69,6 @@ def test_tracer_disabled_and_clear():
     tr.emit(X)
     tr.clear()
     assert len(tr) == 0
-
-
-def test_null_tracer_is_deprecated_alias():
-    with pytest.deprecated_call():
-        tr = NullTracer()
-    tr.emit(X)
-    assert len(tr) == 0 and not tr.enabled
 
 
 def test_tracer_iterable():

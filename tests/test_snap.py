@@ -16,7 +16,6 @@ from repro.cli import main
 from repro.errors import SnapshotFormatError, SnapshotMismatchError
 from repro.faults import parse_plan
 from repro.mpi import vci as vci_mod
-from repro.mpi.matching import LinearMatchingEngine
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime import World
 from repro.snap import (
@@ -36,6 +35,7 @@ from repro.snap import (
     take_snapshot,
 )
 from repro.snap.fork import ForkCheckpoints, fork_available
+from tests.oracles import LinearMatchingEngine
 
 
 def pingpong_world(seed=0, nmsg=8, threads=2, metrics=None, tracer=None,

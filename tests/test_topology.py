@@ -63,17 +63,16 @@ def crisscross_world(make_world, nmsg=6, elems=512):
 # ----------------------------------------------------- golden identity
 
 def test_direct_topology_byte_identical_to_legacy_fabric():
-    """Acceptance: equal state digests on the fig1a-style workload."""
-    net = NetworkConfig.omnipath()
-
+    """Acceptance: equal state digests on the fig1a-style workload,
+    built from bare dimension keywords and from a ``direct`` spec."""
     def legacy():
-        with pytest.warns(DeprecationWarning, match="World.cfg"):
-            return World(num_nodes=2, procs_per_node=1, threads_per_proc=3,
-                         cfg=net, seed=3)
+        return World(num_nodes=2, procs_per_node=1, threads_per_proc=3,
+                     seed=3)
 
     def direct():
         return World(cluster=ClusterSpec(nodes=2, threads_per_proc=3,
-                                         topology="direct", network=net),
+                                         topology="direct",
+                                         network=NetworkConfig()),
                      seed=3)
 
     d_legacy = state_digest(capture_state(crisscross_world(legacy)))
@@ -98,18 +97,6 @@ def test_routed_topology_changes_timing_not_results():
 
 
 # -------------------------------------------------------- ClusterSpec
-
-def test_cfg_shim_emits_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="ClusterSpec"):
-        w = World(num_nodes=2, procs_per_node=1, cfg=NetworkConfig())
-    assert w.cluster.topology == "direct"
-    assert w.topology is None
-
-
-def test_cluster_and_cfg_are_mutually_exclusive():
-    with pytest.raises(MpiUsageError, match="cluster"):
-        World(cluster=ClusterSpec(nodes=2), cfg=NetworkConfig())
-
 
 def test_cluster_and_explicit_dims_are_mutually_exclusive():
     with pytest.raises(MpiUsageError, match="ClusterSpec"):
