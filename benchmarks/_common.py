@@ -4,18 +4,11 @@ Each ``bench_*`` module regenerates one table or figure of the paper: it
 sweeps the experiment, writes the series to ``benchmarks/results/<id>.txt``,
 asserts the paper's qualitative shape, and times one representative run
 through pytest-benchmark (wall-clock of the simulator itself).
-
-Sweep points are independent simulations, so modules can fan them across
-worker processes with :func:`sweep_points`; set ``REPRO_BENCH_JOBS=N`` to
-opt in (the default stays serial so per-point host timings are clean).
-Simulated results are identical either way.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
-
-from repro.bench import default_jobs, run_points
 
 
 def bench_once(benchmark, fn: Callable[[], Any]) -> None:
@@ -27,14 +20,6 @@ def ratio(a: float, b: float) -> float:
     return a / b if b else float("inf")
 
 
-def sweep_points(fn: Callable[..., Any], points: Sequence[dict],
-                 jobs: int | None = None) -> list[Any]:
-    """Run independent sweep points, honouring ``REPRO_BENCH_JOBS``.
-
-    Returns results in point order (deterministic regardless of worker
-    count). ``fn`` must be a module-level callable so worker processes can
-    receive it.
-    """
-    if jobs is None:
-        jobs = default_jobs()
-    return run_points(fn, points, jobs=jobs)
+def sweep_points(fn: Callable[..., Any], points: Sequence[dict]) -> list[Any]:
+    """``fn(**point)`` for every point, in point order."""
+    return [fn(**point) for point in points]

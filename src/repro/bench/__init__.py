@@ -1,15 +1,8 @@
-"""Benchmark harness: workload generators, parallel execution, reporting."""
+"""Benchmark harness: workload generators, sweeps, reporting."""
 
-from .memo import MemoStats, WarmPrefixExecutor, fig1a_executor
-from .msgrate import (MODES, MsgRateConfig, MsgRateResult, MsgRateWarm,
-                      run_msgrate, warm_msgrate)
-from .parallel import (auto_jobs, chunk_size, default_jobs, run_points,
-                       scaling_run)
+from .msgrate import MODES, MsgRateConfig, MsgRateResult, run_msgrate
 from .report import Table, write_results
 from .sweep import Sweep, SweepRow
 
-__all__ = ["MODES", "MemoStats", "MsgRateConfig", "MsgRateResult",
-           "MsgRateWarm", "Sweep", "SweepRow", "Table",
-           "WarmPrefixExecutor", "auto_jobs", "chunk_size", "default_jobs",
-           "fig1a_executor", "run_msgrate", "run_points", "scaling_run",
-           "warm_msgrate", "write_results"]
+__all__ = ["MODES", "MsgRateConfig", "MsgRateResult", "Sweep", "SweepRow",
+           "Table", "run_msgrate", "write_results"]

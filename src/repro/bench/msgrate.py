@@ -29,7 +29,7 @@ everywhere, while the original mode stays flat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np
@@ -42,8 +42,7 @@ from ..netsim.config import NetworkConfig
 from ..netsim.topology import ClusterSpec
 from ..runtime.world import World
 
-__all__ = ["MsgRateConfig", "MsgRateResult", "MsgRateWarm", "run_msgrate",
-           "warm_msgrate", "MODES"]
+__all__ = ["MsgRateConfig", "MsgRateResult", "run_msgrate", "MODES"]
 
 MODES = ("everywhere", "threads-original", "threads-tags", "threads-comms",
          "threads-endpoints", "threads-overtaking", "threads-tags-hash")
@@ -232,166 +231,3 @@ def run_msgrate(cfg: MsgRateConfig,
     total = n * cfg.msgs_per_core
     return MsgRateResult(cfg=cfg, rate=total / span, span=span,
                          messages=total)
-
-
-class MsgRateWarm:
-    """A message-rate world warmed through its channel setup.
-
-    The *warm-up prefix* of a Fig 1(a) point is everything before the
-    first measured send: world construction plus the mode's channel
-    setup (communicator duplication, endpoint creation, tag-schema
-    bundles). That prefix depends only on ``(mode, cores, msg_bytes,
-    window, seed)`` — not on ``msgs_per_core`` — so a sweep over message
-    counts can simulate it once and fork one child per point
-    (:mod:`repro.bench.memo` does exactly that, keyed by the warm
-    world's state digest).
-
-    :meth:`measure` continues from wherever setup left the simulated
-    clock; the reported span covers the blast phase only (measure start
-    to last receive completion). :func:`run_msgrate` by contrast folds
-    setup into the span — the two are separate entry points with
-    separate, documented semantics, not byte-identical twins.
-    """
-
-    def __init__(self, mode: str, cores: int, msg_bytes: int = 8,
-                 window: int = 16, seed: int = 0,
-                 net: Optional[NetworkConfig] = None,
-                 max_vcis_per_proc: Optional[int] = None):
-        #: The point parameters shared by every measure on this world
-        #: (``msgs_per_core`` is filled in per :meth:`measure`).
-        self.base = MsgRateConfig(mode=mode, cores=cores, window=window,
-                                  msg_bytes=msg_bytes, seed=seed)
-        n = cores
-        net = net or NetworkConfig()
-        self._makes: dict[int, object] = {}
-        if mode == "everywhere":
-            # MPI everywhere has no channel setup: comm_world is the
-            # channel. The warm prefix is world construction alone.
-            self.world = World(cluster=ClusterSpec(nodes=2, procs_per_node=n,
-                                                   network=net),
-                               max_vcis_per_proc=1, seed=seed)
-            return
-        if max_vcis_per_proc is None:
-            max_vcis_per_proc = 1 if mode == "threads-original" \
-                else max(4, 2 * n)
-        self.world = World(cluster=ClusterSpec(nodes=2, threads_per_proc=n,
-                                               network=net),
-                           max_vcis_per_proc=max_vcis_per_proc, seed=seed)
-        tasks = [self.world.procs[r].spawn(
-                     self._setup_main(self.world.procs[r]))
-                 for r in range(2)]
-        self.world.run_all(tasks, max_steps=None)
-
-    def _setup_main(self, proc) -> Generator:
-        """Build this proc's per-thread channel factory (the mode switch
-        of :func:`run_msgrate`, minus the blast)."""
-        cfg = self.base
-        n = cfg.cores
-        peer_rank = 1 - proc.rank
-        if cfg.mode == "threads-tags":
-            bits = max(1, math.ceil(math.log2(max(2, n))))
-            comm = yield from proc.comm_world.Dup(listing2_info(n, bits))
-            schema = TagSchema(num_tid_bits=bits, num_app_bits=4)
-
-            def make(tid):
-                return (comm, peer_rank,
-                        lambda k, t=tid: schema.encode(t, t, 0))
-        elif cfg.mode == "threads-overtaking":
-            from ..mapping.tags import overtaking_only_info
-            comm = yield from proc.comm_world.Dup(overtaking_only_info(n))
-
-            def make(tid):
-                return comm, peer_rank, (lambda k, t=tid: t)
-        elif cfg.mode == "threads-tags-hash":
-            from ..mpi.info import Info
-            comm = yield from proc.comm_world.Dup(Info({
-                "mpi_assert_no_any_tag": "true",
-                "mpi_assert_no_any_source": "true",
-                "mpich_num_vcis": str(n),
-            }))
-
-            def make(tid):
-                return comm, peer_rank, (lambda k, t=tid: t)
-        elif cfg.mode == "threads-original":
-            comm = proc.comm_world
-
-            def make(tid):
-                return comm, peer_rank, (lambda k, t=tid: t)
-        elif cfg.mode == "threads-comms":
-            comms = []
-            for tid in range(n):
-                comms.append(
-                    (yield from proc.comm_world.Dup(name=f"mr{tid}")))
-
-            def make(tid):
-                return comms[tid], peer_rank, (lambda k: 0)
-        else:  # threads-endpoints
-            eps = yield from comm_create_endpoints(proc.comm_world, n)
-
-            def make(tid):
-                peer_ep = peer_rank * n + tid
-                return eps[tid], peer_ep, (lambda k: 0)
-        self._makes[proc.rank] = make
-
-    def measure(self, msgs_per_core: int) -> MsgRateResult:
-        """Blast ``msgs_per_core`` messages per core over the warm
-        channels; returns the achieved rate.
-
-        Mutates the world (clocks, counters) — callers measuring several
-        points off one warm prefix must fork per point, not reuse this
-        object (:class:`repro.bench.memo.WarmPrefixExecutor` enforces
-        that discipline).
-        """
-        cfg = replace(self.base, msgs_per_core=msgs_per_core)
-        n = cfg.cores
-        world = self.world
-        payload = np.zeros(cfg.msg_bytes, dtype=np.uint8)
-        done_times: list[float] = []
-        start = world.sim.now
-        if cfg.mode == "everywhere":
-            def sender_main(proc):
-                yield from _sender(proc, proc.comm_world,
-                                   peer=n + proc.rank, tag_of=lambda k: 0,
-                                   cfg=cfg, payload=payload)
-
-            def receiver_main(proc):
-                yield from _receiver(proc, proc.comm_world,
-                                     peer=proc.rank - n, tag_of=lambda k: 0,
-                                     cfg=cfg, done_times=done_times)
-
-            tasks = [world.procs[r].spawn(sender_main(world.procs[r]))
-                     for r in range(n)]
-            tasks += [world.procs[n + r].spawn(
-                          receiver_main(world.procs[n + r]))
-                      for r in range(n)]
-        else:
-            def blast_main(proc):
-                is_sender = proc.rank == 0
-                make = self._makes[proc.rank]
-                threads = []
-                for tid in range(n):
-                    comm, peer, tag_of = make(tid)
-                    if is_sender:
-                        threads.append(proc.spawn(
-                            _sender(proc, comm, peer, tag_of, cfg, payload)))
-                    else:
-                        threads.append(proc.spawn(
-                            _receiver(proc, comm, peer, tag_of, cfg,
-                                      done_times)))
-                yield proc.sim.all_of(threads)
-
-            tasks = [world.procs[r].spawn(blast_main(world.procs[r]))
-                     for r in range(2)]
-        world.run_all(tasks, max_steps=None)
-        world.finalize_metrics()
-        span = max(done_times) - start
-        total = n * cfg.msgs_per_core
-        return MsgRateResult(cfg=cfg, rate=total / span, span=span,
-                             messages=total)
-
-
-def warm_msgrate(mode: str, cores: int, msg_bytes: int = 8,
-                 window: int = 16, seed: int = 0) -> MsgRateWarm:
-    """Simulate one Fig 1(a) warm-up prefix; returns the warm world."""
-    return MsgRateWarm(mode=mode, cores=cores, msg_bytes=msg_bytes,
-                       window=window, seed=seed)

@@ -66,27 +66,16 @@ class Sweep:
                 for combo in itertools.product(*self.params.values())]
 
     def run(self, fn: Callable[..., Mapping[str, Any]],
-            progress: Optional[Callable[[dict], None]] = None,
-            jobs: int = 1, checkpoint_dir: Optional[str] = None,
-            resume: bool = False) -> list[SweepRow]:
-        """Run ``fn(**point)`` for every point; ``fn`` returns an output
-        mapping. ``progress`` (if given) is called with each point before
-        it runs. ``jobs > 1`` fans independent points across worker
-        processes (see :mod:`repro.bench.parallel`); each point is a
-        self-contained simulation, so rows are identical to a serial run
-        and are returned in point order. ``checkpoint_dir`` persists each
-        completed point atomically and ``resume=True`` skips points
-        already checkpointed — a killed campaign resumed this way returns
-        rows byte-identical to an uninterrupted run (see
-        docs/performance.md)."""
-        from .parallel import run_points
-        outputs_list = run_points(fn, self.points, jobs=jobs,
-                                  progress=progress,
-                                  checkpoint_dir=checkpoint_dir,
-                                  resume=resume)
+            progress: Optional[Callable[[dict], None]] = None
+            ) -> list[SweepRow]:
+        """Run ``fn(**point)`` for every point, in point order; ``fn``
+        returns an output mapping. ``progress`` (if given) is called with
+        each point before it runs."""
         rows = []
-        for point, outputs in zip(self.points, outputs_list):
-            row = SweepRow(params=point, outputs=dict(outputs))
+        for point in self.points:
+            if progress is not None:
+                progress(point)
+            row = SweepRow(params=point, outputs=dict(fn(**point)))
             row.flat()  # validates output/parameter name collisions
             rows.append(row)
         return rows

@@ -57,35 +57,25 @@ def _cmd_msgrate(args) -> int:
     return 0
 
 
-def _msgrate_point(mode: str, cores: int, messages: int = 64,
-                   seed: int = 0) -> dict:
-    """One sweep point (module-level so worker processes can receive it).
-
-    Delegates to the service's point registry so the local ``sweep``
-    command and a served sweep execute the exact same code path.
-    """
-    from .serve.points import msgrate_point
-    full = msgrate_point(mode, cores, msgs_per_core=messages, seed=seed)
-    return {"rate_Mmsgs": full["rate_Mmsgs"]}
-
-
 def _cmd_sweep(args) -> int:
-    import functools
     import time
 
-    from .bench.sweep import Sweep
+    from .bench.sweep import Sweep, SweepRow
+    from .serve import run_local
 
     sweep = Sweep(name=f"{args.experiment} sweep",
                   params={"mode": args.modes, "cores": args.cores})
-    fn = functools.partial(_msgrate_point, messages=args.messages,
-                           seed=args.seed)
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume needs --checkpoint-dir", file=sys.stderr)
-        return 2
+    spec = {"experiment": args.experiment,
+            "params": {**sweep.params, "msgs_per_core": [args.messages],
+                       "seed": [args.seed]}}
     t0 = time.perf_counter()
-    rows = sweep.run(fn, jobs=args.jobs, checkpoint_dir=args.checkpoint_dir,
-                     resume=args.resume)
+    doc = run_local(args.checkpoint_dir, "sweep", spec, workers=args.jobs)[0]
     wall = time.perf_counter() - t0
+    rate = {(point["mode"], point["cores"]): result["rate_Mmsgs"]
+            for point, result in zip(doc["points"], doc["results"])}
+    rows = [SweepRow(point, {"rate_Mmsgs": rate[point["mode"],
+                                                point["cores"]]})
+            for point in sweep.points]
     print(sweep.pivot(rows, index="cores", column="mode",
                       value="rate_Mmsgs").render())
     print(f"[{len(rows)} points in {wall:.2f}s host wall-clock, "
@@ -622,16 +612,14 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--messages", type=int, default=64)
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--jobs", "-j", type=int, default=1,
-                    help="worker processes (default 1: serial)")
+                    help="worker processes, capped at the host's CPU "
+                         "count (default 1: run in this process)")
     sw.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
     sw.add_argument("--checkpoint-dir", metavar="DIR",
-                    help="persist each completed point to DIR (atomic "
-                         "per-point JSON) so a killed campaign is "
-                         "resumable with --resume")
-    sw.add_argument("--resume", action="store_true",
-                    help="skip points already checkpointed in "
-                         "--checkpoint-dir; resumed rows are "
-                         "byte-identical to an uninterrupted run")
+                    help="keep every completed point in DIR (a 'repro "
+                         "serve' state directory): points already there "
+                         "are reused, so a killed sweep picks up where "
+                         "it stopped, with byte-identical rows")
     sw.set_defaults(fn=_cmd_sweep)
 
     pf = sub.add_parser(
@@ -876,7 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
     cpr.add_argument("-n", type=int, default=100,
                      help="scenarios to sample (default 100)")
     cpr.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (default 1)")
+                     help="worker processes, capped at the host's CPU "
+                          "count (default 1: run in this process)")
     cpr.add_argument("--apps", nargs="+", metavar="APP",
                      help="restrict sampling to these apps")
     cpr.add_argument("--no-shrink", action="store_true",

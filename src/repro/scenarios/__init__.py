@@ -21,13 +21,7 @@ from .campaign import (
     run_campaign,
     summarize_outcomes,
 )
-from .executor import (
-    STATUSES,
-    outcome_signature,
-    run_scenario,
-    run_scenario_dict,
-    run_scenarios,
-)
+from .executor import STATUSES, outcome_signature, run_scenario
 from .sample import sample_one, sample_scenarios
 from .shrink import (
     ShrinkResult,
@@ -41,8 +35,7 @@ from .spec import ScenarioSpec
 __all__ = [
     "APP_REGISTRY", "AppAdapter", "app_names", "get_app",
     "ScenarioSpec", "sample_one", "sample_scenarios",
-    "STATUSES", "outcome_signature", "run_scenario", "run_scenario_dict",
-    "run_scenarios",
+    "STATUSES", "outcome_signature", "run_scenario",
     "ShrinkResult", "shrink_scenario", "write_artifact", "load_artifact",
     "verify_artifact",
     "run_campaign", "campaign_report", "render_report", "load_manifest",

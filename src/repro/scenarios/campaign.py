@@ -1,11 +1,13 @@
 """Campaign runner: sampled chaos sweeps with resume, report and replay.
 
 A *campaign* is ``n`` sampled scenarios executed under the analyzer and
-fault injector, with every completed scenario checkpointed atomically the
-moment it finishes (via :func:`repro.bench.parallel.run_points`). Kill
-the process at any time — ``resume`` re-samples the identical scenario
-list from the manifest and runs only the missing points, producing
-byte-identical results to an uninterrupted run.
+fault injector. It runs as a ``campaign`` job of :mod:`repro.serve`
+(:func:`repro.serve.run_local`), so a campaign directory *is* a service
+state directory: the job manifest under ``jobs/`` names the sample, every
+completed scenario lands atomically in ``cache/`` the moment it finishes,
+and resumability is the orchestrator's — kill the process at any time,
+``resume`` re-expands the identical scenario list from the manifest and
+runs only the missing points, byte-identical to an uninterrupted run.
 
 Every failing scenario is handed to the delta-debugging shrinker; the
 minimal repro is written as a self-contained YAML artifact and then
@@ -19,34 +21,16 @@ import json
 import os
 from typing import Any, Callable, Optional, Sequence
 
-from ..bench.parallel import run_points
-from ..errors import ScenarioError
-from .executor import run_scenario
-from .sample import SAMPLER_VERSION, sample_scenarios
+from ..errors import ScenarioError, ServeError
+from .sample import SAMPLER_VERSION
 from .shrink import shrink_scenario, verify_artifact, write_artifact
 from .spec import ScenarioSpec
 
 __all__ = ["run_campaign", "campaign_report", "render_report",
-           "load_manifest", "summarize_outcomes"]
+           "load_manifest", "campaign_manifest", "summarize_outcomes"]
 
-_MANIFEST = "campaign.json"
-
-#: Test hook: crash the process (``os._exit(9)``) after this many
-#: scenarios have executed in-process — simulates kill -9 mid-campaign
-#: for the resume tests. Counted per process, serial path only.
-_CRASH_ENV = "REPRO_CAMPAIGN_CRASH_AFTER"
-_executed_in_process = 0
-
-
-def _scenario_point(spec: dict) -> dict[str, Any]:
-    """Module-level point function (pool workers import it by name)."""
-    global _executed_in_process
-    limit = os.environ.get(_CRASH_ENV)
-    if limit is not None and _executed_in_process >= int(limit):
-        os._exit(9)
-    outcome = run_scenario(ScenarioSpec.from_dict(spec))
-    _executed_in_process += 1
-    return outcome
+#: A campaign is the first job of its directory.
+_MANIFEST = os.path.join("jobs", "job-00001.json")
 
 
 def _atomic_write_json(path: str, data: Any) -> None:
@@ -56,23 +40,33 @@ def _atomic_write_json(path: str, data: Any) -> None:
     os.replace(tmp, path)
 
 
+def campaign_manifest(spec: dict) -> dict[str, Any]:
+    """A campaign job spec, normalized: seed, n, apps, sampler version.
+
+    What a local campaign submits as its job spec and what every summary
+    (local or served) carries as ``manifest``.
+    """
+    apps = spec.get("apps")
+    return {"seed": int(spec.get("seed", 0)), "n": int(spec.get("n", 0)),
+            "apps": sorted(apps) if apps else None,
+            "sampler_version": spec.get("sampler_version", SAMPLER_VERSION)}
+
+
 def load_manifest(out_dir: str) -> dict[str, Any]:
-    """Read a campaign directory's manifest."""
+    """Read a campaign directory's manifest (its campaign job's spec)."""
+    from ..serve import read_manifest
     path = os.path.join(out_dir, _MANIFEST)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        job = read_manifest(path)
     except OSError as exc:
         raise ScenarioError(
             f"{out_dir!r} has no campaign manifest ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"corrupt manifest {path!r}: {exc}") from exc
-    if manifest.get("sampler_version") != SAMPLER_VERSION:
-        raise ScenarioError(
-            f"campaign was sampled by sampler v"
-            f"{manifest.get('sampler_version')}, this build is v"
-            f"{SAMPLER_VERSION}; re-run instead of resuming")
-    return manifest
+    except ServeError as exc:
+        raise ScenarioError(str(exc)) from exc
+    if job["kind"] != "campaign":
+        raise ScenarioError(f"corrupt manifest {path!r}: a {job['kind']} "
+                            "job, not a campaign")
+    return campaign_manifest(job["spec"])
 
 
 def run_campaign(out_dir: str, seed: int = 0, n: int = 100,
@@ -81,49 +75,43 @@ def run_campaign(out_dir: str, seed: int = 0, n: int = 100,
                  resume: bool = False,
                  shrink: bool = True,
                  max_shrink_evals: int = 120,
-                 progress: Optional[Callable[[str], None]] = None,
-                 runner: Callable[..., list] = run_points
+                 progress: Optional[Callable[[str], None]] = None
                  ) -> dict[str, Any]:
     """Run (or resume) a campaign; returns the summary dict.
 
-    ``out_dir`` layout::
+    ``out_dir`` layout (a :mod:`repro.serve` state directory)::
 
-        campaign.json       manifest: seed, n, apps, sampler version
-        points/point-*.json one checkpoint per completed scenario
-        artifacts/*.yaml    one verified minimal repro per failure
-        summary.json        the returned summary
+        jobs/job-00001.json  manifest: the campaign job (seed, n, apps,
+                             sampler version)
+        cache/point-*.json   one stored result per completed scenario
+        artifacts/*.yaml     one verified minimal repro per failure
+        summary.json         the returned summary
 
-    With ``resume=True`` the manifest's (seed, n, apps) override the
-    arguments, so a resumed campaign always matches its original sample.
+    Scenarios already in ``cache/`` are reused, never re-run. With
+    ``resume=True`` the manifest's (seed, n, apps) override the
+    arguments, so a resumed campaign always matches its original sample;
+    a campaign sampled by another sampler version refuses to resume
+    (:class:`~repro.errors.ServeError`).
     """
+    from ..serve import run_local  # deferred: keeps `import repro` light
     say = progress or (lambda _line: None)
-    os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, _MANIFEST)
+    manifest = campaign_manifest({"seed": seed, "n": n, "apps": apps})
+    held = (load_manifest(out_dir) if resume or os.path.exists(
+        os.path.join(out_dir, _MANIFEST)) else None)
     if resume:
-        manifest = load_manifest(out_dir)
-        seed, n = manifest["seed"], manifest["n"]
-        apps = manifest["apps"]
-    else:
-        if os.path.exists(manifest_path):
-            old = load_manifest(out_dir)
-            if (old["seed"], old["n"]) != (seed, n):
-                raise ScenarioError(
-                    f"{out_dir!r} already holds a different campaign "
-                    f"(seed={old['seed']}, n={old['n']}); use a fresh "
-                    "directory or pass resume")
-        manifest = {"seed": int(seed), "n": int(n),
-                    "apps": sorted(apps) if apps else None,
-                    "sampler_version": SAMPLER_VERSION}
-        _atomic_write_json(manifest_path, manifest)
+        manifest = held
+    elif held not in (None, manifest):
+        raise ScenarioError(
+            f"{out_dir!r} already holds a different campaign "
+            f"(seed={held['seed']}, n={held['n']}, apps={held['apps']}); "
+            "use a fresh directory or pass resume")
+    say(f"campaign: {manifest['n']} scenarios (seed={manifest['seed']})")
+    job = () if held else ("campaign", manifest)
+    doc = run_local(out_dir, *job, workers=jobs)[0]
+    outcomes = doc["results"]
 
-    specs = sample_scenarios(seed, n, apps=apps)
-    say(f"campaign: {len(specs)} scenarios (seed={seed})")
-    points = [{"spec": spec.to_dict()} for spec in specs]
-    outcomes = runner(_scenario_point, points, jobs=jobs,
-                      checkpoint_dir=os.path.join(out_dir, "points"),
-                      resume=resume)
-
-    failures = [(index, specs[index], outcome)
+    failures = [(index, ScenarioSpec.from_dict(doc["points"][index]["spec"]),
+                 outcome)
                 for index, outcome in enumerate(outcomes)
                 if outcome["status"] != "ok"]
     say(f"campaign: {len(failures)} failing / {len(outcomes)} run")
@@ -192,24 +180,18 @@ def summarize_outcomes(manifest: dict, outcomes: list[dict],
 def campaign_report(out_dir: str) -> dict[str, Any]:
     """Progress/summary of a campaign directory, finished or not.
 
-    Reads only the manifest and the per-point checkpoints, so it works on
-    a half-finished (or killed) campaign without running anything.
+    Reads only the manifest and the stored results, so it works on a
+    half-finished (or killed) campaign without running anything.
     """
-    from ..bench.parallel import _PENDING, _PointStore
+    from ..serve import PENDING, ResultCache, expand_job
     manifest = load_manifest(out_dir)
-    specs = sample_scenarios(manifest["seed"], manifest["n"],
-                             apps=manifest["apps"])
-    store = _PointStore(os.path.join(out_dir, "points"))
-    done: list[dict] = []
-    pending = 0
-    for spec in specs:
-        cached = store.load({"spec": spec.to_dict()})
-        if cached is _PENDING:
-            pending += 1
-        else:
-            done.append(cached)
+    point_kind, points = expand_job("campaign", manifest)
+    cache = ResultCache(os.path.join(out_dir, "cache"))
+    done = [result for result in (cache.load(point_kind, point)
+                                  for point in points)
+            if result is not PENDING]
     summary = summarize_outcomes(manifest, done, _load_artifact_index(out_dir))
-    summary["pending"] = pending
+    summary["pending"] = len(points) - len(done)
     return summary
 
 

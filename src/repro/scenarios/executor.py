@@ -11,7 +11,7 @@ produce byte-identical outcome dicts, digest included.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from ..check import CheckConfig, checking
 from ..errors import CheckError, MpiError, ScenarioError, TransportError
@@ -20,8 +20,7 @@ from ..snap import SnapController, capture_state, recording, state_digest
 from .apps import get_app
 from .spec import ScenarioSpec
 
-__all__ = ["run_scenario", "run_scenario_dict", "run_scenarios",
-           "scenario_executor", "outcome_signature", "STATUSES"]
+__all__ = ["run_scenario", "outcome_signature", "STATUSES"]
 
 #: Every status an outcome can carry, healthiest first.
 STATUSES = ("ok", "finding", "incorrect", "transport", "deadlock", "crash")
@@ -118,70 +117,3 @@ def run_scenario(spec: ScenarioSpec,
         "wall_time": wall,
         "spec": spec.to_dict(),
     }
-
-
-def run_scenario_dict(spec: dict) -> dict[str, Any]:
-    """Run one scenario from its dict form; JSON-canonical outcome.
-
-    The plain-data twin of :func:`run_scenario` used wherever outcomes
-    cross a process or wire boundary (campaign checkpoints, the serve
-    worker protocol): the returned dict is exactly what JSON storage or
-    a socket frame would read back, so in-process, checkpointed and
-    served executions of the same spec are byte-identical.
-    """
-    from ..bench.memo import json_roundtrip
-    return json_roundtrip(run_scenario(ScenarioSpec.from_dict(spec)))
-
-
-def _scenario_prefix(spec: dict) -> dict[str, Any]:
-    """A scenario *is* its warm-up prefix: run it, return the outcome."""
-    return run_scenario(ScenarioSpec.from_dict(spec))
-
-
-def _scenario_tail(outcome: dict[str, Any]) -> dict[str, Any]:
-    """No tail parameters: the prefix's outcome is the result."""
-    return outcome
-
-
-def _scenario_digest(outcome: dict[str, Any]) -> str:
-    """Fingerprint = spec key + end-of-run digest.
-
-    The spec key keeps two *different* scenarios distinct even when
-    neither produced a capturable state digest (crash/deadlock runs
-    would otherwise collide on a shared sentinel).
-    """
-    from ..bench.parallel import point_key
-    return (point_key(outcome["spec"]) + "-"
-            + (outcome.get("digest") or "none"))
-
-
-def scenario_executor(cache_dir: Optional[str] = None):
-    """The memoized scenario executor (same machinery as the Fig 1(a)
-    sweep, :class:`repro.bench.memo.WarmPrefixExecutor`).
-
-    Each spec is its own warm-up prefix, fingerprinted by the outcome's
-    end-of-run state digest; with ``cache_dir`` set, a repeated campaign
-    over the same specs re-simulates nothing — every outcome is served
-    from the persistent result cache, and the cache self-invalidates on
-    SNAP/STATE format version bumps.
-    """
-    from ..bench.memo import WarmPrefixExecutor
-    return WarmPrefixExecutor(_scenario_prefix, _scenario_tail,
-                              prefix_keys=("spec",), cache_dir=cache_dir,
-                              digest_fn=_scenario_digest)
-
-
-def run_scenarios(specs: Sequence[ScenarioSpec | dict],
-                  cache_dir: Optional[str] = None,
-                  stats: Optional["Any"] = None) -> list[dict[str, Any]]:
-    """Run a batch of scenarios through the memoized executor.
-
-    Returns outcome dicts in spec order, JSON-canonicalized (tuples in
-    the spec read back as lists) so cold, warm-cache and forked runs are
-    byte-identical to each other. Pass a
-    :class:`repro.bench.memo.MemoStats` as ``stats`` to observe cache
-    behaviour; ``stats.warmups_simulated == 0`` on a fully warm cache.
-    """
-    points = [{"spec": s.to_dict() if isinstance(s, ScenarioSpec) else s}
-              for s in specs]
-    return scenario_executor(cache_dir).run(points, stats=stats)

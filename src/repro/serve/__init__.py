@@ -1,30 +1,35 @@
-"""Simulation-as-a-service: shard sweep/campaign points across workers.
+"""The one way points run: job document in, stored results out.
 
-This package turns the local toolkit — :func:`repro.bench.parallel.run_points`,
-the campaign runner and the digest-keyed memo cache — into a long-running
-service (see ``docs/serving.md``):
+Every sweep point and chaos scenario — from ``repro sweep``, ``repro
+campaign`` or a job POSTed to ``repro serve`` — takes the same path
+(see ``docs/serving.md``): :func:`expand_job` turns the job document
+into points, the :class:`Orchestrator` schedules them (reusing what the
+:class:`ResultCache` already holds), :func:`execute_point` runs each,
+and the result lands in the cache. :func:`run_local` does that inside
+one call; :func:`run_service` keeps it running behind an HTTP API.
 
 - :mod:`repro.serve.protocol` — the transport-agnostic worker protocol:
   length-prefixed JSON job/result/heartbeat frames over sockets, so
   points run on local processes today and remote hosts later;
 - :mod:`repro.serve.points` — the unit of work: point kinds (msgrate
   sweep point, chaos scenario) and deterministic job expansion;
-- :mod:`repro.serve.cache` — the shared persistent result cache, keyed
-  by the canonical (point kind, parameters) JSON under a version string
-  that embeds the snapshot format versions;
-- :mod:`repro.serve.orchestrator` — the asyncio job queue/scheduler:
-  shards points across workers, dedupes in-flight keys, serves warm
-  cache hits, re-queues on worker death, resumes after its own death;
+- :mod:`repro.serve.cache` — the one persistent result store, keyed by
+  the canonical (point kind, parameters) JSON under the one version
+  string, which embeds the snapshot format versions;
+- :mod:`repro.serve.orchestrator` — the job queue/scheduler: feeds
+  points to socket workers or drains them inline, dedupes in-flight
+  keys, serves warm cache hits, re-queues on worker death, resumes from
+  its manifests after its own death;
 - :mod:`repro.serve.http` — the HTTP API (``POST /jobs``,
   ``GET /jobs/<id>``, ``.../result``, ``.../trace``);
 - :mod:`repro.serve.service`/:mod:`repro.serve.client` — process
-  wiring (``python -m repro serve``) and the blocking client used by
-  ``repro submit`` / ``repro jobs``.
+  wiring (:func:`run_local`, ``python -m repro serve``) and the blocking
+  client used by ``repro submit`` / ``repro jobs``.
 """
 
-from .cache import SERVE_CACHE_VERSION, ResultCache, cache_key
+from .cache import PENDING, SERVE_CACHE_VERSION, ResultCache, cache_key
 from .client import ServeClient
-from .orchestrator import Job, Orchestrator, PointTask
+from .orchestrator import Job, Orchestrator, PointTask, read_manifest
 from .points import execute_point, expand_job, msgrate_point
 from .protocol import (
     PROTOCOL_VERSION,
@@ -33,15 +38,16 @@ from .protocol import (
     read_frame,
     write_frame,
 )
-from .service import ServiceHandle, run_service, spawn_service
+from .service import ServiceHandle, run_local, run_service, spawn_service
 from .worker import worker_main
 
 __all__ = [
     "PROTOCOL_VERSION", "FrameDecoder", "encode_frame", "read_frame",
     "write_frame",
-    "SERVE_CACHE_VERSION", "ResultCache", "cache_key",
+    "PENDING", "SERVE_CACHE_VERSION", "ResultCache", "cache_key",
     "execute_point", "expand_job", "msgrate_point",
-    "Job", "Orchestrator", "PointTask",
-    "ServeClient", "ServiceHandle", "run_service", "spawn_service",
+    "Job", "Orchestrator", "PointTask", "read_manifest",
+    "ServeClient", "ServiceHandle", "run_local", "run_service",
+    "spawn_service",
     "worker_main",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
 import urllib.parse
@@ -35,6 +34,8 @@ class ServeClient:
     def request(self, method: str, path: str,
                 body: Optional[Any] = None) -> tuple[int, Any]:
         """One HTTP round-trip; returns ``(status, decoded JSON)``."""
+        # Deferred: local runs import this package and never speak HTTP.
+        import http.client
         conn = http.client.HTTPConnection(self._host, self._port,
                                           timeout=self._timeout)
         try:

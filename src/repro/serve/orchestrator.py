@@ -1,10 +1,13 @@
-"""Asyncio orchestrator: job queue, scheduler, dedupe, requeue, resume.
+"""The orchestrator: job queue, scheduler, dedupe, requeue, resume.
 
 The orchestrator owns every piece of scheduling state the workers do
-not: the point queue, the in-flight table, the shared result cache and
-the job manifests. Its contract mirrors the fork-pool executor's —
-results are byte-identical to an in-process :func:`run_points` run —
-plus the service properties the pool cannot offer:
+not: the point queue, the in-flight table, the result store and the job
+manifests. It is the only scheduler in the tree: ``repro serve`` feeds
+its queue to socket workers, :func:`repro.serve.run_local` (``repro
+sweep``, ``repro campaign``) to the same workers or — at one worker — to
+:meth:`Orchestrator.drain_inline` in the calling process. Results are
+byte-identical to :func:`~repro.serve.points.execute_point` applied to
+each point in order either way, plus:
 
 - **dedupe** — points are identified by their cache key
   (:func:`repro.serve.cache.cache_key`); if two jobs (or a resubmitted
@@ -20,12 +23,13 @@ plus the service properties the pool cannot offer:
   restarted orchestrator rebuilds its entire queue from manifests +
   cache: finished points are served warm, only the rest re-run.
 
-Scheduling runs on one asyncio event loop; workers attach over TCP
-(one connection each) and the per-connection coroutine is the whole
-scheduler for that worker: claim a point, send the job frame, await
-result frames with a heartbeat deadline. Host wall-clock (not simulated
-time) feeds the metrics registry and trace spans — this is the service
-layer, the one place in the tree where host time is the measurand.
+With socket workers, scheduling runs on one asyncio event loop; workers
+attach over TCP (one connection each) and the per-connection coroutine
+is the whole scheduler for that worker: claim a point, send the job
+frame, await result frames with a heartbeat deadline. The inline drain
+needs no loop at all. Host wall-clock (not simulated time) feeds the
+metrics registry and trace spans — this is the service layer, the one
+place in the tree where host time is the measurand.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -41,7 +47,7 @@ from typing import Any, Optional
 from ..errors import ProtocolError, ServeError
 from ..obs.metrics import MetricsRegistry
 from .cache import PENDING, ResultCache, cache_key
-from .points import expand_job
+from .points import execute_point, expand_job
 from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -50,9 +56,31 @@ from .protocol import (
     shutdown_frame,
 )
 
-__all__ = ["Job", "PointTask", "Orchestrator"]
+__all__ = ["Job", "PointTask", "Orchestrator", "read_manifest"]
 
 _READ_CHUNK = 65536
+_MANIFEST_NAME = re.compile(r"job-(\d{5})\.json")
+
+
+def read_manifest(path: str) -> dict:
+    """The ``{job_id, kind, spec}`` job manifest stored at ``path``.
+
+    Raises :class:`~repro.errors.ServeError` ("corrupt manifest ...")
+    for a truncated, foreign or misnamed file, so one bad manifest never
+    reads as a job.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise ServeError(f"corrupt manifest {path!r}: {exc}") from exc
+    stem = os.path.basename(path)[:-len(".json")]
+    if not (isinstance(manifest, dict) and manifest.get("job_id") == stem
+            and isinstance(manifest.get("kind"), str)
+            and isinstance(manifest.get("spec"), dict)):
+        raise ServeError(f"corrupt manifest {path!r}: not a "
+                         f"{{job_id: {stem!r}, kind, spec}} document")
+    return manifest
 
 
 @dataclass
@@ -129,22 +157,23 @@ class Orchestrator:
         self._queue: asyncio.Queue[str] = asyncio.Queue()
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: set[asyncio.StreamWriter] = set()
+        self._stopping = False
         self._next_id = 1 + max(
-            (int(name[4:9]) for name in os.listdir(self.jobs_dir)
-             if name.startswith("job-") and name.endswith(".json")),
-            default=0)
+            (int(match[1]) for match in map(
+                _MANIFEST_NAME.fullmatch, os.listdir(self.jobs_dir))
+             if match), default=0)
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> int:
-        """Bind the worker port, reload persisted jobs; returns the port."""
+        """Bind the worker port; returns it."""
         self._server = await asyncio.start_server(
             self._handle_worker, self._host, 0)
         self.worker_port = self._server.sockets[0].getsockname()[1]
-        self._resume_jobs()
         return self.worker_port
 
     async def stop(self) -> None:
         """Tell workers to exit and close the worker server."""
+        self._stopping = True
         for writer in list(self._writers):
             try:
                 writer.write(encode_frame(shutdown_frame()))
@@ -156,35 +185,34 @@ class Orchestrator:
             self._server.close()
             await self._server.wait_closed()
 
-    def _resume_jobs(self) -> None:
+    def resume_jobs(self) -> None:
         """Rebuild queue state from job manifests + the result cache.
 
         This IS the crash-resume path: manifests are tiny (the job
         document, not the expansion), expansion is deterministic, and
         every completed point is in the cache — so the rebuilt queue
         contains exactly the points the dead orchestrator hadn't
-        finished, with zero lost and zero duplicated work.
+        finished, with zero lost and zero duplicated work. A manifest
+        that cannot be read or no longer expands (its sampler version
+        moved underneath it) becomes a failed job naming the cause and
+        never blocks the others.
         """
         for name in sorted(os.listdir(self.jobs_dir)):
             if not (name.startswith("job-") and name.endswith(".json")):
                 continue
-            with open(os.path.join(self.jobs_dir, name),
-                      encoding="utf-8") as fh:
-                manifest = json.load(fh)
+            job_id, kind, spec = name[:-len(".json")], "", {}
             try:
-                point_kind, points = expand_job(manifest["kind"],
-                                                manifest["spec"])
-            except ServeError as exc:
-                # Sampler/format version moved underneath a persisted
-                # job: surface it as a failed job, don't wedge startup.
-                self.jobs[manifest["job_id"]] = Job(
-                    job_id=manifest["job_id"], kind=manifest["kind"],
-                    spec=manifest["spec"], point_kind="", points=[],
-                    keys=[], results=[], status="failed", error=str(exc),
-                    submitted=time.monotonic())
+                manifest = read_manifest(os.path.join(self.jobs_dir, name))
+                kind, spec = manifest["kind"], manifest["spec"]
+                point_kind, points = expand_job(kind, spec)
+            except (OSError, ServeError) as exc:
+                self.jobs[job_id] = Job(
+                    job_id=job_id, kind=kind, spec=spec, point_kind="",
+                    points=[], keys=[], results=[], status="failed",
+                    error=str(exc), submitted=time.monotonic())
+                self.metrics.inc("serve.job.corrupt")
                 continue
-            self._register_job(manifest["job_id"], manifest["kind"],
-                               manifest["spec"], point_kind, points)
+            self._register_job(job_id, kind, spec, point_kind, points)
             self.metrics.inc("serve.job.resumed")
 
     # -- job intake --------------------------------------------------------
@@ -240,7 +268,39 @@ class Orchestrator:
             task.waiters.append((job_id, index))
         self._maybe_finish(job)
 
-    # -- worker side -------------------------------------------------------
+    # -- execution ---------------------------------------------------------
+    @property
+    def active(self) -> bool:
+        """Whether any job is still waiting for points."""
+        return any(job.status == "running" for job in self.jobs.values())
+
+    @property
+    def queue_depth(self) -> int:
+        """Number of queued (not yet claimed) points."""
+        return self._queue.qsize()
+
+    def drain_inline(self) -> None:
+        """Run the queue in this process until no job is waiting.
+
+        The one-worker executor: same claim → :func:`execute_point` →
+        complete/fail steps as a socket worker's scheduler loop, minus
+        the socket (a single socket worker measured +14% on the Fig 1(a)
+        sweep and buys no parallelism).
+        """
+        while self.active and not self._queue.empty():
+            task = self.tasks.get(self._queue.get_nowait())
+            if task is None or task.status != "queued":
+                continue
+            task.status = "running"
+            started = time.monotonic()
+            try:
+                result = execute_point(task.kind, task.point)
+            except Exception:
+                self._fail_task(task, traceback.format_exc())
+            else:
+                self._complete(task, result, worker="inline",
+                               started=started)
+
     async def _next_frame(self, reader: asyncio.StreamReader,
                           decoder: FrameDecoder, frames: deque,
                           timeout: float) -> Optional[dict]:
@@ -272,7 +332,11 @@ class Orchestrator:
             name = str(hello["worker"])
             self.workers[name] = {"pid": hello.get("pid"), "busy": None}
             self.metrics.inc("serve.worker.connected")
-            while True:
+            # Not ``while True``: on Python < 3.12 ``wait_for`` can swallow
+            # the loop-teardown cancellation when a frame arrives in the
+            # same tick, and a handler that then parked on an empty queue
+            # would never be cancelled again.
+            while not self._stopping:
                 key = await self._queue.get()
                 task = self.tasks.get(key)
                 if task is None or task.status != "queued":
@@ -408,13 +472,9 @@ class Orchestrator:
             "cache_hits": job.cache_hits,
         }
         if job.kind == "campaign":
-            from ..scenarios.campaign import summarize_outcomes
-            from ..scenarios.sample import SAMPLER_VERSION
-            apps = job.spec.get("apps")
-            manifest = {"seed": int(job.spec.get("seed", 0)),
-                        "n": int(job.spec.get("n", 0)),
-                        "apps": sorted(apps) if apps else None,
-                        "sampler_version": SAMPLER_VERSION}
+            from ..scenarios.campaign import (campaign_manifest,
+                                              summarize_outcomes)
+            manifest = campaign_manifest(job.spec)
             doc["summary"] = summarize_outcomes(manifest, job.results, [])
         return doc
 
@@ -436,7 +496,7 @@ class Orchestrator:
                 "workers": {name: dict(info)
                             for name, info in sorted(self.workers.items())},
                 "jobs": len(self.jobs),
-                "queue_depth": self._queue.qsize(),
+                "queue_depth": self.queue_depth,
                 "cache": {"hits": self.cache.hits,
                           "misses": self.cache.misses,
                           "stored": len(self.cache)}}

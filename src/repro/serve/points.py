@@ -1,11 +1,10 @@
 """Point kinds and job expansion: the service's unit of work.
 
-A *point* is one self-contained simulation — exactly the unit
-:func:`repro.bench.parallel.run_points` fans across a fork pool. Here
-the same unit is named (a *point kind*), executed through one registry
-(:func:`execute_point`) whether it runs in-process, in a local worker or
-on a remote host, and always JSON-canonicalized, so every execution path
-returns byte-identical data.
+A *point* is one self-contained simulation. It is named (a *point
+kind*) and executed through one registry (:func:`execute_point`) whether
+it runs in the calling process (``repro sweep``/``repro campaign`` at
+one worker), in a local socket worker or on a remote host, and always
+JSON-canonicalized, so every run returns byte-identical data.
 
 A *job* is a named expansion into points (:func:`expand_job`):
 
@@ -33,22 +32,17 @@ import itertools
 import time
 from typing import Any, Callable
 
-from ..errors import ServeError
+from ..errors import MpiError, ServeError
+from .cache import json_roundtrip
 
 __all__ = ["POINT_KINDS", "JOB_KINDS", "execute_point", "expand_job",
            "msgrate_point", "scenario_point", "selftest_point"]
 
 
-def _json_roundtrip(result: Any) -> Any:
-    from ..bench.memo import json_roundtrip
-    return json_roundtrip(result)
-
-
 def msgrate_point(mode: str, cores: int, msgs_per_core: int = 64,
                   msg_bytes: int = 8, window: int = 16,
                   seed: int = 0) -> dict[str, Any]:
-    """One message-rate sweep point (module-level: pool workers and
-    service workers both import it by name)."""
+    """One message-rate sweep point."""
     from ..bench.msgrate import MsgRateConfig, run_msgrate
     r = run_msgrate(MsgRateConfig(mode=mode, cores=cores,
                                   msgs_per_core=msgs_per_core,
@@ -60,8 +54,9 @@ def msgrate_point(mode: str, cores: int, msgs_per_core: int = 64,
 
 def scenario_point(spec: dict) -> dict[str, Any]:
     """One chaos scenario, classified (see ``repro.scenarios.executor``)."""
-    from ..scenarios.executor import run_scenario_dict
-    return run_scenario_dict(spec)
+    from ..scenarios.executor import run_scenario
+    from ..scenarios.spec import ScenarioSpec
+    return run_scenario(ScenarioSpec.from_dict(spec))
 
 
 def selftest_point(i: int, ms: float = 0.0, fail: bool = False) -> dict:
@@ -88,23 +83,25 @@ POINT_KINDS: dict[str, Callable[..., Any]] = {
 def execute_point(kind: str, point: dict) -> Any:
     """Run one point through its registered kind; JSON-canonical result.
 
-    This is the single execution path shared by in-process runs, local
-    fork-pool workers and socket-attached service workers — all three
-    return byte-identical data for the same (kind, point).
+    The only way a point runs: called by the orchestrator's inline
+    drain and by the socket worker, which therefore return byte-identical
+    data for the same (kind, point).
     """
     fn = POINT_KINDS.get(kind)
     if fn is None:
         raise ServeError(f"unknown point kind {kind!r} "
                          f"(known: {', '.join(sorted(POINT_KINDS))})")
-    return _json_roundtrip(fn(**point))
+    return json_roundtrip(fn(**point))
 
 
 # -- job expansion ---------------------------------------------------------
 def _expand_sweep(spec: dict) -> tuple[str, list[dict]]:
+    from ..bench.msgrate import MsgRateConfig
     params = spec.get("params")
-    if not isinstance(params, dict) or not params:
-        raise ServeError("sweep job needs a non-empty 'params' mapping "
-                         "(e.g. {'mode': [...], 'cores': [...]})")
+    if not isinstance(params, dict) or not {"mode", "cores"} <= set(params):
+        raise ServeError("sweep job needs a 'params' mapping with at least "
+                         "'mode' and 'cores' (e.g. {'mode': [...], "
+                         "'cores': [...]})")
     experiment = spec.get("experiment", "msgrate")
     if experiment != "msgrate":
         raise ServeError(f"unknown sweep experiment {experiment!r}")
@@ -116,16 +113,23 @@ def _expand_sweep(spec: dict) -> tuple[str, list[dict]]:
               for k in keys]
     points = [dict(zip(keys, combo))
               for combo in itertools.product(*values)]
+    for point in points:  # a bad point fails at submit, not on a worker
+        MsgRateConfig(**point)
     return "msgrate", points
 
 
 def _expand_campaign(spec: dict) -> tuple[str, list[dict]]:
-    from ..scenarios.sample import sample_scenarios
-    seed = int(spec.get("seed", 0))
+    from ..scenarios.sample import SAMPLER_VERSION, sample_scenarios
+    sampled_by = spec.get("sampler_version", SAMPLER_VERSION)
+    if sampled_by != SAMPLER_VERSION:
+        raise ServeError(
+            f"campaign was sampled by sampler v{sampled_by}, this build "
+            f"is v{SAMPLER_VERSION}; re-run instead of resuming")
     n = int(spec.get("n", 0))
     if n < 1:
         raise ServeError("campaign job needs n >= 1 scenarios")
-    specs = sample_scenarios(seed, n, apps=spec.get("apps"))
+    specs = sample_scenarios(int(spec.get("seed", 0)), n,
+                             apps=spec.get("apps"))
     return "scenario", [{"spec": s.to_dict()} for s in specs]
 
 
@@ -178,5 +182,12 @@ def expand_job(kind: str, spec: dict) -> tuple[str, list[dict]]:
     if not isinstance(spec, dict):
         raise ServeError(f"job spec must be a mapping, got "
                          f"{type(spec).__name__}")
-    point_kind, points = expander(spec)
-    return point_kind, [_json_roundtrip(p) for p in points]
+    try:
+        point_kind, points = expander(spec)
+    except ServeError:
+        raise
+    except (MpiError, TypeError, ValueError) as exc:
+        # A field of the wrong type or a spec the scenario layer rejects:
+        # the submitter's error (HTTP 400), not a crash of the handler.
+        raise ServeError(f"bad {kind} job document: {exc}") from exc
+    return point_kind, [json_roundtrip(p) for p in points]

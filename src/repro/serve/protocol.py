@@ -1,9 +1,8 @@
 """The worker protocol: length-prefixed JSON frames over a byte stream.
 
-This is the transport-agnostic extraction of the fork-pool executor's
-job dispatch (:func:`repro.bench.parallel.run_points` hands points to
-workers through a multiprocessing pipe; the service hands the same
-points to workers through *sockets*). A frame is::
+How the orchestrator hands points to workers — forked by ``repro
+serve``, by :func:`repro.serve.run_local`, or attached from elsewhere —
+over *sockets*. A frame is::
 
     [4-byte big-endian payload length][canonical JSON object]
 
@@ -19,10 +18,10 @@ Frames are small, self-describing objects with a ``type`` field:
 
 Why length-prefixed JSON and not pickle: frames cross trust and version
 boundaries once workers live on remote hosts, so the wire format is the
-same canonical JSON the result cache and checkpoint stores already use —
-a result is byte-identical whether it came from an in-process run, a
-local worker or (later) a remote one. Truncated or oversized frames
-raise :class:`repro.errors.ProtocolError`; the peer is dropped and its
+same canonical JSON the result store uses — a result is byte-identical
+whether it came from the inline drain, a local worker or (later) a
+remote one. Truncated or oversized frames raise
+:class:`repro.errors.ProtocolError`; the peer is dropped and its
 in-flight job re-queued, never silently retried on a corrupt stream.
 """
 

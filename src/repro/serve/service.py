@@ -1,4 +1,4 @@
-"""Service assembly: orchestrator + HTTP API + supervised local workers.
+"""Process wiring: the long-running service and the local run.
 
 :func:`run_service` is the whole service in one call (the CLI's
 ``python -m repro serve`` is a thin wrapper): start the orchestrator's
@@ -8,10 +8,15 @@ having already been requeued by the orchestrator), and announce
 readiness by atomically writing ``state_dir/serve.json`` — the
 discovery file tests and ``repro submit`` read to find the URL.
 
-Worker-pool sizing is the fork pool's lesson applied to the service
-(:func:`repro.bench.parallel.auto_jobs`): never more workers than host
-CPUs unless ``oversubscribe=True`` — on the 1-CPU CI host, extra
-workers only add dispatch overhead.
+:func:`run_local` is the same orchestrator, store and workers without
+the HTTP API: submit one job (or resume the manifests of a state
+directory), run the queue to completion in this call, return the result
+documents. ``repro sweep`` and ``repro campaign`` are built on it, so a
+local checkpoint directory *is* a service state directory.
+
+Worker-pool sizing (:func:`auto_jobs`): never more workers than host
+CPUs unless ``oversubscribe=True`` — on a 1-CPU host, extra workers only
+add dispatch overhead.
 
 :func:`spawn_service` forks the service into a child process and waits
 for the discovery file, returning a :class:`ServiceHandle` that tests
@@ -22,25 +27,86 @@ use to ``kill -9`` the service (crash-resume) or individual workers
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import json
 import multiprocessing
 import os
 import signal
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..bench.parallel import auto_jobs
 from ..errors import ServeError
+from ..snap.fork import fork_available
 from .client import ServeClient
 from .http import HttpApi
 from .orchestrator import Orchestrator
 from .worker import spawn_worker
 
-__all__ = ["ServiceHandle", "run_service", "spawn_service"]
+__all__ = ["ServiceHandle", "auto_jobs", "run_local", "run_service",
+           "spawn_service"]
 
 _DISCOVERY = "serve.json"
+
+
+def auto_jobs(requested: Optional[int] = None,
+              n_points: Optional[int] = None,
+              cpu_count: Optional[int] = None,
+              oversubscribe: bool = False) -> int:
+    """Worker count that never oversubscribes the host by default.
+
+    Past the CPU count, dispatch overhead (IPC, scheduling) is pure loss:
+    every CPU and no more when ``requested is None``; an explicit request
+    is capped at the CPU count unless ``oversubscribe=True``; never more
+    workers than ``n_points`` (idle workers are pure start-up cost);
+    always at least 1. ``cpu_count`` overrides host detection (tests).
+    """
+    cpus = max(1, cpu_count if cpu_count is not None
+               else (os.cpu_count() or 1))
+    jobs = cpus if requested is None else max(1, int(requested))
+    if not oversubscribe:
+        jobs = min(jobs, cpus)
+    if n_points is not None:
+        jobs = min(jobs, max(1, int(n_points)))
+    return jobs
+
+
+@contextlib.asynccontextmanager
+async def _workers(orch: Orchestrator, host: str, n: int, heartbeat: float):
+    """``n`` forked socket workers on ``orch``'s worker port (yielded).
+
+    A worker that dies (crash, kill -9) already had its in-flight point
+    requeued by the orchestrator; it is respawned to restore capacity.
+    On exit the orchestrator is stopped and every worker reaped.
+    """
+    port = await orch.start()
+    seq = itertools.count()
+    procs = [spawn_worker(host, port, f"w{next(seq)}", heartbeat)
+             for _ in range(n)]
+
+    async def supervise() -> None:
+        while True:
+            for i, proc in enumerate(procs):
+                if proc is not None and not proc.is_alive():
+                    proc.join()
+                    procs[i] = spawn_worker(host, port, f"w{next(seq)}",
+                                            heartbeat)
+            await asyncio.sleep(0.2)
+
+    supervisor = asyncio.ensure_future(supervise())
+    try:
+        yield port
+    finally:
+        supervisor.cancel()
+        await orch.stop()
+        for proc in procs:
+            if proc is not None and proc.is_alive():
+                proc.terminate()
+        for proc in procs:
+            if proc is not None:
+                proc.join(timeout=5)
 
 
 def _write_discovery(state_dir: str, doc: dict) -> str:
@@ -58,49 +124,24 @@ async def _serve(state_dir: str, workers: Optional[int],
                  announce: Callable[[str], None]) -> None:
     orch = Orchestrator(state_dir, heartbeat_timeout=heartbeat_timeout,
                         host=host)
-    worker_port = await orch.start()
-    api = HttpApi(orch, host=host)
-    port = await api.start()
     n = 0 if workers == 0 else auto_jobs(requested=workers,
                                          oversubscribe=oversubscribe)
-    seq = itertools.count()
-    procs = [spawn_worker(host, worker_port, f"w{next(seq)}", heartbeat)
-             for _ in range(n)]
-    url = f"http://{host}:{port}"
-    _write_discovery(state_dir, {"url": url, "pid": os.getpid(),
-                                 "worker_port": worker_port, "workers": n})
-    announce(f"serving on {url} ({n} worker(s), state={state_dir})")
-
-    async def supervise() -> None:
-        # A worker that died (crash, kill -9) already had its in-flight
-        # point requeued by the orchestrator; respawning just restores
-        # execution capacity.
-        while True:
-            for i, proc in enumerate(procs):
-                if proc is not None and not proc.is_alive():
-                    proc.join()
-                    procs[i] = spawn_worker(host, worker_port,
-                                            f"w{next(seq)}", heartbeat)
-            await asyncio.sleep(0.2)
-
-    supervisor = asyncio.ensure_future(supervise()) if procs else None
-    try:
-        await api.shutdown_requested.wait()
-    finally:
-        if supervisor is not None:
-            supervisor.cancel()
-        await orch.stop()
-        await api.stop()
-        for proc in procs:
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            if proc is not None:
-                proc.join(timeout=5)
+    async with _workers(orch, host, n, heartbeat) as worker_port:
+        orch.resume_jobs()
+        api = HttpApi(orch, host=host)
+        url = f"http://{host}:{await api.start()}"
+        _write_discovery(state_dir, {"url": url, "pid": os.getpid(),
+                                     "worker_port": worker_port,
+                                     "workers": n})
+        announce(f"serving on {url} ({n} worker(s), state={state_dir})")
         try:
-            os.remove(os.path.join(state_dir, _DISCOVERY))
-        except OSError:
-            pass  # crash-killed earlier run already removed it
+            await api.shutdown_requested.wait()
+        finally:
+            await api.stop()
+            try:
+                os.remove(os.path.join(state_dir, _DISCOVERY))
+            except OSError:
+                pass  # crash-killed earlier run already removed it
 
 
 def run_service(state_dir: str, workers: Optional[int] = None,
@@ -110,14 +151,50 @@ def run_service(state_dir: str, workers: Optional[int] = None,
     """Run the service until a ``POST /shutdown`` arrives (blocking).
 
     ``workers=None`` auto-sizes the local pool to the host
-    (:func:`~repro.bench.parallel.auto_jobs`); an explicit count is
-    capped at the CPU count unless ``oversubscribe=True``; ``workers=0``
-    starts no local pool (external workers may still attach to the
-    worker port published in ``serve.json``).
+    (:func:`auto_jobs`); an explicit count is capped at the CPU count
+    unless ``oversubscribe=True``; ``workers=0`` starts no local pool
+    (external workers may still attach to the worker port published in
+    ``serve.json``).
     """
     os.makedirs(state_dir, exist_ok=True)
     asyncio.run(_serve(state_dir, workers, oversubscribe, heartbeat,
                        heartbeat_timeout, host, announce or (lambda _: None)))
+
+
+async def _drain_with_workers(orch: Orchestrator, n: int) -> None:
+    async with _workers(orch, "127.0.0.1", n, heartbeat=0.5):
+        while orch.active:
+            await asyncio.sleep(0.005)
+
+
+def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
+              spec: Optional[dict] = None, workers: int = 1) -> list[dict]:
+    """Run one job — or resume a state directory — in this call, no HTTP.
+
+    Builds an :class:`Orchestrator` on ``state_dir`` (a temporary one
+    when ``None``), submits ``(kind, spec)`` or, with no job given,
+    resumes every manifest persisted there, runs the queue and returns
+    the documents ``GET /jobs/<id>/result`` would answer, in job order.
+    Points already in ``state_dir/cache`` are reused, the rest execute:
+    inline in this process when :func:`auto_jobs` settles on one worker,
+    otherwise on that many forked socket workers (which exit on EOF, so
+    killing the caller leaks nothing). A failed job raises
+    :class:`~repro.errors.ServeError` naming the point and its error.
+    """
+    if state_dir is None:
+        with tempfile.TemporaryDirectory() as scratch:
+            return run_local(scratch, kind, spec, workers)
+    orch = Orchestrator(state_dir)
+    if kind is None:
+        orch.resume_jobs()
+    else:
+        orch.submit(kind, spec)
+    n = auto_jobs(workers, orch.queue_depth)
+    if n == 1 or not fork_available():
+        orch.drain_inline()
+    else:
+        asyncio.run(_drain_with_workers(orch, n))
+    return [orch.job_result(job_id) for job_id in sorted(orch.jobs)]
 
 
 @dataclass

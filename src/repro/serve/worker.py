@@ -117,8 +117,8 @@ def spawn_worker(host: str, port: int, name: str,
                  ) -> Optional[multiprocessing.process.BaseProcess]:
     """Fork a local worker process running :func:`worker_main`.
 
-    Uses the ``fork`` start method for the same reason as the bench
-    pool: workers inherit loaded modules and start in milliseconds.
+    Uses the ``fork`` start method: workers inherit loaded modules and
+    start in milliseconds.
     Returns ``None`` where ``fork`` is unavailable (non-POSIX hosts).
     """
     try:

@@ -1,11 +1,11 @@
-"""Warm-prefix memoization: simulate each prefix once, cache forever.
+"""One store: a point is simulated once and reused wherever it recurs.
 
-The contract has three parts: (1) memoized results equal the unmemoized
-reference, cold or warm; (2) one warm-up simulation per unique prefix
-within a run (every further point of the prefix is a fork); (3) a
-repeated sweep against a warm cache directory re-simulates ZERO warm-ups
-— the ISSUE's headline acceptance criterion — and the cache
-self-invalidates when the memo format version changes.
+The contract the warm-prefix memo cache used to answer to, held against
+the single path (:func:`repro.serve.run_local` over
+:class:`repro.serve.ResultCache`): (1) stored results equal the direct
+reference, cold or warm; (2) one execution per unique point within a
+run; (3) a repeated job against a warm directory re-simulates ZERO
+points, and the store self-invalidates when the cache version changes.
 """
 
 import json
@@ -13,142 +13,109 @@ import os
 
 import pytest
 
-from repro.bench.memo import (MEMO_VERSION, MemoStats, WarmPrefixExecutor,
-                              fig1a_executor)
-from repro.bench.msgrate import warm_msgrate
-from repro.scenarios.executor import run_scenario, run_scenarios
-from repro.scenarios.sample import sample_scenarios
+from repro.bench import MsgRateConfig, run_msgrate
+from repro.errors import ServeError
+from repro.scenarios import ScenarioSpec, run_scenario
+from repro.serve import SERVE_CACHE_VERSION, Orchestrator, run_local
 from repro.snap import SNAP_VERSION, STATE_FORMAT_VERSION
 
-POINTS = [{"mode": mode, "cores": 2, "msgs_per_core": mpc}
-          for mode in ("everywhere", "threads-tags")
-          for mpc in (8, 16, 24)]
+SWEEP = {"params": {"mode": ["everywhere", "threads-tags"], "cores": [2],
+                    "msgs_per_core": [8, 16, 24]}}
+N_POINTS = 6
+CAMPAIGN = {"seed": 5, "n": 4}
+
+
+def _sweep(state_dir, spec=SWEEP, workers=1):
+    return run_local(state_dir, "sweep", spec, workers=workers)[0]
 
 
 def test_memo_version_tracks_snapshot_formats():
-    assert f"snap{SNAP_VERSION}" in MEMO_VERSION
-    assert f"state{STATE_FORMAT_VERSION}" in MEMO_VERSION
+    assert f"snap{SNAP_VERSION}" in SERVE_CACHE_VERSION
+    assert f"state{STATE_FORMAT_VERSION}" in SERVE_CACHE_VERSION
 
 
-def test_fig1a_memo_matches_unmemoized_reference():
-    results = fig1a_executor().run(POINTS)
-    for point, result in zip(POINTS, results):
-        warm = warm_msgrate(mode=point["mode"], cores=point["cores"])
-        ref = warm.measure(point["msgs_per_core"])
-        assert result["rate"] == ref.rate
-        assert result["span"] == ref.span
-        assert result["messages"] == ref.messages
+def test_fig1a_memo_matches_unmemoized_reference(tmp_path):
+    _sweep(str(tmp_path))
+    warm = _sweep(str(tmp_path))
+    assert warm["cache_hits"] == N_POINTS
+    for point, result in zip(warm["points"], warm["results"]):
+        ref = run_msgrate(MsgRateConfig(**point))
+        assert (result["rate"], result["span"], result["messages"]) == \
+            (ref.rate, ref.span, ref.messages)
 
 
-def test_one_warmup_per_unique_prefix():
-    stats = MemoStats()
-    fig1a_executor().run(POINTS, stats=stats)
-    assert stats.warmups_simulated == 2  # two (mode, cores) prefixes
-    assert stats.warmup_reuses == 4     # remaining points forked off them
-    assert stats.points_run == len(POINTS)
-    assert len(stats.prefix_digests) == 2
+def test_one_warmup_per_unique_prefix(tmp_path):
+    """A point that recurs — within a job or across jobs — runs once."""
+    orch = Orchestrator(str(tmp_path))
+    twice = {"params": {**SWEEP["params"], "cores": [2, 2]}}
+    first, second = orch.submit("sweep", twice), orch.submit("sweep", SWEEP)
+    orch.drain_inline()
+    assert orch.metrics.value("serve.point.done") == N_POINTS
+    assert len(orch.job_result(first)["results"]) == 2 * N_POINTS
+    assert orch.job_result(second)["results"] == _sweep(None)["results"]
 
 
 def test_repeated_sweep_resimulates_zero_warmups(tmp_path):
-    cache = str(tmp_path / "memo")
-    cold = MemoStats()
-    first = fig1a_executor(cache_dir=cache).run(POINTS, stats=cold)
-    assert cold.warmups_simulated == 2 and cold.result_hits == 0
-
-    warm = MemoStats()
-    second = fig1a_executor(cache_dir=cache).run(POINTS, stats=warm)
-    assert warm.warmups_simulated == 0          # THE acceptance criterion
-    assert warm.forks == 0 and warm.points_run == 0
-    assert warm.result_hits == len(POINTS)
-    assert second == first
-    assert warm.prefix_digests == cold.prefix_digests
+    cold = _sweep(str(tmp_path))
+    assert cold["cache_hits"] == 0
+    warm = _sweep(str(tmp_path))
+    assert warm["cache_hits"] == N_POINTS       # nothing executed
+    assert warm["results"] == cold["results"]
 
 
 def test_new_points_reuse_cached_prefix_digests(tmp_path):
-    cache = str(tmp_path / "memo")
-    fig1a_executor(cache_dir=cache).run(POINTS)
-    extended = POINTS + [{"mode": "everywhere", "cores": 2,
-                          "msgs_per_core": 32}]
-    stats = MemoStats()
-    results = fig1a_executor(cache_dir=cache).run(extended, stats=stats)
-    # The new point shares a cached prefix: exactly one re-warm-up (to
-    # rebuild the live world the cache cannot hold), six result hits.
-    assert stats.result_hits == len(POINTS)
-    assert stats.warmups_simulated == 1
-    assert results[-1]["messages"] == 2 * 32
+    _sweep(str(tmp_path))
+    extended = {"params": {**SWEEP["params"],
+                           "msgs_per_core": [8, 16, 24, 32]}}
+    doc = _sweep(str(tmp_path), extended)
+    assert doc["cache_hits"] == N_POINTS        # only the two new points ran
+    assert doc["results"][-1]["messages"] == 2 * 32
 
 
 def test_version_bump_invalidates_cache(tmp_path, monkeypatch):
-    cache = str(tmp_path / "memo")
-    fig1a_executor(cache_dir=cache).run(POINTS[:2])
-    monkeypatch.setattr("repro.bench.memo.MEMO_VERSION", "memo0-other")
-    stats = MemoStats()
-    fig1a_executor(cache_dir=cache).run(POINTS[:2], stats=stats)
-    assert stats.result_hits == 0
-    assert stats.warmups_simulated == 1
+    _sweep(str(tmp_path))
+    monkeypatch.setattr("repro.serve.cache.SERVE_CACHE_VERSION",
+                        "serve0-other")
+    assert _sweep(str(tmp_path))["cache_hits"] == 0
 
 
 def test_results_keyed_by_digest_not_prefix_params(tmp_path):
-    """The cache key is the warm state's digest: a digest index that no
-    longer describes the code's behaviour is distrusted wholesale."""
-    cache = str(tmp_path / "memo")
-    ex = fig1a_executor(cache_dir=cache)
-    ex.run(POINTS[:3])
-    # Corrupt the digest index: every prefix record now lies.
-    for name in os.listdir(cache):
-        path = os.path.join(cache, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload["point"].get("kind") == "warm-prefix":
-            payload["result"] = "0" * 24
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-    stats = MemoStats()
-    results = fig1a_executor(cache_dir=cache).run(POINTS[:3], stats=stats)
-    assert stats.warmups_simulated == 1   # re-warmed, digest mismatch seen
-    assert stats.result_hits == 0         # nothing served off the bad index
-    assert results == ex.run(POINTS[:3])
+    """A stored file whose key record lies is distrusted, not served."""
+    cold = _sweep(str(tmp_path))
+    cache = tmp_path / "cache"
+    victim = cache / sorted(os.listdir(cache))[0]
+    payload = json.loads(victim.read_text())
+    payload["point"]["point"]["cores"] = 64
+    payload["result"] = {"rate": -1.0}
+    victim.write_text(json.dumps(payload))
+    again = _sweep(str(tmp_path))
+    assert again["cache_hits"] == N_POINTS - 1  # the liar was recomputed
+    assert again["results"] == cold["results"]
 
 
 def test_executor_without_fork_support(monkeypatch):
-    monkeypatch.setattr("repro.bench.memo.fork_available", lambda: False)
-    stats = MemoStats()
-    results = fig1a_executor().run(POINTS[:3], stats=stats)
-    assert stats.forks == 0
-    assert results == fig1a_executor().run(POINTS[:3])
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("repro.serve.service.fork_available", lambda: False)
+    assert _sweep(None, workers=2)["results"] == _sweep(None)["results"]
 
 
-def test_forked_tail_error_propagates():
-    def prefix(x):
-        return x
-
-    def tail(state, y):
-        if y == 1:
-            raise ValueError("boom in child")
-        return state + y
-
-    ex = WarmPrefixExecutor(prefix, tail, prefix_keys=("x",),
-                            digest_fn=lambda s: f"d{s}")
-    with pytest.raises(RuntimeError, match="boom in child"):
-        ex.run([{"x": 0, "y": 1}, {"x": 0, "y": 2}])
+def test_forked_tail_error_propagates(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    with pytest.raises(ServeError, match="asked to fail"):
+        run_local(None, "selftest", {"n": 4, "fail_at": 1}, workers=2)
 
 
 def test_scenarios_memoized_executor(tmp_path):
-    specs = sample_scenarios(5, 4)
-    cache = str(tmp_path / "scen")
-    cold, warm = MemoStats(), MemoStats()
-    first = run_scenarios(specs, cache_dir=cache, stats=cold)
-    second = run_scenarios(specs, cache_dir=cache, stats=warm)
-    plain = [json.loads(json.dumps(run_scenario(s), default=str))
-             for s in specs]
-    assert first == second == plain
-    assert cold.warmups_simulated == len(specs)
-    assert warm.warmups_simulated == 0
-    assert warm.result_hits == len(specs)
+    first, second = (run_local(str(tmp_path), "campaign", CAMPAIGN)[0]
+                     for _ in range(2))
+    plain = [json.loads(json.dumps(
+        run_scenario(ScenarioSpec.from_dict(p["spec"])), default=str))
+        for p in first["points"]]
+    assert first["results"] == second["results"] == plain
+    assert (first["cache_hits"], second["cache_hits"]) == (0, CAMPAIGN["n"])
 
 
 def test_scenarios_memo_results_in_spec_order():
-    specs = sample_scenarios(5, 3)
-    outcomes = run_scenarios(specs)
-    assert [o["spec"]["seed"] for o in outcomes] == \
-        [s.seed for s in specs]
+    doc = run_local(None, "campaign", {"seed": 5, "n": 3})[0]
+    assert [o["spec"] for o in doc["results"]] == \
+        [p["spec"] for p in doc["points"]]

@@ -1,138 +1,111 @@
-"""The parallel sweep executor: identical results serial vs fanned out.
+"""One executor at any worker count: identical results inline or fanned out.
 
-Sweep points are independent simulations, so the executor may only change
+Points are independent simulations, so the worker count may only change
 host wall-clock — never results or their order (see docs/performance.md).
+The battery the fork pool used to answer to, held against
+:func:`repro.serve.run_local`.
 """
+
+import json
 
 import pytest
 
-from repro.bench import (MsgRateConfig, Sweep, auto_jobs, chunk_size,
-                        default_jobs, run_points, run_msgrate, scaling_run)
+from repro.bench import Sweep
+from repro.cli import main
+from repro.errors import ServeError
+from repro.serve import execute_point, expand_job, run_local
+from repro.serve.service import auto_jobs
+
+SELFTEST = {"n": 17}
+SWEEP = {"params": {"mode": ["everywhere", "threads-original"],
+                    "cores": [1, 4], "msgs_per_core": [8]}}
+CLI_SWEEP = ["sweep", "msgrate", "--modes", "everywhere", "threads-tags",
+             "--cores", "1", "2", "--messages", "8"]
 
 
-def _square(x, offset=0):
-    return x * x + offset
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """``workers=2`` forks two real workers even on a 1-CPU host."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
 
 
-def _square_row(x, offset=0):
-    return {"y": x * x + offset}
+def _reference(kind, spec):
+    point_kind, points = expand_job(kind, spec)
+    return [execute_point(point_kind, p) for p in points]
 
 
-def _rate(mode, cores):
-    r = run_msgrate(MsgRateConfig(mode=mode, cores=cores, msgs_per_core=8))
-    return r.rate
-
-
-POINTS = [{"x": i, "offset": i % 3} for i in range(17)]
+def _results(kind, spec, workers, state_dir=None):
+    return run_local(state_dir, kind, spec, workers=workers)[0]["results"]
 
 
 def test_run_points_serial_order():
-    assert run_points(_square, POINTS, jobs=1) == \
-        [p["x"] ** 2 + p["offset"] for p in POINTS]
+    assert _results("selftest", SELFTEST, 1) == \
+        [{"i": i, "value": i * i} for i in range(17)]
 
 
 def test_run_points_parallel_matches_serial():
-    serial = run_points(_square, POINTS, jobs=1)
-    for jobs in (2, 4):
-        assert run_points(_square, POINTS, jobs=jobs) == serial
+    assert _results("selftest", SELFTEST, 2) == \
+        _results("selftest", SELFTEST, 1) == _reference("selftest", SELFTEST)
 
 
 def test_parallel_simulation_results_identical():
-    """Full simulator runs fanned across workers return bit-identical
-    rates in point order."""
-    points = [{"mode": m, "cores": c}
-              for m in ("everywhere", "threads-original")
-              for c in (1, 4)]
-    serial = run_points(_rate, points, jobs=1)
-    fanned = run_points(_rate, points, jobs=2)
-    assert [repr(r) for r in fanned] == [repr(r) for r in serial]
+    """Full simulator runs fanned across workers return byte-identical
+    results in point order."""
+    serial, fanned, reference = (
+        json.dumps(results, sort_keys=True) for results in (
+            _results("sweep", SWEEP, 1), _results("sweep", SWEEP, 2),
+            _reference("sweep", SWEEP)))
+    assert fanned == serial == reference
 
 
-def test_sweep_run_jobs_matches_serial():
-    sweep = Sweep(name="t", params={"x": [1, 2, 3], "offset": [0, 1]})
-    rows_a = sweep.run(_square_row)
-    rows_b = sweep.run(_square_row, jobs=2)
-    assert [(r.params, r.outputs) for r in rows_a] == \
-        [(r.params, r.outputs) for r in rows_b]
-    assert rows_a[0].outputs == {"y": 1}
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_JOBS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "4")
-    assert default_jobs() == 4
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "0")
-    assert default_jobs() == 1  # clamped
-    monkeypatch.setenv("REPRO_BENCH_JOBS", "banana")
-    assert default_jobs() == 1  # malformed -> serial
+def test_sweep_run_jobs_matches_serial(capsys):
+    tables = []
+    for jobs in ("1", "2"):
+        assert main(CLI_SWEEP + ["--jobs", jobs]) == 0
+        tables.append(capsys.readouterr().out.split("[")[0])
+    assert tables[0] == tables[1] and "threads-tags" in tables[0]
 
 
 def test_progress_called_serially():
+    sweep = Sweep(name="t", params={"x": [1, 2, 3, 4]})
     seen = []
-    run_points(_square, POINTS[:4], jobs=1, progress=seen.append)
-    assert seen == POINTS[:4]
-
-
-def test_scaling_run_times_each_worker_count():
-    walls = scaling_run(_square, POINTS[:4], jobs_list=(1, 2))
-    assert set(walls) == {1, 2}
-    assert all(rec["wall_sec"] >= 0 for rec in walls.values())
-    # every jobs point carries the host's CPU count so sub-unity
-    # "speedups" on oversubscribed hosts are attributable, not noise
-    assert all(rec["cpu_count"] >= 1 for rec in walls.values())
-
-
-def test_scaling_run_records_rss_and_dispatch_overhead():
-    """Every jobs record must explain itself from the JSON alone: the
-    pool's fixed dispatch cost, the chunking used, and the parent/worker
-    memory high-water marks."""
-    walls = scaling_run(_square, POINTS[:6], jobs_list=(1, 2))
-    for jobs, rec in walls.items():
-        assert rec["dispatch_sec"] >= 0
-        assert rec["chunk_size"] == chunk_size(6, jobs)
-        assert rec["rss_self_kb"] > 0
-        assert rec["rss_children_kb"] >= 0
-
-
-def test_chunk_size_floor_and_scaling():
-    assert chunk_size(35, 4) == max(1, 35 // 16) == 2
-    assert chunk_size(3, 4) == 1     # never zero
-    assert chunk_size(0, 1) == 1
-    assert chunk_size(400, 2) == 50  # ~4 chunks per worker
+    rows = sweep.run(lambda x: {"y": x * x}, progress=seen.append)
+    assert seen == sweep.points
+    assert [r.outputs for r in rows] == [{"y": x * x} for x in (1, 2, 3, 4)]
 
 
 def test_chunked_dispatch_keeps_per_point_checkpoints(tmp_path):
-    """Chunked pool tasks still checkpoint one file per point, and a
-    resume returns byte-identical rows in the original order."""
-    ckpt = str(tmp_path / "ckpt")
-    fanned = run_points(_square, POINTS, jobs=3, checkpoint_dir=ckpt)
-    files = [f for f in sorted((tmp_path / "ckpt").iterdir())
+    """Two workers leave one store file per point, and a second run
+    returns byte-identical rows in the original order from them."""
+    state = str(tmp_path / "state")
+    fanned = _results("selftest", SELFTEST, 2, state)
+    files = [f for f in (tmp_path / "state" / "cache").iterdir()
              if f.name.startswith("point-")]
-    assert len(files) == len(POINTS)  # one checkpoint per point, not chunk
-    resumed = run_points(_square, POINTS, jobs=3, checkpoint_dir=ckpt,
-                         resume=True)
-    assert resumed == fanned == run_points(_square, POINTS, jobs=1)
+    assert len(files) == SELFTEST["n"]
+    again = run_local(state, "selftest", SELFTEST, workers=2)[0]
+    assert again["cache_hits"] == SELFTEST["n"]
+    assert again["results"] == fanned == _results("selftest", SELFTEST, 1)
 
 
 def test_chunked_dispatch_csv_byte_identical(tmp_path):
-    sweep = Sweep(name="t", params={"x": [1, 2, 3, 4], "offset": [0, 1]})
-    serial = tmp_path / "serial.csv"
-    fanned = tmp_path / "fanned.csv"
-    sweep.to_csv(sweep.run(_square_row), str(serial))
-    sweep.to_csv(sweep.run(_square_row, jobs=3), str(fanned))
+    serial, fanned = tmp_path / "serial.csv", tmp_path / "fanned.csv"
+    assert main(CLI_SWEEP + ["--csv", str(serial)]) == 0
+    assert main(CLI_SWEEP + ["--jobs", "2", "--csv", str(fanned)]) == 0
     assert fanned.read_bytes() == serial.read_bytes()
+    assert serial.read_text().startswith("mode,cores,rate_Mmsgs\n")
 
 
 def test_worker_exception_propagates():
-    with pytest.raises(TypeError):
-        run_points(_square, [{"x": "nope"}, {"x": 1}], jobs=2)
+    for workers in (1, 2):
+        with pytest.raises(ServeError,
+                           match="(?s)point 3 failed.*asked to fail"):
+            run_local(None, "selftest", {"n": 5, "fail_at": 3},
+                      workers=workers)
 
 
 def test_auto_jobs_defaults_to_cpu_count():
-    # The serve orchestrator's sizing bugfix: never oversubscribe the
-    # host by default (jobs > cpus is pure dispatch overhead — see
-    # auto_jobs' docstring).
+    # Never oversubscribe the host by default (workers > cpus is pure
+    # dispatch overhead — see auto_jobs' docstring).
     assert auto_jobs(cpu_count=4) == 4
     assert auto_jobs(cpu_count=1) == 1
 

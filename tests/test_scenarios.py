@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, ServeError
 from repro.faults import FaultPlan, TransportParams
 from repro.netsim.traffic import TrafficShape
 from repro.scenarios import (
@@ -300,6 +301,31 @@ class TestCampaign:
         with pytest.raises(ScenarioError):
             campaign_report(str(tmp_path / "nothing"))
 
+    def test_corrupt_or_foreign_manifest_is_refused(self, tmp_path):
+        out = str(tmp_path / "c")
+        run_campaign(out, seed=1, n=3, shrink=False)
+        manifest = tmp_path / "c" / "jobs" / "job-00001.json"
+        good = manifest.read_text()
+        stored = sorted(os.listdir(tmp_path / "c" / "cache"))
+
+        # Sampled by another sampler version: never resumed, never re-run.
+        manifest.write_text(good.replace('"sampler_version":1',
+                                         '"sampler_version":0'))
+        for refused in (lambda: run_campaign(out, resume=True),
+                        lambda: campaign_report(out)):
+            with pytest.raises(ServeError, match="sampled by sampler v0"):
+                refused()
+
+        for damage in (good[:len(good) // 2], "[]",
+                       good.replace('"campaign"', '"selftest"')):
+            manifest.write_text(damage)
+            for refused in (lambda: run_campaign(out, resume=True),
+                            lambda: run_campaign(out, seed=1, n=3),
+                            lambda: campaign_report(out)):
+                with pytest.raises(ScenarioError, match="corrupt manifest"):
+                    refused()
+        assert sorted(os.listdir(tmp_path / "c" / "cache")) == stored
+
 
 class TestCrashResume:
     def test_kill9_then_resume_is_byte_identical(self, tmp_path):
@@ -308,25 +334,37 @@ class TestCrashResume:
         crashed = str(tmp_path / "crash")
         run_campaign(reference, seed=2, n=6, apps=["racer"], shrink=False)
 
+        # The simulated kill -9: the fourth scenario to start takes the
+        # whole process down, from inside the one execution path.
+        script = textwrap.dedent(f"""\
+            import os
+            from repro.scenarios import run_campaign
+            from repro.serve.points import POINT_KINDS
+            real, started = POINT_KINDS["scenario"], []
+            def crashing(spec):
+                if len(started) == 3:
+                    os._exit(9)
+                started.append(spec)
+                return real(spec)
+            POINT_KINDS["scenario"] = crashing
+            run_campaign({crashed!r}, seed=2, n=6, apps=["racer"],
+                         shrink=False)
+            """)
         code = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.scenarios import run_campaign; "
-             f"run_campaign({crashed!r}, seed=2, n=6, apps=['racer'], "
-             "shrink=False)"],
-            env={**os.environ, "REPRO_CAMPAIGN_CRASH_AFTER": "3",
-                 "PYTHONPATH": os.pathsep.join(sys.path)},
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
             capture_output=True).returncode
-        assert code == 9  # os._exit(9): the simulated kill -9
+        assert code == 9
 
         partial = campaign_report(crashed)
         assert 0 < partial["total"] < 6 and partial["pending"] > 0
 
         resumed = run_campaign(crashed, resume=True, shrink=False)
-        # point files must match the uninterrupted run byte for byte
+        # store files must match the uninterrupted run byte for byte
         def point_bytes(root):
             points = {}
-            for name in os.listdir(os.path.join(root, "points")):
-                with open(os.path.join(root, "points", name), "rb") as fh:
+            for name in os.listdir(os.path.join(root, "cache")):
+                with open(os.path.join(root, "cache", name), "rb") as fh:
                     points[name] = fh.read()
             return points
         assert point_bytes(reference) == point_bytes(crashed)

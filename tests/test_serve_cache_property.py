@@ -1,12 +1,14 @@
-"""Property battery: the serve result cache never lies.
+"""Property battery: the result store never lies.
 
-The cache's contract (mirroring ``test_bench_memo.py`` for the warm-
-prefix memo): (1) a hit returns the byte-identical JSON document that
+The store's contract: (1) a hit returns the byte-identical JSON document that
 was saved — for ANY point shape Hypothesis can draw; (2) distinct
 (kind, point) pairs never collide — loading one never returns the
 other's result, even across hash-adjacent parameter dicts; (3) bumping
 :data:`SERVE_CACHE_VERSION` invalidates every stored result at once
-(stale keys simply never match again).
+(stale keys simply never match again); (4) whatever else lands in a
+point's file — torn writes, foreign JSON, a record for another point —
+reads as a miss or as the saved result, never as an exception or as
+any other value.
 """
 
 import json
@@ -99,6 +101,27 @@ def test_version_bump_invalidates_everything(tmp_path_factory, kind, point,
         assert stale.hits == 0 and stale.misses == 1
     warm = ResultCache(cache_dir)
     assert warm.load(kind, point) is not PENDING  # original version still hits
+
+
+@SETTINGS
+@given(kind=kinds, point=points, result=results,
+       junk=st.one_of(st.binary(max_size=64),
+                      values.map(lambda doc: _canon(doc).encode("utf-8"))),
+       keep=st.integers(0, 200))
+def test_overwritten_file_is_a_miss_or_the_saved_result(
+        tmp_path_factory, kind, point, result, junk, keep):
+    directory = tmp_path_factory.mktemp("cache")
+    cache = ResultCache(str(directory))
+    cache.save(kind, point, result)
+    (path,) = directory.iterdir()
+    # Arbitrary bytes, arbitrary JSON ([] / null / 3 / a dict without
+    # "result"), or a torn prefix of the real file with junk appended.
+    path.write_bytes(path.read_bytes()[:keep] + junk if keep else junk)
+    loaded = cache.load(kind, point)
+    saved = json.loads(_canon(result))
+    assert loaded is PENDING or _canon(loaded) == _canon(saved)
+    cache.save(kind, point, result)  # a miss is recomputed and overwritten
+    assert _canon(cache.load(kind, point)) == _canon(saved)
 
 
 def test_disabled_cache_always_misses():

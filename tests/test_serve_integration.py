@@ -2,7 +2,7 @@
 
 THE acceptance criterion: a 200-point mixed sweep+campaign served over
 HTTP across 2 workers returns results byte-identical to the in-process
-reference (:func:`run_points` / :func:`run_scenarios`) — while
+reference (``[execute_point(kind, p) for p in points]``) — while
 surviving a ``kill -9`` of one worker *and* a ``kill -9`` + restart of
 the orchestrator mid-run, with zero lost and zero duplicated points —
 and a resubmission of the same jobs is answered 100% from the warm
@@ -20,11 +20,7 @@ import time
 
 import pytest
 
-from repro.bench.memo import json_roundtrip
-from repro.bench.parallel import run_points
-from repro.scenarios.executor import run_scenarios
-from repro.scenarios.sample import sample_scenarios
-from repro.serve.points import expand_job, msgrate_point
+from repro.serve.points import execute_point, expand_job
 from repro.serve.service import spawn_service
 
 pytestmark = pytest.mark.tier2
@@ -44,6 +40,12 @@ def _canon(doc):
     """Canonical bytes of a JSON document (byte-identity comparisons)."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
                       default=str).encode("utf-8")
+
+
+def _reference(kind, spec):
+    """The in-process reference: every point of the job, in order."""
+    point_kind, points = expand_job(kind, spec)
+    return points, [execute_point(point_kind, p) for p in points]
 
 
 def _total_done(client, job_ids):
@@ -102,16 +104,13 @@ def test_200_point_battery_survives_kills_and_is_byte_identical(tmp_path):
 
         # Byte-identity against the in-process references.
         sweep_doc = client.result(sweep["job_id"])
-        _, sweep_points = expand_job("sweep", SWEEP_SPEC)
+        sweep_points, reference = _reference("sweep", SWEEP_SPEC)
         assert sweep_doc["points"] == sweep_points
-        reference = [json_roundtrip(r) for r in
-                     run_points(msgrate_point, sweep_points, jobs=1)]
         assert _canon(sweep_doc["results"]) == _canon(reference)
 
         campaign_doc = client.result(campaign["job_id"])
-        specs = sample_scenarios(CAMPAIGN_SPEC["seed"], CAMPAIGN_SPEC["n"])
         assert _canon(campaign_doc["results"]) == \
-            _canon(run_scenarios(specs))
+            _canon(_reference("campaign", CAMPAIGN_SPEC)[1])
         # Zero lost, zero duplicated: every point slot filled exactly
         # once, in expansion order.
         assert len(campaign_doc["results"]) == 160
@@ -141,7 +140,7 @@ def test_campaign_result_carries_local_summary_shape(tmp_path):
         handle.stop()
     from repro.scenarios.campaign import summarize_outcomes
     from repro.scenarios.sample import SAMPLER_VERSION
-    outcomes = run_scenarios(sample_scenarios(3, 6))
+    outcomes = _reference("campaign", spec)[1]
     manifest = {"seed": 3, "n": 6, "apps": None,
                 "sampler_version": SAMPLER_VERSION}
     assert _canon(summary) == \
@@ -161,6 +160,16 @@ def test_http_api_status_codes(tmp_path):
         assert client.request("GET", "/jobs/job-99999")[0] == 404
         assert client.request("POST", "/jobs", {"kind": "nope"})[0] == 400
         assert client.request("POST", "/jobs", {"no": "kind"})[0] == 400
+        # Wrong-typed fields and impossible points too: a 400 naming the
+        # problem, not a dropped connection or a job that fails later.
+        for kind, spec in (("selftest", {"n": None}),
+                           ("selftest", {"n": 2, "ms": "slow"}),
+                           ("campaign", {"n": 2, "seed": "x"}),
+                           ("sweep", {"params": {"mode": ["everywere"],
+                                                 "cores": [1]}})):
+            status, doc = client.request("POST", "/jobs",
+                                         {"kind": kind, "spec": spec})
+            assert status == 400 and "bad" in doc["error"], (spec, doc)
         # A failing point turns into a 500 on /result with the blame.
         failing = client.submit("selftest", {"n": 1, "fail_at": 0})
         _wait_until(lambda: client.job(failing["job_id"])["status"] ==
@@ -174,6 +183,48 @@ def test_http_api_status_codes(tmp_path):
         assert len(trace["traceEvents"]) == 4  # one slice per executed point
     finally:
         handle.stop()
+
+
+def test_local_and_served_runs_share_one_store(tmp_path):
+    """A directory filled by ``repro sweep --checkpoint-dir D`` answers
+    the same job 100% warm under ``repro serve --state-dir D`` — and a
+    directory filled by the service answers the CLI without executing."""
+    from repro.cli import main
+    from repro.serve import run_local
+    spec = {"experiment": "msgrate",
+            "params": {"mode": ["everywhere", "threads-tags"],
+                       "cores": [1, 2], "msgs_per_core": [8], "seed": [0]}}
+    cli = ["sweep", "msgrate", "--modes", "everywhere", "threads-tags",
+           "--cores", "1", "2", "--messages", "8", "--checkpoint-dir"]
+
+    local = str(tmp_path / "local")
+    assert main(cli + [local]) == 0
+    handle = spawn_service(local, workers=1)
+    try:
+        client = handle.client()
+        # The CLI's own job was resumed from its manifest, all warm...
+        assert [(j["status"], j["cache_hits"]) for j in client.jobs()] == \
+            [("done", 4)]
+        again = client.submit("sweep", spec)  # ...and so is a resubmission.
+        assert (again["status"], again["cache_hits"]) == ("done", 4)
+        assert client.metrics()["metrics"].get("serve.point.done") is None
+    finally:
+        handle.stop()
+
+    served = str(tmp_path / "served")
+    handle = spawn_service(served, workers=1)
+    try:
+        client = handle.client()
+        job = client.submit("sweep", spec)
+        client.wait(job["job_id"], timeout=120)
+        results = client.result(job["job_id"])["results"]
+    finally:
+        handle.stop()
+    doc = run_local(served, "sweep", spec)[0]
+    assert doc["cache_hits"] == 4 and _canon(doc["results"]) == _canon(results)
+    assert main(cli + [served]) == 0  # the CLI builds that same document
+    assert sorted(os.listdir(os.path.join(served, "cache"))) == \
+        sorted(os.listdir(os.path.join(local, "cache")))
 
 
 def test_service_auto_sizes_workers_to_host(tmp_path):

@@ -17,9 +17,9 @@ from collections import deque
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ServeError
 from repro.serve.orchestrator import Orchestrator
-from repro.serve.points import execute_point
+from repro.serve.points import execute_point, expand_job
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -131,6 +131,53 @@ def test_frame_constructors_vocabulary():
     assert result_frame("t", {})["ok"] is True
     assert error_frame("t", "boom")["ok"] is False
     assert error_frame("t", "boom")["type"] == "result"
+
+
+# -- job documents and manifests (tier 1, no sockets) ----------------------
+@pytest.mark.parametrize("kind, spec, blame", [
+    ("selftest", {"n": None}, "bad selftest job document"),
+    ("campaign", {"n": 2, "seed": "x"}, "bad campaign job document"),
+    ("selftest", {"n": 2, "ms": "slow"}, "bad selftest job document"),
+    ("campaign", {"n": 2, "apps": 5}, "bad campaign job document"),
+    ("campaign", {"n": 2, "sampler_version": 0}, "sampled by sampler v0"),
+    ("scenarios", {"specs": [{"app": "nope"}]}, "bad scenarios job"),
+    ("sweep", {"params": {"bogus": [1]}}, "'mode' and 'cores'"),
+    ("sweep", {"params": {"mode": ["everywhere"], "cores": [1],
+                          "bogus": [1]}}, "bad sweep job.*bogus"),
+    ("sweep", {"params": {"mode": ["everywere"], "cores": [1]}},
+     "bad sweep job.*unknown mode"),
+    ("sweep", {"params": {"mode": ["everywhere"], "cores": [0]}},
+     "bad sweep job.*cores must be >= 1"),
+    ("sweep", {"params": {"mode": ["everywhere"], "cores": ["two"]}},
+     "bad sweep job document"),
+])
+def test_bad_job_documents_are_serve_errors(kind, spec, blame):
+    """Wrong types and impossible points fail at submit, as ServeError
+    (HTTP 400) — never as a TypeError, never later on a worker."""
+    with pytest.raises(ServeError, match=blame):
+        expand_job(kind, spec)
+
+
+def test_bad_manifests_fail_their_job_not_the_orchestrator(tmp_path):
+    state = tmp_path / "s"
+    good = Orchestrator(str(state)).submit("selftest", {"n": 2})
+    jobs = state / "jobs"
+    (jobs / "job-00002.json").write_text('{"job_id": "job-00002", "ki')
+    (jobs / "job-00003.json").write_text('{"job_id": "job-00009", '
+                                         '"kind": "selftest", "spec": {}}')
+    (jobs / "job-final.json").write_text("[]")
+    orch = Orchestrator(str(state))  # a stray name does not stop start-up
+    orch.resume_jobs()
+    assert orch.metrics.value("serve.job.corrupt") == 3
+    for job_id in ("job-00002", "job-00003", "job-final"):
+        status = orch.job_status(job_id)
+        assert status["status"] == "failed"
+        assert "corrupt manifest" in status["error"]
+        assert f"{job_id}.json" in status["error"]
+    orch.drain_inline()
+    assert orch.job_result(good)["results"] == [{"i": 0, "value": 0},
+                                                {"i": 1, "value": 1}]
+    assert orch.submit("selftest", {"n": 1}) == "job-00004"
 
 
 # -- orchestrator scheduling (tier 2) --------------------------------------

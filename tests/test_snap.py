@@ -10,14 +10,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.bench.parallel import point_key, run_points
-from repro.bench.sweep import Sweep
 from repro.cli import main
 from repro.errors import SnapshotFormatError, SnapshotMismatchError
 from repro.faults import parse_plan
 from repro.mpi import vci as vci_mod
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime import World
+from repro.serve import cache_key, expand_job, run_local
 from repro.snap import (
     SnapController,
     capture_state,
@@ -389,63 +388,64 @@ def test_bisect_refines_mid_run_divergence():
 
 
 # ----------------------------------------------------- resumable sweeps
-def _square(x):
-    return {"y": x * x}
+SELFTEST = {"n": 5}
+
+
+def _store_files(root):
+    return sorted(os.listdir(os.path.join(root, "cache")))
+
+
+def _executed(state, workers=1):
+    """Re-run the selftest job on ``state``; (results, points executed)."""
+    doc = run_local(state, "selftest", SELFTEST, workers=workers)[0]
+    return doc["results"], SELFTEST["n"] - doc["cache_hits"]
+
+
+def _tear(state, name):
+    with open(os.path.join(state, "cache", name), "w") as fh:
+        fh.write("{trunca")  # crash mid-write
 
 
 def test_run_points_checkpoints_and_resumes(tmp_path):
-    ckpt = str(tmp_path / "ck")
-    points = [{"x": i} for i in range(5)]
-    ref = run_points(_square, points, checkpoint_dir=ckpt)
-    assert sorted(os.listdir(ckpt)) == sorted(
-        f"point-{point_key(p)}.json" for p in points)
+    state = str(tmp_path / "ck")
+    ref, executed = _executed(state)
+    assert executed == 5
+    _, points = expand_job("selftest", SELFTEST)
+    names = _store_files(state)
+    assert names == sorted(
+        f"point-{cache_key('selftest', p)}.json" for p in points)
 
-    # Simulate a crash: lose two checkpoints, resume computes only those.
-    for p in points[1:3]:
-        os.unlink(os.path.join(ckpt, f"point-{point_key(p)}.json"))
-    calls = []
-
-    def counting(x):
-        calls.append(x)
-        return _square(x)
-
-    again = run_points(counting, points, checkpoint_dir=ckpt, resume=True)
-    assert again == ref
-    assert sorted(calls) == [1, 2]
+    # Simulate a crash: lose two store files and tear a third; exactly
+    # those three points execute again.
+    for name in names[:2]:
+        os.unlink(os.path.join(state, "cache", name))
+    _tear(state, names[2])
+    assert _executed(state) == (ref, 3)
+    assert _executed(state) == (ref, 0)
 
 
-def test_run_points_parallel_checkpoints(tmp_path):
-    ckpt = str(tmp_path / "ck")
-    points = [{"x": i} for i in range(4)]
-    ref = run_points(_square, points, jobs=2, checkpoint_dir=ckpt)
-    assert len(os.listdir(ckpt)) == 4
-    assert run_points(_square, points, jobs=2, checkpoint_dir=ckpt,
-                      resume=True) == ref
+def test_run_points_parallel_checkpoints(tmp_path, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    state = str(tmp_path / "ck")
+    ref, executed = _executed(state, workers=2)
+    assert executed == 5 and len(_store_files(state)) == 5
+    assert _executed(state, workers=2) == (ref, 0)
 
 
 def test_point_store_ignores_corrupt_checkpoint(tmp_path):
-    ckpt = str(tmp_path / "ck")
-    points = [{"x": 3}]
-    run_points(_square, points, checkpoint_dir=ckpt)
-    path = os.path.join(ckpt, f"point-{point_key(points[0])}.json")
-    open(path, "w").write("{trunca")  # crash mid-write
-    assert run_points(_square, points, checkpoint_dir=ckpt,
-                      resume=True) == [{"y": 9}]
+    state = str(tmp_path / "ck")
+    _executed(state)
+    _tear(state, _store_files(state)[-1])
+    assert _executed(state) == (
+        [{"i": i, "value": i * i} for i in range(5)], 1)
 
 
-def test_sweep_resume_rows_byte_identical(tmp_path):
-    sweep = Sweep(name="t", params={"x": [1, 2, 3]})
-    ckpt = str(tmp_path / "ck")
-    rows = sweep.run(_square, checkpoint_dir=ckpt)
-    resumed = sweep.run(_square, checkpoint_dir=ckpt, resume=True)
-    assert [r.flat() for r in resumed] == [r.flat() for r in rows]
+def test_sweep_resume_rows_byte_identical(tmp_path, capsys):
+    args = ["sweep", "msgrate", "--modes", "everywhere", "--cores", "1",
+            "2", "--messages", "8", "--checkpoint-dir", str(tmp_path / "ck")]
     csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    sweep.to_csv(rows, str(csv_a))
-    sweep.to_csv(resumed, str(csv_b))
+    assert main(args + ["--csv", str(csv_a)]) == 0
+    cold = capsys.readouterr().out.split("[")[0]
+    assert main(args + ["--csv", str(csv_b)]) == 0
+    assert capsys.readouterr().out.split("[")[0] == cold
     assert csv_a.read_bytes() == csv_b.read_bytes()
-
-
-def test_sweep_cli_resume_needs_checkpoint_dir(capsys):
-    assert main(["sweep", "msgrate", "--modes", "everywhere", "--cores",
-                 "1", "--resume"]) == 2
-    assert "needs --checkpoint-dir" in capsys.readouterr().err
