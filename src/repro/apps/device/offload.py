@@ -26,17 +26,16 @@ Strategies compared (the paper's discussion):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any, Generator
 
 import numpy as np
 
 from ...errors import MpiUsageError
 from ...mpi.partitioned import precv_init, psend_init, startall, waitall_partitioned
 from ...mpi.request import waitall
-from ...netsim.config import NetworkConfig
-from ...runtime.world import MpiProcess, World
-from ..chaos import TrafficShape, chaos_cluster, install_traffic
+from ...runtime.world import MpiProcess
 from ...sim.sync import Barrier, Gate
+from ..harness import run_app
 
 __all__ = ["DeviceParams", "DeviceConfig", "DeviceResult", "run_device"]
 
@@ -78,6 +77,10 @@ class DeviceConfig:
             raise MpiUsageError(f"unknown mechanism {self.mechanism!r}")
         if self.num_nodes != 2:
             raise MpiUsageError("the device proxy models a 2-node exchange")
+        if min(self.blocks, self.count, self.timesteps) < 1:
+            raise MpiUsageError(
+                "blocks, count and timesteps must be >= 1, got "
+                f"{self.blocks!r}, {self.count!r} and {self.timesteps!r}")
 
 
 @dataclass
@@ -211,40 +214,28 @@ class _DeviceNode:
         yield proc.sim.all_of(blocks)
 
 
-def run_device(cfg: DeviceConfig,
-               net: Optional[NetworkConfig] = None,
-               seed: int = 0,
-               faults=None, transport=None,
-               traffic: Optional[TrafficShape] = None,
-               traffic_seed: int = 0,
-               topology: str = "direct",
-               topology_params: Optional[dict] = None) -> DeviceResult:
+_STRATEGIES = {"host-driven": _DeviceNode.run_host_driven,
+               "device-partitioned": _DeviceNode.run_device_partitioned,
+               "device-mpi": _DeviceNode.run_device_mpi}
+
+
+def run_device(cfg: DeviceConfig, **env: Any) -> DeviceResult:
     """Run the device-offload proxy under the chosen mechanism.
 
-    The trailing keywords are the shared chaos block (see
-    :mod:`repro.apps.chaos`); defaults reproduce the historical lossless
-    direct-fabric run byte for byte.
+    ``env`` is the harness keyword block (``seed``, ``net``, ``faults``,
+    ``traffic``, ``topology``, ... — see
+    :func:`repro.apps.harness.run_app`); defaults reproduce the
+    historical lossless direct-fabric run byte for byte.
     """
-    world = World(cluster=chaos_cluster(2, cfg.blocks, net,
-                                        topology, topology_params),
-                  seed=seed, faults=faults, transport=transport)
     nodes = {}
 
     def proc_main(proc):
         st = _DeviceNode(proc, cfg)
         nodes[proc.rank] = st
-        if cfg.mechanism == "host-driven":
-            yield from st.run_host_driven()
-        elif cfg.mechanism == "device-partitioned":
-            yield from st.run_device_partitioned()
-        else:
-            yield from st.run_device_mpi()
+        yield from _STRATEGIES[cfg.mechanism](st)
         return proc.sim.now
 
-    tasks = [world.procs[r].spawn(proc_main(world.procs[r]))
-             for r in range(2)]
-    bg = install_traffic(world, traffic, traffic_seed)
-    ends = world.run_all(tasks + bg, max_steps=None)[:len(tasks)]
+    _, ends = run_app(cfg.num_nodes, cfg.blocks, proc_main, **env)
 
     # Each node must have observed the peer's per-step values in order.
     correct = all(

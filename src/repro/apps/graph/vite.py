@@ -21,24 +21,20 @@ label-sharing conflicts the dynamism induces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any, Generator
 
 import networkx as nx
 import numpy as np
 
 from ...errors import MpiUsageError
-from ...mapping.tags import TagSchema, listing2_info
-from ...mpi.endpoints import comm_create_endpoints
 from ...mpi.request import waitall
-from ...netsim.config import NetworkConfig
-from ...runtime.world import MpiProcess, World
-from ..chaos import TrafficShape, chaos_cluster, install_traffic
+from ...runtime.world import MpiProcess
+from ...sim.sync import Barrier
+from ..channels import MECHANISMS, Channels, open_channels
+from ..harness import run_app
 
 __all__ = ["GraphConfig", "GraphResult", "run_graph", "partition_graph"]
-
-MECHANISMS = ("original", "tags", "communicators", "endpoints")
 
 
 @dataclass
@@ -64,6 +60,11 @@ class GraphConfig:
             raise MpiUsageError(f"unknown mechanism {self.mechanism!r}")
         if not 0.0 <= self.churn <= 1.0:
             raise MpiUsageError("churn must be in [0, 1]")
+        if not 1 <= self.graph_degree < self.graph_vertices:
+            raise MpiUsageError(
+                "the Barabasi-Albert generator needs 1 <= graph_degree < "
+                f"graph_vertices, got {self.graph_degree!r} and "
+                f"{self.graph_vertices!r}")
 
 
 @dataclass
@@ -104,40 +105,21 @@ def partition_graph(cfg: GraphConfig) -> tuple[nx.Graph, dict[int, tuple[int, in
 
 class _GraphNode:
     def __init__(self, proc: MpiProcess, cfg: GraphConfig,
-                 graph: nx.Graph, owners: dict):
+                 graph: nx.Graph, owners: dict, channels: Channels):
         self.proc = proc
         self.cfg = cfg
         self.graph = graph
         self.owners = owners  # shared, mutated between iterations
-        self.task_comms = []
-        self.eps = None
-        bits = max(1, math.ceil(math.log2(max(2, cfg.threads_per_proc))))
-        self.schema = TagSchema(num_tid_bits=bits, num_app_bits=6)
-        self.tag_comm = None
+        #: Opened once, before the neighbourhood starts drifting: under
+        #: ``communicators`` that is a static map of one communicator
+        #: per local thread id (Lesson 5).
+        self.channels = channels
         self.updates_applied = 0
         self.checksum = 0.0
         self.exchange_time = 0.0
         self._exchange_accum: dict[int, float] = {}
         self.remote_messages = 0
         self.conflicts = 0
-
-    def setup(self) -> Generator:
-        cfg = self.cfg
-        if cfg.mechanism == "communicators":
-            # A static map: one communicator per local thread id — built
-            # once, before the neighbourhood starts drifting (Lesson 5).
-            for tid in range(cfg.threads_per_proc):
-                self.task_comms.append(
-                    (yield from self.proc.comm_world.Dup(name=f"g{tid}")))
-        elif cfg.mechanism == "endpoints":
-            self.eps = yield from comm_create_endpoints(
-                self.proc.comm_world, cfg.threads_per_proc)
-        elif cfg.mechanism == "tags":
-            self.tag_comm = yield from self.proc.comm_world.Dup(
-                listing2_info(cfg.threads_per_proc,
-                              self.schema.num_tid_bits))
-        else:
-            self.tag_comm = self.proc.comm_world
 
     # -- per-iteration partner computation -------------------------------
     def partners(self, tid: int, it: int) -> dict[tuple[int, int], int]:
@@ -166,36 +148,6 @@ class _GraphNode:
         # collapse: one message per (sender proc, sender thread)
         return out
 
-    # -- mechanism-specific send/recv -------------------------------------
-    def _send(self, tid: int, p2: int, t2: int, it: int,
-              payload: np.ndarray) -> Generator:
-        cfg = self.cfg
-        if cfg.mechanism == "communicators":
-            # Static map: sender uses its own thread's communicator; the
-            # receiver must know which comm each dynamic partner uses —
-            # and distinct remote partners may share it (conflicts).
-            comm = self.task_comms[tid]
-            return (yield from comm.Isend(payload, p2, tag=it))
-        if cfg.mechanism == "endpoints":
-            ep = self.eps[tid]
-            target = p2 * cfg.threads_per_proc + t2
-            return (yield from ep.Isend(payload, target, tag=it))
-        tag = self.schema.encode(tid, t2, it % 64)
-        return (yield from self.tag_comm.Isend(payload, p2, tag))
-
-    def _recv(self, tid: int, p2: int, t2: int, it: int,
-              buf: np.ndarray) -> Generator:
-        cfg = self.cfg
-        if cfg.mechanism == "communicators":
-            comm = self.task_comms[t2]  # the sender's thread comm
-            return (yield from comm.Irecv(buf, p2, tag=it))
-        if cfg.mechanism == "endpoints":
-            ep = self.eps[tid]
-            source = p2 * cfg.threads_per_proc + t2
-            return (yield from ep.Irecv(buf, source, tag=it))
-        tag = self.schema.encode(t2, tid, it % 64)
-        return (yield from self.tag_comm.Irecv(buf, p2, tag))
-
     def run_one(self, tid: int, it: int, barrier) -> Generator:
         """One iteration of one thread: exchange updates with the current
         (possibly churned) partner set, then apply them."""
@@ -207,15 +159,15 @@ class _GraphNode:
         reqs, rbufs = [], []
         for (p2, t2), _count in sorted(expect.items()):
             buf = np.zeros(2)
-            req = yield from self._recv(tid, p2, t2, it, buf)
-            reqs.append(req)
+            comm, source, tag = self.channels.recv(tid, p2, t2, it)
+            reqs.append((yield from comm.Irecv(buf, source, tag)))
             rbufs.append(buf)
         for (p2, t2), count in sorted(sends.items()):
             payload[0] = proc.rank * 1000 + tid
             payload[1] = count
             self.remote_messages += 1
-            req = yield from self._send(tid, p2, t2, it, payload)
-            reqs.append(req)
+            comm, dest, tag = self.channels.send(tid, p2, t2, it)
+            reqs.append((yield from comm.Isend(payload, dest, tag)))
         yield from waitall(reqs)
         for buf in rbufs:
             self.updates_applied += 1
@@ -226,9 +178,10 @@ class _GraphNode:
         yield from barrier.wait()
 
     def measure_conflicts(self, it: int) -> None:
-        """Count communicators serving >= 2 local threads this iteration
-        (receive side of the static map under churn)."""
-        if self.cfg.mechanism != "communicators":
+        """Count handles serving >= 2 local threads this iteration
+        (receive side of a static thread-keyed map under churn; zero when
+        every thread receives on a handle of its own)."""
+        if not self.channels.scattered:
             return
         users: dict[int, set[int]] = {}
         for tid in range(self.cfg.threads_per_proc):
@@ -238,27 +191,15 @@ class _GraphNode:
                              sum(1 for s in users.values() if len(s) > 1))
 
 
-def run_graph(cfg: GraphConfig,
-              net: Optional[NetworkConfig] = None,
-              max_vcis_per_proc: int = 64,
-              faults=None, transport=None,
-              traffic: Optional[TrafficShape] = None,
-              traffic_seed: int = 0,
-              topology: str = "direct",
-              topology_params: Optional[dict] = None) -> GraphResult:
+def run_graph(cfg: GraphConfig, **env: Any) -> GraphResult:
     """Run the graph proxy under the configured mechanism.
 
-    The trailing keywords are the shared chaos block (see
-    :mod:`repro.apps.chaos`); defaults reproduce the historical lossless
-    direct-fabric run byte for byte.
+    ``env`` is the harness keyword block (``net``, ``faults``,
+    ``traffic``, ``topology``, ... — see
+    :func:`repro.apps.harness.run_app`); defaults reproduce the
+    historical lossless direct-fabric run byte for byte.
     """
-    from ...sim.sync import Barrier
-
     graph, owners = partition_graph(cfg)
-    world = World(cluster=chaos_cluster(cfg.num_nodes, cfg.threads_per_proc,
-                                        net, topology, topology_params),
-                  max_vcis_per_proc=max_vcis_per_proc, seed=cfg.seed,
-                  faults=faults, transport=transport)
     nodes: dict[int, _GraphNode] = {}
     rng = np.random.default_rng(cfg.seed + 1)
 
@@ -276,9 +217,11 @@ def run_graph(cfg: GraphConfig,
         owner_steps.append(new)
 
     def proc_main(proc):
-        st = _GraphNode(proc, cfg, graph, dict(owner_steps[0]))
+        channels = yield from open_channels(
+            proc, cfg.mechanism, cfg.threads_per_proc, app_bits=6,
+            thread_prefix="g")
+        st = _GraphNode(proc, cfg, graph, dict(owner_steps[0]), channels)
         nodes[proc.rank] = st
-        yield from st.setup()
         barrier = Barrier(proc.sim, cfg.threads_per_proc)
 
         # Iteration-wise owner-map swap is driven per process: wrap the
@@ -295,11 +238,8 @@ def run_graph(cfg: GraphConfig,
         yield proc.sim.all_of(threads)
         return proc.sim.now
 
-
-    tasks = [world.procs[r].spawn(proc_main(world.procs[r]))
-             for r in range(cfg.num_nodes)]
-    bg = install_traffic(world, traffic, traffic_seed)
-    ends = world.run_all(tasks + bg, max_steps=None)[:len(tasks)]
+    _, ends = run_app(cfg.num_nodes, cfg.threads_per_proc, proc_main,
+                      seed=cfg.seed, **env)
 
     # correctness: total updates applied == total remote messages sent
     sent = sum(st.remote_messages for st in nodes.values())

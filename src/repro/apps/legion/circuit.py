@@ -19,23 +19,20 @@ polling thread iterates), ``endpoints`` (dedicated polling endpoint —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any, Generator
 
 import numpy as np
 
 from ...errors import MpiUsageError
-from ...mpi import ANY_SOURCE, ANY_TAG
-from ...mpi.endpoints import comm_create_endpoints
 from ...mpi.info import Info
 from ...mpi.request import waitall
-from ...netsim.config import NetworkConfig
-from ...runtime.world import MpiProcess, World
-from ..chaos import TrafficShape, chaos_cluster, install_traffic
+from ...runtime.world import MpiProcess
 from ...sim.sync import Gate
+from ..channels import open_channels
+from ..harness import run_app
+from .runtime import MECHANISMS, WildcardPoller
 
 __all__ = ["CircuitConfig", "CircuitResult", "run_circuit"]
-
-MECHANISMS = ("original", "communicators", "endpoints")
 
 
 @dataclass
@@ -57,6 +54,10 @@ class CircuitConfig:
             raise MpiUsageError(f"unknown mechanism {self.mechanism!r}")
         if self.num_nodes < 2:
             raise MpiUsageError("need at least 2 nodes")
+        if self.timesteps < 1 or self.wires_per_thread < 1:
+            raise MpiUsageError(
+                "timesteps and wires_per_thread must be >= 1, got "
+                f"{self.timesteps!r} and {self.wires_per_thread!r}")
 
     @property
     def updates_per_step(self) -> int:
@@ -82,14 +83,9 @@ class _CircuitNode:
     def __init__(self, proc: MpiProcess, cfg: CircuitConfig):
         self.proc = proc
         self.cfg = cfg
-        self.task_comms = []
-        self.eps = None
-        self.am_comm = None
         self.buckets: dict[int, int] = {}
         self.gates: dict[int, Gate] = {}
-        self.received = 0
         self.voltage_sum = 0.0
-        self.done = False
 
     def _gate(self, step: int) -> Gate:
         if step not in self.gates:
@@ -97,21 +93,18 @@ class _CircuitNode:
         return self.gates[step]
 
     def setup(self) -> Generator:
+        # Under ``original`` all task threads push active messages down
+        # one channel and the polling thread absorbs them in arrival
+        # order, so message order carries no meaning: assert it (MPI 4.0
+        # ``mpi_assert_allow_overtaking``).
         cfg = self.cfg
-        if cfg.mechanism == "communicators":
-            for tid in range(cfg.task_threads):
-                self.task_comms.append(
-                    (yield from self.proc.comm_world.Dup(name=f"circ{tid}")))
-        elif cfg.mechanism == "endpoints":
-            self.eps = yield from comm_create_endpoints(
-                self.proc.comm_world, cfg.task_threads + 1)
-        else:
-            # All task threads push active messages down one channel and
-            # the polling thread absorbs them in arrival order, so message
-            # order carries no meaning: assert it (MPI 4.0
-            # ``mpi_assert_allow_overtaking``).
-            self.am_comm = yield from self.proc.comm_world.Dup(
-                Info({"mpi_assert_allow_overtaking": "1"}), name="circ-am")
+        self.channels = yield from open_channels(
+            self.proc, cfg.mechanism, cfg.task_threads + 1,
+            senders=cfg.task_threads, thread_prefix="circ",
+            info=Info({"mpi_assert_allow_overtaking": "1"}),
+            comm_name="circ-am")
+        self.poller = WildcardPoller(self.proc, self.channels,
+                                     cfg.task_threads, 4, self._absorb)
 
     def task_thread(self, tid: int) -> Generator:
         """One circuit piece owner: solve, ship updates, stay one step
@@ -128,105 +121,37 @@ class _CircuitNode:
             for target in range(cfg.num_nodes):
                 if target == proc.rank:
                     continue
+                comm, dest, tag = self.channels.send(
+                    tid, target, cfg.task_threads, step)
                 for _ in range(cfg.wires_per_thread):
-                    if cfg.mechanism == "communicators":
-                        req = yield from self.task_comms[tid].Isend(
-                            update, target, tag=step)
-                    elif cfg.mechanism == "endpoints":
-                        poll_ep = target * (cfg.task_threads + 1) \
-                            + cfg.task_threads
-                        req = yield from self.eps[tid].Isend(
-                            update, poll_ep, tag=step)
-                    else:
-                        req = yield from self.am_comm.Isend(
-                            update, target, tag=step)
-                    pending.append(req)
+                    pending.append(
+                        (yield from comm.Isend(update, dest, tag)))
             yield from waitall(pending)
         yield from self._gate(cfg.timesteps - 1).wait()
 
-    POLL_WINDOW = 4
-
-    def _post(self, comm) -> Generator:
-        buf = np.zeros(4)
-        req = yield from comm.Irecv(buf, ANY_SOURCE, ANY_TAG)
-        return req, buf
-
     def polling_thread(self) -> Generator:
-        """Pre-posted wildcard receives (see LegionConfig docstring): a
-        FIFO window on one channel, or one receive per task communicator
-        that every sweep must test."""
-        cfg, proc = self.cfg, self.proc
-        expected_total = cfg.updates_per_step * cfg.timesteps
-        if cfg.mechanism == "communicators":
-            slots = []
-            for comm in self.task_comms:
-                req, buf = yield from self._post(comm)
-                slots.append([comm, req, buf])
-            while self.received < expected_total:
-                progressed = False
-                for slot in slots:
-                    status = yield from slot[0].Test(slot[1])
-                    if status is None:
-                        continue
-                    yield from self._absorb(status.tag, slot[2])
-                    slot[1], slot[2] = yield from self._post(slot[0])
-                    progressed = True
-                    if self.received >= expected_total:
-                        break
-                if not progressed:
-                    yield proc.compute(100e-9)
-            # cancel the final pre-posted receive on each channel; no
-            # further update will ever match it (MPI_Cancel at teardown)
-            for slot in slots:
-                if not slot[1].cancel():
-                    yield from slot[1].wait()
-        else:
-            comm = (self.eps[cfg.task_threads]
-                    if cfg.mechanism == "endpoints" else self.am_comm)
-            window = []
-            for _ in range(min(self.POLL_WINDOW, expected_total)):
-                window.append((yield from self._post(comm)))
-            while self.received < expected_total:
-                req, buf = window[0]
-                status = yield from comm.Test(req)
-                if status is None:
-                    yield proc.compute(100e-9)
-                    continue
-                window.pop(0)
-                yield from self._absorb(status.tag, buf)
-                remaining = expected_total - self.received - len(window)
-                if remaining > 0:
-                    window.append((yield from self._post(comm)))
-        self.done = True
+        """Absorb every timestep's updates (see
+        :class:`~repro.apps.legion.runtime.WildcardPoller`)."""
+        yield from self.poller.run(
+            self.cfg.updates_per_step * self.cfg.timesteps)
 
-    def _absorb(self, step: int, buf: np.ndarray) -> Generator:
+    def _absorb(self, status, buf: np.ndarray) -> Generator:
         yield self.proc.compute(self.cfg.handler_cost)
-        self.received += 1
+        step = status.tag
         self.voltage_sum += float(buf[0])
         self.buckets[step] = self.buckets.get(step, 0) + 1
         if self.buckets[step] == self.cfg.updates_per_step:
             self._gate(step).open()
 
 
-def run_circuit(cfg: CircuitConfig,
-                net: Optional[NetworkConfig] = None,
-                max_vcis_per_proc: int = 64,
-                seed: int = 0,
-                faults=None, transport=None,
-                traffic: Optional[TrafficShape] = None,
-                traffic_seed: int = 0,
-                topology: str = "direct",
-                topology_params: Optional[dict] = None) -> CircuitResult:
+def run_circuit(cfg: CircuitConfig, **env: Any) -> CircuitResult:
     """Run the circuit proxy under the configured mechanism.
 
-    The trailing keywords are the shared chaos block (see
-    :mod:`repro.apps.chaos`); defaults reproduce the historical lossless
-    direct-fabric run byte for byte.
+    ``env`` is the harness keyword block (``seed``, ``net``, ``faults``,
+    ``traffic``, ``topology``, ... — see
+    :func:`repro.apps.harness.run_app`); defaults reproduce the
+    historical lossless direct-fabric run byte for byte.
     """
-    world = World(cluster=chaos_cluster(cfg.num_nodes, cfg.task_threads + 1,
-                                        net, topology, topology_params),
-                  max_vcis_per_proc=max_vcis_per_proc, seed=seed,
-                  faults=faults, transport=transport)
     nodes: dict[int, _CircuitNode] = {}
 
     def proc_main(proc):
@@ -239,13 +164,10 @@ def run_circuit(cfg: CircuitConfig,
         yield proc.sim.all_of(threads)
         return proc.sim.now
 
-    tasks = [world.procs[r].spawn(proc_main(world.procs[r]))
-             for r in range(cfg.num_nodes)]
-    bg = install_traffic(world, traffic, traffic_seed)
-    ends = world.run_all(tasks + bg, max_steps=None)[:len(tasks)]
+    _, ends = run_app(cfg.num_nodes, cfg.task_threads + 1, proc_main, **env)
 
     expected_total = cfg.updates_per_step * cfg.timesteps
-    correct = all(st.received == expected_total for st in nodes.values())
+    correct = all(st.poller.seen == expected_total for st in nodes.values())
     for rank, st in nodes.items():
         want = cfg.timesteps * cfg.wires_per_thread * cfg.task_threads * sum(
             1.0 + n for n in range(cfg.num_nodes) if n != rank)

@@ -28,19 +28,18 @@ itself one of the paper's findings and is asserted by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any, Generator
 
 import numpy as np
 
 from ...errors import MpiUsageError
 from ...mpi import ANY_SOURCE, ANY_TAG
-from ...mpi.endpoints import comm_create_endpoints
 from ...mpi.request import waitall
-from ...netsim.config import NetworkConfig
-from ...runtime.world import MpiProcess, World
-from ..chaos import TrafficShape, chaos_cluster, install_traffic
+from ...runtime.world import MpiProcess
+from ..channels import Channels, open_channels
+from ..harness import run_app
 
-__all__ = ["LegionConfig", "LegionResult", "run_legion"]
+__all__ = ["LegionConfig", "LegionResult", "WildcardPoller", "run_legion"]
 
 MECHANISMS = ("original", "communicators", "endpoints")
 
@@ -72,6 +71,9 @@ class LegionConfig:
                 "express wildcard polling — Lesson 15)")
         if self.num_nodes < 2:
             raise MpiUsageError("need at least 2 nodes")
+        if self.payload < 1:
+            raise MpiUsageError("payload must be >= 1 element, got "
+                                f"{self.payload!r}")
 
     @property
     def events_per_node(self) -> int:
@@ -101,35 +103,136 @@ class LegionResult:
                 f"probes/evt={self.probes_per_event:5.2f}")
 
 
+class WildcardPoller:
+    """A node's polling thread: absorbs active messages through
+    pre-posted wildcard receives, as Legion's Realm backend does.
+
+    It is thread ``tid`` of its process and polls whatever handles its
+    traffic can arrive on (``channels.sweep(tid)``):
+
+    - all on one handle (``original``, ``endpoints``): a FIFO window of
+      wildcard Irecvs; wildcard receives match in posted order, so
+      completions are FIFO, testing the head is enough and each event
+      costs roughly one MPI_Test (Fig 5 right);
+    - scattered over several (``communicators``): the polling thread is
+      "forced to iterate over the communicators to process all incoming
+      messages" — one wildcard Irecv per handle, every sweep tests them
+      all, and the per-event cost grows with their number (Fig 5 left).
+
+    ``on_event(status, buf)`` is the application's handler (a generator).
+    ``seen`` counts handled events, ``probes`` the MPI_Test calls and
+    ``busy`` the simulated time spent in MPI calls and handlers — idle
+    backoff excluded — which is Fig 5's cost-per-event numerator.
+    """
+
+    #: Pre-posted wildcard receives in window mode.
+    WINDOW = 4
+
+    def __init__(self, proc: MpiProcess, channels: Channels, tid: int,
+                 nelems: int, on_event):
+        self.proc = proc
+        self.handles = channels.sweep(tid)
+        self.scattered = channels.scattered
+        self.nelems = nelems
+        self.on_event = on_event
+        self.seen = 0
+        self.probes = 0
+        self.busy = 0.0
+
+    def _post(self, comm) -> Generator:
+        buf = np.zeros(self.nelems)
+        t0 = self.proc.sim.now
+        req = yield from comm.Irecv(buf, ANY_SOURCE, ANY_TAG)
+        self.busy += self.proc.sim.now - t0
+        return req, buf
+
+    def _handle(self, status, buf: np.ndarray) -> Generator:
+        t0 = self.proc.sim.now
+        yield from self.on_event(status, buf)
+        self.busy += self.proc.sim.now - t0
+        self.seen += 1
+
+    def run(self, expected: int) -> Generator:
+        """Absorb exactly ``expected`` events, then return."""
+        if self.scattered:
+            yield from self._sweep_all(expected)
+        else:
+            yield from self._window(expected, self.handles[0])
+
+    # Each MPI_Test below is charged (incl. channel-lock contention),
+    # counted, and measured as poll work — inline, because an idle poller
+    # spends its whole life in these loops.
+
+    def _window(self, expected: int, comm) -> Generator:
+        sim = self.proc.sim
+        window = []
+        for _ in range(min(self.WINDOW, expected)):
+            window.append((yield from self._post(comm)))
+        while self.seen < expected:
+            req, buf = window[0]
+            self.probes += 1
+            t0 = sim.now
+            status = yield from comm.Test(req)
+            self.busy += sim.now - t0
+            if status is None:
+                yield self.proc.compute(100e-9)  # idle backoff
+                continue
+            window.pop(0)
+            yield from self._handle(status, buf)
+            if expected - self.seen - len(window) > 0:
+                window.append((yield from self._post(comm)))
+
+    def _sweep_all(self, expected: int) -> Generator:
+        sim = self.proc.sim
+        slots = []
+        for comm in self.handles:
+            req, buf = yield from self._post(comm)
+            slots.append([comm, req, buf])
+        while self.seen < expected:
+            progressed = False
+            for slot in slots:
+                comm, req, buf = slot
+                self.probes += 1
+                t0 = sim.now
+                status = yield from comm.Test(req)
+                self.busy += sim.now - t0
+                if status is None:
+                    continue
+                yield from self._handle(status, buf)
+                slot[1], slot[2] = yield from self._post(comm)
+                progressed = True
+                if self.seen >= expected:
+                    break
+            if not progressed:
+                yield self.proc.compute(100e-9)
+        # Shutdown: every handle still holds one pre-posted wildcard
+        # receive that no further message will match — cancel it
+        # (MPI_Cancel), as Realm does at teardown.
+        for _comm, req, _buf in slots:
+            if not req.cancel():
+                yield from req.wait()
+
+
 class _LegionProcess:
     """Per-node runtime state."""
 
     def __init__(self, proc: MpiProcess, cfg: LegionConfig):
         self.proc = proc
         self.cfg = cfg
-        self.task_comms = []       # communicators mode
-        self.eps = None            # endpoints mode
-        self.events_seen = 0
         self.checksum = 0.0
-        self.probes = 0
-        self.poll_busy = 0.0
         self.poll_start = None
         self.poll_end = None
 
-    # ------------------------------------------------------------- setup
     def setup(self) -> Generator:
+        # task_threads sending threads + 1 polling thread per process
         cfg = self.cfg
-        if cfg.mechanism == "communicators":
-            for tid in range(cfg.task_threads):
-                comm = yield from self.proc.comm_world.Dup(
-                    name=f"task{tid}")
-                self.task_comms.append(comm)
-        elif cfg.mechanism == "endpoints":
-            # task_threads endpoints + 1 polling endpoint per process
-            self.eps = yield from comm_create_endpoints(
-                self.proc.comm_world, cfg.task_threads + 1)
+        self.channels = yield from open_channels(
+            self.proc, cfg.mechanism, cfg.task_threads + 1,
+            senders=cfg.task_threads, thread_prefix="task")
+        self.poller = WildcardPoller(self.proc, self.channels,
+                                     cfg.task_threads, cfg.payload,
+                                     self._handle)
 
-    # ------------------------------------------------------------- tasks
     def task_thread(self, tid: int) -> Generator:
         """Application task: exchange payloads with the peer node."""
         cfg = self.cfg
@@ -140,150 +243,39 @@ class _LegionProcess:
         for target in range(cfg.num_nodes):
             if target == me:
                 continue
+            # address the *polling thread* of the target node; the tag is
+            # the application-level stream id
+            comm, dest, tag = self.channels.send(tid, target,
+                                                 cfg.task_threads, tid)
             for k in range(cfg.msgs_per_thread):
                 yield proc.compute(cfg.task_work)
-                tag = tid  # application-level stream id
-                if cfg.mechanism == "communicators":
-                    req = yield from self.task_comms[tid].Isend(
-                        payload, target, tag)
-                elif cfg.mechanism == "endpoints":
-                    my_ep = self.eps[tid]
-                    # address the *polling endpoint* of the target node
-                    target_poll_ep = target * (cfg.task_threads + 1) \
-                        + cfg.task_threads
-                    req = yield from my_ep.Isend(payload, target_poll_ep, tag)
-                else:  # original
-                    req = yield from proc.comm_world.Isend(payload, target, tag)
+                req = yield from comm.Isend(payload, dest, tag)
                 pending.append(req)
                 if len(pending) >= cfg.window:
                     yield from waitall(pending)
                     pending = []
         yield from waitall(pending)
 
-    # ------------------------------------------------------------- polling
     def polling_thread(self) -> Generator:
-        """Process incoming events with pre-posted wildcard receives, as
-        Legion's Realm backend does.
+        """Process this node's incoming events (see
+        :class:`WildcardPoller`)."""
+        self.poll_start = self.proc.sim.now
+        yield from self.poller.run(self.cfg.events_per_node)
+        self.poll_end = self.proc.sim.now
 
-        - ``endpoints``/``original``: a FIFO window of wildcard Irecvs on
-          one channel; each event costs roughly one MPI_Test.
-        - ``communicators``: one wildcard Irecv *per task communicator*;
-          every polling sweep must test all of them (Fig 5's iteration) —
-          the per-event cost grows with the communicator count.
-        """
-        cfg = self.cfg
-        proc = self.proc
-        expected = cfg.events_per_node
-        self.poll_start = proc.sim.now
-        if cfg.mechanism == "communicators":
-            yield from self._poll_multi_channel(expected, self.task_comms)
-        elif cfg.mechanism == "endpoints":
-            yield from self._poll_window(expected,
-                                         self.eps[cfg.task_threads])
-        else:
-            yield from self._poll_window(expected, proc.comm_world)
-        self.poll_end = proc.sim.now
-
-    #: Pre-posted wildcard receives per channel in window mode.
-    POLL_WINDOW = 4
-
-    def _handle(self, buf: np.ndarray) -> Generator:
-        self.events_seen += 1
+    def _handle(self, status, buf: np.ndarray) -> Generator:
         self.checksum += float(buf[0])
-        t0 = self.proc.sim.now
         yield self.proc.compute(self.cfg.handler_cost)
-        self.poll_busy += self.proc.sim.now - t0
-
-    def _test(self, comm, req) -> Generator:
-        """One MPI_Test: charged (incl. channel-lock contention), counted,
-        and measured as poll work."""
-        proc = self.proc
-        t0 = proc.sim.now
-        self.probes += 1
-        status = yield from comm.Test(req)
-        self.poll_busy += proc.sim.now - t0
-        return status
-
-    def _repost(self, comm) -> Generator:
-        buf = np.zeros(self.cfg.payload)
-        t0 = self.proc.sim.now
-        req = yield from comm.Irecv(buf, ANY_SOURCE, ANY_TAG)
-        self.poll_busy += self.proc.sim.now - t0
-        return (req, buf)
-
-    def _poll_window(self, expected: int, comm) -> Generator:
-        """Fig 5 right: a FIFO window of wildcard receives on one channel.
-
-        Wildcard receives match in posted order, so completions are FIFO
-        and testing the head is enough.
-        """
-        proc = self.proc
-        window = []
-        for _ in range(min(self.POLL_WINDOW, expected)):
-            window.append((yield from self._repost(comm)))
-        while self.events_seen < expected:
-            req, buf = window[0]
-            status = yield from self._test(comm, req)
-            if status is None:
-                yield proc.compute(100e-9)  # idle backoff
-                continue
-            window.pop(0)
-            yield from self._handle(buf)
-            remaining = expected - self.events_seen - len(window)
-            if remaining > 0:
-                window.append((yield from self._repost(comm)))
-
-    def _poll_multi_channel(self, expected: int, comms) -> Generator:
-        """Fig 5 left: the polling thread is 'forced to iterate over the
-        communicators to process all incoming messages'."""
-        proc = self.proc
-        slots = []
-        for comm in comms:
-            req, buf = yield from self._repost(comm)
-            slots.append([comm, req, buf])
-        while self.events_seen < expected:
-            progressed = False
-            for slot in slots:
-                comm, req, buf = slot
-                status = yield from self._test(comm, req)
-                if status is None:
-                    continue
-                yield from self._handle(buf)
-                req, buf = yield from self._repost(comm)
-                slot[1], slot[2] = req, buf
-                progressed = True
-                if self.events_seen >= expected:
-                    break
-            if not progressed:
-                yield proc.compute(100e-9)
-        # Shutdown: every channel still holds one pre-posted wildcard
-        # receive that no further message will match — cancel it
-        # (MPI_Cancel), as Realm does at teardown.
-        for slot in slots:
-            if not slot[1].cancel():
-                yield from slot[1].wait()
 
 
-def run_legion(cfg: LegionConfig,
-               net: Optional[NetworkConfig] = None,
-               max_vcis_per_proc: int = 64,
-               seed: int = 0,
-               faults=None, transport=None,
-               traffic: Optional[TrafficShape] = None,
-               traffic_seed: int = 0,
-               topology: str = "direct",
-               topology_params: Optional[dict] = None) -> LegionResult:
+def run_legion(cfg: LegionConfig, **env: Any) -> LegionResult:
     """Run one event-runtime experiment end to end.
 
-    The trailing keywords are the shared chaos block (see
-    :mod:`repro.apps.chaos`): fault plan + reliable transport, background
-    traffic, routed topology. Defaults reproduce the historical lossless
-    direct-fabric run byte for byte.
+    ``env`` is the harness keyword block (``seed``, ``net``, ``faults``,
+    ``traffic``, ``topology``, ... — see
+    :func:`repro.apps.harness.run_app`); defaults reproduce the
+    historical lossless direct-fabric run byte for byte.
     """
-    world = World(cluster=chaos_cluster(cfg.num_nodes, cfg.task_threads + 1,
-                                        net, topology, topology_params),
-                  max_vcis_per_proc=max_vcis_per_proc, seed=seed,
-                  faults=faults, transport=transport)
     states: dict[int, _LegionProcess] = {}
 
     def proc_main(proc):
@@ -296,13 +288,11 @@ def run_legion(cfg: LegionConfig,
         yield proc.sim.all_of(threads)
         return proc.sim.now
 
-    tasks = [world.procs[r].spawn(proc_main(world.procs[r]))
-             for r in range(cfg.num_nodes)]
-    bg = install_traffic(world, traffic, traffic_seed)
-    ends = world.run_all(tasks + bg, max_steps=None)[:len(tasks)]
+    _, ends = run_app(cfg.num_nodes, cfg.task_threads + 1, proc_main, **env)
 
     expected = cfg.events_per_node
-    correct = all(st.events_seen == expected for st in states.values())
+    pollers = [st.poller for st in states.values()]
+    correct = all(p.seen == expected for p in pollers)
     # checksum: each node receives msgs_per_thread copies from every
     # (remote node, tid) pair
     for rank, st in states.items():
@@ -320,8 +310,8 @@ def run_legion(cfg: LegionConfig,
         wall_time=max(ends),
         polling_rate=expected / span,
         polling_cost_per_event=max(
-            s.poll_busy / max(1, s.events_seen) for s in states.values()),
+            p.busy / max(1, p.seen) for p in pollers),
         probes_per_event=max(
-            s.probes / max(1, s.events_seen) for s in states.values()),
+            p.probes / max(1, p.seen) for p in pollers),
         correct=correct,
     )

@@ -21,7 +21,7 @@ atomicity. The three channel strategies compared:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any
 
 import numpy as np
 
@@ -30,9 +30,7 @@ from ...mpi.coll.ops import SUM
 from ...mpi.endpoints import comm_create_endpoints
 from ...mpi.info import Info
 from ...mpi.rma import win_create
-from ...netsim.config import NetworkConfig
-from ...runtime.world import MpiProcess, World
-from ..chaos import TrafficShape, chaos_cluster, install_traffic
+from ..harness import run_app
 
 __all__ = ["NwchemConfig", "NwchemResult", "run_nwchem"]
 
@@ -59,6 +57,10 @@ class NwchemConfig:
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
             raise MpiUsageError(f"unknown mechanism {self.mechanism!r}")
+        if self.tiles_per_proc < 1 or self.tile_dim < 1:
+            raise MpiUsageError(
+                "tiles_per_proc and tile_dim must be >= 1, got "
+                f"{self.tiles_per_proc!r} and {self.tile_dim!r}")
 
     @property
     def tile_elems(self) -> int:
@@ -104,24 +106,14 @@ def _tasks(cfg: NwchemConfig, rank: int, tid: int) -> list[tuple]:
     return out
 
 
-def run_nwchem(cfg: NwchemConfig,
-               net: Optional[NetworkConfig] = None,
-               max_vcis_per_proc: int = 64,
-               faults=None, transport=None,
-               traffic: Optional[TrafficShape] = None,
-               traffic_seed: int = 0,
-               topology: str = "direct",
-               topology_params: Optional[dict] = None) -> NwchemResult:
+def run_nwchem(cfg: NwchemConfig, **env: Any) -> NwchemResult:
     """Run the block-sparse RMA proxy under the configured mechanism.
 
-    The trailing keywords are the shared chaos block (see
-    :mod:`repro.apps.chaos`); defaults reproduce the historical lossless
-    direct-fabric run byte for byte.
+    ``env`` is the harness keyword block (``net``, ``faults``,
+    ``traffic``, ``topology``, ... — see
+    :func:`repro.apps.harness.run_app`); defaults reproduce the
+    historical lossless direct-fabric run byte for byte.
     """
-    world = World(cluster=chaos_cluster(cfg.num_nodes, cfg.threads_per_proc,
-                                        net, topology, topology_params),
-                  max_vcis_per_proc=max_vcis_per_proc, seed=cfg.seed,
-                  faults=faults, transport=transport)
     dim, te = cfg.tile_dim, cfg.tile_elems
     memories: dict[int, np.ndarray] = {}
     rma_times: dict[tuple[int, int], float] = {}
@@ -199,10 +191,8 @@ def run_nwchem(cfg: NwchemConfig,
         yield from proc.comm_world.Barrier()
         return proc.sim.now
 
-    tasks = [world.procs[r].spawn(proc_main(world.procs[r]))
-             for r in range(cfg.num_nodes)]
-    bg = install_traffic(world, traffic, traffic_seed)
-    ends = world.run_all(tasks + bg, max_steps=None)[:len(tasks)]
+    world, ends = run_app(cfg.num_nodes, cfg.threads_per_proc, proc_main,
+                          seed=cfg.seed, **env)
 
     # Expected contributions per C tile.
     expected = {r: np.zeros(cfg.window_elems) for r in range(cfg.num_nodes)}

@@ -2,42 +2,33 @@
 Pencil proxy of Section III-A)."""
 
 from .drivers import (
+    COMM_MAPS,
     MECHANISMS,
+    ChannelRun,
     CommunicatorRun,
-    EndpointRun,
+    P2PRun,
     PartitionedRun,
     StencilConfig,
     StencilProcessRun,
-    TagBasedRun,
     make_run,
 )
 from .field import (
     DIR_TAGS,
+    DIR_TAGS_3D,
+    KERNELS,
     Patch,
     assemble_global,
     halo_slices,
-    jacobi5,
-    jacobi9,
+    jacobi,
     make_patches,
     reference_jacobi,
-)
-from .field3d import (
-    DIR_TAGS_3D,
-    Patch3D,
-    assemble_global_3d,
-    halo_slices_3d,
-    jacobi7,
-    jacobi27,
-    make_patches_3d,
-    reference_jacobi_3d,
 )
 from .runner import StencilResult, run_stencil
 
 __all__ = [
-    "DIR_TAGS", "DIR_TAGS_3D", "MECHANISMS", "CommunicatorRun",
-    "EndpointRun", "Patch", "Patch3D", "PartitionedRun", "StencilConfig",
-    "StencilProcessRun", "StencilResult", "TagBasedRun", "assemble_global",
-    "assemble_global_3d", "halo_slices", "halo_slices_3d", "jacobi5",
-    "jacobi7", "jacobi9", "jacobi27", "make_patches", "make_patches_3d",
-    "make_run", "reference_jacobi", "reference_jacobi_3d", "run_stencil",
+    "COMM_MAPS", "DIR_TAGS", "DIR_TAGS_3D", "KERNELS", "MECHANISMS",
+    "ChannelRun", "CommunicatorRun", "P2PRun", "Patch", "PartitionedRun",
+    "StencilConfig", "StencilProcessRun", "StencilResult",
+    "assemble_global", "halo_slices", "jacobi", "make_patches", "make_run",
+    "reference_jacobi", "run_stencil",
 ]

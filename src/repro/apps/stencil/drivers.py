@@ -4,15 +4,20 @@ Every driver runs the same computation (Jacobi iterations over one patch
 per thread) and differs only in *how the communication parallelism is
 exposed*:
 
-- :class:`TagBasedRun` covers both "MPI+threads (Original)" (thread ids in
-  tags on one plain communicator — everything lands on one VCI) and the
-  "tags with hints" mechanism of Listing 2 (same code plus an Info bundle);
-- :class:`CommunicatorRun` uses a communicator map from
+- :class:`ChannelRun` covers "MPI+threads (Original)" (thread ids in tags
+  on one plain communicator — everything lands on one VCI), the "tags
+  with hints" mechanism of Listing 2 (same code plus an Info bundle) and
+  user-visible endpoints (Listing 3): whatever
+  :func:`repro.apps.channels.open_channels` resolves the mechanism to;
+- :class:`CommunicatorRun` uses a direction-keyed communicator map from
   :mod:`repro.mapping.communicators` (Listing 1 generalized);
-- :class:`EndpointRun` uses user-visible endpoints (Listing 3);
 - :class:`PartitionedRun` uses partitioned operations per process face
   (Listing 4), including the shared-request synchronization and the
   ``omp single``-style Waitall+restart step.
+
+The p2p drivers differ only in their :meth:`~P2PRun.routes` — which
+``(handle, peer, tag)`` an exchange travels on — and share one
+``exchange`` over a per-thread plan computed once.
 
 In-process neighbours exchange through shared memory in all mechanisms
 (the ``need_mpi_op`` branch of the paper's listings).
@@ -20,36 +25,45 @@ In-process neighbours exchange through shared memory in all mechanisms
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from dataclasses import dataclass
+from typing import Any, Generator
 
 import numpy as np
 
 from ...errors import MpiUsageError
 from ...mapping.communicators import (
-    CommMap,
+    STENCIL_2D_5PT,
+    STENCIL_2D_9PT,
+    STENCIL_3D_7PT,
+    STENCIL_3D_27PT,
     Coord,
     CornerOptimizedCommMap,
+    Exchange,
     MirroredCommMap,
     NaiveCommMap,
     StencilGeometry,
 )
 from ...mapping.endpoints import EndpointAddressing
 from ...mapping.partitioned import PartitionPlan
-from ...mapping.tags import TagSchema, listing2_info
-from ...mpi.endpoints import comm_create_endpoints
 from ...mpi.partitioned import precv_init, psend_init, startall, waitall_partitioned
 from ...mpi.request import waitall
 from ...runtime.world import MpiProcess
 from ...sim.sync import Barrier
-from .field import DIR_TAGS, Patch, halo_slices, jacobi5, jacobi9, make_patches
+from ..channels import Route, open_channels
+from .field import DIR_TAGS, DIR_TAGS_3D, halo_slices, jacobi, make_patches
 
-__all__ = ["StencilConfig", "StencilProcessRun", "TagBasedRun",
-           "CommunicatorRun", "EndpointRun", "PartitionedRun",
-           "make_run", "MECHANISMS"]
+__all__ = ["StencilConfig", "StencilProcessRun", "P2PRun", "ChannelRun",
+           "CommunicatorRun", "PartitionedRun", "make_run", "MECHANISMS",
+           "COMM_MAPS"]
 
 MECHANISMS = ("original", "tags", "communicators", "endpoints", "partitioned")
+
+#: ``comm_map`` name -> direction-keyed communicator map (Fig 4).
+COMM_MAPS = {"naive": NaiveCommMap, "mirrored": MirroredCommMap,
+             "corner": CornerOptimizedCommMap}
+
+_STENCILS = {5: STENCIL_2D_5PT, 9: STENCIL_2D_9PT,
+             7: STENCIL_3D_7PT, 27: STENCIL_3D_27PT}
 
 
 @dataclass
@@ -76,7 +90,7 @@ class StencilConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.stencil_points not in (5, 9, 7, 27):
+        if self.stencil_points not in _STENCILS:
             raise MpiUsageError("stencil_points must be 5/9 (2D) or "
                                 "7/27 (3D)")
         if len(self.proc_grid) != self.dim or len(self.thread_grid) != self.dim:
@@ -90,6 +104,15 @@ class StencilConfig:
             raise MpiUsageError(
                 "partitioned stencils support face exchanges only "
                 "(Lesson 15): use stencil_points=5 or 7")
+        if self.comm_map not in COMM_MAPS:
+            raise MpiUsageError(f"unknown comm map {self.comm_map!r}; "
+                                f"choose from {sorted(COMM_MAPS)}")
+        if min(self.shape) < 1:
+            raise MpiUsageError("patch extents pnx/pny/pnz must be >= 1, "
+                                f"got {self.shape[::-1]}")
+        if not self.compute_cost_per_cell >= 0.0:
+            raise MpiUsageError("compute_cost_per_cell must be >= 0, got "
+                                f"{self.compute_cost_per_cell!r}")
 
     @property
     def dim(self) -> int:
@@ -97,14 +120,7 @@ class StencilConfig:
 
     @property
     def stencil(self):
-        from ...mapping.communicators import (
-            STENCIL_2D_5PT,
-            STENCIL_2D_9PT,
-            STENCIL_3D_7PT,
-            STENCIL_3D_27PT,
-        )
-        return {5: STENCIL_2D_5PT, 9: STENCIL_2D_9PT,
-                7: STENCIL_3D_7PT, 27: STENCIL_3D_27PT}[self.stencil_points]
+        return _STENCILS[self.stencil_points]
 
     @property
     def nthreads(self) -> int:
@@ -114,8 +130,17 @@ class StencilConfig:
         return n
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Interior extents of one patch in array order: ``(pny, pnx)``
+        or ``(pnz, pny, pnx)``."""
+        return (self.pnz, self.pny, self.pnx)[-self.dim:]
+
+    @property
     def patch_cells(self) -> int:
-        return self.pnx * self.pny * (self.pnz if self.dim == 3 else 1)
+        n = 1
+        for c in self.shape:
+            n *= c
+        return n
 
     def geometry(self) -> StencilGeometry:
         return StencilGeometry(self.proc_grid, self.thread_grid, self.stencil)
@@ -129,23 +154,8 @@ class StencilProcessRun:
         self.p = pcoord
         self.cfg = cfg
         self.geom = cfg.geometry()
-        if cfg.dim == 2:
-            from .field import DIR_TAGS as _tags
-            self.patches = make_patches(self.geom, pcoord, cfg.pnx, cfg.pny,
-                                        cfg.seed)
-            self.kernel = jacobi5 if cfg.stencil_points == 5 else jacobi9
-            self.dir_tags = _tags
-        else:
-            from .field3d import (
-                DIR_TAGS_3D,
-                jacobi7,
-                jacobi27,
-                make_patches_3d,
-            )
-            self.patches = make_patches_3d(self.geom, pcoord, cfg.pnx,
-                                           cfg.pny, cfg.pnz, cfg.seed)
-            self.kernel = jacobi7 if cfg.stencil_points == 7 else jacobi27
-            self.dir_tags = DIR_TAGS_3D
+        self.patches = make_patches(self.geom, pcoord, cfg.shape, cfg.seed)
+        self.dir_tags = DIR_TAGS if cfg.dim == 2 else DIR_TAGS_3D
         self.barrier = Barrier(proc.sim, cfg.nthreads,
                                per_entry_cost=proc.world.cfg.cpu.lock_acquire)
         self.halo_time = 0.0      # max over threads, accumulated per thread
@@ -153,37 +163,40 @@ class StencilProcessRun:
         #: Mechanism-specific resource count (comms/endpoints/part-ops).
         self.resources_created = 0
 
-    def _halo_slices(self, d: Coord):
-        if self.cfg.dim == 2:
-            return halo_slices(self.cfg.pnx, self.cfg.pny, d)
-        from .field3d import halo_slices_3d
-        return halo_slices_3d(self.cfg.pnx, self.cfg.pny, self.cfg.pnz, d)
-
     # -- hooks --------------------------------------------------------------
     def setup(self) -> Generator:
         """Collective setup (communicator/endpoint/op creation)."""
-        return
-        yield
+        raise NotImplementedError
 
-    def exchange(self, t: Coord) -> Generator:
+    def plan(self, t: Coord) -> list:
+        """What thread ``t`` exchanges every iteration (computed once)."""
+        raise NotImplementedError
+
+    def exchange(self, t: Coord, plan: list) -> Generator:
         """Fill thread ``t``'s halos (remote via MPI, local via shm)."""
         raise NotImplementedError
 
     # -- shared pieces --------------------------------------------------------
+    def _global(self, t: Coord) -> Coord:
+        """Global thread coordinate of local thread ``t``."""
+        return tuple(pi * ti + ci for pi, ti, ci in
+                     zip(self.p, self.geom.thread_grid, t))
+
+    def _neighbor(self, t: Coord, d: Coord) -> Coord:
+        """Global thread coordinate of ``t``'s neighbour in direction ``d``."""
+        return tuple(a + b for a, b in zip(self._global(t), d))
+
     def shm_neighbors(self, t: Coord) -> Generator:
         """Copy halos from same-process neighbour patches."""
-        geom, cfg = self.geom, self.cfg
+        geom, shape = self.geom, self.cfg.shape
         me = self.patches[t]
         for d in geom.stencil:
-            g = tuple(pi * ti + ci for pi, ti, ci in
-                      zip(self.p, geom.thread_grid, t))
-            g2 = tuple(a + b for a, b in zip(g, d))
+            g2 = self._neighbor(t, d)
             if not geom.in_domain(g2) or geom.proc_of(g2) != self.p:
                 continue
             nbr = self.patches[geom.thread_of(g2)]
-            nd = tuple(-c for c in d)
-            send_sl, _ = self._halo_slices(nd)
-            _, recv_sl = self._halo_slices(d)
+            send_sl, _ = halo_slices(shape, tuple(-c for c in d))
+            _, recv_sl = halo_slices(shape, d)
             strip = nbr.data[send_sl]
             yield self.proc.shm_exchange(strip.nbytes)
             me.data[recv_sl] = strip
@@ -192,25 +205,23 @@ class StencilProcessRun:
         """Directions in which thread ``t`` has an off-process neighbour."""
         geom = self.geom
         out = []
-        g = tuple(pi * ti + ci for pi, ti, ci in
-                  zip(self.p, geom.thread_grid, t))
         for d in geom.stencil:
-            g2 = tuple(a + b for a, b in zip(g, d))
+            g2 = self._neighbor(t, d)
             if geom.in_domain(g2) and geom.proc_of(g2) != self.p:
                 out.append(d)
         return out
 
     def pack(self, t: Coord, d: Coord) -> np.ndarray:
-        send_sl, _ = self._halo_slices(d)
+        send_sl, _ = halo_slices(self.cfg.shape, d)
         return np.ascontiguousarray(self.patches[t].data[send_sl]).reshape(-1)
 
     def unpack(self, t: Coord, d: Coord, buf: np.ndarray) -> None:
-        _, recv_sl = self._halo_slices(d)
+        _, recv_sl = halo_slices(self.cfg.shape, d)
         target = self.patches[t].data[recv_sl]
         target[:] = buf.reshape(target.shape)
 
     def recv_shape_len(self, d: Coord) -> int:
-        _, recv_sl = self._halo_slices(d)
+        _, recv_sl = halo_slices(self.cfg.shape, d)
         dummy = self.patches[next(iter(self.patches))].data[recv_sl]
         return dummy.size
 
@@ -218,18 +229,17 @@ class StencilProcessRun:
     def thread_body(self, t: Coord) -> Generator:
         """Per-thread iteration loop: compute, exchange halos, reduce."""
         cfg = self.cfg
-        shape = (cfg.pny, cfg.pnx) if cfg.dim == 2 \
-            else (cfg.pnz, cfg.pny, cfg.pnx)
-        temp = np.zeros(shape)
+        temp = np.zeros(cfg.shape)
+        plan = self.plan(t)
         self._thread_halo[t] = 0.0
         for _ in range(cfg.iters):
             t0 = self.proc.sim.now
-            yield from self.exchange(t)
+            yield from self.exchange(t, plan)
             yield from self.barrier.wait()
             self._thread_halo[t] += self.proc.sim.now - t0
             # compute + commit (reads own data, writes own interior)
             patch = self.patches[t]
-            self.kernel(patch, temp)
+            jacobi(cfg.stencil_points, patch, temp)
             yield self.proc.compute(
                 cfg.compute_cost_per_cell * cfg.patch_cells)
             patch.interior[:] = temp
@@ -237,52 +247,35 @@ class StencilProcessRun:
         self.halo_time = max(self._thread_halo.values())
 
 
-class TagBasedRun(StencilProcessRun):
-    """Original (no hints) and tags-with-hints (Listing 2) drivers."""
+class P2PRun(StencilProcessRun):
+    """Nonblocking point-to-point halo exchange; subclasses say on which
+    ``(handle, peer, tag)`` each exchange travels."""
 
-    def __init__(self, proc, pcoord, cfg, hinted: bool):
+    def __init__(self, proc, pcoord, cfg):
         super().__init__(proc, pcoord, cfg)
-        self.hinted = hinted
-        bits = max(1, math.ceil(math.log2(max(2, cfg.nthreads))))
-        app_bits = 4 if cfg.dim == 2 else 5   # 8 vs 26 directions
-        self.schema = TagSchema(num_tid_bits=bits, num_app_bits=app_bits)
-        self.comm = None
+        self.addr = EndpointAddressing(self.geom)
 
-    def setup(self) -> Generator:
-        if self.hinted:
-            bits = self.schema.num_tid_bits
-            info = listing2_info(self.cfg.nthreads, bits)
-            self.comm = yield from self.proc.comm_world.Dup(
-                info, name="tag_par_app_comm")
-        else:
-            self.comm = self.proc.comm_world
-        self.resources_created = 1
+    def routes(self, t: Coord, d: Coord, g2: Coord) -> tuple[Route, Route]:
+        """``(recv, send)`` routes of thread ``t``'s exchange with its
+        neighbour ``g2`` in direction ``d``: it sends its strip in
+        direction ``d`` and receives the neighbour's, sent in ``-d``."""
+        raise NotImplementedError
 
-    def exchange(self, t: Coord) -> Generator:
-        """Halo exchange with per-thread tag addressing."""
-        geom, cfg = self.geom, self.cfg
-        my_tid = geom.linear_tid(t)
-        addr = EndpointAddressing(geom)
+    def plan(self, t: Coord) -> list[tuple[Coord, Route, Route]]:
+        return [(d, *self.routes(t, d, self._neighbor(t, d)))
+                for d in self.remote_dirs(t)]
+
+    def exchange(self, t: Coord, plan: list) -> Generator:
+        """Post every remote receive and send of the plan, copy the
+        in-process halos while they fly, then complete and unpack."""
         reqs = []
         bufs = []
-        for d in self.remote_dirs(t):
-            g = tuple(pi * ti + ci for pi, ti, ci in
-                      zip(self.p, geom.thread_grid, t))
-            g2 = tuple(a + b for a, b in zip(g, d))
-            nbr_proc = geom.proc_of(g2)
-            nbr_t = geom.thread_of(g2)
-            nbr_rank = addr.linear_proc(nbr_proc)
-            nbr_tid = geom.linear_tid(nbr_t)
-            nd = tuple(-c for c in d)
-            # receive the neighbour's strip (it sends in direction -d)
+        for d, (rcomm, rpeer, rtag), (scomm, speer, stag) in plan:
             rbuf = np.zeros(self.recv_shape_len(d))
-            rtag = self.schema.encode(nbr_tid, my_tid, self.dir_tags[nd])
-            rreq = yield from self.comm.Irecv(rbuf, nbr_rank, rtag)
+            rreq = yield from rcomm.Irecv(rbuf, rpeer, rtag)
             reqs.append(rreq)
             bufs.append((d, rbuf))
-            # send my strip in direction d
-            stag = self.schema.encode(my_tid, nbr_tid, self.dir_tags[d])
-            sreq = yield from self.comm.Isend(self.pack(t, d), nbr_rank, stag)
+            sreq = yield from scomm.Isend(self.pack(t, d), speer, stag)
             reqs.append(sreq)
         yield from self.shm_neighbors(t)
         yield from waitall(reqs)
@@ -290,19 +283,35 @@ class TagBasedRun(StencilProcessRun):
             self.unpack(t, d, rbuf)
 
 
-class CommunicatorRun(StencilProcessRun):
-    """Communicator-map driver (Listing 1 generalized)."""
+class ChannelRun(P2PRun):
+    """Original, tags-with-hints (Listing 2) and endpoints (Listing 3):
+    thread-addressed channels, one line of set-up apart."""
 
-    MAPS = {"naive": NaiveCommMap, "mirrored": MirroredCommMap,
-            "corner": CornerOptimizedCommMap}
+    def setup(self) -> Generator:
+        cfg = self.cfg
+        self.channels = yield from open_channels(
+            self.proc, cfg.mechanism, cfg.nthreads,
+            app_bits=4 if cfg.dim == 2 else 5,   # 8 vs 26 directions
+            comm_name="tag_par_app_comm")
+        self.resources_created = self.channels.resources
+
+    def routes(self, t: Coord, d: Coord, g2: Coord) -> tuple[Route, Route]:
+        """Thread-addressed: (rank, linear tid) of both ends + direction."""
+        geom = self.geom
+        tid = geom.linear_tid(t)
+        nbr = (self.addr.linear_proc(geom.proc_of(g2)),
+               geom.linear_tid(geom.thread_of(g2)))
+        nd = tuple(-c for c in d)
+        return (self.channels.recv(tid, *nbr, self.dir_tags[nd]),
+                self.channels.send(tid, *nbr, self.dir_tags[d]))
+
+
+class CommunicatorRun(P2PRun):
+    """Communicator-map driver (Listing 1 generalized)."""
 
     def __init__(self, proc, pcoord, cfg):
         super().__init__(proc, pcoord, cfg)
-        try:
-            map_cls = self.MAPS[cfg.comm_map]
-        except KeyError:
-            raise MpiUsageError(f"unknown comm map {cfg.comm_map!r}") from None
-        self.cmap: CommMap = map_cls(self.geom)
+        self.cmap = COMM_MAPS[cfg.comm_map](self.geom)
         self.handles: dict[Any, Any] = {}
 
     def setup(self) -> Generator:
@@ -315,70 +324,17 @@ class CommunicatorRun(StencilProcessRun):
                 name=f"stencil{label!r}")
         self.resources_created = len(labels)
 
-    def exchange(self, t: Coord) -> Generator:
-        """Halo exchange over per-direction duplicated communicators."""
-        from ...mapping.communicators import Exchange
-        geom = self.geom
-        addr = EndpointAddressing(geom)
-        reqs = []
-        bufs = []
-        for d in self.remote_dirs(t):
-            g = tuple(pi * ti + ci for pi, ti, ci in
-                      zip(self.p, geom.thread_grid, t))
-            g2 = tuple(a + b for a, b in zip(g, d))
-            nbr_rank = addr.linear_proc(geom.proc_of(g2))
-            nd = tuple(-c for c in d)
-            # recv: the neighbour's message is the exchange g2 -> g
-            rlabel = self.cmap.label(Exchange(g2, g))
-            rbuf = np.zeros(self.recv_shape_len(d))
-            rreq = yield from self.handles[rlabel].Irecv(
-                rbuf, nbr_rank, self.dir_tags[nd])
-            reqs.append(rreq)
-            bufs.append((d, rbuf))
-            # send: the exchange g -> g2
-            slabel = self.cmap.label(Exchange(g, g2))
-            sreq = yield from self.handles[slabel].Isend(
-                self.pack(t, d), nbr_rank, self.dir_tags[d])
-            reqs.append(sreq)
-        yield from self.shm_neighbors(t)
-        yield from waitall(reqs)
-        for d, rbuf in bufs:
-            self.unpack(t, d, rbuf)
-
-
-class EndpointRun(StencilProcessRun):
-    """User-visible endpoints driver (Listing 3)."""
-
-    def __init__(self, proc, pcoord, cfg):
-        super().__init__(proc, pcoord, cfg)
-        self.addr = EndpointAddressing(self.geom)
-        self.eps = None
-
-    def setup(self) -> Generator:
-        self.eps = yield from comm_create_endpoints(
-            self.proc.comm_world, self.cfg.nthreads)
-        self.resources_created = len(self.eps)
-
-    def exchange(self, t: Coord) -> Generator:
-        """Halo exchange through this thread's endpoint."""
-        geom = self.geom
-        ep = self.eps[geom.linear_tid(t)]
-        reqs = []
-        bufs = []
-        for d in self.remote_dirs(t):
-            nd = tuple(-c for c in d)
-            partner = self.addr.partner_ep(self.p, t, d)
-            rbuf = np.zeros(self.recv_shape_len(d))
-            rreq = yield from ep.Irecv(rbuf, partner, self.dir_tags[nd])
-            reqs.append(rreq)
-            bufs.append((d, rbuf))
-            sreq = yield from ep.Isend(self.pack(t, d), partner,
-                                       self.dir_tags[d])
-            reqs.append(sreq)
-        yield from self.shm_neighbors(t)
-        yield from waitall(reqs)
-        for d, rbuf in bufs:
-            self.unpack(t, d, rbuf)
+    def routes(self, t: Coord, d: Coord, g2: Coord) -> tuple[Route, Route]:
+        """Exchange-addressed: the map labels the exchange, the label
+        names the communicator, the direction is the tag."""
+        g = self._global(t)
+        nbr_rank = self.addr.linear_proc(self.geom.proc_of(g2))
+        nd = tuple(-c for c in d)
+        # recv: the neighbour's message is the exchange g2 -> g
+        return ((self.handles[self.cmap.label(Exchange(g2, g))],
+                 nbr_rank, self.dir_tags[nd]),
+                (self.handles[self.cmap.label(Exchange(g, g2))],
+                 nbr_rank, self.dir_tags[d]))
 
 
 class PartitionedRun(StencilProcessRun):
@@ -387,7 +343,7 @@ class PartitionedRun(StencilProcessRun):
 
     def __init__(self, proc, pcoord, cfg):
         super().__init__(proc, pcoord, cfg)
-        self.plan = PartitionPlan(self.geom)
+        self.partitions = PartitionPlan(self.geom)
         self.ops: dict[Coord, dict] = {}
         #: Exchanges still to come; the completing thread restarts the
         #: persistent requests only when another cycle will consume them
@@ -399,7 +355,7 @@ class PartitionedRun(StencilProcessRun):
         addr = EndpointAddressing(self.geom)
         comm = self.proc.comm_world
         all_reqs = []
-        for f in self.plan.faces(self.p):
+        for f in self.partitions.faces(self.p):
             count = self.recv_shape_len(f.direction)
             nbr_rank = addr.linear_proc(f.neighbor_proc)
             nd = tuple(-c for c in f.direction)
@@ -418,13 +374,15 @@ class PartitionedRun(StencilProcessRun):
         yield from startall(all_reqs)
         self.resources_created = len(all_reqs)
 
-    def exchange(self, t: Coord) -> Generator:
+    def plan(self, t: Coord) -> list[tuple[Coord, dict]]:
+        """The faces thread ``t`` owns a partition of."""
+        return [(d, op) for d, op in self.ops.items()
+                if t in op["face"].partition_of]
+
+    def exchange(self, t: Coord, plan: list) -> Generator:
         """Mark owned partitions ready, then wait for neighbor arrivals."""
-        cfg = self.cfg
         # 1. pack my strips and mark partitions ready
-        my_faces = [(d, op) for d, op in self.ops.items()
-                    if t in op["face"].partition_of]
-        for d, op in my_faces:
+        for d, op in plan:
             i = op["face"].partition_of[t]
             count = op["count"]
             op["send_buf"][i * count:(i + 1) * count] = self.pack(t, d)
@@ -432,7 +390,7 @@ class PartitionedRun(StencilProcessRun):
         # 2. shared-memory neighbours while remote partitions fly
         yield from self.shm_neighbors(t)
         # 3. poll my incoming partitions (Listing 4's test_recv_from loop)
-        for d, op in my_faces:
+        for d, op in plan:
             i = op["face"].partition_of[t]
             while not (yield from op["precv"].parrived(i)):
                 yield self.proc.compute(50e-9)
@@ -451,17 +409,10 @@ class PartitionedRun(StencilProcessRun):
                 yield from startall(reqs)
 
 
+_RUNS = {"communicators": CommunicatorRun, "partitioned": PartitionedRun}
+
+
 def make_run(proc: MpiProcess, pcoord: Coord,
              cfg: StencilConfig) -> StencilProcessRun:
     """Instantiate the right driver for ``cfg.mechanism``."""
-    if cfg.mechanism == "original":
-        return TagBasedRun(proc, pcoord, cfg, hinted=False)
-    if cfg.mechanism == "tags":
-        return TagBasedRun(proc, pcoord, cfg, hinted=True)
-    if cfg.mechanism == "communicators":
-        return CommunicatorRun(proc, pcoord, cfg)
-    if cfg.mechanism == "endpoints":
-        return EndpointRun(proc, pcoord, cfg)
-    if cfg.mechanism == "partitioned":
-        return PartitionedRun(proc, pcoord, cfg)
-    raise MpiUsageError(f"unknown mechanism {cfg.mechanism!r}")
+    return _RUNS.get(cfg.mechanism, ChannelRun)(proc, pcoord, cfg)

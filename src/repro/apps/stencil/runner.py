@@ -1,22 +1,21 @@
 """Experiment runner for the stencil application suite.
 
-``run_stencil`` builds a world (one process per node, as in the paper's
-MPI+threads configurations), runs the chosen mechanism's driver, checks
-data correctness against the sequential reference, and returns timings and
-resource metrics.
+``run_stencil`` runs the chosen mechanism's driver on the shared app
+harness (:func:`repro.apps.harness.run_app`), checks data correctness
+against the sequential reference, and returns timings and resource
+metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from ...mapping.endpoints import EndpointAddressing
-from ...netsim.config import NetworkConfig
 from ...runtime.world import World
-from ..chaos import TrafficShape, chaos_cluster, install_traffic
+from ..harness import run_app
 from .drivers import StencilConfig, StencilProcessRun, make_run
 from .field import assemble_global, reference_jacobi
 
@@ -60,36 +59,17 @@ class StencilResult:
                 f"correct={self.correct}")
 
 
-def run_stencil(cfg: StencilConfig,
-                net: Optional[NetworkConfig] = None,
-                max_vcis_per_proc: int = 64,
-                check: bool = True,
-                metrics=None, tracer=None,
-                faults=None, transport=None,
-                traffic: Optional[TrafficShape] = None,
-                traffic_seed: int = 0,
-                topology: str = "direct",
-                topology_params: Optional[dict] = None) -> StencilResult:
+def run_stencil(cfg: StencilConfig, check: bool = True,
+                **env: Any) -> StencilResult:
     """Run one stencil experiment end to end.
 
-    ``metrics``/``tracer`` enable observability and ``faults``/
-    ``transport`` enable fault injection with reliable transport — all
-    four are forwarded to the :class:`World` untouched, so a plain call
-    runs the same lossless, uninstrumented world as always. ``traffic``
-    adds seeded background flows contending with the halo exchange, and
-    ``topology`` routes the cluster over a multi-hop interconnect
-    (``wall_time`` always measures the application tasks only).
+    ``env`` is the harness keyword block (``net``, ``max_vcis_per_proc``,
+    ``metrics``/``tracer``, ``faults``/``transport``, ``traffic``,
+    ``topology``, ... — see :func:`repro.apps.harness.run_app`); a plain
+    call runs the same lossless, uninstrumented world as always, and
+    ``wall_time`` always measures the application tasks only.
     """
     geom = cfg.geometry()
-    nprocs = 1
-    for n in cfg.proc_grid:
-        nprocs *= n
-    world = World(cluster=chaos_cluster(nprocs, cfg.nthreads, net,
-                                        topology, topology_params),
-                  max_vcis_per_proc=max_vcis_per_proc, seed=cfg.seed,
-                  metrics=metrics, tracer=tracer,
-                  faults=faults, transport=transport)
-
     addr = EndpointAddressing(geom)
     coords = {addr.linear_proc(p): p for p in geom.procs()}
     runs: dict[int, StencilProcessRun] = {}
@@ -103,28 +83,17 @@ def run_stencil(cfg: StencilConfig,
         yield proc.sim.all_of(threads)
         return proc.sim.now
 
-    tasks = [world.procs[r].spawn(proc_main(world.procs[r]))
-             for r in range(nprocs)]
-    bg = install_traffic(world, traffic, traffic_seed)
-    end_times = world.run_all(tasks + bg, max_steps=None)[:len(tasks)]
+    world, end_times = run_app(len(coords), cfg.nthreads, proc_main,
+                               seed=cfg.seed, **env)
 
     correct, max_err, final = True, 0.0, None
     if check:
-        all_patches = {coords[r]: runs[r].patches for r in range(nprocs)}
-        if cfg.dim == 2:
-            final = assemble_global(geom, all_patches, cfg.pnx, cfg.pny)
-            ref = reference_jacobi(geom, cfg.pnx, cfg.pny, cfg.iters,
-                                   cfg.stencil_points, cfg.seed)
-        else:
-            from .field3d import assemble_global_3d, reference_jacobi_3d
-            final = assemble_global_3d(geom, all_patches, cfg.pnx, cfg.pny,
-                                       cfg.pnz)
-            ref = reference_jacobi_3d(geom, cfg.pnx, cfg.pny, cfg.pnz,
-                                      cfg.iters, cfg.stencil_points,
-                                      cfg.seed)
+        all_patches = {coords[r]: run.patches for r, run in runs.items()}
+        final = assemble_global(geom, all_patches, cfg.shape)
+        ref = reference_jacobi(geom, cfg.shape, cfg.iters,
+                               cfg.stencil_points, cfg.seed)
         max_err = float(np.max(np.abs(final - ref)))
         correct = bool(np.allclose(final, ref))
-        final = np.array(final, copy=True)
 
     lib0 = world.procs[0].lib
     nic0 = world.nodes[0].nic

@@ -29,21 +29,27 @@ Strategies (Fig 7):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any
 
 import numpy as np
 
 from ...errors import MpiUsageError
 from ...mpi.coll import SUM, ThreadTeamBcast, ThreadTeamReduce
-from ...mpi.endpoints import comm_create_endpoints
-from ...netsim.config import NetworkConfig
-from ...runtime.world import MpiProcess, World
-from ..chaos import TrafficShape, chaos_cluster, install_traffic
 from ...sim.sync import Barrier
+from ..channels import open_channels
+from ..harness import run_app
 
 __all__ = ["VaspConfig", "VaspResult", "run_vasp"]
 
-MECHANISMS = ("funneled", "existing", "endpoints", "partitioned")
+#: Strategy -> (p2p mechanism its threads' handles come from, prefix of
+#: its per-thread communicator names). ``partitioned`` is modelled with
+#: the library's own per-thread channels rather than user-visible comms
+#: (no new user objects) — the same traffic as ``existing``.
+_HANDLES = {"funneled": ("original", ""), "existing": ("communicators", "seg"),
+            "endpoints": ("endpoints", ""),
+            "partitioned": ("communicators", "libseg")}
+
+MECHANISMS = tuple(_HANDLES)
 
 
 @dataclass
@@ -64,6 +70,8 @@ class VaspConfig:
             raise MpiUsageError(f"unknown mechanism {self.mechanism!r}")
         if self.elems % max(1, self.threads_per_proc):
             raise MpiUsageError("elems must divide by threads_per_proc")
+        if self.repeats < 1:
+            raise MpiUsageError(f"repeats must be >= 1, got {self.repeats!r}")
 
 
 @dataclass
@@ -95,24 +103,14 @@ def _expected(cfg: VaspConfig) -> np.ndarray:
     return total * idx * 1e-6 + total * (total + 1) / 2
 
 
-def run_vasp(cfg: VaspConfig,
-             net: Optional[NetworkConfig] = None,
-             max_vcis_per_proc: int = 64,
-             faults=None, transport=None,
-             traffic: Optional[TrafficShape] = None,
-             traffic_seed: int = 0,
-             topology: str = "direct",
-             topology_params: Optional[dict] = None) -> VaspResult:
+def run_vasp(cfg: VaspConfig, **env: Any) -> VaspResult:
     """Run the threaded-allreduce proxy under the configured mechanism.
 
-    The trailing keywords are the shared chaos block (see
-    :mod:`repro.apps.chaos`); defaults reproduce the historical lossless
-    direct-fabric run byte for byte.
+    ``env`` is the harness keyword block (``net``, ``faults``,
+    ``traffic``, ``topology``, ... — see
+    :func:`repro.apps.harness.run_app`); defaults reproduce the
+    historical lossless direct-fabric run byte for byte.
     """
-    world = World(cluster=chaos_cluster(cfg.num_nodes, cfg.threads_per_proc,
-                                        net, topology, topology_params),
-                  max_vcis_per_proc=max_vcis_per_proc, seed=cfg.seed,
-                  faults=faults, transport=transport)
     T = cfg.threads_per_proc
     seg = cfg.elems // T
     results: dict[int, np.ndarray] = {}
@@ -123,85 +121,61 @@ def run_vasp(cfg: VaspConfig,
         team_reduce = ThreadTeamReduce(proc, T, SUM)
         team_bcast = ThreadTeamBcast(proc, T, copy=False)
         barrier = Barrier(proc.sim, T)
+        mechanism, prefix = _HANDLES[cfg.mechanism]
+        channels = yield from open_channels(proc, mechanism, T,
+                                            thread_prefix=prefix)
+        shared = np.zeros(cfg.elems)
+        result = np.zeros(cfg.elems)
+        # Lesson 19: every endpoint needs its own full result buffer;
+        # the other strategies keep a single shared copy per node.
+        ep_results = [np.zeros(cfg.elems) for _ in range(T)] \
+            if mechanism == "endpoints" else [result]
+        buf_bytes[proc.rank] = sum(b.nbytes for b in ep_results)
 
-        if cfg.mechanism == "existing":
-            comms = []
-            for tid in range(T):
-                comms.append(
-                    (yield from proc.comm_world.Dup(name=f"seg{tid}")))
-        elif cfg.mechanism == "endpoints":
-            eps = yield from comm_create_endpoints(proc.comm_world, T)
-            # Lesson 19: every endpoint needs its own full result buffer.
-            ep_results = [np.zeros(cfg.elems) for _ in range(T)]
-            buf_bytes[proc.rank] = sum(b.nbytes for b in ep_results)
-        if cfg.mechanism in ("funneled", "existing", "partitioned"):
-            buf_bytes[proc.rank] = contribs[0].nbytes  # single shared copy
+        def funneled(tid, work):
+            # user intranode reduce -> single-thread internode
+            yield from team_reduce.reduce(tid, work)
+            if tid == 0:
+                out = np.zeros(cfg.elems)
+                yield from channels.handle(tid).Allreduce(work, out)
+                result[:] = out
+            yield from team_bcast.bcast(tid, work)
+
+        def segmented(tid, work):
+            # Lesson 18: intranode portion is the user's problem (or, for
+            # the prospective partitioned collective, the library's)...
+            yield from team_reduce.reduce(tid, work)
+            if tid == 0:
+                shared[:] = work
+            yield from barrier.wait()
+            # ...then threads drive internode segments in parallel, one
+            # partition per thread, each on its own communicator.
+            out_seg = np.zeros(seg)
+            yield from channels.handle(tid).Allreduce(
+                np.ascontiguousarray(shared[tid * seg:(tid + 1) * seg]),
+                out_seg)
+            shared[tid * seg:(tid + 1) * seg] = out_seg
+            yield from barrier.wait()
+            result[:] = shared
+
+        def one_step(tid, work):
+            # the library does intranode + internode
+            yield from channels.handle(tid).Allreduce(work, ep_results[tid])
+            result[:] = ep_results[tid]
+
+        allreduce = {"original": funneled, "communicators": segmented,
+                     "endpoints": one_step}[mechanism]
 
         def thread(tid):
-            mine = contribs[tid]
             for _ in range(cfg.repeats):
-                work = mine.copy()
-                if cfg.mechanism == "funneled":
-                    # user intranode reduce -> single-thread internode
-                    yield from team_reduce.reduce(tid, work)
-                    if tid == 0:
-                        out = np.zeros(cfg.elems)
-                        yield from proc.comm_world.Allreduce(work, out)
-                        contribs_shared[0][:] = out
-                    yield from team_bcast.bcast(tid, work)
-                elif cfg.mechanism == "existing":
-                    # Lesson 18: intranode portion is the user's problem...
-                    yield from team_reduce.reduce(tid, work)
-                    if tid == 0:
-                        shared[:] = work
-                    yield from barrier.wait()
-                    # ...then threads drive internode segments in parallel
-                    # on their own communicators.
-                    out_seg = np.zeros(seg)
-                    yield from comms[tid].Allreduce(
-                        np.ascontiguousarray(shared[tid * seg:(tid + 1) * seg]),
-                        out_seg)
-                    shared[tid * seg:(tid + 1) * seg] = out_seg
-                    yield from barrier.wait()
-                    contribs_shared[0][:] = shared
-                elif cfg.mechanism == "endpoints":
-                    # one-step: the library does intranode + internode
-                    yield from eps[tid].Allreduce(work, ep_results[tid])
-                    contribs_shared[0][:] = ep_results[tid]
-                else:  # partitioned (prospective)
-                    # library-side: intranode reduce of the partitions...
-                    yield from team_reduce.reduce(tid, work)
-                    if tid == 0:
-                        shared[:] = work
-                    yield from barrier.wait()
-                    # ...and a segmented internode allreduce over the
-                    # communicator's VCIs, one partition per thread. We
-                    # model it with the library's own channels rather than
-                    # user-visible comms (no new user objects).
-                    out_seg = np.zeros(seg)
-                    yield from lib_comms[tid].Allreduce(
-                        np.ascontiguousarray(shared[tid * seg:(tid + 1) * seg]),
-                        out_seg)
-                    shared[tid * seg:(tid + 1) * seg] = out_seg
-                    yield from barrier.wait()
-                    contribs_shared[0][:] = shared
+                yield from allreduce(tid, contribs[tid].copy())
 
-        shared = np.zeros(cfg.elems)
-        contribs_shared = [np.zeros(cfg.elems)]
-        lib_comms = []
-        if cfg.mechanism == "partitioned":
-            for tid in range(T):
-                lib_comms.append(
-                    (yield from proc.comm_world.Dup(name=f"libseg{tid}")))
         threads = [proc.spawn(thread(tid)) for tid in range(T)]
         yield proc.sim.all_of(threads)
-        results[proc.rank] = contribs_shared[0]
+        results[proc.rank] = result
         return proc.sim.now
 
-    tasks = [world.procs[r].spawn(proc_main(world.procs[r]))
-             for r in range(cfg.num_nodes)]
-    bg = install_traffic(world, traffic, traffic_seed)
-    ends = world.run_all(tasks + bg, max_steps=None)[:len(tasks)]
+    _, ends = run_app(cfg.num_nodes, T, proc_main, seed=cfg.seed, **env)
 
     expected = _expected(cfg)
     correct = all(np.allclose(results[r], expected)

@@ -121,26 +121,48 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_stencil(args) -> int:
-    from .apps.stencil import StencilConfig, run_stencil
+def _stencil_configs(args):
+    """One StencilConfig per requested mechanism, or None (after printing
+    why) when the grids do not fit the stencil's dimension."""
+    from .apps.stencil import StencilConfig
     dim = 2 if args.points in (5, 9) else 3
     if len(args.procs) != dim or len(args.threads) != dim:
         print(f"error: {args.points}-pt stencils need {dim}-D --procs/"
               f"--threads (e.g. {'2 2' if dim == 2 else '2 2 2'})",
               file=sys.stderr)
+        return None
+    return [StencilConfig(proc_grid=tuple(args.procs),
+                          thread_grid=tuple(args.threads),
+                          pnx=args.patch, pny=args.patch, pnz=args.patch,
+                          stencil_points=args.points, iters=args.iters,
+                          mechanism=mech, seed=args.seed)
+            for mech in args.mechanisms]
+
+
+def _stencil_arguments(parser, mechanisms, threads, points, iters) -> None:
+    """The flags :func:`_stencil_configs` reads."""
+    parser.add_argument("--mechanisms", nargs="+", default=mechanisms)
+    parser.add_argument("--procs", nargs="+", type=int, default=[2, 2])
+    parser.add_argument("--threads", nargs="+", type=int, default=threads)
+    parser.add_argument("--points", type=int, default=points,
+                        choices=(5, 9, 7, 27))
+    parser.add_argument("--patch", type=int, default=6)
+    parser.add_argument("--iters", type=int, default=iters)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _cmd_stencil(args) -> int:
+    from .apps.stencil import run_stencil
+    configs = _stencil_configs(args)
+    if configs is None:
         return 2
     table = Table("stencil halo exchange",
                   ["mechanism", "wall(us)", "halo(us)", "resources",
                    "vcis", "correct"],
                   widths=[14, 9, 9, 10, 5, 8])
-    for mech in args.mechanisms:
-        cfg = StencilConfig(proc_grid=tuple(args.procs),
-                            thread_grid=tuple(args.threads),
-                            pnx=args.patch, pny=args.patch, pnz=args.patch,
-                            stencil_points=args.points, iters=args.iters,
-                            mechanism=mech, seed=args.seed)
+    for cfg in configs:
         r = run_stencil(cfg)
-        table.add(mech, f"{r.wall_time * 1e6:.1f}",
+        table.add(cfg.mechanism, f"{r.wall_time * 1e6:.1f}",
                   f"{r.halo_time * 1e6:.1f}", r.resources_created,
                   r.vcis_used, r.correct)
     print(table.render())
@@ -148,7 +170,7 @@ def _cmd_stencil(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    from .apps.stencil import StencilConfig, run_stencil
+    from .apps.stencil import run_stencil
     from .errors import FaultPlanError, TransportError
     from .faults import parse_plan, render_reliability_report
     from .obs import MetricsRegistry, render_vci_report
@@ -157,11 +179,8 @@ def _cmd_faults(args) -> int:
     except (FaultPlanError, ValueError) as exc:
         print(f"error: bad fault plan: {exc}", file=sys.stderr)
         return 2
-    dim = 2 if args.points in (5, 9) else 3
-    if len(args.procs) != dim or len(args.threads) != dim:
-        print(f"error: {args.points}-pt stencils need {dim}-D --procs/"
-              f"--threads (e.g. {'2 2' if dim == 2 else '2 2 2'})",
-              file=sys.stderr)
+    configs = _stencil_configs(args)
+    if configs is None:
         return 2
     print(f"fault plan: {plan.describe()} (seed={args.seed})\n")
     table = Table("stencil on a lossy fabric",
@@ -169,12 +188,8 @@ def _cmd_faults(args) -> int:
                    "correct"],
                   widths=[14, 9, 11, 7, 8])
     failed = False
-    for mech in args.mechanisms:
-        cfg = StencilConfig(proc_grid=tuple(args.procs),
-                            thread_grid=tuple(args.threads),
-                            pnx=args.patch, pny=args.patch, pnz=args.patch,
-                            stencil_points=args.points, iters=args.iters,
-                            mechanism=mech, seed=args.seed)
+    for cfg in configs:
+        mech = cfg.mechanism
         metrics = MetricsRegistry()
         try:
             r = run_stencil(cfg, metrics=metrics, faults=plan)
@@ -201,96 +216,74 @@ def _cmd_faults(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_legion(args) -> int:
-    from .apps.legion import LegionConfig, run_legion
-    table = Table("event-runtime polling",
-                  ["mechanism", "rate(M/s)", "cost/evt(ns)", "probes/evt"],
-                  widths=[14, 10, 13, 11])
-    for mech in ("original", "communicators", "endpoints"):
-        r = run_legion(LegionConfig(num_nodes=args.nodes,
-                                    task_threads=args.threads,
-                                    msgs_per_thread=args.messages,
-                                    mechanism=mech))
-        table.add(mech, f"{r.polling_rate / 1e6:.2f}",
-                  f"{r.polling_cost_per_event * 1e9:.0f}",
-                  f"{r.probes_per_event:.1f}")
-    print(table.render())
-    return 0
+#: The fixed-mechanism app subcommands, one row each: help, table title,
+#: columns ``(header, width)``, flags ``(flag, default, config field)``
+#: and ``cells(result)`` for the columns after the mechanism. The config
+#: class, driver and mechanism list come from the scenario layer's
+#: ``APP_REGISTRY`` row of the same name.
+_APP_COMMANDS = {
+    "legion": (
+        "event-runtime polling (Fig 5)", "event-runtime polling",
+        [("mechanism", 14), ("rate(M/s)", 10), ("cost/evt(ns)", 13),
+         ("probes/evt", 11)],
+        [("--nodes", 3, "num_nodes"), ("--threads", 8, "task_threads"),
+         ("--messages", 12, "msgs_per_thread")],
+        lambda r: (f"{r.polling_rate / 1e6:.2f}",
+                   f"{r.polling_cost_per_event * 1e9:.0f}",
+                   f"{r.probes_per_event:.1f}")),
+    "circuit": (
+        "Legion circuit proxy (Fig 1c)", "Legion circuit proxy",
+        [("mechanism", 14), ("time/step(us)", 14)],
+        [("--nodes", 3, "num_nodes"), ("--threads", 8, "task_threads"),
+         ("--steps", 5, "timesteps"), ("--wires", 16, "wires_per_thread")],
+        lambda r: (f"{r.time_per_step * 1e6:.1f}",)),
+    "graph": (
+        "dynamic graph proxy (Lesson 5)",
+        "dynamic graph communication (Vite proxy)",
+        [("mechanism", 14), ("exchange(us)", 13), ("messages", 9),
+         ("conflicts", 10)],
+        [("--nodes", 3, "num_nodes"), ("--threads", 4, "threads_per_proc"),
+         ("--vertices", 120, "graph_vertices"), ("--iters", 3, "iters"),
+         ("--churn", 0.3, "churn"), ("--seed", 0, "seed")],
+        lambda r: (f"{r.exchange_time * 1e6:.1f}", r.remote_messages,
+                   r.comm_conflicts)),
+    "nwchem": (
+        "RMA get-compute-update (Fig 6)", "get-compute-update over RMA",
+        [("mechanism", 15), ("wall(us)", 9), ("channels", 9),
+         ("imbalance", 10)],
+        [("--nodes", 3, "num_nodes"), ("--threads", 8, "threads_per_proc"),
+         ("--tasks", 6, "tasks_per_thread"), ("--seed", 0, "seed")],
+        lambda r: (f"{r.wall_time * 1e6:.1f}", r.channels_used,
+                   f"{r.channel_imbalance:.2f}")),
+    "vasp": (
+        "multithreaded allreduce (Fig 7)", "multithreaded allreduce",
+        [("mechanism", 13), ("t/allreduce(us)", 16),
+         ("result KiB/node", 16)],
+        [("--nodes", 4, "num_nodes"), ("--threads", 8, "threads_per_proc"),
+         ("--elems", 1 << 14, "elems"), ("--repeats", 2, "repeats")],
+        lambda r: (f"{r.time_per_allreduce * 1e6:.1f}",
+                   r.result_bytes_per_node // 1024)),
+    "device": (
+        "device-initiated comm (Lesson 20)",
+        "device-initiated communication (Lesson 20)",
+        [("mechanism", 19), ("time/step(us)", 14), ("kernel launches", 16)],
+        [("--blocks", 8, "blocks"), ("--steps", 6, "timesteps")],
+        lambda r: (f"{r.time_per_step * 1e6:.2f}", r.kernel_launches)),
+}
 
 
-def _cmd_circuit(args) -> int:
-    from .apps.legion import CircuitConfig, run_circuit
-    table = Table("Legion circuit proxy", ["mechanism", "time/step(us)"],
-                  widths=[14, 14])
-    for mech in ("original", "communicators", "endpoints"):
-        r = run_circuit(CircuitConfig(num_nodes=args.nodes,
-                                      task_threads=args.threads,
-                                      timesteps=args.steps,
-                                      wires_per_thread=args.wires,
-                                      mechanism=mech))
-        table.add(mech, f"{r.time_per_step * 1e6:.1f}")
-    print(table.render())
-    return 0
-
-
-def _cmd_graph(args) -> int:
-    from .apps.graph import GraphConfig, run_graph
-    table = Table("dynamic graph communication (Vite proxy)",
-                  ["mechanism", "exchange(us)", "messages", "conflicts"],
-                  widths=[14, 13, 9, 10])
-    for mech in ("original", "tags", "communicators", "endpoints"):
-        r = run_graph(GraphConfig(num_nodes=args.nodes,
-                                  threads_per_proc=args.threads,
-                                  graph_vertices=args.vertices,
-                                  iters=args.iters, churn=args.churn,
-                                  mechanism=mech, seed=args.seed))
-        table.add(mech, f"{r.exchange_time * 1e6:.1f}", r.remote_messages,
-                  r.comm_conflicts)
-    print(table.render())
-    return 0
-
-
-def _cmd_nwchem(args) -> int:
-    from .apps.nwchem import NwchemConfig, run_nwchem
-    table = Table("get-compute-update over RMA",
-                  ["mechanism", "wall(us)", "channels", "imbalance"],
-                  widths=[15, 9, 9, 10])
-    for mech in ("window", "window-relaxed", "endpoints"):
-        r = run_nwchem(NwchemConfig(num_nodes=args.nodes,
-                                    threads_per_proc=args.threads,
-                                    tasks_per_thread=args.tasks,
-                                    mechanism=mech, seed=args.seed))
-        table.add(mech, f"{r.wall_time * 1e6:.1f}", r.channels_used,
-                  f"{r.channel_imbalance:.2f}")
-    print(table.render())
-    return 0
-
-
-def _cmd_vasp(args) -> int:
-    from .apps.vasp import VaspConfig, run_vasp
-    table = Table("multithreaded allreduce",
-                  ["mechanism", "t/allreduce(us)", "result KiB/node"],
-                  widths=[13, 16, 16])
-    for mech in ("funneled", "existing", "endpoints", "partitioned"):
-        r = run_vasp(VaspConfig(num_nodes=args.nodes,
-                                threads_per_proc=args.threads,
-                                elems=args.elems, repeats=args.repeats,
-                                mechanism=mech))
-        table.add(mech, f"{r.time_per_allreduce * 1e6:.1f}",
-                  r.result_bytes_per_node // 1024)
-    print(table.render())
-    return 0
-
-
-def _cmd_device(args) -> int:
-    from .apps.device import DeviceConfig, run_device
-    table = Table("device-initiated communication (Lesson 20)",
-                  ["mechanism", "time/step(us)", "kernel launches"],
-                  widths=[19, 14, 16])
-    for mech in ("host-driven", "device-partitioned", "device-mpi"):
-        r = run_device(DeviceConfig(mechanism=mech, blocks=args.blocks,
-                                    timesteps=args.steps))
-        table.add(mech, f"{r.time_per_step * 1e6:.2f}", r.kernel_launches)
+def _cmd_app(args) -> int:
+    """Run one proxy app under each of its mechanisms."""
+    from .scenarios.apps import APP_REGISTRY
+    _help, title, columns, flags, cells = _APP_COMMANDS[args.command]
+    adapter = APP_REGISTRY[args.command]
+    config_cls, driver = adapter.load()
+    fields = {field: getattr(args, flag.lstrip("-"))
+              for flag, _default, field in flags}
+    table = Table(title, [name for name, _ in columns],
+                  widths=[width for _, width in columns])
+    for mech in adapter.mechanisms:
+        table.add(mech, *cells(driver(config_cls(mechanism=mech, **fields))))
     print(table.render())
     return 0
 
@@ -644,16 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.set_defaults(fn=_cmd_profile)
 
     stn = sub.add_parser("stencil", help="halo exchange (Fig 1b, Lessons 1-3)")
-    stn.add_argument("--mechanisms", nargs="+",
-                     default=["original", "tags", "communicators",
-                              "endpoints"])
-    stn.add_argument("--procs", nargs="+", type=int, default=[2, 2])
-    stn.add_argument("--threads", nargs="+", type=int, default=[3, 3])
-    stn.add_argument("--points", type=int, default=9,
-                     choices=(5, 9, 7, 27))
-    stn.add_argument("--patch", type=int, default=6)
-    stn.add_argument("--iters", type=int, default=4)
-    stn.add_argument("--seed", type=int, default=0)
+    _stencil_arguments(stn, ["original", "tags", "communicators",
+                             "endpoints"], threads=[3, 3], points=9, iters=4)
     stn.set_defaults(fn=_cmd_stencil)
 
     fl = sub.add_parser(
@@ -670,58 +655,16 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--plan", default="drop=0.05,dup=0.02,corrupt=0.01",
                     help="fault plan spec or JSON file (default: "
                          "'drop=0.05,dup=0.02,corrupt=0.01')")
-    fl.add_argument("--mechanisms", nargs="+",
-                    default=["original", "tags", "communicators",
-                             "endpoints", "partitioned"])
-    fl.add_argument("--procs", nargs="+", type=int, default=[2, 2])
-    fl.add_argument("--threads", nargs="+", type=int, default=[2, 2])
     # Default to a face-only stencil: partitioned supports 5/7-pt only.
-    fl.add_argument("--points", type=int, default=5, choices=(5, 9, 7, 27))
-    fl.add_argument("--patch", type=int, default=6)
-    fl.add_argument("--iters", type=int, default=3)
-    fl.add_argument("--seed", type=int, default=0)
+    _stencil_arguments(fl, ["original", "tags", "communicators", "endpoints",
+                            "partitioned"], threads=[2, 2], points=5, iters=3)
     fl.set_defaults(fn=_cmd_faults)
 
-    lg = sub.add_parser("legion", help="event-runtime polling (Fig 5)")
-    lg.add_argument("--nodes", type=int, default=3)
-    lg.add_argument("--threads", type=int, default=8)
-    lg.add_argument("--messages", type=int, default=12)
-    lg.set_defaults(fn=_cmd_legion)
-
-    cc = sub.add_parser("circuit", help="Legion circuit proxy (Fig 1c)")
-    cc.add_argument("--nodes", type=int, default=3)
-    cc.add_argument("--threads", type=int, default=8)
-    cc.add_argument("--steps", type=int, default=5)
-    cc.add_argument("--wires", type=int, default=16)
-    cc.set_defaults(fn=_cmd_circuit)
-
-    gr = sub.add_parser("graph", help="dynamic graph proxy (Lesson 5)")
-    gr.add_argument("--nodes", type=int, default=3)
-    gr.add_argument("--threads", type=int, default=4)
-    gr.add_argument("--vertices", type=int, default=120)
-    gr.add_argument("--iters", type=int, default=3)
-    gr.add_argument("--churn", type=float, default=0.3)
-    gr.add_argument("--seed", type=int, default=0)
-    gr.set_defaults(fn=_cmd_graph)
-
-    nw = sub.add_parser("nwchem", help="RMA get-compute-update (Fig 6)")
-    nw.add_argument("--nodes", type=int, default=3)
-    nw.add_argument("--threads", type=int, default=8)
-    nw.add_argument("--tasks", type=int, default=6)
-    nw.add_argument("--seed", type=int, default=0)
-    nw.set_defaults(fn=_cmd_nwchem)
-
-    vs = sub.add_parser("vasp", help="multithreaded allreduce (Fig 7)")
-    vs.add_argument("--nodes", type=int, default=4)
-    vs.add_argument("--threads", type=int, default=8)
-    vs.add_argument("--elems", type=int, default=1 << 14)
-    vs.add_argument("--repeats", type=int, default=2)
-    vs.set_defaults(fn=_cmd_vasp)
-
-    dv = sub.add_parser("device", help="device-initiated comm (Lesson 20)")
-    dv.add_argument("--blocks", type=int, default=8)
-    dv.add_argument("--steps", type=int, default=6)
-    dv.set_defaults(fn=_cmd_device)
+    for name, (help_, _title, _cols, flags, _cells) in _APP_COMMANDS.items():
+        ap = sub.add_parser(name, help=help_)
+        for flag, default, _field in flags:
+            ap.add_argument(flag, type=type(default), default=default)
+        ap.set_defaults(fn=_cmd_app)
 
     sc = sub.add_parser("scope", help="Table I + usability accounting")
     sc.add_argument("--threads", nargs=2, type=int, default=[3, 3])

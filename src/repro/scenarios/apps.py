@@ -1,17 +1,23 @@
-"""Application adapters: the bridge from a ScenarioSpec to a driver run.
+"""The application registry: the bridge from a ScenarioSpec to a driver run.
 
 Each of the seven paper application proxies (plus one deliberately racy
-demo program) is wrapped in an :class:`AppAdapter` that knows how to turn
-the generic scenario fields (``nodes``, ``threads``, ``app_params``) into
-the app's own config dataclass and invoke its driver with the shared
-chaos keyword block. Adapters validate eagerly — building the config (and
-letting its ``__post_init__`` complain) without running anything — so the
-campaign sampler can reject impossible combinations before simulation.
+demo program) is one :class:`AppAdapter` row: where its config dataclass
+and driver live, and how the generic scenario fields (``nodes``,
+``threads``, ``app_params``) map onto that config. Everything else is
+generic — :meth:`AppAdapter.build` makes the config (and lets its
+``__post_init__`` complain, which is how a spec is validated without
+running anything), :meth:`AppAdapter.run` hands it to the driver with the
+spec's environment (:func:`spec_env`), and the mechanism list is the
+``MECHANISMS`` constant of the app's module. Rows name their module and
+its attributes as strings resolved on first use: importing
+:mod:`repro.scenarios` must not import any application (the sweep
+service starts in a third of a second without them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -22,43 +28,12 @@ from ..errors import MpiUsageError, ScenarioError
 if TYPE_CHECKING:  # pragma: no cover
     from .spec import ScenarioSpec
 
-__all__ = ["AppAdapter", "APP_REGISTRY", "get_app", "app_names"]
+__all__ = ["AppAdapter", "APP_REGISTRY", "get_app", "app_names", "spec_env"]
 
 
-@dataclass(frozen=True)
-class AppAdapter:
-    """One runnable application in the scenario space."""
-
-    #: Registry name (the spec's ``app`` field).
-    name: str
-    #: Mechanisms the app supports (spec ``mechanism`` must be one).
-    mechanisms: tuple[str, ...]
-    #: ``runner(spec) -> result`` — builds the config and runs the driver.
-    runner: Callable[["ScenarioSpec"], Any]
-    #: ``builder(spec) -> config`` — builds (validates) without running.
-    builder: Callable[["ScenarioSpec"], Any]
-    #: Whether the default sampler may draw this app (the racy demo app is
-    #: opt-in only: it exists to exercise the finding/shrinking path).
-    samplable: bool = True
-
-    def validate(self, spec: "ScenarioSpec") -> None:
-        """Raise :class:`ScenarioError` if the spec cannot run."""
-        try:
-            self.builder(spec)
-        except MpiUsageError as exc:
-            raise ScenarioError(
-                f"invalid {self.name} scenario: {exc}") from exc
-        except TypeError as exc:
-            raise ScenarioError(
-                f"invalid {self.name} app_params: {exc}") from exc
-
-    def run(self, spec: "ScenarioSpec") -> Any:
-        """Execute the scenario; returns the driver's result object."""
-        return self.runner(spec)
-
-
-def _chaos_kwargs(spec: "ScenarioSpec") -> dict[str, Any]:
-    """The shared chaos keyword block every driver accepts."""
+def spec_env(spec: "ScenarioSpec") -> dict[str, Any]:
+    """The spec's environment as the keyword block every driver forwards
+    to :func:`repro.apps.harness.run_app`."""
     return {
         "faults": spec.faults,
         "transport": spec.transport,
@@ -69,139 +44,99 @@ def _chaos_kwargs(spec: "ScenarioSpec") -> dict[str, Any]:
     }
 
 
-# -- stencil ---------------------------------------------------------------
+@dataclass(frozen=True)
+class AppAdapter:
+    """One runnable application in the scenario space."""
 
-def _build_stencil(spec: "ScenarioSpec"):
-    from ..apps.stencil import StencilConfig
-    params = dict(spec.app_params)
-    points = params.get("stencil_points", 5)
-    dim = 2 if points in (5, 9) else 3
-    pad = (1,) * (dim - 1)
-    params.setdefault("proc_grid", (spec.nodes,) + pad)
-    params.setdefault("thread_grid", (spec.threads,) + pad)
-    params.setdefault("pnx", 6)
-    params.setdefault("pny", 6)
-    params.setdefault("iters", 2)
-    return StencilConfig(mechanism=spec.mechanism, seed=spec.seed, **params)
+    #: Registry name (the spec's ``app`` field).
+    name: str
+    #: Module that defines the app (imported on first use), and in it
+    #: the names of the config dataclass and of ``driver(config, **env)``.
+    module: str
+    config_cls: str
+    driver: str
+    #: Config field -> the spec attribute (``nodes``/``threads``) it is
+    #: bound to; ``app_params`` may not name these.
+    shape: dict[str, str]
+    #: ``defaults(spec)``: campaign-sized values for the config fields
+    #: that ``app_params`` may override.
+    defaults: Callable[["ScenarioSpec"], dict[str, Any]]
+    #: Whether the default sampler may draw this app (the racy demo app is
+    #: opt-in only: it exists to exercise the finding/shrinking path).
+    samplable: bool = True
 
+    def load(self) -> tuple[type, Callable[..., Any]]:
+        """Import the app: ``(config class, driver)``."""
+        module = import_module(self.module)
+        return getattr(module, self.config_cls), getattr(module, self.driver)
 
-def _run_stencil(spec: "ScenarioSpec"):
-    from ..apps.stencil import run_stencil
-    return run_stencil(_build_stencil(spec), **_chaos_kwargs(spec))
+    @property
+    def mechanisms(self) -> tuple[str, ...]:
+        """Mechanisms the app supports (spec ``mechanism`` must be one):
+        its module's ``MECHANISMS``."""
+        return import_module(self.module).MECHANISMS
 
+    def build(self, spec: "ScenarioSpec") -> Any:
+        """The app's config for ``spec``; raises what the config raises."""
+        cls = self.load()[0]
+        bound = {field: getattr(spec, attr)
+                 for field, attr in self.shape.items()}
+        if "seed" in cls.__dataclass_fields__:
+            bound["seed"] = spec.seed
+        return cls(mechanism=spec.mechanism, **bound,
+                   **{**self.defaults(spec), **spec.app_params})
 
-# -- legion event runtime --------------------------------------------------
+    def validate(self, spec: "ScenarioSpec") -> None:
+        """Raise :class:`ScenarioError` if the spec cannot run."""
+        try:
+            self.build(spec)
+        except MpiUsageError as exc:
+            raise ScenarioError(
+                f"invalid {self.name} scenario: {exc}") from exc
+        except TypeError as exc:
+            raise ScenarioError(
+                f"invalid {self.name} app_params: {exc}") from exc
 
-def _build_legion(spec: "ScenarioSpec"):
-    from ..apps.legion import LegionConfig
-    params = dict(spec.app_params)
-    params.setdefault("msgs_per_thread", 4)
-    return LegionConfig(num_nodes=spec.nodes, task_threads=spec.threads,
-                        mechanism=spec.mechanism, **params)
-
-
-def _run_legion(spec: "ScenarioSpec"):
-    from ..apps.legion import run_legion
-    return run_legion(_build_legion(spec), seed=spec.seed,
-                      **_chaos_kwargs(spec))
-
-
-# -- legion circuit proxy --------------------------------------------------
-
-def _build_circuit(spec: "ScenarioSpec"):
-    from ..apps.legion import CircuitConfig
-    params = dict(spec.app_params)
-    params.setdefault("wires_per_thread", 2)
-    params.setdefault("timesteps", 3)
-    return CircuitConfig(num_nodes=spec.nodes, task_threads=spec.threads,
-                         mechanism=spec.mechanism, **params)
-
-
-def _run_circuit(spec: "ScenarioSpec"):
-    from ..apps.legion import run_circuit
-    return run_circuit(_build_circuit(spec), seed=spec.seed,
-                       **_chaos_kwargs(spec))
-
-
-# -- graph community detection ---------------------------------------------
-
-def _build_graph(spec: "ScenarioSpec"):
-    from ..apps.graph import GraphConfig
-    params = dict(spec.app_params)
-    params.setdefault("graph_vertices", 48)
-    params.setdefault("iters", 2)
-    return GraphConfig(num_nodes=spec.nodes, threads_per_proc=spec.threads,
-                       mechanism=spec.mechanism, seed=spec.seed, **params)
+    def run(self, spec: "ScenarioSpec") -> Any:
+        """Execute the scenario; returns the driver's result object."""
+        config = self.build(spec)
+        env = spec_env(spec)
+        if "seed" not in config.__dataclass_fields__:
+            env["seed"] = spec.seed     # no seed of its own: the world's
+        return self.load()[1](config, **env)
 
 
-def _run_graph(spec: "ScenarioSpec"):
-    from ..apps.graph import run_graph
-    return run_graph(_build_graph(spec), **_chaos_kwargs(spec))
+def _stencil(spec: "ScenarioSpec") -> dict[str, Any]:
+    points = spec.app_params.get("stencil_points", 5)
+    pad = (1,) * (1 if points in (5, 9) else 2)
+    return {"proc_grid": (spec.nodes,) + pad,
+            "thread_grid": (spec.threads,) + pad,
+            "pnx": 6, "pny": 6, "iters": 2}
 
 
-# -- nwchem block-sparse RMA -----------------------------------------------
-
-def _build_nwchem(spec: "ScenarioSpec"):
-    from ..apps.nwchem import NwchemConfig
-    params = dict(spec.app_params)
-    params.setdefault("tiles_per_proc", 4)
-    params.setdefault("tile_dim", 4)
-    params.setdefault("tasks_per_thread", 2)
-    return NwchemConfig(num_nodes=spec.nodes, threads_per_proc=spec.threads,
-                        mechanism=spec.mechanism, seed=spec.seed, **params)
-
-
-def _run_nwchem(spec: "ScenarioSpec"):
-    from ..apps.nwchem import run_nwchem
-    return run_nwchem(_build_nwchem(spec), **_chaos_kwargs(spec))
-
-
-# -- vasp threaded allreduce -----------------------------------------------
-
-def _build_vasp(spec: "ScenarioSpec"):
-    from ..apps.vasp import VaspConfig
-    params = dict(spec.app_params)
-    params.setdefault("elems", 16 * spec.threads)
-    params.setdefault("repeats", 1)
-    return VaspConfig(num_nodes=spec.nodes, threads_per_proc=spec.threads,
-                      mechanism=spec.mechanism, seed=spec.seed, **params)
-
-
-def _run_vasp(spec: "ScenarioSpec"):
-    from ..apps.vasp import run_vasp
-    return run_vasp(_build_vasp(spec), **_chaos_kwargs(spec))
-
-
-# -- device offload --------------------------------------------------------
-
-def _build_device(spec: "ScenarioSpec"):
-    from ..apps.device import DeviceConfig
-    if spec.nodes != 2:
-        raise MpiUsageError("the device proxy models a 2-node exchange")
-    params = dict(spec.app_params)
-    params.setdefault("count", 16)
-    params.setdefault("timesteps", 3)
-    return DeviceConfig(num_nodes=2, blocks=spec.threads,
-                        mechanism=spec.mechanism, **params)
-
-
-def _run_device(spec: "ScenarioSpec"):
-    from ..apps.device import run_device
-    return run_device(_build_device(spec), seed=spec.seed,
-                      **_chaos_kwargs(spec))
+_RUNTIME = {"num_nodes": "nodes", "task_threads": "threads"}
+_THREADED = {"num_nodes": "nodes", "threads_per_proc": "threads"}
 
 
 # -- racer: a deliberately broken program ----------------------------------
 
-def _build_racer(spec: "ScenarioSpec"):
-    if spec.nodes < 2:
-        raise MpiUsageError("racer needs 2 nodes")
-    if spec.app_params:
-        raise MpiUsageError("racer takes no app_params")
-    return None
+MECHANISMS = ("default",)
 
 
-def _run_racer(spec: "ScenarioSpec"):
+@dataclass
+class RacerConfig:
+    """The racy demo's shape (it has no knobs of its own)."""
+
+    nodes: int
+    threads: int
+    mechanism: str = "default"
+
+    def __post_init__(self):
+        if self.nodes < 2:
+            raise MpiUsageError("racer needs 2 nodes")
+
+
+def run_racer(cfg: RacerConfig, **env: Any) -> SimpleNamespace:
     """A two-rank program with a textbook MPI+threads defect.
 
     Two spawned threads poke ``req.test()`` on the *same* Isend request
@@ -211,13 +146,7 @@ def _run_racer(spec: "ScenarioSpec"):
     to give campaigns a guaranteed finding to shrink, and is excluded
     from the default sampler (``samplable=False``).
     """
-    from ..apps.chaos import chaos_cluster, install_traffic
-    from ..runtime.world import World
-    world = World(cluster=chaos_cluster(spec.nodes, max(2, spec.threads),
-                                        None, spec.topology,
-                                        dict(spec.topology_params) or None),
-                  seed=spec.seed, faults=spec.faults,
-                  transport=spec.transport)
+    from ..apps.harness import run_app
     got = np.zeros(4)
 
     def rank0(proc):
@@ -241,35 +170,36 @@ def _run_racer(spec: "ScenarioSpec"):
         yield proc.sim.timeout(0)
         return proc.sim.now
 
-    tasks = [world.procs[0].spawn(rank0(world.procs[0])),
-             world.procs[1].spawn(rank1(world.procs[1]))]
-    tasks += [world.procs[r].spawn(idle(world.procs[r]))
-              for r in range(2, world.num_procs)]
-    bg = install_traffic(world, spec.traffic, spec.traffic_seed)
-    ends = world.run_all(tasks + bg, max_steps=None)[:len(tasks)]
+    def proc_main(proc):
+        return (rank0, rank1, idle)[min(proc.rank, 2)](proc)
+
+    _, ends = run_app(cfg.nodes, max(2, cfg.threads), proc_main, **env)
     return SimpleNamespace(correct=bool((got == np.arange(4.0)).all()),
                            wall_time=max(ends))
 
 
 APP_REGISTRY: dict[str, AppAdapter] = {a.name: a for a in (
-    AppAdapter("stencil",
-               ("original", "tags", "communicators", "endpoints",
-                "partitioned"),
-               _run_stencil, _build_stencil),
-    AppAdapter("legion", ("original", "communicators", "endpoints"),
-               _run_legion, _build_legion),
-    AppAdapter("circuit", ("original", "communicators", "endpoints"),
-               _run_circuit, _build_circuit),
-    AppAdapter("graph", ("original", "tags", "communicators", "endpoints"),
-               _run_graph, _build_graph),
-    AppAdapter("nwchem", ("window", "window-relaxed", "endpoints"),
-               _run_nwchem, _build_nwchem),
-    AppAdapter("vasp", ("funneled", "existing", "endpoints", "partitioned"),
-               _run_vasp, _build_vasp),
-    AppAdapter("device",
-               ("host-driven", "device-partitioned", "device-mpi"),
-               _run_device, _build_device),
-    AppAdapter("racer", ("default",), _run_racer, _build_racer,
+    AppAdapter("stencil", "repro.apps.stencil", "StencilConfig",
+               "run_stencil", {}, _stencil),
+    AppAdapter("legion", "repro.apps.legion.runtime", "LegionConfig",
+               "run_legion", _RUNTIME, lambda spec: {"msgs_per_thread": 4}),
+    AppAdapter("circuit", "repro.apps.legion.circuit", "CircuitConfig",
+               "run_circuit", _RUNTIME,
+               lambda spec: {"wires_per_thread": 2, "timesteps": 3}),
+    AppAdapter("graph", "repro.apps.graph.vite", "GraphConfig", "run_graph",
+               _THREADED, lambda spec: {"graph_vertices": 48, "iters": 2}),
+    AppAdapter("nwchem", "repro.apps.nwchem.blocksparse", "NwchemConfig",
+               "run_nwchem", _THREADED,
+               lambda spec: {"tiles_per_proc": 4, "tile_dim": 4,
+                             "tasks_per_thread": 2}),
+    AppAdapter("vasp", "repro.apps.vasp.allreduce", "VaspConfig", "run_vasp",
+               _THREADED,
+               lambda spec: {"elems": 16 * spec.threads, "repeats": 1}),
+    AppAdapter("device", "repro.apps.device.offload", "DeviceConfig",
+               "run_device", {"num_nodes": "nodes", "blocks": "threads"},
+               lambda spec: {"count": 16, "timesteps": 3}),
+    AppAdapter("racer", __name__, "RacerConfig", "run_racer",
+               {"nodes": "nodes", "threads": "threads"}, lambda spec: {},
                samplable=False),
 )}
 

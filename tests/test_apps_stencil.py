@@ -9,8 +9,7 @@ from repro.apps.stencil import (
     Patch,
     StencilConfig,
     halo_slices,
-    jacobi5,
-    jacobi9,
+    jacobi,
     reference_jacobi,
     run_stencil,
 )
@@ -22,7 +21,7 @@ from repro.netsim import NetworkConfig
 # ---------------------------------------------------------------- field
 
 def test_halo_slices_north():
-    send, recv = halo_slices(4, 3, (0, 1))
+    send, recv = halo_slices((3, 4), (0, 1))
     patch = np.arange(5 * 6).reshape(5, 6)
     # send = top interior row, recv = top halo row
     assert patch[send].shape == (1, 4)
@@ -32,7 +31,7 @@ def test_halo_slices_north():
 
 
 def test_halo_slices_corner():
-    send, recv = halo_slices(4, 3, (1, 1))
+    send, recv = halo_slices((3, 4), (1, 1))
     patch = np.arange(5 * 6).reshape(5, 6)
     assert patch[send].shape == (1, 1)
     assert patch[send][0, 0] == patch[3, 4]
@@ -41,15 +40,15 @@ def test_halo_slices_corner():
 
 def test_halo_slices_rejects_bad_direction():
     with pytest.raises(MpiUsageError):
-        halo_slices(4, 4, (2, 0))
+        halo_slices((4, 4), (2, 0))
 
 
 def test_jacobi5_interior_math():
     data = np.zeros((4, 4))
     data[1, 2] = 4.0  # west neighbour of (1,1)... layout: [y, x]
-    patch = Patch(data=data, pnx=2, pny=2)
+    patch = Patch(data=data, shape=(2, 2))
     out = np.zeros((2, 2))
-    jacobi5(patch, out)
+    jacobi(5, patch, out)
     # cell (y=0,x=1) has value 4 -> its neighbours each get 1.0
     assert out[0, 0] == pytest.approx(1.0)
     assert out[1, 1] == pytest.approx(1.0)
@@ -57,16 +56,16 @@ def test_jacobi5_interior_math():
 
 def test_jacobi9_is_eight_neighbor_average():
     data = np.ones((3, 3))
-    patch = Patch(data=data, pnx=1, pny=1)
+    patch = Patch(data=data, shape=(1, 1))
     out = np.zeros((1, 1))
-    jacobi9(patch, out)
+    jacobi(9, patch, out)
     assert out[0, 0] == pytest.approx(1.0)
 
 
 def test_reference_matches_manual_iteration():
     geom = StencilGeometry((1, 1), (2, 2), STENCIL_2D_5PT)
-    ref1 = reference_jacobi(geom, 3, 3, iters=1, stencil_points=5)
-    ref2 = reference_jacobi(geom, 3, 3, iters=1, stencil_points=5)
+    ref1 = reference_jacobi(geom, (3, 3), iters=1, stencil_points=5)
+    ref2 = reference_jacobi(geom, (3, 3), iters=1, stencil_points=5)
     assert np.allclose(ref1, ref2)  # deterministic
 
 

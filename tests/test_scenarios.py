@@ -73,6 +73,42 @@ class TestSpec:
             ScenarioSpec(app="legion", mechanism="endpoints",
                          app_params={"not_a_knob": 1})
 
+    @pytest.mark.parametrize("app,mechanism,params", [
+        # escaped run_scenario as a networkx.NetworkXError
+        ("graph", "tags", {"graph_vertices": 2}),
+        ("graph", "tags", {"graph_degree": 0}),
+        # passed validation, came back crash/MpiUsageError
+        ("stencil", "communicators", {"comm_map": "bogus"}),
+        # came back as deadlocks
+        ("circuit", "original", {"timesteps": 0}),
+        ("circuit", "original", {"wires_per_thread": 0}),
+        # came back as ValueError/ZeroDivisionError/IndexError crashes
+        ("stencil", "tags", {"pnx": 0}),
+        ("stencil", "tags", {"compute_cost_per_cell": -1}),
+        ("nwchem", "endpoints", {"tiles_per_proc": 0}),
+        ("vasp", "existing", {"repeats": 0}),
+        ("device", "host-driven", {"timesteps": 0}),
+        ("device", "host-driven", {"count": 0}),
+        ("legion", "endpoints", {"payload": 0}),
+    ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else v)
+    def test_degenerate_app_params_rejected_at_construction(
+            self, app, mechanism, params):
+        """Values that only arrive from outside (YAML, ``repro submit``,
+        ``POST /jobs``) and used to surface mid-run as a crash, a deadlock
+        or an uncaught exception: the spec refuses them."""
+        with pytest.raises(ScenarioError):
+            ScenarioSpec(app=app, mechanism=mechanism, nodes=2, threads=2,
+                         app_params=params)
+
+    def test_shape_fields_are_not_app_params(self):
+        # nodes/threads come from the spec, never from app_params
+        with pytest.raises(ScenarioError):
+            ScenarioSpec(app="graph", mechanism="tags",
+                         app_params={"num_nodes": 3})
+        with pytest.raises(ScenarioError):
+            ScenarioSpec(app="racer", mechanism="default",
+                         app_params={"nodes": 3})
+
     def test_vasp_divisibility_enforced(self):
         with pytest.raises(ScenarioError):
             ScenarioSpec(app="vasp", mechanism="existing", threads=4,
@@ -136,6 +172,19 @@ class TestSampler:
     def test_prefix_stable(self):
         # the first k draws do not depend on n
         assert sample_scenarios(3, 40)[:10] == sample_scenarios(3, 10)
+
+    @pytest.mark.parametrize("seed,digest", [
+        (42, "a5455ae61efc3ac1996cb484a0d71e041aa0a2264f96cfdf32b5c841ababd8e1"),
+        (7, "1e0f88130c7b0f798c42a117cc25b04f412458ba6b60874624ae437c2db112c4"),
+    ])
+    def test_draws_are_stable_across_validation_changes(self, seed, digest):
+        """A config check that rejected a drawn value would silently shift
+        every later draw (and every campaign keyed on the seed): the
+        48-spec lists are the ones recorded before PR 16's checks."""
+        import hashlib
+        text = json.dumps([s.to_dict() for s in sample_scenarios(seed, 48)],
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_seeds_differ(self):
         assert sample_scenarios(1, 10) != sample_scenarios(2, 10)

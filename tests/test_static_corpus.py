@@ -98,17 +98,20 @@ def test_advisor_verdicts_match_paper_stories():
 
 
 def test_advisor_sees_attribute_held_hinted_comms():
-    """Regression: the stencil tags driver asserts the Listing 2 hints
-    through ``listing2_info`` and stores the communicator on
-    ``self.comm``; the advisor must credit those hints rather than
-    advising the driver to add what it already has."""
-    stencil = analyze_path(str(ROOT / "src" / "repro" / "apps"
-                               / "stencil" / "drivers.py"))
-    verdict = next(iter(stencil.advisor.values()))
+    """Regression: the tags mechanism (``TagChannels``, which the stencil
+    and graph drivers open) asserts the Listing 2 hints through
+    ``listing2_info`` and stores the communicator on ``self.comm``; the
+    advisor must credit those hints rather than advising the driver to
+    add what it already has."""
+    channels = analyze_path(str(ROOT / "src" / "repro" / "apps"
+                                / "channels.py"))
+    verdict = next(iter(channels.advisor.values()))
     tags = verdict["mechanisms"]["tags-with-hints"]
     assert tags["status"] == "ok"
     assert any("self.comm" in reason for reason in tags["reasons"])
-    assert not any(f.rule_id == "S315" for f in stencil.findings)
+    for path in (ROOT / "src" / "repro" / "apps").rglob("*.py"):
+        report = analyze_path(str(path))
+        assert not any(f.rule_id == "S315" for f in report.findings), path
 
 
 # ----------------------------------------------------- cross-validation
