@@ -17,8 +17,12 @@ Design constraints, in order:
    attribute load per site (``benchmarks/stack`` runs Fig 1(a) with the
    checker off and on: ``fig1a_eager`` / ``fig1a_checked``).
 3. **Epoch-cheap when on**: per-object access checks use the FastTrack
-   epoch shortcut (see :mod:`repro.check.hb`); full vector-clock
-   snapshots happen only at release points.
+   epoch shortcut, and a release point publishes its clock as one small
+   ``(pid, epoch, shared dict)`` record — no copy; a join walks a clock
+   only when it can learn from it (see :mod:`repro.check.hb`).
+4. **State lives on what it describes** (``Process._hb``, a primitive's
+   ``_hb``, ``Request._hb_*``) and dies with it: nothing here is keyed by
+   ``id()``, pid or request id but what a finalize scan must enumerate.
 """
 
 from __future__ import annotations
@@ -30,13 +34,14 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import CheckError
 from ..sim.core import AllOf, Process, Simulator
-from .hb import Access, LockOrderGraph, TaskClock
+from .hb import Access, LockOrderGraph, PublishedClock, TaskClock, \
+    merge_published
 from .report import CheckReport, CheckWarning, Violation
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi.comm import Communicator
     from ..mpi.request import Request
-    from ..sim.sync import Barrier, Gate, Lock, Mailbox
+    from ..sim.sync import Barrier, Gate, Lock, Mailbox, Semaphore
 
 __all__ = ["CheckConfig", "Checker"]
 
@@ -94,22 +99,13 @@ class Checker:
         #: --to-finding`` to stop a recorded run at the exact step a rule
         #: fires; observers must not mutate checker or simulation state.
         self.on_violation: Optional[Callable[[Violation], None]] = None
-        # -- happens-before state --------------------------------------
-        self._tasks: dict[int, TaskClock] = {}
-        self._lock_clocks: dict[int, dict[int, int]] = {}
-        self._gate_clocks: dict[int, dict[int, int]] = {}
-        self._barrier_pending: dict[int, dict[int, int]] = {}
-        self._barrier_release: dict[int, dict[int, int]] = {}
-        self._mailbox_clocks: dict[int, deque] = {}
-        # -- lock-order graph ------------------------------------------
         self._lock_graph = LockOrderGraph()
-        self._held: dict[int, list[tuple[int, str]]] = {}
         # -- channels (CHK102) -----------------------------------------
         self._channels: dict[tuple, Access] = {}
-        # -- requests (CHK101, CHK109) ---------------------------------
-        self._live_requests: dict[int, dict[str, Any]] = {}
-        self._req_access: dict[int, Access] = {}
-        self._req_joins: dict[int, dict[int, int]] = {}
+        #: rid -> (kind, creation time, creating task) of every request
+        #: not yet complete: what CHK109 enumerates and prints.
+        self._live_requests: dict[int, tuple[str, float,
+                                             Optional[str]]] = {}
         # -- RMA (CHK107, CHK108, CHK110) ------------------------------
         self._windows: list[Any] = []
         self._rma_epochs: dict[int, dict[str, Any]] = {}
@@ -150,154 +146,143 @@ class Checker:
         return v
 
     # ------------------------------------------------------------------
-    # task / clock plumbing
+    # kernel hooks
     # ------------------------------------------------------------------
-    def _task(self, proc: Process) -> TaskClock:
-        st = self._tasks.get(proc._pid)
-        if st is None:
-            st = TaskClock(proc._pid, proc.name)
-            self._tasks[proc._pid] = st
-        return st
-
-    def _active(self) -> Optional[TaskClock]:
-        proc = self.sim._active_process
-        if proc is None:
-            return None
-        return self._task(proc)
-
-    def _snapshot(self) -> Optional[dict[int, int]]:
-        st = self._active()
-        return st.snapshot() if st is not None else None
-
-    # -- kernel hooks ----------------------------------------------------
+    # ``proc._hb`` is set for every task: the checker is installed before
+    # the first spawn (World does), so :meth:`on_spawn` saw them all.
     def on_spawn(self, proc: Process) -> None:
         """A task was spawned: it inherits its spawner's clock."""
         parent = self.sim._active_process
-        pstate = self._tasks.get(parent._pid) if parent is not None else None
-        self._tasks[proc._pid] = TaskClock(proc._pid, proc.name,
-                                           parent=pstate)
+        proc._hb = TaskClock(proc._pid, proc.name,
+                             parent._hb if parent is not None else None)
 
     def on_resume(self, proc: Process, trigger: Any) -> None:
-        """A task resumed: joining a finished task merges its clock."""
+        """A task resumed from a ``Process`` or an ``AllOf`` (the kernel
+        calls for no other trigger): joining a finished task merges its
+        clock."""
+        st = proc._hb
         if isinstance(trigger, Process):
-            other = self._tasks.get(trigger._pid)
-            if other is not None:
-                self._task(proc).join(other.clock)
+            st.join_task(trigger._hb)
         elif isinstance(trigger, AllOf):
-            children = trigger._children
-            if children:
-                st = self._task(proc)
-                for ev in children:
-                    if isinstance(ev, Process):
-                        other = self._tasks.get(ev._pid)
-                        if other is not None:
-                            st.join(other.clock)
+            for ev in trigger._children or ():
+                if isinstance(ev, Process):
+                    st.join_task(ev._hb)
 
     # -- sync-primitive hooks --------------------------------------------
     def lock_acquired(self, lock: "Lock") -> None:
         """Join the releaser's clock; record lock-order edges for held locks."""
-        st = self._active()
-        if st is None:
+        proc = self.sim._active_process
+        if proc is None:
             return
-        st.join(self._lock_clocks.get(id(lock)))
+        st = proc._hb
+        clock = lock._hb
+        # Most acquisitions retake a lock this task released last.
+        if clock is not None and clock.pid != st.pid:
+            st.join(clock)
         if self.config.lock_order:
-            held = self._held.setdefault(st.pid, [])
-            lid = id(lock)
-            for hid, hname in held:
-                if hid != lid:
-                    self._lock_graph.add(hid, hname, lid, lock.name,
+            held = st.held
+            for other in held:
+                if other is not lock:
+                    self._lock_graph.add(other.serial, other.name,
+                                         lock.serial, lock.name,
                                          st.name, self.sim.now)
-            held.append((lid, lock.name))
+            held.append(lock)
 
     def lock_released(self, lock: "Lock") -> None:
         """Publish this task's clock for the next acquirer; pop held state."""
-        st = self._active()
-        if st is None:
+        proc = self.sim._active_process
+        if proc is None:
             return
-        self._lock_clocks[id(lock)] = st.snapshot()
-        held = self._held.get(st.pid)
-        if held:
-            lid = id(lock)
-            for i in range(len(held) - 1, -1, -1):
-                if held[i][0] == lid:
-                    del held[i]
-                    break
+        st = proc._hb
+        lock._hb = st.snapshot()
+        held = st.held
+        if held and held[-1] is lock:  # releases are mostly LIFO
+            held.pop()
+            return
+        for i in range(len(held) - 2, -1, -1):
+            if held[i] is lock:
+                del held[i]
+                break
 
     def gate_opened(self, gate: "Gate") -> None:
-        snap = self._snapshot()
-        if snap is not None:
-            self._gate_clocks[id(gate)] = snap
+        """Publish the opener's clock for everyone who passes the gate."""
+        proc = self.sim._active_process
+        if proc is not None:
+            gate._hb = proc._hb.snapshot()
 
     def gate_passed(self, gate: "Gate") -> None:
-        st = self._active()
-        if st is not None:
-            st.join(self._gate_clocks.get(id(gate)))
+        """Join the clock the gate's opener published."""
+        proc = self.sim._active_process
+        if proc is not None:
+            proc._hb.join(gate._hb)
 
     def barrier_arrive(self, barrier: "Barrier") -> None:
-        """Merge this arriver's clock into the barrier's pending snapshot."""
-        snap = self._snapshot()
-        if snap is None:
+        """Merge this arriver's clock into the barrier's pending clock."""
+        proc = self.sim._active_process
+        if proc is None:
             return
-        pending = self._barrier_pending.setdefault(id(barrier), {})
-        for pid, c in snap.items():
-            if pending.get(pid, 0) < c:
-                pending[pid] = c
+        if barrier._hb_pending is None:
+            barrier._hb_pending = {}
+        merge_published(barrier._hb_pending, proc._hb.snapshot())
 
     def barrier_release(self, barrier: "Barrier") -> None:
         """Called by the last arriver: publish the merged clock."""
-        self._barrier_release[id(barrier)] = \
-            self._barrier_pending.pop(id(barrier), {})
+        barrier._hb_release = barrier._hb_pending
+        barrier._hb_pending = None
 
     def barrier_depart(self, barrier: "Barrier") -> None:
-        st = self._active()
-        if st is not None:
-            st.join(self._barrier_release.get(id(barrier)))
+        """Join the clock all arrivers of this generation merged."""
+        proc = self.sim._active_process
+        if proc is not None:
+            proc._hb.join_merged(barrier._hb_release)
 
-    def mailbox_put(self, mailbox: "Mailbox") -> None:
+    def mailbox_put(self, mailbox: "Mailbox | Semaphore") -> None:
+        """Queue the putter's clock for the get that takes this item."""
         # FIFO clock queue mirrors item order across both the queued and
         # the direct-handoff path; a put from a non-task context (NIC
-        # callback) contributes an empty clock to keep the queues aligned.
-        snap = self._snapshot()
-        self._mailbox_clocks.setdefault(id(mailbox),
-                                        deque()).append(snap or {})
+        # callback) contributes None to keep the queues aligned.
+        proc = self.sim._active_process
+        if mailbox._hb is None:
+            mailbox._hb = deque()
+        mailbox._hb.append(proc._hb.snapshot() if proc is not None
+                           else None)
 
-    def mailbox_got(self, mailbox: "Mailbox") -> None:
+    def mailbox_got(self, mailbox: "Mailbox | Semaphore") -> None:
         """Join the clock the matching put published (FIFO pairing)."""
-        clocks = self._mailbox_clocks.get(id(mailbox))
+        clocks = mailbox._hb
         if not clocks:
             return
         clock = clocks.popleft()
-        st = self._active()
-        if st is not None:
-            st.join(clock)
+        proc = self.sim._active_process
+        if proc is not None:
+            proc._hb.join(clock)
 
     def meet_arrive(self, meeting: Any) -> None:
         """Merge this participant's clock into the meeting's shared clock."""
-        snap = self._snapshot()
-        if snap is None:
+        proc = self.sim._active_process
+        if proc is None:
             return
         if meeting.hb_clock is None:
             meeting.hb_clock = {}
-        merged = meeting.hb_clock
-        for pid, c in snap.items():
-            if merged.get(pid, 0) < c:
-                merged[pid] = c
+        merge_published(meeting.hb_clock, proc._hb.snapshot())
 
     def meet_depart(self, meeting: Any) -> None:
-        st = self._active()
-        if st is not None:
-            st.join(meeting.hb_clock)
+        """Join the clock every participant of the meeting merged."""
+        proc = self.sim._active_process
+        if proc is not None:
+            proc._hb.join_merged(meeting.hb_clock)
 
     # ------------------------------------------------------------------
     # point-to-point channels (CHK102, CHK104 context)
     # ------------------------------------------------------------------
     def on_channel_send(self, comm: "Communicator", dest: int, tag: int,
-                        context_id: int) -> Optional[dict[int, int]]:
-        """A send is being posted; returns the sender clock snapshot to
+                        context_id: int) -> Optional[PublishedClock]:
+        """A send is being posted; returns the sender's published clock to
         ride in the message meta (for the receive-completion join)."""
-        st = self._active()
-        if st is None:
+        proc = self.sim._active_process
+        if proc is None:
             return None
+        st = proc._hb
         if self.config.races and not comm.hints.allow_overtaking:
             key = ("s", context_id, comm.rank, dest, tag)
             self._channel_access(key, st, comm, tag, dest, "send")
@@ -306,13 +291,13 @@ class Checker:
     def on_channel_recv(self, comm: "Communicator", source: int, tag: int,
                         context_id: int, vci: Optional[int] = None) -> None:
         """Record a posted-receive channel access (CHK102 collision check)."""
-        st = self._active()
-        if st is None or not self.config.races:
-            return
-        if comm.hints.allow_overtaking:
+        proc = self.sim._active_process
+        if proc is None or not self.config.races \
+                or comm.hints.allow_overtaking:
             return
         key = ("r", context_id, comm.rank, source, tag)
-        self._channel_access(key, st, comm, tag, source, "recv", vci=vci)
+        self._channel_access(key, proc._hb, comm, tag, source, "recv",
+                             vci=vci)
 
     def _channel_access(self, key: tuple, st: TaskClock,
                         comm: "Communicator", tag: int, peer: int,
@@ -327,43 +312,42 @@ class Checker:
                 f"message order on this channel is undefined",
                 rank=comm.lib.rank, vci=vci, comm=comm.name, tag=tag,
                 peer=peer, other_task=last.task)
-        self._channels[key] = st.access(self.sim.now)
+        self._channels[key] = st.access()
 
     # ------------------------------------------------------------------
     # requests (CHK101, CHK109)
     # ------------------------------------------------------------------
     def on_request_new(self, req: "Request") -> None:
+        """Give a request its checker state; remember it until it
+        completes (CHK109 leak scan)."""
+        req._hb_access = None
+        req._hb_edges = ()
         if req.kind in _INTERNAL_REQUEST_KINDS:
             return
-        st = self._active()
-        self._live_requests[req.rid] = {
-            "kind": req.kind, "time": self.sim.now,
-            "task": st.name if st is not None else None,
-        }
+        proc = self.sim._active_process
+        self._live_requests[req.rid] = (
+            req.kind, self.sim._now, proc.name if proc is not None else None)
 
-    def on_msg_join(self, req: "Request", hb: dict[int, int]) -> None:
-        """The message completing ``req`` carried the sender's clock."""
-        j = self._req_joins.get(req.rid)
-        if j is None:
-            self._req_joins[req.rid] = dict(hb)
-        else:
-            for pid, c in hb.items():
-                if j.get(pid, 0) < c:
-                    j[pid] = c
+    def on_msg_join(self, req: "Request", hb: PublishedClock) -> None:
+        """The message completing ``req`` carried the sender's clock: a
+        completion edge, joined when the request is waited on or tested."""
+        req._hb_edges += (hb,)
 
     def on_request_complete(self, req: "Request") -> None:
+        """``req`` completed: the completing task's clock is an edge too."""
         self._live_requests.pop(req.rid, None)
-        st = self._active()
-        if st is not None:
-            self.on_msg_join(req, st.snapshot())
+        proc = self.sim._active_process
+        if proc is not None:
+            req._hb_edges += (proc._hb.snapshot(),)
 
     def on_request_access(self, req: "Request") -> None:
         """wait/test/cancel entered on ``req`` by the active task."""
-        st = self._active()
-        if st is None:
+        proc = self.sim._active_process
+        if proc is None:
             return
         if self.config.races and req.kind not in _INTERNAL_REQUEST_KINDS:
-            last = self._req_access.get(req.rid)
+            st = proc._hb
+            last = req._hb_access
             if last is not None and last.pid != st.pid and not st.saw(last):
                 self.violation(
                     "CHK101",
@@ -373,13 +357,15 @@ class Checker:
                     f"completion calls on one request",
                     vci=req.vci.index if req.vci is not None else None,
                     rid=req.rid, other_task=last.task)
-            self._req_access[req.rid] = st.access(self.sim.now)
+            req._hb_access = st.access()
 
     def on_request_join(self, req: "Request") -> None:
-        """``req`` observed complete: join the completion-side clock."""
-        st = self._active()
-        if st is not None:
-            st.join(self._req_joins.get(req.rid))
+        """``req`` observed complete: join its completion edges."""
+        proc = self.sim._active_process
+        if proc is not None:
+            st = proc._hb
+            for clock in req._hb_edges:
+                st.join(clock)
 
     # ------------------------------------------------------------------
     # RMA (CHK107, CHK108, CHK110)
@@ -438,9 +424,10 @@ class Checker:
                 rank=win.comm.lib.rank, win=win.win_id, target=target)
         if not self.config.races or atomic:
             return
-        st = self._active()
-        if st is None:
+        proc = self.sim._active_process
+        if proc is None:
             return
+        st = proc._hb
         key = (id(win), target)
         lo, hi = disp, disp + count
         conflict = self._rma_last_write.get(key)
@@ -458,7 +445,7 @@ class Checker:
                     f"happens-before edge between them",
                     rank=win.comm.lib.rank, win=win.win_id, target=target,
                     other_task=last.task)
-        rec = (st.access(self.sim.now), lo, hi)
+        rec = (st.access(), lo, hi)
         if write:
             self._rma_last_write[key] = rec
         else:
@@ -492,13 +479,12 @@ class Checker:
 
     def _scan_request_leaks(self) -> None:
         leaked = sorted(self._live_requests.items())
-        for rid, info in leaked[:_LEAK_DETAIL_LIMIT]:
+        for rid, (kind, time, task) in leaked[:_LEAK_DETAIL_LIMIT]:
             self.violation(
                 "CHK109",
-                f"request #{rid} ({info['kind']}, created at "
-                f"t={info['time']:.9f} by {info['task']!r}) never "
-                f"completed before finalize",
-                hard=True, rid=rid, kind=info["kind"])
+                f"request #{rid} ({kind}, created at t={time:.9f} by "
+                f"{task!r}) never completed before finalize",
+                hard=True, rid=rid, kind=kind)
         if len(leaked) > _LEAK_DETAIL_LIMIT:
             self.violation(
                 "CHK109",

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import MpiUsageError
 from ..sim.core import Event, Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..check.hb import Access, PublishedClock
 
 __all__ = ["Status", "Request", "waitall", "testall", "waitany",
            "testany"]
@@ -32,7 +35,14 @@ class Request:
     """
 
     __slots__ = ("sim", "kind", "rid", "_done", "status", "_completed",
-                 "user_data", "vci")
+                 "user_data", "vci", "_hb_access", "_hb_edges")
+
+    # Checker-only, assigned by ``Checker.on_request_new`` and never set on
+    # an unchecked simulator: the last wait/test/cancel on this request,
+    # and the clocks its completion published — at most the sender's and
+    # the completing task's — which a waiter joins when it observes it.
+    _hb_access: Optional["Access"]
+    _hb_edges: tuple["PublishedClock", ...]
 
     def __init__(self, sim: Simulator, kind: str = "generic"):
         self.sim = sim

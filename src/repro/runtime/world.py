@@ -116,7 +116,8 @@ class _Meeting:
     contributions: dict[int, Any] = field(default_factory=dict)
     shared: dict[str, Any] = field(default_factory=dict)
     arrived: int = 0
-    #: Merged vector clock of all arrivers (checker-only, else None).
+    #: Componentwise max of the clocks all arrivers published: a full
+    #: ``{pid: counter}`` mapping (checker-only, else None).
     hb_clock: Optional[dict[int, int]] = None
 
 

@@ -24,7 +24,10 @@ from __future__ import annotations
 import gc
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..check.hb import TaskClock
 
 __all__ = [
     "SimulationError",
@@ -169,7 +172,12 @@ class Process(Event):
     processes can ``yield`` other processes to join them.
     """
 
-    __slots__ = ("gen", "name", "_waiting_on", "_pid", "_resume_cb")
+    __slots__ = ("gen", "name", "_waiting_on", "_pid", "_resume_cb", "_hb")
+
+    #: The checker's vector clock for this task: assigned by
+    #: ``Checker.on_spawn`` and only ever read by the checker; None on a
+    #: simulator nothing observes.
+    _hb: "TaskClock"
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         if not hasattr(gen, "send"):
@@ -183,6 +191,7 @@ class Process(Event):
         self._pid = sim._next_pid
         sim._next_pid += 1
         sim._processes[self._pid] = self
+        self._hb = None  # type: ignore[assignment]
         if sim.checker is not None:
             sim.checker.on_spawn(self)
         # The resume callback is bound once: creating a fresh bound method
@@ -220,7 +229,8 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
         sim = self.sim
-        if sim.checker is not None:
+        # Only a finished task (or a set of them) carries a clock to join.
+        if sim.checker is not None and isinstance(trigger, (Process, AllOf)):
             sim.checker.on_resume(self, trigger)
         sim._active_process = self
         try:
@@ -381,6 +391,9 @@ class Simulator:
         #: Next MPI request id (:class:`repro.mpi.request.Request` numbers
         #: itself per simulator, so ids are a function of the run alone).
         self._next_rid = 0
+        #: Next lock creation serial (:class:`repro.sim.sync.Lock`): the
+        #: checker's lock-order graph names locks by it, never by ``id()``.
+        self._next_lock_serial = 0
         #: Recycled Timeout shells (see :meth:`timeout` and
         #: :meth:`run_steps`); a shell keeps its emptied callbacks list.
         self._timeout_pool: list[Timeout] = []

@@ -10,9 +10,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, Optional
 
 from .core import Event, Simulator, SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..check.hb import PublishedClock
+
+# Each primitive carries its own happens-before state for the checker in
+# ``_hb*`` slots (the clock its last release point published): written and
+# read only by ``repro.check.Checker``, None on an unchecked simulator, and
+# gone with the primitive.
 
 __all__ = ["Lock", "Semaphore", "Barrier", "Gate", "Mailbox", "ContentionStats"]
 
@@ -64,11 +72,16 @@ class Lock:
     """
 
     __slots__ = ("sim", "name", "locked", "_waiters", "stats", "_acquired_at",
-                 "observer")
+                 "observer", "serial", "_hb")
 
     def __init__(self, sim: Simulator, name: str = "lock"):
         self.sim = sim
         self.name = name
+        #: Creation order among this simulator's locks (their identity
+        #: in the checker's lock-order graph).
+        self.serial = sim._next_lock_serial
+        sim._next_lock_serial += 1
+        self._hb: Optional["PublishedClock"] = None
         self.locked = False
         self._waiters: Deque[Event] = deque()
         self.stats = ContentionStats()
@@ -148,7 +161,7 @@ class Lock:
 class Semaphore:
     """Counting semaphore with FIFO wakeup."""
 
-    __slots__ = ("sim", "count", "_waiters", "stats")
+    __slots__ = ("sim", "count", "_waiters", "stats", "_hb")
 
     def __init__(self, sim: Simulator, initial: int = 0):
         if initial < 0:
@@ -157,6 +170,7 @@ class Semaphore:
         self.count = initial
         self._waiters: Deque[Event] = deque()
         self.stats = ContentionStats()
+        self._hb: Optional[Deque[Optional["PublishedClock"]]] = None
 
     def post(self, n: int = 1) -> None:
         """Add ``n`` units, waking up to ``n`` blocked waiters in FIFO order."""
@@ -198,7 +212,7 @@ class Barrier:
     """
 
     __slots__ = ("sim", "parties", "_count", "_gate", "generation", "stats",
-                 "per_entry_cost")
+                 "per_entry_cost", "_hb_pending", "_hb_release")
 
     def __init__(self, sim: Simulator, parties: int, per_entry_cost: float = 0.0):
         if parties < 1:
@@ -210,6 +224,10 @@ class Barrier:
         self._gate: Event = sim.event()
         self.generation = 0
         self.stats = ContentionStats()
+        # Two clocks: the last arriver may re-arrive for the next
+        # generation before the waiters of this one have departed.
+        self._hb_pending: Optional[dict[int, int]] = None
+        self._hb_release: Optional[dict[int, int]] = None
 
     def wait(self) -> Generator[Event, Any, None]:
         """Block until all parties arrive; last arriver opens the gate."""
@@ -241,12 +259,13 @@ class Barrier:
 class Gate:
     """A resettable broadcast flag: processes wait until it is opened."""
 
-    __slots__ = ("sim", "_event", "_open")
+    __slots__ = ("sim", "_event", "_open", "_hb")
 
     def __init__(self, sim: Simulator, open: bool = False):
         self.sim = sim
         self._event = sim.event()
         self._open = open
+        self._hb: Optional["PublishedClock"] = None
 
     @property
     def is_open(self) -> bool:
@@ -283,13 +302,14 @@ class Mailbox:
     blocks; ``get`` blocks until an item is available.
     """
 
-    __slots__ = ("sim", "_items", "_getters", "name")
+    __slots__ = ("sim", "_items", "_getters", "name", "_hb")
 
     def __init__(self, sim: Simulator, name: str = "mailbox"):
         self.sim = sim
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
+        self._hb: Optional[Deque[Optional["PublishedClock"]]] = None
 
     def put(self, item: Any) -> None:
         if self.sim.checker is not None:

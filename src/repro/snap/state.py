@@ -35,6 +35,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
+from ..check.hb import PublishedClock
 from ..mpi.matching import PostedRecv
 from ..mpi.request import Request
 from ..netsim.message import WireMessage
@@ -119,6 +120,10 @@ def describe_value(value: Any, depth: int = 0) -> Any:
         fields = {f: describe_value(getattr(value, f), depth + 1)
                   for f in value.__dataclass_fields__}
         return {"__dataclass__": type(value).__name__, "fields": fields}
+    if isinstance(value, PublishedClock):
+        # The sender's clock in ``WireMessage.meta["_hb"]``: described as
+        # the ``{pid: counter}`` mapping it stands for, whatever holds it.
+        return describe_value(value.mapping(), depth)
     return {"__obj__": type(value).__name__}
 
 

@@ -5,8 +5,11 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from repro.bench import MsgRateConfig, run_msgrate
+from repro.check import CheckConfig, checking
 from repro.netsim import ClusterSpec, NetworkConfig
 from repro.runtime import World
+from repro.snap import SnapController, recording
 
 
 def flat_world(nprocs: int, threads_per_proc: int = 1,
@@ -20,6 +23,21 @@ def flat_world(nprocs: int, threads_per_proc: int = 1,
     return World(cluster=ClusterSpec(nodes=nprocs,
                                      threads_per_proc=threads_per_proc,
                                      network=network), **kwargs)
+
+
+def checked_msgrate_world(mode: str, cores: int = 8,
+                          msgs_per_core: int = 16) -> World:
+    """Run one Fig 1(a) point under the checker (as ``fig1a_checked``
+    does) and hand back its finished world."""
+    with checking(CheckConfig(emit_warnings=False)) as session:
+        with recording(SnapController()) as ctrl:
+            run_msgrate(MsgRateConfig(mode=mode, cores=cores, msg_bytes=8,
+                                      window=16,
+                                      msgs_per_core=msgs_per_core),
+                        net=NetworkConfig.omnipath())
+        session.close()
+    (world,) = ctrl.worlds
+    return world
 
 
 def hw_context(nic, index: int):

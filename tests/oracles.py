@@ -1,10 +1,12 @@
 """Reference implementations the production code is held to.
 
-Neither class is reachable from ``src/``: a test substitutes one for its
+No class here is reachable from ``src/``: a test substitutes one for its
 production counterpart where that is constructed —
 ``monkeypatch.setattr(repro.runtime.world, "Simulator", HeapSimulator)``,
 ``monkeypatch.setattr(repro.mpi.vci, "MatchingEngine",
-LinearMatchingEngine)`` — and asserts that nothing observable changes.
+LinearMatchingEngine)``, ``monkeypatch.setattr(repro.check.checker,
+"TaskClock", ShadowedTaskClock)`` — and asserts that nothing observable
+changes.
 
 - :class:`HeapSimulator` is the textbook scheduler: one binary heap of
   ``(time, priority, seq, event)`` tuples, popped one at a time. The
@@ -14,6 +16,12 @@ LinearMatchingEngine)`` — and asserts that nothing observable changes.
   scan-until-match. The indexed :class:`repro.mpi.matching.MatchingEngine`
   must return the same matches and the same ``scanned`` counts
   (``tests/test_matching_indexed.py``).
+- :class:`NaiveTaskClock` is the textbook vector clock: one dict, copied
+  whole at every release point and walked whole at every acquire point.
+  The epoch-stamped copy-on-write :class:`repro.check.hb.TaskClock` must
+  stand for the same ``{pid: counter}`` mapping after every operation
+  (``tests/test_check_hb_property.py``); :class:`ShadowedTaskClock` runs
+  the pair side by side inside a real checked world.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import heapq
 from collections import deque
 from typing import Any, Optional
 
+from repro.check.hb import Access, PublishedClock, TaskClock
 from repro.mpi.matching import PostedRecv, key_matches
 from repro.mpi.request import Request
 from repro.netsim.message import WireMessage
@@ -223,3 +232,114 @@ class LinearMatchingEngine:
 
     def internals(self) -> dict:
         return {"impl": "linear", "po_seq": self._po_seq}
+
+
+class NaiveTaskClock:
+    """The vector clock of one simulated task as one ``{pid: counter}``
+    dict — the checker's clock up to PR 16, kept as the reference."""
+
+    __slots__ = ("pid", "name", "clock")
+
+    def __init__(self, pid: int, name: str,
+                 parent: Optional["NaiveTaskClock"] = None):
+        self.pid = pid
+        self.name = name
+        # A spawned task starts after its spawner's current knowledge.
+        self.clock: dict[int, int] = dict(parent.clock) if parent else {}
+        self.clock[pid] = self.clock.get(pid, 0)
+
+    def tick(self) -> int:
+        """Advance this task's own component; returns the new counter."""
+        c = self.clock[self.pid] + 1
+        self.clock[self.pid] = c
+        return c
+
+    def snapshot(self) -> dict[int, int]:
+        """A frozen copy of the clock, for publishing at a release point."""
+        self.tick()
+        return dict(self.clock)
+
+    def join(self, other: Optional[dict[int, int]]) -> None:
+        """Merge another clock (an acquire point): componentwise max."""
+        if not other:
+            return
+        clock = self.clock
+        for pid, c in other.items():
+            if clock.get(pid, 0) < c:
+                clock[pid] = c
+
+    def access(self) -> Access:
+        """Summarize an access by this task (ticks the clock)."""
+        return Access(self.pid, self.tick(), self.name)
+
+    def saw(self, access: Access) -> bool:
+        """True iff ``access`` happens-before this task's current state."""
+        return access.counter <= self.clock.get(access.pid, 0)
+
+
+class ShadowedTaskClock(TaskClock):
+    """A production clock with a :class:`NaiveTaskClock` run beside it.
+
+    Every operation the checker performs is mirrored on the reference,
+    and the two must stand for the same mapping after each: what a world
+    published, what rode in ``meta["_hb"]`` and what every ``saw()``
+    answered are then the reference's, whatever the production clock
+    skipped. ``published`` maps each publication to the reference's copy
+    (held by identity: the key keeps the record alive).
+    """
+
+    __slots__ = ("naive",)
+
+    #: Installed per test (``monkeypatch.setattr(ShadowedTaskClock,
+    #: "published", {}, raising=False)``): the checker builds the clocks,
+    #: so there is no constructor argument to carry it.
+    published: dict[PublishedClock, dict[int, int]]
+
+    def __init__(self, pid: int, name: str,
+                 parent: Optional["ShadowedTaskClock"] = None):
+        super().__init__(pid, name, parent)
+        self.naive = NaiveTaskClock(pid, name,
+                                    parent.naive if parent else None)
+        self._agree()
+
+    def _agree(self) -> None:
+        assert self.mapping() == self.naive.clock, (self.name,
+                                                    self.mapping(),
+                                                    self.naive.clock)
+
+    def snapshot(self) -> PublishedClock:
+        clock = super().snapshot()
+        self.published[clock] = self.naive.snapshot()
+        assert clock.mapping() == self.published[clock]
+        self._agree()
+        return clock
+
+    def join(self, other: Optional[PublishedClock]) -> None:
+        super().join(other)
+        self.naive.join(None if other is None else self.published[other])
+        self._agree()
+
+    def join_task(self, other: "ShadowedTaskClock") -> None:
+        super().join_task(other)
+        self.naive.join(other.naive.clock)
+        self._agree()
+
+    def join_merged(self, merged: Optional[dict[int, int]]) -> None:
+        super().join_merged(merged)
+        self.naive.join(merged)
+        self._agree()
+
+    def access(self) -> Access:
+        access = super().access()
+        assert vars_of(access) == vars_of(self.naive.access())
+        return access
+
+    def saw(self, access: Access) -> bool:
+        verdict = super().saw(access)
+        assert verdict == self.naive.saw(access)
+        return verdict
+
+
+def vars_of(access: Access) -> tuple[int, int, str]:
+    """An :class:`Access` by value."""
+    return access.pid, access.counter, access.task

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bench import MsgRateConfig, run_msgrate
-from repro.check import CheckConfig
+from repro.check import CheckConfig, Checker, checking
 from repro.errors import (
     HintViolationError,
     MpiUsageError,
@@ -279,6 +279,76 @@ def test_wildcards_under_no_wildcard_hints_report_chk104_with_a_checker():
         "ANY_TAG used on communicator 'COMM_WORLD.dup0' asserting "
         "mpi_assert_no_any_tag",
     ]
+
+
+# ------------------------------------------- (f) checker calls per point
+
+#: The hooks through which the kernel, the sync primitives and the MPI
+#: layer feed the checker (``benchmarks/stack/layers.py::_CHECK_HOOKS``
+#: wraps the same 22 names for ``check.hook_calls``).
+CHECK_HOOKS = (
+    "on_spawn", "on_resume", "lock_acquired", "lock_released",
+    "gate_opened", "gate_passed", "barrier_arrive", "barrier_release",
+    "barrier_depart", "mailbox_put", "mailbox_got", "meet_arrive",
+    "meet_depart", "on_channel_send", "on_channel_recv", "on_request_new",
+    "on_msg_join", "on_request_complete", "on_request_access",
+    "on_request_join", "on_rma_sync", "on_rma_op",
+)
+
+#: 128 messages: one send and one receive request each (``new``,
+#: ``complete``, ``access``, ``join`` x256), three lock round trips per
+#: message, one channel access per side, one sender clock per receive.
+_PER_MESSAGE = {
+    "lock_acquired": 384, "lock_released": 384, "on_channel_send": 128,
+    "on_channel_recv": 128, "on_request_new": 256, "on_msg_join": 128,
+    "on_request_complete": 256, "on_request_access": 256,
+    "on_request_join": 256,
+}
+
+#: mode -> calls per hook of the checked 8-core point (hooks never called
+#: omitted). ``on_resume`` is called only for a trigger that can carry a
+#: clock — the two rank mains joining their threads — where it used to be
+#: called on every resume (672-931 times a point: 2992-3253 hook calls in
+#: all, now 2192-2244); ``on_spawn`` counts tasks, the ``meet``/``gate``
+#: rows the communicator or endpoint set-up of the mode.
+FIG1A_HOOK_CALLS = {
+    "everywhere": {**_PER_MESSAGE, "on_spawn": 16},
+    "threads-original": {**_PER_MESSAGE, "on_spawn": 18, "on_resume": 2},
+    "threads-tags": {**_PER_MESSAGE, "on_spawn": 18, "on_resume": 2,
+                     "meet_arrive": 2, "meet_depart": 2,
+                     "gate_opened": 1, "gate_passed": 1},
+    "threads-comms": {**_PER_MESSAGE, "on_spawn": 18, "on_resume": 2,
+                      "meet_arrive": 16, "meet_depart": 16,
+                      "gate_opened": 8, "gate_passed": 8},
+    "threads-endpoints": {**_PER_MESSAGE, "on_spawn": 18, "on_resume": 2,
+                          "meet_arrive": 2, "meet_depart": 2,
+                          "gate_opened": 1, "gate_passed": 1},
+}
+
+
+@pytest.mark.parametrize("mode", FIG1A_MODES)
+def test_checked_fig1a_point_makes_the_pinned_hook_calls(mode, monkeypatch):
+    """A call added to the checked hot path shows up here, not in a
+    benchmark three PRs later. Counted from outside: there is no counter
+    in ``src/``."""
+    calls: dict[str, int] = {}
+
+    def counted(name, hook):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return hook(*args, **kwargs)
+        return wrapper
+
+    for name in CHECK_HOOKS:
+        monkeypatch.setattr(Checker, name,
+                            counted(name, Checker.__dict__[name]))
+    with checking(CheckConfig(emit_warnings=False)) as session:
+        run_msgrate(MsgRateConfig(mode=mode, cores=8, msg_bytes=8,
+                                  window=16, msgs_per_core=16),
+                    net=NetworkConfig.omnipath())
+        assert session.report().clean
+        session.close()
+    assert calls == FIG1A_HOOK_CALLS[mode]
 
 
 # ------------------------------------------ request ids are per simulator

@@ -19,6 +19,7 @@ import pytest
 
 from repro.bench import MsgRateConfig, run_msgrate
 from repro.check import CheckConfig, checking
+from repro.check import checker as check_checker
 from repro.faults import CtxStall, FaultPlan
 from repro.netsim import NetworkConfig
 from repro.netsim.config import NicParams
@@ -42,7 +43,13 @@ from repro.snap import (
     take_snapshot,
 )
 from repro.snap import state as snap_state
-from tests.helpers import build_out_pools, flat_world, run_ranks
+from tests.helpers import (
+    build_out_pools,
+    checked_msgrate_world,
+    flat_world,
+    run_ranks,
+)
+from tests.oracles import ShadowedTaskClock
 
 FIG1A_MODES = ("everywhere", "threads-original", "threads-tags",
                "threads-comms", "threads-endpoints")
@@ -267,3 +274,87 @@ def test_text_cache_is_bounded_by_the_largest_pool(monkeypatch):
             state_digest(capture_state(world))
     # Slot 0 is COMM_WORLD's on every node, so it is never pristine here.
     assert sorted(snap_state._PRISTINE) == list(range(1, 40))
+
+
+# ------------------------------- what the checker's clocks put in the tree
+
+def fallbacks(tree, path="") -> list[str]:
+    """Paths of every ``{"__obj__": ...}`` in ``tree``: a value
+    ``describe_value`` did not know and reduced to its type name — two
+    different states with one description."""
+    if isinstance(tree, dict):
+        found = [path] if "__obj__" in tree else []
+        for key, value in tree.items():
+            found += fallbacks(value, f"{path}/{key}")
+        return found
+    if isinstance(tree, list):
+        return [hit for i, value in enumerate(tree)
+                for hit in fallbacks(value, f"{path}/{i}")]
+    return []
+
+
+def test_no_sampled_world_describes_a_value_by_its_type_alone():
+    for spec in sample_scenarios(42, 48):
+        with checking(CheckConfig(mode="warn", emit_warnings=False)) as ses:
+            with recording(SnapController()) as ctrl:
+                get_app(spec.app).run(spec)
+            ses.close()
+        assert fallbacks(capture_state(ctrl.worlds[-1])) == []
+
+
+@pytest.mark.parametrize("mode", FIG1A_MODES)
+def test_no_checked_fig1a_world_describes_a_value_by_its_type_alone(mode):
+    world = checked_msgrate_world(mode)
+    assert fallbacks(capture_state(world)) == []
+
+
+def test_a_clock_parked_in_the_transport_is_described_as_its_mapping(
+        monkeypatch):
+    """The sender's clock rides in ``meta["_hb"]``, and an unacknowledged
+    message sits in ``ReliableTransport._inflight`` at capture time: the
+    tree holds the ``{pid: counter}`` mapping the dict-copying reference
+    clock published — zero-valued components included — not a record."""
+    monkeypatch.setattr(check_checker, "TaskClock", ShadowedTaskClock)
+    monkeypatch.setattr(ShadowedTaskClock, "published", {}, raising=False)
+    world = World(num_nodes=2, procs_per_node=1, seed=3,
+                  faults=FaultPlan(drop=0.3),
+                  check=CheckConfig(emit_warnings=False))
+
+    def rank0(proc):
+        def sender(tag):
+            for _ in range(4):
+                yield from proc.comm_world.Send(np.arange(4.0), dest=1,
+                                                tag=tag)
+
+        # Spawned before this task ever ticks: each child's clock starts
+        # as {spawner: 0, child: 0}, and the zero rides in every message.
+        yield proc.sim.all_of([proc.spawn(sender(tag)) for tag in (1, 2)])
+
+    def rank1(proc):
+        buf = np.zeros(4)
+        for _ in range(4):
+            for tag in (1, 2):
+                yield from proc.comm_world.Recv(buf, source=0, tag=tag)
+
+    world.procs[0].spawn(rank0(world.procs[0]))
+    world.procs[1].spawn(rank1(world.procs[1]))
+    transport = world.procs[0].lib.transport
+    compared = 0
+    while world.sim.run_steps(1):
+        parked = [(snap_state.canon_key(flow), seq, rec.msg.meta["_hb"])
+                  for flow, pending in transport._inflight.items()
+                  for seq, rec in pending.items() if "_hb" in rec.msg.meta]
+        if not parked:
+            continue
+        tree = capture_state(world)
+        assert fallbacks(tree) == []
+        inflight = tree["procs"]["0"]["transport"]["inflight"]
+        for flow, seq, clock in parked:
+            (described,) = [msg for s, _r, _a, msg in inflight[flow]
+                            if s == seq]
+            reference = ShadowedTaskClock.published[clock]
+            assert 0 in reference.values()
+            assert described["meta"]["_hb"] == {
+                snap_state.canon_key(pid): c for pid, c in reference.items()}
+            compared += 1
+    assert compared > 8 and transport.retransmits > 0
