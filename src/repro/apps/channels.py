@@ -20,7 +20,9 @@ re-decided at every call site:
   (Listing 3).
 
 Adding a p2p mechanism means adding one subclass here and its name to
-:data:`MECHANISMS`; drivers never branch on the mechanism name.
+:data:`MECHANISMS`; drivers — every app under :mod:`repro.apps` and the
+Fig 1(a) microbenchmark, :mod:`repro.bench.msgrate` — never branch on the
+mechanism name.
 """
 
 from __future__ import annotations

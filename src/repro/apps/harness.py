@@ -1,9 +1,10 @@
 """The one way an application proxy is run.
 
-Every driver under :mod:`repro.apps` (and the scenario layer's ``racer``
-demo) describes its computation as a ``proc_main(proc)`` generator — what
-one MPI process does — and hands it to :func:`run_app`, which owns
-everything around it: the cluster and its interconnect, the
+Every driver under :mod:`repro.apps`, the scenario layer's ``racer`` demo
+and the Fig 1(a) microbenchmark (:mod:`repro.bench.msgrate`) describes
+its computation as a ``proc_main(proc)`` generator — what one MPI process
+does — and hands it to :func:`run_app`, which owns everything around it:
+the cluster and its interconnect, the
 :class:`~repro.runtime.world.World`, one simulated main thread per rank,
 the optional background traffic, and the run loop. The keyword block
 below is therefore declared exactly once; each ``run_<app>(cfg, **env)``
@@ -30,7 +31,7 @@ __all__ = ["run_app"]
 
 def run_app(nodes: int, threads_per_proc: int,
             proc_main: Callable[[MpiProcess], Generator[Any, Any, float]],
-            *, seed: int = 0,
+            *, procs_per_node: int = 1, seed: int = 0,
             net: Optional[NetworkConfig] = None,
             max_vcis_per_proc: int = 64,
             metrics: Optional[MetricsRegistry] = None,
@@ -44,7 +45,8 @@ def run_app(nodes: int, threads_per_proc: int,
             ) -> tuple[World, list[float]]:
     """Run ``proc_main`` on every rank of a fresh world.
 
-    One process per node, as in the paper's MPI+threads configurations.
+    One process per node, as in the paper's MPI+threads configurations,
+    unless ``procs_per_node`` packs more (MPI everywhere: one per core).
     ``proc_main(proc)`` returns the simulated time its process finished;
     the result is ``(world, [that time per rank])`` — background flows
     run to completion with the application but never count towards it.
@@ -59,7 +61,8 @@ def run_app(nodes: int, threads_per_proc: int,
     ``topology_params`` forwarded to its generator (fat-tree arity,
     dragonfly groups, torus dims, ...).
     """
-    cluster = ClusterSpec(nodes=nodes, threads_per_proc=threads_per_proc,
+    cluster = ClusterSpec(nodes=nodes, procs_per_node=procs_per_node,
+                          threads_per_proc=threads_per_proc,
                           topology=topology, network=net,
                           **(topology_params or {}))
     world = World(cluster=cluster, max_vcis_per_proc=max_vcis_per_proc,

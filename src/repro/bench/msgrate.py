@@ -3,18 +3,23 @@
 Two nodes; node 0's workers blast windowed nonblocking sends at node 1's
 workers, which keep windows of pre-posted receives. The achieved aggregate
 rate (completed receives / elapsed simulated time) is measured per core
-count, for the execution modes of Fig 1(a):
+count N, for the execution modes of Fig 1(a). A mode is a row of
+:data:`_MODES`: mode -> the :mod:`repro.apps.channels` mechanism its
+workers communicate under, plus what it tells the library.
 
-- ``everywhere`` — MPI everywhere: N single-threaded processes per node,
-  each with its own (single) VCI;
-- ``threads-original`` — 1 process, N threads, MPI_THREAD_MULTIPLE on one
-  plain communicator: every operation funnels through one VCI;
-- ``threads-tags`` — N threads + the Listing 2 tag/hint bundle (one VCI
-  per thread via tag bits);
-- ``threads-comms`` — N threads, one duplicated communicator per thread;
-- ``threads-endpoints`` — N threads, one endpoint per thread.
+- ``everywhere`` -> ``original`` — MPI everywhere: N single-threaded
+  processes per node, each with its own (single) VCI;
+- ``threads-original`` -> ``original`` — 1 process, N threads,
+  MPI_THREAD_MULTIPLE on ``COMM_WORLD``: every operation funnels through
+  one VCI;
+- ``threads-tags`` -> ``tags`` — N threads + the Listing 2 tag/hint bundle
+  (one VCI per thread via tag bits);
+- ``threads-comms`` -> ``communicators`` — N threads, one duplicated
+  communicator per thread;
+- ``threads-endpoints`` -> ``endpoints`` — N threads, one endpoint each.
 
-Two ablation modes dissect the hint bundle:
+Two ablation modes dissect the hint bundle; both -> ``original`` (thread
+ids in the tag) on a duplicate that asserts only part of it:
 
 - ``threads-overtaking`` — only ``mpi_assert_allow_overtaking``: sends
   spread over VCIs but receives stay on the base VCI (Section II-A);
@@ -28,24 +33,43 @@ everywhere, while the original mode stays flat.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 import numpy as np
 
 from ..errors import MpiUsageError
-from ..mapping.tags import TagSchema, listing2_info
-from ..mpi.endpoints import comm_create_endpoints
+from ..mapping.tags import overtaking_only_info
+from ..mpi.info import Info
 from ..mpi.request import waitall
 from ..netsim.config import NetworkConfig
-from ..netsim.topology import ClusterSpec
-from ..runtime.world import World
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.metrics import MetricsRegistry
+    from ..runtime.world import MpiProcess
+    from ..sim.trace import Tracer
 
 __all__ = ["MsgRateConfig", "MsgRateResult", "run_msgrate", "MODES"]
 
-MODES = ("everywhere", "threads-original", "threads-tags", "threads-comms",
-         "threads-endpoints", "threads-overtaking", "threads-tags-hash")
+
+#: mode -> (mechanism, ``open_channels`` options for n threads, whether a
+#: process gets VCIs to spread over by default — one for the modes that
+#: tell the library nothing).
+_MODES: dict[str, tuple[str, Callable[[int], dict[str, Any]], bool]] = {
+    "everywhere": ("original", lambda n: {}, False),
+    "threads-original": ("original", lambda n: {}, False),
+    "threads-tags": ("tags", lambda n: {"app_bits": 4}, True),
+    "threads-comms": ("communicators", lambda n: {"thread_prefix": "mr"},
+                      True),
+    "threads-endpoints": ("endpoints", lambda n: {}, True),
+    "threads-overtaking": ("original",
+                           lambda n: {"info": overtaking_only_info(n)}, True),
+    "threads-tags-hash": ("original", lambda n: {"info": Info({
+        "mpi_assert_no_any_tag": "true", "mpi_assert_no_any_source": "true",
+        "mpich_num_vcis": str(n)})}, True),
+}
+
+MODES = tuple(_MODES)
 
 
 @dataclass
@@ -63,7 +87,7 @@ class MsgRateConfig:
     window: int = 16
     seed: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise MpiUsageError(f"unknown mode {self.mode!r}")
         if self.cores < 1:
@@ -86,11 +110,12 @@ class MsgRateResult:
                 f"rate={self.rate / 1e6:8.2f} M msg/s")
 
 
-def _sender(proc, comm, peer: int, tag_of, cfg: MsgRateConfig,
-            payload: np.ndarray) -> Generator:
+def _sender(route: tuple[Any, int, int], cfg: MsgRateConfig,
+            payload: np.ndarray) -> Generator[Any, Any, None]:
+    comm, peer, tag = route
     pending = []
-    for k in range(cfg.msgs_per_core):
-        req = yield from comm.Isend(payload, peer, tag_of(k))
+    for _ in range(cfg.msgs_per_core):
+        req = yield from comm.Isend(payload, peer, tag)
         pending.append(req)
         if len(pending) >= cfg.window:
             yield from waitall(pending)
@@ -98,26 +123,26 @@ def _sender(proc, comm, peer: int, tag_of, cfg: MsgRateConfig,
     yield from waitall(pending)
 
 
-def _receiver(proc, comm, peer: int, tag_of, cfg: MsgRateConfig,
-              done_times: list) -> Generator:
-    n = cfg.msg_bytes
-    bufs = [np.zeros(n, dtype=np.uint8) for _ in range(cfg.window)]
-    k = 0
-    while k < cfg.msgs_per_core:
-        batch = min(cfg.window, cfg.msgs_per_core - k)
+def _receiver(route: tuple[Any, int, int], cfg: MsgRateConfig
+              ) -> Generator[Any, Any, None]:
+    comm, peer, tag = route
+    bufs = [np.zeros(cfg.msg_bytes, dtype=np.uint8)
+            for _ in range(cfg.window)]
+    left = cfg.msgs_per_core
+    while left > 0:
         reqs = []
-        for j in range(batch):
-            req = yield from comm.Irecv(bufs[j], peer, tag_of(k + j))
+        for buf in bufs[:left]:
+            req = yield from comm.Irecv(buf, peer, tag)
             reqs.append(req)
         yield from waitall(reqs)
-        k += batch
-    done_times.append(proc.sim.now)
+        left -= len(reqs)
 
 
 def run_msgrate(cfg: MsgRateConfig,
                 net: Optional[NetworkConfig] = None,
                 max_vcis_per_proc: Optional[int] = None,
-                metrics=None, tracer=None) -> MsgRateResult:
+                metrics: Optional["MetricsRegistry"] = None,
+                tracer: Optional["Tracer"] = None) -> MsgRateResult:
     """Run one message-rate experiment; returns the achieved rate.
 
     Pass a :class:`repro.obs.MetricsRegistry` as ``metrics`` and/or an
@@ -125,109 +150,51 @@ def run_msgrate(cfg: MsgRateConfig,
     the run (``python -m repro profile msgrate`` does exactly this).
     Instrumentation does not change the simulated timings.
     """
+    # Not at module level: ``repro.cli`` imports this module at start-up,
+    # and no front end may load an app module before it runs one.
+    from ..apps.channels import open_channels
+    from ..apps.harness import run_app
+
     n = cfg.cores
+    mechanism, options, spreads = _MODES[cfg.mode]
+    # MPI everywhere is a process shape, not a mechanism: n processes a
+    # node, each one single-VCI worker running inline in its main thread.
+    everywhere = cfg.mode == "everywhere"
+    workers = 1 if everywhere else n
+    if everywhere or max_vcis_per_proc is None:
+        max_vcis_per_proc = max(4, 2 * n) if spreads else 1
     payload = np.zeros(cfg.msg_bytes, dtype=np.uint8)
-    done_times: list[float] = []
-    net = net or NetworkConfig()
 
-    if cfg.mode == "everywhere":
-        world = World(cluster=ClusterSpec(nodes=2, procs_per_node=n,
-                                          network=net),
-                      max_vcis_per_proc=1, seed=cfg.seed,
-                      metrics=metrics, tracer=tracer)
+    def proc_main(proc: "MpiProcess") -> Generator[Any, Any, float]:
+        channels = yield from open_channels(proc, mechanism, workers,
+                                            **options(n))
+        # Worker ``tid`` of a sending rank pairs with worker ``tid`` of
+        # the rank ``half`` above it.
+        half = proc.world.num_procs // 2
 
-        def sender_main(proc):
-            yield from _sender(proc, proc.comm_world, peer=n + proc.rank,
-                               tag_of=lambda k: 0, cfg=cfg, payload=payload)
+        def worker(tid: int) -> Generator[Any, Any, None]:
+            # On ``original`` only the tag tells a process's workers apart.
+            app_tag = tid if mechanism == "original" else 0
+            if proc.rank < half:
+                return _sender(channels.send(tid, proc.rank + half, tid,
+                                             app_tag), cfg, payload)
+            return _receiver(channels.recv(tid, proc.rank - half, tid,
+                                           app_tag), cfg)
 
-        def receiver_main(proc):
-            yield from _receiver(proc, proc.comm_world, peer=proc.rank - n,
-                                 tag_of=lambda k: 0, cfg=cfg,
-                                 done_times=done_times)
+        if everywhere:
+            yield from worker(0)
+        else:
+            yield proc.sim.all_of([proc.spawn(worker(tid))
+                                   for tid in range(n)])
+        return proc.sim.now
 
-        tasks = [world.procs[r].spawn(sender_main(world.procs[r]))
-                 for r in range(n)]
-        tasks += [world.procs[n + r].spawn(receiver_main(world.procs[n + r]))
-                  for r in range(n)]
-        world.run_all(tasks, max_steps=None)
-    else:
-        if max_vcis_per_proc is None:
-            max_vcis_per_proc = 1 if cfg.mode == "threads-original" \
-                else max(4, 2 * n)
-        world = World(cluster=ClusterSpec(nodes=2, threads_per_proc=n,
-                                          network=net),
-                      max_vcis_per_proc=max_vcis_per_proc,
-                      seed=cfg.seed, metrics=metrics, tracer=tracer)
-
-        def node_main(proc):
-            is_sender = proc.rank == 0
-            peer_rank = 1 - proc.rank
-            if cfg.mode in ("threads-original", "threads-tags",
-                            "threads-overtaking", "threads-tags-hash"):
-                if cfg.mode == "threads-tags":
-                    bits = max(1, math.ceil(math.log2(max(2, n))))
-                    comm = yield from proc.comm_world.Dup(
-                        listing2_info(n, bits))
-                    schema = TagSchema(num_tid_bits=bits, num_app_bits=4)
-
-                    def make(tid):
-                        return (comm, peer_rank,
-                                lambda k, t=tid: schema.encode(t, t, 0))
-                elif cfg.mode == "threads-overtaking":
-                    from ..mapping.tags import overtaking_only_info
-                    comm = yield from proc.comm_world.Dup(
-                        overtaking_only_info(n))
-
-                    def make(tid):
-                        return comm, peer_rank, (lambda k, t=tid: t)
-                elif cfg.mode == "threads-tags-hash":
-                    from ..mpi.info import Info
-                    comm = yield from proc.comm_world.Dup(Info({
-                        "mpi_assert_no_any_tag": "true",
-                        "mpi_assert_no_any_source": "true",
-                        "mpich_num_vcis": str(n),
-                    }))
-
-                    def make(tid):
-                        return comm, peer_rank, (lambda k, t=tid: t)
-                else:
-                    comm = proc.comm_world
-
-                    def make(tid):
-                        return comm, peer_rank, (lambda k, t=tid: t)
-            elif cfg.mode == "threads-comms":
-                comms = []
-                for tid in range(n):
-                    comms.append(
-                        (yield from proc.comm_world.Dup(name=f"mr{tid}")))
-
-                def make(tid):
-                    return comms[tid], peer_rank, (lambda k: 0)
-            else:  # threads-endpoints
-                eps = yield from comm_create_endpoints(proc.comm_world, n)
-
-                def make(tid):
-                    # ep tid on node0 pairs with ep tid on node1
-                    peer_ep = peer_rank * n + tid
-                    return eps[tid], peer_ep, (lambda k: 0)
-
-            threads = []
-            for tid in range(n):
-                comm, peer, tag_of = make(tid)
-                if is_sender:
-                    threads.append(proc.spawn(
-                        _sender(proc, comm, peer, tag_of, cfg, payload)))
-                else:
-                    threads.append(proc.spawn(
-                        _receiver(proc, comm, peer, tag_of, cfg, done_times)))
-            yield proc.sim.all_of(threads)
-
-        tasks = [world.procs[r].spawn(node_main(world.procs[r]))
-                 for r in range(2)]
-        world.run_all(tasks, max_steps=None)
-
+    world, end_times = run_app(
+        2, workers, proc_main, procs_per_node=n if everywhere else 1,
+        seed=cfg.seed, net=net, max_vcis_per_proc=max_vcis_per_proc,
+        metrics=metrics, tracer=tracer)
     world.finalize_metrics()
-    span = max(done_times)
+    # The receiving ranks: each ends when its last receive completes.
+    span = max(end_times[len(end_times) // 2:])
     total = n * cfg.msgs_per_core
     return MsgRateResult(cfg=cfg, rate=total / span, span=span,
                          messages=total)

@@ -10,19 +10,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..obs.report import _table
+
 __all__ = ["render_reliability_report"]
-
-
-def _table(title: str, headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    fmt = "  ".join(f"{{:>{w}}}" for w in widths)
-    lines = [f"== {title} ==", fmt.format(*headers),
-             "-" * (sum(widths) + 2 * (len(widths) - 1))]
-    lines += [fmt.format(*row) for row in rows]
-    return "\n".join(lines)
 
 
 def render_reliability_report(world: Any) -> str:

@@ -22,7 +22,7 @@ Local reduction work is charged at ``cpu.reduce_per_byte``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "gatherv_linear",
     "allreduce_recursive_doubling",
     "allreduce_ring",
+    "recursive_doubling",
     "alltoall_pairwise",
     "barrier_dissemination",
     "bcast_binomial",
@@ -73,13 +74,12 @@ def barrier_dissemination(comm: "Communicator") -> Generator:
     ctx = comm.coll_context_id
     if n == 1:
         return
-    scratch = np.zeros(0, dtype=np.uint8)
     k = 0
     dist = 1
     while dist < n:
         dst = (rank + dist) % n
         src = (rank - dist) % n
-        yield from _sendrecv(comm, _EMPTY, dst, scratch, src, tag=k, ctx=ctx)
+        yield from _sendrecv(comm, _EMPTY, dst, _EMPTY, src, tag=k, ctx=ctx)
         dist <<= 1
         k += 1
 
@@ -154,85 +154,87 @@ def reduce_binomial(comm: "Communicator", sendbuf: np.ndarray,
 def allreduce_recursive_doubling(comm: "Communicator", sendbuf: np.ndarray,
                                  recvbuf: np.ndarray, op: Op) -> Generator:
     """Recursive-doubling allreduce with fold-in for non-powers-of-two."""
-    n, rank = comm.size, comm.rank
-    ctx = comm.coll_context_id
     send_flat = check_buffer(sendbuf)
     recv_flat = check_buffer(recvbuf)
     if recv_flat.size < send_flat.size:
         raise MpiUsageError("allreduce recvbuf smaller than sendbuf")
     acc = send_flat.copy()
+    yield from recursive_doubling(comm, acc, op, range(comm.size), comm.rank)
+    recv_flat[: acc.size] = acc
+
+
+def recursive_doubling(comm: "Communicator", acc: np.ndarray, op: Op,
+                       peers: Sequence[int], me: int) -> Generator:
+    """Allreduce ``acc`` in place among the ranks ``peers`` of ``comm``.
+
+    The caller is ``peers[me]`` and every member passes the same list: the
+    whole communicator for the flat allreduce, one endpoint per process
+    for a segment of the endpoint one (:mod:`.endpoint_coll`). Every
+    combine is charged, a zero-byte one with a zero-cost timeout — an
+    endpoint left an empty segment still takes every kernel step.
+    """
+    n = len(peers)
+    ctx = comm.coll_context_id
+    cpu = comm.lib.cpu
     tmp = np.zeros_like(acc)
-    if n == 1:
-        recv_flat[: acc.size] = acc
-        return
 
     pof2 = 1
     while pof2 * 2 <= n:
         pof2 *= 2
     rem = n - pof2
 
-    # Fold the first 2*rem ranks down to rem ranks.
-    if rank < 2 * rem:
-        if rank % 2 == 0:
-            sreq = yield from comm.Isend(acc, rank + 1, tag=0, _context_id=ctx)
+    # Fold the first 2*rem members down to rem.
+    if me < 2 * rem:
+        if me % 2 == 0:
+            sreq = yield from comm.Isend(acc, peers[me + 1], tag=0,
+                                         _context_id=ctx)
             yield from sreq.wait()
             newrank = -1
         else:
-            rreq = yield from comm.Irecv(tmp, rank - 1, tag=0, _context_id=ctx)
+            rreq = yield from comm.Irecv(tmp, peers[me - 1], tag=0,
+                                         _context_id=ctx)
             yield from rreq.wait()
             op.apply(acc, tmp)
-            yield from _charge_reduce(comm, acc.nbytes)
-            newrank = rank // 2
+            yield comm.sim.timeout(cpu.reduce_per_byte * acc.nbytes)
+            newrank = me // 2
     else:
-        newrank = rank - rem
+        newrank = me - rem
 
     if newrank != -1:
         mask = 1
         while mask < pof2:
             partner_new = newrank ^ mask
-            partner = (partner_new * 2 + 1 if partner_new < rem
-                       else partner_new + rem)
+            partner = peers[partner_new * 2 + 1 if partner_new < rem
+                            else partner_new + rem]
             yield from _sendrecv(comm, acc, partner, tmp, partner,
                                  tag=mask, ctx=ctx)
             op.apply(acc, tmp)
-            yield from _charge_reduce(comm, acc.nbytes)
+            yield comm.sim.timeout(cpu.reduce_per_byte * acc.nbytes)
             mask <<= 1
 
-    # Unfold: odd ranks hand the result back to their even neighbours.
-    if rank < 2 * rem:
-        if rank % 2:
-            sreq = yield from comm.Isend(acc, rank - 1, tag=1, _context_id=ctx)
+    # Unfold: odd members hand the result back to their even neighbours.
+    if me < 2 * rem:
+        if me % 2:
+            sreq = yield from comm.Isend(acc, peers[me - 1], tag=1,
+                                         _context_id=ctx)
             yield from sreq.wait()
         else:
-            rreq = yield from comm.Irecv(acc, rank + 1, tag=1, _context_id=ctx)
+            rreq = yield from comm.Irecv(acc, peers[me + 1], tag=1,
+                                         _context_id=ctx)
             yield from rreq.wait()
-    recv_flat[: acc.size] = acc
 
 
 def allgather_ring(comm: "Communicator", sendbuf: np.ndarray,
                    recvbuf: np.ndarray) -> Generator:
-    """Ring allgather: n-1 steps, each forwarding one block."""
-    n, rank = comm.size, comm.rank
-    ctx = comm.coll_context_id
-    send_flat = check_buffer(sendbuf)
-    recv_flat = check_buffer(recvbuf)
-    cnt = send_flat.size
-    if recv_flat.size < n * cnt:
+    """Ring allgather: n-1 steps, each forwarding one block — the
+    variable-count ring (:func:`allgatherv_ring`) with equal counts."""
+    n = comm.size
+    cnt = check_buffer(sendbuf).size
+    have = check_buffer(recvbuf).size
+    if have < n * cnt:
         raise MpiUsageError(
-            f"allgather recvbuf needs {n * cnt} elements, has {recv_flat.size}")
-    recv_flat[rank * cnt:(rank + 1) * cnt] = send_flat
-    if n == 1:
-        return
-    right = (rank + 1) % n
-    left = (rank - 1) % n
-    for step in range(n - 1):
-        sblock = (rank - step) % n
-        rblock = (rank - step - 1) % n
-        yield from _sendrecv(
-            comm,
-            recv_flat[sblock * cnt:(sblock + 1) * cnt], right,
-            recv_flat[rblock * cnt:(rblock + 1) * cnt], left,
-            tag=step, ctx=ctx)
+            f"allgather recvbuf needs {n * cnt} elements, has {have}")
+    yield from allgatherv_ring(comm, sendbuf, recvbuf, [cnt] * n)
 
 
 def alltoall_pairwise(comm: "Communicator", sendbuf: np.ndarray,
@@ -444,32 +446,27 @@ def allreduce_ring(comm: "Communicator", sendbuf: np.ndarray,
     left = (rank - 1) % n
     tmp = np.zeros(int(np.max(np.diff(bounds))))
 
+    def shift(out: np.ndarray, into: np.ndarray, tag: int) -> Generator:
+        """Pass ``out`` to the right while ``into``'s worth of elements
+        arrives from the left in ``tmp``."""
+        rreq = yield from comm.Irecv(tmp, left, tag=tag, count=into.size,
+                                     _context_id=ctx)
+        sreq = yield from comm.Isend(np.ascontiguousarray(out), right,
+                                     tag=tag, _context_id=ctx)
+        yield from waitall([rreq, sreq])
+
     # Phase 1: reduce-scatter around the ring. After step s, rank r holds
     # the partial reduction of segment (r - s) over s+1 contributions.
     for step in range(n - 1):
-        sidx = (rank - step) % n
-        ridx = (rank - step - 1) % n
-        out = seg(sidx)
-        into = seg(ridx)
-        rreq = yield from comm.Irecv(tmp, left, tag=step, count=into.size,
-                                     _context_id=ctx)
-        sreq = yield from comm.Isend(np.ascontiguousarray(out), right,
-                                     tag=step, _context_id=ctx)
-        yield from waitall([rreq, sreq])
+        into = seg(rank - step - 1)
+        yield from shift(seg(rank - step), into, step)
         op.apply(into, tmp[:into.size])
         yield from _charge_reduce(comm, into.nbytes)
 
     # Phase 2: allgather the fully reduced segments around the ring.
     for step in range(n - 1):
-        sidx = (rank - step + 1) % n
-        ridx = (rank - step) % n
-        out = seg(sidx)
-        into = seg(ridx)
-        rreq = yield from comm.Irecv(tmp, left, tag=100 + step,
-                                     count=into.size, _context_id=ctx)
-        sreq = yield from comm.Isend(np.ascontiguousarray(out), right,
-                                     tag=100 + step, _context_id=ctx)
-        yield from waitall([rreq, sreq])
+        into = seg(rank - step)
+        yield from shift(seg(rank - step + 1), into, 100 + step)
         into[:] = tmp[:into.size]
     recv_flat[:total] = work
 

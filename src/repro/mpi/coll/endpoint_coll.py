@@ -28,12 +28,13 @@ from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
-from ...sim.sync import Gate, Lock
+from ...sim.sync import Gate
 from ..datatypes import check_buffer
-from ..request import waitall
+from .algorithms import allreduce_recursive_doubling, recursive_doubling
 from .ops import Op
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ...sim.core import Simulator
     from ..endpoints import Endpoint
 
 __all__ = ["endpoint_allreduce"]
@@ -46,16 +47,17 @@ class _NodePhase:
     separated, like a cyclic barrier.
     """
 
-    def __init__(self, sim, parties: int):
+    def __init__(self, sim: "Simulator", parties: int) -> None:
         self.sim = sim
         self.parties = parties
-        self.staging: np.ndarray | None = None
+        #: The process's combined buffer, published by local endpoint 0.
+        self.staging = np.zeros(0)
         #: Per-round scratch registry: local endpoint index -> work buffer.
         self.slots: dict[int, np.ndarray] = {}
         self._arrived = 0
         self._gate = Gate(sim)
 
-    def arrive(self) -> Generator:
+    def arrive(self) -> Generator[Any, Any, None]:
         """Cyclic barrier across the process's endpoints."""
         self._arrived += 1
         if self._arrived == self.parties:
@@ -66,7 +68,7 @@ class _NodePhase:
             yield from self._gate.wait()
 
 
-def _node_state(lib, context_id: int, parties: int) -> _NodePhase:
+def _node_state(lib: Any, context_id: int, parties: int) -> _NodePhase:
     states = getattr(lib, "_ep_coll_states", None)
     if states is None:
         states = lib._ep_coll_states = {}
@@ -77,25 +79,22 @@ def _node_state(lib, context_id: int, parties: int) -> _NodePhase:
 
 
 def endpoint_allreduce(ep: "Endpoint", sendbuf: np.ndarray,
-                       recvbuf: np.ndarray, op: Op) -> Generator:
+                       recvbuf: np.ndarray, op: Op
+                       ) -> Generator[Any, Any, None]:
     """One-step allreduce over an endpoints communicator."""
     lib = ep.lib
     cpu = lib.cpu
     send_flat = check_buffer(sendbuf)
     recv_flat = check_buffer(recvbuf)
-    group = ep.group
     # Local endpoint layout of this communicator.
-    local_T = sum(1 for r in group if r == lib.rank)
-    counts = {}
-    for r in group:
+    counts: dict[int, int] = {}
+    for r in ep.group:
         counts[r] = counts.get(r, 0) + 1
-    uniform = len(set(counts.values())) == 1
+    local_T = counts.get(lib.rank, 0)
     procs = sorted(counts)          # world ranks participating
     P = len(procs)
-    my_pidx = procs.index(lib.rank)
 
-    if not uniform or local_T < 1:
-        from .algorithms import allreduce_recursive_doubling
+    if len(set(counts.values())) != 1 or local_T < 1:
         yield from allreduce_recursive_doubling(ep, sendbuf, recvbuf, op)
         return
 
@@ -126,68 +125,14 @@ def endpoint_allreduce(ep: "Endpoint", sendbuf: np.ndarray,
     yield from st.arrive()
 
     # ---- phase 2: internode segmented recursive doubling ---------------
+    # Local endpoint ``li`` of every process reduces segment ``li`` of the
+    # staging buffers in place, on its own VCI.
     if P > 1:
         bounds = np.linspace(0, n, local_T + 1).astype(int)
-        lo, hi = int(bounds[li]), int(bounds[li + 1])
-        seg = st.staging[lo:hi]
-        tmp = np.zeros(hi - lo)
-        ctx = ep.coll_context_id
-
-        pof2 = 1
-        while pof2 * 2 <= P:
-            pof2 *= 2
-        rem = P - pof2
-
-        def ep_of(pidx: int) -> int:
-            return pidx * local_T + li
-
-        def exchange(partner_pidx: int, tag: int) -> Generator:
-            send_seg = np.ascontiguousarray(seg)
-            rreq = yield from ep.Irecv(tmp, ep_of(partner_pidx), tag,
-                                       _context_id=ctx)
-            sreq = yield from ep.Isend(send_seg, ep_of(partner_pidx), tag,
-                                       _context_id=ctx)
-            yield from waitall([rreq, sreq])
-
-        if my_pidx < 2 * rem:
-            if my_pidx % 2 == 0:
-                sreq = yield from ep.Isend(np.ascontiguousarray(seg),
-                                           ep_of(my_pidx + 1), 0,
-                                           _context_id=ctx)
-                yield from sreq.wait()
-                newidx = -1
-            else:
-                rreq = yield from ep.Irecv(tmp, ep_of(my_pidx - 1), 0,
-                                           _context_id=ctx)
-                yield from rreq.wait()
-                op.apply(seg, tmp)
-                yield lib.sim.timeout(cpu.reduce_per_byte * seg.nbytes)
-                newidx = my_pidx // 2
-        else:
-            newidx = my_pidx - rem
-
-        if newidx != -1:
-            mask = 1
-            while mask < pof2:
-                partner_new = newidx ^ mask
-                partner = (partner_new * 2 + 1 if partner_new < rem
-                           else partner_new + rem)
-                yield from exchange(partner, mask)
-                op.apply(seg, tmp)
-                yield lib.sim.timeout(cpu.reduce_per_byte * seg.nbytes)
-                mask <<= 1
-
-        if my_pidx < 2 * rem:
-            if my_pidx % 2:
-                sreq = yield from ep.Isend(np.ascontiguousarray(seg),
-                                           ep_of(my_pidx - 1), 1,
-                                           _context_id=ctx)
-                yield from sreq.wait()
-            else:
-                rreq = yield from ep.Irecv(tmp, ep_of(my_pidx + 1), 1,
-                                           _context_id=ctx)
-                yield from rreq.wait()
-                seg[:] = tmp
+        yield from recursive_doubling(
+            ep, st.staging[int(bounds[li]):int(bounds[li + 1])], op,
+            [pidx * local_T + li for pidx in range(P)],
+            procs.index(lib.rank))
         yield from st.arrive()
 
     # ---- phase 3: per-endpoint result copy (Lesson 19 duplication) -----

@@ -18,11 +18,8 @@ honest).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
-import numpy as np
-
-from ...errors import MpiUsageError
 from ...sim.core import Event
 from ..request import Request
 
@@ -41,28 +38,16 @@ def start_nonblocking_collective(comm: "Communicator", opname: str,
     this rank. Holds the communicator's serial-collective guard for the
     whole lifetime of the operation.
     """
-    comm._check_alive()
-    if comm._collective_active is not None:
-        chk = comm.sim.checker
-        if chk is not None:
-            chk.violation(
-                "CHK111",
-                f"nonblocking collective {opname!r} overlaps "
-                f"{comm._collective_active!r} on communicator {comm.name!r}",
-                rank=comm.lib.rank, comm=comm.name, hard=True)
-        raise MpiUsageError(
-            f"collective {opname!r} issued on communicator {comm.name!r} "
-            f"while {comm._collective_active!r} is in flight: MPI requires "
-            "collectives on a communicator to be issued serially")
-    comm._collective_active = opname
+    guard = comm._collective(opname, "nonblocking collective")
+    guard.__enter__()
     req = Request(comm.sim, f"icoll-{opname}")
     yield comm.sim.timeout(comm.lib.cpu.send_post)  # issue cost
 
-    def progress():
+    def progress() -> Generator[Event, Any, None]:
         try:
             yield from algorithm
         finally:
-            comm._collective_active = None
+            guard.__exit__(None, None, None)
         req.complete()
 
     comm.sim.spawn(progress(), name=f"{comm.name}.{opname}")

@@ -19,17 +19,21 @@ analyzes in Lessons 1–5.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Optional
 
 import numpy as np
 
 from ..errors import HintViolationError, MpiUsageError, TagOverflowError
 from ..netsim.message import MessageKind, WireMessage
 from ..sim.core import Event
+from .coll import algorithms as _coll
+from .coll.nonblocking import start_nonblocking_collective
+from .coll.ops import SUM
 from .datatypes import check_buffer
 from .info import CommHints, Info, parse_comm_hints
 from .matching import ANY_SOURCE, ANY_TAG, PostedRecv
-from .request import Request
+from .request import Request, waitall
 from .vci import TAG_UB, SingleVciMap, TagBitsVciMap, Vci, VciMap
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -384,15 +388,11 @@ class Communicator:
         status = yield from req.wait()
         return status
 
-    def Iprobe(self, source: int, tag: int
-               ) -> Generator[Event, Any, Optional[tuple[int, int, int]]]:
-        """Nonblocking probe of the unexpected queue.
-
-        Returns ``(source, tag, size_bytes)`` of the earliest matching
-        unexpected message, or None. This is the building block of
-        Legion-style polling threads (Fig 5): with communicators, the
-        polling thread pays one such probe *per communicator* per cycle.
-        """
+    def _probe(self, source: int, tag: int, claim: bool
+               ) -> Generator[Event, Any, tuple[Vci, Optional[WireMessage]]]:
+        """Scan the unexpected queue of the VCI that ``(source, tag)``
+        maps to, under its lock, for the earliest match — removing it when
+        ``claim`` is set. Returns ``(vci, message or None)``."""
         self._check_alive()
         self._check_peer(source, wildcard_ok=True)
         self._check_tag(tag, wildcard_ok=True)
@@ -403,10 +403,23 @@ class Communicator:
         yield from vci.lock.acquire()
         cost = lib.cpu.lock_acquire \
             + (lib.cpu.lock_handoff if was_contended else 0.0)
-        msg, scanned = vci.engine.probe(self.context_id, source, tag, self.rank)
+        scan = vci.engine.claim_unexpected if claim else vci.engine.probe
+        msg, scanned = scan(self.context_id, source, tag, self.rank)
         cost += lib.cpu.match_base + lib.cpu.match_per_element * scanned
         yield lib.sim.timeout(cost)
         vci.lock.release()
+        return vci, msg
+
+    def Iprobe(self, source: int, tag: int
+               ) -> Generator[Event, Any, Optional[tuple[int, int, int]]]:
+        """Nonblocking probe of the unexpected queue.
+
+        Returns ``(source, tag, size_bytes)`` of the earliest matching
+        unexpected message, or None. This is the building block of
+        Legion-style polling threads (Fig 5): with communicators, the
+        polling thread pays one such probe *per communicator* per cycle.
+        """
+        _, msg = yield from self._probe(source, tag, claim=False)
         if msg is None:
             return None
         return (msg.meta.get("src_addr", msg.src_rank), msg.tag,
@@ -446,22 +459,7 @@ class Communicator:
         probe removes the message from the matching queues and hands back
         a :class:`MatchedMessage` that only :meth:`Mrecv` can complete.
         """
-        self._check_alive()
-        self._check_peer(source, wildcard_ok=True)
-        self._check_tag(tag, wildcard_ok=True)
-        lib = self.lib
-        yield lib.sim.timeout(lib.cpu.probe)
-        vci = lib.vci_pool.get(self.vci_map.recv_vci(self.rank, source, tag))
-        was_contended = vci.lock.locked
-        yield from vci.lock.acquire()
-        cost = lib.cpu.lock_acquire \
-            + (lib.cpu.lock_handoff if was_contended else 0.0)
-        # claim = a removing scan of the unexpected queue
-        found, scanned = vci.engine.claim_unexpected(
-            self.context_id, source, tag, self.rank)
-        cost += lib.cpu.match_base + lib.cpu.match_per_element * scanned
-        yield lib.sim.timeout(cost)
-        vci.lock.release()
+        vci, found = yield from self._probe(source, tag, claim=True)
         if found is None:
             return None
         return MatchedMessage(self, vci, found)
@@ -482,18 +480,13 @@ class Communicator:
         req.vci = matched.vci
         yield lib.sim.timeout(lib.cpu.recv_post)
         msg = matched.msg
+        entry = PostedRecv(req=req, buf=flat, count=n,
+                           context_id=msg.context_id, source=matched.source,
+                           tag=msg.tag, dst_addr=self.rank)
         if msg.kind is MessageKind.EAGER:
             yield lib.sim.timeout(lib.cpu.request_completion)
-            entry = PostedRecv(req=req, buf=flat, count=n,
-                               context_id=msg.context_id,
-                               source=msg.meta.get("src_addr", msg.src_rank),
-                               tag=msg.tag, dst_addr=self.rank)
             lib._complete_recv(matched.vci, entry, msg, _inline=True)
         else:  # a rendezvous RTS: grant it now
-            entry = PostedRecv(req=req, buf=flat, count=n,
-                               context_id=msg.context_id,
-                               source=msg.meta.get("src_addr", msg.src_rank),
-                               tag=msg.tag, dst_addr=self.rank)
             lib._send_cts(matched.vci, entry, msg)
         status = yield from req.wait()
         return status
@@ -517,7 +510,6 @@ class Communicator:
                  ) -> Generator[Event, Any, Any]:
         """Combined send+receive (MPI_Sendrecv); deadlock-free by
         construction since both operations are posted nonblocking."""
-        from .request import waitall
         rreq = yield from self.Irecv(recvbuf, source, recvtag, recvcount)
         sreq = yield from self.Isend(sendbuf, dest, sendtag, sendcount)
         statuses = yield from waitall([rreq, sreq])
@@ -608,61 +600,59 @@ class Communicator:
     # ------------------------------------------------------------------
     # collectives (implementations in repro.mpi.coll)
     # ------------------------------------------------------------------
-    def _collective(self, opname: str):
-        """Context guard enforcing MPI's serial-collective rule."""
-        comm = self
+    @contextmanager
+    def _collective(self, opname: str,
+                    label: str = "collective") -> Iterator[None]:
+        """One collective's hold on this communicator.
 
-        class _Guard:
-            def __enter__(self):
-                comm._check_alive()
-                if comm._collective_active is not None:
-                    chk = comm.lib.sim.checker
-                    if chk is not None:
-                        # Hard rule: recorded for the report, but the
-                        # library must still raise — interleaving two
-                        # collectives would corrupt the matching stream.
-                        chk.violation(
-                            "CHK111",
-                            f"collective {opname!r} overlaps "
-                            f"{comm._collective_active!r} on communicator "
-                            f"{comm.name!r}",
-                            rank=comm.lib.rank, comm=comm.name, hard=True)
-                    raise MpiUsageError(
-                        f"collective {opname!r} issued on communicator "
-                        f"{comm.name!r} while {comm._collective_active!r} is "
-                        "in flight: MPI requires collectives on a "
-                        "communicator to be issued serially (use distinct "
-                        "communicators, endpoints, or partitioned "
-                        "collectives to parallelize — Section II-A)")
-                comm._collective_active = opname
-                return self
-
-            def __exit__(self, *exc):
-                comm._collective_active = None
-                return False
-
-        return _Guard()
+        MPI requires the collectives of a communicator to be issued
+        serially: the communicator is busy from entry to exit — a ``with``
+        block around a blocking collective, the call and the end of the
+        progress task of a nonblocking one (``label`` tells the checker
+        which) — and entering while it is busy is an error.
+        """
+        self._check_alive()
+        active = self._collective_active
+        if active is not None:
+            chk = self.lib.sim.checker
+            if chk is not None:
+                # Hard rule: recorded for the report, but the library
+                # must still raise — interleaving two collectives would
+                # corrupt the matching stream.
+                chk.violation(
+                    "CHK111",
+                    f"{label} {opname!r} overlaps {active!r} on "
+                    f"communicator {self.name!r}",
+                    rank=self.lib.rank, comm=self.name, hard=True)
+            raise MpiUsageError(
+                f"collective {opname!r} issued on communicator "
+                f"{self.name!r} while {active!r} is in flight: MPI "
+                "requires collectives on a communicator to be issued "
+                "serially (use distinct communicators, endpoints, or "
+                "partitioned collectives to parallelize — Section II-A)")
+        self._collective_active = opname
+        try:
+            yield
+        finally:
+            self._collective_active = None
 
     def Barrier(self) -> Generator[Event, Any, None]:
         """Blocking barrier (dissemination algorithm)."""
-        from .coll.algorithms import barrier_dissemination
         with self._collective("Barrier"):
-            yield from barrier_dissemination(self)
+            yield from _coll.barrier_dissemination(self)
 
     def Bcast(self, buf: np.ndarray, root: int = 0,
               count: Optional[int] = None) -> Generator[Event, Any, None]:
         """Blocking broadcast from ``root`` (binomial tree)."""
-        from .coll.algorithms import bcast_binomial
         with self._collective("Bcast"):
-            yield from bcast_binomial(self, buf, root, count)
+            yield from _coll.bcast_binomial(self, buf, root, count)
 
     def Reduce(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
                op=None, root: int = 0) -> Generator[Event, Any, None]:
         """Blocking reduction to ``root`` (binomial tree)."""
-        from .coll.algorithms import reduce_binomial
-        from .coll.ops import SUM
         with self._collective("Reduce"):
-            yield from reduce_binomial(self, sendbuf, recvbuf, op or SUM, root)
+            yield from _coll.reduce_binomial(self, sendbuf, recvbuf,
+                                             op or SUM, root)
 
     #: Allreduce switches from recursive doubling (latency-optimal) to a
     #: ring (bandwidth-optimal) beyond this payload size, as real MPI
@@ -672,12 +662,6 @@ class Communicator:
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                   op=None) -> Generator[Event, Any, None]:
         """Blocking allreduce; ring beyond ALLREDUCE_RING_THRESHOLD."""
-        from .coll.algorithms import (
-            allreduce_recursive_doubling,
-            allreduce_ring,
-        )
-        from .coll.ops import SUM
-        from .datatypes import check_buffer
         with self._collective("Allreduce"):
             nbytes = check_buffer(sendbuf).nbytes
             algorithm = self._coll_algorithms.get("allreduce", "auto")
@@ -686,100 +670,85 @@ class Communicator:
                              and nbytes >= self.ALLREDUCE_RING_THRESHOLD
                              else "recursive_doubling")
             if algorithm == "ring" and self.size > 1:
-                yield from allreduce_ring(self, sendbuf, recvbuf, op or SUM)
+                yield from _coll.allreduce_ring(self, sendbuf, recvbuf,
+                                                op or SUM)
             else:
-                yield from allreduce_recursive_doubling(self, sendbuf,
-                                                        recvbuf, op or SUM)
+                yield from _coll.allreduce_recursive_doubling(
+                    self, sendbuf, recvbuf, op or SUM)
 
     def Allgather(self, sendbuf: np.ndarray, recvbuf: np.ndarray
                   ) -> Generator[Event, Any, None]:
         """Blocking allgather (ring)."""
-        from .coll.algorithms import allgather_ring
         with self._collective("Allgather"):
-            yield from allgather_ring(self, sendbuf, recvbuf)
+            yield from _coll.allgather_ring(self, sendbuf, recvbuf)
 
     def Alltoall(self, sendbuf: np.ndarray, recvbuf: np.ndarray
                  ) -> Generator[Event, Any, None]:
         """Blocking all-to-all (pairwise exchange)."""
-        from .coll.algorithms import alltoall_pairwise
         with self._collective("Alltoall"):
-            yield from alltoall_pairwise(self, sendbuf, recvbuf)
+            yield from _coll.alltoall_pairwise(self, sendbuf, recvbuf)
 
     def Gather(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
                root: int = 0) -> Generator[Event, Any, None]:
         """Blocking gather to ``root`` (binomial tree)."""
-        from .coll.algorithms import gather_binomial
         with self._collective("Gather"):
-            yield from gather_binomial(self, sendbuf, recvbuf, root)
+            yield from _coll.gather_binomial(self, sendbuf, recvbuf, root)
 
     def Scatter(self, sendbuf: Optional[np.ndarray], recvbuf: np.ndarray,
                 root: int = 0) -> Generator[Event, Any, None]:
         """Blocking scatter from ``root`` (binomial tree)."""
-        from .coll.algorithms import scatter_binomial
         with self._collective("Scatter"):
-            yield from scatter_binomial(self, sendbuf, recvbuf, root)
+            yield from _coll.scatter_binomial(self, sendbuf, recvbuf, root)
 
     def Scan(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
              op=None) -> Generator[Event, Any, None]:
         """Blocking inclusive prefix reduction (linear)."""
-        from .coll.algorithms import scan_linear
-        from .coll.ops import SUM
         with self._collective("Scan"):
-            yield from scan_linear(self, sendbuf, recvbuf, op or SUM)
+            yield from _coll.scan_linear(self, sendbuf, recvbuf, op or SUM)
 
     def Reduce_scatter_block(self, sendbuf: np.ndarray,
                              recvbuf: np.ndarray, op=None
                              ) -> Generator[Event, Any, None]:
         """Blocking reduce-then-scatter of equal blocks."""
-        from .coll.algorithms import reduce_scatter_block
-        from .coll.ops import SUM
         with self._collective("Reduce_scatter_block"):
-            yield from reduce_scatter_block(self, sendbuf, recvbuf,
-                                            op or SUM)
+            yield from _coll.reduce_scatter_block(self, sendbuf, recvbuf,
+                                                  op or SUM)
 
     def Gatherv(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
                 counts: Optional[list] = None, root: int = 0
                 ) -> Generator[Event, Any, None]:
         """Blocking variable-count gather to ``root``."""
-        from .coll.algorithms import gatherv_linear
         with self._collective("Gatherv"):
-            yield from gatherv_linear(self, sendbuf, recvbuf, counts, root)
+            yield from _coll.gatherv_linear(self, sendbuf, recvbuf, counts,
+                                            root)
 
     def Allgatherv(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                    counts: list) -> Generator[Event, Any, None]:
         """Blocking variable-count allgather (ring)."""
-        from .coll.algorithms import allgatherv_ring
         with self._collective("Allgatherv"):
-            yield from allgatherv_ring(self, sendbuf, recvbuf, counts)
+            yield from _coll.allgatherv_ring(self, sendbuf, recvbuf, counts)
 
     # ------------------------------------------------------------------
     # nonblocking collectives (MPI-3 I... variants)
     # ------------------------------------------------------------------
     def Ibarrier(self) -> Generator[Event, Any, Request]:
         """Nonblocking barrier; returns a waitable Request."""
-        from .coll.algorithms import barrier_dissemination
-        from .coll.nonblocking import start_nonblocking_collective
         req = yield from start_nonblocking_collective(
-            self, "Ibarrier", barrier_dissemination(self))
+            self, "Ibarrier", _coll.barrier_dissemination(self))
         return req
 
     def Ibcast(self, buf: np.ndarray, root: int = 0,
                count: Optional[int] = None
                ) -> Generator[Event, Any, Request]:
         """Nonblocking broadcast; returns a waitable Request."""
-        from .coll.algorithms import bcast_binomial
-        from .coll.nonblocking import start_nonblocking_collective
         req = yield from start_nonblocking_collective(
-            self, "Ibcast", bcast_binomial(self, buf, root, count))
+            self, "Ibcast", _coll.bcast_binomial(self, buf, root, count))
         return req
 
     def Iallreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                    op=None) -> Generator[Event, Any, Request]:
         """Nonblocking allreduce; returns a waitable Request."""
-        from .coll.algorithms import allreduce_recursive_doubling
-        from .coll.nonblocking import start_nonblocking_collective
-        from .coll.ops import SUM
         req = yield from start_nonblocking_collective(
-            self, "Iallreduce",
-            allreduce_recursive_doubling(self, sendbuf, recvbuf, op or SUM))
+            self, "Iallreduce", _coll.allreduce_recursive_doubling(
+                self, sendbuf, recvbuf, op or SUM))
         return req

@@ -38,12 +38,19 @@ from .vci import Vci, VciPool
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.world import World
     from .comm import Communicator
+    from .rma.window import Window
 
 __all__ = ["MpiLibrary"]
 
 
 class MpiLibrary:
     """MPI library state of one simulated process."""
+
+    #: RMA state, created with the RMA handlers on the first ``win_create``
+    #: (:mod:`repro.mpi.rma.window`): window handles by ``(win_id, window
+    #: rank)`` and the fetches awaiting a reply by request id.
+    rma_windows: dict[tuple[int, int], Window]
+    rma_get_pending: dict[int, tuple[Request, Window]]
 
     def __init__(self, sim: Simulator, world: "World", rank: int,
                  node, cfg: NetworkConfig, max_vcis: int):

@@ -45,10 +45,9 @@ def _ensure_handlers(lib: "MpiLibrary") -> None:
     """Install the partitioned protocol handlers on first use."""
     if MessageKind.PART_INIT in lib.handlers:
         return
-    if not hasattr(lib, "part_recv_channels"):
-        lib.part_recv_channels = {}
-        lib.part_send_channels = {}
-        lib.part_channel_seq = 0
+    lib.part_recv_channels = {}
+    lib.part_send_channels = {}
+    lib.part_channel_seq = 0
     lib.handlers[MessageKind.PART_INIT] = lambda m: _on_part_init(lib, m)
     lib.handlers[MessageKind.PART_INIT_ACK] = lambda m: _on_part_init_ack(lib, m)
     lib.handlers[MessageKind.PARTITION] = lambda m: _on_partition(lib, m)

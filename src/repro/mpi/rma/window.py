@@ -28,11 +28,12 @@ import numpy as np
 from ...errors import MpiUsageError, RmaSemanticsError
 from ...netsim.message import MessageKind, WireMessage
 from ...sim.core import Event
-from ..coll.ops import Op, SUM
+from ..coll import ops as _ops
+from ..coll.ops import SUM, Op
 from ..datatypes import check_buffer
 from ..info import Info, WindowHints, parse_window_hints
 from ..request import Request
-from ..vci import EndpointVciMap, mix_hash
+from ..vci import EndpointVciMap, Vci, mix_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm import Communicator
@@ -47,8 +48,8 @@ HASH_BLOCK_ELEMS = 256
 def _ensure_handlers(lib: "MpiLibrary") -> None:
     if MessageKind.RMA_PUT in lib.handlers:
         return
-    if not hasattr(lib, "rma_windows"):
-        lib.rma_windows = {}
+    lib.rma_windows = {}
+    lib.rma_get_pending = {}
     lib.handlers[MessageKind.RMA_PUT] = lambda m: _on_put(lib, m)
     lib.handlers[MessageKind.RMA_GET_REQ] = lambda m: _on_get_req(lib, m)
     lib.handlers[MessageKind.RMA_GET_RESP] = lambda m: _on_get_resp(lib, m)
@@ -74,8 +75,6 @@ class Window:
         #: Outstanding (unacknowledged) operations per target rank.
         self._outstanding: dict[int, int] = {}
         self._flush_waiters: list[tuple[Optional[int], Event]] = []
-        # -- counters ---------------------------------------------------
-        self.puts = self.gets = self.accs = self.fetch_ops = 0
 
     # ------------------------------------------------------------------
     # channel selection
@@ -108,14 +107,15 @@ class Window:
         if not 0 <= target < self.comm.size:
             raise MpiUsageError(f"window target {target} out of range")
         if disp < 0 or count < 0:
-            raise RmaSemanticsError(f"negative displacement/count")
+            raise RmaSemanticsError("negative displacement/count")
         if disp + count > self.sizes[target]:
             raise RmaSemanticsError(
                 f"access [{disp}, {disp + count}) exceeds window size "
                 f"{self.sizes[target]} at target {target}")
 
     def _build(self, kind: MessageKind, target: int, disp: int,
-               size: int, payload, atomic: bool, extra: dict) -> tuple:
+               data: Optional[np.ndarray], atomic: bool,
+               extra: dict[str, Any]) -> tuple[Vci, WireMessage]:
         lib = self.lib
         local_idx = self._vci_index(target, disp, atomic)
         remote_idx = self._remote_vci_index(target, disp, atomic)
@@ -129,26 +129,63 @@ class Window:
         msg = WireMessage(
             kind=kind, src_node=lib.node.node_id,
             dst_node=dst_proc.node.node_id, src_rank=lib.rank,
-            dst_rank=dst_world, context_id=self.win_id, tag=0, size=size,
-            payload=payload, src_vci=local_idx, dst_vci=remote_idx,
-            meta=meta)
+            dst_rank=dst_world, context_id=self.win_id, tag=0,
+            size=0 if data is None else data.nbytes,
+            payload=None if data is None else data.copy(),
+            src_vci=local_idx, dst_vci=remote_idx, meta=meta)
         return lib.vci_pool.get(local_idx), msg
 
     def _track(self, target: int) -> None:
         self._outstanding[target] = self._outstanding.get(target, 0) + 1
 
+    def _pending(self, target: Optional[int]) -> bool:
+        """Is an operation to ``target`` (``None``: to anyone) unacked?"""
+        if target is None:
+            return any(self._outstanding.values())
+        return bool(self._outstanding.get(target, 0))
+
     def _acked(self, target: int) -> None:
         self._outstanding[target] -= 1
         if self._outstanding[target] == 0:
-            still = [w for w in self._flush_waiters]
-            self._flush_waiters = []
-            for tgt, ev in still:
-                if tgt is None and any(self._outstanding.values()):
-                    self._flush_waiters.append((tgt, ev))
-                elif tgt is not None and self._outstanding.get(tgt, 0):
+            waiters, self._flush_waiters = self._flush_waiters, []
+            for tgt, ev in waiters:
+                if self._pending(tgt):
                     self._flush_waiters.append((tgt, ev))
                 else:
                     ev.succeed()
+
+    def _originate(self, opname: str, kind: MessageKind, target: int,
+                   disp: int, n: int, data: Optional[np.ndarray], *,
+                   atomic: bool, write: bool = True,
+                   fetch: Optional[tuple[str, np.ndarray]] = None,
+                   **extra: Any) -> Generator[Event, Any, Any]:
+        """The origin side of every operation: ``opname`` on ``n``
+        elements at ``disp`` of ``target``, shipping ``data`` as ``kind``.
+
+        A fetching operation passes ``fetch=(request kind, buffer the
+        reply lands in)`` and gets the request back; ``extra`` is the
+        operation's own ``meta``. The order of the steps is observable
+        (checker reports, request ids, state digests): bounds, checker
+        hook, request, post cost — and only then the copy of ``data``,
+        the pending-fetch entry and the message.
+        """
+        self._check_target(target, disp, n)
+        if self.sim.checker is not None:
+            self.sim.checker.on_rma_op(self, opname, target, disp, n,
+                                       atomic=atomic, write=write)
+        lib = self.lib
+        req = None
+        if fetch is not None:
+            req = Request(lib.sim, fetch[0])
+            req.user_data = fetch[1]
+        yield lib.sim.timeout(lib.cpu.send_post)
+        if req is not None:
+            lib.rma_get_pending[req.rid] = (req, self)
+            extra = {"rid": req.rid, **extra}
+        vci, msg = self._build(kind, target, disp, data, atomic, extra)
+        self._track(target)
+        yield from lib.issue_from_thread(vci, msg)
+        return req
 
     # ------------------------------------------------------------------
     # operations
@@ -158,18 +195,8 @@ class Window:
         """Nonblocking put; completes remotely at the next Flush."""
         flat = check_buffer(origin, count)
         n = flat.size if count is None else count
-        self._check_target(target, disp, n)
-        if self.sim.checker is not None:
-            self.sim.checker.on_rma_op(self, "Put", target, disp, n,
-                                       atomic=False, write=True)
-        lib = self.lib
-        yield lib.sim.timeout(lib.cpu.send_post)
-        vci, msg = self._build(MessageKind.RMA_PUT, target, disp,
-                               n * flat.dtype.itemsize, flat[:n].copy(),
-                               atomic=False, extra={})
-        self._track(target)
-        self.puts += 1
-        yield from lib.issue_from_thread(vci, msg)
+        yield from self._originate("Put", MessageKind.RMA_PUT, target, disp,
+                                   n, flat[:n], atomic=False)
 
     def Get(self, origin: np.ndarray, target: int, disp: int,
             count: Optional[int] = None) -> Generator[Event, Any, Request]:
@@ -177,24 +204,10 @@ class Window:
         lands in ``origin``."""
         flat = check_buffer(origin, count)
         n = flat.size if count is None else count
-        self._check_target(target, disp, n)
-        if self.sim.checker is not None:
-            self.sim.checker.on_rma_op(self, "Get", target, disp, n,
-                                       atomic=False, write=False)
-        lib = self.lib
-        req = Request(lib.sim, "rma-get")
-        req.user_data = flat[:n]
-        yield lib.sim.timeout(lib.cpu.send_post)
-        if not hasattr(lib, "rma_get_pending"):
-            lib.rma_get_pending = {}
-        lib.rma_get_pending[req.rid] = (req, self)
-        vci, msg = self._build(MessageKind.RMA_GET_REQ, target, disp, 0,
-                               None, atomic=False,
-                               extra={"rid": req.rid, "count": n})
-        self._track(target)
-        self.gets += 1
-        yield from lib.issue_from_thread(vci, msg)
-        return req
+        return (yield from self._originate(
+            "Get", MessageKind.RMA_GET_REQ, target, disp, n, None,
+            atomic=False, write=False, fetch=("rma-get", flat[:n]),
+            count=n))
 
     def Accumulate(self, origin: np.ndarray, target: int, disp: int,
                    op: Op = SUM, count: Optional[int] = None
@@ -202,18 +215,9 @@ class Window:
         """Atomic elementwise update of target memory (MPI_Accumulate)."""
         flat = check_buffer(origin, count)
         n = flat.size if count is None else count
-        self._check_target(target, disp, n)
-        if self.sim.checker is not None:
-            self.sim.checker.on_rma_op(self, "Accumulate", target, disp, n,
-                                       atomic=True, write=True)
-        lib = self.lib
-        yield lib.sim.timeout(lib.cpu.send_post)
-        vci, msg = self._build(MessageKind.RMA_ACC, target, disp,
-                               n * flat.dtype.itemsize, flat[:n].copy(),
-                               atomic=True, extra={"op": op.name})
-        self._track(target)
-        self.accs += 1
-        yield from lib.issue_from_thread(vci, msg)
+        yield from self._originate("Accumulate", MessageKind.RMA_ACC, target,
+                                   disp, n, flat[:n], atomic=True,
+                                   op=op.name)
 
     def Fetch_and_op(self, value: np.ndarray, result: np.ndarray,
                      target: int, disp: int, op: Op = SUM
@@ -221,25 +225,9 @@ class Window:
         """Atomic fetch-and-op on a single element."""
         val = check_buffer(value, 1)
         res = check_buffer(result, 1)
-        self._check_target(target, disp, 1)
-        if self.sim.checker is not None:
-            self.sim.checker.on_rma_op(self, "Fetch_and_op", target, disp,
-                                       1, atomic=True, write=True)
-        lib = self.lib
-        req = Request(lib.sim, "rma-fop")
-        req.user_data = res
-        yield lib.sim.timeout(lib.cpu.send_post)
-        if not hasattr(lib, "rma_get_pending"):
-            lib.rma_get_pending = {}
-        lib.rma_get_pending[req.rid] = (req, self)
-        vci, msg = self._build(MessageKind.RMA_FETCH_OP, target, disp,
-                               val.dtype.itemsize, val[:1].copy(),
-                               atomic=True, extra={"rid": req.rid,
-                                                   "op": op.name})
-        self._track(target)
-        self.fetch_ops += 1
-        yield from lib.issue_from_thread(vci, msg)
-        return req
+        return (yield from self._originate(
+            "Fetch_and_op", MessageKind.RMA_FETCH_OP, target, disp, 1,
+            val[:1], atomic=True, fetch=("rma-fop", res), op=op.name))
 
     def Get_accumulate(self, origin: np.ndarray, result: np.ndarray,
                        target: int, disp: int, op: Op = SUM,
@@ -250,26 +238,10 @@ class Window:
         flat = check_buffer(origin, count)
         n = flat.size if count is None else count
         res = check_buffer(result, n)
-        self._check_target(target, disp, n)
-        if self.sim.checker is not None:
-            self.sim.checker.on_rma_op(self, "Get_accumulate", target,
-                                       disp, n, atomic=True, write=True)
-        lib = self.lib
-        req = Request(lib.sim, "rma-getacc")
-        req.user_data = res[:n]
-        yield lib.sim.timeout(lib.cpu.send_post)
-        if not hasattr(lib, "rma_get_pending"):
-            lib.rma_get_pending = {}
-        lib.rma_get_pending[req.rid] = (req, self)
-        vci, msg = self._build(MessageKind.RMA_FETCH_OP, target, disp,
-                               n * flat.dtype.itemsize, flat[:n].copy(),
-                               atomic=True,
-                               extra={"rid": req.rid, "op": op.name,
-                                      "count": n})
-        self._track(target)
-        self.fetch_ops += 1
-        yield from lib.issue_from_thread(vci, msg)
-        return req
+        return (yield from self._originate(
+            "Get_accumulate", MessageKind.RMA_FETCH_OP, target, disp, n,
+            flat[:n], atomic=True, fetch=("rma-getacc", res[:n]),
+            op=op.name, count=n))
 
     def Compare_and_swap(self, compare: np.ndarray, origin: np.ndarray,
                          result: np.ndarray, target: int, disp: int
@@ -282,74 +254,54 @@ class Window:
         cmp_ = check_buffer(compare, 1)
         org = check_buffer(origin, 1)
         res = check_buffer(result, 1)
-        self._check_target(target, disp, 1)
-        if self.sim.checker is not None:
-            self.sim.checker.on_rma_op(self, "Compare_and_swap", target,
-                                       disp, 1, atomic=True, write=True)
-        lib = self.lib
-        req = Request(lib.sim, "rma-cas")
-        req.user_data = res[:1]
-        yield lib.sim.timeout(lib.cpu.send_post)
-        if not hasattr(lib, "rma_get_pending"):
-            lib.rma_get_pending = {}
-        lib.rma_get_pending[req.rid] = (req, self)
-        vci, msg = self._build(MessageKind.RMA_FETCH_OP, target, disp,
-                               org.dtype.itemsize, org[:1].copy(),
-                               atomic=True,
-                               extra={"rid": req.rid, "op": "CAS",
-                                      "compare": float(cmp_[0])})
-        self._track(target)
-        self.fetch_ops += 1
-        yield from lib.issue_from_thread(vci, msg)
-        return req
+        # ``.item()``, not ``float()``: an int64 must compare as an int
+        # (2**53 + 1 == float(2**53) in double precision).
+        return (yield from self._originate(
+            "Compare_and_swap", MessageKind.RMA_FETCH_OP, target, disp, 1,
+            org[:1], atomic=True, fetch=("rma-cas", res[:1]), op="CAS",
+            compare=cmp_[0].item()))
 
     # ------------------------------------------------------------------
     # synchronization
     # ------------------------------------------------------------------
-    def Flush(self, target: int) -> Generator[Event, Any, None]:
+    def Flush(self, target: Optional[int]) -> Generator[Event, Any, None]:
         """Block until all operations this handle issued to ``target``
-        have completed at the target."""
+        (``None``: to any target) have completed at the target."""
         yield self.sim.timeout(self.lib.cpu.progress_poll)
-        if self._outstanding.get(target, 0):
+        if self._pending(target):
             ev = self.sim.event()
             self._flush_waiters.append((target, ev))
             yield ev
 
     def Flush_all(self) -> Generator[Event, Any, None]:
-        yield self.sim.timeout(self.lib.cpu.progress_poll)
-        if any(self._outstanding.values()):
-            ev = self.sim.event()
-            self._flush_waiters.append((None, ev))
-            yield ev
+        """Flush every target (MPI_Win_flush_all)."""
+        return self.Flush(None)
 
     def Fence(self) -> Generator[Event, Any, None]:
         """Active-target synchronization: flush + barrier (collective)."""
         yield from self.Flush_all()
         yield from self.comm.Barrier()
 
-    def Lock(self, target: int) -> Generator[Event, Any, None]:
-        """Passive-target lock (modelled as an epoch open: local cost only)."""
+    def Lock(self, target: Optional[int]) -> Generator[Event, Any, None]:
+        """Passive-target lock of ``target`` — ``None``: of every target
+        (modelled as an epoch open: local cost only)."""
         if self.sim.checker is not None:
             self.sim.checker.on_rma_sync(self, "lock", target)
         yield self.sim.timeout(self.lib.cpu.lock_acquire)
 
-    def Unlock(self, target: int) -> Generator[Event, Any, None]:
-        """Close a passive epoch: flush the target."""
+    def Unlock(self, target: Optional[int]) -> Generator[Event, Any, None]:
+        """Close a passive epoch: flush the target (``None``: all)."""
         if self.sim.checker is not None:
             self.sim.checker.on_rma_sync(self, "unlock", target)
         yield from self.Flush(target)
 
     def Lock_all(self) -> Generator[Event, Any, None]:
         """Open a passive epoch to every target (MPI_Win_lock_all)."""
-        if self.sim.checker is not None:
-            self.sim.checker.on_rma_sync(self, "lock", None)
-        yield self.sim.timeout(self.lib.cpu.lock_acquire)
+        return self.Lock(None)
 
     def Unlock_all(self) -> Generator[Event, Any, None]:
         """Close the all-target passive epoch: flush everything."""
-        if self.sim.checker is not None:
-            self.sim.checker.on_rma_sync(self, "unlock", None)
-        yield from self.Flush_all()
+        return self.Unlock(None)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Window id={self.win_id} rank {self.comm.rank}/"
@@ -364,17 +316,22 @@ def _window_for(lib: "MpiLibrary", msg: WireMessage) -> Window:
     return lib.rma_windows[(msg.meta["win"], msg.meta["dst_addr"])]
 
 
-def _send_ack(lib: "MpiLibrary", win: Window, msg: WireMessage) -> None:
-    vci = lib.vci_pool.get(msg.dst_vci)
-    ack = WireMessage(
-        kind=MessageKind.RMA_ACK,
-        src_node=lib.node.node_id, dst_node=msg.meta["origin_node"],
-        src_rank=lib.rank, dst_rank=msg.meta["origin_rank"],
-        context_id=msg.context_id, tag=0, size=0,
+def _reply(lib: "MpiLibrary", msg: WireMessage, kind: MessageKind,
+           data: Optional[np.ndarray] = None, **meta: Any) -> None:
+    """Answer the operation ``msg`` carried: back to its origin, over the
+    pair of channels it travelled on, reversed."""
+    lib.issue_async(lib.vci_pool.get(msg.dst_vci), WireMessage(
+        kind=kind, src_node=lib.node.node_id,
+        dst_node=msg.meta["origin_node"], src_rank=lib.rank,
+        dst_rank=msg.meta["origin_rank"], context_id=msg.context_id, tag=0,
+        size=0 if data is None else data.nbytes, payload=data,
         src_vci=msg.dst_vci, dst_vci=msg.meta["origin_vci"],
-        meta={"win": msg.meta["win"], "dst_addr": msg.meta["src_addr"],
-              "target": msg.meta["dst_addr"]})
-    lib.issue_async(vci, ack)
+        meta={**meta, "target": msg.meta["dst_addr"]}))
+
+
+def _send_ack(lib: "MpiLibrary", msg: WireMessage) -> None:
+    _reply(lib, msg, MessageKind.RMA_ACK, win=msg.meta["win"],
+           dst_addr=msg.meta["src_addr"])
 
 
 def _on_put(lib: "MpiLibrary", msg: WireMessage) -> None:
@@ -382,37 +339,27 @@ def _on_put(lib: "MpiLibrary", msg: WireMessage) -> None:
     disp = msg.meta["disp"]
     data = msg.payload
     win.memory[disp:disp + len(data)] = data
-    _send_ack(lib, win, msg)
+    _send_ack(lib, msg)
 
 
 def _on_acc(lib: "MpiLibrary", msg: WireMessage) -> None:
-    from ..coll import ops as _ops
     win = _window_for(lib, msg)
     disp = msg.meta["disp"]
     data = msg.payload
     op: Op = getattr(_ops, msg.meta["op"])
     # Applied in one event-loop step: atomic by construction.
     op.apply(win.memory[disp:disp + len(data)], data)
-    _send_ack(lib, win, msg)
+    _send_ack(lib, msg)
 
 
 def _on_get_req(lib: "MpiLibrary", msg: WireMessage) -> None:
     win = _window_for(lib, msg)
     disp, n = msg.meta["disp"], msg.meta["count"]
-    data = win.memory[disp:disp + n].copy()
-    vci = lib.vci_pool.get(msg.dst_vci)
-    resp = WireMessage(
-        kind=MessageKind.RMA_GET_RESP,
-        src_node=lib.node.node_id, dst_node=msg.meta["origin_node"],
-        src_rank=lib.rank, dst_rank=msg.meta["origin_rank"],
-        context_id=msg.context_id, tag=0, size=data.nbytes, payload=data,
-        src_vci=msg.dst_vci, dst_vci=msg.meta["origin_vci"],
-        meta={"rid": msg.meta["rid"], "target": msg.meta["dst_addr"]})
-    lib.issue_async(vci, resp)
+    _reply(lib, msg, MessageKind.RMA_GET_RESP,
+           win.memory[disp:disp + n].copy(), rid=msg.meta["rid"])
 
 
 def _on_fetch_op(lib: "MpiLibrary", msg: WireMessage) -> None:
-    from ..coll import ops as _ops
     win = _window_for(lib, msg)
     disp = msg.meta["disp"]
     n = msg.meta.get("count", 1)
@@ -423,15 +370,7 @@ def _on_fetch_op(lib: "MpiLibrary", msg: WireMessage) -> None:
     else:
         op: Op = getattr(_ops, msg.meta["op"])
         op.apply(win.memory[disp:disp + n], msg.payload)
-    vci = lib.vci_pool.get(msg.dst_vci)
-    resp = WireMessage(
-        kind=MessageKind.RMA_GET_RESP,
-        src_node=lib.node.node_id, dst_node=msg.meta["origin_node"],
-        src_rank=lib.rank, dst_rank=msg.meta["origin_rank"],
-        context_id=msg.context_id, tag=0, size=old.nbytes, payload=old,
-        src_vci=msg.dst_vci, dst_vci=msg.meta["origin_vci"],
-        meta={"rid": msg.meta["rid"], "target": msg.meta["dst_addr"]})
-    lib.issue_async(vci, resp)
+    _reply(lib, msg, MessageKind.RMA_GET_RESP, old, rid=msg.meta["rid"])
 
 
 def _on_get_resp(lib: "MpiLibrary", msg: WireMessage) -> None:
@@ -443,8 +382,7 @@ def _on_get_resp(lib: "MpiLibrary", msg: WireMessage) -> None:
 
 
 def _on_ack(lib: "MpiLibrary", msg: WireMessage) -> None:
-    win = lib.rma_windows[(msg.meta["win"], msg.meta["dst_addr"])]
-    win._acked(msg.meta["target"])
+    _window_for(lib, msg)._acked(msg.meta["target"])
 
 
 # ----------------------------------------------------------------------

@@ -230,15 +230,16 @@ def install_traffic(world: "World", shape: Optional[TrafficShape],
     """Install ``shape``'s background flows on a built world.
 
     Registers the BACKGROUND sink handler on every rank, plans the flow
-    table from ``seed`` (endpoints are always inter-node), spawns one
-    sender task per flow and returns the task list — callers include the
-    tasks in their ``run_all`` gather so flows (and any retransmission
-    recovery they trigger on a lossy fabric) play out fully.
+    table from ``seed`` (a flow's destination is always a rank on another
+    node than its source), spawns one sender task per flow and returns
+    the task list — callers include the tasks in their ``run_all`` gather
+    so flows (and any retransmission recovery they trigger on a lossy
+    fabric) play out fully.
 
-    Returns ``[]`` for ``shape=None``, zero flows, or a single-process
-    world (background traffic models *network* load).
+    Returns ``[]`` for ``shape=None``, zero flows, or a single-node world
+    (background traffic models *network* load).
     """
-    if shape is None or shape.flows == 0 or world.num_procs < 2:
+    if shape is None or shape.flows == 0 or world.num_nodes < 2:
         return []
     session = TrafficSession(world, shape, seed)
     world.traffic = session
@@ -248,9 +249,10 @@ def install_traffic(world: "World", shape: Optional[TrafficShape],
     tasks = []
     for index in range(shape.flows):
         src = int(rng.integers(world.num_procs))
-        dst = int(rng.integers(world.num_procs - 1))
-        if dst >= src:
-            dst += 1
+        # One draw over the ranks of the other nodes, in rank order.
+        dst = int(rng.integers(world.num_procs - world.procs_per_node))
+        if dst >= src - src % world.procs_per_node:
+            dst += world.procs_per_node
         vci_index = index % shape.vcis
         session.flow_table.append((src, dst, vci_index))
         task = world.procs[src].spawn(

@@ -20,6 +20,7 @@ pending-callback qualnames, communicator names and the order of
 collective set-up calls all enter the state digest.
 """
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -27,6 +28,7 @@ import sys
 
 import pytest
 
+from repro.apps.harness import run_app
 from repro.apps.stencil import StencilConfig, run_stencil
 from repro.faults import FaultPlan, TransportParams
 from repro.netsim.traffic import TrafficShape
@@ -264,3 +266,55 @@ def test_front_ends_import_no_app_and_no_networkx():
                           text=True, timeout=120, cwd=ROOT, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+#: callee -> the only files under ``src/repro`` that may call it. Worlds
+#: are built by the harness and mechanisms resolved by the channels (PR
+#: 16's sentence, since PR 18 also true of ``bench/msgrate.py``); nwchem's
+#: RMA window lives on endpoints of its own, and ``mpi/endpoints.py``
+#: builds rankpoints out of the function it defines.
+ONLY_CALLERS = {
+    "World": {"apps/harness.py"},
+    "listing2_info": {"apps/channels.py"},
+    "comm_create_endpoints": {"apps/channels.py",
+                              "apps/nwchem/blocksparse.py",
+                              "mpi/endpoints.py"},
+}
+
+
+def test_worlds_and_mechanisms_are_built_in_one_place():
+    package = os.path.join(ROOT, "src", "repro")
+    callers = {name: set() for name in ONLY_CALLERS}
+    for folder, _, files in os.walk(package):
+        for filename in files:
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(folder, filename)
+            with open(path, encoding="utf-8") as source:
+                tree = ast.parse(source.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id",
+                                     getattr(node.func, "attr", None))
+                    if callee in callers:
+                        callers[callee].add(
+                            os.path.relpath(path, package).replace(
+                                os.sep, "/"))
+    assert callers == ONLY_CALLERS
+
+
+def test_run_app_places_several_processes_on_a_node():
+    """``procs_per_node`` reaches the cluster: ``2 x nodes`` ranks, packed
+    node by node, each main spawned in rank order."""
+    spawned = []
+
+    def proc_main(proc):
+        spawned.append(proc.rank)
+        yield proc.compute(1e-6 * (proc.rank + 1))
+        return proc.sim.now
+
+    world, end_times = run_app(3, 1, proc_main, procs_per_node=2)
+    assert world.num_procs == 6 and len(world.nodes) == 3
+    assert [p.node.node_id for p in world.procs] == [0, 0, 1, 1, 2, 2]
+    assert spawned == list(range(6))
+    assert end_times == pytest.approx([1e-6 * (r + 1) for r in range(6)])

@@ -11,7 +11,7 @@ the commit before NIC contexts became first-use objects.
 import numpy as np
 import pytest
 
-from repro.bench import MsgRateConfig, run_msgrate
+from repro.bench import MODES, MsgRateConfig, run_msgrate
 from repro.check import CheckConfig, Checker, checking
 from repro.errors import (
     HintViolationError,
@@ -71,6 +71,95 @@ def test_fig1a_point_costs_the_pinned_number_of_events(mode):
     world = msgrate_world(mode, cores=8)
     recvs = sum(p.lib.recvs_completed for p in world.procs)
     assert (world.sim.steps, recvs) == FIG1A_STEPS[mode]
+
+
+#: (mode, cores) -> (kernel steps, repr(span), state digest) of all seven
+#: modes, recorded on the commit before ``bench/msgrate.py`` moved onto
+#: ``run_app`` + ``open_channels`` (PR 18): the shape of ``everywhere``
+#: (one inline stream per single-thread process), the thread spawn at one
+#: core and the names of the duplicated communicators all enter these.
+FIG1A_POINTS = {
+    ('everywhere', 1): (
+        117, '4.0211599999999995e-06',
+        '98af16401a81e2172e67bce2ea216b72d836d24f88bc8294e6c9d60989e50b43'),
+    ('everywhere', 3): (
+        349, '4.031159999999999e-06',
+        'ef2e05fd1873b755883f0d0674f08066fbf5bdd6d3f031ce3f159ccfc3fc61ea'),
+    ('everywhere', 8): (
+        929, '4.056159999999999e-06',
+        'e229af89adc51858cbab8a26cd45eda20c817e2c2a81d518b027fea9c85148f8'),
+    ('threads-original', 1): (
+        123, '4.0211599999999995e-06',
+        '1d915500361ef1be883f9f72d6ef29ba3c465a94177e3dd07a8a2a52e831d47e'),
+    ('threads-original', 3): (
+        449, '9.924520000000001e-06',
+        '3f014af58b7b94e8007c65edd9b2c635b2ffb7a0048e83fc516cad3eab3ab76c'),
+    ('threads-original', 8): (
+        1189, '2.4682920000000002e-05',
+        '7f7f71488b7c66ee72f2bfb22e7df506fa95fd562272d24faefa0f98c543b3dd'),
+    ('threads-tags', 1): (
+        124, '4.0211599999999995e-06',
+        'f25350e4ab1b6fbd6a51dc4734b80a48fb55a8ed4b2b96a4533ee762d401d2e9'),
+    ('threads-tags', 3): (
+        356, '4.031159999999999e-06',
+        '4f0073dc864f7ff3ad3c847d47816d83dd6db0cbefcd3059b7f98a185d7d0e3c'),
+    ('threads-tags', 8): (
+        936, '4.056159999999999e-06',
+        '9876fbde343f9414784170e5a147bba74d7b8a39efe522acaba856144bec5bc8'),
+    ('threads-comms', 1): (
+        124, '4.0211599999999995e-06',
+        'f25350e4ab1b6fbd6a51dc4734b80a48fb55a8ed4b2b96a4533ee762d401d2e9'),
+    ('threads-comms', 3): (
+        420, '6.972839999999999e-06',
+        '64a15ed14a31b57578a4848aa56aacfa4c687a4deb8b86a285b9200bbd868c5e'),
+    ('threads-comms', 8): (
+        1005, '6.972839999999999e-06',
+        '5e996b30857a9963bdd624c7f7a59e18db63fe5bd09bb1ea004de6c01e71f3da'),
+    ('threads-endpoints', 1): (
+        124, '4.0211599999999995e-06',
+        '42d99d391c2762659cc971819493fe9fb4fd7aa1396de1ea82aab83e8e4cb8a2'),
+    ('threads-endpoints', 3): (
+        356, '4.031159999999999e-06',
+        'a1bd3b4ae76bb27fc5dc48f911aea8a48b8ed9a77fefb9f1b0c72e2c6484551a'),
+    ('threads-endpoints', 8): (
+        936, '4.056159999999999e-06',
+        '61076b45a6678ea8a27c148b5cbc63c687864d0d9d64691fa48f24fb3fd7ac3a'),
+    ('threads-overtaking', 1): (
+        124, '4.0211599999999995e-06',
+        'f25350e4ab1b6fbd6a51dc4734b80a48fb55a8ed4b2b96a4533ee762d401d2e9'),
+    ('threads-overtaking', 3): (
+        434, '6.972839999999999e-06',
+        '1455b9e2f2e093106c20914cdf495fd6790b40aa4b6dea604cd213e984aa7681'),
+    ('threads-overtaking', 8): (
+        1171, '1.4574999999999982e-05',
+        '9852db5685823d45b35493c301779d33ffba8522d0c97d722f4860ed78f9fd81'),
+    ('threads-tags-hash', 1): (
+        124, '4.0211599999999995e-06',
+        'f25350e4ab1b6fbd6a51dc4734b80a48fb55a8ed4b2b96a4533ee762d401d2e9'),
+    ('threads-tags-hash', 3): (
+        418, '6.972839999999999e-06',
+        '9f4496a97589bb3bb14c03f4bb8a5580c7b256ab3b7b6c92b00a4fa6d3f7f0b8'),
+    ('threads-tags-hash', 8): (
+        1060, '6.97784e-06',
+        '6c9352bcc71767f7cc16264ed45180972fa83f2473e7d4d2ce6607f119f661f8'),
+}
+
+
+@pytest.mark.parametrize("mode,cores", sorted(FIG1A_POINTS))
+def test_fig1a_point_is_byte_identical(mode, cores):
+    with recording(SnapController()) as ctrl:
+        result = run_msgrate(MsgRateConfig(mode=mode, cores=cores,
+                                           msg_bytes=8, window=16,
+                                           msgs_per_core=16),
+                             net=NetworkConfig.omnipath())
+    (world,) = ctrl.worlds
+    assert (world.sim.steps, repr(result.span),
+            state_digest(capture_state(world))) == FIG1A_POINTS[mode, cores]
+
+
+def test_fig1a_pins_cover_every_mode():
+    assert {mode for mode, _ in FIG1A_POINTS} == set(MODES)
+    assert {cores for _, cores in FIG1A_POINTS} == {1, 3, 8}
 
 
 # -------------------------------------------- (b) contexts on first use

@@ -1,13 +1,16 @@
 """Collective correctness tests across sizes (repro.mpi.coll)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import MpiUsageError
 from repro.mpi.coll import MAX, MIN, PROD, SUM, ThreadTeamBcast, ThreadTeamReduce
+from repro.mpi.endpoints import comm_create_endpoints
 from repro.runtime import World
 
-from tests.helpers import run_same
+from tests.helpers import flat_world, run_same
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8])
@@ -298,3 +301,160 @@ def test_small_allreduce_stays_recursive_doubling():
 
     run_same(world2, worker2)
     assert small_time < world2.now
+
+
+# ----------------------------------------------------------------------
+# Byte identity of ``Endpoint.Allreduce``, recorded on the commit before
+# its internode phase became a call into the shared recursive-doubling
+# core (PR 18). ``elems < T`` leaves some endpoints an *empty* segment:
+# they still exchange (zero-byte messages) and still yield a zero-cost
+# reduction timeout — one kernel event each, which the step counts pin.
+# ----------------------------------------------------------------------
+
+def _endpoint_allreduce(P, T, elems):
+    """``(steps, end time, sha-256 of every endpoint's result bytes)``."""
+    world = flat_world(P, threads_per_proc=T)
+    contribs = np.random.default_rng(P * 100 + T * 10 + elems).normal(
+        size=(P * T, elems))
+    outs = [np.zeros(elems) for _ in range(P * T)]
+
+    def main(proc):
+        eps = yield from comm_create_endpoints(proc.comm_world, T)
+
+        def thread(ep):
+            yield from ep.Allreduce(contribs[ep.rank].copy(), outs[ep.rank],
+                                    op=SUM)
+
+        yield proc.sim.all_of([proc.spawn(thread(ep)) for ep in eps])
+
+    run_same(world, main)
+    for out in outs:
+        assert np.allclose(out, contribs.sum(axis=0))
+    sha = hashlib.sha256(b"".join(out.tobytes() for out in outs))
+    return world.sim.steps, repr(world.now), sha.hexdigest()[:16]
+
+
+#: (processes, endpoints per process, elements) -> pinned outcome.
+ENDPOINT_ALLREDUCE = {
+    (2, 1, 1): (40, '1.49556e-06', '12a46a6b8a064a12'),
+    (2, 1, 16): (40, '1.5478399999999999e-06', '0c9bcaef06e3bc28'),
+    (2, 2, 1): (68, '1.5603199999999998e-06', 'dd3c8f2d26bf1d92'),
+    (2, 2, 2): (68, '1.56376e-06', 'a403764691f253ac'),
+    (2, 2, 32): (68, '1.67312e-06', '5cc99c90f9cdf86a'),
+    (2, 3, 1): (96, '1.62732e-06', '008905ff669db322'),
+    (2, 3, 3): (96, '1.6343599999999997e-06', '18c41b0510989f74'),
+    (2, 3, 48): (96, '1.8368000000000001e-06', 'c62c8466048d6a0c'),
+    (3, 1, 1): (67, '3.0898e-06', '4ae58fc5dff63410'),
+    (3, 1, 16): (67, '3.1919599999999994e-06', 'd1f66828a7858dde'),
+    (3, 2, 1): (117, '3.1553599999999996e-06', 'fb536422719456dd'),
+    (3, 2, 2): (117, '3.158e-06', '117908b2131d468a'),
+    (3, 2, 32): (117, '3.31724e-06', 'fb6c6b760d3355f6'),
+    (3, 3, 1): (167, '3.2215599999999995e-06', '64a9931f4ac7d4d3'),
+    (3, 3, 3): (167, '3.2286e-06', 'a7191e0141b87662'),
+    (3, 3, 48): (167, '3.4809199999999997e-06', 'd5d80b46cb614a5c'),
+    (5, 1, 1): (138, '4.19508e-06', '7c39372fe4c655af'),
+    (5, 1, 16): (138, '4.32792e-06', '070f412bf72aeaea'),
+    (5, 2, 1): (249, '4.2562800000000005e-06', '508f096833363a64'),
+    (5, 2, 2): (249, '4.263280000000001e-06', '13f7999daf9ed8f7'),
+    (5, 2, 32): (249, '4.4532e-06', '986f7ae0a38abcd3'),
+    (5, 3, 1): (360, '4.32684e-06', '77e2536b67f1b1f4'),
+    (5, 3, 3): (360, '4.3338800000000004e-06', '5768a1c8882fea86'),
+    (5, 3, 48): (360, '4.616879999999999e-06', '7ade0a8192deb467'),
+}
+
+
+def test_endpoint_allreduce_pins_cover_the_grid():
+    assert set(ENDPOINT_ALLREDUCE) == {
+        (P, T, elems) for P in (2, 3, 5) for T in (1, 2, 3)
+        for elems in (1, T, 16 * T)}
+
+
+@pytest.mark.parametrize("P,T,elems", sorted(ENDPOINT_ALLREDUCE))
+def test_endpoint_allreduce_is_byte_identical(P, T, elems):
+    assert _endpoint_allreduce(P, T, elems) == ENDPOINT_ALLREDUCE[P, T, elems]
+
+
+def _flat_allreduce(P, elems):
+    """``(steps, end time, sha-256 of every rank's result bytes)`` of the
+    flat recursive-doubling allreduce that shares the endpoint one's core."""
+    world = flat_world(P)
+    outs = [np.zeros(elems) for _ in range(P)]
+
+    def main(proc):
+        send = np.arange(elems) * 3.0 + proc.rank
+        yield from proc.comm_world.Allreduce(send, outs[proc.rank], op=SUM)
+
+    run_same(world, main)
+    sha = hashlib.sha256(b"".join(out.tobytes() for out in outs))
+    return world.sim.steps, repr(world.now), sha.hexdigest()[:16]
+
+
+#: (processes, elements) -> outcome on the same parent commit.
+FLAT_ALLREDUCE = {
+    (2, 1): (21, '1.3747600000000001e-06', '5f07eef034c5a21f'),
+    (2, 16): (21, '1.41504e-06', 'ab99ecb5778ea63c'),
+    (3, 1): (39, '2.9690000000000003e-06', '1e4688b4c02d4afe'),
+    (3, 16): (39, '3.05916e-06', '1d4eb6a196dc8695'),
+    (5, 1): (92, '4.07428e-06', '2486faed11251a25'),
+    (5, 16): (92, '4.19512e-06', '6f002f8df22a4cf6'),
+    (6, 1): (109, '4.34376e-06', '64195d3985101bd6'),
+    (6, 16): (109, '4.4742e-06', 'a0036ca46cf56b9f'),
+}
+
+
+@pytest.mark.parametrize("P,elems", sorted(FLAT_ALLREDUCE))
+def test_flat_allreduce_is_byte_identical(P, elems):
+    assert _flat_allreduce(P, elems) == FLAT_ALLREDUCE[P, elems]
+
+
+@pytest.mark.parametrize("P", [2, 3, 5])
+def test_zero_element_allreduce_takes_every_kernel_step(P):
+    """The one place the shared core moved the flat allreduce: a combine
+    of zero bytes is charged a zero-cost timeout (as the endpoint
+    allreduce always did for an empty segment) where it used to be
+    skipped — same simulated time, the kernel steps of any other size."""
+    steps, end, _ = _flat_allreduce(P, 0)
+    assert steps == FLAT_ALLREDUCE[P, 1][0]
+    assert float(end) < float(FLAT_ALLREDUCE[P, 1][1])
+
+
+def _ring_collectives(P, elems):
+    """A barrier, a ring allreduce and an allgather back to back:
+    ``(steps, end time, sha-256 of every rank's result bytes)``."""
+    world = flat_world(P)
+    reduced = [np.zeros(elems) for _ in range(P)]
+    gathered = [np.zeros(P * elems) for _ in range(P)]
+
+    def main(proc):
+        comm = proc.comm_world
+        comm.set_coll_algorithm("allreduce", "ring")
+        send = np.arange(elems) * 3.0 + proc.rank
+        yield from comm.Barrier()
+        yield from comm.Allreduce(send, reduced[proc.rank], op=SUM)
+        yield from comm.Allgather(send, gathered[proc.rank])
+
+    run_same(world, main)
+    sha = hashlib.sha256(b"".join(
+        out.tobytes() for out in reduced + gathered))
+    return world.sim.steps, repr(world.now), sha.hexdigest()[:16]
+
+
+#: (processes, elements) -> outcome on the same parent commit, before the
+#: ring allreduce's two phases shared one shift and the allgather became
+#: the variable-count ring with equal counts.
+RING_COLLECTIVES = {
+    (2, 0): (61, '5.4907199999999995e-06', 'e3b0c44298fc1c14'),
+    (2, 7): (63, '5.519239999999999e-06', 'a83f5308f912f517'),
+    (2, 64): (63, '5.7585999999999985e-06', 'f22e3bce8d0dd086'),
+    (3, 0): (175, '1.0981439999999996e-05', 'e3b0c44298fc1c14'),
+    (3, 7): (181, '1.102919999999999e-05', '85b0e50c903ea3d3'),
+    (3, 64): (181, '1.1424399999999995e-05', '22cd65ba00755fc8'),
+    (5, 0): (536, '2.059019999999999e-05', 'e3b0c44298fc1c14'),
+    (5, 7): (556, '2.0667159999999998e-05', '8e2425b1fedc8199'),
+    (5, 64): (556, '2.130908e-05', '3bda70e36d23e208'),
+}
+
+
+@pytest.mark.parametrize("P,elems", sorted(RING_COLLECTIVES))
+def test_ring_collectives_are_byte_identical(P, elems):
+    assert _ring_collectives(P, elems) == RING_COLLECTIVES[P, elems]

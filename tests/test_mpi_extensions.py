@@ -315,6 +315,36 @@ def test_compare_and_swap_success_and_failure(world2):
     run_ranks(world2, origin, target)
 
 
+def test_compare_and_swap_compares_integers_exactly(world2):
+    """Regression: the compare value crossed the wire as a double, so on
+    an int64 window a target holding 2**53 + 1 "equalled" 2**53 — the
+    nearest double of both — and was swapped."""
+    held, stale = 2**53 + 1, 2**53
+    assert np.int64(held) == float(stale)  # the comparison that went wrong
+
+    def origin(proc):
+        win = yield from win_create(proc.comm_world,
+                                    np.zeros(1, dtype=np.int64))
+        res = np.zeros(1, dtype=np.int64)
+        req = yield from win.Compare_and_swap(
+            np.array([stale]), np.array([5]), res, target=1, disp=0)
+        yield from req.wait()
+        assert res[0] == held
+        req = yield from win.Compare_and_swap(
+            np.array([held]), np.array([6]), res, target=1, disp=0)
+        yield from req.wait()
+        assert res[0] == held  # the first attempt swapped nothing
+        yield from win.Fence()
+
+    def target(proc):
+        mem = np.array([held], dtype=np.int64)
+        win = yield from win_create(proc.comm_world, mem)
+        yield from win.Fence()
+        assert mem[0] == 6
+
+    run_ranks(world2, origin, target)
+
+
 def test_lock_all_unlock_all(world2):
     def origin(proc):
         win = yield from win_create(proc.comm_world, np.zeros(2))

@@ -1,13 +1,17 @@
 """RMA window tests (repro.mpi.rma)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.check import CheckConfig, Checker
 from repro.errors import MpiUsageError, RmaSemanticsError
 from repro.mpi import Info
 from repro.mpi.coll.ops import MAX, SUM
 from repro.mpi.endpoints import comm_create_endpoints
 from repro.mpi.rma import win_create
+from repro.snap import capture_state, state_digest
 from tests.helpers import flat_world, run_ranks, run_same
 
 
@@ -255,3 +259,193 @@ def test_endpoint_window_ops_use_endpoint_vcis(world2):
         return True
 
     assert run_same(world2, main) == [True, True]
+
+
+# ----------------------------------------------------------------------
+# Byte identity of the origin path, recorded on the commit before the six
+# operations were folded onto one shared prologue (PR 18): the order of
+# the origin's steps (checker hook and Request before the post timeout,
+# pending-table entry after it), the per-operation ``meta`` key sets and
+# the VCI an operation rides all enter these.
+# ----------------------------------------------------------------------
+
+#: operation -> (element count, atomic, write) as ``on_rma_op`` sees it.
+RMA_OPS = {
+    "Put": (3, False, True),
+    "Get": (3, False, False),
+    "Accumulate": (3, True, True),
+    "Fetch_and_op": (1, True, True),
+    "Get_accumulate": (3, True, True),
+    "Compare_and_swap": (1, True, True),
+}
+
+RMA_WINDOWS = ("plain", "unordered", "endpoints")
+
+_T = 2          # origin threads (= endpoints per process)
+_ELEMS = 1024   # four hash blocks: the two threads land in different ones
+
+
+def _disp(tid, k):
+    return 256 * tid + 4 * k
+
+
+def _issue(win, opname, target, tid, k, out):
+    """One ``opname`` from thread ``tid`` (its ``k``-th); fetched values
+    land in ``out``."""
+    disp = _disp(tid, k)
+    src = np.arange(3.0) + 10 * tid + k + 1
+    if opname == "Put":
+        yield from win.Put(src, target, disp)
+        return
+    if opname == "Accumulate":
+        yield from win.Accumulate(src, target, disp, op=SUM)
+        return
+    if opname == "Get":
+        req = yield from win.Get(out, target, disp)
+    elif opname == "Fetch_and_op":
+        req = yield from win.Fetch_and_op(src[:1], out[:1], target, disp,
+                                          op=MAX)
+    elif opname == "Get_accumulate":
+        req = yield from win.Get_accumulate(src, out, target, disp, op=SUM)
+    else:
+        # k = 0 compares against what the target holds (swap), k = 1
+        # against a stale value (no swap).
+        compare = np.array([1000.0 + disp + k])
+        req = yield from win.Compare_and_swap(compare, src[:1], out[:1],
+                                              target, disp)
+    yield from req.wait()
+
+
+def _rma_scenario(opname, window, **world_kwargs):
+    """Two threads of rank 0 each issue ``opname`` twice at rank 1, flush,
+    and everyone meets at a barrier. Returns ``(steps, end time, sha-256
+    of every window's and every result buffer's bytes, state digest)``."""
+    world = flat_world(2, threads_per_proc=_T, **world_kwargs)
+    mems = [np.arange(float(_ELEMS)) + 1000 * r for r in range(2)]
+    outs = [np.zeros(3) for _ in range(2 * _T)]
+
+    def main(proc):
+        mem = mems[proc.rank]
+        if window == "endpoints":
+            eps = yield from comm_create_endpoints(proc.comm_world, _T)
+            wins = yield proc.sim.all_of(
+                [proc.spawn(win_create(ep, mem)) for ep in eps])
+        else:
+            info = None if window == "plain" else Info(
+                {"accumulate_ordering": "none", "mpich_rma_num_vcis": "4"})
+            win = yield from win_create(proc.comm_world, mem, info)
+            wins = [win] * _T
+
+        def thread(tid):
+            target = _T + tid if window == "endpoints" else 1
+            for k in range(2):
+                yield from _issue(wins[tid], opname, target, tid, k,
+                                  outs[2 * tid + k])
+            yield from wins[tid].Flush(target)
+
+        if proc.rank == 0:
+            yield proc.sim.all_of([proc.spawn(thread(t))
+                                   for t in range(_T)])
+        yield from proc.comm_world.Barrier()
+
+    run_same(world, main)
+    sha = hashlib.sha256()
+    for buf in mems + outs:
+        sha.update(buf.tobytes())
+    return (world.sim.steps, repr(world.now), sha.hexdigest()[:16],
+            state_digest(capture_state(world))[:16])
+
+
+#: (operation, window) -> (unchecked outcome, checked outcome).
+RMA_IDENTITY = {
+    ('Put', 'plain'): (
+        (49, '4.28492e-06', 'b9748d9fb6ca1fc1', '312b76a5dc5c8f2d'),
+        (49, '4.28492e-06', 'b9748d9fb6ca1fc1', '6a7b7c668e14cb03')),
+    ('Put', 'unordered'): (
+        (46, '3.91916e-06', 'b9748d9fb6ca1fc1', 'a8c582ad4fc9d9e5'),
+        (46, '3.91916e-06', 'b9748d9fb6ca1fc1', '1b2a01a2283d9223')),
+    ('Put', 'endpoints'): (
+        (57, '3.91916e-06', 'b9748d9fb6ca1fc1', '48bc11f922880245'),
+        (57, '3.91916e-06', 'b9748d9fb6ca1fc1', '59ad73b8ce4ccfba')),
+    ('Get', 'plain'): (
+        (50, '6.26836e-06', 'a037697d8651bac5', 'd9bc1052fd0c2835'),
+        (50, '6.26836e-06', 'a037697d8651bac5', '996b979d28e79a4f')),
+    ('Get', 'unordered'): (
+        (48, '6.08836e-06', 'a037697d8651bac5', '7ea46574d67a0b86'),
+        (48, '6.08836e-06', 'a037697d8651bac5', 'db86e69ec9a3a92e')),
+    ('Get', 'endpoints'): (
+        (59, '6.08836e-06', 'a037697d8651bac5', '4b546d48eae5ae39'),
+        (59, '6.08836e-06', 'a037697d8651bac5', '5df645c4328bbbb7')),
+    ('Accumulate', 'plain'): (
+        (49, '4.28492e-06', '053e79387cc62dd4', '312b76a5dc5c8f2d'),
+        (49, '4.28492e-06', '053e79387cc62dd4', '6a7b7c668e14cb03')),
+    ('Accumulate', 'unordered'): (
+        (46, '3.91916e-06', '053e79387cc62dd4', 'a8c582ad4fc9d9e5'),
+        (46, '3.91916e-06', '053e79387cc62dd4', '1b2a01a2283d9223')),
+    ('Accumulate', 'endpoints'): (
+        (57, '3.91916e-06', '053e79387cc62dd4', '48bc11f922880245'),
+        (57, '3.91916e-06', '053e79387cc62dd4', '59ad73b8ce4ccfba')),
+    ('Fetch_and_op', 'plain'): (
+        (50, '6.262999999999999e-06', '74c00c251b2da048', 'ecb9c71c33ed70e7'),
+        (50, '6.262999999999999e-06', '74c00c251b2da048', 'bdb12501b5addd11')),
+    ('Fetch_and_op', 'unordered'): (
+        (48, '6.08352e-06', '74c00c251b2da048', '6e5b4c07f7897960'),
+        (48, '6.08352e-06', '74c00c251b2da048', 'eeb0a4e8b759eca2')),
+    ('Fetch_and_op', 'endpoints'): (
+        (59, '6.08352e-06', '74c00c251b2da048', 'ac3a28b505754e64'),
+        (59, '6.08352e-06', '74c00c251b2da048', 'd353e414eb6754c1')),
+    ('Get_accumulate', 'plain'): (
+        (50, '6.2775599999999996e-06', 'afed22ea89897851', '004846e3787ee811'),
+        (50, '6.2775599999999996e-06', 'afed22ea89897851', '518b6ee53cea5c57')),
+    ('Get_accumulate', 'unordered'): (
+        (48, '6.09756e-06', 'afed22ea89897851', 'db18645b59ceecf6'),
+        (48, '6.09756e-06', 'afed22ea89897851', 'a13f52e6a59a06c9')),
+    ('Get_accumulate', 'endpoints'): (
+        (59, '6.09756e-06', 'afed22ea89897851', '66d3d30292724068'),
+        (59, '6.09756e-06', 'afed22ea89897851', 'e165a5f9706e0b7d')),
+    ('Compare_and_swap', 'plain'): (
+        (50, '6.262999999999999e-06', '019d1c57a54fce28', 'ecb9c71c33ed70e7'),
+        (50, '6.262999999999999e-06', '019d1c57a54fce28', 'bdb12501b5addd11')),
+    ('Compare_and_swap', 'unordered'): (
+        (48, '6.08352e-06', '019d1c57a54fce28', '6e5b4c07f7897960'),
+        (48, '6.08352e-06', '019d1c57a54fce28', 'eeb0a4e8b759eca2')),
+    ('Compare_and_swap', 'endpoints'): (
+        (59, '6.08352e-06', '019d1c57a54fce28', 'ac3a28b505754e64'),
+        (59, '6.08352e-06', '019d1c57a54fce28', 'd353e414eb6754c1')),
+}
+
+
+def test_rma_identity_covers_every_operation_and_window():
+    assert set(RMA_IDENTITY) == {(op, win) for op in RMA_OPS
+                                 for win in RMA_WINDOWS}
+
+
+@pytest.mark.parametrize("opname,window", sorted(RMA_IDENTITY))
+def test_rma_origin_path_is_byte_identical(opname, window):
+    assert _rma_scenario(opname, window) == RMA_IDENTITY[opname, window][0]
+
+
+@pytest.mark.parametrize("opname,window", sorted(RMA_IDENTITY))
+def test_checked_rma_origin_path_is_byte_identical(opname, window,
+                                                   monkeypatch):
+    """Same bytes under the checker, and ``on_rma_op`` hears every
+    operation once, with the arguments the operation was called with, in
+    issue order (thread 0 then thread 1, first operations first)."""
+    calls = []
+    hook = Checker.__dict__["on_rma_op"]
+
+    def recorded(self, win, *args, **kwargs):
+        calls.append((win.comm.rank, args, kwargs))
+        return hook(self, win, *args, **kwargs)
+
+    monkeypatch.setattr(Checker, "on_rma_op", recorded)
+    outcome = _rma_scenario(opname, window,
+                            check=CheckConfig(emit_warnings=False))
+    assert outcome == RMA_IDENTITY[opname, window][1]
+    count, atomic, write = RMA_OPS[opname]
+    assert calls == [
+        (tid if window == "endpoints" else 0,
+         (opname, _T + tid if window == "endpoints" else 1, _disp(tid, k),
+          count),
+         dict(atomic=atomic, write=write))
+        for k in range(2) for tid in range(_T)]

@@ -77,6 +77,28 @@ class TestInjection:
         world = World(num_nodes=1, procs_per_node=1)
         assert install_traffic(world, TrafficShape(), 0) == []
 
+    def test_single_node_world_gets_no_flows(self):
+        """Two ranks sharing a node only have shared memory between them:
+        nothing a "network load" flow could load."""
+        world = World(num_nodes=1, procs_per_node=2)
+        assert install_traffic(world, TrafficShape(), 0) == []
+        assert world.traffic is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_flow_crosses_nodes(self, seed):
+        """Regression: destinations were drawn from the other *ranks*, so
+        with several processes per node a flow could stay inside one node
+        and never touch the fabric."""
+        world = World(num_nodes=3, procs_per_node=2)
+        shape = TrafficShape(kind="mice", flows=24, msgs_per_flow=1)
+        install_traffic(world, shape, seed)
+        node_of = [proc.node.node_id for proc in world.procs]
+        table = world.traffic.flow_table
+        assert len(table) == 24
+        assert all(node_of[src] != node_of[dst] for src, dst, _ in table)
+        # ... and no rank became unreachable.
+        assert {dst for _, dst, _ in table} == set(range(6))
+
     def test_none_shape_is_noop(self):
         world = World(num_nodes=2, procs_per_node=1)
         assert install_traffic(world, None, 0) == []
