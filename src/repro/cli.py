@@ -366,8 +366,7 @@ def _cmd_replay(args) -> int:
         return 2
     result, status = run_replay(
         args.program, list(args.args), until=args.until,
-        to_finding=args.to_finding, interval=args.interval, keep=args.keep,
-        snapshot_path=args.snapshot, live=not args.no_fork)
+        to_finding=args.to_finding, snapshot_path=args.snapshot)
     if result is None:
         target = (f"t={args.until}" if args.until is not None
                   else args.to_finding)
@@ -741,16 +740,14 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser(
         "replay",
         help="replay a recorded run to a time or a checker finding",
-        description="Run a Python program under record-replay: worlds "
-                    "execute in slices with live fork checkpoints parked "
-                    "at interval boundaries. --until T stops at simulated "
-                    "time T, --to-finding CHK1xx stops when that checker "
-                    "rule first fires; either way the nearest checkpoint "
-                    "is woken and re-executes deterministically to the "
-                    "exact target step (never from t=0), and the "
+        description="Run a Python program under record-replay. --until T "
+                    "stops at simulated time T, --to-finding CHK1xx stops "
+                    "when that checker rule first fires; either way the "
+                    "program is then executed a second time (its stdout "
+                    "suppressed) to exactly the target step, and the "
                     "reproduction is verified by state digest (or by the "
-                    "finding re-firing at the same step). See "
-                    "docs/snapshot.md.")
+                    "finding re-firing at the same step). Costs one extra "
+                    "execution up to the target. See docs/snapshot.md.")
     rp.add_argument("program", help="path to the Python program to run")
     rp.add_argument("args", nargs="*", help="arguments for the program")
     rp.add_argument("--until", type=float, metavar="T",
@@ -759,18 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replay target: first firing of this checker "
                          "rule (e.g. CHK102); enables the checker in "
                          "warn mode")
-    rp.add_argument("--interval", type=int, default=20_000,
-                    help="kernel steps between live checkpoints "
-                         "(default 20000)")
-    rp.add_argument("--keep", type=int, default=8,
-                    help="live checkpoints kept parked (default 8; older "
-                         "ones are discarded)")
     rp.add_argument("--snapshot", metavar="PATH",
                     help="also write the verified state snapshot at the "
                          "target to PATH")
-    rp.add_argument("--no-fork", action="store_true",
-                    help="disable live fork checkpoints (capture at the "
-                         "target only; no resume)")
     rp.set_defaults(fn=_cmd_replay)
 
     lt = sub.add_parser(

@@ -283,24 +283,12 @@ class PsendRequest(_PartitionedOp):
     def _on_channel_ready(self, remote_channel: int) -> None:
         self.channel_ready = True
         self.remote_channel = remote_channel
+        # Partitions readied before the handshake leave now, in pready
+        # order. At most once per persistent request, and a handful of
+        # messages when it happens (docs/performance.md, PR 19).
         deferred, self._deferred = self._deferred, []
-        # Partitions marked ready before the channel handshake flush as
-        # one burst per VCI run: contiguous runs preserve the scalar
-        # issue order (and therefore event order and timings) while the
-        # NIC injector chain is computed for the whole run at once.
-        pool = self.lib.vci_pool
-        i = 0
-        while i < len(deferred):
-            index = self.vci_index_for_partition(deferred[i])
-            j = i + 1
-            while j < len(deferred) \
-                    and self.vci_index_for_partition(deferred[j]) == index:
-                j += 1
-            vci = pool.get(index)
-            msgs = [self._partition_msg(p, index) for p in deferred[i:j]]
-            self.lib.issue_async_batch(
-                vci, msgs, after=lambda _m, d: self._track_departure(d))
-            i = j
+        for i in deferred:
+            self._issue_partition_async(i)
 
 
 class PrecvRequest(_PartitionedOp):

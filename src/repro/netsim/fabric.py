@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from ..obs.metrics import MetricsRegistry
 from ..sim.core import Event, Simulator
 from ..sim.resources import FIFOServer
@@ -134,49 +132,11 @@ class Fabric:
 
     def transmit_batch(self, items: Sequence[tuple[WireMessage, float]]
                        ) -> None:
-        """Schedule delivery of a burst of ``(msg, depart_time)`` pairs.
-
-        Arrival times and server bookkeeping are byte-identical to
-        calling :meth:`transmit` once per pair in list order: the
-        per-message wire times and egress services are computed with
-        numpy (same operand order as the scalar path, so IEEE-identical)
-        while the egress/ingress busy-chains — inherently sequential —
-        are applied in list order. A fault-injected fabric falls back to
-        the scalar path, which routes each message through the
-        injector's wire actions.
-        """
-        if not items:
-            return
-        if self.injector is not None:
-            for msg, depart_time in items:
-                self.transmit(msg, depart_time)
-            return
-        for msg, _ in items:
-            if msg.dst_node not in self._handlers:
-                raise KeyError(f"no node {msg.dst_node} on this fabric "
-                               f"(message {msg!r})")
-        now = self.sim._now
-        wire_arr = (np.asarray([m.wire_bytes for m, _ in items],
-                               dtype=np.float64)
-                    / self.params.bandwidth)
-        # Back to Python floats: these feed event timestamps and server
-        # busy-chains, which the state digest must see as plain floats.
-        wire_times = wire_arr.tolist()
-        if self.params.model_egress:
-            services = np.maximum(self.params.node_msg_gap,
-                                  wire_arr).tolist()
-        else:
-            services = wire_times  # unused; keeps the loop uniform
-        for i, (msg, depart_time) in enumerate(items):
-            depart_time = max(depart_time, now)
-            wire_time = wire_times[i]
-            if self.params.model_egress and msg.src_node in self._egress:
-                depart_time, queued = self._serialize(
-                    self._egress[msg.src_node], depart_time, services[i])
-                h = self._h_egress.get(msg.src_node)
-                if h is not None:
-                    h.observe(queued)
-            self._schedule_arrival(msg, depart_time, wire_time)
+        """:meth:`transmit` once per item. No caller under ``src/``: the frozen
+        ``benchmarks/stack/layers.py`` resolves this name; it goes with
+        the benchmark thaw (ROADMAP item 1)."""
+        for msg, depart_time in items:
+            self.transmit(msg, depart_time)
 
     def _schedule_arrival(self, msg: WireMessage, depart_time: float,
                           wire_time: float) -> None:

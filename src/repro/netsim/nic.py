@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..obs.metrics import MetricsRegistry, instrument_lock
 from ..sim.core import Event, Simulator
 from ..sim.resources import FIFOServer
@@ -137,35 +135,10 @@ class HardwareContext:
         return depart
 
     def issue_batch(self, sizes: Sequence[int]) -> list[float]:
-        """Queue a burst of messages for injection in one call.
-
-        Departure times are byte-identical to ``[self.issue(b) for b in
-        sizes]``: the per-message service is ``gap + bytes * per_byte``
-        (vectorized with numpy — same association order as the scalar
-        path, so IEEE-identical), and the injector busy-chain is applied
-        sequentially in list order. Bursts on a stalled or jittered
-        context fall back to the scalar path, which handles failover and
-        the per-message xorshift draw.
-        """
-        if not sizes:
-            return []
-        if self.fault_injector is not None or self.params.issue_jitter > 0.0:
-            return [self.issue(b) for b in sizes]
-        services = (self.params.issue_gap
-                    + np.asarray(sizes, dtype=np.float64)
-                    * self.params.issue_per_byte)
-        injector = self.injector
-        now = self.sim._now
-        departs: list[float] = []
-        observe = self.m_inject_queue
-        for service in services.tolist():
-            depart = injector.occupy(service)
-            departs.append(depart)
-            if observe is not None:
-                observe.observe(max(0.0, depart - service - now))
-        self.messages_issued += len(departs)
-        self.bytes_issued += int(sum(sizes))
-        return departs
+        """:meth:`issue` once per item. No caller under ``src/``: the frozen
+        ``benchmarks/stack/layers.py`` resolves this name; it goes with
+        the benchmark thaw (ROADMAP item 1)."""
+        return [self.issue(b) for b in sizes]
 
     def issue_event(self, wire_bytes: int) -> Event:
         """Like :meth:`issue` but returns the departure event (for waiting

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..errors import ServeError
-from ..snap.fork import fork_available
 from .client import ServeClient
 from .http import HttpApi
 from .orchestrator import Orchestrator
@@ -49,6 +48,11 @@ __all__ = ["ServiceHandle", "auto_jobs", "run_local", "run_service",
            "spawn_service"]
 
 _DISCOVERY = "serve.json"
+
+
+def fork_available() -> bool:
+    """Whether this host can fork local workers (POSIX)."""
+    return hasattr(os, "fork")
 
 
 def auto_jobs(requested: Optional[int] = None,

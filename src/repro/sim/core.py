@@ -22,9 +22,11 @@ exact.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable,
+                    Iterator, Optional)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..check.hb import TaskClock
@@ -37,6 +39,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Simulator",
+    "gc_suspended",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
 ]
@@ -50,6 +53,28 @@ PRIORITY_NORMAL = 1
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (double trigger, bad yield, ...)."""
+
+
+@contextmanager
+def gc_suspended() -> Iterator[None]:
+    """Suspend cyclic GC around an event loop.
+
+    The kernel allocates one-or-more short-lived objects per event, and
+    gen-0 collections triggered mid-run cost real host time without
+    freeing anything the free-list and refcounting don't already handle.
+    This is purely a host-side optimization — collection timing can never
+    affect simulated results. A collect() on exit reclaims the
+    generator-frame cycles that completed processes leave behind.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+            gc.collect(0)
 
 
 class Event:
@@ -669,22 +694,8 @@ class Simulator:
         target = until if isinstance(until, Event) else None
         horizon = None if target is not None or until is None else float(until)
         budget = _UNBOUNDED if max_steps is None else max_steps
-        # Cyclic GC is suspended for the duration of the loop: the kernel
-        # allocates one-or-more short-lived objects per event, and gen-0
-        # collections triggered mid-run cost real host time without freeing
-        # anything the free-list and refcounting don't already handle. This
-        # is purely a host-side optimization — collection timing can never
-        # affect simulated results. A collect() on exit reclaims the
-        # generator-frame cycles that completed processes leave behind.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_suspended():
             done = self.run_steps(budget, horizon, target)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect(0)
         if target is not None:
             if target._processed:
                 return target.value

@@ -4,9 +4,10 @@ The robustness primitive behind long deterministic campaigns (see
 docs/snapshot.md): capture the full canonical state of a running
 simulation (:func:`capture_state`), persist it versioned
 (:class:`Snapshot`), prove restores byte-identical
-(:func:`restore_snapshot`), jump a live run back to a parked fork
-checkpoint (``python -m repro replay``), and locate the first step at
-which two configurations diverge (:func:`first_divergence`).
+(:func:`restore_snapshot`), reach a past state of a program's run a
+second time and compare (``python -m repro replay``), and locate the
+first step at which two configurations diverge
+(:func:`first_divergence`).
 """
 
 from .bisect import Divergence, first_divergence

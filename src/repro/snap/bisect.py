@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from .restore import advance_to
 from .state import capture_state, diff_states, prune_state, state_digest
 
 __all__ = ["Divergence", "first_divergence"]
@@ -48,13 +49,6 @@ class Divergence:
 def _capture(world: Any, ignore: tuple[str, ...]) -> tuple[str, dict]:
     state = prune_state(capture_state(world), ignore)
     return state_digest(state), state
-
-
-def _advance_to(world: Any, step: int) -> None:
-    sim = world.sim
-    while sim.steps < step:
-        if sim.run_steps(min(8192, step - sim.steps)) == 0:
-            break
 
 
 def first_divergence(build_a: Callable[[], Any],
@@ -95,8 +89,8 @@ def first_divergence(build_a: Callable[[], Any],
         return None  # max_steps reached while still identical
     # Refine: rebuild, replay the agreed prefix, then single-step.
     world_a, world_b = build_a(), build_b()
-    _advance_to(world_a, agreed)
-    _advance_to(world_b, agreed)
+    advance_to(world_a, agreed)
+    advance_to(world_b, agreed)
     while True:
         n_a = world_a.sim.run_steps(1)
         n_b = world_b.sim.run_steps(1)

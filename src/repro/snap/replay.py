@@ -1,36 +1,45 @@
-"""Record-replay: run a program, checkpoint it live, jump to a target.
+"""Record-replay: locate a target in a run, reach it again, compare.
 
 ``python -m repro replay <prog> --until T`` (or ``--to-finding CHK###``)
-runs an unmodified program under a :class:`ReplayController`: worlds
-execute in slices, a forked live checkpoint is parked at every interval
-boundary, and when the target is reached the *nearest* checkpoint is
-woken and re-executes deterministically to the exact target step — never
-from t=0. The woken child captures the state there, saves it as a
-versioned snapshot, and the parent verifies the reproduction:
+executes an unmodified program twice in this process under one
+:class:`ReplayController`:
 
-- ``--until``: the child's state digest must equal the parent's at the
-  same step (byte-identity of the replay);
-- ``--to-finding``: the same checker rule must re-fire at the same step
-  in the child (the finding is reproduced from the checkpoint).
+1. the first execution *locates* the target — which of the worlds the
+   program builds, and that world's cumulative kernel step: where the
+   ``--until`` horizon stopped it, or where the rule first fired (the
+   world overruns to the end of that slice before the program unwinds);
+2. the second execution, its stdout suppressed, ends a slice at exactly
+   that step (:attr:`~repro.snap.session.SnapController.stop_step`),
+   captures the state there, optionally saves it as a versioned
+   snapshot, and is compared with the first:
+
+   - ``--until``: same world, same step, equal state digest;
+   - ``--to-finding``: the same rule re-fired in the same world at the
+     same step.
+
+The proof is the repository's own contract — same spec, same bytes —
+applied to the program: one that differs between two executions is
+reported ``reproduction verified: False``. The cost is one extra
+execution up to the target (docs/snapshot.md has the numbers).
 """
 
 from __future__ import annotations
 
+import os
 import runpy
 import sys
-from dataclasses import dataclass, field
+from contextlib import ExitStack, redirect_stdout
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from .fork import ForkCheckpoints, fork_available
 from .session import SnapController, recording
 from .snapshot import Snapshot, save_snapshot, take_snapshot
-from .state import capture_state, state_digest
 
 __all__ = ["ReplayStop", "ReplayResult", "ReplayController", "run_replay"]
 
 
 class ReplayStop(BaseException):
-    """Raised to unwind the replayed program once the target is resolved.
+    """Raised to unwind the replayed program once the target is reached.
 
     A ``BaseException`` so application-level ``except Exception`` blocks
     in the program cannot swallow it.
@@ -39,31 +48,26 @@ class ReplayStop(BaseException):
 
 @dataclass
 class ReplayResult:
-    """What the replay established (one per resolved target)."""
+    """Where an execution met the target, and whether a second one met
+    it again in the same state."""
 
     reason: str                       # "until" | "finding"
-    step: int                         # target kernel step
+    world: int                        # index among the program's worlds
+    step: int                         # that world's cumulative kernel step
     clock: float                      # simulated time there
-    resumed_from_step: Optional[int]  # checkpoint step, None = ran from 0
-    steps_replayed: int               # events the woken child re-executed
-    digest: str                       # state digest at the target
-    verified: bool                    # reproduction proof (see module doc)
+    #: State digest at the target; empty while unknown: the first
+    #: execution runs past a finding before the program can be stopped.
+    digest: str
+    verified: bool = False            # reproduction proof (see module doc)
     finding: Optional[dict[str, Any]] = None
     snapshot_path: Optional[str] = None
-    detail: dict[str, Any] = field(default_factory=dict)
 
     def render(self) -> str:
         """Multi-line human report."""
         lines = [f"replay target: {self.reason} at step {self.step} "
-                 f"(t={self.clock:.9f}s)"]
-        if self.resumed_from_step is None:
-            lines.append("resumed from: start of run (no earlier "
-                         "checkpoint)")
-        else:
-            lines.append(f"resumed from: live checkpoint at step "
-                         f"{self.resumed_from_step} "
-                         f"({self.steps_replayed} of {self.step} events "
-                         "re-executed)")
+                 f"(t={self.clock:.9f}s)",
+                 f"reached by: re-executing world {self.world} of the "
+                 f"program ({self.step} events)"]
         if self.finding is not None:
             lines.append(f"finding: {self.finding.get('rule')} "
                          f"\"{self.finding.get('message', '')}\" "
@@ -76,29 +80,30 @@ class ReplayResult:
 
 
 class ReplayController(SnapController):
-    """Drives the recorded run and resolves the replay target."""
+    """Stops one execution of the program where it meets the target."""
 
     def __init__(self, until: Optional[float] = None,
                  to_finding: Optional[str] = None,
-                 interval: int = 20_000, keep: int = 8,
-                 snapshot_path: Optional[str] = None,
-                 recipe: Optional[dict[str, Any]] = None,
-                 live: bool = True):
-        super().__init__(interval=interval)
+                 recipe: Optional[dict[str, Any]] = None):
+        super().__init__()
         if (until is None) == (to_finding is None):
             raise ValueError(
                 "replay needs exactly one of until= / to_finding=")
-        self.until = until
         self.to_finding = to_finding.upper() if to_finding else None
         self.stop_horizon = until
-        self.snapshot_path = snapshot_path
         self.recipe = dict(recipe or {})
-        self.live = live and fork_available()
-        self.keep = keep
+        #: Where the current execution met the target, and the state
+        #: there if the world still sat at that step when it stopped.
         self.result: Optional[ReplayResult] = None
-        self._forks: Optional[ForkCheckpoints] = None
-        self._world = None
+        self.snapshot: Optional[Snapshot] = None
         self._finding: Optional[dict[str, Any]] = None
+
+    def reset(self, stop_step: int) -> None:
+        """Forget the last execution and release its worlds; the next
+        one ends a slice at ``stop_step``."""
+        self.worlds = []
+        self.result = self.snapshot = self._finding = None
+        self.stop_step = stop_step
 
     # -- wiring ----------------------------------------------------------
     def attach(self, world) -> None:
@@ -109,159 +114,51 @@ class ReplayController(SnapController):
             def observe(violation, _prev=prev, _world=world):
                 if _prev is not None:
                     _prev(violation)
-                self._note_violation(_world, violation)
+                if self._finding is None \
+                        and violation.rule_id.upper() == self.to_finding:
+                    self._finding = {"rule": violation.rule_id,
+                                     "message": violation.message,
+                                     "task": violation.task,
+                                     "time": violation.time,
+                                     "step": _world.sim.steps}
 
             world.checker.on_violation = observe
 
-    def _note_violation(self, world, violation) -> None:
-        if self._finding is not None or self.result is not None:
-            return
-        if violation.rule_id.upper() != self.to_finding:
-            return
-        self._finding = {"rule": violation.rule_id,
-                         "message": violation.message,
-                         "task": violation.task,
-                         "time": violation.time,
-                         "step": world.sim.steps}
-
     # -- drive hooks -------------------------------------------------------
-    def drive(self, world, until=None, max_steps=None) -> Any:
-        # Checkpoints park per driven run: a program that builds several
-        # worlds gets a fresh recording for each until one resolves.
-        if self.result is None:
-            if self._forks is not None:
-                self._forks.discard_all()
-            self._forks = ForkCheckpoints(self.keep) if self.live else None
-            self._world = world
-            self._finding = None
-            if self._forks is not None:
-                # Park an initial checkpoint so even a target inside the
-                # first interval resumes from a fork, not a re-run.
-                self._forks.take(world.sim.steps,
-                                 lambda cmd: self._serve_child(world, cmd))
-        return super().drive(world, until, max_steps)
-
-    def on_boundary(self, world) -> None:
-        super().on_boundary(world)
-        if self._forks is not None and world is self._world \
-                and self.result is None:
-            self._forks.take(world.sim.steps,
-                             lambda cmd: self._serve_child(world, cmd))
-
     def after_slice(self, world) -> None:
-        if self._finding is not None and self.result is None:
-            self._resolve(world, self._finding["step"], "finding")
+        if self._finding is not None:
+            self._reach(world, "finding", self._finding["step"],
+                        self._finding["time"])
 
     def on_stop_horizon(self, world) -> None:
-        if self.result is None:
-            self._resolve(world, world.sim.steps, "until")
+        self._reach(world, "until", world.sim.steps, world.sim._now)
 
-    # -- resolution --------------------------------------------------------
-    def _resolve(self, world, target_step: int, reason: str) -> None:
-        original_finding = self._finding
-        parent_digest = None
-        if reason == "until":
-            # Parent stopped exactly at the target step; its digest is the
-            # reference the replayed child must reproduce.
-            parent_digest = state_digest(capture_state(world))
-        checkpoint = self._forks.nearest(target_step) \
-            if self._forks is not None else None
-        checkpoint_steps = self._forks.steps \
-            if self._forks is not None else []
-        if checkpoint is not None:
-            child = self._forks.resume(checkpoint, {
-                "target_step": target_step, "reason": reason})
-            if "error" in child:
-                self._forks.discard_all()
-                raise RuntimeError(f"replay child failed: {child['error']}")
-            resumed_from: Optional[int] = checkpoint.step
-            clock, digest = child["clock"], child["digest"]
-            replayed = child["steps_replayed"]
-            path = child.get("snapshot_path")
-            if reason == "until":
-                verified = digest == parent_digest
-            else:
-                refire = child.get("finding")
-                verified = (refire is not None
-                            and refire["rule"] == original_finding["rule"]
-                            and refire["step"] == target_step)
-        else:
-            # Live checkpoints unavailable: the recording itself is the
-            # only evidence. For "until" the parent sits exactly at the
-            # target; for a finding it has overrun to the slice boundary,
-            # so the capture is best-effort and marked unverified.
-            resumed_from = None
-            snap = take_snapshot(world, recipe=self.recipe)
-            path = save_snapshot(snap, self.snapshot_path) \
-                if self.snapshot_path else None
-            clock, digest = world.sim._now, snap.digest
-            replayed = world.sim.steps
-            verified = reason == "until"
-        if self._forks is not None:
-            self._forks.discard_all()
+    def _reach(self, world, reason: str, step: int, clock: float) -> None:
+        if world.sim.steps == step:
+            self.snapshot = take_snapshot(world, recipe=self.recipe)
         self.result = ReplayResult(
-            reason=reason, step=target_step, clock=clock,
-            resumed_from_step=resumed_from, steps_replayed=replayed,
-            digest=digest, verified=verified,
-            finding=original_finding if reason == "finding" else None,
-            snapshot_path=path,
-            detail={"parent_digest": parent_digest,
-                    "checkpoints": checkpoint_steps})
+            reason=reason, world=self.worlds.index(world), step=step,
+            clock=clock, finding=self._finding,
+            digest=self.snapshot.digest if self.snapshot else "")
         raise ReplayStop()
 
-    def _serve_child(self, world,
-                     command: dict[str, Any]) -> dict[str, Any]:
-        """Advance to the target step and capture (runs in the woken
-        child for real resumes, in the parent when no checkpoint
-        precedes the target)."""
-        sim = world.sim
-        resumed_from = sim.steps
-        self._finding = None  # re-observe the finding during the replay
-        target = int(command["target_step"])
-        while sim.steps < target:
-            if sim.run_steps(min(8192, target - sim.steps)) == 0:
-                return {"error": f"ran out of events at step {sim.steps} "
-                                 f"replaying to {target}"}
-        snap = take_snapshot(world, recipe=self.recipe)
-        path = None
-        if self.snapshot_path:
-            path = save_snapshot(snap, self.snapshot_path)
-        return {"clock": sim._now, "digest": snap.digest,
-                "steps_replayed": target - resumed_from,
-                "finding": self._finding, "snapshot_path": path}
 
-
-def run_replay(program: str, argv: list[str], *,
-               until: Optional[float] = None,
-               to_finding: Optional[str] = None,
-               interval: int = 20_000, keep: int = 8,
-               snapshot_path: Optional[str] = None,
-               live: bool = True,
-               check_config: Optional[Any] = None
-               ) -> tuple[Optional[ReplayResult], int]:
-    """Run ``program`` under replay; returns (result, program_status).
-
-    ``--to-finding`` replays need the checker: ``check_config`` (default
-    warn-mode) is installed as the session default exactly as ``repro
-    check`` does, so unmodified programs run checked.
-    """
-    from contextlib import ExitStack
-
-    controller = ReplayController(
-        until=until, to_finding=to_finding, interval=interval, keep=keep,
-        snapshot_path=snapshot_path, live=live,
-        recipe={"program": program, "argv": list(argv),
-                "until": until, "to_finding": to_finding})
+def _execute(controller: ReplayController, program: str, argv: list[str],
+             check_config: Optional[Any]) -> int:
+    """Run ``program`` once under ``controller``; returns its exit status."""
     status = 0
     old_argv = sys.argv
     try:
         with ExitStack() as stack:
             stack.enter_context(recording(controller))
-            if to_finding is not None:
+            if controller.to_finding is not None:
                 from ..check import CheckConfig, checking
-                stack.enter_context(checking(
+                session = stack.enter_context(checking(
                     check_config
                     or CheckConfig(mode="warn", emit_warnings=False)))
+                # The registry pins every checked world: let go of them
+                # before the next execution builds its own.
+                stack.callback(session.close)
             sys.argv = [program] + list(argv)
             try:
                 runpy.run_path(program, run_name="__main__")
@@ -272,6 +169,45 @@ def run_replay(program: str, argv: list[str], *,
                     status = exc.code if isinstance(exc.code, int) else 1
     finally:
         sys.argv = old_argv
-        if controller._forks is not None:
-            controller._forks.discard_all()
-    return controller.result, status
+    return status
+
+
+def run_replay(program: str, argv: list[str], *,
+               until: Optional[float] = None,
+               to_finding: Optional[str] = None,
+               snapshot_path: Optional[str] = None,
+               check_config: Optional[Any] = None
+               ) -> tuple[Optional[ReplayResult], int]:
+    """Run ``program`` under replay; returns (result, program_status).
+
+    ``result`` is ``None`` when the program ran to completion without
+    meeting the target. ``--to-finding`` replays need the checker:
+    ``check_config`` (default warn-mode) is installed as the session
+    default exactly as ``repro check`` does, so unmodified programs run
+    checked.
+    """
+    controller = ReplayController(
+        until=until, to_finding=to_finding,
+        recipe={"program": program, "argv": list(argv),
+                "until": until, "to_finding": to_finding})
+    status = _execute(controller, program, argv, check_config)
+    result = controller.result
+    if result is None:
+        return None, status
+    controller.reset(stop_step=result.step)
+    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+        _execute(controller, program, argv, check_config)
+    again = controller.result
+    # Same world and step (for a finding: the rule re-fired there), the
+    # state captured at exactly that step, and equal to the one the first
+    # execution captured there (it ran past a finding, so has none).
+    result.verified = (
+        again is not None and again.digest != ""
+        and (again.world, again.step) == (result.world, result.step)
+        and result.digest in ("", again.digest))
+    if result.verified:
+        result.digest = again.digest
+        if snapshot_path:
+            result.snapshot_path = save_snapshot(controller.snapshot,
+                                                 snapshot_path)
+    return result, status

@@ -7,24 +7,29 @@ config, same seed, same spawned workload), :func:`fast_forward` replays
 the event loop to the snapshot's kernel step, and the re-captured state
 must match the snapshot digest byte-for-byte — otherwise
 :class:`~repro.errors.SnapshotMismatchError` names the divergent paths.
-Within one ``repro replay`` invocation, :mod:`repro.snap.fork` keeps
-*live* checkpoints instead, which resume without re-executing the prefix.
+``repro replay`` reaches a past state the same way, by running the
+program a second time (:mod:`repro.snap.replay`).
 """
 
 from __future__ import annotations
 
-import gc
 from typing import Any, Callable, Optional
 
 from ..errors import SnapshotMismatchError
+from ..sim.core import gc_suspended
 from .snapshot import Snapshot
 from .state import capture_state, diff_states, state_digest
 
-__all__ = ["fast_forward", "restore_snapshot"]
+__all__ = ["advance_to", "fast_forward", "restore_snapshot"]
 
-#: Events per fast-forward slice; boundaries are invisible to the
-#: simulation so the size only tunes host-side loop overhead.
-_FF_CHUNK = 8192
+
+def advance_to(world: Any, step: int) -> bool:
+    """Run ``world`` up to kernel step ``step``; False if its events ran
+    out first."""
+    sim = world.sim
+    with gc_suspended():
+        sim.run_steps(step - sim.steps)
+    return sim.steps >= step
 
 
 def fast_forward(world: Any, step: int,
@@ -40,21 +45,11 @@ def fast_forward(world: Any, step: int,
         raise SnapshotMismatchError(
             f"world already at step {sim.steps}, past snapshot step {step} "
             "(restore needs a freshly built world)")
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        while sim.steps < step:
-            n = sim.run_steps(min(_FF_CHUNK, step - sim.steps))
-            if n == 0:
-                raise SnapshotMismatchError(
-                    f"simulation ran out of events at step {sim.steps}, "
-                    f"before snapshot step {step} — the rebuilt workload "
-                    "does not match the snapshot's recipe")
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect(0)
+    if not advance_to(world, step):
+        raise SnapshotMismatchError(
+            f"simulation ran out of events at step {sim.steps}, "
+            f"before snapshot step {step} — the rebuilt workload "
+            "does not match the snapshot's recipe")
     if clock is not None and clock > sim._now:
         sim._now = clock
 

@@ -16,11 +16,10 @@ bare one (property-tested in ``tests/test_snap_property.py``).
 
 from __future__ import annotations
 
-import gc
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-from ..sim.core import Event, SimulationError
+from ..sim.core import Event, SimulationError, gc_suspended
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.world import World
@@ -61,6 +60,10 @@ class SnapController:
         #: drive loop never processes an event scheduled beyond it and
         #: calls :meth:`on_stop_horizon` at the exact step boundary.
         self.stop_horizon: Optional[float] = None
+        #: Optional kernel step no slice runs across (used by replay's
+        #: second execution): the slice that reaches it ends there, so
+        #: :meth:`after_slice` sees the world at exactly that step.
+        self.stop_step: Optional[int] = None
 
     # -- wiring ---------------------------------------------------------
     def attach(self, world: "World") -> None:
@@ -104,10 +107,7 @@ class SnapController:
         if self.stop_horizon is not None:
             limit = self.stop_horizon if limit is None \
                 else min(limit, self.stop_horizon)
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_suspended():
             while True:
                 if target is not None and target._processed:
                     return target.value
@@ -122,6 +122,8 @@ class SnapController:
                         self.on_stop_horizon(world)
                     break
                 budget = self.interval - sim.steps % self.interval
+                if self.stop_step is not None and sim.steps < self.stop_step:
+                    budget = min(budget, self.stop_step - sim.steps)
                 if max_steps is not None:
                     done = sim.steps - start_steps
                     if done >= max_steps:
@@ -132,10 +134,6 @@ class SnapController:
                 if n and sim.steps % self.interval == 0:
                     self.on_boundary(world)
                 self.after_slice(world)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect(0)
         if horizon is not None and sim._now < horizon:
             sim._now = horizon
         return None

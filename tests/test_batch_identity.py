@@ -22,6 +22,16 @@ from tests.helpers import flat_world, run_ranks
 
 SIZES = [8, 8, 256, 33000, 8, 1024, 8, 8, 64000, 16]
 
+#: What the numpy bodies produced at c506174, the last commit that had
+#: them: both arms of every comparison below now run the scalar code, so
+#: these keep the battery from comparing a thing with itself.
+ISSUE_BATCH_DEPARTS = [
+    1.8064e-07, 3.6128e-07, 5.6176e-07, 3.3817599999999997e-06,
+    3.5623999999999996e-06, 3.82432e-06, 4.0049599999999995e-06,
+    4.185599999999999e-06, 9.4856e-06, 9.66688e-06]
+PARTITIONED_BURST_DIGEST = \
+    "cc008f6de744ac69fa1ceaf2ee1e00d1848d93bc6f90361f85044e22e0320ec2"
+
 
 def _ctx(params: NicParams) -> HardwareContext:
     return HardwareContext(Simulator(), 0, params)
@@ -33,6 +43,7 @@ def test_issue_batch_matches_scalar_issue():
     ref = [scalar.issue(b) for b in SIZES]
     got = batched.issue_batch(SIZES)
     assert got == ref  # exact float equality, element-wise
+    assert got == ISSUE_BATCH_DEPARTS
     assert batched.messages_issued == scalar.messages_issued
     assert batched.bytes_issued == scalar.bytes_issued
     assert batched.injector.free_at == scalar.injector.free_at
@@ -153,3 +164,4 @@ def test_partitioned_burst_flush_matches_scalar_flush():
     the byte-identical state of one ``issue_async`` call per partition."""
     assert _run_partitioned(scalar_flush=False) == \
         _run_partitioned(scalar_flush=True)
+    assert _run_partitioned(scalar_flush=False) == PARTITIONED_BURST_DIGEST

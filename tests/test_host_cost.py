@@ -20,6 +20,8 @@ from repro.errors import (
 )
 from repro.faults import CtxStall, FaultPlan
 from repro.mpi import ANY_SOURCE, ANY_TAG, Info
+from repro.mpi.library import MpiLibrary
+from repro.mpi.partitioned import precv_init, psend_init
 from repro.mpi.request import Request
 from repro.mpi.vci import TAG_UB
 from repro.netsim import ClusterSpec, NetworkConfig
@@ -484,3 +486,47 @@ def test_restored_snapshot_continues_the_request_numbering():
     assert restored.sim._next_rid == world.sim._next_rid == 8
     assert state_digest(capture_state(restored)) \
         == state_digest(capture_state(world))
+
+
+# ------------------------- a deferred partition costs one scalar issue
+
+def test_partitions_readied_before_the_handshake_issue_one_by_one(
+        monkeypatch):
+    """The flush after PART_INIT_ACK is the only place a partitioned send
+    could batch; at the burst sizes the traffic has (docs/performance.md,
+    PR 19) a batch costs more than the loop, so there is none."""
+    calls: dict[tuple[str, int], int] = {}
+
+    def counted(name):
+        method = MpiLibrary.__dict__[name]
+
+        def wrapper(lib, *args, **kwargs):
+            calls[name, lib.rank] = calls.get((name, lib.rank), 0) + 1
+            return method(lib, *args, **kwargs)
+        return wrapper
+
+    for name in ("issue_async", "issue_async_batch"):
+        monkeypatch.setattr(MpiLibrary, name, counted(name))
+    world = flat_world(2)
+    deferred = []
+
+    def sender(proc):
+        req = psend_init(proc.comm_world, np.arange(16.0), 8, 2, dest=1,
+                         tag=0)
+        yield from req.start()
+        for i in range(8):
+            yield from req.pready(i)
+        deferred.extend(req._deferred)
+        yield from req.wait()
+
+    def receiver(proc):
+        buf = np.zeros(16)
+        req = precv_init(proc.comm_world, buf, 8, 2, source=0, tag=0)
+        yield from req.start()
+        yield from req.wait()
+        assert np.array_equal(buf, np.arange(16.0))
+
+    run_ranks(world, sender, receiver)
+    assert deferred == list(range(8))  # none left before the handshake
+    assert calls == {("issue_async", 0): 8,   # the eight partitions
+                     ("issue_async", 1): 1}   # the receiver's ACK

@@ -1,6 +1,5 @@
 """Unit tests for repro.snap: state capture, snapshots, restore,
-sliced sessions, fork checkpoints, replay, bisect, and resumable
-sweeps."""
+sliced sessions, replay, bisect, and resumable sweeps."""
 
 import json
 import os
@@ -33,7 +32,6 @@ from repro.snap import (
     state_digest,
     take_snapshot,
 )
-from repro.snap.fork import ForkCheckpoints, fork_available
 from tests.oracles import LinearMatchingEngine
 
 
@@ -174,6 +172,8 @@ def test_fast_forward_rejects_overshoot():
     w.sim.run_steps(20)
     with pytest.raises(SnapshotMismatchError, match="past"):
         fast_forward(w, 10)
+    with pytest.raises(SnapshotMismatchError, match="ran out of events"):
+        fast_forward(pingpong_world(nmsg=1), 10**6)
 
 
 def test_run_steps_horizon_does_not_clamp_clock():
@@ -220,43 +220,6 @@ def test_recording_restores_previous_default():
     assert default_snap_controller() is None
 
 
-# ----------------------------------------------------- fork checkpoints
-@pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-def test_fork_checkpoint_resume_roundtrip():
-    w = pingpong_world()
-    forks = ForkCheckpoints(keep=4)
-    try:
-        w.sim.run_steps(10)
-
-        def serve(cmd):
-            w.sim.run_steps(int(cmd["target"]) - w.sim.steps)
-            return {"digest": state_digest(capture_state(w)),
-                    "steps": w.sim.steps}
-
-        forks.take(w.sim.steps, serve)
-        # Parent runs ahead; the parked child must reproduce its state.
-        w.sim.run_steps(15)
-        ref = state_digest(capture_state(w))
-        cp = forks.nearest(25)
-        assert cp is not None and cp.step == 10
-        out = forks.resume(cp, {"target": 25})
-        assert out == {"digest": ref, "steps": 25}
-    finally:
-        forks.discard_all()
-
-
-@pytest.mark.skipif(not fork_available(), reason="needs os.fork")
-def test_fork_checkpoints_evict_oldest():
-    forks = ForkCheckpoints(keep=2)
-    try:
-        for step in (5, 10, 15):
-            forks.take(step, lambda cmd: {})
-        assert forks.steps == [10, 15]
-        assert forks.nearest(9) is None
-    finally:
-        forks.discard_all()
-
-
 # --------------------------------------------------------------- replay
 PROGRAM = textwrap.dedent("""\
     import numpy as np
@@ -298,33 +261,19 @@ def program(tmp_path):
 
 def test_replay_until_resumes_from_checkpoint(program, tmp_path):
     snap_path = str(tmp_path / "at_target.json")
-    result, status = run_replay(program, [], until=3e-6, interval=25,
+    result, status = run_replay(program, [], until=3e-6,
                                 snapshot_path=snap_path)
     assert status == 0 and result is not None
     assert result.reason == "until" and result.verified
-    if fork_available():
-        assert result.resumed_from_step is not None
-        assert result.steps_replayed < result.step  # not from t=0
     snap = load_snapshot(snap_path)
     assert snap.step == result.step and snap.digest == result.digest
 
 
 def test_replay_to_finding_reproduces_chk102(program):
-    result, status = run_replay(program, [], to_finding="CHK102",
-                                interval=25)
+    result, status = run_replay(program, [], to_finding="CHK102")
     assert status == 0 and result is not None
     assert result.reason == "finding" and result.verified
     assert result.finding["rule"] == "CHK102"
-    if fork_available():
-        assert result.resumed_from_step is not None
-        assert result.steps_replayed < result.step
-
-
-def test_replay_without_fork_still_captures(program):
-    result, _ = run_replay(program, [], until=3e-6, interval=25,
-                           live=False)
-    assert result is not None and result.verified
-    assert result.resumed_from_step is None
 
 
 def test_replay_needs_exactly_one_target(program):
@@ -335,13 +284,98 @@ def test_replay_needs_exactly_one_target(program):
 
 
 def test_replay_cli(program, capsys):
-    assert main(["replay", program, "--until", "3e-6",
-                 "--interval", "25"]) == 0
+    assert main(["replay", program, "--until", "3e-6"]) == 0
     out = capsys.readouterr().out
     assert "reproduction verified: True" in out
     assert main(["replay", program]) == 2  # no target
     assert main(["replay", program, "--until", "1", "--to-finding",
                  "CHK101"]) == 2  # both targets
+
+
+def test_replay_to_finding_verified_without_fork(program, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    result, _ = run_replay(program, [], to_finding="CHK102")
+    assert result is not None and result.verified
+    assert result.digest  # captured at the finding's step, not past it
+
+
+def test_replay_rejects_program_that_differs_between_executions(
+        tmp_path, monkeypatch, capsys):
+    """Verification is a second execution: a program that is not the
+    same program twice must not be reported reproduced."""
+    monkeypatch.setenv("REPLAY_TEST_RUNS", "0")
+    path = tmp_path / "unstable.py"
+    path.write_text(PROGRAM.replace(
+        "world = World(num_nodes=2, procs_per_node=1)", textwrap.dedent("""\
+        import os
+        runs = int(os.environ["REPLAY_TEST_RUNS"])
+        os.environ["REPLAY_TEST_RUNS"] = str(runs + 1)
+        world = World(num_nodes=2, procs_per_node=1, seed=runs)""")))
+    result, status = run_replay(str(path), [], until=3e-6)
+    assert status == 0 and result is not None
+    assert not result.verified and result.snapshot_path is None
+    assert main(["replay", str(path), "--until", "3e-6"]) == 1
+    assert "reproduction verified: False" in capsys.readouterr().out
+
+
+def test_replay_target_in_second_world(tmp_path):
+    path = tmp_path / "two_worlds.py"
+    path.write_text(textwrap.dedent("""\
+        import numpy as np
+        from repro.runtime import World
+
+        first = World(num_nodes=2, procs_per_node=1)
+        first.run_all([
+            first.procs[0].spawn(first.procs[0].comm_world.Send(
+                np.zeros(2), dest=1, tag=0)),
+            first.procs[1].spawn(first.procs[1].comm_world.Recv(
+                np.zeros(2), source=0, tag=0))])
+        assert first.sim.now < 3e-6
+        """) + PROGRAM)
+    for target in ({"until": 3e-6}, {"to_finding": "CHK102"}):
+        result, _ = run_replay(str(path), [], **target)
+        assert result is not None and result.verified, target
+        assert result.world == 1
+
+
+def test_replay_target_in_second_run_call_and_program_prints_once(
+        tmp_path, capsys):
+    path = tmp_path / "two_phases.py"
+    path.write_text(textwrap.dedent("""\
+        import sys
+        import numpy as np
+        from repro.runtime import World
+
+        world = World(num_nodes=2, procs_per_node=1)
+        p0, p1 = world.procs
+
+        def send(proc, tag):
+            yield proc.sim.timeout(tag * 1e-6 - proc.sim.now)
+            for i in range(10):
+                yield from proc.comm_world.Send(np.full(2, float(i)),
+                                                dest=1, tag=tag + i)
+
+        def recv(proc, tag):
+            buf = np.zeros(2)
+            for i in range(10):
+                yield from proc.comm_world.Recv(buf, source=0, tag=tag + i)
+
+        world.run_all([p0.spawn(send(p0, 0)), p1.spawn(recv(p1, 0))])
+        print("phase one ended at step", world.sim.steps)
+        print("phase one ended", file=sys.stderr)
+        assert world.sim.now < 100e-6
+        world.run_all([p0.spawn(send(p0, 100)), p1.spawn(recv(p1, 100))])
+        """))
+    snap_path = str(tmp_path / "at_target.json")
+    assert main(["replay", str(path), "--until", "102e-6",
+                 "--snapshot", snap_path]) == 0
+    out, err = capsys.readouterr()
+    assert "reproduction verified: True" in out
+    # The second execution is silent on stdout only.
+    assert out.count("phase one ended") == 1
+    assert err.count("phase one ended") == 2
+    phase_one_steps = int(out.split("phase one ended at step")[1].split()[0])
+    assert load_snapshot(snap_path).step > phase_one_steps
 
 
 # --------------------------------------------------------------- bisect
