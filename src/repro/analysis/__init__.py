@@ -1,6 +1,5 @@
 """Scope (Table I) and usability analysis of the three designs."""
 
-from .contention import ContentionReport, NodeReport, VciReport, collect
 from .scope import (
     MECHANISM_NAMES,
     OPERATIONS,
@@ -12,8 +11,7 @@ from .scope import (
 from .usability import UsabilityReport, render_usability, stencil_usability
 
 __all__ = [
-    "Capability", "ContentionReport", "MECHANISM_NAMES", "NodeReport",
-    "OPERATIONS", "PATTERNS", "UsabilityReport", "VciReport", "collect",
-    "render_table", "render_usability", "scope_matrix",
+    "Capability", "MECHANISM_NAMES", "OPERATIONS", "PATTERNS",
+    "UsabilityReport", "render_table", "render_usability", "scope_matrix",
     "stencil_usability",
 ]

@@ -1,19 +1,18 @@
 """Generic parameter sweeps with tabular/CSV output.
 
-A :class:`Sweep` runs an experiment function over the cartesian product of
-named parameter values and collects flat result rows — the workhorse
-behind "regenerate this figure" scripts::
+A :class:`Sweep` names the cartesian product of parameter values and
+shapes flat result rows into tables. It runs nothing: every point executes
+through :func:`repro.serve.run_local` (see ``repro sweep``), and the
+results come back here as :class:`SweepRow` rows::
 
     sweep = Sweep(name="fig1a",
                   params={"mode": ["everywhere", "threads-original"],
                           "cores": [1, 8, 32]})
-
-    def run(mode, cores):
-        r = run_msgrate(MsgRateConfig(mode=mode, cores=cores))
-        return {"rate_Mmsgs": r.rate / 1e6}
-
-    rows = sweep.run(run)
-    print(sweep.to_table(rows))
+    rows = [SweepRow(point, {"rate_Mmsgs": rate[point["mode"],
+                                                point["cores"]]})
+            for point in sweep.points]
+    print(sweep.pivot(rows, index="cores", column="mode",
+                      value="rate_Mmsgs").render())
     sweep.to_csv(rows, "fig1a.csv")
 """
 
@@ -21,8 +20,8 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping
 
 from .report import Table
 
@@ -65,43 +64,15 @@ class Sweep:
         return [dict(zip(keys, combo))
                 for combo in itertools.product(*self.params.values())]
 
-    def run(self, fn: Callable[..., Mapping[str, Any]],
-            progress: Optional[Callable[[dict], None]] = None
-            ) -> list[SweepRow]:
-        """Run ``fn(**point)`` for every point, in point order; ``fn``
-        returns an output mapping. ``progress`` (if given) is called with
-        each point before it runs."""
-        rows = []
-        for point in self.points:
-            if progress is not None:
-                progress(point)
-            row = SweepRow(params=point, outputs=dict(fn(**point)))
-            row.flat()  # validates output/parameter name collisions
-            rows.append(row)
-        return rows
-
     # -- output ----------------------------------------------------------
-    def columns(self, rows: list[SweepRow]) -> list[str]:
-        """Column order: sweep params first, then outputs as discovered."""
+    def to_csv(self, rows: list[SweepRow], path: str) -> str:
+        """Write sweep rows to ``path`` as CSV (sweep params first, then
+        outputs as discovered); returns the path."""
         cols = list(self.params)
         for row in rows:
             for k in row.outputs:
                 if k not in cols:
                     cols.append(k)
-        return cols
-
-    def to_table(self, rows: list[SweepRow]) -> str:
-        """Render sweep rows as an aligned text table."""
-        cols = self.columns(rows)
-        table = Table(self.name, cols)
-        for row in rows:
-            flat = row.flat()
-            table.add(*[flat.get(c, "") for c in cols])
-        return table.render()
-
-    def to_csv(self, rows: list[SweepRow], path: str) -> str:
-        """Write sweep rows to ``path`` as CSV; returns the path."""
-        cols = self.columns(rows)
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=cols)
             writer.writeheader()

@@ -29,8 +29,7 @@ from .lint import Finding, run_lint
 from .report import CheckReport, CheckWarning, Violation
 from .rules import ALL_RULES, CHK_EQUIVALENT, DYNAMIC_RULES, LINT_RULES, \
     STATIC_FOR_DYNAMIC, STATIC_RULES, Rule, rule
-from .session import checking, collect_report, default_check, \
-    set_default_check
+from .session import checking
 from .static_ import StaticFinding, StaticReport, analyze_path, \
     analyze_paths, analyze_source, to_sarif
 
@@ -57,7 +56,4 @@ __all__ = [
     "analyze_source",
     "to_sarif",
     "checking",
-    "collect_report",
-    "default_check",
-    "set_default_check",
 ]

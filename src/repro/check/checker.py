@@ -111,8 +111,6 @@ class Checker:
         self._rma_epochs: dict[int, dict[str, Any]] = {}
         self._rma_last_write: dict[tuple, tuple[Access, int, int]] = {}
         self._rma_last_read: dict[tuple, tuple[Access, int, int]] = {}
-        from . import session
-        session.register(self)
 
     # ------------------------------------------------------------------
     # verdicts
@@ -464,10 +462,6 @@ class Checker:
                 self._scan_request_leaks()
                 self._scan_window_leaks()
         return CheckReport(self.violations, mode=self.config.mode)
-
-    @property
-    def report(self) -> CheckReport:
-        return self.finalize()
 
     def _scan_lock_cycles(self) -> None:
         for cycle in self._lock_graph.cycles():

@@ -3,8 +3,9 @@
 Run as ``python -m repro lint``. The rules (L2xx in the catalog) encode
 invariants of *this* codebase that generic linters cannot know:
 
-- the simulator must be deterministic, so host clocks and host
-  randomness have no business inside simulated-path code (L201);
+- the simulator must be deterministic, so host clocks, host randomness
+  and counters that number objects across every World the process
+  builds have no business inside simulated-path code (L201);
 - trace categories are a typed namespace, not strings (L202);
 - plus a few hygiene rules (bare except, public docstrings/annotations).
 
@@ -135,6 +136,8 @@ class _FileLint(ast.NodeVisitor):
         self.check_trace = not self.rel.endswith(_TRACE_DEFINING_FILES)
         self._class_depth = 0
         self._func_depth = 0
+        #: Spellings of ``itertools.count`` in this module.
+        self._count_names = {"itertools.count"}
 
     def add(self, rule: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 1)
@@ -153,6 +156,12 @@ class _FileLint(ast.NodeVisitor):
                 self.add("L201", node,
                          f"host nondeterminism: call to {dotted}() in "
                          f"simulated-path code")
+            elif dotted in self._count_names and self._func_depth == 0:
+                self.add("L201", node,
+                         f"process-wide counter: module-level {dotted}() "
+                         f"numbers objects across every World this "
+                         f"process builds (keep the counter on the "
+                         f"simulator)")
             else:
                 parts = dotted.split(".")
                 if len(parts) >= 3 and parts[-2] == "random" \
@@ -181,6 +190,9 @@ class _FileLint(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "itertools":
+            self._count_names.update(a.asname or a.name for a in node.names
+                                     if a.name == "count")
         if self.in_simulated_path and node.module in ("random", "time"):
             names = {a.name for a in node.names}
             banned = names & {"random", "randint", "choice", "shuffle",

@@ -125,8 +125,10 @@ LINT_RULES: tuple[Rule, ...] = (
          "`# lint: ignore[RULE] -- why`", severity="warning"),
     Rule("L201", "host-nondeterminism",
          "host time/randomness (time.time, random, np.random module "
-         "calls, uuid4, os.urandom) inside simulated-path code; simulated "
-         "results must be a pure function of parameters and seed",
+         "calls, uuid4, os.urandom) or a module-level itertools.count "
+         "inside simulated-path code; simulated results must be a pure "
+         "function of parameters and seed, not of what else the process "
+         "ran",
          severity="warning"),
     Rule("L202", "trace-literal",
          "a raw string literal passed as the category of Tracer.emit(); "

@@ -1,11 +1,12 @@
-"""Process-wide checker session: defaults and the live-checker registry.
+"""Checker sessions: a block's default config and the Worlds it built.
 
 Programs under ``python -m repro check <program>`` are ordinary scripts
 that build their own :class:`~repro.runtime.world.World`; the CLI cannot
-pass ``check=`` through them. Instead it installs a *session default*
-here, and ``World(check=None)`` consults it. Every :class:`Checker`
-registers itself on construction so the CLI (and the corpus tests) can
-collect reports from all Worlds a program created, however many.
+pass ``check=`` through them. Instead :func:`checking` installs a
+:class:`Session` here: ``World(check=None)`` adopts its config, and every
+World built while the session is innermost appends itself to
+``session.worlds`` so the CLI (and the corpus tests) can collect reports
+from all Worlds a program created, however many.
 """
 
 from __future__ import annotations
@@ -13,81 +14,58 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional
 
+from .checker import CheckConfig
+from .report import CheckReport
+
 if TYPE_CHECKING:  # pragma: no cover
-    from .checker import Checker, CheckConfig
-    from .report import CheckReport
+    from ..runtime.world import World
 
-__all__ = ["checking", "default_check", "set_default_check",
-           "register", "live_checkers", "collect_report"]
+__all__ = ["Session", "checking", "current_session"]
 
-_default_config: Optional["CheckConfig"] = None
-_live: list["Checker"] = []
+_session: Optional["Session"] = None
 
 
-def set_default_check(config: Optional["CheckConfig"]) -> None:
-    """Install (or clear, with ``None``) the session-default CheckConfig."""
-    global _default_config
-    _default_config = config
-
-
-def default_check() -> Optional["CheckConfig"]:
-    """The CheckConfig a ``World(check=None)`` should adopt, if any."""
-    return _default_config
-
-
-def register(checker: "Checker") -> None:
-    """Called by every Checker on construction."""
-    _live.append(checker)
-
-
-def live_checkers() -> list["Checker"]:
-    return list(_live)
-
-
-def collect_report(since: int = 0) -> "CheckReport":
-    """Finalize and merge every checker registered at index >= ``since``."""
-    from .report import CheckReport
-    report = CheckReport([], mode=(_default_config.mode
-                                   if _default_config else "warn"))
-    for checker in _live[since:]:
-        report = report.merge(checker.finalize())
-    return report
+def current_session() -> Optional["Session"]:
+    """The innermost active :func:`checking` block's session, if any."""
+    return _session
 
 
 class Session:
-    """Handle returned by :func:`checking`: collects this block's reports."""
+    """Handle returned by :func:`checking`. It owns its ``worlds`` list and
+    nothing else refers to it: dropping the session releases the worlds."""
 
-    def __init__(self, mark: int):
-        self._mark = mark
+    def __init__(self, config: CheckConfig):
+        self.config = config
+        self.worlds: list["World"] = []
 
-    def report(self) -> "CheckReport":
-        return collect_report(since=self._mark)
+    def report(self) -> CheckReport:
+        """Finalize and merge the report of every World this block built."""
+        # The mode is that of the session innermost *now*, not this one.
+        report = CheckReport([], mode=(_session.config.mode
+                                       if _session else "warn"))
+        for world in self.worlds:
+            report = report.merge(world.check_report())
+        return report
 
     def close(self) -> None:
-        """Drop this block's checkers from the process-wide registry.
-
-        Every Checker pins its Simulator (and through it the whole World)
-        in ``_live`` forever; a campaign running thousands of scenarios in
-        one process must release them. Call after the final
-        :meth:`report` — closed sessions report empty. Safe to call more
-        than once, and safe with nested sessions (an inner close only
-        drops checkers registered at or after the inner mark).
-        """
-        del _live[self._mark:]
+        """Release this block's worlds now rather than with the session
+        (for a caller that keeps the session alive past its last
+        :meth:`report`). A closed session reports empty."""
+        self.worlds.clear()
 
 
 @contextmanager
-def checking(config: Optional["CheckConfig"] = None) -> Iterator[Session]:
+def checking(config: Optional[CheckConfig] = None) -> Iterator[Session]:
     """Enable checking-by-default for every World built in this block.
 
     >>> with checking(CheckConfig(mode="warn")) as session:
     ...     main()                      # builds Worlds with check=None
     >>> print(session.report().render())
     """
-    from .checker import CheckConfig
-    prev = _default_config
-    set_default_check(config or CheckConfig())
+    global _session
+    session = Session(config or CheckConfig())
+    prev, _session = _session, session
     try:
-        yield Session(mark=len(_live))
+        yield session
     finally:
-        set_default_check(prev)
+        _session = prev

@@ -82,7 +82,6 @@ def _run_dynamic(path: str) -> tuple[dict[str, int], str]:
             except Exception as exc:
                 aborted = type(exc).__name__
         counts = dict(session.report().counts())
-        session.close()
     if aborted:
         counts = {k: v for k, v in counts.items()
                   if k not in _ABORT_ARTIFACTS}
@@ -183,7 +182,6 @@ def cross_validate(fixture_dir: Optional[str] = None,
             with checking(CheckConfig(emit_warnings=False)) as session:
                 run()
                 dynamic = dict(session.report().counts())
-                session.close()
             clean = not static_failing and not dynamic
             fp += len(static_failing)
             fn += len(dynamic)

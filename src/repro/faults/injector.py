@@ -215,7 +215,7 @@ class FaultInjector:
 
     def _payload(self, msg: "WireMessage") -> dict:
         return {"src_rank": msg.src_rank, "dst_rank": msg.dst_rank,
-                "kind": msg.kind.value, "tag": msg.tag, "seq": msg.seq,
+                "kind": msg.kind.value, "tag": msg.tag,
                 "rel_seq": msg.rel_seq}
 
     def summary(self) -> dict[str, int]:

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = ["MessageKind", "WireMessage"]
-
-_seq_counter = itertools.count()
 
 
 class MessageKind(enum.Enum):
@@ -63,9 +60,9 @@ class WireMessage:
     payload: Any = None
     src_vci: int = 0
     dst_vci: int = 0
-    seq: int = field(default_factory=_seq_counter.__next__)
-    #: Sequence number within the sender's (context, dst_rank) ordered
-    #: stream — used to enforce/relax non-overtaking at the receiver.
+    #: Never written (always 0) and read only by
+    #: :func:`repro.snap.state.describe_message`: it stays a field because
+    #: state format 2 names it.
     stream_seq: int = 0
     #: Free-form protocol fields (rendezvous handles, partition ids, RMA
     #: window/offset, collective phase, ...).

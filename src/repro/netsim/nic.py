@@ -270,6 +270,3 @@ class Nic:
             return 0.0
         mean = sum(counts) / len(counts)
         return max(counts) / mean if mean else 0.0
-
-    def total_messages(self) -> int:
-        return sum(c.messages_issued for c in self.built_contexts())

@@ -2,14 +2,16 @@
 
 Builds a Trace Event Format document from a :class:`~repro.sim.trace.Tracer`:
 begin/end category pairs become complete ("X") duration events, everything
-else becomes instant ("i") events. Records whose payload carries a
-``span`` id (handed out by :meth:`Tracer.span_id`) are paired exactly;
-records without one are paired FIFO per (category, track).
+else becomes instant ("i") events. Which end closes which begin is decided
+by :func:`repro.sim.trace.pair_records` — the same rule
+:meth:`Tracer.pair_spans` reports — so a span drawn here is the span
+measured there.
 
-Track mapping: ``pid`` is the MPI rank (payload key ``rank``), ``tid`` is
-the simulated task (payload key ``task``, falling back to ``vci``),
-interned to small integers with thread-name metadata events so Perfetto
-shows readable lanes. Timestamps are simulated microseconds.
+Track mapping (:func:`repro.sim.trace.record_track`): ``pid`` is the MPI
+rank (payload key ``rank``), ``tid`` is the simulated task (payload key
+``task``, falling back to ``vci``), interned to small integers with
+thread-name metadata events so Perfetto shows readable lanes. Timestamps
+are simulated microseconds.
 
 The export is deterministic: same seed, same bytes.
 """
@@ -17,10 +19,10 @@ The export is deterministic: same seed, same bytes.
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import IO, Any, Optional, Union
 
-from ..sim.trace import Category, TraceRecord, Tracer
+from ..sim.trace import Category, TraceRecord, Tracer, pair_records, \
+    record_track
 from .metrics import MetricsRegistry
 
 __all__ = ["build_chrome_trace", "export_chrome_trace"]
@@ -46,19 +48,13 @@ class _TrackInterner:
 
     def track(self, record: TraceRecord) -> tuple[int, int]:
         """Map a record to stable Chrome (pid, tid) track ids."""
-        payload = _payload_dict(record)
-        pid = int(payload.get("rank", payload.get("pid", 0)))
-        name = payload.get("task")
-        if name is None:
-            vci = payload.get("vci")
-            name = f"vci{vci}" if vci is not None else "main"
-        key = (pid, str(name))
+        key = pid, name = record_track(record)
         tid = self._tids.get(key)
         if tid is None:
             tid = len(self._tids) + 1
             self._tids[key] = tid
             self.metadata.append({
-                "args": {"name": str(name)}, "name": "thread_name",
+                "args": {"name": name}, "name": "thread_name",
                 "ph": "M", "pid": pid, "tid": tid,
             })
         return pid, tid
@@ -70,46 +66,26 @@ def build_chrome_trace(tracer: Tracer,
     """Assemble the Trace Event Format document as a plain dict."""
     tracks = _TrackInterner()
     events: list[dict[str, Any]] = []
-    # Exact pairing by span id; FIFO fallback per (pair-name, pid, tid).
-    open_by_id: dict[tuple[str, Any], tuple[TraceRecord, int, int]] = {}
-    open_fifo: dict[tuple[str, int, int],
-                    deque[tuple[TraceRecord, int, int]]] = {}
-    orphan_ends = 0
+    pairing = pair_records(tracer.records)
+    begin_of = {id(end): begin for begin, end in pairing.pairs}
 
     for record in tracer.records:
         cat = record.category
         if cat.kind == "begin":
-            pid, tid = tracks.track(record)
-            payload = _payload_dict(record)
-            span = payload.get("span")
-            if span is not None:
-                open_by_id[(cat.name, span)] = (record, pid, tid)
-            else:
-                open_fifo.setdefault((cat.name, pid, tid), deque()).append(
-                    (record, pid, tid))
+            tracks.track(record)  # lanes are numbered in order of first use
         elif cat.kind == "end":
-            payload = _payload_dict(record)
-            span = payload.get("span")
-            begin = None
-            if span is not None:
-                begin = open_by_id.pop((cat.pair, span), None)
-            else:
-                pid, tid = tracks.track(record)
-                queue = open_fifo.get((cat.pair, pid, tid))
-                if queue:
-                    begin = queue.popleft()
-            if begin is None:
-                orphan_ends += 1
+            brec = begin_of.get(id(record))
+            if brec is None:
                 continue
-            brec, bpid, btid = begin
+            pid, tid = tracks.track(brec)
             args = dict(_payload_dict(brec))
-            args.update(payload)
+            args.update(_payload_dict(record))
             args.pop("span", None)
             events.append({
                 "args": args, "cat": cat.layer, "dur": (record.time
                                                         - brec.time) * _US,
                 "name": _span_name(brec.category), "ph": "X",
-                "pid": bpid, "tid": btid, "ts": brec.time * _US,
+                "pid": pid, "tid": tid, "ts": brec.time * _US,
             })
         else:
             pid, tid = tracks.track(record)
@@ -120,14 +96,12 @@ def build_chrome_trace(tracer: Tracer,
                 "ts": record.time * _US,
             })
 
-    unmatched_begins = len(open_by_id) + sum(
-        len(q) for q in open_fifo.values())
     events.sort(key=lambda e: e["ts"])  # stable: ties keep emit order
     doc: dict[str, Any] = {
         "displayTimeUnit": "ns",
         "otherData": {
-            "orphan_end_records": orphan_ends,
-            "unmatched_begin_records": unmatched_begins,
+            "orphan_end_records": pairing.orphan_ends,
+            "unmatched_begin_records": pairing.unmatched_begins,
             "record_count": len(tracer.records),
         },
         "traceEvents": tracks.metadata + events,

@@ -22,7 +22,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..check.checker import CheckConfig, Checker
 from ..check.report import CheckReport
-from ..check.session import default_check
+from ..check.session import current_session
 from ..errors import MpiUsageError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
@@ -189,8 +189,9 @@ class World:
         # check`), check=False forces it off, check=True/CheckConfig(...)
         # turns it on for this world. Installed before any simulation
         # object exists so every task spawn is observed.
-        if check is None:
-            check = default_check()
+        session = current_session()
+        if check is None and session is not None:
+            check = session.config
         if check is True:
             check = CheckConfig()
         self.checker: Optional[Checker] = None
@@ -204,7 +205,6 @@ class World:
             tracer = Tracer(enabled=False)
         self.metrics = metrics.bind_clock(lambda: self.sim.now)
         self.tracer = tracer.bind(self.sim)
-        self._metrics_finalized = False
         self.cfg = cluster.network
         self.num_nodes = num_nodes
         self.procs_per_node = procs_per_node
@@ -267,12 +267,16 @@ class World:
         self._next_context = 4
         self._meetings: dict[Any, _Meeting] = {}
 
-        # -- snapshot / record-replay session (opt-in) ------------------
-        # Like check=, a session default installed by `python -m repro
-        # replay` (or snap.recording()) adopts this world: run()/run_all()
-        # then execute in slices with checkpoint hooks at step boundaries.
+        # -- which worlds did this block build? -------------------------
+        # The innermost `checking()` session and the innermost snap
+        # controller each own a `worlds` list; a built world joins both.
+        # A controller (installed by `python -m repro replay` or
+        # snap.recording()) also adopts the world: run()/run_all() then
+        # execute in slices with checkpoint hooks at step boundaries.
         # Slicing is invisible to the simulation — event order and all
         # simulated results are byte-identical to an unsliced run.
+        if session is not None:
+            session.worlds.append(self)
         self._snap = default_snap_controller()
         if self._snap is not None:
             self._snap.attach(self)
@@ -405,7 +409,6 @@ class World:
         if not self.metrics.enabled:
             return
         collect_world(self, self.metrics)
-        self._metrics_finalized = True
 
     def check_report(self) -> CheckReport:
         """The correctness checker's report for this world.

@@ -1,8 +1,9 @@
 """Scenario execution: one spec in, one classified outcome out.
 
 ``run_scenario`` wraps a driver run in the dynamic analyzer
-(:mod:`repro.check`) and the snapshot recorder (:mod:`repro.snap`), then
-reduces whatever happened to a small JSON-serializable *outcome* dict.
+(:mod:`repro.check`), digests the end state of the last World the driver
+built (:mod:`repro.snap`), and reduces whatever happened to a small
+JSON-serializable *outcome* dict.
 The outcome's ``(status, rule)`` pair is the failure *signature* the
 shrinker preserves, and its ``digest`` is the end-of-run state digest that
 makes replay verification byte-exact: two runs of the same spec must
@@ -16,7 +17,7 @@ from typing import Any, Optional
 from ..check import CheckConfig, checking
 from ..errors import CheckError, MpiError, ScenarioError, TransportError
 from ..sim.core import SimulationError
-from ..snap import SnapController, capture_state, recording, state_digest
+from ..snap import capture_state, state_digest
 from .apps import get_app
 from .spec import ScenarioSpec
 
@@ -24,11 +25,6 @@ __all__ = ["run_scenario", "outcome_signature", "STATUSES"]
 
 #: Every status an outcome can carry, healthiest first.
 STATUSES = ("ok", "finding", "incorrect", "transport", "deadlock", "crash")
-
-#: Snapshot cadence for campaign runs: one slice boundary per scenario at
-#: most (scenarios are tiny); the recorder exists to collect the Worlds,
-#: not to checkpoint densely.
-_CAMPAIGN_INTERVAL = 200_000
 
 
 def outcome_signature(outcome: dict[str, Any]) -> tuple[str, Optional[str]]:
@@ -41,10 +37,8 @@ def _first_line(exc: BaseException) -> str:
     return text.splitlines()[0][:240]
 
 
-def run_scenario(spec: ScenarioSpec,
-                 interval: int = _CAMPAIGN_INTERVAL,
-                 digest: bool = True) -> dict[str, Any]:
-    """Run one scenario under the analyzer + recorder; classify the result.
+def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
+    """Run one scenario under the analyzer; classify the result.
 
     Returns a plain-data outcome dict::
 
@@ -71,28 +65,27 @@ def run_scenario(spec: ScenarioSpec,
     detail = ""
     wall: Optional[float] = None
     with checking(CheckConfig(mode="warn", emit_warnings=False)) as session:
-        with recording(SnapController(interval=interval)) as ctrl:
-            try:
-                result = adapter.run(spec)
-                wall = getattr(result, "wall_time", None)
-                if getattr(result, "correct", True) is False:
-                    status, rule = "incorrect", "data-mismatch"
-                    detail = "driver self-check reported wrong data"
-            except TransportError as exc:
-                status, rule, detail = ("transport", "TransportError",
-                                        _first_line(exc))
-            except CheckError as exc:
-                status = "finding"
-                rule = exc.violation.rule_id if getattr(
-                    exc, "violation", None) else "CheckError"
-                detail = _first_line(exc)
-            except SimulationError as exc:
-                status, rule, detail = ("deadlock", "SimulationError",
-                                        _first_line(exc))
-            except (MpiError, ArithmeticError, ValueError, KeyError,
-                    IndexError, AssertionError, RuntimeError) as exc:
-                status, rule, detail = ("crash", type(exc).__name__,
-                                        _first_line(exc))
+        try:
+            result = adapter.run(spec)
+            wall = getattr(result, "wall_time", None)
+            if getattr(result, "correct", True) is False:
+                status, rule = "incorrect", "data-mismatch"
+                detail = "driver self-check reported wrong data"
+        except TransportError as exc:
+            status, rule, detail = ("transport", "TransportError",
+                                    _first_line(exc))
+        except CheckError as exc:
+            status = "finding"
+            rule = exc.violation.rule_id if getattr(
+                exc, "violation", None) else "CheckError"
+            detail = _first_line(exc)
+        except SimulationError as exc:
+            status, rule, detail = ("deadlock", "SimulationError",
+                                    _first_line(exc))
+        except (MpiError, ArithmeticError, ValueError, KeyError,
+                IndexError, AssertionError, RuntimeError) as exc:
+            status, rule, detail = ("crash", type(exc).__name__,
+                                    _first_line(exc))
         report = session.report()
         checks = report.counts()
         if status == "ok" and not report.clean:
@@ -102,12 +95,11 @@ def run_scenario(spec: ScenarioSpec,
             rule = next(iter(sorted(checks)))
             detail = report.violations[0].describe()[:240]
         state_dig: Optional[str] = None
-        if digest and ctrl.worlds:
+        if session.worlds:
             try:
-                state_dig = state_digest(capture_state(ctrl.worlds[-1]))
+                state_dig = state_digest(capture_state(session.worlds[-1]))
             except MpiError as exc:
                 detail = detail or f"digest failed: {_first_line(exc)}"
-        session.close()
     return {
         "status": status,
         "rule": rule,

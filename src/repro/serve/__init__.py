@@ -35,15 +35,13 @@ from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     encode_frame,
-    read_frame,
     write_frame,
 )
 from .service import ServiceHandle, run_local, run_service, spawn_service
 from .worker import worker_main
 
 __all__ = [
-    "PROTOCOL_VERSION", "FrameDecoder", "encode_frame", "read_frame",
-    "write_frame",
+    "PROTOCOL_VERSION", "FrameDecoder", "encode_frame", "write_frame",
     "PENDING", "SERVE_CACHE_VERSION", "ResultCache", "cache_key",
     "execute_point", "expand_job", "msgrate_point",
     "Job", "Orchestrator", "PointTask", "read_manifest",

@@ -30,13 +30,13 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Optional
+from typing import Any, Union
 
 from ..errors import ProtocolError
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "FrameDecoder",
-    "encode_frame", "read_frame", "write_frame",
+    "encode_frame", "write_frame",
     "hello_frame", "job_frame", "result_frame", "error_frame",
     "heartbeat_frame", "shutdown_frame",
 ]
@@ -118,41 +118,6 @@ class FrameDecoder:
                 f"byte(s) (truncated frame)")
 
 
-def read_frame(sock: socket.socket) -> Optional[dict]:
-    """Blocking read of exactly one frame from a connected socket.
-
-    Returns ``None`` on a clean EOF at a frame boundary; raises
-    :class:`~repro.errors.ProtocolError` if the peer vanished mid-frame.
-    """
-    header = _read_exact(sock, _HEADER.size, at_boundary=True)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame length prefix {length} exceeds the "
-            f"{MAX_FRAME_BYTES}-byte bound (corrupt stream?)")
-    payload = _read_exact(sock, length, at_boundary=False)
-    assert payload is not None  # at_boundary=False raises instead
-    return _decode_payload(payload)
-
-
-def _read_exact(sock: socket.socket, n: int,
-                at_boundary: bool) -> Optional[bytes]:
-    """Read exactly ``n`` bytes; EOF is clean only at a frame boundary."""
-    chunks = bytearray()
-    while len(chunks) < n:
-        chunk = sock.recv(n - len(chunks))
-        if not chunk:
-            if at_boundary and not chunks:
-                return None
-            raise ProtocolError(
-                f"stream ended after {len(chunks)}/{n} byte(s) "
-                f"(truncated frame)")
-        chunks.extend(chunk)
-    return bytes(chunks)
-
-
 def write_frame(sock: socket.socket, frame: dict) -> None:
     """Blocking write of one frame to a connected socket."""
     sock.sendall(encode_frame(frame))
@@ -180,8 +145,10 @@ def error_frame(task_id: str, error: str) -> dict:
     return {"type": "result", "id": task_id, "ok": False, "error": error}
 
 
-def heartbeat_frame(worker: str, busy: Optional[str] = None) -> dict:
-    """Liveness beacon; ``busy`` names the task the worker is running."""
+def heartbeat_frame(worker: str,
+                    busy: Union[str, bool, None] = None) -> dict:
+    """Liveness beacon; ``busy`` names the task the worker is running
+    (or is just ``True``: the orchestrator knows what it dispatched)."""
     return {"type": "heartbeat", "worker": worker, "busy": busy}
 
 

@@ -23,13 +23,13 @@ import os
 import socket
 import threading
 import traceback
-from typing import Optional
+from typing import Iterator, Optional
 
 from .points import execute_point
 from .protocol import (
+    FrameDecoder,
     heartbeat_frame,
     hello_frame,
-    read_frame,
     result_frame,
     write_frame,
 )
@@ -69,6 +69,18 @@ class _Heart(threading.Thread):
         self._stop.set()
 
 
+def _frames(sock: socket.socket) -> Iterator[dict]:
+    """Every frame the peer sends, until it closes the connection.
+
+    A clean EOF at a frame boundary ends the iteration; EOF inside a
+    frame raises :class:`~repro.errors.ProtocolError`.
+    """
+    decoder = FrameDecoder()
+    while data := sock.recv(65536):
+        yield from decoder.feed(data)
+    decoder.close()
+
+
 def worker_main(host: str, port: int, name: str,
                 heartbeat: float = 0.5) -> None:
     """Run the worker loop until the orchestrator closes the connection.
@@ -87,9 +99,8 @@ def worker_main(host: str, port: int, name: str,
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with lock:
             write_frame(sock, hello_frame(name, os.getpid()))
-        while True:
-            frame = read_frame(sock)
-            if frame is None or frame["type"] == "shutdown":
+        for frame in _frames(sock):
+            if frame["type"] == "shutdown":
                 return
             if frame["type"] != "job":
                 continue  # future-proof: ignore unknown orchestrator frames

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterable, Iterator, Optional, Union
 
 from .core import Simulator
 
@@ -28,6 +28,8 @@ __all__ = [
     "TraceCategory",
     "TraceRecord",
     "SpanPairing",
+    "record_track",
+    "pair_records",
     "Tracer",
 ]
 
@@ -183,18 +185,68 @@ class TraceRecord:
 class SpanPairing:
     """Result of pairing begin/end records into spans.
 
-    ``unmatched_begins`` counts begin records with no end; ``orphan_ends``
-    counts end records that arrived with no outstanding begin (previously
-    these were dropped silently).
+    ``pairs`` holds ``(begin record, end record)`` in the order the spans
+    closed; ``unmatched_begins`` counts begin records with no end;
+    ``orphan_ends`` counts end records that arrived with no outstanding
+    begin (previously these were dropped silently).
     """
 
-    spans: list[tuple[float, float]] = field(default_factory=list)
+    pairs: list[tuple[TraceRecord, TraceRecord]] = field(default_factory=list)
     unmatched_begins: int = 0
     orphan_ends: int = 0
 
     @property
+    def spans(self) -> list[tuple[float, float]]:
+        """The ``(start, stop)`` times of :attr:`pairs`."""
+        return [(begin.time, end.time) for begin, end in self.pairs]
+
+    @property
     def total_time(self) -> float:
-        return sum(stop - start for start, stop in self.spans)
+        return sum(end.time - begin.time for begin, end in self.pairs)
+
+
+def record_track(record: TraceRecord) -> tuple[int, str]:
+    """The lane a record belongs to: ``(rank, task)`` from its payload.
+
+    The rank is payload key ``rank`` (else ``pid``, else 0); the task is
+    payload key ``task``, falling back to ``vci<n>`` and then ``main``.
+    """
+    payload = record.payload if isinstance(record.payload, dict) else {}
+    name = payload.get("task")
+    if name is None:
+        vci = payload.get("vci")
+        name = f"vci{vci}" if vci is not None else "main"
+    return int(payload.get("rank", payload.get("pid", 0))), str(name)
+
+
+def pair_records(records: Iterable[TraceRecord]) -> SpanPairing:
+    """Decide which end record closes which begin record: the one rule.
+
+    A begin record opens a span named by its category; an end record
+    closes a span of the category its ``pair`` names. Records whose
+    payload carries a ``span`` id (handed out by :meth:`Tracer.span_id`)
+    pair by that id, so interleaved and nested spans come out right;
+    records without one (user phases) pair FIFO within their
+    :func:`record_track` lane. O(n) over the records.
+    """
+    pairing = SpanPairing()
+    open_spans: dict[tuple[str, tuple], deque[TraceRecord]] = {}
+    for record in records:
+        cat = record.category
+        if cat.kind not in ("begin", "end"):
+            continue
+        payload = record.payload
+        span = payload.get("span") if isinstance(payload, dict) else None
+        # An id is a lane of its own; without one, the record's track is.
+        lane = ("span", span) if span is not None else record_track(record)
+        if cat.kind == "begin":
+            open_spans.setdefault((cat.name, lane), deque()).append(record)
+        elif queue := open_spans.get((cat.pair, lane)):
+            pairing.pairs.append((queue.popleft(), record))
+        else:
+            pairing.orphan_ends += 1
+    pairing.unmatched_begins = sum(map(len, open_spans.values()))
+    return pairing
 
 
 class Tracer:
@@ -242,29 +294,15 @@ class Tracer:
 
     def pair_spans(self, begin: Union[Category, str],
                    end: Union[Category, str]) -> SpanPairing:
-        """Pair up begin/end records (FIFO) into a :class:`SpanPairing`.
-
-        O(n) over the record list (the begin queue is a deque) and keeps a
-        count of orphan end records instead of dropping them silently.
-        """
+        """The :func:`pair_records` pairing of one begin/end category pair
+        (as declared by :meth:`TraceCategory.span`)."""
         bcat, ecat = as_category(begin), as_category(end)
-        starts: deque[float] = deque()
-        pairing = SpanPairing()
-        for r in self.records:
-            if r.category is bcat:
-                starts.append(r.time)
-            elif r.category is ecat:
-                if starts:
-                    pairing.spans.append((starts.popleft(), r.time))
-                else:
-                    pairing.orphan_ends += 1
-        pairing.unmatched_begins = len(starts)
-        return pairing
-
-    def spans(self, begin: Union[Category, str],
-              end: Union[Category, str]) -> list[tuple[float, float]]:
-        """Pair up begin/end records (FIFO) into (start, stop) spans."""
-        return self.pair_spans(begin, end).spans
+        if bcat.kind != "begin" or ecat.kind != "end" \
+                or ecat.pair != bcat.name:
+            raise ValueError(f"{bcat.name!r}/{ecat.name!r} is not a "
+                             f"declared begin/end category pair")
+        return pair_records(r for r in self.records
+                            if r.category is bcat or r.category is ecat)
 
     def clear(self) -> None:
         self.records.clear()

@@ -17,7 +17,6 @@ from .session import (
     SnapController,
     default_snap_controller,
     recording,
-    set_default_snap_controller,
 )
 from .snapshot import (
     SNAP_VERSION,
@@ -42,7 +41,6 @@ __all__ = [
     "prune_state",
     "fast_forward", "restore_snapshot",
     "SnapController", "recording", "default_snap_controller",
-    "set_default_snap_controller",
     "ReplayController", "ReplayResult", "ReplayStop", "run_replay",
     "Divergence", "first_divergence",
 ]

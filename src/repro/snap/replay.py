@@ -153,12 +153,9 @@ def _execute(controller: ReplayController, program: str, argv: list[str],
             stack.enter_context(recording(controller))
             if controller.to_finding is not None:
                 from ..check import CheckConfig, checking
-                session = stack.enter_context(checking(
+                stack.enter_context(checking(
                     check_config
                     or CheckConfig(mode="warn", emit_warnings=False)))
-                # The registry pins every checked world: let go of them
-                # before the next execution builds its own.
-                stack.callback(session.close)
             sys.argv = [program] + list(argv)
             try:
                 runpy.run_path(program, run_name="__main__")

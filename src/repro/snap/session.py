@@ -17,23 +17,16 @@ bare one (property-tested in ``tests/test_snap_property.py``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from ..sim.core import Event, SimulationError, gc_suspended
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.world import World
 
-__all__ = ["SnapController", "recording", "default_snap_controller",
-           "set_default_snap_controller"]
+__all__ = ["SnapController", "recording", "default_snap_controller"]
 
 _default_controller: Optional["SnapController"] = None
-
-
-def set_default_snap_controller(ctrl: Optional["SnapController"]) -> None:
-    """Install (or clear, with ``None``) the session controller."""
-    global _default_controller
-    _default_controller = ctrl
 
 
 def default_snap_controller() -> Optional["SnapController"]:
@@ -44,10 +37,10 @@ def default_snap_controller() -> Optional["SnapController"]:
 class SnapController:
     """Drives worlds in fixed-size step slices with boundary hooks.
 
-    ``interval`` is the checkpoint cadence in kernel steps. Boundary
-    hooks run whenever the global step count crosses a multiple of the
-    interval; subclasses add stop conditions (:mod:`repro.snap.replay`)
-    or one-shot captures (the property tests).
+    ``interval`` is the checkpoint cadence in kernel steps.
+    :meth:`on_boundary` runs whenever the global step count crosses a
+    multiple of the interval; subclasses override it for captures (the
+    property tests) and add stop conditions (:mod:`repro.snap.replay`).
     """
 
     def __init__(self, interval: int = 20_000):
@@ -55,7 +48,6 @@ class SnapController:
             raise ValueError("snapshot interval must be >= 1 step")
         self.interval = interval
         self.worlds: list["World"] = []
-        self._hooks: list[Callable[["World"], None]] = []
         #: Optional simulated-time stop (used by replay ``--until``): the
         #: drive loop never processes an event scheduled beyond it and
         #: calls :meth:`on_stop_horizon` at the exact step boundary.
@@ -70,15 +62,9 @@ class SnapController:
         """Called by ``World.__init__`` while this controller is default."""
         self.worlds.append(world)
 
-    def add_boundary_hook(self, fn: Callable[["World"], None]) -> None:
-        """Run ``fn(world)`` at every interval boundary during drives."""
-        self._hooks.append(fn)
-
     # -- subclass extension points --------------------------------------
     def on_boundary(self, world: "World") -> None:
         """Interval boundary reached (between steps; state is quiescent)."""
-        for fn in self._hooks:
-            fn(world)
 
     def after_slice(self, world: "World") -> None:
         """Called after every slice, boundary or not (stop-condition
@@ -147,10 +133,10 @@ def recording(ctrl: Optional[SnapController] = None
     >>> with recording(SnapController(interval=4096)) as ctrl:
     ...     main()          # worlds run sliced, hooks fire at boundaries
     """
+    global _default_controller
     ctrl = ctrl or SnapController()
-    prev = _default_controller
-    set_default_snap_controller(ctrl)
+    prev, _default_controller = _default_controller, ctrl
     try:
         yield ctrl
     finally:
-        set_default_snap_controller(prev)
+        _default_controller = prev

@@ -13,9 +13,8 @@ byte-identical :func:`canonical_json` encodings, so :func:`state_digest`
 equality is the project's definition of "the same state". Two rules make
 that work:
 
-- nothing host-dependent enters the tree — object ids, host clocks and
-  the process-global ``Request``/``WireMessage`` allocation counters are
-  all excluded (messages are identified by their protocol fields, which
+- nothing host-dependent enters the tree — object ids and host clocks
+  are excluded (messages are identified by their protocol fields, which
   are a pure function of the simulation);
 - floats are serialized by ``repr`` (shortest round-trip form), so digest
   equality is exact float equality, never tolerance-based.
@@ -130,14 +129,12 @@ def describe_value(value: Any, depth: int = 0) -> Any:
 def describe_message(msg: WireMessage, depth: int = 0) -> dict[str, Any]:
     """Canonical description of one wire message.
 
-    The process-global allocation counter ``msg.seq`` is deliberately
-    omitted: it numbers messages across *all* worlds ever built in the
-    host process, so two identical simulations constructed at different
-    times disagree on it while agreeing on every simulated fact. The
-    per-flow ``stream_seq``/``rel_seq`` orderings are pure functions of
-    the simulation and identify the message exactly. The rendezvous
-    correlation handle ``meta["rid"]`` is a request id from the same
-    process-global counter and is omitted for the same reason.
+    Every field described is a pure function of the simulation; the
+    per-flow ``rel_seq`` ordering identifies the message exactly. The
+    rendezvous correlation handle ``meta["rid"]`` is a request id — per
+    simulator since PR 7, so a function of the run as well — and stays
+    omitted only because the digests pinned across the test suite were
+    taken without it.
     """
     meta = msg.meta
     if isinstance(meta, dict) and "rid" in meta:
@@ -159,8 +156,8 @@ def describe_message(msg: WireMessage, depth: int = 0) -> dict[str, Any]:
 
 
 def describe_posted(entry: PostedRecv, depth: int = 0) -> dict[str, Any]:
-    """Canonical description of one posted receive (``req.rid`` omitted —
-    it comes from the same process-global counter as ``msg.seq``)."""
+    """Canonical description of one posted receive (``req.rid`` omitted,
+    as :func:`describe_message` omits ``meta["rid"]``)."""
     return {
         "context_id": entry.context_id, "source": entry.source,
         "tag": entry.tag, "dst_addr": entry.dst_addr, "seq": entry.seq,
@@ -360,14 +357,8 @@ def _trace_state(tracer: Any) -> Optional[dict[str, Any]]:
         return None
     digest = hashlib.sha256()
     for rec in tracer.records:
-        payload = rec.payload
-        if isinstance(payload, dict) and "seq" in payload:
-            # The wire sequence number (fault-injector payloads) is a
-            # process-global counter spanning all worlds, like the ids
-            # describe_message() omits — drop it so trace digests compare
-            # across builds within one process.
-            payload = {k: v for k, v in payload.items() if k != "seq"}
-        entry = [rec.time, rec.category.name, describe_value(payload, 1)]
+        entry = [rec.time, rec.category.name,
+                 describe_value(rec.payload, 1)]
         digest.update(canonical_json(entry).encode("utf-8"))
         digest.update(b"\n")
     return {"records": len(tracer.records), "span_seq": tracer._span_seq,

@@ -9,7 +9,6 @@ from repro.bench import MsgRateConfig, run_msgrate
 from repro.check import CheckConfig, checking
 from repro.netsim import ClusterSpec, NetworkConfig
 from repro.runtime import World
-from repro.snap import SnapController, recording
 
 
 def flat_world(nprocs: int, threads_per_proc: int = 1,
@@ -30,13 +29,10 @@ def checked_msgrate_world(mode: str, cores: int = 8,
     """Run one Fig 1(a) point under the checker (as ``fig1a_checked``
     does) and hand back its finished world."""
     with checking(CheckConfig(emit_warnings=False)) as session:
-        with recording(SnapController()) as ctrl:
-            run_msgrate(MsgRateConfig(mode=mode, cores=cores, msg_bytes=8,
-                                      window=16,
-                                      msgs_per_core=msgs_per_core),
-                        net=NetworkConfig.omnipath())
-        session.close()
-    (world,) = ctrl.worlds
+        run_msgrate(MsgRateConfig(mode=mode, cores=cores, msg_bytes=8,
+                                  window=16, msgs_per_core=msgs_per_core),
+                    net=NetworkConfig.omnipath())
+    (world,) = session.worlds
     return world
 
 

@@ -144,12 +144,19 @@ def test_sweep_points_cartesian():
     assert {"a": 2, "b": "y"} in s.points
 
 
+def _rows(sweep, fn):
+    """What ``repro sweep`` does with its results: one row per point."""
+    from repro.bench import SweepRow
+    return [SweepRow(point, fn(**point)) for point in sweep.points]
+
+
 def test_sweep_run_and_render():
     from repro.bench import Sweep
     s = Sweep("demo", {"n": [1, 2, 3]})
-    rows = s.run(lambda n: {"square": n * n})
+    rows = _rows(s, lambda n: {"square": n * n})
     assert [r.outputs["square"] for r in rows] == [1, 4, 9]
-    text = s.to_table(rows)
+    assert rows[2].flat() == {"n": 3, "square": 9}
+    text = s.pivot(rows, index="n", column="n", value="square").render()
     assert "square" in text and "9" in text
 
 
@@ -157,7 +164,7 @@ def test_sweep_csv(tmp_path):
     import csv as _csv
     from repro.bench import Sweep
     s = Sweep("demo", {"n": [1, 2]})
-    rows = s.run(lambda n: {"double": 2 * n})
+    rows = _rows(s, lambda n: {"double": 2 * n})
     path = s.to_csv(rows, str(tmp_path / "out.csv"))
     with open(path) as fh:
         got = list(_csv.DictReader(fh))
@@ -167,7 +174,7 @@ def test_sweep_csv(tmp_path):
 def test_sweep_pivot():
     from repro.bench import Sweep
     s = Sweep("demo", {"mode": ["a", "b"], "cores": [1, 2]})
-    rows = s.run(lambda mode, cores: {"v": f"{mode}{cores}"})
+    rows = _rows(s, lambda mode, cores: {"v": f"{mode}{cores}"})
     text = s.pivot(rows, index="mode", column="cores", value="v").render()
     assert "a1" in text and "b2" in text
 
@@ -180,79 +187,6 @@ def test_sweep_validation():
         Sweep("demo", {"a": []})
     s = Sweep("demo", {"a": [1]})
     with pytest.raises(ValueError):
-        s.run(lambda a: {"a": 2})  # output collides with param
+        _rows(s, lambda a: {"a": 2})[0].flat()  # output collides with param
     with pytest.raises(ValueError):
         s.pivot([], index="a", column="nope", value="v")
-
-
-# ------------------------------------------------------------ contention
-
-def _run_msgrate_world(mode, cores=4):
-    """Run a small message-rate experiment and return its world."""
-    import numpy as np
-    from repro.mpi.request import waitall
-    from repro.runtime import World
-
-    world = World(num_nodes=2, procs_per_node=1, threads_per_proc=cores,
-                  max_vcis_per_proc=1 if mode == "original" else 16)
-
-    def node(proc):
-        from repro.mpi.endpoints import comm_create_endpoints
-        if mode == "endpoints":
-            comms = yield from comm_create_endpoints(proc.comm_world, cores)
-        else:
-            comms = [proc.comm_world] * cores
-
-        def t(tid):
-            comm = comms[tid]
-            peer = (1 - proc.rank) if mode != "endpoints" \
-                else ((comm.rank + cores) % (2 * cores))
-            buf = np.zeros(8)
-            for k in range(12):
-                if proc.rank == 0:
-                    req = yield from comm.Isend(buf, peer, tag=tid)
-                else:
-                    req = yield from comm.Irecv(buf, peer, tag=tid)
-                yield from req.wait()
-
-        tasks = [proc.spawn(t(tid)) for tid in range(cores)]
-        yield proc.sim.all_of(tasks)
-
-    tasks = [world.procs[i].spawn(node(world.procs[i])) for i in range(2)]
-    world.run_all(tasks, max_steps=None)
-    return world
-
-
-def test_contention_report_shapes():
-    from repro.analysis import collect
-    world = _run_msgrate_world("original")
-    report = collect(world)
-    assert report.active_vcis >= 1
-    assert len(report.nodes) == 2
-    assert report.total_match_scans > 0
-    # everything funnels through one channel
-    assert report.channel_spread() > 0.45
-    text = report.render()
-    assert "lockwait" in text and "node 0" in text
-
-
-def test_contention_endpoints_spread_channels():
-    from repro.analysis import collect
-    r_orig = collect(_run_msgrate_world("original"))
-    r_ep = collect(_run_msgrate_world("endpoints"))
-    # endpoints spread traffic over many channels; original does not
-    assert r_ep.active_vcis > r_orig.active_vcis
-    assert r_ep.channel_spread() < r_orig.channel_spread()
-    # and the original mode shows contended lock acquisitions
-    assert r_orig.total_contended_acquisitions \
-        >= r_ep.total_contended_acquisitions
-
-
-def test_contention_busiest_vci_and_empty():
-    from repro.analysis import ContentionReport, collect
-    with pytest.raises(ValueError):
-        _ = ContentionReport().busiest_vci
-    world = _run_msgrate_world("original")
-    report = collect(world)
-    b = report.busiest_vci
-    assert b.sends + b.recvs > 0

@@ -303,6 +303,70 @@ def test_worlds_and_mechanisms_are_built_in_one_place():
     assert callers == ONLY_CALLERS
 
 
+def _names(relpath):
+    """Every identifier ``src/repro/<relpath>`` mentions: names, attributes,
+    definitions and imports (comments and docstrings do not count)."""
+    with open(os.path.join(ROOT, "src", "repro", relpath),
+              encoding="utf-8") as source:
+        tree = ast.parse(source.read(), relpath)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+#: file -> identifiers it must not mention: the second body of a job that
+#: has one (PR 20). Which worlds a block built is the session's list, not
+#: a process-wide registry the checker feeds; a scenario is not recorded;
+#: spans are paired in ``sim/trace.py``; frames are read by
+#: ``FrameDecoder``; nothing numbers wire messages across worlds.
+SAID_ONCE = {
+    "check/session.py": {"_live", "register", "live_checkers",
+                         "collect_report"},
+    "check/__init__.py": {"_live", "register", "live_checkers",
+                          "collect_report"},
+    "check/checker.py": {"session"},
+    "scenarios/executor.py": {"recording", "SnapController"},
+    "obs/chrome.py": {"deque", "open_by_id", "open_fifo"},
+    "serve/protocol.py": {"read_frame", "_read_exact"},
+    "netsim/message.py": {"itertools", "count", "_seq_counter", "seq"},
+}
+
+
+def test_the_layers_around_the_simulator_say_it_once():
+    import repro.analysis
+
+    for relpath, forbidden in SAID_ONCE.items():
+        assert not _names(relpath) & forbidden, relpath
+    assert not os.path.exists(
+        os.path.join(ROOT, "src", "repro", "analysis", "contention.py"))
+    assert sorted(repro.analysis.__all__) == [
+        "Capability", "MECHANISM_NAMES", "OPERATIONS", "PATTERNS",
+        "UsabilityReport", "render_table", "render_usability",
+        "scope_matrix", "stencil_usability"]
+    # Both views of a trace go through the one pairing function.
+    assert "pair_records" in _names("obs/chrome.py")
+    with open(os.path.join(ROOT, "src", "repro", "sim", "trace.py"),
+              encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    (pair_spans,) = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "pair_spans"]
+    assert "pair_records" in {getattr(node.func, "id", None)
+                              for node in ast.walk(pair_spans)
+                              if isinstance(node, ast.Call)}
+
+
 def test_run_app_places_several_processes_on_a_node():
     """``procs_per_node`` reaches the cluster: ``2 x nodes`` ranks, packed
     node by node, each main spawned in rank order."""

@@ -10,7 +10,6 @@ import json
 
 import pytest
 
-from repro.bench import Sweep
 from repro.cli import main
 from repro.errors import ServeError
 from repro.serve import execute_point, expand_job, run_local
@@ -64,14 +63,6 @@ def test_sweep_run_jobs_matches_serial(capsys):
         assert main(CLI_SWEEP + ["--jobs", jobs]) == 0
         tables.append(capsys.readouterr().out.split("[")[0])
     assert tables[0] == tables[1] and "threads-tags" in tables[0]
-
-
-def test_progress_called_serially():
-    sweep = Sweep(name="t", params={"x": [1, 2, 3, 4]})
-    seen = []
-    rows = sweep.run(lambda x: {"y": x * x}, progress=seen.append)
-    assert seen == sweep.points
-    assert [r.outputs for r in rows] == [{"y": x * x} for x in (1, 2, 3, 4)]
 
 
 def test_chunked_dispatch_keeps_per_point_checkpoints(tmp_path):

@@ -427,27 +427,60 @@ def test_max_violations_cap():
 
 # ------------------------------------------------------- session default
 
+def _chk105_program():
+    """Builds one World with ``check=None`` and earns it one CHK105."""
+    world = World(num_nodes=2, procs_per_node=1)
+
+    def rank0(proc):
+        req = psend_init(proc.comm_world, np.zeros(2), partitions=1,
+                         count=2, dest=1, tag=0)
+        yield from req.pready(0)
+
+    def rank1(proc):
+        yield proc.sim.timeout(0)
+
+    run_ranks(world, rank0, rank1)
+    return world
+
+
 def test_checking_context_installs_default():
-    def program():
-        world = World(num_nodes=2, procs_per_node=1)
-
-        def rank0(proc):
-            req = psend_init(proc.comm_world, np.zeros(2), partitions=1,
-                             count=2, dest=1, tag=0)
-            yield from req.pready(0)
-
-        def rank1(proc):
-            yield proc.sim.timeout(0)
-
-        run_ranks(world, rank0, rank1)
-
     with checking(CheckConfig(emit_warnings=False)) as session:
-        program()
+        _chk105_program()
     report = session.report()
     assert "CHK105" in report.counts()
 
     # outside the context, worlds are unchecked again
     assert World(num_nodes=1, procs_per_node=1).checker is None
+
+
+def test_dropped_session_releases_its_worlds():
+    """Nothing process-wide pins a checked world: once the session (never
+    closed) and the caller let go, the world is collectable."""
+    import gc
+    import weakref
+
+    with checking(QUIET) as session:
+        ref = weakref.ref(_chk105_program())
+    assert ref() is not None
+    assert "CHK105" in session.report().counts()
+    del session
+    gc.collect()
+    assert ref() is None
+
+
+def test_nested_sessions_report_their_own_worlds():
+    with checking(QUIET) as outer:
+        first = _chk105_program()
+        with checking(QUIET) as inner:
+            second = _chk105_program()
+            unchecked = World(num_nodes=1, procs_per_node=1, check=False)
+        third = _chk105_program()
+    assert outer.worlds == [first, third]
+    assert inner.worlds == [second, unchecked]
+    assert outer.report().counts() == {"CHK105": 2}
+    assert inner.report().counts() == {"CHK105": 1}
+    inner.close()  # "release now": a closed session reports empty
+    assert inner.worlds == [] and inner.report().clean
 
 
 # ----------------------------------------------- observer-only invariant

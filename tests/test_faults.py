@@ -424,6 +424,20 @@ def test_fault_metrics_and_trace_spans():
         assert all(b <= e for b, e in pairing.spans)
 
 
+def test_fault_trace_is_a_function_of_the_run():
+    """The same traced, fault-injected stencil twice in one process: every
+    record equal, fault payloads included (they once carried a message
+    number that counted across every World the process had built)."""
+    def records():
+        tracer = Tracer()
+        run_stencil(_stencil_cfg("endpoints"), faults=LOSSY, tracer=tracer)
+        return [(r.time, r.category.name, r.payload) for r in tracer]
+
+    first, second = records(), records()
+    assert any(name == "fault.drop" for _, name, _ in first)
+    assert first == second
+
+
 def test_metrics_do_not_perturb_lossy_timings():
     from repro.obs import MetricsRegistry
     bare = run_stencil(_stencil_cfg("communicators"), faults=LOSSY)

@@ -66,6 +66,26 @@ def test_l201_only_in_simulated_paths(tmp_path):
     assert "L201" not in rules(out)
 
 
+def test_l201_module_level_counter(tmp_path):
+    """A module-level ``itertools.count`` numbers objects across every
+    World the process builds (``netsim/message.py`` kept one until PR 20)."""
+    for src in ('"""Doc."""\nimport itertools\n_seq = itertools.count()\n',
+                '"""Doc."""\nfrom itertools import count\n_seq = count(1)\n',
+                '"""Doc."""\nimport itertools\n\n\nclass _Ids:\n'
+                '    seq = itertools.count()\n'):
+        assert "L201" in rules(lint_source(tmp_path, src))
+
+
+def test_l201_counter_owned_by_an_object_is_sanctioned(tmp_path):
+    src = ('"""Doc."""\nimport itertools\n\n\nclass _Sim:\n'
+           '    def __init__(self):\n'
+           '        self.ids = itertools.count()\n')
+    assert "L201" not in rules(lint_source(tmp_path, src))
+    module_level = '"""Doc."""\nimport itertools\n_seq = itertools.count()\n'
+    out = lint_source(tmp_path, module_level, rel="src/repro/serve/ids.py")
+    assert "L201" not in rules(out)
+
+
 # ------------------------------------------------------------------ L202
 
 def test_l202_raw_emit_category(tmp_path):

@@ -95,7 +95,7 @@ def test_load_imbalance_perfectly_balanced_is_one():
         ctx.issue(0)
         ctx.issue(0)
     assert nic.load_imbalance() == pytest.approx(1.0)
-    assert nic.total_messages() == 8
+    assert sum(c.messages_issued for c in nic.built_contexts()) == 8
 
 
 def test_load_imbalance_detects_skew():
@@ -185,9 +185,10 @@ def test_fabric_latency_for():
 
 
 def test_wire_message_seq_monotonic():
+    # No process-wide message number: what orders messages is the
+    # per-flow rel_seq the reliable transport assigns, a function of the run.
     a = make_msg()
-    b = make_msg()
-    assert b.seq > a.seq
+    assert not hasattr(a, "seq") and a.rel_seq is None
     assert a.wire_bytes == HEADER_BYTES
 
 

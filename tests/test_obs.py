@@ -8,10 +8,13 @@ lint rule banning raw string categories at ``Tracer.emit`` call sites.
 
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
+from repro.apps.stencil import StencilConfig, run_stencil
 from repro.bench.msgrate import MsgRateConfig, run_msgrate
+from repro.faults import parse_plan
 from repro.netsim.message import MessageKind, WireMessage
 from repro.obs import (
     DEPTH_BUCKETS,
@@ -124,6 +127,89 @@ def test_pair_spans_counts_orphans():
     assert pairing.orphan_ends == 1
     assert pairing.unmatched_begins == 1
     assert pairing.total_time == 0.0
+
+
+class _Clock:
+    """A hand-set clock for tracers driven without a simulator."""
+
+    now = 0.0
+
+
+def _emit_at(records):
+    clock, tr = _Clock(), Tracer()
+    tr.bind(clock)
+    for clock.now, category, payload in records:
+        tr.emit(category, payload)
+    return tr
+
+
+def test_pair_spans_pairs_by_span_id():
+    b, e = TraceCategory.span("obs.test.by_id")
+    # A 0->5 with B 1->2 nested inside it (FIFO pairing reports 0->2 and
+    # 1->5), then C 6->8 and D 7->9 interleaved.
+    tr = _emit_at([(0.0, b, {"span": 1}), (1.0, b, {"span": 2}),
+                   (2.0, e, {"span": 2}), (5.0, e, {"span": 1}),
+                   (6.0, b, {"span": 3}), (7.0, b, {"span": 4}),
+                   (8.0, e, {"span": 3}), (9.0, e, {"span": 4})])
+    pairing = tr.pair_spans(b, e)
+    assert pairing.spans == [(1.0, 2.0), (0.0, 5.0), (6.0, 8.0), (7.0, 9.0)]
+    assert [(x.payload["span"], y.payload["span"])
+            for x, y in pairing.pairs] == [(2, 2), (1, 1), (3, 3), (4, 4)]
+    assert pairing.orphan_ends == pairing.unmatched_begins == 0
+    assert pairing.total_time == 1.0 + 5.0 + 2.0 + 2.0
+
+
+def test_pair_spans_without_ids_is_fifo_per_track():
+    b, e = TraceCategory.span("obs.test.fifo")
+    tr = _emit_at([(0.0, b, {"rank": 0, "task": "x"}),
+                   (1.0, b, {"rank": 0, "task": "y"}),
+                   (2.0, e, {"rank": 0, "task": "y"}),
+                   (3.0, e, {"rank": 0, "task": "x"}),
+                   (4.0, e, {"rank": 1, "task": "x"})])
+    pairing = tr.pair_spans(b, e)
+    assert pairing.spans == [(1.0, 2.0), (0.0, 3.0)]
+    assert pairing.orphan_ends == 1
+    with pytest.raises(ValueError, match="not a declared"):
+        tr.pair_spans(e, b)
+
+
+def _span_multiset(pairing):
+    return Counter((start * 1e6, (stop - start) * 1e6)
+                   for start, stop in pairing.spans)
+
+
+def _chrome_multiset(tracer, name):
+    return Counter((e["ts"], e["dur"])
+                   for e in build_chrome_trace(tracer)["traceEvents"]
+                   if e["ph"] == "X" and e["name"] == name)
+
+
+def test_pair_spans_and_chrome_export_draw_the_same_spans():
+    """One pairing rule, two views: what ``pair_spans`` measures is what
+    the Chrome export draws, span for span."""
+    lossy, fig1a = Tracer(), Tracer()
+    run_stencil(StencilConfig(proc_grid=(2, 2), thread_grid=(2, 2), pnx=6,
+                              pny=6, stencil_points=5, iters=3,
+                              mechanism="endpoints", seed=1),
+                faults=parse_plan("drop=0.1,dup=0.05,corrupt=0.02"),
+                tracer=lossy)
+    run_msgrate(MsgRateConfig(mode="everywhere", cores=8, msgs_per_core=8),
+                tracer=fig1a)
+    for tracer, name, begin, end, count in (
+            (lossy, "transport.recovery", TraceCategory.RECOVERY_BEGIN,
+             TraceCategory.RECOVERY_END, 13),
+            (fig1a, "mpi.issue", TraceCategory.ISSUE_BEGIN,
+             TraceCategory.ISSUE_END, 64),
+            (fig1a, "mpi.match", TraceCategory.MATCH_BEGIN,
+             TraceCategory.MATCH_END, 64)):
+        pairing = tracer.pair_spans(begin, end)
+        assert len(pairing.spans) == count and pairing.orphan_ends == 0
+        assert _span_multiset(pairing) == _chrome_multiset(tracer, name)
+    # Four recoveries were still in flight when the stencil finished.
+    other = build_chrome_trace(lossy)["otherData"]
+    assert other["unmatched_begin_records"] == lossy.pair_spans(
+        TraceCategory.RECOVERY_BEGIN,
+        TraceCategory.RECOVERY_END).unmatched_begins == 4
 
 
 def test_world_keeps_enabled_but_empty_instruments():
@@ -275,6 +361,34 @@ def test_reports_render():
     full = render_report(m)
     assert "per-VCI metrics" in full
     assert "fabric.messages_delivered" in full
+
+
+def _channel_accounting(mode):
+    """Per-channel traffic and lock contention of a Fig 1(a) x4 point, read
+    off the gauges ``collect_world`` leaves in the registry."""
+    m = MetricsRegistry()
+    run_msgrate(MsgRateConfig(mode=mode, cores=4, msgs_per_core=12),
+                metrics=m)
+    traffic = [s.value + r.value for s, r in zip(m.series("vci.sends"),
+                                                 m.series("vci.recvs"))]
+    contended = sum(round(a.value * c.value) for a, c in zip(
+        m.series("vci.lock.acquisitions"),
+        m.series("vci.lock.contention_ratio")))
+    scans = sum(g.value for g in m.series("match.total_scans"))
+    return traffic, contended, scans
+
+
+def test_collect_world_shows_where_threads_wait():
+    """The paper's accounting, on the one harvester: endpoints spread the
+    traffic over more channels, no channel carries as large a share of
+    it, and the shared channel of ``original`` is the contended one."""
+    orig, orig_contended, orig_scans = _channel_accounting("threads-original")
+    ep, ep_contended, _ = _channel_accounting("threads-endpoints")
+    assert sum(t > 0 for t in ep) > sum(t > 0 for t in orig) >= 1
+    # everything funnels through one channel per process
+    assert max(orig) / sum(orig) > 0.45 > max(ep) / sum(ep)
+    assert orig_contended >= ep_contended and orig_contended > 0
+    assert orig_scans > 0
 
 
 def test_profile_cli(tmp_path, capsys):

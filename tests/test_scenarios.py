@@ -246,6 +246,25 @@ class TestExecutor:
                                         app_params={"timesteps": 2}))
         assert json.loads(json.dumps(out)) == out
 
+    def test_scenarios_are_not_recorded(self, monkeypatch):
+        """A scenario world runs on ``Simulator.run``: the executor learns
+        which world the driver built from its checking session, not from
+        a snap recorder, and reports what it always reported."""
+        import hashlib
+
+        from repro.snap import SnapController
+
+        def drive(*args, **kwargs):
+            raise AssertionError("run_scenario drove a world in slices")
+
+        monkeypatch.setattr(SnapController, "drive", drive)
+        outcomes = [run_scenario(spec) for spec in sample_scenarios(42, 48)]
+        blob = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
+        # benchmarks/stack/golden.json, "full" / "chaos_campaign".
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+            "dc00f51fa95439b4b55bf5c574a4f54d"
+            "b7f8ba083935c12c1d97268bfd8807cf")
+
 
 class TestShrinker:
     def test_seeded_failure_shrinks_to_minimal(self):

@@ -29,10 +29,10 @@ from repro.serve.protocol import (
     heartbeat_frame,
     hello_frame,
     job_frame,
-    read_frame,
     result_frame,
     write_frame,
 )
+from repro.serve.worker import _frames
 
 FRAMES = [
     hello_frame("w0", 4242),
@@ -104,25 +104,28 @@ def test_oversize_frame_refused_at_encode(monkeypatch):
 
 
 def test_blocking_read_frame_roundtrip_and_clean_eof():
+    # The worker's read loop: the same FrameDecoder the orchestrator
+    # uses, fed from a blocking socket. EOF at a frame boundary ends it.
     a, b = socket.socketpair()
     with a, b:
         writer = threading.Thread(target=lambda: (
             [write_frame(a, f) for f in FRAMES], a.close()))
         writer.start()
-        got = [read_frame(b) for _ in FRAMES]
-        assert got == FRAMES
-        assert read_frame(b) is None  # EOF at a frame boundary is clean
-        writer.join()
+        assert list(_frames(b)) == FRAMES
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 def test_blocking_read_frame_mid_frame_eof_raises():
     a, b = socket.socketpair()
     with b:
         blob = encode_frame(FRAMES[1])
-        a.sendall(blob[:len(blob) - 1])
+        a.sendall(encode_frame(FRAMES[0]) + blob[:len(blob) - 1])
         a.close()
+        frames = _frames(b)
+        assert next(frames) == FRAMES[0]
         with pytest.raises(ProtocolError, match="truncated"):
-            read_frame(b)
+            next(frames)
 
 
 def test_frame_constructors_vocabulary():

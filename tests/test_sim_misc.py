@@ -56,7 +56,7 @@ def test_tracer_spans_pair_fifo():
 
     sim.spawn(task())
     sim.run()
-    spans = tr.spans(PHASE_BEGIN, PHASE_END)
+    spans = tr.pair_spans(PHASE_BEGIN, PHASE_END).spans
     assert spans == [(0.0, 2.0), (3.0, 6.0)]
 
 

@@ -191,7 +191,7 @@ def test_sliced_run_is_byte_identical():
 
     boundaries = []
     ctrl = SnapController(interval=7)
-    ctrl.add_boundary_hook(lambda w: boundaries.append(w.sim.steps))
+    ctrl.on_boundary = lambda w: boundaries.append(w.sim.steps)
     with recording(ctrl):
         w = pingpong_world()
         w.run()
