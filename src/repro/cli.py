@@ -538,15 +538,15 @@ def _cmd_submit(args) -> int:
             with open(args.job, "rb") as fh:
                 body = fh.read()
         kind, spec = parse_job_document(body)
-        client = ServeClient(_serve_url(args))
-        status = client.submit(kind, spec)
-        print(f"submitted {status['job_id']} ({kind}, "
-              f"{status['total']} points, "
-              f"{status['cache_hits']} already cached)", file=sys.stderr)
-        if args.wait or args.result:
-            status = client.wait(status["job_id"], timeout=args.timeout)
-        doc = (client.result(status["job_id"]) if args.result
-               else client.job(status["job_id"]))
+        with ServeClient(_serve_url(args)) as client:
+            status = client.submit(kind, spec)
+            print(f"submitted {status['job_id']} ({kind}, "
+                  f"{status['total']} points, "
+                  f"{status['cache_hits']} already cached)", file=sys.stderr)
+            if args.wait or args.result:
+                status = client.wait(status["job_id"], timeout=args.timeout)
+            doc = (client.result(status["job_id"]) if args.result
+                   else client.job(status["job_id"]))
         print(json.dumps(doc, indent=2, sort_keys=True))
     except ServeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -558,7 +558,8 @@ def _cmd_jobs(args) -> int:
     from .errors import ServeError
     from .serve.client import ServeClient
     try:
-        jobs = ServeClient(_serve_url(args)).jobs()
+        with ServeClient(_serve_url(args)) as client:
+            jobs = client.jobs()
     except ServeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import socket
 import time
 import urllib.parse
-from typing import Any, Optional
+from typing import Any, BinaryIO, Optional
 
 from ..errors import ServeError
 
@@ -13,13 +14,16 @@ __all__ = ["ServeClient"]
 
 
 class ServeClient:
-    """Synchronous client for one service URL.
+    """Synchronous client for one service URL, on one kept-alive connection.
 
-    One connection per request (the server answers ``Connection:
-    close``); every method returns the decoded JSON document. The
-    convenience methods raise :class:`~repro.errors.ServeError` on
-    non-2xx answers; :meth:`request` returns ``(status, doc)`` raw for
-    callers that care about 409/500 semantics themselves.
+    Dialled on first use, dropped by :meth:`close` (``with`` does it) or
+    the server's ``Connection: close``. A request is re-sent, once, on a
+    fresh connection only when a *reused* one dies before the first
+    response byte (the server closed it while idle), so a ``POST /jobs``
+    is never replayed at a server that may have accepted it. Every method
+    returns the decoded JSON document; the convenience methods raise
+    :class:`~repro.errors.ServeError` on non-2xx answers, :meth:`request`
+    returns ``(status, doc)`` raw for callers that care about 409/500.
     """
 
     def __init__(self, url: str, timeout: float = 30.0):
@@ -27,39 +31,75 @@ class ServeClient:
         if parsed.scheme != "http" or not parsed.hostname:
             raise ServeError(f"unsupported service URL {url!r}")
         self.url = url
-        self._host = parsed.hostname
-        self._port = parsed.port or 80
+        self._netloc = parsed.netloc
+        self._address = (parsed.hostname, parsed.port or 80)
         self._timeout = timeout
+        #: The socket and a buffered reader of it, once dialled.
+        self._conn: Optional[tuple[socket.socket, BinaryIO]] = None
+
+    def close(self) -> None:
+        """Drop the connection (the next request dials a new one)."""
+        for end in self._conn or ():
+            end.close()
+        self._conn = None
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def _exchange(self, message: bytes) -> Optional[tuple[int, Any]]:
+        """Send one request on the connection (dialled if there is none);
+        returns ``(status, doc)``, or ``None`` — connection dropped — if
+        the peer closed or reset it before the first response byte."""
+        if self._conn is None:
+            sock = socket.create_connection(self._address, self._timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._conn = sock, sock.makefile("rb")
+        sock, stream = self._conn
+        try:
+            sock.sendall(message)
+            line = stream.readline()
+        except ConnectionError:  # reset or broken pipe; a timeout is not one
+            line = b""
+        if not line:
+            self.close()
+            return None
+        headers = {}
+        while (header := stream.readline().decode("latin-1")).strip():
+            name, _, value = header.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = stream.read(length := int(headers["content-length"]))
+        if len(body) < length:
+            raise ConnectionError("connection closed mid-response")
+        if headers.get("connection", "").lower() == "close":
+            self.close()
+        return int(line.split(None, 2)[1]), json.loads(body) if body else None
 
     def request(self, method: str, path: str,
                 body: Optional[Any] = None) -> tuple[int, Any]:
         """One HTTP round-trip; returns ``(status, decoded JSON)``."""
-        # Deferred: local runs import this package and never speak HTTP.
-        import http.client
-        conn = http.client.HTTPConnection(self._host, self._port,
-                                          timeout=self._timeout)
+        head, payload = (f"{method} {path} HTTP/1.1\r\n"
+                         f"Host: {self._netloc}\r\n"), b""
+        if body is not None:
+            head += "Content-Type: application/json\r\n"
+            payload = json.dumps(body, sort_keys=True, separators=(",", ":"),
+                                 default=str).encode("utf-8")
+        message = (f"{head}Content-Length: {len(payload)}\r\n\r\n"
+                   .encode("ascii") + payload)
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body, sort_keys=True,
-                                     separators=(",", ":"),
-                                     default=str).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-        except (ConnectionError, OSError) as exc:
+            reused = self._conn is not None
+            answer = self._exchange(message)
+            if answer is None and reused:  # closed while idle: the one re-dial
+                answer = self._exchange(message)
+            if answer is None:
+                raise ConnectionError("connection closed before a response")
+            return answer
+        except (OSError, ValueError, LookupError) as exc:  # or garbled
+            self.close()
             raise ServeError(f"service at {self.url} unreachable: {exc}"
                              ) from exc
-        finally:
-            conn.close()
-        try:
-            doc = json.loads(raw.decode("utf-8")) if raw else None
-        except ValueError as exc:
-            raise ServeError(f"non-JSON response from {path}: {exc}"
-                             ) from exc
-        return response.status, doc
 
     def _ok(self, method: str, path: str,
             body: Optional[Any] = None) -> Any:

@@ -1,7 +1,8 @@
 """Stdlib-only HTTP API over the orchestrator.
 
-One asyncio streams server, HTTP/1.1, ``Connection: close`` — no
-framework, no dependency beyond the interpreter. The surface:
+One asyncio streams server, HTTP/1.1 keep-alive (a framing error is
+answered 400 and closes the connection) — no framework, no dependency
+beyond the interpreter. The surface:
 
 ========================== =============================================
 ``GET  /healthz``            liveness: workers (with pids), queue, cache
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from http import HTTPStatus
 from typing import Any, Optional
 
 import yaml
@@ -57,6 +59,33 @@ def parse_job_document(body: bytes) -> tuple[str, dict]:
     return doc["kind"], spec
 
 
+async def _read_request(reader: asyncio.StreamReader
+                        ) -> tuple[str, str, bytes, bool]:
+    """One request as ``(method, path, body, keep-alive)``. Raises
+    ConnectionError if the client closed where one would start, ValueError
+    or the stream's own error on broken framing."""
+    try:
+        request = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise
+        raise ConnectionError("closed between requests") from None
+    line, _, rest = request.decode("ascii", "replace").partition("\r\n")
+    parts = line.split(" ")
+    if len(parts) != 3 or parts[2] not in ("HTTP/1.1", "HTTP/1.0"):
+        raise ValueError(f"malformed request line {line!r}")
+    headers = {name.strip().lower(): value.strip() for name, _, value
+               in (h.partition(":") for h in rest.split("\r\n"))}
+    length = headers.get("content-length", "0")
+    if not length.isdigit() or int(length) > _MAX_BODY:
+        raise ValueError(f"Content-Length {length!r} is not a byte count "
+                         f"within the {_MAX_BODY}-byte bound")
+    body = await reader.readexactly(int(length))
+    keep = (parts[2] == "HTTP/1.1"
+            and headers.get("connection", "").lower() != "close")
+    return parts[0].upper(), parts[1].rstrip("/") or "/", body, keep
+
+
 class HttpApi:
     """The HTTP front of one :class:`Orchestrator`.
 
@@ -70,6 +99,8 @@ class HttpApi:
         self._host = host
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Open connections: handler task -> its writer (see :meth:`stop`).
+        self._conns: dict[Any, asyncio.StreamWriter] = {}
         #: Set when a POST /shutdown arrives; the service loop awaits it.
         self.shutdown_requested: asyncio.Event = asyncio.Event()
 
@@ -81,56 +112,53 @@ class HttpApi:
         return self.port
 
     async def stop(self) -> None:
-        """Close the API server."""
+        """Close the API server and every open connection (the handler
+        of an idle keep-alive client would sit in its read for ever)."""
         if self._server is not None:
             self._server.close()
+            for writer in self._conns.values():
+                writer.close()  # flushes a response in flight, then EOF
+            if self._conns:  # each handler wakes on that EOF and returns
+                await asyncio.wait(list(self._conns), timeout=1.0)
             await self._server.wait_closed()
 
     # -- request plumbing --------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Serve one connection, request after request in order, until
+        the client closes, asks to (``Connection: close``, HTTP/1.0) or
+        breaks the framing: 400, and what follows cannot be trusted."""
+        handler = asyncio.current_task()
+        self._conns[handler] = writer
+        self.orchestrator.metrics.inc("serve.http.connections")
         try:
-            status, doc = await self._dispatch(reader)
-        except ServeError as exc:
-            status, doc = 400, {"error": str(exc)}
-        except (ConnectionError, asyncio.IncompleteReadError, ValueError,
-                asyncio.LimitOverrunError) as exc:
-            status, doc = 400, {"error": f"bad request: {exc}"}
-        body = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                          default=str).encode("utf-8")
-        reasons = {200: "OK", 201: "Created", 400: "Bad Request",
-                   404: "Not Found", 405: "Method Not Allowed",
-                   409: "Conflict", 500: "Internal Server Error"}
-        head = (f"HTTP/1.1 {status} {reasons.get(status, 'OK')}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n").encode("ascii")
-        try:
-            writer.write(head + body)
-            await writer.drain()
+            keep = True
+            while keep:
+                try:
+                    method, path, body, keep = await _read_request(reader)
+                    status, doc = self._route(method, path, body)
+                except ServeError as exc:
+                    status, doc = 400, {"error": str(exc)}
+                except (ValueError, asyncio.IncompleteReadError,
+                        asyncio.LimitOverrunError) as exc:
+                    status, doc = 400, {"error": f"bad request: {exc}"}
+                    keep = False
+                keep = keep and not self.shutdown_requested.is_set()
+                self.orchestrator.metrics.inc("serve.http.requests")
+                body = json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                                  default=str).encode("utf-8")
+                writer.write(
+                    f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                    f"Content-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n"
+                    f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n"
+                    .encode("ascii") + body)
+                await writer.drain()
         except (ConnectionError, OSError):
-            pass  # client went away; nothing to clean up
+            pass  # client closed or went away; nothing to clean up
         finally:
+            del self._conns[handler]
             writer.close()
-
-    async def _dispatch(self, reader: asyncio.StreamReader
-                        ) -> tuple[int, Any]:
-        request = await reader.readuntil(b"\r\n\r\n")
-        line, _, header_blob = request.partition(b"\r\n")
-        try:
-            method, path, _version = line.decode("ascii").split(" ", 2)
-        except ValueError as exc:
-            raise ServeError(f"malformed request line {line!r}") from exc
-        length = 0
-        for header in header_blob.decode("ascii", "replace").split("\r\n"):
-            name, _, value = header.partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
-        if length > _MAX_BODY:
-            raise ServeError(f"body of {length} bytes exceeds the "
-                             f"{_MAX_BODY}-byte bound")
-        body = await reader.readexactly(length) if length else b""
-        return self._route(method.upper(), path.rstrip("/") or "/", body)
 
     # -- routing -----------------------------------------------------------
     def _route(self, method: str, path: str, body: bytes) -> tuple[int, Any]:

@@ -26,7 +26,8 @@ each point in order either way, plus:
 With socket workers, scheduling runs on one asyncio event loop; workers
 attach over TCP (one connection each) and the per-connection coroutine
 is the whole scheduler for that worker: claim a point, send the job
-frame, await result frames with a heartbeat deadline. The inline drain
+frame, await result frames (one watchdog task aborts the connection of
+a busy worker gone silent). The inline drain
 needs no loop at all. Host wall-clock (not simulated time) feeds the
 metrics registry and trace spans — this is the service layer, the one
 place in the tree where host time is the measurand.
@@ -118,6 +119,8 @@ class Job:
     submitted: float = 0.0
     finished: Optional[float] = None
     cache_hits: int = 0
+    #: Points still without a result; kept by :meth:`fill`.
+    remaining: int = 0
 
     @property
     def total(self) -> int:
@@ -127,7 +130,13 @@ class Job:
     @property
     def done_count(self) -> int:
         """Number of points with a result (cached or computed)."""
-        return sum(1 for r in self.results if r is not PENDING)
+        return self.total - self.remaining
+
+    def fill(self, index: int, result: Any) -> None:
+        """Store point ``index``'s result."""
+        if self.results[index] is PENDING:
+            self.remaining -= 1
+        self.results[index] = result
 
 
 class Orchestrator:
@@ -156,8 +165,11 @@ class Orchestrator:
         self._trace: dict[str, list[dict]] = {}
         self._queue: asyncio.Queue[str] = asyncio.Queue()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._stopping = False
+        #: Attached connection -> when its next bytes are due (None: idle).
+        self._due: dict[asyncio.StreamWriter, Optional[float]] = {}
+        self._watchdog_task: Optional[asyncio.Future] = None
+        self._running = 0  # jobs in status "running"
+        self._idle: Optional[asyncio.Event] = None  # see wait_idle
         self._next_id = 1 + max(
             (int(match[1]) for match in map(
                 _MANIFEST_NAME.fullmatch, os.listdir(self.jobs_dir))
@@ -169,12 +181,23 @@ class Orchestrator:
         self._server = await asyncio.start_server(
             self._handle_worker, self._host, 0)
         self.worker_port = self._server.sockets[0].getsockname()[1]
+        self._watchdog_task = asyncio.ensure_future(self._watchdog())
         return self.worker_port
+
+    async def _watchdog(self) -> None:
+        """Abort overdue connections; each handler wakes on the EOF."""
+        while True:
+            await asyncio.sleep(self.heartbeat_timeout / 4)
+            now = time.monotonic()
+            for writer, due in self._due.items():
+                if due is not None and now > due:
+                    writer.transport.abort()
 
     async def stop(self) -> None:
         """Tell workers to exit and close the worker server."""
-        self._stopping = True
-        for writer in list(self._writers):
+        if self._watchdog_task is not None:
+            self._watchdog_task.cancel()
+        for writer in list(self._due):
             try:
                 writer.write(encode_frame(shutdown_frame()))
                 await writer.drain()
@@ -242,13 +265,14 @@ class Orchestrator:
         job = Job(job_id=job_id, kind=kind, spec=spec,
                   point_kind=point_kind, points=points, keys=keys,
                   results=[PENDING] * len(points),
-                  submitted=time.monotonic())
+                  submitted=time.monotonic(), remaining=len(points))
         self.jobs[job_id] = job
+        self._running += 1
         self._trace.setdefault(job_id, [])
         for index, (key, point) in enumerate(zip(keys, points)):
             cached = self.cache.load(point_kind, point)
             if cached is not PENDING:
-                job.results[index] = cached
+                job.fill(index, cached)
                 job.cache_hits += 1
                 self.metrics.inc("serve.cache.hit")
                 continue
@@ -262,7 +286,7 @@ class Orchestrator:
             elif task.status == "done":
                 # In-memory completion that predates cache persistence
                 # being enabled; serve it like a hit.
-                job.results[index] = task.result
+                job.fill(index, task.result)
                 job.cache_hits += 1
                 continue
             task.waiters.append((job_id, index))
@@ -272,7 +296,13 @@ class Orchestrator:
     @property
     def active(self) -> bool:
         """Whether any job is still waiting for points."""
-        return any(job.status == "running" for job in self.jobs.values())
+        return self._running > 0
+
+    async def wait_idle(self) -> None:
+        """Return once no job is waiting for points."""
+        while self._running:
+            self._idle = asyncio.Event()
+            await self._idle.wait()
 
     @property
     def queue_depth(self) -> int:
@@ -302,15 +332,17 @@ class Orchestrator:
                                started=started)
 
     async def _next_frame(self, reader: asyncio.StreamReader,
-                          decoder: FrameDecoder, frames: deque,
-                          timeout: float) -> Optional[dict]:
-        """Next decoded frame, or None on clean EOF; enforces ``timeout``
-        per read — a live worker heartbeats well inside it."""
+                          writer: asyncio.StreamWriter,
+                          decoder: FrameDecoder, frames: deque
+                          ) -> Optional[dict]:
+        """Next decoded frame, or None on EOF at a frame boundary; bytes
+        move the deadline out (a live worker heartbeats well inside it)."""
         while not frames:
-            data = await asyncio.wait_for(reader.read(_READ_CHUNK), timeout)
+            data = await reader.read(_READ_CHUNK)
             if not data:
                 decoder.close()  # raises ProtocolError if mid-frame
                 return None
+            self._due[writer] = time.monotonic() + self.heartbeat_timeout
             frames.extend(decoder.feed(data))
         return frames.popleft()
 
@@ -322,21 +354,17 @@ class Orchestrator:
         name: Optional[str] = None
         task: Optional[PointTask] = None
         reason = "connection closed"
-        self._writers.add(writer)
+        self._due[writer] = time.monotonic() + self.heartbeat_timeout * 4
         try:
-            hello = await self._next_frame(
-                reader, decoder, frames, timeout=self.heartbeat_timeout * 4)
+            hello = await self._next_frame(reader, writer, decoder, frames)
             if (hello is None or hello.get("type") != "hello"
                     or hello.get("protocol") != PROTOCOL_VERSION):
                 return
             name = str(hello["worker"])
             self.workers[name] = {"pid": hello.get("pid"), "busy": None}
             self.metrics.inc("serve.worker.connected")
-            # Not ``while True``: on Python < 3.12 ``wait_for`` can swallow
-            # the loop-teardown cancellation when a frame arrives in the
-            # same tick, and a handler that then parked on an empty queue
-            # would never be cancelled again.
-            while not self._stopping:
+            while True:
+                self._due[writer] = None  # idle workers are never timed out
                 key = await self._queue.get()
                 task = self.tasks.get(key)
                 if task is None or task.status != "queued":
@@ -348,10 +376,10 @@ class Orchestrator:
                                                     task.point)))
                 await writer.drain()
                 started = time.monotonic()
+                self._due[writer] = started + self.heartbeat_timeout
                 while True:
-                    frame = await self._next_frame(
-                        reader, decoder, frames,
-                        timeout=self.heartbeat_timeout)
+                    frame = await self._next_frame(reader, writer, decoder,
+                                                   frames)
                     if frame is None:
                         raise ConnectionError("worker EOF mid-job")
                     if frame["type"] == "heartbeat":
@@ -365,14 +393,14 @@ class Orchestrator:
                         task = None
                         break
                 self.workers[name]["busy"] = None
-        except asyncio.TimeoutError:
-            reason = f"no heartbeat for {self.heartbeat_timeout}s"
         except asyncio.CancelledError:
             reason = "orchestrator shutting down"  # loop teardown
         except (ConnectionError, ProtocolError, OSError) as exc:
             reason = str(exc) or type(exc).__name__
         finally:
-            self._writers.discard(writer)
+            due = self._due.pop(writer)
+            if due is not None and time.monotonic() > due:  # the watchdog's
+                reason = f"no heartbeat for {self.heartbeat_timeout}s"
             if name is not None:
                 self.workers.pop(name, None)
                 self.metrics.inc("serve.worker.lost")
@@ -407,7 +435,7 @@ class Orchestrator:
                  "args": {"key": task.key, "attempts": task.attempts}}
         for job_id, index in task.waiters:
             job = self.jobs[job_id]
-            job.results[index] = result
+            job.fill(index, result)
             self._trace[job_id].append(event)
             self._maybe_finish(job)
 
@@ -418,15 +446,20 @@ class Orchestrator:
         for job_id, index in task.waiters:
             job = self.jobs[job_id]
             if job.status == "running":
-                job.status = "failed"
                 job.error = f"point {index} failed: {error}"
-                job.finished = time.monotonic()
+                self._end_job(job, "failed")
 
     def _maybe_finish(self, job: Job) -> None:
-        if job.status == "running" and job.done_count == job.total:
-            job.status = "done"
-            job.finished = time.monotonic()
+        if job.status == "running" and not job.remaining:
+            self._end_job(job, "done")
             self.metrics.inc("serve.job.done")
+
+    def _end_job(self, job: Job, status: str) -> None:
+        job.status = status
+        job.finished = time.monotonic()
+        self._running -= 1
+        if not self._running and self._idle is not None:
+            self._idle.set()
 
     # -- queries (HTTP layer) ----------------------------------------------
     def _job(self, job_id: str) -> Job:

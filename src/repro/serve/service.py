@@ -167,8 +167,7 @@ def run_service(state_dir: str, workers: Optional[int] = None,
 
 async def _drain_with_workers(orch: Orchestrator, n: int) -> None:
     async with _workers(orch, "127.0.0.1", n, heartbeat=0.5):
-        while orch.active:
-            await asyncio.sleep(0.005)
+        await orch.wait_idle()
 
 
 def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
@@ -216,7 +215,8 @@ class ServiceHandle:
 
     def worker_pids(self) -> list[int]:
         """Pids of the currently attached workers (for kill tests)."""
-        workers = self.client().healthz()["workers"]
+        with self.client() as client:
+            workers = client.healthz()["workers"]
         return sorted(info["pid"] for info in workers.values()
                       if info.get("pid"))
 
@@ -235,7 +235,8 @@ class ServiceHandle:
     def stop(self) -> None:
         """Clean shutdown via ``POST /shutdown``; joins the process."""
         try:
-            self.client().shutdown()
+            with self.client() as client:
+                client.shutdown()
         except (ServeError, OSError):
             pass  # already dead; join below still reaps it
         self.proc.join(timeout=10)

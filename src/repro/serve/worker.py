@@ -9,7 +9,7 @@ the orchestrator, so a worker can die at any instant — ``kill -9``
 included — and the only observable effect is a dropped socket, which the
 orchestrator treats as "re-queue whatever that worker held".
 
-While a point runs, a daemon thread writes heartbeat frames every
+While a point runs, the worker's one daemon thread writes a heartbeat every
 ``heartbeat`` seconds so the orchestrator can tell a *slow* worker from
 a *wedged* one (a SIGSTOP'd worker stops heartbeating and is declared
 dead after the timeout; a worker grinding through a big simulation keeps
@@ -39,10 +39,12 @@ __all__ = ["worker_main", "spawn_worker"]
 
 
 class _Heart(threading.Thread):
-    """Daemon thread writing heartbeat frames while a point executes.
-
-    Socket writes are serialized with the result writes through ``lock``
-    so a heartbeat can never interleave bytes mid-frame.
+    """The worker's one daemon thread: until ``done`` is set it writes a
+    heartbeat frame every ``interval`` host seconds while a point executes
+    (``busy``, which the main loop sets around ``execute_point``). Socket
+    writes are serialized with the result writes through ``lock`` — and
+    ``busy`` is read and cleared under it — so a heartbeat can neither
+    interleave bytes mid-frame nor follow its point's result.
     """
 
     def __init__(self, sock: socket.socket, lock: threading.Lock,
@@ -52,21 +54,19 @@ class _Heart(threading.Thread):
         self._lock = lock
         self._name = name
         self._interval = interval
-        self._stop = threading.Event()
+        self.busy = False
+        self.done = threading.Event()
 
     def run(self) -> None:
-        """Beat every ``interval`` host seconds until :meth:`stop`."""
-        while not self._stop.wait(self._interval):
+        """Beat every ``interval`` host seconds until ``done``."""
+        while not self.done.wait(self._interval):
             try:
                 with self._lock:
-                    write_frame(self._sock, heartbeat_frame(self._name,
-                                                            busy=True))
+                    if self.busy:
+                        write_frame(self._sock, heartbeat_frame(self._name,
+                                                                busy=True))
             except OSError:
                 return  # orchestrator is gone; main loop will notice too
-
-    def stop(self) -> None:
-        """Stop heartbeating (the point finished)."""
-        self._stop.set()
 
 
 def _frames(sock: socket.socket) -> Iterator[dict]:
@@ -95,31 +95,29 @@ def worker_main(host: str, port: int, name: str,
     """
     sock = socket.create_connection((host, port))
     lock = threading.Lock()
+    heart = _Heart(sock, lock, name, heartbeat)
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with lock:
-            write_frame(sock, hello_frame(name, os.getpid()))
+        write_frame(sock, hello_frame(name, os.getpid()))
+        heart.start()
         for frame in _frames(sock):
             if frame["type"] == "shutdown":
                 return
             if frame["type"] != "job":
                 continue  # future-proof: ignore unknown orchestrator frames
-            heart = _Heart(sock, lock, name, heartbeat)
-            heart.start()
+            heart.busy = True
             try:
-                result = execute_point(frame["kind"], frame["point"])
+                reply = result_frame(frame["id"], execute_point(
+                    frame["kind"], frame["point"]))
             except Exception:
-                heart.stop()
-                with lock:
-                    write_frame(sock, _error_frame(
-                        frame["id"], traceback.format_exc()))
-            else:
-                heart.stop()
-                with lock:
-                    write_frame(sock, result_frame(frame["id"], result))
+                reply = _error_frame(frame["id"], traceback.format_exc())
+            with lock:
+                heart.busy = False
+                write_frame(sock, reply)
     except OSError:
         return  # connection lost: orchestrator will requeue our job
     finally:
+        heart.done.set()
         sock.close()
 
 

@@ -47,6 +47,25 @@ def test_run_points_parallel_matches_serial():
         _results("selftest", SELFTEST, 1) == _reference("selftest", SELFTEST)
 
 
+def test_two_worker_drain_returns_the_inline_documents(monkeypatch):
+    """The whole result documents, not only the rows — and the drain
+    waits on the orchestrator's idle event: it never sleeps to poll."""
+    import asyncio
+    naps, sleep = [], asyncio.sleep
+
+    async def counted_sleep(delay, *args):
+        naps.append(delay)
+        await sleep(delay, *args)
+
+    monkeypatch.setattr(asyncio, "sleep", counted_sleep)
+    fanned = run_local(None, "selftest", {"n": 20}, workers=2)
+    # The supervisor's and the watchdog's periods only: no 5 ms poll.
+    assert naps and min(naps) >= 0.1
+    assert fanned == run_local(None, "selftest", {"n": 20}, workers=1)
+    assert [r["value"] for r in fanned[0]["results"]] == \
+        [i * i for i in range(20)]
+
+
 def test_parallel_simulation_results_identical():
     """Full simulator runs fanned across workers return byte-identical
     results in point order."""
