@@ -8,6 +8,13 @@ Routes are static and deterministic — D-mod-k for the fat tree, minimal
 wrap for the torus — so two runs of one workload traverse identical
 links in identical order.
 
+A generator lays down vertices and links and registers one next-hop
+*rule* (:meth:`~.graph.Topology.set_routing_rule`): the next hop is
+computed from the switch's coordinates when a pair is first routed, so
+building a 72-port dragonfly to place four nodes fills no (vertices x
+hosts) table. The tables the rules replaced are the test oracle
+(``tests/oracles.py``).
+
 Link ``bandwidth``/``latency`` default to ``None`` and inherit the
 fabric's :class:`~repro.netsim.config.FabricParams` per hop at bind
 time; pass explicit values to price a topology's links differently from
@@ -20,7 +27,7 @@ import math
 from typing import Optional
 
 from ...errors import TopologyError
-from .graph import Topology, host_vertex
+from .graph import Link, Topology, host_vertex
 
 __all__ = ["fat_tree", "dragonfly", "torus"]
 
@@ -52,16 +59,20 @@ def fat_tree(k: int, bandwidth: Optional[float] = None,
     def core_name(c: int) -> str:
         return f"core{c}"
 
+    #: Switch -> (tier, pod, index); a core switch is ("core", 0, c).
+    place: dict[str, tuple[str, int, int]] = {}
+    uplink: dict[str, Link] = {}  # host vertex -> its link into the edge switch
     for p in range(k):
         for i in range(half):
-            topo.add_switch(edge_name(p, i))
-            topo.add_switch(agg_name(p, i))
+            place[topo.add_switch(edge_name(p, i))] = ("edge", p, i)
+            place[topo.add_switch(agg_name(p, i))] = ("agg", p, i)
     for c in range(half * half):
-        topo.add_switch(core_name(c))
+        place[topo.add_switch(core_name(c))] = ("core", 0, c)
 
     for host in range(capacity):
         p, e = host // hosts_per_pod, (host % hosts_per_pod) // half
-        topo.add_duplex(host_vertex(host), edge_name(p, e), bandwidth, latency)
+        uplink[host_vertex(host)], _ = topo.add_duplex(
+            host_vertex(host), edge_name(p, e), bandwidth, latency)
     for p in range(k):
         for e in range(half):
             for a in range(half):
@@ -72,36 +83,27 @@ def fat_tree(k: int, bandwidth: Optional[float] = None,
                 topo.add_duplex(agg_name(p, a), core_name(c),
                                 bandwidth, latency)
 
-    for dst in range(capacity):
+    def next_hop(vertex: str, dst: int) -> Link:
+        """Down toward ``dst`` once in its pod (or at a core switch), else
+        up by D-mod-k port selection."""
+        up = uplink.get(vertex)
+        if up is not None:
+            return up
+        tier, p, i = place[vertex]
         dp = dst // hosts_per_pod
         de = (dst % hosts_per_pod) // half
-        # D-mod-k port selection for the two up-hops.
-        up_agg = dst % half
-        up_core_off = (dst // half) % half
-        for host in range(capacity):
-            if host == dst:
-                continue
-            p, e = host // hosts_per_pod, (host % hosts_per_pod) // half
-            topo.set_next_hop(host_vertex(host), dst,
-                              topo.link(host_vertex(host), edge_name(p, e)))
-        for p in range(k):
-            for e in range(half):
-                ename = edge_name(p, e)
-                if p == dp and e == de:
-                    nxt = topo.link(ename, host_vertex(dst))
-                else:
-                    nxt = topo.link(ename, agg_name(p, up_agg))
-                topo.set_next_hop(ename, dst, nxt)
-            for a in range(half):
-                aname = agg_name(p, a)
-                if p == dp:
-                    nxt = topo.link(aname, edge_name(p, de))
-                else:
-                    nxt = topo.link(aname, core_name(a * half + up_core_off))
-                topo.set_next_hop(aname, dst, nxt)
-        for c in range(half * half):
-            topo.set_next_hop(core_name(c), dst,
-                              topo.link(core_name(c), agg_name(dp, c // half)))
+        if tier == "core":
+            return topo.link(vertex, agg_name(dp, i // half))
+        if tier == "agg":
+            if p == dp:
+                return topo.link(vertex, edge_name(p, de))
+            return topo.link(vertex,
+                             core_name(i * half + (dst // half) % half))
+        if p == dp and i == de:
+            return topo.link(vertex, host_vertex(dst))
+        return topo.link(vertex, agg_name(p, dst % half))
+
+    topo.set_routing_rule(next_hop)
     return topo
 
 
@@ -133,12 +135,15 @@ def dragonfly(a: int, p: int, h: int, bandwidth: Optional[float] = None,
         """Router in ``src_g`` owning the global link toward ``dst_g``."""
         return port_toward(src_g, dst_g) // h
 
+    place: dict[str, tuple[int, int]] = {}  # router -> (group, index)
+    uplink: dict[str, Link] = {}  # host vertex -> its link into the router
     for g in range(groups):
         for r in range(a):
-            topo.add_switch(router(g, r))
+            place[topo.add_switch(router(g, r))] = (g, r)
     for host in range(capacity):
         g, r = host // (a * p), (host % (a * p)) // p
-        topo.add_duplex(host_vertex(host), router(g, r), bandwidth, latency)
+        uplink[host_vertex(host)], _ = topo.add_duplex(
+            host_vertex(host), router(g, r), bandwidth, latency)
     for g in range(groups):
         for r1 in range(a):
             for r2 in range(r1 + 1, a):
@@ -150,29 +155,21 @@ def dragonfly(a: int, p: int, h: int, bandwidth: Optional[float] = None,
                             router(g2, gateway(g2, g1)),
                             bandwidth, latency)
 
-    for dst in range(capacity):
+    def next_hop(vertex: str, dst: int) -> Link:
+        up = uplink.get(vertex)
+        if up is not None:
+            return up
+        g, r = place[vertex]
         dg, dr = dst // (a * p), (dst % (a * p)) // p
-        for host in range(capacity):
-            if host == dst:
-                continue
-            g, r = host // (a * p), (host % (a * p)) // p
-            topo.set_next_hop(host_vertex(host), dst,
-                              topo.link(host_vertex(host), router(g, r)))
-        for g in range(groups):
-            for r in range(a):
-                rname = router(g, r)
-                if g == dg:
-                    if r == dr:
-                        nxt = topo.link(rname, host_vertex(dst))
-                    else:
-                        nxt = topo.link(rname, router(g, dr))
-                else:
-                    gw = gateway(g, dg)
-                    if r == gw:
-                        nxt = topo.link(rname, router(dg, gateway(dg, g)))
-                    else:
-                        nxt = topo.link(rname, router(g, gw))
-                topo.set_next_hop(rname, dst, nxt)
+        if g == dg:
+            return topo.link(vertex,
+                             host_vertex(dst) if r == dr else router(g, dr))
+        gw = gateway(g, dg)
+        if r == gw:
+            return topo.link(vertex, router(dg, gateway(dg, g)))
+        return topo.link(vertex, router(g, gw))
+
+    topo.set_routing_rule(next_hop)
     return topo
 
 
@@ -222,10 +219,13 @@ def torus(dims: tuple[int, ...], bandwidth: Optional[float] = None,
         return out
 
     all_coords = [coords(i) for i in range(capacity)]
+    place: dict[str, tuple[int, ...]] = {}  # switch -> lattice point
+    uplink: dict[str, Link] = {}  # host vertex -> its link into the switch
     for coord in all_coords:
-        topo.add_switch(switch(coord))
+        place[topo.add_switch(switch(coord))] = coord
     for i, coord in enumerate(all_coords):
-        topo.add_duplex(host_vertex(i), switch(coord), bandwidth, latency)
+        uplink[host_vertex(i)], _ = topo.add_duplex(
+            host_vertex(i), switch(coord), bandwidth, latency)
     for coord in all_coords:
         for nb in neighbors(coord):
             topo.add_link(switch(coord), switch(nb), bandwidth, latency)
@@ -243,19 +243,14 @@ def torus(dims: tuple[int, ...], bandwidth: Optional[float] = None,
             return tuple(nxt)
         return coord
 
-    for dst in range(capacity):
-        goal = all_coords[dst]
-        for host in range(capacity):
-            if host == dst:
-                continue
-            topo.set_next_hop(
-                host_vertex(host), dst,
-                topo.link(host_vertex(host), switch(all_coords[host])))
-        for coord in all_coords:
-            sname = switch(coord)
-            if coord == goal:
-                nxt = topo.link(sname, host_vertex(dst))
-            else:
-                nxt = topo.link(sname, switch(step_toward(coord, goal)))
-            topo.set_next_hop(sname, dst, nxt)
+    def next_hop(vertex: str, dst: int) -> Link:
+        up = uplink.get(vertex)
+        if up is not None:
+            return up
+        coord, goal = place[vertex], all_coords[dst]
+        if coord == goal:
+            return topo.link(vertex, host_vertex(dst))
+        return topo.link(vertex, switch(step_toward(coord, goal)))
+
+    topo.set_routing_rule(next_hop)
     return topo

@@ -1,9 +1,10 @@
 """The interconnect graph: hosts, switches, directed links, static routes.
 
 A :class:`Topology` is a pure description — vertices, directed
-:class:`Link` objects, and a next-hop table mapping ``(vertex, dst
-host)`` to the link to take. Generators (:mod:`.generators`) build these
-tables offline; the :class:`~repro.netsim.topology.routed.RoutedFabric`
+:class:`Link` objects, and the next hop from ``(vertex, dst host)`` to
+the link to take: a *rule* computed on demand (what the generators in
+:mod:`.generators` register) and/or explicit table entries (hand-built
+graphs). The :class:`~repro.netsim.topology.routed.RoutedFabric`
 then *binds* the topology to a simulator, giving every link a
 :class:`~repro.sim.resources.FIFOServer` so per-link serialization and
 queueing accrue as messages traverse it.
@@ -17,7 +18,7 @@ timings stay reproducible byte-for-byte.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from ...errors import TopologyError
 from ...sim.core import Simulator
@@ -65,16 +66,18 @@ class Link:
 class Topology:
     """A named interconnect graph with per-destination next-hop routes.
 
-    Construction protocol (used by the generators)::
+    Construction protocol::
 
         topo = Topology("fat_tree(k=4)", num_hosts=16)
         topo.add_switch("pod0.edge0")
         link = topo.add_link("h0", "pod0.edge0")
-        topo.set_next_hop("h0", dst=5, link=link)
+        topo.set_next_hop("h0", dst=5, link=link)   # one table entry, or
+        topo.set_routing_rule(lambda vertex, dst: ...)  # every entry
 
-    ``route(src, dst)`` then walks the next-hop table into a tuple of
-    links, validating on the way that the path terminates at the
-    destination host without revisiting a vertex.
+    ``route(src, dst)`` then walks next hops — a table entry where there
+    is one, else the rule — into a tuple of links, validating on the way
+    that every hop leaves the vertex it was asked at and that the path
+    terminates at the destination host without revisiting a vertex.
     """
 
     def __init__(self, name: str, num_hosts: int):
@@ -86,6 +89,7 @@ class Topology:
         self._vertices: set[str] = {host_vertex(i) for i in range(num_hosts)}
         self._links: dict[str, Link] = {}
         self._next_hop: dict[tuple[str, int], Link] = {}
+        self._rule: Optional[Callable[[str, int], Link]] = None
         self._routes: dict[tuple[int, int], tuple[Link, ...]] = {}
         self._bound = False
 
@@ -125,6 +129,16 @@ class Topology:
                 f"next hop at {vertex!r} must leave that vertex, got {link.name}")
         self._next_hop[(vertex, dst)] = link
 
+    def set_routing_rule(self, rule: Callable[[str, int], Link]) -> None:
+        """Route by ``rule(vertex, dst) -> Link`` wherever no
+        :meth:`set_next_hop` entry says otherwise.
+
+        The rule is asked once per hop of a pair's first
+        :meth:`route`, so a regular topology pays for the pairs a run
+        uses, not for a (vertices x hosts) table.
+        """
+        self._rule = rule
+
     # -- introspection --------------------------------------------------
     def links(self) -> Iterator[Link]:
         """All links, in deterministic (name-sorted) order."""
@@ -153,7 +167,8 @@ class Topology:
         """The static path from host ``src`` to host ``dst`` as links.
 
         Cached per pair. ``src == dst`` yields the empty path. Raises
-        :class:`~repro.errors.TopologyError` on missing next hops, paths
+        :class:`~repro.errors.TopologyError` on missing next hops, hops
+        that do not leave the vertex they were asked at, paths
         that revisit a vertex (routing loop), or paths that end anywhere
         but the destination host.
         """
@@ -173,9 +188,15 @@ class Topology:
         while vertex != goal:
             link = self._next_hop.get((vertex, dst))
             if link is None:
-                raise TopologyError(
-                    f"{self.name}: no next hop toward host {dst} "
-                    f"at {vertex!r}")
+                if self._rule is None:
+                    raise TopologyError(
+                        f"{self.name}: no next hop toward host {dst} "
+                        f"at {vertex!r}")
+                link = self._rule(vertex, dst)
+                if link.src != vertex:
+                    raise TopologyError(
+                        f"next hop at {vertex!r} must leave that vertex, "
+                        f"got {link.name}")
             path.append(link)
             vertex = link.dst
             if vertex in visited:

@@ -104,9 +104,11 @@ class ClusterSpec:
     are validated eagerly — an unknown name or an undersized topology
     fails at spec construction, not mid-run.
 
-    One spec builds one world: the topology object carries per-link
-    queue state once bound, so :meth:`build_topology` returns a fresh
-    graph on every call.
+    The topology object carries per-link queue state once bound, so no
+    two callers of :meth:`build_topology` share a graph: the first call
+    hands out the one the constructor built to validate the parameters
+    (``World(cluster=spec)`` therefore builds one graph, not two), every
+    later call builds a fresh one.
     """
 
     def __init__(self, nodes: int = 2, procs_per_node: int = 1,
@@ -127,10 +129,15 @@ class ClusterSpec:
         self.params = dict(params)
         # Fail fast: building the graph validates the generator
         # parameters and the capacity against `nodes`.
-        self.build_topology()
+        self._spare = self._build()
 
     def build_topology(self) -> Optional[Topology]:
-        """Build a fresh, unbound topology graph (``None`` for direct)."""
+        """An unbound topology graph nobody else holds (``None`` for
+        direct)."""
+        topo, self._spare = self._spare, None
+        return topo if topo is not None else self._build()
+
+    def _build(self) -> Optional[Topology]:
         builder = _REGISTRY[self.topology]
         try:
             topo = builder(self.nodes, self.network.fabric, **self.params)

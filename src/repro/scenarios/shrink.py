@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Optional
 
-import yaml
-
 from ..errors import MpiError, ScenarioError
 from .executor import outcome_signature, run_scenario
 from .spec import ScenarioSpec
@@ -180,12 +178,14 @@ def write_artifact(path: str, result: ShrinkResult) -> None:
                    "original": result.original.to_dict()},
         "replay": f"python -m repro campaign replay {path}",
     }
+    import yaml  # on first use: only a failing campaign writes artifacts
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh, sort_keys=True, default_flow_style=False)
 
 
 def load_artifact(path: str) -> dict[str, Any]:
     """Parse and structurally validate an artifact document."""
+    import yaml
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Optional
 
-import yaml
-
 from ..errors import (
     FaultPlanError,
     MpiError,
@@ -173,12 +171,14 @@ class ScenarioSpec:
 
     def to_yaml(self) -> str:
         """The spec as a YAML document (stable key order)."""
+        import yaml  # on first use: sampling and running need no YAML
         return yaml.safe_dump(self.to_dict(), sort_keys=True,
                               default_flow_style=False)
 
     @staticmethod
     def from_yaml(text: str) -> "ScenarioSpec":
         """Parse a spec from :meth:`to_yaml` output."""
+        import yaml
         try:
             data = yaml.safe_load(text)
         except yaml.YAMLError as exc:

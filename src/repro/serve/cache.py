@@ -26,8 +26,8 @@ from typing import Any, Optional
 
 from ..snap import SNAP_VERSION, STATE_FORMAT_VERSION
 
-__all__ = ["SERVE_CACHE_VERSION", "PENDING", "ResultCache", "cache_key",
-           "cache_record", "json_roundtrip"]
+__all__ = ["SERVE_CACHE_VERSION", "PENDING", "ResultCache", "blob_key",
+           "cache_key", "cache_record", "json_roundtrip", "point_blob"]
 
 #: Cache-key version, derived here and nowhere else. ``serve1-memo1`` is
 #: a frozen label (stores written since PR 10 carry it), the rest tracks
@@ -38,6 +38,13 @@ SERVE_CACHE_VERSION = (f"serve1-memo1-snap{SNAP_VERSION}"
 #: Sentinel returned by :meth:`ResultCache.load` for a miss.
 PENDING = object()
 
+# Built once: ``json.dumps`` with a ``default`` constructs an encoder per
+# call, which is a third of the cost of serialising one small point.
+_DECODER = json.JSONDecoder()
+_PLAIN = json.JSONEncoder(default=str)
+_SORTED = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           default=str)
+
 
 def json_roundtrip(result: Any) -> Any:
     """``result`` as JSON reads it back (tuples become lists, ...).
@@ -46,7 +53,7 @@ def json_roundtrip(result: Any) -> Any:
     computed in this process, served by a socket worker or loaded from
     the store — so all of them are byte-identical.
     """
-    return json.loads(json.dumps(result, default=str))
+    return json.loads(_PLAIN.encode(result))
 
 
 def cache_record(kind: str, point: dict) -> dict:
@@ -55,12 +62,24 @@ def cache_record(kind: str, point: dict) -> dict:
             "point_kind": kind, "point": point}
 
 
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"),
-                      default=str)
+def _canonical(record: Any) -> str:
+    return _SORTED.encode(record)
 
 
-def _key(blob: str) -> str:
+def point_blob(kind: str, point: dict) -> str:
+    """The canonical key record of ``(kind, point)``: its identity text.
+
+    Everything the store knows about a point derives from this one
+    string — its key (:func:`blob_key`), its file name and the verbatim
+    head of its file — so a caller that keeps the blob (the
+    orchestrator does, on its :class:`PointTask`) serialises a point
+    once, however often it is looked up or saved.
+    """
+    return _canonical(cache_record(kind, point))
+
+
+def blob_key(blob: str) -> str:
+    """The content key of a :func:`point_blob`."""
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
@@ -72,7 +91,7 @@ def cache_key(kind: str, point: dict) -> str:
     identity: two queued points with the same key are the same
     simulation, so only one ever runs at a time.
     """
-    return _key(_canonical(cache_record(kind, point)))
+    return blob_key(point_blob(kind, point))
 
 
 class ResultCache:
@@ -84,6 +103,22 @@ class ResultCache:
     behind. Floats survive the round-trip exactly (``repr``
     shortest-round-trip). ``directory=None`` disables persistence (every
     load misses) — the orchestrator code path stays identical either way.
+
+    A file is ``{"point":<blob>,"result":<canonical result>}`` and
+    nothing else: ``save`` writes those bytes by concatenation and
+    ``load`` accepts only a file that starts with this point's own head,
+    holds exactly one JSON value after it and ends with the closing
+    brace. That is as exact as parsing the file and comparing records
+    (the head *is* the record, canonically serialised), so a reformatted,
+    foreign, torn or lying file is a miss.
+
+    The instance remembers ``blob -> result`` for every record it saved
+    or verified. The store is content-addressed and points are
+    deterministic, so a remembered result cannot be wrong, and asking
+    again costs a dictionary lookup (counted as a hit). Remembered
+    results are handed out as the same object every time: treat them as
+    read-only. ``load``/``save`` are :meth:`load_blob`/:meth:`save_blob`
+    for callers that do not keep the blob.
     """
 
     def __init__(self, directory: Optional[str]):
@@ -94,43 +129,63 @@ class ResultCache:
         #: metrics registry by the orchestrator).
         self.hits = 0
         self.misses = 0
+        self._known: dict[str, Any] = {}
 
-    def _entry(self, kind: str, point: dict) -> tuple[str, dict]:
-        """File path and key record (as JSON reads it back) of a point."""
-        blob = _canonical(cache_record(kind, point))
-        return (os.path.join(self.directory, f"point-{_key(blob)}.json"),
-                json.loads(blob))
+    def _path(self, blob: str) -> str:
+        return os.path.join(self.directory, f"point-{blob_key(blob)}.json")
+
+    def _read(self, blob: str) -> Any:
+        """The result in ``blob``'s file if the file proves it, else
+        :data:`PENDING`."""
+        head = f'{{"point":{blob},"result":'
+        try:
+            with open(self._path(blob), encoding="utf-8") as fh:
+                text = fh.read()
+            if text.startswith(head):
+                result, end = _DECODER.raw_decode(text, len(head))
+                if text[end:] == "}":
+                    return result
+        except (OSError, ValueError, RecursionError):
+            pass  # unreadable, not UTF-8, not JSON: a miss like any other
+        return PENDING
+
+    def load_blob(self, blob: str) -> Any:
+        """The stored result for the point ``blob`` names, or
+        :data:`PENDING`; the file is read only the first time."""
+        result = self._known.get(blob, PENDING)
+        if result is PENDING and self.directory:
+            result = self._read(blob)
+            if result is not PENDING:
+                self._known[blob] = result
+        if result is PENDING:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
+
+    def save_blob(self, blob: str, result: Any) -> None:
+        """Atomically persist ``result`` (a JSON document, as
+        :func:`json_roundtrip` returns it) for the point ``blob`` names."""
+        if not self.directory:
+            return
+        path = self._path(blob)
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(f'{{"point":{blob},"result":{_canonical(result)}}}')
+        os.replace(tmp, path)
+        self._known[blob] = result
 
     def load(self, kind: str, point: dict) -> Any:
         """The stored result for ``(kind, point)``, or :data:`PENDING`.
 
-        Anything but a whole JSON object carrying this exact key record
-        and a ``"result"`` is a miss: the point is recomputed and the
-        file overwritten.
+        Anything but this point's own file, whole, is a miss: the point
+        is recomputed and the file overwritten.
         """
-        if self.directory:
-            path, record = self._entry(kind, point)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            except (OSError, ValueError, RecursionError):
-                payload = None
-            if (isinstance(payload, dict) and "result" in payload
-                    and payload.get("point") == record):
-                self.hits += 1
-                return payload["result"]
-        self.misses += 1
-        return PENDING
+        return self.load_blob(point_blob(kind, point))
 
     def save(self, kind: str, point: dict, result: Any) -> None:
         """Atomically persist ``result`` for ``(kind, point)``."""
-        if not self.directory:
-            return
-        path, record = self._entry(kind, point)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(_canonical({"point": record, "result": result}))
-        os.replace(tmp, path)
+        self.save_blob(point_blob(kind, point), result)
 
     def __len__(self) -> int:
         if not self.directory or not os.path.isdir(self.directory):

@@ -29,8 +29,6 @@ import json
 from http import HTTPStatus
 from typing import Any, Optional
 
-import yaml
-
 from ..errors import ServeError
 from .orchestrator import Orchestrator
 
@@ -44,6 +42,7 @@ def parse_job_document(body: bytes) -> tuple[str, dict]:
     try:
         doc = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError):
+        import yaml  # here, not at module level: most importers parse no job
         try:
             doc = yaml.safe_load(body.decode("utf-8", "replace"))
         except yaml.YAMLError as exc:
@@ -106,6 +105,11 @@ class HttpApi:
 
     async def start(self) -> int:
         """Bind the API port (ephemeral by default); returns it."""
+        # Loaded before the first request, not by it: a first import inside
+        # a handler stalls the loop ~15 ms, and a server that falls behind
+        # and then closes on a framing error resets the connection before
+        # the client has read the responses it was owed.
+        import yaml  # noqa: F401
         self._server = await asyncio.start_server(
             self._handle, self._host, 0)
         self.port = self._server.sockets[0].getsockname()[1]

@@ -47,7 +47,7 @@ from typing import Any, Optional
 
 from ..errors import ProtocolError, ServeError
 from ..obs.metrics import MetricsRegistry
-from .cache import PENDING, ResultCache, cache_key
+from .cache import PENDING, ResultCache, blob_key, point_blob
 from .points import execute_point, expand_job
 from .protocol import (
     PROTOCOL_VERSION,
@@ -90,12 +90,15 @@ class PointTask:
 
     ``waiters`` lists every ``(job_id, index)`` slot awaiting this
     point's result — the in-flight dedupe table is exactly the mapping
-    from cache key to one of these.
+    from cache key to one of these. ``blob`` is the point's canonical
+    key record (:func:`repro.serve.cache.point_blob`), serialised once
+    at registration and reused to save the result.
     """
 
     key: str
     kind: str
     point: dict
+    blob: str
     status: str = "queued"  # queued | running | done | failed
     attempts: int = 0
     result: Any = None
@@ -112,7 +115,6 @@ class Job:
     spec: dict
     point_kind: str
     points: list[dict]
-    keys: list[str]
     results: list[Any]
     status: str = "running"  # running | done | failed
     error: Optional[str] = None
@@ -125,7 +127,7 @@ class Job:
     @property
     def total(self) -> int:
         """Number of points in the job."""
-        return len(self.keys)
+        return len(self.points)
 
     @property
     def done_count(self) -> int:
@@ -231,7 +233,7 @@ class Orchestrator:
             except (OSError, ServeError) as exc:
                 self.jobs[job_id] = Job(
                     job_id=job_id, kind=kind, spec=spec, point_kind="",
-                    points=[], keys=[], results=[], status="failed",
+                    points=[], results=[], status="failed",
                     error=str(exc), submitted=time.monotonic())
                 self.metrics.inc("serve.job.corrupt")
                 continue
@@ -251,9 +253,9 @@ class Orchestrator:
         path = os.path.join(self.jobs_dir, f"{job_id}.json")
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"job_id": job_id, "kind": kind, "spec": spec},
-                      fh, sort_keys=True, separators=(",", ":"),
-                      default=str)
+            fh.write(json.dumps({"job_id": job_id, "kind": kind, "spec": spec},
+                                sort_keys=True, separators=(",", ":"),
+                                default=str))
         os.replace(tmp, path)
         self._register_job(job_id, kind, spec, point_kind, points)
         self.metrics.inc("serve.job.submitted")
@@ -261,25 +263,27 @@ class Orchestrator:
 
     def _register_job(self, job_id: str, kind: str, spec: dict,
                       point_kind: str, points: list[dict]) -> None:
-        keys = [cache_key(point_kind, p) for p in points]
         job = Job(job_id=job_id, kind=kind, spec=spec,
-                  point_kind=point_kind, points=points, keys=keys,
+                  point_kind=point_kind, points=points,
                   results=[PENDING] * len(points),
                   submitted=time.monotonic(), remaining=len(points))
         self.jobs[job_id] = job
         self._running += 1
         self._trace.setdefault(job_id, [])
-        for index, (key, point) in enumerate(zip(keys, points)):
-            cached = self.cache.load(point_kind, point)
+        misses = 0
+        for index, point in enumerate(points):
+            blob = point_blob(point_kind, point)
+            cached = self.cache.load_blob(blob)
             if cached is not PENDING:
                 job.fill(index, cached)
                 job.cache_hits += 1
-                self.metrics.inc("serve.cache.hit")
                 continue
-            self.metrics.inc("serve.cache.miss")
+            misses += 1
+            key = blob_key(blob)
             task = self.tasks.get(key)
             if task is None or task.status == "failed":
-                task = PointTask(key=key, kind=point_kind, point=point)
+                task = PointTask(key=key, kind=point_kind, point=point,
+                                 blob=blob)
                 self.tasks[key] = task
                 self._queue.put_nowait(key)
                 self.metrics.inc("serve.point.queued")
@@ -290,6 +294,12 @@ class Orchestrator:
                 job.cache_hits += 1
                 continue
             task.waiters.append((job_id, index))
+        # One increment per job, not per point; a counter that never
+        # counted stays out of the snapshot, as before.
+        for name, count in (("serve.cache.hit", len(points) - misses),
+                            ("serve.cache.miss", misses)):
+            if count:
+                self.metrics.inc(name, count)
         self._maybe_finish(job)
 
     # -- execution ---------------------------------------------------------
@@ -425,7 +435,7 @@ class Orchestrator:
         now = time.monotonic()
         task.status = "done"
         task.result = result
-        self.cache.save(task.kind, task.point, result)
+        self.cache.save_blob(task.blob, result)
         self.metrics.inc("serve.point.done")
         self.metrics.observe("serve.point.host_sec", now - started)
         event = {"name": task.kind, "cat": "serve", "ph": "X",

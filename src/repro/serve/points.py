@@ -190,4 +190,4 @@ def expand_job(kind: str, spec: dict) -> tuple[str, list[dict]]:
         # A field of the wrong type or a spec the scenario layer rejects:
         # the submitter's error (HTTP 400), not a crash of the handler.
         raise ServeError(f"bad {kind} job document: {exc}") from exc
-    return point_kind, [json_roundtrip(p) for p in points]
+    return point_kind, json_roundtrip(points)

@@ -22,11 +22,18 @@ changes.
   stand for the same ``{pid: counter}`` mapping after every operation
   (``tests/test_check_hb_property.py``); :class:`ShadowedTaskClock` runs
   the pair side by side inside a real checked world.
+- :func:`fat_tree_table`, :func:`dragonfly_table` and :func:`torus_table`
+  are the textbook routing: the whole (vertices x hosts) next-hop table,
+  filled up front by three nested loops. The rule each generator in
+  :mod:`repro.netsim.topology.generators` registers must walk the same
+  links in the same order for every host pair (:func:`table_route`,
+  ``tests/test_topology.py``).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Optional
 
@@ -343,3 +350,113 @@ class ShadowedTaskClock(TaskClock):
 def vars_of(access: Access) -> tuple[int, int, str]:
     """An :class:`Access` by value."""
     return access.pid, access.counter, access.task
+
+
+# -- routing tables ------------------------------------------------------------
+#: ``(vertex, destination host) -> next vertex``, for every vertex a
+#: message bound for that host can stand at.
+RoutingTable = dict[tuple[str, int], str]
+
+
+def table_route(table: RoutingTable, src: int, dst: int) -> list[str]:
+    """Link names (``a->b``) from host ``src`` to host ``dst`` by table."""
+    vertex, goal, names = f"h{src}", f"h{dst}", []
+    while vertex != goal:
+        nxt = table[vertex, dst]
+        names.append(f"{vertex}->{nxt}")
+        vertex = nxt
+    return names
+
+
+def fat_tree_table(k: int) -> RoutingTable:
+    """D-mod-k routing of a k-ary fat tree."""
+    half = k // 2
+    hosts_per_pod = half * half
+    capacity = k * hosts_per_pod
+    table: RoutingTable = {}
+    for dst in range(capacity):
+        dp = dst // hosts_per_pod
+        de = (dst % hosts_per_pod) // half
+        up_agg = dst % half
+        up_core_off = (dst // half) % half
+        for host in range(capacity):
+            if host != dst:
+                p, e = host // hosts_per_pod, (host % hosts_per_pod) // half
+                table[f"h{host}", dst] = f"p{p}.e{e}"
+        for p in range(k):
+            for e in range(half):
+                table[f"p{p}.e{e}", dst] = (
+                    f"h{dst}" if (p, e) == (dp, de) else f"p{p}.a{up_agg}")
+            for a in range(half):
+                table[f"p{p}.a{a}", dst] = (
+                    f"p{p}.e{de}" if p == dp
+                    else f"core{a * half + up_core_off}")
+        for c in range(half * half):
+            table[f"core{c}", dst] = f"p{dp}.a{c // half}"
+    return table
+
+
+def dragonfly_table(a: int, p: int, h: int) -> RoutingTable:
+    """Minimal (direct-gateway) routing of a maximal dragonfly."""
+    groups = a * h + 1
+    capacity = groups * a * p
+
+    def gateway(src_g: int, dst_g: int) -> int:
+        return (dst_g - 1 if dst_g > src_g else dst_g) // h
+
+    table: RoutingTable = {}
+    for dst in range(capacity):
+        dg, dr = dst // (a * p), (dst % (a * p)) // p
+        for host in range(capacity):
+            if host != dst:
+                g, r = host // (a * p), (host % (a * p)) // p
+                table[f"h{host}", dst] = f"g{g}.r{r}"
+        for g in range(groups):
+            for r in range(a):
+                if g == dg:
+                    nxt = f"h{dst}" if r == dr else f"g{g}.r{dr}"
+                elif r == gateway(g, dg):
+                    nxt = f"g{dg}.r{gateway(dg, g)}"
+                else:
+                    nxt = f"g{g}.r{gateway(g, dg)}"
+                table[f"g{g}.r{r}", dst] = nxt
+    return table
+
+
+def torus_table(dims: tuple[int, ...]) -> RoutingTable:
+    """Dimension-order routing, shorter way round, ties forward."""
+    capacity = math.prod(dims)
+
+    def coords(index: int) -> tuple[int, ...]:
+        out = []
+        for d in reversed(dims):
+            out.append(index % d)
+            index //= d
+        return tuple(reversed(out))
+
+    def switch(coord: tuple[int, ...]) -> str:
+        return "s" + "_".join(map(str, coord))
+
+    def step_toward(coord, goal):
+        for axis, n in enumerate(dims):
+            if coord[axis] != goal[axis]:
+                forward = (goal[axis] - coord[axis]) % n
+                backward = (coord[axis] - goal[axis]) % n
+                nxt = list(coord)
+                nxt[axis] = (coord[axis]
+                             + (1 if forward <= backward else n - 1)) % n
+                return tuple(nxt)
+        raise AssertionError("already there")
+
+    all_coords = [coords(i) for i in range(capacity)]
+    table: RoutingTable = {}
+    for dst in range(capacity):
+        goal = all_coords[dst]
+        for host in range(capacity):
+            if host != dst:
+                table[f"h{host}", dst] = switch(all_coords[host])
+        for coord in all_coords:
+            table[switch(coord), dst] = (
+                f"h{dst}" if coord == goal
+                else switch(step_toward(coord, goal)))
+    return table

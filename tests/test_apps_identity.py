@@ -255,12 +255,18 @@ def test_final_field_bytes(kwargs, shape, digest):
 
 def test_front_ends_import_no_app_and_no_networkx():
     """``repro.scenarios`` names drivers lazily; nothing on the path of a
-    served Fig 1(a) job may import an app (or networkx behind it)."""
+    served Fig 1(a) job may import an app (or networkx behind it), and
+    no front end or worker pays at start-up for the static analyzer, the
+    lint or YAML (each loads where it is first used)."""
     code = ("import sys\n"
             "import repro.cli, repro.scenarios, repro.serve.service, "
-            "repro.bench\n"
-            "print(sorted(m for m in sys.modules if m == 'networkx' or "
-            "m.startswith(('networkx.', 'repro.apps'))))\n")
+            "repro.bench, repro.serve.worker\n"
+            "late = ('networkx', 'yaml', 'repro.check.lint', "
+            "'repro.check.static_')\n"
+            "print(sorted(m for m in sys.modules if m in late or "
+            "m.startswith(('networkx.', 'repro.apps'))))\n"
+            "from repro.check import analyze_path, run_lint\n"
+            "assert all(m in sys.modules for m in late[2:])\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, cwd=ROOT, env=env)

@@ -246,6 +246,48 @@ def test_completion_counters_agree_with_a_recount(tmp_path, monkeypatch):
     assert not orch.active and len(checks) >= 7 and checks[-1] == 0
 
 
+def test_second_submit_touches_no_point_file(tmp_path, monkeypatch):
+    """A point the store has proved costs a lookup: a resubmitted job
+    opens and stats no point file and serialises each point's key record
+    exactly once; a restarted orchestrator reads each file once, however
+    many of its jobs ask."""
+    import repro.serve.cache as cache_mod
+    state, total = str(tmp_path / "s"), 6
+    orch = Orchestrator(state)
+    first = orch.submit("selftest", {"n": total})
+    orch.drain_inline()
+    touched, canonicalised = [], []
+
+    def spy(real):
+        def call(path, *args, **kwargs):
+            if "point-" in os.fspath(path):
+                touched.append(path)
+            return real(path, *args, **kwargs)
+        return call
+
+    def counted(record, real=cache_mod._canonical):
+        canonicalised.append(record)
+        return real(record)
+
+    monkeypatch.setattr(cache_mod, "open", spy(open), raising=False)
+    monkeypatch.setattr(os, "stat", spy(os.stat))
+    monkeypatch.setattr(cache_mod, "_canonical", counted)
+    hits = orch.cache.hits
+    again = orch.submit("selftest", {"n": total})
+    assert touched == [] and len(canonicalised) == total
+    status = orch.job_status(again)
+    assert status["status"] == "done" and status["cache_hits"] == total
+    assert orch.cache.hits == hits + total
+    assert orch.metrics.value("serve.cache.hit") == total
+    assert orch.job_result(again)["results"] == \
+        orch.job_result(first)["results"]
+
+    restarted = Orchestrator(state)
+    restarted.resume_jobs()  # two manifests, the same six points
+    assert len(touched) == total
+    assert restarted.cache.hits == 2 * total and not restarted.active
+
+
 # -- HTTP edge (tier 1, in-process server) ---------------------------------
 @contextlib.contextmanager
 def _serving(tmp_path):

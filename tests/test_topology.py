@@ -32,6 +32,12 @@ from repro.snap import (
     state_digest,
     take_snapshot,
 )
+from tests.oracles import (
+    dragonfly_table,
+    fat_tree_table,
+    table_route,
+    torus_table,
+)
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -179,6 +185,60 @@ def test_torus_routes_every_pair(dims):
     topo = torus(tuple(dims))
     assert topo.num_hosts == int(np.prod(dims))
     _route_properties(topo)
+
+
+@pytest.mark.parametrize("generator, table, args", [
+    *[(fat_tree, fat_tree_table, (k,)) for k in (2, 4, 6)],
+    *[(dragonfly, dragonfly_table, aph)
+      for aph in ((4, 2, 2), (2, 1, 1), (3, 2, 1))],
+    *[(torus, torus_table, (dims,))
+      for dims in ((2, 2), (3, 3), (4, 2, 3), (5,))],
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_rule_routes_every_pair_as_the_table_did(generator, table, args):
+    """The next-hop rule a generator registers walks, for every host
+    pair, the links the up-front table walked, in the same order."""
+    topo, oracle = generator(*args), table(*args)
+    for src in range(topo.num_hosts):
+        for dst in range(topo.num_hosts):
+            assert [link.name for link in topo.route(src, dst)] == \
+                table_route(oracle, src, dst), (src, dst)
+    topo.validate()
+
+
+def test_table_entry_wins_over_the_rule_and_bad_rules_are_typed():
+    topo = fat_tree(4)  # h0 and h1 hang off the same edge switch
+    assert [l.name for l in topo.route(0, 1)] == ["h0->p0.e0", "p0.e0->h1"]
+    detour = fat_tree(4)
+    detour.set_next_hop("p0.e0", 1, detour.link("p0.e0", "p0.a0"))
+    detour.set_next_hop("p0.a0", 1, detour.link("p0.a0", "p0.e0"))
+    with pytest.raises(TopologyError, match="routing loop"):
+        detour.route(0, 1)
+    lying = Topology("t", num_hosts=2)
+    lying.add_switch("sw")
+    up, down = lying.add_duplex("h0", "sw")
+    lying.set_routing_rule(lambda vertex, dst: up)
+    with pytest.raises(TopologyError, match="must leave that vertex"):
+        lying.route(0, 1)
+
+
+def test_one_generator_call_per_world(monkeypatch):
+    """``ClusterSpec`` builds a graph to validate its parameters and
+    ``World`` takes that one; only a second taker pays for another."""
+    import repro.netsim.topology.spec as spec_mod
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(fat_tree(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(spec_mod, "fat_tree", counting)
+    spec = ClusterSpec(nodes=2, topology="fat_tree", k=4)
+    world = World(cluster=spec, seed=1)
+    assert len(built) == 1 and world.topology is built[0]
+    again = spec.build_topology()
+    assert len(built) == 2 and again is built[1] and again is not built[0]
+    World(cluster=ClusterSpec(nodes=2), seed=1)  # direct: no graph at all
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("topology,params,n", [
