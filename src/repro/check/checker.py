@@ -18,11 +18,14 @@ Design constraints, in order:
    checker off and on: ``fig1a_eager`` / ``fig1a_checked``).
 3. **Epoch-cheap when on**: per-object access checks use the FastTrack
    epoch shortcut, and a release point publishes its clock as one small
-   ``(pid, epoch, shared dict)`` record — no copy; a join walks a clock
-   only when it can learn from it (see :mod:`repro.check.hb`).
+   ``(pid, epoch, shared dict, zeros)`` tuple — no copy; a join looks at
+   a clock only when it can learn from it, and copies rather than walks
+   one that provably holds all the joiner published (see
+   :mod:`repro.check.hb`).
 4. **State lives on what it describes** (``Process._hb``, a primitive's
-   ``_hb``, ``Request._hb_*``) and dies with it: nothing here is keyed by
-   ``id()``, pid or request id but what a finalize scan must enumerate.
+   ``_hb``, ``Request._hb_*``, ``Window._hb_*``) and dies with it:
+   nothing here is keyed by ``id()``, pid or request id but what a
+   finalize scan must enumerate.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import CheckError
 from ..sim.core import AllOf, Process, Simulator
-from .hb import Access, LockOrderGraph, PublishedClock, TaskClock, \
-    merge_published
+from .hb import Access, LockOrderGraph, Publication, PublishedClock, \
+    TaskClock, merge_published
 from .report import CheckReport, CheckWarning, Violation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,9 +111,6 @@ class Checker:
                                              Optional[str]]] = {}
         # -- RMA (CHK107, CHK108, CHK110) ------------------------------
         self._windows: list[Any] = []
-        self._rma_epochs: dict[int, dict[str, Any]] = {}
-        self._rma_last_write: dict[tuple, tuple[Access, int, int]] = {}
-        self._rma_last_read: dict[tuple, tuple[Access, int, int]] = {}
 
     # ------------------------------------------------------------------
     # verdicts
@@ -175,7 +175,7 @@ class Checker:
         st = proc._hb
         clock = lock._hb
         # Most acquisitions retake a lock this task released last.
-        if clock is not None and clock.pid != st.pid:
+        if clock is not None and clock[0] != st.pid:
             st.join(clock)
         if self.config.lock_order:
             held = st.held
@@ -284,7 +284,9 @@ class Checker:
         if self.config.races and not comm.hints.allow_overtaking:
             key = ("s", context_id, comm.rank, dest, tag)
             self._channel_access(key, st, comm, tag, dest, "send")
-        return st.snapshot()
+        # The one publication a state capture reaches: typed, so that it
+        # is described as the mapping it stands for.
+        return PublishedClock(st.snapshot())
 
     def on_channel_recv(self, comm: "Communicator", source: int, tag: int,
                         context_id: int, vci: Optional[int] = None) -> None:
@@ -301,15 +303,15 @@ class Checker:
                         comm: "Communicator", tag: int, peer: int,
                         direction: str, vci: Optional[int] = None) -> None:
         last = self._channels.get(key)
-        if last is not None and last.pid != st.pid and not st.saw(last):
+        if last is not None and last[0] != st.pid and not st.saw(last):
             self.violation(
                 "CHK102",
-                f"tasks {last.task!r} and {st.name!r} both {direction} on "
+                f"tasks {last[2]!r} and {st.name!r} both {direction} on "
                 f"channel (comm {comm.name!r} ctx={key[1]}, tag={tag}, "
                 f"peer={peer}) with no ordering edge between them — "
                 f"message order on this channel is undefined",
                 rank=comm.lib.rank, vci=vci, comm=comm.name, tag=tag,
-                peer=peer, other_task=last.task)
+                peer=peer, other_task=last[2])
         self._channels[key] = st.access()
 
     # ------------------------------------------------------------------
@@ -326,7 +328,7 @@ class Checker:
         self._live_requests[req.rid] = (
             req.kind, self.sim._now, proc.name if proc is not None else None)
 
-    def on_msg_join(self, req: "Request", hb: PublishedClock) -> None:
+    def on_msg_join(self, req: "Request", hb: Publication) -> None:
         """The message completing ``req`` carried the sender's clock: a
         completion edge, joined when the request is waited on or tested."""
         req._hb_edges += (hb,)
@@ -346,15 +348,15 @@ class Checker:
         if self.config.races and req.kind not in _INTERNAL_REQUEST_KINDS:
             st = proc._hb
             last = req._hb_access
-            if last is not None and last.pid != st.pid and not st.saw(last):
+            if last is not None and last[0] != st.pid and not st.saw(last):
                 self.violation(
                     "CHK101",
-                    f"tasks {last.task!r} and {st.name!r} both wait/test "
+                    f"tasks {last[2]!r} and {st.name!r} both wait/test "
                     f"request #{req.rid} ({req.kind}) with no "
                     f"happens-before edge; MPI forbids concurrent "
                     f"completion calls on one request",
                     vci=req.vci.index if req.vci is not None else None,
-                    rid=req.rid, other_task=last.task)
+                    rid=req.rid, other_task=last[2])
             req._hb_access = st.access()
 
     def on_request_join(self, req: "Request") -> None:
@@ -369,24 +371,21 @@ class Checker:
     # RMA (CHK107, CHK108, CHK110)
     # ------------------------------------------------------------------
     def register_window(self, win: Any) -> None:
+        """Give a window its checker state; remember it for CHK110."""
         self._windows.append(win)
-
-    def _epoch_state(self, win: Any) -> dict[str, Any]:
-        st = self._rma_epochs.get(id(win))
-        if st is None:
-            st = {"locked": set(), "used": False}
-            self._rma_epochs[id(win)] = st
-        return st
+        win._hb_locked = set()   # "all" stands for Lock_all
+        win._hb_epochs_used = False
+        win._hb_last_write = {}
+        win._hb_last_read = {}
 
     def on_rma_sync(self, win: Any, op: str, target: Optional[int]) -> None:
         """Track lock/unlock epoch transitions on a window (CHK107)."""
         if not self.config.semantics:
             return
-        ep = self._epoch_state(win)
-        locked: set = ep["locked"]
+        locked: set = win._hb_locked
         token = "all" if target is None else target
         if op == "lock":
-            ep["used"] = True
+            win._hb_epochs_used = True
             if token in locked:
                 self.violation(
                     "CHK107",
@@ -408,9 +407,9 @@ class Checker:
     def on_rma_op(self, win: Any, op: str, target: int, disp: int,
                   count: int, *, atomic: bool, write: bool) -> None:
         """Check epoch discipline (CHK107) and overlapping-range races (CHK108)."""
-        ep = self._epoch_state(win)
-        if self.config.semantics and ep["used"] and \
-                target not in ep["locked"] and "all" not in ep["locked"]:
+        locked: set = win._hb_locked
+        if self.config.semantics and win._hb_epochs_used and \
+                target not in locked and "all" not in locked:
             # Mixed discipline: this handle opens explicit epochs but
             # issued an operation outside any. Flush-only handles (the
             # paper's NWChem pattern) never set "used" and are exempt.
@@ -426,28 +425,27 @@ class Checker:
         if proc is None:
             return
         st = proc._hb
-        key = (id(win), target)
         lo, hi = disp, disp + count
-        conflict = self._rma_last_write.get(key)
+        conflict = win._hb_last_write.get(target)
         if write and conflict is None:
-            conflict = self._rma_last_read.get(key)
+            conflict = win._hb_last_read.get(target)
         if conflict is not None:
             last, llo, lhi = conflict
-            if last.pid != st.pid and llo < hi and lo < lhi \
+            if last[0] != st.pid and llo < hi and lo < lhi \
                     and not st.saw(last):
                 self.violation(
                     "CHK108",
                     f"nonatomic {op} to window {win.win_id} target "
                     f"{target} [{lo}, {hi}) conflicts with task "
-                    f"{last.task!r}'s access [{llo}, {lhi}) — no "
+                    f"{last[2]!r}'s access [{llo}, {lhi}) — no "
                     f"happens-before edge between them",
                     rank=win.comm.lib.rank, win=win.win_id, target=target,
-                    other_task=last.task)
+                    other_task=last[2])
         rec = (st.access(), lo, hi)
         if write:
-            self._rma_last_write[key] = rec
+            win._hb_last_write[target] = rec
         else:
-            self._rma_last_read[key] = rec
+            win._hb_last_read[target] = rec
 
     # ------------------------------------------------------------------
     # finalize

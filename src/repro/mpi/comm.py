@@ -399,15 +399,19 @@ class Communicator:
         lib = self.lib
         yield lib.sim.timeout(lib.cpu.probe)
         vci = lib.vci_pool.get(self.vci_map.recv_vci(self.rank, source, tag))
-        was_contended = vci.lock.locked
-        yield from vci.lock.acquire()
+        lock = vci.lock
+        was_contended = lock.locked
+        if was_contended:
+            yield from lock.acquire()
+        else:
+            lock.try_acquire()
         cost = lib.cpu.lock_acquire \
             + (lib.cpu.lock_handoff if was_contended else 0.0)
         scan = vci.engine.claim_unexpected if claim else vci.engine.probe
         msg, scanned = scan(self.context_id, source, tag, self.rank)
         cost += lib.cpu.match_base + lib.cpu.match_per_element * scanned
         yield lib.sim.timeout(cost)
-        vci.lock.release()
+        lock.release()
         return vci, msg
 
     def Iprobe(self, source: int, tag: int
@@ -439,12 +443,16 @@ class Communicator:
         lib = self.lib
         vci = req.vci
         if vci is not None:
-            was_contended = vci.lock.locked
-            yield from vci.lock.acquire()
+            lock = vci.lock
+            was_contended = lock.locked
+            if was_contended:
+                yield from lock.acquire()
+            else:
+                lock.try_acquire()
             cost = lib.cpu.probe + lib.cpu.lock_acquire \
                 + (lib.cpu.lock_handoff if was_contended else 0.0)
             yield lib.sim.timeout(cost)
-            vci.lock.release()
+            lock.release()
         else:
             yield lib.sim.timeout(lib.cpu.probe)
         return req.test()

@@ -229,6 +229,8 @@ class MatchingEngine:
                          dst_addr: int) -> Optional[list]:
         """Earliest live unexpected record matching the pattern."""
         if source != ANY_SOURCE and tag != ANY_TAG:
+            if not self._ux_seqs:  # pre-posted receives: nothing queued
+                return None
             return _live_head(self._ux_full.get((context_id, dst_addr,
                                                  source, tag)))
         if not self._ux_wild:
@@ -279,6 +281,8 @@ class MatchingEngine:
     def _find_posted(self, msg: WireMessage) -> Optional[list]:
         """Earliest live posted receive matching a concrete message: the
         minimum-seq live head over the (up to four) candidate buckets."""
+        if not self._po_seqs:
+            return None
         meta = msg.meta
         ctx = msg.context_id
         dst = meta.get("dst_addr", msg.dst_rank)

@@ -9,7 +9,7 @@ from ..errors import MpiUsageError
 from ..sim.core import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..check.hb import Access, PublishedClock
+    from ..check.hb import Access, Publication
 
 __all__ = ["Status", "Request", "waitall", "testall", "waitany",
            "testany"]
@@ -42,7 +42,7 @@ class Request:
     # and the clocks its completion published — at most the sender's and
     # the completing task's — which a waiter joins when it observes it.
     _hb_access: Optional["Access"]
-    _hb_edges: tuple["PublishedClock", ...]
+    _hb_edges: tuple["Publication", ...]
 
     def __init__(self, sim: Simulator, kind: str = "generic"):
         self.sim = sim

@@ -36,6 +36,7 @@ from ..request import Request
 from ..vci import EndpointVciMap, Vci, mix_hash
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ...check.hb import Access
     from ..comm import Communicator
     from ..library import MpiLibrary
 
@@ -60,6 +61,15 @@ def _ensure_handlers(lib: "MpiLibrary") -> None:
 
 class Window:
     """One process's (or endpoint's) handle on an RMA window."""
+
+    # Checker-only, assigned by ``Checker.register_window`` and never set
+    # on an unchecked simulator: the targets with an open Lock epoch and
+    # whether the handle ever opened one (CHK107); per target, the last
+    # nonatomic write and read as ``(access, lo, hi)`` (CHK108).
+    _hb_locked: set
+    _hb_epochs_used: bool
+    _hb_last_write: dict[int, tuple["Access", int, int]]
+    _hb_last_read: dict[int, tuple["Access", int, int]]
 
     def __init__(self, comm: "Communicator", memory: np.ndarray,
                  win_id: int, sizes: list[int], hints: WindowHints):

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, Optional
 from .core import Event, Simulator, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..check.hb import PublishedClock
+    from ..check.hb import Publication
 
 # Each primitive carries its own happens-before state for the checker in
 # ``_hb*`` slots (the clock its last release point published): written and
@@ -81,7 +81,7 @@ class Lock:
         #: in the checker's lock-order graph).
         self.serial = sim._next_lock_serial
         sim._next_lock_serial += 1
-        self._hb: Optional["PublishedClock"] = None
+        self._hb: Optional["Publication"] = None
         self.locked = False
         self._waiters: Deque[Event] = deque()
         self.stats = ContentionStats()
@@ -170,7 +170,7 @@ class Semaphore:
         self.count = initial
         self._waiters: Deque[Event] = deque()
         self.stats = ContentionStats()
-        self._hb: Optional[Deque[Optional["PublishedClock"]]] = None
+        self._hb: Optional[Deque[Optional["Publication"]]] = None
 
     def post(self, n: int = 1) -> None:
         """Add ``n`` units, waking up to ``n`` blocked waiters in FIFO order."""
@@ -265,7 +265,7 @@ class Gate:
         self.sim = sim
         self._event = sim.event()
         self._open = open
-        self._hb: Optional["PublishedClock"] = None
+        self._hb: Optional["Publication"] = None
 
     @property
     def is_open(self) -> bool:
@@ -309,7 +309,7 @@ class Mailbox:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._hb: Optional[Deque[Optional["PublishedClock"]]] = None
+        self._hb: Optional[Deque[Optional["Publication"]]] = None
 
     def put(self, item: Any) -> None:
         if self.sim.checker is not None:

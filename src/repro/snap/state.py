@@ -108,6 +108,11 @@ def describe_value(value: Any, depth: int = 0) -> Any:
         return {"__event__": {"kind": type(value).__name__,
                               "triggered": value._triggered,
                               "processed": value._processed}}
+    if isinstance(value, PublishedClock):
+        # The sender's clock in ``WireMessage.meta["_hb"]``: described as
+        # the ``{pid: counter}`` mapping it stands for, not as the tuple
+        # it is (hence before the sequence branch).
+        return describe_value(value.mapping(), depth)
     if isinstance(value, (list, tuple, deque)):
         return [describe_value(v, depth + 1) for v in value]
     if isinstance(value, (set, frozenset)):
@@ -119,10 +124,6 @@ def describe_value(value: Any, depth: int = 0) -> Any:
         fields = {f: describe_value(getattr(value, f), depth + 1)
                   for f in value.__dataclass_fields__}
         return {"__dataclass__": type(value).__name__, "fields": fields}
-    if isinstance(value, PublishedClock):
-        # The sender's clock in ``WireMessage.meta["_hb"]``: described as
-        # the ``{pid: counter}`` mapping it stands for, whatever holds it.
-        return describe_value(value.mapping(), depth)
     return {"__obj__": type(value).__name__}
 
 

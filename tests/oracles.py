@@ -37,7 +37,7 @@ import math
 from collections import deque
 from typing import Any, Optional
 
-from repro.check.hb import Access, PublishedClock, TaskClock
+from repro.check.hb import Access, Publication, TaskClock, published_mapping
 from repro.mpi.matching import PostedRecv, key_matches
 from repro.mpi.request import Request
 from repro.netsim.message import WireMessage
@@ -277,11 +277,12 @@ class NaiveTaskClock:
 
     def access(self) -> Access:
         """Summarize an access by this task (ticks the clock)."""
-        return Access(self.pid, self.tick(), self.name)
+        return (self.pid, self.tick(), self.name)
 
     def saw(self, access: Access) -> bool:
         """True iff ``access`` happens-before this task's current state."""
-        return access.counter <= self.clock.get(access.pid, 0)
+        pid, counter, _ = access
+        return counter <= self.clock.get(pid, 0)
 
 
 class ShadowedTaskClock(TaskClock):
@@ -291,8 +292,11 @@ class ShadowedTaskClock(TaskClock):
     and the two must stand for the same mapping after each: what a world
     published, what rode in ``meta["_hb"]`` and what every ``saw()``
     answered are then the reference's, whatever the production clock
-    skipped. ``published`` maps each publication to the reference's copy
-    (held by identity: the key keeps the record alive).
+    skipped or adopted. ``published`` maps each publication to the
+    reference's copy under its ``(pid, epoch)`` — which names one
+    published state, and which the message-borne ``PublishedClock``
+    wrapper shares with the record it wraps (the record itself holds a
+    dict and does not hash).
     """
 
     __slots__ = ("naive",)
@@ -300,7 +304,7 @@ class ShadowedTaskClock(TaskClock):
     #: Installed per test (``monkeypatch.setattr(ShadowedTaskClock,
     #: "published", {}, raising=False)``): the checker builds the clocks,
     #: so there is no constructor argument to carry it.
-    published: dict[PublishedClock, dict[int, int]]
+    published: dict[tuple[int, int], dict[int, int]]
 
     def __init__(self, pid: int, name: str,
                  parent: Optional["ShadowedTaskClock"] = None):
@@ -314,16 +318,18 @@ class ShadowedTaskClock(TaskClock):
                                                     self.mapping(),
                                                     self.naive.clock)
 
-    def snapshot(self) -> PublishedClock:
+    def snapshot(self) -> Publication:
         clock = super().snapshot()
-        self.published[clock] = self.naive.snapshot()
-        assert clock.mapping() == self.published[clock]
+        assert clock[:2] not in self.published
+        self.published[clock[:2]] = reference = self.naive.snapshot()
+        assert published_mapping(clock) == reference
         self._agree()
         return clock
 
-    def join(self, other: Optional[PublishedClock]) -> None:
+    def join(self, other: Optional[Publication]) -> None:
         super().join(other)
-        self.naive.join(None if other is None else self.published[other])
+        self.naive.join(None if other is None
+                        else self.published[other[:2]])
         self._agree()
 
     def join_task(self, other: "ShadowedTaskClock") -> None:
@@ -338,18 +344,13 @@ class ShadowedTaskClock(TaskClock):
 
     def access(self) -> Access:
         access = super().access()
-        assert vars_of(access) == vars_of(self.naive.access())
+        assert access == self.naive.access()
         return access
 
     def saw(self, access: Access) -> bool:
         verdict = super().saw(access)
         assert verdict == self.naive.saw(access)
         return verdict
-
-
-def vars_of(access: Access) -> tuple[int, int, str]:
-    """An :class:`Access` by value."""
-    return access.pid, access.counter, access.task
 
 
 # -- routing tables ------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Analysis state lives on the object it describes (a task's clock on its
 ``Process``, a primitive's published clock on the primitive, a request's
-last access and completion edges on the ``Request``) and identity is a
-per-simulator serial, never ``id()``. Three regressions follow from the
-time it was otherwise — each fails on the commit before:
+last access and completion edges on the ``Request``, a window's epochs
+and last accesses on the ``Window``) and identity is a per-simulator
+serial, never ``id()``. Three regressions follow from the time it was
+otherwise — each fails on the commit before:
 
 - a primitive allocated at a freed primitive's address inherited its
   clock: a happens-before edge nobody created, which hides races;
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.check import CheckConfig
+from repro.mpi.rma import win_create
 from repro.runtime import World
 from repro.sim import Simulator
 from repro.sim.sync import Lock
@@ -167,3 +169,36 @@ def _reachable_from_checker(msgs_per_core: int) -> int:
 def test_checker_state_does_not_grow_with_the_message_count():
     small, large = _reachable_from_checker(8), _reachable_from_checker(64)
     assert 0 < large <= small
+
+
+# ------------------------------------ (d) a window's state is on the window
+
+def test_rma_epochs_and_last_accesses_live_on_the_window():
+    """CHK107's open epochs and CHK108's last write/read per target used
+    to sit in checker dicts keyed by ``id(win)``: the last ``id()`` key."""
+    world = World(num_nodes=2, procs_per_node=1, check=QUIET)
+    windows = {}
+
+    def rank(proc):
+        win = yield from win_create(proc.comm_world, np.zeros(8))
+        windows[proc.rank] = win
+        if proc.rank == 0:
+            yield from win.Lock(1)
+            yield from win.Put(np.ones(4), target=1, disp=2)
+            assert win._hb_locked == {1}
+            yield from win.Unlock(1)
+            yield from win.Get(np.zeros(2), target=1, disp=0)
+            yield from win.Flush(1)
+
+    run_ranks(world, rank, rank)
+    checker = world.checker
+    assert [v.rule_id for v in checker.finalize().violations] == ["CHK107"]
+    assert not [name for name in vars(checker) if "rma" in name]
+    origin, target = windows[0], windows[1]
+    assert origin._hb_epochs_used and origin._hb_locked == set()
+    (pid, counter, task), lo, hi = origin._hb_last_write[1]
+    assert (lo, hi) == (2, 6) and counter > 0
+    assert origin._hb_last_read[1][1:] == (0, 2)
+    assert origin._hb_last_read[1][0][::2] == (pid, task)
+    assert not target._hb_epochs_used
+    assert target._hb_last_write == target._hb_last_read == {}

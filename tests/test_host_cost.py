@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench import MODES, MsgRateConfig, run_msgrate
 from repro.check import CheckConfig, Checker, checking
+from repro.check.hb import TaskClock
 from repro.errors import (
     HintViolationError,
     MpiUsageError,
@@ -440,6 +441,60 @@ def test_checked_fig1a_point_makes_the_pinned_hook_calls(mode, monkeypatch):
         assert session.report().clean
         session.close()
     assert calls == FIG1A_HOOK_CALLS[mode]
+
+
+# ------------------------------- (g) a lock hand-off copies, it does not walk
+
+def test_a_lock_hand_off_copies_the_releasers_clock_and_walks_nothing(
+        monkeypatch):
+    """``threads-original``: one VCI lock handed round 16 threads a rank,
+    three windows of 16 messages each. A thread taking the lock from
+    another one used to walk the releaser's whole clock in Python, ~16
+    components a time; now it adopts a copy of that dict unless it wrote
+    to its own since it last published (it heard from a stranger).
+    Counted on a clock subclass: the components ``_raise_to`` iterates."""
+    handoffs = []   # per teaching lock join: components walked in Python
+    in_handoff = []
+
+    class CountingClock(TaskClock):
+        __slots__ = ()
+
+        def _raise_to(self, theirs):
+            if in_handoff and theirs is not self._merged:
+                handoffs[-1] += len(theirs)
+            super()._raise_to(theirs)
+
+    lock_acquired = Checker.__dict__["lock_acquired"]
+
+    def counted(self, lock):
+        clock, st = lock._hb, self.sim._active_process._hb
+        if clock is None or clock[0] == st.pid \
+                or st.foreign.get(clock[0], 0) >= clock[1]:
+            return lock_acquired(self, lock)    # teaches nothing: O(1)
+        handoffs.append(0)
+        in_handoff.append(True)
+        try:
+            return lock_acquired(self, lock)
+        finally:
+            in_handoff.pop()
+
+    monkeypatch.setattr("repro.check.checker.TaskClock", CountingClock)
+    monkeypatch.setattr(Checker, "lock_acquired", counted)
+    with checking(CheckConfig(emit_warnings=False)) as session:
+        run_msgrate(MsgRateConfig(mode="threads-original", cores=16,
+                                  msg_bytes=8, window=16, msgs_per_core=48),
+                    net=NetworkConfig.omnipath())
+        assert session.report().clean
+        session.close()
+    # 2 x 16 threads, 48 lock round trips each, most of them hand-offs.
+    assert len(handoffs) > 1000
+    # A thread's first acquisition walks (it has published nothing yet, or
+    # the releaser has not heard of it) and so does one that follows a
+    # write: at most two a thread, whatever the number of round trips ...
+    walked = [n for n in handoffs if n]
+    assert 0 < len(walked) <= 2 * 2 * 16
+    # ... which comes to under one comparison a hand-off where it was ~16.
+    assert sum(walked) < len(handoffs)
 
 
 # ------------------------------------------ request ids are per simulator

@@ -2,9 +2,12 @@
 requests, additional collectives, RMA read-modify-write, partitioned
 range/list helpers, and the Rankpoints alias."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.check import CheckConfig
 from repro.errors import MpiUsageError
 from repro.mpi import ANY_SOURCE, ANY_TAG
 from repro.mpi.coll.ops import MAX, SUM
@@ -16,6 +19,7 @@ from repro.mpi.persistent import (
     start_all_persistent,
     wait_all_persistent,
 )
+from repro.mpi.request import Request, waitall
 from repro.mpi.rma import win_create
 from repro.runtime import World
 
@@ -407,3 +411,124 @@ def test_rankpoints_alias(world2):
         yield proc.sim.all_of([proc.spawn(thread(rp)) for rp in rps])
 
     run_same(world2, main)
+
+
+# ------------------------------------------------- waitall, mixed lists
+
+@pytest.mark.parametrize("fail_after", [None, 1e-7, 8e-6])
+def test_waitall_over_a_mixed_list(fail_after):
+    """Rank 0 waits on: a receive already waited for, a pending one, a
+    started persistent send, a started partitioned send, a request a
+    timer fails after ``fail_after`` seconds (None: left out) — before
+    ``waitall`` reaches it (1e-7) or while it waits on it (8e-6) — and
+    one more receive. Statuses come back in order; the error is raised."""
+    world = World(num_nodes=2, procs_per_node=1, seed=1,
+                  check=CheckConfig(emit_warnings=False))
+    sim = world.sim
+
+    def fail(req):
+        yield sim.timeout(fail_after)
+        req.complete_with_error(ValueError("boom"))
+
+    def rank0(proc):
+        comm = proc.comm_world
+        waited = yield from comm.Irecv(np.zeros(2), source=1, tag=1)
+        yield from waited.wait()
+        pending = yield from comm.Irecv(np.zeros(2), source=1, tag=2)
+        persistent = send_init(comm, np.ones(2), dest=1, tag=3)
+        yield from persistent.start()
+        partitioned = psend_init(comm, np.ones(4), 2, 2, dest=1, tag=4)
+        yield from partitioned.start()
+        for i in range(2):
+            yield from partitioned.pready(i)
+        requests = [waited, pending, persistent, partitioned]
+        if fail_after is not None:
+            requests.append(Request(sim))
+            proc.spawn(fail(requests[-1]))
+        requests.append((yield from comm.Irecv(np.zeros(2), source=1,
+                                               tag=5)))
+        try:
+            statuses = yield from waitall(requests)
+        except ValueError as exc:
+            return repr(exc)
+        return [s and (s.source, s.tag) for s in statuses]
+
+    def rank1(proc):
+        comm = proc.comm_world
+        partitioned = precv_init(comm, np.zeros(4), 2, 2, source=0, tag=4)
+        yield from partitioned.start()
+        yield from comm.Send(np.ones(2), dest=0, tag=1)
+        yield sim.timeout(3e-6)
+        yield from comm.Send(np.ones(2), dest=0, tag=2)
+        yield from comm.Recv(np.zeros(2), source=0, tag=3)
+        yield from partitioned.wait()
+        yield sim.timeout(3e-6)
+        yield from comm.Send(np.ones(2), dest=0, tag=5)
+
+    result = run_ranks(world, rank0, rank1)[0]
+    if fail_after is None:
+        assert result == [(1, 1), (1, 2), (1, 3), None, (1, 5)]
+        assert sim.checker.finalize().clean
+    else:
+        assert result == "ValueError('boom')"
+
+
+# ------------------------------------------- Test: the lock it takes
+
+#: lock held by another task? -> ((the lock's statistics, finish time),
+#: what its observer heard from ``Test`` on): the ``Irecv`` and the
+#: ``Test`` acquire a free lock; a held one costs the ``Test`` the
+#: holder's remaining microsecond in the queue.
+TEST_LOCK_HEARD = {
+    False: (({"acquisitions": 2, "contended_acquisitions": 0,
+              "total_wait_time": 0.0,
+              "total_hold_time": 1.1500000000000001e-07,
+              "max_queue_length": 0}, 6.25536e-06),
+            [("acquire", 0.0, 0), ("hold", 7.5e-08, 0)]),
+    True: (({"acquisitions": 3, "contended_acquisitions": 1,
+             "total_wait_time": 1.0000000000000002e-06,
+             "total_hold_time": 2.16e-06, "max_queue_length": 1},
+            6.25536e-06),
+           [("acquire", 0.0, 0), ("hold", 2e-06, 1),
+            ("acquire", 1.0000000000000002e-06, 1),
+            ("hold", 1.2000000000000012e-07, 0)]),
+}
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_mpi_test_takes_the_vci_lock_like_any_other_call(held):
+    """``Test`` on a free VCI lock takes it without a generator; on a
+    held one it queues. Either way the lock's statistics, its observer
+    and the checker hear what ``Lock.acquire`` would have told them
+    (numbers recorded at the commit before the fast path)."""
+    world = World(num_nodes=2, procs_per_node=1, seed=1,
+                  check=CheckConfig(emit_warnings=False))
+    sim = world.sim
+    seen = []
+
+    def rank0(proc):
+        comm = proc.comm_world
+        req = yield from comm.Irecv(np.zeros(2), source=1, tag=0)
+        lock = req.vci.lock
+        lock.observer = lambda *event: seen.append(event)
+
+        def holder():
+            yield from lock.acquire()
+            yield sim.timeout(2e-6)
+            lock.release()
+
+        if held:
+            proc.spawn(holder())
+            yield sim.timeout(1e-6)
+        assert lock.locked is held
+        assert (yield from comm.Test(req)) is None
+        yield from req.wait()
+        return dataclasses.asdict(lock.stats), sim.now
+
+    def rank1(proc):
+        yield sim.timeout(5e-6)
+        yield from proc.comm_world.Send(np.ones(2), dest=0, tag=0)
+
+    outcome = run_ranks(world, rank0, rank1)[0]
+    assert (outcome, seen) == TEST_LOCK_HEARD[held]
+    assert world.sim.checker.finalize().clean
