@@ -13,7 +13,8 @@ or the map must be rebuilt collectively (expensive). Endpoints simply
 address the new partner's endpoint rank; tags-with-hints simply encode the
 new partner's thread id.
 
-The proxy partitions a real networkx graph, runs ``iters`` update rounds
+The proxy grows a Barabasi-Albert power-law graph (its own generator: no
+graph library is imported), partitions it, runs ``iters`` update rounds
 with community reassignment between rounds (changing the partner sets),
 and measures exchange time plus — for the communicator mechanism — the
 label-sharing conflicts the dynamism induces.
@@ -21,10 +22,10 @@ label-sharing conflicts the dynamism induces.
 
 from __future__ import annotations
 
+import random  # lint: ignore[L201] -- one Random(seed), the oracle library's draws
 from dataclasses import dataclass
 from typing import Any, Generator
 
-import networkx as nx
 import numpy as np
 
 from ...errors import MpiUsageError
@@ -34,7 +35,8 @@ from ...sim.sync import Barrier
 from ..channels import MECHANISMS, Channels, open_channels
 from ..harness import run_app
 
-__all__ = ["GraphConfig", "GraphResult", "run_graph", "partition_graph"]
+__all__ = ["GraphConfig", "GraphResult", "run_graph", "partition_graph",
+           "barabasi_albert"]
 
 
 @dataclass
@@ -89,14 +91,44 @@ class GraphResult:
                 f"conflicts={self.comm_conflicts}")
 
 
-def partition_graph(cfg: GraphConfig) -> tuple[nx.Graph, dict[int, tuple[int, int]]]:
+def barabasi_albert(n: int, m: int, seed: int) -> dict[int, list[int]]:
+    """Preferential-attachment graph on ``n`` vertices, ``m`` edges per new
+    vertex (``1 <= m < n``, which :class:`GraphConfig` checks), as
+    ``vertex -> neighbours``, both in insertion order.
+
+    Draw for draw the ``barabasi_albert_graph(n, m, seed)`` of the graph
+    library this proxy imported through PR 23, now the test oracle
+    (``tests/test_apps_legion_graph.py`` holds the two together): the
+    graph enters every graph scenario's state digest, so
+    the order below — the iteration order of a ``set`` of small ints
+    included — is part of "same spec, same bytes".
+    """
+    rng = random.Random(seed)
+    adjacency = {0: list(range(1, m + 1))}
+    adjacency.update((spoke, [0]) for spoke in range(1, m + 1))
+    # every vertex once per incident edge: a uniform draw is a degree-
+    # proportional one
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        adjacency[source] = list(targets)
+        for target in targets:
+            adjacency[target].append(source)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return adjacency
+
+
+def partition_graph(
+        cfg: GraphConfig) -> tuple[dict[int, list[int]], dict[int, tuple[int, int]]]:
     """Generate the graph and the initial vertex -> (proc, thread) owner map."""
-    g = nx.barabasi_albert_graph(cfg.graph_vertices, cfg.graph_degree,
-                                 seed=cfg.seed)
+    g = barabasi_albert(cfg.graph_vertices, cfg.graph_degree, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     owners = {}
     total_threads = cfg.num_nodes * cfg.threads_per_proc
-    for v in g.nodes:
+    for v in g:
         slot = int(rng.integers(total_threads))
         owners[v] = (slot // cfg.threads_per_proc,
                      slot % cfg.threads_per_proc)
@@ -105,11 +137,10 @@ def partition_graph(cfg: GraphConfig) -> tuple[nx.Graph, dict[int, tuple[int, in
 
 class _GraphNode:
     def __init__(self, proc: MpiProcess, cfg: GraphConfig,
-                 graph: nx.Graph, owners: dict, channels: Channels):
+                 graph: dict[int, list[int]], owner_steps: list[dict],
+                 channels: Channels):
         self.proc = proc
         self.cfg = cfg
-        self.graph = graph
-        self.owners = owners  # shared, mutated between iterations
         #: Opened once, before the neighbourhood starts drifting: under
         #: ``communicators`` that is a static map of one communicator
         #: per local thread id (Lesson 5).
@@ -119,50 +150,43 @@ class _GraphNode:
         self.exchange_time = 0.0
         self._exchange_accum: dict[int, float] = {}
         self.remote_messages = 0
-        self.conflicts = 0
+        #: Per iteration and local thread: remote (proc, thread) -> number
+        #: of updates to send to it, which (the graph is undirected) is
+        #: also the number to expect from it.
+        self.peers = [self._peers(graph, owner_steps[it])
+                      for it in range(cfg.iters)]
+        self.conflicts = max(map(self._conflicts, self.peers), default=0)
 
-    # -- per-iteration partner computation -------------------------------
-    def partners(self, tid: int, it: int) -> dict[tuple[int, int], int]:
-        """(proc, thread) -> number of updates to send this iteration."""
-        out: dict[tuple[int, int], int] = {}
-        me = (self.proc.rank, tid)
-        for v, owner in self.owners.items():
-            if owner != me:
-                continue
-            for nbr in self.graph.neighbors(v):
-                o = self.owners[nbr]
-                if o[0] != self.proc.rank:
-                    out[o] = out.get(o, 0) + 1
-        return out
-
-    def incoming(self, tid: int) -> dict[tuple[int, int], int]:
-        """Who will message (me, tid) this iteration."""
-        out: dict[tuple[int, int], int] = {}
-        me = (self.proc.rank, tid)
-        for v, owner in self.owners.items():
-            if owner[0] == self.proc.rank:
-                continue
-            for nbr in self.graph.neighbors(v):
-                if self.owners[nbr] == me:
-                    out[owner] = out.get(owner, 0) + 1
-        # collapse: one message per (sender proc, sender thread)
-        return out
+    def _peers(self, graph: dict[int, list[int]],
+               owners: dict[int, tuple[int, int]]) -> list[dict]:
+        """One iteration's cross-process traffic of every local thread,
+        in one pass over the graph."""
+        rank = self.proc.rank
+        peers: list[dict] = [{} for _ in range(self.cfg.threads_per_proc)]
+        for v, neighbours in graph.items():
+            proc, tid = owners[v]
+            if proc == rank:
+                row = peers[tid]
+                for nbr in neighbours:
+                    peer = owners[nbr]
+                    if peer[0] != rank:
+                        row[peer] = row.get(peer, 0) + 1
+        return peers
 
     def run_one(self, tid: int, it: int, barrier) -> Generator:
         """One iteration of one thread: exchange updates with the current
         (possibly churned) partner set, then apply them."""
         cfg, proc = self.cfg, self.proc
         payload = np.zeros(2)
-        sends = self.partners(tid, it)
-        expect = self.incoming(tid)
+        peers = sorted(self.peers[it][tid].items())
         t0 = proc.sim.now
         reqs, rbufs = [], []
-        for (p2, t2), _count in sorted(expect.items()):
+        for (p2, t2), _count in peers:
             buf = np.zeros(2)
             comm, source, tag = self.channels.recv(tid, p2, t2, it)
             reqs.append((yield from comm.Irecv(buf, source, tag)))
             rbufs.append(buf)
-        for (p2, t2), count in sorted(sends.items()):
+        for (p2, t2), count in peers:
             payload[0] = proc.rank * 1000 + tid
             payload[1] = count
             self.remote_messages += 1
@@ -177,18 +201,17 @@ class _GraphNode:
             + proc.sim.now - t0
         yield from barrier.wait()
 
-    def measure_conflicts(self, it: int) -> None:
-        """Count handles serving >= 2 local threads this iteration
-        (receive side of a static thread-keyed map under churn; zero when
-        every thread receives on a handle of its own)."""
+    def _conflicts(self, peers: list[dict]) -> int:
+        """Handles serving >= 2 local threads in one iteration (receive
+        side of a static thread-keyed map under churn; zero when every
+        thread receives on a handle of its own)."""
         if not self.channels.scattered:
-            return
+            return 0
         users: dict[int, set[int]] = {}
-        for tid in range(self.cfg.threads_per_proc):
-            for (p2, t2) in self.incoming(tid):
+        for tid, row in enumerate(peers):
+            for (p2, t2) in row:
                 users.setdefault(t2, set()).add(tid)
-        self.conflicts = max(self.conflicts,
-                             sum(1 for s in users.values() if len(s) > 1))
+        return sum(1 for s in users.values() if len(s) > 1)
 
 
 def run_graph(cfg: GraphConfig, **env: Any) -> GraphResult:
@@ -220,17 +243,12 @@ def run_graph(cfg: GraphConfig, **env: Any) -> GraphResult:
         channels = yield from open_channels(
             proc, cfg.mechanism, cfg.threads_per_proc, app_bits=6,
             thread_prefix="g")
-        st = _GraphNode(proc, cfg, graph, dict(owner_steps[0]), channels)
+        st = _GraphNode(proc, cfg, graph, owner_steps, channels)
         nodes[proc.rank] = st
         barrier = Barrier(proc.sim, cfg.threads_per_proc)
 
-        # Iteration-wise owner-map swap is driven per process: wrap the
-        # per-thread body with a coordinator thread.
         def thread(tid):
             for it in range(cfg.iters):
-                st.owners.clear()
-                st.owners.update(owner_steps[it])
-                st.measure_conflicts(it)
                 yield from st.run_one(tid, it, barrier)
 
         threads = [proc.spawn(thread(tid))

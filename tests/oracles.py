@@ -28,6 +28,12 @@ changes.
   :mod:`repro.netsim.topology.generators` registers must walk the same
   links in the same order for every host pair (:func:`table_route`,
   ``tests/test_topology.py``).
+- :func:`networkx_adjacency` is the library the Vite proxy's graph came
+  from until PR 24 (``networkx``, a ``dev`` extra imported inside the
+  function; its caller skips without it).
+  :func:`repro.apps.graph.vite.barabasi_albert` must list the same
+  vertices and the same neighbours in the same order
+  (``tests/test_apps_legion_graph.py``).
 """
 
 from __future__ import annotations
@@ -461,3 +467,13 @@ def torus_table(dims: tuple[int, ...]) -> RoutingTable:
                 f"h{dst}" if coord == goal
                 else switch(step_toward(coord, goal)))
     return table
+
+
+# -- the Vite proxy's graph ------------------------------------------------------
+def networkx_adjacency(n: int, m: int, seed: int) -> dict[int, list[int]]:
+    """``networkx.barabasi_albert_graph(n, m, seed)`` as ``vertex ->
+    neighbours``, both in the library's iteration order."""
+    import networkx
+
+    graph = networkx.barabasi_albert_graph(n, m, seed=seed)
+    return {v: list(graph.neighbors(v)) for v in graph.nodes}

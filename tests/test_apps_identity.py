@@ -12,8 +12,12 @@ alone:
   27-point configuration (the floating-point association order of the
   Jacobi kernels);
 - that importing the CLI / scenario / serve / bench packages pulls in
-  neither ``networkx`` nor any ``repro.apps`` module (0.15 s and 14 MiB
-  that ``served_fig1a`` would pay on every cold start).
+  no ``repro.apps`` module, and that nothing under ``src/repro`` — by its
+  import statements, and by ``sys.modules`` after a sample and one
+  scenario of every app — loads a third-party package other than numpy
+  and PyYAML. The Vite proxy imported networkx until PR 24: 358 more
+  modules, 16 MiB and 0.18 s in a process that samples a campaign,
+  15.7 MiB and 0.10 s of set-up on ``chaos_campaign`` (``BENCH_24.json``).
 
 A digest that moves here means simulated bytes moved: thread names,
 pending-callback qualnames, communicator names and the order of
@@ -253,25 +257,76 @@ def test_final_field_bytes(kwargs, shape, digest):
     assert hashlib.sha256(result.final_field.tobytes()).hexdigest() == digest
 
 
-def test_front_ends_import_no_app_and_no_networkx():
-    """``repro.scenarios`` names drivers lazily; nothing on the path of a
-    served Fig 1(a) job may import an app (or networkx behind it), and
-    no front end or worker pays at start-up for the static analyzer, the
-    lint or YAML (each loads where it is first used)."""
-    code = ("import sys\n"
-            "import repro.cli, repro.scenarios, repro.serve.service, "
-            "repro.bench, repro.serve.worker\n"
-            "late = ('networkx', 'yaml', 'repro.check.lint', "
-            "'repro.check.static_')\n"
-            "print(sorted(m for m in sys.modules if m in late or "
-            "m.startswith(('networkx.', 'repro.apps'))))\n"
-            "from repro.check import analyze_path, run_lint\n"
-            "assert all(m in sys.modules for m in late[2:])\n")
+def _python(code):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, cwd=ROOT, env=env)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_front_ends_import_no_app_and_no_networkx():
+    """``repro.scenarios`` names drivers lazily; nothing on the path of a
+    served Fig 1(a) job may import an app, and no front end or worker
+    pays at start-up for the static analyzer, the lint or YAML (each
+    loads where it is first used). Sampling a campaign and running one
+    scenario of every app then loads nothing but the standard library
+    and ``repro`` on top of numpy and PyYAML."""
+    assert _python(
+        "import sys\n"
+        "import repro.cli, repro.scenarios, repro.serve.service, "
+        "repro.bench, repro.serve.worker\n"
+        "late = ('networkx', 'yaml', 'repro.check.lint', "
+        "'repro.check.static_')\n"
+        "print(sorted(m for m in sys.modules if m in late or "
+        "m.startswith(('networkx.', 'repro.apps'))))\n"
+        "from repro.check import analyze_path, run_lint\n"
+        "assert all(m in sys.modules for m in late[2:])\n") == "[]"
+    # whatever the interpreter, numpy and PyYAML load by themselves
+    # (site hooks, numpy's compiled helpers) is this host's, not ours
+    assert _python(
+        "import sys, numpy.random, yaml\n"
+        "tops = lambda: {m.partition('.')[0] for m in sys.modules}\n"
+        "before = tops()\n"
+        "from repro.scenarios import run_scenario, sample_scenarios\n"
+        "first = {}\n"
+        "for spec in sample_scenarios(42, 48):\n"
+        "    first.setdefault(spec.app, spec)\n"
+        "assert len(first) == 7, sorted(first)\n"
+        "assert all(run_scenario(spec)['status'] == 'ok' "
+        "for spec in first.values())\n"
+        "print(sorted(tops() - before - sys.stdlib_module_names))\n"
+    ) == "['repro']"
+
+
+def _package_trees():
+    """``(path relative to src/repro, its AST)`` for every module."""
+    package = os.path.join(ROOT, "src", "repro")
+    for folder, _, files in os.walk(package):
+        for filename in files:
+            if filename.endswith(".py"):
+                path = os.path.join(folder, filename)
+                with open(path, encoding="utf-8") as source:
+                    tree = ast.parse(source.read(), path)
+                yield os.path.relpath(path, package).replace(os.sep, "/"), tree
+
+
+def test_package_imports_only_stdlib_numpy_and_yaml():
+    """At any nesting level: an import inside a function is still a host
+    dependency of whoever calls it (a graph library was one such)."""
+    allowed = sys.stdlib_module_names | {"numpy", "yaml", "repro"}
+    foreign = set()
+    for relpath, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign.update((relpath, name) for name in names
+                           if name.partition(".")[0] not in allowed)
+    assert foreign == set()
 
 
 #: callee -> the only files under ``src/repro`` that may call it. Worlds
@@ -289,23 +344,14 @@ ONLY_CALLERS = {
 
 
 def test_worlds_and_mechanisms_are_built_in_one_place():
-    package = os.path.join(ROOT, "src", "repro")
     callers = {name: set() for name in ONLY_CALLERS}
-    for folder, _, files in os.walk(package):
-        for filename in files:
-            if not filename.endswith(".py"):
-                continue
-            path = os.path.join(folder, filename)
-            with open(path, encoding="utf-8") as source:
-                tree = ast.parse(source.read(), path)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    callee = getattr(node.func, "id",
-                                     getattr(node.func, "attr", None))
-                    if callee in callers:
-                        callers[callee].add(
-                            os.path.relpath(path, package).replace(
-                                os.sep, "/"))
+    for relpath, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id",
+                                 getattr(node.func, "attr", None))
+                if callee in callers:
+                    callers[callee].add(relpath)
     assert callers == ONLY_CALLERS
 
 

@@ -1,8 +1,12 @@
 """Tests for the Legion event-runtime / circuit and graph proxies."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.apps.graph import GraphConfig, partition_graph, run_graph
+from repro.apps.graph.vite import barabasi_albert
 from repro.apps.legion import (
     CircuitConfig,
     LegionConfig,
@@ -10,6 +14,9 @@ from repro.apps.legion import (
     run_legion,
 )
 from repro.errors import MpiUsageError
+from repro.scenarios import get_app, sample_scenarios
+
+from tests.oracles import networkx_adjacency
 
 
 # ---------------------------------------------------------------- legion
@@ -89,8 +96,70 @@ def test_circuit_deterministic():
 def test_partition_graph_covers_all_vertices():
     cfg = GraphConfig(graph_vertices=64, num_nodes=2, threads_per_proc=2)
     g, owners = partition_graph(cfg)
-    assert set(owners) == set(g.nodes)
+    assert set(owners) == set(g)
     assert all(0 <= p < 2 and 0 <= t < 2 for p, t in owners.values())
+
+
+#: ``(graph_vertices, graph_degree, seed)`` -> sha-256 of the adjacency:
+#: ``m = 1``, ``m = n - 1``, the ``GraphConfig`` default, two larger ones
+#: and the four graph specs of ``sample_scenarios(42, 48)``. Recorded
+#: with networkx 3.6.1 installed and equal to it then; they hold the
+#: graph still on a host without the library.
+ADJACENCY_PINS = {
+    (2, 1, 0):
+        "317b4e8bfe83d91c76223998ebed71384a18a4f224de84b84775a988c9b34cb2",
+    (9, 1, 3):
+        "7f039263c707b2ecc1bdeee4a02acd326fd6fd8149c0a85d67e8fd619c835cd5",
+    (9, 8, 1):
+        "befbe52e1d0d4aadc1f3a9458990c85c75bdd7ebc2632cdc212ddba124c17e19",
+    (256, 4, 0):
+        "476f2de22488ecc2747f9628333b89121f6c041ddd8154c17f74402ffc0d5566",
+    (1000, 2, 7):
+        "a80609dfe32ec22ca0971248f68f547675aac89dd9ff733e23fad8a1b4d591c3",
+    (120, 7, 11):
+        "99881d5ef58c6ab83661991cd0c8507022ca7c99dd740744b682bf145216e82a",
+    (64, 4, 828942037):
+        "9d477ee9eac115e08f356ef5166aeb0971db7ed8f3062627480f533a17fde099",
+    (48, 4, 832458582):
+        "b97934f63e93387a84051afcc5c1429bd25764f55294c7871dd5add8b4ebc450",
+    (24, 4, 26854761):
+        "15a2b74bf34a51e39dba5050d7dd2167990fa52a18d12f963879423007848d02",
+    (64, 4, 721116661):
+        "686cbad568f769a6372ed51cc1595393b656d1231ae19e059321c1826ad10f75",
+}
+
+
+def test_adjacency_pins_cover_the_sampled_graph_scenarios():
+    default = GraphConfig()
+    sampled = [get_app("graph").build(spec)
+               for spec in sample_scenarios(42, 48) if spec.app == "graph"]
+    assert len(sampled) == 4
+    for cfg in [default, *sampled]:
+        assert (cfg.graph_vertices, cfg.graph_degree,
+                cfg.seed) in ADJACENCY_PINS
+
+
+@pytest.mark.parametrize("triple", ADJACENCY_PINS, ids=str)
+def test_graph_is_pinned_without_networkx(triple):
+    n, m, _ = triple
+    adjacency = barabasi_albert(*triple)
+    assert list(adjacency) == list(range(n))
+    assert sum(map(len, adjacency.values())) == 2 * m * (n - m)
+    # undirected and simple: a thread's send table is its receive table
+    assert all(adjacency[u].count(v) == 1
+               for v, neighbours in adjacency.items() for u in neighbours)
+    text = json.dumps(list(adjacency.items()), separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == ADJACENCY_PINS[triple]
+
+
+@pytest.mark.parametrize("triple", ADJACENCY_PINS, ids=str)
+def test_graph_is_the_one_networkx_grows(triple):
+    """Vertex order and every vertex's neighbour order, not just the edge
+    set: both enter the partner tables and through them the digests."""
+    pytest.importorskip("networkx")
+    ours, theirs = barabasi_albert(*triple), networkx_adjacency(*triple)
+    assert list(ours) == list(theirs)
+    assert ours == theirs
 
 
 @pytest.mark.parametrize("mechanism", ["original", "tags", "communicators",

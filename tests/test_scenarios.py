@@ -74,7 +74,7 @@ class TestSpec:
                          app_params={"not_a_knob": 1})
 
     @pytest.mark.parametrize("app,mechanism,params", [
-        # escaped run_scenario as a networkx.NetworkXError
+        # once escaped run_scenario from inside the graph generator
         ("graph", "tags", {"graph_vertices": 2}),
         ("graph", "tags", {"graph_degree": 0}),
         # passed validation, came back crash/MpiUsageError
