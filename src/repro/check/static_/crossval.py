@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import glob
 import os
-import runpy
 import warnings
 from typing import Any, Callable, Optional, Sequence
 
@@ -73,12 +72,13 @@ def default_fixture_dir(start: Optional[str] = None) -> Optional[str]:
 def _run_dynamic(path: str) -> tuple[dict[str, int], str]:
     """Execute one fixture under the dynamic checker; (counts, abort)."""
     from .. import CheckConfig, checking
+    from ..session import run_program
     aborted = ""
     with checking(CheckConfig(emit_warnings=False)) as session:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                runpy.run_path(path, run_name="__main__")
+                run_program(path, [])
             except Exception as exc:
                 aborted = type(exc).__name__
         counts = dict(session.report().counts())

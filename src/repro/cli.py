@@ -315,9 +315,8 @@ def _cmd_resources(args) -> int:
 
 def _cmd_check(args) -> int:
     """Run a program with the correctness checker on every World."""
-    import runpy
-
     from .check import CheckConfig, checking
+    from .check.session import run_program
 
     if args.list_rules:
         from .check.rules import render_catalog
@@ -334,20 +333,17 @@ def _cmd_check(args) -> int:
                          leaks=not args.no_leaks,
                          emit_warnings=False)
     from .errors import CheckError
-    status = 0
     with checking(config) as session:
-        sys.argv = [args.program] + list(args.args)
         try:
-            runpy.run_path(args.program, run_name="__main__")
+            status = run_program(args.program, args.args)
         except CheckError as exc:
             print(f"stopped at first violation (raise mode): {exc}",
                   file=sys.stderr)
             status = 1
-        except SystemExit as exc:
-            if exc.code not in (None, 0):
-                print(f"[program exited with status {exc.code}]",
+        else:
+            if status:
+                print(f"[program exited with status {status}]",
                       file=sys.stderr)
-                status = exc.code if isinstance(exc.code, int) else 1
     report = session.report()
     if args.json:
         print(report.to_json())

@@ -40,7 +40,6 @@ from ..sim.core import Event, Process, Simulator
 from ..sim.random import RandomStreams
 from ..sim.sync import Gate
 from ..sim.trace import Tracer
-from ..snap.session import default_snap_controller
 
 __all__ = ["Node", "MpiProcess", "World"]
 
@@ -267,19 +266,11 @@ class World:
         self._next_context = 4
         self._meetings: dict[Any, _Meeting] = {}
 
-        # -- which worlds did this block build? -------------------------
-        # The innermost `checking()` session and the innermost snap
-        # controller each own a `worlds` list; a built world joins both.
-        # A controller (installed by `python -m repro replay` or
-        # snap.recording()) also adopts the world: run()/run_all() then
-        # execute in slices with checkpoint hooks at step boundaries.
-        # Slicing is invisible to the simulation — event order and all
-        # simulated results are byte-identical to an unsliced run.
-        if session is not None:
-            session.worlds.append(self)
-        self._snap = default_snap_controller()
-        if self._snap is not None:
-            self._snap.attach(self)
+        # -- which session owns this world, and which one stops it? -----
+        # The innermost session lists the world; a session with a stop
+        # around it (`python -m repro replay`) runs it: run()/run_all()
+        # then pause at its stop, and the events run are the same.
+        self._runner = session.adopt(self) if session is not None else None
 
     # ------------------------------------------------------------------
     def _pending_mpi_report(self) -> list[str]:
@@ -393,8 +384,8 @@ class World:
 
     def run(self, until: Optional[float | Event] = None,
             max_steps: Optional[int] = None) -> Any:
-        if self._snap is not None:
-            return self._snap.drive(self, until, max_steps)
+        if self._runner is not None:
+            return self._runner.run(self, until, max_steps)
         return self.sim.run(until=until, max_steps=max_steps)
 
     def finalize_metrics(self) -> None:
@@ -426,8 +417,8 @@ class World:
         """Run until every task in ``tasks`` has finished; returns their
         values (raises if any failed)."""
         gather = self.sim.all_of(list(tasks))
-        if self._snap is not None:
-            return self._snap.drive(self, gather, max_steps)
+        if self._runner is not None:
+            return self._runner.run(self, gather, max_steps)
         return self.sim.run(until=gather, max_steps=max_steps)
 
     @property

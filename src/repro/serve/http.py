@@ -36,6 +36,12 @@ __all__ = ["HttpApi", "parse_job_document"]
 
 _MAX_BODY = 8 * 1024 * 1024
 
+#: What a handler reads and drops after a framing 400 before it closes:
+#: closing on unread client bytes makes the kernel reset the connection,
+#: and a client that has not read its 400 yet then loses it.
+_DISCARD_BYTES = 64 * 1024
+_DISCARD_SECONDS = 1.0
+
 
 def parse_job_document(body: bytes) -> tuple[str, dict]:
     """Parse a POST /jobs body (JSON or YAML) into ``(kind, spec)``."""
@@ -85,6 +91,16 @@ async def _read_request(reader: asyncio.StreamReader
     return parts[0].upper(), parts[1].rstrip("/") or "/", body, keep
 
 
+async def _discard(reader: asyncio.StreamReader) -> None:
+    """Read and drop input until EOF or ``_DISCARD_BYTES``."""
+    left = _DISCARD_BYTES
+    while left > 0:
+        chunk = await reader.read(left)
+        if not chunk:
+            return
+        left -= len(chunk)
+
+
 class HttpApi:
     """The HTTP front of one :class:`Orchestrator`.
 
@@ -131,12 +147,13 @@ class HttpApi:
                       writer: asyncio.StreamWriter) -> None:
         """Serve one connection, request after request in order, until
         the client closes, asks to (``Connection: close``, HTTP/1.0) or
-        breaks the framing: 400, and what follows cannot be trusted."""
+        breaks the framing: 400, and what follows cannot be trusted — it
+        is read and dropped after our EOF, so the close is clean."""
         handler = asyncio.current_task()
         self._conns[handler] = writer
         self.orchestrator.metrics.inc("serve.http.connections")
         try:
-            keep = True
+            keep, broken = True, False
             while keep:
                 try:
                     method, path, body, keep = await _read_request(reader)
@@ -146,7 +163,7 @@ class HttpApi:
                 except (ValueError, asyncio.IncompleteReadError,
                         asyncio.LimitOverrunError) as exc:
                     status, doc = 400, {"error": f"bad request: {exc}"}
-                    keep = False
+                    keep, broken = False, True
                 keep = keep and not self.shutdown_requested.is_set()
                 self.orchestrator.metrics.inc("serve.http.requests")
                 body = json.dumps(doc, sort_keys=True, separators=(",", ":"),
@@ -158,6 +175,13 @@ class HttpApi:
                     f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n"
                     .encode("ascii") + body)
                 await writer.drain()
+            if broken:
+                writer.write_eof()
+                try:
+                    await asyncio.wait_for(_discard(reader),
+                                           _DISCARD_SECONDS)
+                except asyncio.TimeoutError:
+                    pass
         except (ConnectionError, OSError):
             pass  # client closed or went away; nothing to clean up
         finally:

@@ -381,7 +381,7 @@ class Simulator:
     The sequence number lives on the event (``Event._seq``) and is only
     read back by :meth:`pending_entries`; the drain never compares it,
     because appends are seq-monotone. The drain indices persist across
-    :meth:`run_steps` calls, so slicing a run is invisible to it.
+    :meth:`run_steps` calls, so stopping a run is invisible to it.
     """
 
     #: Maximum number of dead Timeout shells kept for reuse.
@@ -540,8 +540,9 @@ class Simulator:
             self._u.append(event)
 
     # -- schedule introspection -------------------------------------------
-    # Snapshot capture (:mod:`repro.snap.state`) and the snap session
-    # driver read the pending schedule through these three methods only.
+    # Snapshot capture (:mod:`repro.snap.state`) and a stopping session
+    # (:mod:`repro.check.session`) read the pending schedule through these
+    # three methods only.
     def pending_entries(self) -> list[tuple[float, int, int, Event]]:
         """Pending ``(when, priority, seq, event)`` entries in execution
         order — the canonical schedule view captured by state digests."""
@@ -577,10 +578,11 @@ class Simulator:
         """Process up to ``n`` events; returns the number processed.
 
         This is the kernel's only dispatch loop. :meth:`run` calls it with
-        an unbounded budget; snapshotting and record-replay
-        (:mod:`repro.snap`) alternate slices of it with zero-footprint
-        state captures, and the event sequence is *identical* either way —
-        slicing schedules nothing and perturbs no sequence numbers.
+        an unbounded budget; a session that stops a run
+        (:mod:`repro.check.session`) calls it up to the stop, captures
+        state there with zero footprint, and hands the rest to
+        :meth:`run` — the event sequence is *identical* either way:
+        stopping schedules nothing and perturbs no sequence numbers.
 
         Early-stop conditions (all leave the remaining events queued):
 
@@ -715,5 +717,6 @@ class Simulator:
 #: so never processed, and the loop tests one attribute either way.
 _NEVER_PROCESSED = Event(None)
 
-#: ``run``'s step budget when no ``max_steps`` is given.
+#: The step budget of a run given no ``max_steps`` (``run`` and a
+#: stopping session's passes).
 _UNBOUNDED = 1 << 62

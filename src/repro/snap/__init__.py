@@ -13,11 +13,6 @@ first step at which two configurations diverge
 from .bisect import Divergence, first_divergence
 from .replay import ReplayController, ReplayResult, ReplayStop, run_replay
 from .restore import fast_forward, restore_snapshot
-from .session import (
-    SnapController,
-    default_snap_controller,
-    recording,
-)
 from .snapshot import (
     SNAP_VERSION,
     Snapshot,
@@ -40,7 +35,6 @@ __all__ = [
     "capture_state", "canonical_json", "state_digest", "diff_states",
     "prune_state",
     "fast_forward", "restore_snapshot",
-    "SnapController", "recording", "default_snap_controller",
     "ReplayController", "ReplayResult", "ReplayStop", "run_replay",
     "Divergence", "first_divergence",
 ]

@@ -1,15 +1,17 @@
 """Record-replay: locate a target in a run, reach it again, compare.
 
 ``python -m repro replay <prog> --until T`` (or ``--to-finding CHK###``)
-executes an unmodified program twice in this process under one
-:class:`ReplayController`:
+executes an unmodified program twice in this process, each time inside
+one :class:`ReplayController` session:
 
 1. the first execution *locates* the target — which of the worlds the
    program builds, and that world's cumulative kernel step: where the
    ``--until`` horizon stopped it, or where the rule first fired (the
-   world overruns to the end of that slice before the program unwinds);
-2. the second execution, its stdout suppressed, ends a slice at exactly
-   that step (:attr:`~repro.snap.session.SnapController.stop_step`),
+   world runs on to the end of that run's pass before the program
+   unwinds; a rule that fires only at finalize is met at the world's end
+   step);
+2. the second execution, its stdout suppressed, stops the world at
+   exactly that step (:attr:`~repro.check.session.Session.stop_step`),
    captures the state there, optionally saves it as a versioned
    snapshot, and is compared with the first:
 
@@ -26,14 +28,17 @@ execution up to the target (docs/snapshot.md has the numbers).
 from __future__ import annotations
 
 import os
-import runpy
-import sys
-from contextlib import ExitStack, redirect_stdout
+from contextlib import redirect_stdout
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .session import SnapController, recording
+from ..check.checker import CheckConfig
+from ..check.report import Violation
+from ..check.session import Session, run_program
 from .snapshot import Snapshot, save_snapshot, take_snapshot
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..runtime.world import World
 
 __all__ = ["ReplayStop", "ReplayResult", "ReplayController", "run_replay"]
 
@@ -79,61 +84,78 @@ class ReplayResult:
         return "\n".join(lines)
 
 
-class ReplayController(SnapController):
-    """Stops one execution of the program where it meets the target."""
+class ReplayController(Session):
+    """The session of one execution: stops the program where it meets
+    the target. A ``--to-finding`` replay checks every world, as
+    ``repro check`` does."""
 
     def __init__(self, until: Optional[float] = None,
                  to_finding: Optional[str] = None,
                  recipe: Optional[dict[str, Any]] = None):
-        super().__init__()
         if (until is None) == (to_finding is None):
             raise ValueError(
                 "replay needs exactly one of until= / to_finding=")
+        super().__init__(CheckConfig(mode="warn", emit_warnings=False)
+                         if to_finding else None)
         self.to_finding = to_finding.upper() if to_finding else None
         self.stop_horizon = until
+        self.on_stop = self._stopped
         self.recipe = dict(recipe or {})
         #: Where the current execution met the target, and the state
         #: there if the world still sat at that step when it stopped.
         self.result: Optional[ReplayResult] = None
         self.snapshot: Optional[Snapshot] = None
         self._finding: Optional[dict[str, Any]] = None
+        self._found_in: Optional["World"] = None
 
-    def reset(self, stop_step: int) -> None:
+    def reset(self, stop_step: Optional[int]) -> None:
         """Forget the last execution and release its worlds; the next
-        one ends a slice at ``stop_step``."""
+        one stops at ``stop_step``."""
         self.worlds = []
-        self.result = self.snapshot = self._finding = None
+        self.result = self.snapshot = self._finding = self._found_in = None
         self.stop_step = stop_step
 
-    # -- wiring ----------------------------------------------------------
-    def attach(self, world) -> None:
+    def attach(self, world: "World") -> None:
+        """List ``world`` and, for ``--to-finding``, watch its checker:
+        the first violation of the rule records where it fired."""
         super().attach(world)
-        if self.to_finding is not None and world.checker is not None:
-            prev = world.checker.on_violation
+        if self.to_finding is None or world.checker is None:
+            return
+        prev = world.checker.on_violation
 
-            def observe(violation, _prev=prev, _world=world):
-                if _prev is not None:
-                    _prev(violation)
-                if self._finding is None \
-                        and violation.rule_id.upper() == self.to_finding:
-                    self._finding = {"rule": violation.rule_id,
-                                     "message": violation.message,
-                                     "task": violation.task,
-                                     "time": violation.time,
-                                     "step": _world.sim.steps}
+        def observe(violation: Violation) -> None:
+            if prev is not None:
+                prev(violation)
+            if self._finding is None \
+                    and violation.rule_id.upper() == self.to_finding:
+                self._finding = {"rule": violation.rule_id,
+                                 "message": violation.message,
+                                 "task": violation.task,
+                                 "time": violation.time,
+                                 "step": world.sim.steps}
+                self._found_in = world
+                # A stop the running pass has crossed: it ends the pass.
+                self.stop_step = world.sim.steps
 
-            world.checker.on_violation = observe
+        world.checker.on_violation = observe
 
-    # -- drive hooks -------------------------------------------------------
-    def after_slice(self, world) -> None:
+    def finalize(self) -> None:
+        """The program ended: finalize every world, as ``repro check``
+        does. A rule that fires only there (lock-order cycles, leaks)
+        meets the target at that world's end step."""
+        self.report()
+        if self._found_in is not None:
+            self._stopped(self._found_in)
+
+    def _stopped(self, world: "World") -> None:
         if self._finding is not None:
             self._reach(world, "finding", self._finding["step"],
                         self._finding["time"])
+        elif self.to_finding is None:
+            self._reach(world, "until", world.sim.steps, world.sim.now)
 
-    def on_stop_horizon(self, world) -> None:
-        self._reach(world, "until", world.sim.steps, world.sim._now)
-
-    def _reach(self, world, reason: str, step: int, clock: float) -> None:
+    def _reach(self, world: "World", reason: str, step: int,
+               clock: float) -> None:
         if world.sim.steps == step:
             self.snapshot = take_snapshot(world, recipe=self.recipe)
         self.result = ReplayResult(
@@ -143,57 +165,40 @@ class ReplayController(SnapController):
         raise ReplayStop()
 
 
-def _execute(controller: ReplayController, program: str, argv: list[str],
-             check_config: Optional[Any]) -> int:
+def _execute(controller: ReplayController, program: str,
+             argv: list[str]) -> int:
     """Run ``program`` once under ``controller``; returns its exit status."""
     status = 0
-    old_argv = sys.argv
-    try:
-        with ExitStack() as stack:
-            stack.enter_context(recording(controller))
-            if controller.to_finding is not None:
-                from ..check import CheckConfig, checking
-                stack.enter_context(checking(
-                    check_config
-                    or CheckConfig(mode="warn", emit_warnings=False)))
-            sys.argv = [program] + list(argv)
-            try:
-                runpy.run_path(program, run_name="__main__")
-            except ReplayStop:
-                pass
-            except SystemExit as exc:
-                if exc.code not in (None, 0):
-                    status = exc.code if isinstance(exc.code, int) else 1
-    finally:
-        sys.argv = old_argv
+    with controller:
+        try:
+            status = run_program(program, argv)
+            controller.finalize()
+        except ReplayStop:
+            pass
     return status
 
 
 def run_replay(program: str, argv: list[str], *,
                until: Optional[float] = None,
                to_finding: Optional[str] = None,
-               snapshot_path: Optional[str] = None,
-               check_config: Optional[Any] = None
+               snapshot_path: Optional[str] = None
                ) -> tuple[Optional[ReplayResult], int]:
     """Run ``program`` under replay; returns (result, program_status).
 
     ``result`` is ``None`` when the program ran to completion without
-    meeting the target. ``--to-finding`` replays need the checker:
-    ``check_config`` (default warn-mode) is installed as the session
-    default exactly as ``repro check`` does, so unmodified programs run
-    checked.
+    meeting the target.
     """
     controller = ReplayController(
         until=until, to_finding=to_finding,
         recipe={"program": program, "argv": list(argv),
                 "until": until, "to_finding": to_finding})
-    status = _execute(controller, program, argv, check_config)
+    status = _execute(controller, program, argv)
     result = controller.result
     if result is None:
         return None, status
-    controller.reset(stop_step=result.step)
+    controller.reset(stop_step=result.step if to_finding else None)
     with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
-        _execute(controller, program, argv, check_config)
+        _execute(controller, program, argv)
     again = controller.result
     # Same world and step (for a finding: the rule re-fired there), the
     # state captured at exactly that step, and equal to the one the first
@@ -203,6 +208,7 @@ def run_replay(program: str, argv: list[str], *,
         and (again.world, again.step) == (result.world, result.step)
         and result.digest in ("", again.digest))
     if result.verified:
+        assert again is not None and controller.snapshot is not None
         result.digest = again.digest
         if snapshot_path:
             result.snapshot_path = save_snapshot(controller.snapshot,

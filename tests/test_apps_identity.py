@@ -378,10 +378,12 @@ def _names(relpath):
 
 
 #: file -> identifiers it must not mention: the second body of a job that
-#: has one (PR 20). Which worlds a block built is the session's list, not
-#: a process-wide registry the checker feeds; a scenario is not recorded;
-#: spans are paired in ``sim/trace.py``; frames are read by
-#: ``FrameDecoder``; nothing numbers wire messages across worlds.
+#: has one. Which worlds a block built is the session's list, not a
+#: process-wide registry the checker feeds; a scenario is not recorded;
+#: one session type checks and stops worlds, and a stopped run is the
+#: kernel's loop; one ``run_program`` runs a script; spans are paired in
+#: ``sim/trace.py``; frames are read by ``FrameDecoder``; nothing numbers
+#: wire messages across worlds.
 SAID_ONCE = {
     "check/session.py": {"_live", "register", "live_checkers",
                          "collect_report"},
@@ -389,6 +391,10 @@ SAID_ONCE = {
                           "collect_report"},
     "check/checker.py": {"session"},
     "scenarios/executor.py": {"recording", "SnapController"},
+    "runtime/world.py": {"default_snap_controller", "_snap", "drive"},
+    "cli.py": {"runpy"},
+    "snap/replay.py": {"runpy"},
+    "check/static_/crossval.py": {"runpy"},
     "obs/chrome.py": {"deque", "open_by_id", "open_fifo"},
     "serve/protocol.py": {"read_frame", "_read_exact"},
     "netsim/message.py": {"itertools", "count", "_seq_counter", "seq"},
@@ -400,8 +406,8 @@ def test_the_layers_around_the_simulator_say_it_once():
 
     for relpath, forbidden in SAID_ONCE.items():
         assert not _names(relpath) & forbidden, relpath
-    assert not os.path.exists(
-        os.path.join(ROOT, "src", "repro", "analysis", "contention.py"))
+    for gone in ("analysis/contention.py", "snap/session.py"):
+        assert not os.path.exists(os.path.join(ROOT, "src", "repro", gone))
     assert sorted(repro.analysis.__all__) == [
         "Capability", "MECHANISM_NAMES", "OPERATIONS", "PATTERNS",
         "UsabilityReport", "render_table", "render_usability",

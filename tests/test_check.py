@@ -3,12 +3,16 @@ program, warn/raise modes behave as documented, reports serialize, and
 the checker is observer-only (simulated timings are byte-identical)."""
 
 import json
+import os
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.check import CheckConfig, CheckWarning, checking
+from repro.check.session import run_program
+from repro.cli import main
 from repro.errors import CheckError, MpiUsageError
 from repro.mpi import ANY_SOURCE, Info
 from repro.mpi.partitioned import precv_init, psend_init
@@ -481,6 +485,44 @@ def test_nested_sessions_report_their_own_worlds():
     assert inner.report().counts() == {"CHK105": 1}
     inner.close()  # "release now": a closed session reports empty
     assert inner.worlds == [] and inner.report().clean
+
+
+def test_a_session_reports_in_its_own_mode(capsys):
+    with checking(CheckConfig(mode="raise", emit_warnings=False)) as raising:
+        pass
+    assert raising.report().mode == "raise"  # not the (absent) innermost's
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "analyze",
+                           "bad_request_race.py")
+    assert main(["check", "--mode", "raise", "--json", fixture]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mode"] == "raise" and "CHK101" in doc["counts"]
+
+
+def test_check_restores_sys_argv(tmp_path):
+    """``repro check`` hands the program its own ``sys.argv`` and puts the
+    caller's back, also when the program raises."""
+    seen = tmp_path / "argv.json"
+    prog = tmp_path / "prog.py"
+    prog.write_text("import json, sys\n"
+                    f"json.dump(sys.argv, open({str(seen)!r}, 'w'))\n"
+                    "if sys.argv[1:] == ['boom']:\n"
+                    "    raise KeyError('boom')\n")
+    before = list(sys.argv)
+    assert main(["check", str(prog), "extra-arg"]) == 0
+    assert sys.argv == before
+    assert json.loads(seen.read_text()) == [str(prog), "extra-arg"]
+    with pytest.raises(KeyError):
+        main(["check", str(prog), "boom"])
+    assert sys.argv == before
+
+
+@pytest.mark.parametrize("code, status", [
+    ("", 0), ("raise SystemExit", 0), ("raise SystemExit(0)", 0),
+    ("raise SystemExit(3)", 3), ("raise SystemExit('bye')", 1)])
+def test_run_program_maps_the_exit_status(tmp_path, code, status):
+    prog = tmp_path / "prog.py"
+    prog.write_text(code + "\n")
+    assert run_program(str(prog), ["a"]) == status
 
 
 # ----------------------------------------------- observer-only invariant

@@ -14,6 +14,7 @@ import pytest
 from repro.bench import MODES, MsgRateConfig, run_msgrate
 from repro.check import CheckConfig, Checker, checking
 from repro.check.hb import TaskClock
+from repro.check.session import Session
 from repro.errors import (
     HintViolationError,
     MpiUsageError,
@@ -28,9 +29,7 @@ from repro.mpi.vci import TAG_UB
 from repro.netsim import ClusterSpec, NetworkConfig
 from repro.runtime import World
 from repro.snap import (
-    SnapController,
     capture_state,
-    recording,
     restore_snapshot,
     state_digest,
     take_snapshot,
@@ -49,11 +48,11 @@ FIG1A_MODES = ("everywhere", "threads-original", "threads-tags",
 
 def msgrate_world(mode: str, cores: int, msgs_per_core: int = 16) -> World:
     """Run one Fig 1(a) point and hand back its finished world."""
-    with recording(SnapController()) as ctrl:
+    with Session() as session:
         run_msgrate(MsgRateConfig(mode=mode, cores=cores, msg_bytes=8,
                                   window=16, msgs_per_core=msgs_per_core),
                     net=NetworkConfig.omnipath())
-    (world,) = ctrl.worlds
+    (world,) = session.worlds
     return world
 
 
@@ -150,12 +149,12 @@ FIG1A_POINTS = {
 
 @pytest.mark.parametrize("mode,cores", sorted(FIG1A_POINTS))
 def test_fig1a_point_is_byte_identical(mode, cores):
-    with recording(SnapController()) as ctrl:
+    with Session() as session:
         result = run_msgrate(MsgRateConfig(mode=mode, cores=cores,
                                            msg_bytes=8, window=16,
                                            msgs_per_core=16),
                              net=NetworkConfig.omnipath())
-    (world,) = ctrl.worlds
+    (world,) = session.worlds
     assert (world.sim.steps, repr(result.span),
             state_digest(capture_state(world))) == FIG1A_POINTS[mode, cores]
 

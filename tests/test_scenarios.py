@@ -248,16 +248,16 @@ class TestExecutor:
 
     def test_scenarios_are_not_recorded(self, monkeypatch):
         """A scenario world runs on ``Simulator.run``: the executor learns
-        which world the driver built from its checking session, not from
-        a snap recorder, and reports what it always reported."""
+        which world the driver built from its checking session, which
+        stops nothing, and reports what it always reported."""
         import hashlib
 
-        from repro.snap import SnapController
+        from repro.check.session import Session
 
-        def drive(*args, **kwargs):
-            raise AssertionError("run_scenario drove a world in slices")
+        def run(*args, **kwargs):
+            raise AssertionError("run_scenario stopped a world")
 
-        monkeypatch.setattr(SnapController, "drive", drive)
+        monkeypatch.setattr(Session, "run", run)
         outcomes = [run_scenario(spec) for spec in sample_scenarios(42, 48)]
         blob = json.dumps(outcomes, sort_keys=True, separators=(",", ":"))
         # benchmarks/stack/golden.json, "full" / "chaos_campaign".

@@ -439,6 +439,23 @@ def test_framing_errors_are_answered_400_then_eof(tmp_path, bad, after, blame):
         assert headers["connection"] == "close" and blame in doc["error"]
 
 
+def test_a_client_still_sending_after_a_framing_400_reads_eof(tmp_path):
+    """The server drops what follows a framing error instead of closing on
+    it: closing on unread bytes resets the connection, and the client's
+    next read raises ``ECONNRESET`` instead of returning EOF."""
+    with _serving(tmp_path) as (api, _call):
+        for _ in range(10):  # a server that resets loses most rounds
+            with socket.create_connection(("127.0.0.1", api.port),
+                                          timeout=10) as s, \
+                    s.makefile("rb") as stream:
+                s.sendall(b"\r\n\r\n")
+                status, headers, _doc = _response(stream)
+                assert (status, headers["connection"]) == (400, "close")
+                s.sendall(_get("/healthz") * 4)
+                time.sleep(0.05)  # for a reset to come back, were there one
+                assert stream.read() == b""
+
+
 def test_bad_documents_are_400_and_keep_the_connection(tmp_path):
     """A well-framed request with a bad body is the application's 400,
     not the framing's: the connection stays."""

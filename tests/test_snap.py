@@ -1,14 +1,17 @@
 """Unit tests for repro.snap: state capture, snapshots, restore,
-sliced sessions, replay, bisect, and resumable sweeps."""
+stopped runs, replay, bisect, and resumable sweeps."""
 
+import contextlib
 import json
 import os
+import re
 import textwrap
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.check.session import Session, current_session
 from repro.cli import main
 from repro.errors import SnapshotFormatError, SnapshotMismatchError
 from repro.faults import parse_plan
@@ -16,16 +19,14 @@ from repro.mpi import vci as vci_mod
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime import World
 from repro.serve import cache_key, expand_job, run_local
+from repro.sim import SimulationError
 from repro.snap import (
-    SnapController,
     capture_state,
-    default_snap_controller,
     diff_states,
     fast_forward,
     first_divergence,
     load_snapshot,
     prune_state,
-    recording,
     restore_snapshot,
     run_replay,
     save_snapshot,
@@ -184,25 +185,36 @@ def test_run_steps_horizon_does_not_clamp_clock():
 
 
 # ------------------------------------------------------------- sessions
+def every(n):
+    """A session stopping its worlds every ``n`` steps; ``.stops`` lists
+    the steps it stopped them at."""
+    session = Session()
+    session.stops = []
+    session.stop_step = n
+
+    def on_stop(world):
+        session.stops.append(world.sim.steps)
+        session.stop_step += n
+
+    session.on_stop = on_stop
+    return session
+
+
 def test_sliced_run_is_byte_identical():
     w_ref = pingpong_world()
     w_ref.run()
     ref = state_digest(capture_state(w_ref))
 
-    boundaries = []
-    ctrl = SnapController(interval=7)
-    ctrl.on_boundary = lambda w: boundaries.append(w.sim.steps)
-    with recording(ctrl):
+    with every(7) as session:
         w = pingpong_world()
         w.run()
     assert state_digest(capture_state(w)) == ref
     assert w.sim.steps == w_ref.sim.steps
-    assert boundaries and all(b % 7 == 0 for b in boundaries)
+    assert session.stops == list(range(7, w.sim.steps + 1, 7))
 
 
 def test_sliced_run_all_returns_task_values():
-    ctrl = SnapController(interval=5)
-    with recording(ctrl):
+    with every(1) as session:
         w = World(num_nodes=2, procs_per_node=1)
 
         def worker(proc):
@@ -211,13 +223,36 @@ def test_sliced_run_all_returns_task_values():
 
         tasks = [p.spawn(worker(p)) for p in w.procs]
         assert w.run_all(tasks) == [0, 10]
+    assert session.stops == list(range(1, w.sim.steps + 1))
 
 
-def test_recording_restores_previous_default():
-    assert default_snap_controller() is None
-    with recording(SnapController()):
-        assert default_snap_controller() is not None
-    assert default_snap_controller() is None
+def test_a_stopped_run_keeps_the_run_contract():
+    """Deadlock, ``max_steps`` and the horizon clamp are the kernel's:
+    a stopped run reports and ends exactly as an unstopped one."""
+    def stuck(proc):
+        yield proc.sim.event()
+
+    outcomes = []
+    for session in (None, every(2)):
+        with session or contextlib.nullcontext():
+            w = pingpong_world()
+            with pytest.raises(SimulationError, match="exceeded max_steps"):
+                w.run(max_steps=5)
+            w.run(until=3e-7)
+            now, steps = w.sim.now, w.sim.steps
+            with pytest.raises(SimulationError, match="deadlock") as err:
+                w.run_all([w.procs[0].spawn(stuck(w.procs[0]))])
+        outcomes.append((now, steps, w.sim.steps, str(err.value)))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 3e-7
+
+
+def test_session_restores_the_outer_one():
+    assert current_session() is None
+    with Session() as outer:
+        with Session() as inner:
+            assert current_session() is inner
+        assert current_session() is outer
+    assert current_session() is None
 
 
 # --------------------------------------------------------------- replay
@@ -274,6 +309,49 @@ def test_replay_to_finding_reproduces_chk102(program):
     assert status == 0 and result is not None
     assert result.reason == "finding" and result.verified
     assert result.finding["rule"] == "CHK102"
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "analyze")
+
+
+def _fixture_rules():
+    """``(fixture, rule)`` for every ``bad_*`` fixture a CHK rule names
+    in its first line — finalize-time rules (CHK103/109/110) included."""
+    rules = []
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.startswith("bad_"):
+            with open(os.path.join(FIXTURES, name), encoding="utf-8") as f:
+                found = re.search(r"CHK\d{3}", f.readline())
+            if found:
+                rules.append((name, found.group()))
+    return rules
+
+
+def test_every_checker_fixture_replays_to_its_finding():
+    rules = _fixture_rules()
+    assert len(rules) == 11
+    for name, rule in rules:
+        result, status = run_replay(os.path.join(FIXTURES, name), [],
+                                    to_finding=rule)
+        assert status == 0 and result is not None, name
+        assert result.verified and result.finding["rule"] == rule, name
+
+
+def test_replay_stops_a_world_built_in_the_programs_own_session(
+        program, tmp_path):
+    """The program's own ``checking()`` block owns its world, and the
+    enclosing replay session still stops it — where it stops the same
+    world built outside any block."""
+    path = tmp_path / "own_session.py"
+    path.write_text(PROGRAM.replace(
+        "world = World(num_nodes=2, procs_per_node=1)",
+        "from repro.check import CheckConfig, checking\n"
+        "with checking(CheckConfig(emit_warnings=False)) as own:\n"
+        "    world = World(num_nodes=2, procs_per_node=1)"))
+    plain, _ = run_replay(program, [], until=3e-6)
+    nested, status = run_replay(str(path), [], until=3e-6)
+    assert status == 0 and nested.verified
+    assert (nested.world, nested.step) == (plain.world, plain.step)
 
 
 def test_replay_needs_exactly_one_target(program):

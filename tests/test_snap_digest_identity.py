@@ -20,6 +20,7 @@ import pytest
 from repro.bench import MsgRateConfig, run_msgrate
 from repro.check import CheckConfig, checking
 from repro.check import checker as check_checker
+from repro.check.session import Session
 from repro.faults import CtxStall, FaultPlan
 from repro.netsim import NetworkConfig
 from repro.netsim.config import NicParams
@@ -30,14 +31,12 @@ from repro.scenarios.apps import get_app
 from repro.scenarios.executor import run_scenario
 from repro.sim import Simulator
 from repro.snap import (
-    SnapController,
     canonical_json,
     capture_state,
     diff_states,
     first_divergence,
     load_snapshot,
     prune_state,
-    recording,
     save_snapshot,
     state_digest,
     take_snapshot,
@@ -95,11 +94,8 @@ def test_all_sampled_scenarios_encode_as_the_reference_does():
     shared = 0
     for spec in sample_scenarios(42, 48):
         with checking(CheckConfig(mode="warn", emit_warnings=False)) as ses:
-            with recording(SnapController()) as ctrl:
-                get_app(spec.app).run(spec)
-            ses.close()
-        world = ctrl.worlds[-1]
-        tree = assert_same_encoding(world)
+            get_app(spec.app).run(spec)
+        tree = assert_same_encoding(ses.worlds[-1])
         shared += shared_records(tree)
         # ... and it is the digest the executor reports for the scenario.
         assert run_scenario(spec)["digest"] == reference_digest(tree)
@@ -108,18 +104,22 @@ def test_all_sampled_scenarios_encode_as_the_reference_does():
 
 # --------------------------------------------- (b) mid-run, Fig 1(a)
 
-class BoundaryTexts(SnapController):
-    """Encodes the world at every boundary: production on the untouched
-    world, or the reference on a world built out at its first boundary."""
+class BoundaryTexts(Session):
+    """Stops the world every ``interval`` steps and encodes it there:
+    production on the untouched world, or the reference on a world built
+    out at its first stop."""
 
     def __init__(self, interval: int, reference: bool):
-        super().__init__(interval)
+        super().__init__()
+        self.stop_step = self.interval = interval
+        self.on_stop = self.encode
         self.reference = reference
         self.texts: list[str] = []
         self.digests: list[str] = []
         self.shared = 0
 
-    def on_boundary(self, world) -> None:
+    def encode(self, world) -> None:
+        self.stop_step += self.interval
         if self.reference:
             build_out_pools(world)
             tree = capture_state(world)
@@ -136,11 +136,11 @@ class BoundaryTexts(SnapController):
 def test_midrun_boundaries_encode_as_the_reference_does(mode):
     runs = []
     for reference in (False, True):
-        with recording(BoundaryTexts(61, reference)) as ctrl:
+        with BoundaryTexts(61, reference) as session:
             run_msgrate(MsgRateConfig(mode=mode, cores=4, msg_bytes=8,
                                       window=8, msgs_per_core=16),
                         net=NetworkConfig.omnipath())
-        runs.append(ctrl)
+        runs.append(session)
     production, reference = runs
     assert len(production.texts) >= 5
     assert production.texts == reference.texts
@@ -187,11 +187,11 @@ def test_failover_onto_a_non_prefix_slot_encodes_as_the_reference_does():
 # ------------------------------------------- (e) trees without identity
 
 def test_round_tripped_and_loaded_trees_encode_identically(tmp_path):
-    with recording(SnapController()) as ctrl:
+    with Session() as session:
         run_msgrate(MsgRateConfig(mode="threads-endpoints", cores=4,
                                   msg_bytes=8, window=8, msgs_per_core=8),
                     net=NetworkConfig.omnipath())
-    (world,) = ctrl.worlds
+    (world,) = session.worlds
     snap = take_snapshot(world)
     assert shared_records(snap.state) > 0
     text = canonical_json(snap.state)
@@ -296,10 +296,8 @@ def fallbacks(tree, path="") -> list[str]:
 def test_no_sampled_world_describes_a_value_by_its_type_alone():
     for spec in sample_scenarios(42, 48):
         with checking(CheckConfig(mode="warn", emit_warnings=False)) as ses:
-            with recording(SnapController()) as ctrl:
-                get_app(spec.app).run(spec)
-            ses.close()
-        assert fallbacks(capture_state(ctrl.worlds[-1])) == []
+            get_app(spec.app).run(spec)
+        assert fallbacks(capture_state(ses.worlds[-1])) == []
 
 
 @pytest.mark.parametrize("mode", FIG1A_MODES)

@@ -14,15 +14,14 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.check.session import Session
 from repro.faults import parse_plan
 from repro.mpi.endpoints import comm_create_endpoints
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime import World
 from repro.snap import (
-    SnapController,
     capture_state,
     load_snapshot,
-    recording,
     restore_snapshot,
     save_snapshot,
     state_digest,
@@ -182,17 +181,34 @@ def test_disk_roundtrip_preserves_identity(spec, frac, tmp_path_factory):
         state_digest(capture_state(ref))
 
 
-@given(spec=workload_specs(), interval=st.integers(1, 64))
+@given(spec=workload_specs(), cuts=st.lists(st.floats(0.0, 1.0), max_size=12))
 @SETTINGS
-def test_sliced_execution_is_invisible(spec, interval):
-    """Driving a world in controller slices of ANY interval produces the
-    same event order, clock and final state as one uninterrupted run."""
+def test_sliced_execution_is_invisible(spec, cuts):
+    """A run stopped by a session at ANY set of steps, and resumed each
+    time, has the same event count, clock and final state as one
+    uninterrupted run."""
     build = make_build(spec)
     ref = build()
     ref.run()
-    with recording(SnapController(interval=interval)):
-        sliced = build()
-        sliced.run()
-    assert sliced.sim.steps == ref.sim.steps
-    assert state_digest(capture_state(sliced)) == \
+    total = ref.sim.steps
+    steps = sorted({max(1, round(total * cut)) for cut in cuts})
+    pending, seen = list(steps), []
+    session = Session()
+    session.stop_step = pending.pop(0) if pending else None
+
+    def on_stop(world):
+        seen.append((world.sim.steps, state_digest(capture_state(world))))
+        session.stop_step = pending.pop(0) if pending else None
+
+    session.on_stop = on_stop
+    with session:
+        stopped = build()
+        stopped.run()
+    assert [step for step, _digest in seen] == steps
+    for step, digest in seen:  # the state it stopped in is that step's
+        cut = build()
+        cut.sim.run_steps(step)
+        assert state_digest(capture_state(cut)) == digest
+    assert stopped.sim.steps == total
+    assert state_digest(capture_state(stopped)) == \
         state_digest(capture_state(ref))
