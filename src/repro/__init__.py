@@ -49,32 +49,65 @@ Quick start::
                    world.procs[1].spawn(rank1(world.procs[1]))])
 """
 
-from .errors import (
-    FaultPlanError,
-    HintViolationError,
-    InvalidHintError,
-    MpiError,
-    MpiUsageError,
-    RmaSemanticsError,
-    TagOverflowError,
-    TopologyError,
-    TransportError,
-    TruncationError,
-)
-from .faults import FaultPlan, TransportParams
-from .mpi import ANY_SOURCE, ANY_TAG, Communicator, Info, Request, Status
-from .mpi.endpoints import Endpoint, comm_create_endpoints
-from .mpi.partitioned import precv_init, psend_init
-from .mpi.rma import win_create
-from .netsim import ClusterSpec, NetworkConfig, register_topology
-from .netsim.traffic import TrafficShape
-from .obs import MetricsRegistry, export_chrome_trace
-from .runtime import MpiProcess, Node, World
-from .scenarios import ScenarioSpec, run_campaign, run_scenario, \
-    sample_scenarios
-from .sim.trace import TraceCategory, Tracer
+from __future__ import annotations
+
+import sys
+from importlib import import_module
+from typing import Any, Callable
 
 __version__ = "1.0.0"
+
+
+def _lazy(package: str, exports: dict[str, tuple[str, ...]]
+          ) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """PEP 562 ``(__getattr__, __dir__)`` for ``package``, whose
+    ``exports`` map a submodule (relative to it) to the names it defines.
+
+    A name's submodule is imported on the name's first access and the
+    value is then bound in the package, so later lookups never come back
+    here. Importing a package therefore costs only what its top-level
+    imports run; ``dir()``, ``from package import *`` and every
+    ``from package import name`` work as if all were imported eagerly.
+    """
+    namespace = sys.modules[package].__dict__
+    source = {name: module for module, names in exports.items()
+              for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = source.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | source.keys())
+
+    return __getattr__, __dir__
+
+
+#: Nothing loads with ``import repro``: a run pays for the layers it uses.
+__getattr__, __dir__ = _lazy(__name__, {
+    ".errors": ("FaultPlanError", "HintViolationError", "InvalidHintError",
+                "MpiError", "MpiUsageError", "RmaSemanticsError",
+                "TagOverflowError", "TopologyError", "TransportError",
+                "TruncationError"),
+    ".faults": ("FaultPlan", "TransportParams"),
+    ".mpi": ("ANY_SOURCE", "ANY_TAG", "Communicator", "Info", "Request",
+             "Status"),
+    ".mpi.endpoints": ("Endpoint", "comm_create_endpoints"),
+    ".mpi.partitioned": ("precv_init", "psend_init"),
+    ".mpi.rma": ("win_create",),
+    ".netsim": ("ClusterSpec", "NetworkConfig", "register_topology"),
+    ".netsim.traffic": ("TrafficShape",),
+    ".obs": ("MetricsRegistry", "export_chrome_trace"),
+    ".runtime": ("MpiProcess", "Node", "World"),
+    ".scenarios": ("ScenarioSpec", "run_campaign", "run_scenario",
+                   "sample_scenarios"),
+    ".sim.trace": ("TraceCategory", "Tracer"),
+})
 
 __all__ = [
     "ANY_SOURCE", "ANY_TAG", "ClusterSpec", "Communicator", "Endpoint",

@@ -28,13 +28,15 @@ mechanism name.
 from __future__ import annotations
 
 import math
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import MpiUsageError
 from ..mapping.tags import TagSchema, listing2_info
 from ..mpi.endpoints import comm_create_endpoints
-from ..mpi.info import Info
-from ..runtime.world import MpiProcess
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..mpi.info import Info
+    from ..runtime.world import MpiProcess
 
 __all__ = ["Channels", "MECHANISMS", "Route", "open_channels"]
 

@@ -15,16 +15,19 @@ convention.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from ..faults.plan import FaultPlan
-from ..faults.transport import TransportParams
-from ..netsim.config import NetworkConfig
 from ..netsim.topology import ClusterSpec
-from ..netsim.traffic import TrafficShape, install_traffic
-from ..obs.metrics import MetricsRegistry
-from ..runtime.world import MpiProcess, World
-from ..sim.trace import Tracer
+from ..runtime.world import World
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..faults.plan import FaultPlan
+    from ..faults.transport import TransportParams
+    from ..netsim.config import NetworkConfig
+    from ..netsim.traffic import TrafficShape
+    from ..obs.metrics import MetricsRegistry
+    from ..runtime.world import MpiProcess
+    from ..sim.trace import Tracer
 
 __all__ = ["run_app"]
 
@@ -69,7 +72,10 @@ def run_app(nodes: int, threads_per_proc: int,
                   seed=seed, metrics=metrics, tracer=tracer,
                   faults=faults, transport=transport)
     tasks = [proc.spawn(proc_main(proc)) for proc in world.procs]
-    background = install_traffic(world, traffic, traffic_seed)
+    background: list[Any] = []
+    if traffic is not None:
+        from ..netsim.traffic import install_traffic
+        background = install_traffic(world, traffic, traffic_seed)
     end_times = world.run_all(tasks + background,
                               max_steps=None)[:len(tasks)]
     return world, end_times

@@ -22,36 +22,21 @@ See ``docs/checking.md`` and ``docs/static-analysis.md`` for the rule
 catalogs and suppression syntax.
 """
 
-from __future__ import annotations
-
-from importlib import import_module
-from typing import Any
-
+from .. import _lazy
 from .checker import CheckConfig, Checker
 from .report import CheckReport, CheckWarning, Violation
 from .rules import ALL_RULES, CHK_EQUIVALENT, DYNAMIC_RULES, LINT_RULES, \
     STATIC_FOR_DYNAMIC, STATIC_RULES, Rule, rule
 from .session import checking
 
-#: The static side's names and the submodule each lives in. A simulation
-#: needs the dynamic side only, so these load on first use (PEP 562):
-#: ``from repro.check import analyze_path`` works as before.
-_ON_FIRST_USE = {
-    "Finding": ".lint", "run_lint": ".lint",
-    "StaticFinding": ".static_", "StaticReport": ".static_",
-    "analyze_path": ".static_", "analyze_paths": ".static_",
-    "analyze_source": ".static_", "to_sarif": ".static_",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module = _ON_FIRST_USE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module, __name__), name)
-    globals()[name] = value
-    return value
-
+#: A simulation needs the dynamic side only, so the static side's names
+#: load on first use: ``from repro.check import analyze_path`` works as
+#: before.
+__getattr__, __dir__ = _lazy(__name__, {
+    ".lint": ("Finding", "run_lint"),
+    ".static_": ("StaticFinding", "StaticReport", "analyze_path",
+                 "analyze_paths", "analyze_source", "to_sarif"),
+})
 
 __all__ = [
     "CheckConfig",

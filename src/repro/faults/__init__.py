@@ -19,10 +19,15 @@ Enable it through the runtime: ``World(faults=FaultPlan(drop=0.05))``, or
 ``docs/faults.md`` for the fault model and determinism guarantees.
 """
 
+from .. import _lazy
 from .injector import Delivery, FaultInjector, payload_checksum
 from .plan import ANY, CtxStall, FaultPlan, LinkWindow, parse_plan, parse_time
-from .report import render_reliability_report
 from .transport import ReliableTransport, TransportParams
+
+#: The reliability report renders after a run, on the profiling tables.
+__getattr__, __dir__ = _lazy(__name__, {
+    ".report": ("render_reliability_report",),
+})
 
 __all__ = [
     "ANY",

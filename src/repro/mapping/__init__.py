@@ -14,29 +14,22 @@ communication parallelism:
 - :mod:`repro.mapping.resources` — Lesson 3's closed-form resource counts.
 """
 
-from .communicators import (
-    STENCIL_2D_5PT,
-    STENCIL_2D_9PT,
-    STENCIL_3D_7PT,
-    STENCIL_3D_27PT,
-    CommMap,
-    CornerOptimizedCommMap,
-    Exchange,
-    MapReport,
-    MirroredCommMap,
-    NaiveCommMap,
-    StencilGeometry,
-    analyze_map,
-)
-from .endpoints import EndpointAddressing
-from .partitioned import FacePlan, PartitionPlan
-from .resources import (
-    communicator_overhead_ratio_3d27,
-    communicators_required_3d27,
-    min_channels_2d9,
-    min_channels_3d27,
-)
+from .. import _lazy
 from .tags import TagSchema, listing2_info, overtaking_only_info
+
+#: The channels and the Fig 1(a) modes use only the tag helpers; the
+#: maps, plans and closed forms load where an experiment asks for them.
+__getattr__, __dir__ = _lazy(__name__, {
+    ".communicators": ("STENCIL_2D_5PT", "STENCIL_2D_9PT", "STENCIL_3D_7PT",
+                       "STENCIL_3D_27PT", "CommMap", "CornerOptimizedCommMap",
+                       "Exchange", "MapReport", "MirroredCommMap",
+                       "NaiveCommMap", "StencilGeometry", "analyze_map"),
+    ".endpoints": ("EndpointAddressing",),
+    ".partitioned": ("FacePlan", "PartitionPlan"),
+    ".resources": ("communicator_overhead_ratio_3d27",
+                   "communicators_required_3d27", "min_channels_2d9",
+                   "min_channels_3d27"),
+})
 
 __all__ = [
     "STENCIL_2D_5PT", "STENCIL_2D_9PT", "STENCIL_3D_7PT", "STENCIL_3D_27PT",

@@ -9,6 +9,7 @@ Implements the three designs the paper compares:
 - partitioned communication (:mod:`repro.mpi.partitioned`).
 """
 
+from .. import _lazy
 from .comm import Communicator, MatchedMessage
 from .datatypes import (
     BYTE,
@@ -23,7 +24,6 @@ from .datatypes import (
 from .info import CommHints, Info, WindowHints, parse_comm_hints, parse_window_hints
 from .library import MpiLibrary
 from .matching import ANY_SOURCE, ANY_TAG, MatchingEngine, PostedRecv
-from .persistent import PersistentRequest, recv_init, send_init
 from .request import Request, Status, testall, testany, waitall, waitany
 from .vci import (
     TAG_BITS,
@@ -35,6 +35,11 @@ from .vci import (
     VciPool,
     mix_hash,
 )
+
+#: Persistent requests load with the first program that asks for one.
+__getattr__, __dir__ = _lazy(__name__, {
+    ".persistent": ("PersistentRequest", "recv_init", "send_init"),
+})
 
 __all__ = [
     "ANY_SOURCE", "ANY_TAG", "BYTE", "COMPLEX", "CommHints", "Communicator",

@@ -27,9 +27,6 @@ import numpy as np
 from ..errors import HintViolationError, MpiUsageError, TagOverflowError
 from ..netsim.message import MessageKind, WireMessage
 from ..sim.core import Event
-from .coll import algorithms as _coll
-from .coll.nonblocking import start_nonblocking_collective
-from .coll.ops import SUM
 from .datatypes import check_buffer
 from .info import CommHints, Info, parse_comm_hints
 from .matching import ANY_SOURCE, ANY_TAG, PostedRecv
@@ -646,18 +643,21 @@ class Communicator:
 
     def Barrier(self) -> Generator[Event, Any, None]:
         """Blocking barrier (dissemination algorithm)."""
+        from .coll import algorithms as _coll
         with self._collective("Barrier"):
             yield from _coll.barrier_dissemination(self)
 
     def Bcast(self, buf: np.ndarray, root: int = 0,
               count: Optional[int] = None) -> Generator[Event, Any, None]:
         """Blocking broadcast from ``root`` (binomial tree)."""
+        from .coll import algorithms as _coll
         with self._collective("Bcast"):
             yield from _coll.bcast_binomial(self, buf, root, count)
 
     def Reduce(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
                op=None, root: int = 0) -> Generator[Event, Any, None]:
         """Blocking reduction to ``root`` (binomial tree)."""
+        from .coll import SUM, algorithms as _coll
         with self._collective("Reduce"):
             yield from _coll.reduce_binomial(self, sendbuf, recvbuf,
                                              op or SUM, root)
@@ -670,6 +670,7 @@ class Communicator:
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                   op=None) -> Generator[Event, Any, None]:
         """Blocking allreduce; ring beyond ALLREDUCE_RING_THRESHOLD."""
+        from .coll import SUM, algorithms as _coll
         with self._collective("Allreduce"):
             nbytes = check_buffer(sendbuf).nbytes
             algorithm = self._coll_algorithms.get("allreduce", "auto")
@@ -687,30 +688,35 @@ class Communicator:
     def Allgather(self, sendbuf: np.ndarray, recvbuf: np.ndarray
                   ) -> Generator[Event, Any, None]:
         """Blocking allgather (ring)."""
+        from .coll import algorithms as _coll
         with self._collective("Allgather"):
             yield from _coll.allgather_ring(self, sendbuf, recvbuf)
 
     def Alltoall(self, sendbuf: np.ndarray, recvbuf: np.ndarray
                  ) -> Generator[Event, Any, None]:
         """Blocking all-to-all (pairwise exchange)."""
+        from .coll import algorithms as _coll
         with self._collective("Alltoall"):
             yield from _coll.alltoall_pairwise(self, sendbuf, recvbuf)
 
     def Gather(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
                root: int = 0) -> Generator[Event, Any, None]:
         """Blocking gather to ``root`` (binomial tree)."""
+        from .coll import algorithms as _coll
         with self._collective("Gather"):
             yield from _coll.gather_binomial(self, sendbuf, recvbuf, root)
 
     def Scatter(self, sendbuf: Optional[np.ndarray], recvbuf: np.ndarray,
                 root: int = 0) -> Generator[Event, Any, None]:
         """Blocking scatter from ``root`` (binomial tree)."""
+        from .coll import algorithms as _coll
         with self._collective("Scatter"):
             yield from _coll.scatter_binomial(self, sendbuf, recvbuf, root)
 
     def Scan(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
              op=None) -> Generator[Event, Any, None]:
         """Blocking inclusive prefix reduction (linear)."""
+        from .coll import SUM, algorithms as _coll
         with self._collective("Scan"):
             yield from _coll.scan_linear(self, sendbuf, recvbuf, op or SUM)
 
@@ -718,6 +724,7 @@ class Communicator:
                              recvbuf: np.ndarray, op=None
                              ) -> Generator[Event, Any, None]:
         """Blocking reduce-then-scatter of equal blocks."""
+        from .coll import SUM, algorithms as _coll
         with self._collective("Reduce_scatter_block"):
             yield from _coll.reduce_scatter_block(self, sendbuf, recvbuf,
                                                   op or SUM)
@@ -726,6 +733,7 @@ class Communicator:
                 counts: Optional[list] = None, root: int = 0
                 ) -> Generator[Event, Any, None]:
         """Blocking variable-count gather to ``root``."""
+        from .coll import algorithms as _coll
         with self._collective("Gatherv"):
             yield from _coll.gatherv_linear(self, sendbuf, recvbuf, counts,
                                             root)
@@ -733,6 +741,7 @@ class Communicator:
     def Allgatherv(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                    counts: list) -> Generator[Event, Any, None]:
         """Blocking variable-count allgather (ring)."""
+        from .coll import algorithms as _coll
         with self._collective("Allgatherv"):
             yield from _coll.allgatherv_ring(self, sendbuf, recvbuf, counts)
 
@@ -741,6 +750,8 @@ class Communicator:
     # ------------------------------------------------------------------
     def Ibarrier(self) -> Generator[Event, Any, Request]:
         """Nonblocking barrier; returns a waitable Request."""
+        from .coll import algorithms as _coll
+        from .coll.nonblocking import start_nonblocking_collective
         req = yield from start_nonblocking_collective(
             self, "Ibarrier", _coll.barrier_dissemination(self))
         return req
@@ -749,6 +760,8 @@ class Communicator:
                count: Optional[int] = None
                ) -> Generator[Event, Any, Request]:
         """Nonblocking broadcast; returns a waitable Request."""
+        from .coll import algorithms as _coll
+        from .coll.nonblocking import start_nonblocking_collective
         req = yield from start_nonblocking_collective(
             self, "Ibcast", _coll.bcast_binomial(self, buf, root, count))
         return req
@@ -756,6 +769,8 @@ class Communicator:
     def Iallreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray,
                    op=None) -> Generator[Event, Any, Request]:
         """Nonblocking allreduce; returns a waitable Request."""
+        from .coll import SUM, algorithms as _coll
+        from .coll.nonblocking import start_nonblocking_collective
         req = yield from start_nonblocking_collective(
             self, "Iallreduce", _coll.allreduce_recursive_doubling(
                 self, sendbuf, recvbuf, op or SUM))

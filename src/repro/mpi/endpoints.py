@@ -17,8 +17,6 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import MpiUsageError
 from ..sim.core import Event
-from .coll.endpoint_coll import endpoint_allreduce
-from .coll.ops import SUM
 from .comm import Communicator
 from .info import Info
 from .vci import EndpointVciMap
@@ -61,6 +59,8 @@ class Endpoint(Communicator):
         """One-step allreduce: the library performs both the intranode and
         the internode portions (Lesson 18) via the hierarchical
         endpoint-aware algorithm."""
+        from .coll import SUM
+        from .coll.endpoint_coll import endpoint_allreduce
         with self._collective("Allreduce"):
             yield from endpoint_allreduce(self, sendbuf, recvbuf, op or SUM)
 

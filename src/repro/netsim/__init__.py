@@ -6,6 +6,7 @@ docs/topology.md for the multi-hop interconnect layer
 (:mod:`repro.netsim.topology`).
 """
 
+from .. import _lazy
 from .config import (
     OMNIPATH_CONTEXTS,
     CpuCosts,
@@ -16,19 +17,16 @@ from .config import (
 from .fabric import Fabric
 from .message import HEADER_BYTES, MessageKind, WireMessage
 from .nic import HardwareContext, Nic
-from .traffic import TRAFFIC_KINDS, TrafficSession, TrafficShape, install_traffic
-from .topology import (
-    ClusterSpec,
-    Link,
-    RoutedFabric,
-    Topology,
-    dragonfly,
-    fat_tree,
-    host_vertex,
-    register_topology,
-    topology_names,
-    torus,
-)
+
+#: Background traffic and the multi-hop interconnect load on first use: a
+#: direct (single-hop) world needs neither.
+__getattr__, __dir__ = _lazy(__name__, {
+    ".traffic": ("TRAFFIC_KINDS", "TrafficSession", "TrafficShape",
+                 "install_traffic"),
+    ".topology": ("ClusterSpec", "Link", "RoutedFabric", "Topology",
+                  "dragonfly", "fat_tree", "host_vertex",
+                  "register_topology", "topology_names", "torus"),
+})
 
 __all__ = [
     "OMNIPATH_CONTEXTS",

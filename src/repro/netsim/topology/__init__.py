@@ -12,15 +12,21 @@ See docs/topology.md for the model. The public surface:
 - :class:`~.routed.RoutedFabric` — the hop-by-hop fabric.
 """
 
-from .generators import dragonfly, fat_tree, torus
-from .graph import Link, Topology, host_vertex
-from .routed import RoutedFabric
+from ... import _lazy
 from .spec import (
     ClusterSpec,
     TopologyBuilder,
     register_topology,
     topology_names,
 )
+
+#: The graph, its generators and the hop-by-hop fabric load with the
+#: first routed cluster; a direct one is priced without them.
+__getattr__, __dir__ = _lazy(__name__, {
+    ".generators": ("dragonfly", "fat_tree", "torus"),
+    ".graph": ("Link", "Topology", "host_vertex"),
+    ".routed": ("RoutedFabric",),
+})
 
 __all__ = [
     "ClusterSpec",

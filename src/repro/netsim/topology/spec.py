@@ -21,12 +21,14 @@ built from bare dimension keywords). The built-ins cover ``direct``, ``fat_tree`
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Optional, Protocol
 
 from ...errors import TopologyError
-from ..config import FabricParams, NetworkConfig
-from .generators import dragonfly, fat_tree, torus
-from .graph import Topology
+from ..config import NetworkConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..config import FabricParams
+    from .graph import Topology
 
 __all__ = ["ClusterSpec", "TopologyBuilder", "register_topology",
            "topology_names"]
@@ -72,18 +74,21 @@ def _build_direct(nodes: int, params: FabricParams,
 def _build_fat_tree(nodes: int, params: FabricParams, k: int = 4,
                     **kwargs: Any) -> Topology:
     """``fat_tree(k)`` — capacity ``k**3/4`` hosts."""
+    from .generators import fat_tree
     return fat_tree(k, **kwargs)
 
 
 def _build_dragonfly(nodes: int, params: FabricParams, a: int = 4,
                      p: int = 2, h: int = 2, **kwargs: Any) -> Topology:
     """``dragonfly(a, p, h)`` — capacity ``(a*h+1)*a*p`` hosts."""
+    from .generators import dragonfly
     return dragonfly(a, p, h, **kwargs)
 
 
 def _build_torus(nodes: int, params: FabricParams,
                  dims: tuple[int, ...] = (4, 4), **kwargs: Any) -> Topology:
     """``torus(dims)`` — capacity ``prod(dims)`` hosts."""
+    from .generators import torus
     return torus(dims, **kwargs)
 
 

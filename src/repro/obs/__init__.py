@@ -27,9 +27,8 @@ Typical use (or just run ``python -m repro profile msgrate``)::
     print(render_report(metrics))
 """
 
+from .. import _lazy
 from ..sim.trace import Category, SpanPairing, TraceCategory, Tracer
-from .chrome import build_chrome_trace, export_chrome_trace
-from .collect import collect_world
 from .metrics import (
     DEPTH_BUCKETS,
     DURATION_BUCKETS,
@@ -39,7 +38,15 @@ from .metrics import (
     MetricsRegistry,
     instrument_lock,
 )
-from .report import render_metrics_report, render_report, render_vci_report
+
+#: Every hot layer records into a registry; the harvest, the reports and
+#: the trace export run after a run, so they load then.
+__getattr__, __dir__ = _lazy(__name__, {
+    ".chrome": ("build_chrome_trace", "export_chrome_trace"),
+    ".collect": ("collect_world",),
+    ".report": ("render_metrics_report", "render_report",
+                "render_vci_report"),
+})
 
 __all__ = [
     "Category",

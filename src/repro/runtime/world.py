@@ -18,28 +18,29 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from ..check.checker import CheckConfig, Checker
 from ..check.report import CheckReport
 from ..check.session import current_session
 from ..errors import MpiUsageError
-from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
-from ..faults.transport import ReliableTransport, TransportParams
 from ..mpi.comm import Communicator
 from ..mpi.library import MpiLibrary
-from ..netsim.config import NetworkConfig
 from ..netsim.fabric import Fabric
-from ..netsim.message import WireMessage
 from ..netsim.nic import Nic
-from ..netsim.topology import ClusterSpec, RoutedFabric
-from ..obs.collect import collect_world
+from ..netsim.topology import ClusterSpec
 from ..obs.metrics import MetricsRegistry
 from ..sim.core import Event, Process, Simulator
 from ..sim.random import RandomStreams
 from ..sim.sync import Gate
 from ..sim.trace import Tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..faults.injector import FaultInjector
+    from ..faults.plan import FaultPlan
+    from ..faults.transport import TransportParams
+    from ..netsim.config import NetworkConfig
+    from ..netsim.message import WireMessage
 
 __all__ = ["Node", "MpiProcess", "World"]
 
@@ -219,6 +220,7 @@ class World:
             self.fabric = Fabric(self.sim, self.cfg.fabric,
                                  metrics=self.metrics, tracer=self.tracer)
         else:
+            from ..netsim.topology.routed import RoutedFabric
             self.fabric = RoutedFabric(self.sim, self.cfg.fabric,
                                        self.topology, metrics=self.metrics,
                                        tracer=self.tracer)
@@ -247,16 +249,17 @@ class World:
         self.traffic = None
         self.injector: Optional[FaultInjector] = None
         self.transport_params: Optional[TransportParams] = None
-        if faults is not None:
-            self.injector = FaultInjector(faults, seed=seed)
-            self.injector.bind(self.metrics, self.tracer)
-            self.fabric.injector = self.injector
-            for node in self.nodes:
-                node.nic.attach_fault_injector(self.injector)
         if faults is not None or transport is not None:
-            self.transport_params = transport or TransportParams()
+            from ..faults import injector as injection, transport as reliable
+            if faults is not None:
+                self.injector = injection.FaultInjector(faults, seed=seed)
+                self.injector.bind(self.metrics, self.tracer)
+                self.fabric.injector = self.injector
+                for node in self.nodes:
+                    node.nic.attach_fault_injector(self.injector)
+            self.transport_params = transport or reliable.TransportParams()
             for proc in self.procs:
-                proc.lib.transport = ReliableTransport(
+                proc.lib.transport = reliable.ReliableTransport(
                     proc.lib, self.transport_params)
         self.sim.add_diagnostic(self._pending_mpi_report)
 
@@ -399,6 +402,7 @@ class World:
         """
         if not self.metrics.enabled:
             return
+        from ..obs.collect import collect_world
         collect_world(self, self.metrics)
 
     def check_report(self) -> CheckReport:

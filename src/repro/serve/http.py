@@ -31,6 +31,7 @@ from typing import Any, Optional
 
 from ..errors import ServeError
 from .orchestrator import Orchestrator
+from .points import preload_job_kinds
 
 __all__ = ["HttpApi", "parse_job_document"]
 
@@ -126,6 +127,7 @@ class HttpApi:
         # and then closes on a framing error resets the connection before
         # the client has read the responses it was owed.
         import yaml  # noqa: F401
+        preload_job_kinds()
         self._server = await asyncio.start_server(
             self._handle, self._host, 0)
         self.port = self._server.sockets[0].getsockname()[1]

@@ -36,7 +36,8 @@ from ..errors import MpiError, ServeError
 from .cache import json_roundtrip
 
 __all__ = ["POINT_KINDS", "JOB_KINDS", "execute_point", "expand_job",
-           "msgrate_point", "scenario_point", "selftest_point"]
+           "msgrate_point", "preload_job_kinds", "scenario_point",
+           "selftest_point"]
 
 
 def msgrate_point(mode: str, cores: int, msgs_per_core: int = 64,
@@ -166,6 +167,23 @@ JOB_KINDS: dict[str, Callable[[dict], tuple[str, list[dict]]]] = {
     "scenarios": _expand_scenarios,
     "selftest": _expand_selftest,
 }
+
+
+def preload_job_kinds() -> None:
+    """Import now what a job of any kind imports on first use: the sweep's
+    config, the scenario layer (campaign sampling and the summary of a
+    finished campaign), numpy's generators, the topology generators a
+    routed spec is validated with, and every app a sampled spec's config
+    comes from. A service calls this at start-up, so no request handler
+    imports (DESIGN §2a)."""
+    import numpy.random  # noqa: F401
+
+    from ..bench import msgrate  # noqa: F401
+    from ..netsim.topology import generators  # noqa: F401
+    from ..scenarios import campaign  # noqa: F401
+    from ..scenarios.apps import APP_REGISTRY
+    for app in APP_REGISTRY.values():
+        app.load()
 
 
 def expand_job(kind: str, spec: dict) -> tuple[str, list[dict]]:

@@ -266,28 +266,34 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
     except ValueError as exc:  # pragma: no cover - non-POSIX hosts
         raise ServeError("spawn_service needs the fork start method"
                          ) from exc
+    # The child also announces on a pipe once the file is written, so the
+    # wait below wakes then instead of at the end of a poll interval.
+    ready, announce = ctx.Pipe(duplex=False)
     proc = ctx.Process(
         target=run_service, args=(state_dir,),
         kwargs={"workers": workers, "oversubscribe": oversubscribe,
                 "heartbeat": heartbeat,
-                "heartbeat_timeout": heartbeat_timeout},
+                "heartbeat_timeout": heartbeat_timeout,
+                "announce": announce.send},
         name="repro-serve", daemon=False)
     proc.start()
+    announce.close()
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        doc: Optional[dict[str, Any]] = None
-        try:
-            with open(discovery, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            doc = None  # not written (or mid-write) yet
-        if doc and doc.get("pid") == proc.pid and doc.get("url"):
-            return ServiceHandle(state_dir=state_dir, url=doc["url"],
-                                 pid=proc.pid, proc=proc)
-        if not proc.is_alive():
-            raise ServeError(
-                f"service process died during startup "
-                f"(exitcode {proc.exitcode})")
-        time.sleep(0.02)
+    with ready:
+        while time.monotonic() < deadline:
+            doc: Optional[dict[str, Any]] = None
+            try:
+                with open(discovery, encoding="utf-8") as fh:
+                    doc = json.load(fh)
+            except (OSError, ValueError):
+                doc = None  # not written (or mid-write) yet
+            if doc and doc.get("pid") == proc.pid and doc.get("url"):
+                return ServiceHandle(state_dir=state_dir, url=doc["url"],
+                                     pid=proc.pid, proc=proc)
+            if not proc.is_alive():
+                raise ServeError(
+                    f"service process died during startup "
+                    f"(exitcode {proc.exitcode})")
+            ready.poll(0.02)
     proc.terminate()
     raise ServeError(f"service did not become ready in {timeout}s")

@@ -10,24 +10,20 @@ first step at which two configurations diverge
 (:func:`first_divergence`).
 """
 
-from .bisect import Divergence, first_divergence
-from .replay import ReplayController, ReplayResult, ReplayStop, run_replay
-from .restore import fast_forward, restore_snapshot
-from .snapshot import (
-    SNAP_VERSION,
-    Snapshot,
-    load_snapshot,
-    save_snapshot,
-    take_snapshot,
-)
-from .state import (
-    STATE_FORMAT_VERSION,
-    capture_state,
-    canonical_json,
-    diff_states,
-    prune_state,
-    state_digest,
-)
+from .. import _lazy
+
+#: A capture needs only :mod:`.state`, and a result store only the two
+#: format versions; replay, restore and bisection load where they run.
+__getattr__, __dir__ = _lazy(__name__, {
+    ".bisect": ("Divergence", "first_divergence"),
+    ".replay": ("ReplayController", "ReplayResult", "ReplayStop",
+                "run_replay"),
+    ".restore": ("fast_forward", "restore_snapshot"),
+    ".snapshot": ("SNAP_VERSION", "Snapshot", "load_snapshot",
+                  "save_snapshot", "take_snapshot"),
+    ".state": ("STATE_FORMAT_VERSION", "capture_state", "canonical_json",
+               "diff_states", "prune_state", "state_digest"),
+})
 
 __all__ = [
     "SNAP_VERSION", "STATE_FORMAT_VERSION",

@@ -1,0 +1,250 @@
+"""Start-up: a run loads only the layers it runs, and nothing else moves.
+
+Every package root resolves its optional names on first use (PEP 562,
+``repro._lazy``) and the optional layers load in the set-up that needs
+them (DESIGN §2a). What that may not change, each checked in fresh
+interpreters because this one has imported everything long ago:
+
+- the lazy namespaces behave like eager ones (``__all__``, ``dir()``,
+  ``from pkg import *``, the error for a name that does not exist);
+- the import fences: ``import repro``, the kernel alone and one Fig 1(a)
+  point load no layer they do not run;
+- the results: a run's state digest, trace and check report are the
+  same bytes whether or not everything was imported first;
+- the hot paths: a warmed-up Fig 1(a) point executes the same number of
+  import statements at 1 and at 64 cores, and a service answers every
+  job kind without importing on its event loop.
+"""
+
+import builtins
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.bench import MsgRateConfig, run_msgrate
+from repro.netsim import NetworkConfig
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Every package whose root resolves names on first use.
+LAZY_PACKAGES = ("repro", "repro.bench", "repro.check", "repro.faults",
+                 "repro.mapping", "repro.mpi", "repro.netsim",
+                 "repro.netsim.topology", "repro.obs", "repro.snap")
+
+FIG1A_MODES = ("everywhere", "threads-original", "threads-tags",
+               "threads-comms", "threads-endpoints")
+
+#: Layers a Fig 1(a) point never runs, checked or not.
+NOT_IN_FIG1A = ("repro.faults", "repro.scenarios", "repro.snap",
+                "repro.mpi.coll", "repro.mpi.rma", "repro.mpi.partitioned",
+                "repro.mpi.persistent", "repro.netsim.topology.generators",
+                "repro.netsim.topology.routed", "repro.obs.chrome",
+                "repro.obs.report", "repro.bench.report",
+                "repro.bench.sweep", "repro.netsim.traffic")
+
+
+def _python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter on this tree; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=300,
+                          cwd=ROOT, env=env)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return proc.stdout.strip()
+
+
+def _loaded_by(code: str) -> set[str]:
+    """The ``repro`` modules ``code`` adds to a fresh interpreter."""
+    return set(json.loads(_python(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        + code +
+        "\nprint(json.dumps(sorted(m for m in set(sys.modules) - before "
+        "if m.partition('.')[0] == 'repro')))\n")))
+
+
+# -- the lazy namespaces ----------------------------------------------------
+CONTRACT = """
+import importlib, json, sys
+name = sys.argv[1]
+pkg = importlib.import_module(name)
+problems = []
+listed = dir(pkg)
+problems += [f"dir() lacks {n}" for n in pkg.__all__ if n not in listed]
+star = {}
+exec(f"from {name} import *", star)
+problems += [f"import * lacks {n}" for n in pkg.__all__ if n not in star]
+for n in pkg.__all__:
+    try:
+        getattr(pkg, n)
+    except AttributeError as exc:
+        problems.append(f"{n}: {exc}")
+try:
+    pkg.no_such_name
+    problems.append("no_such_name resolved")
+except AttributeError as exc:
+    problems.append(str(exc))
+print(json.dumps(problems))
+"""
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_namespace_behaves_like_an_eager_one(package):
+    """A typo in a lazy table fails here, not at a user's first call."""
+    problems = json.loads(_python(CONTRACT, package))
+    assert problems == [
+        f"module {package!r} has no attribute 'no_such_name'"]
+
+
+# -- the import fences ------------------------------------------------------
+def test_import_repro_loads_no_layer():
+    assert _loaded_by("import repro") <= {"repro", "repro.errors"}
+
+
+def test_the_kernel_loads_nothing_outside_it():
+    outside = {m for m in _loaded_by("import repro.sim.core")
+               if m != "repro" and not m.startswith("repro.sim")}
+    assert outside == set()
+
+
+@pytest.mark.parametrize("checked", [False, True],
+                         ids=["unchecked", "checked"])
+def test_a_fig1a_point_loads_no_layer_it_does_not_run(checked):
+    run = "run_msgrate(MsgRateConfig(mode=mode, cores=4, msgs_per_core=4))"
+    if checked:
+        run = f"from repro.check import checking\n    with checking():\n" \
+              f"        {run}"
+    loaded = _loaded_by(
+        "from repro.bench import MsgRateConfig, run_msgrate\n"
+        f"for mode in {FIG1A_MODES!r}:\n"
+        f"    {run}\n")
+    assert "repro.check" in loaded  # World builds its checker in set-up
+    assert sorted(m for m in loaded
+                  if m.startswith(NOT_IN_FIG1A)) == []
+
+
+# -- results do not depend on what was imported first --------------------------
+DETERMINISM = """
+import hashlib, json, sys
+eager, case = sys.argv[1] == "eager", sys.argv[2]
+if eager:
+    import repro
+    from repro import *  # noqa: F403
+from repro.check import CheckConfig, checking
+from repro.check.session import Session
+from repro.sim.trace import Tracer
+
+tracer = Tracer()
+if case == "scenario":
+    from repro.scenarios import sample_scenarios
+    from repro.scenarios.apps import get_app, spec_env
+    spec = next(s for s in sample_scenarios(42, 48)
+                if s.faults is not None and s.topology != "direct")
+    adapter = get_app(spec.app)
+    config = adapter.build(spec)
+    env = spec_env(spec)
+    if "seed" not in config.__dataclass_fields__:
+        env["seed"] = spec.seed
+    with checking(CheckConfig(mode="warn", emit_warnings=False)) as session:
+        adapter.load()[1](config, tracer=tracer, **env)
+else:
+    from repro.bench import MsgRateConfig, run_msgrate
+    block = checking(CheckConfig(emit_warnings=False)) \\
+        if case == "fig1a-checked" else Session()
+    with block as session:
+        run_msgrate(MsgRateConfig(mode="threads-comms", cores=8,
+                                  msgs_per_core=16),
+                    tracer=tracer)
+from repro.snap import capture_state, state_digest
+trace = repr([(r.time, r.category.name, r.payload) for r in tracer.records])
+print(json.dumps({
+    "digest": state_digest(capture_state(session.worlds[-1])),
+    "trace": hashlib.sha256(trace.encode()).hexdigest(),
+    "records": len(tracer.records),
+    "report": session.report().render()}))
+"""
+
+
+@pytest.mark.parametrize("case", ["fig1a", "fig1a-checked", "scenario"])
+def test_results_do_not_depend_on_what_was_imported_first(case):
+    """Registries and anything else filled at import time: the state
+    digest, the traced records and the check report are the same bytes
+    after importing one front end as after ``from repro import *``."""
+    lazy = json.loads(_python(DETERMINISM, "lazy", case))
+    eager = json.loads(_python(DETERMINISM, "eager", case))
+    assert lazy["records"] > 0
+    assert lazy == eager
+
+
+# -- hot paths ------------------------------------------------------------------
+def _imports_during(fn) -> int:
+    """How many import statements ``fn()`` executes."""
+    count = 0
+    original = builtins.__import__
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return original(*args, **kwargs)
+
+    builtins.__import__ = counting
+    try:
+        fn()
+    finally:
+        builtins.__import__ = original
+    return count
+
+
+@pytest.mark.parametrize("mode", FIG1A_MODES)
+def test_a_fig1a_point_imports_nothing_per_message(mode):
+    """Set-up may import once per point; a per-process, per-thread or
+    per-message import would make the 64-core point count more."""
+    def point(cores):
+        return lambda: run_msgrate(
+            MsgRateConfig(mode=mode, cores=cores, msgs_per_core=16),
+            net=NetworkConfig.omnipath())
+    point(2)()  # warm up: every first-use import happens here
+    assert _imports_during(point(1)) == _imports_during(point(64))
+
+
+SERVED = """
+import json, os, sys, tempfile, threading, time
+from repro.serve.client import ServeClient
+from repro.serve.service import run_service
+
+jobs = {"sweep": {"params": {"mode": ["threads-comms"], "cores": [2],
+                             "msgs_per_core": [2]}},
+        "campaign": {"seed": 42, "n": 48},
+        "selftest": {"n": 2}}
+with tempfile.TemporaryDirectory() as state:
+    service = threading.Thread(target=run_service, args=(state,),
+                               kwargs={"workers": 1}, daemon=True)
+    service.start()
+    discovery = os.path.join(state, "serve.json")
+    while not os.path.exists(discovery):
+        time.sleep(0.01)
+    with open(discovery, encoding="utf-8") as fh:
+        url = json.load(fh)["url"]
+    with ServeClient(url) as client:
+        client.healthz()  # the client's own first connection imports
+        before = set(sys.modules)
+        for kind, spec in jobs.items():
+            job_id = client.submit(kind, spec)["job_id"]
+            client.wait(job_id, poll=0.01)
+            client.result(job_id)
+        client.metrics()
+        print(json.dumps(sorted(set(sys.modules) - before)))
+        client.shutdown()
+    service.join(30)
+    assert not service.is_alive()
+"""
+
+
+def test_a_service_imports_nothing_on_its_event_loop():
+    """DESIGN §2a: a first import inside a handler stalls the loop.
+    ``HttpApi.start()`` loads what every job kind needs, so submitting,
+    polling and fetching each kind adds nothing to ``sys.modules``."""
+    assert json.loads(_python(SERVED)) == []

@@ -224,14 +224,14 @@ def test_table_entry_wins_over_the_rule_and_bad_rules_are_typed():
 def test_one_generator_call_per_world(monkeypatch):
     """``ClusterSpec`` builds a graph to validate its parameters and
     ``World`` takes that one; only a second taker pays for another."""
-    import repro.netsim.topology.spec as spec_mod
+    import repro.netsim.topology.generators as generators
     built = []
 
     def counting(*args, **kwargs):
         built.append(fat_tree(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(spec_mod, "fat_tree", counting)
+    monkeypatch.setattr(generators, "fat_tree", counting)
     spec = ClusterSpec(nodes=2, topology="fat_tree", k=4)
     world = World(cluster=spec, seed=1)
     assert len(built) == 1 and world.topology is built[0]
