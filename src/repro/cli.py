@@ -354,15 +354,16 @@ def _cmd_check(args) -> int:
 
 def _cmd_replay(args) -> int:
     """Replay a recorded run to a simulated time or a checker finding."""
-    from .snap.replay import run_replay
+    from .snap.reproduction import replay_target, run_replay
 
-    if (args.until is None) == (args.to_finding is None):
-        print("error: replay needs exactly one of --until / --to-finding",
-              file=sys.stderr)
+    try:
+        replay_target(args.until, args.to_finding)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     result, status = run_replay(
         args.program, list(args.args), until=args.until,
-        to_finding=args.to_finding, snapshot_path=args.snapshot)
+        to_finding=args.to_finding)
     if result is None:
         target = (f"t={args.until}" if args.until is not None
                   else args.to_finding)
@@ -475,9 +476,14 @@ def _cmd_campaign_report(args) -> int:
 
 def _cmd_campaign_replay(args) -> int:
     """Replay a minimal-repro artifact and verify it byte for byte."""
-    from .scenarios import verify_artifact
+    from .errors import ScenarioError
+    from .snap.reproduction import verify_artifact
 
-    verdict = verify_artifact(args.artifact)
+    try:
+        verdict = verify_artifact(args.artifact)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     outcome = verdict["outcome"]
     print(f"replay: {outcome['status']}/{outcome['rule']}")
     if outcome["detail"]:
@@ -753,9 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replay target: first firing of this checker "
                          "rule (e.g. CHK102); enables the checker in "
                          "warn mode")
-    rp.add_argument("--snapshot", metavar="PATH",
-                    help="also write the verified state snapshot at the "
-                         "target to PATH")
     rp.set_defaults(fn=_cmd_replay)
 
     lt = sub.add_parser(

@@ -16,9 +16,6 @@ __all__ = [
     "TrafficConfigError",
     "ScenarioError",
     "CheckError",
-    "SnapshotError",
-    "SnapshotFormatError",
-    "SnapshotMismatchError",
     "TopologyError",
     "ServeError",
     "ProtocolError",
@@ -119,14 +116,6 @@ class CheckError(MpiError):
         self.violation = violation
 
 
-class SnapshotError(MpiError):
-    """Base class for snapshot/restore failures (:mod:`repro.snap`)."""
-
-
-class SnapshotFormatError(SnapshotError):
-    """A snapshot file is unreadable: wrong version, corrupt, truncated."""
-
-
 class TopologyError(MpiError):
     """An interconnect topology is malformed or cannot host the cluster.
 
@@ -135,18 +124,6 @@ class TopologyError(MpiError):
     dragonfly groups), clusters larger than the topology's host capacity,
     and routing-table defects detected while building static routes.
     """
-
-
-class SnapshotMismatchError(SnapshotError):
-    """A restored world's state does not match the snapshot byte-for-byte.
-
-    Carries the first divergent state paths as ``paths`` so the failure
-    names the layer that drifted rather than a bare digest mismatch.
-    """
-
-    def __init__(self, message: str, paths=None):
-        super().__init__(message)
-        self.paths = list(paths or [])
 
 
 class ServeError(MpiError):

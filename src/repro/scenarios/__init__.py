@@ -7,12 +7,14 @@ trippable document; :func:`sample_scenarios` draws thousands of valid
 specs from a weighted space; :func:`run_campaign` executes them under
 the dynamic analyzer with crash-safe checkpoints; and every failure is
 delta-debugged down to a minimal, byte-exactly-replayable YAML artifact
-(:func:`shrink_scenario` / :func:`verify_artifact`).
+(:func:`shrink_scenario`; :func:`verify_artifact` is the scenario view
+of :func:`repro.snap.reproduction.reproduce`).
 
 See ``docs/scenarios.md`` for the workflow and the CLI
 (``python -m repro campaign run|resume|report|replay``).
 """
 
+from ..snap.reproduction import load_artifact, verify_artifact, write_artifact
 from .apps import APP_REGISTRY, AppAdapter, app_names, get_app
 from .campaign import (
     campaign_report,
@@ -23,13 +25,7 @@ from .campaign import (
 )
 from .executor import STATUSES, outcome_signature, run_scenario
 from .sample import sample_one, sample_scenarios
-from .shrink import (
-    ShrinkResult,
-    load_artifact,
-    shrink_scenario,
-    verify_artifact,
-    write_artifact,
-)
+from .shrink import ShrinkResult, shrink_scenario
 from .spec import ScenarioSpec
 
 __all__ = [

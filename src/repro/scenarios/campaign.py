@@ -11,8 +11,8 @@ runs only the missing points, byte-identical to an uninterrupted run.
 
 Every failing scenario is handed to the delta-debugging shrinker; the
 minimal repro is written as a self-contained YAML artifact and then
-*verified* (two replays, byte-identical, fingerprint match) before the
-campaign will vouch for it.
+*verified* (:func:`repro.snap.reproduction.verify_artifact`: reproduced to
+its end, fingerprint match) before the campaign will vouch for it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import os
 from typing import Any, Callable, Optional, Sequence
 
 from ..errors import ScenarioError, ServeError
+from ..snap.reproduction import verify_artifact, write_artifact
 from .sample import SAMPLER_VERSION
-from .shrink import shrink_scenario, verify_artifact, write_artifact
+from .shrink import shrink_scenario
 from .spec import ScenarioSpec
 
 __all__ = ["run_campaign", "campaign_report", "render_report",

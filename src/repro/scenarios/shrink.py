@@ -9,10 +9,8 @@ every run is deterministic, one re-execution per candidate is a sound
 oracle; the state digest of the final minimal run is recorded in the
 artifact so replays can be verified byte-identically.
 
-The artifact (:func:`write_artifact`) is a self-contained YAML document:
-the minimal spec, the expected fingerprint, and the replay command.
-:func:`verify_artifact` re-runs it twice and demands byte-identical
-outcomes that match the fingerprint.
+:mod:`repro.snap.reproduction` owns the artifact, the YAML document a
+:class:`ShrinkResult` is written to, read from and verified as.
 """
 
 from __future__ import annotations
@@ -23,10 +21,7 @@ from ..errors import MpiError, ScenarioError
 from .executor import outcome_signature, run_scenario
 from .spec import ScenarioSpec
 
-__all__ = ["shrink_scenario", "write_artifact", "load_artifact",
-           "verify_artifact", "ShrinkResult"]
-
-ARTIFACT_VERSION = 1
+__all__ = ["shrink_scenario", "ShrinkResult"]
 
 #: Floors below which numeric app params are never shrunk (the smallest
 #: configuration each driver accepts and still exercises communication).
@@ -160,72 +155,3 @@ def shrink_scenario(spec: ScenarioSpec,
         evals += 1
     return ShrinkResult(original=spec, minimal=best, outcome=best_outcome,
                         evals=evals, steps=steps)
-
-
-# -- artifacts -------------------------------------------------------------
-
-def write_artifact(path: str, result: ShrinkResult) -> None:
-    """Write a self-contained minimal-repro YAML document."""
-    doc = {
-        "repro_artifact": ARTIFACT_VERSION,
-        "signature": {"status": result.outcome["status"],
-                      "rule": result.outcome["rule"]},
-        "fingerprint": {"digest": result.outcome["digest"],
-                        "detail": result.outcome["detail"],
-                        "checks": result.outcome["checks"]},
-        "scenario": result.minimal.to_dict(),
-        "shrink": {"evals": result.evals, "steps": result.steps,
-                   "original": result.original.to_dict()},
-        "replay": f"python -m repro campaign replay {path}",
-    }
-    import yaml  # on first use: only a failing campaign writes artifacts
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True, default_flow_style=False)
-
-
-def load_artifact(path: str) -> dict[str, Any]:
-    """Parse and structurally validate an artifact document."""
-    import yaml
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read artifact {path!r}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"unparseable artifact {path!r}: {exc}") from exc
-    if not isinstance(doc, dict) or "scenario" not in doc:
-        raise ScenarioError(f"{path!r} is not a repro artifact")
-    if doc.get("repro_artifact") != ARTIFACT_VERSION:
-        raise ScenarioError(
-            f"artifact version {doc.get('repro_artifact')!r} unsupported "
-            f"(expected {ARTIFACT_VERSION})")
-    return doc
-
-
-def verify_artifact(path: str,
-                    runner: Callable[[ScenarioSpec], dict[str, Any]]
-                    = run_scenario) -> dict[str, Any]:
-    """Replay an artifact twice; both runs must match it byte for byte.
-
-    Returns ``{"ok": bool, "outcome": <first replay>, "problems": [...]}``.
-    ``ok`` requires (1) the two replays to be byte-identical dicts and
-    (2) signature + state digest to equal the artifact's fingerprint.
-    """
-    doc = load_artifact(path)
-    spec = ScenarioSpec.from_dict(doc["scenario"])
-    first = runner(spec)
-    second = runner(spec)
-    problems: list[str] = []
-    if first != second:
-        problems.append("replay is not deterministic: two runs differ")
-    want_sig = (doc["signature"]["status"], doc["signature"]["rule"])
-    if outcome_signature(first) != want_sig:
-        problems.append(
-            f"signature changed: artifact {want_sig}, "
-            f"replay {outcome_signature(first)}")
-    want_digest = doc["fingerprint"].get("digest")
-    if want_digest is not None and first["digest"] != want_digest:
-        problems.append(
-            f"state digest changed: artifact {want_digest[:16]}..., "
-            f"replay {str(first['digest'])[:16]}...")
-    return {"ok": not problems, "outcome": first, "problems": problems}

@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Optional
 
-from ..errors import (
-    FaultPlanError,
-    MpiError,
-    ScenarioError,
-    TopologyError,
-    TrafficConfigError,
-)
+from ..errors import MpiError, ScenarioError, TopologyError
 from ..faults.plan import FaultPlan
 from ..faults.transport import TransportParams
 from ..netsim.topology import ClusterSpec
@@ -71,8 +65,10 @@ class ScenarioSpec:
 
     def __post_init__(self):
         from .apps import get_app  # late: apps imports this module
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ScenarioError(f"seed must be an int, got {self.seed!r}")
+        for which in ("seed", "traffic_seed"):
+            value = getattr(self, which)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ScenarioError(f"{which} must be an int, got {value!r}")
         if self.nodes < 1 or self.threads < 1:
             raise ScenarioError(
                 f"nodes/threads must be positive, got nodes={self.nodes}, "
@@ -152,21 +148,19 @@ class ScenarioSpec:
                 data["transport"] = TransportParams(**data["transport"])
             if data.get("traffic") is not None:
                 data["traffic"] = TrafficShape.from_dict(data["traffic"])
-        except (FaultPlanError, TrafficConfigError, TypeError) as exc:
-            raise ScenarioError(f"bad scenario component: {exc}") from exc
-        # YAML has no tuples: rehydrate list-valued topology params (torus
-        # dims) into the tuples the generators expect.
-        params = dict(data.get("topology_params") or {})
-        for key, value in params.items():
-            if isinstance(value, list):
-                params[key] = tuple(value)
-        data["topology_params"] = params
-        data["app_params"] = dict(data.get("app_params") or {})
-        try:
+            # YAML has no tuples: rehydrate list-valued topology params
+            # (torus dims) into the tuples the generators expect.
+            params = dict(data.get("topology_params") or {})
+            for key, value in params.items():
+                if isinstance(value, list):
+                    params[key] = tuple(value)
+            data["topology_params"] = params
+            data["app_params"] = dict(data.get("app_params") or {})
             return ScenarioSpec(**data)
-        except MpiError:
+        except ScenarioError:
             raise
-        except TypeError as exc:
+        except (MpiError, TypeError, ValueError, KeyError,
+                AttributeError) as exc:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
 
     def to_yaml(self) -> str:

@@ -15,7 +15,7 @@ one call; :func:`run_service` keeps it running behind an HTTP API.
   sweep point, chaos scenario) and deterministic job expansion;
 - :mod:`repro.serve.cache` — the one persistent result store, keyed by
   the canonical (point kind, parameters) JSON under the one version
-  string, which embeds the snapshot format versions;
+  string, which embeds the state-tree format version;
 - :mod:`repro.serve.orchestrator` — the job queue/scheduler: feeds
   points to socket workers or drains them inline, dedupes in-flight
   keys, serves warm cache hits, re-queues on worker death, resumes from

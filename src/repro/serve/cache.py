@@ -10,9 +10,9 @@ key record is verified on load, so even a SHA-256 filename collision (or
 a foreign, truncated or hand-edited file) reads as a miss and is
 recomputed, never as a wrong result.
 
-:data:`SERVE_CACHE_VERSION` embeds the SNAP/STATE format versions, so
-bumping either snapshot format invalidates every stored result at once —
-stale keys simply never match again. A completed point is therefore
+:data:`SERVE_CACHE_VERSION` embeds the state-tree format version, so
+bumping it invalidates every stored result at once — stale keys simply
+never match again. A completed point is therefore
 reused wherever it is asked for again and a stale reuse is impossible by
 construction; there is no separate "resume" mode.
 """
@@ -24,16 +24,15 @@ import json
 import os
 from typing import Any, Optional
 
-from ..snap import SNAP_VERSION, STATE_FORMAT_VERSION
+from ..snap import STATE_FORMAT_VERSION
 
 __all__ = ["SERVE_CACHE_VERSION", "PENDING", "ResultCache", "blob_key",
            "cache_key", "cache_record", "json_roundtrip", "point_blob"]
 
-#: Cache-key version, derived here and nowhere else. ``serve1-memo1`` is
-#: a frozen label (stores written since PR 10 carry it), the rest tracks
-#: the snapshot formats.
-SERVE_CACHE_VERSION = (f"serve1-memo1-snap{SNAP_VERSION}"
-                       f"-state{STATE_FORMAT_VERSION}")
+#: Cache-key version, derived here and nowhere else. ``serve1-memo1-snap2``
+#: is a frozen label (every existing store carries it; the snapshot file
+#: format it once named is gone), the rest tracks the state-tree format.
+SERVE_CACHE_VERSION = f"serve1-memo1-snap2-state{STATE_FORMAT_VERSION}"
 
 #: Sentinel returned by :meth:`ResultCache.load` for a miss.
 PENDING = object()

@@ -1,36 +1,25 @@
-"""Snapshot/restore and deterministic record-replay.
+"""Canonical state capture and verified reproduction.
 
 The robustness primitive behind long deterministic campaigns (see
 docs/snapshot.md): capture the full canonical state of a running
-simulation (:func:`capture_state`), persist it versioned
-(:class:`Snapshot`), prove restores byte-identical
-(:func:`restore_snapshot`), reach a past state of a program's run a
-second time and compare (``python -m repro replay``), and locate the
-first step at which two configurations diverge
-(:func:`first_divergence`).
+simulation (:func:`capture_state`), digest and compare it
+(:func:`state_digest`, :func:`diff_states`), and prove a run reproduces
+by running it a second time to the same stop (:func:`reproduce`; the
+``python -m repro replay`` and ``campaign replay`` verbs are its views).
 """
 
 from .. import _lazy
 
-#: A capture needs only :mod:`.state`, and a result store only the two
-#: format versions; replay, restore and bisection load where they run.
+#: A capture needs only :mod:`.state`; reproduction loads where it runs.
 __getattr__, __dir__ = _lazy(__name__, {
-    ".bisect": ("Divergence", "first_divergence"),
-    ".replay": ("ReplayController", "ReplayResult", "ReplayStop",
-                "run_replay"),
-    ".restore": ("fast_forward", "restore_snapshot"),
-    ".snapshot": ("SNAP_VERSION", "Snapshot", "load_snapshot",
-                  "save_snapshot", "take_snapshot"),
+    ".reproduction": ("Reproduction", "reproduce", "run_replay"),
     ".state": ("STATE_FORMAT_VERSION", "capture_state", "canonical_json",
                "diff_states", "prune_state", "state_digest"),
 })
 
 __all__ = [
-    "SNAP_VERSION", "STATE_FORMAT_VERSION",
-    "Snapshot", "take_snapshot", "save_snapshot", "load_snapshot",
+    "STATE_FORMAT_VERSION",
     "capture_state", "canonical_json", "state_digest", "diff_states",
     "prune_state",
-    "fast_forward", "restore_snapshot",
-    "ReplayController", "ReplayResult", "ReplayStop", "run_replay",
-    "Divergence", "first_divergence",
+    "Reproduction", "reproduce", "run_replay",
 ]

@@ -239,8 +239,8 @@ def engine_state(engine: Any) -> dict[str, Any]:
     holds the production engine to a linear-scan oracle on exactly
     these), so they form the comparable core; implementation-private
     bookkeeping (tombstone counts, wildcard side-index state) goes under
-    ``internals`` where :func:`repro.snap.bisect.first_divergence` can
-    exclude it when comparing different engine implementations.
+    ``internals`` where :func:`prune_state` can drop it when comparing
+    different engine implementations.
     """
     return {
         "max_posted_depth": engine.max_posted_depth,
@@ -537,7 +537,7 @@ def _diff(a: Any, b: Any, path: str, out: list[str], limit: int) -> None:
 def prune_state(state: Any, ignore: Iterable[str],
                 _path: str = "$") -> Any:
     """Copy of a state tree with any path containing an ``ignore``
-    substring removed — the comparison projection used by bisect."""
+    substring removed — a comparison projection."""
     ignore = tuple(ignore)
     if not ignore:
         return state

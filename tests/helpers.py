@@ -9,6 +9,7 @@ from repro.bench import MsgRateConfig, run_msgrate
 from repro.check import CheckConfig, checking
 from repro.netsim import ClusterSpec, NetworkConfig
 from repro.runtime import World
+from repro.snap import capture_state, diff_states, prune_state, state_digest
 
 
 def flat_world(nprocs: int, threads_per_proc: int = 1,
@@ -63,3 +64,18 @@ def run_ranks(world: World, *fns, max_steps=2_000_000):
 def run_same(world: World, fn, max_steps=2_000_000):
     """Run the same generator function on every rank."""
     return run_ranks(world, *([fn] * world.num_procs), max_steps=max_steps)
+
+
+def lockstep(build_a, build_b, ignore=()):
+    """Run two freshly built worlds one kernel step at a time: the first
+    step at which their states, less the paths containing an ``ignore``
+    substring, differ — with the ``diff_states`` paths there — or None
+    when both finish identical."""
+    a, b = build_a(), build_b()
+    while True:
+        state_a, state_b = (prune_state(capture_state(w), ignore)
+                            for w in (a, b))
+        if state_digest(state_a) != state_digest(state_b):
+            return a.sim.steps, diff_states(state_a, state_b)
+        if a.sim.run_steps(1) + b.sim.run_steps(1) == 0:
+            return None

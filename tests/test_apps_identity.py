@@ -381,7 +381,9 @@ def _names(relpath):
 #: has one. Which worlds a block built is the session's list, not a
 #: process-wide registry the checker feeds; a scenario is not recorded;
 #: one session type checks and stops worlds, and a stopped run is the
-#: kernel's loop; one ``run_program`` runs a script; spans are paired in
+#: kernel's loop; one ``run_program`` runs a script; one verifier runs a
+#: recipe twice, next to the one artifact format, and the shrinker only
+#: shrinks; spans are paired in
 #: ``sim/trace.py``; frames are read by ``FrameDecoder``; nothing numbers
 #: wire messages across worlds.
 SAID_ONCE = {
@@ -393,7 +395,9 @@ SAID_ONCE = {
     "scenarios/executor.py": {"recording", "SnapController"},
     "runtime/world.py": {"default_snap_controller", "_snap", "drive"},
     "cli.py": {"runpy"},
-    "snap/replay.py": {"runpy"},
+    "snap/reproduction.py": {"runpy"},
+    "scenarios/shrink.py": {"verify_artifact", "load_artifact",
+                            "write_artifact", "ARTIFACT_VERSION", "yaml"},
     "check/static_/crossval.py": {"runpy"},
     "obs/chrome.py": {"deque", "open_by_id", "open_fifo"},
     "serve/protocol.py": {"read_frame", "_read_exact"},
@@ -406,7 +410,8 @@ def test_the_layers_around_the_simulator_say_it_once():
 
     for relpath, forbidden in SAID_ONCE.items():
         assert not _names(relpath) & forbidden, relpath
-    for gone in ("analysis/contention.py", "snap/session.py"):
+    for gone in ("analysis/contention.py", "snap/session.py",
+                 "snap/restore.py", "snap/bisect.py", "snap/snapshot.py"):
         assert not os.path.exists(os.path.join(ROOT, "src", "repro", gone))
     assert sorted(repro.analysis.__all__) == [
         "Capability", "MECHANISM_NAMES", "OPERATIONS", "PATTERNS",

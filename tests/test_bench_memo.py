@@ -17,7 +17,7 @@ from repro.bench import MsgRateConfig, run_msgrate
 from repro.errors import ServeError
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.serve import SERVE_CACHE_VERSION, Orchestrator, run_local
-from repro.snap import SNAP_VERSION, STATE_FORMAT_VERSION
+from repro.snap import STATE_FORMAT_VERSION
 
 SWEEP = {"params": {"mode": ["everywhere", "threads-tags"], "cores": [2],
                     "msgs_per_core": [8, 16, 24]}}
@@ -30,8 +30,9 @@ def _sweep(state_dir, spec=SWEEP, workers=1):
 
 
 def test_memo_version_tracks_snapshot_formats():
-    assert f"snap{SNAP_VERSION}" in SERVE_CACHE_VERSION
-    assert f"state{STATE_FORMAT_VERSION}" in SERVE_CACHE_VERSION
+    """``serve1-memo1-snap2`` is frozen: every existing store hits."""
+    assert SERVE_CACHE_VERSION == "serve1-memo1-snap2-state2"
+    assert SERVE_CACHE_VERSION.endswith(f"-state{STATE_FORMAT_VERSION}")
 
 
 def test_fig1a_memo_matches_unmemoized_reference(tmp_path):

@@ -28,12 +28,7 @@ from repro.mpi.request import Request
 from repro.mpi.vci import TAG_UB
 from repro.netsim import ClusterSpec, NetworkConfig
 from repro.runtime import World
-from repro.snap import (
-    capture_state,
-    restore_snapshot,
-    state_digest,
-    take_snapshot,
-)
+from repro.snap import capture_state, reproduce, state_digest
 from tests.helpers import (
     build_out_pools,
     flat_world,
@@ -531,11 +526,18 @@ def test_restored_snapshot_continues_the_request_numbering():
     world = _exchange_world()
     world.sim.run_steps(25)
     assert 0 < world.sim._next_rid < 8
-    snap = take_snapshot(world)
-    issued_at_snapshot = world.sim._next_rid
+    issued_at_step = world.sim._next_rid
     world.run()
-    restored = restore_snapshot(snap, _exchange_world)
-    assert restored.sim._next_rid == issued_at_snapshot
+    built = []
+
+    def upto_25():
+        built.append(_exchange_world())
+        built[-1].sim.run_steps(25)
+
+    record, _ = reproduce({}, upto_25)
+    assert record.verified and record.step == 25
+    restored = built[-1]
+    assert restored.sim._next_rid == issued_at_step
     restored.run()
     assert restored.sim._next_rid == world.sim._next_rid == 8
     assert state_digest(capture_state(restored)) \

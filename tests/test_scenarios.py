@@ -18,6 +18,7 @@ from repro.scenarios import (
     ScenarioSpec,
     app_names,
     campaign_report,
+    load_artifact,
     outcome_signature,
     render_report,
     run_campaign,
@@ -27,7 +28,9 @@ from repro.scenarios import (
     verify_artifact,
     write_artifact,
 )
-from repro.scenarios.shrink import load_artifact
+
+FIXTURE_ARTIFACT = os.path.join(os.path.dirname(__file__), "fixtures",
+                                "artifacts", "racer-v1.yaml")
 
 
 def racer_spec(**overrides):
@@ -294,12 +297,22 @@ class TestShrinker:
             traffic=TrafficShape(flows=2, msgs_per_flow=4)))
         path = str(tmp_path / "artifact.yaml")
         write_artifact(path, result)
-        doc = load_artifact(path)
-        assert doc["signature"] == {"status": "finding", "rule": "CHK101"}
-        assert doc["replay"].startswith("python -m repro campaign replay")
+        spec, signature, digest = load_artifact(path)
+        assert spec == result.minimal
+        assert signature == ("finding", "CHK101")
+        with open(path, encoding="utf-8") as fh:
+            assert f"replay: python -m repro campaign replay {path}" \
+                in fh.read()
         verdict = verify_artifact(path)
         assert verdict["ok"], verdict["problems"]
-        assert verdict["outcome"]["digest"] == doc["fingerprint"]["digest"]
+        assert verdict["outcome"]["digest"] == digest
+
+    def test_an_artifact_written_before_the_verifier_still_verifies(self):
+        spec, signature, digest = load_artifact(FIXTURE_ARTIFACT)
+        assert (spec.app, signature) == ("racer", ("finding", "CHK101"))
+        verdict = verify_artifact(FIXTURE_ARTIFACT)
+        assert verdict["ok"], verdict["problems"]
+        assert verdict["outcome"]["digest"] == digest
 
     def test_tampered_artifact_fails_verify(self, tmp_path):
         result = shrink_scenario(racer_spec())
@@ -312,6 +325,30 @@ class TestShrinker:
         with open(path, "w") as fh:
             _yaml.safe_dump(doc, fh)
         assert not verify_artifact(path)["ok"]
+
+    def test_a_scenario_that_builds_no_world_verifies_by_its_outcome(
+            self, tmp_path, monkeypatch):
+        """A scenario that fails before building a World has no state to
+        stop in; two equal outcomes verify it, unequal ones do not."""
+        import yaml
+
+        import repro.scenarios.executor as executor
+        crashed = {"status": "crash", "rule": "ValueError", "detail": "",
+                   "checks": {}, "digest": None, "wall_time": None}
+        runs = [crashed, dict(crashed), crashed, {**crashed, "detail": "x"}]
+        monkeypatch.setattr(executor, "run_scenario",
+                            lambda spec: runs.pop(0))
+        spec, _, _ = load_artifact(FIXTURE_ARTIFACT)
+        path = str(tmp_path / "no-world.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump({
+                "repro_artifact": 1, "scenario": spec.to_dict(),
+                "signature": {"status": "crash", "rule": "ValueError"},
+                "fingerprint": {"digest": None}}, fh)
+        verdict = verify_artifact(path)
+        assert verdict["ok"], verdict["problems"]
+        assert verify_artifact(path)["problems"] == [
+            "replay is not deterministic: two runs differ"]
 
 
 def _racer_campaign(out_dir, **kwargs):
@@ -439,6 +476,21 @@ class TestCrashResume:
         assert resumed["total"] == 6 and resumed["failures"] == 6
 
 
+#: Edits of a real artifact that ``campaign replay`` must refuse cleanly.
+MALFORMED = {
+    "no-signature": lambda doc: doc.pop("signature"),
+    "null-fingerprint": lambda doc: doc.update(fingerprint=None),
+    "app-only-scenario": lambda doc: doc.update(scenario={"app": "racer"}),
+    "negative-nodes": lambda doc: doc["scenario"].update(nodes=-3),
+    "version-2": lambda doc: doc.update(repro_artifact=2),
+    # Found by the fuzz battery below: both once escaped as TypeError.
+    "scalar-topology-params": lambda doc: doc["scenario"].update(
+        topology_params=5),
+    "null-traffic-seed": lambda doc: doc["scenario"].update(
+        traffic={}, traffic_seed=None),
+}
+
+
 class TestCampaignCli:
     def test_run_report_replay(self, tmp_path, capsys):
         from repro.cli import main
@@ -458,6 +510,22 @@ class TestCampaignCli:
         assert main(["campaign", "replay", artifact]) == 0
         assert "verified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("edit", sorted(MALFORMED))
+    def test_replay_refuses_a_malformed_artifact(self, edit, tmp_path,
+                                                 capsys):
+        from repro.cli import main
+        import yaml
+        with open(FIXTURE_ARTIFACT, encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+        MALFORMED[edit](doc)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["campaign", "replay", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        if edit == "version-2":
+            assert "artifact version 2 unsupported" in err
+
     def test_resume_via_cli(self, tmp_path, capsys):
         from repro.cli import main
         out = str(tmp_path / "c")
@@ -465,3 +533,65 @@ class TestCampaignCli:
         capsys.readouterr()
         assert main(["campaign", "resume", out]) == 0
         assert "run: 3" in capsys.readouterr().out
+
+
+# -- the YAML edge: any document yields a verdict or a ScenarioError ----------
+with open(FIXTURE_ARTIFACT, "rb") as _fh:
+    ARTIFACT_BYTES = _fh.read()
+
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+#: Small YAML values: nothing a scenario could take for a large run.
+yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4)
+    | st.floats(-1e3, 1e3) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+
+def _artifact_like():
+    """A real artifact with some top-level and scenario fields replaced
+    by arbitrary values (the scenario's replacements are kept small)."""
+    import yaml
+    good = yaml.safe_load(ARTIFACT_BYTES)
+    return st.tuples(
+        st.dictionaries(st.sampled_from(sorted(good)), yaml_values,
+                        max_size=2),
+        st.dictionaries(st.sampled_from(sorted(good["scenario"])),
+                        yaml_values, max_size=2),
+    ).map(lambda edits: {**good, **edits[0],
+                         "scenario": {**good["scenario"], **edits[1]}}
+          if "scenario" not in edits[0] else {**good, **edits[0]})
+
+
+def _verdict_or_scenario_error(path):
+    try:
+        verdict = verify_artifact(path)
+    except ScenarioError:
+        return
+    assert set(verdict) == {"ok", "outcome", "problems"}
+
+
+class TestArtifactFuzz:
+    @given(doc=yaml_values | _artifact_like())
+    @FUZZ
+    def test_any_yaml_document(self, doc, tmp_path_factory):
+        import yaml
+        path = tmp_path_factory.mktemp("fuzz") / "artifact.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        _verdict_or_scenario_error(str(path))
+
+    @given(edits=st.lists(st.tuples(st.integers(0, len(ARTIFACT_BYTES) - 1),
+                                    st.integers(0, 255)),
+                          min_size=1, max_size=3))
+    @FUZZ
+    def test_byte_mutations_of_a_real_artifact(self, edits,
+                                               tmp_path_factory):
+        data = bytearray(ARTIFACT_BYTES)
+        for pos, byte in edits:
+            data[pos] = byte
+        path = tmp_path_factory.mktemp("fuzz") / "artifact.yaml"
+        path.write_bytes(bytes(data))
+        _verdict_or_scenario_error(str(path))

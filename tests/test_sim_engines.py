@@ -21,7 +21,7 @@ import repro.runtime.world as world_mod
 from repro.bench import MsgRateConfig, run_msgrate
 from repro.sim.core import Simulator
 from repro.snap import capture_state, state_digest
-from repro.snap.bisect import first_divergence
+from tests.helpers import lockstep
 from tests.oracles import HeapSimulator
 from tests.test_golden_tables import parse_fig1a
 from tests.test_snap_property import make_build, workload_specs
@@ -68,13 +68,14 @@ def test_engines_digest_identical_at_any_cut(spec, frac):
     assert _digest(cal) == _digest(heap) == _digest(heap_ref)
 
 
-def test_first_divergence_finds_none_between_engines():
-    """The bisect machinery itself vouches for the engines: no step at
-    which heap and calendar states differ."""
+def test_engines_never_diverge_in_lockstep():
+    """Run one kernel step at a time, heap and calendar states are equal
+    after every step."""
     spec = {"kind": "ring", "seed": 11, "threads": 2, "nmsg": 3,
             "nbytes": 4096, "instruments": True, "faults": True}
     build = make_build(spec)
-    assert first_divergence(on_heap(build), build) is None
+    div = lockstep(on_heap(build), build)
+    assert div is None, div
 
 
 @pytest.mark.parametrize("mode", ["everywhere", "threads-tags",

@@ -1,8 +1,7 @@
-"""Unit tests for repro.snap: state capture, snapshots, restore,
-stopped runs, replay, bisect, and resumable sweeps."""
+"""Unit tests for repro.snap: state capture, stopped runs, verified
+reproduction (replay), lockstep comparison, and resumable sweeps."""
 
 import contextlib
-import json
 import os
 import re
 import textwrap
@@ -13,26 +12,23 @@ import pytest
 
 from repro.check.session import Session, current_session
 from repro.cli import main
-from repro.errors import SnapshotFormatError, SnapshotMismatchError
 from repro.faults import parse_plan
 from repro.mpi import vci as vci_mod
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime import World
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.serve import cache_key, expand_job, run_local
 from repro.sim import SimulationError
 from repro.snap import (
+    canonical_json,
     capture_state,
     diff_states,
-    fast_forward,
-    first_divergence,
-    load_snapshot,
     prune_state,
-    restore_snapshot,
+    reproduce,
     run_replay,
-    save_snapshot,
     state_digest,
-    take_snapshot,
 )
+from tests.helpers import lockstep
 from tests.oracles import LinearMatchingEngine
 
 
@@ -107,74 +103,69 @@ def test_capture_covers_instruments_and_faults():
                for p in state["procs"].values())
 
 
-# ------------------------------------------------------------- snapshot
-def test_snapshot_save_load_roundtrip(tmp_path):
-    w = pingpong_world()
-    w.sim.run_steps(10)
-    snap = take_snapshot(w, recipe={"seed": 0})
-    path = save_snapshot(snap, tmp_path / "s.json")
-    loaded = load_snapshot(path)
-    assert loaded.digest == snap.digest
-    assert loaded.step == snap.step and loaded.clock == snap.clock
-    assert loaded.recipe == {"seed": 0}
-
-
-def test_snapshot_bytes_are_deterministic(tmp_path):
+def test_snapshot_bytes_are_deterministic():
     w1, w2 = pingpong_world(), pingpong_world()
     for w in (w1, w2):
         w.sim.run_steps(10)
-    p1 = save_snapshot(take_snapshot(w1), tmp_path / "a.json")
-    p2 = save_snapshot(take_snapshot(w2), tmp_path / "b.json")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert canonical_json(capture_state(w1)) \
+        == canonical_json(capture_state(w2))
 
 
-def test_snapshot_load_rejects_corruption(tmp_path):
-    w = pingpong_world()
-    w.sim.run_steps(10)
-    path = save_snapshot(take_snapshot(w), tmp_path / "s.json")
-    payload = json.load(open(path))
-    payload["state"]["kernel"]["now"] += 1.0
-    json.dump(payload, open(path, "w"))
-    with pytest.raises(SnapshotFormatError, match="digest"):
-        load_snapshot(path)
-
-
-def test_snapshot_load_rejects_wrong_version(tmp_path):
-    w = pingpong_world()
-    path = save_snapshot(take_snapshot(w), tmp_path / "s.json")
-    payload = json.load(open(path))
-    payload["version"] = 999
-    json.dump(payload, open(path, "w"))
-    with pytest.raises(SnapshotFormatError, match="version"):
-        load_snapshot(path)
-
-
-# -------------------------------------------------------------- restore
+# ------------------------------------------------- verified reproduction
 def test_restore_verifies_byte_identity():
-    w = pingpong_world()
-    w.sim.run_steps(17)
-    snap = take_snapshot(w)
-    w2 = restore_snapshot(snap, pingpong_world)
-    assert w2.sim.steps == 17
-    assert state_digest(capture_state(w2)) == snap.digest
+    """A recipe that runs 17 steps has its end stop there; the verifier's
+    second run reaches the same state."""
+    built = []
+
+    def recipe():
+        built.append(pingpong_world())
+        built[-1].sim.run_steps(17)
+
+    record, _ = reproduce({"seed": 0}, recipe)
+    assert record.verified and record.reason == "end" and not record.paths
+    assert (record.recipe, record.world, record.step) == ({"seed": 0}, 0, 17)
+    assert len(built) == 2 and built[1].sim.steps == 17
+    assert record.digest == state_digest(capture_state(built[1]))
+    assert record.clock == built[1].sim.now
 
 
 def test_restore_detects_wrong_recipe():
-    w = pingpong_world(seed=0)
-    w.sim.run_steps(17)
-    snap = take_snapshot(w)
-    with pytest.raises(SnapshotMismatchError) as err:
-        restore_snapshot(snap, lambda: pingpong_world(seed=1))
-    assert err.value.paths  # names the diverging state paths
+    """A second run that is another recipe (another seed, through the
+    callable) is not verified, and the report names the paths that
+    differ between the two captures."""
+    seeds = iter([0, 1])
+    record, _ = reproduce({}, lambda: pingpong_world(seed=next(seeds)).run())
+    assert record is not None and not record.verified
+    assert any("rng" in path for path in record.paths), record.paths
 
 
-def test_fast_forward_rejects_overshoot():
-    w = pingpong_world()
-    w.sim.run_steps(20)
-    with pytest.raises(SnapshotMismatchError, match="past"):
-        fast_forward(w, 10)
-    with pytest.raises(SnapshotMismatchError, match="ran out of events"):
-        fast_forward(pingpong_world(nmsg=1), 10**6)
+def test_a_perturbed_scenario_recipe_is_not_verified():
+    spec = ScenarioSpec(app="racer", mechanism="default", nodes=2,
+                        threads=1, seed=3)
+    record, outcome = reproduce({"scenario": spec.to_dict()},
+                                lambda: run_scenario(spec))
+    assert record.verified and outcome == run_scenario(spec)
+    # The end stop's digest is the one the executor reports.
+    assert record.digest == outcome["digest"]
+    specs = iter([spec, spec.with_(seed=4)])
+    record, _ = reproduce({"scenario": spec.to_dict()},
+                          lambda: run_scenario(next(specs)))
+    assert not record.verified
+    assert any("rng" in path for path in record.paths), record.paths
+
+
+def test_a_recipe_that_builds_no_world_is_decided_by_its_value():
+    record, value = reproduce({}, lambda: 7)
+    assert (record.verified, record.world, record.step, value) \
+        == (True, -1, 0, 7)
+    values = iter([7, 8])
+    record, _ = reproduce({}, lambda: next(values))
+    assert not record.verified
+
+
+def test_a_reproduction_has_at_most_one_stop():
+    with pytest.raises(ValueError):
+        reproduce({}, pingpong_world, until=1e-6, to_finding="CHK102")
 
 
 def test_run_steps_horizon_does_not_clamp_clock():
@@ -294,14 +285,12 @@ def program(tmp_path):
     return str(path)
 
 
-def test_replay_until_resumes_from_checkpoint(program, tmp_path):
-    snap_path = str(tmp_path / "at_target.json")
-    result, status = run_replay(program, [], until=3e-6,
-                                snapshot_path=snap_path)
+def test_replay_until_resumes_from_checkpoint(program):
+    result, status = run_replay(program, [], until=3e-6)
     assert status == 0 and result is not None
     assert result.reason == "until" and result.verified
-    snap = load_snapshot(snap_path)
-    assert snap.step == result.step and snap.digest == result.digest
+    assert result.recipe == {"program": program, "argv": []}
+    assert len(result.digest) == 64 and not result.paths
 
 
 def test_replay_to_finding_reproduces_chk102(program):
@@ -370,6 +359,28 @@ def test_replay_cli(program, capsys):
                  "CHK101"]) == 2  # both targets
 
 
+BAD_TARGETS = {
+    "nan": (["--until", "nan"], {"until": float("nan")}),
+    "inf": (["--until", "inf"], {"until": float("inf")}),
+    "negative": (["--until", "-1"], {"until": -1.0}),
+    "unknown-rule": (["--to-finding", "chk999"], {"to_finding": "chk999"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TARGETS))
+def test_replay_refuses_a_bad_target_before_running(name, tmp_path, capsys):
+    flags, kwargs = BAD_TARGETS[name]
+    ran = tmp_path / "ran"
+    path = tmp_path / "marks.py"
+    path.write_text(f"open({str(ran)!r}, 'w').close()\n" + PROGRAM)
+    assert main(["replay", str(path), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    with pytest.raises(ValueError):
+        run_replay(str(path), [], **kwargs)
+    assert not ran.exists()
+
+
 def test_replay_to_finding_verified_without_fork(program, monkeypatch):
     monkeypatch.delattr(os, "fork")
     result, _ = run_replay(program, [], to_finding="CHK102")
@@ -391,9 +402,11 @@ def test_replay_rejects_program_that_differs_between_executions(
         world = World(num_nodes=2, procs_per_node=1, seed=runs)""")))
     result, status = run_replay(str(path), [], until=3e-6)
     assert status == 0 and result is not None
-    assert not result.verified and result.snapshot_path is None
+    assert not result.verified
+    assert any("rng" in p for p in result.paths), result.paths
     assert main(["replay", str(path), "--until", "3e-6"]) == 1
-    assert "reproduction verified: False" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "reproduction verified: False" in out and "differs at $.rng" in out
 
 
 def test_replay_target_in_second_world(tmp_path):
@@ -444,29 +457,41 @@ def test_replay_target_in_second_run_call_and_program_prints_once(
         assert world.sim.now < 100e-6
         world.run_all([p0.spawn(send(p0, 100)), p1.spawn(recv(p1, 100))])
         """))
-    snap_path = str(tmp_path / "at_target.json")
-    assert main(["replay", str(path), "--until", "102e-6",
-                 "--snapshot", snap_path]) == 0
+    assert main(["replay", str(path), "--until", "102e-6"]) == 0
     out, err = capsys.readouterr()
     assert "reproduction verified: True" in out
     # The second execution is silent on stdout only.
     assert out.count("phase one ended") == 1
     assert err.count("phase one ended") == 2
     phase_one_steps = int(out.split("phase one ended at step")[1].split()[0])
-    assert load_snapshot(snap_path).step > phase_one_steps
+    result, _ = run_replay(str(path), [], until=102e-6)
+    assert result.verified and result.step > phase_one_steps
 
 
-# --------------------------------------------------------------- bisect
+def test_replay_until_the_horizon_a_run_call_ended_at(tmp_path):
+    """``world.run(until=T)`` moves the clock to ``T`` and the horizon
+    stop fires in the next call, with no event in between: the second
+    run stops there too, not at the last event before ``T``."""
+    path = tmp_path / "run_until.py"
+    path.write_text(PROGRAM.replace(
+        "world.run_all(tasks)", "world.run(until=3e-6)\nworld.run()"))
+    result, status = run_replay(str(path), [], until=3e-6)
+    assert status == 0 and result is not None
+    assert result.verified and not result.paths
+    assert result.clock == 3e-6
+
+
+# ------------------------------------------------- lockstep comparison
 def test_bisect_identical_configs_never_diverge():
-    assert first_divergence(pingpong_world, pingpong_world) is None
+    div = lockstep(pingpong_world, pingpong_world)
+    assert div is None, div
 
 
 def test_bisect_finds_seed_divergence():
-    div = first_divergence(lambda: pingpong_world(seed=0),
-                           lambda: pingpong_world(seed=1), interval=16)
-    assert div is not None and div.step == 0
-    assert any("rng" in p for p in div.paths)
-    assert "divergence" in div.render()
+    div = lockstep(lambda: pingpong_world(seed=0),
+                   lambda: pingpong_world(seed=1))
+    assert div is not None and div[0] == 0
+    assert any("rng" in p for p in div[1]), div
 
 
 def test_bisect_linear_vs_indexed_engines_agree():
@@ -475,28 +500,22 @@ def test_bisect_linear_vs_indexed_engines_agree():
                                LinearMatchingEngine):
             return pingpong_world()
 
-    div = first_divergence(pingpong_world, build_linear, interval=16,
-                           ignore=("engine.internals",))
-    assert div is None  # logical matching state is byte-identical (PR 3)
-    div = first_divergence(pingpong_world, build_linear, interval=16)
-    assert div is not None  # ...but the private internals differ
+    # The logical matching state is byte-identical at every step ...
+    div = lockstep(pingpong_world, build_linear, ignore=("engine.internals",))
+    assert div is None, div
+    # ... but the private internals differ.
+    assert lockstep(pingpong_world, build_linear) is not None
 
 
 def test_bisect_refines_mid_run_divergence():
-    """A divergence that appears mid-run is pinned to its exact step."""
-    def build_fast():
-        return pingpong_world(seed=0)
-
-    def build_slow():
-        w = pingpong_world(seed=0)
-
-        def straggler(proc):
-            yield proc.compute(2e-6)
-        w.procs[0].spawn(straggler(w.procs[0]))
-        return w
-
-    div = first_divergence(build_fast, build_slow, interval=8)
-    assert div is not None and div.step == 0  # extra task visible at start
+    """A ninth message shows only once the eighth is under way: the first
+    step at which the two runs differ lies mid-run, exactly."""
+    step, paths = lockstep(pingpong_world, lambda: pingpong_world(nmsg=9))
+    assert 0 < step < 60 and paths
+    before = [pingpong_world(), pingpong_world(nmsg=9)]
+    for w in before:
+        w.sim.run_steps(step - 1)
+    assert len({state_digest(capture_state(w)) for w in before}) == 1
 
 
 # ----------------------------------------------------- resumable sweeps

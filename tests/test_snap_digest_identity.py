@@ -34,18 +34,16 @@ from repro.snap import (
     canonical_json,
     capture_state,
     diff_states,
-    first_divergence,
-    load_snapshot,
     prune_state,
-    save_snapshot,
+    reproduce,
     state_digest,
-    take_snapshot,
 )
 from repro.snap import state as snap_state
 from tests.helpers import (
     build_out_pools,
     checked_msgrate_world,
     flat_world,
+    lockstep,
     run_ranks,
 )
 from tests.oracles import ShadowedTaskClock
@@ -186,24 +184,23 @@ def test_failover_onto_a_non_prefix_slot_encodes_as_the_reference_does():
 
 # ------------------------------------------- (e) trees without identity
 
-def test_round_tripped_and_loaded_trees_encode_identically(tmp_path):
+def test_round_tripped_and_loaded_trees_encode_identically():
     with Session() as session:
         run_msgrate(MsgRateConfig(mode="threads-endpoints", cores=4,
                                   msg_bytes=8, window=8, msgs_per_core=8),
                     net=NetworkConfig.omnipath())
     (world,) = session.worlds
-    snap = take_snapshot(world)
-    assert shared_records(snap.state) > 0
-    text = canonical_json(snap.state)
-    assert text == reference_json(snap.state)
+    state = capture_state(world)
+    digest = state_digest(state)
+    assert shared_records(state) > 0
+    text = canonical_json(state)
+    assert text == reference_json(state)
 
-    round_tripped = json.loads(text)
-    loaded = load_snapshot(save_snapshot(snap, str(tmp_path / "s.json")))
-    pruned = prune_state(snap.state, ("engine.internals",))
-    for tree in (round_tripped, loaded.state, copy.deepcopy(snap.state)):
+    pruned = prune_state(state, ("engine.internals",))
+    for tree in (json.loads(text), copy.deepcopy(state)):
         assert shared_records(tree) == 0
         assert canonical_json(tree) == text
-        assert state_digest(tree) == snap.digest == reference_digest(tree)
+        assert state_digest(tree) == digest == reference_digest(tree)
     assert canonical_json(pruned) == reference_json(pruned)
     # Not every dict with a "nics" key is a state tree.
     for odd in ({"nics": None}, {"nics": {}}, {"nics": {"0": []}},
@@ -257,9 +254,12 @@ def test_comparison_tools_never_write_to_a_shared_record():
     assert diff_states(tree_a, tree_b)  # the seeds differ
     pruned = prune_state(tree_a, ("injector",))
     assert "injector" not in pruned["nics"]["0"]["contexts"][2]
-    assert first_divergence(build(0), build(0), interval=5) is None
-    assert first_divergence(build(0), build(1), interval=5,
-                            ignore=("contexts",)).step == 0
+    div = lockstep(build(0), build(0))
+    assert div is None, div
+    assert lockstep(build(0), build(1), ignore=("contexts",))[0] == 0
+    seeds = iter([0, 1])
+    record, _ = reproduce({}, lambda: build(next(seeds))().run())
+    assert not record.verified and record.paths
     after = snap_state._PRISTINE
     assert {i: reference_json(v) for i, v in before.items()} \
         == {i: reference_json(after[i]) for i in before}

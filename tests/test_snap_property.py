@@ -1,8 +1,8 @@
-"""Property battery: snapshot -> restore -> run is byte-identical.
+"""Property battery: stop -> reproduce -> resume is byte-identical.
 
-The snapshot subsystem's contract is exact: for ANY workload, seed and
-mechanism, interrupting a run at ANY kernel step, snapshotting,
-restoring (optionally through disk), and running to completion must
+The contract is exact: for ANY workload, seed and mechanism, stopping a
+run at ANY kernel step, reaching that state a second time through the
+verifier (:func:`repro.snap.reproduce`), and running to completion must
 produce a final state byte-identical to the uninterrupted run — final
 metrics, trace digest, message bytes, and the simulated clock compare
 with exact float equality, not tolerances. Hypothesis drives random
@@ -19,14 +19,7 @@ from repro.faults import parse_plan
 from repro.mpi.endpoints import comm_create_endpoints
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime import World
-from repro.snap import (
-    capture_state,
-    load_snapshot,
-    restore_snapshot,
-    save_snapshot,
-    state_digest,
-    take_snapshot,
-)
+from repro.snap import capture_state, reproduce, state_digest
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
@@ -133,52 +126,60 @@ def _final_bytes(state):
 @given(spec=workload_specs(), frac=st.floats(0.0, 1.0))
 @SETTINGS
 def test_snapshot_restore_run_is_byte_identical(spec, frac):
+    """A stop at any cut is verified, its digest is the state
+    ``run_steps(cut)`` reaches, and the verifier's second run, resumed,
+    ends in the uninterrupted run's state."""
     build = make_build(spec)
     ref = build()
     ref.run()
     ref_state = capture_state(ref)
-    ref_digest = state_digest(ref_state)
     total = ref.sim.steps
     assert total > 0
-
     cut = min(total - 1, int(total * frac))
-    interrupted = build()
-    interrupted.sim.run_steps(cut)
-    snap = take_snapshot(interrupted)
-    assert snap.step == cut
-    # restore_snapshot itself verifies byte-identity AT the cut point;
-    # then both halves must finish identically to the uninterrupted run.
-    restored = restore_snapshot(snap, build)
-    interrupted.run()
-    restored.run()
-    state_i = capture_state(interrupted)
-    state_r = capture_state(restored)
-    assert state_digest(state_i) == ref_digest
-    assert state_digest(state_r) == ref_digest
-    # The digest already covers these, but the contract is worth naming:
-    # exact equality of final metrics, trace, message bytes, and clock.
-    assert state_r["metrics"] == ref_state["metrics"]
-    assert state_r["trace"] == ref_state["trace"]
-    assert _final_bytes(state_r) == _final_bytes(ref_state)
-    assert state_r["kernel"]["now"] == ref_state["kernel"]["now"]
+    at_cut = build()
+    at_cut.sim.run_steps(cut)
 
+    def resumes_to_the_reference(world):
+        world.run()
+        state = capture_state(world)
+        assert state_digest(state) == state_digest(ref_state)
+        # The digest already covers these, but the contract is worth
+        # naming: exact final metrics, trace, message bytes, and clock.
+        assert state["metrics"] == ref_state["metrics"]
+        assert state["trace"] == ref_state["trace"]
+        assert _final_bytes(state) == _final_bytes(ref_state)
+        assert state["kernel"]["now"] == ref_state["kernel"]["now"]
 
-@given(spec=workload_specs(), frac=st.floats(0.0, 1.0))
-@SETTINGS
-def test_disk_roundtrip_preserves_identity(spec, frac, tmp_path_factory):
-    build = make_build(spec)
-    ref = build()
-    ref.run()
-    cut = min(ref.sim.steps - 1, int(ref.sim.steps * frac))
+    # An end stop at the cut: a recipe that runs ``cut`` steps.
+    built = []
 
-    w = build()
-    w.sim.run_steps(cut)
-    path = tmp_path_factory.mktemp("snap") / "s.json"
-    save_snapshot(take_snapshot(w), path)
-    restored = restore_snapshot(load_snapshot(path), build)
-    restored.run()
-    assert state_digest(capture_state(restored)) == \
-        state_digest(capture_state(ref))
+    def upto_cut():
+        built.append(build())
+        built[-1].sim.run_steps(cut)
+
+    record, _ = reproduce({}, upto_cut)
+    assert record.verified and (record.world, record.step) == (0, cut)
+    assert record.digest == state_digest(capture_state(at_cut))
+    resumes_to_the_reference(built[-1])
+
+    # A horizon stop at the cut's clock: the whole run, stopped by the
+    # verifier's session after the last event at that time.
+    built.clear()
+
+    def whole_run():
+        built.append(build())
+        built[-1].run()
+
+    record, _ = reproduce({}, whole_run, until=at_cut.sim.now)
+    if record is None:  # no event lies beyond the cut's clock
+        assert ref.sim.now == at_cut.sim.now
+        return
+    assert record.verified and record.world == 0 and record.step >= cut
+    stopped = build()
+    stopped.sim.run_steps(record.step)
+    assert record.digest == state_digest(capture_state(stopped))
+    assert built[-1].sim.steps == record.step
+    resumes_to_the_reference(built[-1])
 
 
 @given(spec=workload_specs(), cuts=st.lists(st.floats(0.0, 1.0), max_size=12))

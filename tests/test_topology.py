@@ -24,14 +24,7 @@ from repro.netsim import (
 )
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime import World
-from repro.snap import (
-    capture_state,
-    load_snapshot,
-    restore_snapshot,
-    save_snapshot,
-    state_digest,
-    take_snapshot,
-)
+from repro.snap import capture_state, reproduce, state_digest
 from tests.oracles import (
     dragonfly_table,
     fat_tree_table,
@@ -386,21 +379,25 @@ def fat_tree_world(seed=0):
     return w
 
 
-def test_fat_tree_snapshot_roundtrip(tmp_path):
-    """Satellite: digest/replay stay exact with a topology enabled."""
+def test_fat_tree_snapshot_roundtrip():
+    """Digest and verified reproduction stay exact with a topology."""
     w = fat_tree_world()
     w.sim.run_steps(100)
-    snap = take_snapshot(w)
-    assert snap.state["topology"] is not None
-    assert snap.state["topology"]["name"] == "fat_tree(k=4)"
-    assert any(l["bytes"] > 0
-               for l in snap.state["topology"]["links"].values())
+    state = capture_state(w)
+    assert state["topology"] is not None
+    assert state["topology"]["name"] == "fat_tree(k=4)"
+    assert any(l["bytes"] > 0 for l in state["topology"]["links"].values())
 
-    path = save_snapshot(snap, tmp_path / "fat.json")
-    loaded = load_snapshot(path)
-    restored = restore_snapshot(loaded, fat_tree_world)
-    assert restored.sim.steps == 100
-    assert state_digest(capture_state(restored)) == snap.digest
+    built = []
+
+    def upto_100():
+        built.append(fat_tree_world())
+        built[-1].sim.run_steps(100)
+
+    record, _ = reproduce({}, upto_100)
+    assert record.verified and record.step == 100
+    assert record.digest == state_digest(state)
+    assert state_digest(capture_state(built[-1])) == record.digest
 
 
 def test_topology_state_distinguishes_link_traffic():
