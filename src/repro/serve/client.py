@@ -12,6 +12,10 @@ from ..errors import ServeError
 
 __all__ = ["ServeClient"]
 
+#: Every request body; built once (``json.dumps`` builds one per call).
+_REQUEST = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=str)
+
 
 class ServeClient:
     """Synchronous client for one service URL, on one kept-alive connection.
@@ -84,8 +88,7 @@ class ServeClient:
                          f"Host: {self._netloc}\r\n"), b""
         if body is not None:
             head += "Content-Type: application/json\r\n"
-            payload = json.dumps(body, sort_keys=True, separators=(",", ":"),
-                                 default=str).encode("utf-8")
+            payload = _REQUEST.encode(body).encode("utf-8")
         message = (f"{head}Content-Length: {len(payload)}\r\n\r\n"
                    .encode("ascii") + payload)
         try:

@@ -43,6 +43,10 @@ _MAX_BODY = 8 * 1024 * 1024
 _DISCARD_BYTES = 64 * 1024
 _DISCARD_SECONDS = 1.0
 
+#: Every response body; built once (``json.dumps`` builds one per call).
+_RESPONSE = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                             default=str)
+
 
 def parse_job_document(body: bytes) -> tuple[str, dict]:
     """Parse a POST /jobs body (JSON or YAML) into ``(kind, spec)``."""
@@ -168,8 +172,7 @@ class HttpApi:
                     keep, broken = False, True
                 keep = keep and not self.shutdown_requested.is_set()
                 self.orchestrator.metrics.inc("serve.http.requests")
-                body = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                                  default=str).encode("utf-8")
+                body = _RESPONSE.encode(doc).encode("utf-8")
                 writer.write(
                     f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
                     f"Content-Type: application/json\r\n"

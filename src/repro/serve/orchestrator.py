@@ -22,6 +22,11 @@ each point in order either way, plus:
   Because expansion is deterministic and results live in the cache, a
   restarted orchestrator rebuilds its entire queue from manifests +
   cache: finished points are served warm, only the rest re-run.
+- **known documents** — a job document has one canonical text
+  (:func:`job_text`), and every text that expanded is kept with its
+  expansion and its points' key records. A job whose text is known —
+  submitted again, or a second manifest of it on resume — is expanded
+  by no one: it costs one store lookup per point.
 
 With socket workers, scheduling runs on one asyncio event loop; workers
 attach over TCP (one connection each) and the per-connection coroutine
@@ -43,7 +48,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..errors import ProtocolError, ServeError
 from ..obs.metrics import MetricsRegistry
@@ -57,10 +62,42 @@ from .protocol import (
     shutdown_frame,
 )
 
-__all__ = ["Job", "PointTask", "Orchestrator", "read_manifest"]
+__all__ = ["Expansion", "Job", "PointTask", "Orchestrator",
+           "job_text", "read_manifest"]
 
 _READ_CHUNK = 65536
-_MANIFEST_NAME = re.compile(r"job-(\d{5})\.json")
+_JOB_ID = re.compile(r"job-([0-9]{5,})")
+# Built once, like the store's: ``json.dumps`` builds an encoder per call.
+_JOB_TEXT = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                             default=str)
+
+
+def job_text(kind: str, spec: Any) -> str:
+    """The canonical text of a job document: the sorted, compact JSON of
+    ``{"kind": kind, "spec": spec}``.
+
+    It is the job's key in the orchestrator's expansion table, what is
+    expanded (as JSON reads it back, so a tuple is a list live and after
+    a resume alike) and, behind the job id, its manifest. Raises
+    :class:`~repro.errors.ServeError` for a document JSON cannot hold
+    (keys of mixed types, a cycle).
+    """
+    try:
+        return _JOB_TEXT.encode({"kind": kind, "spec": spec})
+    except (TypeError, ValueError) as exc:
+        raise ServeError(f"job document is not JSON: {exc}") from exc
+
+
+def _job_number(job_id: str) -> Optional[int]:
+    match = _JOB_ID.fullmatch(job_id)
+    return int(match[1]) if match else None
+
+
+def _job_order(job_id: str) -> tuple[bool, int, str]:
+    """Sort key of job ids: ``job-<n>`` by ``n`` (submit order, so
+    ``job-100000`` follows ``job-99999``), then any other name."""
+    number = _job_number(job_id)
+    return number is None, number or 0, job_id
 
 
 def read_manifest(path: str) -> dict:
@@ -92,7 +129,8 @@ class PointTask:
     point's result — the in-flight dedupe table is exactly the mapping
     from cache key to one of these. ``blob`` is the point's canonical
     key record (:func:`repro.serve.cache.point_blob`), serialised once
-    at registration and reused to save the result.
+    per job document (its :class:`Expansion`) and reused to save the
+    result.
     """
 
     key: str
@@ -106,9 +144,27 @@ class PointTask:
     waiters: list[tuple[str, int]] = field(default_factory=list)
 
 
+class Expansion(NamedTuple):
+    """One job document, expanded: what every job with its text shares.
+
+    ``spec`` is the document's spec as JSON reads it back, ``blobs[i]``
+    the key record of ``points[i]``. Shared, like the store's results:
+    read-only.
+    """
+
+    spec: dict
+    point_kind: str
+    points: list[dict]
+    blobs: list[str]
+
+
 @dataclass
 class Job:
-    """One submitted job: its document, expansion and fill-in results."""
+    """One submitted job: its document, expansion and fill-in results.
+
+    ``spec`` and ``points`` are its :class:`Expansion`'s, shared with
+    every job of the same document: read-only.
+    """
 
     job_id: str
     kind: str
@@ -159,6 +215,10 @@ class Orchestrator:
         self.max_attempts = max_attempts
         self.metrics = MetricsRegistry(clock=time.monotonic)
         self.jobs: dict[str, Job] = {}
+        #: Canonical text (:func:`job_text`) -> expansion, for every job
+        #: document that expanded; it grows with distinct documents, as
+        #: ``jobs`` grows with jobs.
+        self.expansions: dict[str, Expansion] = {}
         self.tasks: dict[str, PointTask] = {}
         self.workers: dict[str, dict[str, Any]] = {}
         self.worker_port: Optional[int] = None
@@ -173,9 +233,8 @@ class Orchestrator:
         self._running = 0  # jobs in status "running"
         self._idle: Optional[asyncio.Event] = None  # see wait_idle
         self._next_id = 1 + max(
-            (int(match[1]) for match in map(
-                _MANIFEST_NAME.fullmatch, os.listdir(self.jobs_dir))
-             if match), default=0)
+            (number for number in map(_job_number, self._manifest_ids())
+             if number is not None), default=0)
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> int:
@@ -220,16 +279,17 @@ class Orchestrator:
         finished, with zero lost and zero duplicated work. A manifest
         that cannot be read or no longer expands (its sampler version
         moved underneath it) becomes a failed job naming the cause and
-        never blocks the others.
+        never blocks the others. Manifests of one document share one
+        expansion (:meth:`_expand`).
         """
-        for name in sorted(os.listdir(self.jobs_dir)):
-            if not (name.startswith("job-") and name.endswith(".json")):
-                continue
-            job_id, kind, spec = name[:-len(".json")], "", {}
+        for job_id in self._manifest_ids():
+            kind: str = ""
+            spec: dict = {}
             try:
-                manifest = read_manifest(os.path.join(self.jobs_dir, name))
+                manifest = read_manifest(
+                    os.path.join(self.jobs_dir, f"{job_id}.json"))
                 kind, spec = manifest["kind"], manifest["spec"]
-                point_kind, points = expand_job(kind, spec)
+                expansion = self._expand(job_text(kind, spec))
             except (OSError, ServeError) as exc:
                 self.jobs[job_id] = Job(
                     job_id=job_id, kind=kind, spec=spec, point_kind="",
@@ -237,42 +297,64 @@ class Orchestrator:
                     error=str(exc), submitted=time.monotonic())
                 self.metrics.inc("serve.job.corrupt")
                 continue
-            self._register_job(job_id, kind, spec, point_kind, points)
+            self._register_job(job_id, kind, expansion)
             self.metrics.inc("serve.job.resumed")
+
+    def _manifest_ids(self) -> list[str]:
+        """Ids of the ``job-*.json`` manifests on disk, in
+        :func:`_job_order`."""
+        return sorted((name[:-len(".json")]
+                       for name in os.listdir(self.jobs_dir)
+                       if name.startswith("job-") and name.endswith(".json")),
+                      key=_job_order)
 
     # -- job intake --------------------------------------------------------
     def submit(self, kind: str, spec: dict) -> str:
         """Validate, persist and enqueue one job; returns its id.
 
         The manifest hits disk *before* any point is queued, so a crash
-        at any later instant leaves a resumable record.
+        at any later instant leaves a resumable record. It is the job's
+        canonical text with the id in front (``job_id`` sorts first).
         """
-        point_kind, points = expand_job(kind, spec)  # raises on bad spec
+        text = job_text(kind, spec)
+        expansion = self._expand(text)  # raises on a bad document
         job_id = f"job-{self._next_id:05d}"
         self._next_id += 1
         path = os.path.join(self.jobs_dir, f"{job_id}.json")
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"job_id": job_id, "kind": kind, "spec": spec},
-                                sort_keys=True, separators=(",", ":"),
-                                default=str))
+            fh.write(f'{{"job_id":"{job_id}",{text[1:]}')
         os.replace(tmp, path)
-        self._register_job(job_id, kind, spec, point_kind, points)
+        self._register_job(job_id, kind, expansion)
         self.metrics.inc("serve.job.submitted")
         return job_id
 
-    def _register_job(self, job_id: str, kind: str, spec: dict,
-                      point_kind: str, points: list[dict]) -> None:
+    def _expand(self, text: str) -> Expansion:
+        """The expansion of the job document whose canonical text is
+        ``text``: remembered if any job had that text, else expanded
+        from the text as JSON reads it back, with its points' key
+        records, and remembered. A document that fails to expand raises
+        :class:`~repro.errors.ServeError` and is not remembered."""
+        expansion = self.expansions.get(text)
+        if expansion is None:
+            doc = json.loads(text)
+            point_kind, points = expand_job(doc["kind"], doc["spec"])
+            expansion = self.expansions[text] = Expansion(
+                doc["spec"], point_kind, points,
+                [point_blob(point_kind, point) for point in points])
+        return expansion
+
+    def _register_job(self, job_id: str, kind: str,
+                      expansion: Expansion) -> None:
+        spec, point_kind, points, blobs = expansion
         job = Job(job_id=job_id, kind=kind, spec=spec,
                   point_kind=point_kind, points=points,
                   results=[PENDING] * len(points),
                   submitted=time.monotonic(), remaining=len(points))
         self.jobs[job_id] = job
         self._running += 1
-        self._trace.setdefault(job_id, [])
         misses = 0
-        for index, point in enumerate(points):
-            blob = point_blob(point_kind, point)
+        for index, blob in enumerate(blobs):
             cached = self.cache.load_blob(blob)
             if cached is not PENDING:
                 job.fill(index, cached)
@@ -282,8 +364,8 @@ class Orchestrator:
             key = blob_key(blob)
             task = self.tasks.get(key)
             if task is None or task.status == "failed":
-                task = PointTask(key=key, kind=point_kind, point=point,
-                                 blob=blob)
+                task = PointTask(key=key, kind=point_kind,
+                                 point=points[index], blob=blob)
                 self.tasks[key] = task
                 self._queue.put_nowait(key)
                 self.metrics.inc("serve.point.queued")
@@ -446,7 +528,7 @@ class Orchestrator:
         for job_id, index in task.waiters:
             job = self.jobs[job_id]
             job.fill(index, result)
-            self._trace[job_id].append(event)
+            self._trace.setdefault(job_id, []).append(event)
             self._maybe_finish(job)
 
     def _fail_task(self, task: PointTask, error: str) -> None:
@@ -490,7 +572,11 @@ class Orchestrator:
 
     def list_jobs(self) -> list[dict[str, Any]]:
         """Status documents for every known job, in submit order."""
-        return [self.job_status(job_id) for job_id in sorted(self.jobs)]
+        return [self.job_status(job_id) for job_id in self.job_ids()]
+
+    def job_ids(self) -> list[str]:
+        """Every known job's id, in submit order (:func:`_job_order`)."""
+        return sorted(self.jobs, key=_job_order)
 
     def job_result(self, job_id: str) -> dict[str, Any]:
         """The completed job's full result document.
@@ -500,6 +586,9 @@ class Orchestrator:
         Campaign jobs additionally carry the same summary document a
         local ``run_campaign`` writes (via
         :func:`~repro.scenarios.campaign.summarize_outcomes`).
+        ``spec`` and ``points`` are shared with every job of the same
+        document, and ``results`` hold the store's shared results: treat
+        the document as read-only.
         """
         job = self._job(job_id)
         if job.status == "failed":

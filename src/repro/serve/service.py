@@ -197,7 +197,7 @@ def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
         orch.drain_inline()
     else:
         asyncio.run(_drain_with_workers(orch, n))
-    return [orch.job_result(job_id) for job_id in sorted(orch.jobs)]
+    return [orch.job_result(job_id) for job_id in orch.job_ids()]
 
 
 @dataclass

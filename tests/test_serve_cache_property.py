@@ -222,24 +222,28 @@ def test_saved_bytes_are_the_bytes_every_build_wrote(tmp_path):
 
 
 def test_jobs_share_results_and_nothing_mutates_them(tmp_path):
-    """Two jobs asking for one point hold the same result object, so
-    nothing downstream may write to it: ``job_result`` and
+    """Two jobs asking for one point hold the same result object, and two
+    jobs of one document the same spec and point list, so nothing
+    downstream may write to them: ``job_result`` and
     ``summarize_outcomes`` (a campaign job's summary) do not."""
     orch = Orchestrator(str(tmp_path / "s"))
     first = orch.submit("campaign", {"seed": 7, "n": 2})
     orch.drain_inline()
     second = orch.submit("campaign", {"seed": 7, "n": 2})
-    a, b = orch.jobs[first].results, orch.jobs[second].results
+    job_a, job_b = orch.jobs[first], orch.jobs[second]
+    a, b = job_a.results, job_b.results
     assert len(a) == 2 and all(x is y for x, y in zip(a, b))
-    before = copy.deepcopy(a)
+    assert job_a.spec is job_b.spec and job_a.points is job_b.points
+    before = copy.deepcopy((a, job_a.spec, job_a.points))
     docs = [orch.job_result(first), orch.job_result(second)]
     assert docs[0]["summary"] == docs[1]["summary"]
     assert docs[0]["summary"]["total"] == 2
-    assert a == before and all(x is y for x, y in zip(a, b))
+    assert (a, job_a.spec, job_a.points) == before
+    assert all(x is y for x, y in zip(a, b))
     # A restarted service reads each file once and shares from then on.
     fresh = Orchestrator(str(tmp_path / "s"))
     fresh.resume_jobs()
-    assert fresh.jobs[first].results == before
+    assert fresh.jobs[first].results == before[0]
     assert all(x is y for x, y in zip(fresh.jobs[first].results,
                                       fresh.jobs[second].results))
 

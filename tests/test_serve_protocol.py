@@ -29,11 +29,15 @@ from collections import deque
 
 import pytest
 
+import repro.serve.cache as cache_mod
+import repro.serve.client as client_mod
+import repro.serve.http as http_mod
+import repro.serve.orchestrator as orch_mod
 from repro.errors import ProtocolError, ServeError
 from repro.serve.cache import PENDING
 from repro.serve.client import ServeClient
 from repro.serve.http import HttpApi
-from repro.serve.orchestrator import Orchestrator
+from repro.serve.orchestrator import Orchestrator, job_text
 from repro.serve.points import JOB_KINDS, execute_point, expand_job
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -48,7 +52,7 @@ from repro.serve.protocol import (
     shutdown_frame,
     write_frame,
 )
-from repro.serve.service import spawn_service
+from repro.serve.service import run_local, spawn_service
 from repro.serve.worker import _frames, spawn_worker, worker_main
 
 FRAMES = [
@@ -248,10 +252,9 @@ def test_completion_counters_agree_with_a_recount(tmp_path, monkeypatch):
 
 def test_second_submit_touches_no_point_file(tmp_path, monkeypatch):
     """A point the store has proved costs a lookup: a resubmitted job
-    opens and stats no point file and serialises each point's key record
-    exactly once; a restarted orchestrator reads each file once, however
-    many of its jobs ask."""
-    import repro.serve.cache as cache_mod
+    opens and stats no point file and serialises no key record (its
+    document's expansion kept them); a restarted orchestrator reads each
+    file once, however many of its jobs ask."""
     state, total = str(tmp_path / "s"), 6
     orch = Orchestrator(state)
     first = orch.submit("selftest", {"n": total})
@@ -274,7 +277,7 @@ def test_second_submit_touches_no_point_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_mod, "_canonical", counted)
     hits = orch.cache.hits
     again = orch.submit("selftest", {"n": total})
-    assert touched == [] and len(canonicalised) == total
+    assert touched == [] and len(canonicalised) == 0
     status = orch.job_status(again)
     assert status["status"] == "done" and status["cache_hits"] == total
     assert orch.cache.hits == hits + total
@@ -286,6 +289,169 @@ def test_second_submit_touches_no_point_file(tmp_path, monkeypatch):
     restarted.resume_jobs()  # two manifests, the same six points
     assert len(touched) == total
     assert restarted.cache.hits == 2 * total and not restarted.active
+
+
+# -- known job documents (tier 1, no sockets) ------------------------------
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that every call is recorded; returns the
+    record (one argument tuple per call)."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _manifests(state):
+    return sorted(os.listdir(os.path.join(state, "jobs")))
+
+
+def _canonical_json(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
+
+
+@pytest.mark.parametrize("again", [{"n": 6, "ms": 0}, {"ms": 0, "n": 6}],
+                         ids=["same-key-order", "other-key-order"])
+def test_a_known_document_is_not_expanded_again(tmp_path, monkeypatch, again):
+    """A resubmitted document, its keys in any order, is one table
+    lookup: nothing expands, no key record is serialised, one manifest is
+    written (the bytes every build wrote), and the result document is the
+    first job's but for its id and hit count."""
+    state = str(tmp_path / "s")
+    orch = Orchestrator(state)
+    first = orch.submit("selftest", {"n": 6, "ms": 0})
+    orch.drain_inline()
+    expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
+    canonicalised = _count_calls(monkeypatch, cache_mod, "_canonical")
+    before = _manifests(state)
+    second = orch.submit("selftest", again)
+    assert expanded == [] and canonicalised == []
+    assert _manifests(state) == before + [f"{second}.json"]
+    with open(os.path.join(state, "jobs", f"{second}.json"),
+              encoding="utf-8") as fh:
+        assert fh.read() == _canonical_json(
+            {"job_id": second, "kind": "selftest", "spec": again})
+    docs = [orch.job_result(job_id) for job_id in (first, second)]
+    assert [doc.pop("cache_hits") for doc in docs] == [0, 6]
+    assert [doc.pop("job_id") for doc in docs] == [first, second]
+    assert _canonical_json(docs[1]) == _canonical_json(docs[0])
+
+
+def test_resume_expands_each_document_once(tmp_path, monkeypatch):
+    """Manifests of one document expand once on resume and share one
+    point list; each point file is still read once."""
+    state = str(tmp_path / "s")
+    orch = Orchestrator(state)
+    ids = [orch.submit("selftest", {"n": 4}) for _ in range(3)]
+    ids.append(orch.submit("selftest", {"n": 6}))
+    orch.drain_inline()
+    expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
+    opened = []
+
+    def spy(path, *args, real=open, **kwargs):
+        if "point-" in os.fspath(path):
+            opened.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(cache_mod, "open", spy, raising=False)
+    restarted = Orchestrator(state)
+    restarted.resume_jobs()
+    assert len(expanded) == len(restarted.expansions) == 2
+    assert len(opened) == len(set(opened)) == 6
+    jobs = [restarted.jobs[job_id] for job_id in ids]
+    assert jobs[0].points is jobs[1].points is jobs[2].points
+    assert all(job.status == "done" and job.cache_hits == job.total
+               for job in jobs)
+    assert [restarted.job_result(job_id)["results"] for job_id in ids] == \
+        [orch.job_result(job_id)["results"] for job_id in ids]
+
+
+def test_a_document_that_fails_to_expand_is_never_remembered(tmp_path,
+                                                             monkeypatch):
+    """A bad document raises on every submit (the HTTP layer's 400),
+    expanding afresh each time; it never enters the table and writes no
+    manifest, nor does one JSON cannot hold."""
+    state = str(tmp_path / "s")
+    orch = Orchestrator(state)
+    expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
+    for attempt in (1, 2):
+        with pytest.raises(ServeError, match="n >= 1"):
+            orch.submit("selftest", {"n": 0})
+        assert len(expanded) == attempt
+    with pytest.raises(ServeError, match="not JSON"):
+        orch.submit("selftest", {"n": 1, 2: "keys of two types"})
+    assert orch.expansions == {} and _manifests(state) == []
+    assert orch.submit("selftest", {"n": 1}) == "job-00001"
+
+
+def test_a_tuple_expands_alike_live_and_resumed(tmp_path):
+    """A live job expands its document as JSON reads it back, as a resume
+    always did: a Python caller's tuple is a list both times."""
+    state = str(tmp_path / "s")
+    spec = {"params": {"mode": ("everywhere", "threads-original"),
+                       "cores": (1,), "msgs_per_core": 4}}
+    live = Orchestrator(state)
+    job_id = live.submit("sweep", spec)
+    resumed = Orchestrator(state)
+    resumed.resume_jobs()
+    assert resumed.jobs[job_id].points == live.jobs[job_id].points == [
+        {"cores": 1, "mode": mode, "msgs_per_core": 4}
+        for mode in ("everywhere", "threads-original")]
+    assert resumed.jobs[job_id].spec == live.jobs[job_id].spec == \
+        json.loads(json.dumps(spec))
+
+
+def test_job_ids_past_99999_neither_collide_nor_misorder(tmp_path):
+    """A state directory that counted past five digits: the next id is
+    one past the largest, no manifest is rewritten, and every listing is
+    in number order."""
+    jobs = tmp_path / "s" / "jobs"
+    jobs.mkdir(parents=True)
+    held = {job_id: _canonical_json({"job_id": job_id, "kind": "selftest",
+                                     "spec": {"n": n}})
+            for job_id, n in (("job-00001", 1), ("job-99999", 2),
+                              ("job-100000", 3))}
+    for job_id, text in held.items():
+        (jobs / f"{job_id}.json").write_text(text)
+    order = ["job-00001", "job-99999", "job-100000"]
+    assert [doc["job_id"] for doc in run_local(str(tmp_path / "s"))] == order
+    orch = Orchestrator(str(tmp_path / "s"))
+    orch.resume_jobs()
+    assert orch.submit("selftest", {"n": 4}) == "job-100001"
+    assert {job_id: (jobs / f"{job_id}.json").read_text()
+            for job_id in held} == held
+    assert orch.jobs["job-100000"].total == 3
+    assert [status["job_id"] for status in orch.list_jobs()] == \
+        order + ["job-100001"]
+
+
+def test_edge_encoders_write_the_bytes_json_dumps_writes():
+    """The encoders built once at the HTTP edge (response and request
+    bodies) and for job documents write what ``json.dumps`` with the
+    same arguments writes, for any JSON document (and, through
+    ``default=str``, a set)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    docs = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                  st.text(), st.frozensets(st.integers(), max_size=3)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+        max_leaves=16)
+
+    @hypothesis.given(docs)
+    def prop(doc):
+        expected = _canonical_json(doc)
+        assert http_mod._RESPONSE.encode(doc) == expected
+        assert client_mod._REQUEST.encode(doc) == expected
+        assert job_text("sweep", doc) == _canonical_json(
+            {"kind": "sweep", "spec": doc})
+
+    prop()
 
 
 # -- HTTP edge (tier 1, in-process server) ---------------------------------
@@ -458,15 +624,20 @@ def test_a_client_still_sending_after_a_framing_400_reads_eof(tmp_path):
 
 def test_bad_documents_are_400_and_keep_the_connection(tmp_path):
     """A well-framed request with a bad body is the application's 400,
-    not the framing's: the connection stays."""
+    not the framing's: the connection stays. A bad document is a 400
+    each time it comes (it is not remembered)."""
     body = b'{"kind": "nope"}'
     bad = (f"POST /jobs HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
            .encode() + body)
     with _serving(tmp_path) as (api, _call):
-        responses = _raw(api, bad + _get("/jobs/job-00001") + _post_job(1))
+        responses = _raw(api, bad + bad + _get("/jobs/job-00001")
+                         + _post_job(1))
         assert [(status, headers["connection"])
                 for status, headers, _doc in responses] == [
-            (400, "keep-alive"), (404, "keep-alive"), (201, "keep-alive")]
+            (400, "keep-alive"), (400, "keep-alive"), (404, "keep-alive"),
+            (201, "keep-alive")]
+        assert api.orchestrator.expansions.keys() == {
+            job_text("selftest", {"n": 1})}
 
 
 def test_connection_reuse_is_visible_in_the_metrics(tmp_path):
