@@ -91,7 +91,7 @@ def scope_matrix() -> dict[tuple[str, str], Capability]:
         "repro.mapping.communicators")
     m[("regular-static", "endpoints")] = Capability(
         True, "proposal", "direct endpoint addressing",
-        "repro.mapping.endpoints")
+        "repro.apps.channels")
     m[("regular-static", "partitioned")] = Capability(
         True, "standard", "partition per face thread (Listing 4)",
         "repro.mapping.partitioned")

@@ -51,17 +51,13 @@ class UsabilityReport:
 
 
 def stencil_usability(geom: StencilGeometry) -> dict[str, UsabilityReport]:
-    """Usability accounting for a halo exchange on ``geom``."""
-    nthreads = 1
-    for n in geom.thread_grid:
-        nthreads *= n
-    # worst-case remote directions for a thread (corner thread)
+    """Usability accounting for a halo exchange on ``geom``; a stencil
+    with diagonals has no ``partitioned`` row (Lesson 15)."""
     dim = geom.dim
-    remote_dirs = len(geom.stencil)
-    # interior process, corner thread: all directions that leave the
-    # process; for one patch per thread that is up to len(stencil)
-    per_thread_msgs = 2 * dim if all(
-        sum(abs(c) for c in d) == 1 for d in geom.stencil) else remote_dirs
+    faces_only = all(sum(abs(c) for c in d) == 1 for d in geom.stencil)
+    # worst case, an interior process's corner thread: every direction
+    # leaves the process (one patch per thread)
+    per_thread_msgs = 2 * dim if faces_only else len(geom.stencil)
 
     mirrored = analyze_map(MirroredCommMap(geom))
     reports = {}
@@ -97,11 +93,9 @@ def stencil_usability(geom: StencilGeometry) -> dict[str, UsabilityReport]:
         needs_mirroring_logic=False,
         new_concepts=1)  # the endpoint itself (Lesson 17's risk)
 
-    # Partitioned (face stencils only).
-    try:
-        plan = PartitionPlan(geom)
+    if faces_only:
         interior = tuple(n // 2 for n in geom.proc_grid)
-        ops = plan.total_operations(interior)
+        ops = PartitionPlan(geom).total_operations(interior)
         reports["partitioned"] = UsabilityReport(
             mechanism="partitioned",
             setup_calls=ops + 1,           # inits + Startall
@@ -111,8 +105,6 @@ def stencil_usability(geom: StencilGeometry) -> dict[str, UsabilityReport]:
             extra_sync_steps=2,            # single{waitall+startall}+barrier
             needs_mirroring_logic=False,
             new_concepts=4)  # init/start/pready/parrived lifecycle
-    except Exception:
-        pass
     return reports
 
 

@@ -31,8 +31,8 @@ from typing import Any, Generator
 import numpy as np
 
 from ...errors import MpiUsageError
-from ...mpi.partitioned import precv_init, psend_init, startall, waitall_partitioned
-from ...mpi.request import waitall
+from ...mpi.partitioned import precv_init, psend_init
+from ...mpi.request import startall, waitall
 from ...runtime.world import MpiProcess
 from ...sim.sync import Barrier, Gate
 from ..harness import run_app
@@ -171,7 +171,7 @@ class _DeviceNode:
                     # restart after the last step — it would leave an
                     # open cycle dangling at finalize)
                     yield proc.compute(p.host_sync)
-                    yield from waitall_partitioned([psend, precv])
+                    yield from waitall([psend, precv])
                     self.recv_sums.append(float(recv_buf[0]))
                     if step + 1 < cfg.timesteps:
                         yield from startall([psend, precv])

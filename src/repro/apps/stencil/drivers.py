@@ -43,10 +43,9 @@ from ...mapping.communicators import (
     NaiveCommMap,
     StencilGeometry,
 )
-from ...mapping.endpoints import EndpointAddressing
 from ...mapping.partitioned import PartitionPlan
-from ...mpi.partitioned import precv_init, psend_init, startall, waitall_partitioned
-from ...mpi.request import waitall
+from ...mpi.partitioned import precv_init, psend_init
+from ...mpi.request import startall, waitall
 from ...runtime.world import MpiProcess
 from ...sim.sync import Barrier
 from ..channels import Route, open_channels
@@ -177,22 +176,12 @@ class StencilProcessRun:
         raise NotImplementedError
 
     # -- shared pieces --------------------------------------------------------
-    def _global(self, t: Coord) -> Coord:
-        """Global thread coordinate of local thread ``t``."""
-        return tuple(pi * ti + ci for pi, ti, ci in
-                     zip(self.p, self.geom.thread_grid, t))
-
-    def _neighbor(self, t: Coord, d: Coord) -> Coord:
-        """Global thread coordinate of ``t``'s neighbour in direction ``d``."""
-        return tuple(a + b for a, b in zip(self._global(t), d))
-
     def shm_neighbors(self, t: Coord) -> Generator:
         """Copy halos from same-process neighbour patches."""
         geom, shape = self.geom, self.cfg.shape
         me = self.patches[t]
-        for d in geom.stencil:
-            g2 = self._neighbor(t, d)
-            if not geom.in_domain(g2) or geom.proc_of(g2) != self.p:
+        for d, g2, remote in geom.neighbors(self.p, t):
+            if remote:
                 continue
             nbr = self.patches[geom.thread_of(g2)]
             send_sl, _ = halo_slices(shape, tuple(-c for c in d))
@@ -200,16 +189,6 @@ class StencilProcessRun:
             strip = nbr.data[send_sl]
             yield self.proc.shm_exchange(strip.nbytes)
             me.data[recv_sl] = strip
-
-    def remote_dirs(self, t: Coord) -> list[Coord]:
-        """Directions in which thread ``t`` has an off-process neighbour."""
-        geom = self.geom
-        out = []
-        for d in geom.stencil:
-            g2 = self._neighbor(t, d)
-            if geom.in_domain(g2) and geom.proc_of(g2) != self.p:
-                out.append(d)
-        return out
 
     def pack(self, t: Coord, d: Coord) -> np.ndarray:
         send_sl, _ = halo_slices(self.cfg.shape, d)
@@ -251,19 +230,15 @@ class P2PRun(StencilProcessRun):
     """Nonblocking point-to-point halo exchange; subclasses say on which
     ``(handle, peer, tag)`` each exchange travels."""
 
-    def __init__(self, proc, pcoord, cfg):
-        super().__init__(proc, pcoord, cfg)
-        self.addr = EndpointAddressing(self.geom)
-
-    def routes(self, t: Coord, d: Coord, g2: Coord) -> tuple[Route, Route]:
-        """``(recv, send)`` routes of thread ``t``'s exchange with its
-        neighbour ``g2`` in direction ``d``: it sends its strip in
-        direction ``d`` and receives the neighbour's, sent in ``-d``."""
+    def routes(self, t: Coord, ex: Exchange) -> tuple[Route, Route]:
+        """``(recv, send)`` routes of thread ``t``'s outgoing exchange
+        ``ex``: it sends its strip along ``ex`` and receives the
+        neighbour's along the mirror exchange ``ex.dst -> ex.src``."""
         raise NotImplementedError
 
     def plan(self, t: Coord) -> list[tuple[Coord, Route, Route]]:
-        return [(d, *self.routes(t, d, self._neighbor(t, d)))
-                for d in self.remote_dirs(t)]
+        return [(ex.direction, *self.routes(t, ex))
+                for ex in self.geom.exchanges_from(self.p, t)]
 
     def exchange(self, t: Coord, plan: list) -> Generator:
         """Post every remote receive and send of the plan, copy the
@@ -295,12 +270,13 @@ class ChannelRun(P2PRun):
             comm_name="tag_par_app_comm")
         self.resources_created = self.channels.resources
 
-    def routes(self, t: Coord, d: Coord, g2: Coord) -> tuple[Route, Route]:
+    def routes(self, t: Coord, ex: Exchange) -> tuple[Route, Route]:
         """Thread-addressed: (rank, linear tid) of both ends + direction."""
         geom = self.geom
         tid = geom.linear_tid(t)
-        nbr = (self.addr.linear_proc(geom.proc_of(g2)),
-               geom.linear_tid(geom.thread_of(g2)))
+        nbr = (geom.rank_of(geom.proc_of(ex.dst)),
+               geom.linear_tid(geom.thread_of(ex.dst)))
+        d = ex.direction
         nd = tuple(-c for c in d)
         return (self.channels.recv(tid, *nbr, self.dir_tags[nd]),
                 self.channels.send(tid, *nbr, self.dir_tags[d]))
@@ -324,17 +300,15 @@ class CommunicatorRun(P2PRun):
                 name=f"stencil{label!r}")
         self.resources_created = len(labels)
 
-    def routes(self, t: Coord, d: Coord, g2: Coord) -> tuple[Route, Route]:
+    def routes(self, t: Coord, ex: Exchange) -> tuple[Route, Route]:
         """Exchange-addressed: the map labels the exchange, the label
         names the communicator, the direction is the tag."""
-        g = self._global(t)
-        nbr_rank = self.addr.linear_proc(self.geom.proc_of(g2))
-        nd = tuple(-c for c in d)
-        # recv: the neighbour's message is the exchange g2 -> g
-        return ((self.handles[self.cmap.label(Exchange(g2, g))],
-                 nbr_rank, self.dir_tags[nd]),
-                (self.handles[self.cmap.label(Exchange(g, g2))],
-                 nbr_rank, self.dir_tags[d]))
+        nbr_rank = self.geom.rank_of(self.geom.proc_of(ex.dst))
+        mirror = Exchange(ex.dst, ex.src)  # the neighbour's message to us
+        return ((self.handles[self.cmap.label(mirror)], nbr_rank,
+                 self.dir_tags[mirror.direction]),
+                (self.handles[self.cmap.label(ex)], nbr_rank,
+                 self.dir_tags[ex.direction]))
 
 
 class PartitionedRun(StencilProcessRun):
@@ -352,12 +326,11 @@ class PartitionedRun(StencilProcessRun):
 
     def setup(self) -> Generator:
         """Initialize partitioned send/recv channels for every face once."""
-        addr = EndpointAddressing(self.geom)
         comm = self.proc.comm_world
         all_reqs = []
         for f in self.partitions.faces(self.p):
             count = self.recv_shape_len(f.direction)
-            nbr_rank = addr.linear_proc(f.neighbor_proc)
+            nbr_rank = self.geom.rank_of(f.neighbor_proc)
             nd = tuple(-c for c in f.direction)
             send_buf = np.zeros(f.partitions * count)
             recv_buf = np.zeros(f.partitions * count)
@@ -403,7 +376,7 @@ class PartitionedRun(StencilProcessRun):
         if self.geom.linear_tid(t) == 0:
             reqs = [op[k] for op in self.ops.values()
                     for k in ("psend", "precv")]
-            yield from waitall_partitioned(reqs)
+            yield from waitall(reqs)
             self._cycles_left -= 1
             if self._cycles_left > 0:
                 yield from startall(reqs)

@@ -34,13 +34,13 @@ __all__ = ["Patch", "halo_slices", "jacobi", "KERNELS",
 Shape = tuple[int, ...]
 
 #: Stable small integer per 2D direction, used as the application tag bits.
-DIR_TAGS = {
+DIR_TAGS: dict[Coord, int] = {
     (0, 1): 0, (0, -1): 1, (1, 0): 2, (-1, 0): 3,
     (1, 1): 4, (-1, -1): 5, (1, -1): 6, (-1, 1): 7,
 }
 
 #: Stable small integer per 3D direction (26 neighbours).
-DIR_TAGS_3D = {
+DIR_TAGS_3D: dict[Coord, int] = {
     d: i for i, d in enumerate(sorted(
         d for d in itertools.product((-1, 0, 1), repeat=3)
         if any(c != 0 for c in d)))
@@ -117,9 +117,8 @@ def _origin(geom: StencilGeometry, p: Coord, t: Coord,
             shape: Shape) -> Shape:
     """Global array-order index of the first interior cell of patch
     ``t`` of process ``p``."""
-    return tuple((pi * ti + ci) * n for pi, ti, ci, n in
-                 zip(reversed(p), reversed(geom.thread_grid), reversed(t),
-                     shape))
+    return tuple(g * n for g, n in
+                 zip(reversed(geom.global_of(p, t)), shape))
 
 
 def _initial(origin: Shape, shape: Shape, seed: int) -> np.ndarray:

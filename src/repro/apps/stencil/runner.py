@@ -13,7 +13,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ...mapping.endpoints import EndpointAddressing
 from ...runtime.world import World
 from ..harness import run_app
 from .drivers import StencilConfig, StencilProcessRun, make_run
@@ -70,8 +69,7 @@ def run_stencil(cfg: StencilConfig, check: bool = True,
     ``wall_time`` always measures the application tasks only.
     """
     geom = cfg.geometry()
-    addr = EndpointAddressing(geom)
-    coords = {addr.linear_proc(p): p for p in geom.procs()}
+    coords = {geom.rank_of(p): p for p in geom.procs()}
     runs: dict[int, StencilProcessRun] = {}
 
     def proc_main(proc):

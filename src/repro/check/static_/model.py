@@ -53,11 +53,8 @@ REQ_WAIT_METHODS = frozenset({"wait", "test"})
 REQ_CANCEL_METHODS = frozenset({"cancel"})
 
 #: Free functions completing every request in their first argument.
-WAIT_FUNCS = frozenset({
-    "waitall", "waitany", "testall", "testany", "waitall_partitioned",
-    "wait_all_persistent",
-})
-START_FUNCS = frozenset({"startall", "start_all_persistent"})
+WAIT_FUNCS = frozenset({"waitall", "waitany", "testall", "testany"})
+START_FUNCS = frozenset({"startall"})
 
 BLOCKING_SENDS = frozenset({"Send", "Ssend", "Bsend", "Rsend"})
 BLOCKING_RECVS = frozenset({"Recv", "Mrecv", "Probe", "Iprobe", "Mprobe",

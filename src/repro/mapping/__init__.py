@@ -1,17 +1,20 @@
 """Mechanism-mapping helpers — the paper's core subject.
 
-How each of the three designs exposes a stencil's (and other patterns')
-communication parallelism:
+How a stencil decomposition exposes its communication parallelism, and
+what each design costs to express it:
 
-- :mod:`repro.mapping.communicators` — communicator maps with mirroring
-  (Lessons 1-5, Fig 4) and their analysis;
-- :mod:`repro.mapping.tags` — tag encoding + MPI-4.0/MPICH hint bundles
-  (Lessons 6-9, Listing 2);
-- :mod:`repro.mapping.endpoints` — endpoint-rank addressing (Lessons
-  10-12, Listing 3);
+- :mod:`repro.mapping.communicators` — the stencil geometry (patch
+  coordinates, process ranks, the neighbour walk every driver uses) and
+  the communicator maps with mirroring (Lessons 1-5, Fig 4) with their
+  analysis;
+- :mod:`repro.mapping.tags` — the Listing 2 tag layout and its
+  MPI-4.0/MPICH hint bundles (Lessons 6-9);
 - :mod:`repro.mapping.partitioned` — partition plans (Lessons 13-15,
   Listing 4);
 - :mod:`repro.mapping.resources` — Lesson 3's closed-form resource counts.
+
+Endpoint addressing (Listing 3) is rank arithmetic the channel owns:
+:class:`repro.apps.channels.EndpointChannels`.
 """
 
 from .. import _lazy
@@ -24,7 +27,6 @@ __getattr__, __dir__ = _lazy(__name__, {
                        "STENCIL_3D_27PT", "CommMap", "CornerOptimizedCommMap",
                        "Exchange", "MapReport", "MirroredCommMap",
                        "NaiveCommMap", "StencilGeometry", "analyze_map"),
-    ".endpoints": ("EndpointAddressing",),
     ".partitioned": ("FacePlan", "PartitionPlan"),
     ".resources": ("communicator_overhead_ratio_3d27",
                    "communicators_required_3d27", "min_channels_2d9",
@@ -33,9 +35,9 @@ __getattr__, __dir__ = _lazy(__name__, {
 
 __all__ = [
     "STENCIL_2D_5PT", "STENCIL_2D_9PT", "STENCIL_3D_7PT", "STENCIL_3D_27PT",
-    "CommMap", "CornerOptimizedCommMap", "EndpointAddressing", "Exchange",
-    "FacePlan", "MapReport", "MirroredCommMap", "NaiveCommMap",
-    "PartitionPlan", "StencilGeometry", "TagSchema", "analyze_map",
+    "CommMap", "CornerOptimizedCommMap", "Exchange", "FacePlan",
+    "MapReport", "MirroredCommMap", "NaiveCommMap", "PartitionPlan",
+    "StencilGeometry", "TagSchema", "analyze_map",
     "communicator_overhead_ratio_3d27", "communicators_required_3d27",
     "listing2_info", "min_channels_2d9", "min_channels_3d27",
     "overtaking_only_info",

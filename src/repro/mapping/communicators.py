@@ -117,6 +117,18 @@ class StencilGeometry:
         self.global_grid = tuple(p * t for p, t in zip(proc_grid, thread_grid))
 
     # -- coordinate helpers ------------------------------------------------
+    def global_of(self, p: Coord, t: Coord) -> Coord:
+        """Global patch coordinate of thread ``t`` on process ``p``."""
+        return tuple(pi * ti + ci for pi, ti, ci in
+                     zip(p, self.thread_grid, t))
+
+    def rank_of(self, p: Coord) -> int:
+        """Row-major linear rank of a process coordinate."""
+        rank = 0
+        for c, n in zip(p, self.proc_grid):
+            rank = rank * n + c
+        return rank
+
     def proc_of(self, g: Coord) -> Coord:
         return tuple(gi // ti for gi, ti in zip(g, self.thread_grid))
 
@@ -142,18 +154,41 @@ class StencilGeometry:
     def is_corner_thread(self, t: Coord) -> bool:
         return all(c in (0, n - 1) for c, n in zip(t, self.thread_grid))
 
+    # -- the neighbour walk -------------------------------------------------
+    def _walk(self, p: Coord, t: Coord, sign: int
+              ) -> Iterator[tuple[Coord, Coord, bool]]:
+        """``(d, g + sign * d, remote)`` for every direction ``d`` of the
+        stencil whose patch lies in the domain, where ``g`` is thread
+        ``t``'s patch on process ``p`` and ``remote`` says the other patch
+        belongs to another process. Directions come in the stencil's own
+        iteration order: it is the order messages are posted in, and so
+        part of every stencil run's bytes."""
+        g = self.global_of(p, t)
+        for d in self.stencil:
+            g2 = tuple(a + sign * b for a, b in zip(g, d))
+            if self.in_domain(g2):
+                yield d, g2, self.proc_of(g2) != p
+
+    def neighbors(self, p: Coord, t: Coord
+                  ) -> Iterator[tuple[Coord, Coord, bool]]:
+        """``(direction, neighbour patch, remote)`` of thread ``t`` on
+        process ``p``, in stencil order; in-process neighbours
+        (``remote`` false) exchange through shared memory."""
+        return self._walk(p, t, 1)
+
     # -- exchange enumeration ---------------------------------------------
     def exchanges_from(self, p: Coord, t: Coord) -> Iterator[Exchange]:
         """Outgoing inter-process messages of thread ``t`` on process ``p``."""
-        g = tuple(pi * ti + ci for pi, ti, ci in
-                  zip(p, self.thread_grid, t))
-        for d in self.stencil:
-            g2 = tuple(a + b for a, b in zip(g, d))
-            if not self.in_domain(g2):
-                continue
-            if self.proc_of(g2) == p:
-                continue  # shared-memory neighbour
-            yield Exchange(g, g2)
+        g = self.global_of(p, t)
+        return (Exchange(g, g2) for _d, g2, remote in self._walk(p, t, 1)
+                if remote)
+
+    def exchanges_into(self, p: Coord, t: Coord) -> Iterator[Exchange]:
+        """Incoming inter-process messages of thread ``t`` on process ``p``:
+        one from the patch at ``g - d`` for every direction ``d``."""
+        g = self.global_of(p, t)
+        return (Exchange(g2, g) for _d, g2, remote in self._walk(p, t, -1)
+                if remote)
 
     def exchanges_of_process(self, p: Coord) -> Iterator[tuple[Coord, str, Exchange]]:
         """All (local thread, 'send'|'recv', exchange) ops of process ``p``.
@@ -164,33 +199,13 @@ class StencilGeometry:
         for t in self.threads():
             for ex in self.exchanges_from(p, t):
                 yield t, "send", ex
-        # incoming: enumerate from each neighbour patch
         for t in self.threads():
-            g = tuple(pi * ti + ci for pi, ti, ci in
-                      zip(p, self.thread_grid, t))
-            for d in self.stencil:
-                g_src = tuple(a - b for a, b in zip(g, d))
-                if not self.in_domain(g_src):
-                    continue
-                if self.proc_of(g_src) == p:
-                    continue
-                yield t, "recv", Exchange(g_src, g)
+            for ex in self.exchanges_into(p, t):
+                yield t, "recv", ex
 
     def communicating_threads(self, p: Coord) -> set[Coord]:
         """Threads of process ``p`` that touch at least one exchange."""
-        out = set()
-        for t in self.threads():
-            if any(True for _ in self.exchanges_from(p, t)):
-                out.add(t)
-                continue
-            g = tuple(pi * ti + ci for pi, ti, ci in
-                      zip(p, self.thread_grid, t))
-            for d in self.stencil:
-                g_src = tuple(a - b for a, b in zip(g, d))
-                if self.in_domain(g_src) and self.proc_of(g_src) != p:
-                    out.add(t)
-                    break
-        return out
+        return {t for t, _kind, _ex in self.exchanges_of_process(p)}
 
 
 class CommMap:
@@ -204,7 +219,7 @@ class CommMap:
 
     def all_labels(self) -> set[Hashable]:
         """Every distinct label this scheme assigns across the geometry."""
-        seen = set()
+        seen: set[Hashable] = set()
         for p in self.geom.procs():
             for t in self.geom.threads():
                 for ex in self.geom.exchanges_from(p, t):
@@ -213,9 +228,6 @@ class CommMap:
 
     def num_communicators(self) -> int:
         return len(self.all_labels())
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 class NaiveCommMap(CommMap):
@@ -297,10 +309,6 @@ class MapReport:
     #: map exposes all the available parallelism.
     min_parallel_efficiency: float
 
-    @property
-    def parallel_efficiency(self) -> float:
-        return self.min_parallel_efficiency
-
 
 def analyze_map(cmap: CommMap) -> MapReport:
     """Validate and measure a communicator map.
@@ -338,10 +346,10 @@ def analyze_map(cmap: CommMap) -> MapReport:
                 a = parent[a]
             return a
 
-        for ts in users.values():
-            ts = list(ts)
-            for other in ts[1:]:
-                ra, rb = find(ts[0]), find(other)
+        for sharing in users.values():
+            first, *rest = sharing
+            for other in rest:
+                ra, rb = find(first), find(other)
                 if ra != rb:
                     parent[ra] = rb
         if threads_here:

@@ -31,8 +31,6 @@ __all__ = [
     "min_channels_3d27",
     "communicator_overhead_ratio_3d27",
     "min_channels_2d9",
-    "communicating_threads_3d",
-    "communicating_threads_2d",
 ]
 
 
@@ -62,10 +60,6 @@ def min_channels_3d27(x: int, y: int, z: int) -> int:
     return x * y * z - interior
 
 
-#: Alias with the paper's vocabulary.
-communicating_threads_3d = min_channels_3d27
-
-
 def communicator_overhead_ratio_3d27(x: int, y: int, z: int) -> float:
     """Communicators-to-channels ratio (14.43x for [4,4,4])."""
     return communicators_required_3d27(x, y, z) / min_channels_3d27(x, y, z)
@@ -76,6 +70,3 @@ def min_channels_2d9(x: int, y: int) -> int:
     _check_dims(x, y)
     interior = max(0, (x - 2)) * max(0, (y - 2))
     return x * y - interior
-
-
-communicating_threads_2d = min_channels_2d9

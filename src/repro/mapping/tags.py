@@ -29,22 +29,15 @@ __all__ = ["TagSchema", "listing2_info", "overtaking_only_info"]
 
 @dataclass(frozen=True)
 class TagSchema:
-    """Bit layout of a parallelism-encoding tag.
-
-    ``placement='MSB'`` puts the src/dst thread fields at the top of the
-    tag (Listing 2); ``'LSB'`` puts them at the bottom.
-    """
+    """Bit layout of a parallelism-encoding tag: the src/dst thread
+    fields sit at the top of the tag (Listing 2's MSB placement)."""
 
     num_tid_bits: int
     num_app_bits: int
-    placement: str = "MSB"
 
     def __post_init__(self):
         if self.num_tid_bits < 0 or self.num_app_bits < 0:
             raise MpiUsageError("bit counts must be non-negative")
-        if self.placement not in ("MSB", "LSB"):
-            raise MpiUsageError(f"placement must be MSB or LSB, "
-                                f"got {self.placement!r}")
         if 2 * self.num_tid_bits + self.num_app_bits > TAG_BITS:
             raise TagOverflowError(
                 f"tag layout needs {2 * self.num_tid_bits + self.num_app_bits} "
@@ -71,29 +64,20 @@ class TagSchema:
         if not 0 <= app_tag <= self.max_app_tag:
             raise TagOverflowError(
                 f"app_tag {app_tag} does not fit in {self.num_app_bits} bits")
-        if self.placement == "MSB":
-            src_shift = TAG_BITS - self.num_tid_bits
-            dst_shift = TAG_BITS - 2 * self.num_tid_bits
-            return (src_tid << src_shift) | (dst_tid << dst_shift) | app_tag
-        return (dst_tid << self.num_tid_bits) | src_tid \
-            | (app_tag << (2 * self.num_tid_bits))
+        src_shift = TAG_BITS - self.num_tid_bits
+        dst_shift = TAG_BITS - 2 * self.num_tid_bits
+        return (src_tid << src_shift) | (dst_tid << dst_shift) | app_tag
 
     def decode(self, tag: int) -> tuple[int, int, int]:
         """Return ``(src_tid, dst_tid, app_tag)``."""
         mask = self.max_threads - 1
-        if self.placement == "MSB":
-            src = (tag >> (TAG_BITS - self.num_tid_bits)) & mask
-            dst = (tag >> (TAG_BITS - 2 * self.num_tid_bits)) & mask
-            app = tag & ((1 << (TAG_BITS - 2 * self.num_tid_bits)) - 1)
-        else:
-            src = tag & mask
-            dst = (tag >> self.num_tid_bits) & mask
-            app = tag >> (2 * self.num_tid_bits)
+        src = (tag >> (TAG_BITS - self.num_tid_bits)) & mask
+        dst = (tag >> (TAG_BITS - 2 * self.num_tid_bits)) & mask
+        app = tag & ((1 << (TAG_BITS - 2 * self.num_tid_bits)) - 1)
         return src, dst, app
 
 
-def listing2_info(n_threads: int, num_tid_bits: int,
-                  placement: str = "MSB") -> Info:
+def listing2_info(n_threads: int, num_tid_bits: int) -> Info:
     """The full Listing 2 hint bundle: relax wildcards, request one VCI per
     thread, and describe the tag layout one-to-one."""
     if n_threads > (1 << num_tid_bits):
@@ -104,7 +88,7 @@ def listing2_info(n_threads: int, num_tid_bits: int,
     info.set("mpi_assert_no_any_source", "true")
     info.set("mpich_num_vcis", n_threads)
     info.set("mpich_num_tag_bits_vci", num_tid_bits)
-    info.set("mpich_place_tag_bits_local_vci", placement)
+    info.set("mpich_place_tag_bits_local_vci", "MSB")
     info.set("mpich_tag_vci_hash_type", "one-to-one")
     return info
 

@@ -24,7 +24,7 @@ from .datatypes import (
 from .info import CommHints, Info, WindowHints, parse_comm_hints, parse_window_hints
 from .library import MpiLibrary
 from .matching import ANY_SOURCE, ANY_TAG, MatchingEngine, PostedRecv
-from .request import Request, Status, testall, testany, waitall, waitany
+from .request import Request, Status, startall, testall, testany, waitall, waitany
 from .vci import (
     TAG_BITS,
     TAG_UB,
@@ -48,5 +48,5 @@ __all__ = [
     "PostedRecv", "Request", "SingleVciMap", "Status", "TAG_BITS", "TAG_UB",
     "TagBitsVciMap", "Vci", "VciPool", "VectorType", "WindowHints",
     "mix_hash", "parse_comm_hints", "parse_window_hints", "recv_init",
-    "send_init", "testall", "testany", "waitall", "waitany",
+    "send_init", "startall", "testall", "testany", "waitall", "waitany",
 ]

@@ -37,8 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .comm import Communicator
     from .library import MpiLibrary
 
-__all__ = ["PsendRequest", "PrecvRequest", "psend_init", "precv_init",
-           "startall", "waitall_partitioned"]
+__all__ = ["PsendRequest", "PrecvRequest", "psend_init", "precv_init"]
 
 
 def _ensure_handlers(lib: "MpiLibrary") -> None:
@@ -423,7 +422,8 @@ def _on_partition(lib: "MpiLibrary", msg: WireMessage) -> None:
 
 
 # ----------------------------------------------------------------------
-# public constructors / conveniences
+# public constructors (start and wait them with repro.mpi.request's
+# startall / waitall)
 # ----------------------------------------------------------------------
 
 def psend_init(comm: "Communicator", buf: np.ndarray, partitions: int,
@@ -442,16 +442,3 @@ def precv_init(comm: "Communicator", buf: np.ndarray, partitions: int,
     """``MPI_Precv_init``: define a persistent partitioned receive (local)."""
     comm._check_alive()
     return PrecvRequest(comm, buf, partitions, count, source, tag, info)
-
-
-def startall(ops: list[_PartitionedOp]) -> Generator[Event, Any, None]:
-    """``MPI_Startall`` over partitioned requests."""
-    for op in ops:
-        yield from op.start()
-
-
-def waitall_partitioned(ops: list[_PartitionedOp]
-                        ) -> Generator[Event, Any, None]:
-    """Wait for every partitioned request's active cycle to complete."""
-    for op in ops:
-        yield from op.wait()

@@ -23,8 +23,7 @@ from .request import Request
 if TYPE_CHECKING:  # pragma: no cover
     from .comm import Communicator
 
-__all__ = ["PersistentRequest", "send_init", "recv_init",
-           "start_all_persistent", "wait_all_persistent"]
+__all__ = ["PersistentRequest", "send_init", "recv_init"]
 
 
 class PersistentRequest:
@@ -93,19 +92,3 @@ def recv_init(comm: "Communicator", buf: np.ndarray, source: int, tag: int,
     comm._check_tag(tag, wildcard_ok=True)
     check_buffer(buf, count)
     return PersistentRequest(comm, "recv", buf, source, tag, count)
-
-
-def start_all_persistent(reqs: list[PersistentRequest]
-                         ) -> Generator[Event, Any, None]:
-    """Start every persistent request (MPI_Startall)."""
-    for r in reqs:
-        yield from r.start()
-
-
-def wait_all_persistent(reqs: list[PersistentRequest]
-                        ) -> Generator[Event, Any, list]:
-    """Wait on every persistent request; returns their results in order."""
-    out = []
-    for r in reqs:
-        out.append((yield from r.wait()))
-    return out

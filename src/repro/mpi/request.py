@@ -11,8 +11,8 @@ from ..sim.core import Event, Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from ..check.hb import Access, Publication
 
-__all__ = ["Status", "Request", "waitall", "testall", "waitany",
-           "testany"]
+__all__ = ["Status", "Request", "startall", "waitall", "testall",
+           "waitany", "testany"]
 
 
 @dataclass(slots=True)
@@ -190,8 +190,16 @@ class Request:
         return f"<Request #{self.rid} {self.kind} {state}>"
 
 
-def waitall(requests: list[Request]) -> Generator[Event, Any, list[Status]]:
-    """Wait for all requests; returns their statuses in order."""
+def startall(requests: list[Any]) -> Generator[Event, Any, None]:
+    """Start every persistent or partitioned request (MPI_Startall)."""
+    for req in requests:
+        yield from req.start()
+
+
+def waitall(requests: list[Any]) -> Generator[Event, Any, list[Status]]:
+    """Wait for all requests — plain, persistent or partitioned; returns
+    what each ``wait`` returned (a partitioned one returns None), in
+    order."""
     statuses = []
     for req in requests:
         statuses.append((yield from req.wait()))

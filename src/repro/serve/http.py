@@ -1,7 +1,8 @@
 """Stdlib-only HTTP API over the orchestrator.
 
 One asyncio streams server, HTTP/1.1 keep-alive (a framing error is
-answered 400 and closes the connection) — no framework, no dependency
+answered 400 and closes the connection, cleanly like every close the
+server starts) — no framework, no dependency
 beyond the interpreter. The surface:
 
 ========================== =============================================
@@ -37,9 +38,9 @@ __all__ = ["HttpApi", "parse_job_document"]
 
 _MAX_BODY = 8 * 1024 * 1024
 
-#: What a handler reads and drops after a framing 400 before it closes:
-#: closing on unread client bytes makes the kernel reset the connection,
-#: and a client that has not read its 400 yet then loses it.
+#: What a handler reads and drops after its last response before it
+#: closes: closing on unread client bytes makes the kernel reset the
+#: connection, and a client that has not read that response yet loses it.
 _DISCARD_BYTES = 64 * 1024
 _DISCARD_SECONDS = 1.0
 
@@ -152,14 +153,15 @@ class HttpApi:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         """Serve one connection, request after request in order, until
-        the client closes, asks to (``Connection: close``, HTTP/1.0) or
-        breaks the framing: 400, and what follows cannot be trusted — it
-        is read and dropped after our EOF, so the close is clean."""
+        the client closes, asks to (``Connection: close``, HTTP/1.0),
+        breaks the framing (400: what follows cannot be trusted) or the
+        service shuts down. A close the server starts sends our EOF, then
+        reads and drops what the client still sends, so it is clean."""
         handler = asyncio.current_task()
         self._conns[handler] = writer
         self.orchestrator.metrics.inc("serve.http.connections")
         try:
-            keep, broken = True, False
+            keep = True
             while keep:
                 try:
                     method, path, body, keep = await _read_request(reader)
@@ -169,7 +171,7 @@ class HttpApi:
                 except (ValueError, asyncio.IncompleteReadError,
                         asyncio.LimitOverrunError) as exc:
                     status, doc = 400, {"error": f"bad request: {exc}"}
-                    keep, broken = False, True
+                    keep = False
                 keep = keep and not self.shutdown_requested.is_set()
                 self.orchestrator.metrics.inc("serve.http.requests")
                 body = _RESPONSE.encode(doc).encode("utf-8")
@@ -180,13 +182,11 @@ class HttpApi:
                     f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n"
                     .encode("ascii") + body)
                 await writer.drain()
-            if broken:
-                writer.write_eof()
-                try:
-                    await asyncio.wait_for(_discard(reader),
-                                           _DISCARD_SECONDS)
-                except asyncio.TimeoutError:
-                    pass
+            writer.write_eof()
+            try:
+                await asyncio.wait_for(_discard(reader), _DISCARD_SECONDS)
+            except asyncio.TimeoutError:
+                pass
         except (ConnectionError, OSError):
             pass  # client closed or went away; nothing to clean up
         finally:

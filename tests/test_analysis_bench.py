@@ -1,7 +1,9 @@
 """Tests for the analysis package (Table I, usability) and the bench
 utilities (msgrate, reporting)."""
 
+import importlib
 import os
+import re
 
 import pytest
 
@@ -16,7 +18,13 @@ from repro.analysis import (
 )
 from repro.bench import MODES, MsgRateConfig, Table, run_msgrate, write_results
 from repro.errors import MpiUsageError
-from repro.mapping import STENCIL_2D_5PT, STENCIL_2D_9PT, StencilGeometry
+from repro.mapping import (
+    STENCIL_2D_5PT,
+    STENCIL_2D_9PT,
+    STENCIL_3D_7PT,
+    STENCIL_3D_27PT,
+    StencilGeometry,
+)
 
 
 # ---------------------------------------------------------------- scope
@@ -53,6 +61,16 @@ def test_scope_render_subset():
     assert "rma" in text and "collective" not in text
 
 
+def test_scope_modules_import():
+    """Every ``repro.*`` module a Table I cell names exists: a cell must
+    not point at code that was folded away."""
+    named = {name for cap in scope_matrix().values()
+             for name in re.findall(r"repro(?:\.\w+)+", cap.module)}
+    assert "repro.apps.channels" in named
+    for name in sorted(named):
+        importlib.import_module(name)
+
+
 # ---------------------------------------------------------------- usability
 
 def test_usability_reports_ranked_as_paper_argues():
@@ -81,6 +99,26 @@ def test_usability_skips_partitioned_for_diagonal_stencils():
     reports = stencil_usability(geom)
     assert "partitioned" not in reports  # Lesson 15
     assert "endpoints" in reports
+
+
+@pytest.mark.parametrize("stencil, partitioned", [
+    (STENCIL_2D_5PT, True), (STENCIL_3D_7PT, True),
+    (STENCIL_2D_9PT, False), (STENCIL_3D_27PT, False)])
+def test_usability_partitioned_row_follows_the_diagonals_only(
+        stencil, partitioned):
+    dim = len(next(iter(stencil)))
+    geom = StencilGeometry((3,) * dim, (2,) * dim, stencil)
+    assert ("partitioned" in stencil_usability(geom)) == partitioned
+
+
+def test_usability_does_not_hide_a_partition_plan_error(monkeypatch):
+    def broken(self, p):
+        raise RuntimeError("plan bug")
+
+    monkeypatch.setattr("repro.mapping.partitioned.PartitionPlan."
+                        "total_operations", broken)
+    with pytest.raises(RuntimeError, match="plan bug"):
+        stencil_usability(StencilGeometry((3, 3), (2, 2), STENCIL_2D_5PT))
 
 
 def test_usability_render_contains_all_rows():

@@ -385,7 +385,9 @@ def _names(relpath):
 #: recipe twice, next to the one artifact format, and the shrinker only
 #: shrinks; spans are paired in
 #: ``sim/trace.py``; frames are read by ``FrameDecoder``; nothing numbers
-#: wire messages across worlds.
+#: wire messages across worlds; the stencil geometry alone walks patch
+#: neighbours and the channel alone addresses endpoints; every persistent
+#: kind starts and completes through ``request.startall``/``waitall``.
 SAID_ONCE = {
     "check/session.py": {"_live", "register", "live_checkers",
                          "collect_report"},
@@ -402,6 +404,12 @@ SAID_ONCE = {
     "obs/chrome.py": {"deque", "open_by_id", "open_fifo"},
     "serve/protocol.py": {"read_frame", "_read_exact"},
     "netsim/message.py": {"itertools", "count", "_seq_counter", "seq"},
+    "apps/stencil/drivers.py": {"EndpointAddressing", "_global", "_neighbor",
+                                "remote_dirs"},
+    **{f"mpi/{name}": {"start_all_persistent", "wait_all_persistent",
+                       "waitall_partitioned"}
+       for name in ("__init__.py", "request.py", "persistent.py",
+                    "partitioned.py")},
 }
 
 
@@ -411,7 +419,8 @@ def test_the_layers_around_the_simulator_say_it_once():
     for relpath, forbidden in SAID_ONCE.items():
         assert not _names(relpath) & forbidden, relpath
     for gone in ("analysis/contention.py", "snap/session.py",
-                 "snap/restore.py", "snap/bisect.py", "snap/snapshot.py"):
+                 "snap/restore.py", "snap/bisect.py", "snap/snapshot.py",
+                 "mapping/endpoints.py"):
         assert not os.path.exists(os.path.join(ROOT, "src", "repro", gone))
     assert sorted(repro.analysis.__all__) == [
         "Capability", "MECHANISM_NAMES", "OPERATIONS", "PATTERNS",

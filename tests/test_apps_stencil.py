@@ -4,12 +4,15 @@ the performance-shape claims of Fig 1(b) and Lessons 1-3."""
 import numpy as np
 import pytest
 
+from repro.apps.harness import run_app
 from repro.apps.stencil import (
     DIR_TAGS,
+    ChannelRun,
     Patch,
     StencilConfig,
     halo_slices,
     jacobi,
+    make_run,
     reference_jacobi,
     run_stencil,
 )
@@ -170,6 +173,44 @@ def test_single_process_grid_all_shm():
                         stencil_points=9, iters=2, mechanism="endpoints")
     r = run_stencil(cfg)
     assert r.correct
+
+
+@pytest.mark.parametrize("points, procs, threads", [
+    (9, (2, 3), (3, 2)), (27, (2, 1, 2), (2, 2, 1))])
+def test_endpoint_routes_follow_listing3(points, procs, threads):
+    """Listing 3's ``n_ep = rank * N_THREADS + tid``, checked where the
+    stencil sends: every route ``ChannelRun.plan`` builds under
+    ``endpoints`` names the partner patch's endpoint rank, on the
+    sending thread's own endpoint."""
+    cfg = StencilConfig(proc_grid=procs, thread_grid=threads,
+                        stencil_points=points, mechanism="endpoints")
+    geom = cfg.geometry()
+    coords = {geom.rank_of(p): p for p in geom.procs()}
+    routes = 0
+
+    def proc_main(proc):
+        nonlocal routes
+        run = make_run(proc, coords[proc.rank], cfg)
+        assert isinstance(run, ChannelRun)
+        yield from run.setup()
+        for t in geom.threads():
+            own = run.channels.handle(geom.linear_tid(t))
+            sends = list(geom.exchanges_from(run.p, t))
+            plan = run.plan(t)
+            assert [d for d, _recv, _send in plan] == \
+                [ex.direction for ex in sends]
+            for ex, (_d, recv, send) in zip(sends, plan):
+                g2 = ex.dst
+                ep = (geom.rank_of(geom.proc_of(g2)) * cfg.nthreads
+                      + geom.linear_tid(geom.thread_of(g2)))
+                assert recv[:2] == send[:2] == (own, ep)
+                routes += 1
+        return proc.sim.now
+
+    run_app(len(coords), cfg.nthreads, proc_main)
+    assert routes == sum(1 for p in geom.procs() for t in geom.threads()
+                         for _ in geom.exchanges_from(p, t))
+    assert routes > 0
 
 
 # ------------------------------------------------------- 3D stencils

@@ -9,7 +9,6 @@ from repro.mapping import (
     STENCIL_3D_27PT,
     STENCIL_3D_7PT,
     CornerOptimizedCommMap,
-    EndpointAddressing,
     MirroredCommMap,
     NaiveCommMap,
     PartitionPlan,
@@ -74,6 +73,15 @@ def test_geometry_validation():
         StencilGeometry((0, 2), (3, 3), STENCIL_2D_5PT)
     with pytest.raises(MpiUsageError):
         StencilGeometry((2, 2), (3, 3), STENCIL_3D_7PT)
+
+
+def test_rank_of_is_row_major():
+    geom = StencilGeometry((2, 3), (3, 3), STENCIL_2D_5PT)
+    assert [geom.rank_of(p) for p in geom.procs()] == list(range(6))
+    assert geom.rank_of((1, 0)) == 3
+    geom3 = StencilGeometry((2, 3, 4), (1, 1, 1), STENCIL_3D_7PT)
+    assert geom3.rank_of((1, 2, 3)) == 1 * 12 + 2 * 4 + 3
+    assert geom.global_of((1, 2), (2, 0)) == (5, 6)
 
 
 def test_exchange_enumeration_interior_thread_silent():
@@ -200,12 +208,6 @@ def test_tag_schema_roundtrip():
     assert tag <= (1 << TAG_BITS) - 1
 
 
-def test_tag_schema_lsb_roundtrip():
-    s = TagSchema(num_tid_bits=3, num_app_bits=6, placement="LSB")
-    tag = s.encode(2, 7, 33)
-    assert s.decode(tag) == (2, 7, 33)
-
-
 def test_tag_schema_matches_vci_map_extraction():
     """The app-side encoder and the library-side TagBitsVciMap must agree
     on where the thread bits live."""
@@ -245,44 +247,6 @@ def test_listing2_info_bundle():
 def test_overtaking_only_info_bundle():
     hints = parse_comm_hints(overtaking_only_info(8))
     assert hints.send_side_spreading and not hints.recv_side_spreading
-
-
-# ------------------------------------------------------- endpoint addressing
-
-def test_ep_rank_listing3_layout():
-    geom = StencilGeometry((2, 2), (3, 3), STENCIL_2D_5PT)
-    addr = EndpointAddressing(geom)
-    assert addr.threads_per_proc == 9
-    assert addr.ep_rank((0, 0), (0, 0)) == 0
-    assert addr.ep_rank((0, 1), (0, 0)) == 9   # proc (0,1) is rank 1
-    assert addr.ep_rank((1, 1), (2, 2)) == 4 * 9 - 1
-
-
-def test_partner_ep_cross_process():
-    geom = StencilGeometry((2, 1), (2, 2), STENCIL_2D_5PT)
-    addr = EndpointAddressing(geom)
-    # proc (0,0) thread (1,0) east partner = proc (1,0) thread (0,0)
-    ep = addr.partner_ep((0, 0), (1, 0), (1, 0))
-    assert ep == addr.ep_rank((1, 0), (0, 0))
-    assert addr.is_remote((0, 0), (1, 0), (1, 0))
-
-
-def test_partner_ep_in_process_and_boundary():
-    geom = StencilGeometry((2, 1), (2, 2), STENCIL_2D_5PT)
-    addr = EndpointAddressing(geom)
-    # in-process partner exists but is not remote
-    assert addr.partner_ep((0, 0), (0, 0), (1, 0)) == \
-        addr.ep_rank((0, 0), (1, 0))
-    assert not addr.is_remote((0, 0), (0, 0), (1, 0))
-    # domain boundary: no partner
-    assert addr.partner_ep((0, 0), (0, 0), (-1, 0)) is None
-
-
-def test_partner_ep_bad_direction():
-    geom = StencilGeometry((2, 2), (2, 2), STENCIL_2D_5PT)
-    addr = EndpointAddressing(geom)
-    with pytest.raises(MpiUsageError):
-        addr.partner_ep((0, 0), (0, 0), (1, 1))  # not in a 5-pt stencil
 
 
 # ------------------------------------------------------- partition plans

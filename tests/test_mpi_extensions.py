@@ -13,13 +13,8 @@ from repro.mpi import ANY_SOURCE, ANY_TAG
 from repro.mpi.coll.ops import MAX, SUM
 from repro.mpi.endpoints import comm_create_endpoints, comm_create_rankpoints
 from repro.mpi.partitioned import precv_init, psend_init
-from repro.mpi.persistent import (
-    recv_init,
-    send_init,
-    start_all_persistent,
-    wait_all_persistent,
-)
-from repro.mpi.request import Request, waitall
+from repro.mpi.persistent import recv_init, send_init
+from repro.mpi.request import Request, startall, waitall
 from repro.mpi.rma import win_create
 from repro.runtime import World
 
@@ -160,8 +155,8 @@ def test_persistent_startall_waitall(world2):
         bufs = [np.full(2, float(k)) for k in range(3)]
         reqs = [send_init(proc.comm_world, bufs[k], dest=1, tag=k)
                 for k in range(3)]
-        yield from start_all_persistent(reqs)
-        yield from wait_all_persistent(reqs)
+        yield from startall(reqs)
+        yield from waitall(reqs)
 
     def receiver(proc):
         reqs = []
@@ -170,8 +165,8 @@ def test_persistent_startall_waitall(world2):
             buf = np.zeros(2)
             bufs.append(buf)
             reqs.append(recv_init(proc.comm_world, buf, source=0, tag=k))
-        yield from start_all_persistent(reqs)
-        yield from wait_all_persistent(reqs)
+        yield from startall(reqs)
+        yield from waitall(reqs)
         for k in range(3):
             assert np.allclose(bufs[k], k)
 

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MpiUsageError
-from repro.mpi import ANY_SOURCE, ANY_TAG, Info
-from repro.mpi.partitioned import (
-    precv_init,
-    psend_init,
-    startall,
-    waitall_partitioned,
-)
+from repro.mpi import ANY_SOURCE, ANY_TAG, Info, startall, waitall
+from repro.mpi.partitioned import precv_init, psend_init
 from repro.runtime import World
 
 from tests.helpers import run_ranks, run_same
@@ -235,14 +230,14 @@ def test_startall_waitall_helpers(world2):
         for r in reqs:
             for i in range(2):
                 yield from r.pready(i)
-        yield from waitall_partitioned(reqs)
+        yield from waitall(reqs)
 
     def receiver(proc):
         bufs = [np.zeros(4) for _ in range(3)]
         reqs = [precv_init(proc.comm_world, bufs[k], 2, 2, source=0, tag=k)
                 for k in range(3)]
         yield from startall(reqs)
-        yield from waitall_partitioned(reqs)
+        yield from waitall(reqs)
         for k in range(3):
             assert np.allclose(bufs[k], k)
 

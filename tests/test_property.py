@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 from repro.mapping import (
     STENCIL_2D_5PT,
     STENCIL_2D_9PT,
+    STENCIL_3D_7PT,
+    STENCIL_3D_27PT,
     MirroredCommMap,
     NaiveCommMap,
     StencilGeometry,
@@ -142,9 +146,7 @@ def test_matching_nonovertaking_same_stream(tags_zero_one):
 def test_tag_schema_roundtrip_random(bits, app_bits, data):
     if 2 * bits + app_bits > TAG_BITS:
         return
-    placement = data.draw(st.sampled_from(["MSB", "LSB"]))
-    schema = TagSchema(num_tid_bits=bits, num_app_bits=app_bits,
-                       placement=placement)
+    schema = TagSchema(num_tid_bits=bits, num_app_bits=app_bits)
     src = data.draw(st.integers(0, schema.max_threads - 1))
     dst = data.draw(st.integers(0, schema.max_threads - 1))
     app = data.draw(st.integers(0, schema.max_app_tag))
@@ -158,6 +160,44 @@ def test_tag_schema_roundtrip_random(bits, app_bits, data):
 def test_mix_hash_stable_and_nonnegative(x):
     assert mix_hash(x) == mix_hash(x)
     assert mix_hash(x) >= 0
+
+
+# ------------------------------------------------------------ geometry
+
+@SETTINGS
+@given(st.sampled_from([STENCIL_2D_5PT, STENCIL_2D_9PT, STENCIL_3D_7PT,
+                        STENCIL_3D_27PT]), st.data())
+def test_one_neighbour_walk_gives_both_exchange_directions(stencil, data):
+    """Across all processes every incoming exchange is someone's outgoing
+    one, and a thread's outgoing exchanges are the off-process part of
+    its neighbour walk, which visits every in-domain neighbour in the
+    stencil's own order."""
+    dim = len(next(iter(stencil)))
+    side = st.integers(min_value=1, max_value=3 if dim == 2 else 2)
+    geom = StencilGeometry(tuple(data.draw(side) for _ in range(dim)),
+                           tuple(data.draw(side) for _ in range(dim)),
+                           stencil)
+    order = list(stencil)
+    outgoing, incoming = Counter(), Counter()
+    for p in geom.procs():
+        for t in geom.threads():
+            g = geom.global_of(p, t)
+            walk = list(geom.neighbors(p, t))
+            beside = [(d, tuple(a + b for a, b in zip(g, d))) for d in order]
+            assert [(d, g2) for d, g2, _remote in walk] == \
+                [(d, g2) for d, g2 in beside if geom.in_domain(g2)]
+            assert all(remote == (geom.proc_of(g2) != p)
+                       for _d, g2, remote in walk)
+            sends = list(geom.exchanges_from(p, t))
+            assert [ex.direction for ex in sends] == \
+                [d for d, _g2, remote in walk if remote]
+            assert all(ex.src == g for ex in sends)
+            recvs = list(geom.exchanges_into(p, t))
+            assert all(ex.dst == g and geom.proc_of(ex.src) != p
+                       for ex in recvs)
+            outgoing.update(sends)
+            incoming.update(recvs)
+    assert incoming == outgoing
 
 
 # ------------------------------------------------------------ comm maps

@@ -622,6 +622,30 @@ def test_a_client_still_sending_after_a_framing_400_reads_eof(tmp_path):
                 assert stream.read() == b""
 
 
+@pytest.mark.parametrize("closing", [
+    _get("/healthz", "Connection: close\r\n"),
+    b"GET /healthz HTTP/1.0\r\n\r\n",
+])
+def test_a_client_still_sending_after_a_close_reads_eof(tmp_path, closing):
+    """A close the client asked for is as clean as a framing 400's: the
+    server sends its EOF, then drops what still comes. A server that
+    closed outright would answer the late request with a reset, and the
+    client's shutdown or read would raise."""
+    with _serving(tmp_path) as (api, _call):
+        for _ in range(5):
+            with socket.create_connection(("127.0.0.1", api.port),
+                                          timeout=10) as s, \
+                    s.makefile("rb") as stream:
+                s.sendall(closing)
+                status, headers, _doc = _response(stream)
+                assert (status, headers["connection"]) == (200, "close")
+                assert stream.read() == b""  # the server's EOF
+                s.sendall(_get("/healthz"))
+                time.sleep(0.05)  # for a reset to come back, were there one
+                s.shutdown(socket.SHUT_WR)
+                assert stream.read() == b""
+
+
 def test_bad_documents_are_400_and_keep_the_connection(tmp_path):
     """A well-framed request with a bad body is the application's 400,
     not the framing's: the connection stays. A bad document is a 400
