@@ -12,7 +12,7 @@ communicator's ring schedule serializes every step through shared
 D-mod-k up/down planes — per-link FIFO queueing the flat fabric cannot
 express — and recursive doubling wins instead. One global size
 threshold cannot pick the right algorithm on both fabrics; selection
-must be per-communicator (``set_coll_algorithm`` / Info hints). See
+must be per-communicator (``set_coll_algorithm``). See
 docs/topology.md and the Fig 7 note in EXPERIMENTS.md.
 """
 

@@ -69,14 +69,6 @@ class CheckConfig:
     """
 
     mode: str = "warn"
-    #: Happens-before race rules (CHK101, CHK102, CHK108).
-    races: bool = True
-    #: Lock-order cycle detection (CHK103).
-    lock_order: bool = True
-    #: MPI semantics state machines (CHK104-CHK107, CHK111).
-    semantics: bool = True
-    #: Finalize leak scans (CHK109, CHK110).
-    leaks: bool = True
     #: Emit a Python ``CheckWarning`` per violation in warn mode.
     emit_warnings: bool = True
     #: Stop recording detail beyond this many violations (counts continue).
@@ -177,14 +169,13 @@ class Checker:
         # Most acquisitions retake a lock this task released last.
         if clock is not None and clock[0] != st.pid:
             st.join(clock)
-        if self.config.lock_order:
-            held = st.held
-            for other in held:
-                if other is not lock:
-                    self._lock_graph.add(other.serial, other.name,
-                                         lock.serial, lock.name,
-                                         st.name, self.sim.now)
-            held.append(lock)
+        held = st.held
+        for other in held:
+            if other is not lock:
+                self._lock_graph.add(other.serial, other.name,
+                                     lock.serial, lock.name,
+                                     st.name, self.sim.now)
+        held.append(lock)
 
     def lock_released(self, lock: "Lock") -> None:
         """Publish this task's clock for the next acquirer; pop held state."""
@@ -281,7 +272,7 @@ class Checker:
         if proc is None:
             return None
         st = proc._hb
-        if self.config.races and not comm.hints.allow_overtaking:
+        if not comm.hints.allow_overtaking:
             key = ("s", context_id, comm.rank, dest, tag)
             self._channel_access(key, st, comm, tag, dest, "send")
         # The one publication a state capture reaches: typed, so that it
@@ -292,8 +283,7 @@ class Checker:
                         context_id: int, vci: Optional[int] = None) -> None:
         """Record a posted-receive channel access (CHK102 collision check)."""
         proc = self.sim._active_process
-        if proc is None or not self.config.races \
-                or comm.hints.allow_overtaking:
+        if proc is None or comm.hints.allow_overtaking:
             return
         key = ("r", context_id, comm.rank, source, tag)
         self._channel_access(key, proc._hb, comm, tag, source, "recv",
@@ -345,7 +335,7 @@ class Checker:
         proc = self.sim._active_process
         if proc is None:
             return
-        if self.config.races and req.kind not in _INTERNAL_REQUEST_KINDS:
+        if req.kind not in _INTERNAL_REQUEST_KINDS:
             st = proc._hb
             last = req._hb_access
             if last is not None and last[0] != st.pid and not st.saw(last):
@@ -380,8 +370,6 @@ class Checker:
 
     def on_rma_sync(self, win: Any, op: str, target: Optional[int]) -> None:
         """Track lock/unlock epoch transitions on a window (CHK107)."""
-        if not self.config.semantics:
-            return
         locked: set = win._hb_locked
         token = "all" if target is None else target
         if op == "lock":
@@ -408,8 +396,8 @@ class Checker:
                   count: int, *, atomic: bool, write: bool) -> None:
         """Check epoch discipline (CHK107) and overlapping-range races (CHK108)."""
         locked: set = win._hb_locked
-        if self.config.semantics and win._hb_epochs_used and \
-                target not in locked and "all" not in locked:
+        if win._hb_epochs_used and target not in locked \
+                and "all" not in locked:
             # Mixed discipline: this handle opens explicit epochs but
             # issued an operation outside any. Flush-only handles (the
             # paper's NWChem pattern) never set "used" and are exempt.
@@ -419,7 +407,7 @@ class Checker:
                 f"{win.win_id}, which elsewhere uses explicit Lock/Unlock "
                 f"epochs",
                 rank=win.comm.lib.rank, win=win.win_id, target=target)
-        if not self.config.races or atomic:
+        if atomic:
             return
         proc = self.sim._active_process
         if proc is None:
@@ -454,11 +442,9 @@ class Checker:
         """Run the end-of-run scans and return the report (idempotent)."""
         if not self._finalized:
             self._finalized = True
-            if self.config.lock_order:
-                self._scan_lock_cycles()
-            if self.config.leaks:
-                self._scan_request_leaks()
-                self._scan_window_leaks()
+            self._scan_lock_cycles()
+            self._scan_request_leaks()
+            self._scan_window_leaks()
         return CheckReport(self.violations, mode=self.config.mode)
 
     def _scan_lock_cycles(self) -> None:

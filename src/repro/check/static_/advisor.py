@@ -20,8 +20,9 @@ from __future__ import annotations
 import ast
 from typing import Any, Optional
 
+from ...mpi.info import HINT_TRUE
 from .findings import StaticFinding
-from .model import Access, FuncInfo, ModuleModel, Region, dotted
+from .model import Access, FuncInfo, ModuleModel, dotted
 
 __all__ = ["check_advisor"]
 
@@ -30,13 +31,10 @@ _NO_SOURCE = "mpi_assert_no_any_source"
 _NO_TAG = "mpi_assert_no_any_tag"
 _OVERTAKE = "mpi_assert_allow_overtaking"
 
-#: Hint spellings the library itself accepts (repro.mpi.info._TRUE).
-_TRUE = frozenset({"true", "1", "yes"})
-
 
 def _is_true(hints: dict[str, str], key: str) -> bool:
     """Whether a hint dict asserts ``key`` with a library-true value."""
-    return str(hints.get(key, "")).strip().lower() in _TRUE
+    return str(hints.get(key, "")).strip().lower() in HINT_TRUE
 
 
 def _info_hints(expr: Optional[ast.AST], model: ModuleModel,
@@ -211,8 +209,6 @@ def check_advisor(model: ModuleModel) -> tuple[list[StaticFinding],
     # -- Region-level channel geometry (S314/S315) ----------------------
     multi: dict[str, dict[str, Any]] = {}
     for region in model.regions:
-        peers = [r for r in model.regions
-                 if r is not region and region.concurrent_with(r)]
         for acc in region.accesses:
             if acc.kind not in ("send", "recv") or acc.comm is None \
                     or not acc.comm_shared:
@@ -226,9 +222,6 @@ def check_advisor(model: ModuleModel) -> tuple[list[StaticFinding],
             if acc.tag.is_const:
                 entry["tags"].setdefault(acc.tag.value,
                                          set()).add(region.index)
-        # Unused: peers kept for symmetry with races; concurrency of the
-        # region set is implied by shared spawner windows.
-        del peers
 
     for _cid, entry in sorted(multi.items()):
         comm = entry["comm"]

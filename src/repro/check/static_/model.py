@@ -350,12 +350,6 @@ class ModuleModel:
                 return CONST_THREADDEP
         return CONST_UNKNOWN
 
-    @staticmethod
-    def concurrent_accesses(a: Access, b: Access) -> bool:
-        """Branch-compatibility of two accesses (same-instance guards and
-        region windows are checked by the caller)."""
-        return _branch_compatible(a.branches, b.branches)
-
 
 def is_wildcard(expr: Optional[ast.AST]) -> bool:
     """ANY_SOURCE/ANY_TAG by bare or dotted name."""

@@ -327,11 +327,7 @@ def _cmd_check(args) -> int:
               file=sys.stderr)
         return 2
 
-    config = CheckConfig(mode=args.mode, races=not args.no_races,
-                         lock_order=not args.no_lock_order,
-                         semantics=not args.no_semantics,
-                         leaks=not args.no_leaks,
-                         emit_warnings=False)
+    config = CheckConfig(mode=args.mode, emit_warnings=False)
     from .errors import CheckError
     with checking(config) as session:
         try:
@@ -693,14 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--mode", choices=("warn", "raise"), default="warn",
                     help="warn: record and continue; raise: stop at the "
                          "first violation (default: warn)")
-    ck.add_argument("--no-races", action="store_true",
-                    help="disable the happens-before race rules")
-    ck.add_argument("--no-lock-order", action="store_true",
-                    help="disable lock-order cycle detection")
-    ck.add_argument("--no-semantics", action="store_true",
-                    help="disable the MPI semantics state machines")
-    ck.add_argument("--no-leaks", action="store_true",
-                    help="disable the finalize leak scans")
     ck.add_argument("--json", action="store_true",
                     help="print the report as JSON")
     ck.add_argument("--limit", type=int, default=50,

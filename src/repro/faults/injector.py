@@ -63,9 +63,10 @@ class FaultInjector:
         # splitmix64 state; offset so seed 0 is not the all-zeros state.
         self._state = (self.seed * 0x9E3779B97F4A7C15 + 0x1F123BB5) \
             & 0xFFFFFFFFFFFFFFFF
+        #: The world's instruments (``World`` assigns them; None if absent).
         self.metrics: Optional["MetricsRegistry"] = None
-        self.tracer: Tracer = Tracer(enabled=False)
-        # -- fault counters (always on; metrics mirror them when enabled) --
+        self.tracer: Optional[Tracer] = None
+        # -- fault counters (always on; metrics mirror them if present) ----
         self.drops = 0
         self.dups = 0
         self.corruptions = 0
@@ -74,15 +75,6 @@ class FaultInjector:
         self.degraded = 0
         self.failovers = 0
         self.messages_seen = 0
-
-    def bind(self, metrics: Optional["MetricsRegistry"] = None,
-             tracer: Optional[Tracer] = None) -> "FaultInjector":
-        """Attach observability instruments (the World calls this)."""
-        if metrics is not None:
-            self.metrics = metrics
-        if tracer is not None:
-            self.tracer = tracer
-        return self
 
     # ------------------------------------------------------------------
     # deterministic draws
@@ -114,9 +106,9 @@ class FaultInjector:
     def note_failover(self, node: int, from_ctx: int, to_ctx: int) -> None:
         """Record one message failing over from a stalled context."""
         self.failovers += 1
-        if self.metrics is not None and self.metrics.enabled:
+        if self.metrics is not None:
             self.metrics.inc("nic.ctx_failover", node=node, ctx=from_ctx)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(TraceCategory.CTX_FAILOVER, {
                 "node": node, "ctx": from_ctx, "to_ctx": to_ctx})
 
@@ -143,14 +135,14 @@ class FaultInjector:
                     or window.covers(msg.dst_node, depart)):
                 self.link_drops += 1
                 self._count("fault.link_drop", msg)
-                if tracer.enabled:
+                if tracer is not None:
                     tracer.emit(TraceCategory.LINK_DROP, self._payload(msg))
                 return []
 
         if self._hit(plan.drop):
             self.drops += 1
             self._count("fault.drop", msg)
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.emit(TraceCategory.FAULT_DROP, self._payload(msg))
             return []
 
@@ -158,7 +150,7 @@ class FaultInjector:
         if self._hit(plan.dup):
             self.dups += 1
             self._count("fault.dup", msg)
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.emit(TraceCategory.FAULT_DUP, self._payload(msg))
             deliveries.append(Delivery(msg, extra_delay=plan.dup_delay,
                                        duplicate=True))
@@ -180,7 +172,7 @@ class FaultInjector:
             if self._hit(plan.corrupt):
                 self.corruptions += 1
                 self._count("fault.corrupt", msg)
-                if tracer.enabled:
+                if tracer is not None:
                     tracer.emit(TraceCategory.FAULT_CORRUPT,
                                 self._payload(msg))
                 d.msg = self._corrupted_copy(d.msg)
@@ -188,7 +180,7 @@ class FaultInjector:
                 spike = plan.delay_max * self._draw()
                 self.delays += 1
                 self._count("fault.delay", msg)
-                if tracer.enabled:
+                if tracer is not None:
                     tracer.emit(TraceCategory.FAULT_DELAY,
                                 dict(self._payload(msg), spike=spike))
                 d.extra_delay += spike
@@ -210,7 +202,7 @@ class FaultInjector:
         return dc_replace(msg, checksum=msg.checksum ^ 0x5A5A5A5A)
 
     def _count(self, name: str, msg: "WireMessage") -> None:
-        if self.metrics is not None and self.metrics.enabled:
+        if self.metrics is not None:
             self.metrics.inc(name, node=msg.src_node)
 
     def _payload(self, msg: "WireMessage") -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Optional, Union
+from typing import Any, Mapping, Union
 
 from ..errors import FaultConfigError, FaultPlanError
 
@@ -205,30 +205,52 @@ class FaultPlan:
         return asdict(self)
 
     @staticmethod
-    def from_dict(data: dict[str, Any]) -> "FaultPlan":
-        """Rebuild a FaultPlan from its ``to_dict()`` form."""
+    def from_dict(data: Mapping[str, Any]) -> "FaultPlan":
+        """Rebuild a FaultPlan from its ``to_dict()`` form.
+
+        Anything else (a document or window that is not a mapping, a
+        missing window key, a value of the wrong type) raises
+        :class:`FaultPlanError` naming the bad entry.
+        """
+        if not isinstance(data, Mapping):
+            raise FaultPlanError(
+                f"a fault plan must be a mapping, got {data!r}")
         data = dict(data)
-        stalls = tuple(
-            s if isinstance(s, CtxStall) else CtxStall(
-                node=int(s.get("node", ANY)), ctx=int(s.get("ctx", ANY)),
-                start=parse_time(s["start"]),
-                duration=parse_time(s["duration"]))
-            for s in data.pop("stalls", ()))
-        links = tuple(
-            w if isinstance(w, LinkWindow) else LinkWindow(
-                node=int(w.get("node", ANY)), start=parse_time(w["start"]),
-                end=parse_time(w["end"]), kind=w.get("kind", "down"),
-                factor=float(w.get("factor", 4.0)))
-            for w in data.pop("links", ()))
-        for key in ("delay_max", "dup_delay"):
-            if key in data:
-                data[key] = parse_time(data[key])
-        unknown = set(data) - {"drop", "dup", "corrupt", "delay",
-                               "delay_max", "dup_delay"}
-        if unknown:
-            raise FaultPlanError(f"unknown fault plan keys: {sorted(unknown)}")
-        return FaultPlan(stalls=stalls, links=links,
-                         **{k: float(v) for k, v in data.items()})
+        stalls: list[CtxStall] = []
+        links: list[LinkWindow] = []
+        entry: Any = data  # what the handlers below name
+        try:
+            for entry in data.pop("stalls", ()):
+                stalls.append(entry if isinstance(entry, CtxStall)
+                              else CtxStall(
+                                  node=int(entry.get("node", ANY)),
+                                  ctx=int(entry.get("ctx", ANY)),
+                                  start=parse_time(entry["start"]),
+                                  duration=parse_time(entry["duration"])))
+            for entry in data.pop("links", ()):
+                links.append(entry if isinstance(entry, LinkWindow)
+                             else LinkWindow(
+                                 node=int(entry.get("node", ANY)),
+                                 start=parse_time(entry["start"]),
+                                 end=parse_time(entry["end"]),
+                                 kind=entry.get("kind", "down"),
+                                 factor=float(entry.get("factor", 4.0))))
+            entry = data
+            unknown = set(data) - {"drop", "dup", "corrupt", "delay",
+                                   "delay_max", "dup_delay"}
+            if unknown:
+                raise FaultPlanError(
+                    f"unknown fault plan keys: {sorted(unknown)}")
+            rates = {key: parse_time(value)
+                     if key in ("delay_max", "dup_delay") else float(value)
+                     for key, value in data.items()}
+        except KeyError as exc:
+            raise FaultPlanError(
+                f"fault plan entry {entry!r} lacks key {exc}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise FaultPlanError(
+                f"bad fault plan entry {entry!r}: {exc}") from None
+        return FaultPlan(stalls=tuple(stalls), links=tuple(links), **rates)
 
 
 def _parse_selector(text: str) -> int:

@@ -89,7 +89,7 @@ class ReliableTransport:
         self._send_seq: dict[Flow, int] = {}
         self._inflight: dict[Flow, dict[int, _InFlight]] = {}
         self._recv: dict[Flow, _RecvFlow] = {}
-        # -- counters (always on; mirrored into metrics when enabled) ------
+        # -- counters (always on; mirrored into metrics if present) -------
         self.data_sent = 0
         self.retransmits = 0
         self.acks_sent = 0
@@ -98,7 +98,7 @@ class ReliableTransport:
         self.corrupt_dropped = 0
         self.ooo_buffered = 0
         metrics = lib.metrics
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             labels = {"rank": lib.rank}
             self.m_data = metrics.counter("transport.data", **labels)
             self.m_retransmit = metrics.counter("transport.retransmit",
@@ -159,7 +159,7 @@ class ReliableTransport:
             self.m_retransmit.inc()
         lib = self.lib
         tracer = lib.tracer
-        if tracer.enabled:
+        if tracer is not None:
             if rec.recovery_span is None:
                 rec.recovery_span = tracer.span_id()
                 tracer.emit(TraceCategory.RECOVERY_BEGIN, {
@@ -226,7 +226,7 @@ class ReliableTransport:
         for seq in [s for s in pending if s <= upto]:
             rec = pending.pop(seq)
             rec.acked = True
-            if tracer.enabled and rec.recovery_span is not None:
+            if tracer is not None and rec.recovery_span is not None:
                 tracer.emit(TraceCategory.RECOVERY_END, {
                     "rank": self.lib.rank, "flow": flow, "rel_seq": seq,
                     "span": rec.recovery_span,
@@ -253,7 +253,7 @@ class ReliableTransport:
             self.corrupt_dropped += 1
             if self.m_corrupt is not None:
                 self.m_corrupt.inc()
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.emit(TraceCategory.CORRUPT_DROP, {
                     "rank": lib.rank, "flow": msg.rel_flow,
                     "rel_seq": msg.rel_seq, "kind": msg.kind.value,
@@ -270,7 +270,7 @@ class ReliableTransport:
             self.dup_suppressed += 1
             if self.m_dup is not None:
                 self.m_dup.inc()
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.emit(TraceCategory.DUP_SUPPRESSED, {
                     "rank": lib.rank, "flow": flow, "rel_seq": seq,
                 })

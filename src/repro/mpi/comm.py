@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, Any, Generator, Iterator, Optional
 
 import numpy as np
 
-from ..errors import HintViolationError, MpiUsageError, TagOverflowError
+from ..errors import HintViolationError, InvalidHintError, MpiUsageError, \
+    TagOverflowError
 from ..netsim.message import MessageKind, WireMessage
 from ..sim.core import Event
 from .datatypes import check_buffer
@@ -36,7 +37,11 @@ from .vci import TAG_UB, SingleVciMap, TagBitsVciMap, Vci, VciMap
 if TYPE_CHECKING:  # pragma: no cover
     from .library import MpiLibrary
 
-__all__ = ["Communicator", "MatchedMessage"]
+__all__ = ["COLL_ALGORITHMS", "Communicator", "MatchedMessage"]
+
+#: What :meth:`Communicator.set_coll_algorithm` may select per operation;
+#: ``"auto"`` (the library's size-based heuristic) is implicit.
+COLL_ALGORITHMS = {"allreduce": ("recursive_doubling", "ring")}
 
 
 class MatchedMessage:
@@ -101,11 +106,10 @@ class Communicator:
         self._routes: dict[int, tuple[int, int, Optional[int]]] = {}
         self.name = name
         self.freed = False
-        #: Per-handle collective algorithm selections (op -> algorithm),
-        #: seeded from ``repro_coll_<op>`` Info hints; absent ops use the
-        #: library's size-based "auto" heuristic. Local handle state, as
-        #: in real MPI libraries — Dup/Split copy the parent's choices.
-        self._coll_algorithms: dict[str, str] = dict(self.hints.coll_algorithms)
+        #: Per-handle collective algorithm selections (op -> algorithm);
+        #: absent ops use the "auto" heuristic. Local handle state, as in
+        #: real MPI libraries — Dup/Split copy the parent's choices.
+        self._coll_algorithms: dict[str, str] = {}
         #: Per-handle counter so repeated Dup calls agree on meeting keys.
         self._create_seq = itertools.count()
         #: MPI requires collectives on a communicator to be issued
@@ -134,22 +138,27 @@ class Communicator:
     def sim(self):
         return self.lib.sim
 
-    def world_rank_of(self, comm_rank: int) -> int:
-        return self.group[comm_rank]
-
     def set_coll_algorithm(self, op: str, algorithm: str) -> None:
         """Pin the algorithm for collective ``op`` on this handle.
 
         ``comm.set_coll_algorithm("allreduce", "ring")`` forces the ring
         regardless of message size; ``"auto"`` restores the size-based
-        heuristic. Valid names live in
-        :data:`repro.mpi.coll.select.COLL_ALGORITHMS`; invalid pairs
-        raise :class:`~repro.errors.InvalidHintError`. Local operation
-        (no communication), like MPICH's CVAR overrides.
+        heuristic. Names are case- and whitespace-insensitive; valid ones
+        live in :data:`COLL_ALGORITHMS`, and invalid pairs raise
+        :class:`~repro.errors.InvalidHintError`. Local operation (no
+        communication), like MPICH's CVAR overrides.
         """
-        from .coll.select import validate_selection
         self._check_alive()
-        op, algorithm = validate_selection(op, algorithm)
+        op, algorithm = op.strip().lower(), algorithm.strip().lower()
+        if op not in COLL_ALGORITHMS:
+            raise InvalidHintError(
+                f"unknown collective operation {op!r}; selectable: "
+                f"{', '.join(sorted(COLL_ALGORITHMS))}")
+        choices = COLL_ALGORITHMS[op] + ("auto",)
+        if algorithm not in choices:
+            raise InvalidHintError(
+                f"unknown {op} algorithm {algorithm!r}; choices: "
+                f"{', '.join(sorted(choices))}")
         if algorithm == "auto":
             self._coll_algorithms.pop(op, None)
         else:
@@ -590,11 +599,7 @@ class Communicator:
         new_comm = Communicator(self.lib, list(self.group), self.rank,
                                 context_id, hints=hints, vci_map=vci_map,
                                 name=name or f"{self.name}.dup{seq}")
-        # Parent selections carry over; explicit repro_coll_* hints on
-        # this Dup win over inherited ones.
-        inherited = dict(self._coll_algorithms)
-        inherited.update(new_comm._coll_algorithms)
-        new_comm._coll_algorithms = inherited
+        new_comm._coll_algorithms.update(self._coll_algorithms)
         return new_comm
 
     def Free(self) -> None:

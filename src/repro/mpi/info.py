@@ -24,10 +24,12 @@ from typing import Iterator, Mapping, Optional
 
 from ..errors import InvalidHintError
 
-__all__ = ["Info", "CommHints", "WindowHints", "parse_comm_hints",
-           "parse_window_hints"]
+__all__ = ["HINT_TRUE", "Info", "CommHints", "WindowHints",
+           "parse_comm_hints", "parse_window_hints"]
 
-_TRUE = {"true", "1", "yes"}
+#: The spellings of a true boolean hint (after ``strip().lower()``); the
+#: static advisor reads hints by the same set.
+HINT_TRUE = frozenset({"true", "1", "yes"})
 _FALSE = {"false", "0", "no"}
 
 
@@ -79,7 +81,7 @@ class Info:
 
 def _parse_bool(key: str, raw: str) -> bool:
     low = raw.strip().lower()
-    if low in _TRUE:
+    if low in HINT_TRUE:
         return True
     if low in _FALSE:
         return False
@@ -117,10 +119,6 @@ class CommHints:
     #: MPICH: "one-to-one" (sender bits -> local VCI, receiver bits ->
     #: remote VCI) or "hash" (hash the whole tag).
     tag_vci_hash_type: str = "hash"
-    #: Collective algorithm selections from ``repro_coll_<op>`` hint keys,
-    #: as a sorted tuple of (operation, algorithm) pairs (kept hashable so
-    #: the dataclass stays frozen). See :mod:`repro.mpi.coll.select`.
-    coll_algorithms: tuple[tuple[str, str], ...] = ()
 
     @property
     def wildcards_forbidden(self) -> bool:
@@ -179,17 +177,6 @@ def parse_comm_hints(info: Optional[Info]) -> CommHints:
             raise InvalidHintError(
                 f"mpich_tag_vci_hash_type must be 'one-to-one' or 'hash', got {htype!r}")
         kw["tag_vci_hash_type"] = htype
-    selections = {}
-    for key in info:
-        if key.startswith("repro_coll_"):
-            # Local import: repro.mpi.coll pulls in the algorithm modules,
-            # which must not load during this module's import.
-            from .coll.select import validate_selection
-            op, algorithm = validate_selection(key[len("repro_coll_"):],
-                                               info.get(key))
-            selections[op] = algorithm
-    if selections:
-        kw["coll_algorithms"] = tuple(sorted(selections.items()))
 
     hints = CommHints(**kw)
 

@@ -59,13 +59,9 @@ class MpiLibrary:
         self.cfg = cfg
         self.cpu = cfg.cpu
         #: Observability handles; the world owns both (see
-        #: ``World(metrics=..., tracer=...)``). Libraries constructed
-        #: outside a World fall back to disabled instruments.
+        #: ``World(metrics=..., tracer=...)``), each ``None`` when absent.
         self.metrics = getattr(world, "metrics", None)
-        tracer = getattr(world, "tracer", None)
-        # `is None`, not truthiness: an empty tracer is falsy.
-        self.tracer: Tracer = Tracer(enabled=False) if tracer is None \
-            else tracer
+        self.tracer: Optional[Tracer] = getattr(world, "tracer", None)
         self.vci_pool = VciPool(sim, node.nic, cfg.cpu, max_vcis=max_vcis,
                                 metrics=self.metrics, rank=rank)
         #: Rendezvous sends awaiting CTS, by send-request id.
@@ -113,7 +109,7 @@ class MpiLibrary:
         """Serialized thread-side message issue; returns the departure time
         (absolute simulated seconds) of the message from its NIC context.
 
-        Stage accounting (per message, recorded when metrics are enabled):
+        Stage accounting (per message, recorded when the world has metrics):
         ``lock_wait`` = time queued on the VCI lock, ``doorbell_wait`` =
         time queued on the hardware context's doorbell lock, ``sw_cost`` =
         the software critical section (lock acquire + doorbell ring +
@@ -124,7 +120,7 @@ class MpiLibrary:
         sim = self.sim
         tracer = self.tracer
         span = None
-        if tracer.enabled:
+        if tracer is not None:
             span = tracer.span_id()
             tracer.emit(TraceCategory.ISSUE_BEGIN,
                         self._trace_payload(vci, msg, span))
@@ -167,7 +163,7 @@ class MpiLibrary:
             vci.m_inject_delay.observe(max(0.0, depart - sim._now))
             if shared:
                 vci.m_shared_post.inc()
-        if tracer.enabled:
+        if tracer is not None:
             tracer.emit(TraceCategory.ISSUE_END, {
                 "rank": self.rank, "vci": vci.index, "span": span,
                 "depart": depart, "shared_ctx": shared,
@@ -183,7 +179,7 @@ class MpiLibrary:
         self._transmit(msg, depart)
         if vci.m_issue_async is not None:
             vci.m_issue_async.inc()
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(TraceCategory.ISSUE_ASYNC,
                              self._trace_payload(vci, msg))
         return depart
@@ -246,7 +242,7 @@ class MpiLibrary:
                    * vci.engine.scan_cost_posted(msg))
         tracer = self.tracer
         span = None
-        if tracer.enabled:
+        if tracer is not None:
             span = tracer.span_id()
             payload = self._trace_payload(vci, msg, span)
             payload["task"] = f"vci{vci.index}.match"
@@ -258,7 +254,7 @@ class MpiLibrary:
                         span: Optional[int] = None) -> None:
         entry, scanned = vci.engine.incoming(msg)
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.emit(TraceCategory.MATCH_END, {
                 "rank": self.rank, "vci": vci.index, "span": span,
                 "scanned": scanned, "matched": entry is not None,

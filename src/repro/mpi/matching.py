@@ -153,7 +153,7 @@ class MatchingEngine:
         #: Total queue elements scanned over the engine's lifetime — the
         #: O(n) matching-work metric.
         self.total_scans = 0
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             from ..obs.metrics import DEPTH_BUCKETS
             labels = labels or {}
             self._h_scan_posted = metrics.histogram(

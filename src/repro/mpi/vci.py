@@ -63,7 +63,7 @@ def mix_hash(x: int) -> int:
 class Vci:
     """One virtual communication interface.
 
-    With metrics enabled the VCI pre-builds its issue-path metric handles
+    With a metrics registry the VCI pre-builds its issue-path metric handles
     (``m_*``) so the hot path in
     :meth:`~repro.mpi.library.MpiLibrary.issue_from_thread` records stage
     timings with plain attribute updates, and instruments its lock with a
@@ -84,7 +84,7 @@ class Vci:
         #: Serializes thread access to this channel's send path and queues.
         self.lock = Lock(sim, name=f"vci{index}.lock")
         labels = {"rank": rank, "vci": index}
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             self.engine = MatchingEngine(metrics, labels)
             self.m_issue = metrics.counter("mpi.issue.count", **labels)
             self.m_issue_async = metrics.counter("mpi.issue.async", **labels)
@@ -164,9 +164,6 @@ class VciPool:
     @property
     def active_vcis(self) -> list[Vci]:
         return [self._vcis[i] for i in sorted(self._vcis)]
-
-    def send_counts(self) -> list[int]:
-        return [v.sends for v in self.active_vcis]
 
 
 class VciMap:

@@ -32,9 +32,9 @@ LINK_HOP = TraceCategory.custom("topo.link.hop", "fabric")
 class Fabric:
     """Connects nodes; schedules message arrivals.
 
-    With metrics enabled the fabric records per-node egress/ingress
+    With a metrics registry the fabric records per-node egress/ingress
     queueing-delay histograms — the saturation signal behind the Fig 1(a)
-    message-rate plateau — and the tracer (if enabled) gets one
+    message-rate plateau — and a tracer (if any) gets one
     ``fabric.deliver`` instant per arrival.
     """
 
@@ -63,7 +63,7 @@ class Fabric:
         self._handlers[node_id] = handler
         self._ingress[node_id] = FIFOServer(self.sim, name=f"node{node_id}.ingress")
         self._egress[node_id] = FIFOServer(self.sim, name=f"node{node_id}.egress")
-        if self.metrics is not None and self.metrics.enabled:
+        if self.metrics is not None:
             self._h_egress[node_id] = self.metrics.histogram(
                 "fabric.egress.queue_delay", node=node_id)
             self._h_ingress[node_id] = self.metrics.histogram(
@@ -189,7 +189,7 @@ class Fabric:
         self.messages_delivered += 1
         self.bytes_delivered += msg.size + HEADER_BYTES
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.emit(TraceCategory.MSG_DELIVER, {
                 "rank": msg.dst_rank, "vci": msg.dst_vci,
                 "src_rank": msg.src_rank, "tag": msg.tag,

@@ -29,7 +29,7 @@ __all__ = ["HardwareContext", "Nic"]
 class HardwareContext:
     """One NIC hardware context (work queue + doorbell).
 
-    With metrics enabled the context instruments its doorbell lock (the
+    With a metrics registry the context instruments its doorbell lock (the
     Lesson 3 serialization point among sharing VCIs) and records a
     queue-delay histogram for its injector — how long each message sat
     behind earlier injections before departing.
@@ -70,8 +70,7 @@ class HardwareContext:
         """Create this context's metric series (on first allocation, so a
         160-context pool doesn't flood the registry with unused series)."""
         metrics = self._metrics
-        if (self.m_inject_queue is None and metrics is not None
-                and metrics.enabled):
+        if self.m_inject_queue is None and metrics is not None:
             self.m_inject_queue = metrics.histogram(
                 "nic.inject.queue_delay", node=self._node_id, ctx=self.index)
             instrument_lock(self.doorbell_lock, metrics, node=self._node_id,

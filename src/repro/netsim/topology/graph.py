@@ -2,9 +2,9 @@
 
 A :class:`Topology` is a pure description — vertices, directed
 :class:`Link` objects, and the next hop from ``(vertex, dst host)`` to
-the link to take: a *rule* computed on demand (what the generators in
-:mod:`.generators` register) and/or explicit table entries (hand-built
-graphs). The :class:`~repro.netsim.topology.routed.RoutedFabric`
+the link to take: a *rule* computed on demand (the generators in
+:mod:`.generators` register one; a hand-built graph registers its own).
+The :class:`~repro.netsim.topology.routed.RoutedFabric`
 then *binds* the topology to a simulator, giving every link a
 :class:`~repro.sim.resources.FIFOServer` so per-link serialization and
 queueing accrue as messages traverse it.
@@ -71,13 +71,12 @@ class Topology:
         topo = Topology("fat_tree(k=4)", num_hosts=16)
         topo.add_switch("pod0.edge0")
         link = topo.add_link("h0", "pod0.edge0")
-        topo.set_next_hop("h0", dst=5, link=link)   # one table entry, or
-        topo.set_routing_rule(lambda vertex, dst: ...)  # every entry
+        topo.set_routing_rule(lambda vertex, dst: ...)  # -> a Link
 
-    ``route(src, dst)`` then walks next hops — a table entry where there
-    is one, else the rule — into a tuple of links, validating on the way
-    that every hop leaves the vertex it was asked at and that the path
-    terminates at the destination host without revisiting a vertex.
+    ``route(src, dst)`` then walks the rule's next hops into a tuple of
+    links, validating on the way that every hop leaves the vertex it was
+    asked at and that the path terminates at the destination host
+    without revisiting a vertex.
     """
 
     def __init__(self, name: str, num_hosts: int):
@@ -88,7 +87,6 @@ class Topology:
         self.switches: list[str] = []
         self._vertices: set[str] = {host_vertex(i) for i in range(num_hosts)}
         self._links: dict[str, Link] = {}
-        self._next_hop: dict[tuple[str, int], Link] = {}
         self._rule: Optional[Callable[[str, int], Link]] = None
         self._routes: dict[tuple[int, int], tuple[Link, ...]] = {}
         self._bound = False
@@ -122,16 +120,9 @@ class Topology:
         return (self.add_link(a, b, bandwidth, latency),
                 self.add_link(b, a, bandwidth, latency))
 
-    def set_next_hop(self, vertex: str, dst: int, link: Link) -> None:
-        """Route traffic for host ``dst`` standing at ``vertex`` via ``link``."""
-        if link.src != vertex:
-            raise TopologyError(
-                f"next hop at {vertex!r} must leave that vertex, got {link.name}")
-        self._next_hop[(vertex, dst)] = link
-
     def set_routing_rule(self, rule: Callable[[str, int], Link]) -> None:
-        """Route by ``rule(vertex, dst) -> Link`` wherever no
-        :meth:`set_next_hop` entry says otherwise.
+        """Route by ``rule(vertex, dst) -> Link``: the link to take toward
+        host ``dst`` from ``vertex``.
 
         The rule is asked once per hop of a pair's first
         :meth:`route`, so a regular topology pays for the pairs a run
@@ -157,11 +148,6 @@ class Topology:
         """Number of directed links."""
         return len(self._links)
 
-    def describe(self) -> str:
-        """One-line human summary."""
-        return (f"{self.name}: {self.num_hosts} hosts, "
-                f"{len(self.switches)} switches, {self.num_links} links")
-
     # -- routing --------------------------------------------------------
     def route(self, src: int, dst: int) -> tuple[Link, ...]:
         """The static path from host ``src`` to host ``dst`` as links.
@@ -185,18 +171,17 @@ class Topology:
         vertex = host_vertex(src)
         path: list[Link] = []
         visited = {vertex}
+        rule = self._rule
         while vertex != goal:
-            link = self._next_hop.get((vertex, dst))
-            if link is None:
-                if self._rule is None:
-                    raise TopologyError(
-                        f"{self.name}: no next hop toward host {dst} "
-                        f"at {vertex!r}")
-                link = self._rule(vertex, dst)
-                if link.src != vertex:
-                    raise TopologyError(
-                        f"next hop at {vertex!r} must leave that vertex, "
-                        f"got {link.name}")
+            if rule is None:
+                raise TopologyError(
+                    f"{self.name}: no next hop toward host {dst} "
+                    f"at {vertex!r}")
+            link = rule(vertex, dst)
+            if link.src != vertex:
+                raise TopologyError(
+                    f"next hop at {vertex!r} must leave that vertex, "
+                    f"got {link.name}")
             path.append(link)
             vertex = link.dst
             if vertex in visited:

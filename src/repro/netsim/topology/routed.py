@@ -13,7 +13,7 @@ deterministic.
 
 Per-link queueing delays feed ``topo.link.queue_delay`` histograms and
 the tracer gets one ``topo.link.hop`` instant per hop (both observer-only
-— enabled instruments never shift simulated timings).
+— instruments never shift simulated timings).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class RoutedFabric(Fabric):
         topology.bind(sim, params)
         self._max_hops_cache = 0
         self._h_links: dict[str, object] = {}
-        if self.metrics is not None and self.metrics.enabled:
+        if self.metrics is not None:
             for link in topology.links():
                 self._h_links[link.name] = self.metrics.histogram(
                     "topo.link.queue_delay", link=link.name)
@@ -69,7 +69,6 @@ class RoutedFabric(Fabric):
                           wire_time: float) -> None:
         """Walk the static route, charging each link, then host ingress."""
         tracer = self.tracer
-        trace_on = tracer is not None and tracer.enabled
         t = depart_time
         for link in self.topology.route(msg.src_node, msg.dst_node):
             service = msg.wire_bytes / link.bandwidth
@@ -79,7 +78,7 @@ class RoutedFabric(Fabric):
             h = self._h_links.get(link.name)
             if h is not None:
                 h.observe(queued)
-            if trace_on:
+            if tracer is not None:
                 tracer.emit(LINK_HOP, {
                     "link": link.name, "bytes": msg.wire_bytes,
                     "queued": queued, "src_rank": msg.src_rank,

@@ -23,8 +23,6 @@ __all__ = ["collect_world"]
 
 def collect_world(world: Any, metrics: MetricsRegistry) -> None:
     """Snapshot per-VCI, per-context, and per-link stats into gauges."""
-    if not metrics.enabled:
-        return
     elapsed = world.sim.now
     metrics.set_gauge("sim.elapsed", elapsed)
 

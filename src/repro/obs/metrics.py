@@ -193,14 +193,12 @@ class MetricsRegistry:
 
     Layers fetch (get-or-create) metric series by name + labels once and
     hold the returned handle; recording through a handle is a plain
-    attribute update. A disabled registry (``enabled=False``) still hands
-    out working handles — the ``enabled`` flag exists so hot paths can
-    skip instrumentation wholesale.
+    attribute update. An uninstrumented run has no registry at all
+    (``None``), so hot paths skip instrumentation with one ``is None``
+    test.
     """
 
-    def __init__(self, enabled: bool = True,
-                 clock: Optional[Callable[[], float]] = None):
-        self.enabled = enabled
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self._metrics: dict[tuple[str, LabelKey], Any] = {}
 
@@ -209,9 +207,6 @@ class MetricsRegistry:
         """Attach the simulated-time clock (``World`` calls this)."""
         self._clock = clock
         return self
-
-    def now(self) -> float:
-        return self._clock()
 
     # -- series construction ----------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -245,17 +240,14 @@ class MetricsRegistry:
 
     # -- one-shot conveniences --------------------------------------------
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        if self.enabled:
-            self.counter(name, **labels).inc(amount)
+        self.counter(name, **labels).inc(amount)
 
     def observe(self, name: str, value: float, weight: float = 1.0,
                 **labels: Any) -> None:
-        if self.enabled:
-            self.histogram(name, **labels).observe(value, weight)
+        self.histogram(name, **labels).observe(value, weight)
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        if self.enabled:
-            self.gauge(name, **labels).set(value)
+        self.gauge(name, **labels).set(value)
 
     # -- introspection -----------------------------------------------------
     def series(self, name: str) -> list[Any]:
@@ -301,7 +293,7 @@ def instrument_lock(lock: Any, metrics: MetricsRegistry,
     histogram (how long acquirers spent waiting at each queue position).
     Idempotent per lock: an existing observer is left in place.
     """
-    if lock.observer is not None or not metrics.enabled:
+    if lock.observer is not None:
         return
     h_wait = metrics.histogram("sim.lock.wait", lock=lock.name, **labels)
     h_hold = metrics.histogram("sim.lock.hold", lock=lock.name, **labels)

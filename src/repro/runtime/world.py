@@ -137,10 +137,10 @@ class World:
       without a simulator (``Tracer()``), the world binds its clock. Feed
       it to :func:`repro.obs.export_chrome_trace` for a Perfetto timeline.
 
-    Both default to disabled instruments with zero hot-path cost, and
-    neither affects simulated timings when enabled: metric recording
-    schedules no events, so instrumented and bare runs of the same seed
-    produce identical timings.
+    Both default to ``None`` (no instrument, one ``is None`` test per hot
+    site), and neither affects simulated timings when given: metric
+    recording schedules no events, so instrumented and bare runs of the
+    same seed produce identical timings.
 
     A third hook, ``check=``, enables the correctness analyzer
     (:mod:`repro.check`): pass a :class:`repro.check.CheckConfig` (or
@@ -198,13 +198,11 @@ class World:
         if check:
             self.checker = Checker(self.sim, check)
             self.sim.checker = self.checker
-        # `is None`, not truthiness: both instruments are falsy when empty.
-        if metrics is None:
-            metrics = MetricsRegistry(enabled=False)
-        if tracer is None:
-            tracer = Tracer(enabled=False)
-        self.metrics = metrics.bind_clock(lambda: self.sim.now)
-        self.tracer = tracer.bind(self.sim)
+        # An absent instrument is None, and every layer tests it with
+        # `is None`, never truthiness: both are falsy when empty.
+        self.metrics = metrics if metrics is None \
+            else metrics.bind_clock(lambda: self.sim.now)
+        self.tracer = tracer if tracer is None else tracer.bind(self.sim)
         self.cfg = cluster.network
         self.num_nodes = num_nodes
         self.procs_per_node = procs_per_node
@@ -253,7 +251,8 @@ class World:
             from ..faults import injector as injection, transport as reliable
             if faults is not None:
                 self.injector = injection.FaultInjector(faults, seed=seed)
-                self.injector.bind(self.metrics, self.tracer)
+                self.injector.metrics = self.metrics
+                self.injector.tracer = self.tracer
                 self.fabric.injector = self.injector
                 for node in self.nodes:
                     node.nic.attach_fault_injector(self.injector)
@@ -397,10 +396,10 @@ class World:
         Fills the gauges that are cheaper to read once than to track live:
         per-VCI lock totals and queue high-water marks, matching-queue
         depths, NIC context occupancy and oversubscription, fabric link
-        saturation. Safe to call on a disabled registry (no-op) and safe
-        to call more than once (values are overwritten, not accumulated).
+        saturation. A no-op without a registry, and safe to call more than
+        once (values are overwritten, not accumulated).
         """
-        if not self.metrics.enabled:
+        if self.metrics is None:
             return
         from ..obs.collect import collect_world
         collect_world(self, self.metrics)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Optional
+from typing import Any
 
 from ..snap import STATE_FORMAT_VERSION
 
@@ -100,8 +100,7 @@ class ResultCache:
     JSON result on a hit; ``save`` writes ``point-<key>.json`` atomically
     (tmp + ``os.replace``), so a killed run leaves only whole files
     behind. Floats survive the round-trip exactly (``repr``
-    shortest-round-trip). ``directory=None`` disables persistence (every
-    load misses) — the orchestrator code path stays identical either way.
+    shortest-round-trip).
 
     A file is ``{"point":<blob>,"result":<canonical result>}`` and
     nothing else: ``save`` writes those bytes by concatenation and
@@ -120,10 +119,9 @@ class ResultCache:
     for callers that do not keep the blob.
     """
 
-    def __init__(self, directory: Optional[str]):
+    def __init__(self, directory: str):
         self.directory = directory
-        if directory:
-            os.makedirs(directory, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
         #: Lifetime hit/miss counts (also mirrored into the service's
         #: metrics registry by the orchestrator).
         self.hits = 0
@@ -152,7 +150,7 @@ class ResultCache:
         """The stored result for the point ``blob`` names, or
         :data:`PENDING`; the file is read only the first time."""
         result = self._known.get(blob, PENDING)
-        if result is PENDING and self.directory:
+        if result is PENDING:
             result = self._read(blob)
             if result is not PENDING:
                 self._known[blob] = result
@@ -165,8 +163,6 @@ class ResultCache:
     def save_blob(self, blob: str, result: Any) -> None:
         """Atomically persist ``result`` (a JSON document, as
         :func:`json_roundtrip` returns it) for the point ``blob`` names."""
-        if not self.directory:
-            return
         path = self._path(blob)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -187,7 +183,7 @@ class ResultCache:
         self.save_blob(point_blob(kind, point), result)
 
     def __len__(self) -> int:
-        if not self.directory or not os.path.isdir(self.directory):
+        if not os.path.isdir(self.directory):
             return 0
         return sum(1 for name in os.listdir(self.directory)
                    if name.startswith("point-") and name.endswith(".json"))

@@ -370,8 +370,8 @@ class Orchestrator:
                 self._queue.put_nowait(key)
                 self.metrics.inc("serve.point.queued")
             elif task.status == "done":
-                # In-memory completion that predates cache persistence
-                # being enabled; serve it like a hit.
+                # Completed in memory but not in the store (its
+                # ``save_blob`` raised): serve it like a hit.
                 job.fill(index, task.result)
                 job.cache_hits += 1
                 continue

@@ -67,7 +67,9 @@ def encode_frame(frame: dict) -> bytes:
 def _decode_payload(payload: bytes) -> dict:
     try:
         frame = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack, which a
+        # frame far under MAX_FRAME_BYTES can hold.
         raise ProtocolError(f"corrupt frame payload: {exc}") from exc
     if not isinstance(frame, dict) or not isinstance(frame.get("type"), str):
         raise ProtocolError(

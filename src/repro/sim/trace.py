@@ -94,29 +94,16 @@ class TraceCategory(metaclass=_FrozenNamespace):
     """
 
     # -- MPI library: issue path ------------------------------------------
-    SEND_POST = _define("mpi.send_post", "mpi")
-    RECV_POST = _define("mpi.recv_post", "mpi")
     ISSUE_BEGIN = _define("mpi.issue.begin", "mpi", "begin", "mpi.issue.end")
     ISSUE_END = _define("mpi.issue.end", "mpi", "end", "mpi.issue.begin")
     ISSUE_ASYNC = _define("mpi.issue.async", "mpi")
-
-    # -- VCI layer: lock + doorbell critical sections ---------------------
-    LOCK_WAIT_BEGIN = _define("vci.lock.begin", "vci", "begin",
-                              "vci.lock.end")
-    LOCK_WAIT_END = _define("vci.lock.end", "vci", "end", "vci.lock.begin")
-    DOORBELL_BEGIN = _define("vci.doorbell.begin", "vci", "begin",
-                             "vci.doorbell.end")
-    DOORBELL_END = _define("vci.doorbell.end", "vci", "end",
-                           "vci.doorbell.begin")
 
     # -- matching engine ---------------------------------------------------
     MATCH_BEGIN = _define("mpi.match.begin", "mpi", "begin", "mpi.match.end")
     MATCH_END = _define("mpi.match.end", "mpi", "end", "mpi.match.begin")
     MATCH_UNEXPECTED = _define("mpi.match.unexpected", "mpi")
 
-    # -- NIC / fabric ------------------------------------------------------
-    MSG_INJECT = _define("nic.inject", "nic")
-    SHARED_CTX_POST = _define("nic.shared_ctx_post", "nic")
+    # -- fabric ------------------------------------------------------------
     MSG_DELIVER = _define("fabric.deliver", "fabric")
 
     # -- fault injection (repro.faults) ------------------------------------
@@ -165,11 +152,6 @@ class TraceCategory(metaclass=_FrozenNamespace):
     def get(name: str) -> Optional[Category]:
         """Look up a category by name without defining it."""
         return _CATEGORIES.get(name)
-
-    @staticmethod
-    def all() -> tuple[Category, ...]:
-        """All currently defined categories, sorted by name."""
-        return tuple(_CATEGORIES[k] for k in sorted(_CATEGORIES))
 
 
 @dataclass(frozen=True)
@@ -252,15 +234,14 @@ def pair_records(records: Iterable[TraceRecord]) -> SpanPairing:
 class Tracer:
     """Collects trace records; filterable by category.
 
-    ``Tracer(enabled=False)`` is the zero-overhead null tracer. ``sim`` may
-    be omitted and bound later through :meth:`bind` —
+    An untraced run has no tracer at all (``None``). ``sim`` may be
+    omitted and bound later through :meth:`bind` —
     :class:`~repro.runtime.world.World` does this for tracers passed to its
     ``tracer=`` keyword.
     """
 
-    def __init__(self, sim: Optional[Simulator] = None, enabled: bool = True):
+    def __init__(self, sim: Optional[Simulator] = None):
         self.sim = sim
-        self.enabled = enabled
         self.records: list[TraceRecord] = []
         self._span_seq = 0
 
@@ -280,9 +261,8 @@ class Tracer:
         return self._span_seq
 
     def emit(self, category: Union[Category, str], payload: Any = None) -> None:
-        if self.enabled:
-            self.records.append(
-                TraceRecord(self.now, as_category(category), payload))
+        self.records.append(
+            TraceRecord(self.now, as_category(category), payload))
 
     def select(self, category: Union[Category, str]) -> list[TraceRecord]:
         cat = as_category(category)

@@ -354,7 +354,7 @@ def _rng_state(rng: Any) -> dict[str, Any]:
 
 
 def _trace_state(tracer: Any) -> Optional[dict[str, Any]]:
-    if not tracer.enabled:
+    if tracer is None:
         return None
     digest = hashlib.sha256()
     for rec in tracer.records:
@@ -434,7 +434,7 @@ def capture_state(world: Any) -> dict[str, Any]:
                             "flow_table": [list(f) for f in
                                            world.traffic.flow_table],
                             **world.traffic.summary()}
-    if world.metrics.enabled:
+    if world.metrics is not None:
         state["metrics"] = describe_value(world.metrics.snapshot(), 1)
     state["trace"] = _trace_state(world.tracer)
     if world.checker is not None:

@@ -117,7 +117,7 @@ class LinearMatchingEngine:
         self._h_scan_unexpected = None
         self._h_posted_depth = None
         self._h_unexpected_depth = None
-        if metrics is not None and metrics.enabled:
+        if metrics is not None:
             from repro.obs.metrics import DEPTH_BUCKETS
             labels = labels or {}
             self._h_scan_posted = metrics.histogram(

@@ -388,14 +388,24 @@ def _names(relpath):
 #: wire messages across worlds; the stencil geometry alone walks patch
 #: neighbours and the channel alone addresses endpoints; every persistent
 #: kind starts and completes through ``request.startall``/``waitall``.
+#: An absent instrument is ``None``, not a disabled object; routes come
+#: from the rule; an allreduce algorithm is chosen by
+#: ``set_coll_algorithm`` alone; the checker runs every rule.
 SAID_ONCE = {
     "check/session.py": {"_live", "register", "live_checkers",
                          "collect_report"},
     "check/__init__.py": {"_live", "register", "live_checkers",
                           "collect_report"},
-    "check/checker.py": {"session"},
+    "check/checker.py": {"session", "races", "lock_order", "semantics",
+                         "leaks"},
     "scenarios/executor.py": {"recording", "SnapController"},
-    "runtime/world.py": {"default_snap_controller", "_snap", "drive"},
+    "runtime/world.py": {"default_snap_controller", "_snap", "drive",
+                         "enabled"},
+    **{relpath: {"enabled"}
+       for relpath in ("obs/metrics.py", "sim/trace.py", "mpi/library.py",
+                       "faults/injector.py")},
+    "netsim/topology/graph.py": {"set_next_hop", "_next_hop"},
+    "mpi/info.py": {"coll_algorithms"},
     "cli.py": {"runpy"},
     "snap/reproduction.py": {"runpy"},
     "scenarios/shrink.py": {"verify_artifact", "load_artifact",
@@ -420,7 +430,7 @@ def test_the_layers_around_the_simulator_say_it_once():
         assert not _names(relpath) & forbidden, relpath
     for gone in ("analysis/contention.py", "snap/session.py",
                  "snap/restore.py", "snap/bisect.py", "snap/snapshot.py",
-                 "mapping/endpoints.py"):
+                 "mapping/endpoints.py", "mpi/coll/select.py"):
         assert not os.path.exists(os.path.join(ROOT, "src", "repro", gone))
     assert sorted(repro.analysis.__all__) == [
         "Capability", "MECHANISM_NAMES", "OPERATIONS", "PATTERNS",

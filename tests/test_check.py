@@ -554,23 +554,6 @@ def test_checker_is_observer_only():
     assert t_checked == t_plain
 
 
-def test_disabled_rule_groups_do_not_fire():
-    world = checked_world(config=CheckConfig(semantics=False,
-                                             emit_warnings=False))
-
-    def rank0(proc):
-        win = yield from win_create(proc.comm_world, np.zeros(8))
-        yield from win.Lock(1)
-        yield from win.Lock(1)
-        yield from win.Unlock(1)
-
-    def rank1(proc):
-        yield from win_create(proc.comm_world, np.zeros(8))
-
-    run_ranks(world, rank0, rank1)
-    assert "CHK107" not in rules_fired(world)
-
-
 def test_rule_catalog_lookup():
     from repro.check import ALL_RULES, rule
     assert rule("CHK101").name == "request-race"

@@ -7,6 +7,7 @@ give-up path, deadlock diagnostics, and the reliability report/CLI.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -472,6 +473,27 @@ def test_faults_cli_subcommand(capsys):
 def test_faults_cli_rejects_bad_plan(capsys):
     from repro.cli import main
     assert main(["faults", "stencil", "--plan", "drop=oops"]) == 2
+
+
+@pytest.mark.parametrize("document, blame", [
+    ({"stalls": [{"node": 0}]}, "entry {'node': 0} lacks key 'start'"),
+    ({"links": [3]}, "bad fault plan entry 3:"),
+    ([1, 2], "must be a mapping, got [1, 2]"),
+], ids=["stall-without-start", "link-not-a-mapping", "plan-not-a-mapping"])
+def test_faults_cli_rejects_a_malformed_plan_file(tmp_path, capsys,
+                                                  document, blame):
+    """A plan file of the wrong shape is an ``error:`` line and exit 2,
+    never a traceback; a scenario holding it is a ScenarioError."""
+    from repro.cli import main
+    from repro.errors import ScenarioError
+    from repro.scenarios.spec import ScenarioSpec
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(document))
+    assert main(["faults", "stencil", "--plan", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad fault plan:") and blame in err
+    with pytest.raises(ScenarioError, match=re.escape(blame)):
+        ScenarioSpec.from_dict({"app": "stencil", "faults": document})
 
 
 # ------------------------------------------------- deadlock diagnostics

@@ -219,7 +219,7 @@ def test_world_keeps_enabled_but_empty_instruments():
     world = World(num_nodes=2, metrics=m, tracer=t)
     assert world.metrics is m and world.tracer is t
     bare = World(num_nodes=2)
-    assert not bare.metrics.enabled and not bare.tracer.enabled
+    assert bare.metrics is None and bare.tracer is None
 
 
 # --------------------------------------------- issue-path stage accounting

@@ -246,10 +246,3 @@ def test_jobs_share_results_and_nothing_mutates_them(tmp_path):
     assert fresh.jobs[first].results == before[0]
     assert all(x is y for x, y in zip(fresh.jobs[first].results,
                                       fresh.jobs[second].results))
-
-
-def test_disabled_cache_always_misses():
-    cache = ResultCache(None)
-    cache.save("selftest", {"i": 1}, {"v": 1})
-    assert cache.load("selftest", {"i": 1}) is PENDING
-    assert len(cache) == 0

@@ -124,6 +124,91 @@ def test_oversize_frame_refused_at_encode(monkeypatch):
         encode_frame({"type": "big", "blob": "x" * 200})
 
 
+def _prefixed(payload):
+    return len(payload).to_bytes(4, "big") + payload
+
+
+#: A frame nested deeper than the JSON parser's stack, far under the
+#: frame bound.
+_DEEP_FRAME = _prefixed(b"[" * 200_000)
+
+#: Stream fragments the decoder fuzzer splices between (and cuts
+#: through): whole frames, the deep frame, a bad payload, and length
+#: prefixes at and past the bound.
+_FRAME_FRAGMENTS = [
+    *map(encode_frame, FRAMES), _DEEP_FRAME, _prefixed(b"{}"),
+    _prefixed(b"\xff"), MAX_FRAME_BYTES.to_bytes(4, "big"),
+    (MAX_FRAME_BYTES + 1).to_bytes(4, "big"), b"\xff\xff\xff\xff",
+]
+
+
+def _cut(stream, cuts):
+    """``stream`` as the chunks that cutting it at ``cuts`` leaves."""
+    cuts = sorted(cuts)
+    return [stream[a:b] for a, b in zip([0] + cuts, cuts + [len(stream)])]
+
+
+def test_no_byte_sequence_breaks_the_frame_decoder():
+    """Arbitrary bytes in arbitrary chunks: ``feed`` returns only objects
+    with a string ``type`` or raises :class:`ProtocolError` (never
+    another error: a nesting too deep to parse is a corrupt frame), and
+    after a clean feed ``close()`` raises exactly when bytes are
+    pending."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    streams = st.lists(st.one_of(st.sampled_from(_FRAME_FRAGMENTS),
+                                 st.binary(max_size=40)),
+                       max_size=8).map(b"".join)
+
+    @hypothesis.given(streams, st.lists(st.integers(0, 250_000), max_size=6))
+    @hypothesis.example(_DEEP_FRAME, [])
+    @hypothesis.example(_DEEP_FRAME, [3, 1000])
+    def prop(stream, cuts):
+        decoder = FrameDecoder()
+        try:
+            for chunk in _cut(stream, cuts):
+                for frame in decoder.feed(chunk):
+                    assert isinstance(frame, dict)
+                    assert isinstance(frame["type"], str)
+        except ProtocolError:
+            return
+        if decoder.pending_bytes:
+            with pytest.raises(ProtocolError, match="truncated"):
+                decoder.close()
+        else:
+            decoder.close()
+
+    prop()
+
+
+def test_valid_frames_roundtrip_under_any_cut():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    values = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=False), st.text()),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+        max_leaves=16)
+    frames = st.one_of(
+        st.sampled_from(FRAMES),
+        st.builds(lambda kind, body: {**body, "type": kind}, st.text(),
+                  st.dictionaries(st.text(max_size=8), values, max_size=4)))
+
+    @hypothesis.given(st.lists(frames, max_size=6),
+                      st.lists(st.integers(0, 2_000), max_size=8))
+    def prop(sent, cuts):
+        decoder = FrameDecoder()
+        received = []
+        for chunk in _cut(b"".join(map(encode_frame, sent)), cuts):
+            received.extend(decoder.feed(chunk))
+        assert received == sent
+        decoder.close()
+
+    prop()
+
+
 def test_blocking_read_frame_roundtrip_and_clean_eof():
     # The worker's read loop: the same FrameDecoder the orchestrator
     # uses, fed from a blocking socket. EOF at a frame boundary ends it.

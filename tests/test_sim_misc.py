@@ -60,13 +60,11 @@ def test_tracer_spans_pair_fifo():
     assert spans == [(0.0, 2.0), (3.0, 6.0)]
 
 
-def test_tracer_disabled_and_clear():
+def test_tracer_clear():
     sim = Simulator()
-    tr = Tracer(sim, enabled=False)
+    tr = Tracer(sim)
     tr.emit(X)
-    assert len(tr) == 0
-    tr.enabled = True
-    tr.emit(X)
+    assert len(tr) == 1
     tr.clear()
     assert len(tr) == 0
 

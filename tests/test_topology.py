@@ -9,8 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidHintError, MpiUsageError, TopologyError
-from repro.mpi.coll.select import COLL_ALGORITHMS, validate_selection
-from repro.mpi.info import Info, parse_comm_hints
 from repro.netsim import (
     ClusterSpec,
     NetworkConfig,
@@ -123,11 +121,10 @@ def test_topology_registry_protocol():
         topo = Topology("star", num_hosts=nodes)
         topo.add_switch("hub")
         for h in range(nodes):
-            a, b = topo.add_duplex(host_vertex(h), "hub")
-            topo.set_next_hop("hub", h, b)
-            for dst in range(nodes):
-                if dst != h:
-                    topo.set_next_hop(host_vertex(h), dst, a)
+            topo.add_duplex(host_vertex(h), "hub")
+        # Up to the hub from a host, down from the hub to the destination.
+        topo.set_routing_rule(lambda vertex, dst: topo.link(
+            vertex, "hub" if vertex != "hub" else host_vertex(dst)))
         topo.validate()
         return topo
 
@@ -198,14 +195,17 @@ def test_rule_routes_every_pair_as_the_table_did(generator, table, args):
     topo.validate()
 
 
-def test_table_entry_wins_over_the_rule_and_bad_rules_are_typed():
-    topo = fat_tree(4)  # h0 and h1 hang off the same edge switch
-    assert [l.name for l in topo.route(0, 1)] == ["h0->p0.e0", "p0.e0->h1"]
-    detour = fat_tree(4)
-    detour.set_next_hop("p0.e0", 1, detour.link("p0.e0", "p0.a0"))
-    detour.set_next_hop("p0.a0", 1, detour.link("p0.a0", "p0.e0"))
+def test_bad_rules_are_typed():
+    looping = Topology("t", num_hosts=2)
+    for switch in ("s0", "s1"):
+        looping.add_switch(switch)
+    looping.add_duplex("h0", "s0")
+    looping.add_duplex("s0", "s1")
+    # h0 -> s0 -> s1 -> s0: host 1 is never reached.
+    looping.set_routing_rule(lambda vertex, dst: looping.link(
+        vertex, {"h0": "s0", "s0": "s1", "s1": "s0"}[vertex]))
     with pytest.raises(TopologyError, match="routing loop"):
-        detour.route(0, 1)
+        looping.route(0, 1)
     lying = Topology("t", num_hosts=2)
     lying.add_switch("sw")
     up, down = lying.add_duplex("h0", "sw")
@@ -283,14 +283,13 @@ def test_route_errors_are_typed():
 
 # ---------------------------------------- per-comm algorithm selection
 
-def run_allreduce(world, algorithm=None, info=None, elems=256):
+def run_allreduce(world, algorithm, elems=256):
     """Allreduce over all ranks on a Dup'd comm; returns (ok, wall)."""
     outs = {}
 
     def node(proc):
-        comm = yield from proc.comm_world.Dup(info=info)
-        if algorithm is not None:
-            comm.set_coll_algorithm("allreduce", algorithm)
+        comm = yield from proc.comm_world.Dup()
+        comm.set_coll_algorithm("allreduce", algorithm)
         data = np.full(elems, float(proc.rank + 1))
         out = np.zeros(elems)
         yield from comm.Allreduce(data, out)
@@ -312,15 +311,6 @@ def test_set_coll_algorithm_changes_schedule():
     assert t_ring != t_rd  # genuinely different algorithms ran
 
 
-def test_coll_algorithm_info_hint_path():
-    mk = lambda: World(cluster=ClusterSpec(nodes=4), seed=5)
-    hint = Info({"repro_coll_allreduce": "ring"})
-    ok_hint, t_hint = run_allreduce(mk(), info=hint, elems=8192)
-    ok_ring, t_ring = run_allreduce(mk(), "ring", elems=8192)
-    assert ok_hint and ok_ring
-    assert t_hint == t_ring  # the hint selected the same schedule
-
-
 def test_coll_algorithm_accessors_and_validation():
     w = World(cluster=ClusterSpec(nodes=2))
     comm = w.procs[0].comm_world
@@ -329,20 +319,15 @@ def test_coll_algorithm_accessors_and_validation():
     assert comm.coll_algorithm("allreduce") == "ring"
     comm.set_coll_algorithm("allreduce", "auto")
     assert comm.coll_algorithm("allreduce") == "auto"
-    with pytest.raises(InvalidHintError, match="allreduce"):
+    for algorithm in ("recursive_doubling", "ring", "auto"):
+        comm.set_coll_algorithm(" AllReduce ", f" {algorithm.upper()} ")
+        assert comm.coll_algorithm("allreduce") == algorithm
+    with pytest.raises(InvalidHintError,
+                       match="unknown allreduce algorithm 'quantum'"):
         comm.set_coll_algorithm("allreduce", "quantum")
-    with pytest.raises(InvalidHintError, match="unknown collective"):
+    with pytest.raises(InvalidHintError,
+                       match="unknown collective operation 'allshuffle'"):
         comm.set_coll_algorithm("allshuffle", "ring")
-
-
-def test_coll_hint_parsing():
-    hints = parse_comm_hints(Info({"repro_coll_allreduce": "RING"}))
-    assert dict(hints.coll_algorithms) == {"allreduce": "ring"}
-    with pytest.raises(InvalidHintError):
-        parse_comm_hints(Info({"repro_coll_allreduce": "bogus"}))
-    for op, algos in COLL_ALGORITHMS.items():
-        for algo in algos + ("auto",):
-            assert validate_selection(op, algo.upper()) == (op, algo)
 
 
 def test_split_inherits_selection():
