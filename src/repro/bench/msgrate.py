@@ -90,8 +90,14 @@ class MsgRateConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise MpiUsageError(f"unknown mode {self.mode!r}")
-        if self.cores < 1:
-            raise MpiUsageError("cores must be >= 1")
+        for name, low in (("cores", 1), ("msgs_per_core", 1),
+                          ("window", 1), ("msg_bytes", 0)):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is no count either
+                raise MpiUsageError(f"{name} must be an integer, "
+                                    f"got {value!r}")
+            if value < low:
+                raise MpiUsageError(f"{name} must be >= {low}")
 
 
 @dataclass

@@ -821,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "worker dies. Kill the service at any time — jobs "
                     "resume from --state-dir on the next start.")
     sv.add_argument("--state-dir", default=".repro-serve",
-                    help="job manifests + result cache + discovery file "
+                    help="job journal + result cache + discovery file "
                          "(default %(default)s)")
     sv.add_argument("--workers", "-j", type=int, default=None,
                     help="local worker processes (default: one per host "

@@ -3,7 +3,7 @@
 A *campaign* is ``n`` sampled scenarios executed under the analyzer and
 fault injector. It runs as a ``campaign`` job of :mod:`repro.serve`
 (:func:`repro.serve.run_local`), so a campaign directory *is* a service
-state directory: the job manifest under ``jobs/`` names the sample, every
+state directory: the first line of its job journal names the sample, every
 completed scenario lands atomically in ``cache/`` the moment it finishes,
 and resumability is the orchestrator's — kill the process at any time,
 ``resume`` re-expands the identical scenario list from the manifest and
@@ -21,7 +21,7 @@ import json
 import os
 from typing import Any, Callable, Optional, Sequence
 
-from ..errors import ScenarioError, ServeError
+from ..errors import ScenarioError
 from ..snap.reproduction import verify_artifact, write_artifact
 from .sample import SAMPLER_VERSION
 from .shrink import shrink_scenario
@@ -29,9 +29,6 @@ from .spec import ScenarioSpec
 
 __all__ = ["run_campaign", "campaign_report", "render_report",
            "load_manifest", "campaign_manifest", "summarize_outcomes"]
-
-#: A campaign is the first job of its directory.
-_MANIFEST = os.path.join("jobs", "job-00001.json")
 
 
 def _atomic_write_json(path: str, data: Any) -> None:
@@ -53,21 +50,32 @@ def campaign_manifest(spec: dict) -> dict[str, Any]:
             "sampler_version": spec.get("sampler_version", SAMPLER_VERSION)}
 
 
+def _held_manifest(out_dir: str) -> Optional[dict[str, Any]]:
+    """The manifest of the campaign ``out_dir`` holds — its campaign job,
+    the first line of its job journal — or None if it holds no job."""
+    from ..serve.orchestrator import JOURNAL, read_journal
+    try:
+        lines = read_journal(out_dir)
+    except OSError as exc:
+        raise ScenarioError(f"{out_dir!r} is unreadable ({exc})") from exc
+    if not lines:
+        return None
+    job = lines[0]
+    if job.error is not None:
+        raise ScenarioError(job.error)
+    if job.kind != "campaign":
+        raise ScenarioError(f"{os.path.join(out_dir, JOURNAL)}:1: a "
+                            f"{job.kind} job, not a campaign")
+    return campaign_manifest(job.spec)
+
+
 def load_manifest(out_dir: str) -> dict[str, Any]:
     """Read a campaign directory's manifest (its campaign job's spec)."""
-    from ..serve import read_manifest
-    path = os.path.join(out_dir, _MANIFEST)
-    try:
-        job = read_manifest(path)
-    except OSError as exc:
-        raise ScenarioError(
-            f"{out_dir!r} has no campaign manifest ({exc})") from exc
-    except ServeError as exc:
-        raise ScenarioError(str(exc)) from exc
-    if job["kind"] != "campaign":
-        raise ScenarioError(f"corrupt manifest {path!r}: a {job['kind']} "
-                            "job, not a campaign")
-    return campaign_manifest(job["spec"])
+    held = _held_manifest(out_dir)
+    if held is None:
+        raise ScenarioError(f"{out_dir!r} has no campaign manifest "
+                            "(its job journal holds no job)")
+    return held
 
 
 def run_campaign(out_dir: str, seed: int = 0, n: int = 100,
@@ -82,8 +90,9 @@ def run_campaign(out_dir: str, seed: int = 0, n: int = 100,
 
     ``out_dir`` layout (a :mod:`repro.serve` state directory)::
 
-        jobs/job-00001.json  manifest: the campaign job (seed, n, apps,
-                             sampler version)
+        jobs.log             job journal; its first line is the manifest:
+                             the campaign job (seed, n, apps, sampler
+                             version)
         cache/point-*.json   one stored result per completed scenario
         artifacts/*.yaml     one verified minimal repro per failure
         summary.json         the returned summary
@@ -97,8 +106,7 @@ def run_campaign(out_dir: str, seed: int = 0, n: int = 100,
     from ..serve import run_local  # deferred: keeps `import repro` light
     say = progress or (lambda _line: None)
     manifest = campaign_manifest({"seed": seed, "n": n, "apps": apps})
-    held = (load_manifest(out_dir) if resume or os.path.exists(
-        os.path.join(out_dir, _MANIFEST)) else None)
+    held = load_manifest(out_dir) if resume else _held_manifest(out_dir)
     if resume:
         manifest = held
     elif held not in (None, manifest):

@@ -65,7 +65,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         from .apps import get_app  # late: apps imports this module
-        for which in ("seed", "traffic_seed"):
+        for which in ("seed", "traffic_seed", "nodes", "threads"):
             value = getattr(self, which)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ScenarioError(f"{which} must be an int, got {value!r}")

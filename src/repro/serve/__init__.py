@@ -19,7 +19,8 @@ one call; :func:`run_service` keeps it running behind an HTTP API.
 - :mod:`repro.serve.orchestrator` — the job queue/scheduler: feeds
   points to socket workers or drains them inline, dedupes in-flight
   keys, serves warm cache hits, re-queues on worker death, resumes from
-  its manifests after its own death;
+  its job journal (``jobs.log``, one line per job, read by
+  :func:`read_journal`) after its own death;
 - :mod:`repro.serve.http` — the HTTP API (``POST /jobs``,
   ``GET /jobs/<id>``, ``.../result``, ``.../trace``);
 - :mod:`repro.serve.service`/:mod:`repro.serve.client` — process
@@ -29,7 +30,7 @@ one call; :func:`run_service` keeps it running behind an HTTP API.
 
 from .cache import PENDING, SERVE_CACHE_VERSION, ResultCache, cache_key
 from .client import ServeClient
-from .orchestrator import Job, Orchestrator, PointTask, read_manifest
+from .orchestrator import Job, Orchestrator, PointTask, read_journal
 from .points import execute_point, expand_job, msgrate_point
 from .protocol import (
     PROTOCOL_VERSION,
@@ -44,7 +45,7 @@ __all__ = [
     "PROTOCOL_VERSION", "FrameDecoder", "encode_frame", "write_frame",
     "PENDING", "SERVE_CACHE_VERSION", "ResultCache", "cache_key",
     "execute_point", "expand_job", "msgrate_point",
-    "Job", "Orchestrator", "PointTask", "read_manifest",
+    "Job", "Orchestrator", "PointTask", "read_journal",
     "ServeClient", "ServiceHandle", "run_local", "run_service",
     "spawn_service",
     "worker_main",

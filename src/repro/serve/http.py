@@ -2,7 +2,8 @@
 
 One asyncio streams server, HTTP/1.1 keep-alive (a framing error is
 answered 400 and closes the connection, cleanly like every close the
-server starts) — no framework, no dependency
+server starts; a bad document is a 400 and any other error of a route a
+500, and both keep it) — no framework, no dependency
 beyond the interpreter. The surface:
 
 ========================== =============================================
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import traceback
 from http import HTTPStatus
 from typing import Any, Optional
 
@@ -165,13 +167,12 @@ class HttpApi:
             while keep:
                 try:
                     method, path, body, keep = await _read_request(reader)
-                    status, doc = self._route(method, path, body)
-                except ServeError as exc:
-                    status, doc = 400, {"error": str(exc)}
                 except (ValueError, asyncio.IncompleteReadError,
                         asyncio.LimitOverrunError) as exc:
                     status, doc = 400, {"error": f"bad request: {exc}"}
                     keep = False
+                else:
+                    status, doc = self._answer(method, path, body)
                 keep = keep and not self.shutdown_requested.is_set()
                 self.orchestrator.metrics.inc("serve.http.requests")
                 body = _RESPONSE.encode(doc).encode("utf-8")
@@ -194,6 +195,21 @@ class HttpApi:
             writer.close()
 
     # -- routing -----------------------------------------------------------
+    def _answer(self, method: str, path: str, body: bytes
+                ) -> tuple[int, Any]:
+        """The route's answer: a bad document is the submitter's ``400``,
+        anything else a route raises (a journal append that failed, a
+        bug) the service's ``500``. Either way the request was framed,
+        so the connection stays."""
+        try:
+            return self._route(method, path, body)
+        except ServeError as exc:
+            return 400, {"error": str(exc)}
+        except Exception as exc:
+            self.orchestrator.metrics.inc("serve.http.internal_errors")
+            return 500, {"error": f"{type(exc).__name__}: {exc}",
+                         "traceback": traceback.format_exc()}
+
     def _route(self, method: str, path: str, body: bytes) -> tuple[int, Any]:
         orch = self.orchestrator
         if path == "/healthz" and method == "GET":

@@ -2,7 +2,7 @@
 
 The orchestrator owns every piece of scheduling state the workers do
 not: the point queue, the in-flight table, the result store and the job
-manifests. It is the only scheduler in the tree: ``repro serve`` feeds
+journal. It is the only scheduler in the tree: ``repro serve`` feeds
 its queue to socket workers, :func:`repro.serve.run_local` (``repro
 sweep``, ``repro campaign``) to the same workers or — at one worker — to
 :meth:`Orchestrator.drain_inline` in the calling process. Results are
@@ -18,15 +18,16 @@ each point in order either way, plus:
   stops heartbeating (``heartbeat_timeout``) has its in-flight point
   put back on the queue, up to ``max_attempts`` tries.
 - **crash resume** — every accepted job's ``(kind, spec)`` document is
-  persisted under ``state_dir/jobs/`` before the submit call returns.
+  appended, as one line, to the journal ``state_dir/jobs.log`` before
+  the submit call returns: one ``os.write`` on a descriptor opened once.
   Because expansion is deterministic and results live in the cache, a
-  restarted orchestrator rebuilds its entire queue from manifests +
+  restarted orchestrator rebuilds its entire queue from journal +
   cache: finished points are served warm, only the rest re-run.
 - **known documents** — a job document has one canonical text
   (:func:`job_text`), and every text that expanded is kept with its
   expansion and its points' key records. A job whose text is known —
-  submitted again, or a second manifest of it on resume — is expanded
-  by no one: it costs one store lookup per point.
+  submitted again, or a second line of it on resume — is expanded by no
+  one: it costs one store lookup per point.
 
 With socket workers, scheduling runs on one asyncio event loop; workers
 attach over TCP (one connection each) and the per-connection coroutine
@@ -41,6 +42,7 @@ place in the tree where host time is the measurand.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import os
 import re
@@ -62,11 +64,13 @@ from .protocol import (
     shutdown_frame,
 )
 
-__all__ = ["Expansion", "Job", "PointTask", "Orchestrator",
-           "job_text", "read_manifest"]
+__all__ = ["Expansion", "Job", "JournalLine", "PointTask", "Orchestrator",
+           "JOURNAL", "job_text", "read_journal"]
 
 _READ_CHUNK = 65536
 _JOB_ID = re.compile(r"job-([0-9]{5,})")
+#: The job journal's name in a state directory: one line per accepted job.
+JOURNAL = "jobs.log"
 # Built once, like the store's: ``json.dumps`` builds an encoder per call.
 _JOB_TEXT = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                              default=str)
@@ -78,7 +82,7 @@ def job_text(kind: str, spec: Any) -> str:
 
     It is the job's key in the orchestrator's expansion table, what is
     expanded (as JSON reads it back, so a tuple is a list live and after
-    a resume alike) and, behind the job id, its manifest. Raises
+    a resume alike) and, behind the job id, its journal line. Raises
     :class:`~repro.errors.ServeError` for a document JSON cannot hold
     (keys of mixed types, a cycle).
     """
@@ -93,32 +97,98 @@ def _job_number(job_id: str) -> Optional[int]:
     return int(match[1]) if match else None
 
 
-def _job_order(job_id: str) -> tuple[bool, int, str]:
-    """Sort key of job ids: ``job-<n>`` by ``n`` (submit order, so
-    ``job-100000`` follows ``job-99999``), then any other name."""
-    number = _job_number(job_id)
-    return number is None, number or 0, job_id
+class JournalLine(NamedTuple):
+    """One whole line of a job journal, read.
 
-
-def read_manifest(path: str) -> dict:
-    """The ``{job_id, kind, spec}`` job manifest stored at ``path``.
-
-    Raises :class:`~repro.errors.ServeError` ("corrupt manifest ...")
-    for a truncated, foreign or misnamed file, so one bad manifest never
-    reads as a job.
+    ``error`` is None for a job, else why the line is none; the line then
+    stands for a failed job named ``line-<number>``.
     """
+
+    number: int
+    job_id: str
+    kind: str
+    spec: dict
+    error: Optional[str] = None
+
+
+def _journal_bytes(state_dir: str) -> tuple[bytes, bool]:
+    """``(data, held)``: the bytes of ``state_dir``'s journal and True,
+    or, for a directory an earlier build wrote (``jobs/job-<n>.json``
+    manifests, no journal), what importing it writes and False: its
+    manifests in id order, verbatim, one per line. Every build wrote a
+    manifest as one line of compact JSON; a newline in a hand-edited one
+    is blanked so that it stays one line."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:
-        raise ServeError(f"corrupt manifest {path!r}: {exc}") from exc
-    stem = os.path.basename(path)[:-len(".json")]
-    if not (isinstance(manifest, dict) and manifest.get("job_id") == stem
-            and isinstance(manifest.get("kind"), str)
-            and isinstance(manifest.get("spec"), dict)):
-        raise ServeError(f"corrupt manifest {path!r}: not a "
-                         f"{{job_id: {stem!r}, kind, spec}} document")
-    return manifest
+        with open(os.path.join(state_dir, JOURNAL), "rb") as fh:
+            return fh.read(), True
+    except FileNotFoundError:
+        pass
+    folder = os.path.join(state_dir, "jobs")
+    try:
+        names = os.listdir(folder)
+    except (FileNotFoundError, NotADirectoryError):
+        return b"", False
+    numbered = sorted((number, name) for name in names
+                      if name.endswith(".json")
+                      and (number := _job_number(name[:-len(".json")]))
+                      is not None)
+    lines = []
+    for _number, name in numbered:
+        with open(os.path.join(folder, name), "rb") as fh:
+            lines.append(fh.read().replace(b"\n", b" ") + b"\n")
+    return b"".join(lines), False
+
+
+def _whole(data: bytes) -> bytes:
+    """``data`` up to its last newline: a last line without one is a torn
+    append, never acknowledged, so it is no job."""
+    return data[:data.rfind(b"\n") + 1]
+
+
+def _parse_line(raw: bytes, seen: set[str]) -> tuple[Any, str]:
+    """``(doc, "")`` for a job line, else ``(None, why it is none)``."""
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        return None, f"not JSON ({type(exc).__name__})"
+    if not (isinstance(doc, dict) and doc.keys() == {"job_id", "kind", "spec"}
+            and isinstance(doc["job_id"], str)
+            and _job_number(doc["job_id"]) is not None
+            and isinstance(doc["kind"], str)
+            and isinstance(doc["spec"], dict)):
+        return None, "not a {job_id, kind, spec} line"
+    if doc["job_id"] in seen:
+        return None, f"{doc['job_id']} is taken by an earlier line"
+    return doc, ""
+
+
+def _read_lines(path: str, data: bytes) -> list[JournalLine]:
+    """Each line of ``data``, whole lines of the journal at ``path``."""
+    lines: list[JournalLine] = []
+    seen: set[str] = set()
+    for number, raw in enumerate(data.split(b"\n")[:-1], 1):
+        doc, why = _parse_line(raw, seen)
+        if why:
+            lines.append(JournalLine(number, f"line-{number}", "", {},
+                                     f"{path}:{number}: corrupt job line: "
+                                     f"{why}"))
+            continue
+        seen.add(doc["job_id"])
+        lines.append(JournalLine(number, doc["job_id"], doc["kind"],
+                                 doc["spec"]))
+    return lines
+
+
+def read_journal(state_dir: str) -> list[JournalLine]:
+    """Every whole line of ``state_dir``'s job journal, in order.
+
+    The one reader of a state directory's jobs: an :class:`Orchestrator`
+    resumes what it returns, a campaign is its first line. A directory
+    an earlier build wrote reads as its import would (see
+    :class:`Orchestrator`); a torn last line is not read.
+    """
+    data, _held = _journal_bytes(state_dir)
+    return _read_lines(os.path.join(state_dir, JOURNAL), _whole(data))
 
 
 @dataclass
@@ -203,13 +273,19 @@ class Orchestrator:
     All mutation happens on the event loop thread; the HTTP layer calls
     the synchronous query/submit methods from its own coroutines on the
     same loop, so no locking is needed.
+
+    The orchestrator owns ``state_dir``. It opens the job journal once,
+    for appends, when it is built: a torn last line is cut off, and a
+    directory an earlier build wrote, with ``jobs/job-<n>.json``
+    manifests and no journal, is imported first, its manifests in id
+    order, one per line (:func:`read_journal`). Nothing reads ``jobs/``
+    after that. :meth:`stop` (or :meth:`close`) closes the journal.
     """
 
     def __init__(self, state_dir: str, heartbeat_timeout: float = 5.0,
                  max_attempts: int = 3, host: str = "127.0.0.1"):
         self.state_dir = state_dir
-        self.jobs_dir = os.path.join(state_dir, "jobs")
-        os.makedirs(self.jobs_dir, exist_ok=True)
+        os.makedirs(state_dir, exist_ok=True)
         self.cache = ResultCache(os.path.join(state_dir, "cache"))
         self.heartbeat_timeout = heartbeat_timeout
         self.max_attempts = max_attempts
@@ -232,9 +308,31 @@ class Orchestrator:
         self._watchdog_task: Optional[asyncio.Future] = None
         self._running = 0  # jobs in status "running"
         self._idle: Optional[asyncio.Event] = None  # see wait_idle
-        self._next_id = 1 + max(
-            (number for number in map(_job_number, self._manifest_ids())
-             if number is not None), default=0)
+        self._journal = os.path.join(state_dir, JOURNAL)
+        #: The journal's lines, until :meth:`resume_jobs` registers them.
+        self._held = self._open_journal()
+        self._next_id = 1 + max((_job_number(line.job_id) or 0
+                                 for line in self._held), default=0)
+
+    def _open_journal(self) -> list[JournalLine]:
+        """Open the journal for appends, importing an earlier build's
+        manifests first and cutting a torn last line off; returns its
+        lines."""
+        data, held = _journal_bytes(self.state_dir)
+        whole = _whole(data)
+        if not held and whole:  # the import: the whole journal or none
+            tmp = self._journal + ".tmp"
+            with open(tmp, "wb") as fh:
+                fh.write(whole)
+            os.replace(tmp, self._journal)
+        self._journal_fd = os.open(
+            self._journal, os.O_WRONLY | os.O_APPEND | os.O_CREAT
+            | os.O_CLOEXEC, 0o666)
+        if len(whole) < len(data):  # a torn append
+            os.ftruncate(self._journal_fd, len(whole))
+        #: The journal's length: where a failed append is cut back to.
+        self._journal_size = len(whole)
+        return _read_lines(self._journal, whole)
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> int:
@@ -254,8 +352,16 @@ class Orchestrator:
                 if due is not None and now > due:
                     writer.transport.abort()
 
+    def close(self) -> None:
+        """Close the job journal; a later submit raises."""
+        if self._journal_fd >= 0:
+            os.close(self._journal_fd)
+            self._journal_fd = -1
+
     async def stop(self) -> None:
-        """Tell workers to exit and close the worker server."""
+        """Tell workers to exit, close the worker server and the job
+        journal."""
+        self.close()
         if self._watchdog_task is not None:
             self._watchdog_task.cancel()
         for writer in list(self._due):
@@ -270,64 +376,67 @@ class Orchestrator:
             await self._server.wait_closed()
 
     def resume_jobs(self) -> None:
-        """Rebuild queue state from job manifests + the result cache.
+        """Rebuild queue state from the job journal + the result cache.
 
-        This IS the crash-resume path: manifests are tiny (the job
+        This IS the crash-resume path: journal lines are tiny (the job
         document, not the expansion), expansion is deterministic, and
         every completed point is in the cache — so the rebuilt queue
         contains exactly the points the dead orchestrator hadn't
-        finished, with zero lost and zero duplicated work. A manifest
-        that cannot be read or no longer expands (its sampler version
-        moved underneath it) becomes a failed job naming the cause and
-        never blocks the others. Manifests of one document share one
-        expansion (:meth:`_expand`).
+        finished, with zero lost and zero duplicated work. Jobs resume in
+        journal order. A line that cannot be read or no longer expands
+        (its sampler version moved underneath it) becomes a failed job
+        whose error names the line, and never blocks the others. Lines of
+        one document share one expansion (:meth:`_expand`).
         """
-        for job_id in self._manifest_ids():
-            kind: str = ""
-            spec: dict = {}
-            try:
-                manifest = read_manifest(
-                    os.path.join(self.jobs_dir, f"{job_id}.json"))
-                kind, spec = manifest["kind"], manifest["spec"]
-                expansion = self._expand(job_text(kind, spec))
-            except (OSError, ServeError) as exc:
-                self.jobs[job_id] = Job(
-                    job_id=job_id, kind=kind, spec=spec, point_kind="",
-                    points=[], results=[], status="failed",
-                    error=str(exc), submitted=time.monotonic())
-                self.metrics.inc("serve.job.corrupt")
-                continue
-            self._register_job(job_id, kind, expansion)
-            self.metrics.inc("serve.job.resumed")
-
-    def _manifest_ids(self) -> list[str]:
-        """Ids of the ``job-*.json`` manifests on disk, in
-        :func:`_job_order`."""
-        return sorted((name[:-len(".json")]
-                       for name in os.listdir(self.jobs_dir)
-                       if name.startswith("job-") and name.endswith(".json")),
-                      key=_job_order)
+        held, self._held = self._held, []
+        for line in held:
+            error = line.error
+            if error is None:
+                try:
+                    expansion = self._expand(job_text(line.kind, line.spec))
+                except ServeError as exc:
+                    error = f"{self._journal}:{line.number}: {exc}"
+                else:
+                    self._register_job(line.job_id, line.kind, expansion)
+                    self.metrics.inc("serve.job.resumed")
+                    continue
+            self.jobs[line.job_id] = Job(
+                job_id=line.job_id, kind=line.kind, spec=line.spec,
+                point_kind="", points=[], results=[], status="failed",
+                error=error, submitted=time.monotonic())
+            self.metrics.inc("serve.job.corrupt")
 
     # -- job intake --------------------------------------------------------
     def submit(self, kind: str, spec: dict) -> str:
         """Validate, persist and enqueue one job; returns its id.
 
-        The manifest hits disk *before* any point is queued, so a crash
-        at any later instant leaves a resumable record. It is the job's
-        canonical text with the id in front (``job_id`` sorts first).
+        The job's journal line is written *before* any point is queued,
+        so a crash at any later instant leaves a resumable record. It is
+        the job's canonical text with the id in front (``job_id`` sorts
+        first), the bytes every build wrote as a manifest, and a newline.
+        An append that fails raises ``OSError`` and consumes no id.
         """
         text = job_text(kind, spec)
         expansion = self._expand(text)  # raises on a bad document
         job_id = f"job-{self._next_id:05d}"
+        self._append(f'{{"job_id":"{job_id}",{text[1:]}\n'.encode())
         self._next_id += 1
-        path = os.path.join(self.jobs_dir, f"{job_id}.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f'{{"job_id":"{job_id}",{text[1:]}')
-        os.replace(tmp, path)
         self._register_job(job_id, kind, expansion)
         self.metrics.inc("serve.job.submitted")
         return job_id
+
+    def _append(self, line: bytes) -> None:
+        """Write ``line`` to the journal in one ``os.write``; a failed or
+        short write is cut back off the journal, then raises."""
+        try:
+            written = os.write(self._journal_fd, line)
+            if written != len(line):
+                raise OSError(errno.EIO, f"short write to {self._journal}: "
+                              f"{written} of {len(line)} bytes")
+        except OSError:
+            os.ftruncate(self._journal_fd, self._journal_size)
+            raise
+        self._journal_size += written
 
     def _expand(self, text: str) -> Expansion:
         """The expansion of the job document whose canonical text is
@@ -575,8 +684,8 @@ class Orchestrator:
         return [self.job_status(job_id) for job_id in self.job_ids()]
 
     def job_ids(self) -> list[str]:
-        """Every known job's id, in submit order (:func:`_job_order`)."""
-        return sorted(self.jobs, key=_job_order)
+        """Every known job's id, in journal (submit) order."""
+        return list(self.jobs)
 
     def job_result(self, job_id: str) -> dict[str, Any]:
         """The completed job's full result document.

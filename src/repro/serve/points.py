@@ -23,12 +23,14 @@ A *job* is a named expansion into points (:func:`expand_job`):
 
 Expansion is deterministic: the same job document always yields the
 same point list in the same order, which is what lets a restarted
-orchestrator rebuild its queue from job manifests plus the result cache.
+orchestrator rebuild its queue from its job journal plus the result
+cache.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Any, Callable
 
@@ -149,6 +151,9 @@ def _expand_selftest(spec: dict) -> tuple[str, list[dict]]:
     if n < 1:
         raise ServeError("selftest job needs n >= 1 points")
     ms = float(spec.get("ms", 0.0))
+    if not math.isfinite(ms) or ms < 0:
+        raise ServeError(f"selftest ms must be a finite number >= 0, "
+                         f"got {ms!r}")
     points: list[dict] = []
     for i in range(n):
         point: dict[str, Any] = {"i": i}
@@ -204,8 +209,9 @@ def expand_job(kind: str, spec: dict) -> tuple[str, list[dict]]:
         point_kind, points = expander(spec)
     except ServeError:
         raise
-    except (MpiError, TypeError, ValueError) as exc:
-        # A field of the wrong type or a spec the scenario layer rejects:
-        # the submitter's error (HTTP 400), not a crash of the handler.
+    except (MpiError, TypeError, ValueError, ArithmeticError) as exc:
+        # A field of the wrong type (``int(Infinity)`` overflows) or a spec
+        # the scenario layer rejects: the submitter's error (HTTP 400),
+        # not a crash of the handler.
         raise ServeError(f"bad {kind} job document: {exc}") from exc
     return point_kind, json_roundtrip(points)

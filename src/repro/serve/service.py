@@ -9,7 +9,7 @@ readiness by atomically writing ``state_dir/serve.json`` — the
 discovery file tests and ``repro submit`` read to find the URL.
 
 :func:`run_local` is the same orchestrator, store and workers without
-the HTTP API: submit one job (or resume the manifests of a state
+the HTTP API: submit one job (or resume the job journal of a state
 directory), run the queue to completion in this call, return the result
 documents. ``repro sweep`` and ``repro campaign`` are built on it, so a
 local checkpoint directory *is* a service state directory.
@@ -176,8 +176,8 @@ def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
 
     Builds an :class:`Orchestrator` on ``state_dir`` (a temporary one
     when ``None``), submits ``(kind, spec)`` or, with no job given,
-    resumes every manifest persisted there, runs the queue and returns
-    the documents ``GET /jobs/<id>/result`` would answer, in job order.
+    resumes every job of its journal, runs the queue and returns the
+    documents ``GET /jobs/<id>/result`` would answer, in job order.
     Points already in ``state_dir/cache`` are reused, the rest execute:
     inline in this process when :func:`auto_jobs` settles on one worker,
     otherwise on that many forked socket workers (which exit on EOF, so
@@ -188,16 +188,19 @@ def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
         with tempfile.TemporaryDirectory() as scratch:
             return run_local(scratch, kind, spec, workers)
     orch = Orchestrator(state_dir)
-    if kind is None:
-        orch.resume_jobs()
-    else:
-        orch.submit(kind, spec)
-    n = auto_jobs(workers, orch.queue_depth)
-    if n == 1 or not fork_available():
-        orch.drain_inline()
-    else:
-        asyncio.run(_drain_with_workers(orch, n))
-    return [orch.job_result(job_id) for job_id in orch.job_ids()]
+    try:
+        if kind is None:
+            orch.resume_jobs()
+        else:
+            orch.submit(kind, spec)
+        n = auto_jobs(workers, orch.queue_depth)
+        if n == 1 or not fork_available():
+            orch.drain_inline()
+        else:
+            asyncio.run(_drain_with_workers(orch, n))
+        return [orch.job_result(job_id) for job_id in orch.job_ids()]
+    finally:
+        orch.close()
 
 
 @dataclass

@@ -136,6 +136,18 @@ def test_msgrate_modes_validated():
         MsgRateConfig(mode="warp-drive")
     with pytest.raises(MpiUsageError):
         MsgRateConfig(cores=0)
+    # Counts the simulator cannot run: a window of 0 never completes a
+    # receive, the rest raised deep inside a run.
+    for bad, blame in (({"window": 0}, "window must be >= 1"),
+                       ({"cores": 1.5}, "cores must be an integer"),
+                       ({"cores": True}, "cores must be an integer"),
+                       ({"msgs_per_core": 0}, "msgs_per_core must be >= 1"),
+                       ({"msgs_per_core": -3}, "msgs_per_core must be >= 1"),
+                       ({"msg_bytes": -1}, "msg_bytes must be >= 0"),
+                       ({"window": "16"}, "window must be an integer")):
+        with pytest.raises(MpiUsageError, match=blame):
+            MsgRateConfig(**bad)
+    assert MsgRateConfig(msg_bytes=0).msg_bytes == 0
     assert "everywhere" in MODES
 
 

@@ -68,6 +68,14 @@ class TestSpec:
             ScenarioSpec(app="legion", mechanism="endpoints", nodes=100,
                          topology="torus", topology_params={"dims": (2, 2)})
 
+    @pytest.mark.parametrize("dims", [{"nodes": 2.0}, {"threads": 1.5},
+                                      {"nodes": True}])
+    def test_non_integer_dimensions_rejected(self, dims):
+        # ``nodes: 2.0`` passed validation and raised TypeError when the
+        # world was built (found by TestArtifactFuzz).
+        with pytest.raises(ScenarioError, match="must be an int"):
+            ScenarioSpec(app="legion", mechanism="endpoints", **dims)
+
     def test_bad_app_params_rejected(self):
         with pytest.raises(ScenarioError):
             ScenarioSpec(app="graph", mechanism="tags",
@@ -409,27 +417,33 @@ class TestCampaign:
     def test_corrupt_or_foreign_manifest_is_refused(self, tmp_path):
         out = str(tmp_path / "c")
         run_campaign(out, seed=1, n=3, shrink=False)
-        manifest = tmp_path / "c" / "jobs" / "job-00001.json"
-        good = manifest.read_text()
+        journal = tmp_path / "c" / "jobs.log"
+        good = journal.read_text()
+        assert good.count("\n") == 1 and not (tmp_path / "c" / "jobs").exists()
         stored = sorted(os.listdir(tmp_path / "c" / "cache"))
 
         # Sampled by another sampler version: never resumed, never re-run.
-        manifest.write_text(good.replace('"sampler_version":1',
-                                         '"sampler_version":0'))
+        journal.write_text(good.replace('"sampler_version":1',
+                                        '"sampler_version":0'))
         for refused in (lambda: run_campaign(out, resume=True),
                         lambda: campaign_report(out)):
             with pytest.raises(ServeError, match="sampled by sampler v0"):
                 refused()
 
-        for damage in (good[:len(good) // 2], "[]",
-                       good.replace('"campaign"', '"selftest"')):
-            manifest.write_text(damage)
+        # The campaign is the journal's first line, whatever follows it.
+        for damage in (good[:len(good) // 2] + "\n", "[]\n",
+                       good.replace('"campaign"', '"selftest"') + good):
+            journal.write_text(damage)
             for refused in (lambda: run_campaign(out, resume=True),
                             lambda: run_campaign(out, seed=1, n=3),
                             lambda: campaign_report(out)):
-                with pytest.raises(ScenarioError, match="corrupt manifest"):
+                with pytest.raises(ScenarioError, match="jobs.log:1: "):
                     refused()
         assert sorted(os.listdir(tmp_path / "c" / "cache")) == stored
+        # A torn first line was never a campaign: the directory holds none.
+        journal.write_text(good[:-1])
+        with pytest.raises(ScenarioError, match="no campaign manifest"):
+            campaign_report(out)
 
 
 class TestCrashResume:

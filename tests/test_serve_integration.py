@@ -94,7 +94,7 @@ def test_200_point_battery_survives_kills_and_is_byte_identical(tmp_path):
                                heartbeat=0.2, heartbeat_timeout=3.0)
         client = handle.client()
         resumed = {j["job_id"]: j for j in client.jobs()}
-        assert set(resumed) == set(job_ids)  # same ids, from manifests
+        assert set(resumed) == set(job_ids)  # same ids, from the journal
         # Completed points were served from the cache, not re-run.
         assert sum(j["cache_hits"] for j in resumed.values()) >= \
             done_before_crash - 2  # minus at most the in-flight points
@@ -202,7 +202,7 @@ def test_local_and_served_runs_share_one_store(tmp_path):
     handle = spawn_service(local, workers=1)
     try:
         client = handle.client()
-        # The CLI's own job was resumed from its manifest, all warm...
+        # The CLI's own job was resumed from its journal line, all warm...
         assert [(j["status"], j["cache_hits"]) for j in client.jobs()] == \
             [("done", 4)]
         again = client.submit("sweep", spec)  # ...and so is a resubmission.

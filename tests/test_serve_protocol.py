@@ -18,11 +18,13 @@ in-flight points are deduped to one execution.
 
 import asyncio
 import contextlib
+import errno
 import gc
 import json
 import os
 import signal
 import socket
+import tempfile
 import threading
 import time
 from collections import deque
@@ -242,7 +244,7 @@ def test_frame_constructors_vocabulary():
     assert error_frame("t", "boom")["type"] == "result"
 
 
-# -- job documents and manifests (tier 1, no sockets) ----------------------
+# -- job documents and the journal (tier 1, no sockets) --------------------
 @pytest.mark.parametrize("kind, spec, blame", [
     ("selftest", {"n": None}, "bad selftest job document"),
     ("campaign", {"n": 2, "seed": "x"}, "bad campaign job document"),
@@ -259,6 +261,28 @@ def test_frame_constructors_vocabulary():
      "bad sweep job.*cores must be >= 1"),
     ("sweep", {"params": {"mode": ["everywhere"], "cores": ["two"]}},
      "bad sweep job document"),
+    # Points the simulator cannot run: each hung or raised on a worker.
+    ("sweep", {"params": {"mode": ["everywhere"], "cores": [2],
+                          "window": [0]}},
+     "bad sweep job.*window must be >= 1"),
+    ("sweep", {"params": {"mode": ["everywhere"], "cores": [1.5]}},
+     "bad sweep job.*cores must be an integer"),
+    ("sweep", {"params": {"mode": ["everywhere"], "cores": [True]}},
+     "bad sweep job.*cores must be an integer"),
+    ("sweep", {"params": {"mode": ["everywhere"], "cores": [1],
+                          "msgs_per_core": [0]}},
+     "bad sweep job.*msgs_per_core must be >= 1"),
+    ("sweep", {"params": {"mode": ["everywhere"], "cores": [1],
+                          "msgs_per_core": [-3]}},
+     "bad sweep job.*msgs_per_core must be >= 1"),
+    ("sweep", {"params": {"mode": ["everywhere"], "cores": [1],
+                          "msg_bytes": [-1]}},
+     "bad sweep job.*msg_bytes must be >= 0"),
+    ("selftest", {"n": float("inf")}, "bad selftest job document"),
+    ("campaign", {"n": float("inf")}, "bad campaign job document"),
+    ("selftest", {"n": 1, "ms": float("inf")}, "ms must be a finite number"),
+    ("selftest", {"n": 1, "ms": float("nan")}, "ms must be a finite number"),
+    ("selftest", {"n": 1, "ms": -1}, "ms must be a finite number >= 0"),
 ])
 def test_bad_job_documents_are_serve_errors(kind, spec, blame):
     """Wrong types and impossible points fail at submit, as ServeError
@@ -267,26 +291,55 @@ def test_bad_job_documents_are_serve_errors(kind, spec, blame):
         expand_job(kind, spec)
 
 
+def _journal(state):
+    with open(os.path.join(state, "jobs.log"), "rb") as fh:
+        return fh.read()
+
+
+def _write_journal(state, data):
+    with open(os.path.join(state, "jobs.log"), "wb") as fh:
+        fh.write(data)
+
+
+def _line(job_id, kind, spec):
+    """A journal line as every build writes it."""
+    return (_canonical_json({"job_id": job_id, "kind": kind, "spec": spec})
+            + "\n").encode()
+
+
 def test_bad_manifests_fail_their_job_not_the_orchestrator(tmp_path):
-    state = tmp_path / "s"
-    good = Orchestrator(str(state)).submit("selftest", {"n": 2})
-    jobs = state / "jobs"
-    (jobs / "job-00002.json").write_text('{"job_id": "job-00002", "ki')
-    (jobs / "job-00003.json").write_text('{"job_id": "job-00009", '
-                                         '"kind": "selftest", "spec": {}}')
-    (jobs / "job-final.json").write_text("[]")
-    orch = Orchestrator(str(state))  # a stray name does not stop start-up
+    """Every journal line that is no job, or whose document no longer
+    expands, is one failed job naming its line; the good jobs around it
+    resume, and the next id is one past the largest good one."""
+    state = str(tmp_path / "s")
+    first = Orchestrator(state)
+    good = first.submit("selftest", {"n": 2})
+    first.close()
+    _write_journal(state, _journal(state) + b"".join([
+        b'{"job_id": "job-00002", "ki\n',                    # cut JSON
+        b'[]\n', b'\xff\xfe\n', b'\n',                       # foreign
+        b'{"job_id":"job-x","kind":"selftest","spec":{}}\n',  # bad id
+        _line("job-00003", "selftest", {"n": 1})[:-2] + b',"x":1}\n',  # key
+        _line("job-00001", "selftest", {"n": 1}),            # id taken
+        _line("job-00004", "selftest", {"n": 0}),            # can't expand
+        _line("job-00005", "selftest", {"n": 1}),
+    ]))
+    orch = Orchestrator(state)
     orch.resume_jobs()
-    assert orch.metrics.value("serve.job.corrupt") == 3
-    for job_id in ("job-00002", "job-00003", "job-final"):
+    failed = {f"line-{n}": n for n in range(2, 9)} | {"job-00004": 9}
+    assert orch.job_ids() == [good, *failed, "job-00005"]
+    assert orch.metrics.value("serve.job.corrupt") == len(failed)
+    for job_id, number in failed.items():
         status = orch.job_status(job_id)
         assert status["status"] == "failed"
-        assert "corrupt manifest" in status["error"]
-        assert f"{job_id}.json" in status["error"]
+        assert f"jobs.log:{number}: " in status["error"]
+    assert "corrupt job line" not in orch.job_status("job-00004")["error"]
     orch.drain_inline()
     assert orch.job_result(good)["results"] == [{"i": 0, "value": 0},
                                                 {"i": 1, "value": 1}]
-    assert orch.submit("selftest", {"n": 1}) == "job-00004"
+    assert orch.job_status("job-00005")["status"] == "done"
+    assert orch.submit("selftest", {"n": 1}) == "job-00006"
+    orch.close()
 
 
 # -- completion bookkeeping (tier 1, no sockets) ---------------------------
@@ -371,7 +424,7 @@ def test_second_submit_touches_no_point_file(tmp_path, monkeypatch):
         orch.job_result(first)["results"]
 
     restarted = Orchestrator(state)
-    restarted.resume_jobs()  # two manifests, the same six points
+    restarted.resume_jobs()  # two journal lines, the same six points
     assert len(touched) == total
     assert restarted.cache.hits == 2 * total and not restarted.active
 
@@ -390,10 +443,6 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _manifests(state):
-    return sorted(os.listdir(os.path.join(state, "jobs")))
-
-
 def _canonical_json(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
 
@@ -402,23 +451,21 @@ def _canonical_json(doc):
                          ids=["same-key-order", "other-key-order"])
 def test_a_known_document_is_not_expanded_again(tmp_path, monkeypatch, again):
     """A resubmitted document, its keys in any order, is one table
-    lookup: nothing expands, no key record is serialised, one manifest is
-    written (the bytes every build wrote), and the result document is the
-    first job's but for its id and hit count."""
+    lookup: nothing expands, no key record is serialised, one journal
+    line is appended (the bytes every build wrote as a manifest, and a
+    newline), and the result document is the first job's but for its id
+    and hit count."""
     state = str(tmp_path / "s")
     orch = Orchestrator(state)
     first = orch.submit("selftest", {"n": 6, "ms": 0})
     orch.drain_inline()
     expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
     canonicalised = _count_calls(monkeypatch, cache_mod, "_canonical")
-    before = _manifests(state)
+    before = _journal(state)
     second = orch.submit("selftest", again)
     assert expanded == [] and canonicalised == []
-    assert _manifests(state) == before + [f"{second}.json"]
-    with open(os.path.join(state, "jobs", f"{second}.json"),
-              encoding="utf-8") as fh:
-        assert fh.read() == _canonical_json(
-            {"job_id": second, "kind": "selftest", "spec": again})
+    assert _journal(state) == before + _line(second, "selftest", again)
+    assert sorted(os.listdir(state)) == ["cache", "jobs.log"]
     docs = [orch.job_result(job_id) for job_id in (first, second)]
     assert [doc.pop("cache_hits") for doc in docs] == [0, 6]
     assert [doc.pop("job_id") for doc in docs] == [first, second]
@@ -457,8 +504,8 @@ def test_resume_expands_each_document_once(tmp_path, monkeypatch):
 def test_a_document_that_fails_to_expand_is_never_remembered(tmp_path,
                                                              monkeypatch):
     """A bad document raises on every submit (the HTTP layer's 400),
-    expanding afresh each time; it never enters the table and writes no
-    manifest, nor does one JSON cannot hold."""
+    expanding afresh each time; it never enters the table and appends no
+    journal line, nor does one JSON cannot hold."""
     state = str(tmp_path / "s")
     orch = Orchestrator(state)
     expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
@@ -468,7 +515,7 @@ def test_a_document_that_fails_to_expand_is_never_remembered(tmp_path,
         assert len(expanded) == attempt
     with pytest.raises(ServeError, match="not JSON"):
         orch.submit("selftest", {"n": 1, 2: "keys of two types"})
-    assert orch.expansions == {} and _manifests(state) == []
+    assert orch.expansions == {} and _journal(state) == b""
     assert orch.submit("selftest", {"n": 1}) == "job-00001"
 
 
@@ -490,27 +537,171 @@ def test_a_tuple_expands_alike_live_and_resumed(tmp_path):
 
 
 def test_job_ids_past_99999_neither_collide_nor_misorder(tmp_path):
-    """A state directory that counted past five digits: the next id is
-    one past the largest, no manifest is rewritten, and every listing is
-    in number order."""
-    jobs = tmp_path / "s" / "jobs"
-    jobs.mkdir(parents=True)
-    held = {job_id: _canonical_json({"job_id": job_id, "kind": "selftest",
-                                     "spec": {"n": n}})
-            for job_id, n in (("job-00001", 1), ("job-99999", 2),
-                              ("job-100000", 3))}
-    for job_id, text in held.items():
-        (jobs / f"{job_id}.json").write_text(text)
+    """A journal that counted past five digits: the next id is one past
+    the largest, no line is rewritten, and every listing is in journal
+    order."""
+    state = str(tmp_path / "s")
+    os.mkdir(state)
     order = ["job-00001", "job-99999", "job-100000"]
-    assert [doc["job_id"] for doc in run_local(str(tmp_path / "s"))] == order
-    orch = Orchestrator(str(tmp_path / "s"))
+    held = b"".join(_line(job_id, "selftest", {"n": n})
+                    for job_id, n in zip(order, (1, 2, 3)))
+    _write_journal(state, held)
+    assert [doc["job_id"] for doc in run_local(state)] == order
+    orch = Orchestrator(state)
     orch.resume_jobs()
     assert orch.submit("selftest", {"n": 4}) == "job-100001"
-    assert {job_id: (jobs / f"{job_id}.json").read_text()
-            for job_id in held} == held
+    orch.close()
+    assert _journal(state) == held + _line("job-100001", "selftest", {"n": 4})
     assert orch.jobs["job-100000"].total == 3
     assert [status["job_id"] for status in orch.list_jobs()] == \
         order + ["job-100001"]
+
+
+def _submit_all(state, docs):
+    """Submit every ``(kind, spec)`` of ``docs`` on a fresh orchestrator
+    and close it; returns the ids."""
+    orch = Orchestrator(state)
+    ids = [orch.submit(kind, spec) for kind, spec in docs]
+    orch.close()
+    return ids
+
+
+def _resumed(state):
+    """A restarted orchestrator on ``state``, its journal resumed (and
+    closed: it is only read)."""
+    orch = Orchestrator(state)
+    orch.resume_jobs()
+    orch.close()
+    return orch
+
+
+def test_a_cut_journal_resumes_exactly_its_whole_lines(tmp_path):
+    """Any sequence of submits, repeated documents included, with the
+    journal cut at any byte: a restart resumes the jobs of the whole
+    lines, with their ids and in order, cuts the torn rest off and
+    numbers the next job one past the largest. An interior line
+    overwritten with garbage is then exactly one failed job, naming it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    docs = st.lists(st.sampled_from([("selftest", {"n": 1}),
+                                     ("selftest", {"n": 2, "ms": 0}),
+                                     ("selftest", {"n": 3, "fail_at": 1})]),
+                    min_size=1, max_size=6)
+    garbage = st.binary(max_size=24).filter(lambda raw: b"\n" not in raw)
+
+    @hypothesis.given(docs, st.data())
+    def prop(submitted, data):
+        state = tempfile.mkdtemp(dir=tmp_path)
+        ids = _submit_all(state, submitted)
+        journal = _journal(state)
+        cut = data.draw(st.integers(0, len(journal)), label="cut")
+        _write_journal(state, journal[:cut])
+        whole = journal[:cut].count(b"\n")
+        orch = _resumed(state)
+        assert orch.job_ids() == ids[:whole]
+        assert [orch.jobs[job_id].spec for job_id in ids[:whole]] == \
+            [json.loads(json.dumps(spec)) for _kind, spec in submitted[:whole]]
+        assert _journal(state) == journal[:journal[:cut].rfind(b"\n") + 1]
+        assert orch.metrics.value("serve.job.corrupt") == 0
+
+        ids = ids[:whole] + _submit_all(state, [("selftest", {"n": 1})])
+        assert ids[-1] == f"job-{whole + 1:05d}"
+        lines = _journal(state).split(b"\n")[:-1]
+        number = data.draw(st.integers(1, len(lines)), label="line")
+        if number == len(lines):
+            return  # the last line is the one an append may tear
+        lines[number - 1] = data.draw(garbage, label="garbage")
+        _write_journal(state, b"\n".join(lines) + b"\n")
+        orch = _resumed(state)
+        failed = [job_id for job_id in orch.job_ids()
+                  if "corrupt job line" in (orch.jobs[job_id].error or "")]
+        assert failed == [f"line-{number}"]
+        assert f"jobs.log:{number}: " in orch.jobs[failed[0]].error
+        kept = ids[:number - 1] + failed + ids[number:]
+        assert orch.job_ids() == kept
+        assert orch.metrics.value("serve.job.corrupt") == 1
+
+    prop()
+
+
+def test_manifests_of_an_earlier_build_are_imported_once(tmp_path):
+    """A state directory an earlier build wrote (``jobs/job-<n>.json``
+    manifests, their bytes as it wrote them, no journal) resumes with the
+    same ids, statuses and results, in id order; the import writes the
+    manifests verbatim, one per line, and nothing reads ``jobs/`` after
+    it."""
+    state = str(tmp_path / "s")
+    docs = [("selftest", {"n": 2}), ("selftest", {"n": 3, "fail_at": 2}),
+            ("selftest", {"n": 2})]
+    ids = _submit_all(state, docs)
+    ran = Orchestrator(state)
+    ran.resume_jobs()
+    ran.drain_inline()
+    ran.close()
+    before = [ran.job_result(job_id) for job_id in ids[0::2]]
+    os.remove(os.path.join(state, "jobs.log"))
+    manifests = {job_id: _canonical_json({"job_id": job_id, "kind": kind,
+                                          "spec": spec})
+                 for job_id, (kind, spec) in zip(ids, docs)}
+    manifests["job-100000"] = _canonical_json(
+        {"job_id": "job-100000", "kind": "selftest", "spec": {"n": 1}})
+    manifests["job-00004"] = _canonical_json(  # no longer expands
+        {"job_id": "job-00004", "kind": "selftest", "spec": {"n": 0}})
+    jobs = os.path.join(state, "jobs")
+    os.mkdir(jobs)
+    for job_id, text in manifests.items():
+        with open(os.path.join(jobs, f"{job_id}.json"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(text)
+    with open(os.path.join(jobs, "job-00005.json.tmp"), "w") as fh:
+        fh.write("a rename that never happened")
+
+    upgraded = _resumed(state)
+    order = [*ids, "job-00004", "job-100000"]
+    assert upgraded.job_ids() == order
+    assert _journal(state) == "".join(manifests[job_id] + "\n"
+                                      for job_id in order).encode()
+    upgraded.drain_inline()
+    assert [upgraded.job_status(job_id)["status"] for job_id in order] == [
+        "done", "failed", "done", "failed", "done"]
+    assert upgraded.job_status("job-00002")["error"].startswith(
+        "point 2 failed")
+    assert "jobs.log:4: " in upgraded.job_status("job-00004")["error"]
+    after = [upgraded.job_result(job_id) for job_id in ids[0::2]]
+    assert after == [{**doc, "cache_hits": 2} for doc in before]
+
+    for name in os.listdir(jobs):  # read no more
+        with open(os.path.join(jobs, name), "w") as fh:
+            fh.write("[]")
+    assert _resumed(state).job_ids() == order
+    assert _submit_all(state, [("selftest", {"n": 1})]) == ["job-100001"]
+
+
+def test_a_failed_append_leaves_no_fragment_and_consumes_no_id(
+        tmp_path, monkeypatch):
+    """A journal write that fails, or writes only part of the line, is
+    cut back off: the submit raises, and the next one gets the id."""
+    state = str(tmp_path / "s")
+    orch = Orchestrator(state)
+    assert orch.submit("selftest", {"n": 1}) == "job-00001"
+    before = _journal(state)
+    real = os.write
+
+    def short(fd, data):
+        return real(fd, data[:len(data) // 2])
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for broken, blame in ((short, "short write"), (full, "No space")):
+        monkeypatch.setattr(os, "write", broken)
+        with pytest.raises(OSError, match=blame):
+            orch.submit("selftest", {"n": 2})
+        monkeypatch.setattr(os, "write", real)
+        assert _journal(state) == before and orch.job_ids() == ["job-00001"]
+    assert orch.submit("selftest", {"n": 2}) == "job-00002"
+    orch.close()
+    assert _resumed(state).job_ids() == ["job-00001", "job-00002"]
 
 
 def test_edge_encoders_write_the_bytes_json_dumps_writes():
@@ -747,6 +938,64 @@ def test_bad_documents_are_400_and_keep_the_connection(tmp_path):
             (201, "keep-alive")]
         assert api.orchestrator.expansions.keys() == {
             job_text("selftest", {"n": 1})}
+
+
+def _post_body(body):
+    return (f"POST /jobs HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+            .encode() + body)
+
+
+@pytest.mark.parametrize("body, blame", [
+    (b'{"kind": "selftest", "spec": {"n": Infinity}}',
+     "bad selftest job document"),
+    (b'{"kind": "campaign", "spec": {"n": Infinity}}',
+     "bad campaign job document"),
+    (b'{"kind": "selftest", "spec": {"n": 1, "ms": Infinity}}',
+     "ms must be a finite number"),
+    (b'{"kind": "sweep", "spec": {"params": {"mode": ["everywhere"], '
+     b'"cores": [2], "window": [0]}}}', "window must be >= 1"),
+])
+def test_a_document_json_reads_but_no_job_takes_is_a_400(tmp_path, body,
+                                                         blame):
+    """``json`` reads ``Infinity``, and ``int()`` of it overflows: the
+    submit is a 400 like any bad document, and the connection answers
+    the next request."""
+    with _serving(tmp_path) as (api, _call):
+        responses = _raw(api, _post_body(body) + _get("/healthz"))
+        assert [(status, headers["connection"])
+                for status, headers, _doc in responses] == [
+            (400, "keep-alive"), (200, "keep-alive")]
+        assert blame in responses[0][2]["error"]
+        assert api.orchestrator.job_ids() == []
+
+
+def test_a_failed_journal_append_is_a_500_and_keeps_the_connection(
+        tmp_path, monkeypatch):
+    """A submit whose journal line cannot be written (the disk is full)
+    is the service's 500, carrying the error; the journal holds no
+    fragment, and the next submit gets the id the failed one would have
+    had."""
+    real = os.write
+    with _serving(tmp_path) as (api, _call):
+        orch = api.orchestrator
+
+        def full(fd, data):
+            if fd == orch._journal_fd:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(fd, data)
+
+        monkeypatch.setattr(os, "write", full)
+        responses = _raw(api, _post_job(1) + _get("/healthz"))
+        monkeypatch.setattr(os, "write", real)
+        assert [(status, headers["connection"])
+                for status, headers, _doc in responses] == [
+            (500, "keep-alive"), (200, "keep-alive")]
+        assert "No space left on device" in responses[0][2]["error"]
+        assert "os.write" in responses[0][2]["traceback"]
+        assert orch.metrics.value("serve.http.internal_errors") == 1
+        assert _journal(orch.state_dir) == b"" and orch.job_ids() == []
+        (status, _headers, doc), = _raw(api, _post_job(1))
+        assert (status, doc["job_id"]) == (201, "job-00001")
 
 
 def test_connection_reuse_is_visible_in_the_metrics(tmp_path):
