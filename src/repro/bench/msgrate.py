@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-import numpy as np
-
 from ..errors import MpiUsageError
 from ..mapping.tags import overtaking_only_info
 from ..mpi.info import Info
@@ -117,7 +115,7 @@ class MsgRateResult:
 
 
 def _sender(route: tuple[Any, int, int], cfg: MsgRateConfig,
-            payload: np.ndarray) -> Generator[Any, Any, None]:
+            payload: bytearray) -> Generator[Any, Any, None]:
     comm, peer, tag = route
     pending = []
     for _ in range(cfg.msgs_per_core):
@@ -132,8 +130,7 @@ def _sender(route: tuple[Any, int, int], cfg: MsgRateConfig,
 def _receiver(route: tuple[Any, int, int], cfg: MsgRateConfig
               ) -> Generator[Any, Any, None]:
     comm, peer, tag = route
-    bufs = [np.zeros(cfg.msg_bytes, dtype=np.uint8)
-            for _ in range(cfg.window)]
+    bufs = [bytearray(cfg.msg_bytes) for _ in range(cfg.window)]
     left = cfg.msgs_per_core
     while left > 0:
         reqs = []
@@ -169,7 +166,9 @@ def run_msgrate(cfg: MsgRateConfig,
     workers = 1 if everywhere else n
     if everywhere or max_vcis_per_proc is None:
         max_vcis_per_proc = max(4, 2 * n) if spreads else 1
-    payload = np.zeros(cfg.msg_bytes, dtype=np.uint8)
+    # Nothing reads a Fig 1(a) message, so its buffers are bytes: a run
+    # loads no numpy (see repro.mpi.datatypes).
+    payload = bytearray(cfg.msg_bytes)
 
     def proc_main(proc: "MpiProcess") -> Generator[Any, Any, float]:
         channels = yield from open_channels(proc, mechanism, workers,

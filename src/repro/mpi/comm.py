@@ -22,19 +22,19 @@ import itertools
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Generator, Iterator, Optional
 
-import numpy as np
-
 from ..errors import HintViolationError, InvalidHintError, MpiUsageError, \
     TagOverflowError
 from ..netsim.message import MessageKind, WireMessage
 from ..sim.core import Event
-from .datatypes import check_buffer
+from .datatypes import check_buffer, p2p_buffer
 from .info import CommHints, Info, parse_comm_hints
 from .matching import ANY_SOURCE, ANY_TAG, PostedRecv
 from .request import Request
 from .vci import TAG_UB, SingleVciMap, TagBitsVciMap, Vci, VciMap
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .library import MpiLibrary
 
 __all__ = ["COLL_ALGORITHMS", "Communicator"]
@@ -207,7 +207,7 @@ class Communicator:
     # ------------------------------------------------------------------
     # point-to-point
     # ------------------------------------------------------------------
-    def Isend(self, buf: np.ndarray, dest: int, tag: int,
+    def Isend(self, buf: np.ndarray | bytearray, dest: int, tag: int,
               count: Optional[int] = None,
               _context_id: Optional[int] = None
               ) -> Generator[Event, Any, Request]:
@@ -219,9 +219,8 @@ class Communicator:
             self._check_alive()
             self._check_peer(dest, wildcard_ok=False)
             self._check_tag(tag, wildcard_ok=False)
-        flat = check_buffer(buf, count)
-        n = flat.size if count is None else count
-        size = n * flat.dtype.itemsize
+        flat, n, itemsize = p2p_buffer(buf, count)
+        size = n * itemsize
         lib = self.lib
         sim = lib.sim
         req = Request(sim, "send")
@@ -239,7 +238,8 @@ class Communicator:
                 % pool.max_vcis
         req.vci = local_vci
         context_id = self.context_id if _context_id is None else _context_id
-        payload = flat[:n].copy()
+        # A bytearray slice is already a copy; an array slice is a view.
+        payload = flat[:n] if type(flat) is bytearray else flat[:n].copy()
         meta = {"src_addr": self.rank, "dst_addr": dest}
         chk = sim.checker
         if chk is not None:
@@ -292,7 +292,7 @@ class Communicator:
             remote_vci_idx)
         return route
 
-    def Irecv(self, buf: np.ndarray, source: int, tag: int,
+    def Irecv(self, buf: np.ndarray | bytearray, source: int, tag: int,
               count: Optional[int] = None,
               _context_id: Optional[int] = None
               ) -> Generator[Event, Any, Request]:
@@ -304,8 +304,7 @@ class Communicator:
             self._check_alive()
             self._check_peer(source, wildcard_ok=True)
             self._check_tag(tag, wildcard_ok=True)
-        flat = check_buffer(buf, count)
-        n = flat.size if count is None else count
+        flat, n, _ = p2p_buffer(buf, count)
         lib = self.lib
         sim = lib.sim
         cpu = lib.cpu
@@ -350,13 +349,13 @@ class Communicator:
         lock.release()
         return req
 
-    def Send(self, buf: np.ndarray, dest: int, tag: int,
+    def Send(self, buf: np.ndarray | bytearray, dest: int, tag: int,
              count: Optional[int] = None) -> Generator[Event, Any, None]:
         """Blocking send."""
         req = yield from self.Isend(buf, dest, tag, count)
         yield from req.wait()
 
-    def Recv(self, buf: np.ndarray, source: int, tag: int,
+    def Recv(self, buf: np.ndarray | bytearray, source: int, tag: int,
              count: Optional[int] = None) -> Generator[Event, Any, Any]:
         """Blocking receive; returns the Status."""
         req = yield from self.Irecv(buf, source, tag, count)

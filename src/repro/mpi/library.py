@@ -292,18 +292,27 @@ class MpiLibrary:
                 # The sender's clock rode in the meta; the receive's
                 # completion inherits the send's happens-before edges.
                 checker.on_msg_join(entry.req, hb)
-        recv_bytes = entry.count * entry.buf.dtype.itemsize
+        buf = entry.buf
+        byte_buf = type(buf) is bytearray
+        recv_bytes = entry.count if byte_buf \
+            else entry.count * buf.dtype.itemsize
         if msg.size > recv_bytes:
             entry.req.complete_with_error(TruncationError(
                 f"message of {msg.size} bytes truncates receive buffer of "
                 f"{recv_bytes} bytes (tag={msg.tag})"))
             return
-        if payload is not None:
-            n = len(payload)
-            entry.buf[:n] = payload
-            count = n
-        else:
+        if payload is None:
             count = 0
+        elif byte_buf:
+            # Byte for byte, whatever the sender's buffer: ``msg.size``
+            # bytes replace as many (a length mismatch would resize the
+            # buffer), and an array payload is read as its raw bytes.
+            count = msg.size
+            buf[:count] = payload if type(payload) is bytearray \
+                else memoryview(payload).cast("B")
+        else:
+            count = len(payload)
+            buf[:count] = payload
         vci.recvs += 1
         self.recvs_completed += 1
         source = meta.get("src_addr", msg.src_rank)

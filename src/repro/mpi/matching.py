@@ -46,12 +46,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from ..netsim.message import WireMessage
 from .request import Request
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "PostedRecv", "MatchingEngine",
            "key_matches"]
@@ -83,7 +84,7 @@ class PostedRecv:
     """
 
     req: Request
-    buf: np.ndarray
+    buf: np.ndarray | bytearray
     count: int
     context_id: int
     source: int

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-import numpy as np
-
 from ..errors import MpiUsageError
 from ..sim.core import Event
-from .datatypes import check_buffer
+from .datatypes import p2p_buffer
 from .request import Request
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .comm import Communicator
 
 __all__ = ["PersistentRequest", "send_init", "recv_init"]
@@ -29,7 +29,8 @@ __all__ = ["PersistentRequest", "send_init", "recv_init"]
 class PersistentRequest:
     """A reusable send or receive: init once, then start/wait repeatedly."""
 
-    def __init__(self, comm: "Communicator", kind: str, buf: np.ndarray,
+    def __init__(self, comm: "Communicator", kind: str,
+                 buf: np.ndarray | bytearray,
                  peer: int, tag: int, count: Optional[int]):
         if kind not in ("send", "recv"):
             raise MpiUsageError(f"bad persistent request kind {kind!r}")
@@ -73,22 +74,24 @@ class PersistentRequest:
                 f"tag={self.tag} cycles={self.cycles}>")
 
 
-def send_init(comm: "Communicator", buf: np.ndarray, dest: int, tag: int,
+def send_init(comm: "Communicator", buf: np.ndarray | bytearray, dest: int,
+              tag: int,
               count: Optional[int] = None) -> PersistentRequest:
     """``MPI_Send_init``: local; validates arguments eagerly."""
     comm._check_alive()
     comm._check_peer(dest, wildcard_ok=False)
     comm._check_tag(tag, wildcard_ok=False)
-    check_buffer(buf, count)
+    p2p_buffer(buf, count)
     return PersistentRequest(comm, "send", buf, dest, tag, count)
 
 
-def recv_init(comm: "Communicator", buf: np.ndarray, source: int, tag: int,
+def recv_init(comm: "Communicator", buf: np.ndarray | bytearray,
+              source: int, tag: int,
               count: Optional[int] = None) -> PersistentRequest:
     """``MPI_Recv_init``: local; wildcards permitted (unlike partitioned
     receives — Lesson 15's distinction)."""
     comm._check_alive()
     comm._check_peer(source, wildcard_ok=True)
     comm._check_tag(tag, wildcard_ok=True)
-    check_buffer(buf, count)
+    p2p_buffer(buf, count)
     return PersistentRequest(comm, "recv", buf, source, tag, count)

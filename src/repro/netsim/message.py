@@ -43,9 +43,12 @@ HEADER_BYTES = 48
 class WireMessage:
     """One message on the wire.
 
-    ``payload`` carries the actual data (a numpy array copy or any Python
-    object) so that correctness — not just timing — is simulated; tests
-    assert on received values.
+    ``payload`` carries the actual data so that correctness — not just
+    timing — is simulated; tests assert on received values. It is a copy
+    of the sender's buffer and of its type: a numpy array on every path,
+    a ``bytearray`` on the point-to-point path only (the buffer contract
+    of :mod:`repro.mpi.datatypes`), or a Python object for control
+    messages.
     """
 
     kind: MessageKind

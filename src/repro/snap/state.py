@@ -28,11 +28,10 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import sys
 from collections import deque
 from dataclasses import is_dataclass
 from typing import Any, Iterable, Optional
-
-import numpy as np
 
 from ..check.hb import PublishedClock
 from ..mpi.matching import PostedRecv
@@ -82,12 +81,17 @@ def describe_value(value: Any, depth: int = 0) -> Any:
         return value
     if depth >= _MAX_DEPTH:
         return {"__deep__": type(value).__name__}
-    if isinstance(value, (np.integer, np.floating, np.bool_)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        data = np.ascontiguousarray(value)
-        return {"__ndarray__": [list(value.shape), str(value.dtype),
-                                hashlib.sha256(data.tobytes()).hexdigest()]}
+    # Nothing is a numpy value before numpy is imported, and a capture
+    # does not import it for a run that never did.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, (np.integer, np.floating, np.bool_)):
+            return value.item()
+        if isinstance(value, np.ndarray):
+            data = np.ascontiguousarray(value)
+            return {"__ndarray__": [
+                list(value.shape), str(value.dtype),
+                hashlib.sha256(data.tobytes()).hexdigest()]}
     if isinstance(value, (bytes, bytearray)):
         return {"__bytes__": [len(value),
                               hashlib.sha256(bytes(value)).hexdigest()]}

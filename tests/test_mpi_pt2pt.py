@@ -10,7 +10,8 @@ from repro.errors import (
     TagOverflowError,
     TruncationError,
 )
-from repro.mpi import ANY_SOURCE, ANY_TAG, Info, waitall
+from repro.mpi import ANY_SOURCE, ANY_TAG, Info, recv_init, send_init, \
+    waitall
 from repro.mpi.vci import TAG_UB
 from repro.netsim import NetworkConfig
 from repro.runtime import World
@@ -300,3 +301,114 @@ def test_send_completes_before_recv_posted(world2):
 
     t_send, t_recv = run_ranks(world2, sender, receiver)
     assert t_send < 1e-4 and t_recv > 1.0
+
+
+# ------------------------------------------------------- bytearray buffers
+#: One eager size and one past the 16 KiB eager threshold (rendezvous).
+BYTE_SIZES = pytest.mark.parametrize("n", [8, 1 << 15],
+                                     ids=["eager", "rendezvous"])
+
+
+@BYTE_SIZES
+def test_bytearray_send_recv_round_trip(world2, n):
+    data = bytes(i % 251 for i in range(n))
+
+    def sender(proc):
+        yield from proc.comm_world.Send(bytearray(data), dest=1, tag=4)
+
+    def receiver(proc):
+        buf = bytearray(n)
+        st = yield from proc.comm_world.Recv(buf, source=0, tag=4)
+        assert buf == data and len(buf) == n
+        assert st.source == 0 and st.tag == 4 and st.count == n
+
+    run_ranks(world2, sender, receiver)
+
+
+def test_bytearray_count_bounds(world2):
+    def sender(proc):
+        comm = proc.comm_world
+        for bad in (9, -1):
+            with pytest.raises(MpiUsageError):
+                yield from comm.Isend(bytearray(8), dest=1, tag=0, count=bad)
+        yield from comm.Send(bytearray(b"abcdefgh"), dest=1, tag=0, count=3)
+
+    def receiver(proc):
+        comm = proc.comm_world
+        with pytest.raises(MpiUsageError):
+            yield from comm.Irecv(bytearray(8), source=0, tag=0, count=9)
+        buf = bytearray(b"........")
+        st = yield from comm.Recv(buf, source=0, tag=0, count=4)
+        assert st.count == 3 and buf == b"abc....."
+
+    run_ranks(world2, sender, receiver)
+
+
+@BYTE_SIZES
+def test_short_bytearray_receive_truncates(world2, n):
+    def sender(proc):
+        yield from proc.comm_world.Send(bytearray(n), dest=1, tag=0)
+
+    def receiver(proc):
+        buf = bytearray(n - 1)
+        req = yield from proc.comm_world.Irecv(buf, source=0, tag=0)
+        with pytest.raises(TruncationError):
+            yield from req.wait()
+        assert len(buf) == n - 1
+
+    run_ranks(world2, sender, receiver)
+
+
+@BYTE_SIZES
+def test_bytearray_and_uint8_array_interoperate(n):
+    """Either end may be a ``bytearray`` or a ``uint8`` array of the same
+    size: the same bytes arrive at the same simulated time."""
+    data = bytes(i % 251 for i in range(n))
+    kinds = {"bytearray": bytearray,
+             "uint8": lambda b: np.frombuffer(b, dtype=np.uint8).copy()}
+    outcomes = set()
+    for send_kind in kinds:
+        for recv_kind in kinds:
+            world = World(num_nodes=2, procs_per_node=1)
+
+            def sender(proc):
+                yield from proc.comm_world.Send(kinds[send_kind](data),
+                                                dest=1, tag=0)
+
+            def receiver(proc):
+                buf = kinds[recv_kind](bytes(n))
+                st = yield from proc.comm_world.Recv(buf, source=0, tag=0)
+                assert bytes(buf) == data and st.count == n
+                return proc.sim.now
+
+            outcomes.add(run_ranks(world, sender, receiver)[1])
+    assert len(outcomes) == 1
+
+
+def test_persistent_requests_take_bytearray(world2):
+    def sender(proc):
+        buf = bytearray(4)
+        req = send_init(proc.comm_world, buf, dest=1, tag=3)
+        for c in range(3):
+            buf[:] = bytes([c]) * 4
+            yield from req.start()
+            yield from req.wait()
+
+    def receiver(proc):
+        buf = bytearray(4)
+        req = recv_init(proc.comm_world, buf, source=0, tag=3)
+        for c in range(3):
+            yield from req.start()
+            yield from req.wait()
+            assert buf == bytes([c]) * 4
+
+    run_ranks(world2, sender, receiver)
+
+
+def test_typed_calls_reject_bytearray(world2):
+    def worker(proc):
+        with pytest.raises(MpiUsageError, match="point-to-point only"):
+            yield from proc.comm_world.Allreduce(bytearray(8), bytearray(8))
+        yield from proc.comm_world.Barrier()
+
+    run_same(world2, worker)

@@ -1,6 +1,11 @@
 """Tests for the tracer and deterministic random streams."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 
 from repro.sim import RandomStreams, Simulator, TraceCategory, Tracer
 
@@ -109,3 +114,24 @@ def test_streams_cached_instance():
 def test_different_seeds_differ():
     assert not np.allclose(RandomStreams(1)["x"].random(4),
                            RandomStreams(2)["x"].random(4))
+
+
+def test_streams_do_not_depend_on_the_hash_seed():
+    """``(seed, name)`` draws the same in every interpreter, whatever its
+    ``PYTHONHASHSEED``."""
+    code = ("from repro.sim import RandomStreams\n"
+            "print(RandomStreams(7).stream('jitter').random(2).tolist())")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    draws = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.path.join(root, "src"))
+        draws.add(subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env, timeout=120).stdout)
+    assert len(draws) == 1
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        RandomStreams(-1)

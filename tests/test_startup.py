@@ -8,7 +8,8 @@ interpreters because this one has imported everything long ago:
 - the lazy namespaces behave like eager ones (``__all__``, ``dir()``,
   ``from pkg import *``, the error for a name that does not exist);
 - the import fences: ``import repro``, the kernel alone and one Fig 1(a)
-  point load no layer they do not run;
+  point load no layer they do not run, and neither a Fig 1(a) point nor
+  the CLI and serve front ends load numpy;
 - the results: a run's state digest, trace and check report are the
   same bytes whether or not everything was imported first;
 - the hot paths: a warmed-up Fig 1(a) point executes the same number of
@@ -37,8 +38,9 @@ LAZY_PACKAGES = ("repro", "repro.bench", "repro.check", "repro.faults",
 FIG1A_MODES = ("everywhere", "threads-original", "threads-tags",
                "threads-comms", "threads-endpoints")
 
-#: Layers a Fig 1(a) point never runs, checked or not.
-NOT_IN_FIG1A = ("repro.faults", "repro.scenarios", "repro.snap",
+#: Layers a Fig 1(a) point never runs, checked or not. numpy is one: the
+#: point's buffers are bytes (``repro.mpi.datatypes``).
+NOT_IN_FIG1A = ("numpy", "repro.faults", "repro.scenarios", "repro.snap",
                 "repro.mpi.coll", "repro.mpi.rma", "repro.mpi.partitioned",
                 "repro.mpi.persistent", "repro.netsim.topology.generators",
                 "repro.netsim.topology.routed", "repro.obs.chrome",
@@ -57,13 +59,14 @@ def _python(code: str, *args: str) -> str:
 
 
 def _loaded_by(code: str) -> set[str]:
-    """The ``repro`` modules ``code`` adds to a fresh interpreter."""
+    """The ``repro`` and ``numpy`` modules ``code`` adds to a fresh
+    interpreter."""
     return set(json.loads(_python(
         "import json, sys\n"
         "before = set(sys.modules)\n"
         + code +
         "\nprint(json.dumps(sorted(m for m in set(sys.modules) - before "
-        "if m.partition('.')[0] == 'repro')))\n")))
+        "if m.partition('.')[0] in ('repro', 'numpy'))))\n")))
 
 
 # -- the lazy namespaces ----------------------------------------------------
@@ -118,12 +121,21 @@ def test_a_fig1a_point_loads_no_layer_it_does_not_run(checked):
         run = f"from repro.check import checking\n    with checking():\n" \
               f"        {run}"
     loaded = _loaded_by(
-        "from repro.bench import MsgRateConfig, run_msgrate\n"
-        f"for mode in {FIG1A_MODES!r}:\n"
+        "from repro.bench import MODES, MsgRateConfig, run_msgrate\n"
+        "for mode in MODES:\n"
         f"    {run}\n")
     assert "repro.check" in loaded  # World builds its checker in set-up
     assert sorted(m for m in loaded
                   if m.startswith(NOT_IN_FIG1A)) == []
+
+
+@pytest.mark.parametrize("front_end", ["repro.cli", "repro.serve.service",
+                                       "repro.serve.worker"])
+def test_a_front_end_loads_no_numpy(front_end):
+    """numpy loads where a run computes with it: the service preloads it
+    for campaign jobs when it starts, not when it is imported."""
+    assert sorted(m for m in _loaded_by(f"import {front_end}")
+                  if m.startswith("numpy")) == []
 
 
 # -- results do not depend on what was imported first --------------------------
