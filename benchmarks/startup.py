@@ -1,5 +1,5 @@
 """Start-up cost per front end: ``repro`` modules loaded, whether numpy
-loaded, and import time.
+loaded, and import time; and what a service costs to start.
 
     PYTHONPATH=src python benchmarks/startup.py [--runs N] [--out-dir DIR]
 
@@ -8,11 +8,20 @@ one line per front end gives the ``repro`` modules it loaded, ``yes`` or
 ``no`` for numpy, and the median milliseconds its import took (numpy's
 own import included where it loads). The
 ``fig1a-point`` row also runs one small Fig 1(a) point of every mode, so
-it counts what a run loads, not only what its import does. With
-``--out-dir`` the table is also written to ``DIR/front-ends.txt``, next
-to a ``python -X importtime`` log per front end
-(``DIR/importtime-<front end>.log``): a start-up regression then shows
-from those files alone.
+it counts what a run loads, not only what its import does.
+
+The ``serve`` row forks ``spawn_service(workers=1)`` from a fresh
+interpreter that imported nothing else, and gives the median
+milliseconds from that interpreter's start until ``GET /healthz`` shows
+the worker, then the milliseconds one small sweep job takes from its
+``POST`` to ``done``, the service's and the worker's peak RSS (MiB,
+``VmHWM``) after it, and whether numpy is mapped in either process. RSS
+and numpy need ``/proc`` (Linux); elsewhere they read ``-``.
+
+With ``--out-dir`` both tables are also written to
+``DIR/front-ends.txt``, next to a ``python -X importtime`` log per front
+end (``DIR/importtime-<front end>.log``): a start-up regression then
+shows from those files alone.
 
 Compare two trees only in the same bytecode state (both compiled, or
 neither): compiling a module's source costs more than importing it.
@@ -53,6 +62,57 @@ _PROBE = (
     "print(count, numpy, round(elapsed * 1e3, 1))\n")
 
 
+#: Prints ``<ready ms> <sweep ms> <service MiB> <worker MiB> <numpy>`` for
+#: a service forked from this lean interpreter.
+_SERVE_PROBE = """
+import time
+started = time.perf_counter()
+import os, tempfile
+from repro.serve.service import spawn_service
+
+
+def proc_file(pid, name):
+    try:
+        with open(f"/proc/{pid}/{name}", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def peak_mib(pid):
+    status = proc_file(pid, "status")
+    if status is None:
+        return "-"
+    kib = next(line.split()[1] for line in status.splitlines()
+               if line.startswith("VmHWM:"))
+    return f"{int(kib) / 1024:.1f}"
+
+
+with tempfile.TemporaryDirectory() as state:
+    handle = spawn_service(state, workers=1)
+    try:
+        with handle.client() as client:
+            while not client.healthz()["workers"]:
+                time.sleep(0.002)
+            ready = time.perf_counter()
+            job = client.submit("sweep", {"params": {
+                "mode": ["threads-original"], "cores": [2],
+                "msgs_per_core": [4]}})
+            client.wait(job["job_id"], poll=0.002)
+            swept = time.perf_counter()
+        pids = [handle.pid, *handle.worker_pids()]
+        maps = [proc_file(pid, "maps") for pid in pids]
+        numpy = ("-" if None in maps else
+                 "yes" if any("_multiarray_umath" in m for m in maps)
+                 else "no")
+        print(round((ready - started) * 1e3, 1),
+              round((swept - ready) * 1e3, 1),
+              *(peak_mib(pid) for pid in pids), numpy)
+    finally:
+        handle.stop()
+"""
+
+
 def _run(args: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, check=True)
@@ -67,6 +127,15 @@ def measure(code: str, runs: int) -> tuple[int, str, float]:
                for _ in range(runs + 1)][1:]
     return (int(samples[0][0]), samples[0][1],
             statistics.median(float(ms) for _, _, ms in samples))
+
+
+def measure_service(runs: int) -> list[str]:
+    """The ``serve`` row's fields: median ready and sweep ms over
+    ``runs``, after one untimed run; RSS and numpy from the last run."""
+    samples = [_run(["-c", _SERVE_PROBE]).stdout.split()
+               for _ in range(runs + 1)][1:]
+    return [f"{statistics.median(float(s[i]) for s in samples):.1f}"
+            for i in (0, 1)] + samples[-1][2:]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,6 +156,11 @@ def main(argv: list[str] | None = None) -> int:
             path = os.path.join(args.out_dir, f"importtime-{name}.log")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(log)
+    ready, sweep, service, worker, numpy = measure_service(args.runs)
+    lines += ["", f"{'service':<20} {'ready ms':>9} {'sweep ms':>9} "
+                  f"{'service MiB':>11} {'worker MiB':>10} {'numpy':>5}",
+              f"{'serve':<20} {ready:>9} {sweep:>9} {service:>11} "
+              f"{worker:>10} {numpy:>5}"]
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out_dir:

@@ -34,7 +34,7 @@ from typing import Any, Optional
 
 from ..errors import ServeError
 from .orchestrator import Orchestrator
-from .points import preload_job_kinds
+from .protocol import bound_reads
 
 __all__ = ["HttpApi", "parse_job_document"]
 
@@ -128,13 +128,12 @@ class HttpApi:
         self.shutdown_requested: asyncio.Event = asyncio.Event()
 
     async def start(self) -> int:
-        """Bind the API port (ephemeral by default); returns it."""
-        # Loaded before the first request, not by it: a first import inside
-        # a handler stalls the loop ~15 ms, and a server that falls behind
-        # and then closes on a framing error resets the connection before
-        # the client has read the responses it was owed.
-        import yaml  # noqa: F401
-        preload_job_kinds()
+        """Bind the API port (ephemeral by default); returns it.
+
+        Nothing is preloaded: a job kind's modules load with its first
+        job, inside that request's handler (DESIGN §2a). The loop stalls
+        for that import, and no client is reset by it, because every
+        close the server starts half-closes and drains first."""
         self._server = await asyncio.start_server(
             self._handle, self._host, 0)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -161,6 +160,7 @@ class HttpApi:
         reads and drops what the client still sends, so it is clean."""
         handler = asyncio.current_task()
         self._conns[handler] = writer
+        bound_reads(writer)
         self.orchestrator.metrics.inc("serve.http.connections")
         try:
             keep = True

@@ -58,7 +58,9 @@ from .cache import PENDING, ResultCache, blob_key, point_blob
 from .points import execute_point, expand_job
 from .protocol import (
     PROTOCOL_VERSION,
+    READ_SIZE,
     FrameDecoder,
+    bound_reads,
     encode_frame,
     job_frame,
     shutdown_frame,
@@ -67,7 +69,6 @@ from .protocol import (
 __all__ = ["Expansion", "Job", "JournalLine", "PointTask", "Orchestrator",
            "JOURNAL", "job_text", "read_journal"]
 
-_READ_CHUNK = 65536
 _JOB_ID = re.compile(r"job-([0-9]{5,})")
 #: The job journal's name in a state directory: one line per accepted job.
 JOURNAL = "jobs.log"
@@ -539,7 +540,7 @@ class Orchestrator:
         """Next decoded frame, or None on EOF at a frame boundary; bytes
         move the deadline out (a live worker heartbeats well inside it)."""
         while not frames:
-            data = await reader.read(_READ_CHUNK)
+            data = await reader.read(READ_SIZE)
             if not data:
                 decoder.close()  # raises ProtocolError if mid-frame
                 return None
@@ -555,6 +556,7 @@ class Orchestrator:
         name: Optional[str] = None
         task: Optional[PointTask] = None
         reason = "connection closed"
+        bound_reads(writer)
         self._due[writer] = time.monotonic() + self.heartbeat_timeout * 4
         try:
             hello = await self._next_frame(reader, writer, decoder, frames)

@@ -25,6 +25,11 @@ Expansion is deterministic: the same job document always yields the
 same point list in the same order, which is what lets a restarted
 orchestrator rebuild its queue from its job journal plus the result
 cache.
+
+Every expander and point function imports what its kind needs inside
+itself, so a job kind's modules load with its first job: expansion in
+the service's handler, execution in the worker. A service that runs only
+sweep and selftest jobs never loads numpy or the scenario layer.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from ..errors import MpiError, ServeError
 from .cache import json_roundtrip
 
 __all__ = ["POINT_KINDS", "JOB_KINDS", "execute_point", "expand_job",
-           "msgrate_point", "preload_job_kinds", "scenario_point",
-           "selftest_point"]
+           "msgrate_point", "scenario_point", "selftest_point"]
 
 
 def msgrate_point(mode: str, cores: int, msgs_per_core: int = 64,
@@ -172,23 +176,6 @@ JOB_KINDS: dict[str, Callable[[dict], tuple[str, list[dict]]]] = {
     "scenarios": _expand_scenarios,
     "selftest": _expand_selftest,
 }
-
-
-def preload_job_kinds() -> None:
-    """Import now what a job of any kind imports on first use: the sweep's
-    config, the scenario layer (campaign sampling and the summary of a
-    finished campaign), numpy's generators, the topology generators a
-    routed spec is validated with, and every app a sampled spec's config
-    comes from. A service calls this at start-up, so no request handler
-    imports (DESIGN §2a)."""
-    import numpy.random  # noqa: F401
-
-    from ..bench import msgrate  # noqa: F401
-    from ..netsim.topology import generators  # noqa: F401
-    from ..scenarios import campaign  # noqa: F401
-    from ..scenarios.apps import APP_REGISTRY
-    for app in APP_REGISTRY.values():
-        app.load()
 
 
 def expand_job(kind: str, spec: dict) -> tuple[str, list[dict]]:

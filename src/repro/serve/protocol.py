@@ -30,13 +30,16 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from ..errors import ProtocolError
 
+if TYPE_CHECKING:  # pragma: no cover
+    from asyncio import StreamWriter
+
 __all__ = [
-    "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "FrameDecoder",
-    "encode_frame", "write_frame",
+    "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "READ_SIZE", "FrameDecoder",
+    "bound_reads", "encode_frame", "write_frame",
     "hello_frame", "job_frame", "result_frame", "error_frame",
     "heartbeat_frame", "shutdown_frame",
 ]
@@ -50,7 +53,26 @@ PROTOCOL_VERSION = 1
 #: (e.g. ASCII read as a length) cannot make a reader allocate gigabytes.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+#: The most one socket read of a served connection asks for; a larger
+#: request or frame arrives over several reads.
+READ_SIZE = 64 * 1024
+
 _HEADER = struct.Struct(">I")
+
+
+def bound_reads(writer: "StreamWriter") -> None:
+    """Cap each socket read of ``writer``'s connection at ``READ_SIZE``.
+
+    asyncio's selector transport asks ``recv`` for 256 KiB per read. glibc
+    maps an allocation that large (its mmap threshold starts at 128 KiB)
+    and unmaps it on free, so every read of a small request would map,
+    fault in and unmap fresh pages. 64 KiB comes from the heap. The
+    attribute belongs to the selector transport; another loop's
+    transport, without it, is left alone.
+    """
+    transport = writer.transport
+    if hasattr(transport, "max_size"):
+        transport.max_size = READ_SIZE
 
 
 def encode_frame(frame: dict) -> bytes:

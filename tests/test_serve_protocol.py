@@ -24,6 +24,8 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -1135,6 +1137,120 @@ def test_stop_closes_idle_keep_alive_connections(tmp_path):
         handle.kill()
         for client in clients:
             client.close()
+
+
+# -- a service from a fresh interpreter ----------------------------------------
+@contextlib.contextmanager
+def _fresh_service(tmp_path, workers):
+    """``python -m repro serve`` in a fresh interpreter, as a user starts
+    one: nothing this test process imported is in it. Yields ``(pid,
+    url)`` once it is serving; shuts it down (or kills it) on exit."""
+    state = str(tmp_path / "fresh")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--state-dir", state,
+         "-j", str(workers)], env=env, stdout=subprocess.DEVNULL)
+    try:
+        discovery = os.path.join(state, "serve.json")
+        deadline = time.monotonic() + 30
+        while not os.path.exists(discovery):
+            assert proc.poll() is None and time.monotonic() < deadline, \
+                "the service did not start"
+            time.sleep(0.01)
+        with open(discovery, encoding="utf-8") as fh:
+            url = json.load(fh)["url"]
+        yield proc.pid, url
+        with ServeClient(url) as client:
+            client.shutdown()
+        proc.wait(10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(10)
+
+
+def _minor_faults(pid):
+    """``minflt`` of ``pid``: field 10 of ``/proc/<pid>/stat``, the 8th
+    after the parenthesised command name."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+        return int(fh.read().rpartition(")")[2].split()[7])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="minor fault counts come from /proc")
+def test_a_warm_post_maps_no_memory(tmp_path):
+    """Each read of a served connection is capped at 64 KiB
+    (``protocol.bound_reads``). asyncio's default 256 KiB read buffer is
+    above glibc's mmap threshold in a lean service, so every request
+    would map, fault in and unmap it: ~2.2 minor faults per POST, against
+    ~0.2 with the cap. The service must be a fresh interpreter: one
+    forked from this process's heap has freed large blocks before, which
+    raises glibc's threshold and hides the cost."""
+    spec = {"n": 35}
+    with _fresh_service(tmp_path, workers=1) as (pid, url), \
+            ServeClient(url) as client:
+        client.wait(client.submit("selftest", spec)["job_id"], poll=0.01)
+        for _ in range(20):
+            client.submit("selftest", spec)
+        before = _minor_faults(pid)
+        for _ in range(500):
+            assert client.submit("selftest", spec)["status"] == "done"
+        per_post = (_minor_faults(pid) - before) / 500
+    assert per_post <= 0.5
+
+
+def test_a_first_job_of_a_kind_resets_no_pipelining_client(tmp_path):
+    """A service loads a job kind with its first job, in that request's
+    handler: the first campaign POST imports the sampler and the apps on
+    the event loop (~0.1 s). Clients pipelining GETs on other connections
+    meanwhile fall behind; each asks to close early in its stream and
+    keeps sending. Each still reads every response it is owed and a
+    clean EOF, never a reset: the server half-closes and drains before
+    it closes."""
+    chunks = [_get("/healthz") * 4 for _ in range(40)]
+    chunks[5] = _get("/healthz") * 3 + _get("/jobs", "Connection: close\r\n")
+    body = json.dumps({"kind": "campaign",
+                       "spec": {"seed": 7, "n": 12}}).encode()
+    post = (f"POST /jobs HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+            .encode() + body)
+    errors = []
+
+    def pipeline(s):
+        try:
+            for chunk in chunks:
+                s.sendall(chunk)
+                time.sleep(0.01)
+            s.shutdown(socket.SHUT_WR)
+        except OSError as exc:
+            errors.append(exc)
+
+    with _fresh_service(tmp_path, workers=0) as (_pid, url):
+        port = int(url.rpartition(":")[2])
+        clients = [socket.create_connection(("127.0.0.1", port), timeout=10)
+                   for _ in range(3)]
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as submitter:
+            submitter.sendall(post)
+            senders = [threading.Thread(target=pipeline, args=(s,))
+                       for s in clients]
+            for sender in senders:
+                sender.start()
+            got = []
+            for s in clients:
+                with s.makefile("rb") as stream:
+                    got.append(list(iter(lambda: _response(stream), None)))
+            for sender in senders:
+                sender.join(10)
+            for s in clients:
+                s.close()
+            with submitter.makefile("rb") as stream:
+                status, _headers, doc = _response(stream)
+    assert (status, doc["total"]) == (201, 12)
+    assert errors == []
+    for responses in got:
+        assert [status for status, _h, _d in responses] == [200] * 24
+        assert responses[-1][1]["connection"] == "close"
 
 
 #: Request fragments the fuzzer splices between (and cuts through).

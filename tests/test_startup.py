@@ -13,8 +13,9 @@ interpreters because this one has imported everything long ago:
 - the results: a run's state digest, trace and check report are the
   same bytes whether or not everything was imported first;
 - the hot paths: a warmed-up Fig 1(a) point executes the same number of
-  import statements at 1 and at 64 cores, and a service answers every
-  job kind without importing on its event loop.
+  import statements at 1 and at 64 cores, and a service loads a job
+  kind with its first job (numpy never, for sweep and selftest jobs) and
+  nothing with the next.
 """
 
 import builtins
@@ -132,8 +133,9 @@ def test_a_fig1a_point_loads_no_layer_it_does_not_run(checked):
 @pytest.mark.parametrize("front_end", ["repro.cli", "repro.serve.service",
                                        "repro.serve.worker"])
 def test_a_front_end_loads_no_numpy(front_end):
-    """numpy loads where a run computes with it: the service preloads it
-    for campaign jobs when it starts, not when it is imported."""
+    """numpy loads where a run computes with it: a service loads it with
+    its first campaign or scenarios job, not when it is imported or
+    started."""
     assert sorted(m for m in _loaded_by(f"import {front_end}")
                   if m.startswith("numpy")) == []
 
@@ -227,10 +229,33 @@ import json, os, sys, tempfile, threading, time
 from repro.serve.client import ServeClient
 from repro.serve.service import run_service
 
-jobs = {"sweep": {"params": {"mode": ["threads-comms"], "cores": [2],
-                             "msgs_per_core": [2]}},
-        "campaign": {"seed": 42, "n": 48},
-        "selftest": {"n": 2}}
+
+def numpy_mapped(pid):
+    # Whether numpy's core extension is in pid's address space (None
+    # where there is no /proc).
+    try:
+        with open(f"/proc/{pid}/maps", encoding="utf-8") as fh:
+            return "_multiarray_umath" in fh.read()
+    except OSError:
+        return None
+
+
+def sweep(cores):
+    return {"params": {"mode": ["threads-comms"], "cores": [cores],
+                       "msgs_per_core": [2]}}
+
+
+def run(client, kind, spec):
+    job_id = client.submit(kind, spec)["job_id"]
+    client.wait(job_id, poll=0.01)
+    return client.result(job_id)
+
+
+def loaded(pids):
+    return {"service": "numpy" in sys.modules,
+            "workers": [numpy_mapped(pid) for pid in pids]}
+
+
 with tempfile.TemporaryDirectory() as state:
     service = threading.Thread(target=run_service, args=(state,),
                                kwargs={"workers": 1}, daemon=True)
@@ -240,23 +265,43 @@ with tempfile.TemporaryDirectory() as state:
         time.sleep(0.01)
     with open(discovery, encoding="utf-8") as fh:
         url = json.load(fh)["url"]
+    report = {}
     with ServeClient(url) as client:
-        client.healthz()  # the client's own first connection imports
+        while not client.healthz()["workers"]:
+            time.sleep(0.01)
+        pids = [w["pid"] for w in client.healthz()["workers"].values()]
+        run(client, "sweep", sweep(2))
+        run(client, "selftest", {"n": 2})
+        report["lean"] = loaded(pids)
+        campaign = run(client, "campaign", {"seed": 42, "n": 48})
+        specs = [point["spec"] for point in campaign["points"]]
+        run(client, "scenarios", {"specs": specs[:2]})
+        report["campaign"] = loaded(pids)
         before = set(sys.modules)
-        for kind, spec in jobs.items():
-            job_id = client.submit(kind, spec)["job_id"]
-            client.wait(job_id, poll=0.01)
-            client.result(job_id)
+        run(client, "sweep", sweep(3))
+        run(client, "selftest", {"n": 3})
+        run(client, "campaign", {"seed": 43, "n": 48})
+        run(client, "scenarios", {"specs": specs[2:4]})
         client.metrics()
-        print(json.dumps(sorted(set(sys.modules) - before)))
+        report["added"] = sorted(set(sys.modules) - before)
         client.shutdown()
     service.join(30)
     assert not service.is_alive()
+    print(json.dumps(report))
 """
 
 
-def test_a_service_imports_nothing_on_its_event_loop():
-    """DESIGN §2a: a first import inside a handler stalls the loop.
-    ``HttpApi.start()`` loads what every job kind needs, so submitting,
-    polling and fetching each kind adds nothing to ``sys.modules``."""
-    assert json.loads(_python(SERVED)) == []
+def test_a_job_kind_loads_with_its_first_job():
+    """DESIGN §2a: a service preloads nothing. Sweep and selftest jobs
+    leave numpy out of the service and its worker alike; a campaign job
+    brings it into both (which shows the probes see it); and once a kind
+    has run, a second job of it (submit, poll, fetch) imports nothing.
+    The first campaign's 48 scenarios sample every app: a campaign that
+    samples an app no earlier one did loads that app's modules."""
+    report = json.loads(_python(SERVED))
+    on_linux = sys.platform.startswith("linux")
+    assert report["lean"] == {"service": False,
+                              "workers": [False] if on_linux else [None]}
+    assert report["campaign"] == {"service": True,
+                                  "workers": [True] if on_linux else [None]}
+    assert report["added"] == []
