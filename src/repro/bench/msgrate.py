@@ -41,6 +41,7 @@ from ..mapping.tags import overtaking_only_info
 from ..mpi.info import Info
 from ..mpi.request import waitall
 from ..netsim.config import NetworkConfig
+from ..sim.core import gc_suspended
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
@@ -141,6 +142,7 @@ def _receiver(route: tuple[Any, int, int], cfg: MsgRateConfig
         left -= len(reqs)
 
 
+@gc_suspended()  # owns its World: freed on return (see gc_suspended)
 def run_msgrate(cfg: MsgRateConfig,
                 net: Optional[NetworkConfig] = None,
                 max_vcis_per_proc: Optional[int] = None,

@@ -15,7 +15,8 @@ calls ``on_stop(world)`` there. :func:`run_program` runs a script.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, ContextManager, Optional,
+                    Sequence)
 
 from ..sim.core import _UNBOUNDED, Event, gc_suspended
 from .checker import CheckConfig
@@ -36,9 +37,18 @@ def current_session() -> Optional["Session"]:
 
 class Session:
     """A ``with`` block's Worlds: it owns every World built while it is
-    the innermost session and nothing else refers to the list, so
-    dropping the session releases them. With ``config`` set, those Worlds
-    are checked with it (``World(check=None)`` adopts it).
+    the innermost session, and nothing else refers to the list. With
+    ``config`` set, those Worlds are checked with it (``World(check=None)``
+    adopts it).
+
+    A session is a World owner in the sense of
+    :func:`~repro.sim.core.gc_suspended`: the cyclic collector is off from
+    ``__enter__`` to ``__exit__``, and the exit frees, in one young
+    collection, every World the block released with :meth:`close`. A
+    World still listed when the block ends lives until the session is
+    closed or dropped, and then waits for an older collection. A script
+    that :func:`run_program` runs in the block is no owner: the collector
+    runs for it as the session found it.
 
     A session whose ``on_stop`` is set (before its Worlds are built) stops
     the Worlds built under it — also those an inner session owns, which then
@@ -58,15 +68,27 @@ class Session:
         self.stop_horizon: Optional[float] = None
         self.on_stop: Optional[Callable[["World"], None]] = None
         self._outer: Optional[Session] = None
+        self._gc_scope: Optional[ContextManager[None]] = None
 
     def __enter__(self) -> "Session":
         global _session
+        self._suspend_gc()
         self._outer, _session = _session, self
         return self
 
     def __exit__(self, *exc: object) -> None:
         global _session
         _session, self._outer = self._outer, None
+        self._resume_gc()
+
+    def _suspend_gc(self) -> None:
+        self._gc_scope = gc_suspended()
+        self._gc_scope.__enter__()
+
+    def _resume_gc(self) -> None:
+        scope, self._gc_scope = self._gc_scope, None
+        if scope is not None:
+            scope.__exit__(None, None, None)
 
     # -- the worlds ---------------------------------------------------------
     def adopt(self, world: "World") -> Optional["Session"]:
@@ -94,9 +116,9 @@ class Session:
         return report
 
     def close(self) -> None:
-        """Release this block's worlds now rather than with the session
-        (for a caller that keeps the session alive past its last
-        :meth:`report`). A closed session reports empty."""
+        """Release this block's worlds. Called inside the block, after
+        its last :meth:`report`, it lets the block's exit free them (see
+        the class docstring). A closed session reports empty."""
         self.worlds.clear()
 
     # -- a stopped run --------------------------------------------------------
@@ -158,9 +180,18 @@ def run_program(path: str, argv: Sequence[str]) -> int:
     ``sys.argv`` is restored whatever happens. ``SystemExit`` becomes the
     status (``None`` is 0, a non-integer code 1); any other exception
     propagates.
+
+    A script is no World owner: its session's caller reads the Worlds
+    after the block, and the script may run for as long as it likes. So
+    the session's collector scope is closed while the script runs and
+    reopened after it; the owners and runs inside the script collect as
+    they would outside any session.
     """
     import runpy
 
+    session = current_session()
+    if session is not None:
+        session._resume_gc()
     old_argv = sys.argv
     sys.argv = [path, *argv]
     try:
@@ -171,4 +202,6 @@ def run_program(path: str, argv: Sequence[str]) -> int:
         return 0 if exc.code is None else 1
     finally:
         sys.argv = old_argv
+        if session is not None:
+            session._suspend_gc()
     return 0

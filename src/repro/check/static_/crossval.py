@@ -182,6 +182,7 @@ def cross_validate(fixture_dir: Optional[str] = None,
             with checking(CheckConfig(emit_warnings=False)) as session:
                 run()
                 dynamic = dict(session.report().counts())
+                session.close()
             clean = not static_failing and not dynamic
             fp += len(static_failing)
             fn += len(dynamic)

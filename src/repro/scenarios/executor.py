@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 from ..check import CheckConfig, checking
 from ..errors import CheckError, MpiError, ScenarioError, TransportError
-from ..sim.core import SimulationError
+from ..sim.core import SimulationError, gc_suspended
 from ..snap import capture_state, state_digest
 from .apps import get_app
 from .spec import ScenarioSpec
@@ -37,6 +37,7 @@ def _first_line(exc: BaseException) -> str:
     return text.splitlines()[0][:240]
 
 
+@gc_suspended()  # owns its World: freed on return (see gc_suspended)
 def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     """Run one scenario under the analyzer; classify the result.
 

@@ -57,14 +57,28 @@ class SimulationError(RuntimeError):
 
 @contextmanager
 def gc_suspended() -> Iterator[None]:
-    """Suspend cyclic GC around an event loop.
+    """Suspend cyclic GC for the life of a World's owner.
 
     The kernel allocates one-or-more short-lived objects per event, and
     gen-0 collections triggered mid-run cost real host time without
     freeing anything the free-list and refcounting don't already handle.
-    This is purely a host-side optimization — collection timing can never
-    affect simulated results. A collect() on exit reclaims the
-    generator-frame cycles that completed processes leave behind.
+    A World is a reference cycle (world, node, process, library and VCI
+    back-pointers, each process's bound resume callback), so only the
+    collector frees it. The scope therefore belongs to the World's
+    *owner*, the code that builds, runs, reads and drops it:
+    ``run_msgrate``, ``run_scenario`` (both as ``@gc_suspended()``) and a
+    checking :class:`~repro.check.session.Session` (but not a script
+    ``run_program`` runs in one). ``Simulator.run`` and ``Session.run``
+    keep a scope of their own for a World run outside any owner.
+
+    A nested scope is a no-op (the collector is already off), so the
+    outermost one alone ends in ``gc.collect(0)``: everything its owner
+    built is still in the young generation then, and what the owner
+    dropped, its World included, is freed by that one young collection
+    instead of drifting into an older generation. No scope may end while
+    its World is alive, which is why ``run_app`` (it returns the World)
+    is not an owner. This is purely a host-side optimization — collection
+    timing can never affect simulated results.
     """
     was_enabled = gc.isenabled()
     if was_enabled:
@@ -222,7 +236,8 @@ class Process(Event):
         # The resume callback is bound once: creating a fresh bound method
         # on every suspend is measurable across millions of events. (This
         # makes each Process part of a reference cycle with itself; the
-        # collect() on run() exit reclaims completed ones.)
+        # collect(0) that ends its World owner's gc_suspended scope
+        # reclaims it with the World.)
         self._resume_cb = self._resume
         # Bootstrap: start the generator at the current simulation time.
         # Built by hand (a pre-triggered bare Event carrying the resume

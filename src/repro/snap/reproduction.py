@@ -123,14 +123,14 @@ class _Run(Session):
                     if self._found_in is not None:
                         self._stopped(self._found_in)
                 elif self.reason == "end" and self.worlds:
-                    world = self.worlds[-1]
-                    self._meet(world, world.sim.steps, world.sim.now)
+                    self._meet_end()
                 elif self.reason == "end":  # no world: no state, just a value
                     self.stop, self.state = (-1, 0, 0.0), {}
             except _Stopped:
                 pass
-        self.close()
-        self._found_in = None
+            # Inside the block, so that its exit frees the worlds.
+            self._found_in = None
+            self.close()
         # The stop is met once: a world the caller resumes runs on.
         self.stop_step = self.stop_horizon = None
 
@@ -164,6 +164,12 @@ class _Run(Session):
         if self.reason == "until":
             self._meet(world, world.sim.steps, world.sim.now)
         # An end stop is met when the recipe returns.
+
+    def _meet_end(self) -> None:
+        # The last world where it ended; no local of execute() holds it,
+        # so the block's exit can free it.
+        world = self.worlds[-1]
+        self._meet(world, world.sim.steps, world.sim.now)
 
     def _meet(self, world: "World", step: int, clock: float) -> None:
         self.stop = (self.worlds.index(world), step, clock)
