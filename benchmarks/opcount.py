@@ -1,7 +1,8 @@
 """Executed Python opcodes per simulated message: a host-cost census that
-is exact run to run.
+is exact run to run, and the gate that holds the committed census.
 
     PYTHONPATH=src python benchmarks/opcount.py [--size full|quick] [--top N]
+    PYTHONPATH=src python benchmarks/opcount.py --check TABLE
 
 Runs the Fig 1(a) grid of ``benchmarks/stack/workloads.py`` — its
 ``MODES`` x ``SIZES[size]["cores"]``, ``msgs_per_core`` messages per
@@ -9,15 +10,27 @@ core, on ``NetworkConfig.omnipath()`` — once with the checker off and
 once on, each point exactly as the ``fig1a_eager`` / ``fig1a_checked``
 workloads time it, under ``sys.settrace`` opcode events. It prints the
 opcodes executed per simulated message: in all, by ``repro`` module, and
-for the checker (``repro/check``) by mode and by function.
+for the checker (``repro/check``) by mode and by function. Last, it
+prints kernel events per simulated message by the qualified name of each
+event's first callback, for every mode of the grid and for the chaos
+sample of ``workloads.py`` at the same size (its ``scenarios`` count from
+``CAMPAIGN_SEED``).
 
 A wall clock on a shared host moves several per cent between runs of
 the same tree; a step that small (a fused hook, a cheaper join) cannot
 be told from noise there, and it can here: the counts depend only on the
-code. Every mode runs once untraced first, so imports stay out of the
-counts, and the garbage collector is off while a point is traced, so no
-finalizer runs inside one point's count at another's expense. Tracing
-makes a run ~20x slower; ``--size full`` takes a few minutes.
+code and the CPython minor version. Every mode runs once untraced first,
+so imports stay out of the counts, and the garbage collector is off
+while a point is traced, so no finalizer runs inside one point's count
+at another's expense. Tracing makes a run ~20x slower; ``--size full``
+takes a few minutes.
+
+``--check TABLE`` re-runs the census at the size TABLE was recorded at
+(``benchmarks/results/opcount_quick.txt`` in CI) and exits 1 when the
+``all`` row or any module row of TABLE, in either column, rises more
+than 2 % over it; it exits 2, naming both, when TABLE was recorded on
+another CPython minor version (the counts are that version's bytecode).
+A change that means to raise a row re-records the table and says why.
 """
 
 from __future__ import annotations
@@ -33,15 +46,23 @@ from typing import Any, Callable
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "stack"))
 
-from workloads import MODES, SIZES  # noqa: E402  (the grid, not a copy)
+from workloads import CAMPAIGN_SEED, MODES, SIZES  # noqa: E402  (the grid)
 
 #: Name of the checker's package in ``module_of``'s keys.
 CHECK = "repro/check/"
 
+#: How far a gated row may rise over the committed table.
+TOLERANCE = 0.02
+
+#: The census's header line names the CPython it ran on; a table from
+#: another minor version cannot gate this one.
+PYTHON = f"{platform.python_implementation()} {platform.python_version()}"
+
 
 def count_opcodes(fn: Callable[[], Any]) -> tuple[Any, Counter]:
     """``(fn(), opcodes executed per code object)`` with the collector
-    off; only Python frames count, the tracer's own excluded."""
+    off, restored to the caller's state after; only Python frames
+    count, the tracer's own excluded."""
     counts: Counter = Counter()
 
     def on_event(frame, event, _arg):
@@ -54,14 +75,65 @@ def count_opcodes(fn: Callable[[], Any]) -> tuple[Any, Counter]:
         frame.f_trace_opcodes = True
         return on_event
 
+    was_enabled = gc.isenabled()
     gc.disable()
     sys.settrace(on_call)
     try:
         result = fn()
     finally:
         sys.settrace(None)
-        gc.enable()
+        if was_enabled:
+            gc.enable()
     return result, counts
+
+
+def count_events(fn: Callable[[], Any]) -> tuple[Counter, int]:
+    """``(kernel events by first callback, messages)`` over the Worlds
+    ``fn()`` builds.
+
+    A profiler sees every Python callable the dispatch loop calls; the
+    first one per step names the event (a sleeping task's wake-up is
+    ``Process._resume``, like the Timeout it replaces). Events whose
+    callbacks list is empty count as ``(no callback)``. A message is a
+    completed receive, the denominator of ``sim.events_per_msg``.
+    """
+    from repro.runtime.world import World
+    from repro.sim.core import Simulator
+
+    loop = Simulator.run_steps.__code__
+    kinds: Counter = Counter()
+    worlds: list[Any] = []
+    last: list[Any] = [None, -1]  # (simulator, step) counted last
+
+    def on_profile(frame, event, _arg):
+        if event != "call":
+            return
+        caller = frame.f_back
+        if caller is None or caller.f_code is not loop:
+            return
+        sim = caller.f_locals["self"]
+        if sim is not last[0] or sim.steps != last[1]:
+            last[:] = [sim, sim.steps]
+            kinds[frame.f_code.co_qualname] += 1
+
+    init = World.__dict__["__init__"]
+
+    def tracked_init(world, *args, **kwargs):
+        init(world, *args, **kwargs)
+        worlds.append(world)
+
+    World.__init__ = tracked_init
+    sys.setprofile(on_profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        World.__init__ = init
+    events = sum(world.sim.steps for world in worlds)
+    kinds["(no callback)"] = events - sum(kinds.values())
+    messages = sum(proc.lib.recvs_completed
+                   for world in worlds for proc in world.procs)
+    return kinds, messages
 
 
 def module_of(code) -> str:
@@ -114,6 +186,24 @@ def census(size: str, checked: bool) -> dict[str, tuple[int, Counter]]:
     return out
 
 
+def event_census(size: str) -> dict[str, tuple[int, Counter]]:
+    """column -> (messages, kernel events by first callback): each mode
+    of the unchecked grid, then ``chaos``."""
+    from repro.scenarios import run_scenario, sample_scenarios
+    sizes = SIZES[size]
+    out: dict[str, tuple[int, Counter]] = {}
+    for mode in MODES:
+        kinds, messages = count_events(lambda: [
+            run_point(config(mode, cores, sizes["msgs_per_core"]), False)
+            for cores in sizes["cores"]])
+        out[mode] = (messages, kinds)
+    specs = sample_scenarios(CAMPAIGN_SEED, sizes["scenarios"])
+    kinds, messages = count_events(lambda: [run_scenario(spec)
+                                            for spec in specs])
+    out["chaos"] = (messages, kinds)
+    return out
+
+
 def _by(counts: Counter, key: Callable[[Any], str]) -> Counter:
     grouped: Counter = Counter()
     for code, n in counts.items():
@@ -121,29 +211,37 @@ def _by(counts: Counter, key: Callable[[Any], str]) -> Counter:
     return grouped
 
 
-def render(size: str, top: int, runs: dict[bool, dict]) -> str:
-    """The census as plain-text tables."""
-    def total(checked: bool) -> tuple[int, Counter]:
+def module_rows(runs: dict[bool, dict]) -> tuple[int, dict[str, list[float]]]:
+    """``(messages, row -> [unchecked, checked] opcodes per message)``:
+    the ``all`` row and one per module, every module included."""
+    totals = []
+    for checked in (False, True):
         messages, counts = 0, Counter()
         for sent, point in runs[checked].values():
             messages += sent
             counts.update(point)
-        return messages, counts
+        totals.append((messages, counts))
+    messages = totals[0][0]
+    plain, checked = (_by(counts, module_of) for _n, counts in totals)
+    rows = {"all": [sum(plain.values()) / messages,
+                    sum(checked.values()) / messages]}
+    for name, n in checked.most_common():
+        rows[name] = [plain[name] / messages, n / messages]
+    return messages, rows
 
-    (messages, plain), (_, checked) = total(False), total(True)
+
+def render(size: str, top: int, runs: dict[bool, dict],
+           events: dict[str, tuple[int, Counter]]) -> str:
+    """The census as plain-text tables."""
+    messages, rows = module_rows(runs)
     sizes = SIZES[size]
     lines = [f"Executed opcodes per simulated message: Fig 1(a) grid "
              f"({size}: {len(MODES)} modes x cores {sizes['cores']}, "
              f"{sizes['msgs_per_core']} msgs/core, {messages} messages), "
-             f"{platform.python_implementation()} "
-             f"{platform.python_version()}", "",
+             f"{PYTHON}", "",
              f"{'module':<36} {'unchecked':>10} {'checked':>10}"]
-    rows = [("all", sum(plain.values()), sum(checked.values()))]
-    by_plain, by_checked = _by(plain, module_of), _by(checked, module_of)
-    for name, n in by_checked.most_common(top):
-        rows.append((name, by_plain[name], n))
-    lines += [f"{name:<36} {a / messages:>10.0f} {b / messages:>10.0f}"
-              for name, a, b in rows]
+    lines += [f"{name:<36} {a:>10.0f} {b:>10.0f}"
+              for name, (a, b) in list(rows.items())[:top + 1]]
 
     lines += ["", f"{CHECK} per message, by mode (checked run)", "",
               f"{'function':<36} " + " ".join(f"{m:>17}" for m in MODES)]
@@ -163,18 +261,112 @@ def render(size: str, top: int, runs: dict[bool, dict]) -> str:
     lines.append(row(CHECK + " (all)", lambda funcs: sum(funcs.values())))
     lines += [row(name, lambda funcs, name=name: funcs[name])
               for name, _n in names.most_common(top)]
+
+    lines += ["", f"Kernel events per simulated message, by first callback "
+              f"(unchecked grid by mode; chaos: {sizes['scenarios']} "
+              f"scenarios of seed {CAMPAIGN_SEED}, checker on)", "",
+              f"{'callback':<48} " + " ".join(f"{c:>17}" for c in events)]
+    kinds = Counter()
+    for _sent, counts in events.values():
+        kinds.update(counts)
+
+    def per_msg(pick: Callable[[Counter], int]) -> str:
+        return " ".join(f"{pick(counts) / sent:>17.2f}"
+                        for sent, counts in events.values())
+
+    lines.append(f"{'(all)':<48} "
+                 + per_msg(lambda counts: sum(counts.values())))
+    lines += [f"{name[:48]:<48} "
+              + per_msg(lambda counts, name=name: counts[name])
+              for name, _n in kinds.most_common(top)]
     return "\n".join(lines) + "\n"
 
 
+def parse_table(text: str) -> dict[str, Any]:
+    """A rendered census's gated part: ``{"size", "python", "rows"}``,
+    ``rows`` mapping ``all`` and each module row to ``[unchecked,
+    checked]`` as printed."""
+    lines = text.splitlines()
+    head = lines[0]
+    size = head.split(" grid (", 1)[1].split(":", 1)[0]
+    python = head.rsplit(", ", 1)[1]
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("module ")) + 1
+    rows: dict[str, list[float]] = {}
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        name, a, b = line.rsplit(None, 2)
+        rows[name] = [float(a), float(b)]
+    return {"size": size, "python": python, "rows": rows}
+
+
+def minor_version(python: str) -> str:
+    """``CPython 3.11`` from ``CPython 3.11.7``."""
+    impl, version = python.split()
+    return f"{impl} {'.'.join(version.split('.')[:2])}"
+
+
+def compare(committed: dict[str, list[float]],
+            fresh: dict[str, list[float]],
+            tolerance: float = TOLERANCE) -> list[str]:
+    """The committed rows ``fresh`` raises by more than ``tolerance``,
+    each as a line naming row, column and both values. A row compares
+    as printed (whole opcodes); a row gone from ``fresh`` reads 0."""
+    risen = []
+    for name, old in committed.items():
+        new = fresh.get(name, [0.0, 0.0])
+        for column, before, after in zip(("unchecked", "checked"), old, new):
+            after = round(after)
+            if after > before * (1.0 + tolerance):
+                risen.append(f"{name} ({column}): {before:.0f} -> "
+                             f"{after:.0f} (+{after / before - 1:.1%})"
+                             if before else
+                             f"{name} ({column}): 0 -> {after:.0f}")
+    return risen
+
+
+def check(path: str, top: int) -> int:
+    """Re-run the census ``path`` recorded and hold it to ``path``:
+    0 when no gated row rose, 1 when one did, 2 across CPython minor
+    versions."""
+    with open(path, encoding="utf-8") as fh:
+        table = parse_table(fh.read())
+    if minor_version(table["python"]) != minor_version(PYTHON):
+        print(f"{path} was recorded on {table['python']}; this is {PYTHON}. "
+              f"Opcode counts are only comparable on one CPython minor "
+              f"version: run the check on {minor_version(table['python'])} "
+              f"or re-record the table.")
+        return 2
+    size = table["size"]
+    runs = {checked: census(size, checked) for checked in (False, True)}
+    print(render(size, top, runs, event_census(size)), end="")
+    risen = compare(table["rows"], module_rows(runs)[1])
+    if risen:
+        print(f"\nopcount check FAILED against {path}: rows rose more than "
+              f"{TOLERANCE:.0%}:")
+        print("\n".join(f"  {line}" for line in risen))
+        print("Re-record the table if the rise is meant, and say why.")
+        return 1
+    print(f"\nopcount check passed against {path} "
+          f"({len(table['rows'])} rows, tolerance {TOLERANCE:.0%}).")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Print the census; returns 0."""
+    """Print the census (0), or run ``--check`` (see :func:`check`)."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--size", choices=sorted(SIZES), default="full")
     ap.add_argument("--top", type=int, default=12,
-                    help="modules and checker functions listed")
+                    help="modules, checker functions and callbacks listed")
+    ap.add_argument("--check", metavar="TABLE",
+                    help="hold a fresh census to this committed table "
+                         "(recorded at its own size; --size is ignored)")
     args = ap.parse_args(argv)
+    if args.check:
+        return check(args.check, args.top)
     runs = {checked: census(args.size, checked) for checked in (False, True)}
-    print(render(args.size, args.top, runs), end="")
+    print(render(args.size, args.top, runs, event_census(args.size)), end="")
     return 0
 
 

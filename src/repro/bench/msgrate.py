@@ -131,7 +131,8 @@ def _sender(route: tuple[Any, int, int], cfg: MsgRateConfig,
 def _receiver(route: tuple[Any, int, int], cfg: MsgRateConfig
               ) -> Generator[Any, Any, None]:
     comm, peer, tag = route
-    bufs = [bytearray(cfg.msg_bytes) for _ in range(cfg.window)]
+    bufs = [bytearray(cfg.msg_bytes)
+            for _ in range(min(cfg.window, cfg.msgs_per_core))]
     left = cfg.msgs_per_core
     while left > 0:
         reqs = []

@@ -50,7 +50,7 @@ def _sendrecv(comm: "Communicator", sendbuf, dest, recvbuf, source, tag, ctx
 def _charge_reduce(comm: "Communicator", nbytes: int) -> Generator:
     cost = comm.lib.cpu.reduce_per_byte * nbytes
     if cost > 0:
-        yield comm.sim.timeout(cost)
+        yield cost
 
 
 def barrier_dissemination(comm: "Communicator") -> Generator:
@@ -113,7 +113,7 @@ def recursive_doubling(comm: "Communicator", acc: np.ndarray, op: Op,
                                          _context_id=ctx)
             yield from rreq.wait()
             op.apply(acc, tmp)
-            yield comm.sim.timeout(cpu.reduce_per_byte * acc.nbytes)
+            yield cpu.reduce_per_byte * acc.nbytes
             newrank = me // 2
     else:
         newrank = me - rem
@@ -127,7 +127,7 @@ def recursive_doubling(comm: "Communicator", acc: np.ndarray, op: Op,
             yield from _sendrecv(comm, acc, partner, tmp, partner,
                                  tag=mask, ctx=ctx)
             op.apply(acc, tmp)
-            yield comm.sim.timeout(cpu.reduce_per_byte * acc.nbytes)
+            yield cpu.reduce_per_byte * acc.nbytes
             mask <<= 1
 
     # Unfold: odd members hand the result back to their even neighbours.

@@ -106,17 +106,15 @@ def endpoint_allreduce(ep: "Endpoint", sendbuf: np.ndarray,
     # Each endpoint snapshots its contribution, then pairs combine level
     # by level — log2(T) levels, like any decent shared-memory reduction.
     work = send_flat.copy()
-    yield lib.sim.timeout(cpu.shm_copy_base
-                          + send_flat.nbytes / cpu.shm_bandwidth)
+    yield cpu.shm_copy_base + send_flat.nbytes / cpu.shm_bandwidth
     st.slots[li] = work
     yield from st.arrive()
     stride = 1
     while stride < local_T:
         if li % (2 * stride) == 0 and li + stride < local_T:
             other = st.slots[li + stride]
-            yield lib.sim.timeout(cpu.shm_copy_base
-                                  + other.nbytes / cpu.shm_bandwidth
-                                  + cpu.reduce_per_byte * other.nbytes)
+            yield (cpu.shm_copy_base + other.nbytes / cpu.shm_bandwidth
+                   + cpu.reduce_per_byte * other.nbytes)
             op.apply(work, other)
         stride *= 2
         yield from st.arrive()
@@ -136,7 +134,6 @@ def endpoint_allreduce(ep: "Endpoint", sendbuf: np.ndarray,
         yield from st.arrive()
 
     # ---- phase 3: per-endpoint result copy (Lesson 19 duplication) -----
-    yield lib.sim.timeout(cpu.shm_copy_base
-                          + st.staging[:n].nbytes / cpu.shm_bandwidth)
+    yield cpu.shm_copy_base + st.staging[:n].nbytes / cpu.shm_bandwidth
     recv_flat[:n] = st.staging[:n]
     yield from st.arrive()

@@ -63,7 +63,7 @@ class ThreadTeamReduce:
                 # Pull the partner's buffer through shared memory, combine.
                 yield self.proc.shm_exchange(other.nbytes)
                 self.op.apply(buf, other)
-                yield self.proc.sim.timeout(cpu.reduce_per_byte * buf.nbytes)
+                yield cpu.reduce_per_byte * buf.nbytes
             stride *= 2
         yield from self._barrier.wait()
 

@@ -224,7 +224,7 @@ class Communicator:
         lib = self.lib
         sim = lib.sim
         req = Request(sim, "send")
-        yield sim.timeout(lib.cpu.send_post)
+        yield lib.cpu.send_post
 
         route = self._routes.get(dest)
         if route is None:
@@ -310,7 +310,7 @@ class Communicator:
         cpu = lib.cpu
         req = Request(sim, "recv")
         lib.recvs_posted += 1
-        yield sim.timeout(cpu.recv_post)
+        yield cpu.recv_post
 
         vci = self._vci
         if vci is None:
@@ -330,17 +330,18 @@ class Communicator:
         # Matching is scan-until-match: a receive that matches the head of
         # the unexpected queue is O(1) even when the queue is deep.
         engine = vci.engine
-        scan = engine.scan_cost_unexpected(context_id, source, tag, self.rank)
+        hint, scan = engine.lookup_unexpected(context_id, source, tag,
+                                              self.rank)
         cost = cpu.lock_acquire \
             + (cpu.lock_handoff if was_contended else 0.0) \
             + cpu.match_base + cpu.match_per_element * scan
-        yield sim.timeout(cost)
+        yield cost
         # (req, buf, count, context_id, source, tag, dst_addr) by position.
         entry = PostedRecv(req, flat, n, context_id, source, tag, self.rank)
-        msg, _scanned = engine.post_recv(entry)
+        msg, _scanned = engine.post_recv(entry, hint)
         if msg is not None:
             if msg.kind is MessageKind.EAGER:
-                yield sim.timeout(cpu.request_completion)
+                yield cpu.request_completion
                 # Inline is safe: the request has not been returned yet, so
                 # its done event has no waiters to resume early.
                 lib._complete_recv(vci, entry, msg, _inline=True)
@@ -384,10 +385,10 @@ class Communicator:
                 lock.try_acquire()
             cost = lib.cpu.probe + lib.cpu.lock_acquire \
                 + (lib.cpu.lock_handoff if was_contended else 0.0)
-            yield lib.sim.timeout(cost)
+            yield cost
             lock.release()
         else:
-            yield lib.sim.timeout(lib.cpu.probe)
+            yield lib.cpu.probe
         return req.test()
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from ..netsim.message import HEADER_BYTES, MessageKind, WireMessage
 from ..sim.core import Event, Simulator
 from ..sim.trace import TraceCategory, Tracer
 from .matching import MatchingEngine, PostedRecv
-from .request import Request
+from .request import Request, Status
 from .vci import Vci, VciPool
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -147,7 +147,7 @@ class MpiLibrary:
             cost += nicp.shared_post_penalty
         if db_contended:
             cost += cpu.lock_handoff
-        yield sim.timeout(cost)
+        yield cost
         depart = ctx.issue(msg.size + HEADER_BYTES)
         vci.sends += 1
         self._transmit(msg, depart)
@@ -197,15 +197,10 @@ class MpiLibrary:
             sim = self.sim
             delay = max(0.0, depart - sim._now) \
                 + self.cpu.shm_copy_base + msg.size / self.cpu.shm_bandwidth
-            event = Event.__new__(Event)
-            event.sim = sim
-            event.callbacks = [
-                lambda e: self.world.proc(msg.dst_rank).lib.deliver(e._value)]
-            event._value = msg
-            event._exc = None
-            event._triggered = True
-            event._processed = False
-            sim._enqueue(event, delay, priority=1)
+            sim.call_after(
+                delay,
+                lambda e: self.world.proc(msg.dst_rank).lib.deliver(e._value),
+                msg)
         elif self.transport is not None:
             # Reliable transport: sequence + checksum the message, track
             # it for ACK/retransmission, then hand it to the fabric.
@@ -220,7 +215,11 @@ class MpiLibrary:
         """Entry point for every wire message addressed to this process."""
         if self.transport is not None and self.transport.intercept(msg):
             return  # consumed: ACK, duplicate, corrupt, or buffered
-        self._dispatch(msg)
+        # :meth:`_dispatch` written out (once per message).
+        handler = self.handlers.get(msg.kind)
+        if handler is None:
+            raise MpiUsageError(f"no handler for message kind {msg.kind}")
+        handler(msg)
 
     def _dispatch(self, msg: WireMessage) -> None:
         """Route one (transport-cleared) message to its protocol handler."""
@@ -237,9 +236,8 @@ class MpiLibrary:
         """
         vci = self.vci_pool.get(msg.dst_vci)
         cpu = self.cpu
-        service = (cpu.match_base
-                   + cpu.match_per_element
-                   * vci.engine.scan_cost_posted(msg))
+        hint, scanned = vci.engine.lookup_posted(msg)
+        service = cpu.match_base + cpu.match_per_element * scanned
         tracer = self.tracer
         span = None
         if tracer is not None:
@@ -247,12 +245,14 @@ class MpiLibrary:
             payload = self._trace_payload(vci, msg, span)
             payload["task"] = f"vci{vci.index}.match"
             tracer.emit(TraceCategory.MATCH_BEGIN, payload)
+        # A closure, not a value on the event: a capture describes a
+        # pending event's value and names its callback.
         vci.match_server.submit(
-            service, lambda e: self._match_incoming(vci, msg, span))
+            service, lambda e: self._match_incoming(vci, msg, span, hint))
 
     def _match_incoming(self, vci: Vci, msg: WireMessage,
-                        span: Optional[int] = None) -> None:
-        entry, scanned = vci.engine.incoming(msg)
+                        span: Optional[int], hint: list | int) -> None:
+        entry, scanned = vci.engine.incoming(msg, hint)
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(TraceCategory.MATCH_END, {
@@ -379,7 +379,7 @@ class MpiLibrary:
 
     def progress(self) -> Generator[Event, Any, None]:
         """Charge one progress-engine poll to the calling thread."""
-        yield self.sim.timeout(self.cpu.progress_poll)
+        yield self.cpu.progress_poll
 
     def complete_at(self, req: Request, when: float, *, source: int,
                     tag: int, count: int) -> None:
@@ -396,10 +396,7 @@ class MpiLibrary:
         """
         if req._completed or req._done._triggered:
             raise MpiUsageError(f"request {req.rid} completed twice")
-        status = req.status
-        status.source = source
-        status.tag = tag
-        status.count = count
+        req._status = status = Status(source, tag, count)
         done = req._done
         done._triggered = True
         done._value = status
@@ -411,4 +408,4 @@ class MpiLibrary:
             # (a local send completion), so record it here.
             sim.checker.on_request_complete(req)
         delay = when - sim._now
-        sim._enqueue(done, delay if delay > 0.0 else 0.0, 1)
+        sim._schedule(done, delay if delay > 0.0 else 0.0)

@@ -336,16 +336,26 @@ class MatchingEngine:
         self._po_dead = 0
 
     # -- receive side ------------------------------------------------------
-    def post_recv(self, entry: PostedRecv) -> tuple[Optional[WireMessage], int]:
+    def post_recv(self, entry: PostedRecv, hint: list | int | None = None
+                  ) -> tuple[Optional[WireMessage], int]:
         """Try to match ``entry`` against the unexpected queue.
 
         Returns ``(message, scanned)``: the matched (and removed) message
         or None — in which case the receive has been appended to the posted
         queue — plus the number of queue elements the linear scan would
-        have visited (for the cost model).
+        have visited (for the cost model). ``hint`` is what an earlier
+        :meth:`lookup_unexpected` returned for the same pattern. A record
+        is still the earliest match while it is alive (messages queued
+        since have later sequence numbers); a miss still stands while no
+        message was queued since. Any other hint is looked up again.
         """
-        rec = self._find_unexpected(entry.context_id, entry.source,
-                                    entry.tag, entry.dst_addr)
+        if type(hint) is list and hint[_ALIVE]:
+            rec = hint
+        elif hint == self._ux_seq:
+            rec = None
+        else:
+            rec = self._find_unexpected(entry.context_id, entry.source,
+                                        entry.tag, entry.dst_addr)
         if rec is not None:
             scanned = bisect_right(self._ux_seqs, rec[_SEQ])
             self._remove_unexpected(rec)
@@ -411,31 +421,47 @@ class MatchingEngine:
         self.total_scans += scanned
         return None, scanned
 
-    def scan_cost_unexpected(self, context_id: int, source: int, tag: int,
-                             dst_addr: int) -> int:
-        """Elements a matching scan of the unexpected queue would visit
-        (scan-until-match, or the whole queue on a miss) — used by the
-        cost model without mutating the queues."""
+    def lookup_unexpected(self, context_id: int, source: int, tag: int,
+                          dst_addr: int) -> tuple[list | int, int]:
+        """``(hint, scanned)`` for a receive about to be posted, without
+        mutating the queues: the hint for :meth:`post_recv` (the matching
+        unexpected record, or on a miss the unexpected stream's next
+        sequence number) and the elements a scan-until-match would visit
+        (the whole queue on a miss) for the cost model."""
         rec = self._find_unexpected(context_id, source, tag, dst_addr)
         if rec is not None:
-            return bisect_right(self._ux_seqs, rec[_SEQ])
-        return len(self._ux_seqs)
+            return rec, bisect_right(self._ux_seqs, rec[_SEQ])
+        return self._ux_seq, len(self._ux_seqs)
 
-    def scan_cost_posted(self, msg: WireMessage) -> int:
-        """Elements a matching scan of the posted queue would visit."""
+    def lookup_posted(self, msg: WireMessage) -> tuple[list | int, int]:
+        """``(hint, scanned)`` for an arrival, without mutating the
+        queues: the hint for :meth:`incoming` (the matching posted
+        record, or on a miss the posted stream's next sequence number)
+        and the elements a scan of the posted queue would visit."""
         rec = self._find_posted(msg)
         if rec is not None:
-            return bisect_right(self._po_seqs, rec[_SEQ])
-        return len(self._po_seqs)
+            return rec, bisect_right(self._po_seqs, rec[_SEQ])
+        return self._po_seq, len(self._po_seqs)
 
     # -- arrival side --------------------------------------------------------
-    def incoming(self, msg: WireMessage) -> tuple[Optional[PostedRecv], int]:
+    def incoming(self, msg: WireMessage, hint: list | int | None = None
+                 ) -> tuple[Optional[PostedRecv], int]:
         """Try to match an arriving message against the posted queue.
 
         Returns ``(posted_recv, scanned)``; when no receive matches, the
-        message has been appended to the unexpected queue.
+        message has been appended to the unexpected queue. ``hint`` is
+        what :meth:`lookup_posted` returned for ``msg`` earlier: posted
+        sequence numbers only grow, so a receive posted since cannot
+        precede a live record, and a miss stands while nothing was posted
+        since; any other hint is looked up again (``scanned`` is counted
+        now either way).
         """
-        rec = self._find_posted(msg)
+        if type(hint) is list and hint[_ALIVE]:
+            rec = hint
+        elif hint == self._po_seq:
+            rec = None
+        else:
+            rec = self._find_posted(msg)
         if rec is not None:
             scanned = bisect_right(self._po_seqs, rec[_SEQ])
             self._remove_posted(rec)

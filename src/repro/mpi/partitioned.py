@@ -164,13 +164,13 @@ class PsendRequest(_PartitionedOp):
             self.handshake_sent = True
             yield from self._send_handshake()
         else:
-            yield self.sim.timeout(self.lib.cpu.send_post)
+            yield self.lib.cpu.send_post
 
     def _send_handshake(self) -> Generator[Event, Any, None]:
         _ensure_handlers(self.lib)
         lib, comm = self.lib, self.comm
         self.channel_id = _alloc_channel(lib)
-        yield self.sim.timeout(lib.cpu.send_post)
+        yield lib.cpu.send_post
         vci = lib.vci_pool.get(self.base_vci)
         dst_world = comm.group[self.peer]
         dst_proc = lib.world.proc(dst_world)
@@ -196,13 +196,13 @@ class PsendRequest(_PartitionedOp):
         if not 0 <= i < self.partitions:
             raise MpiUsageError(f"partition {i} out of range")
         lib = self.lib
-        yield self.sim.timeout(lib.cpu.pready)
+        yield lib.cpu.pready
         # --- shared-request critical section (Lesson 14) ---
         was_contended = self.shared_lock.locked
         yield from self.shared_lock.acquire()
         cost = lib.cpu.lock_acquire \
             + (lib.cpu.lock_handoff if was_contended else 0.0)
-        yield self.sim.timeout(cost)
+        yield cost
         if self._ready[i]:
             self.shared_lock.release()
             chk = self.sim.checker
@@ -256,10 +256,8 @@ class PsendRequest(_PartitionedOp):
         self._track_departure(depart)
 
     def _track_departure(self, depart: float) -> None:
-        done = Event(self.sim)
-        done._triggered = True
-        self.sim._enqueue(done, max(0.0, depart - self.sim.now), priority=1)
-        done.add_callback(self._on_departed)
+        sim = self.sim
+        sim.call_after(max(0.0, depart - sim._now), self._on_departed)
 
     def _on_departed(self, _event: Event) -> None:
         self._departed += 1
@@ -309,7 +307,7 @@ class PrecvRequest(_PartitionedOp):
             self.posted = True
             yield from self._post_init()
         else:
-            yield self.sim.timeout(self.lib.cpu.recv_post)
+            yield self.lib.cpu.recv_post
         # Drain partitions that raced ahead of this start.
         for key in sorted(k for k in self._buffered if k[0] == self.cycle):
             self._accept_partition(self._buffered.pop(key))
@@ -320,11 +318,11 @@ class PrecvRequest(_PartitionedOp):
         lib, comm = self.lib, self.comm
         self.channel_id = _alloc_channel(lib)
         lib.part_recv_channels[self.channel_id] = self
-        yield self.sim.timeout(lib.cpu.recv_post)
+        yield lib.cpu.recv_post
         vci = lib.vci_pool.get(
             comm.vci_map.recv_vci(comm.rank, self.peer, self.tag))
         yield from vci.lock.acquire()
-        yield self.sim.timeout(lib.cpu.lock_acquire + lib.cpu.match_base)
+        yield lib.cpu.lock_acquire + lib.cpu.match_base
         marker = Request(self.sim, "precv-init")
         marker.user_data = self
         entry = PostedRecv(req=marker, buf=self.flat, count=0,
@@ -343,7 +341,7 @@ class PrecvRequest(_PartitionedOp):
             return False
         if not 0 <= i < self.partitions:
             raise MpiUsageError(f"partition {i} out of range")
-        yield self.sim.timeout(self.lib.cpu.parrived)
+        yield self.lib.cpu.parrived
         return self._arrived[i]
 
     def _accept_partition(self, msg: WireMessage) -> None:

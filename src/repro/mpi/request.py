@@ -33,7 +33,7 @@ class Request:
     is done with ``status = yield from req.wait()``.
     """
 
-    __slots__ = ("sim", "kind", "rid", "_done", "status", "_completed",
+    __slots__ = ("sim", "kind", "rid", "_done", "_status", "_completed",
                  "user_data", "vci", "_hb_access", "_hb_edges")
 
     # Checker-only, assigned by ``Checker.on_request_new`` and never set on
@@ -62,7 +62,9 @@ class Request:
         done._triggered = False
         done._processed = False
         self._done: Event = done
-        self.status = Status()
+        # Built by whatever completes the request, with its fields: none
+        # is read before then (see :attr:`status`).
+        self._status: Optional[Status] = None
         self._completed = False
         #: Scratch slot for library internals (e.g. matching bookkeeping).
         self.user_data: Any = None
@@ -78,12 +80,10 @@ class Request:
         if self._completed:
             raise MpiUsageError(f"request {self.rid} completed twice")
         self._completed = True
-        self.status.source = source
-        self.status.tag = tag
-        self.status.count = count
+        self._status = status = Status(source, tag, count)
         if self.sim.checker is not None:
             self.sim.checker.on_request_complete(self)
-        self._done.succeed(self.status)
+        self._done.succeed(status)
 
     def _complete_inline(self, source: int, tag: int, count: int) -> None:
         """Like :meth:`complete`, but processes ``_done`` synchronously
@@ -98,10 +98,7 @@ class Request:
         if self._completed:
             raise MpiUsageError(f"request {self.rid} completed twice")
         self._completed = True
-        status = self.status
-        status.source = source
-        status.tag = tag
-        status.count = count
+        self._status = status = Status(source, tag, count)
         if self.sim.checker is not None:
             self.sim.checker.on_request_complete(self)
         done = self._done
@@ -120,7 +117,7 @@ class Request:
         if self._completed:
             raise MpiUsageError(f"request {self.rid} completed twice")
         self._completed = True
-        self.status.error = exc
+        self._status = Status(error=exc)
         if self.sim.checker is not None:
             self.sim.checker.on_request_complete(self)
         self._done.fail(exc)
@@ -144,15 +141,23 @@ class Request:
         if self.vci is None or not self.vci.engine.cancel_posted(self):
             return False
         self._completed = True
-        self.status.cancelled = True
+        self._status = status = Status(cancelled=True)
         if self.sim.checker is not None:
             self.sim.checker.on_request_complete(self)
-        self._done.succeed(self.status)
+        self._done.succeed(status)
         return True
 
     @property
     def done(self) -> bool:
         return self._completed
+
+    @property
+    def status(self) -> Status:
+        """The completion status (MPI_Status); a default one until the
+        request completes."""
+        if self._status is None:
+            self._status = Status()
+        return self._status
 
     def test(self) -> Optional[Status]:
         """Nonblocking completion check (MPI_Test): Status or None."""
@@ -162,9 +167,10 @@ class Request:
         if self._completed:
             if chk is not None:
                 chk.on_request_join(self)
-            if self.status.error is not None:
-                raise self.status.error
-            return self.status
+            status = self._status
+            if status.error is not None:
+                raise status.error
+            return status
         return None
 
     def wait(self) -> Generator[Event, Any, Status]:
@@ -176,9 +182,10 @@ class Request:
             yield self._done
         if chk is not None:
             chk.on_request_join(self)
-        if self.status.error is not None:
-            raise self.status.error
-        return self.status
+        status = self._status
+        if status.error is not None:
+            raise status.error
+        return status
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._completed else "active"

@@ -192,7 +192,7 @@ class Window:
         if fetch is not None:
             req = Request(lib.sim, fetch[0])
             req.user_data = fetch[1]
-        yield lib.sim.timeout(lib.cpu.send_post)
+        yield lib.cpu.send_post
         if req is not None:
             lib.rma_get_pending[req.rid] = (req, self)
             extra = {"rid": req.rid, **extra}
@@ -240,7 +240,7 @@ class Window:
         """Block until all operations this handle issued to ``target``
         (``None``: to any target) have completed at the target."""
         self._check_rank(target)
-        yield self.sim.timeout(self.lib.cpu.progress_poll)
+        yield self.lib.cpu.progress_poll
         if self._pending(target):
             ev = self.sim.event()
             self._flush_waiters.append((target, ev))
@@ -256,7 +256,7 @@ class Window:
         self._check_rank(target)
         if self.sim.checker is not None:
             self.sim.checker.on_rma_sync(self, "lock", target)
-        yield self.sim.timeout(self.lib.cpu.lock_acquire)
+        yield self.lib.cpu.lock_acquire
 
     def Unlock(self, target: Optional[int]) -> Generator[Event, Any, None]:
         """Close a passive epoch: flush the target (``None``: all)."""

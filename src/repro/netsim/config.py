@@ -65,6 +65,12 @@ class CpuCosts:
     #: over K communicators (Fig 5): one MPI_Test software path.
     probe: float = 60e-9
 
+    def __post_init__(self) -> None:
+        # A cost is a task's sleep (``yield cpu.send_post``), and a task
+        # sleeps only on a float: an int given here is stored as one.
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, float(getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class NicParams:

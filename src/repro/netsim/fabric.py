@@ -169,20 +169,9 @@ class Fabric:
                     h.observe(queued)
         else:
             arrival = head_arrival + wire_time
-        self._enqueue_arrival(msg, arrival)
-
-    def _enqueue_arrival(self, msg: WireMessage, arrival: float) -> None:
-        """Enqueue the delivery event for ``msg`` at absolute ``arrival``."""
-        # Hand-built pre-triggered event (one per wire message — hot path).
+        # A delay, not the absolute time: the kernel adds it back to now.
         sim = self.sim
-        event = Event.__new__(Event)
-        event.sim = sim
-        event.callbacks = [self._on_arrival]
-        event._value = msg
-        event._exc = None
-        event._triggered = True
-        event._processed = False
-        sim._enqueue(event, arrival - sim._now, 1)
+        sim.call_after(arrival - sim._now, self._on_arrival, msg)
 
     def _on_arrival(self, event: Event) -> None:
         msg: WireMessage = event._value

@@ -123,8 +123,11 @@ class HardwareContext:
                 if self.injector.free_at < stall_end:
                     self.injector._free_at = stall_end
         params = self.params
-        service = params.issue_gap + self._jitter() \
-            + wire_bytes * params.issue_per_byte
+        if not params.issue_jitter <= 0.0:  # as :meth:`_jitter` tests it
+            service = params.issue_gap + self._jitter() \
+                + wire_bytes * params.issue_per_byte
+        else:  # the same sum: adding a 0.0 jitter changes no float
+            service = params.issue_gap + wire_bytes * params.issue_per_byte
         depart = self.injector.occupy(service)
         self.messages_issued += 1
         self.bytes_issued += wire_bytes

@@ -92,7 +92,8 @@ class RoutedFabric(Fabric):
             h = self._h_ingress.get(msg.dst_node)
             if h is not None:
                 h.observe(queued)
-        self._enqueue_arrival(msg, arrival)
+        sim = self.sim
+        sim.call_after(arrival - sim._now, self._on_arrival, msg)
 
     def latency_for(self, wire_bytes: int) -> float:
         """Unloaded latency bound: the topology's longest route.

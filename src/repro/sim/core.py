@@ -8,7 +8,8 @@ The design is a deliberately small SimPy-style kernel:
 
 - an :class:`Event` is a one-shot occurrence with a value and callbacks;
 - a :class:`Process` wraps a Python generator; each ``yield`` suspends the
-  task until the yielded event triggers;
+  task until the yielded event triggers, and a yielded ``float`` is a sleep
+  of that many seconds (the task itself is scheduled, no event is built);
 - the :class:`Simulator` owns the clock and a calendar queue of scheduled
   events (one bucket per distinct time) and executes them in
   ``(time, priority, sequence)`` order, so runs are fully deterministic.
@@ -22,6 +23,7 @@ exact.
 from __future__ import annotations
 
 import gc
+from collections import deque
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from sys import getrefcount
@@ -175,12 +177,8 @@ class Event:
         self._processed = True
         callbacks, self.callbacks = self.callbacks, None
         if callbacks:
-            # Most events have exactly one waiter; skip the loop setup.
-            if len(callbacks) == 1:
-                callbacks[0](self)
-            else:
-                for fn in callbacks:
-                    fn(self)
+            for fn in callbacks:
+                fn(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else (
@@ -200,7 +198,7 @@ class Timeout(Event):
         self.delay = delay
         self._triggered = True
         self._value = value
-        sim._enqueue(self, delay, PRIORITY_NORMAL)
+        sim._schedule(self, delay)
 
 
 class Process(Event):
@@ -226,7 +224,10 @@ class Process(Event):
         super().__init__(sim)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
+        #: The event the task waits on; the delay (a float) while it
+        #: sleeps on a yielded one, which every reader shows as the
+        #: Timeout it replaces; None while it runs or before it starts.
+        self._waiting_on: Event | float | None = None
         self._pid = sim._next_pid
         sim._next_pid += 1
         sim._processes[self._pid] = self
@@ -249,7 +250,7 @@ class Process(Event):
         bootstrap._exc = None
         bootstrap._triggered = True
         bootstrap._processed = False
-        sim._enqueue(bootstrap, 0.0, PRIORITY_NORMAL)
+        sim._schedule(bootstrap, 0.0)
 
     @property
     def is_alive(self) -> bool:
@@ -266,15 +267,25 @@ class Process(Event):
         self.sim._processes.pop(self._pid, None)
         return super().fail(exc, priority)
 
-    def _resume(self, trigger: Event) -> None:
+    def _resume(self, trigger: Optional[Event]) -> Optional[float]:
+        """Run the task to its next yield; ``trigger`` is the event it
+        waited on, or None when a sleep ends (a Timeout's value).
+
+        ``_resume(None)`` is the run loop's wake-up, and a sleep the task
+        yields then is returned for the loop to schedule; any other call
+        schedules the sleep itself and returns None.
+        """
         self._waiting_on = None
         sim = self.sim
         # Only a finished task (or a set of them) carries a clock to join.
-        if sim.checker is not None and isinstance(trigger, (Process, AllOf)):
+        if trigger is not None and sim.checker is not None \
+                and isinstance(trigger, (Process, AllOf)):
             sim.checker.on_resume(self, trigger)
         sim._active_process = self
         try:
-            if trigger._exc is not None:
+            if trigger is None:
+                target = self.gen.send(None)
+            elif trigger._exc is not None:
                 target = self.gen.throw(trigger._exc)
             else:
                 target = self.gen.send(trigger._value)
@@ -290,8 +301,20 @@ class Process(Event):
                 return
             raise
         sim._active_process = None
-        # Fast suspend: the overwhelmingly common yield is a fresh,
-        # still-pending Timeout from this simulator.
+        # A sleep: the overwhelmingly common yield. The task's own entry
+        # goes where a Timeout's would (same sum, same seq) and stands for
+        # that Timeout in every view of the schedule.
+        if type(target) is float:
+            if target >= 0.0:
+                self._waiting_on = target
+                if trigger is None:
+                    return target
+                sim._schedule(self, target)
+                return None
+            self.gen.close()
+            self.fail(ValueError(f"timeout delay must be >= 0, got {target}"))
+            return
+        # Fast suspend: a fresh, still-pending Timeout from this simulator.
         if type(target) is Timeout and target.sim is sim \
                 and not target._processed:
             self._waiting_on = target
@@ -395,8 +418,10 @@ class Simulator:
 
     The sequence number lives on the event (``Event._seq``) and is only
     read back by :meth:`pending_entries`; the drain never compares it,
-    because appends are seq-monotone. The drain indices persist across
-    :meth:`run_steps` calls, so stopping a run is invisible to it.
+    because appends are seq-monotone. Both lanes being drained (the
+    current bucket and the urgent lane) are deques an event leaves as it
+    is dispatched, so stopping a run between :meth:`run_steps` calls is
+    invisible to the drain.
     """
 
     #: Maximum number of dead Timeout shells kept for reuse.
@@ -410,14 +435,12 @@ class Simulator:
         self._times: list[float] = []
         #: time -> the normal-priority events scheduled then, in seq order.
         self._buckets: dict[float, list[Event]] = {}
-        #: The bucket being drained, its timestamp and the drain index;
-        #: its timestamp is never a key of :attr:`_buckets`.
-        self._cur: list[Event] = []
+        #: What is left of the bucket being drained, and its timestamp
+        #: (never a key of :attr:`_buckets`).
+        self._cur: deque[Event] = deque()
         self._cur_time: Optional[float] = None
-        self._ci = 0
-        #: The urgent lane — events at the current time — and its index.
-        self._u: list[Event] = []
-        self._ui = 0
+        #: The urgent lane: events at the current time.
+        self._u: deque[Event] = deque()
         self._active_process: Optional[Process] = None
         #: Installed by ``World(check=...)``: a :class:`repro.check.Checker`
         #: observing this simulator, or None. Hook sites guard on this so
@@ -455,12 +478,14 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Schedule a timeout — the kernel's dominant allocation.
+        """Schedule a timeout: the composable sleep (a callback, an
+        ``AnyOf`` member, a user script's ``yield``). A task that only
+        sleeps yields its delay instead, and nothing is allocated.
 
         Fast path: pop a recycled shell off the free-list (dead timeouts
         are returned by the run loop once provably unreferenced) and
         append it straight to its bucket — no ``Timeout.__init__``, no
-        callbacks-list allocation, no call into :meth:`_enqueue`.
+        callbacks-list allocation, no call into :meth:`_schedule`.
         """
         pool = self._timeout_pool
         if pool:
@@ -482,6 +507,37 @@ class Simulator:
                 heappush(self._times, when)
             return t
         return Timeout(self, delay, value)
+
+    def call_after(self, delay: float, fn: Optional[Callable[[Event], None]],
+                   value: Any = None) -> Event:
+        """Run ``fn(event)`` ``delay`` seconds from now; returns the event.
+
+        The event is pre-triggered with ``value`` (``fn`` may be None, for
+        a caller that only waits on it) and scheduled like a Timeout, at
+        ``now + delay`` with the next sequence number. This is the one
+        constructor of a scheduled callback: a server completion, a wire
+        arrival and a shared-memory copy each build one per message.
+        """
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        event = Event.__new__(Event)
+        event.sim = self
+        event.callbacks = [] if fn is None else [fn]
+        event._value = value
+        event._exc = None
+        event._triggered = True
+        event._processed = False
+        event._seq = self._seq = self._seq + 1
+        when = self._now + delay
+        bucket = self._buckets.get(when)
+        if bucket is not None:
+            bucket.append(event)
+        elif when == self._cur_time:
+            self._cur.append(event)
+        else:
+            self._buckets[when] = [event]
+            heappush(self._times, when)
+        return event
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Start a new cooperative task from a generator."""
@@ -521,7 +577,7 @@ class Simulator:
                 elif isinstance(target, Process):
                     what = f"joining task {target.name!r}"
                 else:
-                    what = f"waiting on {type(target).__name__}"
+                    what = f"waiting on {_waiting_kind(target)}"
                 lines.append(f"  - {p.name}: {what}")
             if len(blocked) > limit:
                 lines.append(f"  ... and {len(blocked) - limit} more")
@@ -533,25 +589,31 @@ class Simulator:
         return "\n".join(lines)
 
     # -- scheduling -------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
+    def _schedule(self, event: Event, delay: float) -> None:
+        """Schedule ``event`` (or a sleeping task) at normal priority,
+        ``delay`` seconds from now, with the next sequence number."""
         event._seq = self._seq = self._seq + 1
+        when = self._now + delay
+        # An existing bucket is the hot case; the draining bucket's time
+        # is never in the dict, so a miss tells it from a new time.
+        bucket = self._buckets.get(when)
+        if bucket is not None:
+            bucket.append(event)
+        elif when == self._cur_time:
+            self._cur.append(event)
+        else:
+            self._buckets[when] = [event]
+            heappush(self._times, when)
+
+    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
         if priority:
-            when = self._now + delay
-            # An existing bucket is the hot case; the draining bucket's
-            # time is never in the dict, so a miss tells it from a new time.
-            bucket = self._buckets.get(when)
-            if bucket is not None:
-                bucket.append(event)
-            elif when == self._cur_time:
-                self._cur.append(event)
-            else:
-                self._buckets[when] = [event]
-                heappush(self._times, when)
+            self._schedule(event, delay)
         elif delay:
             raise SimulationError(
                 f"an urgent event must be scheduled at the current time, "
                 f"not {delay} s from it")
         else:
+            event._seq = self._seq = self._seq + 1
             self._u.append(event)
 
     # -- schedule introspection -------------------------------------------
@@ -562,19 +624,18 @@ class Simulator:
         """Pending ``(when, priority, seq, event)`` entries in execution
         order — the canonical schedule view captured by state digests."""
         entries = [(self._now, PRIORITY_URGENT, ev._seq, ev)
-                   for ev in self._u[self._ui:]]
+                   for ev in self._u]
         entries += [(self._cur_time, PRIORITY_NORMAL, ev._seq, ev)
-                    for ev in self._cur[self._ci:]]
+                    for ev in self._cur]
         for when, bucket in self._buckets.items():
             entries += [(when, PRIORITY_NORMAL, ev._seq, ev) for ev in bucket]
-        entries.sort(key=lambda entry: entry[:3])
-        return entries
+        return _canonical(entries)
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None when drained."""
-        if self._ui < len(self._u):
+        if self._u:
             return self._now
-        if self._ci < len(self._cur):
+        if self._cur:
             return self._cur_time
         return self._times[0] if self._times else None
 
@@ -608,95 +669,101 @@ class Simulator:
         - ``stop_event`` is given and is processed (tested before each
           event, so nothing runs if it already was).
         """
-        if horizon is not None and horizon < self._now:
+        if horizon is None:
+            horizon = _INF
+        elif horizon < self._now:
             return 0  # everything pending is at or after the clock
         if stop_event is None:
             stop_event = _NEVER_PROCESSED
+        first = steps = self.steps
+        last = first + n
+        # The budget and the stop event are tested here and after each
+        # dispatch (only a dispatch can process the stop event), so the
+        # iterations that only move the drain cost neither test.
+        if steps >= last or stop_event._processed:
+            return 0
         pool = self._timeout_pool
         pool_max = self._POOL_MAX
         buckets = self._buckets
         times = self._times
         u = self._u
-        ui = self._ui
         cur = self._cur
-        ci = self._ci
-        first = steps = self.steps
-        last = first + n
-        try:
-            while steps < last and not stop_event._processed:
-                # The urgent lane is probed by truthiness: it is emptied
-                # as soon as its last event has been fetched, so the
-                # common (no urgent event) case costs one truth test.
-                if u:
-                    if ui < len(u):
-                        event = u[ui]
-                        ui += 1
+        while True:
+            if u:
+                event = u.popleft()
+            elif cur:
+                event = cur.popleft()
+            else:
+                # Bucket exhausted: the one place the clock moves, so
+                # the one place the horizon needs testing.
+                if not times:
+                    break
+                when = times[0]
+                if when > horizon:
+                    break
+                if when < self._now:
+                    raise SimulationError("time went backwards")
+                heappop(times)
+                cur.extend(buckets.pop(when))  # one deque, refilled
+                self._cur_time = self._now = when
+                continue
+            # ``self.steps`` is stored before the dispatch: observers
+            # inside callbacks (the checker records ``sim.steps`` with
+            # a violation) must see the exact per-event count.
+            self.steps = steps = steps + 1
+            kind = type(event)
+            if kind is Process and not event._triggered:
+                # A sleeping task's own entry (a finished task's is
+                # triggered): wake it as its Timeout would have, and
+                # when it sleeps again, schedule it as
+                # :meth:`_schedule` does.
+                delay = event._resume(None)
+                if delay is not None:
+                    event._seq = self._seq = self._seq + 1
+                    when = self._now + delay
+                    bucket = buckets.get(when)
+                    if bucket is not None:
+                        bucket.append(event)
+                    elif when == self._cur_time:
+                        cur.append(event)
                     else:
-                        del u[:]
-                        ui = 0
-                        continue
-                elif ci < len(cur):
-                    event = cur[ci]
-                    ci += 1
-                else:
-                    # Bucket exhausted: the one place the clock moves, so
-                    # the one place the horizon needs testing.
-                    if not times:
-                        break
-                    when = times[0]
-                    if horizon is not None and when > horizon:
-                        break
-                    if when < self._now:
-                        raise SimulationError("time went backwards")
-                    heappop(times)
-                    cur = self._cur = buckets.pop(when)
-                    ci = 0
-                    self._cur_time = self._now = when
-                    continue
-                # ``self.steps`` is stored before the dispatch: observers
-                # inside callbacks (the checker records ``sim.steps`` with
-                # a violation) must see the exact per-event count.
-                self.steps = steps = steps + 1
+                        buckets[when] = [event]
+                        heappush(times, when)
+            elif kind is Timeout:
                 callbacks = event.callbacks
                 event._processed = True
-                if type(event) is Timeout:
-                    if callbacks:
-                        # Most events have exactly one waiter: skip the
-                        # loop set-up and keep the emptied list on the
-                        # shell for its next use.
-                        try:
-                            fn, = callbacks
-                        except ValueError:
-                            event.callbacks = None
-                            for fn in callbacks:
-                                fn(event)
-                        else:
-                            del callbacks[:]
+                if callbacks:
+                    # Most events have exactly one waiter: skip the
+                    # loop set-up and keep the emptied list on the
+                    # shell for its next use.
+                    try:
+                        fn, = callbacks
+                    except ValueError:
+                        event.callbacks = None
+                        for fn in callbacks:
                             fn(event)
-                    # A dead timeout is recycled when the refcount proves
-                    # nothing else holds it. Timeouts are never urgent, so
-                    # this one came from ``cur``, whose slot is left in
-                    # place: the ``event`` local + the getrefcount argument
-                    # + that slot = 3. Any other referent (a process or
-                    # user still watching it) pushes the count past 3.
-                    if len(pool) < pool_max and getrefcount(event) == 3:
-                        event._value = None
-                        if event.callbacks is None:
-                            event.callbacks = []
-                        pool.append(event)
-                else:
-                    event.callbacks = None
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for fn in callbacks:
-                                fn(event)
-        finally:
-            # Flushed even when a callback raises, so a capture always
-            # sees the exact drain state.
-            self._ui = ui
-            self._ci = ci
+                    else:
+                        del callbacks[:]
+                        fn(event)
+                # A dead timeout is recycled when the refcount proves
+                # nothing else holds it: the ``event`` local + the
+                # getrefcount argument = 2 (the lane it came from let
+                # go of it). Any other referent (a process or user
+                # still watching it) pushes the count past 2.
+                if len(pool) < pool_max and getrefcount(event) == 2:
+                    event._value = None
+                    if event.callbacks is None:
+                        event.callbacks = []
+                    pool.append(event)
+            else:
+                callbacks = event.callbacks
+                event._processed = True
+                event.callbacks = None
+                if callbacks:
+                    for fn in callbacks:
+                        fn(event)
+            if steps == last or stop_event._processed:
+                break
         return steps - first
 
     def run(self, until: Optional[float | Event] = None,
@@ -728,9 +795,39 @@ class Simulator:
         return None
 
 
+def _waiting_kind(target: Event | float) -> str:
+    """What ``Process._waiting_on`` is called in a report or a capture: a
+    sleep's delay is the Timeout it replaces."""
+    return "Timeout" if type(target) is float else type(target).__name__
+
+
+def _canonical(entries: list[tuple[float, int, int, Event]]
+               ) -> list[tuple[float, int, int, Event]]:
+    """Schedule entries in execution order, each sleeping task's entry
+    shown as the Timeout it replaces (same delay, seq and callback), so a
+    state digest cannot tell a yielded delay from ``yield sim.timeout``."""
+    entries.sort(key=lambda entry: entry[:3])
+    for i, (when, prio, seq, ev) in enumerate(entries):
+        if type(ev) is Process and not ev._triggered:
+            view = Timeout.__new__(Timeout)
+            view.sim = ev.sim
+            view.callbacks = [ev._resume_cb]
+            view._value = None
+            view._exc = None
+            view._triggered = True
+            view._processed = False
+            view._seq = seq
+            view.delay = ev._waiting_on
+            entries[i] = (when, prio, seq, view)
+    return entries
+
+
 #: ``run_steps``' stand-in for a missing ``stop_event``: never triggered,
 #: so never processed, and the loop tests one attribute either way.
 _NEVER_PROCESSED = Event(None)
+
+#: ``run_steps``' horizon when none is given.
+_INF = float("inf")
 
 #: The step budget of a run given no ``max_steps`` (``run`` and a
 #: stopping session's passes).

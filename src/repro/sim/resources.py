@@ -59,8 +59,9 @@ class FIFOServer:
 
     def __init__(self, sim: Simulator, service_time: float = 0.0,
                  name: str = "server"):
-        if service_time < 0:
-            raise ValueError("service time must be non-negative")
+        if not service_time >= 0:  # also rejects NaN
+            raise ValueError(
+                f"service time must be non-negative, got {service_time}")
         self.sim = sim
         self.name = name
         self.default_service_time = service_time
@@ -72,8 +73,8 @@ class FIFOServer:
         """Enqueue one request; returns its completion event, which runs
         ``callback(event)`` first when one is given."""
         st = self.default_service_time if service_time is None else service_time
-        if st < 0:
-            raise ValueError("service time must be non-negative")
+        if not st >= 0:  # also rejects NaN
+            raise ValueError(f"service time must be non-negative, got {st}")
         sim = self.sim
         now = sim._now
         start = self._free_at
@@ -85,17 +86,7 @@ class FIFOServer:
         stats.requests += 1
         stats.busy_time += st
         stats.total_queue_delay += start - now
-        # Hand-built pre-triggered event: submit() runs once per simulated
-        # message, so the Event.__init__ dispatch is worth skipping.
-        event = Event.__new__(Event)
-        event.sim = sim
-        event.callbacks = [] if callback is None else [callback]
-        event._value = None
-        event._exc = None
-        event._triggered = True
-        event._processed = False
-        sim._enqueue(event, done_at - now, 1)
-        return event
+        return sim.call_after(done_at - now, callback)
 
     def occupy(self, service_time: Optional[float] = None) -> float:
         """Like :meth:`submit` but only returns the completion *time*.
@@ -104,6 +95,8 @@ class FIFOServer:
         example a fire-and-forget doorbell ring) — no event is allocated.
         """
         st = self.default_service_time if service_time is None else service_time
+        if not st >= 0:  # also rejects NaN
+            raise ValueError(f"service time must be non-negative, got {st}")
         now = self.sim._now
         start = self._free_at
         if start < now:

@@ -72,7 +72,7 @@ class Lock:
     """
 
     __slots__ = ("sim", "name", "locked", "_waiters", "stats", "_acquired_at",
-                 "observer", "serial", "_hb")
+                 "observer", "serial", "_hb", "_checker")
 
     def __init__(self, sim: Simulator, name: str = "lock"):
         self.sim = sim
@@ -87,6 +87,9 @@ class Lock:
         self.stats = ContentionStats()
         self._acquired_at = 0.0
         self.observer: Optional[Callable[[str, float, int], None]] = None
+        #: ``sim.checker``, read once: a World installs its checker
+        #: before it builds anything that locks.
+        self._checker = sim.checker
 
     def acquire(self) -> Generator[Event, Any, None]:
         """Generator: acquire the lock, waiting FIFO if held."""
@@ -98,8 +101,8 @@ class Lock:
             self._acquired_at = sim._now
             if self.observer is not None:
                 self.observer("acquire", 0.0, 0)
-            if sim.checker is not None:
-                sim.checker.lock_acquired(self)
+            if self._checker is not None:
+                self._checker.lock_acquired(self)
             return
         stats.contended_acquisitions += 1
         waiter = sim.event()
@@ -115,37 +118,35 @@ class Lock:
         self._acquired_at = now
         if self.observer is not None:
             self.observer("acquire", wait, queue_position)
-        if sim.checker is not None:
-            sim.checker.lock_acquired(self)
+        if self._checker is not None:
+            self._checker.lock_acquired(self)
 
     def try_acquire(self) -> bool:
         """Non-blocking acquire; returns True on success."""
         if self.locked:
             return False
-        sim = self.sim
         self.stats.acquisitions += 1
         self.locked = True
-        self._acquired_at = sim._now
+        self._acquired_at = self.sim._now
         if self.observer is not None:
             self.observer("acquire", 0.0, 0)
-        if sim.checker is not None:
-            sim.checker.lock_acquired(self)
+        if self._checker is not None:
+            self._checker.lock_acquired(self)
         return True
 
     def release(self) -> None:
         """Release the lock, accounting hold time; wakes one waiter."""
         if not self.locked:
             raise SimulationError(f"release of unheld lock {self.name!r}")
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
         hold = now - self._acquired_at
         self.stats.total_hold_time += hold
         if self.observer is not None:
             self.observer("hold", hold, len(self._waiters))
         # Publish before any handoff so a directly-resumed waiter joins
         # this holder's clock when its acquire() continues.
-        if sim.checker is not None:
-            sim.checker.lock_released(self)
+        if self._checker is not None:
+            self._checker.lock_released(self)
         if self._waiters:
             # Hand the lock to the next waiter; it stays locked.
             self._acquired_at = now

@@ -38,7 +38,8 @@ from ..mpi.matching import PostedRecv
 from ..mpi.request import Request
 from ..netsim.message import WireMessage
 from ..netsim.nic import HardwareContext
-from ..sim.core import AllOf, AnyOf, Event, Process, Timeout
+from ..sim.core import (AllOf, AnyOf, Event, Process, Timeout,
+                        _waiting_kind)
 
 __all__ = ["capture_state", "canonical_json", "state_digest",
            "diff_states", "prune_state", "canon_key", "describe_value",
@@ -211,7 +212,7 @@ def _kernel_state(sim: Any) -> dict[str, Any]:
         elif isinstance(target, Process):
             waiting = f"join:{target.name}"
         else:
-            waiting = type(target).__name__
+            waiting = _waiting_kind(target)
         tasks[str(pid)] = {"name": proc.name, "waiting_on": waiting}
     return {"now": sim._now, "steps": sim.steps, "seq": sim._seq,
             "next_pid": sim._next_pid, "heap": heap, "tasks": tasks}

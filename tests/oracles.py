@@ -47,12 +47,14 @@ from repro.check.hb import Access, Publication, TaskClock, published_mapping
 from repro.mpi.matching import PostedRecv, key_matches
 from repro.mpi.request import Request
 from repro.netsim.message import WireMessage
-from repro.sim.core import Event, SimulationError, Simulator, Timeout
+from repro.sim.core import (PRIORITY_NORMAL, Event, Process,
+                            SimulationError, Simulator, Timeout, _canonical)
 
 
 class HeapSimulator(Simulator):
     """The production event/process machinery on a plain binary heap: no
-    buckets, no urgent lane, no timeout pooling, no inlined dispatch."""
+    buckets, no urgent lane, no timeout pooling, no inlined dispatch or
+    scheduling."""
 
     def __init__(self):
         super().__init__()
@@ -63,11 +65,27 @@ class HeapSimulator(Simulator):
         heapq.heappush(self._heap,
                        (self._now + delay, priority, self._seq, event))
 
+    def _schedule(self, event: Event, delay: float) -> None:
+        # Also the sleep of a task that yielded a float: the task itself
+        # goes on the heap, as in the production scheduler.
+        self._enqueue(event, delay, PRIORITY_NORMAL)
+
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    def call_after(self, delay: float, fn, value: Any = None) -> Event:
+        if not delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        event = Event(self)
+        if fn is not None:
+            event.callbacks.append(fn)
+        event._value = value
+        event._triggered = True
+        self._schedule(event, delay)
+        return event
+
     def pending_entries(self) -> list[tuple[float, int, int, Event]]:
-        return sorted(self._heap, key=lambda entry: entry[:3])
+        return _canonical(list(self._heap))
 
     def peek_time(self) -> Optional[float]:
         return self._heap[0][0] if self._heap else None
@@ -87,7 +105,14 @@ class HeapSimulator(Simulator):
             self._now = when
             self.steps += 1
             processed += 1
-            event._process()
+            if type(event) is Process and not event._triggered:
+                # A sleeping task wakes; a sleep it yields now is ours to
+                # schedule.
+                delay = event._resume(None)
+                if delay is not None:
+                    self._schedule(event, delay)
+            else:
+                event._process()
         return processed
 
 
@@ -131,8 +156,10 @@ class LinearMatchingEngine:
                 "match.unexpected_depth", bounds=DEPTH_BUCKETS, **labels)
 
     # -- receive side ------------------------------------------------------
-    def post_recv(self, entry: PostedRecv) -> tuple[Optional[WireMessage], int]:
-        """Scan unexpected linearly for a match, else append to posted."""
+    def post_recv(self, entry: PostedRecv, hint: Any = None
+                  ) -> tuple[Optional[WireMessage], int]:
+        """Scan unexpected linearly for a match, else append to posted
+        (``hint`` is ignored: every match is a fresh scan)."""
         scanned = 0
         for i, msg in enumerate(self.unexpected):
             scanned += 1
@@ -178,28 +205,33 @@ class LinearMatchingEngine:
         self.total_scans += scanned
         return None, scanned
 
-    def scan_cost_unexpected(self, context_id: int, source: int, tag: int,
-                             dst_addr: int) -> int:
-        """Entries a matching scan of the unexpected queue would visit."""
+    def lookup_unexpected(self, context_id: int, source: int, tag: int,
+                          dst_addr: int) -> tuple[Optional[WireMessage], int]:
+        """The first matching unexpected message (or None) and the entries
+        a matching scan of the unexpected queue visits."""
         scanned = 0
         for msg in self.unexpected:
             scanned += 1
             if key_matches(context_id, source, tag, dst_addr, msg):
-                return scanned
-        return scanned
+                return msg, scanned
+        return None, scanned
 
-    def scan_cost_posted(self, msg: WireMessage) -> int:
-        """Entries a matching scan of the posted queue would visit."""
+    def lookup_posted(self, msg: WireMessage
+                      ) -> tuple[Optional[PostedRecv], int]:
+        """The first matching posted receive (or None) and the entries a
+        matching scan of the posted queue visits."""
         scanned = 0
         for entry in self.posted:
             scanned += 1
             if entry.matches(msg):
-                return scanned
-        return scanned
+                return entry, scanned
+        return None, scanned
 
     # -- arrival side --------------------------------------------------------
-    def incoming(self, msg: WireMessage) -> tuple[Optional[PostedRecv], int]:
-        """Linearly match an arrival against posted, else enqueue unexpected."""
+    def incoming(self, msg: WireMessage, hint: Any = None
+                 ) -> tuple[Optional[PostedRecv], int]:
+        """Linearly match an arrival against posted, else enqueue
+        unexpected (``hint`` is ignored: every match is a fresh scan)."""
         scanned = 0
         for i, entry in enumerate(self.posted):
             scanned += 1

@@ -80,13 +80,45 @@ class EnginePair:
         rb, sb = self.b.claim_unexpected(ctx, src, tag, dst)
         assert sa == sb and ra is rb
 
-    def scan_ux(self, ctx, src, tag, dst):
-        assert (self.a.scan_cost_unexpected(ctx, src, tag, dst)
-                == self.b.scan_cost_unexpected(ctx, src, tag, dst))
+    def lookup_ux(self, ctx, src, tag, dst):
+        """Look up a receive's pattern; returns both engines' hints."""
+        ha, sa = self.a.lookup_unexpected(ctx, src, tag, dst)
+        hb, sb = self.b.lookup_unexpected(ctx, src, tag, dst)
+        assert sa == sb
+        assert (ha[1] if type(ha) is list else None) is hb
+        return ha, hb
 
-    def scan_po(self, ctx, src, tag, dst):
+    def lookup_po(self, ctx, src, tag, dst):
+        """Look up an arrival; returns the message and both hints."""
         msg = mk_msg(ctx, src, tag, dst)
-        assert self.a.scan_cost_posted(msg) == self.b.scan_cost_posted(msg)
+        ha, sa = self.a.lookup_posted(msg)
+        hb, sb = self.b.lookup_posted(msg)
+        assert sa == sb
+        assert (type(ha) is list) == (hb is not None)
+        if hb is not None:
+            assert ha[1].req is hb.req
+        return msg, ha, hb
+
+    def post_hinted(self, pattern, ha, hb):
+        """Post a receive looked up earlier, each engine with its hint."""
+        req = Request(self.sim, "recv")
+        ea = mk_entry(self.sim, req, *pattern)
+        eb = mk_entry(self.sim, req, *pattern)
+        ra, sa = self.a.post_recv(ea, ha)
+        rb, sb = self.b.post_recv(eb, hb)
+        assert sa == sb and ra is rb
+        if ra is None:
+            assert ea.seq == eb.seq
+            self.posted.append(req)
+
+    def match_hinted(self, msg, ha, hb):
+        """Match an arrival looked up earlier, each engine with its hint."""
+        ra, sa = self.a.incoming(msg, ha)
+        rb, sb = self.b.incoming(msg, hb)
+        assert sa == sb
+        assert (ra is None) == (rb is None)
+        if ra is not None:
+            assert ra.req is rb.req and ra.seq == rb.seq
 
     def cancel(self, i):
         if not self.posted:
@@ -116,8 +148,8 @@ OP = st.one_of(
     st.tuples(st.just("incoming"), CTX, CSRC, CTAG, DST),
     st.tuples(st.just("probe"), CTX, SRC, TAG, DST),
     st.tuples(st.just("claim"), CTX, SRC, TAG, DST),
-    st.tuples(st.just("scan_ux"), CTX, SRC, TAG, DST),
-    st.tuples(st.just("scan_po"), CTX, CSRC, CTAG, DST),
+    st.tuples(st.just("lookup_ux"), CTX, SRC, TAG, DST),
+    st.tuples(st.just("lookup_po"), CTX, CSRC, CTAG, DST),
     st.tuples(st.just("cancel"), st.integers(0, 1 << 20),
               st.just(0), st.just(0), st.just(0)),
 )
@@ -129,13 +161,58 @@ def test_indexed_equals_linear_under_random_interleavings(ops):
     pair = EnginePair()
     step = {"post": pair.post, "incoming": pair.incoming,
             "probe": pair.probe, "claim": pair.claim,
-            "scan_ux": pair.scan_ux, "scan_po": pair.scan_po}
+            "lookup_ux": pair.lookup_ux, "lookup_po": pair.lookup_po}
     for kind, *params in ops:
         if kind == "cancel":
             pair.cancel(params[0])
         else:
             step[kind](*params)
         pair.check_invariants()
+
+
+HINTED_OP = st.one_of(
+    st.tuples(st.just("lookup_recv"), CTX, SRC, TAG, DST),
+    st.tuples(st.just("post_recv"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("arrive"), CTX, CSRC, CTAG, DST),
+    st.tuples(st.just("match"), st.integers(0, 1 << 20)),
+    st.tuples(st.just("post"), CTX, SRC, TAG, DST),
+    st.tuples(st.just("incoming"), CTX, CSRC, CTAG, DST),
+    st.tuples(st.just("cancel"), st.integers(0, 1 << 20)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(HINTED_OP, max_size=120))
+def test_hinted_lookups_equal_linear_rescans(ops):
+    """A receive looked up when posted and posted later, and an arrival
+    looked up when it lands and matched later (the library's two
+    service-time gaps), each with the indexed engine's hint, against the
+    linear engine rescanning every time: every match and every
+    ``scanned`` agree, however posts, arrivals and cancels interleave in
+    the gaps and whichever pending operation completes first."""
+    pair = EnginePair()
+    recvs, arrivals = [], []
+    for kind, *params in ops:
+        if kind == "lookup_recv":
+            recvs.append((tuple(params), *pair.lookup_ux(*params)))
+        elif kind == "post_recv" and recvs:
+            pair.post_hinted(*recvs.pop(params[0] % len(recvs)))
+        elif kind == "arrive":
+            arrivals.append(pair.lookup_po(*params))
+        elif kind == "match" and arrivals:
+            pair.match_hinted(*arrivals.pop(params[0] % len(arrivals)))
+        elif kind == "post":
+            pair.post(*params)
+        elif kind == "incoming":
+            pair.incoming(*params)
+        elif kind == "cancel":
+            pair.cancel(params[0])
+        pair.check_invariants()
+    for pending in recvs:
+        pair.post_hinted(*pending)
+    for pending in arrivals:
+        pair.match_hinted(*pending)
+    pair.check_invariants()
 
 
 def test_long_seeded_interleaving():

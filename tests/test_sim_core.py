@@ -144,17 +144,95 @@ def test_event_value_before_trigger_raises():
         _ = ev.value
 
 
-def test_yield_non_event_raises():
+def _sleepers(world, sleep):
+    """Three tasks interleaving ``sleep(d)`` with Timeouts; returns the
+    log of wake-ups as (name, time) in processing order."""
+    sim = world.sim
+    log = []
+
+    def task(name, delays):
+        for d in delays:
+            yield sleep(sim, d)
+            log.append((name, sim.now))
+        yield sim.timeout(0.25)
+        log.append((name, sim.now))
+
+    sim.spawn(task("a", [3.0, 0.5]), name="a")
+    sim.spawn(task("b", [0.0, 3.0, 0.5]), name="b")
+
+    def timeouts():
+        yield sim.timeout(3.0)
+        log.append(("t", sim.now))
+        yield sim.timeout(0.5)
+        log.append(("t", sim.now))
+    sim.spawn(timeouts(), name="t")
+    return log
+
+
+@pytest.mark.parametrize("sim_cls", ["Simulator", "HeapSimulator"])
+def test_yielded_float_sleeps_like_a_timeout(sim_cls, monkeypatch):
+    """``yield 3.0`` is ``yield sim.timeout(3.0)``: the same wake times,
+    the same order against Timeouts at the same instant, and, captured
+    mid-sleep, the same schedule descriptions and state digest."""
+    import repro.runtime.world as world_mod
+    from repro.runtime import World
+    from repro.snap import capture_state, state_digest
+    from repro.snap.state import _kernel_state
+    from tests.oracles import HeapSimulator
+
+    if sim_cls == "HeapSimulator":
+        monkeypatch.setattr(world_mod, "Simulator", HeapSimulator)
+
+    def run(sleep, steps):
+        world = World(num_nodes=1, procs_per_node=1)
+        log = _sleepers(world, sleep)
+        world.sim.run_steps(steps)
+        mid = (_kernel_state(world.sim), state_digest(capture_state(world)))
+        world.sim.run()
+        return log, world.sim.now, mid
+
+    for steps in (3, 5, 7):
+        floats = run(lambda sim, d: d, steps)
+        timeouts = run(lambda sim, d: sim.timeout(d), steps)
+        assert floats == timeouts
+    kernel = floats[2][0]
+    assert {"kind": "Timeout", "triggered": True, "delay": 0.5,
+            "callbacks": ["Process._resume"]} in [e[3] for e in kernel["heap"]]
+    assert "Timeout" in {t["waiting_on"] for t in kernel["tasks"].values()}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, -1e-300])
+def test_yielded_bad_float_fails_the_task_like_timeout(bad):
     sim = Simulator()
 
-    def bad():
-        yield 3.0  # not an Event
+    def sleeper():
+        yield bad
 
-    proc = sim.spawn(bad())
+    proc = sim.spawn(sleeper())
     sim.run()
     assert proc.triggered and not proc.ok
-    with pytest.raises(SimulationError):
+    with pytest.raises(ValueError) as raised:
         _ = proc.value
+    with pytest.raises(ValueError) as expected:
+        sim.timeout(bad)
+    assert str(raised.value) == str(expected.value)
+    assert sim.now == 0.0
+
+
+def test_yield_non_event_raises():
+    """Only an Event or a float delay may be yielded: an int is not a
+    delay (a ``timeout(0)`` and a yielded ``0.0`` describe differently)."""
+    for bad in (3, "x", None):
+        sim = Simulator()
+
+        def task():
+            yield bad
+
+        proc = sim.spawn(task())
+        sim.run()
+        assert proc.triggered and not proc.ok
+        with pytest.raises(SimulationError, match="yielded"):
+            _ = proc.value
 
 
 def test_spawn_requires_generator():

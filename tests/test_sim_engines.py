@@ -43,12 +43,37 @@ def _digest(world) -> str:
     return state_digest(capture_state(world))
 
 
-@given(spec=workload_specs(), frac=st.floats(0.0, 1.0))
+#: Sleeps an extra task per process takes between the MPI traffic: a
+#: shared grid of times, so wake-ups collide with the library's own.
+SLEEPS = st.lists(st.sampled_from([0.0, 8e-8, 1e-7, 2.5e-7, 1e-6, 3e-6]),
+                  min_size=1, max_size=6)
+
+
+def with_sleepers(build, sleeps):
+    """``build`` plus, on every process, a task that takes ``sleeps`` in
+    turn, alternately as a yielded delay and as a Timeout (the MPI
+    library's own costs are yielded delays)."""
+    def mixed():
+        world = build()
+        for proc in world.procs:
+            def sleeper(sim=world.sim, rank=proc.rank):
+                for i, delay in enumerate(sleeps):
+                    if (i + rank) % 2:
+                        yield delay
+                    else:
+                        yield sim.timeout(delay)
+            proc.spawn(sleeper(), name=f"sleeper{proc.rank}")
+        return world
+    return mixed
+
+
+@given(spec=workload_specs(), sleeps=SLEEPS, frac=st.floats(0.0, 1.0))
 @SETTINGS
-def test_engines_digest_identical_at_any_cut(spec, frac):
-    """Random workloads x mechanisms x seeds: equal digests at a random
-    cut point AND at completion, with equal step counts."""
-    build = make_build(spec)
+def test_engines_digest_identical_at_any_cut(spec, sleeps, frac):
+    """Random workloads x mechanisms x seeds, each process also sleeping
+    on yielded delays and Timeouts: equal digests at a random cut point
+    AND at completion, with equal step counts."""
+    build = with_sleepers(make_build(spec), sleeps)
     heap_ref = on_heap(build)()
     heap_ref.run()
     total = heap_ref.sim.steps

@@ -111,3 +111,70 @@ def test_free_at_tracks_clock():
     sim.run(until=proc)
     assert srv.free_at == pytest.approx(5.0)
     assert srv.backlog == 0.0
+
+
+# -- a NaN or negative service time is refused at every entry -----------------
+# ``st < 0`` admits NaN, and a NaN service time ran the clock to NaN with
+# no error; each site now tests ``not st >= 0``, as Timeout does.
+BAD = [float("nan"), -1.0]
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_server_refuses_a_bad_default_service_time(bad):
+    with pytest.raises(ValueError, match="service time must be non-negative"):
+        FIFOServer(Simulator(), service_time=bad)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_submit_refuses_a_bad_service_time(bad):
+    sim = Simulator()
+    srv = FIFOServer(sim, service_time=0.5)
+    with pytest.raises(ValueError, match="service time must be non-negative"):
+        srv.submit(bad)
+    assert srv.stats.requests == 0 and srv.free_at == 0.0
+    assert sim.queue_empty()
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_occupy_refuses_a_bad_service_time(bad):
+    srv = FIFOServer(Simulator())
+    with pytest.raises(ValueError, match="service time must be non-negative"):
+        srv.occupy(bad)
+    assert srv.stats.requests == 0 and srv.free_at == 0.0
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_call_after_refuses_a_bad_delay(bad):
+    sim = Simulator()
+    with pytest.raises(ValueError, match="delay must be >= 0"):
+        sim.call_after(bad, lambda e: None)
+    assert sim.queue_empty() and sim._seq == 0
+
+
+def test_nan_issue_gap_fails_the_issue_instead_of_the_clock():
+    """The hardware context's injector is a FIFOServer fed ``issue_gap``
+    per message through ``occupy``."""
+    from repro.netsim import NicParams
+    from repro.netsim.nic import Nic
+    from tests.helpers import hw_context
+
+    sim = Simulator()
+    ctx = hw_context(Nic(sim, NicParams(issue_gap=float("nan"))), 0)
+    with pytest.raises(ValueError, match="service time must be non-negative"):
+        ctx.issue(56)
+
+
+def test_nan_default_service_time_no_longer_runs_the_clock_to_nan():
+    """The reported reproduction: a NaN server, a default submit, a
+    Timeout and a second submit used to end the run at ``now == nan``."""
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        FIFOServer(sim, service_time=float("nan"))
+    srv = FIFOServer(sim)
+    order = []
+    srv.submit(callback=lambda e: order.append(("a", sim.now)))
+    sim.timeout(1.0).add_callback(lambda e: order.append(("t", sim.now)))
+    srv.submit(0.5, callback=lambda e: order.append(("b", sim.now)))
+    sim.run()
+    assert order == [("a", 0.0), ("b", 0.5), ("t", 1.0)]
+    assert sim.now == 1.0
