@@ -23,7 +23,7 @@ simulator, everything the paper's comparison rests on:
 - an observability subsystem (:mod:`repro.obs`): per-VCI/per-context
   metrics with contention histograms, plain-text reports, and Chrome-trace
   export. Pass ``World(metrics=MetricsRegistry(), tracer=Tracer())`` to
-  instrument a run, or use ``python -m repro profile``;
+  instrument a run, or use ``python -m repro msgrate --profile``;
 - fault injection with reliable transport (:mod:`repro.faults`):
   per-seed-reproducible fault plans (message drop/dup/corrupt/delay, NIC
   context stalls, link flaps) and a sequencing/ACK/retransmission layer

@@ -153,7 +153,7 @@ def run_msgrate(cfg: MsgRateConfig,
 
     Pass a :class:`repro.obs.MetricsRegistry` as ``metrics`` and/or an
     enabled :class:`repro.sim.trace.Tracer` as ``tracer`` to instrument
-    the run (``python -m repro profile msgrate`` does exactly this).
+    the run (``python -m repro msgrate --profile`` does exactly this).
     Instrumentation does not change the simulated timings.
     """
     # Not at module level: ``repro.cli`` imports this module at start-up,

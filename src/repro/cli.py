@@ -2,11 +2,11 @@
 
 Reproduce any of the paper's experiments without pytest::
 
+    python -m repro msgrate --jobs 4 --csv fig1a.csv
     python -m repro msgrate --modes everywhere threads-original --cores 1 8
-    python -m repro sweep msgrate --jobs 4 --csv fig1a.csv
-    python -m repro profile msgrate --modes everywhere --cores 8
+    python -m repro msgrate --profile --modes everywhere --cores 8
     python -m repro stencil --mechanisms original endpoints --points 9
-    python -m repro faults stencil --plan drop=0.05,dup=0.02 --seed 1
+    python -m repro stencil --plan drop=0.05,dup=0.02 --points 5 --threads 2 2
     python -m repro legion --threads 8
     python -m repro circuit
     python -m repro graph --churn 0.5
@@ -45,48 +45,57 @@ from .bench.report import Table
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_msgrate(args) -> int:
-    table = Table("message rate (M msg/s)", ["mode", "cores", "rate"],
-                  widths=[20, 6, 10])
-    for mode in args.modes:
-        for cores in args.cores:
-            r = run_msgrate(MsgRateConfig(mode=mode, cores=cores,
-                                          msgs_per_core=args.messages))
-            table.add(mode, cores, f"{r.rate / 1e6:.2f}")
-    print(table.render())
-    return 0
-
-
-def _cmd_sweep(args) -> int:
+    """Run the Fig 1(a) grid through the one executor; print the pivot."""
+    if args.profile or args.full or args.chrome_trace:
+        return _profile_msgrate(args)
+    import csv
     import time
 
-    from .bench.sweep import Sweep, SweepRow
     from .serve import run_local
+    from .serve.service import auto_jobs, fork_available
 
-    sweep = Sweep(name=f"{args.experiment} sweep",
-                  params={"mode": args.modes, "cores": args.cores})
-    spec = {"experiment": args.experiment,
-            "params": {**sweep.params, "msgs_per_core": [args.messages],
-                       "seed": [args.seed]}}
+    spec = {"experiment": "msgrate",
+            "params": {"mode": args.modes, "cores": args.cores,
+                       "msgs_per_core": [args.messages], "seed": [args.seed]}}
     t0 = time.perf_counter()
     doc = run_local(args.checkpoint_dir, "sweep", spec, workers=args.jobs)[0]
     wall = time.perf_counter() - t0
     rate = {(point["mode"], point["cores"]): result["rate_Mmsgs"]
             for point, result in zip(doc["points"], doc["results"])}
-    rows = [SweepRow(point, {"rate_Mmsgs": rate[point["mode"],
-                                                point["cores"]]})
-            for point in sweep.points]
-    print(sweep.pivot(rows, index="cores", column="mode",
-                      value="rate_Mmsgs").render())
-    print(f"[{len(rows)} points in {wall:.2f}s host wall-clock, "
-          f"jobs={args.jobs}]")
+    table = Table("msgrate sweep: rate_Mmsgs", ["cores", *args.modes])
+    for cores in args.cores:
+        table.add(cores, *[rate[mode, cores] for mode in args.modes])
+    print(table.render())
+    # run_local's own sizing: the points that missed the store, forked
+    # workers only where the host can fork.
+    ran = (auto_jobs(args.jobs, len(doc["points"]) - doc["cache_hits"])
+           if fork_available() else 1)
+    print(f"[{len(doc['points'])} points in {wall:.2f}s host wall-clock, "
+          f"jobs={ran}]", file=sys.stderr)
     if args.csv:
-        sweep.to_csv(rows, args.csv)
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["mode", "cores", "rate_Mmsgs"])
+            writer.writerows([mode, cores, rate[mode, cores]]
+                             for mode in args.modes for cores in args.cores)
         print(f"[csv written to {args.csv}]")
     return 0
 
 
-def _cmd_profile(args) -> int:
+def _profile_msgrate(args) -> int:
+    """Each point in this process with metrics and a tracer: a worker
+    returns neither."""
+    import os
+
     from .obs import (
         MetricsRegistry,
         Tracer,
@@ -102,7 +111,7 @@ def _cmd_profile(args) -> int:
                                       msgs_per_core=args.messages,
                                       seed=args.seed),
                         metrics=metrics, tracer=tracer)
-        print(f"== {args.experiment} mode={mode} cores={cores} "
+        print(f"== msgrate mode={mode} cores={cores} "
               f"rate={r.rate / 1e6:.2f} M msg/s span={r.span * 1e6:.2f} us ==")
         if args.full:
             print(render_metrics_report(metrics))
@@ -111,9 +120,8 @@ def _cmd_profile(args) -> int:
         if args.chrome_trace:
             path = args.chrome_trace
             if len(combos) > 1:
-                stem, dot, ext = path.rpartition(".")
-                path = (f"{stem}.{mode}.c{cores}.{ext}" if dot
-                        else f"{path}.{mode}.c{cores}")
+                stem, ext = os.path.splitext(path)
+                path = f"{stem}.{mode}.c{cores}{ext}"
             export_chrome_trace(tracer, path, metrics=metrics)
             print(f"chrome trace written to {path} "
                   f"({len(tracer)} records)")
@@ -121,41 +129,28 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _stencil_configs(args):
-    """One StencilConfig per requested mechanism, or None (after printing
-    why) when the grids do not fit the stencil's dimension."""
-    from .apps.stencil import StencilConfig
+def _cmd_stencil(args) -> int:
+    """The halo exchange under each mechanism; with ``--plan``, on a
+    lossy fabric behind the reliable transport."""
+    from .apps.stencil import StencilConfig, run_stencil
+    plan = None
+    if args.plan is not None:
+        from .faults import parse_plan
+        plan = parse_plan(args.plan)
     dim = 2 if args.points in (5, 9) else 3
     if len(args.procs) != dim or len(args.threads) != dim:
         print(f"error: {args.points}-pt stencils need {dim}-D --procs/"
               f"--threads (e.g. {'2 2' if dim == 2 else '2 2 2'})",
               file=sys.stderr)
-        return None
-    return [StencilConfig(proc_grid=tuple(args.procs),
-                          thread_grid=tuple(args.threads),
-                          pnx=args.patch, pny=args.patch, pnz=args.patch,
-                          stencil_points=args.points, iters=args.iters,
-                          mechanism=mech, seed=args.seed)
-            for mech in args.mechanisms]
-
-
-def _stencil_arguments(parser, mechanisms, threads, points, iters) -> None:
-    """The flags :func:`_stencil_configs` reads."""
-    parser.add_argument("--mechanisms", nargs="+", default=mechanisms)
-    parser.add_argument("--procs", nargs="+", type=int, default=[2, 2])
-    parser.add_argument("--threads", nargs="+", type=int, default=threads)
-    parser.add_argument("--points", type=int, default=points,
-                        choices=(5, 9, 7, 27))
-    parser.add_argument("--patch", type=int, default=6)
-    parser.add_argument("--iters", type=int, default=iters)
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _cmd_stencil(args) -> int:
-    from .apps.stencil import run_stencil
-    configs = _stencil_configs(args)
-    if configs is None:
         return 2
+    configs = [StencilConfig(proc_grid=tuple(args.procs),
+                             thread_grid=tuple(args.threads),
+                             pnx=args.patch, pny=args.patch, pnz=args.patch,
+                             stencil_points=args.points, iters=args.iters,
+                             mechanism=mech, seed=args.seed)
+               for mech in args.mechanisms]
+    if plan is not None:
+        return _stencil_on_lossy_fabric(plan, args.seed, configs)
     table = Table("stencil halo exchange",
                   ["mechanism", "wall(us)", "halo(us)", "resources",
                    "vcis", "correct"],
@@ -169,20 +164,13 @@ def _cmd_stencil(args) -> int:
     return 0
 
 
-def _cmd_faults(args) -> int:
+def _stencil_on_lossy_fabric(plan, seed: int, configs: list) -> int:
+    """Per mechanism: the reliability and per-VCI reports, then a table."""
     from .apps.stencil import run_stencil
-    from .errors import FaultPlanError, TransportError
-    from .faults import parse_plan, render_reliability_report
+    from .errors import TransportError
+    from .faults import render_reliability_report
     from .obs import MetricsRegistry, render_vci_report
-    try:
-        plan = parse_plan(args.plan)
-    except (FaultPlanError, ValueError) as exc:
-        print(f"error: bad fault plan: {exc}", file=sys.stderr)
-        return 2
-    configs = _stencil_configs(args)
-    if configs is None:
-        return 2
-    print(f"fault plan: {plan.describe()} (seed={args.seed})\n")
+    print(f"fault plan: {plan.describe()} (seed={seed})\n")
     table = Table("stencil on a lossy fabric",
                   ["mechanism", "wall(us)", "retransmits", "faults",
                    "correct"],
@@ -344,7 +332,7 @@ def _cmd_check(args) -> int:
     if args.json:
         print(report.to_json())
     else:
-        print(report.render(limit=args.limit))
+        print(report.render(limit=50))
     return status or (0 if report.clean else 1)
 
 
@@ -413,7 +401,7 @@ def _cmd_analyze(args) -> int:
     crossval = None
     if args.crossval:
         from .check.static_.crossval import cross_validate, render_crossval
-        crossval = cross_validate(fixture_dir=args.fixtures)
+        crossval = cross_validate()
         if crossval["fp"] or crossval["fn"]:
             status = status or 1
     if args.sarif:
@@ -463,23 +451,15 @@ def _cmd_campaign_report(args) -> int:
     """Summarize a campaign directory without running anything."""
     from .scenarios import campaign_report, render_report
 
-    summary = campaign_report(args.out)
-    print(render_report(summary))
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+    print(render_report(campaign_report(args.out)))
     return 0
 
 
 def _cmd_campaign_replay(args) -> int:
     """Replay a minimal-repro artifact and verify it byte for byte."""
-    from .errors import ScenarioError
     from .snap.reproduction import verify_artifact
 
-    try:
-        verdict = verify_artifact(args.artifact)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    verdict = verify_artifact(args.artifact)
     outcome = verdict["outcome"]
     print(f"replay: {outcome['status']}/{outcome['rule']}")
     if outcome["detail"]:
@@ -526,41 +506,30 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from .errors import ServeError
     from .serve.client import ServeClient
     from .serve.http import parse_job_document
-    try:
-        if args.job == "-":
-            body = sys.stdin.buffer.read()
-        else:
-            with open(args.job, "rb") as fh:
-                body = fh.read()
-        kind, spec = parse_job_document(body)
-        with ServeClient(_serve_url(args)) as client:
-            status = client.submit(kind, spec)
-            print(f"submitted {status['job_id']} ({kind}, "
-                  f"{status['total']} points, "
-                  f"{status['cache_hits']} already cached)", file=sys.stderr)
-            if args.wait or args.result:
-                status = client.wait(status["job_id"], timeout=args.timeout)
-            doc = (client.result(status["job_id"]) if args.result
-                   else client.job(status["job_id"]))
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.job == "-":
+        body = sys.stdin.buffer.read()
+    else:
+        with open(args.job, "rb") as fh:
+            body = fh.read()
+    kind, spec = parse_job_document(body)
+    with ServeClient(_serve_url(args)) as client:
+        status = client.submit(kind, spec)
+        print(f"submitted {status['job_id']} ({kind}, "
+              f"{status['total']} points, "
+              f"{status['cache_hits']} already cached)", file=sys.stderr)
+        status = client.wait(status["job_id"], timeout=600.0)
+        doc = (client.result(status["job_id"]) if args.result
+               else client.job(status["job_id"]))
+    print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_jobs(args) -> int:
-    from .errors import ServeError
     from .serve.client import ServeClient
-    try:
-        with ServeClient(_serve_url(args)) as client:
-            jobs = client.jobs()
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with ServeClient(_serve_url(args)) as client:
+        jobs = client.jobs()
     table = Table("jobs", ["job", "kind", "status", "done", "hits", "sec"],
                   widths=[10, 10, 8, 11, 6, 9])
     for job in jobs:
@@ -579,84 +548,69 @@ def build_parser() -> argparse.ArgumentParser:
                     "MPI+Threads Communication' (SC 2022)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    mr = sub.add_parser("msgrate", help="Fig 1(a) message-rate sweep")
+    mr = sub.add_parser(
+        "msgrate",
+        help="Fig 1(a) message rate over a (mode, cores) grid",
+        description="Run every (mode, cores) point through the one "
+                    "executor (repro.serve.run_local), optionally across "
+                    "--jobs worker processes, and print the rate pivot. "
+                    "Points are independent simulations, so the results "
+                    "are bit-identical at any worker count; the host "
+                    "wall-clock line goes to stderr. --profile instead "
+                    "runs each point in this process with metrics and a "
+                    "tracer and prints its per-VCI report (lock wait, "
+                    "doorbell serialization, hardware-context occupancy); "
+                    "--jobs, --csv and --checkpoint-dir do not apply to it.")
     mr.add_argument("--modes", nargs="+", default=list(MODES[:5]),
                     choices=MODES)
-    mr.add_argument("--cores", nargs="+", type=int, default=[1, 4, 8])
-    mr.add_argument("--messages", type=int, default=64)
-    mr.set_defaults(fn=_cmd_msgrate)
-
-    sw = sub.add_parser(
-        "sweep",
-        help="parameter sweep fanned across worker processes",
-        description="Run every (mode, cores) point of a sweep, optionally "
-                    "across --jobs worker processes. Points are "
-                    "independent simulations, so the results are "
-                    "bit-identical to a serial run — only host wall-clock "
-                    "changes.")
-    sw.add_argument("experiment", choices=("msgrate",),
-                    help="experiment to sweep")
-    sw.add_argument("--modes", nargs="+", default=list(MODES[:5]),
-                    choices=MODES)
-    sw.add_argument("--cores", nargs="+", type=int,
+    mr.add_argument("--cores", nargs="+", type=_positive_int,
                     default=[1, 2, 4, 8, 16, 32, 64])
-    sw.add_argument("--messages", type=int, default=64)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--jobs", "-j", type=int, default=1,
+    mr.add_argument("--messages", type=_positive_int, default=64)
+    mr.add_argument("--seed", type=int, default=0)
+    mr.add_argument("--jobs", "-j", type=_positive_int, default=1,
                     help="worker processes, capped at the host's CPU "
                          "count (default 1: run in this process)")
-    sw.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
-    sw.add_argument("--checkpoint-dir", metavar="DIR",
+    mr.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
+    mr.add_argument("--checkpoint-dir", metavar="DIR",
                     help="keep every completed point in DIR (a 'repro "
                          "serve' state directory): points already there "
-                         "are reused, so a killed sweep picks up where "
+                         "are reused, so a killed run picks up where "
                          "it stopped, with byte-identical rows")
-    sw.set_defaults(fn=_cmd_sweep)
+    mr.add_argument("--profile", action="store_true",
+                    help="print each point's per-VCI report instead of "
+                         "the pivot")
+    mr.add_argument("--full", action="store_true",
+                    help="with --profile (implied): dump every metric "
+                         "series, not just the summary")
+    mr.add_argument("--chrome-trace", metavar="PATH",
+                    help="with --profile (implied): write a Chrome-trace "
+                         "JSON (chrome://tracing / ui.perfetto.dev) to "
+                         "PATH, one file per point when there are several")
+    mr.set_defaults(fn=_cmd_msgrate)
 
-    pf = sub.add_parser(
-        "profile",
-        help="run an experiment with the observability subsystem on",
-        description="Run an experiment with metrics and tracing enabled: "
-                    "prints the per-VCI table (lock wait, doorbell "
-                    "serialization, hardware-context occupancy) and can "
-                    "export a Perfetto-loadable Chrome trace.")
-    pf.add_argument("experiment", choices=("msgrate",),
-                    help="experiment to profile")
-    pf.add_argument("--modes", nargs="+", default=["everywhere"],
-                    choices=MODES)
-    pf.add_argument("--cores", nargs="+", type=int, default=[8])
-    pf.add_argument("--messages", type=int, default=64)
-    pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--full", action="store_true",
-                    help="dump every metric series, not just the summary")
-    pf.add_argument("--chrome-trace", metavar="PATH",
-                    help="write a Chrome-trace JSON (chrome://tracing / "
-                         "ui.perfetto.dev) to PATH")
-    pf.set_defaults(fn=_cmd_profile)
-
-    stn = sub.add_parser("stencil", help="halo exchange (Fig 1b, Lessons 1-3)")
-    _stencil_arguments(stn, ["original", "tags", "communicators",
-                             "endpoints"], threads=[3, 3], points=9, iters=4)
-    stn.set_defaults(fn=_cmd_stencil)
-
-    fl = sub.add_parser(
-        "faults",
-        help="run an experiment on a lossy fabric with reliable transport",
-        description="Run the stencil app over a fault-injected fabric "
+    stn = sub.add_parser(
+        "stencil", help="halo exchange (Fig 1b, Lessons 1-3)",
+        description="Run the stencil halo exchange under each mechanism. "
+                    "With --plan, run it over a fault-injected fabric "
                     "(message drop/dup/corrupt/delay, NIC context stalls, "
                     "link flaps) with the reliable transport recovering "
-                    "every fault; prints a reliability report next to the "
-                    "per-VCI table. Plans: 'drop=0.05,dup=0.02' or a JSON "
-                    "file; see docs/faults.md.")
-    fl.add_argument("experiment", choices=("stencil",),
-                    help="experiment to run under fault injection")
-    fl.add_argument("--plan", default="drop=0.05,dup=0.02,corrupt=0.01",
-                    help="fault plan spec or JSON file (default: "
-                         "'drop=0.05,dup=0.02,corrupt=0.01')")
-    # Default to a face-only stencil: partitioned supports 5/7-pt only.
-    _stencil_arguments(fl, ["original", "tags", "communicators", "endpoints",
-                            "partitioned"], threads=[2, 2], points=5, iters=3)
-    fl.set_defaults(fn=_cmd_faults)
+                    "every fault, and print a reliability report next to "
+                    "the per-VCI table. Plans: 'drop=0.05,dup=0.02' or a "
+                    "JSON file; see docs/faults.md.")
+    stn.add_argument("--mechanisms", nargs="+",
+                     default=["original", "tags", "communicators",
+                              "endpoints"])
+    stn.add_argument("--procs", nargs="+", type=int, default=[2, 2])
+    stn.add_argument("--threads", nargs="+", type=int, default=[3, 3])
+    stn.add_argument("--points", type=int, default=9, choices=(5, 9, 7, 27))
+    stn.add_argument("--patch", type=int, default=6)
+    stn.add_argument("--iters", type=int, default=4)
+    stn.add_argument("--seed", type=int, default=0)
+    stn.add_argument("--plan", metavar="PLAN",
+                     help="fault plan spec or JSON file (e.g. "
+                          "'drop=0.05,dup=0.02,corrupt=0.01'; the "
+                          "partitioned mechanism needs --points 5 or 7)")
+    stn.set_defaults(fn=_cmd_stencil)
 
     for name, (help_, _title, _cols, flags, _cells) in _APP_COMMANDS.items():
         ap = sub.add_parser(name, help=help_)
@@ -691,8 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "first violation (default: warn)")
     ck.add_argument("--json", action="store_true",
                     help="print the report as JSON")
-    ck.add_argument("--limit", type=int, default=50,
-                    help="max violations detailed in the text report")
     ck.set_defaults(fn=_cmd_check)
 
     an = sub.add_parser(
@@ -715,11 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "bench drivers, examples)")
     an.add_argument("--crossval", action="store_true",
                     help="cross-validate against the dynamic checker over "
-                         "the fixture corpus (runs the fixtures) and "
-                         "append the precision/recall table")
-    an.add_argument("--fixtures", metavar="DIR",
-                    help="fixture directory for --crossval (default: "
-                         "tests/fixtures/analyze found from cwd)")
+                         "the fixture corpus (runs tests/fixtures/analyze, "
+                         "found from the working directory) and append "
+                         "the precision/recall table")
     an.add_argument("--json", action="store_true",
                     help="print the report (and cross-validation) as JSON")
     an.add_argument("--sarif", metavar="PATH",
@@ -782,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sampler seed (default 0)")
     cpr.add_argument("-n", type=int, default=100,
                      help="scenarios to sample (default 100)")
-    cpr.add_argument("--jobs", type=int, default=1,
+    cpr.add_argument("--jobs", type=_positive_int, default=1,
                      help="worker processes, capped at the host's CPU "
                           "count (default 1: run in this process)")
     cpr.add_argument("--apps", nargs="+", metavar="APP",
@@ -794,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     cps = cpsub.add_parser(
         "resume", help="resume a killed or interrupted campaign")
     cps.add_argument("out", help="campaign output directory")
-    cps.add_argument("--jobs", type=int, default=1)
+    cps.add_argument("--jobs", type=_positive_int, default=1)
     cps.add_argument("--no-shrink", action="store_true")
     cps.set_defaults(fn=_cmd_campaign_run, resume=True,
                      seed=0, n=0, apps=None)
@@ -802,8 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     cpp = cpsub.add_parser(
         "report", help="summarize a campaign directory (even mid-flight)")
     cpp.add_argument("out", help="campaign output directory")
-    cpp.add_argument("--json", action="store_true",
-                     help="also print the summary as JSON")
     cpp.set_defaults(fn=_cmd_campaign_report)
 
     cpl = cpsub.add_parser(
@@ -842,17 +790,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit a job document to a running service",
         description="POST a YAML/JSON job document ({kind: sweep|"
                     "campaign|scenarios|selftest, spec: {...}}) to the "
-                    "service and (by default) wait for completion.")
+                    "service and wait up to 600 s for it to complete.")
     sb.add_argument("job", help="job document path, or - for stdin")
     sb.add_argument("--url", help="service URL (default: read "
                                   "--state-dir/serve.json)")
     sb.add_argument("--state-dir", default=".repro-serve")
-    sb.add_argument("--no-wait", dest="wait", action="store_false",
-                    help="print the job id and return immediately")
     sb.add_argument("--result", action="store_true",
-                    help="wait and print the full result document")
-    sb.add_argument("--timeout", type=float, default=600.0,
-                    help="max seconds to wait (default %(default)s)")
+                    help="print the full result document, not the status")
     sb.set_defaults(fn=_cmd_submit)
 
     jb = sub.add_parser("jobs", help="list a running service's jobs")
@@ -864,9 +808,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    """Run one command; an input error is one ``error:`` line on stderr
+    and exit 2 (a service error: exit 1), never a traceback."""
+    from .errors import FaultPlanError, MpiUsageError, ScenarioError, ServeError
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except (OSError, FaultPlanError, MpiUsageError, ScenarioError,
+            ServeError) as exc:
+        prefix = "bad fault plan: " if isinstance(exc, FaultPlanError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return 1 if isinstance(exc, ServeError) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

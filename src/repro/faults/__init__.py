@@ -15,7 +15,7 @@ it. The pieces:
 - :mod:`~repro.faults.report` — the post-run reliability report.
 
 Enable it through the runtime: ``World(faults=FaultPlan(drop=0.05))``, or
-``python -m repro faults <experiment> --plan drop=0.05 --seed 1``. See
+``python -m repro stencil --plan drop=0.05 --seed 1``. See
 ``docs/faults.md`` for the fault model and determinism guarantees.
 """
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from ..errors import FaultConfigError, FaultPlanError
 
@@ -253,8 +253,15 @@ class FaultPlan:
         return FaultPlan(stalls=tuple(stalls), links=tuple(links), **rates)
 
 
+def _number(text: str, cast: Callable[[str], Any] = float) -> Any:
+    try:
+        return cast(text)
+    except ValueError:
+        raise FaultPlanError(f"cannot parse number {text!r}") from None
+
+
 def _parse_selector(text: str) -> int:
-    return ANY if text in ("*", "") else int(text)
+    return ANY if text in ("*", "") else _number(text, int)
 
 
 def parse_plan(spec: str) -> FaultPlan:
@@ -267,13 +274,15 @@ def parse_plan(spec: str) -> FaultPlan:
         stall=<node>/<ctx>/<start>/<duration>      (node/ctx may be "*")
         down=<node>/<start>/<end>
         degraded=<node>/<start>/<end>[/<factor>]
+
+    Anything malformed raises :class:`FaultPlanError`.
     """
     spec = spec.strip()
     if spec.endswith(".json") or os.path.exists(spec):
         try:
             with open(spec) as fh:
                 return FaultPlan.from_dict(json.load(fh))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON
             raise FaultPlanError(f"cannot read plan file {spec!r}: {exc}")
     rates: dict[str, float] = {}
     stalls: list[CtxStall] = []
@@ -285,7 +294,7 @@ def parse_plan(spec: str) -> FaultPlan:
         key, _, value = item.partition("=")
         key = key.strip()
         if key in ("drop", "dup", "corrupt", "delay"):
-            rates[key] = float(value)
+            rates[key] = _number(value)
         elif key in ("delay_max", "dup_delay"):
             rates[key] = parse_time(value)
         elif key == "stall":
@@ -307,7 +316,7 @@ def parse_plan(spec: str) -> FaultPlan:
                 node=_parse_selector(fields[0]),
                 start=parse_time(fields[1]), end=parse_time(fields[2]),
                 kind=key,
-                factor=float(fields[3]) if len(fields) == 4 else 4.0))
+                factor=_number(fields[3]) if len(fields) == 4 else 4.0))
         else:
             raise FaultPlanError(f"unknown plan key {key!r}")
     return FaultPlan(stalls=tuple(stalls), links=tuple(links), **rates)

@@ -15,7 +15,7 @@ instrument panel for those quantities:
 - :func:`export_chrome_trace` (:mod:`repro.obs.chrome`) — Chrome
   ``chrome://tracing`` / Perfetto JSON built from typed trace spans.
 
-Typical use (or just run ``python -m repro profile msgrate``)::
+Typical use (or just run ``python -m repro msgrate --profile``)::
 
     from repro import MetricsRegistry, World
     from repro.obs import render_report

@@ -1,6 +1,6 @@
 """The one way points run: job document in, stored results out.
 
-Every sweep point and chaos scenario — from ``repro sweep``, ``repro
+Every sweep point and chaos scenario — from ``repro msgrate``, ``repro
 campaign`` or a job POSTed to ``repro serve`` — takes the same path
 (see ``docs/serving.md``): :func:`expand_job` turns the job document
 into points, the :class:`Orchestrator` schedules them (reusing what the

@@ -1,6 +1,6 @@
 """The result store: one point, one file, one key.
 
-Every completed point — run by ``repro sweep``, ``repro campaign`` or a
+Every completed point — run by ``repro msgrate``, ``repro campaign`` or a
 served job — persists as one atomic JSON file, keyed by the canonical
 JSON of ``(cache version, point kind, point parameters)``: the full
 (program, config, seed) triple that determines a simulation. Two points

@@ -11,7 +11,7 @@ discovery file tests and ``repro submit`` read to find the URL.
 :func:`run_local` is the same orchestrator, store and workers without
 the HTTP API: submit one job (or resume the job journal of a state
 directory), run the queue to completion in this call, return the result
-documents. ``repro sweep`` and ``repro campaign`` are built on it, so a
+documents. ``repro msgrate`` and ``repro campaign`` are built on it, so a
 local checkpoint directory *is* a service state directory.
 
 Worker-pool sizing (:func:`auto_jobs`): never more workers than host

@@ -183,60 +183,3 @@ def test_write_results_creates_file(tmp_path):
     assert os.path.exists(path)
     with open(path) as fh:
         assert fh.read().strip() == "hello"
-
-
-# ---------------------------------------------------------------- sweep
-
-def test_sweep_points_cartesian():
-    from repro.bench import Sweep
-    s = Sweep("demo", {"a": [1, 2], "b": ["x", "y", "z"]})
-    assert len(s.points) == 6
-    assert {"a": 2, "b": "y"} in s.points
-
-
-def _rows(sweep, fn):
-    """What ``repro sweep`` does with its results: one row per point."""
-    from repro.bench import SweepRow
-    return [SweepRow(point, fn(**point)) for point in sweep.points]
-
-
-def test_sweep_run_and_render():
-    from repro.bench import Sweep
-    s = Sweep("demo", {"n": [1, 2, 3]})
-    rows = _rows(s, lambda n: {"square": n * n})
-    assert [r.outputs["square"] for r in rows] == [1, 4, 9]
-    assert rows[2].flat() == {"n": 3, "square": 9}
-    text = s.pivot(rows, index="n", column="n", value="square").render()
-    assert "square" in text and "9" in text
-
-
-def test_sweep_csv(tmp_path):
-    import csv as _csv
-    from repro.bench import Sweep
-    s = Sweep("demo", {"n": [1, 2]})
-    rows = _rows(s, lambda n: {"double": 2 * n})
-    path = s.to_csv(rows, str(tmp_path / "out.csv"))
-    with open(path) as fh:
-        got = list(_csv.DictReader(fh))
-    assert got[1] == {"n": "2", "double": "4"}
-
-
-def test_sweep_pivot():
-    from repro.bench import Sweep
-    s = Sweep("demo", {"mode": ["a", "b"], "cores": [1, 2]})
-    rows = _rows(s, lambda mode, cores: {"v": f"{mode}{cores}"})
-    text = s.pivot(rows, index="mode", column="cores", value="v").render()
-    assert "a1" in text and "b2" in text
-
-
-def test_sweep_validation():
-    from repro.bench import Sweep
-    with pytest.raises(ValueError):
-        Sweep("demo", {})
-    with pytest.raises(ValueError):
-        Sweep("demo", {"a": []})
-    s = Sweep("demo", {"a": [1]})
-    with pytest.raises(ValueError):
-        _rows(s, lambda a: {"a": 2})[0].flat()  # output collides with param
-    with pytest.raises(ValueError):
-        s.pivot([], index="a", column="nope", value="v")

@@ -18,7 +18,7 @@ from repro.serve.service import auto_jobs
 SELFTEST = {"n": 17}
 SWEEP = {"params": {"mode": ["everywhere", "threads-original"],
                     "cores": [1, 4], "msgs_per_core": [8]}}
-CLI_SWEEP = ["sweep", "msgrate", "--modes", "everywhere", "threads-tags",
+CLI_SWEEP = ["msgrate", "--modes", "everywhere", "threads-tags",
              "--cores", "1", "2", "--messages", "8"]
 
 

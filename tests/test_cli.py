@@ -1,5 +1,7 @@
 """Tests for the command-line experiment runner (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -40,6 +42,100 @@ def test_msgrate_command(capsys):
 def test_msgrate_rejects_bad_mode():
     with pytest.raises(SystemExit):
         main(["msgrate", "--modes", "bogus"])
+
+
+#: Recorded on the commit before ``sweep msgrate`` became ``msgrate``
+#: (its host wall-clock line, on stdout then, dropped): the pivot's title,
+#: row and column order and number format, and the CSV's columns and row
+#: order (mode-major, in the order given).
+MSGRATE_ARGV = ["msgrate", "--modes", "everywhere", "threads-original",
+                "threads-comms", "--cores", "1", "2", "4", "--messages", "8"]
+MSGRATE_PIVOT = """\
+== msgrate sweep: rate_Mmsgs ==
+         cores      everywhere    threads-original    threads-comms
+-------------------------------------------------------------------
+             1            3.14                3.14             3.14
+             2            6.27                3.98             3.98
+             4            12.5                4.59             12.5
+"""
+MSGRATE_CSV = """\
+mode,cores,rate_Mmsgs\r
+everywhere,1,3.14\r
+everywhere,2,6.27\r
+everywhere,4,12.5\r
+threads-original,1,3.14\r
+threads-original,2,3.98\r
+threads-original,4,4.59\r
+threads-comms,1,3.14\r
+threads-comms,2,3.98\r
+threads-comms,4,12.5\r
+"""
+
+
+def test_msgrate_pivot_and_csv_are_byte_exact(tmp_path, capsys):
+    path = tmp_path / "fig1a.csv"
+    assert main(MSGRATE_ARGV + ["--csv", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == MSGRATE_PIVOT + f"[csv written to {path}]\n"
+    assert err.startswith("[9 points in ") and err.endswith(
+        "s host wall-clock, jobs=1]\n")
+    assert path.read_bytes() == MSGRATE_CSV.encode()
+
+
+@pytest.mark.parametrize("asked, ran", [("1", 1), ("2", 2), ("8", 2)])
+def test_msgrate_names_the_worker_count_that_ran(monkeypatch, capsys,
+                                                 asked, ran):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert main(["msgrate", "--modes", "everywhere", "--cores", "1", "2",
+                 "--messages", "4", "--jobs", asked]) == 0
+    assert capsys.readouterr().err.endswith(f", jobs={ran}]\n")
+
+
+def test_profile_chrome_traces_keep_a_dotted_directory(tmp_path, capsys):
+    """One trace per point: the point goes before the file's extension,
+    never into a directory name that has a dot."""
+    out_dir = tmp_path / "out.d"
+    out_dir.mkdir()
+    assert main(["msgrate", "--modes", "everywhere", "--cores", "1", "2",
+                 "--messages", "4", "--chrome-trace",
+                 str(out_dir / "trace")]) == 0
+    assert "lockwait(us)" in capsys.readouterr().out
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "trace.everywhere.c1", "trace.everywhere.c2"]
+    assert json.loads((out_dir / "trace.everywhere.c2").read_text())[
+        "traceEvents"]
+
+
+#: Each input ended in a Python traceback before ``main`` had one handler.
+BAD_INPUTS = [
+    (["submit", "/missing.yaml"], 2, "error: [Errno 2]"),
+    (["check", "/missing.py"], 2, "error: [Errno 2]"),
+    (["replay", "/missing.py", "--until", "1e-5"], 2, "error: [Errno 2]"),
+    (["analyze", "/missing.py"], 2, "error: [Errno 2]"),
+    (["msgrate", "--cores", "0"], 2, "error: argument --cores"),
+    (["msgrate", "--messages", "0"], 2, "error: argument --messages"),
+    (["msgrate", "--jobs", "0"], 2, "error: argument --jobs"),
+    (["campaign", "run", "/missing", "--jobs", "-3"], 2,
+     "error: argument --jobs"),
+    (["scope", "--threads", "0", "3"], 2, "error: grid dimensions"),
+    (["resources", "--grid", "0", "1", "1"], 2, "error: thread-grid"),
+    (["campaign", "report", "/missing"], 2, "error: '/missing' has no"),
+    (["stencil", "--plan", "drop=oops"], 2, "error: bad fault plan:"),
+    (["jobs", "--state-dir", "/missing"], 1, "error: no running service"),
+]
+
+
+@pytest.mark.parametrize("argv, status, message", BAD_INPUTS,
+                         ids=[" ".join(argv) for argv, _, _ in BAD_INPUTS])
+def test_an_input_error_is_one_line_and_no_traceback(capsys, argv, status,
+                                                     message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag's value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == status
+    assert message in err.splitlines()[-1] and "Traceback" not in err
 
 
 def test_stencil_command(capsys):

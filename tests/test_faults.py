@@ -459,8 +459,8 @@ def test_reliability_report_renders():
 
 def test_faults_cli_subcommand(capsys):
     from repro.cli import main
-    rc = main(["faults", "stencil", "--plan", "drop=0.05,dup=0.02",
-               "--seed", "1", "--iters", "2",
+    rc = main(["stencil", "--plan", "drop=0.05,dup=0.02", "--seed", "1",
+               "--iters", "2", "--threads", "2", "2", "--points", "5",
                "--mechanisms", "original", "partitioned"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -472,7 +472,7 @@ def test_faults_cli_subcommand(capsys):
 
 def test_faults_cli_rejects_bad_plan(capsys):
     from repro.cli import main
-    assert main(["faults", "stencil", "--plan", "drop=oops"]) == 2
+    assert main(["stencil", "--plan", "drop=oops"]) == 2
 
 
 @pytest.mark.parametrize("document, blame", [
@@ -489,7 +489,7 @@ def test_faults_cli_rejects_a_malformed_plan_file(tmp_path, capsys,
     from repro.scenarios.spec import ScenarioSpec
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(document))
-    assert main(["faults", "stencil", "--plan", str(path)]) == 2
+    assert main(["stencil", "--plan", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad fault plan:") and blame in err
     with pytest.raises(ScenarioError, match=re.escape(blame)):

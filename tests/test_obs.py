@@ -394,8 +394,8 @@ def test_collect_world_shows_where_threads_wait():
 def test_profile_cli(tmp_path, capsys):
     from repro.cli import main
     dest = tmp_path / "out.json"
-    rc = main(["profile", "msgrate", "--modes", "everywhere", "--cores", "2",
-               "--messages", "4", "--chrome-trace", str(dest)])
+    rc = main(["msgrate", "--profile", "--modes", "everywhere", "--cores",
+               "2", "--messages", "4", "--chrome-trace", str(dest)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "lockwait(us)" in out and "chrome trace written" in out

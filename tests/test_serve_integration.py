@@ -186,7 +186,7 @@ def test_http_api_status_codes(tmp_path):
 
 
 def test_local_and_served_runs_share_one_store(tmp_path):
-    """A directory filled by ``repro sweep --checkpoint-dir D`` answers
+    """A directory filled by ``repro msgrate --checkpoint-dir D`` answers
     the same job 100% warm under ``repro serve --state-dir D`` — and a
     directory filled by the service answers the CLI without executing."""
     from repro.cli import main
@@ -194,7 +194,7 @@ def test_local_and_served_runs_share_one_store(tmp_path):
     spec = {"experiment": "msgrate",
             "params": {"mode": ["everywhere", "threads-tags"],
                        "cores": [1, 2], "msgs_per_core": [8], "seed": [0]}}
-    cli = ["sweep", "msgrate", "--modes", "everywhere", "threads-tags",
+    cli = ["msgrate", "--modes", "everywhere", "threads-tags",
            "--cores", "1", "2", "--messages", "8", "--checkpoint-dir"]
 
     local = str(tmp_path / "local")

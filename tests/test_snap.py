@@ -572,8 +572,8 @@ def test_point_store_ignores_corrupt_checkpoint(tmp_path):
 
 
 def test_sweep_resume_rows_byte_identical(tmp_path, capsys):
-    args = ["sweep", "msgrate", "--modes", "everywhere", "--cores", "1",
-            "2", "--messages", "8", "--checkpoint-dir", str(tmp_path / "ck")]
+    args = ["msgrate", "--modes", "everywhere", "--cores", "1", "2",
+            "--messages", "8", "--checkpoint-dir", str(tmp_path / "ck")]
     csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--csv", str(csv_a)]) == 0
     cold = capsys.readouterr().out.split("[")[0]

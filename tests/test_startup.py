@@ -46,7 +46,7 @@ NOT_IN_FIG1A = ("numpy", "repro.faults", "repro.scenarios", "repro.snap",
                 "repro.mpi.persistent", "repro.netsim.topology.generators",
                 "repro.netsim.topology.routed", "repro.obs.chrome",
                 "repro.obs.report", "repro.bench.report",
-                "repro.bench.sweep", "repro.netsim.traffic")
+                "repro.netsim.traffic")
 
 
 def _python(code: str, *args: str) -> str:
