@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from ...errors import MpiUsageError
-from ...mpi.coll import SUM, ThreadTeamBcast, ThreadTeamReduce
+from ...mpi.coll import SUM, ThreadTeamReduce
 from ...sim.sync import Barrier
 from ..channels import open_channels
 from ..harness import run_app
@@ -119,7 +119,10 @@ def run_vasp(cfg: VaspConfig, **env: Any) -> VaspResult:
     def proc_main(proc):
         contribs = [_contribution(cfg, proc.rank, tid) for tid in range(T)]
         team_reduce = ThreadTeamReduce(proc, T, SUM)
-        team_bcast = ThreadTeamBcast(proc, T, copy=False)
+        # The threads read thread 0's result in place (no duplication,
+        # Lesson 19): publishing it is two waits on a team barrier.
+        bcast_barrier = Barrier(proc.sim, T,
+                                per_entry_cost=proc.world.cfg.cpu.lock_acquire)
         barrier = Barrier(proc.sim, T)
         mechanism, prefix = _HANDLES[cfg.mechanism]
         channels = yield from open_channels(proc, mechanism, T,
@@ -139,7 +142,8 @@ def run_vasp(cfg: VaspConfig, **env: Any) -> VaspResult:
                 out = np.zeros(cfg.elems)
                 yield from channels.handle(tid).Allreduce(work, out)
                 result[:] = out
-            yield from team_bcast.bcast(tid, work)
+            yield from bcast_barrier.wait()
+            yield from bcast_barrier.wait()
 
         def segmented(tid, work):
             # Lesson 18: intranode portion is the user's problem (or, for

@@ -1,16 +1,17 @@
-"""Collective communication: algorithms, operators, and the user-driven
-intranode helpers of Lesson 18."""
+"""Collective communication: schedules and their executor, operators,
+and the user-driven intranode helper of Lesson 18."""
 
 from .algorithms import (
-    allreduce_recursive_doubling,
-    allreduce_ring,
-    barrier_dissemination,
+    allreduce,
+    dissemination_rounds,
+    recursive_doubling_rounds,
+    ring_rounds,
+    run_schedule,
 )
-from .hierarchical import ThreadTeamBcast, ThreadTeamReduce
+from .hierarchical import ThreadTeamReduce
 from .ops import SUM, Op
 
 __all__ = [
-    "SUM", "Op", "ThreadTeamBcast", "ThreadTeamReduce",
-    "allreduce_recursive_doubling", "allreduce_ring",
-    "barrier_dissemination",
+    "SUM", "Op", "ThreadTeamReduce", "allreduce", "dissemination_rounds",
+    "recursive_doubling_rounds", "ring_rounds", "run_schedule",
 ]

@@ -1,23 +1,33 @@
-"""Collective algorithms, implemented over the simulated point-to-point
-layer.
+"""Collective algorithms as schedules, and the one executor that runs them.
 
-Every algorithm is a generator run by *each participating rank* (the usual
-SPMD convention). Internal traffic uses the communicator's collective
-context id (``comm.coll_context_id``) and round-number tags, so it can
-never interfere with user point-to-point matching.
+A schedule is a pure function of the member count ``n``, the caller's
+place ``me`` among them and the element count ``size`` of the work
+buffer: it returns that member's list of :class:`Round` values, so who
+sends what to whom in which round can be read without running a World.
+:func:`run_schedule` runs any schedule on a communicator, one rank at a
+time (the usual SPMD convention). Internal traffic uses the
+communicator's collective context id (``comm.coll_context_id``) and the
+rounds' tags, so it can never interfere with user point-to-point
+matching.
 
-Algorithms follow the classic implementations (Chan et al. 2007, MPICH):
+The schedules follow the classic implementations (Chan et al. 2007,
+MPICH):
 
 - barrier: dissemination (``ceil(log2 n)`` rounds);
 - allreduce: recursive doubling with non-power-of-two fold-in, and a
   ring (reduce-scatter + allgather) for large payloads.
 
-Local reduction work is charged at ``cpu.reduce_per_byte``.
+Local reduction work is charged at ``cpu.reduce_per_byte``. Recursive
+doubling charges every combine, a zero-byte one with a zero-cost sleep
+(one kernel step), so an endpoint left an empty segment takes every step;
+the ring skips a zero-cost charge. Each reduce round carries its rule
+(``charge_zero``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, NamedTuple, \
+    Optional, Sequence
 
 import numpy as np
 
@@ -28,122 +38,120 @@ from .ops import Op
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm import Communicator
+    from ..request import Request
 
 __all__ = [
-    "allreduce_recursive_doubling",
-    "allreduce_ring",
-    "barrier_dissemination",
-    "recursive_doubling",
+    "NO_DATA", "Round", "allreduce", "dissemination_rounds",
+    "recursive_doubling_rounds", "ring_rounds", "run_schedule",
 ]
 
-_EMPTY = np.zeros(0, dtype=np.uint8)
+#: The work buffer of a schedule that moves no data (the barrier).
+NO_DATA = np.zeros(0, dtype=np.uint8)
+
+#: Segment ``[lo, hi)`` of the work buffer.
+Segment = tuple[int, int]
 
 
-def _sendrecv(comm: "Communicator", sendbuf, dest, recvbuf, source, tag, ctx
-              ) -> Generator:
-    """Simultaneous exchange with (possibly different) peers."""
-    rreq = yield from comm.Irecv(recvbuf, source, tag, _context_id=ctx)
-    sreq = yield from comm.Isend(sendbuf, dest, tag, _context_id=ctx)
-    yield from waitall([rreq, sreq])
+class Round(NamedTuple):
+    """One round of a member's schedule.
+
+    Receive ``recv_seg`` from member ``src`` while sending ``send_seg``
+    to member ``dst`` (either leg may be ``None``), both with ``tag``;
+    then ``combine`` what arrived: ``"reduce"`` it into the work buffer,
+    ``"copy"`` it there, or ``"land"`` — it was received in place.
+    """
+
+    src: Optional[int]
+    dst: Optional[int]
+    tag: int
+    recv_seg: Segment
+    send_seg: Segment
+    combine: str = "land"
+    #: Charge a reduce that costs nothing (one zero-cost kernel step).
+    charge_zero: bool = False
 
 
-def _charge_reduce(comm: "Communicator", nbytes: int) -> Generator:
-    cost = comm.lib.cpu.reduce_per_byte * nbytes
-    if cost > 0:
-        yield cost
+def run_schedule(comm: "Communicator", rounds: Sequence[Round],
+                 work: np.ndarray, op: Op,
+                 peers: Optional[Sequence[int]] = None
+                 ) -> Generator[Any, Any, None]:
+    """Run this rank's ``rounds`` on ``comm``, combining into ``work``.
 
-
-def barrier_dissemination(comm: "Communicator") -> Generator:
-    """Dissemination barrier: round k exchanges with ranks +/- 2^k."""
-    n, rank = comm.size, comm.rank
+    ``peers[m]`` is the communicator rank of schedule member ``m``
+    (default: the member is the rank). Each round posts its receive,
+    then its send, waits for both, then combines. A reduce or copy
+    round receives into one scratch buffer of ``work``'s dtype, a land
+    round into ``work`` itself.
+    """
+    if peers is None:
+        peers = range(comm.size)
     ctx = comm.coll_context_id
-    if n == 1:
-        return
-    k = 0
+    cost_per_byte = comm.lib.cpu.reduce_per_byte
+    scratch = np.zeros(max((r.recv_seg[1] - r.recv_seg[0] for r in rounds
+                            if r.combine != "land"), default=0),
+                       dtype=work.dtype)
+    for src, dst, tag, (lo, hi), (slo, shi), combine, charge_zero in rounds:
+        reqs: list[Request] = []
+        if src is not None:
+            into = scratch if combine != "land" else work[lo:hi]
+            reqs.append((yield from comm.Irecv(
+                into, peers[src], tag, count=hi - lo, _context_id=ctx)))
+        if dst is not None:
+            reqs.append((yield from comm.Isend(
+                work[slo:shi], peers[dst], tag, _context_id=ctx)))
+        yield from waitall(reqs)
+        if combine == "reduce":
+            op.apply(work[lo:hi], scratch[:hi - lo])
+            cost = cost_per_byte * work[lo:hi].nbytes
+            if cost > 0 or charge_zero:
+                yield cost
+        elif combine == "copy":
+            work[lo:hi] = scratch[:hi - lo]
+
+
+def dissemination_rounds(n: int, me: int) -> list[Round]:
+    """Dissemination barrier: round k exchanges with members +/- 2^k."""
+    rounds: list[Round] = []
     dist = 1
     while dist < n:
-        dst = (rank + dist) % n
-        src = (rank - dist) % n
-        yield from _sendrecv(comm, _EMPTY, dst, _EMPTY, src, tag=k, ctx=ctx)
+        rounds.append(Round((me - dist) % n, (me + dist) % n, len(rounds),
+                            (0, 0), (0, 0)))
         dist <<= 1
-        k += 1
+    return rounds
 
 
-def allreduce_recursive_doubling(comm: "Communicator", sendbuf: np.ndarray,
-                                 recvbuf: np.ndarray, op: Op) -> Generator:
-    """Recursive-doubling allreduce with fold-in for non-powers-of-two."""
-    send_flat = check_buffer(sendbuf)
-    recv_flat = check_buffer(recvbuf)
-    if recv_flat.size < send_flat.size:
-        raise MpiUsageError("allreduce recvbuf smaller than sendbuf")
-    acc = send_flat.copy()
-    yield from recursive_doubling(comm, acc, op, range(comm.size), comm.rank)
-    recv_flat[: acc.size] = acc
+def recursive_doubling_rounds(n: int, me: int, size: int) -> list[Round]:
+    """Recursive-doubling allreduce with fold-in for non-powers-of-two.
 
-
-def recursive_doubling(comm: "Communicator", acc: np.ndarray, op: Op,
-                       peers: Sequence[int], me: int) -> Generator:
-    """Allreduce ``acc`` in place among the ranks ``peers`` of ``comm``.
-
-    The caller is ``peers[me]`` and every member passes the same list: the
-    whole communicator for the flat allreduce, one endpoint per process
-    for a segment of the endpoint one (:mod:`.endpoint_coll`). Every
-    combine is charged, a zero-byte one with a zero-cost timeout — an
-    endpoint left an empty segment still takes every kernel step.
+    The first ``2 * rem`` members fold pairwise (even into odd) down to a
+    power of two, the survivors exchange and reduce with partners at
+    distance 1, 2, 4, ..., and the odd members hand the result back.
     """
-    n = len(peers)
-    ctx = comm.coll_context_id
-    cpu = comm.lib.cpu
-    tmp = np.zeros_like(acc)
-
-    pof2 = 1
-    while pof2 * 2 <= n:
-        pof2 *= 2
+    whole = (0, size)
+    pof2 = 1 << (n.bit_length() - 1)
     rem = n - pof2
-
-    # Fold the first 2*rem members down to rem.
-    if me < 2 * rem:
-        if me % 2 == 0:
-            sreq = yield from comm.Isend(acc, peers[me + 1], tag=0,
-                                         _context_id=ctx)
-            yield from sreq.wait()
-            newrank = -1
-        else:
-            rreq = yield from comm.Irecv(tmp, peers[me - 1], tag=0,
-                                         _context_id=ctx)
-            yield from rreq.wait()
-            op.apply(acc, tmp)
-            yield cpu.reduce_per_byte * acc.nbytes
-            newrank = me // 2
+    rounds: list[Round] = []
+    if me < 2 * rem and me % 2 == 0:
+        rounds.append(Round(None, me + 1, 0, whole, whole))
     else:
-        newrank = me - rem
-
-    if newrank != -1:
+        if me < 2 * rem:
+            rounds.append(Round(me - 1, None, 0, whole, whole, "reduce", True))
+        newrank = me // 2 if me < 2 * rem else me - rem
         mask = 1
         while mask < pof2:
             partner_new = newrank ^ mask
-            partner = peers[partner_new * 2 + 1 if partner_new < rem
-                            else partner_new + rem]
-            yield from _sendrecv(comm, acc, partner, tmp, partner,
-                                 tag=mask, ctx=ctx)
-            op.apply(acc, tmp)
-            yield cpu.reduce_per_byte * acc.nbytes
+            partner = partner_new * 2 + 1 if partner_new < rem \
+                else partner_new + rem
+            rounds.append(Round(partner, partner, mask, whole, whole,
+                                "reduce", True))
             mask <<= 1
-
-    # Unfold: odd members hand the result back to their even neighbours.
     if me < 2 * rem:
-        if me % 2:
-            sreq = yield from comm.Isend(acc, peers[me - 1], tag=1,
-                                         _context_id=ctx)
-            yield from sreq.wait()
-        else:
-            rreq = yield from comm.Irecv(acc, peers[me + 1], tag=1,
-                                         _context_id=ctx)
-            yield from rreq.wait()
+        rounds.append(Round(me + 1, None, 1, whole, whole) if me % 2 == 0
+                      else Round(None, me - 1, 1, whole, whole))
+    return rounds
 
 
-def allreduce_ring(comm: "Communicator", sendbuf: np.ndarray,
-                   recvbuf: np.ndarray, op: Op) -> Generator:
+def ring_rounds(n: int, me: int, size: int) -> list[Round]:
     """Ring allreduce: reduce-scatter ring + allgather ring.
 
     Bandwidth-optimal for large messages (each rank moves ~2x the data
@@ -152,47 +160,31 @@ def allreduce_ring(comm: "Communicator", sendbuf: np.ndarray,
     stacks popularized; MPI libraries switch to it beyond a size
     threshold, as :meth:`Communicator.Allreduce` does here.
     """
-    n, rank = comm.size, comm.rank
-    ctx = comm.coll_context_id
+    bounds = np.linspace(0, size, n + 1).astype(int)
+
+    def seg(i: int) -> Segment:
+        i %= n
+        return int(bounds[i]), int(bounds[i + 1])
+
+    left, right = (me - 1) % n, (me + 1) % n
+    # Reduce-scatter: after step s, member m holds the partial reduction
+    # of segment (m - s - 1) over s+2 contributions; then allgather.
+    return [Round(left, right, s, seg(me - s - 1), seg(me - s), "reduce")
+            for s in range(n - 1)] \
+        + [Round(left, right, 100 + s, seg(me - s), seg(me - s + 1), "copy")
+           for s in range(n - 1)]
+
+
+def allreduce(comm: "Communicator", sendbuf: np.ndarray,
+              recvbuf: np.ndarray, op: Op,
+              schedule: Callable[[int, int, int], list[Round]]
+              = recursive_doubling_rounds) -> Generator[Any, Any, None]:
+    """Allreduce over every rank of ``comm`` by ``schedule``."""
     send_flat = check_buffer(sendbuf)
     recv_flat = check_buffer(recvbuf)
     if recv_flat.size < send_flat.size:
         raise MpiUsageError("allreduce recvbuf smaller than sendbuf")
-    if n == 1:
-        recv_flat[: send_flat.size] = send_flat
-        return
     work = send_flat.copy()
-    total = work.size
-    bounds = np.linspace(0, total, n + 1).astype(int)
-
-    def seg(i):
-        i %= n
-        return work[bounds[i]:bounds[i + 1]]
-
-    right = (rank + 1) % n
-    left = (rank - 1) % n
-    tmp = np.zeros(int(np.max(np.diff(bounds))))
-
-    def shift(out: np.ndarray, into: np.ndarray, tag: int) -> Generator:
-        """Pass ``out`` to the right while ``into``'s worth of elements
-        arrives from the left in ``tmp``."""
-        rreq = yield from comm.Irecv(tmp, left, tag=tag, count=into.size,
-                                     _context_id=ctx)
-        sreq = yield from comm.Isend(np.ascontiguousarray(out), right,
-                                     tag=tag, _context_id=ctx)
-        yield from waitall([rreq, sreq])
-
-    # Phase 1: reduce-scatter around the ring. After step s, rank r holds
-    # the partial reduction of segment (r - s) over s+1 contributions.
-    for step in range(n - 1):
-        into = seg(rank - step - 1)
-        yield from shift(seg(rank - step), into, step)
-        op.apply(into, tmp[:into.size])
-        yield from _charge_reduce(comm, into.nbytes)
-
-    # Phase 2: allgather the fully reduced segments around the ring.
-    for step in range(n - 1):
-        into = seg(rank - step)
-        yield from shift(seg(rank - step + 1), into, 100 + step)
-        into[:] = tmp[:into.size]
-    recv_flat[:total] = work
+    yield from run_schedule(comm, schedule(comm.size, comm.rank, work.size),
+                            work, op)
+    recv_flat[:work.size] = work

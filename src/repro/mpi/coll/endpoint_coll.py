@@ -11,9 +11,10 @@ This module is that library-side implementation for ``Allreduce``:
    contributions into a per-process staging buffer through shared memory
    (serialized by a combine lock: a real contention point, charged);
 2. **internode segmented exchange** — each local endpoint owns one
-   segment of the staging buffer and runs a recursive-doubling allreduce
-   of that segment *across processes*, on its own VCI — the endpoint
-   version of VASP's parallel segmented allreduce;
+   segment of the staging buffer and runs the recursive-doubling
+   schedule over that segment *across processes* (one member per
+   process), on its own VCI — the endpoint version of VASP's parallel
+   segmented allreduce;
 3. **intranode fan-out** — every endpoint copies the full result into its
    own receive buffer. This is Lesson 19's duplication: one full result
    copy per endpoint, unavoidable with the endpoint interface.
@@ -28,9 +29,9 @@ from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
-from ...sim.sync import Gate
+from ...sim.sync import Barrier
 from ..datatypes import check_buffer
-from .algorithms import allreduce_recursive_doubling, recursive_doubling
+from .algorithms import allreduce, recursive_doubling_rounds, run_schedule
 from .ops import Op
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,41 +42,15 @@ __all__ = ["endpoint_allreduce"]
 
 
 class _NodePhase:
-    """Reusable rendezvous for the endpoints of one process.
-
-    Keyed by (context id); generation counters keep repeated collectives
-    separated, like a cyclic barrier.
-    """
+    """What the endpoints of one process share in their collectives on one
+    communicator (``MpiLibrary.node_phases``, by context id)."""
 
     def __init__(self, sim: "Simulator", parties: int) -> None:
-        self.sim = sim
-        self.parties = parties
+        self.barrier = Barrier(sim, parties)
         #: The process's combined buffer, published by local endpoint 0.
         self.staging = np.zeros(0)
         #: Per-round scratch registry: local endpoint index -> work buffer.
         self.slots: dict[int, np.ndarray] = {}
-        self._arrived = 0
-        self._gate = Gate(sim)
-
-    def arrive(self) -> Generator[Any, Any, None]:
-        """Cyclic barrier across the process's endpoints."""
-        self._arrived += 1
-        if self._arrived == self.parties:
-            self._arrived = 0
-            gate, self._gate = self._gate, Gate(self.sim)
-            gate.open()
-        else:
-            yield from self._gate.wait()
-
-
-def _node_state(lib: Any, context_id: int, parties: int) -> _NodePhase:
-    states = getattr(lib, "_ep_coll_states", None)
-    if states is None:
-        states = lib._ep_coll_states = {}
-    st = states.get(context_id)
-    if st is None:
-        st = states[context_id] = _NodePhase(lib.sim, parties)
-    return st
 
 
 def endpoint_allreduce(ep: "Endpoint", sendbuf: np.ndarray,
@@ -95,10 +70,12 @@ def endpoint_allreduce(ep: "Endpoint", sendbuf: np.ndarray,
     P = len(procs)
 
     if len(set(counts.values())) != 1 or local_T < 1:
-        yield from allreduce_recursive_doubling(ep, sendbuf, recvbuf, op)
+        yield from allreduce(ep, sendbuf, recvbuf, op)
         return
 
-    st = _node_state(lib, ep.context_id, local_T)
+    st = lib.node_phases.get(ep.context_id)
+    if st is None:
+        st = lib.node_phases[ep.context_id] = _NodePhase(lib.sim, local_T)
     li = ep.local_index
     n = send_flat.size
 
@@ -108,7 +85,7 @@ def endpoint_allreduce(ep: "Endpoint", sendbuf: np.ndarray,
     work = send_flat.copy()
     yield cpu.shm_copy_base + send_flat.nbytes / cpu.shm_bandwidth
     st.slots[li] = work
-    yield from st.arrive()
+    yield from st.barrier.wait()
     stride = 1
     while stride < local_T:
         if li % (2 * stride) == 0 and li + stride < local_T:
@@ -117,23 +94,24 @@ def endpoint_allreduce(ep: "Endpoint", sendbuf: np.ndarray,
                    + cpu.reduce_per_byte * other.nbytes)
             op.apply(work, other)
         stride *= 2
-        yield from st.arrive()
+        yield from st.barrier.wait()
     if li == 0:
         st.staging = work
-    yield from st.arrive()
+    yield from st.barrier.wait()
 
     # ---- phase 2: internode segmented recursive doubling ---------------
     # Local endpoint ``li`` of every process reduces segment ``li`` of the
     # staging buffers in place, on its own VCI.
     if P > 1:
         bounds = np.linspace(0, n, local_T + 1).astype(int)
-        yield from recursive_doubling(
-            ep, st.staging[int(bounds[li]):int(bounds[li + 1])], op,
-            [pidx * local_T + li for pidx in range(P)],
-            procs.index(lib.rank))
-        yield from st.arrive()
+        segment = st.staging[int(bounds[li]):int(bounds[li + 1])]
+        yield from run_schedule(
+            ep, recursive_doubling_rounds(P, procs.index(lib.rank),
+                                          segment.size), segment, op,
+            peers=[pidx * local_T + li for pidx in range(P)])
+        yield from st.barrier.wait()
 
     # ---- phase 3: per-endpoint result copy (Lesson 19 duplication) -----
     yield cpu.shm_copy_base + st.staging[:n].nbytes / cpu.shm_bandwidth
     recv_flat[:n] = st.staging[:n]
-    yield from st.arrive()
+    yield from st.barrier.wait()

@@ -16,7 +16,7 @@ trivial task").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .ops import Op
 if TYPE_CHECKING:  # pragma: no cover
     from ...runtime.world import MpiProcess
 
-__all__ = ["ThreadTeamReduce", "ThreadTeamBcast"]
+__all__ = ["ThreadTeamReduce"]
 
 
 class ThreadTeamReduce:
@@ -67,32 +67,3 @@ class ThreadTeamReduce:
             stride *= 2
         yield from self._barrier.wait()
 
-
-class ThreadTeamBcast:
-    """Broadcast thread 0's buffer to all threads of a process.
-
-    Models the read-side of a hand-rolled intranode collective: after a
-    barrier, every non-root thread copies the root buffer through shared
-    memory (or, if ``copy=False``, merely reads it in place — the
-    no-duplication advantage of existing mechanisms in Lesson 19).
-    """
-
-    def __init__(self, proc: "MpiProcess", nthreads: int, copy: bool = True):
-        self.proc = proc
-        self.nthreads = nthreads
-        self.copy = copy
-        self._barrier = Barrier(proc.sim, nthreads,
-                                per_entry_cost=proc.world.cfg.cpu.lock_acquire)
-        self._root_buf: Optional[np.ndarray] = None
-
-    def bcast(self, tid: int, buf: np.ndarray) -> Generator:
-        """Node-local broadcast: root publishes, others copy after barrier."""
-        if tid == 0:
-            self._root_buf = buf
-        yield from self._barrier.wait()
-        if tid != 0:
-            if self.copy:
-                yield self.proc.shm_exchange(self._root_buf.nbytes)
-                buf[:] = self._root_buf
-            # else: threads read the single shared buffer directly.
-        yield from self._barrier.wait()

@@ -507,9 +507,11 @@ class Communicator:
 
     def Barrier(self) -> Generator[Event, Any, None]:
         """Blocking barrier (dissemination algorithm)."""
-        from .coll import algorithms as _coll
+        from .coll import SUM, algorithms as _coll
         with self._collective("Barrier"):
-            yield from _coll.barrier_dissemination(self)
+            yield from _coll.run_schedule(
+                self, _coll.dissemination_rounds(self.size, self.rank),
+                _coll.NO_DATA, SUM)
 
     #: Allreduce switches from recursive doubling (latency-optimal) to a
     #: ring (bandwidth-optimal) beyond this payload size, as real MPI
@@ -527,9 +529,7 @@ class Communicator:
                 algorithm = ("ring" if self.size > 2
                              and nbytes >= self.ALLREDUCE_RING_THRESHOLD
                              else "recursive_doubling")
-            if algorithm == "ring" and self.size > 1:
-                yield from _coll.allreduce_ring(self, sendbuf, recvbuf,
-                                                op or SUM)
-            else:
-                yield from _coll.allreduce_recursive_doubling(
-                    self, sendbuf, recvbuf, op or SUM)
+            yield from _coll.allreduce(
+                self, sendbuf, recvbuf, op or SUM,
+                _coll.ring_rounds if algorithm == "ring"
+                else _coll.recursive_doubling_rounds)

@@ -35,6 +35,7 @@ from .vci import Vci, VciPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.world import World
+    from .coll.endpoint_coll import _NodePhase
     from .comm import Communicator
     from .rma.window import Window
 
@@ -77,6 +78,9 @@ class MpiLibrary:
         }
         #: Next VCI index to hand to a newly created endpoint.
         self._next_ep_vci = 0
+        #: What this process's endpoints share in an endpoint allreduce,
+        #: by the endpoints communicator's context id.
+        self.node_phases: dict[int, _NodePhase] = {}
         #: Optional :class:`repro.faults.ReliableTransport`. When set (the
         #: World does this for fault-injected runs), every inter-node
         #: message is sequenced/checksummed on send and filtered through

@@ -4,7 +4,7 @@ The orchestrator owns every piece of scheduling state the workers do
 not: the point queue, the in-flight table, the result store and the job
 journal. It is the only scheduler in the tree: ``repro serve`` feeds
 its queue to socket workers, :func:`repro.serve.run_local` (``repro
-sweep``, ``repro campaign``) to the same workers or — at one worker — to
+msgrate``, ``repro campaign``) to the same workers or — at one worker — to
 :meth:`Orchestrator.drain_inline` in the calling process. Results are
 byte-identical to :func:`~repro.serve.points.execute_point` applied to
 each point in order either way, plus:

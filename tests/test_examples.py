@@ -1,5 +1,7 @@
-"""Smoke tests: every example script runs to completion."""
+"""Smoke tests: every example script runs to completion; the collective
+examples print pinned bytes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,6 +18,15 @@ EXAMPLES = [
     "fat_tree_collectives.py",
 ]
 
+#: Script -> sha-256 of its stdout. Both print simulated time only, so the
+#: bytes repeat exactly run to run.
+STDOUT_SHA256 = {
+    "fat_tree_collectives.py":
+        "3c578c777d21ea4718f305f975e7303d38e71c8ed399b959c9b809484680e7ef",
+    "vasp_collectives.py":
+        "1dfe23c934db769cc5c7cdd30cc94cbc9230a996eec465f5cc3a84bf25778a4d",
+}
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -27,6 +38,9 @@ def test_example_runs(script):
                           text=True, timeout=300, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip(), "example produced no output"
+    if script in STDOUT_SHA256:
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == STDOUT_SHA256[script]
 
 
 def test_examples_directory_complete():

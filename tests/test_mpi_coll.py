@@ -6,7 +6,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.mpi.coll import SUM, Op, ThreadTeamBcast, ThreadTeamReduce
+from repro.mpi.coll import SUM, Op, ThreadTeamReduce
+from repro.mpi.coll.algorithms import (
+    allreduce,
+    recursive_doubling_rounds,
+    ring_rounds,
+)
 from repro.mpi.endpoints import comm_create_endpoints
 from repro.runtime import World
 
@@ -108,83 +113,67 @@ def test_thread_team_reduce_single_thread():
     assert np.allclose(buf, 5.0)
 
 
-def test_thread_team_bcast_copies():
-    world = World(num_nodes=1, procs_per_node=1)
-    proc = world.procs[0]
-    nthreads = 3
-    team = ThreadTeamBcast(proc, nthreads, copy=True)
-    bufs = [np.zeros(4) for _ in range(nthreads)]
-    bufs[0][:] = 7.0
-
-    def thread(tid):
-        yield from team.bcast(tid, bufs[tid])
-
-    world.run_all([proc.spawn(thread(t)) for t in range(nthreads)])
-    for b in bufs:
-        assert np.allclose(b, 7.0)
-
-
-def test_thread_team_bcast_nocopy_leaves_buffers():
-    world = World(num_nodes=1, procs_per_node=1)
-    proc = world.procs[0]
-    team = ThreadTeamBcast(proc, 2, copy=False)
-    bufs = [np.full(4, 7.0), np.zeros(4)]
-
-    def thread(tid):
-        yield from team.bcast(tid, bufs[tid])
-
-    world.run_all([proc.spawn(thread(t)) for t in range(2)])
-    assert np.allclose(bufs[1], 0.0)  # read-in-place semantics: no copy
-
-
 # ------------------------------------------------- ring allreduce
 
 @pytest.mark.parametrize("n,count", [(2, 10), (3, 7), (5, 100), (8, 64)])
 def test_ring_allreduce_matches_recursive_doubling(n, count):
-    from repro.mpi.coll.algorithms import (
-        allreduce_recursive_doubling,
-        allreduce_ring,
-    )
-    results = {}
-    for name, algo in (("ring", allreduce_ring),
-                       ("rd", allreduce_recursive_doubling)):
-        world = World(num_nodes=n, procs_per_node=1)
-        outs = {}
+    """Both schedules agree for float and integer buffers (an integer
+    ring once reduced through a float64 scratch buffer and crashed)."""
+    for dtype in (np.float64, np.int64, np.int32):
+        results = {}
+        for schedule in (ring_rounds, recursive_doubling_rounds):
+            world = World(num_nodes=n, procs_per_node=1)
+            outs = {}
 
-        def worker(proc):
-            out = np.zeros(count)
-            yield from algo(proc.comm_world,
-                            np.arange(count, dtype=np.float64) + proc.rank,
-                            out, SUM)
-            outs[proc.rank] = out
+            def worker(proc):
+                out = np.zeros(count, dtype=dtype)
+                yield from allreduce(
+                    proc.comm_world,
+                    np.arange(count, dtype=dtype) + proc.rank, out, SUM,
+                    schedule)
+                outs[proc.rank] = out
 
-        run_same(world, worker)
-        results[name] = outs
-    for r in range(n):
-        assert np.allclose(results["ring"][r], results["rd"][r])
+            run_same(world, worker)
+            results[schedule] = outs
+        expected = n * np.arange(count, dtype=dtype) + n * (n - 1) // 2
+        for r in range(n):
+            assert results[ring_rounds][r].dtype == dtype
+            assert np.array_equal(results[ring_rounds][r], expected)
+            assert np.array_equal(results[recursive_doubling_rounds][r],
+                                  expected)
+
+
+def test_integer_allreduce_beyond_the_ring_threshold():
+    """64 KiB of int64 on 3 ranks picks the ring, which keeps the dtype."""
+    world = World(num_nodes=3, procs_per_node=1)
+
+    def worker(proc):
+        out = np.zeros(8192, dtype=np.int64)
+        yield from proc.comm_world.Allreduce(
+            np.arange(8192, dtype=np.int64) * (proc.rank + 1), out)
+        assert np.array_equal(out, 6 * np.arange(8192, dtype=np.int64))
+
+    run_same(world, worker)
 
 
 def test_allreduce_switches_to_ring_for_large_buffers():
     """Beyond the threshold the ring's bandwidth optimality makes large
     allreduces cheaper than recursive doubling on >2 ranks."""
-    from repro.mpi.coll.algorithms import (
-        allreduce_recursive_doubling,
-        allreduce_ring,
-    )
     n, count = 8, 1 << 16  # 512 KiB
 
-    def timed(algo):
+    def timed(schedule):
         world = World(num_nodes=n, procs_per_node=1)
 
         def worker(proc):
             out = np.zeros(count)
-            yield from algo(proc.comm_world, np.ones(count), out, SUM)
+            yield from allreduce(proc.comm_world, np.ones(count), out, SUM,
+                                 schedule)
             assert np.allclose(out, n)
 
         run_same(world, worker)
         return world.now
 
-    assert timed(allreduce_ring) < timed(allreduce_recursive_doubling)
+    assert timed(ring_rounds) < timed(recursive_doubling_rounds)
 
 
 def test_small_allreduce_stays_recursive_doubling():
@@ -203,9 +192,9 @@ def test_small_allreduce_stays_recursive_doubling():
     world2 = World(num_nodes=8, procs_per_node=1)
 
     def worker2(proc):
-        from repro.mpi.coll.algorithms import allreduce_ring
         out = np.zeros(4)
-        yield from allreduce_ring(proc.comm_world, np.ones(4), out, SUM)
+        yield from allreduce(proc.comm_world, np.ones(4), out, SUM,
+                             ring_rounds)
 
     run_same(world2, worker2)
     assert small_time < world2.now
