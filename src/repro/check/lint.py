@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .rules import LINT_RULES, rule as _rule
+from .static_.model import dotted as dotted_name
 
 __all__ = ["Finding", "lint_file", "run_lint", "render_text", "render_json",
            "SIMULATED_PATH_PREFIXES"]
@@ -90,18 +91,6 @@ class Finding:
                 "severity": self.severity}
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """Render an attribute chain like ``np.random.rand`` as a dotted path."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 class _Suppressions:
     """Per-line ``# lint: ignore[...]`` directives for one file."""
 
@@ -150,7 +139,7 @@ class _FileLint(ast.NodeVisitor):
     # -- L201: host nondeterminism in simulated paths -----------------
     def visit_Call(self, node: ast.Call) -> None:
         """Flag host-nondeterminism calls (L201) and emit literals (L202)."""
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if self.in_simulated_path and dotted is not None:
             if dotted in _HOST_NONDET:
                 self.add("L201", node,

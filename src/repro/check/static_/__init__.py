@@ -25,16 +25,13 @@ from __future__ import annotations
 from .analyzer import (StaticReport, analyze_path, analyze_paths,
                        analyze_source)
 from .findings import StaticFinding
-from .model import ModuleModel, build_model
 from .sarif import to_sarif
 
 __all__ = [
     "StaticFinding",
     "StaticReport",
-    "ModuleModel",
     "analyze_path",
     "analyze_paths",
     "analyze_source",
-    "build_model",
     "to_sarif",
 ]

@@ -22,7 +22,8 @@ from typing import Any, Optional
 
 from ...mpi.info import HINT_TRUE
 from .findings import StaticFinding
-from .model import Access, FuncInfo, ModuleModel, dotted
+from .model import (Access, FuncInfo, ModuleModel, api_call, dotted,
+                    own_nodes, unwrap)
 
 __all__ = ["check_advisor"]
 
@@ -38,13 +39,12 @@ def _is_true(hints: dict[str, str], key: str) -> bool:
 
 
 def _info_hints(expr: Optional[ast.AST], model: ModuleModel,
-                scope: Optional[FuncInfo]) -> dict[str, str]:
-    """Info hints carried by an expression, best-effort."""
-    if expr is None:
-        return {}
+                scope: FuncInfo,
+                seen: frozenset[tuple[str, str]] = frozenset()
+                ) -> dict[str, str]:
+    """Info hints an expression in ``scope`` carries, best-effort."""
     if isinstance(expr, ast.Call):
-        d = dotted(expr.func) or ""
-        base = d.rsplit(".", 1)[-1]
+        base = (dotted(expr.func) or "").rsplit(".", 1)[-1]
         if base == "listing2_info":
             return {_NO_SOURCE: "true", _NO_TAG: "true"}
         if base == "overtaking_only_info":
@@ -58,99 +58,73 @@ def _info_hints(expr: Optional[ast.AST], model: ModuleModel,
                     out[str(k.value)] = str(v.value)
             return out
     if isinstance(expr, ast.Name):
-        return _var_hints(expr.id, model, scope)
+        return _var_hints(expr.id, model, scope, seen)
     return {}
 
 
-def _var_hints(name: str, model: ModuleModel,
-               scope: Optional[FuncInfo]) -> dict[str, str]:
-    """Hints accumulated on an Info variable (construction + .set)."""
+def _var_hints(name: str, model: ModuleModel, scope: FuncInfo,
+               seen: frozenset[tuple[str, str]]) -> dict[str, str]:
+    """Hints accumulated on an Info variable (construction + .set) in
+    the scope that binds it; ``seen`` holds the variables on the current
+    chain, so a cycle (``a = b; b = a``) ends."""
     hints: dict[str, str] = {}
-    body: list[ast.stmt]
-    cur = scope
-    scopes: list[Optional[FuncInfo]] = []
-    while cur is not None:
-        scopes.append(cur)
-        cur = cur.parent
-    scopes.append(None)
-    for s in scopes:
-        body = s.node.body if s is not None else model.tree.body
-        for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-            if isinstance(node, ast.Assign) \
-                    and any(isinstance(t, ast.Name) and t.id == name
-                            for t in node.targets):
-                hints.update(_info_hints(node.value, model, None))
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "set" \
-                    and isinstance(node.func.value, ast.Name) \
-                    and node.func.value.id == name \
-                    and len(node.args) >= 2 \
-                    and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[1], ast.Constant):
-                hints[str(node.args[0].value)] = str(node.args[1].value)
-        if hints:
-            break
+    where = model.defining_scope(name, scope)
+    if where is None or (where.qualname, name) in seen:
+        return hints
+    seen = seen | {(where.qualname, name)}
+    for node in own_nodes(where.node):
+        if isinstance(node, ast.Assign) \
+                and any(isinstance(t, ast.Name) and t.id == name
+                        for t in node.targets):
+            hints.update(_info_hints(node.value, model, where, seen))
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "set" \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == name \
+                and len(node.args) >= 2 \
+                and isinstance(node.args[0], ast.Constant) \
+                and isinstance(node.args[1], ast.Constant):
+            hints[str(node.args[0].value)] = str(node.args[1].value)
     return hints
 
 
 def _comm_table(model: ModuleModel) -> dict[str, dict[str, Any]]:
-    """Communicator variables created in the module: name -> metadata
-    (``hints`` dict, ``endpoint`` flag, line)."""
+    """Communicators created in the module, keyed by the scope-qualified
+    identity accesses carry (:meth:`ModuleModel.comm_identity`): display
+    name, ``hints`` dict, ``endpoint`` flag."""
     comms: dict[str, dict[str, Any]] = {}
-    for info in list(model.functions.values()):
-        _scan_comms(model, info, info.node.body, comms)
-    _scan_comms(model, None, model.tree.body, comms)
-    return comms
-
-
-def _scan_comms(model: ModuleModel, scope: Optional[FuncInfo],
-                body: list[ast.stmt],
-                comms: dict[str, dict[str, Any]]) -> None:
-    for stmt in body:
-        for node in ast.walk(stmt):
+    for scope in (model.root, *model.functions.values()):
+        for node in own_nodes(scope.node):
             if not (isinstance(node, ast.Assign)
                     and len(node.targets) == 1):
                 continue
             # Driver classes hold their communicator as ``self.comm``;
-            # accesses carry the same dotted path, so key by it.
-            tgt = node.targets[0]
-            target = tgt.id if isinstance(tgt, ast.Name) \
-                else dotted(tgt) if isinstance(tgt, ast.Attribute) \
-                else None
-            if target is None:
+            # accesses carry the same dotted path.
+            target = dotted(node.targets[0])
+            call = unwrap(node.value)
+            kind = api_call(call)[1]
+            if target is None or not isinstance(call, ast.Call) \
+                    or kind not in ("dup", "split", "endpoints"):
                 continue
-            value: ast.AST = node.value
-            if isinstance(value, (ast.Await, ast.YieldFrom)):
-                value = value.value
-            if not isinstance(value, ast.Call):
-                continue
-            fn = value.func
-            attr = fn.attr if isinstance(fn, ast.Attribute) else None
-            name = fn.id if isinstance(fn, ast.Name) else None
-            if attr == "Dup":
-                arg = value.args[0] if value.args else None
-                comms[target] = {
-                    "hints": _info_hints(arg, model, scope),
-                    "endpoint": False, "line": node.lineno}
-            elif (attr or name) in ("comm_create_endpoints",
-                                    "comm_create_rankpoints"):
-                comms[target] = {"hints": {}, "endpoint": True,
-                                 "line": node.lineno}
-            elif attr == "Split":
-                comms[target] = {"hints": {}, "endpoint": False,
-                                 "line": node.lineno}
-    return
+            hints = (_info_hints(call.args[0] if call.args else None,
+                                 model, scope) if kind == "dup" else {})
+            comms[model.comm_identity(target, scope)[0]] = {
+                "comm": target, "hints": hints,
+                "endpoint": kind == "endpoints"}
+    return comms
 
 
-def _comm_meta(comm: Optional[str],
+def _comm_meta(comm_id: Optional[str],
                comms: dict[str, dict[str, Any]]) -> dict[str, Any]:
-    if comm is None:
+    """The table entry of a communicator identity, else the entry of its
+    root name (``ep`` for ``ep.comm``)."""
+    if comm_id is None:
         return {}
-    if comm in comms:
-        return comms[comm]
-    root = comm.split(".", 1)[0]
-    return comms.get(root, {})
+    if comm_id in comms:
+        return comms[comm_id]
+    where, _, comm = comm_id.partition(":")
+    return comms.get(f"{where}:{comm.split('.', 1)[0]}", {})
 
 
 def check_advisor(model: ModuleModel) -> tuple[list[StaticFinding],
@@ -169,8 +143,7 @@ def check_advisor(model: ModuleModel) -> tuple[list[StaticFinding],
     for acc in all_accesses:
         if acc.kind != "recv":
             continue
-        meta = _comm_meta(acc.comm, comms)
-        hints = meta.get("hints", {})
+        hints = _comm_meta(acc.comm_id, comms).get("hints", {})
         for wild, hint, what in (
                 (acc.wildcard_source, _NO_SOURCE, "ANY_SOURCE"),
                 (acc.wildcard_tag, _NO_TAG, "ANY_TAG")):
@@ -185,17 +158,17 @@ def check_advisor(model: ModuleModel) -> tuple[list[StaticFinding],
                     extra={"comm": acc.comm, "hint": hint}))
 
     # -- S313: wildcard fast-path advice --------------------------------
-    wild_sites: dict[str, list[int]] = {}
+    wild_sites: dict[str, list[Access]] = {}
     for acc in all_accesses:
         if acc.kind == "recv" and (acc.wildcard_source
                                    or acc.wildcard_tag):
-            wild_sites.setdefault(acc.comm or "<unknown>",
-                                  []).append(acc.line)
-    for comm, lines in sorted(wild_sites.items()):
+            wild_sites.setdefault(acc.comm or "<unknown>", []).append(acc)
+    for comm, accs in sorted(wild_sites.items()):
         if comm in s304_comms:
             continue
-        meta = _comm_meta(comm, comms)
-        where = "a dedicated endpoint" if meta.get("endpoint") \
+        lines = [a.line for a in accs]
+        where = "a dedicated endpoint" if any(
+            _comm_meta(a.comm_id, comms).get("endpoint") for a in accs) \
             else "one dedicated receiving thread/endpoint"
         findings.append(StaticFinding(
             "S313",
@@ -223,7 +196,7 @@ def check_advisor(model: ModuleModel) -> tuple[list[StaticFinding],
                 entry["tags"].setdefault(acc.tag.value,
                                          set()).add(region.index)
 
-    for _cid, entry in sorted(multi.items()):
+    for cid, entry in sorted(multi.items()):
         comm = entry["comm"]
         concurrent_use = len(entry["regions"]) > 1 or entry["many"]
         if not concurrent_use:
@@ -240,7 +213,7 @@ def check_advisor(model: ModuleModel) -> tuple[list[StaticFinding],
                 f"map these threads to separate VCIs",
                 model.path, entry["line"], function="",
                 extra={"comm": comm, "tags": [repr(t) for t in tags]}))
-        meta = _comm_meta(comm, comms)
+        meta = _comm_meta(cid, comms)
         hints = meta.get("hints", {})
         if not entry["wild"] and not meta.get("endpoint") \
                 and not _is_true(hints, _NO_SOURCE):
@@ -258,7 +231,7 @@ def check_advisor(model: ModuleModel) -> tuple[list[StaticFinding],
 
 
 def _mechanisms(model: ModuleModel, comms: dict[str, dict[str, Any]],
-                wild_sites: dict[str, list[int]],
+                wild_sites: dict[str, list[Access]],
                 multi: dict[str, dict[str, Any]]) -> dict[str, Any]:
     """Per-mechanism verdicts: ok | blocked | in-use | candidate."""
     wildcard_free = not wild_sites
@@ -273,8 +246,8 @@ def _mechanisms(model: ModuleModel, comms: dict[str, dict[str, Any]],
                            for f in model.functions.values())
     uses_endpoints = any(meta.get("endpoint")
                          for meta in comms.values())
-    hinted = sorted(name for name, meta in comms.items()
-                    if _is_true(meta.get("hints", {}), _NO_SOURCE))
+    hinted = sorted({meta["comm"] for meta in comms.values()
+                     if _is_true(meta["hints"], _NO_SOURCE)})
 
     def verdict(status: str, *reasons: str) -> dict[str, Any]:
         return {"status": status, "reasons": list(reasons)}

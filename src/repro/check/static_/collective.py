@@ -15,10 +15,9 @@ mechanism/configuration branches.
 from __future__ import annotations
 
 import ast
-from typing import Optional
 
 from .findings import StaticFinding
-from .model import COLLECTIVES, FuncInfo, ModuleModel, dotted
+from .model import FuncInfo, ModuleModel, api_call, dotted, own_nodes
 
 __all__ = ["check_collectives"]
 
@@ -53,10 +52,11 @@ def _collective_sequence(stmts: list[ast.stmt]) -> list[str]:
     seq: list[str] = []
     for stmt in stmts:
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in COLLECTIVES:
-                seq.append(node.func.attr)
+            # Only the Call itself: api_call also sees it through a
+            # `yield from` wrapper, which the walk visits too.
+            op, kind = api_call(node)
+            if kind == "collective" and isinstance(node, ast.Call):
+                seq.append(op)
     return seq
 
 
@@ -65,8 +65,9 @@ def check_collectives(model: ModuleModel) -> list[StaticFinding]:
     out: list[StaticFinding] = []
     for info in model.functions.values():
         rank_names = _rank_names(info)
-        for node in _branches(info.node):
-            if not _is_rank_expr(node.test, rank_names):
+        for node in own_nodes(info.node):
+            if not isinstance(node, ast.If) \
+                    or not _is_rank_expr(node.test, rank_names):
                 continue
             then_seq = _collective_sequence(node.body)
             else_seq = _collective_sequence(node.orelse)
@@ -84,23 +85,6 @@ def check_collectives(model: ModuleModel) -> list[StaticFinding]:
                 function=info.qualname,
                 extra={"then": then_seq, "orelse": else_seq}))
     return out
-
-
-def _branches(func_node: ast.AST) -> list[ast.If]:
-    """Top-level-ish If nodes of one function, excluding nested defs."""
-    found: list[ast.If] = []
-
-    def walk(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda, ast.ClassDef)):
-                continue
-            if isinstance(child, ast.If):
-                found.append(child)
-            walk(child)
-
-    walk(func_node)
-    return found
 
 
 def _fmt(seq: list[str]) -> str:

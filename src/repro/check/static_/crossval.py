@@ -36,8 +36,8 @@ from typing import Any, Callable, Optional, Sequence
 from ..rules import CHK_EQUIVALENT, STATIC_FOR_DYNAMIC
 from .analyzer import analyze_path, analyze_paths
 
-__all__ = ["cross_validate", "render_crossval", "default_fixture_dir",
-           "DYNAMIC_EXEMPT"]
+__all__ = ["cross_validate", "render_crossval", "corpus_paths",
+           "default_fixture_dir", "DYNAMIC_EXEMPT"]
 
 #: Fixtures that are analyzed but never executed (and why).
 DYNAMIC_EXEMPT: dict[str, str] = {
@@ -54,6 +54,18 @@ _ABORT_ARTIFACTS = frozenset({"CHK109", "CHK110"})
 #: only, never against the dynamic checker.
 _STATIC_ONLY = frozenset(s for s, chks in CHK_EQUIVALENT.items()
                          if not chks)
+
+
+def corpus_paths(examples: str = "examples") -> list[str]:
+    """The shipped analysis corpus: every ``repro.apps`` and
+    ``repro.bench`` module, then ``examples/*.py`` (a directory relative
+    to the working directory unless given)."""
+    pkg = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    paths = sorted(glob.glob(os.path.join(pkg, "apps", "**", "*.py"),
+                             recursive=True))
+    paths += sorted(glob.glob(os.path.join(pkg, "bench", "*.py")))
+    return paths + sorted(glob.glob(os.path.join(examples, "*.py")))
 
 
 def default_fixture_dir(start: Optional[str] = None) -> Optional[str]:

@@ -34,12 +34,10 @@ call sites; non-local state is treated as unknown, never reported.
 from __future__ import annotations
 
 import ast
-from typing import Optional, Union
+from typing import Optional
 
 from .findings import StaticFinding
-from .model import (FuncInfo, ModuleModel, PARTITIONED_INIT,
-                    PERSISTENT_INIT, REQUEST_OPS, RMA_FLUSH, RMA_LOCK,
-                    RMA_OPS, START_FUNCS, WAIT_FUNCS, dotted)
+from .model import FuncInfo, ModuleModel, api_call, call_targets, unwrap
 
 __all__ = ["check_lifecycle"]
 
@@ -103,8 +101,6 @@ def check_lifecycle(model: ModuleModel) -> list[StaticFinding]:
     """Run the lifecycle interpreter over every function in the model."""
     out: list[StaticFinding] = []
     for info in model.functions.values():
-        if info.qualname == "<module>":
-            continue
         _Interp(model, info, out).run()
     out.extend(_check_epochs(model))
     return out
@@ -383,23 +379,19 @@ class _Interp:
     def request_status_of(self, value: ast.AST,
                           env: _Env) -> Optional[Status]:
         """Initial status when ``value`` creates a request/window."""
-        inner = value
-        if isinstance(inner, (ast.Await, ast.YieldFrom)):
-            inner = inner.value
+        inner = unwrap(value)
         if not isinstance(inner, ast.Call):
             return None
-        fn = inner.func
-        attr = fn.attr if isinstance(fn, ast.Attribute) else None
-        name = fn.id if isinstance(fn, ast.Name) else None
         # Arguments of the creating call never escape requests, but
         # evaluate them for nested effects.
         for arg in inner.args:
             self.eval_expr(arg, env)
-        if attr in REQUEST_OPS:
+        kind = api_call(inner)[1]
+        if kind == "request":
             return _LIVE
-        if (attr or name) in PARTITIONED_INIT | PERSISTENT_INIT:
+        if kind in ("partitioned", "persistent"):
             return _INACTIVE
-        if (attr or name) == "win_create":
+        if kind == "window":
             return _CLEAN
         callee = self.model.resolve_call(inner, self.info)
         if callee is not None and callee.returns_request:
@@ -432,19 +424,17 @@ class _Interp:
     def eval_call(self, call: ast.Call, env: _Env) -> None:
         """Apply the effect of one call site to the abstract state."""
         fn = call.func
-        attr = fn.attr if isinstance(fn, ast.Attribute) else None
-        name = fn.id if isinstance(fn, ast.Name) else None
         base = fn.value if isinstance(fn, ast.Attribute) else None
         base_name = base.id if isinstance(base, ast.Name) else None
+        op, kind = api_call(call)
 
-        if attr is not None and base_name is not None \
-                and base_name in env.vars:
-            self._request_method(call, env, base_name, attr, base)
+        if base_name is not None and base_name in env.vars:
+            self._request_method(call, env, base_name, op, kind)
             for arg in call.args:
                 self.eval_expr(arg, env)
             return
-        if attr is not None and base_name is not None \
-                and base_name in env.lists and attr == "append" \
+        if base_name is not None and base_name in env.lists \
+                and isinstance(fn, ast.Attribute) and fn.attr == "append" \
                 and call.args:
             arg = call.args[0]
             st = self.request_status_of(arg, env)
@@ -457,10 +447,10 @@ class _Interp:
             else:
                 self.eval_expr(arg, env)
             return
-        if (name or attr) in WAIT_FUNCS:
-            self._wait_funcs(call, env, name or attr or "")
+        if kind == "waitall":
+            self._wait_funcs(call, env)
             return
-        if (name or attr) in START_FUNCS:
+        if kind == "startall":
             self._start_all(call, env)
             return
         # Generic call: resolved callees consume per their summary;
@@ -483,40 +473,40 @@ class _Interp:
     # -- semantics of the modeled API -----------------------------------
 
     def _request_method(self, call: ast.Call, env: _Env, name: str,
-                        attr: str, base: ast.AST) -> None:
+                        op: str, kind: str) -> None:
         status = env.vars[name]
-        if attr == "wait":
+        if kind == "wait":
             if status == _DONE:
                 self.flag("S311", call,
                           f"request {name!r} is waited again here, but "
                           f"a completing wait already finished it on "
                           f"every path to this point", request=name)
             env.vars[name] = _DONE
-        elif attr == "test":
+        elif kind == "test":
             # test() may or may not complete; both worlds stay possible,
             # but the *responsibility* was taken: polling loops that
             # drop the request afterwards are the dynamic checker's
             # business, not a static certainty.
             env.vars[name] = status | _DONE
             env.escaped.add(name)
-        elif attr == "cancel":
+        elif kind == "cancel":
             if status == _DONE:
                 self.flag("S312", call,
                           f"cancel() on request {name!r} which a "
                           f"completing wait already finished on every "
                           f"path to this point", request=name)
             env.vars[name] = _CANCELLED | (status - _LIVE)
-        elif attr == "start":
+        elif kind == "start":
             env.vars[name] = _ACTIVE
             env.readied[name] = set()
-        elif attr in ("pready", "parrived"):
+        elif kind in ("pready", "parrived"):
             if status == _INACTIVE:
                 self.flag("S305", call,
-                          f"{attr}() on partitioned request {name!r} "
+                          f"{op}() on partitioned request {name!r} "
                           f"with no active cycle (start()/startall() "
                           f"not called on any path to this point)",
                           request=name)
-            if attr == "pready" and call.args:
+            if kind == "pready" and call.args:
                 idx = call.args[0]
                 if isinstance(idx, ast.Constant):
                     ready = env.readied.setdefault(name, set())
@@ -526,17 +516,17 @@ class _Interp:
                             f"pready({idx.value!r}) called twice on "
                             f"{name!r} within one cycle", request=name)
                     ready.add(idx.value)
-        elif attr in RMA_OPS:
+        elif kind == "rma":
             env.vars[name] = _DIRTY
-        elif attr in RMA_FLUSH:
+        elif kind == "rma-flush":
             env.vars[name] = _CLEAN
-        elif attr in RMA_LOCK:
-            env.vars[name] = env.vars[name]  # epoch pass handles Lock
+        elif kind == "rma-lock":
+            pass  # the epoch pass handles Lock
         else:
             # Unknown method on a tracked object: hands-off.
             env.escaped.add(name)
 
-    def _wait_funcs(self, call: ast.Call, env: _Env, op: str) -> None:
+    def _wait_funcs(self, call: ast.Call, env: _Env) -> None:
         if not call.args:
             return
         first = call.args[0]
@@ -563,12 +553,7 @@ class _Interp:
             env.readied.pop(name, None)
 
     def _start_all(self, call: ast.Call, env: _Env) -> None:
-        if not call.args:
-            return
-        first = call.args[0]
-        elts = (list(first.elts)
-                if isinstance(first, (ast.List, ast.Tuple)) else [first])
-        for t in elts:
+        for t in call_targets(call):
             if isinstance(t, ast.Name):
                 if t.id in env.vars:
                     env.vars[t.id] = _ACTIVE

@@ -2,8 +2,12 @@
 
 One parse of the target module produces everything the four passes need:
 
-- a **function table** (:class:`FuncInfo`) with lexical scope links, so
-  closure variables resolve to the scope that defines them;
+- the **modeled API** (:data:`API`): each recognised name mapped to its
+  kind, matched at a call site by the one function :func:`api_call`;
+- a **scope table** (:class:`FuncInfo`) with lexical links. The module
+  body is the root scope (``ModuleModel.root``) and the last link of
+  every chain, so closure and module variables resolve to the scope that
+  binds them;
 - a lexical **call graph** (``resolve_call``) over same-module functions
   (``self.meth`` resolves within the class, plain names up the scope
   chain);
@@ -25,53 +29,87 @@ identical model (the determinism property the test suite checks).
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 __all__ = [
-    "AbstractVal", "Access", "FuncInfo", "ModuleModel", "Region",
-    "build_model", "dotted",
-    "REQUEST_OPS", "PARTITIONED_INIT", "WAIT_FUNCS", "COLLECTIVES",
-    "RMA_OPS", "RMA_FLUSH", "RMA_LOCK", "BLOCKING_SENDS", "BLOCKING_RECVS",
+    "API", "AbstractVal", "Access", "FuncInfo", "ModuleModel", "Region",
+    "api_call", "build_model", "call_targets", "dotted", "own_nodes",
+    "unwrap",
 ]
 
-# -- The modeled API surface (method/function names) ---------------------
+# -- The modeled API surface ---------------------------------------------
 
-#: Communicator methods returning a request.
-REQUEST_OPS = frozenset({"Isend", "Irecv"})
+#: Every recognised name -> its kind. The passes dispatch on the kind;
+#: the kinds of modeled accesses double as :attr:`Access.kind`.
+API: dict[str, str] = {
+    "Isend": "request", "Irecv": "request",
+    "psend_init": "partitioned", "precv_init": "partitioned",
+    "send_init": "persistent", "recv_init": "persistent",
+    "Send": "blocking", "Recv": "blocking",
+    "wait": "wait", "test": "test", "cancel": "cancel", "start": "start",
+    "pready": "pready", "parrived": "parrived", "Test": "Test",
+    "waitall": "waitall", "startall": "startall",
+    "Barrier": "collective", "Allreduce": "collective",
+    "Put": "rma", "Get": "rma", "Accumulate": "rma",
+    "Flush": "rma-flush", "Flush_all": "rma-flush", "Unlock": "rma-flush",
+    "Lock": "rma-lock",
+    "acquire": "lock-acquire", "release": "lock-release",
+    "spawn": "spawn", "all_of": "join", "run_all": "join",
+    "win_create": "window", "Dup": "dup", "Split": "split",
+    "comm_create_endpoints": "endpoints",
+    "comm_create_rankpoints": "endpoints",
+}
 
-#: Module-level helpers returning a partitioned/persistent request.
-PARTITIONED_INIT = frozenset({"psend_init", "precv_init"})
-PERSISTENT_INIT = frozenset({"send_init", "recv_init"})
+#: Names that match as a bare call ``name(...)`` as well as
+#: ``expr.name(...)``; every other API name matches only as a method.
+FUNCTIONS = frozenset({
+    "psend_init", "precv_init", "send_init", "recv_init", "waitall",
+    "startall", "all_of", "run_all", "win_create",
+    "comm_create_endpoints", "comm_create_rankpoints"})
 
-#: Request methods that complete (or may complete) the request.
-REQ_WAIT_METHODS = frozenset({"wait", "test"})
-REQ_CANCEL_METHODS = frozenset({"cancel"})
+#: Kinds whose call hands a request back.
+REQUEST_KINDS = ("request", "partitioned", "persistent")
 
-#: Free functions completing every request in their first argument.
-WAIT_FUNCS = frozenset({"waitall"})
-START_FUNCS = frozenset({"startall"})
-
-BLOCKING_SENDS = frozenset({"Send"})
-BLOCKING_RECVS = frozenset({"Recv"})
-
-#: Blocking collectives (communicator methods).
-COLLECTIVES = frozenset({"Barrier", "Allreduce"})
-
-RMA_OPS = frozenset({"Put", "Get", "Accumulate"})
-RMA_ATOMIC = frozenset({"Accumulate"})
-RMA_FLUSH = frozenset({"Flush", "Flush_all", "Unlock"})
-RMA_LOCK = frozenset({"Lock"})
-
-JOIN_NAMES = frozenset({"all_of", "run_all"})
-SPAWN_NAMES = frozenset({"spawn"})
 WILDCARDS = frozenset({"ANY_SOURCE", "ANY_TAG"})
 
-LOCK_ACQUIRE = frozenset({"acquire"})
-LOCK_RELEASE = frozenset({"release"})
+
+def unwrap(node: Optional[ast.AST]) -> Optional[ast.AST]:
+    """The operand of ``yield from``/``await``; any other node itself."""
+    if isinstance(node, (ast.Await, ast.YieldFrom)):
+        return node.value
+    return node
 
 
-def dotted(node: ast.AST) -> Optional[str]:
+def api_call(node: Optional[ast.AST]) -> tuple[str, str]:
+    """``(name, kind)`` of the modeled API call ``node`` makes, looking
+    through ``yield from``/``await``; ``("", "")`` when it makes none."""
+    node = unwrap(node)
+    if not isinstance(node, ast.Call):
+        return "", ""
+    fn = node.func
+    if isinstance(fn, ast.Attribute):
+        name = fn.attr
+    elif isinstance(fn, ast.Name) and fn.id in FUNCTIONS:
+        name = fn.id
+    else:
+        return "", ""
+    kind = API.get(name)
+    return (name, kind) if kind is not None else ("", "")
+
+
+def call_targets(call: ast.Call) -> list[ast.expr]:
+    """The requests a ``waitall``/``startall`` call names: its first
+    argument when that is a name, else the elements of that list/tuple
+    literal."""
+    first = call.args[0] if call.args else None
+    if isinstance(first, (ast.List, ast.Tuple)):
+        return list(first.elts)
+    return [first] if isinstance(first, ast.Name) else []
+
+
+def dotted(node: Optional[ast.AST]) -> Optional[str]:
     """Render an attribute/name chain as a dotted path (else ``None``)."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -103,22 +141,23 @@ CONST_UNKNOWN = AbstractVal("unknown")
 CONST_THREADDEP = AbstractVal("threaddep")
 
 
-# -- Function table ------------------------------------------------------
+# -- Scope table ---------------------------------------------------------
 
-FuncNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+ScopeNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Module]
+_FRAMES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 @dataclass
 class FuncInfo:
-    """One function/method definition with its lexical scope links."""
+    """One scope: a function/method definition, or the module body (the
+    root, ``<module>``), with its lexical scope links."""
 
-    name: str
     qualname: str
-    node: FuncNode
-    parent: Optional["FuncInfo"]
+    node: ScopeNode
+    parent: Optional["FuncInfo"]      # None only for the root
     class_name: Optional[str]
     params: tuple[str, ...]
-    #: Names bound by assignment/for/with targets inside this function.
+    #: Names bound by assignment/for/with targets inside this scope.
     locals_: set[str] = field(default_factory=set)
     #: Nested function definitions visible by name from this scope.
     defs: dict[str, "FuncInfo"] = field(default_factory=dict)
@@ -134,8 +173,26 @@ class FuncInfo:
     #: waitall) on some path, directly or through one callee level.
     waits_params: set[int] = field(default_factory=set)
 
+    def chain(self) -> Iterator["FuncInfo"]:
+        """This scope, then each enclosing one, ending at the root."""
+        cur: Optional[FuncInfo] = self
+        while cur is not None:
+            yield cur
+            cur = cur.parent
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FuncInfo {self.qualname}>"
+
+
+def own_nodes(node: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` order over ``node``, not entering nested function or
+    class definitions (they run in frames of their own)."""
+    todo = deque([node])
+    while todo:
+        cur = todo.popleft()
+        todo.extend(child for child in ast.iter_child_nodes(cur)
+                    if not isinstance(child, _FRAMES))
+        yield cur
 
 
 @dataclass(frozen=True)
@@ -159,7 +216,7 @@ class Access:
     kind: str            # wait|test|cancel|send|recv|collective|rma
     #                    # |lock-acquire|lock-release|pready|parrived
     node: ast.AST
-    func: "FuncInfo"     # lexical function containing the access
+    func: FuncInfo       # lexical scope containing the access
     obj: Optional[SharedKey] = None   # request/lock/window identity
     comm: Optional[str] = None        # dotted comm expression (display)
     #: Scope-qualified comm identity: equal ids mean provably the same
@@ -192,19 +249,13 @@ class Region:
     whose body runs as the simulated thread."""
 
     func: FuncInfo
-    spawner: Optional[FuncInfo]       # None: spawned at module level
-    spawn_node: ast.AST
+    spawner: FuncInfo                 # the scope holding the spawn site
     index: int                        # ordinal among the module's regions
     many: bool                        # spawned in a loop/comprehension
     start_pos: int                    # traversal position of the spawn
     end_pos: int                      # position of the closing join (or
     #                                 # a sentinel past the function end)
-    spawn_base: Optional[str]         # dotted spawner object (proc, sim)
     accesses: list[Access] = field(default_factory=list)
-
-    @property
-    def line(self) -> int:
-        return getattr(self.spawn_node, "lineno", 1)
 
     def concurrent_with(self, other: "Region") -> bool:
         """Whether instances of ``self`` and ``other`` can be live at the
@@ -233,77 +284,74 @@ class ModuleModel:
     def __init__(self, tree: ast.Module, path: str):
         self.tree = tree
         self.path = path
+        #: The module body: the root scope, never one of ``functions``.
+        self.root = FuncInfo("<module>", tree, None, None, ())
         self.functions: dict[str, FuncInfo] = {}
-        self.by_node: dict[int, FuncInfo] = {}
-        #: Module-level defs visible from everywhere.
-        self.module_defs: dict[str, FuncInfo] = {}
-        self.module_consts: dict[str, object] = {}
-        self.module_locals: set[str] = set()
         self.regions: list[Region] = []
         #: SharedKeys known to hold requests (assigned from request ops).
         self.request_keys: set[SharedKey] = set()
         #: Per-scope linear access lists (scope qualname -> positioned
-        #: accesses); ``None`` keys the module body.
-        self.spawner_accesses: dict[Optional[str],
-                                    list[tuple[int, Access]]] = {}
-        _Builder(self).build()
+        #: accesses), the module body first.
+        self.spawner_accesses: dict[str, list[tuple[int, Access]]] = {}
+        _Builder(self).visit(tree)
         _summarize(self)
         _find_regions(self)
 
     # -- scope/lookup helpers -------------------------------------------
 
     def resolve_call(self, call: ast.Call,
-                     scope: Optional[FuncInfo]) -> Optional[FuncInfo]:
+                     scope: FuncInfo) -> Optional[FuncInfo]:
         """Resolve a call expression to a same-module function, walking
         the lexical scope chain (``self.meth`` resolves in-class)."""
         fn = call.func
         if isinstance(fn, ast.Name):
-            cur = scope
-            while cur is not None:
-                if fn.id in cur.defs:
-                    return cur.defs[fn.id]
-                cur = cur.parent
-            return self.module_defs.get(fn.id)
+            return next((cur.defs[fn.id] for cur in scope.chain()
+                         if fn.id in cur.defs), None)
         if isinstance(fn, ast.Attribute) and \
                 isinstance(fn.value, ast.Name) and fn.value.id == "self" \
-                and scope is not None and scope.class_name is not None:
+                and scope.class_name is not None:
             return self.functions.get(f"{scope.class_name}.{fn.attr}")
         return None
 
     def defining_scope(self, name: str,
-                       scope: Optional[FuncInfo]) -> Optional[str]:
-        """Qualname of the scope that binds ``name`` (or ``<module>``)."""
-        cur = scope
-        while cur is not None:
-            if name in cur.params or name in cur.locals_ \
-                    or name in cur.defs:
-                return cur.qualname
-            cur = cur.parent
-        if name in self.module_locals or name in self.module_defs:
-            return "<module>"
-        return None
+                       scope: FuncInfo) -> Optional[FuncInfo]:
+        """The scope on ``scope``'s chain that binds ``name``, if any."""
+        return next((cur for cur in scope.chain()
+                     if name in cur.params or name in cur.locals_
+                     or name in cur.defs), None)
 
-    def shared_key(self, expr: ast.AST,
-                   scope: Optional[FuncInfo]) -> Optional[SharedKey]:
+    def shared_key(self, expr: Optional[ast.AST],
+                   scope: FuncInfo) -> Optional[SharedKey]:
         """Identity of ``expr`` as a cross-scope variable, when it has
         one: a plain name (keyed by defining scope) or ``self.attr``."""
         if isinstance(expr, ast.Name):
             where = self.defining_scope(expr.id, scope)
-            if where is None:
-                return None
-            return SharedKey(where, expr.id)
+            return None if where is None else SharedKey(where.qualname,
+                                                        expr.id)
         if isinstance(expr, ast.Attribute) \
                 and isinstance(expr.value, ast.Name) \
-                and expr.value.id == "self" and scope is not None \
+                and expr.value.id == "self" \
                 and scope.class_name is not None:
             return SharedKey(f"self.{scope.class_name}", expr.attr)
         return None
 
-    def is_param_of(self, name: str, func: Optional[FuncInfo]) -> bool:
-        return func is not None and name in func.params
+    def comm_identity(self, comm: str, scope: FuncInfo) -> tuple[str, bool]:
+        """Scope-qualified identity of the dotted communicator ``comm``
+        used in ``scope``, and whether it is shared. A comm rooted at a
+        parameter or a local of a function is per-instance (each spawned
+        frame sees its own object); closure, module and unresolved
+        (``self.*``, imported) comms are shared across instances."""
+        root = comm.split(".", 1)[0]
+        if root in scope.params:
+            return f"{scope.qualname}:{comm}", False
+        where = self.defining_scope(root, scope)
+        if where is None:
+            return f"<extern>:{comm}", True
+        return (f"{where.qualname}:{comm}",
+                where is not scope or scope is self.root)
 
-    def abstract(self, expr: Optional[ast.AST], scope: Optional[FuncInfo],
-                 region_func: Optional[FuncInfo]) -> AbstractVal:
+    def abstract(self, expr: Optional[ast.AST],
+                 scope: FuncInfo) -> AbstractVal:
         """Abstract value of a (peer or tag) expression."""
         if expr is None:
             return CONST_UNKNOWN
@@ -314,34 +362,23 @@ class ModuleModel:
                 and isinstance(expr.operand, ast.Constant) \
                 and isinstance(expr.operand.value, (int, float)):
             return AbstractVal("const", -expr.operand.value)
-        if isinstance(expr, ast.Name):
-            if self.is_param_of(expr.id, scope) \
-                    or self.is_param_of(expr.id, region_func):
-                return CONST_THREADDEP
-            cur = scope
-            while cur is not None:
+        if isinstance(expr, ast.Name) and expr.id not in scope.params:
+            for cur in scope.chain():
                 if expr.id in cur.consts:
                     return AbstractVal("const", cur.consts[expr.id])
                 if expr.id in cur.locals_ or expr.id in cur.params:
                     return CONST_UNKNOWN
-                cur = cur.parent
-            if expr.id in self.module_consts:
-                return AbstractVal("const", self.module_consts[expr.id])
             return CONST_UNKNOWN
-        # Any parameter occurring anywhere in the expression makes the
-        # value thread-dependent (tid * 2, tag_of(tid), tags[tid], ...).
+        # A parameter anywhere in the expression (itself included) makes
+        # the value thread-dependent (tid, tid * 2, tag_of(tid), ...).
         for sub in ast.walk(expr):
-            if isinstance(sub, ast.Name) \
-                    and (self.is_param_of(sub.id, scope)
-                         or self.is_param_of(sub.id, region_func)):
+            if isinstance(sub, ast.Name) and sub.id in scope.params:
                 return CONST_THREADDEP
         return CONST_UNKNOWN
 
 
 def is_wildcard(expr: Optional[ast.AST]) -> bool:
     """ANY_SOURCE/ANY_TAG by bare or dotted name."""
-    if expr is None:
-        return False
     if isinstance(expr, ast.Name):
         return expr.id in WILDCARDS
     if isinstance(expr, ast.Attribute):
@@ -349,74 +386,45 @@ def is_wildcard(expr: Optional[ast.AST]) -> bool:
     return False
 
 
-def _request_call_name(value: ast.AST) -> Optional[str]:
-    """API name when ``value`` is ``[yield from] <expr>.<ReqOp>(...)`` or
-    ``[yield from] <init_helper>(...)``."""
-    if isinstance(value, (ast.Await, ast.YieldFrom)):
-        value = value.value
-    if not isinstance(value, ast.Call):
-        return None
-    fn = value.func
-    if isinstance(fn, ast.Attribute) and fn.attr in (
-            REQUEST_OPS | PARTITIONED_INIT | PERSISTENT_INIT):
-        return fn.attr
-    if isinstance(fn, ast.Name) and fn.id in (
-            PARTITIONED_INIT | PERSISTENT_INIT):
-        return fn.id
-    return None
-
-
-# -- Pass 1: build the function table ------------------------------------
+# -- Pass 1: build the scope table ---------------------------------------
 
 class _Builder(ast.NodeVisitor):
     """Collect functions, scopes, locals, and constant bindings."""
 
     def __init__(self, model: ModuleModel):
         self.model = model
-        self.scope: Optional[FuncInfo] = None
+        self.scope = model.root
         self.class_stack: list[str] = []
-        self._assign_counts: dict[tuple[Optional[str], str], int] = {}
-
-    def build(self) -> None:
-        self.visit(self.model.tree)
+        self._assign_counts: dict[tuple[str, str], int] = {}
 
     # -- scope management ---------------------------------------------
 
-    def _enter_function(self, node: FuncNode) -> FuncInfo:
+    def _function(self, node: Union[ast.FunctionDef,
+                                    ast.AsyncFunctionDef]) -> None:
         args = node.args
         params = tuple(
             a.arg for a in (list(args.posonlyargs) + list(args.args)
                             + list(args.kwonlyargs))
             if a.arg not in ("self", "cls"))
         class_name = self.class_stack[-1] if self.class_stack else None
-        if self.scope is not None:
-            qual = f"{self.scope.qualname}.{node.name}"
+        outer = self.scope
+        if outer is not self.model.root:
+            qual = f"{outer.qualname}.{node.name}"
         elif class_name is not None:
             qual = f"{class_name}.{node.name}"
         else:
             qual = node.name
-        info = FuncInfo(node.name, qual, node, self.scope, class_name,
-                        params)
+        info = FuncInfo(qual, node, outer, class_name, params)
         self.model.functions[qual] = info
-        self.model.by_node[id(node)] = info
-        if self.scope is not None:
-            self.scope.defs[node.name] = info
-        elif not self.class_stack:
-            self.model.module_defs[node.name] = info
-        return info
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._function(node)
-
-    def _function(self, node: FuncNode) -> None:
-        info = self._enter_function(node)
-        outer, self.scope = self.scope, info
+        # A method of a module-level class is reached through self only.
+        if outer is not self.model.root or class_name is None:
+            outer.defs[node.name] = info
+        self.scope = info
         for child in node.body:
             self.visit(child)
         self.scope = outer
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _function
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         """Collect methods under their qualified class name."""
@@ -428,26 +436,19 @@ class _Builder(ast.NodeVisitor):
     # -- bindings -------------------------------------------------------
 
     def _bind(self, name: str, value: Optional[ast.AST]) -> None:
-        if self.scope is not None:
-            self.scope.locals_.add(name)
+        scope = self.scope
+        scope.locals_.add(name)
+        key = (scope.qualname, name)
+        count = self._assign_counts[key] = self._assign_counts.get(key, 0) + 1
+        if isinstance(value, ast.Constant) and count == 1:
+            scope.consts[name] = value.value
         else:
-            self.model.module_locals.add(name)
-        scope_name = self.scope.qualname if self.scope else None
-        key = (scope_name, name)
-        self._assign_counts[key] = self._assign_counts.get(key, 0) + 1
-        consts = (self.scope.consts if self.scope
-                  else self.model.module_consts)
-        if value is not None and isinstance(value, ast.Constant) \
-                and self._assign_counts[key] == 1:
-            consts[name] = value.value
-        else:
-            consts.pop(name, None)
-        if value is not None:
-            op = _request_call_name(value)
-            if op is not None and self.scope is not None:
-                self.scope.request_vars.add(name)
-                if op in (PARTITIONED_INIT | PERSISTENT_INIT):
-                    self.scope.partitioned_vars.add(name)
+            scope.consts.pop(name, None)
+        kind = api_call(value)[1]
+        if kind in REQUEST_KINDS:
+            scope.request_vars.add(name)
+            if kind != "request":
+                scope.partitioned_vars.add(name)
 
     def _bind_target(self, target: ast.AST,
                      value: Optional[ast.AST]) -> None:
@@ -508,33 +509,29 @@ def _summarize(model: ModuleModel) -> None:
 
 
 def _summarize_one(model: ModuleModel, info: FuncInfo) -> bool:
+    """One round over ``info``'s own nodes: a nested def's ``return``
+    and calls belong to that def's summary, not to this one."""
     changed = False
-    for node in ast.walk(info.node):
-        # Nested defs are walked on their own; skip their bodies here.
-        if isinstance(node, ast.Return) and node.value is not None:
-            val = node.value
-            if _request_call_name(val) is not None:
-                if not info.returns_request:
-                    info.returns_request = changed = True
-            elif isinstance(val, ast.Name) \
-                    and val.id in info.request_vars \
-                    and not info.returns_request:
+    nodes = list(own_nodes(info.node))
+    for node in nodes:
+        if isinstance(node, ast.Return) and node.value is not None \
+                and not info.returns_request:
+            val, call = node.value, unwrap(node.value)
+            callee = (model.resolve_call(call, info)
+                      if val is not call and isinstance(call, ast.Call)
+                      else None)
+            if api_call(val)[1] in REQUEST_KINDS \
+                    or (isinstance(val, ast.Name)
+                        and val.id in info.request_vars) \
+                    or (callee is not None and callee.returns_request):
                 info.returns_request = changed = True
-            elif isinstance(val, (ast.Await, ast.YieldFrom)) \
-                    and isinstance(val.value, ast.Call):
-                callee = model.resolve_call(val.value, info)
-                if callee is not None and callee.returns_request \
-                        and not info.returns_request:
-                    info.returns_request = changed = True
         if isinstance(node, ast.Call):
             changed |= _note_param_wait(model, info, node)
     # Propagate request-ness through `x = [yield from] helper(...)`.
-    for node in ast.walk(info.node):
+    for node in nodes:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
-            val: ast.AST = node.value
-            if isinstance(val, (ast.Await, ast.YieldFrom)):
-                val = val.value
+            val = unwrap(node.value)
             if isinstance(val, ast.Call):
                 callee = model.resolve_call(val, info)
                 if callee is not None and callee.returns_request \
@@ -557,21 +554,16 @@ def _note_param_wait(model: ModuleModel, info: FuncInfo,
                 info.waits_params.add(idx)
                 changed = True
 
+    kind = api_call(call)[1]
     fn = call.func
-    if isinstance(fn, ast.Attribute) and fn.attr in (
-            REQ_WAIT_METHODS | REQ_CANCEL_METHODS) \
+    if kind in ("wait", "test", "cancel") \
+            and isinstance(fn, ast.Attribute) \
             and isinstance(fn.value, ast.Name):
         mark(fn.value.id)
-    name_of = fn.id if isinstance(fn, ast.Name) else (
-        fn.attr if isinstance(fn, ast.Attribute) else None)
-    if name_of in WAIT_FUNCS and call.args:
-        first = call.args[0]
-        if isinstance(first, ast.Name):
-            mark(first.id)
-        elif isinstance(first, (ast.List, ast.Tuple)):
-            for elt in first.elts:
-                if isinstance(elt, ast.Name):
-                    mark(elt.id)
+    elif kind == "waitall":
+        for target in call_targets(call):
+            if isinstance(target, ast.Name):
+                mark(target.id)
     # One level of interprocedural propagation through resolved callees.
     callee = model.resolve_call(call, info)
     if callee is not None:
@@ -583,22 +575,11 @@ def _note_param_wait(model: ModuleModel, info: FuncInfo,
 
 # -- Pass 3: regions and their windows -----------------------------------
 
-def _spawned_func(model: ModuleModel, call: ast.Call,
-                  scope: Optional[FuncInfo]) -> Optional[FuncInfo]:
-    """The function whose generator is passed to a spawn call."""
-    if not call.args:
-        return None
-    arg = call.args[0]
-    if isinstance(arg, ast.Call):
-        return model.resolve_call(arg, scope)
-    return None
-
-
 class _RegionFinder(ast.NodeVisitor):
-    """Linear source-order walk of one function (or the module body)
-    collecting spawn/join events and the scope's own modeled accesses."""
+    """Linear source-order walk of one scope collecting spawn/join events
+    and the scope's own modeled accesses."""
 
-    def __init__(self, model: ModuleModel, scope: Optional[FuncInfo]):
+    def __init__(self, model: ModuleModel, scope: FuncInfo):
         self.model = model
         self.scope = scope
         self.pos = 0
@@ -607,14 +588,11 @@ class _RegionFinder(ast.NodeVisitor):
         self.locks: list[str] = []
         self.guard_depth = 0
         self.open_regions: list[Region] = []
-        self.events: list[tuple[str, object]] = []
         self.accesses: list[tuple[int, Access]] = []
 
     def run(self) -> None:
         """Scan the scope body, building regions and access lists."""
-        body = (self.scope.node.body if self.scope is not None
-                else self.model.tree.body)
-        for stmt in body:
+        for stmt in self.scope.node.body:
             self.visit(stmt)
         self._close_open(self.pos + 1)
 
@@ -623,16 +601,11 @@ class _RegionFinder(ast.NodeVisitor):
             region.end_pos = pos
         self.open_regions = []
 
-    # Do not descend into nested function/class definitions: they run
-    # in their own frame and are modeled separately.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        return
+    def _skip(self, node: ast.AST) -> None:
+        """Nested function/class definitions run in their own frame and
+        are modeled separately."""
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        return
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        return
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _skip
 
     def visit_If(self, node: ast.If) -> None:
         """Track rank guards so branch accesses are marked guarded."""
@@ -657,22 +630,21 @@ class _RegionFinder(ast.NodeVisitor):
         if not (isinstance(test, ast.Compare) and len(test.ops) == 1
                 and isinstance(test.ops[0], ast.Eq)):
             return False
+        params = self.scope.params
         left, right = test.left, test.comparators[0]
         for a, b in ((left, right), (right, left)):
             if isinstance(a, ast.Name) and isinstance(b, ast.Constant) \
-                    and self.model.is_param_of(a.id, self.scope):
+                    and a.id in params:
                 return True
             if isinstance(a, ast.Call) and isinstance(b, ast.Constant):
                 # e.g. `self.geom.linear_tid(t) == 0`: any call of a
                 # param keeps the completion on a single instance.
-                if any(isinstance(x, ast.Name)
-                       and self.model.is_param_of(x.id, self.scope)
+                if any(isinstance(x, ast.Name) and x.id in params
                        for x in ast.walk(a)):
                     return True
         return False
 
-    def _loop(self, node: ast.AST, body: list[ast.stmt],
-              orelse: list[ast.stmt]) -> None:
+    def _loop(self, body: list[ast.stmt], orelse: list[ast.stmt]) -> None:
         self.pos += 1
         self.loop_depth += 1
         for stmt in body:
@@ -683,87 +655,65 @@ class _RegionFinder(ast.NodeVisitor):
 
     def visit_For(self, node: ast.For) -> None:
         self.visit(node.iter)
-        self._loop(node, node.body, node.orelse)
+        self._loop(node.body, node.orelse)
 
     def visit_While(self, node: ast.While) -> None:
         self.visit(node.test)
-        self._loop(node, node.body, node.orelse)
+        self._loop(node.body, node.orelse)
 
     # -- calls: spawns, joins, locks, comm accesses ---------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         """Classify one call site: spawn, join, lock or MPI access."""
         self.pos += 1
-        fn = node.func
-        attr = fn.attr if isinstance(fn, ast.Attribute) else None
-        name = fn.id if isinstance(fn, ast.Name) else None
-        in_comp = self.loop_depth > 0
-
-        if attr in SPAWN_NAMES:
-            target = _spawned_func(self.model, node, self.scope)
+        op, kind = api_call(node)
+        if kind == "spawn":
+            arg = node.args[0] if node.args else None
+            target = (self.model.resolve_call(arg, self.scope)
+                      if isinstance(arg, ast.Call) else None)
             if target is not None:
-                base = dotted(fn.value) if isinstance(fn, ast.Attribute) \
-                    else None
-                region = Region(
-                    func=target, spawner=self.scope, spawn_node=node,
-                    index=len(self.model.regions), many=in_comp,
-                    start_pos=self.pos, end_pos=1 << 30, spawn_base=base)
-                self.model.regions.append(region)
-                self.open_regions.append(region)
-        elif (attr in JOIN_NAMES) or (name in JOIN_NAMES):
-            if attr == "run_all" or name == "run_all":
+                self.open_regions.append(
+                    self._region(target, self.loop_depth > 0, 1 << 30))
+        elif kind == "join":
+            if op == "run_all":
                 self._run_all(node)
             self._close_open(self.pos)
-        else:
-            self._record_access(node, attr, name)
+        elif kind:
+            self._record_access(node, op, kind)
         self.generic_visit(node)
+
+    def _region(self, func: FuncInfo, many: bool, end_pos: int) -> Region:
+        region = Region(func, self.scope, len(self.model.regions), many,
+                        self.pos, end_pos)
+        self.model.regions.append(region)
+        return region
 
     def _run_all(self, node: ast.Call) -> None:
         """``world.run_all([f1(...), f2(...)])`` spawns and joins."""
         if not node.args:
             return
         arg = node.args[0]
-        elts = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else []
         many = isinstance(arg, (ast.ListComp, ast.GeneratorExp))
-        targets: list[Optional[FuncInfo]] = []
-        if many and isinstance(arg, (ast.ListComp, ast.GeneratorExp)) \
-                and isinstance(arg.elt, ast.Call):
-            targets = [self.model.resolve_call(arg.elt, self.scope)]
-        for elt in elts:
-            if isinstance(elt, ast.Call):
-                targets.append(self.model.resolve_call(elt, self.scope))
-        for target in targets:
-            if target is None:
-                continue
-            region = Region(
-                func=target, spawner=self.scope, spawn_node=node,
-                index=len(self.model.regions), many=many,
-                start_pos=self.pos, end_pos=self.pos + 1, spawn_base=None)
-            self.model.regions.append(region)
+        calls: list[ast.expr] = []
+        if isinstance(arg, (ast.ListComp, ast.GeneratorExp)):
+            calls = [arg.elt]
+        elif isinstance(arg, (ast.List, ast.Tuple)):
+            calls = list(arg.elts)
+        for call in calls:
+            target = (self.model.resolve_call(call, self.scope)
+                      if isinstance(call, ast.Call) else None)
+            if target is not None:
+                self._region(target, many, self.pos + 1)
 
-    def _comm_of(self, fn: ast.Attribute) -> tuple[Optional[str],
-                                                   Optional[str], bool]:
+    def _comm_of(self, base: Optional[ast.AST]) -> tuple[
+            Optional[str], Optional[str], bool]:
         """Display name, scope-qualified identity and sharedness of the
-        communicator expression. A comm rooted at a parameter or a local
-        of the accessing function is per-instance (each spawned frame
-        sees its own object) — only closure/module/self-rooted comms are
-        provably shared across concurrent instances."""
-        comm = dotted(fn.value)
+        communicator expression ``base``."""
+        comm = dotted(base)
         if comm is None:
             return None, None, False
-        root = comm.split(".", 1)[0]
-        scope_name = (self.scope.qualname if self.scope is not None
-                      else "<module>")
-        if self.model.is_param_of(root, self.scope):
-            return comm, f"{scope_name}:{comm}", False
-        where = self.model.defining_scope(root, self.scope)
-        if where is None:
-            # Unresolved (self.*, imported names): shared by dotted path.
-            return comm, f"<extern>:{comm}", True
-        if self.scope is not None and where == scope_name:
-            # Local of the accessing function: per-instance.
-            return comm, f"{where}:{comm}", False
-        return comm, f"{where}:{comm}", True
+        comm_id, shared = self.model.comm_identity(comm, self.scope)
+        return comm, comm_id, shared
 
     def _kw(self, node: ast.Call, name: str,
             pos: int) -> Optional[ast.AST]:
@@ -780,124 +730,67 @@ class _RegionFinder(ast.NodeVisitor):
         acc.branches = tuple(self.branches)
         self.accesses.append((self.pos, acc))
 
-    def _record_access(self, node: ast.Call, attr: Optional[str],
-                       name: Optional[str]) -> None:
+    def _record_access(self, node: ast.Call, op: str, kind: str) -> None:
         model, scope = self.model, self.scope
         fn = node.func
-        if attr is not None and isinstance(fn, ast.Attribute):
-            base = fn.value
-            if attr in (REQ_WAIT_METHODS | REQ_CANCEL_METHODS
-                        | {"pready", "parrived", "start"}):
-                key = model.shared_key(base, scope)
-                kind = ("cancel" if attr in REQ_CANCEL_METHODS else
-                        "pready" if attr == "pready" else
-                        "parrived" if attr == "parrived" else
-                        "start" if attr == "start" else attr)
-                if key is not None:
-                    self._add(Access(kind, node, scope_or_module(scope),
-                                     obj=key, op=attr))
-                return
-            if attr in LOCK_ACQUIRE | LOCK_RELEASE:
-                lock = dotted(base)
-                if lock is not None:
-                    if attr in LOCK_ACQUIRE:
-                        self._add(Access("lock-acquire", node,
-                                         scope_or_module(scope),
-                                         obj=SharedKey("<lock>", lock),
-                                         op=attr))
-                        self.locks.append(lock)
-                    else:
-                        self._add(Access("lock-release", node,
-                                         scope_or_module(scope),
-                                         obj=SharedKey("<lock>", lock),
-                                         op=attr))
-                        if lock in self.locks:
-                            self.locks.remove(lock)
-                return
-            if attr in REQUEST_OPS | BLOCKING_SENDS | BLOCKING_RECVS:
-                comm, comm_id, shared = self._comm_of(fn)
-                is_recv = "recv" in attr.lower()
-                peer_expr = self._kw(node, "source" if is_recv else "dest", 1)
-                tag_expr = self._kw(node, "tag", 2)
-                self._add(Access(
-                    "recv" if is_recv else "send", node,
-                    scope_or_module(scope), comm=comm, comm_id=comm_id,
-                    comm_shared=shared,
-                    peer=model.abstract(peer_expr, scope, scope),
-                    tag=model.abstract(tag_expr, scope, scope),
-                    wildcard_source=is_recv and is_wildcard(peer_expr),
-                    wildcard_tag=is_wildcard(tag_expr), op=attr))
-                return
-            if attr in COLLECTIVES:
-                comm, comm_id, shared = self._comm_of(fn)
-                self._add(Access("collective", node,
-                                 scope_or_module(scope), comm=comm,
-                                 comm_id=comm_id,
-                                 comm_shared=shared, op=attr))
-                return
-            if attr in RMA_OPS | RMA_FLUSH | RMA_LOCK:
-                key = model.shared_key(base, scope)
-                kind = ("rma" if attr in RMA_OPS else
-                        "rma-flush" if attr in RMA_FLUSH else "rma-lock")
-                # Data ops take (buf, target=, disp=); epoch/flush ops
-                # (Lock/Unlock/Flush) take the target as their sole
-                # positional argument.
-                t_idx = 1 if attr in RMA_OPS else 0
-                target = model.abstract(self._kw(node, "target", t_idx),
-                                        scope, scope)
-                disp = model.abstract(self._kw(node, "disp", 2),
-                                      scope, scope)
-                self._add(Access(kind, node, scope_or_module(scope),
-                                 obj=key, op=attr, peer=target, tag=disp))
-                return
-            if attr == "Test" and node.args:
-                key = model.shared_key(node.args[0], scope)
-                if key is not None:
-                    self._add(Access("test", node, scope_or_module(scope),
-                                     obj=key, op="Test"))
-                return
-        if name in WAIT_FUNCS or attr in WAIT_FUNCS:
-            first = node.args[0] if node.args else None
-            targets: list[ast.AST] = []
-            if isinstance(first, ast.Name):
-                targets = [first]
-            elif isinstance(first, (ast.List, ast.Tuple)):
-                targets = list(first.elts)
-            for t in targets:
+        base = fn.value if isinstance(fn, ast.Attribute) else None
+        if kind in ("wait", "test", "cancel", "pready", "parrived",
+                    "start"):
+            key = model.shared_key(base, scope)
+            if key is not None:
+                self._add(Access(kind, node, scope, obj=key, op=op))
+        elif kind in ("lock-acquire", "lock-release"):
+            lock = dotted(base)
+            if lock is not None:
+                self._add(Access(kind, node, scope,
+                                 obj=SharedKey("<lock>", lock), op=op))
+                if kind == "lock-acquire":
+                    self.locks.append(lock)
+                elif lock in self.locks:
+                    self.locks.remove(lock)
+        elif kind in ("request", "blocking"):
+            comm, comm_id, shared = self._comm_of(base)
+            is_recv = op in ("Irecv", "Recv")
+            peer_expr = self._kw(node, "source" if is_recv else "dest", 1)
+            tag_expr = self._kw(node, "tag", 2)
+            self._add(Access(
+                "recv" if is_recv else "send", node, scope, comm=comm,
+                comm_id=comm_id, comm_shared=shared,
+                peer=model.abstract(peer_expr, scope),
+                tag=model.abstract(tag_expr, scope),
+                wildcard_source=is_recv and is_wildcard(peer_expr),
+                wildcard_tag=is_wildcard(tag_expr), op=op))
+        elif kind == "collective":
+            comm, comm_id, shared = self._comm_of(base)
+            self._add(Access(kind, node, scope, comm=comm, comm_id=comm_id,
+                             comm_shared=shared, op=op))
+        elif kind in ("rma", "rma-flush", "rma-lock"):
+            # Data ops take (buf, target=, disp=); epoch/flush ops
+            # (Lock/Unlock/Flush) take the target as their sole
+            # positional argument.
+            t_idx = 1 if kind == "rma" else 0
+            self._add(Access(
+                kind, node, scope, obj=model.shared_key(base, scope), op=op,
+                peer=model.abstract(self._kw(node, "target", t_idx), scope),
+                tag=model.abstract(self._kw(node, "disp", 2), scope)))
+        elif kind == "Test" and node.args:
+            key = model.shared_key(node.args[0], scope)
+            if key is not None:
+                self._add(Access("test", node, scope, obj=key, op=op))
+        elif kind == "waitall":
+            for t in call_targets(node):
                 key = model.shared_key(t, scope)
                 if key is not None:
-                    self._add(Access("wait", node, scope_or_module(scope),
-                                     obj=key, op=name or attr or ""))
-            return
-
-
-_MODULE_SENTINEL: Optional[FuncInfo] = None
-
-
-def scope_or_module(scope: Optional[FuncInfo]) -> FuncInfo:
-    """A real FuncInfo for accesses at module level (sentinel scope)."""
-    global _MODULE_SENTINEL
-    if scope is not None:
-        return scope
-    if _MODULE_SENTINEL is None:
-        node = ast.parse("def _module_(): pass").body[0]
-        assert isinstance(node, ast.FunctionDef)
-        _MODULE_SENTINEL = FuncInfo("<module>", "<module>", node, None,
-                                    None, ())
-    return _MODULE_SENTINEL
+                    self._add(Access("wait", node, scope, obj=key, op=op))
 
 
 def _find_regions(model: ModuleModel) -> None:
     """Run the linear walk over every scope, then attribute accesses to
     regions (the region function plus its resolved callees)."""
-    walks: dict[Optional[str], _RegionFinder] = {}
-    finder = _RegionFinder(model, None)
-    finder.run()
-    walks[None] = finder
-    for info in model.functions.values():
-        f = _RegionFinder(model, info)
-        f.run()
-        walks[info.qualname] = f
+    for info in (model.root, *model.functions.values()):
+        finder = _RegionFinder(model, info)
+        finder.run()
+        model.spawner_accesses[info.qualname] = finder.accesses
     # Request-typed shared keys.
     for info in model.functions.values():
         for name in info.request_vars:
@@ -914,10 +807,8 @@ def _find_regions(model: ModuleModel) -> None:
                 if func.qualname in seen:
                     continue
                 seen.add(func.qualname)
-                walk = walks.get(func.qualname)
-                if walk is None:
-                    continue
-                region.accesses.extend(a for _, a in walk.accesses)
+                region.accesses.extend(
+                    a for _, a in model.spawner_accesses[func.qualname])
                 for node in ast.walk(func.node):
                     if isinstance(node, ast.Call):
                         callee = model.resolve_call(node, func)
@@ -926,10 +817,6 @@ def _find_regions(model: ModuleModel) -> None:
                             nxt.append(callee)
             frontier = nxt
             depth += 1
-    # Spawner-side accesses inside each region's open window race with
-    # the region exactly like a sibling region would.
-    for qual, walk in walks.items():
-        model.spawner_accesses[qual] = walk.accesses
 
 
 def build_model(source: str, path: str = "<string>") -> ModuleModel:

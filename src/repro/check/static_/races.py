@@ -19,8 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .findings import StaticFinding
-from .model import (Access, ModuleModel, RMA_ATOMIC, Region,
-                    _branch_compatible)
+from .model import Access, ModuleModel, Region, _branch_compatible
 
 __all__ = ["check_races"]
 
@@ -66,12 +65,9 @@ def _ordered(a: Access, b: Access, self_pair: bool) -> bool:
 def _spawner_window_accesses(model: ModuleModel,
                              region: Region) -> list[Access]:
     """Spawner statements executing while ``region``'s window is open."""
-    qual = region.spawner.qualname if region.spawner else None
-    out = []
-    for pos, acc in model.spawner_accesses.get(qual, []):
-        if region.start_pos < pos < region.end_pos:
-            out.append(acc)
-    return out
+    return [acc for pos, acc in
+            model.spawner_accesses[region.spawner.qualname]
+            if region.start_pos < pos < region.end_pos]
 
 
 def check_races(model: ModuleModel) -> list[StaticFinding]:
@@ -148,9 +144,8 @@ def _check_pair(model: ModuleModel, emit, ra: Region, rb: Region,
             # -- S307: RMA race ------------------------------------
             if a.kind == "rma" and b.kind == "rma" \
                     and a.obj is not None and a.obj == b.obj \
-                    and ("Put" in (a.op, b.op)) \
-                    and a.op not in RMA_ATOMIC \
-                    and b.op not in RMA_ATOMIC \
+                    and "Put" in (a.op, b.op) \
+                    and "Accumulate" not in (a.op, b.op) \
                     and a.peer.is_const and a.peer == b.peer \
                     and a.tag.is_const and a.tag == b.tag:
                 emit("S307",

@@ -358,20 +358,6 @@ def _cmd_replay(args) -> int:
     return status or (0 if result.verified else 1)
 
 
-def _corpus_paths() -> list[str]:
-    """The shipped analysis corpus: app drivers, benches and examples."""
-    import glob
-    import os
-
-    pkg = os.path.dirname(os.path.abspath(__file__))
-    paths = sorted(glob.glob(os.path.join(pkg, "apps", "**", "*.py"),
-                             recursive=True))
-    paths += sorted(glob.glob(os.path.join(pkg, "bench", "*.py")))
-    if os.path.isdir("examples"):
-        paths += sorted(glob.glob(os.path.join("examples", "*.py")))
-    return paths
-
-
 def _cmd_analyze(args) -> int:
     """Statically analyze driver programs without executing them."""
     import glob
@@ -391,7 +377,8 @@ def _cmd_analyze(args) -> int:
         else:
             paths.append(p)
     if args.corpus:
-        paths += _corpus_paths()
+        from .check.static_.crossval import corpus_paths
+        paths += corpus_paths()
     if not paths:
         print("error: no programs to analyze (pass paths, or --corpus)",
               file=sys.stderr)

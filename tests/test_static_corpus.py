@@ -5,18 +5,23 @@ perfect precision/recall over the fixture corpus, and the analyzer is a
 deterministic pure function that never executes its target."""
 
 import hashlib
+import importlib
+import inspect
+import os
 import pathlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.check import analyze_path, analyze_paths, analyze_source
 from repro.check.static_.crossval import (
     DYNAMIC_EXEMPT,
+    corpus_paths,
     cross_validate,
     render_crossval,
 )
+from repro.check.static_.model import API
 
 ROOT = pathlib.Path(__file__).parent.parent
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "analyze"
@@ -24,11 +29,20 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "analyze"
 APP_PACKAGES = ("device", "graph", "legion", "nwchem", "stencil", "vasp")
 
 
+#: sha-256 of ``analyze_paths(corpus + fixtures).to_json()`` with paths
+#: relative to the repository root. Any change to a verdict, message,
+#: line or advisor summary on the shipped corpus or the fixtures moves
+#: it; re-pin only with that verdict diff in hand.
+CORPUS_SHA256 = \
+    "6e1b1059485c2d1beab537a3c73fad644008dd3f13d84ae34103b6fc2336a774"
+
+#: The modules whose public names the analyzer may model.
+API_MODULES = ("repro.mpi", "repro.mpi.rma", "repro.mpi.partitioned",
+               "repro.mpi.endpoints", "repro.runtime", "repro.sim")
+
+
 def corpus_files():
-    paths = sorted((ROOT / "src" / "repro" / "apps").rglob("*.py"))
-    paths += sorted((ROOT / "src" / "repro" / "bench").glob("*.py"))
-    paths += sorted((ROOT / "examples").glob("*.py"))
-    return [str(p) for p in paths]
+    return corpus_paths(str(ROOT / "examples"))
 
 
 def failing(report):
@@ -50,6 +64,33 @@ def test_whole_corpus_is_clean():
     report = analyze_paths(corpus_files())
     assert report.clean, report.render()
     assert not report.errors
+
+
+def test_corpus_and_fixture_report_is_pinned(monkeypatch):
+    """The analyzer's full JSON report over the shipped corpus and the
+    fixtures is byte-for-byte the pinned one."""
+    monkeypatch.chdir(ROOT)
+    paths = [os.path.relpath(p, ROOT) for p in corpus_paths()]
+    assert paths and all(p.endswith(".py") for p in paths)
+    paths += sorted(str(p.relative_to(ROOT))
+                    for p in FIXTURES.glob("*.py"))
+    text = analyze_paths(paths).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
+
+
+def test_every_modeled_name_is_public_api():
+    """Each name the analyzer models is exported by the library (in a
+    module's ``__all__``, or a public attribute of an exported class):
+    a census that deletes a name must delete it from ``API`` too."""
+    public: set[str] = set()
+    for name in API_MODULES:
+        module = importlib.import_module(name)
+        for export in module.__all__:
+            public.add(export)
+            obj = getattr(module, export)
+            if inspect.isclass(obj):
+                public.update(a for a in dir(obj) if not a.startswith("_"))
+    assert sorted(set(API) - public) == []
 
 
 def test_examples_analyze_clean():
@@ -171,6 +212,9 @@ def test_analysis_is_deterministic_and_pure(name):
 
 @SETTINGS
 @given(st.text(alphabet=st.characters(codec="ascii"), max_size=400))
+@example("def f(comm, info):\n    info = info\n"
+         "    c = yield from comm.Dup(info)\n")
+@example("a = b\nb = a\nc = comm.Dup(a)\n")
 def test_arbitrary_text_never_crashes_the_analyzer(source):
     """Garbage in, E999 (or a report) out — never an exception."""
     report = analyze_source(source, path="fuzz.py")

@@ -81,6 +81,118 @@ def test_advice_no_hints_fixture():
     assert set(report.counts()) == {"S314", "S315"}
 
 
+# ------------------------------------------- summaries and hint scopes
+
+#: ``inner`` returns a request; ``outer`` itself returns 5.
+NESTED_RETURN = """\
+def outer(comm, buf):
+    def inner():
+        return comm.Isend(buf, 1, 0)
+    return 5
+
+
+def caller(comm, buf):
+    x = yield from outer(comm, buf)
+    return None
+"""
+
+#: ``later`` completes its parameter; ``helper`` only returns ``later``.
+NESTED_WAIT = """\
+def helper(req):
+{body}
+
+
+def caller(comm, buf):
+    req = yield from comm.Isend(buf, 1, 0)
+    helper(req)
+    return None
+"""
+
+#: ``hinted`` asserts no_any_source on its own Info and communicator;
+#: ``poller``'s communicator carries no hint.
+SEPARATE_INFOS = """\
+from repro.mpi import ANY_SOURCE, Info
+
+
+def poller(proc, buf):
+    info = Info()
+    comm = yield from proc.comm_world.Dup(info)
+    req = yield from comm.Irecv(buf, ANY_SOURCE, 0)
+    yield from req.wait()
+
+
+def hinted(proc, buf):
+    info = Info()
+    info.set("mpi_assert_no_any_source", "true")
+    comm = yield from proc.comm_world.Dup(info)
+    req = yield from comm.Isend(buf, 1, 0)
+    yield from req.wait()
+"""
+
+#: The hinted ``comm`` of one function, then a later unhinted ``comm``.
+LATER_SAME_NAME = """\
+from repro.mpi import ANY_TAG, Info
+
+
+def violates(proc, buf):
+    info = Info({"mpi_assert_no_any_tag": "true"})
+    comm = yield from proc.comm_world.Dup(info)
+    yield from comm.Irecv(buf, source=1, tag=ANY_TAG)
+
+
+def unhinted(proc, buf):
+    comm = yield from proc.comm_world.Dup()
+    yield from comm.Isend(buf, dest=0, tag=0)
+"""
+
+
+def test_a_nested_return_is_not_its_parents():
+    """Only ``outer``'s own ``return 5`` counts: ``x`` is no request."""
+    report = analyze_source(NESTED_RETURN, path="nested.py")
+    assert report.by_rule("S308") == []
+
+
+def test_a_nested_wait_does_not_complete_the_parents_argument():
+    """``helper`` never waits ``req`` (only the nested ``later`` it
+    returns would), so the caller's request leaks, as it does when
+    ``helper`` has no nested def at all."""
+    nested = analyze_source(NESTED_WAIT.format(
+        body="    def later(req):\n        yield from req.wait()\n"
+             "    return later"), path="nested.py")
+    plain = analyze_source(NESTED_WAIT.format(body="    return None"),
+                           path="nested.py")
+    for report in (nested, plain):
+        [leak] = report.by_rule("S308")
+        assert leak.function == "caller"
+        assert leak.extra == {"request": "req", "must": True}
+
+
+def test_hints_belong_to_the_scope_that_binds_the_info():
+    """Another function's ``info.set`` does not hint ``poller``'s comm:
+    its wildcard is advice (S313), not an S304 error."""
+    report = analyze_source(SEPARATE_INFOS, path="infos.py")
+    assert report.by_rule("S304") == []
+    assert [(f.rule_id, f.line) for f in report.findings] == [("S313", 7)]
+
+
+def test_a_later_same_named_comm_does_not_hide_a_hint_violation():
+    """The table is keyed by scope: ``unhinted``'s ``comm`` does not
+    overwrite the one ``violates`` asserted no_any_tag on."""
+    report = analyze_source(LATER_SAME_NAME, path="later.py")
+    [err] = report.by_rule("S304")
+    assert (err.function, err.line) == ("violates", 7)
+    assert report.by_rule("S313") == []
+
+
+def test_pt2pt_hint_violation_test_is_seen_statically():
+    """``test_hint_violation_any_tag`` expects ``HintViolationError``
+    from an ANY_TAG receive; the analyzer reports the same defect."""
+    report = analyze_path(str(pathlib.Path(__file__).parent
+                              / "test_mpi_pt2pt.py"))
+    assert [f.function for f in report.by_rule("S304")] == [
+        "test_hint_violation_any_tag.worker"]
+
+
 # ----------------------------------------------------- findings/report
 
 def test_finding_describe_and_dict():
