@@ -25,12 +25,22 @@ while a point is traced, so no finalizer runs inside one point's count
 at another's expense. Tracing makes a run ~20x slower; ``--size full``
 takes a few minutes.
 
+``--size serve`` is the service's census instead: the opcodes the
+service executes per warm ``POST /jobs`` of the ``served_warm`` job (the
+``full`` grid, 35 points, every one in the store), by module and by
+function. The service runs in this process with no socket: request
+bytes are fed to one HTTP connection protocol over an in-memory
+transport, which answers each request inside the call that feeds it.
+One cold job fills the store and a few warm ones load what a warm POST
+loads, all untraced; then ``SERVE_POSTS`` warm POSTs are counted.
+
 ``--check TABLE`` re-runs the census at the size TABLE was recorded at
-(``benchmarks/results/opcount_quick.txt`` in CI) and exits 1 when the
-``all`` row or any module row of TABLE, in either column, rises more
-than 2 % over it; it exits 2, naming both, when TABLE was recorded on
-another CPython minor version (the counts are that version's bytecode).
-A change that means to raise a row re-records the table and says why.
+(``benchmarks/results/opcount_quick.txt`` and ``opcount_serve.txt`` in
+CI) and exits 1 when the ``all`` row or any module row of TABLE, in any
+column, rises more than 2 % over it; it exits 2, naming both, when TABLE
+was recorded on another CPython minor version (the counts are that
+version's bytecode). A change that means to raise a row re-records the
+table and says why.
 """
 
 from __future__ import annotations
@@ -53,6 +63,12 @@ CHECK = "repro/check/"
 
 #: How far a gated row may rise over the committed table.
 TOLERANCE = 0.02
+
+#: The serve census's size: the ``served_warm`` job of the full grid.
+SERVE = "serve"
+
+#: Warm POSTs counted by the serve census (each costs the same).
+SERVE_POSTS = 20
 
 #: The census's header line names the CPython it ran on; a table from
 #: another minor version cannot gate this one.
@@ -204,6 +220,89 @@ def event_census(size: str) -> dict[str, tuple[int, Counter]]:
     return out
 
 
+class _MemoryTransport:
+    """The transport an HTTP connection protocol writes to, in memory.
+    ``write`` is a builtin, so the census counts none of its opcodes."""
+
+    def __init__(self) -> None:
+        self.written = bytearray()
+        self.write = self.written.extend
+
+
+def serve_census() -> Counter:
+    """Opcodes per code object over ``SERVE_POSTS`` warm ``POST /jobs``
+    of the ``served_warm`` job, fed to one connection of an in-process
+    service whose store holds every point."""
+    import json
+    import tempfile
+
+    from repro.serve.http import HttpApi, _Connection
+    from repro.serve.orchestrator import Orchestrator
+
+    sizes = SIZES["full"]
+    spec = {"params": {"mode": MODES, "cores": sizes["cores"],
+                       "msgs_per_core": [sizes["warm_msgs_per_core"]],
+                       "seed": [1]}}
+    body = json.dumps({"kind": "sweep", "spec": spec}).encode()
+    post = (b"POST /jobs HTTP/1.1\r\nHost: census\r\n"
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+            % len(body)) + body
+    with tempfile.TemporaryDirectory() as state:
+        orch = Orchestrator(state)
+        try:
+            orch.submit("sweep", spec)
+            orch.drain_inline()  # the cold fill
+            connection = _Connection(HttpApi(orch))
+            transport = _MemoryTransport()
+            connection.connection_made(transport)
+            for _ in range(3):  # first warm POSTs: imports, first uses
+                connection.data_received(post)
+            gc.collect()
+            start = len(orch.jobs)
+
+            def posts() -> None:
+                for _ in range(SERVE_POSTS):
+                    connection.data_received(post)
+
+            _result, counts = count_opcodes(posts)
+            done = [orch.jobs[job_id] for job_id in orch.job_ids()[start:]]
+            if len(done) != SERVE_POSTS or any(
+                    job.status != "done" or job.cache_hits != job.total
+                    for job in done):
+                raise SystemExit("a counted POST was not answered warm")
+        finally:
+            orch.close()
+    return counts
+
+
+def serve_rows(counts: Counter) -> dict[str, list[float]]:
+    """``row -> [opcodes per warm POST]``: ``all``, then every module."""
+    modules = _by(counts, module_of)
+    rows = {"all": [sum(modules.values()) / SERVE_POSTS]}
+    for name, n in modules.most_common():
+        rows[name] = [n / SERVE_POSTS]
+    return rows
+
+
+def render_serve(top: int, counts: Counter) -> str:
+    """The serve census as plain-text tables."""
+    sizes = SIZES["full"]
+    points = len(MODES) * len(sizes["cores"])
+    lines = [f"Executed opcodes per warm POST /jobs: served_warm grid "
+             f"({SERVE}: {points} points, {len(MODES)} modes x cores "
+             f"{sizes['cores']}, {sizes['warm_msgs_per_core']} msgs/core, "
+             f"{SERVE_POSTS} POSTs), {PYTHON}", "",
+             f"{'module':<36} {'per_POST':>10}"]
+    lines += [f"{name:<36} {n:>10.0f}"
+              for name, (n,) in serve_rows(counts).items()]
+    functions = _by(counts, lambda code: f"{module_of(code)}:"
+                    f"{code.co_qualname}")
+    lines += ["", "by function", "", f"{'function':<60} {'per_POST':>10}"]
+    lines += [f"{name[-60:]:<60} {n / SERVE_POSTS:>10.0f}"
+              for name, n in functions.most_common(top)]
+    return "\n".join(lines) + "\n"
+
+
 def _by(counts: Counter, key: Callable[[Any], str]) -> Counter:
     grouped: Counter = Counter()
     for code, n in counts.items():
@@ -291,14 +390,16 @@ def parse_table(text: str) -> dict[str, Any]:
     size = head.split(" grid (", 1)[1].split(":", 1)[0]
     python = head.rsplit(", ", 1)[1]
     start = next(i for i, line in enumerate(lines)
-                 if line.startswith("module ")) + 1
+                 if line.startswith("module "))
+    columns = lines[start].split()[1:]
     rows: dict[str, list[float]] = {}
-    for line in lines[start:]:
+    for line in lines[start + 1:]:
         if not line.strip():
             break
-        name, a, b = line.rsplit(None, 2)
-        rows[name] = [float(a), float(b)]
-    return {"size": size, "python": python, "rows": rows}
+        name, *values = line.rsplit(None, len(columns))
+        rows[name] = [float(value) for value in values]
+    return {"size": size, "python": python, "columns": columns,
+            "rows": rows}
 
 
 def minor_version(python: str) -> str:
@@ -309,14 +410,16 @@ def minor_version(python: str) -> str:
 
 def compare(committed: dict[str, list[float]],
             fresh: dict[str, list[float]],
-            tolerance: float = TOLERANCE) -> list[str]:
+            tolerance: float = TOLERANCE,
+            columns: tuple[str, ...] = ("unchecked", "checked")
+            ) -> list[str]:
     """The committed rows ``fresh`` raises by more than ``tolerance``,
     each as a line naming row, column and both values. A row compares
     as printed (whole opcodes); a row gone from ``fresh`` reads 0."""
     risen = []
     for name, old in committed.items():
-        new = fresh.get(name, [0.0, 0.0])
-        for column, before, after in zip(("unchecked", "checked"), old, new):
+        new = fresh.get(name, [0.0] * len(old))
+        for column, before, after in zip(columns, old, new):
             after = round(after)
             if after > before * (1.0 + tolerance):
                 risen.append(f"{name} ({column}): {before:.0f} -> "
@@ -339,9 +442,15 @@ def check(path: str, top: int) -> int:
               f"or re-record the table.")
         return 2
     size = table["size"]
-    runs = {checked: census(size, checked) for checked in (False, True)}
-    print(render(size, top, runs, event_census(size)), end="")
-    risen = compare(table["rows"], module_rows(runs)[1])
+    if size == SERVE:
+        counts = serve_census()
+        print(render_serve(top, counts), end="")
+        fresh = serve_rows(counts)
+    else:
+        runs = {checked: census(size, checked) for checked in (False, True)}
+        print(render(size, top, runs, event_census(size)), end="")
+        fresh = module_rows(runs)[1]
+    risen = compare(table["rows"], fresh, columns=tuple(table["columns"]))
     if risen:
         print(f"\nopcount check FAILED against {path}: rows rose more than "
               f"{TOLERANCE:.0%}:")
@@ -356,7 +465,10 @@ def check(path: str, top: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Print the census (0), or run ``--check`` (see :func:`check`)."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--size", choices=sorted(SIZES), default="full")
+    ap.add_argument("--size", choices=sorted(SIZES) + [SERVE],
+                    default="full",
+                    help="the Fig 1(a) grid's size, or serve: opcodes per "
+                         "warm POST /jobs of the served_warm job")
     ap.add_argument("--top", type=int, default=12,
                     help="modules, checker functions and callbacks listed")
     ap.add_argument("--check", metavar="TABLE",
@@ -365,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.check:
         return check(args.check, args.top)
+    if args.size == SERVE:
+        print(render_serve(args.top, serve_census()), end="")
+        return 0
     runs = {checked: census(args.size, checked) for checked in (False, True)}
     print(render(args.size, args.top, runs, event_census(args.size)), end="")
     return 0

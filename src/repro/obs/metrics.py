@@ -20,6 +20,7 @@ from typing import Any, Callable, Optional
 
 __all__ = [
     "Counter",
+    "Counters",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -282,6 +283,27 @@ class MetricsRegistry:
                 for m in self.series(name)
             ]
         return out
+
+
+class Counters(dict):
+    """Unlabelled counter handles of one registry, by name, each created
+    on its first lookup.
+
+    A caller that counts the same few series over and over holds one
+    table and writes ``count[name].inc()``: one dictionary lookup, where
+    :meth:`MetricsRegistry.inc` builds a label key per call. A series
+    never looked up is never created, so it stays absent from
+    :meth:`MetricsRegistry.snapshot` as it would with ``inc``; look a
+    name up only to count.
+    """
+
+    def __init__(self, registry: MetricsRegistry):
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, name: str) -> Counter:
+        handle = self[name] = self.registry.counter(name)
+        return handle
 
 
 def instrument_lock(lock: Any, metrics: MetricsRegistry,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import repeat
 from typing import Any
 
 from ..snap import STATE_FORMAT_VERSION
@@ -115,7 +116,7 @@ class ResultCache:
     deterministic, so a remembered result cannot be wrong, and asking
     again costs a dictionary lookup (counted as a hit). Remembered
     results are handed out as the same object every time: treat them as
-    read-only. ``load``/``save`` are :meth:`load_blob`/:meth:`save_blob`
+    read-only. ``load``/``save`` are :meth:`load_blobs`/:meth:`save_blob`
     for callers that do not keep the blob.
     """
 
@@ -146,19 +147,28 @@ class ResultCache:
             pass  # unreadable, not UTF-8, not JSON: a miss like any other
         return PENDING
 
-    def load_blob(self, blob: str) -> Any:
-        """The stored result for the point ``blob`` names, or
-        :data:`PENDING`; the file is read only the first time."""
-        result = self._known.get(blob, PENDING)
-        if result is PENDING:
-            result = self._read(blob)
-            if result is not PENDING:
-                self._known[blob] = result
-        if result is PENDING:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
+    def load_blobs(self, blobs: list[str]) -> list[Any]:
+        """The stored result for each point ``blobs`` name, in one pass: a
+        new list, :data:`PENDING` for each miss, and one hit or miss
+        counted per blob. A file is read only for a blob the store has
+        not proved, and only the first time."""
+        known = self._known
+        results = list(map(known.get, blobs, repeat(PENDING)))
+        misses = results.count(PENDING)
+        if misses:
+            for index, blob in enumerate(blobs):
+                if results[index] is PENDING:
+                    result = known.get(blob, PENDING)
+                    if result is PENDING:
+                        result = self._read(blob)
+                        if result is not PENDING:
+                            known[blob] = result
+                    if result is not PENDING:
+                        results[index] = result
+                        misses -= 1
+        self.hits += len(blobs) - misses
+        self.misses += misses
+        return results
 
     def save_blob(self, blob: str, result: Any) -> None:
         """Atomically persist ``result`` (a JSON document, as
@@ -176,7 +186,7 @@ class ResultCache:
         Anything but this point's own file, whole, is a miss: the point
         is recomputed and the file overwritten.
         """
-        return self.load_blob(point_blob(kind, point))
+        return self.load_blobs([point_blob(kind, point)])[0]
 
     def save(self, kind: str, point: dict, result: Any) -> None:
         """Atomically persist ``result`` for ``(kind, point)``."""

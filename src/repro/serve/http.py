@@ -1,10 +1,10 @@
 """Stdlib-only HTTP API over the orchestrator.
 
-One asyncio streams server, HTTP/1.1 keep-alive (a framing error is
-answered 400 and closes the connection, cleanly like every close the
-server starts; a bad document is a 400 and any other error of a route a
-500, and both keep it) — no framework, no dependency
-beyond the interpreter. The surface:
+One asyncio server with one :class:`asyncio.Protocol` per connection,
+HTTP/1.1 keep-alive (a framing error is answered 400 and closes the
+connection, cleanly like every close the server starts; a bad document
+is a 400 and any other error of a route a 500, and both keep it) — no
+framework, no dependency beyond the interpreter. The surface:
 
 ========================== =============================================
 ``GET  /healthz``            liveness: workers (with pids), queue, cache
@@ -40,15 +40,25 @@ __all__ = ["HttpApi", "parse_job_document"]
 
 _MAX_BODY = 8 * 1024 * 1024
 
-#: What a handler reads and drops after its last response before it
+#: What a connection reads and drops after its last response before it
 #: closes: closing on unread client bytes makes the kernel reset the
 #: connection, and a client that has not read that response yet loses it.
 _DISCARD_BYTES = 64 * 1024
 _DISCARD_SECONDS = 1.0
 
+#: The longest request head read: a head without its blank line past it
+#: is a framing error.
+_HEAD_LIMIT = 64 * 1024
+
 #: Every response body; built once (``json.dumps`` builds one per call).
 _RESPONSE = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                              default=str)
+
+#: Each status's response head up to the ``Content-Length`` value.
+_HEADS = {status.value: (f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+                         f"Content-Type: application/json\r\n"
+                         f"Content-Length: ").encode("ascii")
+          for status in HTTPStatus}
 
 
 def parse_job_document(body: bytes) -> tuple[str, dict]:
@@ -72,58 +82,203 @@ def parse_job_document(body: bytes) -> tuple[str, dict]:
     return doc["kind"], spec
 
 
-async def _read_request(reader: asyncio.StreamReader
-                        ) -> tuple[str, str, bytes, bool]:
-    """One request as ``(method, path, body, keep-alive)``. Raises
-    ConnectionError if the client closed where one would start, ValueError
-    or the stream's own error on broken framing."""
-    try:
-        request = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial:
-            raise
-        raise ConnectionError("closed between requests") from None
-    line, _, rest = request.decode("ascii", "replace").partition("\r\n")
+def _parse_head(head: str) -> tuple[str, str, int, bool]:
+    """A request head (request line and header fields, without the blank
+    line that ends it) as ``(method, path, body length, keep-alive)``.
+    Raises ValueError when it frames no request this edge can read."""
+    line, _, rest = head.partition("\r\n")
     parts = line.split(" ")
     if len(parts) != 3 or parts[2] not in ("HTTP/1.1", "HTTP/1.0"):
         raise ValueError(f"malformed request line {line!r}")
-    headers = {name.strip().lower(): value.strip() for name, _, value
-               in (h.partition(":") for h in rest.split("\r\n"))}
+    headers: dict[str, str] = {}
+    for field in rest.split("\r\n"):
+        name, _, value = field.partition(":")
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ValueError(f"Content-Length {headers[name]!r} and "
+                             f"{value!r} disagree")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        raise ValueError("Transfer-Encoding is not supported; send a "
+                         "Content-Length")
     length = headers.get("content-length", "0")
     if not length.isdigit() or int(length) > _MAX_BODY:
         raise ValueError(f"Content-Length {length!r} is not a byte count "
                          f"within the {_MAX_BODY}-byte bound")
-    body = await reader.readexactly(int(length))
     keep = (parts[2] == "HTTP/1.1"
             and headers.get("connection", "").lower() != "close")
-    return parts[0].upper(), parts[1].rstrip("/") or "/", body, keep
+    return parts[0].upper(), parts[1].rstrip("/") or "/", int(length), keep
 
 
-async def _discard(reader: asyncio.StreamReader) -> None:
-    """Read and drop input until EOF or ``_DISCARD_BYTES``."""
-    left = _DISCARD_BYTES
-    while left > 0:
-        chunk = await reader.read(left)
-        if not chunk:
-            return
-        left -= len(chunk)
+class _Connection(asyncio.Protocol):
+    """One client connection, answered request by request as its bytes
+    arrive: every request is routed and its response written inside
+    :meth:`data_received`, so a request costs no task and no future.
+
+    Requests on one connection are answered in order until the client
+    closes, asks to (``Connection: close``, HTTP/1.0), breaks the framing
+    (400: what follows cannot be trusted) or the service shuts down. A
+    close the server starts sends our EOF, then drops up to
+    ``_DISCARD_BYTES`` or ``_DISCARD_SECONDS`` of input before it closes,
+    so it is clean. A full write buffer pauses reading until it drains.
+    """
+
+    def __init__(self, api: "HttpApi"):
+        self.api = api
+        self.transport: Any = None
+        #: Bytes received and not yet part of an answered request.
+        self._buf = bytearray()
+        #: The parsed head of a request whose body is still arriving.
+        self._head: Optional[tuple[str, str, int, bool]] = None
+        #: Whether the transport's write buffer is over its high mark.
+        self._paused = False
+        #: Once closing: how many more input bytes are dropped (else None).
+        self._left: Optional[int] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport: Any) -> None:
+        """Track the connection (see :meth:`HttpApi.stop`), bound its
+        reads and count it."""
+        self.transport = transport
+        bound_reads(transport)
+        self.api._conns[self] = transport
+        self.api._count["serve.http.connections"].inc()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        """Forget the connection; the last one to go wakes a waiting
+        :meth:`HttpApi.stop`."""
+        if self._timer is not None:
+            self._timer.cancel()
+        api = self.api
+        del api._conns[self]
+        if not api._conns and api._drained is not None:
+            api._drained.set()
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self._left is None and self._buf:
+            data = bytes(self._buf)
+            self._buf.clear()
+            self._serve(data)
+        if not self._paused:
+            self.transport.resume_reading()
+
+    def data_received(self, data: bytes) -> None:
+        if self._left is not None:
+            self._drop(len(data))
+        elif self._buf:
+            self._buf += data
+            head = self._head
+            if head is None or len(self._buf) >= head[2]:
+                data = bytes(self._buf)
+                self._buf.clear()
+                self._serve(data)
+        else:
+            self._serve(data)
+
+    def eof_received(self) -> None:
+        """The client's EOF: between requests it is a plain close, inside
+        one a framing error (400). Returning None closes the transport
+        once what was written has been sent."""
+        if self._left is None and (self._buf or self._head is not None):
+            got = len(self._buf)
+            self._respond(400, {"error": "bad request: EOF after " + (
+                f"{got} of {self._head[2]} body bytes"
+                if self._head is not None else
+                f"{got} bytes of a request head")}, keep=False)
+
+    def _serve(self, buf: bytes) -> None:
+        """Answer every whole request in ``buf`` (which starts where the
+        next request, or the body of ``_head``, starts) and keep the rest
+        for the next call."""
+        api = self.api
+        pos = 0
+        while not self._paused:
+            head = self._head
+            if head is None:
+                end = buf.find(b"\r\n\r\n", pos)
+                if end < 0 and len(buf) - pos <= _HEAD_LIMIT + 3:
+                    break  # the head is still arriving
+                if end < 0 or end - pos > _HEAD_LIMIT:
+                    self._reject(f"request head over the {_HEAD_LIMIT}-byte "
+                                 f"bound", len(buf) - pos)
+                    return
+                try:
+                    head = _parse_head(buf[pos:end].decode("ascii",
+                                                           "replace"))
+                except ValueError as exc:
+                    self._reject(str(exc), len(buf) - end - 4)
+                    return
+                pos = end + 4
+            method, path, length, keep = head
+            if len(buf) - pos < length:
+                self._head = head
+                break
+            self._head = None
+            status, doc = api._answer(method, path, buf[pos:pos + length])
+            pos += length
+            keep = keep and not api.shutdown_requested.is_set()
+            self._respond(status, doc, keep)
+            if not keep:
+                self._close(len(buf) - pos)
+                return
+        self._buf += buf[pos:]
+
+    def _respond(self, status: int, doc: Any, keep: bool) -> None:
+        self.api._count["serve.http.requests"].inc()
+        body = _RESPONSE.encode(doc).encode("utf-8")
+        self.transport.write(b"%s%d\r\nConnection: %s\r\n\r\n%s" % (
+            _HEADS[status], len(body),
+            b"keep-alive" if keep else b"close", body))
+
+    def _reject(self, error: str, dropped: int) -> None:
+        """A framing error: answer 400 and close."""
+        self._respond(400, {"error": f"bad request: {error}"}, keep=False)
+        self._close(dropped)
+
+    def _close(self, dropped: int) -> None:
+        """Half-close, then drop input until EOF, ``_DISCARD_BYTES``
+        (``dropped`` of them already buffered) or ``_DISCARD_SECONDS``,
+        and close."""
+        self._left = _DISCARD_BYTES
+        try:
+            self.transport.write_eof()
+        except OSError:  # the peer is gone already
+            self._left = 0
+        self._drop(dropped)
+        if self._left > 0:
+            self._timer = asyncio.get_running_loop().call_later(
+                _DISCARD_SECONDS, self.transport.close)
+
+    def _drop(self, count: int) -> None:
+        assert self._left is not None
+        self._left -= count
+        if self._left <= 0:
+            self.transport.close()
 
 
 class HttpApi:
     """The HTTP front of one :class:`Orchestrator`.
 
-    Runs on the same event loop as the orchestrator, so handlers may
-    call its synchronous methods directly — there is exactly one thread
+    Runs on the same event loop as the orchestrator, so a connection
+    calls its synchronous methods directly — there is exactly one thread
     touching scheduler state.
     """
 
     def __init__(self, orchestrator: Orchestrator, host: str = "127.0.0.1"):
         self.orchestrator = orchestrator
+        self._count = orchestrator.count
         self._host = host
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        #: Open connections: handler task -> its writer (see :meth:`stop`).
-        self._conns: dict[Any, asyncio.StreamWriter] = {}
+        #: Open connections: protocol -> its transport (see :meth:`stop`).
+        self._conns: dict[_Connection, asyncio.BaseTransport] = {}
+        #: Set by the last connection to go once :meth:`stop` waits.
+        self._drained: Optional[asyncio.Event] = None
         #: Set when a POST /shutdown arrives; the service loop awaits it.
         self.shutdown_requested: asyncio.Event = asyncio.Event()
 
@@ -131,68 +286,28 @@ class HttpApi:
         """Bind the API port (ephemeral by default); returns it.
 
         Nothing is preloaded: a job kind's modules load with its first
-        job, inside that request's handler (DESIGN §2a). The loop stalls
+        job, inside that request's answer (DESIGN §2a). The loop stalls
         for that import, and no client is reset by it, because every
         close the server starts half-closes and drains first."""
-        self._server = await asyncio.start_server(
-            self._handle, self._host, 0)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self._host, 0)
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
     async def stop(self) -> None:
-        """Close the API server and every open connection (the handler
-        of an idle keep-alive client would sit in its read for ever)."""
+        """Close the API server and every open connection (an idle
+        keep-alive client would hold its connection for ever)."""
         if self._server is not None:
             self._server.close()
-            for writer in self._conns.values():
-                writer.close()  # flushes a response in flight, then EOF
-            if self._conns:  # each handler wakes on that EOF and returns
-                await asyncio.wait(list(self._conns), timeout=1.0)
-            await self._server.wait_closed()
-
-    # -- request plumbing --------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        """Serve one connection, request after request in order, until
-        the client closes, asks to (``Connection: close``, HTTP/1.0),
-        breaks the framing (400: what follows cannot be trusted) or the
-        service shuts down. A close the server starts sends our EOF, then
-        reads and drops what the client still sends, so it is clean."""
-        handler = asyncio.current_task()
-        self._conns[handler] = writer
-        bound_reads(writer)
-        self.orchestrator.metrics.inc("serve.http.connections")
-        try:
-            keep = True
-            while keep:
+            for transport in list(self._conns.values()):
+                transport.close()  # flushes a response in flight, then EOF
+            if self._conns:  # each goes once its buffer is sent
+                self._drained = asyncio.Event()
                 try:
-                    method, path, body, keep = await _read_request(reader)
-                except (ValueError, asyncio.IncompleteReadError,
-                        asyncio.LimitOverrunError) as exc:
-                    status, doc = 400, {"error": f"bad request: {exc}"}
-                    keep = False
-                else:
-                    status, doc = self._answer(method, path, body)
-                keep = keep and not self.shutdown_requested.is_set()
-                self.orchestrator.metrics.inc("serve.http.requests")
-                body = _RESPONSE.encode(doc).encode("utf-8")
-                writer.write(
-                    f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n"
-                    .encode("ascii") + body)
-                await writer.drain()
-            writer.write_eof()
-            try:
-                await asyncio.wait_for(_discard(reader), _DISCARD_SECONDS)
-            except asyncio.TimeoutError:
-                pass
-        except (ConnectionError, OSError):
-            pass  # client closed or went away; nothing to clean up
-        finally:
-            del self._conns[handler]
-            writer.close()
+                    await asyncio.wait_for(self._drained.wait(), 1.0)
+                except asyncio.TimeoutError:
+                    pass
+            await self._server.wait_closed()
 
     # -- routing -----------------------------------------------------------
     def _answer(self, method: str, path: str, body: bytes
@@ -206,7 +321,7 @@ class HttpApi:
         except ServeError as exc:
             return 400, {"error": str(exc)}
         except Exception as exc:
-            self.orchestrator.metrics.inc("serve.http.internal_errors")
+            self._count["serve.http.internal_errors"].inc()
             return 500, {"error": f"{type(exc).__name__}: {exc}",
                          "traceback": traceback.format_exc()}
 

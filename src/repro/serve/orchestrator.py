@@ -27,7 +27,7 @@ each point in order either way, plus:
   (:func:`job_text`), and every text that expanded is kept with its
   expansion and its points' key records. A job whose text is known —
   submitted again, or a second line of it on resume — is expanded by no
-  one: it costs one store lookup per point.
+  one, and its job is filled by one store lookup over its points.
 
 With socket workers, scheduling runs on one asyncio event loop; workers
 attach over TCP (one connection each) and the per-connection coroutine
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
 from ..errors import ProtocolError, ServeError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Counters, MetricsRegistry
 from .cache import PENDING, ResultCache, blob_key, point_blob
 from .points import execute_point, expand_job
 from .protocol import (
@@ -291,6 +291,8 @@ class Orchestrator:
         self.heartbeat_timeout = heartbeat_timeout
         self.max_attempts = max_attempts
         self.metrics = MetricsRegistry(clock=time.monotonic)
+        #: Held counter handles of ``metrics`` (the HTTP edge's too).
+        self.count = Counters(self.metrics)
         self.jobs: dict[str, Job] = {}
         #: Canonical text (:func:`job_text`) -> expansion, for every job
         #: document that expanded; it grows with distinct documents, as
@@ -399,13 +401,13 @@ class Orchestrator:
                     error = f"{self._journal}:{line.number}: {exc}"
                 else:
                     self._register_job(line.job_id, line.kind, expansion)
-                    self.metrics.inc("serve.job.resumed")
+                    self.count["serve.job.resumed"].inc()
                     continue
             self.jobs[line.job_id] = Job(
                 job_id=line.job_id, kind=line.kind, spec=line.spec,
                 point_kind="", points=[], results=[], status="failed",
                 error=error, submitted=time.monotonic())
-            self.metrics.inc("serve.job.corrupt")
+            self.count["serve.job.corrupt"].inc()
 
     # -- job intake --------------------------------------------------------
     def submit(self, kind: str, spec: dict) -> str:
@@ -423,7 +425,7 @@ class Orchestrator:
         self._append(f'{{"job_id":"{job_id}",{text[1:]}\n'.encode())
         self._next_id += 1
         self._register_job(job_id, kind, expansion)
-        self.metrics.inc("serve.job.submitted")
+        self.count["serve.job.submitted"].inc()
         return job_id
 
     def _append(self, line: bytes) -> None:
@@ -456,42 +458,42 @@ class Orchestrator:
 
     def _register_job(self, job_id: str, kind: str,
                       expansion: Expansion) -> None:
+        """Add a job and fill it from the store in one lookup; only the
+        points the store lacks are deduped against the tasks in flight
+        or queued."""
         spec, point_kind, points, blobs = expansion
+        results = self.cache.load_blobs(blobs)
+        misses = results.count(PENDING)
         job = Job(job_id=job_id, kind=kind, spec=spec,
-                  point_kind=point_kind, points=points,
-                  results=[PENDING] * len(points),
-                  submitted=time.monotonic(), remaining=len(points))
+                  point_kind=point_kind, points=points, results=results,
+                  submitted=time.monotonic(), remaining=misses,
+                  cache_hits=len(points) - misses)
         self.jobs[job_id] = job
         self._running += 1
-        misses = 0
-        for index, blob in enumerate(blobs):
-            cached = self.cache.load_blob(blob)
-            if cached is not PENDING:
-                job.fill(index, cached)
-                job.cache_hits += 1
-                continue
-            misses += 1
-            key = blob_key(blob)
-            task = self.tasks.get(key)
-            if task is None or task.status == "failed":
-                task = PointTask(key=key, kind=point_kind,
-                                 point=points[index], blob=blob)
-                self.tasks[key] = task
-                self._queue.put_nowait(key)
-                self.metrics.inc("serve.point.queued")
-            elif task.status == "done":
-                # Completed in memory but not in the store (its
-                # ``save_blob`` raised): serve it like a hit.
-                job.fill(index, task.result)
-                job.cache_hits += 1
-                continue
-            task.waiters.append((job_id, index))
+        if misses:
+            for index, blob in enumerate(blobs):
+                if results[index] is not PENDING:
+                    continue
+                key = blob_key(blob)
+                task = self.tasks.get(key)
+                if task is None or task.status == "failed":
+                    task = PointTask(key=key, kind=point_kind,
+                                     point=points[index], blob=blob)
+                    self.tasks[key] = task
+                    self._queue.put_nowait(key)
+                    self.count["serve.point.queued"].inc()
+                elif task.status == "done":
+                    # Completed in memory but not in the store (its
+                    # ``save_blob`` raised): serve it like a hit.
+                    job.fill(index, task.result)
+                    job.cache_hits += 1
+                    continue
+                task.waiters.append((job_id, index))
+            self.count["serve.cache.miss"].inc(misses)
         # One increment per job, not per point; a counter that never
-        # counted stays out of the snapshot, as before.
-        for name, count in (("serve.cache.hit", len(points) - misses),
-                            ("serve.cache.miss", misses)):
-            if count:
-                self.metrics.inc(name, count)
+        # counted stays out of the snapshot.
+        if len(points) > misses:
+            self.count["serve.cache.hit"].inc(len(points) - misses)
         self._maybe_finish(job)
 
     # -- execution ---------------------------------------------------------
@@ -556,7 +558,7 @@ class Orchestrator:
         name: Optional[str] = None
         task: Optional[PointTask] = None
         reason = "connection closed"
-        bound_reads(writer)
+        bound_reads(writer.transport)
         self._due[writer] = time.monotonic() + self.heartbeat_timeout * 4
         try:
             hello = await self._next_frame(reader, writer, decoder, frames)
@@ -565,7 +567,7 @@ class Orchestrator:
                 return
             name = str(hello["worker"])
             self.workers[name] = {"pid": hello.get("pid"), "busy": None}
-            self.metrics.inc("serve.worker.connected")
+            self.count["serve.worker.connected"].inc()
             while True:
                 self._due[writer] = None  # idle workers are never timed out
                 key = await self._queue.get()
@@ -606,7 +608,7 @@ class Orchestrator:
                 reason = f"no heartbeat for {self.heartbeat_timeout}s"
             if name is not None:
                 self.workers.pop(name, None)
-                self.metrics.inc("serve.worker.lost")
+                self.count["serve.worker.lost"].inc()
             if task is not None and task.status == "running":
                 self._requeue(task, reason)
             writer.close()
@@ -614,7 +616,7 @@ class Orchestrator:
     def _requeue(self, task: PointTask, reason: str) -> None:
         """Put a lost worker's point back on the queue (bounded tries)."""
         task.attempts += 1
-        self.metrics.inc("serve.point.requeued")
+        self.count["serve.point.requeued"].inc()
         if task.attempts >= self.max_attempts:
             self._fail_task(
                 task, f"gave up after {task.attempts} attempts "
@@ -629,7 +631,7 @@ class Orchestrator:
         task.status = "done"
         task.result = result
         self.cache.save_blob(task.blob, result)
-        self.metrics.inc("serve.point.done")
+        self.count["serve.point.done"].inc()
         self.metrics.observe("serve.point.host_sec", now - started)
         event = {"name": task.kind, "cat": "serve", "ph": "X",
                  "pid": 1, "tid": worker,
@@ -645,7 +647,7 @@ class Orchestrator:
     def _fail_task(self, task: PointTask, error: str) -> None:
         task.status = "failed"
         task.error = error
-        self.metrics.inc("serve.point.failed")
+        self.count["serve.point.failed"].inc()
         for job_id, index in task.waiters:
             job = self.jobs[job_id]
             if job.status == "running":
@@ -655,7 +657,7 @@ class Orchestrator:
     def _maybe_finish(self, job: Job) -> None:
         if job.status == "running" and not job.remaining:
             self._end_job(job, "done")
-            self.metrics.inc("serve.job.done")
+            self.count["serve.job.done"].inc()
 
     def _end_job(self, job: Job, status: str) -> None:
         job.status = status

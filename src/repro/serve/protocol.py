@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Union
 from ..errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from asyncio import StreamWriter
+    from asyncio import BaseTransport
 
 __all__ = [
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "READ_SIZE", "FrameDecoder",
@@ -60,8 +60,8 @@ READ_SIZE = 64 * 1024
 _HEADER = struct.Struct(">I")
 
 
-def bound_reads(writer: "StreamWriter") -> None:
-    """Cap each socket read of ``writer``'s connection at ``READ_SIZE``.
+def bound_reads(transport: "BaseTransport") -> None:
+    """Cap each socket read of ``transport``'s connection at ``READ_SIZE``.
 
     asyncio's selector transport asks ``recv`` for 256 KiB per read. glibc
     maps an allocation that large (its mmap threshold starts at 128 KiB)
@@ -70,7 +70,6 @@ def bound_reads(writer: "StreamWriter") -> None:
     attribute belongs to the selector transport; another loop's
     transport, without it, is left alone.
     """
-    transport = writer.transport
     if hasattr(transport, "max_size"):
         transport.max_size = READ_SIZE
 

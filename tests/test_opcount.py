@@ -108,3 +108,31 @@ def test_count_opcodes_restores_the_callers_collector_state(enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+SERVE_TABLE = """\
+Executed opcodes per warm POST /jobs: served_warm grid (serve: 35 points, \
+5 modes x cores [1, 2, 4, 8, 16, 32, 64], 4 msgs/core, 20 POSTs), \
+CPython 3.11.7
+
+module                                 per_POST
+all                                        1219
+repro/serve/http.py                         519
+other (stdlib, numpy)                       307
+
+by function
+
+function                                                       per_POST
+repro/serve/http.py:_parse_head                                     207
+"""
+
+
+def test_a_serve_table_is_read_and_compared_in_its_one_column():
+    table = opcount.parse_table(SERVE_TABLE)
+    assert (table["size"], table["columns"]) == ("serve", ["per_POST"])
+    assert table["rows"] == {"all": [1219.0], "repro/serve/http.py": [519.0],
+                             "other (stdlib, numpy)": [307.0]}
+    fresh = dict(table["rows"], **{"repro/serve/http.py": [530.0]})
+    assert opcount.compare(table["rows"], fresh,
+                           columns=tuple(table["columns"])) == [
+        "repro/serve/http.py (per_POST): 519 -> 530 (+2.1%)"]

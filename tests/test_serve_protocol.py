@@ -20,6 +20,7 @@ import asyncio
 import contextlib
 import errno
 import gc
+import io
 import json
 import os
 import signal
@@ -811,6 +812,9 @@ def _get(path, extra=""):
     return f"GET {path} HTTP/1.1\r\nHost: t\r\n{extra}\r\n".encode()
 
 
+_JOB_BODY = json.dumps({"kind": "selftest", "spec": {"n": 1}}).encode()
+
+
 def _post_job(n):
     body = json.dumps({"kind": "selftest", "spec": {"n": n}}).encode()
     return (f"POST /jobs HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
@@ -871,6 +875,14 @@ def test_close_is_honoured_after_one_response(tmp_path, request_bytes):
      "bad request"),
     (b"GET /healthz HTTP/1.1\r\nHost: t\r\n", b"", "bad request"),
     (b"x" * 70000, _get("/healthz"), "bad request"),
+    # A chunked body is not read as the next request's line, and two
+    # lengths that disagree name no body: one 400 each, then EOF.
+    (b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+     + b"%x\r\n%s\r\n0\r\n\r\n" % (len(_JOB_BODY), _JOB_BODY),
+     _get("/healthz"), "Transfer-Encoding"),
+    (b"POST /jobs HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: %d\r\n"
+     b"\r\n%s" % (len(_JOB_BODY), _JOB_BODY), _get("/healthz"),
+     "Content-Length"),
 ])
 def test_framing_errors_are_answered_400_then_eof(tmp_path, bad, after, blame):
     with _serving(tmp_path) as (api, _call):
@@ -881,6 +893,19 @@ def test_framing_errors_are_answered_400_then_eof(tmp_path, bad, after, blame):
         assert [status for status, _headers, _doc in responses] == [200, 400]
         _status, headers, doc = responses[-1]
         assert headers["connection"] == "close" and blame in doc["error"]
+
+
+def test_identical_content_length_headers_frame_one_body(tmp_path):
+    """Two ``Content-Length`` fields with one value name one body: the
+    request is answered and the connection kept."""
+    twice = (b"POST /jobs HTTP/1.1\r\nContent-Length: %d\r\n"
+             b"content-length:%d \r\n\r\n%s" % (len(_JOB_BODY),
+                                                len(_JOB_BODY), _JOB_BODY))
+    with _serving(tmp_path) as (api, _call):
+        responses = _raw(api, twice + _get("/healthz"))
+        assert [(status, headers["connection"])
+                for status, headers, _doc in responses] == [
+            (201, "keep-alive"), (200, "keep-alive")]
 
 
 def test_a_client_still_sending_after_a_framing_400_reads_eof(tmp_path):
@@ -1288,6 +1313,129 @@ def test_no_byte_sequence_breaks_the_http_edge(tmp_path):
 
         prop()
     assert api._conns == {}
+
+
+class _MemoryTransport:
+    """What a connection protocol needs of a transport, in memory:
+    written bytes are kept, a close is the protocol's connection lost."""
+
+    def __init__(self, protocol):
+        self.protocol = protocol
+        self.written = bytearray()
+        self.eof = self.closed = False
+        protocol.connection_made(self)
+
+    def write(self, data):
+        assert not (self.eof or self.closed), "write after EOF or close"
+        self.written += data
+
+    def write_eof(self):
+        self.eof = True
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            self.protocol.connection_lost(None)
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+
+def _responses(data):
+    """Every response in ``data`` (bytes a server wrote), parsed."""
+    stream = io.BytesIO(bytes(data))
+    return list(iter(lambda: _response(stream), None))
+
+
+#: A pipelined conversation: GETs, POSTs with bodies (a good job, a bad
+#: document), an unknown route, then a request asking to close and one
+#: after it that must never be answered.
+_CONVERSATION = b"".join([
+    _get("/healthz"), _post_job(2), _get("/jobs/job-00001"), _get("/jobs"),
+    _post_body(b'{"kind": "nope"}'), _get("/metrics"), _post_job(3),
+    _get("/nope"), _get("/jobs/job-00002/result"),
+    _get("/healthz", "Connection: close\r\n"), _get("/healthz"),
+])
+
+
+def _converse(state_dir, cuts):
+    """``_CONVERSATION`` cut at ``cuts``, fed to one connection of a fresh
+    service; returns ``(status, connection header, doc)`` per response,
+    job ids and ``elapsed_sec`` blanked."""
+    def blank(doc):
+        if isinstance(doc, dict):
+            return {key: "-" if key in ("job_id", "elapsed_sec")
+                    else blank(value) for key, value in doc.items()}
+        if isinstance(doc, list):
+            return [blank(item) for item in doc]
+        return doc
+
+    async def converse():
+        orch = Orchestrator(state_dir)
+        try:
+            connection = http_mod._Connection(HttpApi(orch))
+            transport = _MemoryTransport(connection)
+            bounds = sorted(set(cuts) | {0, len(_CONVERSATION)})
+            for start, stop in zip(bounds, bounds[1:]):
+                connection.data_received(_CONVERSATION[start:stop])
+            assert transport.eof and not transport.closed  # dropping input
+            connection.eof_received()  # the client's EOF ends the drop
+            transport.close()
+            return transport.written
+        finally:
+            orch.close()
+
+    written = asyncio.run(converse())
+    return [(status, headers["connection"], blank(doc))
+            for status, headers, doc in _responses(written)]
+
+
+def test_any_cut_of_a_pipelined_stream_gets_the_same_answers(tmp_path):
+    """Requests are parsed as their bytes arrive: a pipelined stream cut
+    anywhere — inside a request line, a header, the blank line or a
+    body — is answered exactly as the stream in one piece."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dirs = iter(range(10**6))
+    whole = _converse(str(tmp_path / "whole"), [])
+    assert [status for status, _c, _d in whole] == [
+        200, 201, 200, 200, 400, 200, 201, 404, 409, 200]
+    assert [close for _s, close, _d in whole] == ["keep-alive"] * 9 + ["close"]
+
+    @hypothesis.given(st.lists(st.integers(0, len(_CONVERSATION)),
+                               max_size=12))
+    def prop(cuts):
+        assert _converse(str(tmp_path / str(next(dirs))), cuts) == whole
+
+    prop()
+
+
+def test_a_client_that_never_reads_keeps_the_write_buffer_bounded(tmp_path):
+    """A client pipelines ``GET /healthz`` and reads nothing: once the
+    kernel's buffers are full the server stops reading, so the responses
+    it holds stay near the transport's high-water mark (64 KiB) instead
+    of growing with every request sent."""
+    request = _get("/healthz")
+    with _serving(tmp_path) as (api, call):
+        with socket.create_connection(("127.0.0.1", api.port)) as s:
+            s.settimeout(1.0)
+            sent = 0
+            try:
+                while sent < 200_000:  # stops long before: the send stalls
+                    s.sendall(request * 500)
+                    sent += 500
+            except socket.timeout:
+                pass
+
+            async def buffered():
+                return [transport.get_write_buffer_size()
+                        for transport in api._conns.values()]
+
+            (held,) = call(buffered())
+            assert sent >= 2000 and 0 < held <= 2 * 64 * 1024
 
 
 # -- orchestrator scheduling (tier 2) --------------------------------------
