@@ -14,7 +14,9 @@ for the checker (``repro/check``) by mode and by function. Last, it
 prints kernel events per simulated message by the qualified name of each
 event's first callback, for every mode of the grid and for the chaos
 sample of ``workloads.py`` at the same size (its ``scenarios`` count from
-``CAMPAIGN_SEED``).
+``CAMPAIGN_SEED``), and the ``Timeout`` events that sample builds per
+scenario by call site (a task's sleep is a yielded delay and builds
+none).
 
 A wall clock on a shared host moves several per cent between runs of
 the same tree; a step that small (a fused hook, a cheaper join) cannot
@@ -152,6 +154,30 @@ def count_events(fn: Callable[[], Any]) -> tuple[Counter, int]:
     return kinds, messages
 
 
+def count_timeouts(fn: Callable[[], Any]) -> Counter:
+    """Timeouts built while ``fn()`` runs, by call site: ``module:function``
+    of the first frame outside the kernel, ``sim.timeout``'s caller."""
+    from repro.sim.core import Simulator, Timeout
+
+    kernel = Simulator.timeout.__code__.co_filename
+    init = Timeout.__init__
+    sites: Counter = Counter()
+
+    def counting_init(self, *args: Any) -> None:
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == kernel:
+            frame = frame.f_back
+        sites[f"{module_of(frame.f_code)}:{frame.f_code.co_name}"] += 1
+        init(self, *args)
+
+    Timeout.__init__ = counting_init
+    try:
+        fn()
+    finally:
+        Timeout.__init__ = init
+    return sites
+
+
 def module_of(code) -> str:
     """``repro/<path>.py`` for a frame of the package, else ``other``."""
     parts = code.co_filename.replace(os.sep, "/").split("/")
@@ -202,9 +228,11 @@ def census(size: str, checked: bool) -> dict[str, tuple[int, Counter]]:
     return out
 
 
-def event_census(size: str) -> dict[str, tuple[int, Counter]]:
-    """column -> (messages, kernel events by first callback): each mode
-    of the unchecked grid, then ``chaos``."""
+def event_census(size: str) -> tuple[dict[str, tuple[int, Counter]],
+                                      Counter]:
+    """``(column -> (messages, kernel events by first callback), chaos
+    Timeouts by call site)``: each mode of the unchecked grid, then
+    ``chaos``."""
     from repro.scenarios import run_scenario, sample_scenarios
     sizes = SIZES[size]
     out: dict[str, tuple[int, Counter]] = {}
@@ -214,10 +242,15 @@ def event_census(size: str) -> dict[str, tuple[int, Counter]]:
             for cores in sizes["cores"]])
         out[mode] = (messages, kinds)
     specs = sample_scenarios(CAMPAIGN_SEED, sizes["scenarios"])
-    kinds, messages = count_events(lambda: [run_scenario(spec)
-                                            for spec in specs])
+    timeouts: Counter = Counter()
+
+    def chaos() -> None:
+        timeouts.update(count_timeouts(lambda: [run_scenario(spec)
+                                                for spec in specs]))
+
+    kinds, messages = count_events(chaos)
     out["chaos"] = (messages, kinds)
-    return out
+    return out, timeouts
 
 
 class _MemoryTransport:
@@ -330,7 +363,8 @@ def module_rows(runs: dict[bool, dict]) -> tuple[int, dict[str, list[float]]]:
 
 
 def render(size: str, top: int, runs: dict[bool, dict],
-           events: dict[str, tuple[int, Counter]]) -> str:
+           events: dict[str, tuple[int, Counter]],
+           timeouts: Counter) -> str:
     """The census as plain-text tables."""
     messages, rows = module_rows(runs)
     sizes = SIZES[size]
@@ -378,6 +412,14 @@ def render(size: str, top: int, runs: dict[bool, dict],
     lines += [f"{name[:48]:<48} "
               + per_msg(lambda counts, name=name: counts[name])
               for name, _n in kinds.most_common(top)]
+
+    scenarios = sizes["scenarios"]
+    lines += ["", f"Timeouts built per chaos scenario, by call site "
+              f"({scenarios} scenarios of seed {CAMPAIGN_SEED})", "",
+              f"{'call site':<60} {'per_scenario':>12}",
+              f"{'(all)':<60} {sum(timeouts.values()) / scenarios:>12.2f}"]
+    lines += [f"{name[-60:]:<60} {n / scenarios:>12.2f}"
+              for name, n in timeouts.most_common(top)]
     return "\n".join(lines) + "\n"
 
 
@@ -448,7 +490,7 @@ def check(path: str, top: int) -> int:
         fresh = serve_rows(counts)
     else:
         runs = {checked: census(size, checked) for checked in (False, True)}
-        print(render(size, top, runs, event_census(size)), end="")
+        print(render(size, top, runs, *event_census(size)), end="")
         fresh = module_rows(runs)[1]
     risen = compare(table["rows"], fresh, columns=tuple(table["columns"]))
     if risen:
@@ -481,7 +523,8 @@ def main(argv: list[str] | None = None) -> int:
         print(render_serve(args.top, serve_census()), end="")
         return 0
     runs = {checked: census(args.size, checked) for checked in (False, True)}
-    print(render(args.size, args.top, runs, event_census(args.size)), end="")
+    print(render(args.size, args.top, runs, *event_census(args.size)),
+          end="")
     return 0
 
 

@@ -35,6 +35,7 @@ other message — background retransmission storms are part of the chaos.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
@@ -107,13 +108,15 @@ class TrafficShape:
         if not self.rate > 0.0:
             raise TrafficConfigError(
                 f"rate must be positive, got {self.rate!r}")
-        if not self.start >= 0.0:
+        if not 0.0 <= self.start < math.inf:
             raise TrafficConfigError(
-                f"start must be non-negative, got {self.start!r}")
-        if not (self.burst_on > 0.0 and self.burst_off >= 0.0):
+                f"start must be finite and non-negative, got {self.start!r}")
+        if not (0.0 < self.burst_on < math.inf
+                and 0.0 <= self.burst_off < math.inf):
             raise TrafficConfigError(
-                f"burst periods must be positive (on) / non-negative "
-                f"(off), got on={self.burst_on!r}, off={self.burst_off!r}")
+                f"burst periods must be finite and positive (on) / "
+                f"non-negative (off), got on={self.burst_on!r}, "
+                f"off={self.burst_off!r}")
         if not self.alpha > 0.0:
             raise TrafficConfigError(
                 f"alpha must be positive, got {self.alpha!r}")
@@ -185,15 +188,14 @@ def _flow_task(session: TrafficSession, index: int,
     """
     world = session.world
     shape = session.shape
-    sim = world.sim
     lib = world.procs[src].lib
     dst_node = world.procs[dst].node.node_id
     vci = lib.vci_pool.get(vci_index)
     rng = np.random.default_rng((session.seed, index))
     if shape.start > 0.0:
-        yield sim.timeout(shape.start)
+        yield float(shape.start)
     # Desynchronize flow starts so "many clients" do not fire in phase.
-    yield sim.timeout(float(rng.random()) / shape.rate)
+    yield float(rng.random() / shape.rate)
     burst_left = shape.burst_on
     for n in range(shape.msgs_per_flow):
         size = shape.size
@@ -221,7 +223,7 @@ def _flow_task(session: TrafficSession, index: int,
                 gap += shape.burst_off
                 burst_left = shape.burst_on
         if gap > 0.0:
-            yield sim.timeout(gap)
+            yield float(gap)
     return shape.msgs_per_flow
 
 

@@ -91,17 +91,19 @@ class MpiProcess:
         self.threads.append(proc)
         return proc
 
-    def compute(self, seconds: float):
-        """Charge ``seconds`` of local computation (``yield proc.compute(x)``)."""
-        return self.world.sim.timeout(seconds)
+    def compute(self, seconds: float) -> float:
+        """Charge ``seconds`` of local computation (``yield
+        proc.compute(x)``): the sleep, as the float delay a task yields."""
+        if not seconds >= 0:  # also rejects NaN
+            raise ValueError(f"compute time must be >= 0, got {seconds}")
+        return float(seconds)
 
-    def shm_exchange(self, nbytes: int):
+    def shm_exchange(self, nbytes: int) -> float:
         """Charge a thread-to-thread shared-memory copy of ``nbytes``
         (the non-MPI path of the paper's listings: ``else: use shared
-        memory``)."""
+        memory``); ``yield`` the delay it returns."""
         cpu = self.world.cfg.cpu
-        return self.world.sim.timeout(cpu.shm_copy_base
-                                      + nbytes / cpu.shm_bandwidth)
+        return cpu.shm_copy_base + nbytes / cpu.shm_bandwidth
 
     def __repr__(self) -> str:
         return f"<MpiProcess rank={self.rank} node={self.node.node_id}>"

@@ -8,7 +8,6 @@ contention is modelled with the primitives in :mod:`repro.sim.sync`.
 
 from .core import (
     AllOf,
-    AnyOf,
     Event,
     Process,
     SimulationError,
@@ -28,7 +27,6 @@ from .trace import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Barrier",
     "Category",
     "ContentionStats",

@@ -26,7 +26,6 @@ import gc
 from collections import deque
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable,
                     Iterator, Optional)
 
@@ -39,7 +38,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "Simulator",
     "gc_suspended",
     "PRIORITY_URGENT",
@@ -63,7 +61,7 @@ def gc_suspended() -> Iterator[None]:
 
     The kernel allocates one-or-more short-lived objects per event, and
     gen-0 collections triggered mid-run cost real host time without
-    freeing anything the free-list and refcounting don't already handle.
+    freeing anything refcounting doesn't already handle.
     A World is a reference cycle (world, node, process, library and VCI
     back-pointers, each process's bound resume callback), so only the
     collector frees it. The scope therefore belongs to the World's
@@ -314,12 +312,6 @@ class Process(Event):
             self.gen.close()
             self.fail(ValueError(f"timeout delay must be >= 0, got {target}"))
             return
-        # Fast suspend: a fresh, still-pending Timeout from this simulator.
-        if type(target) is Timeout and target.sim is sim \
-                and not target._processed:
-            self._waiting_on = target
-            target.callbacks.append(self._resume_cb)
-            return
         if not isinstance(target, Event) or target.sim is not sim:
             self.gen.close()
             self.fail(SimulationError(
@@ -372,28 +364,6 @@ class AllOf(Event):
             self.succeed(list(self._results))
 
 
-class AnyOf(Event):
-    """Triggers when the first of the given events triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        events = list(events)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        for i, ev in enumerate(events):
-            ev.add_callback(lambda e, i=i: self._on_child(e, i))
-
-    def _on_child(self, ev: Event, index: int) -> None:
-        if self._triggered:
-            return
-        if ev._exc is not None:
-            self.fail(ev._exc)
-        else:
-            self.succeed((index, ev._value))
-
-
 class Simulator:
     """The discrete-event loop: clock + calendar queue of scheduled events.
 
@@ -423,9 +393,6 @@ class Simulator:
     is dispatched, so stopping a run between :meth:`run_steps` calls is
     invisible to the drain.
     """
-
-    #: Maximum number of dead Timeout shells kept for reuse.
-    _POOL_MAX = 1024
 
     def __init__(self):
         self._now = 0.0
@@ -457,9 +424,6 @@ class Simulator:
         #: Next lock creation serial (:class:`repro.sim.sync.Lock`): the
         #: checker's lock-order graph names locks by it, never by ``id()``.
         self._next_lock_serial = 0
-        #: Recycled Timeout shells (see :meth:`timeout` and
-        #: :meth:`run_steps`); a shell keeps its emptied callbacks list.
-        self._timeout_pool: list[Timeout] = []
         #: Extra report providers consulted when a deadlock is detected
         #: (see :meth:`add_diagnostic`).
         self._diagnostics: list[Callable[[], list[str]]] = []
@@ -479,33 +443,8 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Schedule a timeout: the composable sleep (a callback, an
-        ``AnyOf`` member, a user script's ``yield``). A task that only
-        sleeps yields its delay instead, and nothing is allocated.
-
-        Fast path: pop a recycled shell off the free-list (dead timeouts
-        are returned by the run loop once provably unreferenced) and
-        append it straight to its bucket — no ``Timeout.__init__``, no
-        callbacks-list allocation, no call into :meth:`_schedule`.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if not delay >= 0:
-                raise ValueError(f"timeout delay must be >= 0, got {delay}")
-            t = pool.pop()
-            t.delay = delay
-            t._value = value
-            t._processed = False
-            t._seq = self._seq = self._seq + 1
-            when = self._now + delay
-            bucket = self._buckets.get(when)
-            if bucket is not None:
-                bucket.append(t)
-            elif when == self._cur_time:
-                self._cur.append(t)
-            else:
-                self._buckets[when] = [t]
-                heappush(self._times, when)
-            return t
+        ``AllOf`` member, a user script's ``yield``). A task that only
+        sleeps yields its delay instead, and nothing is allocated."""
         return Timeout(self, delay, value)
 
     def call_after(self, delay: float, fn: Optional[Callable[[Event], None]],
@@ -543,14 +482,8 @@ class Simulator:
         """Start a new cooperative task from a generator."""
         return Process(self, gen, name)
 
-    # alias matching simpy vocabulary
-    process = spawn
-
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- deadlock diagnostics ---------------------------------------------
     def add_diagnostic(self, fn: Callable[[], list[str]]) -> None:
@@ -644,11 +577,6 @@ class Simulator:
         return self.peek_time() is None
 
     # -- execution --------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        if self.run_steps(1) == 0:
-            raise IndexError("step() on an empty schedule")
-
     def run_steps(self, n: int, horizon: Optional[float] = None,
                   stop_event: Optional[Event] = None) -> int:
         """Process up to ``n`` events; returns the number processed.
@@ -682,8 +610,6 @@ class Simulator:
         # iterations that only move the drain cost neither test.
         if steps >= last or stop_event._processed:
             return 0
-        pool = self._timeout_pool
-        pool_max = self._POOL_MAX
         buckets = self._buckets
         times = self._times
         u = self._u
@@ -711,8 +637,7 @@ class Simulator:
             # inside callbacks (the checker records ``sim.steps`` with
             # a violation) must see the exact per-event count.
             self.steps = steps = steps + 1
-            kind = type(event)
-            if kind is Process and not event._triggered:
+            if type(event) is Process and not event._triggered:
                 # A sleeping task's own entry (a finished task's is
                 # triggered): wake it as its Timeout would have, and
                 # when it sleeps again, schedule it as
@@ -729,32 +654,6 @@ class Simulator:
                     else:
                         buckets[when] = [event]
                         heappush(times, when)
-            elif kind is Timeout:
-                callbacks = event.callbacks
-                event._processed = True
-                if callbacks:
-                    # Most events have exactly one waiter: skip the
-                    # loop set-up and keep the emptied list on the
-                    # shell for its next use.
-                    try:
-                        fn, = callbacks
-                    except ValueError:
-                        event.callbacks = None
-                        for fn in callbacks:
-                            fn(event)
-                    else:
-                        del callbacks[:]
-                        fn(event)
-                # A dead timeout is recycled when the refcount proves
-                # nothing else holds it: the ``event`` local + the
-                # getrefcount argument = 2 (the lane it came from let
-                # go of it). Any other referent (a process or user
-                # still watching it) pushes the count past 2.
-                if len(pool) < pool_max and getrefcount(event) == 2:
-                    event._value = None
-                    if event.callbacks is None:
-                        event.callbacks = []
-                    pool.append(event)
             else:
                 callbacks = event.callbacks
                 event._processed = True

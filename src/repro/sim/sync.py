@@ -220,7 +220,10 @@ class Barrier:
             raise ValueError("barrier needs at least one party")
         self.sim = sim
         self.parties = parties
-        self.per_entry_cost = per_entry_cost
+        if not per_entry_cost >= 0:  # also rejects NaN
+            raise ValueError(
+                f"per_entry_cost must be >= 0, got {per_entry_cost}")
+        self.per_entry_cost = float(per_entry_cost)
         self._count = 0
         self._gate: Event = sim.event()
         self.generation = 0
@@ -230,10 +233,10 @@ class Barrier:
         self._hb_pending: Optional[dict[int, int]] = None
         self._hb_release: Optional[dict[int, int]] = None
 
-    def wait(self) -> Generator[Event, Any, None]:
+    def wait(self) -> Generator[Event | float, Any, None]:
         """Block until all parties arrive; last arriver opens the gate."""
         if self.per_entry_cost:
-            yield self.sim.timeout(self.per_entry_cost)
+            yield self.per_entry_cost
         chk = self.sim.checker
         if chk is not None:
             chk.barrier_arrive(self)

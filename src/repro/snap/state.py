@@ -38,8 +38,7 @@ from ..mpi.matching import PostedRecv
 from ..mpi.request import Request
 from ..netsim.message import WireMessage
 from ..netsim.nic import HardwareContext
-from ..sim.core import (AllOf, AnyOf, Event, Process, Timeout,
-                        _waiting_kind)
+from ..sim.core import Event, Process, Timeout, _waiting_kind
 
 __all__ = ["capture_state", "canonical_json", "state_digest",
            "diff_states", "prune_state", "canon_key", "describe_value",

@@ -47,14 +47,13 @@ from repro.check.hb import Access, Publication, TaskClock, published_mapping
 from repro.mpi.matching import PostedRecv, key_matches
 from repro.mpi.request import Request
 from repro.netsim.message import WireMessage
-from repro.sim.core import (PRIORITY_NORMAL, Event, Process,
-                            SimulationError, Simulator, Timeout, _canonical)
+from repro.sim.core import (PRIORITY_NORMAL, Event, Process, SimulationError,
+                            Simulator, _canonical)
 
 
 class HeapSimulator(Simulator):
     """The production event/process machinery on a plain binary heap: no
-    buckets, no urgent lane, no timeout pooling, no inlined dispatch or
-    scheduling."""
+    buckets, no urgent lane, no inlined dispatch or scheduling."""
 
     def __init__(self):
         super().__init__()
@@ -69,9 +68,6 @@ class HeapSimulator(Simulator):
         # Also the sleep of a task that yielded a float: the task itself
         # goes on the heap, as in the production scheduler.
         self._enqueue(event, delay, PRIORITY_NORMAL)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
 
     def call_after(self, delay: float, fn, value: Any = None) -> Event:
         if not delay >= 0:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
+from repro.sim import Event, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -345,30 +345,6 @@ def test_all_of_fails_on_first_child_failure():
     assert log[0][0] == pytest.approx(1.0)
 
 
-def test_any_of_returns_first_index_and_value():
-    sim = Simulator()
-
-    def task(delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    def main(out):
-        result = yield sim.any_of([sim.spawn(task(3.0, "slow")),
-                                   sim.spawn(task(1.0, "fast"))])
-        out.append((sim.now, result))
-
-    out = []
-    sim.spawn(main(out))
-    sim.run()
-    assert out == [(1.0, (1, "fast"))]
-
-
-def test_any_of_requires_events():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.any_of([])
-
-
 def test_callback_on_already_processed_event_runs_immediately():
     sim = Simulator()
     ev = sim.timeout(1.0)
@@ -442,41 +418,3 @@ def test_deadlock_report_still_sees_alive_processes():
     with pytest.raises(SimulationError, match=r"blocked tasks \(2\)"):
         sim.run(until=target)
     assert len(sim._processes) == 2  # only the stuck ones remain
-
-
-def test_timeout_pool_recycles_events():
-    """Processed timeouts are recycled through the free list, and a
-    recycled timeout behaves like a fresh one."""
-    sim = Simulator()
-
-    def task():
-        for _ in range(50):
-            yield sim.timeout(0.25)
-
-    sim.spawn(task())
-    sim.run()
-    assert 0 < len(sim._timeout_pool) <= sim._POOL_MAX
-    t0 = sim.now
-
-    def again():
-        yield sim.timeout(2.0)
-
-    sim.spawn(again())
-    sim.run()
-    assert sim.now == pytest.approx(t0 + 2.0)
-
-
-def test_timeout_pool_not_poisoned_by_held_references():
-    """A timeout the user still references must not be recycled."""
-    sim = Simulator()
-    held = []
-
-    def task():
-        t = sim.timeout(1.0)
-        held.append(t)
-        yield t
-
-    sim.spawn(task())
-    sim.run()
-    assert held[0].triggered
-    assert all(ev is not held[0] for ev in sim._timeout_pool)

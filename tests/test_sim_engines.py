@@ -135,8 +135,7 @@ SCHEDULERS = pytest.mark.parametrize("sim_cls", [Simulator, HeapSimulator])
 @SCHEDULERS
 def test_timeout_rejects_nan_and_accepts_signed_zero(sim_cls):
     sim = sim_cls()
-    # Both validation sites: Timeout.__init__ (empty pool) and the pooled
-    # fast path (production scheduler, after a run has recycled shells).
+    # The one validation site: Timeout.__init__, before or after a run.
     for _ in range(2):
         with pytest.raises(ValueError, match="nan"):
             sim.timeout(math.nan)
@@ -151,7 +150,6 @@ def test_timeout_rejects_nan_and_accepts_signed_zero(sim_cls):
         sim.spawn(churn())
         sim.run()
         assert not math.isnan(sim.now)
-    assert sim_cls is HeapSimulator or sim._timeout_pool
 
 
 @SCHEDULERS

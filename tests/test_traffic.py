@@ -1,12 +1,15 @@
 """Background-traffic injectors (repro.netsim.traffic)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.errors import TrafficConfigError
+from repro.errors import ScenarioError, TrafficConfigError
 from repro.faults import FaultPlan
 from repro.netsim.traffic import TRAFFIC_KINDS, TrafficShape, install_traffic
 from repro.runtime import World
+from repro.scenarios import ScenarioSpec
 from repro.snap import capture_state, state_digest
 
 
@@ -36,10 +39,23 @@ class TestTrafficShape:
         {"rate": float("nan")},
         {"alpha": 0.0},
         {"vcis": 0},
+        {"start": math.inf},
+        {"burst_on": math.inf},
+        {"burst_off": math.inf},
     ])
     def test_eager_validation(self, kwargs):
         with pytest.raises(TrafficConfigError):
             TrafficShape(**kwargs)
+
+    @pytest.mark.parametrize("field", ["start", "burst_on", "burst_off"])
+    def test_scenario_document_with_an_infinite_time_is_rejected(self, field):
+        """``.inf`` in a scenario document fails when the spec is built;
+        it used to reach the run as a NaN delay and end in a crash."""
+        spec = ScenarioSpec(app="stencil", mechanism="tags",
+                            traffic=TrafficShape(kind="bursty", flows=2))
+        document = spec.to_yaml().replace(f"{field}: ", f"{field}: .inf #")
+        with pytest.raises(ScenarioError, match=field.split("_")[0]):
+            ScenarioSpec.from_yaml(document)
 
 
 class TestInjection:
