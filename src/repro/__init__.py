@@ -29,7 +29,7 @@ simulator, everything the paper's comparison rests on:
   context stalls, link flaps) and a sequencing/ACK/retransmission layer
   that keeps every MPI mechanism correct on a lossy fabric. Pass
   ``World(faults=FaultPlan(drop=0.05))``, or use ``python -m repro
-  faults``.
+  stencil --plan``.
 
 Quick start::
 

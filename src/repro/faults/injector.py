@@ -17,16 +17,16 @@ never consult Python's randomized ``hash`` or wall-clock state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..sim.trace import TraceCategory, Tracer
+from ..sim.trace import TraceCategory
 from .plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.message import WireMessage
-    from ..obs.metrics import MetricsRegistry
+    from ..sim.core import Simulator
 
 __all__ = ["Delivery", "FaultInjector", "payload_checksum"]
 
@@ -57,15 +57,15 @@ class Delivery:
 class FaultInjector:
     """Seeded decision engine for one world's fault plan."""
 
-    def __init__(self, plan: FaultPlan, seed: int = 0):
+    def __init__(self, sim: "Simulator", plan: FaultPlan, seed: int = 0):
         self.plan = plan
         self.seed = int(seed)
         # splitmix64 state; offset so seed 0 is not the all-zeros state.
         self._state = (self.seed * 0x9E3779B97F4A7C15 + 0x1F123BB5) \
             & 0xFFFFFFFFFFFFFFFF
-        #: The world's instruments (``World`` assigns them; None if absent).
-        self.metrics: Optional["MetricsRegistry"] = None
-        self.tracer: Optional[Tracer] = None
+        #: The run's instruments, from the simulator (None if absent).
+        self.metrics = sim.metrics
+        self.tracer = sim.tracer
         # -- fault counters (always on; metrics mirror them if present) ----
         self.drops = 0
         self.dups = 0

@@ -2,7 +2,7 @@
 
 Companion to :mod:`repro.obs.report`: where that module answers "where did
 the time go", this one answers "what went wrong on the wire and how was it
-recovered". Rendered by the ``faults`` CLI subcommand next to the per-VCI
+recovered". Rendered by ``repro stencil --plan`` next to the per-VCI
 table.
 """
 

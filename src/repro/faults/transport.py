@@ -89,7 +89,8 @@ class ReliableTransport:
         self._send_seq: dict[Flow, int] = {}
         self._inflight: dict[Flow, dict[int, _InFlight]] = {}
         self._recv: dict[Flow, _RecvFlow] = {}
-        # -- counters (always on; mirrored into metrics if present) -------
+        # -- counters (always on; collect_world harvests them as the
+        # `transport.total.*` gauges) ------------------------------------
         self.data_sent = 0
         self.retransmits = 0
         self.acks_sent = 0
@@ -97,21 +98,6 @@ class ReliableTransport:
         self.dup_suppressed = 0
         self.corrupt_dropped = 0
         self.ooo_buffered = 0
-        metrics = lib.metrics
-        if metrics is not None:
-            labels = {"rank": lib.rank}
-            self.m_data = metrics.counter("transport.data", **labels)
-            self.m_retransmit = metrics.counter("transport.retransmit",
-                                                **labels)
-            self.m_ack = metrics.counter("transport.ack", **labels)
-            self.m_dup = metrics.counter("transport.dup_suppressed",
-                                         **labels)
-            self.m_corrupt = metrics.counter("transport.corrupt_drop",
-                                             **labels)
-            self.m_ooo = metrics.counter("transport.ooo_buffered", **labels)
-        else:
-            self.m_data = self.m_retransmit = self.m_ack = None
-            self.m_dup = self.m_corrupt = self.m_ooo = None
 
     # ------------------------------------------------------------------
     # sender side
@@ -136,8 +122,6 @@ class ReliableTransport:
         rec = _InFlight(msg=msg)
         self._inflight.setdefault(flow, {})[seq] = rec
         self.data_sent += 1
-        if self.m_data is not None:
-            self.m_data.inc()
         fabric.transmit(msg, depart)
         self._arm_timer(rec, depart)
 
@@ -155,8 +139,6 @@ class ReliableTransport:
             raise self._exhaustion_error(rec)
         rec.retries += 1
         self.retransmits += 1
-        if self.m_retransmit is not None:
-            self.m_retransmit.inc()
         lib = self.lib
         tracer = lib.tracer
         if tracer is not None:
@@ -217,8 +199,6 @@ class ReliableTransport:
         flow: Flow = ack.meta["flow"]
         upto: int = ack.meta["ack"]
         self.acks_received += 1
-        if self.m_ack is not None:
-            self.m_ack.inc()
         pending = self._inflight.get(flow)
         if not pending:
             return
@@ -251,8 +231,6 @@ class ReliableTransport:
             # Corrupted in flight: discard silently; no ACK means the
             # sender's timer recovers it with a clean copy.
             self.corrupt_dropped += 1
-            if self.m_corrupt is not None:
-                self.m_corrupt.inc()
             if tracer is not None:
                 tracer.emit(TraceCategory.CORRUPT_DROP, {
                     "rank": lib.rank, "flow": msg.rel_flow,
@@ -268,8 +246,6 @@ class ReliableTransport:
             # Duplicate (injected, or a retransmission racing its ACK):
             # suppress, but re-ACK so the sender clears its state.
             self.dup_suppressed += 1
-            if self.m_dup is not None:
-                self.m_dup.inc()
             if tracer is not None:
                 tracer.emit(TraceCategory.DUP_SUPPRESSED, {
                     "rank": lib.rank, "flow": flow, "rel_seq": seq,
@@ -282,8 +258,6 @@ class ReliableTransport:
             # delivery resumes when the gap fills.
             state.buffer[seq] = msg
             self.ooo_buffered += 1
-            if self.m_ooo is not None:
-                self.m_ooo.inc()
             self._send_ack(flow, msg)
             return True
         # In order: deliver, then drain whatever the gap was holding back.

@@ -59,12 +59,11 @@ class MpiLibrary:
         self.node = node
         self.cfg = cfg
         self.cpu = cfg.cpu
-        #: Observability handles; the world owns both (see
-        #: ``World(metrics=..., tracer=...)``), each ``None`` when absent.
-        self.metrics = getattr(world, "metrics", None)
-        self.tracer: Optional[Tracer] = getattr(world, "tracer", None)
+        #: The run's tracer (``World(tracer=...)`` installs it on the
+        #: simulator), or None.
+        self.tracer: Optional[Tracer] = sim.tracer
         self.vci_pool = VciPool(sim, node.nic, cfg.cpu, max_vcis=max_vcis,
-                                metrics=self.metrics, rank=rank)
+                                rank=rank)
         #: Rendezvous sends awaiting CTS, by send-request id.
         self._rndv_sends: dict[int, dict] = {}
         #: Rendezvous receives awaiting DATA, by send-request id.

@@ -30,7 +30,7 @@ from typing import Optional
 from ..errors import HintViolationError, MpiUsageError
 from ..netsim.config import CpuCosts
 from ..netsim.nic import HardwareContext, Nic
-from ..obs.metrics import MetricsRegistry, instrument_lock
+from ..obs.metrics import instrument_lock
 from ..sim.core import Simulator
 from ..sim.resources import FIFOServer
 from ..sim.sync import Lock
@@ -63,8 +63,8 @@ def mix_hash(x: int) -> int:
 class Vci:
     """One virtual communication interface.
 
-    With a metrics registry the VCI pre-builds its issue-path metric handles
-    (``m_*``) so the hot path in
+    With a metrics registry on the simulator the VCI pre-builds its
+    issue-path metric handles (``m_*``) so the hot path in
     :meth:`~repro.mpi.library.MpiLibrary.issue_from_thread` records stage
     timings with plain attribute updates, and instruments its lock with a
     contention observer (the doorbell lock is instrumented by the NIC
@@ -77,13 +77,13 @@ class Vci:
                  "m_shared_post")
 
     def __init__(self, sim: Simulator, index: int, cpu: CpuCosts,
-                 hw_context: HardwareContext,
-                 metrics: Optional[MetricsRegistry] = None, rank: int = 0):
+                 hw_context: HardwareContext, rank: int = 0):
         self.sim = sim
         self.index = index
         #: Serializes thread access to this channel's send path and queues.
         self.lock = Lock(sim, name=f"vci{index}.lock")
         labels = {"rank": rank, "vci": index}
+        metrics = sim.metrics
         if metrics is not None:
             self.engine = MatchingEngine(metrics, labels)
             self.m_issue = metrics.counter("mpi.issue.count", **labels)
@@ -125,15 +125,13 @@ class VciPool:
     """
 
     def __init__(self, sim: Simulator, nic: Nic, cpu: CpuCosts,
-                 max_vcis: int = 64,
-                 metrics: Optional[MetricsRegistry] = None, rank: int = 0):
+                 max_vcis: int = 64, rank: int = 0):
         if max_vcis < 1:
             raise MpiUsageError("VCI pool needs at least one VCI")
         self.sim = sim
         self.nic = nic
         self.cpu = cpu
         self.max_vcis = max_vcis
-        self.metrics = metrics
         self.rank = rank
         self._vcis: dict[int, Vci] = {}
 
@@ -143,7 +141,7 @@ class VciPool:
         vci = self._vcis.get(index)
         if vci is None:
             vci = Vci(self.sim, index, self.cpu, self.nic.allocate_context(),
-                      metrics=self.metrics, rank=self.rank)
+                      rank=self.rank)
             self._vcis[index] = vci
         return vci
 

@@ -10,12 +10,11 @@ destination node registered — in this codebase, the MPI library's
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from ..obs.metrics import MetricsRegistry
 from ..sim.core import Event, Simulator
 from ..sim.resources import FIFOServer
-from ..sim.trace import TraceCategory, Tracer
+from ..sim.trace import TraceCategory
 from .config import FabricParams
 from .message import HEADER_BYTES, WireMessage
 
@@ -32,19 +31,17 @@ LINK_HOP = TraceCategory.custom("topo.link.hop", "fabric")
 class Fabric:
     """Connects nodes; schedules message arrivals.
 
-    With a metrics registry the fabric records per-node egress/ingress
-    queueing-delay histograms — the saturation signal behind the Fig 1(a)
-    message-rate plateau — and a tracer (if any) gets one
-    ``fabric.deliver`` instant per arrival.
+    With a metrics registry on the simulator the fabric records per-node
+    egress/ingress queueing-delay histograms — the saturation signal
+    behind the Fig 1(a) message-rate plateau — and a tracer (if any) gets
+    one ``fabric.deliver`` instant per arrival.
     """
 
-    def __init__(self, sim: Simulator, params: FabricParams,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, sim: Simulator, params: FabricParams):
         self.sim = sim
         self.params = params
-        self.metrics = metrics
-        self.tracer = tracer
+        self.metrics = sim.metrics
+        self.tracer = sim.tracer
         #: Optional :class:`repro.faults.FaultInjector` making the fabric
         #: lossy (the World attaches it when built with ``faults=``).
         self.injector = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..obs.metrics import MetricsRegistry, instrument_lock
+from ..obs.metrics import instrument_lock
 from ..sim.core import Event, Simulator
 from ..sim.resources import FIFOServer
 from ..sim.sync import Lock
@@ -29,19 +29,19 @@ __all__ = ["HardwareContext", "Nic"]
 class HardwareContext:
     """One NIC hardware context (work queue + doorbell).
 
-    With a metrics registry the context instruments its doorbell lock (the
-    Lesson 3 serialization point among sharing VCIs) and records a
-    queue-delay histogram for its injector — how long each message sat
-    behind earlier injections before departing.
+    With a metrics registry on the simulator the context instruments its
+    doorbell lock (the Lesson 3 serialization point among sharing VCIs)
+    and records a queue-delay histogram for its injector — how long each
+    message sat behind earlier injections before departing.
     """
 
     __slots__ = ("sim", "index", "params", "injector", "doorbell_lock",
                  "messages_issued", "bytes_issued", "sharers",
-                 "_jitter_state", "_metrics", "_node_id", "m_inject_queue",
+                 "_jitter_state", "_node_id", "m_inject_queue",
                  "nic", "fault_injector", "failovers_in", "stall_waits")
 
     def __init__(self, sim: Simulator, index: int, params: NicParams,
-                 metrics: Optional[MetricsRegistry] = None, node_id: int = 0):
+                 node_id: int = 0):
         self.sim = sim
         self.index = index
         self.params = params
@@ -53,7 +53,6 @@ class HardwareContext:
         #: Number of VCIs mapped onto this context.
         self.sharers = 0
         self._jitter_state = index * 0x9E3779B9 + 1
-        self._metrics = metrics
         self._node_id = node_id
         self.m_inject_queue = None
         #: Owning NIC (set by Nic; needed to pick a failover target).
@@ -69,7 +68,7 @@ class HardwareContext:
     def _instrument(self) -> None:
         """Create this context's metric series (on first allocation, so a
         160-context pool doesn't flood the registry with unused series)."""
-        metrics = self._metrics
+        metrics = self.sim.metrics
         if self.m_inject_queue is None and metrics is not None:
             self.m_inject_queue = metrics.histogram(
                 "nic.inject.queue_delay", node=self._node_id, ctx=self.index)
@@ -167,14 +166,12 @@ class Nic:
     :meth:`built_contexts`; neither builds anything.
     """
 
-    def __init__(self, sim: Simulator, params: NicParams, node_id: int = 0,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, sim: Simulator, params: NicParams, node_id: int = 0):
         if params.num_hardware_contexts < 1:
             raise ValueError("NIC needs at least one hardware context")
         self.sim = sim
         self.params = params
         self.node_id = node_id
-        self._metrics = metrics
         self._fault_injector = None
         #: One entry per hardware context; None until the slot is built.
         self._slots: list[Optional[HardwareContext]] = \
@@ -186,8 +183,7 @@ class Nic:
         ctx = self._slots[index]
         if ctx is None:
             ctx = self._slots[index] = HardwareContext(
-                self.sim, index, self.params, metrics=self._metrics,
-                node_id=self.node_id)
+                self.sim, index, self.params, node_id=self.node_id)
             ctx.nic = self
             ctx.fault_injector = self._fault_injector
         return ctx

@@ -18,12 +18,8 @@ the tracer gets one ``topo.link.hop`` instant per hop (both observer-only
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...errors import TopologyError
-from ...obs.metrics import MetricsRegistry
 from ...sim.core import Simulator
-from ...sim.trace import Tracer
 from ..config import FabricParams
 from ..fabric import LINK_HOP, DeliveryHandler, Fabric
 from ..message import WireMessage
@@ -44,10 +40,8 @@ class RoutedFabric(Fabric):
     """
 
     def __init__(self, sim: Simulator, params: FabricParams,
-                 topology: Topology,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None):
-        super().__init__(sim, params, metrics=metrics, tracer=tracer)
+                 topology: Topology):
+        super().__init__(sim, params)
         self.topology = topology
         topology.bind(sim, params)
         self._max_hops_cache = 0
@@ -96,11 +90,13 @@ class RoutedFabric(Fabric):
         sim.call_after(arrival - sim._now, self._on_arrival, msg)
 
     def latency_for(self, wire_bytes: int) -> float:
-        """Unloaded latency bound: the topology's longest route.
+        """Unloaded latency bound: the topology's longest route, a per-hop
+        walk of the worst-case path.
 
-        Used by the reliable transport to size retransmission timers; a
-        per-hop walk of the worst-case path keeps timers from firing
-        while a healthy multi-hop delivery is still in flight.
+        No caller under ``src/`` (the reliable transport arms
+        ``TransportParams.rto``): the frozen ``benchmarks/stack/layers.py``
+        resolves this name; it goes with the benchmark thaw (ROADMAP
+        item 1).
         """
         hops = self._max_hops()
         per_hop = self.params.latency + wire_bytes / self.params.bandwidth

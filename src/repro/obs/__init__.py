@@ -6,8 +6,9 @@ matching-queue depth, hardware-context occupancy. This package is the
 instrument panel for those quantities:
 
 - :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — counters, gauges
-  and weighted histograms, all in simulated time; handed to
-  ``World(metrics=...)`` and threaded through every hot layer.
+  and weighted histograms; handed to ``World(metrics=...)``, which
+  installs it on the simulator, where every hot layer finds it. It holds
+  no clock: a World's registry records simulated quantities.
 - :func:`collect_world` (:mod:`repro.obs.collect`) — end-of-run harvest
   of structural stats (VCI totals, context occupancy, link saturation).
 - :func:`render_report` / :func:`render_vci_report`

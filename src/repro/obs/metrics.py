@@ -1,12 +1,14 @@
-"""Metric primitives: counters, time-weighted gauges, weighted histograms.
+"""Metric primitives: counters, gauges, weighted histograms.
 
-All metrics live in *simulated* time: a :class:`MetricsRegistry` is bound
-to a simulator clock (``World`` does this for its registry), gauges
-integrate their value over simulated seconds, and histogram observations
-may be weighted by simulated durations (e.g. "time spent at queue depth
-d"). Recording a metric never schedules an event, so enabling metrics
-cannot perturb simulated timings — two runs with the same seed produce
-identical metric values whether or not anyone is watching.
+A :class:`MetricsRegistry` holds no clock. What a series means in time is
+the recorder's business: a World's registry holds simulated quantities
+(live counters and histograms, some observations weighted by simulated
+durations such as "time spent at queue depth d", and gauges that
+:func:`repro.obs.collect_world` sets at the end of a run), while the
+service's registry records host seconds. Recording a metric never
+schedules an event, so enabling metrics cannot perturb simulated timings
+— two runs with the same seed produce identical metric values whether or
+not anyone is watching.
 
 Series are keyed by ``(name, labels)``; labels are small tag dictionaries
 (``rank=0, vci=3``) sorted into a canonical tuple, so snapshots and
@@ -16,7 +18,7 @@ reports are deterministic.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 __all__ = [
     "Counter",
@@ -70,50 +72,23 @@ class Counter:
 
 
 class Gauge:
-    """A sampled value, integrated over simulated time.
+    """A set value: the last one, the largest one and how many were set."""
 
-    ``set`` records the new value and accumulates ``old_value * dt`` so
-    :meth:`time_weighted_mean` reports the average level over the run, not
-    just the final sample.
-    """
-
-    __slots__ = ("name", "labels", "value", "max_value", "_now",
-                 "_start_time", "_last_time", "_weighted_sum", "_samples")
+    __slots__ = ("name", "labels", "value", "max_value", "_samples")
 
     kind = "gauge"
 
-    def __init__(self, name: str, labels: LabelKey,
-                 now: Callable[[], float]):
+    def __init__(self, name: str, labels: LabelKey):
         self.name = name
         self.labels = labels
         self.value = 0.0
         self.max_value = 0.0
-        self._now = now
-        self._start_time = now()
-        self._last_time = self._start_time
-        self._weighted_sum = 0.0
         self._samples = 0
 
     def set(self, value: float) -> None:
-        """Set the gauge, folding the old value into the time-weighted mean."""
-        t = self._now()
-        self._weighted_sum += self.value * (t - self._last_time)
-        self._last_time = t
         self.value = value
         self.max_value = max(self.max_value, value)
         self._samples += 1
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
-
-    def time_weighted_mean(self, until: Optional[float] = None) -> float:
-        """Mean value from the first sample to ``until`` (default: now)."""
-        t = self._now() if until is None else until
-        total = self._weighted_sum + self.value * max(0.0, t - self._last_time)
-        elapsed = t - self._start_time
-        if elapsed <= 0.0:
-            return self.value
-        return total / elapsed
 
     def as_dict(self) -> dict[str, Any]:
         return {"value": self.value, "max": self.max_value,
@@ -199,15 +174,8 @@ class MetricsRegistry:
     test.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._clock = clock or (lambda: 0.0)
+    def __init__(self):
         self._metrics: dict[tuple[str, LabelKey], Any] = {}
-
-    # -- clock binding -----------------------------------------------------
-    def bind_clock(self, clock: Callable[[], float]) -> "MetricsRegistry":
-        """Attach the simulated-time clock (``World`` calls this)."""
-        self._clock = clock
-        return self
 
     # -- series construction ----------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -224,7 +192,7 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = Gauge(name, key[1], self._clock)
+            metric = Gauge(name, key[1])
             self._metrics[key] = metric
         return metric
 

@@ -48,11 +48,10 @@ __all__ = ["Node", "MpiProcess", "World"]
 class Node:
     """One compute node: a NIC shared by the node's processes."""
 
-    def __init__(self, sim: Simulator, node_id: int, cfg: NetworkConfig,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, sim: Simulator, node_id: int, cfg: NetworkConfig):
         self.sim = sim
         self.node_id = node_id
-        self.nic = Nic(sim, cfg.nic, node_id=node_id, metrics=metrics)
+        self.nic = Nic(sim, cfg.nic, node_id=node_id)
         self.procs: list["MpiProcess"] = []
         #: The node's processes by world rank (filled by :meth:`attach`).
         self.procs_by_rank: dict[int, "MpiProcess"] = {}
@@ -130,14 +129,17 @@ class World:
     path to instrumented runs (callers should not reach into ``world.sim``
     internals):
 
-    - ``metrics=`` — a :class:`repro.obs.MetricsRegistry`. The world binds
-      it to the simulated clock and threads it through every layer (VCI
-      locks, issue path, matching engines, NIC contexts, fabric links).
-      Call :meth:`finalize_metrics` after the run to harvest structural
-      stats (queue high-water marks, context occupancy, link saturation).
+    - ``metrics=`` — a :class:`repro.obs.MetricsRegistry`. The world
+      installs it as ``sim.metrics`` before it builds any layer, and each
+      layer that records (VCI locks, issue path, matching engines, NIC
+      contexts, fabric links, fault injector) takes its handles from
+      there. Call :meth:`finalize_metrics` after the run to harvest
+      structural stats (queue high-water marks, context occupancy, link
+      saturation).
     - ``tracer=`` — a :class:`repro.sim.trace.Tracer`; may be constructed
-      without a simulator (``Tracer()``), the world binds its clock. Feed
-      it to :func:`repro.obs.export_chrome_trace` for a Perfetto timeline.
+      without a simulator (``Tracer()``), the world binds its clock and
+      installs it as ``sim.tracer``. Feed it to
+      :func:`repro.obs.export_chrome_trace` for a Perfetto timeline.
 
     Both default to ``None`` (no instrument, one ``is None`` test per hot
     site), and neither affects simulated timings when given: metric
@@ -200,11 +202,13 @@ class World:
         if check:
             self.checker = Checker(self.sim, check)
             self.sim.checker = self.checker
-        # An absent instrument is None, and every layer tests it with
-        # `is None`, never truthiness: both are falsy when empty.
-        self.metrics = metrics if metrics is None \
-            else metrics.bind_clock(lambda: self.sim.now)
-        self.tracer = tracer if tracer is None else tracer.bind(self.sim)
+        # The instruments ride on the simulator like the checker, so every
+        # layer built below finds them there. An absent instrument is None,
+        # and every layer tests it with `is None`, never truthiness: both
+        # are falsy when empty.
+        self.metrics = self.sim.metrics = metrics
+        self.tracer = self.sim.tracer = \
+            tracer if tracer is None else tracer.bind(self.sim)
         self.cfg = cluster.network
         self.num_nodes = num_nodes
         self.procs_per_node = procs_per_node
@@ -217,16 +221,13 @@ class World:
         #: timing is byte-identical to the pre-ClusterSpec code path.
         self.topology = cluster.build_topology()
         if self.topology is None:
-            self.fabric = Fabric(self.sim, self.cfg.fabric,
-                                 metrics=self.metrics, tracer=self.tracer)
+            self.fabric = Fabric(self.sim, self.cfg.fabric)
         else:
             from ..netsim.topology.routed import RoutedFabric
             self.fabric = RoutedFabric(self.sim, self.cfg.fabric,
-                                       self.topology, metrics=self.metrics,
-                                       tracer=self.tracer)
+                                       self.topology)
 
-        self.nodes = [Node(self.sim, i, self.cfg, metrics=self.metrics)
-                      for i in range(num_nodes)]
+        self.nodes = [Node(self.sim, i, self.cfg) for i in range(num_nodes)]
         self.procs: list[MpiProcess] = []
         for node in self.nodes:
             self.fabric.register_node(node.node_id, node.deliver)
@@ -252,9 +253,8 @@ class World:
         if faults is not None or transport is not None:
             from ..faults import injector as injection, transport as reliable
             if faults is not None:
-                self.injector = injection.FaultInjector(faults, seed=seed)
-                self.injector.metrics = self.metrics
-                self.injector.tracer = self.tracer
+                self.injector = injection.FaultInjector(self.sim, faults,
+                                                        seed=seed)
                 self.fabric.injector = self.injector
                 for node in self.nodes:
                     node.nic.attach_fault_injector(self.injector)

@@ -290,7 +290,7 @@ class Orchestrator:
         self.cache = ResultCache(os.path.join(state_dir, "cache"))
         self.heartbeat_timeout = heartbeat_timeout
         self.max_attempts = max_attempts
-        self.metrics = MetricsRegistry(clock=time.monotonic)
+        self.metrics = MetricsRegistry()
         #: Held counter handles of ``metrics`` (the HTTP edge's too).
         self.count = Counters(self.metrics)
         self.jobs: dict[str, Job] = {}

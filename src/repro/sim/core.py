@@ -413,6 +413,12 @@ class Simulator:
         #: observing this simulator, or None. Hook sites guard on this so
         #: an unchecked run pays one attribute test per site.
         self.checker = None
+        #: Installed by ``World(metrics=..., tracer=...)`` beside the
+        #: checker: the run's :class:`repro.obs.MetricsRegistry` and
+        #: :class:`repro.sim.trace.Tracer`, or None. Layers read them once
+        #: when built and keep their own handles.
+        self.metrics = None
+        self.tracer = None
         self.steps = 0
         #: Live processes by spawn id (for deadlock diagnostics); completed
         #: processes remove themselves so long sweeps don't accumulate.

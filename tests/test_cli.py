@@ -1,5 +1,6 @@
 """Tests for the command-line experiment runner (repro.cli)."""
 
+import hashlib
 import json
 
 import pytest
@@ -288,3 +289,26 @@ def test_app_command_stdout_is_byte_exact(name, capsys):
     argv, expected = CLI_GOLDENS[name]
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+#: sha-256 of the stdout of the two instrumented reports: every series a
+#: profiled Fig 1(a) point records (metrics reach each layer through the
+#: simulator), and the fault and transport tallies of a lossy stencil.
+REPORT_PINS = {
+    "msgrate-profile": (
+        ["msgrate", "--profile", "--full", "--modes", "threads-original",
+         "threads-endpoints", "--cores", "4", "8"],
+        "b0c04e101f094b123ee7821523054342269ae89da260b2a7920320835b7f7900"),
+    "stencil-plan": (
+        ["stencil", "--plan", "drop=0.05,dup=0.02,corrupt=0.01",
+         "--points", "5", "--threads", "2", "2"],
+        "e91602f763cb96f53e5101e78a2b4c4aa3575164293b3caba5d8e54018396ef3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_instrumented_report_stdout_is_pinned(name, capsys):
+    argv, digest = REPORT_PINS[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

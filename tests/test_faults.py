@@ -31,7 +31,7 @@ from repro.faults import (
 from repro.netsim import NetworkConfig
 from repro.netsim.message import MessageKind, WireMessage
 from repro.runtime import World
-from repro.sim.core import SimulationError
+from repro.sim.core import SimulationError, Simulator
 from repro.sim.trace import TraceCategory, Tracer
 from repro.netsim import ClusterSpec
 from tests.helpers import hw_context, run_ranks, run_same
@@ -128,23 +128,23 @@ def test_injector_same_seed_same_decisions():
     plan = FaultPlan(drop=0.3, dup=0.2, corrupt=0.1, delay=0.2)
     outcomes = []
     for _ in range(2):
-        inj = FaultInjector(plan, seed=7)
+        inj = FaultInjector(Simulator(), plan, seed=7)
         outcomes.append([len(inj.wire_actions(_msg(), 0.0, 1e-8))
                          for _ in range(200)])
     assert outcomes[0] == outcomes[1]
-    different = [len(FaultInjector(plan, seed=8).wire_actions(
+    different = [len(FaultInjector(Simulator(), plan, seed=8).wire_actions(
         _msg(), 0.0, 1e-8)) for _ in range(200)]
     assert different != outcomes[0]
 
 
 def test_injector_counters_and_link_windows():
     plan = FaultPlan(links=(LinkWindow(node=0, start=0.0, end=1e-6),))
-    inj = FaultInjector(plan, seed=0)
+    inj = FaultInjector(Simulator(), plan, seed=0)
     assert inj.wire_actions(_msg(), 0.5e-6, 1e-8) == []   # inside: dropped
     assert len(inj.wire_actions(_msg(), 2e-6, 1e-8)) == 1  # outside
     assert inj.link_drops == 1 and inj.messages_seen == 2
 
-    degraded = FaultInjector(FaultPlan(links=(
+    degraded = FaultInjector(Simulator(), FaultPlan(links=(
         LinkWindow(node=0, start=0.0, end=1e-6, kind="degraded",
                    factor=5.0),)), seed=0)
     (d,) = degraded.wire_actions(_msg(), 0.5e-6, 1e-8)
@@ -155,7 +155,7 @@ def test_corruption_copies_never_mutate_the_original():
     payload = np.arange(4.0)
     msg = _msg(size=32, payload=payload)
     msg.checksum = payload_checksum(payload)
-    inj = FaultInjector(FaultPlan(corrupt=1.0), seed=0)
+    inj = FaultInjector(Simulator(), FaultPlan(corrupt=1.0), seed=0)
     (d,) = inj.wire_actions(msg, 0.0, 1e-8)
     assert d.msg is not msg
     assert np.array_equal(msg.payload, np.arange(4.0))  # sender copy clean
@@ -165,7 +165,7 @@ def test_corruption_copies_never_mutate_the_original():
 def test_stall_until():
     plan = FaultPlan(stalls=(CtxStall(0, 1, 1e-6, 2e-6),
                              CtxStall(0, 1, 2e-6, 4e-6)))
-    inj = FaultInjector(plan, seed=0)
+    inj = FaultInjector(Simulator(), plan, seed=0)
     assert inj.stall_until(0, 1, 0.5e-6) == 0.0
     assert inj.stall_until(0, 1, 1.5e-6) == pytest.approx(3e-6)
     assert inj.stall_until(0, 1, 2.5e-6) == pytest.approx(6e-6)  # max end
@@ -412,7 +412,8 @@ def test_fault_metrics_and_trace_spans():
     r.world.finalize_metrics()
     drops = sum(m.value for m in metrics.series("fault.drop"))
     assert drops == r.world.injector.drops > 0
-    retrans = sum(m.value for m in metrics.series("transport.retransmit"))
+    retrans = sum(m.value
+                  for m in metrics.series("transport.total.retransmits"))
     assert retrans > 0
     assert metrics.value("fault.total.drops") == r.world.injector.drops
     assert tracer.count(TraceCategory.FAULT_DROP) == r.world.injector.drops

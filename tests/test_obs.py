@@ -45,22 +45,13 @@ def test_counter_math():
     assert m.value("c", rank=0) == 4.5
 
 
-def test_gauge_time_weighted_mean():
-    t = [0.0]
-    m = MetricsRegistry(clock=lambda: t[0])
-    g = m.gauge("g")
-    g.set(10.0)          # value 10 over [0, 4)
-    t[0] = 4.0
-    g.set(2.0)           # value 2 over [4, 8)
-    t[0] = 8.0
-    assert g.time_weighted_mean() == pytest.approx((10 * 4 + 2 * 4) / 8)
-    assert g.max_value == 10.0
-    # gauges created mid-run integrate from their first sight of the clock
-    t[0] = 10.0
-    late = m.gauge("late")
-    late.set(6.0)
-    t[0] = 20.0
-    assert late.time_weighted_mean() == pytest.approx(6.0)
+def test_gauge_keeps_last_max_and_samples():
+    m = MetricsRegistry()
+    g = m.gauge("g", rank=0)
+    g.set(10.0)
+    g.set(2.0)
+    assert m.gauge("g", rank=0) is g            # get-or-create
+    assert g.as_dict() == {"value": 2.0, "max": 10.0, "samples": 2}
 
 
 def test_histogram_math():

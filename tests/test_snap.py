@@ -19,6 +19,7 @@ from repro.runtime import World
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.serve import cache_key, expand_job, run_local
 from repro.sim import SimulationError
+from repro.snap import state as snap_state
 from repro.snap import (
     canonical_json,
     capture_state,
@@ -91,11 +92,18 @@ def test_prune_state_drops_matching_paths():
     assert state_digest(pa) == state_digest(pb)
 
 
-def test_capture_covers_instruments_and_faults():
+def test_capture_covers_instruments_and_faults(monkeypatch):
     w = pingpong_world(metrics=MetricsRegistry(), tracer=Tracer(),
                        faults=parse_plan("drop=0.05,dup=0.02"))
     w.run()
+    # An empty pristine cache makes this capture build the throwaway
+    # contexts that describe unbuilt NIC slots: they see sim.metrics and
+    # must still record nothing, as the capture itself must not.
+    monkeypatch.setattr(snap_state, "_PRISTINE", {})
+    series, records = len(w.metrics), len(w.tracer)
     state = capture_state(w)
+    assert (len(w.metrics), len(w.tracer)) == (series, records)
+    assert snap_state._PRISTINE
     assert state["metrics"] is not None
     assert state["trace"] is not None and state["trace"]["records"] > 0
     assert state["faults"] is not None
