@@ -100,7 +100,7 @@ __getattr__, __dir__ = _lazy(__name__, {
     ".mpi.endpoints": ("Endpoint", "comm_create_endpoints"),
     ".mpi.partitioned": ("precv_init", "psend_init"),
     ".mpi.rma": ("win_create",),
-    ".netsim": ("ClusterSpec", "NetworkConfig", "register_topology"),
+    ".netsim": ("ClusterSpec", "NetworkConfig"),
     ".netsim.traffic": ("TrafficShape",),
     ".obs": ("MetricsRegistry", "export_chrome_trace"),
     ".runtime": ("MpiProcess", "Node", "World"),
@@ -119,6 +119,6 @@ __all__ = [
     "TransportError", "TransportParams", "TruncationError",
     "World", "__version__", "comm_create_endpoints",
     "export_chrome_trace", "precv_init", "psend_init",
-    "register_topology", "run_campaign", "run_scenario",
+    "run_campaign", "run_scenario",
     "sample_scenarios", "win_create",
 ]

@@ -55,6 +55,8 @@ _INTERNAL_REQUEST_KINDS = frozenset({"precv-init"})
 
 #: Cap on per-rule detail in the finalize leak scans.
 _LEAK_DETAIL_LIMIT = 10
+#: Stop recording detail beyond this many violations (counts continue).
+MAX_VIOLATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,6 @@ class CheckConfig:
     mode: str = "warn"
     #: Emit a Python ``CheckWarning`` per violation in warn mode.
     emit_warnings: bool = True
-    #: Stop recording detail beyond this many violations (counts continue).
-    max_violations: int = 10_000
 
     def __post_init__(self) -> None:
         if self.mode not in ("warn", "raise"):
@@ -121,7 +121,7 @@ class Checker:
         v = Violation(rule_id, message, time=self.sim.now,
                       task=task or (st.name if st is not None else None),
                       rank=rank, vci=vci, extra=extra)
-        if len(self.violations) < self.config.max_violations:
+        if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(v)
         else:
             self.dropped += 1

@@ -63,10 +63,6 @@ _NP_RANDOM_BANNED = {
     "shuffle", "permutation", "uniform", "normal", "seed",
 }
 
-#: Files exempt from L202 (they define the category coercion itself).
-_TRACE_DEFINING_FILES = ("sim/trace.py",)
-
-
 @dataclass(frozen=True)
 class Finding:
     """One lint diagnostic at a source location."""
@@ -122,7 +118,6 @@ class _FileLint(ast.NodeVisitor):
         self.in_simulated_path = any(
             rel.startswith("src/repro/" + p)
             for p in SIMULATED_PATH_PREFIXES)
-        self.check_trace = not self.rel.endswith(_TRACE_DEFINING_FILES)
         self._class_depth = 0
         self._func_depth = 0
         #: Spellings of ``itertools.count`` in this module.
@@ -159,7 +154,7 @@ class _FileLint(ast.NodeVisitor):
                              f"global-generator randomness: {dotted}() "
                              f"(use a seeded np.random.default_rng)")
         # -- L202: raw string category at emit sites ------------------
-        if self.check_trace and isinstance(node.func, ast.Attribute) \
+        if isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "emit" and node.args:
             first = node.args[0]
             if isinstance(first, ast.Constant) and isinstance(first.value,

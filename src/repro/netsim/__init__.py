@@ -24,8 +24,7 @@ __getattr__, __dir__ = _lazy(__name__, {
     ".traffic": ("TRAFFIC_KINDS", "TrafficSession", "TrafficShape",
                  "install_traffic"),
     ".topology": ("ClusterSpec", "Link", "RoutedFabric", "Topology",
-                  "dragonfly", "fat_tree", "host_vertex",
-                  "register_topology", "topology_names", "torus"),
+                  "dragonfly", "fat_tree", "host_vertex", "torus"),
 })
 
 __all__ = [
@@ -51,7 +50,5 @@ __all__ = [
     "dragonfly",
     "fat_tree",
     "host_vertex",
-    "register_topology",
-    "topology_names",
     "torus",
 ]

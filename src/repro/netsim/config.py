@@ -102,7 +102,15 @@ class NicParams:
 
 @dataclass(frozen=True)
 class FabricParams:
-    """Parameters of the interconnect between nodes."""
+    """Parameters of the interconnect between nodes.
+
+    Each node has one egress and one ingress link, and the fabric always
+    serializes every message on both: all hardware contexts of a node feed
+    its egress link, so a node cannot inject more than ``bandwidth``
+    bytes/second nor more than one message per ``node_msg_gap`` in
+    aggregate (what eventually flattens the Fig 1(a) message-rate
+    curves), and it cannot absorb more than ``bandwidth`` bytes/second.
+    """
 
     #: One-way wire latency between any two nodes (seconds).
     latency: float = 0.9e-6
@@ -111,14 +119,6 @@ class FabricParams:
     #: Messages at or below this size use the eager protocol; larger ones
     #: use rendezvous (RTS/CTS handshake adds two extra latencies).
     eager_threshold: int = 16 * 1024
-    #: Per-node ingress serialization: a node cannot absorb more than
-    #: ``bandwidth`` bytes/second in total.
-    model_ingress: bool = True
-    #: Per-node egress serialization: all hardware contexts feed one link,
-    #: so a node cannot inject more than ``bandwidth`` bytes/second nor
-    #: more than one message per ``node_msg_gap`` in aggregate. This is
-    #: what eventually flattens the Fig 1(a) message-rate curves.
-    model_egress: bool = True
     #: Aggregate per-message gap of the node's link/NIC pipeline
     #: (5 ns = 200 M messages/s ceiling per node).
     node_msg_gap: float = 5e-9

@@ -2,9 +2,10 @@
 
 The fabric implements a LogGP-flavoured timing model: a message that
 departs its NIC context at time ``d`` arrives at the destination node at
-``d + L + wire_bytes / bandwidth`` (plus ingress queueing if the
-destination node's link is saturated). Delivery invokes the handler the
-destination node registered — in this codebase, the MPI library's
+``d + L + wire_bytes / bandwidth``, plus queueing on the source node's
+egress link and the destination node's ingress link when either is
+saturated. Delivery invokes the handler the destination node registered
+— in this codebase, the MPI library's
 :meth:`~repro.mpi.library.MpiLibrary.deliver`.
 """
 
@@ -21,12 +22,6 @@ from .message import HEADER_BYTES, WireMessage
 __all__ = ["Fabric"]
 
 DeliveryHandler = Callable[[WireMessage], None]
-
-#: One instant per per-link hop of a routed message (see
-#: :class:`repro.netsim.topology.routed.RoutedFabric`). Defined here so
-#: the category exists whether or not the topology subsystem is imported.
-LINK_HOP = TraceCategory.custom("topo.link.hop", "fabric")
-
 
 class Fabric:
     """Connects nodes; schedules message arrivals.
@@ -94,28 +89,25 @@ class Fabric:
         if depart_time < now:
             depart_time = now
         wire_time = (msg.size + HEADER_BYTES) / params.bandwidth
-        if params.model_egress:
-            server = self._egress.get(msg.src_node)
-            if server is not None:
-                # All hardware contexts of a node feed one link: aggregate
-                # message-rate and bandwidth ceiling at the source. This is
-                # :meth:`_serialize` written out (once per message).
-                service = params.node_msg_gap
-                if service < wire_time:
-                    service = wire_time
-                busy_until = server._free_at
-                if busy_until < depart_time:  # depart_time >= now
-                    busy_until = depart_time
-                queued = busy_until - depart_time
-                depart_time = server._free_at = busy_until + service
-                stats = server.stats
-                stats.requests += 1
-                stats.busy_time += service
-                stats.total_queue_delay += queued
-                if self._h_egress:
-                    h = self._h_egress.get(msg.src_node)
-                    if h is not None:
-                        h.observe(queued)
+        # All hardware contexts of a node feed one link: aggregate
+        # message-rate and bandwidth ceiling at the source. This is
+        # :meth:`_serialize` written out (once per message).
+        src_node = msg.src_node
+        server = self._egress[src_node]
+        service = params.node_msg_gap
+        if service < wire_time:
+            service = wire_time
+        busy_until = server._free_at
+        if busy_until < depart_time:  # depart_time >= now
+            busy_until = depart_time
+        queued = busy_until - depart_time
+        depart_time = server._free_at = busy_until + service
+        stats = server.stats
+        stats.requests += 1
+        stats.busy_time += service
+        stats.total_queue_delay += queued
+        if self._h_egress:
+            self._h_egress[src_node].observe(queued)
         if self.injector is not None:
             # The injector decides the message's physical fate: zero, one
             # or two deliveries, each possibly delayed or corrupted. Drops
@@ -143,32 +135,26 @@ class Fabric:
         :meth:`transmit`, the ingress busy-chain is :meth:`_serialize`
         written out.
         """
-        params = self.params
-        head_arrival = depart_time + params.latency
-        if params.model_ingress:
-            dst_node = msg.dst_node
-            server = self._ingress[dst_node]
-            now = self.sim._now
-            busy_until = server._free_at
-            if busy_until < now:
-                busy_until = now
-            if busy_until < head_arrival:
-                busy_until = head_arrival
-            queued = busy_until - head_arrival
-            arrival = server._free_at = busy_until + wire_time
-            stats = server.stats
-            stats.requests += 1
-            stats.busy_time += wire_time
-            stats.total_queue_delay += queued
-            if self._h_ingress:
-                h = self._h_ingress.get(dst_node)
-                if h is not None:
-                    h.observe(queued)
-        else:
-            arrival = head_arrival + wire_time
-        # A delay, not the absolute time: the kernel adds it back to now.
+        head_arrival = depart_time + self.params.latency
+        dst_node = msg.dst_node
+        server = self._ingress[dst_node]
         sim = self.sim
-        sim.call_after(arrival - sim._now, self._on_arrival, msg)
+        now = sim._now
+        busy_until = server._free_at
+        if busy_until < now:
+            busy_until = now
+        if busy_until < head_arrival:
+            busy_until = head_arrival
+        queued = busy_until - head_arrival
+        arrival = server._free_at = busy_until + wire_time
+        stats = server.stats
+        stats.requests += 1
+        stats.busy_time += wire_time
+        stats.total_queue_delay += queued
+        if self._h_ingress:
+            self._h_ingress[dst_node].observe(queued)
+        # A delay, not the absolute time: the kernel adds it back to now.
+        sim.call_after(arrival - now, self._on_arrival, msg)
 
     def _on_arrival(self, event: Event) -> None:
         msg: WireMessage = event._value

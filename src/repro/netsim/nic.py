@@ -66,10 +66,11 @@ class HardwareContext:
         self.stall_waits = 0
 
     def _instrument(self) -> None:
-        """Create this context's metric series (on first allocation, so a
-        160-context pool doesn't flood the registry with unused series)."""
+        """Create this context's metric series. The NIC calls it when it
+        builds the slot (allocated, or chosen as a failover target), so a
+        160-context pool doesn't flood the registry with unused series."""
         metrics = self.sim.metrics
-        if self.m_inject_queue is None and metrics is not None:
+        if metrics is not None:
             self.m_inject_queue = metrics.histogram(
                 "nic.inject.queue_delay", node=self._node_id, ctx=self.index)
             instrument_lock(self.doorbell_lock, metrics, node=self._node_id,
@@ -186,6 +187,7 @@ class Nic:
                 self.sim, index, self.params, node_id=self.node_id)
             ctx.nic = self
             ctx.fault_injector = self._fault_injector
+            ctx._instrument()
         return ctx
 
     def slots(self) -> tuple[Optional[HardwareContext], ...]:
@@ -241,7 +243,6 @@ class Nic:
         ctx = self._context(self._next % len(self._slots))
         self._next += 1
         ctx.sharers += 1
-        ctx._instrument()
         return ctx
 
     @property

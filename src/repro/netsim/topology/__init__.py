@@ -1,11 +1,10 @@
-"""Pluggable interconnect topologies: switches, links, static routing.
+"""Interconnect topologies: switches, links, static routing.
 
 See docs/topology.md for the model. The public surface:
 
 - :class:`~.spec.ClusterSpec` — declarative cluster description consumed
-  by ``World(cluster=...)``;
-- :func:`~.spec.register_topology` / :func:`~.spec.topology_names` — the
-  registry protocol behind ``ClusterSpec(topology="...")``;
+  by ``World(cluster=...)``, naming one of the built-in topologies
+  ``direct``, ``dragonfly``, ``fat_tree`` and ``torus``;
 - generators :func:`~.generators.fat_tree`,
   :func:`~.generators.dragonfly`, :func:`~.generators.torus`;
 - :class:`~.graph.Topology` / :class:`~.graph.Link` — the graph model;
@@ -13,12 +12,7 @@ See docs/topology.md for the model. The public surface:
 """
 
 from ... import _lazy
-from .spec import (
-    ClusterSpec,
-    TopologyBuilder,
-    register_topology,
-    topology_names,
-)
+from .spec import ClusterSpec
 
 #: The graph, its generators and the hop-by-hop fabric load with the
 #: first routed cluster; a direct one is priced without them.
@@ -33,11 +27,8 @@ __all__ = [
     "Link",
     "RoutedFabric",
     "Topology",
-    "TopologyBuilder",
     "dragonfly",
     "fat_tree",
     "host_vertex",
-    "register_topology",
-    "topology_names",
     "torus",
 ]

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from ...errors import TopologyError
 from ...sim.core import Simulator
+from ...sim.trace import TraceCategory
 from ..config import FabricParams
-from ..fabric import LINK_HOP, DeliveryHandler, Fabric
+from ..fabric import DeliveryHandler, Fabric
 from ..message import WireMessage
 from .graph import Topology
 
@@ -73,19 +74,17 @@ class RoutedFabric(Fabric):
             if h is not None:
                 h.observe(queued)
             if tracer is not None:
-                tracer.emit(LINK_HOP, {
+                tracer.emit(TraceCategory.LINK_HOP, {
                     "link": link.name, "bytes": msg.wire_bytes,
                     "queued": queued, "src_rank": msg.src_rank,
                     "dst_rank": msg.dst_rank,
                 })
             t += link.latency
-        arrival = t + wire_time
-        if self.params.model_ingress:
-            arrival, queued = self._serialize(self._ingress[msg.dst_node],
-                                              t, wire_time)
-            h = self._h_ingress.get(msg.dst_node)
-            if h is not None:
-                h.observe(queued)
+        arrival, queued = self._serialize(self._ingress[msg.dst_node],
+                                          t, wire_time)
+        h = self._h_ingress.get(msg.dst_node)
+        if h is not None:
+            h.observe(queued)
         sim = self.sim
         sim.call_after(arrival - sim._now, self._on_arrival, msg)
 

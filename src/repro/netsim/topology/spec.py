@@ -1,4 +1,4 @@
-"""Declarative cluster description: ``ClusterSpec`` and the topology registry.
+"""Declarative cluster description: ``ClusterSpec`` and its topologies.
 
 The redesigned construction API::
 
@@ -9,19 +9,18 @@ The redesigned construction API::
         topology="fat_tree", k=4,
         network=NetworkConfig.omnipath()))
 
-``topology`` resolves through a small registry protocol: a *builder* is
-any callable ``builder(nodes, params, **kwargs) -> Topology | None``
-registered under a name with :func:`register_topology`. ``None`` means
-"no link graph" — the World then uses the legacy single-hop
-:class:`~repro.netsim.fabric.Fabric`, which is exactly what the built-in
-``direct`` topology returns (hence byte-identical timing with a world
-built from bare dimension keywords). The built-ins cover ``direct``, ``fat_tree``,
-``dragonfly``, and ``torus``; applications may register their own.
+``topology`` names one of four built-in builders: ``direct``,
+``dragonfly``, ``fat_tree`` and ``torus``. A builder is called as
+``builder(nodes, params, **kwargs)`` and returns a topology graph, or
+``None`` for "no link graph" — the World then uses the single-hop
+:class:`~repro.netsim.fabric.Fabric`, which is exactly what ``direct``
+returns (hence byte-identical timing with a world built from bare
+dimension keywords).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Optional
 
 from ...errors import TopologyError
 from ..config import NetworkConfig
@@ -30,36 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..config import FabricParams
     from .graph import Topology
 
-__all__ = ["ClusterSpec", "TopologyBuilder", "register_topology",
-           "topology_names"]
-
-
-class TopologyBuilder(Protocol):
-    """The registry protocol: build a topology for ``nodes`` hosts.
-
-    ``params`` carries the fabric's default per-hop pricing; builders may
-    ignore it (links priced ``None`` inherit it at bind time anyway).
-    Returning ``None`` selects the legacy single-hop fabric.
-    """
-
-    def __call__(self, nodes: int, params: FabricParams,
-                 **kwargs: Any) -> Optional[Topology]:
-        ...
-
-
-_REGISTRY: dict[str, TopologyBuilder] = {}
-
-
-def register_topology(name: str, builder: TopologyBuilder) -> None:
-    """Register ``builder`` under ``name`` (overwrites earlier bindings)."""
-    if not name or not isinstance(name, str):
-        raise TopologyError(f"topology name must be a non-empty string: {name!r}")
-    _REGISTRY[name] = builder
-
-
-def topology_names() -> tuple[str, ...]:
-    """All registered topology names, sorted."""
-    return tuple(sorted(_REGISTRY))
+__all__ = ["ClusterSpec"]
 
 
 def _build_direct(nodes: int, params: FabricParams,
@@ -92,10 +62,12 @@ def _build_torus(nodes: int, params: FabricParams,
     return torus(dims, **kwargs)
 
 
-register_topology("direct", _build_direct)
-register_topology("fat_tree", _build_fat_tree)
-register_topology("dragonfly", _build_dragonfly)
-register_topology("torus", _build_torus)
+_BUILDERS = {
+    "direct": _build_direct,
+    "dragonfly": _build_dragonfly,
+    "fat_tree": _build_fat_tree,
+    "torus": _build_torus,
+}
 
 
 class ClusterSpec:
@@ -122,10 +94,10 @@ class ClusterSpec:
                  **params: Any):
         if nodes < 1 or procs_per_node < 1 or threads_per_proc < 1:
             raise TopologyError("cluster dimensions must be positive")
-        if topology not in _REGISTRY:
+        if topology not in _BUILDERS:
             raise TopologyError(
-                f"unknown topology {topology!r}; registered: "
-                f"{', '.join(topology_names())}")
+                f"unknown topology {topology!r}; choose from "
+                f"{', '.join(_BUILDERS)}")
         self.nodes = nodes
         self.procs_per_node = procs_per_node
         self.threads_per_proc = threads_per_proc
@@ -143,7 +115,7 @@ class ClusterSpec:
         return topo if topo is not None else self._build()
 
     def _build(self) -> Optional[Topology]:
-        builder = _REGISTRY[self.topology]
+        builder = _BUILDERS[self.topology]
         try:
             topo = builder(self.nodes, self.network.fabric, **self.params)
         except TypeError as exc:

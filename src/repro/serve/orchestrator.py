@@ -112,32 +112,13 @@ class JournalLine(NamedTuple):
     error: Optional[str] = None
 
 
-def _journal_bytes(state_dir: str) -> tuple[bytes, bool]:
-    """``(data, held)``: the bytes of ``state_dir``'s journal and True,
-    or, for a directory an earlier build wrote (``jobs/job-<n>.json``
-    manifests, no journal), what importing it writes and False: its
-    manifests in id order, verbatim, one per line. Every build wrote a
-    manifest as one line of compact JSON; a newline in a hand-edited one
-    is blanked so that it stays one line."""
+def _journal_bytes(state_dir: str) -> bytes:
+    """The bytes of ``state_dir``'s journal, or ``b""`` when it has none."""
     try:
         with open(os.path.join(state_dir, JOURNAL), "rb") as fh:
-            return fh.read(), True
+            return fh.read()
     except FileNotFoundError:
-        pass
-    folder = os.path.join(state_dir, "jobs")
-    try:
-        names = os.listdir(folder)
-    except (FileNotFoundError, NotADirectoryError):
-        return b"", False
-    numbered = sorted((number, name) for name in names
-                      if name.endswith(".json")
-                      and (number := _job_number(name[:-len(".json")]))
-                      is not None)
-    lines = []
-    for _number, name in numbered:
-        with open(os.path.join(folder, name), "rb") as fh:
-            lines.append(fh.read().replace(b"\n", b" ") + b"\n")
-    return b"".join(lines), False
+        return b""
 
 
 def _whole(data: bytes) -> bytes:
@@ -184,12 +165,11 @@ def read_journal(state_dir: str) -> list[JournalLine]:
     """Every whole line of ``state_dir``'s job journal, in order.
 
     The one reader of a state directory's jobs: an :class:`Orchestrator`
-    resumes what it returns, a campaign is its first line. A directory
-    an earlier build wrote reads as its import would (see
-    :class:`Orchestrator`); a torn last line is not read.
+    resumes what it returns, a campaign is its first line. A torn last
+    line is not read.
     """
-    data, _held = _journal_bytes(state_dir)
-    return _read_lines(os.path.join(state_dir, JOURNAL), _whole(data))
+    return _read_lines(os.path.join(state_dir, JOURNAL),
+                       _whole(_journal_bytes(state_dir)))
 
 
 @dataclass
@@ -276,11 +256,9 @@ class Orchestrator:
     same loop, so no locking is needed.
 
     The orchestrator owns ``state_dir``. It opens the job journal once,
-    for appends, when it is built: a torn last line is cut off, and a
-    directory an earlier build wrote, with ``jobs/job-<n>.json``
-    manifests and no journal, is imported first, its manifests in id
-    order, one per line (:func:`read_journal`). Nothing reads ``jobs/``
-    after that. :meth:`stop` (or :meth:`close`) closes the journal.
+    for appends, when it is built, and cuts a torn last line off
+    (:func:`read_journal`). :meth:`stop` (or :meth:`close`) closes the
+    journal.
     """
 
     def __init__(self, state_dir: str, heartbeat_timeout: float = 5.0,
@@ -318,16 +296,10 @@ class Orchestrator:
                                  for line in self._held), default=0)
 
     def _open_journal(self) -> list[JournalLine]:
-        """Open the journal for appends, importing an earlier build's
-        manifests first and cutting a torn last line off; returns its
-        lines."""
-        data, held = _journal_bytes(self.state_dir)
+        """Open the journal for appends, cutting a torn last line off;
+        returns its lines."""
+        data = _journal_bytes(self.state_dir)
         whole = _whole(data)
-        if not held and whole:  # the import: the whole journal or none
-            tmp = self._journal + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(whole)
-            os.replace(tmp, self._journal)
         self._journal_fd = os.open(
             self._journal, os.O_WRONLY | os.O_APPEND | os.O_CREAT
             | os.O_CLOEXEC, 0o666)
@@ -630,7 +602,12 @@ class Orchestrator:
         now = time.monotonic()
         task.status = "done"
         task.result = result
-        self.cache.save_blob(task.blob, result)
+        try:
+            self.cache.save_blob(task.blob, result)
+        except OSError:
+            # The result is kept on the task: its waiters are filled now,
+            # and a later job asking for it is served from memory.
+            self.count["serve.cache.save_failed"].inc()
         self.count["serve.point.done"].inc()
         self.metrics.observe("serve.point.host_sec", now - started)
         event = {"name": task.kind, "cat": "serve", "ph": "X",

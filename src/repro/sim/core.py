@@ -140,16 +140,16 @@ class Event:
         return self._value
 
     # -- triggering ------------------------------------------------------
-    def succeed(self, value: Any = None, priority: int = PRIORITY_URGENT) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.sim._enqueue(self, 0.0, priority)
+        self.sim._urgent(self)
         return self
 
-    def fail(self, exc: BaseException, priority: int = PRIORITY_URGENT) -> "Event":
+    def fail(self, exc: BaseException) -> "Event":
         """Trigger the event as failed with exception ``exc``."""
         if self._triggered:
             raise SimulationError("event already triggered")
@@ -157,7 +157,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._triggered = True
         self._exc = exc
-        self.sim._enqueue(self, 0.0, priority)
+        self.sim._urgent(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -257,13 +257,13 @@ class Process(Event):
     # Completed processes are dropped from the simulator's task table (the
     # deadlock report only needs live tasks; retaining every process ever
     # spawned leaks memory over long sweeps).
-    def succeed(self, value: Any = None, priority: int = PRIORITY_URGENT) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         self.sim._processes.pop(self._pid, None)
-        return super().succeed(value, priority)
+        return super().succeed(value)
 
-    def fail(self, exc: BaseException, priority: int = PRIORITY_URGENT) -> "Event":
+    def fail(self, exc: BaseException) -> "Event":
         self.sim._processes.pop(self._pid, None)
-        return super().fail(exc, priority)
+        return super().fail(exc)
 
     def _resume(self, trigger: Optional[Event]) -> Optional[float]:
         """Run the task to its next yield; ``trigger`` is the event it
@@ -544,16 +544,11 @@ class Simulator:
             self._buckets[when] = [event]
             heappush(self._times, when)
 
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
-        if priority:
-            self._schedule(event, delay)
-        elif delay:
-            raise SimulationError(
-                f"an urgent event must be scheduled at the current time, "
-                f"not {delay} s from it")
-        else:
-            event._seq = self._seq = self._seq + 1
-            self._u.append(event)
+    def _urgent(self, event: Event) -> None:
+        """Schedule a triggered ``event`` on the urgent lane: at the
+        current time, ahead of every normal event then."""
+        event._seq = self._seq = self._seq + 1
+        self._u.append(event)
 
     # -- schedule introspection -------------------------------------------
     # Snapshot capture (:mod:`repro.snap.state`) and a stopping session

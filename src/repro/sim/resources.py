@@ -1,7 +1,7 @@
 """Rate-limited serial resources.
 
 A :class:`FIFOServer` models a hardware unit that serves one request at a
-time with a fixed (or per-request) service time — exactly the behaviour of
+time, each for the service time its caller gives — exactly the behaviour of
 a NIC hardware context with a per-message issue gap ``g`` in the LogGP
 model: back-to-back messages depart no faster than one per ``g`` seconds.
 
@@ -45,7 +45,7 @@ class ServerStats:
 class FIFOServer:
     """A serial server with per-request service times.
 
-    ``submit(service_time)`` returns an :class:`Event` that triggers when
+    ``submit(st)`` returns an :class:`Event` that triggers when
     the request finishes service. Requests are serviced in submission
     order; a request begins service at ``max(now, previous completion)``.
 
@@ -55,24 +55,18 @@ class FIFOServer:
     message, and the result is the same float either way.
     """
 
-    __slots__ = ("sim", "name", "default_service_time", "_free_at", "stats")
+    __slots__ = ("sim", "name", "_free_at", "stats")
 
-    def __init__(self, sim: Simulator, service_time: float = 0.0,
-                 name: str = "server"):
-        if not service_time >= 0:  # also rejects NaN
-            raise ValueError(
-                f"service time must be non-negative, got {service_time}")
+    def __init__(self, sim: Simulator, name: str = "server"):
         self.sim = sim
         self.name = name
-        self.default_service_time = service_time
         self._free_at = 0.0
         self.stats = ServerStats()
 
-    def submit(self, service_time: Optional[float] = None,
+    def submit(self, st: float,
                callback: Optional[Callable[[Event], None]] = None) -> Event:
-        """Enqueue one request; returns its completion event, which runs
-        ``callback(event)`` first when one is given."""
-        st = self.default_service_time if service_time is None else service_time
+        """Enqueue one request of ``st`` seconds; returns its completion
+        event, which runs ``callback(event)`` first when one is given."""
         if not st >= 0:  # also rejects NaN
             raise ValueError(f"service time must be non-negative, got {st}")
         sim = self.sim
@@ -88,13 +82,12 @@ class FIFOServer:
         stats.total_queue_delay += start - now
         return sim.call_after(done_at - now, callback)
 
-    def occupy(self, service_time: Optional[float] = None) -> float:
+    def occupy(self, st: float) -> float:
         """Like :meth:`submit` but only returns the completion *time*.
 
         Useful when the caller does not need to wait on the completion (for
         example a fire-and-forget doorbell ring) — no event is allocated.
         """
-        st = self.default_service_time if service_time is None else service_time
         if not st >= 0:  # also rejects NaN
             raise ValueError(f"service time must be non-negative, got {st}")
         now = self.sim._now

@@ -6,20 +6,19 @@ time), tests use it to assert ordering properties, and the observability
 subsystem (:mod:`repro.obs`) turns begin/end pairs into Chrome-trace spans.
 
 Categories are *typed*: every record carries a :class:`Category` instance
-from the frozen :class:`TraceCategory` namespace instead of a raw string.
+from the closed :class:`TraceCategory` namespace instead of a raw string.
 This keeps category names collision-free across layers, lets the exporter
 know which records pair up into spans (``kind``/``pair``), and gives each
 record a layer ("mpi", "vci", "nic", "fabric", "sim", "app") for grouping.
-Ad-hoc categories are still possible through :meth:`TraceCategory.custom`
-and :meth:`TraceCategory.span` — raw string literals at ``emit()`` call
-sites are rejected by the lint test in ``tests/test_obs.py``.
+Raw string literals at ``emit()`` call sites are rejected by lint rule
+L202 and the lint test in ``tests/test_obs.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Iterable, Iterator, Optional
 
 from .core import Simulator
 
@@ -52,106 +51,44 @@ class Category:
         return self.name
 
 
-#: Global interning table: one :class:`Category` object per name, so
-#: records can be filtered by identity.
-_CATEGORIES: dict[str, Category] = {}
-
-
-def _define(name: str, layer: str = "app", kind: str = "instant",
-            pair: str = "") -> Category:
-    cat = Category(name, layer, kind, pair)
-    _CATEGORIES[name] = cat
-    return cat
-
-
-def as_category(value: Union[Category, str]) -> Category:
-    """Coerce a category name to its interned :class:`Category`."""
-    if isinstance(value, Category):
-        return value
-    return TraceCategory.custom(value)
-
-
-class _FrozenNamespace(type):
-    """Metaclass making the TraceCategory namespace immutable."""
-
-    def __setattr__(cls, name: str, value: Any) -> None:
-        raise AttributeError(
-            f"TraceCategory is frozen; use TraceCategory.custom() or "
-            f"TraceCategory.span() to define ad-hoc categories "
-            f"(attempted to set {name!r})")
-
-    def __delattr__(cls, name: str) -> None:
-        raise AttributeError("TraceCategory is frozen")
-
-
-class TraceCategory(metaclass=_FrozenNamespace):
-    """Frozen namespace of the library's trace categories.
-
-    The predefined members cover the hot layers the observability
-    subsystem instruments; applications extend the namespace through
-    :meth:`custom` (instant events) and :meth:`span` (begin/end pairs)
-    rather than by passing raw strings to :meth:`Tracer.emit`.
-    """
+class TraceCategory:
+    """Namespace of the library's trace categories: the closed set every
+    emit site draws from."""
 
     # -- MPI library: issue path ------------------------------------------
-    ISSUE_BEGIN = _define("mpi.issue.begin", "mpi", "begin", "mpi.issue.end")
-    ISSUE_END = _define("mpi.issue.end", "mpi", "end", "mpi.issue.begin")
-    ISSUE_ASYNC = _define("mpi.issue.async", "mpi")
+    ISSUE_BEGIN = Category("mpi.issue.begin", "mpi", "begin", "mpi.issue.end")
+    ISSUE_END = Category("mpi.issue.end", "mpi", "end", "mpi.issue.begin")
+    ISSUE_ASYNC = Category("mpi.issue.async", "mpi")
 
     # -- matching engine ---------------------------------------------------
-    MATCH_BEGIN = _define("mpi.match.begin", "mpi", "begin", "mpi.match.end")
-    MATCH_END = _define("mpi.match.end", "mpi", "end", "mpi.match.begin")
-    MATCH_UNEXPECTED = _define("mpi.match.unexpected", "mpi")
+    MATCH_BEGIN = Category("mpi.match.begin", "mpi", "begin", "mpi.match.end")
+    MATCH_END = Category("mpi.match.end", "mpi", "end", "mpi.match.begin")
+    MATCH_UNEXPECTED = Category("mpi.match.unexpected", "mpi")
 
     # -- fabric ------------------------------------------------------------
-    MSG_DELIVER = _define("fabric.deliver", "fabric")
+    MSG_DELIVER = Category("fabric.deliver", "fabric")
+    #: One instant per per-link hop of a routed message (see
+    #: :class:`repro.netsim.topology.routed.RoutedFabric`).
+    LINK_HOP = Category("topo.link.hop", "fabric")
 
     # -- fault injection (repro.faults) ------------------------------------
-    FAULT_DROP = _define("fault.drop", "fault")
-    FAULT_DUP = _define("fault.dup", "fault")
-    FAULT_CORRUPT = _define("fault.corrupt", "fault")
-    FAULT_DELAY = _define("fault.delay", "fault")
-    LINK_DROP = _define("fault.link_drop", "fault")
-    CTX_FAILOVER = _define("nic.ctx_failover", "nic")
+    FAULT_DROP = Category("fault.drop", "fault")
+    FAULT_DUP = Category("fault.dup", "fault")
+    FAULT_CORRUPT = Category("fault.corrupt", "fault")
+    FAULT_DELAY = Category("fault.delay", "fault")
+    LINK_DROP = Category("fault.link_drop", "fault")
+    CTX_FAILOVER = Category("nic.ctx_failover", "nic")
 
     # -- reliable transport -------------------------------------------------
-    RETRANSMIT = _define("transport.retransmit", "transport")
-    DUP_SUPPRESSED = _define("transport.dup_suppressed", "transport")
-    CORRUPT_DROP = _define("transport.corrupt_drop", "transport")
+    RETRANSMIT = Category("transport.retransmit", "transport")
+    DUP_SUPPRESSED = Category("transport.dup_suppressed", "transport")
+    CORRUPT_DROP = Category("transport.corrupt_drop", "transport")
     #: Loss-recovery span: first retransmission of a packet to the ACK
     #: that finally clears it.
-    RECOVERY_BEGIN = _define("transport.recovery.begin", "transport",
+    RECOVERY_BEGIN = Category("transport.recovery.begin", "transport",
                              "begin", "transport.recovery.end")
-    RECOVERY_END = _define("transport.recovery.end", "transport", "end",
+    RECOVERY_END = Category("transport.recovery.end", "transport", "end",
                            "transport.recovery.begin")
-
-    # -- generic application phases ---------------------------------------
-    PHASE_BEGIN = _define("app.phase.begin", "app", "begin", "app.phase.end")
-    PHASE_END = _define("app.phase.end", "app", "end", "app.phase.begin")
-
-    # -- namespace helpers -------------------------------------------------
-    @staticmethod
-    def custom(name: str, layer: str = "app", kind: str = "instant",
-               pair: str = "") -> Category:
-        """Return the interned category ``name``, defining it on first use."""
-        cat = _CATEGORIES.get(name)
-        if cat is None:
-            cat = _define(name, layer, kind, pair)
-        return cat
-
-    @staticmethod
-    def span(name: str, layer: str = "app") -> tuple[Category, Category]:
-        """Define (or fetch) a ``name.begin``/``name.end`` category pair."""
-        begin = TraceCategory.custom(f"{name}.begin", layer, "begin",
-                                     f"{name}.end")
-        end = TraceCategory.custom(f"{name}.end", layer, "end",
-                                   f"{name}.begin")
-        return begin, end
-
-    @staticmethod
-    def get(name: str) -> Optional[Category]:
-        """Look up a category by name without defining it."""
-        return _CATEGORIES.get(name)
 
 
 @dataclass(frozen=True)
@@ -260,23 +197,18 @@ class Tracer:
         self._span_seq += 1
         return self._span_seq
 
-    def emit(self, category: Union[Category, str], payload: Any = None) -> None:
-        self.records.append(
-            TraceRecord(self.now, as_category(category), payload))
+    def emit(self, category: Category, payload: Any = None) -> None:
+        self.records.append(TraceRecord(self.now, category, payload))
 
-    def select(self, category: Union[Category, str]) -> list[TraceRecord]:
-        cat = as_category(category)
-        return [r for r in self.records if r.category is cat]
+    def select(self, category: Category) -> list[TraceRecord]:
+        return [r for r in self.records if r.category is category]
 
-    def count(self, category: Union[Category, str]) -> int:
-        cat = as_category(category)
-        return sum(1 for r in self.records if r.category is cat)
+    def count(self, category: Category) -> int:
+        return sum(1 for r in self.records if r.category is category)
 
-    def pair_spans(self, begin: Union[Category, str],
-                   end: Union[Category, str]) -> SpanPairing:
-        """The :func:`pair_records` pairing of one begin/end category pair
-        (as declared by :meth:`TraceCategory.span`)."""
-        bcat, ecat = as_category(begin), as_category(end)
+    def pair_spans(self, bcat: Category, ecat: Category) -> SpanPairing:
+        """The :func:`pair_records` pairing of one declared begin/end
+        category pair."""
         if bcat.kind != "begin" or ecat.kind != "end" \
                 or ecat.pair != bcat.name:
             raise ValueError(f"{bcat.name!r}/{ecat.name!r} is not a "

@@ -47,8 +47,8 @@ from repro.check.hb import Access, Publication, TaskClock, published_mapping
 from repro.mpi.matching import PostedRecv, key_matches
 from repro.mpi.request import Request
 from repro.netsim.message import WireMessage
-from repro.sim.core import (PRIORITY_NORMAL, Event, Process, SimulationError,
-                            Simulator, _canonical)
+from repro.sim.core import (PRIORITY_NORMAL, PRIORITY_URGENT, Event, Process,
+                            SimulationError, Simulator, _canonical)
 
 
 class HeapSimulator(Simulator):
@@ -59,15 +59,17 @@ class HeapSimulator(Simulator):
         super().__init__()
         self._heap: list[tuple[float, int, int, Event]] = []
 
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
+    def _urgent(self, event: Event) -> None:
         self._seq += 1
         heapq.heappush(self._heap,
-                       (self._now + delay, priority, self._seq, event))
+                       (self._now, PRIORITY_URGENT, self._seq, event))
 
     def _schedule(self, event: Event, delay: float) -> None:
         # Also the sleep of a task that yielded a float: the task itself
         # goes on the heap, as in the production scheduler.
-        self._enqueue(event, delay, PRIORITY_NORMAL)
+        self._seq += 1
+        heapq.heappush(self._heap,
+                       (self._now + delay, PRIORITY_NORMAL, self._seq, event))
 
     def call_after(self, delay: float, fn, value: Any = None) -> Event:
         if not delay >= 0:

@@ -410,9 +410,10 @@ def test_clean_report_on_unchecked_world():
     assert world.check_report().clean
 
 
-def test_max_violations_cap():
-    world = checked_world(config=CheckConfig(emit_warnings=False,
-                                             max_violations=1))
+def test_max_violations_cap(monkeypatch):
+    import repro.check.checker as checker_mod
+    monkeypatch.setattr(checker_mod, "MAX_VIOLATIONS", 1)
+    world = checked_world(config=CheckConfig(emit_warnings=False))
 
     def rank0(proc):
         req = psend_init(proc.comm_world, np.zeros(2), partitions=1,

@@ -426,6 +426,23 @@ def test_fault_metrics_and_trace_spans():
         assert all(b <= e for b, e in pairing.spans)
 
 
+def test_a_failover_target_built_for_failover_is_metered():
+    """Node 0's context 0 stalls for the whole run and its traffic fails
+    over to context 1, a slot nothing allocated: the NIC builds it for
+    the failover, and it gets its injector-queue histogram then, like an
+    allocated context does."""
+    from repro.obs import MetricsRegistry
+    metrics = MetricsRegistry()
+    r = run_stencil(_stencil_cfg("original", points=9),
+                    faults=FaultPlan(stalls=(CtxStall(0, 0, 0.0, 1.0),)),
+                    metrics=metrics)
+    assert r.correct
+    target = hw_context(r.world.nodes[0].nic, 1)
+    assert target.failovers_in > 0
+    hist = metrics.get("nic.inject.queue_delay", node=0, ctx=1)
+    assert hist is not None and hist.count == target.failovers_in
+
+
 def test_fault_trace_is_a_function_of_the_run():
     """The same traced, fault-injected stencil twice in one process: every
     record equal, fault payloads included (they once carried a message

@@ -98,10 +98,11 @@ def test_l202_member_category_is_clean(tmp_path):
     assert "L202" not in rules(lint_source(tmp_path, src))
 
 
-def test_l202_exempt_in_trace_module(tmp_path):
+def test_l202_applies_in_trace_module(tmp_path):
+    """The module defining the categories is linted like any other."""
     src = '"""Doc."""\ntracer.emit("p2p.send", x=1)\n'
     out = lint_source(tmp_path, src, rel="src/repro/sim/trace.py")
-    assert "L202" not in rules(out)
+    assert "L202" in rules(out)
 
 
 # ------------------------------------------------------------------ L203

@@ -112,15 +112,18 @@ def test_load_imbalance_detects_skew():
 # ---------------------------------------------------------------- fabric
 
 def test_fabric_delivers_after_latency_and_wire_time():
+    """The message serializes on the source's egress link, crosses the
+    wire, then serializes on the destination's ingress link."""
     sim = Simulator()
-    params = FabricParams(latency=1e-6, bandwidth=1e9, model_ingress=False)
+    params = FabricParams(latency=1e-6, bandwidth=1e9)
     fabric = Fabric(sim, params)
     arrivals = []
+    fabric.register_node(0, lambda m: None)
     fabric.register_node(1, lambda m: arrivals.append((sim.now, m)))
     msg = make_msg(size=1000)
     fabric.transmit(msg, depart_time=0.0)
     sim.run()
-    expected = 1e-6 + (1000 + HEADER_BYTES) / 1e9
+    expected = 1e-6 + 2 * (1000 + HEADER_BYTES) / 1e9
     assert arrivals[0][0] == pytest.approx(expected)
     assert arrivals[0][1] is msg
 
@@ -142,8 +145,9 @@ def test_fabric_unknown_destination_rejected():
 
 def test_fabric_preserves_order_same_path():
     sim = Simulator()
-    fabric = Fabric(sim, FabricParams(model_ingress=False))
+    fabric = Fabric(sim, FabricParams())
     order = []
+    fabric.register_node(0, lambda m: None)
     fabric.register_node(1, lambda m: order.append(m.meta["n"]))
     for n in range(5):
         fabric.transmit(make_msg(size=0, n=n), depart_time=n * 1e-9)
@@ -152,24 +156,29 @@ def test_fabric_preserves_order_same_path():
 
 
 def test_fabric_ingress_serializes_concurrent_big_messages():
-    """Two large messages from different sources queue on the receiver link."""
+    """Two large messages from different sources queue on the receiver
+    link: each leaves its own egress link after one wire time, the first
+    lands after a second one and the second after a third."""
     sim = Simulator()
-    params = FabricParams(latency=0.0, bandwidth=1e9, model_ingress=True)
+    params = FabricParams(latency=0.0, bandwidth=1e9)
     fabric = Fabric(sim, params)
     times = []
+    fabric.register_node(0, lambda m: None)
+    fabric.register_node(1, lambda m: None)
     fabric.register_node(2, lambda m: times.append(sim.now))
     big = 10_000_000  # 10 ms of wire time at 1 GB/s
     fabric.transmit(make_msg(src=0, dst=2, size=big), depart_time=0.0)
     fabric.transmit(make_msg(src=1, dst=2, size=big), depart_time=0.0)
     sim.run()
     wire = (big + HEADER_BYTES) / 1e9
-    assert times[0] == pytest.approx(wire, rel=1e-6)
-    assert times[1] == pytest.approx(2 * wire, rel=1e-6)
+    assert times[0] == pytest.approx(2 * wire, rel=1e-6)
+    assert times[1] == pytest.approx(3 * wire, rel=1e-6)
 
 
 def test_fabric_counts_traffic():
     sim = Simulator()
-    fabric = Fabric(sim, FabricParams(model_ingress=False))
+    fabric = Fabric(sim, FabricParams())
+    fabric.register_node(0, lambda m: None)
     fabric.register_node(1, lambda m: None)
     fabric.transmit(make_msg(size=100), depart_time=0.0)
     fabric.transmit(make_msg(size=200), depart_time=0.0)
@@ -237,8 +246,7 @@ def test_node_egress_message_gap_caps_aggregate_rate():
     """All contexts feed one link: the node_msg_gap bounds aggregate
     injection no matter how many contexts inject."""
     sim = Simulator()
-    params = FabricParams(latency=0.0, model_ingress=False,
-                          model_egress=True, node_msg_gap=100e-9)
+    params = FabricParams(latency=0.0, node_msg_gap=100e-9)
     fabric = Fabric(sim, params)
     arrivals = []
     fabric.register_node(0, lambda m: None)   # source must be registered
@@ -252,16 +260,15 @@ def test_node_egress_message_gap_caps_aggregate_rate():
     assert arrivals[-1] >= 50 * 100e-9 * 0.999
 
 
-def test_egress_skipped_for_unregistered_source():
+def test_fabric_unknown_source_rejected():
+    """A source has an egress link only once registered, like a
+    destination's ingress link: an unknown one is a KeyError."""
     sim = Simulator()
-    params = FabricParams(latency=1e-6, model_ingress=False,
-                          model_egress=True, node_msg_gap=1.0)
-    fabric = Fabric(sim, params)
-    got = []
-    fabric.register_node(1, lambda m: got.append(sim.now))
-    fabric.transmit(make_msg(src=99, dst=1, size=0), depart_time=0.0)
-    sim.run()
-    assert got[0] == pytest.approx(1e-6, rel=1e-2)
+    fabric = Fabric(sim, FabricParams())
+    fabric.register_node(1, lambda m: None)
+    with pytest.raises(KeyError):
+        fabric.transmit(make_msg(src=99, dst=1, size=0), depart_time=0.0)
+    assert sim.queue_empty()
 
 
 def test_issue_jitter_monotonic_per_context():

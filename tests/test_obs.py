@@ -18,6 +18,7 @@ from repro.faults import parse_plan
 from repro.netsim.message import MessageKind, WireMessage
 from repro.obs import (
     DEPTH_BUCKETS,
+    Category,
     MetricsRegistry,
     TraceCategory,
     Tracer,
@@ -88,26 +89,14 @@ def test_snapshot_is_deterministic_and_sorted():
 
 # ------------------------------------------------------ typed categories
 
-def test_trace_category_namespace_is_frozen():
-    with pytest.raises(AttributeError):
-        TraceCategory.NEW_THING = object()
-    with pytest.raises(AttributeError):
-        del TraceCategory.ISSUE_BEGIN
-
-
-def test_trace_category_interning():
-    a = TraceCategory.custom("obs.test.cat", "app")
-    b = TraceCategory.custom("obs.test.cat")
-    assert a is b
-    assert TraceCategory.get("obs.test.cat") is a
-    assert TraceCategory.get("obs.never.defined") is None
-    begin, end = TraceCategory.span("obs.test.window")
-    assert begin.kind == "begin" and begin.pair == end.name
-    assert end.kind == "end" and end.pair == begin.name
+def _span(name):
+    """A begin/end category pair as the library declares its own."""
+    return (Category(f"{name}.begin", "app", "begin", f"{name}.end"),
+            Category(f"{name}.end", "app", "end", f"{name}.begin"))
 
 
 def test_pair_spans_counts_orphans():
-    b, e = TraceCategory.span("obs.test.orphans")
+    b, e = _span("obs.test.orphans")
     tr = Tracer()
     tr.emit(e)          # orphan end: no outstanding begin
     tr.emit(b)
@@ -135,7 +124,7 @@ def _emit_at(records):
 
 
 def test_pair_spans_pairs_by_span_id():
-    b, e = TraceCategory.span("obs.test.by_id")
+    b, e = _span("obs.test.by_id")
     # A 0->5 with B 1->2 nested inside it (FIFO pairing reports 0->2 and
     # 1->5), then C 6->8 and D 7->9 interleaved.
     tr = _emit_at([(0.0, b, {"span": 1}), (1.0, b, {"span": 2}),
@@ -151,7 +140,7 @@ def test_pair_spans_pairs_by_span_id():
 
 
 def test_pair_spans_without_ids_is_fifo_per_track():
-    b, e = TraceCategory.span("obs.test.fifo")
+    b, e = _span("obs.test.fifo")
     tr = _emit_at([(0.0, b, {"rank": 0, "task": "x"}),
                    (1.0, b, {"rank": 0, "task": "y"}),
                    (2.0, e, {"rank": 0, "task": "y"}),
@@ -406,5 +395,5 @@ def test_no_raw_string_categories_at_emit_sites():
                 if f.path != "tests/test_lint.py"]  # fixture strings
     assert not findings, (
         "raw string categories passed to .emit() (use TraceCategory "
-        "members or TraceCategory.custom()):\n"
+        "members):\n"
         + "\n".join(f.describe() for f in findings))

@@ -50,11 +50,10 @@ def test_event_processing_is_time_ordered(delays):
 
 @SETTINGS
 @given(st.lists(st.floats(min_value=1e-9, max_value=1e-3), min_size=1,
-                max_size=30),
-       st.floats(min_value=1e-9, max_value=1e-4))
-def test_fifo_server_rate_limited_and_monotonic(services, gap):
+                max_size=30))
+def test_fifo_server_rate_limited_and_monotonic(services):
     sim = Simulator()
-    srv = FIFOServer(sim, service_time=gap)
+    srv = FIFOServer(sim)
     times = [srv.occupy(s) for s in services]
     # completions strictly increase and respect cumulative service time
     assert all(b > a for a, b in zip(times, times[1:]))

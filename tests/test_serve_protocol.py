@@ -627,59 +627,6 @@ def test_a_cut_journal_resumes_exactly_its_whole_lines(tmp_path):
     prop()
 
 
-def test_manifests_of_an_earlier_build_are_imported_once(tmp_path):
-    """A state directory an earlier build wrote (``jobs/job-<n>.json``
-    manifests, their bytes as it wrote them, no journal) resumes with the
-    same ids, statuses and results, in id order; the import writes the
-    manifests verbatim, one per line, and nothing reads ``jobs/`` after
-    it."""
-    state = str(tmp_path / "s")
-    docs = [("selftest", {"n": 2}), ("selftest", {"n": 3, "fail_at": 2}),
-            ("selftest", {"n": 2})]
-    ids = _submit_all(state, docs)
-    ran = Orchestrator(state)
-    ran.resume_jobs()
-    ran.drain_inline()
-    ran.close()
-    before = [ran.job_result(job_id) for job_id in ids[0::2]]
-    os.remove(os.path.join(state, "jobs.log"))
-    manifests = {job_id: _canonical_json({"job_id": job_id, "kind": kind,
-                                          "spec": spec})
-                 for job_id, (kind, spec) in zip(ids, docs)}
-    manifests["job-100000"] = _canonical_json(
-        {"job_id": "job-100000", "kind": "selftest", "spec": {"n": 1}})
-    manifests["job-00004"] = _canonical_json(  # no longer expands
-        {"job_id": "job-00004", "kind": "selftest", "spec": {"n": 0}})
-    jobs = os.path.join(state, "jobs")
-    os.mkdir(jobs)
-    for job_id, text in manifests.items():
-        with open(os.path.join(jobs, f"{job_id}.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
-    with open(os.path.join(jobs, "job-00005.json.tmp"), "w") as fh:
-        fh.write("a rename that never happened")
-
-    upgraded = _resumed(state)
-    order = [*ids, "job-00004", "job-100000"]
-    assert upgraded.job_ids() == order
-    assert _journal(state) == "".join(manifests[job_id] + "\n"
-                                      for job_id in order).encode()
-    upgraded.drain_inline()
-    assert [upgraded.job_status(job_id)["status"] for job_id in order] == [
-        "done", "failed", "done", "failed", "done"]
-    assert upgraded.job_status("job-00002")["error"].startswith(
-        "point 2 failed")
-    assert "jobs.log:4: " in upgraded.job_status("job-00004")["error"]
-    after = [upgraded.job_result(job_id) for job_id in ids[0::2]]
-    assert after == [{**doc, "cache_hits": 2} for doc in before]
-
-    for name in os.listdir(jobs):  # read no more
-        with open(os.path.join(jobs, name), "w") as fh:
-            fh.write("[]")
-    assert _resumed(state).job_ids() == order
-    assert _submit_all(state, [("selftest", {"n": 1})]) == ["job-100001"]
-
-
 def test_a_failed_append_leaves_no_fragment_and_consumes_no_id(
         tmp_path, monkeypatch):
     """A journal write that fails, or writes only part of the line, is
@@ -1488,6 +1435,57 @@ async def _wait_status(orch, job_id, timeout=10.0):
             return status
         assert asyncio.get_event_loop().time() < deadline, status
         await asyncio.sleep(0.02)
+
+
+def _save_fails_once(orch):
+    """Make ``orch``'s next result save raise ENOSPC, and only that one."""
+    real = orch.cache.save_blob
+    calls = []
+
+    def save_blob(blob, result):
+        calls.append(blob)
+        if len(calls) == 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real(blob, result)
+
+    orch.cache.save_blob = save_blob
+
+
+def test_a_failed_result_save_still_finishes_the_job(tmp_path):
+    """A point whose result cannot be stored is still done: the worker
+    that computed it stays attached, every waiter is filled from memory,
+    and the failure is counted."""
+    async def scenario():
+        orch = Orchestrator(str(tmp_path / "s"))
+        port = await orch.start()
+        worker = await _TestWorker(port).connect(name="w")
+        _save_fails_once(orch)
+        job_id = orch.submit("selftest", {"n": 3})
+        for _ in range(3):
+            await worker.work_one()
+        status = await _wait_status(orch, job_id)
+        assert status["status"] == "done"
+        assert orch.job_result(job_id)["results"] == [
+            {"i": i, "value": i * i} for i in range(3)]
+        assert "w" in orch.workers
+        assert orch.metrics.value("serve.cache.save_failed") == 1
+        # A second job wanting the unsaved point is answered from memory.
+        again = orch.submit("selftest", {"n": 3})
+        assert orch.job_status(again)["status"] == "done"
+        worker.close()
+        await orch.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_failed_result_save_does_not_stop_an_inline_drain(tmp_path):
+    orch = Orchestrator(str(tmp_path / "s"))
+    _save_fails_once(orch)
+    job_id = orch.submit("selftest", {"n": 3})
+    orch.drain_inline()
+    assert orch.job_status(job_id)["status"] == "done"
+    assert orch.metrics.value("serve.cache.save_failed") == 1
+    orch.close()
 
 
 @pytest.mark.tier2

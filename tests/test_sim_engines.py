@@ -163,13 +163,3 @@ def test_run_steps_with_processed_stop_event_runs_nothing(sim_cls):
     assert sim.run_steps(10, stop_event=stop) == 0
     assert sim.steps == 1 and sim.now == 0.0
     assert sim.run_steps(10) == 2
-
-
-def test_urgent_event_off_the_current_time_is_rejected():
-    """succeed()/fail() schedule at the current time and nothing else is
-    urgent, so the lane has no notion of any other time."""
-    from repro.sim.core import PRIORITY_URGENT, SimulationError
-    sim = Simulator()
-    with pytest.raises(SimulationError, match="urgent"):
-        sim._enqueue(sim.event(), 1e-9, PRIORITY_URGENT)
-    assert sim.queue_empty()

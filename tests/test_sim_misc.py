@@ -7,13 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from repro.sim import RandomStreams, Simulator, TraceCategory, Tracer
+from repro.sim import Category, RandomStreams, Simulator, Tracer
 
-START = TraceCategory.custom("test.start")
-STOP = TraceCategory.custom("test.stop")
-X = TraceCategory.custom("test.x")
-Y = TraceCategory.custom("test.y")
-PHASE_BEGIN, PHASE_END = TraceCategory.span("test.phase")
+START = Category("test.start")
+STOP = Category("test.stop")
+X = Category("test.x")
+Y = Category("test.y")
+PHASE_BEGIN = Category("test.phase.begin", "app", "begin", "test.phase.end")
+PHASE_END = Category("test.phase.end", "app", "end", "test.phase.begin")
 
 
 # ---------------------------------------------------------------- tracer
@@ -42,8 +43,6 @@ def test_tracer_select_and_count():
     tr.emit(X, 3)
     assert tr.count(X) == 2
     assert [r.payload for r in tr.select(Y)] == [2]
-    # string lookups still resolve to the same interned category
-    assert tr.count("test.x") == 2
 
 
 def test_tracer_spans_pair_fifo():

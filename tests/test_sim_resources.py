@@ -7,11 +7,11 @@ from repro.sim import FIFOServer, Simulator
 
 def test_single_request_completes_after_service_time():
     sim = Simulator()
-    srv = FIFOServer(sim, service_time=0.25)
+    srv = FIFOServer(sim)
     done = []
 
     def task():
-        yield srv.submit()
+        yield srv.submit(0.25)
         done.append(sim.now)
 
     sim.spawn(task())
@@ -23,11 +23,11 @@ def test_back_to_back_requests_rate_limited():
     """The core message-rate behaviour: N requests take N*g seconds."""
     sim = Simulator()
     gap = 0.2
-    srv = FIFOServer(sim, service_time=gap)
+    srv = FIFOServer(sim)
     completions = []
 
     def burst():
-        events = [srv.submit() for _ in range(5)]
+        events = [srv.submit(gap) for _ in range(5)]
         for ev in events:
             yield ev
             completions.append(sim.now)
@@ -39,53 +39,38 @@ def test_back_to_back_requests_rate_limited():
 
 def test_idle_server_does_not_accumulate_backlog():
     sim = Simulator()
-    srv = FIFOServer(sim, service_time=1.0)
+    srv = FIFOServer(sim)
 
     def task():
-        yield srv.submit()
+        yield srv.submit(1.0)
         yield sim.timeout(10.0)  # idle gap
-        yield srv.submit()
+        yield srv.submit(1.0)
 
     proc = sim.spawn(task())
     sim.run(until=proc)
     assert sim.now == pytest.approx(12.0)
 
 
-def test_per_request_service_time_override():
-    sim = Simulator()
-    srv = FIFOServer(sim, service_time=1.0)
-
-    def task():
-        yield srv.submit(0.5)
-
-    proc = sim.spawn(task())
-    sim.run(until=proc)
-    assert sim.now == pytest.approx(0.5)
-
-
 def test_negative_service_time_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        FIFOServer(sim, service_time=-1.0)
-    srv = FIFOServer(sim)
+    srv = FIFOServer(Simulator())
     with pytest.raises(ValueError):
         srv.submit(-0.5)
 
 
 def test_occupy_returns_completion_time_without_event():
     sim = Simulator()
-    srv = FIFOServer(sim, service_time=0.1)
-    assert srv.occupy() == pytest.approx(0.1)
-    assert srv.occupy() == pytest.approx(0.2)
+    srv = FIFOServer(sim)
+    assert srv.occupy(0.1) == pytest.approx(0.1)
+    assert srv.occupy(0.1) == pytest.approx(0.2)
     assert srv.backlog == pytest.approx(0.2)
 
 
 def test_stats_track_utilization_and_queue_delay():
     sim = Simulator()
-    srv = FIFOServer(sim, service_time=0.5)
+    srv = FIFOServer(sim)
 
     def burst():
-        events = [srv.submit() for _ in range(4)]
+        events = [srv.submit(0.5) for _ in range(4)]
         yield events[-1]
 
     proc = sim.spawn(burst())
@@ -100,9 +85,9 @@ def test_stats_track_utilization_and_queue_delay():
 
 def test_free_at_tracks_clock():
     sim = Simulator()
-    srv = FIFOServer(sim, service_time=1.0)
+    srv = FIFOServer(sim)
     assert srv.free_at == 0.0
-    srv.occupy()
+    srv.occupy(1.0)
 
     def waiter():
         yield sim.timeout(5.0)
@@ -120,15 +105,9 @@ BAD = [float("nan"), -1.0]
 
 
 @pytest.mark.parametrize("bad", BAD)
-def test_server_refuses_a_bad_default_service_time(bad):
-    with pytest.raises(ValueError, match="service time must be non-negative"):
-        FIFOServer(Simulator(), service_time=bad)
-
-
-@pytest.mark.parametrize("bad", BAD)
 def test_submit_refuses_a_bad_service_time(bad):
     sim = Simulator()
-    srv = FIFOServer(sim, service_time=0.5)
+    srv = FIFOServer(sim)
     with pytest.raises(ValueError, match="service time must be non-negative"):
         srv.submit(bad)
     assert srv.stats.requests == 0 and srv.free_at == 0.0
@@ -165,14 +144,15 @@ def test_nan_issue_gap_fails_the_issue_instead_of_the_clock():
 
 
 def test_nan_default_service_time_no_longer_runs_the_clock_to_nan():
-    """The reported reproduction: a NaN server, a default submit, a
-    Timeout and a second submit used to end the run at ``now == nan``."""
+    """The reported reproduction: a NaN request, a Timeout and a second
+    request used to end the run at ``now == nan``. The NaN request is
+    refused and the run keeps its clock."""
     sim = Simulator()
-    with pytest.raises(ValueError):
-        FIFOServer(sim, service_time=float("nan"))
     srv = FIFOServer(sim)
+    with pytest.raises(ValueError):
+        srv.submit(float("nan"))
     order = []
-    srv.submit(callback=lambda e: order.append(("a", sim.now)))
+    srv.submit(0.0, callback=lambda e: order.append(("a", sim.now)))
     sim.timeout(1.0).add_callback(lambda e: order.append(("t", sim.now)))
     srv.submit(0.5, callback=lambda e: order.append(("b", sim.now)))
     sim.run()

@@ -16,8 +16,6 @@ from repro.netsim import (
     dragonfly,
     fat_tree,
     host_vertex,
-    register_topology,
-    topology_names,
     torus,
 )
 from repro.obs import MetricsRegistry, Tracer
@@ -101,7 +99,8 @@ def test_cluster_and_explicit_dims_are_mutually_exclusive():
 
 
 def test_clusterspec_validates_eagerly():
-    with pytest.raises(TopologyError, match="unknown topology"):
+    with pytest.raises(TopologyError, match="unknown topology 'hypercube'; "
+                       "choose from direct, dragonfly, fat_tree, torus$"):
         ClusterSpec(nodes=2, topology="hypercube")
     with pytest.raises(TopologyError, match="even"):
         ClusterSpec(nodes=2, topology="fat_tree", k=3)
@@ -111,27 +110,6 @@ def test_clusterspec_validates_eagerly():
         ClusterSpec(nodes=0)
     with pytest.raises(TopologyError, match="parameters"):
         ClusterSpec(nodes=2, topology="direct", bogus=1)
-
-
-def test_topology_registry_protocol():
-    names = topology_names()
-    assert {"direct", "fat_tree", "dragonfly", "torus"} <= set(names)
-
-    def star(nodes, params, **kwargs):
-        topo = Topology("star", num_hosts=nodes)
-        topo.add_switch("hub")
-        for h in range(nodes):
-            topo.add_duplex(host_vertex(h), "hub")
-        # Up to the hub from a host, down from the hub to the destination.
-        topo.set_routing_rule(lambda vertex, dst: topo.link(
-            vertex, "hub" if vertex != "hub" else host_vertex(dst)))
-        topo.validate()
-        return topo
-
-    register_topology("star-test", star)
-    assert "star-test" in topology_names()
-    spec = ClusterSpec(nodes=3, topology="star-test")
-    assert spec.build_topology().num_links == 6
 
 
 # ----------------------------------------------------------- routing
