@@ -14,9 +14,11 @@ The ``serve`` row forks ``spawn_service(workers=1)`` from a fresh
 interpreter that imported nothing else, and gives the median
 milliseconds from that interpreter's start until ``GET /healthz`` shows
 the worker, then the milliseconds one small sweep job takes from its
-``POST`` to ``done``, the service's and the worker's peak RSS (MiB,
-``VmHWM``) after it, and whether numpy is mapped in either process. RSS
-and numpy need ``/proc`` (Linux); elsewhere they read ``-``.
+``POST`` to ``done``, the peak RSS (MiB, ``VmHWM``) after it of the
+driver (the interpreter that called ``spawn_service`` and submitted),
+the service and the worker, and whether numpy is mapped in the service
+or the worker. RSS and numpy need ``/proc`` (Linux); elsewhere they
+read ``-``.
 
 With ``--out-dir`` both tables are also written to
 ``DIR/front-ends.txt``, next to a ``python -X importtime`` log per front
@@ -42,6 +44,7 @@ FRONT_ENDS = {
     "repro.bench": "import repro.bench",
     "repro.cli": "import repro.cli",
     "repro.scenarios": "import repro.scenarios",
+    "repro.serve.client": "import repro.serve.client",
     "repro.serve.worker": "import repro.serve.worker",
     "repro.serve.service": "import repro.serve.service",
     "fig1a-point": (
@@ -62,8 +65,8 @@ _PROBE = (
     "print(count, numpy, round(elapsed * 1e3, 1))\n")
 
 
-#: Prints ``<ready ms> <sweep ms> <service MiB> <worker MiB> <numpy>`` for
-#: a service forked from this lean interpreter.
+#: Prints ``<ready ms> <sweep ms> <driver MiB> <service MiB> <worker MiB>
+#: <numpy>`` for a service forked from this lean interpreter.
 _SERVE_PROBE = """
 import time
 started = time.perf_counter()
@@ -102,6 +105,7 @@ with tempfile.TemporaryDirectory() as state:
             swept = time.perf_counter()
         pids = [handle.pid, *handle.worker_pids()]
         maps = [proc_file(pid, "maps") for pid in pids]
+        pids.insert(0, os.getpid())
         numpy = ("-" if None in maps else
                  "yes" if any("_multiarray_umath" in m for m in maps)
                  else "no")
@@ -156,11 +160,13 @@ def main(argv: list[str] | None = None) -> int:
             path = os.path.join(args.out_dir, f"importtime-{name}.log")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(log)
-    ready, sweep, service, worker, numpy = measure_service(args.runs)
+    ready, sweep, driver, service, worker, numpy = measure_service(
+        args.runs)
     lines += ["", f"{'service':<20} {'ready ms':>9} {'sweep ms':>9} "
-                  f"{'service MiB':>11} {'worker MiB':>10} {'numpy':>5}",
-              f"{'serve':<20} {ready:>9} {sweep:>9} {service:>11} "
-              f"{worker:>10} {numpy:>5}"]
+                  f"{'driver MiB':>10} {'service MiB':>11} "
+                  f"{'worker MiB':>10} {'numpy':>5}",
+              f"{'serve':<20} {ready:>9} {sweep:>9} {driver:>10} "
+              f"{service:>11} {worker:>10} {numpy:>5}"]
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out_dir:

@@ -555,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     mr.add_argument("--messages", type=_positive_int, default=64)
     mr.add_argument("--seed", type=int, default=0)
     mr.add_argument("--jobs", "-j", type=_positive_int, default=1,
-                    help="worker processes, capped at the host's CPU "
-                         "count (default 1: run in this process)")
+                    help="worker processes, capped at the CPUs this process "
+                         "may use (default 1: run in this process)")
     mr.add_argument("--csv", metavar="PATH", help="also write rows as CSV")
     mr.add_argument("--checkpoint-dir", metavar="DIR",
                     help="keep every completed point in DIR (a 'repro "
@@ -720,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     cpr.add_argument("-n", type=int, default=100,
                      help="scenarios to sample (default 100)")
     cpr.add_argument("--jobs", type=_positive_int, default=1,
-                     help="worker processes, capped at the host's CPU "
-                          "count (default 1: run in this process)")
+                     help="worker processes, capped at the CPUs this process "
+                          "may use (default 1: run in this process)")
     cpr.add_argument("--apps", nargs="+", metavar="APP",
                      help="restrict sampling to these apps")
     cpr.add_argument("--no-shrink", action="store_true",

@@ -49,10 +49,12 @@ class Communicator:
 
     ``group[i]`` is the world rank of the process owning communicator rank
     ``i``; for ordinary communicators addressing and matching both use
-    these communicator ranks.
+    these communicator ranks. A group is an immutable tuple, shared by
+    every handle over the same ranks (COMM_WORLD's by the whole World, a
+    duplicate's with its parent).
     """
 
-    def __init__(self, lib: "MpiLibrary", group: list[int], rank: int,
+    def __init__(self, lib: "MpiLibrary", group: tuple[int, ...], rank: int,
                  context_id: int, hints: Optional[CommHints] = None,
                  vci_map: Optional[VciMap] = None, name: str = "comm"):
         self.lib = lib
@@ -425,7 +427,7 @@ class Communicator:
             (r for r in range(self.size)
              if meeting.contributions[r][0] == color),
             key=lambda r: (meeting.contributions[r][1], r))
-        new_group = [self.group[r] for r in members]
+        new_group = tuple(self.group[r] for r in members)
         new_rank = members.index(self.rank)
         context_id = meeting.shared["ctx_by_color"][color]
         new_comm = Communicator(self.lib, new_group, new_rank, context_id,
@@ -458,7 +460,7 @@ class Communicator:
             vci_map: VciMap = TagBitsVciMap(hints, base, pool.max_vcis)
         else:
             vci_map = SingleVciMap(base)
-        new_comm = Communicator(self.lib, list(self.group), self.rank,
+        new_comm = Communicator(self.lib, self.group, self.rank,
                                 context_id, hints=hints, vci_map=vci_map,
                                 name=name or f"{self.name}.dup{seq}")
         new_comm._coll_algorithms.update(self._coll_algorithms)

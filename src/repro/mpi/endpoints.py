@@ -37,7 +37,7 @@ class Endpoint(Communicator):
     rank; point-to-point and collectives work per endpoint.
     """
 
-    def __init__(self, lib: "MpiLibrary", group: list[int], ep_rank: int,
+    def __init__(self, lib: "MpiLibrary", group: tuple[int, ...], ep_rank: int,
                  context_id: int, vci_map: EndpointVciMap,
                  parent: Communicator, local_index: int, name: str):
         # An endpoint commits exactly one channel, ``vci_map.my_vci`` —
@@ -102,12 +102,13 @@ def comm_create_endpoints(parent: Communicator, my_num_ep: int,
         group.extend([owner_world] * count)
         vci_table.extend(vcis)
 
+    ep_group = tuple(group)
     handles = []
     for i in range(my_num_ep):
         ep_rank = my_offset + i
         vci_map = EndpointVciMap(my_vci=my_vcis[i], ep_vci_table=vci_table)
         handles.append(Endpoint(
-            lib, group, ep_rank, context_id, vci_map, parent,
+            lib, ep_group, ep_rank, context_id, vci_map, parent,
             local_index=i, name=f"{parent.name}.ep{ep_rank}"))
     return handles
 

@@ -76,7 +76,7 @@ class MpiProcess:
         self.lib = MpiLibrary(world.sim, world, rank, node, world.cfg,
                               max_vcis=world.max_vcis_per_proc)
         self.comm_world = Communicator(
-            self.lib, list(range(world.num_procs)), rank,
+            self.lib, world.world_group, rank,
             context_id=0, name="COMM_WORLD")
         self.threads: list[Process] = []
 
@@ -214,6 +214,8 @@ class World:
         self.procs_per_node = procs_per_node
         self.threads_per_proc = threads_per_proc
         self.num_procs = num_nodes * procs_per_node
+        #: COMM_WORLD's group, one tuple shared by every rank's handle.
+        self.world_group = tuple(range(self.num_procs))
         self.max_vcis_per_proc = max_vcis_per_proc
         self.rng = RandomStreams(seed)
         #: The bound interconnect graph, or None on a direct (single-hop)

@@ -28,18 +28,22 @@ one call; :func:`run_service` keeps it running behind an HTTP API.
   client used by ``repro submit`` / ``repro jobs``.
 """
 
-from .cache import PENDING, SERVE_CACHE_VERSION, ResultCache, cache_key
-from .client import ServeClient
-from .orchestrator import Job, Orchestrator, PointTask, read_journal
-from .points import execute_point, expand_job, msgrate_point
-from .protocol import (
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    encode_frame,
-    write_frame,
-)
-from .service import ServiceHandle, run_local, run_service, spawn_service
-from .worker import worker_main
+from .. import _lazy
+
+#: A process that only submits loads :mod:`.client`; the event loop
+#: arrives with :mod:`.orchestrator`, :mod:`.http` or a call into
+#: :mod:`.service` that runs a service (docs/serving.md).
+__getattr__, __dir__ = _lazy(__name__, {
+    ".cache": ("PENDING", "SERVE_CACHE_VERSION", "ResultCache", "cache_key"),
+    ".client": ("ServeClient",),
+    ".orchestrator": ("Job", "Orchestrator", "PointTask", "read_journal"),
+    ".points": ("execute_point", "expand_job", "msgrate_point"),
+    ".protocol": ("PROTOCOL_VERSION", "FrameDecoder", "encode_frame",
+                  "write_frame"),
+    ".service": ("ServiceHandle", "run_local", "run_service",
+                 "spawn_service"),
+    ".worker": ("worker_main",),
+})
 
 __all__ = [
     "PROTOCOL_VERSION", "FrameDecoder", "encode_frame", "write_frame",

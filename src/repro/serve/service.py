@@ -14,35 +14,41 @@ directory), run the queue to completion in this call, return the result
 documents. ``repro msgrate`` and ``repro campaign`` are built on it, so a
 local checkpoint directory *is* a service state directory.
 
-Worker-pool sizing (:func:`auto_jobs`): never more workers than host
-CPUs unless ``oversubscribe=True`` — on a 1-CPU host, extra workers only
-add dispatch overhead.
+Worker-pool sizing (:func:`auto_jobs`): never more workers than the
+CPUs this process may run on (:func:`usable_cpus`) unless
+``oversubscribe=True`` — on a 1-CPU host, extra workers only add
+dispatch overhead.
 
 :func:`spawn_service` forks the service into a child process and waits
 for the discovery file, returning a :class:`ServiceHandle` that tests
 use to ``kill -9`` the service (crash-resume) or individual workers
 (requeue), then restart on the same ``state_dir``.
+
+The top level imports only what a submitting process runs
+(:class:`ServiceHandle`, :func:`spawn_service`, :func:`auto_jobs`): the
+event loop, the orchestrator, the HTTP API and the worker module load
+inside the functions that run a service, so the forked service child
+(or :func:`run_local`'s caller) loads them and the process that forked
+it never does.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import itertools
 import json
 import multiprocessing
 import os
 import signal
-import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import ServeError
 from .client import ServeClient
-from .http import HttpApi
-from .orchestrator import Orchestrator
-from .worker import spawn_worker
+
+if TYPE_CHECKING:
+    from .orchestrator import Orchestrator
 
 __all__ = ["ServiceHandle", "auto_jobs", "run_local", "run_service",
            "spawn_service"]
@@ -55,6 +61,15 @@ def fork_available() -> bool:
     return hasattr(os, "fork")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset -c 0`` means 1 on any host), else the
+    host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def auto_jobs(requested: Optional[int] = None,
               n_points: Optional[int] = None,
               cpu_count: Optional[int] = None,
@@ -62,13 +77,13 @@ def auto_jobs(requested: Optional[int] = None,
     """Worker count that never oversubscribes the host by default.
 
     Past the CPU count, dispatch overhead (IPC, scheduling) is pure loss:
-    every CPU and no more when ``requested is None``; an explicit request
-    is capped at the CPU count unless ``oversubscribe=True``; never more
-    workers than ``n_points`` (idle workers are pure start-up cost);
-    always at least 1. ``cpu_count`` overrides host detection (tests).
+    every usable CPU (:func:`usable_cpus`) and no more when ``requested
+    is None``; an explicit request is capped at that count unless
+    ``oversubscribe=True``; never more workers than ``n_points`` (idle
+    workers are pure start-up cost); always at least 1. ``cpu_count``
+    overrides host detection (tests).
     """
-    cpus = max(1, cpu_count if cpu_count is not None
-               else (os.cpu_count() or 1))
+    cpus = max(1, cpu_count if cpu_count is not None else usable_cpus())
     jobs = cpus if requested is None else max(1, int(requested))
     if not oversubscribe:
         jobs = min(jobs, cpus)
@@ -85,6 +100,9 @@ async def _workers(orch: Orchestrator, host: str, n: int, heartbeat: float):
     requeued by the orchestrator; it is respawned to restore capacity.
     On exit the orchestrator is stopped and every worker reaped.
     """
+    import asyncio
+
+    from .worker import spawn_worker
     port = await orch.start()
     seq = itertools.count()
     procs = [spawn_worker(host, port, f"w{next(seq)}", heartbeat)
@@ -126,6 +144,8 @@ async def _serve(state_dir: str, workers: Optional[int],
                  oversubscribe: bool, heartbeat: float,
                  heartbeat_timeout: float, host: str,
                  announce: Callable[[str], None]) -> None:
+    from .http import HttpApi
+    from .orchestrator import Orchestrator
     orch = Orchestrator(state_dir, heartbeat_timeout=heartbeat_timeout,
                         host=host)
     n = 0 if workers == 0 else auto_jobs(requested=workers,
@@ -160,6 +180,7 @@ def run_service(state_dir: str, workers: Optional[int] = None,
     (external workers may still attach to the worker port published in
     ``serve.json``).
     """
+    import asyncio
     os.makedirs(state_dir, exist_ok=True)
     asyncio.run(_serve(state_dir, workers, oversubscribe, heartbeat,
                        heartbeat_timeout, host, announce or (lambda _: None)))
@@ -185,8 +206,10 @@ def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
     :class:`~repro.errors.ServeError` naming the point and its error.
     """
     if state_dir is None:
+        import tempfile
         with tempfile.TemporaryDirectory() as scratch:
             return run_local(scratch, kind, spec, workers)
+    from .orchestrator import Orchestrator
     orch = Orchestrator(state_dir)
     try:
         if kind is None:
@@ -197,6 +220,7 @@ def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
         if n == 1 or not fork_available():
             orch.drain_inline()
         else:
+            import asyncio
             asyncio.run(_drain_with_workers(orch, n))
         return [orch.job_result(job_id) for job_id in orch.job_ids()]
     finally:

@@ -13,7 +13,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ServeError
 from repro.serve import execute_point, expand_job, run_local
-from repro.serve.service import auto_jobs
+from repro.serve.service import auto_jobs, usable_cpus
 
 SELFTEST = {"n": 17}
 SWEEP = {"params": {"mode": ["everywhere", "threads-original"],
@@ -25,7 +25,7 @@ CLI_SWEEP = ["msgrate", "--modes", "everywhere", "threads-tags",
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
     """``workers=2`` forks two real workers even on a 1-CPU host."""
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("repro.serve.service.usable_cpus", lambda: 2)
 
 
 def _reference(kind, spec):
@@ -118,6 +118,18 @@ def test_auto_jobs_defaults_to_cpu_count():
     # dispatch overhead — see auto_jobs' docstring).
     assert auto_jobs(cpu_count=4) == 4
     assert auto_jobs(cpu_count=1) == 1
+
+
+def test_auto_jobs_counts_only_the_cpus_this_process_may_use(monkeypatch):
+    """Under ``taskset -c 0`` on a 2-CPU host the default is one worker,
+    not two forked onto the one CPU."""
+    monkeypatch.undo()  # the two_cpus fixture replaced the count itself
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert usable_cpus() == 1
+    assert auto_jobs() == 1
+    assert auto_jobs(requested=2) == 1
 
 
 def test_auto_jobs_caps_explicit_requests_at_cpu_count():

@@ -86,7 +86,7 @@ def test_msgrate_pivot_and_csv_are_byte_exact(tmp_path, capsys):
 @pytest.mark.parametrize("asked, ran", [("1", 1), ("2", 2), ("8", 2)])
 def test_msgrate_names_the_worker_count_that_ran(monkeypatch, capsys,
                                                  asked, ran):
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("repro.serve.service.usable_cpus", lambda: 2)
     assert main(["msgrate", "--modes", "everywhere", "--cores", "1", "2",
                  "--messages", "4", "--jobs", asked]) == 0
     assert capsys.readouterr().err.endswith(f", jobs={ran}]\n")

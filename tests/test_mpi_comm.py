@@ -20,6 +20,27 @@ def test_comm_world_properties(world2):
     assert isinstance(comm.vci_map, SingleVciMap)
 
 
+def test_groups_are_shared_tuples_not_per_handle_lists():
+    """A World's groups are O(P), not O(P^2): every rank's COMM_WORLD
+    holds the World's one tuple, a duplicate shares its parent's, and a
+    split builds one tuple per handle."""
+    world = World(num_nodes=2, procs_per_node=2)
+    groups = {id(p.comm_world.group) for p in world.procs}
+    assert groups == {id(world.world_group)}
+    assert world.world_group == (0, 1, 2, 3)
+
+    def worker(proc):
+        dup = yield from proc.comm_world.Dup()
+        sub = yield from proc.comm_world.Split(color=proc.rank % 2,
+                                               key=-proc.rank)
+        return dup.group, sub.group
+
+    results = run_same(world, worker)
+    assert all(dup is world.world_group for dup, _sub in results)
+    assert [sub for _dup, sub in results] == [(2, 0), (3, 1), (2, 0),
+                                              (3, 1)]
+
+
 def test_dup_gets_fresh_context_everywhere_consistent(world2):
     def worker(proc):
         c1 = yield from proc.comm_world.Dup()

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.serve.points import execute_point, expand_job
-from repro.serve.service import spawn_service
+from repro.serve.service import spawn_service, usable_cpus
 
 pytestmark = pytest.mark.tier2
 
@@ -229,11 +229,19 @@ def test_local_and_served_runs_share_one_store(tmp_path):
 
 def test_service_auto_sizes_workers_to_host(tmp_path):
     """The sizing bugfix end to end: asking for 64 workers on this host
-    must start cpu_count workers, not 64 — unless oversubscribe."""
+    must start one worker per usable CPU, not 64 — unless oversubscribe.
+    ``serve.json`` names the count the service forked; the workers attach
+    after it is written, so their pids are polled for."""
     handle = spawn_service(str(tmp_path / "s"), workers=64)
     try:
-        expected = os.cpu_count() or 1
-        assert len(handle.worker_pids()) == expected
+        with open(os.path.join(handle.state_dir, "serve.json"),
+                  encoding="utf-8") as fh:
+            assert json.load(fh)["workers"] == usable_cpus()
+        deadline = time.monotonic() + 10
+        while (len(handle.worker_pids()) < usable_cpus()
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert len(handle.worker_pids()) == usable_cpus()
     finally:
         handle.stop()
 

@@ -564,7 +564,7 @@ def test_run_points_checkpoints_and_resumes(tmp_path):
 
 
 def test_run_points_parallel_checkpoints(tmp_path, monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("repro.serve.service.usable_cpus", lambda: 2)
     state = str(tmp_path / "ck")
     ref, executed = _executed(state, workers=2)
     assert executed == 5 and len(_store_files(state)) == 5

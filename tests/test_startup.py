@@ -8,8 +8,9 @@ interpreters because this one has imported everything long ago:
 - the lazy namespaces behave like eager ones (``__all__``, ``dir()``,
   ``from pkg import *``, the error for a name that does not exist);
 - the import fences: ``import repro``, the kernel alone and one Fig 1(a)
-  point load no layer they do not run, and neither a Fig 1(a) point nor
-  the CLI and serve front ends load numpy;
+  point load no layer they do not run, a process that submits to a
+  service loads no event loop, and neither a Fig 1(a) point nor the CLI
+  and serve front ends load numpy;
 - the results: a run's state digest, trace and check report are the
   same bytes whether or not everything was imported first;
 - the hot paths: a warmed-up Fig 1(a) point executes the same number of
@@ -34,7 +35,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Every package whose root resolves names on first use.
 LAZY_PACKAGES = ("repro", "repro.bench", "repro.check", "repro.faults",
                  "repro.mapping", "repro.mpi", "repro.netsim",
-                 "repro.netsim.topology", "repro.obs", "repro.snap")
+                 "repro.netsim.topology", "repro.obs", "repro.serve",
+                 "repro.snap")
 
 FIG1A_MODES = ("everywhere", "threads-original", "threads-tags",
                "threads-comms", "threads-endpoints")
@@ -128,6 +130,27 @@ def test_a_fig1a_point_loads_no_layer_it_does_not_run(checked):
     assert "repro.check" in loaded  # World builds its checker in set-up
     assert sorted(m for m in loaded
                   if m.startswith(NOT_IN_FIG1A)) == []
+
+
+#: What only a serving process runs: the event loop (``ssl`` comes with
+#: it) and the service's own layers.
+SERVER_ONLY = ("asyncio", "ssl", "repro.serve.orchestrator",
+               "repro.serve.http", "repro.serve.worker")
+
+
+def test_a_submitting_process_loads_no_server():
+    """The client, ``spawn_service`` and the package root are all a
+    submitting process imports; the forked service child loads the
+    event loop, the orchestrator, the HTTP API and the workers."""
+    loaded = json.loads(_python(
+        "import json, sys\n"
+        "from repro.serve.client import ServeClient\n"
+        "from repro.serve.service import spawn_service\n"
+        "from repro import serve\n"
+        "from repro.serve import ServeClient\n"
+        f"print(json.dumps([m for m in {SERVER_ONLY!r} "
+        "if m in sys.modules]))\n"))
+    assert loaded == []
 
 
 @pytest.mark.parametrize("front_end", ["repro.cli", "repro.serve.service",
