@@ -493,8 +493,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from .serve.client import ServeClient
-    from .serve.http import parse_job_document
+    from .serve.client import ServeClient, parse_job_document
     if args.job == "-":
         body = sys.stdin.buffer.read()
     else:

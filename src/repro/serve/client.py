@@ -1,4 +1,7 @@
-"""Stdlib HTTP client for the serve API (used by the CLI and tests)."""
+"""Stdlib HTTP client for the serve API (used by the CLI and tests), and
+the job-document parser both ends share: ``repro submit`` checks a job
+with it before it dials, and the HTTP edge parses every ``POST /jobs``
+body with it."""
 
 from __future__ import annotations
 
@@ -10,11 +13,32 @@ from typing import Any, BinaryIO, Optional
 
 from ..errors import ServeError
 
-__all__ = ["ServeClient"]
+__all__ = ["ServeClient", "parse_job_document"]
 
 #: Every request body; built once (``json.dumps`` builds one per call).
 _REQUEST = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             default=str)
+
+
+def parse_job_document(body: bytes) -> tuple[str, dict]:
+    """Parse a POST /jobs body (JSON or YAML) into ``(kind, spec)``."""
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        import yaml  # here, not at module level: most importers parse no job
+        try:
+            doc = yaml.safe_load(body.decode("utf-8", "replace"))
+        except yaml.YAMLError as exc:
+            raise ServeError(f"job body is neither JSON nor YAML: {exc}"
+                             ) from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
+        raise ServeError(
+            "job document must be a mapping with a 'kind' string "
+            "(e.g. {'kind': 'sweep', 'spec': {...}})")
+    spec = doc.get("spec", {})
+    if not isinstance(spec, dict):
+        raise ServeError("job 'spec' must be a mapping")
+    return doc["kind"], spec
 
 
 class ServeClient:

@@ -33,10 +33,11 @@ from http import HTTPStatus
 from typing import Any, Optional
 
 from ..errors import ServeError
+from .client import parse_job_document
 from .orchestrator import Orchestrator
 from .protocol import bound_reads
 
-__all__ = ["HttpApi", "parse_job_document"]
+__all__ = ["HttpApi"]
 
 _MAX_BODY = 8 * 1024 * 1024
 
@@ -59,27 +60,6 @@ _HEADS = {status.value: (f"HTTP/1.1 {status.value} {status.phrase}\r\n"
                          f"Content-Type: application/json\r\n"
                          f"Content-Length: ").encode("ascii")
           for status in HTTPStatus}
-
-
-def parse_job_document(body: bytes) -> tuple[str, dict]:
-    """Parse a POST /jobs body (JSON or YAML) into ``(kind, spec)``."""
-    try:
-        doc = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        import yaml  # here, not at module level: most importers parse no job
-        try:
-            doc = yaml.safe_load(body.decode("utf-8", "replace"))
-        except yaml.YAMLError as exc:
-            raise ServeError(f"job body is neither JSON nor YAML: {exc}"
-                             ) from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
-        raise ServeError(
-            "job document must be a mapping with a 'kind' string "
-            "(e.g. {'kind': 'sweep', 'spec': {...}})")
-    spec = doc.get("spec", {})
-    if not isinstance(spec, dict):
-        raise ServeError("job 'spec' must be a mapping")
-    return doc["kind"], spec
 
 
 def _parse_head(head: str) -> tuple[str, str, int, bool]:

@@ -72,7 +72,6 @@ def usable_cpus() -> int:
 
 def auto_jobs(requested: Optional[int] = None,
               n_points: Optional[int] = None,
-              cpu_count: Optional[int] = None,
               oversubscribe: bool = False) -> int:
     """Worker count that never oversubscribes the host by default.
 
@@ -80,10 +79,9 @@ def auto_jobs(requested: Optional[int] = None,
     every usable CPU (:func:`usable_cpus`) and no more when ``requested
     is None``; an explicit request is capped at that count unless
     ``oversubscribe=True``; never more workers than ``n_points`` (idle
-    workers are pure start-up cost); always at least 1. ``cpu_count``
-    overrides host detection (tests).
+    workers are pure start-up cost); always at least 1.
     """
-    cpus = max(1, cpu_count if cpu_count is not None else usable_cpus())
+    cpus = max(1, usable_cpus())
     jobs = cpus if requested is None else max(1, int(requested))
     if not oversubscribe:
         jobs = min(jobs, cpus)

@@ -113,11 +113,18 @@ def test_worker_exception_propagates():
                       workers=workers)
 
 
-def test_auto_jobs_defaults_to_cpu_count():
+def _cpus(monkeypatch, n):
+    """Make ``n`` the CPU count ``auto_jobs`` sizes against."""
+    monkeypatch.setattr("repro.serve.service.usable_cpus", lambda: n)
+
+
+def test_auto_jobs_defaults_to_cpu_count(monkeypatch):
     # Never oversubscribe the host by default (workers > cpus is pure
     # dispatch overhead — see auto_jobs' docstring).
-    assert auto_jobs(cpu_count=4) == 4
-    assert auto_jobs(cpu_count=1) == 1
+    _cpus(monkeypatch, 4)
+    assert auto_jobs() == 4
+    _cpus(monkeypatch, 1)
+    assert auto_jobs() == 1
 
 
 def test_auto_jobs_counts_only_the_cpus_this_process_may_use(monkeypatch):
@@ -132,19 +139,24 @@ def test_auto_jobs_counts_only_the_cpus_this_process_may_use(monkeypatch):
     assert auto_jobs(requested=2) == 1
 
 
-def test_auto_jobs_caps_explicit_requests_at_cpu_count():
-    assert auto_jobs(requested=8, cpu_count=2) == 2
-    assert auto_jobs(requested=8, cpu_count=2, oversubscribe=True) == 8
-    assert auto_jobs(requested=2, cpu_count=8) == 2  # honor smaller asks
+def test_auto_jobs_caps_explicit_requests_at_cpu_count(monkeypatch):
+    _cpus(monkeypatch, 2)
+    assert auto_jobs(requested=8) == 2
+    assert auto_jobs(requested=8, oversubscribe=True) == 8
+    _cpus(monkeypatch, 8)
+    assert auto_jobs(requested=2) == 2  # honor smaller asks
 
 
-def test_auto_jobs_never_exceeds_point_count():
-    assert auto_jobs(cpu_count=16, n_points=3) == 3
-    assert auto_jobs(requested=8, cpu_count=16, n_points=1) == 1
+def test_auto_jobs_never_exceeds_point_count(monkeypatch):
+    _cpus(monkeypatch, 16)
+    assert auto_jobs(n_points=3) == 3
+    assert auto_jobs(requested=8, n_points=1) == 1
 
 
-def test_auto_jobs_is_always_at_least_one():
-    assert auto_jobs(requested=0, cpu_count=4) == 1
-    assert auto_jobs(requested=-3, cpu_count=4) == 1
-    assert auto_jobs(cpu_count=0) == 1
-    assert auto_jobs(n_points=0, cpu_count=4) == 1
+def test_auto_jobs_is_always_at_least_one(monkeypatch):
+    _cpus(monkeypatch, 4)
+    assert auto_jobs(requested=0) == 1
+    assert auto_jobs(requested=-3) == 1
+    assert auto_jobs(n_points=0) == 1
+    _cpus(monkeypatch, 0)
+    assert auto_jobs() == 1

@@ -138,22 +138,42 @@ SERVER_ONLY = ("asyncio", "ssl", "repro.serve.orchestrator",
                "repro.serve.http", "repro.serve.worker")
 
 
+#: A fresh interpreter that imports the client side every way there is,
+#: then forks a service and runs ``repro submit`` against it to the
+#: result; its last line lists the server-only modules it holds.
+SUBMITTER = """
+import contextlib, io, json, os, sys, tempfile
+from repro.serve.client import ServeClient
+from repro.serve.service import spawn_service
+from repro import serve
+from repro.serve import ServeClient
+from repro.cli import main
+with tempfile.TemporaryDirectory() as state:
+    job = os.path.join(state, "job.yaml")
+    with open(job, "w") as fh:
+        fh.write("kind: selftest\\nspec: {n: 2}\\n")
+    handle = spawn_service(os.path.join(state, "s"), workers=1)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["submit", "--state-dir", handle.state_dir, job])
+    finally:
+        handle.stop()
+assert code == 0 and json.loads(out.getvalue())["status"] == "done"
+print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))
+"""
+
+
 def test_a_submitting_process_loads_no_server():
-    """The client, ``spawn_service`` and the package root are all a
-    submitting process imports; the forked service child loads the
-    event loop, the orchestrator, the HTTP API and the workers."""
-    loaded = json.loads(_python(
-        "import json, sys\n"
-        "from repro.serve.client import ServeClient\n"
-        "from repro.serve.service import spawn_service\n"
-        "from repro import serve\n"
-        "from repro.serve import ServeClient\n"
-        f"print(json.dumps([m for m in {SERVER_ONLY!r} "
-        "if m in sys.modules]))\n"))
+    """The client, ``spawn_service``, the package root and a whole
+    ``repro submit`` (a YAML job parsed, POSTed and waited for) are all
+    a submitting process runs; the forked service child loads the event
+    loop, the orchestrator, the HTTP API and the workers."""
+    loaded = json.loads(_python(SUBMITTER, *SERVER_ONLY).splitlines()[-1])
     assert loaded == []
 
 
-@pytest.mark.parametrize("front_end", ["repro.cli", "repro.serve.service",
+@pytest.mark.parametrize("front_end", ["repro.cli", "repro.serve.http",
+                                       "repro.serve.service",
                                        "repro.serve.worker"])
 def test_a_front_end_loads_no_numpy(front_end):
     """numpy loads where a run computes with it: a service loads it with
