@@ -16,9 +16,12 @@ milliseconds from that interpreter's start until ``GET /healthz`` shows
 the worker, then the milliseconds one small sweep job takes from its
 ``POST`` to ``done``, the peak RSS (MiB, ``VmHWM``) after it of the
 driver (the interpreter that called ``spawn_service`` and submitted),
-the service and the worker, and whether numpy is mapped in the service
-or the worker. RSS and numpy need ``/proc`` (Linux); elsewhere they
-read ``-``.
+the service and the worker, and whether each of numpy, TLS (``ssl``:
+the ``_ssl`` extension) and the process-pool package (``mp``: the
+``_multiprocessing`` extension) is mapped in the service or the worker.
+A serve process imports asyncio without TLS and forks with ``os.fork``,
+so ``ssl`` and ``mp`` read ``no``. RSS and the mapped columns need
+``/proc`` (Linux); elsewhere they read ``-``.
 
 With ``--out-dir`` both tables are also written to
 ``DIR/front-ends.txt``, next to a ``python -X importtime`` log per front
@@ -66,7 +69,7 @@ _PROBE = (
 
 
 #: Prints ``<ready ms> <sweep ms> <driver MiB> <service MiB> <worker MiB>
-#: <numpy>`` for a service forked from this lean interpreter.
+#: <numpy> <ssl> <mp>`` for a service forked from this lean interpreter.
 _SERVE_PROBE = """
 import time
 started = time.perf_counter()
@@ -106,12 +109,13 @@ with tempfile.TemporaryDirectory() as state:
         pids = [handle.pid, *handle.worker_pids()]
         maps = [proc_file(pid, "maps") for pid in pids]
         pids.insert(0, os.getpid())
-        numpy = ("-" if None in maps else
-                 "yes" if any("_multiarray_umath" in m for m in maps)
-                 else "no")
+        mapped = ["-" if None in maps else
+                  "yes" if any(f"/{ext}." in m for m in maps) else "no"
+                  for ext in ("_multiarray_umath", "_ssl",
+                              "_multiprocessing")]
         print(round((ready - started) * 1e3, 1),
               round((swept - ready) * 1e3, 1),
-              *(peak_mib(pid) for pid in pids), numpy)
+              *(peak_mib(pid) for pid in pids), *mapped)
     finally:
         handle.stop()
 """
@@ -135,7 +139,8 @@ def measure(code: str, runs: int) -> tuple[int, str, float]:
 
 def measure_service(runs: int) -> list[str]:
     """The ``serve`` row's fields: median ready and sweep ms over
-    ``runs``, after one untimed run; RSS and numpy from the last run."""
+    ``runs``, after one untimed run; RSS and the mapped columns from the
+    last run."""
     samples = [_run(["-c", _SERVE_PROBE]).stdout.split()
                for _ in range(runs + 1)][1:]
     return [f"{statistics.median(float(s[i]) for s in samples):.1f}"
@@ -160,13 +165,13 @@ def main(argv: list[str] | None = None) -> int:
             path = os.path.join(args.out_dir, f"importtime-{name}.log")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(log)
-    ready, sweep, driver, service, worker, numpy = measure_service(
-        args.runs)
+    ready, sweep, driver, service, worker, numpy, ssl, mp = \
+        measure_service(args.runs)
     lines += ["", f"{'service':<20} {'ready ms':>9} {'sweep ms':>9} "
                   f"{'driver MiB':>10} {'service MiB':>11} "
-                  f"{'worker MiB':>10} {'numpy':>5}",
+                  f"{'worker MiB':>10} {'numpy':>5} {'ssl':>3} {'mp':>3}",
               f"{'serve':<20} {ready:>9} {sweep:>9} {driver:>10} "
-              f"{service:>11} {worker:>10} {numpy:>5}"]
+              f"{service:>11} {worker:>10} {numpy:>5} {ssl:>3} {mp:>3}"]
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out_dir:

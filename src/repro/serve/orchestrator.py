@@ -195,26 +195,36 @@ class PointTask:
     waiters: list[tuple[str, int]] = field(default_factory=list)
 
 
-class Expansion(NamedTuple):
+@dataclass(slots=True)
+class Expansion:
     """One job document, expanded: what every job with its text shares.
 
-    ``spec`` is the document's spec as JSON reads it back, ``blobs[i]``
-    the key record of ``points[i]``. Shared, like the store's results:
-    read-only.
+    ``kind`` and ``spec`` are the document's as JSON reads them back,
+    ``blobs[i]`` the key record of ``points[i]``. ``warm`` is the result
+    list of the first job of this document whose every point hit the
+    store, and the result list of every later such job: the store answers
+    a proved point with the same object every time, so those lists would
+    be equal. Shared, like the store's results: read-only.
     """
 
+    kind: str
     spec: dict
     point_kind: str
     points: list[dict]
     blobs: list[str]
+    warm: Optional[list[Any]] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One submitted job: its document, expansion and fill-in results.
 
-    ``spec`` and ``points`` are its :class:`Expansion`'s, shared with
-    every job of the same document: read-only.
+    ``kind``, ``spec`` and ``points`` are its :class:`Expansion`'s,
+    shared with every job of the same document: read-only. So are the
+    ``results`` of a job whose every point hit the store
+    (:attr:`Expansion.warm`); a job with a miss has a list of its own,
+    which :meth:`fill` fills. Slotted: a service keeps every job it
+    accepted.
     """
 
     job_id: str
@@ -372,7 +382,7 @@ class Orchestrator:
                 except ServeError as exc:
                     error = f"{self._journal}:{line.number}: {exc}"
                 else:
-                    self._register_job(line.job_id, line.kind, expansion)
+                    self._register_job(line.job_id, expansion)
                     self.count["serve.job.resumed"].inc()
                     continue
             self.jobs[line.job_id] = Job(
@@ -396,7 +406,7 @@ class Orchestrator:
         job_id = f"job-{self._next_id:05d}"
         self._append(f'{{"job_id":"{job_id}",{text[1:]}\n'.encode())
         self._next_id += 1
-        self._register_job(job_id, kind, expansion)
+        self._register_job(job_id, expansion)
         self.count["serve.job.submitted"].inc()
         return job_id
 
@@ -424,22 +434,25 @@ class Orchestrator:
             doc = json.loads(text)
             point_kind, points = expand_job(doc["kind"], doc["spec"])
             expansion = self.expansions[text] = Expansion(
-                doc["spec"], point_kind, points,
+                doc["kind"], doc["spec"], point_kind, points,
                 [point_blob(point_kind, point) for point in points])
         return expansion
 
-    def _register_job(self, job_id: str, kind: str,
-                      expansion: Expansion) -> None:
+    def _register_job(self, job_id: str, expansion: Expansion) -> None:
         """Add a job and fill it from the store in one lookup; only the
         points the store lacks are deduped against the tasks in flight
         or queued."""
-        spec, point_kind, points, blobs = expansion
+        points, blobs = expansion.points, expansion.blobs
         results = self.cache.load_blobs(blobs)
         misses = results.count(PENDING)
-        job = Job(job_id=job_id, kind=kind, spec=spec,
-                  point_kind=point_kind, points=points, results=results,
-                  submitted=time.monotonic(), remaining=misses,
-                  cache_hits=len(points) - misses)
+        if not misses:
+            if expansion.warm is None:
+                expansion.warm = results
+            results = expansion.warm
+        job = Job(job_id=job_id, kind=expansion.kind, spec=expansion.spec,
+                  point_kind=expansion.point_kind, points=points,
+                  results=results, submitted=time.monotonic(),
+                  remaining=misses, cache_hits=len(points) - misses)
         self.jobs[job_id] = job
         self._running += 1
         if misses:
@@ -449,7 +462,7 @@ class Orchestrator:
                 key = blob_key(blob)
                 task = self.tasks.get(key)
                 if task is None or task.status == "failed":
-                    task = PointTask(key=key, kind=point_kind,
+                    task = PointTask(key=key, kind=expansion.point_kind,
                                      point=points[index], blob=blob)
                     self.tasks[key] = task
                     self._queue.put_nowait(key)

@@ -24,12 +24,17 @@ for the discovery file, returning a :class:`ServiceHandle` that tests
 use to ``kill -9`` the service (crash-resume) or individual workers
 (requeue), then restart on the same ``state_dir``.
 
-The top level imports only what a submitting process runs
-(:class:`ServiceHandle`, :func:`spawn_service`, :func:`auto_jobs`): the
-event loop, the orchestrator, the HTTP API and the worker module load
-inside the functions that run a service, so the forked service child
-(or :func:`run_local`'s caller) loads them and the process that forked
-it never does.
+Every serve process maps only what serving runs. The service and its
+workers are :class:`ForkedProcess` children (``os.fork`` and
+``waitpid``, no process-pool package), and the event loop is imported
+without TLS (:func:`import_asyncio`): no serve path speaks it, and
+asyncio's ``ssl`` import would map OpenSSL into the service and every
+worker it forks. The top level imports only what a submitting process
+runs (:class:`ServiceHandle`, :func:`spawn_service`, :func:`auto_jobs`):
+the event loop, the orchestrator, the HTTP API and the worker module
+load inside the functions that run a service, so the forked service
+child (or :func:`run_local`'s caller) loads them and the process that
+forked it never does.
 """
 
 from __future__ import annotations
@@ -37,11 +42,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import multiprocessing
 import os
+import select
 import signal
+import sys
 import time
 from dataclasses import dataclass
+from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import ServeError
@@ -50,10 +57,155 @@ from .client import ServeClient
 if TYPE_CHECKING:
     from .orchestrator import Orchestrator
 
-__all__ = ["ServiceHandle", "auto_jobs", "run_local", "run_service",
-           "spawn_service"]
+__all__ = ["ForkedProcess", "ServiceHandle", "auto_jobs", "import_asyncio",
+           "run_local", "run_service", "spawn_service"]
 
 _DISCOVERY = "serve.json"
+#: Seconds a terminated child has to exit before it is killed.
+_GRACE = 5.0
+
+
+def import_asyncio() -> ModuleType:
+    """``import asyncio`` as an interpreter built without ``ssl`` does it.
+
+    ``ssl`` is blocked (``sys.modules["ssl"] = None``) for this one
+    import and unblocked after it, so a later ``import ssl`` anywhere
+    still works; asyncio guards each of its ``ssl`` imports with
+    ``except ImportError`` and then serves plain TCP only, which is all
+    a serve process speaks. Where ``ssl`` or asyncio is loaded already
+    there is nothing to save, and a normal import is all this does; if
+    asyncio ever fails to import with ``ssl`` blocked, its partial
+    import is dropped and it is imported normally.
+    """
+    if "ssl" not in sys.modules and "asyncio" not in sys.modules:
+        sys.modules["ssl"] = None  # type: ignore[assignment]
+        try:
+            import asyncio
+            return asyncio
+        except ImportError:
+            for name in [m for m in sys.modules
+                         if m.partition(".")[0] == "asyncio"]:
+                del sys.modules[name]
+        finally:
+            del sys.modules["ssl"]
+    import asyncio
+    return asyncio
+
+
+def _child(target: Callable[..., object], args: tuple,
+           kwargs: dict[str, Any]) -> int:
+    """Run ``target`` in a forked child; its exit code (see
+    :class:`ForkedProcess`)."""
+    try:
+        try:
+            sys.stdin.close()
+            sys.stdin = open(os.devnull, encoding="utf-8")
+        except (AttributeError, OSError, ValueError):
+            pass  # no stdin to close
+        target(*args, **kwargs)
+        return 0
+    except SystemExit as exc:
+        if exc.code is None or isinstance(exc.code, int):
+            return exc.code or 0
+        sys.stderr.write(f"{exc.code}\n")
+        return 1
+    except BaseException:
+        import traceback  # here: a submitting process never needs it
+        traceback.print_exc()
+        return 1
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                stream.flush()
+
+
+class ForkedProcess:
+    """``target(*args, **kwargs)`` in a child forked now: ``os.fork`` and
+    ``waitpid``, with the part of the standard library's process surface
+    that serving uses (``pid``, ``is_alive``, ``join``, ``terminate``,
+    ``kill``, ``exitcode``).
+
+    The parent flushes its std streams first; the child closes its stdin
+    (reopened on ``os.devnull``), runs the call and always leaves through
+    ``os._exit``: 0 on return, a ``SystemExit``'s code, 1 with the
+    traceback on stderr for any other exception. ``exitcode`` is None
+    until the child is reaped, then its code, or ``-signal`` for a child
+    a signal killed. Only the process that forked it may wait for it.
+    """
+
+    def __init__(self, target: Callable[..., object], *args: Any,
+                 **kwargs: Any):
+        for stream in (sys.stdout, sys.stderr):
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                stream.flush()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child's coverage is lost
+            code = 1
+            try:
+                code = _child(target, args, kwargs)
+            finally:
+                os._exit(code)
+        self.pid = pid
+        self.exitcode: Optional[int] = None
+
+    def _reap(self, flags: int) -> bool:
+        """Whether the child has exited (and is reaped), waiting for it
+        unless ``flags`` holds ``os.WNOHANG``."""
+        if self.exitcode is None:
+            try:
+                pid, status = os.waitpid(self.pid, flags)
+            except ChildProcessError:
+                return False  # not ours to wait for
+            if pid == 0:
+                return False
+            self.exitcode = os.waitstatus_to_exitcode(status)
+        return True
+
+    def is_alive(self) -> bool:
+        """Whether the child still runs; reaps it once it has exited."""
+        return not self._reap(os.WNOHANG)
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        """Wait until the child exits, or at most ``timeout`` seconds."""
+        if timeout is None:
+            self._reap(0)
+            return
+        deadline = time.monotonic() + timeout
+        delay = 0.001
+        while not self._reap(os.WNOHANG):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return
+            time.sleep(min(delay, left))
+            delay = min(2 * delay, 0.02)
+
+    def _signal(self, signum: int) -> None:
+        if self.exitcode is None:  # a reaped pid may be someone else's
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signum)
+
+    def terminate(self) -> None:
+        """Send the child ``SIGTERM``."""
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        """Send the child ``SIGKILL``."""
+        self._signal(signal.SIGKILL)
+
+
+def _end(procs: list[ForkedProcess]) -> None:
+    """Terminate every child of ``procs`` still running, give them
+    :data:`_GRACE` seconds together to exit, kill the ones that did not,
+    and reap them all."""
+    for proc in procs:
+        proc.terminate()
+    deadline = time.monotonic() + _GRACE
+    for proc in procs:
+        proc.join(deadline - time.monotonic())
+    for proc in procs:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
 
 
 def fork_available() -> bool:
@@ -96,7 +248,8 @@ async def _workers(orch: Orchestrator, host: str, n: int, heartbeat: float):
 
     A worker that dies (crash, kill -9) already had its in-flight point
     requeued by the orchestrator; it is respawned to restore capacity.
-    On exit the orchestrator is stopped and every worker reaped.
+    On exit the orchestrator is stopped and every worker terminated and
+    reaped (killed if it outlives :data:`_GRACE`).
     """
     import asyncio
 
@@ -121,12 +274,7 @@ async def _workers(orch: Orchestrator, host: str, n: int, heartbeat: float):
     finally:
         supervisor.cancel()
         await orch.stop()
-        for proc in procs:
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            if proc is not None:
-                proc.join(timeout=5)
+        _end([proc for proc in procs if proc is not None])
 
 
 def _write_discovery(state_dir: str, doc: dict) -> str:
@@ -176,9 +324,10 @@ def run_service(state_dir: str, workers: Optional[int] = None,
     (:func:`auto_jobs`); an explicit count is capped at the CPU count
     unless ``oversubscribe=True``; ``workers=0`` starts no local pool
     (external workers may still attach to the worker port published in
-    ``serve.json``).
+    ``serve.json``). asyncio is imported without TLS
+    (:func:`import_asyncio`) before anything else loads it.
     """
-    import asyncio
+    asyncio = import_asyncio()
     os.makedirs(state_dir, exist_ok=True)
     asyncio.run(_serve(state_dir, workers, oversubscribe, heartbeat,
                        heartbeat_timeout, host, announce or (lambda _: None)))
@@ -207,6 +356,7 @@ def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
         import tempfile
         with tempfile.TemporaryDirectory() as scratch:
             return run_local(scratch, kind, spec, workers)
+    asyncio = import_asyncio()  # before the orchestrator imports it
     from .orchestrator import Orchestrator
     orch = Orchestrator(state_dir)
     try:
@@ -218,7 +368,6 @@ def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
         if n == 1 or not fork_available():
             orch.drain_inline()
         else:
-            import asyncio
             asyncio.run(_drain_with_workers(orch, n))
         return [orch.job_result(job_id) for job_id in orch.job_ids()]
     finally:
@@ -232,7 +381,7 @@ class ServiceHandle:
     state_dir: str
     url: str
     pid: int
-    proc: multiprocessing.process.BaseProcess
+    proc: ForkedProcess
 
     def client(self) -> ServeClient:
         """An HTTP client bound to this service."""
@@ -250,12 +399,10 @@ class ServiceHandle:
         return self.proc.is_alive()
 
     def kill(self) -> None:
-        """``kill -9`` the service process (crash-resume testing)."""
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass  # already gone
-        self.proc.join(timeout=10)
+        """``kill -9`` the service process (crash-resume testing) and
+        reap it."""
+        self.proc.kill()
+        self.proc.join()
 
     def stop(self) -> None:
         """Clean shutdown via ``POST /shutdown``; joins the process."""
@@ -278,33 +425,32 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
     Returns once ``state_dir/serve.json`` names the child's URL, so the
     caller can immediately submit jobs. Raises
     :class:`~repro.errors.ServeError` if the child dies or the file
-    does not appear within ``timeout`` seconds.
+    does not appear within ``timeout`` seconds; a child given up on is
+    terminated (killed if it outlives :data:`_GRACE`) and reaped.
     """
+    if not fork_available():  # pragma: no cover - non-POSIX hosts
+        raise ServeError("spawn_service needs os.fork")
     os.makedirs(state_dir, exist_ok=True)
     discovery = os.path.join(state_dir, _DISCOVERY)
     try:
         os.remove(discovery)
     except OSError:
         pass  # no stale file to clear
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError as exc:  # pragma: no cover - non-POSIX hosts
-        raise ServeError("spawn_service needs the fork start method"
-                         ) from exc
     # The child also announces on a pipe once the file is written, so the
     # wait below wakes then instead of at the end of a poll interval.
-    ready, announce = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=run_service, args=(state_dir,),
-        kwargs={"workers": workers, "oversubscribe": oversubscribe,
-                "heartbeat": heartbeat,
-                "heartbeat_timeout": heartbeat_timeout,
-                "announce": announce.send},
-        name="repro-serve", daemon=False)
-    proc.start()
-    announce.close()
+    ready, announced = os.pipe()
+
+    def announce(line: str) -> None:
+        os.write(announced, line.encode() + b"\n")
+        os.close(announced)
+
+    proc = ForkedProcess(
+        run_service, state_dir, workers=workers, oversubscribe=oversubscribe,
+        heartbeat=heartbeat, heartbeat_timeout=heartbeat_timeout,
+        announce=announce)
+    os.close(announced)
     deadline = time.monotonic() + timeout
-    with ready:
+    try:
         while time.monotonic() < deadline:
             doc: Optional[dict[str, Any]] = None
             try:
@@ -319,6 +465,12 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
                 raise ServeError(
                     f"service process died during startup "
                     f"(exitcode {proc.exitcode})")
-            ready.poll(0.02)
-    proc.terminate()
-    raise ServeError(f"service did not become ready in {timeout}s")
+            if (select.select([ready], [], [], 0.02)[0]
+                    and not os.read(ready, 4096)):
+                time.sleep(0.02)  # every writer has closed: poll
+        raise ServeError(f"service did not become ready in {timeout}s")
+    except BaseException:
+        _end([proc])
+        raise
+    finally:
+        os.close(ready)

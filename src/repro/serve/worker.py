@@ -18,7 +18,6 @@ heartbeating and is left alone).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import socket
 import threading
@@ -34,6 +33,7 @@ from .protocol import (
     write_frame,
 )
 from .protocol import error_frame as _error_frame
+from .service import ForkedProcess, fork_available
 
 __all__ = ["worker_main", "spawn_worker"]
 
@@ -122,20 +122,12 @@ def worker_main(host: str, port: int, name: str,
 
 
 def spawn_worker(host: str, port: int, name: str,
-                 heartbeat: float = 0.5
-                 ) -> Optional[multiprocessing.process.BaseProcess]:
+                 heartbeat: float = 0.5) -> Optional[ForkedProcess]:
     """Fork a local worker process running :func:`worker_main`.
 
-    Uses the ``fork`` start method: workers inherit loaded modules and
-    start in milliseconds.
+    A forked worker inherits loaded modules and starts in milliseconds.
     Returns ``None`` where ``fork`` is unavailable (non-POSIX hosts).
     """
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX hosts
+    if not fork_available():  # pragma: no cover - non-POSIX hosts
         return None
-    proc = ctx.Process(target=worker_main, args=(host, port, name),
-                       kwargs={"heartbeat": heartbeat},
-                       name=f"repro-serve-{name}", daemon=False)
-    proc.start()
-    return proc
+    return ForkedProcess(worker_main, host, port, name, heartbeat=heartbeat)

@@ -1,0 +1,238 @@
+"""Serve processes: the fork handle, reaping, and asyncio without TLS.
+
+:class:`repro.serve.service.ForkedProcess` is ``os.fork`` plus
+``waitpid`` with the exit codes a forked standard-library process
+reports. Every child a serve path gives up on is terminated, killed if
+it outlives the grace period, and reaped: a process left running would
+outlive the run that started it. :func:`repro.serve.service.import_asyncio`
+imports the event loop as an interpreter without ``ssl`` would, and
+leaves ``ssl`` importable afterwards.
+"""
+
+import asyncio
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+
+import pytest
+
+import repro.serve.service as service_mod
+import repro.serve.worker as worker_mod
+from repro.errors import ServeError
+from repro.serve.orchestrator import Orchestrator
+from repro.serve.service import ForkedProcess, spawn_service
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
+
+
+def _gone(pid):
+    """Whether ``pid`` is reaped: a zombie still takes signal 0."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _sleeper():
+    """A forked child that sleeps until it is killed."""
+    return ForkedProcess(time.sleep, 60)
+
+
+# -- the handle --------------------------------------------------------------
+def test_a_returning_child_exits_0():
+    proc = ForkedProcess(lambda: None)
+    proc.join()
+    assert proc.exitcode == 0 and not proc.is_alive() and _gone(proc.pid)
+
+
+def _exit_3():
+    raise SystemExit(3)
+
+
+def test_system_exit_gives_its_code():
+    proc = ForkedProcess(_exit_3)
+    proc.join()
+    assert proc.exitcode == 3
+
+
+def _boom():
+    raise ValueError("boom")
+
+
+def test_an_uncaught_exception_exits_1_with_its_traceback(capfd):
+    proc = ForkedProcess(_boom)
+    proc.join()
+    assert proc.exitcode == 1
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "ValueError: boom" in err
+
+
+def test_a_killed_child_reads_minus_the_signal():
+    proc = _sleeper()
+    proc.kill()
+    proc.join()
+    assert proc.exitcode == -signal.SIGKILL
+
+
+def test_join_with_a_timeout_returns_while_the_child_runs():
+    proc = _sleeper()
+    try:
+        started = time.monotonic()
+        proc.join(0.1)
+        assert 0.1 <= time.monotonic() - started < 5
+        assert proc.is_alive() and proc.exitcode is None
+    finally:
+        proc.kill()
+        proc.join()
+
+
+def _stdin_is_closed():
+    if sys.stdin.name != os.devnull or sys.stdin.read() != "":
+        raise SystemExit(2)
+
+
+def test_the_child_reads_no_stdin():
+    proc = ForkedProcess(_stdin_is_closed)
+    proc.join()
+    assert proc.exitcode == 0
+
+
+# -- nothing is left running ---------------------------------------------------
+def _stubborn(pid_file, code=None):
+    """A service that writes its pid and never serves: ignores SIGTERM
+    and sleeps, or exits with ``code``."""
+    def run_service(state_dir, **_kwargs):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        with open(pid_file, "w", encoding="utf-8") as fh:
+            fh.write(str(os.getpid()))
+        if code is not None:
+            raise SystemExit(code)
+        time.sleep(60)
+    return run_service
+
+
+def test_spawn_service_kills_and_reaps_a_child_that_never_serves(
+        tmp_path, monkeypatch):
+    pid_file = tmp_path / "pid"
+    monkeypatch.setattr(service_mod, "run_service", _stubborn(pid_file))
+    monkeypatch.setattr(service_mod, "_GRACE", 0.2)
+    started = time.monotonic()
+    with pytest.raises(ServeError, match="did not become ready"):
+        spawn_service(str(tmp_path / "s"), timeout=0.5)
+    assert time.monotonic() - started < 5
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_spawn_service_reaps_a_child_that_died(tmp_path, monkeypatch):
+    pid_file = tmp_path / "pid"
+    monkeypatch.setattr(service_mod, "run_service",
+                        _stubborn(pid_file, code=3))
+    with pytest.raises(ServeError, match=r"died during startup "
+                                         r"\(exitcode 3\)"):
+        spawn_service(str(tmp_path / "s"))
+    assert _gone(int(pid_file.read_text()))
+
+
+def test_the_worker_pool_kills_a_worker_that_outlives_its_join(
+        tmp_path, monkeypatch):
+    spawned = []
+
+    def stubborn_worker(host, port, name, heartbeat):
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        try:
+            spawned.append(_sleeper())  # inherits SIGTERM ignored
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        return spawned[-1]
+
+    monkeypatch.setattr(worker_mod, "spawn_worker", stubborn_worker)
+    monkeypatch.setattr(service_mod, "_GRACE", 0.2)
+
+    async def scenario():
+        orch = Orchestrator(str(tmp_path / "s"))
+        async with service_mod._workers(orch, "127.0.0.1", 2, 0.5):
+            pass
+
+    try:
+        asyncio.run(scenario())
+        assert [proc.exitcode for proc in spawned] == [-signal.SIGKILL] * 2
+        assert all(_gone(proc.pid) for proc in spawned)
+    finally:
+        for proc in spawned:
+            proc.kill()
+            proc.join()
+
+
+# -- asyncio without TLS -------------------------------------------------------
+TLS_FREE = """
+import importlib.abc, json, sys
+from repro.serve.service import import_asyncio
+
+if sys.argv[1] == "refused":
+    class NeedsSsl(importlib.abc.MetaPathFinder):
+        # An asyncio that cannot import with ssl blocked.
+        def find_spec(self, name, path, target=None):
+            if name == "asyncio.base_events" and "ssl" in sys.modules \\
+                    and sys.modules["ssl"] is None:
+                raise ImportError("asyncio needs ssl here")
+            return None
+    sys.meta_path.insert(0, NeedsSsl())
+
+asyncio = import_asyncio()
+report = {"ssl_after_helper": "ssl" in sys.modules,
+          "loop_has_ssl": asyncio.base_events.ssl is not None}
+
+
+async def echo_once():
+    async def echo(reader, writer):
+        writer.write(await reader.readline())
+        await writer.drain()
+        writer.close()
+    server = await asyncio.start_server(echo, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b"ping\\n")
+    line = await reader.readline()
+    writer.close()
+    server.close()
+    await server.wait_closed()
+    return line.decode()
+
+report["echo"] = asyncio.run(echo_once())
+import ssl
+report["ssl_imports"] = sys.modules["ssl"] is ssl and bool(ssl.OPENSSL_VERSION)
+print(json.dumps(report))
+"""
+
+
+def _tls_free(case):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", TLS_FREE, case],
+                          capture_output=True, text=True, timeout=60,
+                          cwd=ROOT, env=env)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return json.loads(proc.stdout)
+
+
+def test_asyncio_imported_without_tls_serves_and_ssl_still_imports():
+    assert _tls_free("plain") == {
+        "ssl_after_helper": False, "loop_has_ssl": False,
+        "echo": "ping\n", "ssl_imports": True}
+
+
+def test_an_asyncio_that_needs_ssl_is_imported_normally():
+    assert _tls_free("refused") == {
+        "ssl_after_helper": True, "loop_has_ssl": True,
+        "echo": "ping\n", "ssl_imports": True}
+
+
+def test_the_helper_is_a_plain_import_once_ssl_is_loaded():
+    import ssl  # noqa: F401
+    assert service_mod.import_asyncio() is sys.modules["asyncio"]

@@ -1172,6 +1172,54 @@ def test_a_warm_post_maps_no_memory(tmp_path):
     assert per_post <= 0.5
 
 
+class _SinkTransport:
+    """A transport that drops what an HTTP connection writes."""
+
+    def write(self, data):
+        pass
+
+
+def test_a_warm_submit_keeps_one_small_record(tmp_path):
+    """A service keeps every job it accepts, so a warm ``POST /jobs``
+    must cost one small record: a slotted :class:`Job` whose results are
+    the one list every all-hit job of its document shares (~260 B with
+    its id, against ~740 B with a ``__dict__`` and a list of its own)."""
+    import tracemalloc
+    spec = {"n": 35}
+    body = json.dumps({"kind": "selftest", "spec": spec}).encode()
+    post = (f"POST /jobs HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+            .encode() + body)
+    orch = Orchestrator(str(tmp_path / "s"))
+    try:
+        orch.submit("selftest", spec)
+        orch.drain_inline()  # the cold fill
+        connection = http_mod._Connection(HttpApi(orch))
+        connection.connection_made(_SinkTransport())
+        for _ in range(3):  # first warm POSTs: first uses
+            connection.data_received(post)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                connection.data_received(post)
+            gc.collect()
+            per_submit = (tracemalloc.get_traced_memory()[0] - before) / 1000
+        finally:
+            tracemalloc.stop()
+        warm = [orch.jobs[job_id] for job_id in orch.job_ids()[1:]]
+        assert len(warm) == 1003
+        assert all(job.status == "done" and job.cache_hits == 35
+                   for job in warm)
+        assert len({id(job.results) for job in warm}) == 1
+        assert orch.job_result(warm[-1].job_id) == dict(
+            orch.job_result(orch.job_ids()[0]), job_id=warm[-1].job_id,
+            cache_hits=35)
+    finally:
+        orch.close()
+    assert per_submit <= 320
+
+
 def test_a_first_job_of_a_kind_resets_no_pipelining_client(tmp_path):
     """A service loads a job kind with its first job, in that request's
     handler: the first campaign POST imports the sampler and the apps on

@@ -132,10 +132,12 @@ def test_a_fig1a_point_loads_no_layer_it_does_not_run(checked):
                   if m.startswith(NOT_IN_FIG1A)) == []
 
 
-#: What only a serving process runs: the event loop (``ssl`` comes with
-#: it) and the service's own layers.
-SERVER_ONLY = ("asyncio", "ssl", "repro.serve.orchestrator",
-               "repro.serve.http", "repro.serve.worker")
+#: What a submitting process never loads: what only a serving process
+#: runs (the event loop and the service's own layers), TLS, and the
+#: process-pool package (serve processes are forked with ``os.fork``).
+SERVER_ONLY = ("asyncio", "ssl", "multiprocessing",
+               "repro.serve.orchestrator", "repro.serve.http",
+               "repro.serve.worker")
 
 
 #: A fresh interpreter that imports the client side every way there is,
@@ -170,6 +172,41 @@ def test_a_submitting_process_loads_no_server():
     loop, the orchestrator, the HTTP API and the workers."""
     loaded = json.loads(_python(SUBMITTER, *SERVER_ONLY).splitlines()[-1])
     assert loaded == []
+
+
+#: Forks a service with one worker from a lean interpreter; prints which
+#: of the extensions in argv each of the two processes maps.
+SERVE_MAPS = """
+import json, sys, tempfile, time
+from repro.serve.service import spawn_service
+
+
+def mapped(pid):
+    with open(f"/proc/{pid}/maps", encoding="utf-8") as fh:
+        maps = fh.read()
+    return [name for name in sys.argv[1:] if f"/{name}." in maps]
+
+
+with tempfile.TemporaryDirectory() as state:
+    handle = spawn_service(state, workers=1)
+    try:
+        while not handle.worker_pids():
+            time.sleep(0.01)
+        print(json.dumps({"service": mapped(handle.pid),
+                          "worker": mapped(handle.worker_pids()[0])}))
+    finally:
+        handle.stop()
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/<pid>/maps")
+def test_a_serve_process_maps_no_tls_and_no_process_pool():
+    """The service imports asyncio without ``ssl`` and forks its workers
+    with ``os.fork``: neither it nor its worker maps OpenSSL's binding
+    or the process-pool package's extension."""
+    report = json.loads(_python(SERVE_MAPS, "_ssl", "_multiprocessing"))
+    assert report == {"service": [], "worker": []}
 
 
 @pytest.mark.parametrize("front_end", ["repro.cli", "repro.serve.http",
