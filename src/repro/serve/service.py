@@ -92,6 +92,12 @@ def import_asyncio() -> ModuleType:
     return asyncio
 
 
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            stream.flush()
+
+
 def _child(target: Callable[..., object], args: tuple,
            kwargs: dict[str, Any]) -> int:
     """Run ``target`` in a forked child; its exit code (see
@@ -114,9 +120,7 @@ def _child(target: Callable[..., object], args: tuple,
         traceback.print_exc()
         return 1
     finally:
-        for stream in (sys.stdout, sys.stderr):
-            with contextlib.suppress(AttributeError, OSError, ValueError):
-                stream.flush()
+        _flush_std_streams()
 
 
 class ForkedProcess:
@@ -135,9 +139,7 @@ class ForkedProcess:
 
     def __init__(self, target: Callable[..., object], *args: Any,
                  **kwargs: Any):
-        for stream in (sys.stdout, sys.stderr):
-            with contextlib.suppress(AttributeError, OSError, ValueError):
-                stream.flush()
+        _flush_std_streams()
         pid = os.fork()
         if pid == 0:  # pragma: no cover - the child's coverage is lost
             code = 1
