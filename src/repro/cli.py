@@ -61,7 +61,7 @@ def _cmd_msgrate(args) -> int:
     import time
 
     from .serve import run_local
-    from .serve.service import auto_jobs, fork_available
+    from .serve.service import auto_jobs
 
     spec = {"experiment": "msgrate",
             "params": {"mode": args.modes, "cores": args.cores,
@@ -75,10 +75,8 @@ def _cmd_msgrate(args) -> int:
     for cores in args.cores:
         table.add(cores, *[rate[mode, cores] for mode in args.modes])
     print(table.render())
-    # run_local's own sizing: the points that missed the store, forked
-    # workers only where the host can fork.
-    ran = (auto_jobs(args.jobs, len(doc["points"]) - doc["cache_hits"])
-           if fork_available() else 1)
+    # run_local's own sizing: the points that missed the store.
+    ran = auto_jobs(args.jobs, len(doc["points"]) - doc["cache_hits"])
     print(f"[{len(doc['points'])} points in {wall:.2f}s host wall-clock, "
           f"jobs={ran}]", file=sys.stderr)
     if args.csv:
@@ -757,11 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--state-dir", default=".repro-serve",
                     help="job journal + result cache + discovery file "
                          "(default %(default)s)")
-    sv.add_argument("--workers", "-j", type=int, default=None,
-                    help="local worker processes (default: one per host "
-                         "CPU; explicit counts are capped at the CPU "
-                         "count unless --oversubscribe; 0 = external "
-                         "workers only)")
+    sv.add_argument("--workers", "-j", type=_positive_int, default=None,
+                    help="worker processes the service forks (default: "
+                         "one per host CPU; explicit counts are capped at "
+                         "the CPU count unless --oversubscribe)")
     sv.add_argument("--oversubscribe", action="store_true",
                     help="allow more workers than host CPUs")
     sv.add_argument("--heartbeat", type=float, default=0.5,

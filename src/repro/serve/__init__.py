@@ -8,9 +8,9 @@ into points, the :class:`Orchestrator` schedules them (reusing what the
 and the result lands in the cache. :func:`run_local` does that inside
 one call; :func:`run_service` keeps it running behind an HTTP API.
 
-- :mod:`repro.serve.protocol` — the transport-agnostic worker protocol:
-  length-prefixed JSON job/result/heartbeat frames over sockets, so
-  points run on local processes today and remote hosts later;
+- :mod:`repro.serve.protocol` — the worker protocol: length-prefixed
+  canonical-JSON job/result/heartbeat frames over the socketpair that
+  joins the orchestrator to each worker it forked;
 - :mod:`repro.serve.points` — the unit of work: point kinds (msgrate
   sweep point, chaos scenario) and deterministic job expansion;
 - :mod:`repro.serve.cache` — the one persistent result store, keyed by
@@ -38,15 +38,14 @@ __getattr__, __dir__ = _lazy(__name__, {
     ".client": ("ServeClient",),
     ".orchestrator": ("Job", "Orchestrator", "PointTask", "read_journal"),
     ".points": ("execute_point", "expand_job", "msgrate_point"),
-    ".protocol": ("PROTOCOL_VERSION", "FrameDecoder", "encode_frame",
-                  "write_frame"),
+    ".protocol": ("FrameDecoder", "encode_frame", "write_frame"),
     ".service": ("ServiceHandle", "run_local", "run_service",
                  "spawn_service"),
     ".worker": ("worker_main",),
 })
 
 __all__ = [
-    "PROTOCOL_VERSION", "FrameDecoder", "encode_frame", "write_frame",
+    "FrameDecoder", "encode_frame", "write_frame",
     "PENDING", "SERVE_CACHE_VERSION", "ResultCache", "cache_key",
     "execute_point", "expand_job", "msgrate_point",
     "Job", "Orchestrator", "PointTask", "read_journal",

@@ -26,6 +26,7 @@ from itertools import repeat
 from typing import Any
 
 from ..snap import STATE_FORMAT_VERSION
+from .protocol import CANONICAL_JSON
 
 __all__ = ["SERVE_CACHE_VERSION", "PENDING", "ResultCache", "blob_key",
            "cache_key", "cache_record", "json_roundtrip", "point_blob"]
@@ -42,8 +43,6 @@ PENDING = object()
 # call, which is a third of the cost of serialising one small point.
 _DECODER = json.JSONDecoder()
 _PLAIN = json.JSONEncoder(default=str)
-_SORTED = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                           default=str)
 
 
 def json_roundtrip(result: Any) -> Any:
@@ -63,7 +62,7 @@ def cache_record(kind: str, point: dict) -> dict:
 
 
 def _canonical(record: Any) -> str:
-    return _SORTED.encode(record)
+    return CANONICAL_JSON.encode(record)
 
 
 def point_blob(kind: str, point: dict) -> str:

@@ -12,12 +12,9 @@ import urllib.parse
 from typing import Any, BinaryIO, Optional
 
 from ..errors import ServeError
+from .protocol import CANONICAL_JSON
 
 __all__ = ["ServeClient", "parse_job_document"]
-
-#: Every request body; built once (``json.dumps`` builds one per call).
-_REQUEST = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                            default=str)
 
 
 def parse_job_document(body: bytes) -> tuple[str, dict]:
@@ -112,7 +109,7 @@ class ServeClient:
                          f"Host: {self._netloc}\r\n"), b""
         if body is not None:
             head += "Content-Type: application/json\r\n"
-            payload = _REQUEST.encode(body).encode("utf-8")
+            payload = CANONICAL_JSON.encode(body).encode("utf-8")
         message = (f"{head}Content-Length: {len(payload)}\r\n\r\n"
                    .encode("ascii") + payload)
         try:

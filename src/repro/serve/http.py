@@ -27,7 +27,6 @@ POSTed as-is by ``python -m repro submit``.
 from __future__ import annotations
 
 import asyncio
-import json
 import traceback
 from http import HTTPStatus
 from typing import Any, Optional
@@ -35,7 +34,7 @@ from typing import Any, Optional
 from ..errors import ServeError
 from .client import parse_job_document
 from .orchestrator import Orchestrator
-from .protocol import bound_reads
+from .protocol import CANONICAL_JSON, bound_reads
 
 __all__ = ["HttpApi"]
 
@@ -50,10 +49,6 @@ _DISCARD_SECONDS = 1.0
 #: The longest request head read: a head without its blank line past it
 #: is a framing error.
 _HEAD_LIMIT = 64 * 1024
-
-#: Every response body; built once (``json.dumps`` builds one per call).
-_RESPONSE = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                             default=str)
 
 #: Each status's response head up to the ``Content-Length`` value.
 _HEADS = {status.value: (f"HTTP/1.1 {status.value} {status.phrase}\r\n"
@@ -210,7 +205,7 @@ class _Connection(asyncio.Protocol):
 
     def _respond(self, status: int, doc: Any, keep: bool) -> None:
         self.api._count["serve.http.requests"].inc()
-        body = _RESPONSE.encode(doc).encode("utf-8")
+        body = CANONICAL_JSON.encode(doc).encode("utf-8")
         self.transport.write(b"%s%d\r\nConnection: %s\r\n\r\n%s" % (
             _HEADS[status], len(body),
             b"keep-alive" if keep else b"close", body))

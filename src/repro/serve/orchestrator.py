@@ -29,11 +29,12 @@ each point in order either way, plus:
   submitted again, or a second line of it on resume — is expanded by no
   one, and its job is filled by one store lookup over its points.
 
-With socket workers, scheduling runs on one asyncio event loop; workers
-attach over TCP (one connection each) and the per-connection coroutine
-is the whole scheduler for that worker: claim a point, send the job
-frame, await result frames (one watchdog task aborts the connection of
-a busy worker gone silent). The inline drain
+With socket workers, scheduling runs on one asyncio event loop; each
+worker is a child the service forked, attached (:meth:`Orchestrator.attach`)
+on its end of a socketpair, and the per-worker coroutine is the whole
+scheduler for that worker: claim a point, send the job frame, await
+result frames (one watchdog task aborts the connection of a busy worker
+gone silent). The inline drain
 needs no loop at all. Host wall-clock (not simulated time) feeds the
 metrics registry and trace spans — this is the service layer, the one
 place in the tree where host time is the measurand.
@@ -46,6 +47,7 @@ import errno
 import json
 import os
 import re
+import socket
 import time
 import traceback
 from collections import deque
@@ -57,7 +59,7 @@ from ..obs.metrics import Counters, MetricsRegistry
 from .cache import PENDING, ResultCache, blob_key, point_blob
 from .points import execute_point, expand_job
 from .protocol import (
-    PROTOCOL_VERSION,
+    CANONICAL_JSON,
     READ_SIZE,
     FrameDecoder,
     bound_reads,
@@ -72,9 +74,6 @@ __all__ = ["Expansion", "Job", "JournalLine", "PointTask", "Orchestrator",
 _JOB_ID = re.compile(r"job-([0-9]{5,})")
 #: The job journal's name in a state directory: one line per accepted job.
 JOURNAL = "jobs.log"
-# Built once, like the store's: ``json.dumps`` builds an encoder per call.
-_JOB_TEXT = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                             default=str)
 
 
 def job_text(kind: str, spec: Any) -> str:
@@ -88,7 +87,7 @@ def job_text(kind: str, spec: Any) -> str:
     (keys of mixed types, a cycle).
     """
     try:
-        return _JOB_TEXT.encode({"kind": kind, "spec": spec})
+        return CANONICAL_JSON.encode({"kind": kind, "spec": spec})
     except (TypeError, ValueError) as exc:
         raise ServeError(f"job document is not JSON: {exc}") from exc
 
@@ -272,7 +271,7 @@ class Orchestrator:
     """
 
     def __init__(self, state_dir: str, heartbeat_timeout: float = 5.0,
-                 max_attempts: int = 3, host: str = "127.0.0.1"):
+                 max_attempts: int = 3):
         self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
         self.cache = ResultCache(os.path.join(state_dir, "cache"))
@@ -288,14 +287,14 @@ class Orchestrator:
         self.expansions: dict[str, Expansion] = {}
         self.tasks: dict[str, PointTask] = {}
         self.workers: dict[str, dict[str, Any]] = {}
-        self.worker_port: Optional[int] = None
-        self._host = host
         self._t0 = time.monotonic()
         self._trace: dict[str, list[dict]] = {}
         self._queue: asyncio.Queue[str] = asyncio.Queue()
-        self._server: Optional[asyncio.AbstractServer] = None
         #: Attached connection -> when its next bytes are due (None: idle).
         self._due: dict[asyncio.StreamWriter, Optional[float]] = {}
+        #: One scheduler task per attached worker (the loop holds tasks
+        #: only weakly).
+        self._handlers: set[asyncio.Task] = set()
         self._watchdog_task: Optional[asyncio.Future] = None
         self._running = 0  # jobs in status "running"
         self._idle: Optional[asyncio.Event] = None  # see wait_idle
@@ -320,13 +319,19 @@ class Orchestrator:
         return _read_lines(self._journal, whole)
 
     # -- lifecycle ---------------------------------------------------------
-    async def start(self) -> int:
-        """Bind the worker port; returns it."""
-        self._server = await asyncio.start_server(
-            self._handle_worker, self._host, 0)
-        self.worker_port = self._server.sockets[0].getsockname()[1]
+    async def start(self) -> None:
+        """Start the watchdog of attached workers."""
         self._watchdog_task = asyncio.ensure_future(self._watchdog())
-        return self.worker_port
+
+    def attach(self, sock: socket.socket, name: str, pid: int) -> None:
+        """Feed points to the worker ``name`` (process ``pid``) at the other
+        end of the connected ``sock``, from now until the connection ends.
+        The worker is listed in :attr:`workers` at once."""
+        self.workers[name] = {"pid": pid, "busy": None}
+        self.count["serve.worker.connected"].inc()
+        handler = asyncio.ensure_future(self._handle_worker(sock, name))
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
 
     async def _watchdog(self) -> None:
         """Abort overdue connections; each handler wakes on the EOF."""
@@ -344,8 +349,7 @@ class Orchestrator:
             self._journal_fd = -1
 
     async def stop(self) -> None:
-        """Tell workers to exit, close the worker server and the job
-        journal."""
+        """Tell workers to exit and close the job journal."""
         self.close()
         if self._watchdog_task is not None:
             self._watchdog_task.cancel()
@@ -356,9 +360,6 @@ class Orchestrator:
                 writer.close()
             except (ConnectionError, OSError):
                 continue
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
 
     def resume_jobs(self) -> None:
         """Rebuild queue state from the job journal + the result cache.
@@ -535,24 +536,16 @@ class Orchestrator:
             frames.extend(decoder.feed(data))
         return frames.popleft()
 
-    async def _handle_worker(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _handle_worker(self, sock: socket.socket, name: str) -> None:
         """Per-worker scheduler loop: claim, dispatch, await, repeat."""
         decoder = FrameDecoder()
         frames: deque = deque()
-        name: Optional[str] = None
+        writer: Optional[asyncio.StreamWriter] = None
         task: Optional[PointTask] = None
         reason = "connection closed"
-        bound_reads(writer.transport)
-        self._due[writer] = time.monotonic() + self.heartbeat_timeout * 4
         try:
-            hello = await self._next_frame(reader, writer, decoder, frames)
-            if (hello is None or hello.get("type") != "hello"
-                    or hello.get("protocol") != PROTOCOL_VERSION):
-                return
-            name = str(hello["worker"])
-            self.workers[name] = {"pid": hello.get("pid"), "busy": None}
-            self.count["serve.worker.connected"].inc()
+            reader, writer = await asyncio.open_connection(sock=sock)
+            bound_reads(writer.transport)
             while True:
                 self._due[writer] = None  # idle workers are never timed out
                 key = await self._queue.get()
@@ -588,15 +581,14 @@ class Orchestrator:
         except (ConnectionError, ProtocolError, OSError) as exc:
             reason = str(exc) or type(exc).__name__
         finally:
-            due = self._due.pop(writer)
+            due = self._due.pop(writer, None)
             if due is not None and time.monotonic() > due:  # the watchdog's
                 reason = f"no heartbeat for {self.heartbeat_timeout}s"
-            if name is not None:
-                self.workers.pop(name, None)
-                self.count["serve.worker.lost"].inc()
+            self.workers.pop(name, None)
+            self.count["serve.worker.lost"].inc()
             if task is not None and task.status == "running":
                 self._requeue(task, reason)
-            writer.close()
+            (sock if writer is None else writer).close()
 
     def _requeue(self, task: PointTask, reason: str) -> None:
         """Put a lost worker's point back on the queue (bounded tries)."""
@@ -727,7 +719,7 @@ class Orchestrator:
 
     def healthz(self) -> dict[str, Any]:
         """Liveness document: workers (with pids), queue and cache state."""
-        return {"ok": True, "worker_port": self.worker_port,
+        return {"ok": True,
                 "workers": {name: dict(info)
                             for name, info in sorted(self.workers.items())},
                 "jobs": len(self.jobs),

@@ -3,7 +3,7 @@
 A *point* is one self-contained simulation. It is named (a *point
 kind*) and executed through one registry (:func:`execute_point`) whether
 it runs in the calling process (``repro msgrate``/``repro campaign`` at
-one worker), in a local socket worker or on a remote host, and always
+one worker) or in a forked socket worker, and always
 JSON-canonicalized, so every run returns byte-identical data.
 
 A *job* is a named expansion into points (:func:`expand_job`):

@@ -1,26 +1,25 @@
 """The worker protocol: length-prefixed JSON frames over a byte stream.
 
-How the orchestrator hands points to workers — forked by ``repro
-serve``, by :func:`repro.serve.run_local`, or attached from elsewhere —
-over *sockets*. A frame is::
+How the orchestrator hands points to its workers — children it forked
+itself (``repro serve``, :func:`repro.serve.run_local`), each on one end
+of a ``socket.socketpair()`` made at fork time. A frame is::
 
     [4-byte big-endian payload length][canonical JSON object]
 
 Frames are small, self-describing objects with a ``type`` field:
 
-========== ==========================================================
-``hello``      worker → orchestrator: name, pid, protocol version
+============= =========================================================
 ``job``        orchestrator → worker: one point to execute
 ``result``     worker → orchestrator: the point's JSON result or error
-``heartbeat``  worker → orchestrator: liveness while idle *and* busy
+``heartbeat``  worker → orchestrator: liveness while a point runs
 ``shutdown``   orchestrator → worker: drain and exit cleanly
-========== ==========================================================
+============= =========================================================
 
-Why length-prefixed JSON and not pickle: frames cross trust and version
-boundaries once workers live on remote hosts, so the wire format is the
-same canonical JSON the result store uses — a result is byte-identical
-whether it came from the inline drain, a local worker or (later) a
-remote one. Truncated or oversized frames raise
+Why length-prefixed JSON and not pickle: the wire format is the same
+canonical JSON (:data:`CANONICAL_JSON`) the result store and the job
+journal are written in, so a result is byte-identical whether it came
+from the inline drain or a worker, and a frame is checked like any other
+document the service reads. Truncated or oversized frames raise
 :class:`repro.errors.ProtocolError`; the peer is dropped and its
 in-flight job re-queued, never silently retried on a corrupt stream.
 """
@@ -30,7 +29,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any
 
 from ..errors import ProtocolError
 
@@ -38,15 +37,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from asyncio import BaseTransport
 
 __all__ = [
-    "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "READ_SIZE", "FrameDecoder",
+    "CANONICAL_JSON", "MAX_FRAME_BYTES", "READ_SIZE", "FrameDecoder",
     "bound_reads", "encode_frame", "write_frame",
-    "hello_frame", "job_frame", "result_frame", "error_frame",
+    "job_frame", "result_frame", "error_frame",
     "heartbeat_frame", "shutdown_frame",
 ]
 
-#: Version of the frame vocabulary; a worker whose ``hello`` carries a
-#: different version is rejected (no silent cross-version dispatch).
-PROTOCOL_VERSION = 1
+#: The serve layer's one canonical-JSON encoder: sorted keys, compact
+#: separators, anything else as its ``str``. Frames, HTTP bodies, job
+#: journal lines and cache key records are its bytes. Built once:
+#: ``json.dumps`` with these arguments builds an encoder per call.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  default=str)
 
 #: Upper bound on one frame's JSON payload. Large enough for any report
 #: the simulator produces, small enough that a corrupt length prefix
@@ -76,8 +78,7 @@ def bound_reads(transport: "BaseTransport") -> None:
 
 def encode_frame(frame: dict) -> bytes:
     """Serialize one frame: 4-byte length prefix + canonical JSON."""
-    payload = json.dumps(frame, sort_keys=True, separators=(",", ":"),
-                         default=str).encode("utf-8")
+    payload = CANONICAL_JSON.encode(frame).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
@@ -147,12 +148,6 @@ def write_frame(sock: socket.socket, frame: dict) -> None:
 
 
 # -- frame constructors ----------------------------------------------------
-def hello_frame(worker: str, pid: int) -> dict:
-    """The worker's opening frame: identity + protocol version."""
-    return {"type": "hello", "worker": worker, "pid": pid,
-            "protocol": PROTOCOL_VERSION}
-
-
 def job_frame(task_id: str, kind: str, point: dict) -> dict:
     """One point of work: the task id echoes back on the result."""
     return {"type": "job", "id": task_id, "kind": kind, "point": point}
@@ -168,11 +163,11 @@ def error_frame(task_id: str, error: str) -> dict:
     return {"type": "result", "id": task_id, "ok": False, "error": error}
 
 
-def heartbeat_frame(worker: str,
-                    busy: Union[str, bool, None] = None) -> dict:
-    """Liveness beacon; ``busy`` names the task the worker is running
-    (or is just ``True``: the orchestrator knows what it dispatched)."""
-    return {"type": "heartbeat", "worker": worker, "busy": busy}
+def heartbeat_frame() -> dict:
+    """Liveness beacon of a worker running a point: the orchestrator only
+    moves the connection's deadline when bytes arrive, and knows which
+    point it dispatched."""
+    return {"type": "heartbeat"}
 
 
 def shutdown_frame() -> dict:

@@ -1,12 +1,14 @@
 """Process wiring: the long-running service and the local run.
 
 :func:`run_service` is the whole service in one call (the CLI's
-``python -m repro serve`` is a thin wrapper): start the orchestrator's
-worker port and the HTTP API on one event loop, fork the local worker
-pool, supervise it (a dead worker is respawned, its in-flight point
-having already been requeued by the orchestrator), and announce
-readiness by atomically writing ``state_dir/serve.json`` — the
-discovery file tests and ``repro submit`` read to find the URL.
+``python -m repro serve`` is a thin wrapper): fork the worker pool, each
+worker on its own socketpair attached to the orchestrator, start the
+HTTP API on the same event loop, supervise the pool (a dead worker is
+respawned, its in-flight point having already been requeued by the
+orchestrator), and announce readiness by atomically writing
+``state_dir/serve.json`` (``pid``, ``url``, ``workers``) — the discovery
+file tests and ``repro submit`` read to find the URL. The HTTP port is
+the only port a service binds.
 
 :func:`run_local` is the same orchestrator, store and workers without
 the HTTP API: submit one job (or resume the job journal of a state
@@ -210,11 +212,6 @@ def _end(procs: list[ForkedProcess]) -> None:
             proc.join()
 
 
-def fork_available() -> bool:
-    """Whether this host can fork local workers (POSIX)."""
-    return hasattr(os, "fork")
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the
     platform has one (``taskset -c 0`` means 1 on any host), else the
@@ -245,8 +242,8 @@ def auto_jobs(requested: Optional[int] = None,
 
 
 @contextlib.asynccontextmanager
-async def _workers(orch: Orchestrator, host: str, n: int, heartbeat: float):
-    """``n`` forked socket workers on ``orch``'s worker port (yielded).
+async def _workers(orch: Orchestrator, n: int, heartbeat: float):
+    """``n`` forked workers, each attached to ``orch`` on a socketpair.
 
     A worker that dies (crash, kill -9) already had its in-flight point
     requeued by the orchestrator; it is respawned to restore capacity.
@@ -256,27 +253,31 @@ async def _workers(orch: Orchestrator, host: str, n: int, heartbeat: float):
     import asyncio
 
     from .worker import spawn_worker
-    port = await orch.start()
+    await orch.start()
     seq = itertools.count()
-    procs = [spawn_worker(host, port, f"w{next(seq)}", heartbeat)
-             for _ in range(n)]
+
+    def spawn() -> ForkedProcess:
+        proc, sock = spawn_worker(heartbeat)
+        orch.attach(sock, f"w{next(seq)}", proc.pid)
+        return proc
+
+    procs = [spawn() for _ in range(n)]
 
     async def supervise() -> None:
         while True:
             for i, proc in enumerate(procs):
-                if proc is not None and not proc.is_alive():
+                if not proc.is_alive():
                     proc.join()
-                    procs[i] = spawn_worker(host, port, f"w{next(seq)}",
-                                            heartbeat)
+                    procs[i] = spawn()
             await asyncio.sleep(0.2)
 
     supervisor = asyncio.ensure_future(supervise())
     try:
-        yield port
+        yield
     finally:
         supervisor.cancel()
         await orch.stop()
-        _end([proc for proc in procs if proc is not None])
+        _end(procs)
 
 
 def _write_discovery(state_dir: str, doc: dict) -> str:
@@ -294,16 +295,13 @@ async def _serve(state_dir: str, workers: Optional[int],
                  announce: Callable[[str], None]) -> None:
     from .http import HttpApi
     from .orchestrator import Orchestrator
-    orch = Orchestrator(state_dir, heartbeat_timeout=heartbeat_timeout,
-                        host=host)
-    n = 0 if workers == 0 else auto_jobs(requested=workers,
-                                         oversubscribe=oversubscribe)
-    async with _workers(orch, host, n, heartbeat) as worker_port:
+    orch = Orchestrator(state_dir, heartbeat_timeout=heartbeat_timeout)
+    n = auto_jobs(requested=workers, oversubscribe=oversubscribe)
+    async with _workers(orch, n, heartbeat):
         orch.resume_jobs()
         api = HttpApi(orch, host=host)
         url = f"http://{host}:{await api.start()}"
         _write_discovery(state_dir, {"url": url, "pid": os.getpid(),
-                                     "worker_port": worker_port,
                                      "workers": n})
         announce(f"serving on {url} ({n} worker(s), state={state_dir})")
         try:
@@ -324,9 +322,8 @@ def run_service(state_dir: str, workers: Optional[int] = None,
 
     ``workers=None`` auto-sizes the local pool to the host
     (:func:`auto_jobs`); an explicit count is capped at the CPU count
-    unless ``oversubscribe=True``; ``workers=0`` starts no local pool
-    (external workers may still attach to the worker port published in
-    ``serve.json``). asyncio is imported without TLS
+    unless ``oversubscribe=True``; there is always at least one worker.
+    asyncio is imported without TLS
     (:func:`import_asyncio`) before anything else loads it.
     """
     asyncio = import_asyncio()
@@ -336,7 +333,7 @@ def run_service(state_dir: str, workers: Optional[int] = None,
 
 
 async def _drain_with_workers(orch: Orchestrator, n: int) -> None:
-    async with _workers(orch, "127.0.0.1", n, heartbeat=0.5):
+    async with _workers(orch, n, heartbeat=0.5):
         await orch.wait_idle()
 
 
@@ -367,7 +364,7 @@ def run_local(state_dir: Optional[str] = None, kind: Optional[str] = None,
         else:
             orch.submit(kind, spec)
         n = auto_jobs(workers, orch.queue_depth)
-        if n == 1 or not fork_available():
+        if n == 1:
             orch.drain_inline()
         else:
             asyncio.run(_drain_with_workers(orch, n))
@@ -393,8 +390,7 @@ class ServiceHandle:
         """Pids of the currently attached workers (for kill tests)."""
         with self.client() as client:
             workers = client.healthz()["workers"]
-        return sorted(info["pid"] for info in workers.values()
-                      if info.get("pid"))
+        return sorted(info["pid"] for info in workers.values())
 
     def alive(self) -> bool:
         """Whether the service process is still running."""
@@ -430,8 +426,6 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
     does not appear within ``timeout`` seconds; a child given up on is
     terminated (killed if it outlives :data:`_GRACE`) and reaped.
     """
-    if not fork_available():  # pragma: no cover - non-POSIX hosts
-        raise ServeError("spawn_service needs os.fork")
     os.makedirs(state_dir, exist_ok=True)
     discovery = os.path.join(state_dir, _DISCOVERY)
     try:

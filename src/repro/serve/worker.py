@@ -1,13 +1,15 @@
-"""Socket worker: connects to the orchestrator, runs points, reports.
+"""Socket worker: a forked child that runs points and reports.
 
 A worker is deliberately dumb — it owns no queue, no cache and no retry
-policy. It connects, says hello, and then loops: read a job frame, run
-the point via the single shared execution path
+policy. The orchestrator forks it with one end of a socketpair
+(:func:`spawn_worker`), and it loops: read a job frame, run the point via
+the single shared execution path
 (:func:`repro.serve.points.execute_point`), write back a result or error
 frame. All scheduling intelligence (dedupe, requeue, caching) lives in
 the orchestrator, so a worker can die at any instant — ``kill -9``
 included — and the only observable effect is a dropped socket, which the
-orchestrator treats as "re-queue whatever that worker held".
+orchestrator treats as "re-queue whatever that worker held". The pair
+is the only way in: no port is bound, so no other process can attach.
 
 While a point runs, the worker's one daemon thread writes a heartbeat every
 ``heartbeat`` seconds so the orchestrator can tell a *slow* worker from
@@ -18,24 +20,28 @@ heartbeating and is left alone).
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 import traceback
-from typing import Iterator, Optional
+import weakref
+from typing import Iterator
 
 from .points import execute_point
 from .protocol import (
     FrameDecoder,
     heartbeat_frame,
-    hello_frame,
     result_frame,
     write_frame,
 )
 from .protocol import error_frame as _error_frame
-from .service import ForkedProcess, fork_available
+from .service import ForkedProcess
 
 __all__ = ["worker_main", "spawn_worker"]
+
+#: The service's end of every worker's socketpair. A forked worker closes
+#: them all, so the service is the only holder of each and every worker
+#: reads EOF the moment the service dies.
+_SERVICE_ENDS: weakref.WeakSet[socket.socket] = weakref.WeakSet()
 
 
 class _Heart(threading.Thread):
@@ -48,11 +54,10 @@ class _Heart(threading.Thread):
     """
 
     def __init__(self, sock: socket.socket, lock: threading.Lock,
-                 name: str, interval: float):
+                 interval: float):
         super().__init__(daemon=True)
         self._sock = sock
         self._lock = lock
-        self._name = name
         self._interval = interval
         self.busy = False
         self.done = threading.Event()
@@ -63,8 +68,7 @@ class _Heart(threading.Thread):
             try:
                 with self._lock:
                     if self.busy:
-                        write_frame(self._sock, heartbeat_frame(self._name,
-                                                                busy=True))
+                        write_frame(self._sock, heartbeat_frame())
             except OSError:
                 return  # orchestrator is gone; main loop will notice too
 
@@ -81,24 +85,17 @@ def _frames(sock: socket.socket) -> Iterator[dict]:
     decoder.close()
 
 
-def worker_main(host: str, port: int, name: str,
-                heartbeat: float = 0.5) -> None:
-    """Run the worker loop until the orchestrator closes the connection.
+def worker_main(sock: socket.socket, heartbeat: float = 0.5) -> None:
+    """Run the worker loop on ``sock`` until the orchestrator closes it.
 
-    Connects to the orchestrator's worker port, sends a hello frame
-    (name + pid, so the service can expose worker pids for test
-    harnesses to ``kill -9``), then serves job frames one at a time.
-    A failing point produces an ``error`` frame with the traceback; the
-    worker itself survives and asks for the next job. EOF or a
-    ``shutdown`` frame ends the loop — so orphaned workers exit on
-    their own when the orchestrator dies.
+    Serves job frames one at a time. A failing point produces an
+    ``error`` frame with the traceback; the worker itself survives and
+    asks for the next job. EOF or a ``shutdown`` frame ends the loop —
+    so orphaned workers exit on their own when the orchestrator dies.
     """
-    sock = socket.create_connection((host, port))
     lock = threading.Lock()
-    heart = _Heart(sock, lock, name, heartbeat)
+    heart = _Heart(sock, lock, heartbeat)
     try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        write_frame(sock, hello_frame(name, os.getpid()))
         heart.start()
         for frame in _frames(sock):
             if frame["type"] == "shutdown":
@@ -121,13 +118,24 @@ def worker_main(host: str, port: int, name: str,
         sock.close()
 
 
-def spawn_worker(host: str, port: int, name: str,
-                 heartbeat: float = 0.5) -> Optional[ForkedProcess]:
-    """Fork a local worker process running :func:`worker_main`.
+def _forked_worker(ours: socket.socket, theirs: socket.socket,
+                   heartbeat: float) -> None:
+    """A forked worker: drop every service end it inherited, then serve."""
+    for end in [ours, *_SERVICE_ENDS]:
+        end.close()
+    worker_main(theirs, heartbeat)
 
-    A forked worker inherits loaded modules and starts in milliseconds.
-    Returns ``None`` where ``fork`` is unavailable (non-POSIX hosts).
+
+def spawn_worker(heartbeat: float = 0.5
+                 ) -> tuple[ForkedProcess, socket.socket]:
+    """Fork a worker running :func:`worker_main` on a new socketpair.
+
+    Returns the process and the service's end of the pair (for
+    :meth:`~repro.serve.orchestrator.Orchestrator.attach`). A forked
+    worker inherits loaded modules and starts in milliseconds.
     """
-    if not fork_available():  # pragma: no cover - non-POSIX hosts
-        return None
-    return ForkedProcess(worker_main, host, port, name, heartbeat=heartbeat)
+    ours, theirs = socket.socketpair()
+    with theirs:
+        proc = ForkedProcess(_forked_worker, ours, theirs, heartbeat)
+    _SERVICE_ENDS.add(ours)
+    return proc, ours

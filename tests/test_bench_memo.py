@@ -94,12 +94,6 @@ def test_results_keyed_by_digest_not_prefix_params(tmp_path):
     assert again["results"] == cold["results"]
 
 
-def test_executor_without_fork_support(monkeypatch):
-    monkeypatch.setattr("repro.serve.service.usable_cpus", lambda: 2)
-    monkeypatch.setattr("repro.serve.service.fork_available", lambda: False)
-    assert _sweep(None, workers=2)["results"] == _sweep(None)["results"]
-
-
 def test_forked_tail_error_propagates(monkeypatch):
     monkeypatch.setattr("repro.serve.service.usable_cpus", lambda: 2)
     with pytest.raises(ServeError, match="asked to fail"):

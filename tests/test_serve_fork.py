@@ -4,15 +4,19 @@
 ``waitpid`` with the exit codes a forked standard-library process
 reports. Every child a serve path gives up on is terminated, killed if
 it outlives the grace period, and reaped: a process left running would
-outlive the run that started it. :func:`repro.serve.service.import_asyncio`
+outlive the run that started it. A service's workers are forked children
+on socketpairs: it binds no port but its HTTP API's, and its workers
+exit when it is killed. :func:`repro.serve.service.import_asyncio`
 imports the event loop as an interpreter without ``ssl`` would, and
 leaves ``ssl`` importable afterwards.
 """
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -142,22 +146,24 @@ def test_spawn_service_reaps_a_child_that_died(tmp_path, monkeypatch):
 
 def test_the_worker_pool_kills_a_worker_that_outlives_its_join(
         tmp_path, monkeypatch):
-    spawned = []
+    spawned, worker_ends = [], []
 
-    def stubborn_worker(host, port, name, heartbeat):
+    def stubborn_worker(heartbeat):
         previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
         try:
             spawned.append(_sleeper())  # inherits SIGTERM ignored
         finally:
             signal.signal(signal.SIGTERM, previous)
-        return spawned[-1]
+        ours, theirs = socket.socketpair()
+        worker_ends.append(theirs)
+        return spawned[-1], ours
 
     monkeypatch.setattr(worker_mod, "spawn_worker", stubborn_worker)
     monkeypatch.setattr(service_mod, "_GRACE", 0.2)
 
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"))
-        async with service_mod._workers(orch, "127.0.0.1", 2, 0.5):
+        async with service_mod._workers(orch, 2, 0.5):
             pass
 
     try:
@@ -168,6 +174,118 @@ def test_the_worker_pool_kills_a_worker_that_outlives_its_join(
         for proc in spawned:
             proc.kill()
             proc.join()
+        for end in worker_ends:
+            end.close()
+
+
+def _exited(pid):
+    """Whether ``pid`` has exited: reaped, or a zombie that the process
+    it was reparented to has not reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rpartition(")")[2].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+def _socket_inodes(pid):
+    """The inodes of the sockets process ``pid`` holds."""
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except FileNotFoundError:
+            continue  # closed since the listing
+        if target.startswith("socket:["):
+            inodes.add(target[len("socket:["):-1])
+    return inodes
+
+
+def _listening_tcp_ports(pid):
+    """The ports of the listening TCP sockets process ``pid`` holds."""
+    inodes = _socket_inodes(pid)
+    ports = []
+    for table in ("tcp", "tcp6"):
+        try:
+            with open(f"/proc/{pid}/net/{table}", encoding="ascii") as fh:
+                rows = fh.read().splitlines()[1:]
+        except FileNotFoundError:
+            continue  # no IPv6 in this kernel
+        for row in rows:
+            fields = row.split()
+            if fields[3] == "0A" and fields[9] in inodes:  # TCP_LISTEN
+                ports.append(int(fields[1].rpartition(":")[2], 16))
+    return ports
+
+
+linux_only = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                reason="reads /proc")
+
+
+@linux_only
+def test_a_service_listens_on_its_http_port_only(tmp_path):
+    """Workers are forked children on socketpairs: the one port a service
+    binds is its HTTP API's, and neither ``serve.json`` nor ``/healthz``
+    publishes a worker port."""
+    handle = spawn_service(str(tmp_path / "s"), workers=1)
+    try:
+        with open(tmp_path / "s" / "serve.json", encoding="utf-8") as fh:
+            discovery = json.load(fh)
+        assert sorted(discovery) == ["pid", "url", "workers"]
+        with handle.client() as client:
+            health = client.healthz()
+        assert "worker_port" not in health and len(health["workers"]) == 1
+        port = int(handle.url.rpartition(":")[2])
+        assert _listening_tcp_ports(handle.pid) == [port]
+    finally:
+        handle.stop()
+
+
+@linux_only
+def test_a_worker_holds_no_service_end():
+    """The service is the only holder of its end of each socketpair: a
+    worker holds neither its own pair's nor an earlier sibling's, so
+    each worker reads EOF the moment the service dies, busy siblings or
+    not."""
+    procs, ends = zip(*(worker_mod.spawn_worker(0.5) for _ in range(2)))
+    try:
+        inodes = {str(os.fstat(end.fileno()).st_ino) for end in ends}
+        deadline = time.monotonic() + 5
+        while (any(inodes & _socket_inodes(proc.pid) for proc in procs)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert [inodes & _socket_inodes(proc.pid) for proc in procs] == [
+            set(), set()]
+    finally:
+        for end in ends:
+            end.close()  # EOF: each worker leaves its loop
+        for proc in procs:
+            proc.join(10)
+    assert [proc.exitcode for proc in procs] == [0, 0]
+
+
+@linux_only
+def test_killing_the_service_leaves_no_worker_running(tmp_path):
+    """Each worker reads EOF on its socketpair once the service is gone,
+    and exits: no worker holds a service end, its own or a sibling's."""
+    handle = spawn_service(str(tmp_path / "s"), workers=3,
+                           oversubscribe=True)
+    pids = []
+    try:
+        pids = handle.worker_pids()
+        assert len(pids) == 3
+        handle.kill()
+        deadline = time.monotonic() + 2
+        while (not all(_exited(pid) for pid in pids)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert [pid for pid in pids if not _exited(pid)] == []
+    finally:
+        handle.kill()
+        for pid in pids:  # a failed check leaves none running either
+            if not _exited(pid):
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 # -- asyncio without TLS -------------------------------------------------------

@@ -35,7 +35,6 @@ from collections import deque
 import pytest
 
 import repro.serve.cache as cache_mod
-import repro.serve.client as client_mod
 import repro.serve.http as http_mod
 import repro.serve.orchestrator as orch_mod
 from repro.errors import ProtocolError, ServeError
@@ -45,13 +44,12 @@ from repro.serve.http import HttpApi
 from repro.serve.orchestrator import Orchestrator, job_text
 from repro.serve.points import JOB_KINDS, execute_point, expand_job
 from repro.serve.protocol import (
+    CANONICAL_JSON,
     MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
     FrameDecoder,
     encode_frame,
     error_frame,
     heartbeat_frame,
-    hello_frame,
     job_frame,
     result_frame,
     shutdown_frame,
@@ -61,11 +59,10 @@ from repro.serve.service import run_local, spawn_service
 from repro.serve.worker import _frames, spawn_worker, worker_main
 
 FRAMES = [
-    hello_frame("w0", 4242),
     job_frame("k" * 24, "selftest", {"i": 3}),
     result_frame("k" * 24, {"i": 3, "value": 9}),
     error_frame("k" * 24, "ValueError: boom"),
-    heartbeat_frame("w0", busy="k" * 24),
+    heartbeat_frame(),
     {"type": "custom", "payload": {"nested": [1, 2.5, "x", None, True]}},
 ]
 
@@ -240,7 +237,7 @@ def test_blocking_read_frame_mid_frame_eof_raises():
 
 
 def test_frame_constructors_vocabulary():
-    assert hello_frame("w", 1)["protocol"] == PROTOCOL_VERSION
+    assert heartbeat_frame() == {"type": "heartbeat"}
     assert job_frame("t", "selftest", {"i": 0})["type"] == "job"
     assert result_frame("t", {})["ok"] is True
     assert error_frame("t", "boom")["ok"] is False
@@ -655,9 +652,9 @@ def test_a_failed_append_leaves_no_fragment_and_consumes_no_id(
 
 
 def test_edge_encoders_write_the_bytes_json_dumps_writes():
-    """The encoders built once at the HTTP edge (response and request
-    bodies) and for job documents write what ``json.dumps`` with the
-    same arguments writes, for any JSON document (and, through
+    """The one encoder built for the serve layer (HTTP bodies, frames,
+    job documents, cache key records) writes what ``json.dumps`` with
+    the same arguments writes, for any JSON document (and, through
     ``default=str``, a set)."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -672,8 +669,9 @@ def test_edge_encoders_write_the_bytes_json_dumps_writes():
     @hypothesis.given(docs)
     def prop(doc):
         expected = _canonical_json(doc)
-        assert http_mod._RESPONSE.encode(doc) == expected
-        assert client_mod._REQUEST.encode(doc) == expected
+        assert CANONICAL_JSON.encode(doc) == expected
+        assert encode_frame({"type": "t", "doc": doc})[4:].decode() == \
+            _canonical_json({"type": "t", "doc": doc})
         assert job_text("sweep", doc) == _canonical_json(
             {"kind": "sweep", "spec": doc})
 
@@ -1069,7 +1067,7 @@ def test_client_retry_rule_is_once_and_only_on_a_reused_connection():
 
 
 def test_client_of_a_killed_service_raises_and_does_not_hang(tmp_path):
-    handle = spawn_service(str(tmp_path / "state"), workers=0)
+    handle = spawn_service(str(tmp_path / "state"), workers=1)
     try:
         with handle.client() as client:
             assert client.healthz()["ok"]
@@ -1098,7 +1096,7 @@ def test_stop_closes_idle_keep_alive_connections(tmp_path):
     for client in clients:  # the server's EOF, seen at the next request
         with pytest.raises(ServeError, match="unreachable"):
             client.healthz()
-    handle = spawn_service(str(tmp_path / "real"), workers=0)
+    handle = spawn_service(str(tmp_path / "real"), workers=1)
     try:
         clients = [handle.client() for _ in range(3)]
         assert all(client.healthz()["ok"] for client in clients)
@@ -1245,7 +1243,7 @@ def test_a_first_job_of_a_kind_resets_no_pipelining_client(tmp_path):
         except OSError as exc:
             errors.append(exc)
 
-    with _fresh_service(tmp_path, workers=0) as (_pid, url):
+    with _fresh_service(tmp_path, workers=1) as (_pid, url):
         port = int(url.rpartition(":")[2])
         clients = [socket.create_connection(("127.0.0.1", port), timeout=10)
                    for _ in range(3)]
@@ -1435,19 +1433,19 @@ def test_a_client_that_never_reads_keeps_the_write_buffer_bounded(tmp_path):
 
 # -- orchestrator scheduling (tier 2) --------------------------------------
 class _TestWorker:
-    """A scriptable in-loop worker: claim frames, answer (or don't)."""
+    """A scriptable in-loop worker on a socketpair: claim frames, answer
+    (or don't)."""
 
-    def __init__(self, port: int):
-        self.port = port
+    def __init__(self, orch: Orchestrator):
+        self.orch = orch
         self.decoder = FrameDecoder()
         self.frames = deque()
         self.jobs_seen = []
 
-    async def connect(self, name="tw", protocol=PROTOCOL_VERSION):
-        self.reader, self.writer = await asyncio.open_connection(
-            "127.0.0.1", self.port)
-        await self.send({"type": "hello", "worker": name, "pid": 999,
-                         "protocol": protocol})
+    async def connect(self, name="tw"):
+        ours, theirs = socket.socketpair()
+        self.orch.attach(ours, name, 999)
+        self.reader, self.writer = await asyncio.open_connection(sock=theirs)
         return self
 
     async def send(self, frame):
@@ -1505,8 +1503,8 @@ def test_a_failed_result_save_still_finishes_the_job(tmp_path):
     and the failure is counted."""
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"))
-        port = await orch.start()
-        worker = await _TestWorker(port).connect(name="w")
+        await orch.start()
+        worker = await _TestWorker(orch).connect(name="w")
         _save_fails_once(orch)
         job_id = orch.submit("selftest", {"n": 3})
         for _ in range(3):
@@ -1540,12 +1538,12 @@ def test_a_failed_result_save_does_not_stop_an_inline_drain(tmp_path):
 def test_heartbeat_timeout_requeues_job(tmp_path):
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=0.3)
-        port = await orch.start()
-        silent = await _TestWorker(port).connect(name="silent")
+        await orch.start()
+        silent = await _TestWorker(orch).connect(name="silent")
         job_id = orch.submit("selftest", {"n": 1})
         claimed = await silent.next_frame()
         assert claimed["type"] == "job"  # silent worker holds the point...
-        good = await _TestWorker(port).connect(name="good")
+        good = await _TestWorker(orch).connect(name="good")
         await good.work_one()            # ...requeued after the timeout
         status = await _wait_status(orch, job_id)
         assert status["status"] == "done"
@@ -1563,12 +1561,12 @@ def test_heartbeat_timeout_requeues_job(tmp_path):
 def test_worker_death_mid_job_requeues(tmp_path):
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=5.0)
-        port = await orch.start()
-        doomed = await _TestWorker(port).connect(name="doomed")
+        await orch.start()
+        doomed = await _TestWorker(orch).connect(name="doomed")
         job_id = orch.submit("selftest", {"n": 1})
         await doomed.next_frame()  # claim...
         doomed.close()             # ...and die (socket EOF, no result)
-        good = await _TestWorker(port).connect(name="good")
+        good = await _TestWorker(orch).connect(name="good")
         await good.work_one()
         status = await _wait_status(orch, job_id)
         assert status["status"] == "done"
@@ -1584,10 +1582,10 @@ def test_requeue_gives_up_after_max_attempts(tmp_path):
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=5.0,
                             max_attempts=2)
-        port = await orch.start()
+        await orch.start()
         job_id = orch.submit("selftest", {"n": 1})
         for _attempt in range(2):
-            w = await _TestWorker(port).connect(name="flaky")
+            w = await _TestWorker(orch).connect(name="flaky")
             await w.next_frame()
             w.close()
         status = await _wait_status(orch, job_id)
@@ -1602,9 +1600,9 @@ def test_requeue_gives_up_after_max_attempts(tmp_path):
 def test_point_exception_fails_job_immediately(tmp_path):
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"))
-        port = await orch.start()
+        await orch.start()
         job_id = orch.submit("selftest", {"n": 2, "fail_at": 1})
-        w = await _TestWorker(port).connect()
+        w = await _TestWorker(orch).connect()
         frame = await w.next_frame()
         await w.send(error_frame(frame["id"], "ValueError: asked to fail"))
         status = await _wait_status(orch, job_id)
@@ -1621,10 +1619,10 @@ def test_point_exception_fails_job_immediately(tmp_path):
 def test_inflight_dedupe_one_execution_many_waiters(tmp_path):
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"))
-        port = await orch.start()
+        await orch.start()
         job_a = orch.submit("selftest", {"n": 2})
         job_b = orch.submit("selftest", {"n": 2})  # identical points
-        w = await _TestWorker(port).connect()
+        w = await _TestWorker(orch).connect()
         await w.work_one()
         await w.work_one()
         for job_id in (job_a, job_b):
@@ -1641,20 +1639,6 @@ def test_inflight_dedupe_one_execution_many_waiters(tmp_path):
     asyncio.run(scenario())
 
 
-@pytest.mark.tier2
-def test_wrong_protocol_version_rejected(tmp_path):
-    async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"))
-        port = await orch.start()
-        w = await _TestWorker(port).connect(name="old", protocol=0)
-        # The orchestrator hangs up instead of dispatching to it.
-        assert await w.next_frame() is None
-        assert "old" not in orch.workers
-        await orch.stop()
-
-    asyncio.run(scenario())
-
-
 # -- heartbeats: one heart per worker, one watchdog per orchestrator -------
 def test_worker_keeps_one_heart_for_its_lifetime():
     """A worker driven through 50 points by a fake orchestrator socket
@@ -1663,15 +1647,12 @@ def test_worker_keeps_one_heart_for_its_lifetime():
     intervals, says nothing while idle, and takes the heart with it."""
     interval = 0.05
     before = threading.active_count()
-    with socket.create_server(("127.0.0.1", 0)) as listener:
-        worker = threading.Thread(
-            target=worker_main, daemon=True,
-            args=("127.0.0.1", listener.getsockname()[1], "w", interval))
-        worker.start()
-        conn, _peer = listener.accept()
+    conn, theirs = socket.socketpair()
+    worker = threading.Thread(target=worker_main, daemon=True,
+                              args=(theirs, interval))
+    worker.start()
     with conn:
         frames = _frames(conn)
-        assert next(frames)["type"] == "hello"
         counts = set()
         for i in range(50):
             write_frame(conn, job_frame(f"t{i}", "selftest", {"i": i}))
@@ -1684,7 +1665,7 @@ def test_worker_keeps_one_heart_for_its_lifetime():
         seen = []
         while not seen or seen[-1]["type"] != "result":
             seen.append(next(frames))
-        assert [f["type"] for f in seen[:-1]] == ["heartbeat"] * (len(seen) - 1)
+        assert seen[:-1] == [heartbeat_frame()] * (len(seen) - 1)
         assert len(seen) - 1 >= 2 and seen[-1]["result"]["value"] == 49
         conn.settimeout(3 * interval)  # idle: the heart wakes and is silent
         with pytest.raises(TimeoutError):
@@ -1725,12 +1706,12 @@ def test_busy_worker_that_never_answers_is_requeued_on_time(tmp_path):
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=timeout)
         requeues = _spy_requeues(orch)
-        port = await orch.start()
-        silent = await _TestWorker(port).connect(name="silent")
+        await orch.start()
+        silent = await _TestWorker(orch).connect(name="silent")
         job_id = orch.submit("selftest", {"n": 1})
         assert (await silent.next_frame())["type"] == "job"
         claimed = time.monotonic()
-        good = await _TestWorker(port).connect(name="good")
+        good = await _TestWorker(orch).connect(name="good")
         await good.work_one()
         assert (await _wait_status(orch, job_id))["status"] == "done"
         _assert_requeued_on_time(requeues, claimed, timeout)
@@ -1749,8 +1730,9 @@ def test_sigstopped_worker_is_requeued_on_time(tmp_path):
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=timeout)
         requeues = _spy_requeues(orch)
-        port = await orch.start()
-        proc = spawn_worker("127.0.0.1", port, "wedged", beat)
+        await orch.start()
+        proc, sock = spawn_worker(beat)
+        orch.attach(sock, "wedged", proc.pid)
         try:
             job_id = orch.submit("selftest", {"n": 1, "ms": 20000})
             while not orch.workers.get("wedged", {}).get("busy"):
@@ -1759,7 +1741,7 @@ def test_sigstopped_worker_is_requeued_on_time(tmp_path):
             assert requeues == []
             os.kill(proc.pid, signal.SIGSTOP)  # ...until it goes silent
             stopped = time.monotonic()
-            good = await _TestWorker(port).connect(name="good")
+            good = await _TestWorker(orch).connect(name="good")
             frame = await good.next_frame()
             await good.send(result_frame(frame["id"], {"i": 0, "value": 0}))
             assert (await _wait_status(orch, job_id))["status"] == "done"
@@ -1781,8 +1763,9 @@ def test_slow_but_heartbeating_worker_is_left_alone(tmp_path):
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=timeout)
         requeues = _spy_requeues(orch)
-        port = await orch.start()
-        proc = spawn_worker("127.0.0.1", port, "slow", 0.05)
+        await orch.start()
+        proc, sock = spawn_worker(0.05)
+        orch.attach(sock, "slow", proc.pid)
         try:
             job_id = orch.submit("selftest",
                                  {"n": 1, "ms": 3 * timeout * 1e3})
@@ -1805,9 +1788,9 @@ def test_idle_silent_worker_stays_attached(tmp_path):
 
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=timeout)
-        port = await orch.start()
-        idle = await _TestWorker(port).connect(name="idle")
-        await asyncio.sleep(3 * timeout)  # never a byte after hello
+        await orch.start()
+        idle = await _TestWorker(orch).connect(name="idle")
+        await asyncio.sleep(3 * timeout)  # never a byte
         assert "idle" in orch.workers
         for n in (1, 2):
             job_id = orch.submit("selftest", {"n": n})  # one new point
@@ -1818,29 +1801,6 @@ def test_idle_silent_worker_stays_attached(tmp_path):
         assert orch.metrics.value("serve.worker.lost") == 0
         assert orch.metrics.value("serve.point.requeued") == 0
         idle.close()
-        await orch.stop()
-
-    asyncio.run(scenario())
-
-
-@pytest.mark.tier2
-def test_connection_that_never_says_hello_is_dropped(tmp_path):
-    timeout = 0.1
-
-    async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=timeout)
-        port = await orch.start()
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        connected = time.monotonic()
-        try:
-            assert await asyncio.wait_for(reader.read(1), 5) == b""
-        except ConnectionResetError:
-            pass  # the watchdog aborts: a reset is as good as an EOF
-        assert 4 * timeout <= time.monotonic() - connected \
-            <= 1.25 * 4 * timeout + 0.2
-        await asyncio.sleep(0.05)  # the handler's turn
-        assert orch._due == {} and orch.workers == {}
-        writer.close()
         await orch.stop()
 
     asyncio.run(scenario())
