@@ -53,6 +53,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a positive, finite number of seconds."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number of seconds, got {text}")
+    return value
+
+
 def _cmd_msgrate(args) -> int:
     """Run the Fig 1(a) grid through the one executor; print the pivot."""
     if args.profile or args.full or args.chrome_trace:
@@ -481,7 +490,6 @@ def _cmd_serve(args) -> int:
     try:
         run_service(args.state_dir, workers=args.workers,
                     oversubscribe=args.oversubscribe,
-                    heartbeat=args.heartbeat,
                     heartbeat_timeout=args.heartbeat_timeout,
                     announce=print)
     except KeyboardInterrupt:
@@ -761,11 +769,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "the CPU count unless --oversubscribe)")
     sv.add_argument("--oversubscribe", action="store_true",
                     help="allow more workers than host CPUs")
-    sv.add_argument("--heartbeat", type=float, default=0.5,
-                    help="worker heartbeat interval, seconds")
-    sv.add_argument("--heartbeat-timeout", type=float, default=5.0,
-                    help="declare a silent worker dead after this many "
-                         "seconds and requeue its point")
+    sv.add_argument("--heartbeat-timeout", type=_positive_seconds,
+                    default=5.0,
+                    help="declare a busy worker silent for this many "
+                         "seconds dead, requeue its point and replace it "
+                         "(workers beat every tenth of it)")
     sv.set_defaults(fn=_cmd_serve)
 
     sb = sub.add_parser(

@@ -131,8 +131,7 @@ class ServeError(MpiError):
 
     Raised for malformed job documents, unknown job/point kinds, lookups
     of job ids the orchestrator has never seen, and service lifecycle
-    failures (state directory held by another orchestrator, worker pool
-    exhausted its respawn budget).
+    failures (state directory held by another orchestrator).
     """
 
 

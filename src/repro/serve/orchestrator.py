@@ -31,10 +31,13 @@ each point in order either way, plus:
 
 With socket workers, scheduling runs on one asyncio event loop; each
 worker is a child the service forked, attached (:meth:`Orchestrator.attach`)
-on its end of a socketpair, and the per-worker coroutine is the whole
-scheduler for that worker: claim a point, send the job frame, await
-result frames (one watchdog task aborts the connection of a busy worker
-gone silent). The inline drain
+on its end of a socketpair as one :class:`asyncio.Protocol`. That
+connection is the worker's whole life: the protocol always reads, so a
+worker that exits, is killed or is aborted by the watchdog (a busy
+worker gone silent) ends it whether idle or busy, and its end is the
+one place a worker is dropped and its point requeued. Points pair with
+idle workers in :meth:`Orchestrator._dispatch`, which runs on submit,
+on requeue, on attach and after each result. The inline drain
 needs no loop at all. Host wall-clock (not simulated time) feeds the
 metrics registry and trace spans — this is the service layer, the one
 place in the tree where host time is the measurand.
@@ -44,7 +47,9 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import fcntl
 import json
+import math
 import os
 import re
 import socket
@@ -60,12 +65,10 @@ from .cache import PENDING, ResultCache, blob_key, point_blob
 from .points import execute_point, expand_job
 from .protocol import (
     CANONICAL_JSON,
-    READ_SIZE,
     FrameDecoder,
     bound_reads,
     encode_frame,
     job_frame,
-    shutdown_frame,
 )
 
 __all__ = ["Expansion", "Job", "JournalLine", "PointTask", "Orchestrator",
@@ -257,6 +260,104 @@ class Job:
         self.results[index] = result
 
 
+class _WorkerLink(asyncio.Protocol):
+    """One attached worker's connection, read for as long as it lasts.
+
+    The link holds the worker's running point, when it was sent
+    (``started``) and when the worker's next bytes are due (``due``:
+    only a busy link has a deadline). A result frame completes or fails
+    the point and makes the link idle again. :meth:`connection_lost` is
+    the one place a worker ends, idle or busy: its point is requeued and
+    :attr:`ended` resolves.
+    """
+
+    def __init__(self, orch: "Orchestrator", name: str, pid: int):
+        self.orch = orch
+        self.name = name
+        self.pid = pid
+        self.transport: Any = None
+        self.decoder = FrameDecoder()
+        self.task: Optional[PointTask] = None
+        self.started = 0.0
+        self.due: Optional[float] = None
+        #: Why the connection ended, named in a requeued point's error.
+        self.reason = "connection closed"
+        #: Resolves once the connection has ended.
+        self.ended: asyncio.Future = \
+            asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: Any) -> None:
+        """List the worker and offer it a point."""
+        self.transport = transport
+        bound_reads(transport)
+        orch = self.orch
+        orch._links.add(self)
+        orch.count["serve.worker.connected"].inc()
+        orch._ready.append(self)
+        orch._dispatch()
+
+    def run(self, task: PointTask) -> None:
+        """Send ``task`` to the worker and start its deadline."""
+        task.status = "running"
+        self.task = task
+        self.transport.write(encode_frame(job_frame(task.key, task.kind,
+                                                    task.point)))
+        self.started = time.monotonic()
+        self.due = self.started + self.orch.heartbeat_timeout
+
+    def data_received(self, data: bytes) -> None:
+        """Bytes move a busy link's deadline out (a live worker beats
+        well inside it); a result frame ends its point."""
+        if self.due is not None:
+            self.due = time.monotonic() + self.orch.heartbeat_timeout
+        try:
+            frames = self.decoder.feed(data)
+        except ProtocolError as exc:
+            self.drop(str(exc))
+            return
+        orch = self.orch
+        for frame in frames:
+            task = self.task
+            if frame["type"] != "result" or task is None:
+                continue  # a heartbeat
+            self.task = self.due = None
+            if frame.get("ok"):
+                orch._complete(task, frame["result"], worker=self.name,
+                               started=self.started)
+            else:
+                orch._fail_task(task, str(frame.get("error")))
+            orch._ready.append(self)
+        orch._dispatch()
+
+    def eof_received(self) -> None:
+        """The worker closed: at a frame boundary a plain close, inside
+        a frame a protocol error. Returning None closes the transport."""
+        try:
+            self.decoder.close()
+        except ProtocolError as exc:
+            self.reason = str(exc)
+
+    def drop(self, reason: str) -> None:
+        """End the connection now, naming ``reason``."""
+        self.reason = reason
+        self.transport.abort()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        """The worker's end: unlist it, requeue its point, resolve
+        :attr:`ended`."""
+        if exc is not None:
+            self.reason = str(exc) or type(exc).__name__
+        orch = self.orch
+        orch._links.discard(self)
+        if self in orch._ready:
+            orch._ready.remove(self)
+        orch.count["serve.worker.lost"].inc()
+        task = self.task
+        if task is not None and task.status == "running":
+            orch._requeue(task, self.reason)
+        self.ended.set_result(None)
+
+
 class Orchestrator:
     """The service's scheduler: submit jobs, feed workers, track results.
 
@@ -264,14 +365,20 @@ class Orchestrator:
     the synchronous query/submit methods from its own coroutines on the
     same loop, so no locking is needed.
 
-    The orchestrator owns ``state_dir``. It opens the job journal once,
-    for appends, when it is built, and cuts a torn last line off
+    The orchestrator owns ``state_dir``: it opens the job journal once,
+    for appends, when it is built, holds an exclusive ``flock`` on it
+    (a second orchestrator on the directory raises
+    :class:`~repro.errors.ServeError`) and cuts a torn last line off
     (:func:`read_journal`). :meth:`stop` (or :meth:`close`) closes the
-    journal.
+    journal and so releases the directory. ``heartbeat_timeout`` must be
+    a positive, finite number of seconds.
     """
 
     def __init__(self, state_dir: str, heartbeat_timeout: float = 5.0,
                  max_attempts: int = 3):
+        if not (math.isfinite(heartbeat_timeout) and heartbeat_timeout > 0):
+            raise ValueError(f"heartbeat_timeout must be a positive, finite "
+                             f"number of seconds, not {heartbeat_timeout!r}")
         self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
         self.cache = ResultCache(os.path.join(state_dir, "cache"))
@@ -286,15 +393,13 @@ class Orchestrator:
         #: ``jobs`` grows with jobs.
         self.expansions: dict[str, Expansion] = {}
         self.tasks: dict[str, PointTask] = {}
-        self.workers: dict[str, dict[str, Any]] = {}
         self._t0 = time.monotonic()
         self._trace: dict[str, list[dict]] = {}
-        self._queue: asyncio.Queue[str] = asyncio.Queue()
-        #: Attached connection -> when its next bytes are due (None: idle).
-        self._due: dict[asyncio.StreamWriter, Optional[float]] = {}
-        #: One scheduler task per attached worker (the loop holds tasks
-        #: only weakly).
-        self._handlers: set[asyncio.Task] = set()
+        #: Keys of queued points, in claim order (stale entries skipped).
+        self._queue: deque[str] = deque()
+        #: Every attached worker's link, and the idle ones in wait order.
+        self._links: set[_WorkerLink] = set()
+        self._ready: deque[_WorkerLink] = deque()
         self._watchdog_task: Optional[asyncio.Future] = None
         self._running = 0  # jobs in status "running"
         self._idle: Optional[asyncio.Event] = None  # see wait_idle
@@ -305,13 +410,19 @@ class Orchestrator:
                                  for line in self._held), default=0)
 
     def _open_journal(self) -> list[JournalLine]:
-        """Open the journal for appends, cutting a torn last line off;
-        returns its lines."""
-        data = _journal_bytes(self.state_dir)
-        whole = _whole(data)
+        """Open and lock the journal for appends, cutting a torn last
+        line off; returns its lines."""
         self._journal_fd = os.open(
             self._journal, os.O_WRONLY | os.O_APPEND | os.O_CREAT
             | os.O_CLOEXEC, 0o666)
+        try:
+            fcntl.flock(self._journal_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            self.close()
+            raise ServeError(f"state directory {self.state_dir} is held by "
+                             f"another orchestrator") from None
+        data = _journal_bytes(self.state_dir)
+        whole = _whole(data)
         if len(whole) < len(data):  # a torn append
             os.ftruncate(self._journal_fd, len(whole))
         #: The journal's length: where a failed append is cut back to.
@@ -323,24 +434,32 @@ class Orchestrator:
         """Start the watchdog of attached workers."""
         self._watchdog_task = asyncio.ensure_future(self._watchdog())
 
-    def attach(self, sock: socket.socket, name: str, pid: int) -> None:
+    async def attach(self, sock: socket.socket, name: str,
+                     pid: int) -> asyncio.Future:
         """Feed points to the worker ``name`` (process ``pid``) at the other
         end of the connected ``sock``, from now until the connection ends.
-        The worker is listed in :attr:`workers` at once."""
-        self.workers[name] = {"pid": pid, "busy": None}
-        self.count["serve.worker.connected"].inc()
-        handler = asyncio.ensure_future(self._handle_worker(sock, name))
-        self._handlers.add(handler)
-        handler.add_done_callback(self._handlers.discard)
+        The worker is listed in :attr:`workers` once this returns; the
+        returned future resolves when its connection has ended."""
+        _transport, link = await asyncio.get_running_loop(
+        ).create_connection(lambda: _WorkerLink(self, name, pid), sock=sock)
+        return link.ended
+
+    @property
+    def workers(self) -> dict[str, dict[str, Any]]:
+        """Each attached worker's pid and running point (None: idle)."""
+        return {link.name: {"pid": link.pid,
+                            "busy": link.task.key if link.task else None}
+                for link in self._links}
 
     async def _watchdog(self) -> None:
-        """Abort overdue connections; each handler wakes on the EOF."""
+        """Drop busy links whose deadline has passed."""
+        reason = f"no heartbeat for {self.heartbeat_timeout}s"
         while True:
             await asyncio.sleep(self.heartbeat_timeout / 4)
             now = time.monotonic()
-            for writer, due in self._due.items():
-                if due is not None and now > due:
-                    writer.transport.abort()
+            for link in list(self._links):
+                if link.due is not None and now > link.due:
+                    link.drop(reason)
 
     def close(self) -> None:
         """Close the job journal; a later submit raises."""
@@ -349,17 +468,16 @@ class Orchestrator:
             self._journal_fd = -1
 
     async def stop(self) -> None:
-        """Tell workers to exit and close the job journal."""
+        """Close the job journal and every worker's connection (EOF tells
+        a worker to leave), and wait until each has ended."""
         self.close()
         if self._watchdog_task is not None:
             self._watchdog_task.cancel()
-        for writer in list(self._due):
-            try:
-                writer.write(encode_frame(shutdown_frame()))
-                await writer.drain()
-                writer.close()
-            except (ConnectionError, OSError):
-                continue
+        self._ready.clear()  # nothing more is sent
+        links = list(self._links)
+        for link in links:
+            link.transport.close()
+        await asyncio.gather(*(link.ended for link in links))
 
     def resume_jobs(self) -> None:
         """Rebuild queue state from the job journal + the result cache.
@@ -466,7 +584,7 @@ class Orchestrator:
                     task = PointTask(key=key, kind=expansion.point_kind,
                                      point=points[index], blob=blob)
                     self.tasks[key] = task
-                    self._queue.put_nowait(key)
+                    self._queue.append(key)
                     self.count["serve.point.queued"].inc()
                 elif task.status == "done":
                     # Completed in memory but not in the store (its
@@ -476,6 +594,7 @@ class Orchestrator:
                     continue
                 task.waiters.append((job_id, index))
             self.count["serve.cache.miss"].inc(misses)
+            self._dispatch()
         # One increment per job, not per point; a counter that never
         # counted stays out of the snapshot.
         if len(points) > misses:
@@ -497,18 +616,26 @@ class Orchestrator:
     @property
     def queue_depth(self) -> int:
         """Number of queued (not yet claimed) points."""
-        return self._queue.qsize()
+        return len(self._queue)
+
+    def _dispatch(self) -> None:
+        """Pair queued points with idle workers while both wait."""
+        queue, ready = self._queue, self._ready
+        while queue and ready:
+            task = self.tasks.get(queue.popleft())
+            if task is not None and task.status == "queued":
+                ready.popleft().run(task)
 
     def drain_inline(self) -> None:
         """Run the queue in this process until no job is waiting.
 
         The one-worker executor: same claim → :func:`execute_point` →
-        complete/fail steps as a socket worker's scheduler loop, minus
+        complete/fail steps as a socket worker's link, minus
         the socket (a single socket worker measured +14% on the Fig 1(a)
         sweep and buys no parallelism).
         """
-        while self.active and not self._queue.empty():
-            task = self.tasks.get(self._queue.get_nowait())
+        while self.active and self._queue:
+            task = self.tasks.get(self._queue.popleft())
             if task is None or task.status != "queued":
                 continue
             task.status = "running"
@@ -521,75 +648,6 @@ class Orchestrator:
                 self._complete(task, result, worker="inline",
                                started=started)
 
-    async def _next_frame(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter,
-                          decoder: FrameDecoder, frames: deque
-                          ) -> Optional[dict]:
-        """Next decoded frame, or None on EOF at a frame boundary; bytes
-        move the deadline out (a live worker heartbeats well inside it)."""
-        while not frames:
-            data = await reader.read(READ_SIZE)
-            if not data:
-                decoder.close()  # raises ProtocolError if mid-frame
-                return None
-            self._due[writer] = time.monotonic() + self.heartbeat_timeout
-            frames.extend(decoder.feed(data))
-        return frames.popleft()
-
-    async def _handle_worker(self, sock: socket.socket, name: str) -> None:
-        """Per-worker scheduler loop: claim, dispatch, await, repeat."""
-        decoder = FrameDecoder()
-        frames: deque = deque()
-        writer: Optional[asyncio.StreamWriter] = None
-        task: Optional[PointTask] = None
-        reason = "connection closed"
-        try:
-            reader, writer = await asyncio.open_connection(sock=sock)
-            bound_reads(writer.transport)
-            while True:
-                self._due[writer] = None  # idle workers are never timed out
-                key = await self._queue.get()
-                task = self.tasks.get(key)
-                if task is None or task.status != "queued":
-                    task = None  # stale queue entry (completed elsewhere)
-                    continue
-                task.status = "running"
-                self.workers[name]["busy"] = key
-                writer.write(encode_frame(job_frame(key, task.kind,
-                                                    task.point)))
-                await writer.drain()
-                started = time.monotonic()
-                self._due[writer] = started + self.heartbeat_timeout
-                while True:
-                    frame = await self._next_frame(reader, writer, decoder,
-                                                   frames)
-                    if frame is None:
-                        raise ConnectionError("worker EOF mid-job")
-                    if frame["type"] == "heartbeat":
-                        continue
-                    if frame["type"] == "result":
-                        if frame.get("ok"):
-                            self._complete(task, frame["result"],
-                                           worker=name, started=started)
-                        else:
-                            self._fail_task(task, str(frame.get("error")))
-                        task = None
-                        break
-                self.workers[name]["busy"] = None
-        except asyncio.CancelledError:
-            reason = "orchestrator shutting down"  # loop teardown
-        except (ConnectionError, ProtocolError, OSError) as exc:
-            reason = str(exc) or type(exc).__name__
-        finally:
-            due = self._due.pop(writer, None)
-            if due is not None and time.monotonic() > due:  # the watchdog's
-                reason = f"no heartbeat for {self.heartbeat_timeout}s"
-            self.workers.pop(name, None)
-            self.count["serve.worker.lost"].inc()
-            if task is not None and task.status == "running":
-                self._requeue(task, reason)
-            (sock if writer is None else writer).close()
-
     def _requeue(self, task: PointTask, reason: str) -> None:
         """Put a lost worker's point back on the queue (bounded tries)."""
         task.attempts += 1
@@ -600,7 +658,8 @@ class Orchestrator:
                 f"(last worker: {reason})")
         else:
             task.status = "queued"
-            self._queue.put_nowait(task.key)
+            self._queue.append(task.key)
+            self._dispatch()
 
     def _complete(self, task: PointTask, result: Any, worker: str,
                   started: float) -> None:
@@ -720,8 +779,7 @@ class Orchestrator:
     def healthz(self) -> dict[str, Any]:
         """Liveness document: workers (with pids), queue and cache state."""
         return {"ok": True,
-                "workers": {name: dict(info)
-                            for name, info in sorted(self.workers.items())},
+                "workers": dict(sorted(self.workers.items())),
                 "jobs": len(self.jobs),
                 "queue_depth": self.queue_depth,
                 "cache": {"hits": self.cache.hits,

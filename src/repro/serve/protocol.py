@@ -12,8 +12,11 @@ Frames are small, self-describing objects with a ``type`` field:
 ``job``        orchestrator → worker: one point to execute
 ``result``     worker → orchestrator: the point's JSON result or error
 ``heartbeat``  worker → orchestrator: liveness while a point runs
-``shutdown``   orchestrator → worker: drain and exit cleanly
 ============= =========================================================
+
+There is no stop frame: the orchestrator stops a worker by closing its
+end, and a worker leaves on the EOF it then reads. Either side reading
+EOF is the connection's end.
 
 Why length-prefixed JSON and not pickle: the wire format is the same
 canonical JSON (:data:`CANONICAL_JSON`) the result store and the job
@@ -40,7 +43,7 @@ __all__ = [
     "CANONICAL_JSON", "MAX_FRAME_BYTES", "READ_SIZE", "FrameDecoder",
     "bound_reads", "encode_frame", "write_frame",
     "job_frame", "result_frame", "error_frame",
-    "heartbeat_frame", "shutdown_frame",
+    "heartbeat_frame",
 ]
 
 #: The serve layer's one canonical-JSON encoder: sorted keys, compact
@@ -168,8 +171,3 @@ def heartbeat_frame() -> dict:
     moves the connection's deadline when bytes arrive, and knows which
     point it dispatched."""
     return {"type": "heartbeat"}
-
-
-def shutdown_frame() -> dict:
-    """Orchestrator → worker: finish the current frame and exit."""
-    return {"type": "shutdown"}

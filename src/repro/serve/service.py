@@ -3,12 +3,13 @@
 :func:`run_service` is the whole service in one call (the CLI's
 ``python -m repro serve`` is a thin wrapper): fork the worker pool, each
 worker on its own socketpair attached to the orchestrator, start the
-HTTP API on the same event loop, supervise the pool (a dead worker is
-respawned, its in-flight point having already been requeued by the
-orchestrator), and announce readiness by atomically writing
-``state_dir/serve.json`` (``pid``, ``url``, ``workers``) — the discovery
-file tests and ``repro submit`` read to find the URL. The HTTP port is
-the only port a service binds.
+HTTP API on the same event loop, and announce readiness by atomically
+writing ``state_dir/serve.json`` (``pid``, ``url``, ``workers``) — the
+discovery file tests and ``repro submit`` read to find the URL. The HTTP
+port is the only port a service binds. Each worker has one slot: when
+its connection ends, however it ends, the orchestrator has requeued its
+point, and the slot kills and reaps the process and forks a replacement.
+Workers beat every tenth of the heartbeat timeout.
 
 :func:`run_local` is the same orchestrator, store and workers without
 the HTTP API: submit one job (or resume the job journal of a state
@@ -242,40 +243,43 @@ def auto_jobs(requested: Optional[int] = None,
 
 
 @contextlib.asynccontextmanager
-async def _workers(orch: Orchestrator, n: int, heartbeat: float):
+async def _workers(orch: Orchestrator, n: int):
     """``n`` forked workers, each attached to ``orch`` on a socketpair.
 
-    A worker that dies (crash, kill -9) already had its in-flight point
-    requeued by the orchestrator; it is respawned to restore capacity.
-    On exit the orchestrator is stopped and every worker terminated and
-    reaped (killed if it outlives :data:`_GRACE`).
+    Each worker has a slot: once its connection ends (it died, was
+    killed, or the watchdog dropped it), the orchestrator has requeued
+    its point, and the slot kills and reaps it and forks a replacement.
+    The first ``n`` are forked and attached before this yields. On exit
+    the slots stop, the orchestrator closes every connection, and every
+    worker is terminated and reaped (killed if it outlives
+    :data:`_GRACE`).
     """
     import asyncio
 
     from .worker import spawn_worker
     await orch.start()
+    beat = orch.heartbeat_timeout / 10
     seq = itertools.count()
+    pool = [spawn_worker(beat) for _ in range(n)]
+    procs = [proc for proc, _sock in pool]
+    ends = [await orch.attach(sock, f"w{next(seq)}", proc.pid)
+            for proc, sock in pool]
 
-    def spawn() -> ForkedProcess:
-        proc, sock = spawn_worker(heartbeat)
-        orch.attach(sock, f"w{next(seq)}", proc.pid)
-        return proc
-
-    procs = [spawn() for _ in range(n)]
-
-    async def supervise() -> None:
+    async def slot(i: int, ended: asyncio.Future) -> None:
         while True:
-            for i, proc in enumerate(procs):
-                if not proc.is_alive():
-                    proc.join()
-                    procs[i] = spawn()
-            await asyncio.sleep(0.2)
+            await asyncio.shield(ended)
+            procs[i].kill()
+            procs[i].join()
+            procs[i], sock = spawn_worker(beat)
+            ended = await orch.attach(sock, f"w{next(seq)}", procs[i].pid)
 
-    supervisor = asyncio.ensure_future(supervise())
+    slots = [asyncio.ensure_future(slot(i, ended))
+             for i, ended in enumerate(ends)]
     try:
         yield
     finally:
-        supervisor.cancel()
+        for task in slots:
+            task.cancel()
         await orch.stop()
         _end(procs)
 
@@ -290,14 +294,13 @@ def _write_discovery(state_dir: str, doc: dict) -> str:
 
 
 async def _serve(state_dir: str, workers: Optional[int],
-                 oversubscribe: bool, heartbeat: float,
-                 heartbeat_timeout: float, host: str,
+                 oversubscribe: bool, heartbeat_timeout: float, host: str,
                  announce: Callable[[str], None]) -> None:
     from .http import HttpApi
     from .orchestrator import Orchestrator
     orch = Orchestrator(state_dir, heartbeat_timeout=heartbeat_timeout)
     n = auto_jobs(requested=workers, oversubscribe=oversubscribe)
-    async with _workers(orch, n, heartbeat):
+    async with _workers(orch, n):
         orch.resume_jobs()
         api = HttpApi(orch, host=host)
         url = f"http://{host}:{await api.start()}"
@@ -315,25 +318,26 @@ async def _serve(state_dir: str, workers: Optional[int],
 
 
 def run_service(state_dir: str, workers: Optional[int] = None,
-                oversubscribe: bool = False, heartbeat: float = 0.5,
-                heartbeat_timeout: float = 5.0, host: str = "127.0.0.1",
+                oversubscribe: bool = False, heartbeat_timeout: float = 5.0,
+                host: str = "127.0.0.1",
                 announce: Optional[Callable[[str], None]] = None) -> None:
     """Run the service until a ``POST /shutdown`` arrives (blocking).
 
     ``workers=None`` auto-sizes the local pool to the host
     (:func:`auto_jobs`); an explicit count is capped at the CPU count
     unless ``oversubscribe=True``; there is always at least one worker.
-    asyncio is imported without TLS
+    A busy worker silent for ``heartbeat_timeout`` seconds is dropped
+    and replaced. asyncio is imported without TLS
     (:func:`import_asyncio`) before anything else loads it.
     """
     asyncio = import_asyncio()
     os.makedirs(state_dir, exist_ok=True)
-    asyncio.run(_serve(state_dir, workers, oversubscribe, heartbeat,
-                       heartbeat_timeout, host, announce or (lambda _: None)))
+    asyncio.run(_serve(state_dir, workers, oversubscribe, heartbeat_timeout,
+                       host, announce or (lambda _: None)))
 
 
 async def _drain_with_workers(orch: Orchestrator, n: int) -> None:
-    async with _workers(orch, n, heartbeat=0.5):
+    async with _workers(orch, n):
         await orch.wait_idle()
 
 
@@ -415,8 +419,7 @@ class ServiceHandle:
 
 
 def spawn_service(state_dir: str, workers: Optional[int] = None,
-                  oversubscribe: bool = False, heartbeat: float = 0.5,
-                  heartbeat_timeout: float = 5.0,
+                  oversubscribe: bool = False, heartbeat_timeout: float = 5.0,
                   timeout: float = 30.0) -> ServiceHandle:
     """Fork :func:`run_service` and wait for its discovery file.
 
@@ -442,8 +445,7 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
 
     proc = ForkedProcess(
         run_service, state_dir, workers=workers, oversubscribe=oversubscribe,
-        heartbeat=heartbeat, heartbeat_timeout=heartbeat_timeout,
-        announce=announce)
+        heartbeat_timeout=heartbeat_timeout, announce=announce)
     os.close(announced)
     deadline = time.monotonic() + timeout
     try:

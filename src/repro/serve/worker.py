@@ -10,6 +10,9 @@ the orchestrator, so a worker can die at any instant — ``kill -9``
 included — and the only observable effect is a dropped socket, which the
 orchestrator treats as "re-queue whatever that worker held". The pair
 is the only way in: no port is bound, so no other process can attach.
+A forked worker closes every descriptor it inherited but its std streams
+and its own end, so it holds no other worker's pair, no HTTP socket and
+no job journal; EOF on its end is the one signal to leave.
 
 While a point runs, the worker's one daemon thread writes a heartbeat every
 ``heartbeat`` seconds so the orchestrator can tell a *slow* worker from
@@ -20,10 +23,10 @@ heartbeating and is left alone).
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import traceback
-import weakref
 from typing import Iterator
 
 from .points import execute_point
@@ -37,12 +40,6 @@ from .protocol import error_frame as _error_frame
 from .service import ForkedProcess
 
 __all__ = ["worker_main", "spawn_worker"]
-
-#: The service's end of every worker's socketpair. A forked worker closes
-#: them all, so the service is the only holder of each and every worker
-#: reads EOF the moment the service dies.
-_SERVICE_ENDS: weakref.WeakSet[socket.socket] = weakref.WeakSet()
-
 
 class _Heart(threading.Thread):
     """The worker's one daemon thread: until ``done`` is set it writes a
@@ -90,18 +87,15 @@ def worker_main(sock: socket.socket, heartbeat: float = 0.5) -> None:
 
     Serves job frames one at a time. A failing point produces an
     ``error`` frame with the traceback; the worker itself survives and
-    asks for the next job. EOF or a ``shutdown`` frame ends the loop —
-    so orphaned workers exit on their own when the orchestrator dies.
+    asks for the next job. EOF ends the loop — the orchestrator's way to
+    stop a worker, and why orphaned workers exit on their own when the
+    orchestrator dies.
     """
     lock = threading.Lock()
     heart = _Heart(sock, lock, heartbeat)
     try:
         heart.start()
         for frame in _frames(sock):
-            if frame["type"] == "shutdown":
-                return
-            if frame["type"] != "job":
-                continue  # future-proof: ignore unknown orchestrator frames
             heart.busy = True
             try:
                 reply = result_frame(frame["id"], execute_point(
@@ -118,12 +112,15 @@ def worker_main(sock: socket.socket, heartbeat: float = 0.5) -> None:
         sock.close()
 
 
-def _forked_worker(ours: socket.socket, theirs: socket.socket,
-                   heartbeat: float) -> None:
-    """A forked worker: drop every service end it inherited, then serve."""
-    for end in [ours, *_SERVICE_ENDS]:
-        end.close()
-    worker_main(theirs, heartbeat)
+def _forked_worker(sock: socket.socket, heartbeat: float) -> None:
+    """A forked worker: close every inherited descriptor but 0-2 and
+    ``sock``, then serve. The child never returns to the service's event
+    loop, so none of the objects that held those descriptors is used
+    again."""
+    fd = sock.fileno()
+    os.closerange(3, fd)
+    os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
+    worker_main(sock, heartbeat)
 
 
 def spawn_worker(heartbeat: float = 0.5
@@ -136,6 +133,5 @@ def spawn_worker(heartbeat: float = 0.5
     """
     ours, theirs = socket.socketpair()
     with theirs:
-        proc = ForkedProcess(_forked_worker, ours, theirs, heartbeat)
-    _SERVICE_ENDS.add(ours)
+        proc = ForkedProcess(_forked_worker, theirs, heartbeat)
     return proc, ours

@@ -241,6 +241,7 @@ def test_jobs_share_results_and_nothing_mutates_them(tmp_path):
     assert (a, job_a.spec, job_a.points) == before
     assert all(x is y for x, y in zip(a, b))
     # A restarted service reads each file once and shares from then on.
+    orch.close()
     fresh = Orchestrator(str(tmp_path / "s"))
     fresh.resume_jobs()
     assert fresh.jobs[first].results == before[0]

@@ -163,7 +163,7 @@ def test_the_worker_pool_kills_a_worker_that_outlives_its_join(
 
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"))
-        async with service_mod._workers(orch, 2, 0.5):
+        async with service_mod._workers(orch, 2):
             pass
 
     try:
@@ -286,6 +286,142 @@ def test_killing_the_service_leaves_no_worker_running(tmp_path):
             if not _exited(pid):
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
+
+
+# -- a worker's connection is its life -----------------------------------------
+def _until(predicate, timeout, what):
+    """Poll ``predicate`` until it holds; fail after ``timeout`` s."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+def _metric(client, name):
+    return sum(s["value"] for s in client.metrics()["metrics"].get(name, []))
+
+
+def _pids(client):
+    return sorted(w["pid"] for w in client.healthz()["workers"].values())
+
+
+@pytest.mark.tier2
+def test_an_idle_worker_killed_is_replaced_and_costs_no_attempt(tmp_path):
+    """The connection of an idle worker is read too: its death unlists it
+    at once, it is replaced, and the next job's point is not requeued."""
+    handle = spawn_service(str(tmp_path / "s"), workers=1,
+                           heartbeat_timeout=0.4)
+    try:
+        with handle.client() as client:
+            _until(lambda: _pids(client), 10, "a worker")
+            (victim,) = _pids(client)
+            os.kill(victim, signal.SIGKILL)
+            _until(lambda: _pids(client) not in ([], [victim]), 10,
+                   "a replacement")
+            assert victim not in _pids(client) and len(_pids(client)) == 1
+            job = client.submit("selftest", {"n": 1})
+            client.wait(job["job_id"], timeout=10)
+            assert _metric(client, "serve.point.requeued") == 0
+            assert _metric(client, "serve.worker.lost") == 1
+    finally:
+        handle.stop()
+
+
+@pytest.mark.tier2
+def test_a_wedged_worker_is_replaced(tmp_path):
+    """A one-worker service whose busy worker is stopped (SIGSTOP) drops
+    it at the heartbeat timeout, reaps it and forks a replacement, which
+    finishes the point and the next job."""
+    handle = spawn_service(str(tmp_path / "s"), workers=1,
+                           heartbeat_timeout=0.4)
+    wedged = None
+    try:
+        with handle.client() as client:
+            job = client.submit("selftest", {"n": 1, "ms": 300})
+            _until(lambda: any(w["busy"] for w in
+                               client.healthz()["workers"].values()),
+                   10, "a busy worker")
+            (wedged,) = _pids(client)
+            os.kill(wedged, signal.SIGSTOP)
+            assert client.wait(job["job_id"], timeout=10)["status"] == "done"
+            again = client.submit("selftest", {"n": 2})
+            assert client.wait(again["job_id"], timeout=10)["status"] == "done"
+            assert _metric(client, "serve.point.requeued") == 1
+            assert wedged not in _pids(client)
+            _until(lambda: _gone(wedged), 10, "the wedged worker reaped")
+    finally:
+        if wedged is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(wedged, signal.SIGKILL)
+        handle.stop()
+
+
+def _unix_inodes(pid):
+    with open(f"/proc/{pid}/net/unix", encoding="ascii") as fh:
+        return {row.split()[6] for row in fh.read().splitlines()[1:]
+                if len(row.split()) > 6}
+
+
+@linux_only
+@pytest.mark.tier2
+def test_a_respawned_worker_holds_only_its_own_end(tmp_path):
+    """A worker forked while the HTTP port listens and a client is
+    connected inherits neither, nor the job journal: its one socket is
+    its own end of its pair."""
+    handle = spawn_service(str(tmp_path / "s"), workers=1)
+    try:
+        with handle.client() as client:  # a connection stays open
+            _until(lambda: _pids(client), 10, "a worker")
+            (first,) = _pids(client)
+            os.kill(first, signal.SIGKILL)
+            _until(lambda: set(_pids(client)) - {first}, 10,
+                   "a replacement")
+            (worker,) = set(_pids(client)) - {first}
+            assert _listening_tcp_ports(worker) == []
+            inodes = _socket_inodes(worker)
+            assert len(inodes) == 1 and inodes <= _unix_inodes(worker)
+            targets = []
+            for fd in os.listdir(f"/proc/{worker}/fd"):
+                with contextlib.suppress(FileNotFoundError):
+                    targets.append(os.readlink(f"/proc/{worker}/fd/{fd}"))
+            assert not [t for t in targets if t.endswith("jobs.log")]
+    finally:
+        handle.stop()
+
+
+# -- one orchestrator per state directory --------------------------------------
+def test_a_state_directory_takes_one_orchestrator(tmp_path):
+    state = str(tmp_path / "s")
+    first = Orchestrator(state)
+    with pytest.raises(ServeError, match="held by another orchestrator"):
+        Orchestrator(state)
+    assert first.submit("selftest", {"n": 1}) == "job-00001"
+    first.close()
+    second = Orchestrator(state)
+    second.resume_jobs()
+    assert second.submit("selftest", {"n": 1}) == "job-00002"
+    second.close()
+
+
+def test_a_service_restarts_at_once_on_a_killed_ones_directory(tmp_path):
+    """A killed service's busy worker outlives it for its point, but holds
+    no descriptor of the journal, so a new service takes the directory
+    at once and resumes the job."""
+    state = str(tmp_path / "s")
+    handle = spawn_service(state, workers=1)
+    with handle.client() as client:
+        job = client.submit("selftest", {"n": 1, "ms": 1000})
+        _until(lambda: any(w["busy"] for w in
+                           client.healthz()["workers"].values()),
+               10, "a busy worker")
+    handle.kill()
+    handle = spawn_service(state, workers=1)
+    try:
+        with handle.client() as client:
+            assert [j["job_id"] for j in client.jobs()] == [job["job_id"]]
+            client.wait(job["job_id"], timeout=10)
+    finally:
+        handle.stop()
 
 
 # -- asyncio without TLS -------------------------------------------------------

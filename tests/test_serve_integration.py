@@ -62,7 +62,7 @@ def _wait_until(predicate, timeout, what):
 def test_200_point_battery_survives_kills_and_is_byte_identical(tmp_path):
     state = str(tmp_path / "serve")
     handle = spawn_service(state, workers=2, oversubscribe=True,
-                           heartbeat=0.2, heartbeat_timeout=3.0)
+                           heartbeat_timeout=3.0)
     try:
         client = handle.client()
         sweep = client.submit("sweep", SWEEP_SPEC)
@@ -91,7 +91,7 @@ def test_200_point_battery_survives_kills_and_is_byte_identical(tmp_path):
         handle.kill()
         assert not handle.alive()
         handle = spawn_service(state, workers=2, oversubscribe=True,
-                               heartbeat=0.2, heartbeat_timeout=3.0)
+                               heartbeat_timeout=3.0)
         client = handle.client()
         resumed = {j["job_id"]: j for j in client.jobs()}
         assert set(resumed) == set(job_ids)  # same ids, from the journal

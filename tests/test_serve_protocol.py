@@ -52,7 +52,6 @@ from repro.serve.protocol import (
     heartbeat_frame,
     job_frame,
     result_frame,
-    shutdown_frame,
     write_frame,
 )
 from repro.serve.service import run_local, spawn_service
@@ -342,6 +341,22 @@ def test_bad_manifests_fail_their_job_not_the_orchestrator(tmp_path):
     orch.close()
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_the_heartbeat_timeout_is_positive_and_finite(tmp_path, timeout,
+                                                      capsys):
+    """A timeout of 0 or less times every busy worker out at once (and
+    spins the watchdog), nan never times one out, and inf leaves no beat
+    a worker can wait for: the orchestrator refuses each, and ``repro
+    serve`` exits 2 on it."""
+    from repro.cli import build_parser
+    with pytest.raises(ValueError, match="positive, finite"):
+        Orchestrator(str(tmp_path / "s"), heartbeat_timeout=float(timeout))
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--heartbeat-timeout", timeout])
+    assert exc.value.code == 2
+    assert "positive, finite" in capsys.readouterr().err
+
+
 # -- completion bookkeeping (tier 1, no sockets) ---------------------------
 def test_completion_counters_agree_with_a_recount(tmp_path, monkeypatch):
     """``Job.remaining`` and the running-jobs count are maintained, not
@@ -376,7 +391,7 @@ def test_completion_counters_agree_with_a_recount(tmp_path, monkeypatch):
     other = orch.submit("selftest", {"n": 4})  # shares i=2 and i=3
     recount()
     assert orch.job_status(mixed)["done"] == orch.jobs[mixed].cache_hits == 2
-    task = orch.tasks[orch._queue.get_nowait()]  # a worker claims a point...
+    task = orch.tasks[orch._queue.popleft()]  # a worker claims a point...
     task.status = "running"
     orch._requeue(task, "test")                  # ...and is lost
     recount()
@@ -423,6 +438,7 @@ def test_second_submit_touches_no_point_file(tmp_path, monkeypatch):
     assert orch.job_result(again)["results"] == \
         orch.job_result(first)["results"]
 
+    orch.close()  # the state directory takes one orchestrator at a time
     restarted = Orchestrator(state)
     restarted.resume_jobs()  # two journal lines, the same six points
     assert len(touched) == total
@@ -489,6 +505,7 @@ def test_resume_expands_each_document_once(tmp_path, monkeypatch):
         return real(path, *args, **kwargs)
 
     monkeypatch.setattr(cache_mod, "open", spy, raising=False)
+    orch.close()  # the state directory takes one orchestrator at a time
     restarted = Orchestrator(state)
     restarted.resume_jobs()
     assert len(expanded) == len(restarted.expansions) == 2
@@ -527,6 +544,7 @@ def test_a_tuple_expands_alike_live_and_resumed(tmp_path):
                        "cores": (1,), "msgs_per_core": 4}}
     live = Orchestrator(state)
     job_id = live.submit("sweep", spec)
+    live.close()  # the state directory takes one orchestrator at a time
     resumed = Orchestrator(state)
     resumed.resume_jobs()
     assert resumed.jobs[job_id].points == live.jobs[job_id].points == [
@@ -1444,7 +1462,7 @@ class _TestWorker:
 
     async def connect(self, name="tw"):
         ours, theirs = socket.socketpair()
-        self.orch.attach(ours, name, 999)
+        await self.orch.attach(ours, name, 999)
         self.reader, self.writer = await asyncio.open_connection(sock=theirs)
         return self
 
@@ -1671,7 +1689,7 @@ def test_worker_keeps_one_heart_for_its_lifetime():
         with pytest.raises(TimeoutError):
             next(frames)
         conn.settimeout(None)
-        write_frame(conn, shutdown_frame())
+        conn.shutdown(socket.SHUT_WR)  # EOF: the worker leaves
         worker.join(5)
     deadline = time.monotonic() + 5
     while threading.active_count() > before and time.monotonic() < deadline:
@@ -1732,7 +1750,7 @@ def test_sigstopped_worker_is_requeued_on_time(tmp_path):
         requeues = _spy_requeues(orch)
         await orch.start()
         proc, sock = spawn_worker(beat)
-        orch.attach(sock, "wedged", proc.pid)
+        await orch.attach(sock, "wedged", proc.pid)
         try:
             job_id = orch.submit("selftest", {"n": 1, "ms": 20000})
             while not orch.workers.get("wedged", {}).get("busy"):
@@ -1765,7 +1783,7 @@ def test_slow_but_heartbeating_worker_is_left_alone(tmp_path):
         requeues = _spy_requeues(orch)
         await orch.start()
         proc, sock = spawn_worker(0.05)
-        orch.attach(sock, "slow", proc.pid)
+        await orch.attach(sock, "slow", proc.pid)
         try:
             job_id = orch.submit("selftest",
                                  {"n": 1, "ms": 3 * timeout * 1e3})
@@ -1777,7 +1795,7 @@ def test_slow_but_heartbeating_worker_is_left_alone(tmp_path):
         finally:
             await orch.stop()
             proc.join(10)
-        assert proc.exitcode == 0  # left on the shutdown frame
+        assert proc.exitcode == 0  # left on the EOF of its connection
 
     asyncio.run(scenario())
 
