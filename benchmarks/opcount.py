@@ -30,7 +30,8 @@ takes a few minutes.
 ``--size serve`` is the service's census instead: the opcodes the
 service executes per warm ``POST /jobs`` of the ``served_warm`` job (the
 ``full`` grid, 35 points, every one in the store), by module and by
-function. The service runs in this process with no socket: request
+function. Each POST carries the body a ``ServeClient`` sends, the
+document's canonical JSON. The service runs in this process with no socket: request
 bytes are fed to one HTTP connection protocol over an in-memory
 transport, which answers each request inside the call that feeds it.
 One cold job fills the store and a few warm ones load what a warm POST
@@ -266,17 +267,18 @@ def serve_census() -> Counter:
     """Opcodes per code object over ``SERVE_POSTS`` warm ``POST /jobs``
     of the ``served_warm`` job, fed to one connection of an in-process
     service whose store holds every point."""
-    import json
     import tempfile
 
     from repro.serve.http import HttpApi, _Connection
     from repro.serve.orchestrator import Orchestrator
+    from repro.serve.protocol import CANONICAL_JSON
 
     sizes = SIZES["full"]
     spec = {"params": {"mode": MODES, "cores": sizes["cores"],
                        "msgs_per_core": [sizes["warm_msgs_per_core"]],
                        "seed": [1]}}
-    body = json.dumps({"kind": "sweep", "spec": spec}).encode()
+    # The bytes a ServeClient sends: the job document's canonical JSON.
+    body = CANONICAL_JSON.encode({"kind": "sweep", "spec": spec}).encode()
     post = (b"POST /jobs HTTP/1.1\r\nHost: census\r\n"
             b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
             % len(body)) + body

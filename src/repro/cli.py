@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .bench.msgrate import MODES, MsgRateConfig, run_msgrate
 from .bench.report import Table
@@ -532,9 +532,19 @@ def _cmd_jobs(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes only whole option names: argparse's prefix
+    matching would read a deleted flag as a longer live one
+    (``--heartbeat`` as ``--heartbeat-timeout``). Its subparsers are of
+    its class."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argparse parser with all subcommands."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="repro",
         description="Reproduce experiments from 'Lessons Learned on "
                     "MPI+Threads Communication' (SC 2022)")

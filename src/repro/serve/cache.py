@@ -113,9 +113,11 @@ class ResultCache:
     The instance remembers ``blob -> result`` for every record it saved
     or verified. The store is content-addressed and points are
     deterministic, so a remembered result cannot be wrong, and asking
-    again costs a dictionary lookup (counted as a hit). Remembered
-    results are handed out as the same object every time: treat them as
-    read-only. ``load``/``save`` are :meth:`load_blobs`/:meth:`save_blob`
+    again costs a dictionary lookup (counted as a hit). Nothing is ever
+    forgotten, so a caller that kept the results of an all-hit lookup
+    may answer the same blobs from them and count the hits itself (the
+    orchestrator's ``Expansion.warm``). Remembered results are handed
+    out as the same object every time: treat them as read-only. ``load``/``save`` are :meth:`load_blobs`/:meth:`save_blob`
     for callers that do not keep the blob.
     """
 

@@ -1,7 +1,7 @@
 """Stdlib HTTP client for the serve API (used by the CLI and tests), and
 the job-document parser both ends share: ``repro submit`` checks a job
-with it before it dials, and the HTTP edge parses every ``POST /jobs``
-body with it."""
+with it before it dials, and the HTTP edge parses with it every ``POST
+/jobs`` body that is not the canonical text of a document it knows."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ import json
 import socket
 import time
 import urllib.parse
-from typing import Any, BinaryIO, Optional
+from typing import Any, Optional
 
 from ..errors import ServeError
-from .protocol import CANONICAL_JSON
+from .protocol import CANONICAL_JSON, READ_SIZE
 
 __all__ = ["ServeClient", "parse_job_document"]
 
@@ -38,6 +38,15 @@ def parse_job_document(body: bytes) -> tuple[str, dict]:
     return doc["kind"], spec
 
 
+def _more(sock: socket.socket, buf: bytearray) -> None:
+    """Append the next read of ``sock`` to ``buf``; EOF mid-response
+    raises."""
+    data = sock.recv(READ_SIZE)
+    if not data:
+        raise ConnectionError("connection closed mid-response")
+    buf += data
+
+
 class ServeClient:
     """Synchronous client for one service URL, on one kept-alive connection.
 
@@ -59,14 +68,14 @@ class ServeClient:
         self._netloc = parsed.netloc
         self._address = (parsed.hostname, parsed.port or 80)
         self._timeout = timeout
-        #: The socket and a buffered reader of it, once dialled.
-        self._conn: Optional[tuple[socket.socket, BinaryIO]] = None
+        #: The connection, once dialled.
+        self._sock: Optional[socket.socket] = None
 
     def close(self) -> None:
         """Drop the connection (the next request dials a new one)."""
-        for end in self._conn or ():
-            end.close()
-        self._conn = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -77,29 +86,39 @@ class ServeClient:
     def _exchange(self, message: bytes) -> Optional[tuple[int, Any]]:
         """Send one request on the connection (dialled if there is none);
         returns ``(status, doc)``, or ``None`` — connection dropped — if
-        the peer closed or reset it before the first response byte."""
-        if self._conn is None:
+        the peer closed or reset it before the first response byte.
+
+        The response is read with ``recv`` into one buffer: the head
+        until its blank line, then the ``Content-Length`` bytes after it
+        (one read, for most answers)."""
+        sock = self._sock
+        if sock is None:
             sock = socket.create_connection(self._address, self._timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._conn = sock, sock.makefile("rb")
-        sock, stream = self._conn
+            self._sock = sock
         try:
             sock.sendall(message)
-            line = stream.readline()
+            data = sock.recv(READ_SIZE)
         except ConnectionError:  # reset or broken pipe; a timeout is not one
-            line = b""
-        if not line:
+            data = b""
+        if not data:
             self.close()
             return None
+        buf = bytearray(data)
+        while (end := buf.find(b"\r\n\r\n")) < 0:
+            _more(sock, buf)
+        line, *fields = buf[:end].decode("latin-1").split("\r\n")
         headers = {}
-        while (header := stream.readline().decode("latin-1")).strip():
-            name, _, value = header.partition(":")
+        for field in fields:
+            name, _, value = field.partition(":")
             headers[name.strip().lower()] = value.strip()
-        body = stream.read(length := int(headers["content-length"]))
-        if len(body) < length:
-            raise ConnectionError("connection closed mid-response")
+        start = end + 4
+        stop = start + int(headers["content-length"])
+        while len(buf) < stop:
+            _more(sock, buf)
         if headers.get("connection", "").lower() == "close":
             self.close()
+        body = buf[start:stop]
         return int(line.split(None, 2)[1]), json.loads(body) if body else None
 
     def request(self, method: str, path: str,
@@ -113,7 +132,7 @@ class ServeClient:
         message = (f"{head}Content-Length: {len(payload)}\r\n\r\n"
                    .encode("ascii") + payload)
         try:
-            reused = self._conn is not None
+            reused = self._sock is not None
             answer = self._exchange(message)
             if answer is None and reused:  # closed while idle: the one re-dial
                 answer = self._exchange(message)

@@ -33,7 +33,7 @@ from typing import Any, Optional
 
 from ..errors import ServeError
 from .client import parse_job_document
-from .orchestrator import Orchestrator
+from .orchestrator import Orchestrator, job_text
 from .protocol import CANONICAL_JSON, bound_reads
 
 __all__ = ["HttpApi"]
@@ -105,6 +105,10 @@ class _Connection(asyncio.Protocol):
         self._buf = bytearray()
         #: The parsed head of a request whose body is still arriving.
         self._head: Optional[tuple[str, str, int, bool]] = None
+        #: The last head parsed, raw, and what it parsed to (None before
+        #: the first): a client repeats its heads, and a repeated head is
+        #: not parsed again.
+        self._last: Optional[tuple[bytes, tuple[str, str, int, bool]]] = None
         #: Whether the transport's write buffer is over its high mark.
         self._paused = False
         #: Once closing: how many more input bytes are dropped (else None).
@@ -182,12 +186,17 @@ class _Connection(asyncio.Protocol):
                     self._reject(f"request head over the {_HEAD_LIMIT}-byte "
                                  f"bound", len(buf) - pos)
                     return
-                try:
-                    head = _parse_head(buf[pos:end].decode("ascii",
-                                                           "replace"))
-                except ValueError as exc:
-                    self._reject(str(exc), len(buf) - end - 4)
-                    return
+                raw = buf[pos:end]
+                last = self._last
+                if last is not None and last[0] == raw:
+                    head = last[1]
+                else:
+                    try:
+                        head = _parse_head(raw.decode("ascii", "replace"))
+                    except ValueError as exc:
+                        self._reject(str(exc), len(buf) - end - 4)
+                        return
+                    self._last = raw, head
                 pos = end + 4
             method, path, length, keep = head
             if len(buf) - pos < length:
@@ -313,8 +322,14 @@ class HttpApi:
             self.shutdown_requested.set()
             return 200, {"ok": True, "shutting_down": True}
         if path == "/jobs" and method == "POST":
-            kind, spec = parse_job_document(body)
-            job_id = orch.submit(kind, spec)
+            # A body that is, byte for byte, the canonical text of a known
+            # document is that document (canonical texts are ASCII, so
+            # latin-1 maps their bytes one to one): nothing is parsed.
+            text = body.decode("latin-1")
+            known = orch.expansions.get(text)
+            if known is None or not known.canonical:
+                text = job_text(*parse_job_document(body))
+            job_id = orch.submit_text(text)
             return 201, orch.job_status(job_id)
         if path == "/jobs" and method == "GET":
             return 200, {"jobs": orch.list_jobs()}

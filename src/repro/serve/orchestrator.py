@@ -27,7 +27,8 @@ each point in order either way, plus:
   (:func:`job_text`), and every text that expanded is kept with its
   expansion and its points' key records. A job whose text is known —
   submitted again, or a second line of it on resume — is expanded by no
-  one, and its job is filled by one store lookup over its points.
+  one, and its job is filled by one store lookup over its points — or
+  by none, once the store has proved every one of them.
 
 With socket workers, scheduling runs on one asyncio event loop; each
 worker is a child the service forked, attached (:meth:`Orchestrator.attach`)
@@ -202,11 +203,14 @@ class Expansion:
     """One job document, expanded: what every job with its text shares.
 
     ``kind`` and ``spec`` are the document's as JSON reads them back,
-    ``blobs[i]`` the key record of ``points[i]``. ``warm`` is the result
-    list of the first job of this document whose every point hit the
-    store, and the result list of every later such job: the store answers
-    a proved point with the same object every time, so those lists would
-    be equal. Shared, like the store's results: read-only.
+    ``blobs[i]`` the key record of ``points[i]``. ``canonical`` says
+    whether the text it is keyed by reads back to itself: every text of
+    a JSON document does, one whose keys were not all strings (a YAML
+    ``1:``) need not. ``warm`` is the result list of the first job of
+    this document whose every point hit the store, and the result list
+    of every later job of it: the store never forgets a proved point and
+    answers it with the same object every time, so those lists would be
+    equal. Shared, like the store's results: read-only.
     """
 
     kind: str
@@ -214,6 +218,7 @@ class Expansion:
     point_kind: str
     points: list[dict]
     blobs: list[str]
+    canonical: bool
     warm: Optional[list[Any]] = None
 
 
@@ -520,7 +525,11 @@ class Orchestrator:
         first), the bytes every build wrote as a manifest, and a newline.
         An append that fails raises ``OSError`` and consumes no id.
         """
-        text = job_text(kind, spec)
+        return self.submit_text(job_text(kind, spec))
+
+    def submit_text(self, text: str) -> str:
+        """:meth:`submit` of the job document whose canonical text
+        (:func:`job_text`) is ``text``."""
         expansion = self._expand(text)  # raises on a bad document
         job_id = f"job-{self._next_id:05d}"
         self._append(f'{{"job_id":"{job_id}",{text[1:]}\n'.encode())
@@ -554,20 +563,25 @@ class Orchestrator:
             point_kind, points = expand_job(doc["kind"], doc["spec"])
             expansion = self.expansions[text] = Expansion(
                 doc["kind"], doc["spec"], point_kind, points,
-                [point_blob(point_kind, point) for point in points])
+                [point_blob(point_kind, point) for point in points],
+                CANONICAL_JSON.encode(doc) == text)
         return expansion
 
     def _register_job(self, job_id: str, expansion: Expansion) -> None:
-        """Add a job and fill it from the store in one lookup; only the
+        """Add a job and fill it from the store in one lookup (none once
+        the store has proved every point of its document); only the
         points the store lacks are deduped against the tasks in flight
         or queued."""
         points, blobs = expansion.points, expansion.blobs
-        results = self.cache.load_blobs(blobs)
-        misses = results.count(PENDING)
-        if not misses:
-            if expansion.warm is None:
+        results = expansion.warm
+        if results is not None:  # counted as the lookup would count it
+            self.cache.hits += len(blobs)
+            misses = 0
+        else:
+            results = self.cache.load_blobs(blobs)
+            misses = results.count(PENDING)
+            if not misses:
                 expansion.warm = results
-            results = expansion.warm
         job = Job(job_id=job_id, kind=expansion.kind, spec=expansion.spec,
                   point_kind=expansion.point_kind, points=points,
                   results=results, submitted=time.monotonic(),

@@ -12,6 +12,8 @@ import argparse
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.cli import build_parser
 
 CENSUS = Path(__file__).resolve().parents[1] / "docs" / "cli.md"
@@ -70,3 +72,22 @@ def test_one_command_per_experiment():
     commands = {command for command, flags in _parser_surface() if not flags}
     assert not {"sweep", "profile", "faults"} & commands
     assert len({c for c in commands if " " not in c}) == 18
+
+
+def test_a_prefix_of_a_flag_is_not_that_flag(capsys):
+    """Only whole option names parse: the deleted ``serve --heartbeat``
+    is an error, not ``--heartbeat-timeout``, in every parser."""
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["serve", "--heartbeat", "0.5"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --heartbeat 0.5" in capsys.readouterr().err
+
+    def parsers(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from parsers(sub)
+
+    assert not [parser.prog for parser in parsers(build_parser())
+                if parser.allow_abbrev]

@@ -64,66 +64,67 @@ def test_200_point_battery_survives_kills_and_is_byte_identical(tmp_path):
     handle = spawn_service(state, workers=2, oversubscribe=True,
                            heartbeat_timeout=3.0)
     try:
-        client = handle.client()
-        sweep = client.submit("sweep", SWEEP_SPEC)
-        campaign = client.submit("campaign", CAMPAIGN_SPEC)
-        job_ids = [sweep["job_id"], campaign["job_id"]]
-        assert sweep["total"] + campaign["total"] == 200
+        with handle.client() as client:
+            sweep = client.submit("sweep", SWEEP_SPEC)
+            campaign = client.submit("campaign", CAMPAIGN_SPEC)
+            job_ids = [sweep["job_id"], campaign["job_id"]]
+            assert sweep["total"] + campaign["total"] == 200
 
-        # Chaos 1: kill -9 one worker once points are flowing. Its
-        # in-flight point must be requeued; the supervisor respawns
-        # capacity.
-        _wait_until(lambda: _total_done(client, job_ids) >= 5, 60,
-                    "first points")
-        victim = handle.worker_pids()[0]
-        os.kill(victim, signal.SIGKILL)
-        _wait_until(lambda: victim not in handle.worker_pids(), 30,
-                    "dead worker detection")
-        _wait_until(lambda: len(handle.worker_pids()) == 2, 30,
-                    "worker respawn")
+            # Chaos 1: kill -9 one worker once points are flowing. Its
+            # in-flight point must be requeued; the supervisor respawns
+            # capacity.
+            _wait_until(lambda: _total_done(client, job_ids) >= 5, 60,
+                        "first points")
+            victim = handle.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            _wait_until(lambda: victim not in handle.worker_pids(), 30,
+                        "dead worker detection")
+            _wait_until(lambda: len(handle.worker_pids()) == 2, 30,
+                        "worker respawn")
 
-        # Chaos 2: kill -9 the orchestrator itself mid-run, then restart
-        # on the same state dir. Manifests + result cache must rebuild
-        # the queue with exactly the unfinished points.
-        _wait_until(lambda: _total_done(client, job_ids) >= 60, 120,
-                    "mid-run progress")
-        done_before_crash = _total_done(client, job_ids)
-        handle.kill()
+            # Chaos 2: kill -9 the orchestrator itself mid-run, then
+            # restart on the same state dir. Manifests + result cache must
+            # rebuild the queue with exactly the unfinished points.
+            _wait_until(lambda: _total_done(client, job_ids) >= 60, 120,
+                        "mid-run progress")
+            done_before_crash = _total_done(client, job_ids)
+            handle.kill()
         assert not handle.alive()
         handle = spawn_service(state, workers=2, oversubscribe=True,
                                heartbeat_timeout=3.0)
-        client = handle.client()
-        resumed = {j["job_id"]: j for j in client.jobs()}
-        assert set(resumed) == set(job_ids)  # same ids, from the journal
-        # Completed points were served from the cache, not re-run.
-        assert sum(j["cache_hits"] for j in resumed.values()) >= \
-            done_before_crash - 2  # minus at most the in-flight points
+        with handle.client() as client:
+            resumed = {j["job_id"]: j for j in client.jobs()}
+            # The same ids, from the journal.
+            assert set(resumed) == set(job_ids)
+            # Completed points were served from the cache, not re-run.
+            assert sum(j["cache_hits"] for j in resumed.values()) >= \
+                done_before_crash - 2  # minus at most the in-flight points
 
-        for job_id in job_ids:
-            client.wait(job_id, timeout=300)
+            for job_id in job_ids:
+                client.wait(job_id, timeout=300)
 
-        # Byte-identity against the in-process references.
-        sweep_doc = client.result(sweep["job_id"])
-        sweep_points, reference = _reference("sweep", SWEEP_SPEC)
-        assert sweep_doc["points"] == sweep_points
-        assert _canon(sweep_doc["results"]) == _canon(reference)
+            # Byte-identity against the in-process references.
+            sweep_doc = client.result(sweep["job_id"])
+            sweep_points, reference = _reference("sweep", SWEEP_SPEC)
+            assert sweep_doc["points"] == sweep_points
+            assert _canon(sweep_doc["results"]) == _canon(reference)
 
-        campaign_doc = client.result(campaign["job_id"])
-        assert _canon(campaign_doc["results"]) == \
-            _canon(_reference("campaign", CAMPAIGN_SPEC)[1])
-        # Zero lost, zero duplicated: every point slot filled exactly
-        # once, in expansion order.
-        assert len(campaign_doc["results"]) == 160
-        assert len(sweep_doc["results"]) == 40
+            campaign_doc = client.result(campaign["job_id"])
+            assert _canon(campaign_doc["results"]) == \
+                _canon(_reference("campaign", CAMPAIGN_SPEC)[1])
+            # Zero lost, zero duplicated: every point slot filled exactly
+            # once, in expansion order.
+            assert len(campaign_doc["results"]) == 160
+            assert len(sweep_doc["results"]) == 40
 
-        # Resubmission: 100% warm cache hits, nothing executes.
-        for kind, spec, total in (("sweep", SWEEP_SPEC, 40),
-                                  ("campaign", CAMPAIGN_SPEC, 160)):
-            again = client.submit(kind, spec)
-            assert again["status"] == "done", again
-            assert again["cache_hits"] == total == again["done"]
-        metrics = client.metrics()
-        assert metrics["cache"]["hits"] >= 200
+            # Resubmission: 100% warm cache hits, nothing executes.
+            for kind, spec, total in (("sweep", SWEEP_SPEC, 40),
+                                      ("campaign", CAMPAIGN_SPEC, 160)):
+                again = client.submit(kind, spec)
+                assert again["status"] == "done", again
+                assert again["cache_hits"] == total == again["done"]
+            metrics = client.metrics()
+            assert metrics["cache"]["hits"] >= 200
     finally:
         handle.stop()
 
@@ -132,10 +133,10 @@ def test_campaign_result_carries_local_summary_shape(tmp_path):
     spec = {"seed": 3, "n": 6}
     handle = spawn_service(str(tmp_path / "s"), workers=1)
     try:
-        client = handle.client()
-        job = client.submit("campaign", spec)
-        client.wait(job["job_id"], timeout=120)
-        summary = client.result(job["job_id"])["summary"]
+        with handle.client() as client:
+            job = client.submit("campaign", spec)
+            client.wait(job["job_id"], timeout=120)
+            summary = client.result(job["job_id"])["summary"]
     finally:
         handle.stop()
     from repro.scenarios.campaign import summarize_outcomes
@@ -150,37 +151,38 @@ def test_campaign_result_carries_local_summary_shape(tmp_path):
 def test_http_api_status_codes(tmp_path):
     handle = spawn_service(str(tmp_path / "s"), workers=1)
     try:
-        client = handle.client()
-        # In-flight job: /result answers 409, not a broken document.
-        job = client.submit("selftest", {"n": 4, "ms": 200})
-        status, doc = client.request(
-            "GET", f"/jobs/{job['job_id']}/result")
-        assert status == 409 and "running" in doc["error"]
-        # Unknown job: 404. Bad documents and kinds: 400.
-        assert client.request("GET", "/jobs/job-99999")[0] == 404
-        assert client.request("POST", "/jobs", {"kind": "nope"})[0] == 400
-        assert client.request("POST", "/jobs", {"no": "kind"})[0] == 400
-        # Wrong-typed fields and impossible points too: a 400 naming the
-        # problem, not a dropped connection or a job that fails later.
-        for kind, spec in (("selftest", {"n": None}),
-                           ("selftest", {"n": 2, "ms": "slow"}),
-                           ("campaign", {"n": 2, "seed": "x"}),
-                           ("sweep", {"params": {"mode": ["everywere"],
-                                                 "cores": [1]}})):
-            status, doc = client.request("POST", "/jobs",
-                                         {"kind": kind, "spec": spec})
-            assert status == 400 and "bad" in doc["error"], (spec, doc)
-        # A failing point turns into a 500 on /result with the blame.
-        failing = client.submit("selftest", {"n": 1, "fail_at": 0})
-        _wait_until(lambda: client.job(failing["job_id"])["status"] ==
-                    "failed", 60, "failing job")
-        status, doc = client.request(
-            "GET", f"/jobs/{failing['job_id']}/result")
-        assert status == 500 and "asked to fail" in doc["error"]
-        # The sleepy job still completes cleanly afterwards.
-        client.wait(job["job_id"], timeout=120)
-        trace = client.trace(job["job_id"])
-        assert len(trace["traceEvents"]) == 4  # one slice per executed point
+        with handle.client() as client:
+            # In-flight job: /result answers 409, not a broken document.
+            job = client.submit("selftest", {"n": 4, "ms": 200})
+            status, doc = client.request(
+                "GET", f"/jobs/{job['job_id']}/result")
+            assert status == 409 and "running" in doc["error"]
+            # Unknown job: 404. Bad documents and kinds: 400.
+            assert client.request("GET", "/jobs/job-99999")[0] == 404
+            assert client.request("POST", "/jobs", {"kind": "nope"})[0] == 400
+            assert client.request("POST", "/jobs", {"no": "kind"})[0] == 400
+            # Wrong-typed fields and impossible points too: a 400 naming the
+            # problem, not a dropped connection or a job that fails later.
+            for kind, spec in (("selftest", {"n": None}),
+                               ("selftest", {"n": 2, "ms": "slow"}),
+                               ("campaign", {"n": 2, "seed": "x"}),
+                               ("sweep", {"params": {"mode": ["everywere"],
+                                                     "cores": [1]}})):
+                status, doc = client.request("POST", "/jobs",
+                                             {"kind": kind, "spec": spec})
+                assert status == 400 and "bad" in doc["error"], (spec, doc)
+            # A failing point turns into a 500 on /result with the blame.
+            failing = client.submit("selftest", {"n": 1, "fail_at": 0})
+            _wait_until(lambda: client.job(failing["job_id"])["status"] ==
+                        "failed", 60, "failing job")
+            status, doc = client.request(
+                "GET", f"/jobs/{failing['job_id']}/result")
+            assert status == 500 and "asked to fail" in doc["error"]
+            # The sleepy job still completes cleanly afterwards.
+            client.wait(job["job_id"], timeout=120)
+            trace = client.trace(job["job_id"])
+            # One slice per executed point.
+            assert len(trace["traceEvents"]) == 4
     finally:
         handle.stop()
 
@@ -201,23 +203,24 @@ def test_local_and_served_runs_share_one_store(tmp_path):
     assert main(cli + [local]) == 0
     handle = spawn_service(local, workers=1)
     try:
-        client = handle.client()
-        # The CLI's own job was resumed from its journal line, all warm...
-        assert [(j["status"], j["cache_hits"]) for j in client.jobs()] == \
-            [("done", 4)]
-        again = client.submit("sweep", spec)  # ...and so is a resubmission.
-        assert (again["status"], again["cache_hits"]) == ("done", 4)
-        assert client.metrics()["metrics"].get("serve.point.done") is None
+        with handle.client() as client:
+            # The CLI's own job was resumed from its journal line, all warm...
+            assert [(j["status"], j["cache_hits"]) for j in client.jobs()] == \
+                [("done", 4)]
+            # ...and so is a resubmission.
+            again = client.submit("sweep", spec)
+            assert (again["status"], again["cache_hits"]) == ("done", 4)
+            assert client.metrics()["metrics"].get("serve.point.done") is None
     finally:
         handle.stop()
 
     served = str(tmp_path / "served")
     handle = spawn_service(served, workers=1)
     try:
-        client = handle.client()
-        job = client.submit("sweep", spec)
-        client.wait(job["job_id"], timeout=120)
-        results = client.result(job["job_id"])["results"]
+        with handle.client() as client:
+            job = client.submit("sweep", spec)
+            client.wait(job["job_id"], timeout=120)
+            results = client.result(job["job_id"])["results"]
     finally:
         handle.stop()
     doc = run_local(served, "sweep", spec)[0]
@@ -249,20 +252,20 @@ def test_service_auto_sizes_workers_to_host(tmp_path):
 def test_yaml_job_document_over_http(tmp_path):
     handle = spawn_service(str(tmp_path / "s"), workers=1)
     try:
-        client = handle.client()
-        body = "kind: selftest\nspec:\n  n: 3\n"
-        import http.client as hc
-        import urllib.parse
-        parsed = urllib.parse.urlsplit(handle.url)
-        conn = hc.HTTPConnection(parsed.hostname, parsed.port, timeout=30)
-        conn.request("POST", "/jobs", body=body.encode())
-        response = conn.getresponse()
-        doc = json.loads(response.read())
-        conn.close()
-        assert response.status == 201 and doc["total"] == 3
-        client.wait(doc["job_id"], timeout=60)
-        assert client.result(doc["job_id"])["results"] == \
-            [{"i": 0, "value": 0}, {"i": 1, "value": 1},
-             {"i": 2, "value": 4}]
+        with handle.client() as client:
+            body = "kind: selftest\nspec:\n  n: 3\n"
+            import http.client as hc
+            import urllib.parse
+            parsed = urllib.parse.urlsplit(handle.url)
+            conn = hc.HTTPConnection(parsed.hostname, parsed.port, timeout=30)
+            conn.request("POST", "/jobs", body=body.encode())
+            response = conn.getresponse()
+            doc = json.loads(response.read())
+            conn.close()
+            assert response.status == 201 and doc["total"] == 3
+            client.wait(doc["job_id"], timeout=60)
+            assert client.result(doc["job_id"])["results"] == \
+                [{"i": 0, "value": 0}, {"i": 1, "value": 1},
+                 {"i": 2, "value": 4}]
     finally:
         handle.stop()

@@ -8,12 +8,15 @@ in-process :class:`HttpApi` on a loop in a thread): requests on one
 connection are answered in order, a framing error is answered 400 and
 closes, the client re-dials only a connection the server closed while
 idle, and no byte sequence in any chunking gets anything but well-formed
-responses or a clean close. Then the orchestrator contract (tier 2,
-real sockets on one event loop): a worker that stops heartbeating or
-drops its connection has its in-flight point requeued and finished by
-another worker (and only such a worker: slow-but-beating and idle ones
-stay); a point that *raises* fails the job immediately; duplicate
-in-flight points are deduped to one execution.
+responses or a clean close. Then a warm resubmission (tier 1, no
+sockets): a known document in any spelling is one job, counted as a
+store lookup counts it, and a repeated head is parsed once. Then the
+orchestrator contract (tier 2, real sockets on one event loop): a
+worker that stops heartbeating or drops its connection has its
+in-flight point requeued and finished by another worker (and only such
+a worker: slow-but-beating and idle ones stay); a point that *raises*
+fails the job immediately; duplicate in-flight points are deduped to
+one execution.
 """
 
 import asyncio
@@ -39,7 +42,7 @@ import repro.serve.http as http_mod
 import repro.serve.orchestrator as orch_mod
 from repro.errors import ProtocolError, ServeError
 from repro.serve.cache import PENDING
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, parse_job_document
 from repro.serve.http import HttpApi
 from repro.serve.orchestrator import Orchestrator, job_text
 from repro.serve.points import JOB_KINDS, execute_point, expand_job
@@ -1028,7 +1031,8 @@ def test_client_redials_a_connection_closed_while_idle(tmp_path):
 @contextlib.contextmanager
 def _scripted_server(script):
     """A one-thread TCP server: per accepted connection, ``script`` gives
-    a list of responses (bytes; ``None`` = read the request, then hang up
+    a list of responses (bytes; a tuple of bytes = sent in pieces, a
+    pause between each; ``None`` = read the request, then hang up
     without a byte). Yields ``(url, received)``; ``received`` collects
     every request head seen."""
     received = []
@@ -1045,7 +1049,10 @@ def _scripted_server(script):
                     received.append(head.split(b"\r\n")[0])
                     if answer is None:
                         break
-                    conn.sendall(answer)
+                    for piece in answer if isinstance(answer, tuple) \
+                            else (answer,):
+                        conn.sendall(piece)
+                        time.sleep(0.02)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -1082,6 +1089,32 @@ def test_client_retry_rule_is_once_and_only_on_a_reused_connection():
             with pytest.raises(ServeError, match="unreachable"):
                 client.request("POST", "/jobs", {"kind": "selftest"})
     assert received == [b"GET /first HTTP/1.1", b"POST /jobs HTTP/1.1"]
+
+
+def test_client_reads_a_response_however_it_arrives():
+    """A response cut inside its status line, a header, its blank line
+    and its body reads as one; a body past one 64 KiB read is read whole;
+    ``Connection: close`` drops the connection, and the next request
+    dials a new one."""
+    big = json.dumps({"x": "y" * 200_000}).encode()
+    cut = (b"HTTP/1.1 2", b"01 Created\r\nContent-Le", b"ngth: 12\r\n",
+           b"Connection: keep-alive\r\n\r", b"\n{\"a\":", b"[1, 2]}")
+    script = [[cut,
+               b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(big)
+               + big,
+               b"HTTP/1.1 404 Not Found\r\nConnection: close\r\n"
+               b"Content-Length: 2\r\n\r\n{}"],
+              [_OK]]
+    with _scripted_server(script) as (url, received):
+        with ServeClient(url, timeout=5) as client:
+            assert client.request("GET", "/cut") == (201, {"a": [1, 2]})
+            assert client.request("GET", "/big") == (
+                200, {"x": "y" * 200_000})
+            assert client.request("GET", "/closing") == (404, {})
+            assert client._sock is None
+            assert client.request("GET", "/again") == (200, {})
+    assert received == [b"GET /cut HTTP/1.1", b"GET /big HTTP/1.1",
+                        b"GET /closing HTTP/1.1", b"GET /again HTTP/1.1"]
 
 
 def test_client_of_a_killed_service_raises_and_does_not_hang(tmp_path):
@@ -1447,6 +1480,162 @@ def test_a_client_that_never_reads_keeps_the_write_buffer_bounded(tmp_path):
 
             (held,) = call(buffered())
             assert sent >= 2000 and 0 < held <= 2 * 64 * 1024
+
+
+# -- warm resubmission (tier 1, no sockets) --------------------------------
+def test_a_canonical_job_text_reads_back_to_itself():
+    """A POST body that is a known document's canonical text is that
+    document, unparsed; this holds because the text is a fixpoint of
+    parsing and re-canonicalising, for any document a JSON body holds."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.floats(), st.just(-0.0),
+        st.integers(), st.integers(-2**200, 2**200), st.text())
+    values = st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+        max_leaves=16)
+
+    @hypothesis.given(st.text(min_size=1), st.dictionaries(
+        st.text(max_size=8), values, max_size=5))
+    def prop(kind, spec):
+        text = job_text(kind, spec)
+        assert job_text(*parse_job_document(text.encode())) == text
+
+    prop()
+
+
+def _ask(connection, transport, data):
+    """Feed ``data`` to ``connection``; the responses it wrote for it."""
+    start = len(transport.written)
+    connection.data_received(data)
+    return _responses(transport.written[start:])
+
+
+@contextlib.contextmanager
+def _edge(tmp_path, spec):
+    """One connection of an in-process service whose store holds every
+    point of the selftest job ``spec``, asked once (the cold fill)."""
+    orch = Orchestrator(str(tmp_path / "s"))
+    try:
+        orch.submit("selftest", spec)
+        orch.drain_inline()
+        connection = http_mod._Connection(HttpApi(orch))
+        yield orch, connection, _MemoryTransport(connection)
+    finally:
+        orch.close()
+
+
+def _without(doc, *keys):
+    return _canonical_json({k: v for k, v in doc.items() if k not in keys})
+
+
+def test_every_spelling_of_a_known_document_is_one_job(tmp_path):
+    """A known document POSTed as its canonical text (taken unparsed),
+    as pretty JSON, as YAML or with its keys in another order is the
+    same job: each appends the same journal line but for its id, is
+    answered the same status and has the same result document."""
+    import yaml
+    spec = {"n": 5, "ms": 0}
+    doc = {"kind": "selftest", "spec": spec}
+    bodies = [
+        job_text("selftest", spec).encode(),
+        json.dumps(doc, indent=2).encode(),
+        yaml.safe_dump(doc).encode(),
+        json.dumps({"spec": {"n": 5, "ms": 0}, "kind": "selftest"}).encode(),
+    ]
+    state = str(tmp_path / "s")
+    with _edge(tmp_path, spec) as (orch, connection, transport):
+        for body in bodies:
+            before = _journal(state)
+            [(status, _headers, answer)] = _ask(connection, transport,
+                                                _post_body(body))
+            job_id = answer["job_id"]
+            assert status == 201
+            assert _journal(state) == before + _line(job_id, "selftest",
+                                                     spec)
+            assert _without(answer, "job_id", "elapsed_sec") == \
+                _canonical_json({"kind": "selftest", "status": "done",
+                                 "error": None, "total": 5, "done": 5,
+                                 "cache_hits": 5})
+            assert _without(orch.job_result(job_id), "job_id") == \
+                _without(orch.job_result("job-00002"), "job_id")
+        assert len(orch.expansions) == 1
+
+
+def test_a_known_text_that_does_not_read_back_is_parsed(tmp_path):
+    """A YAML key that is no string makes a canonical text that reads
+    back to another one: a body of those bytes is parsed, so it lands on
+    the text JSON reads it as, as it would if the first were unknown."""
+    body = b"kind: selftest\nspec: {n: 2, extra: {10: a, 9: b}}\n"
+    state = str(tmp_path / "s")
+    with _edge(tmp_path, {"n": 2}) as (orch, connection, transport):
+        _ask(connection, transport, _post_body(body))
+        text = '{"kind":"selftest","spec":{"extra":{"9":"b","10":"a"},"n":2}}'
+        assert text in orch.expansions
+        before = _journal(state)
+        [(status, _h, answer)] = _ask(connection, transport,
+                                      _post_body(text.encode()))
+        assert status == 201
+        assert _journal(state) == before + _line(
+            answer["job_id"], "selftest",
+            {"n": 2, "extra": {"10": "a", "9": "b"}})
+
+
+def test_warm_posts_count_as_store_lookups_count(tmp_path):
+    """N warm POSTs of a 35-point document raise the store's hits by
+    35 N, its misses by nothing, ``serve.cache.hit`` by 35 N and
+    ``serve.job.submitted`` by N, and load no point from the store."""
+    posts = 7
+    spec = {"n": 35}
+    post = _post_body(job_text("selftest", spec).encode())
+    with _edge(tmp_path, spec) as (orch, connection, transport):
+        _ask(connection, transport, post)  # the first warm POST
+        metrics = orch.metrics
+        before = (orch.cache.hits, orch.cache.misses,
+                  metrics.value("serve.cache.hit"),
+                  metrics.value("serve.job.submitted"),
+                  metrics.value("serve.cache.miss"))
+        loaded = []
+        orch.cache.load_blobs = loaded.append
+        answers = _ask(connection, transport, post * posts)
+        assert [(status, doc["cache_hits"]) for status, _h, doc
+                in answers] == [(201, 35)] * posts
+        assert (orch.cache.hits, orch.cache.misses,
+                metrics.value("serve.cache.hit"),
+                metrics.value("serve.job.submitted"),
+                metrics.value("serve.cache.miss")) == (
+            before[0] + 35 * posts, before[1], before[2] + 35 * posts,
+            before[3] + posts, before[4])
+        assert loaded == []
+
+
+def test_a_repeated_head_is_parsed_once(tmp_path, monkeypatch):
+    """One connection sends POST, POST, GET, GET, POST, then an empty
+    head: every request is answered right, a head equal to the one
+    before it is not parsed again, and the empty head is a 400."""
+    parsed = _count_calls(monkeypatch, http_mod, "_parse_head")
+    post = _post_body(job_text("selftest", {"n": 3}).encode())
+
+    async def converse():  # a close arms a timer on the running loop
+        with _edge(tmp_path, {"n": 3}) as (orch, connection, transport):
+            answers = [_ask(connection, transport, request)
+                       for request in (post, post, _get("/jobs/job-00002"),
+                                       _get("/jobs/job-00002"), post,
+                                       b"\r\n\r\n")]
+            transport.close()
+            return answers, orch.job_ids()
+
+    answers, job_ids = asyncio.run(converse())
+    assert [(status, headers["connection"], doc.get("job_id"))
+            for ((status, headers, doc),) in answers] == [
+        (201, "keep-alive", "job-00002"), (201, "keep-alive", "job-00003"),
+        (200, "keep-alive", "job-00002"), (200, "keep-alive", "job-00002"),
+        (201, "keep-alive", "job-00004"), (400, "close", None)]
+    assert "malformed request line" in answers[-1][0][2]["error"]
+    assert len(parsed) == 4  # POST, GET, POST and the empty head
+    assert job_ids == [f"job-0000{n}" for n in (1, 2, 3, 4)]
 
 
 # -- orchestrator scheduling (tier 2) --------------------------------------
