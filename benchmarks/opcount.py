@@ -27,15 +27,19 @@ while a point is traced, so no finalizer runs inside one point's count
 at another's expense. Tracing makes a run ~20x slower; ``--size full``
 takes a few minutes.
 
-``--size serve`` is the service's census instead: the opcodes the
-service executes per warm ``POST /jobs`` of the ``served_warm`` job (the
-``full`` grid, 35 points, every one in the store), by module and by
-function. Each POST carries the body a ``ServeClient`` sends, the
-document's canonical JSON. The service runs in this process with no socket: request
-bytes are fed to one HTTP connection protocol over an in-memory
-transport, which answers each request inside the call that feeds it.
-One cold job fills the store and a few warm ones load what a warm POST
-loads, all untraced; then ``SERVE_POSTS`` warm POSTs are counted.
+``--size serve`` is the census of a warm ``POST /jobs`` of the
+``served_warm`` job instead (the ``full`` grid, 35 points, every one in
+the store), in two columns, by module and by function: the opcodes the
+service executes per POST, and those ``ServeClient.submit`` executes.
+Both run in this process with no socket. The service's request bytes
+are the ones a ``ServeClient`` sends (the document's canonical JSON),
+fed to one HTTP connection protocol over an in-memory transport, which
+answers each request inside the call that feeds it. One cold job fills
+the store and a few warm ones load what a warm POST loads, all
+untraced; then ``SERVE_POSTS`` warm POSTs are counted. The client's
+socket is in memory too: it keeps what the client sends, which must be
+those request bytes, and answers every read with the response the
+service wrote to one more POST of them.
 
 ``--check TABLE`` re-runs the census at the size TABLE was recorded at
 (``benchmarks/results/opcount_quick.txt`` and ``opcount_serve.txt`` in
@@ -263,12 +267,31 @@ class _MemoryTransport:
         self.write = self.written.extend
 
 
-def serve_census() -> Counter:
+class _ReplaySocket:
+    """A client's connected socket, in memory: ``sendall`` keeps what the
+    client sends, and every ``recv`` of ``READ_SIZE`` bytes returns one
+    recorded ``response``. Both are builtins (a list's ``append``, a
+    dict's ``get``), so the census counts none of their opcodes."""
+
+    def __init__(self, response: bytes) -> None:
+        from repro.serve.protocol import READ_SIZE
+        self.sent: list[bytes] = []
+        self.sendall = self.sent.append
+        self.recv = {READ_SIZE: response}.get
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+def serve_census() -> tuple[Counter, Counter]:
     """Opcodes per code object over ``SERVE_POSTS`` warm ``POST /jobs``
-    of the ``served_warm`` job, fed to one connection of an in-process
-    service whose store holds every point."""
+    of the ``served_warm`` job: ``(service, client)``. The service's are
+    fed to one connection of an in-process service whose store holds
+    every point; the client's are ``ServeClient.submit`` calls on a
+    socket that replays the service's response to one more POST."""
     import tempfile
 
+    from repro.serve.client import ServeClient
     from repro.serve.http import HttpApi, _Connection
     from repro.serve.orchestrator import Orchestrator
     from repro.serve.protocol import CANONICAL_JSON
@@ -305,36 +328,61 @@ def serve_census() -> Counter:
                     job.status != "done" or job.cache_hits != job.total
                     for job in done):
                 raise SystemExit("a counted POST was not answered warm")
+            last = len(transport.written)
+            connection.data_received(post)  # the response to replay
+            response = bytes(transport.written[last:])
         finally:
             orch.close()
-    return counts
+    client = ServeClient("http://census")
+    client._sock = sock = _ReplaySocket(response)
+
+    def submits() -> list[dict]:
+        return [client.submit("sweep", spec) for _ in range(SERVE_POSTS)]
+
+    submits()  # first uses, untraced
+    answers, client_counts = count_opcodes(submits)
+    client.close()
+    if sock.sent != [post] * (2 * SERVE_POSTS) or any(
+            doc["status"] != "done" or doc["cache_hits"] != doc["total"]
+            for doc in answers):
+        raise SystemExit("the client sent other bytes than the census "
+                         "POST, or read another answer than a warm one")
+    return counts, client_counts
 
 
-def serve_rows(counts: Counter) -> dict[str, list[float]]:
-    """``row -> [opcodes per warm POST]``: ``all``, then every module."""
-    modules = _by(counts, module_of)
-    rows = {"all": [sum(modules.values()) / SERVE_POSTS]}
-    for name, n in modules.most_common():
-        rows[name] = [n / SERVE_POSTS]
+#: The serve census's columns: opcodes per warm POST in each process.
+SERVE_COLUMNS = ("service", "client")
+
+
+def serve_rows(counts: tuple[Counter, Counter]) -> dict[str, list[float]]:
+    """``row -> [service, client] opcodes per warm POST``: ``all``, then
+    every module either side runs, by the sum of both."""
+    modules = [_by(side, module_of) for side in counts]
+    rows = {"all": [sum(side.values()) / SERVE_POSTS for side in modules]}
+    for name, _n in (modules[0] + modules[1]).most_common():
+        rows[name] = [side[name] / SERVE_POSTS for side in modules]
     return rows
 
 
-def render_serve(top: int, counts: Counter) -> str:
+def render_serve(top: int, counts: tuple[Counter, Counter]) -> str:
     """The serve census as plain-text tables."""
     sizes = SIZES["full"]
     points = len(MODES) * len(sizes["cores"])
+    service, client = SERVE_COLUMNS
     lines = [f"Executed opcodes per warm POST /jobs: served_warm grid "
              f"({SERVE}: {points} points, {len(MODES)} modes x cores "
              f"{sizes['cores']}, {sizes['warm_msgs_per_core']} msgs/core, "
              f"{SERVE_POSTS} POSTs), {PYTHON}", "",
-             f"{'module':<36} {'per_POST':>10}"]
-    lines += [f"{name:<36} {n:>10.0f}"
-              for name, (n,) in serve_rows(counts).items()]
-    functions = _by(counts, lambda code: f"{module_of(code)}:"
-                    f"{code.co_qualname}")
-    lines += ["", "by function", "", f"{'function':<60} {'per_POST':>10}"]
-    lines += [f"{name[-60:]:<60} {n / SERVE_POSTS:>10.0f}"
-              for name, n in functions.most_common(top)]
+             f"{'module':<36} {service:>10} {client:>10}"]
+    lines += [f"{name:<36} {a:>10.0f} {b:>10.0f}"
+              for name, (a, b) in serve_rows(counts).items()]
+    for column, side in zip(SERVE_COLUMNS, counts):
+        functions = _by(side, lambda code: f"{module_of(code)}:"
+                        f"{code.co_qualname}")
+        lines += ["", f"by function ({column})", "",
+                  f"{'function':<60} {'per_POST':>10}"]
+        lines += [f"{name[-60:]:<60} {n / SERVE_POSTS:>10.0f}"
+                  for name, n in functions.most_common(top)]
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ from itertools import repeat
 from typing import Any
 
 from ..snap import STATE_FORMAT_VERSION
-from .protocol import CANONICAL_JSON
+from .protocol import CANONICAL_JSON, JsonEncoder
 
 __all__ = ["SERVE_CACHE_VERSION", "PENDING", "ResultCache", "blob_key",
            "cache_key", "cache_record", "json_roundtrip", "point_blob"]
@@ -39,10 +39,12 @@ SERVE_CACHE_VERSION = f"serve1-memo1-snap2-state{STATE_FORMAT_VERSION}"
 #: Sentinel returned by :meth:`ResultCache.load` for a miss.
 PENDING = object()
 
-# Built once: ``json.dumps`` with a ``default`` constructs an encoder per
-# call, which is a third of the cost of serialising one small point.
+# Built once: ``json.dumps`` and ``JSONEncoder.encode`` build an encoder
+# per call, which is a third of the cost of serialising one small point.
+# Only what JSON reads back matters here, not the bytes, so the keys stay
+# in their order and the separators are compact.
 _DECODER = json.JSONDecoder()
-_PLAIN = json.JSONEncoder(default=str)
+_PLAIN = JsonEncoder(sort_keys=False, separators=(",", ":"))
 
 
 def json_roundtrip(result: Any) -> Any:
@@ -52,7 +54,7 @@ def json_roundtrip(result: Any) -> Any:
     computed in this process, served by a socket worker or loaded from
     the store — so all of them are byte-identical.
     """
-    return json.loads(_PLAIN.encode(result))
+    return _DECODER.decode(_PLAIN.encode(result))
 
 
 def cache_record(kind: str, point: dict) -> dict:

@@ -6,6 +6,7 @@ with it before it dials, and the HTTP edge parses with it every ``POST
 from __future__ import annotations
 
 import json
+import re
 import socket
 import time
 import urllib.parse
@@ -15,6 +16,21 @@ from ..errors import ServeError
 from .protocol import CANONICAL_JSON, READ_SIZE
 
 __all__ = ["ServeClient", "parse_job_document"]
+
+#: What a client reads of a response head, in one match from the status
+#: line to the head's last line break: the status, the body length and
+#: whether the server closes the connection after this response. Each
+#: lookahead skips whole lines to its field; names and ``close`` match in
+#: any case, with optional whitespace around the value.
+_HEAD = re.compile(rb"""
+    HTTP/1\.[01][ ]([0-9]{3})[ ]                            # the status
+    (?=(?:[^\r]*\r\n)*?content-length:[ \t]*([0-9]+)[ \t]*\r\n)
+    (?:(?=(?:[^\r]*\r\n)*?(connection:[ \t]*close)[ \t]*\r\n))?
+""", re.I | re.X)
+
+#: Decodes every response body; ``json.loads`` would also sniff the
+#: encoding of each one.
+_DECODER = json.JSONDecoder()
 
 
 def parse_job_document(body: bytes) -> tuple[str, dict]:
@@ -90,7 +106,9 @@ class ServeClient:
 
         The response is read with ``recv`` into one buffer: the head
         until its blank line, then the ``Content-Length`` bytes after it
-        (one read, for most answers)."""
+        (one read, for most answers). Only what the client needs is read
+        from the head: the status, the body length (a head without one
+        raises ``ValueError``) and a ``Connection: close``."""
         sock = self._sock
         if sock is None:
             sock = socket.create_connection(self._address, self._timeout)
@@ -107,19 +125,19 @@ class ServeClient:
         buf = bytearray(data)
         while (end := buf.find(b"\r\n\r\n")) < 0:
             _more(sock, buf)
-        line, *fields = buf[:end].decode("latin-1").split("\r\n")
-        headers = {}
-        for field in fields:
-            name, _, value = field.partition(":")
-            headers[name.strip().lower()] = value.strip()
+        head = _HEAD.match(buf, 0, end + 2)
+        if head is None:
+            raise ValueError(f"response head without a status or a "
+                             f"Content-Length: {bytes(buf[:end])!r}")
+        status, length, close = head.groups()
         start = end + 4
-        stop = start + int(headers["content-length"])
+        stop = start + int(length)
         while len(buf) < stop:
             _more(sock, buf)
-        if headers.get("connection", "").lower() == "close":
+        if close is not None:
             self.close()
-        body = buf[start:stop]
-        return int(line.split(None, 2)[1]), json.loads(body) if body else None
+        return int(status), (_DECODER.decode(buf[start:stop].decode())
+                             if stop > start else None)
 
     def request(self, method: str, path: str,
                 body: Optional[Any] = None) -> tuple[int, Any]:

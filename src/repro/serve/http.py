@@ -326,8 +326,7 @@ class HttpApi:
             # document is that document (canonical texts are ASCII, so
             # latin-1 maps their bytes one to one): nothing is parsed.
             text = body.decode("latin-1")
-            known = orch.expansions.get(text)
-            if known is None or not known.canonical:
+            if text not in orch.expansions:
                 text = job_text(*parse_job_document(body))
             job_id = orch.submit_text(text)
             return 201, orch.job_status(job_id)

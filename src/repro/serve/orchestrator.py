@@ -82,18 +82,21 @@ JOURNAL = "jobs.log"
 
 def job_text(kind: str, spec: Any) -> str:
     """The canonical text of a job document: the sorted, compact JSON of
-    ``{"kind": kind, "spec": spec}``.
+    ``{"kind": kind, "spec": spec}`` as JSON reads it back.
 
     It is the job's key in the orchestrator's expansion table, what is
-    expanded (as JSON reads it back, so a tuple is a list live and after
-    a resume alike) and, behind the job id, its journal line. Raises
-    :class:`~repro.errors.ServeError` for a document JSON cannot hold
-    (keys of mixed types, a cycle).
+    expanded (so a tuple is a list live and after a resume alike) and,
+    behind the job id, its journal line. It reads back to itself: a key
+    that is no string (a YAML ``10:``) is sorted before it becomes one,
+    so the text is sorted again as JSON reads it, and once read back
+    every key is a string. Raises :class:`~repro.errors.ServeError` for a
+    document JSON cannot hold (keys of mixed types, a cycle).
     """
     try:
-        return CANONICAL_JSON.encode({"kind": kind, "spec": spec})
+        text = CANONICAL_JSON.encode({"kind": kind, "spec": spec})
     except (TypeError, ValueError) as exc:
         raise ServeError(f"job document is not JSON: {exc}") from exc
+    return CANONICAL_JSON.encode(json.loads(text))
 
 
 def _job_number(job_id: str) -> Optional[int]:
@@ -203,14 +206,12 @@ class Expansion:
     """One job document, expanded: what every job with its text shares.
 
     ``kind`` and ``spec`` are the document's as JSON reads them back,
-    ``blobs[i]`` the key record of ``points[i]``. ``canonical`` says
-    whether the text it is keyed by reads back to itself: every text of
-    a JSON document does, one whose keys were not all strings (a YAML
-    ``1:``) need not. ``warm`` is the result list of the first job of
-    this document whose every point hit the store, and the result list
-    of every later job of it: the store never forgets a proved point and
-    answers it with the same object every time, so those lists would be
-    equal. Shared, like the store's results: read-only.
+    ``blobs[i]`` the key record of ``points[i]``. ``warm`` is the result
+    list of the first job of this document whose every point hit the
+    store, and the result list of every later job of it: the store never
+    forgets a proved point and answers it with the same object every
+    time, so those lists would be equal. Shared, like the store's
+    results: read-only.
     """
 
     kind: str
@@ -218,7 +219,6 @@ class Expansion:
     point_kind: str
     points: list[dict]
     blobs: list[str]
-    canonical: bool
     warm: Optional[list[Any]] = None
 
 
@@ -563,8 +563,7 @@ class Orchestrator:
             point_kind, points = expand_job(doc["kind"], doc["spec"])
             expansion = self.expansions[text] = Expansion(
                 doc["kind"], doc["spec"], point_kind, points,
-                [point_blob(point_kind, point) for point in points],
-                CANONICAL_JSON.encode(doc) == text)
+                [point_blob(point_kind, point) for point in points])
         return expansion
 
     def _register_job(self, job_id: str, expansion: Expansion) -> None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from _json import encode_basestring_ascii, make_encoder
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ProtocolError
@@ -41,17 +42,53 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CANONICAL_JSON", "MAX_FRAME_BYTES", "READ_SIZE", "FrameDecoder",
-    "bound_reads", "encode_frame", "write_frame",
+    "JsonEncoder", "bound_reads", "encode_frame", "write_frame",
     "job_frame", "result_frame", "error_frame",
     "heartbeat_frame",
 ]
 
+
+class JsonEncoder:
+    """``json.JSONEncoder(sort_keys=..., separators=..., default=str)``
+    with its C encoder built once, not per call.
+
+    ``JSONEncoder.encode`` goes through ``iterencode``, which builds a
+    fresh C encoder, markers dict and float closure on every call. This
+    builds the C encoder once, with the arguments ``iterencode`` passes
+    it (ASCII output, NaN and infinities allowed, no key skipped, a
+    markers dict to detect cycles), so :meth:`encode` returns the same
+    text for one C call. The encoder leaves its markers behind when it
+    raises — a cycle, keys it cannot sort — and they would make the
+    next encode of any of those objects a false cycle, so a failed
+    encode clears them. That clear would also drop the markers of an
+    encode running in another thread: threads that share an encoder
+    take turns under a lock (a worker's heartbeat thread and its main
+    loop write frames under one).
+    """
+
+    __slots__ = ("_markers", "_encode")
+
+    def __init__(self, *, sort_keys: bool,
+                 separators: tuple[str, str]) -> None:
+        item_separator, key_separator = separators
+        self._markers: dict[int, Any] = {}
+        self._encode = make_encoder(
+            self._markers, str, encode_basestring_ascii, None,
+            key_separator, item_separator, sort_keys, False, True)
+
+    def encode(self, obj: Any) -> str:
+        """The JSON text of ``obj``; raises like ``JSONEncoder.encode``."""
+        try:
+            return "".join(self._encode(obj, 0))
+        except BaseException:
+            self._markers.clear()
+            raise
+
+
 #: The serve layer's one canonical-JSON encoder: sorted keys, compact
 #: separators, anything else as its ``str``. Frames, HTTP bodies, job
-#: journal lines and cache key records are its bytes. Built once:
-#: ``json.dumps`` with these arguments builds an encoder per call.
-CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                  default=str)
+#: journal lines and cache key records are its bytes.
+CANONICAL_JSON = JsonEncoder(sort_keys=True, separators=(",", ":"))
 
 #: Upper bound on one frame's JSON payload. Large enough for any report
 #: the simulator produces, small enough that a corrupt length prefix

@@ -136,3 +136,48 @@ def test_a_serve_table_is_read_and_compared_in_its_one_column():
     assert opcount.compare(table["rows"], fresh,
                            columns=tuple(table["columns"])) == [
         "repro/serve/http.py (per_POST): 519 -> 530 (+2.1%)"]
+
+
+SERVE_TABLE_TWO_SIDES = """\
+Executed opcodes per warm POST /jobs: served_warm grid (serve: 35 points, \
+5 modes x cores [1, 2, 4, 8, 16, 32, 64], 4 msgs/core, 20 POSTs), \
+CPython 3.11.7
+
+module                                  service     client
+all                                         675        266
+repro/serve/http.py                         274          0
+repro/serve/client.py                         0        191
+other (stdlib, numpy)                        50         63
+
+by function (service)
+
+function                                                       per_POST
+repro/serve/http.py:_Connection._serve                              161
+"""
+
+
+def test_a_serve_table_gates_the_service_and_the_client_columns():
+    table = opcount.parse_table(SERVE_TABLE_TWO_SIDES)
+    assert table["columns"] == list(opcount.SERVE_COLUMNS)
+    assert table["rows"]["repro/serve/client.py"] == [0.0, 191.0]
+    fresh = dict(table["rows"], **{"repro/serve/client.py": [0.0, 196.0],
+                                   "repro/serve/http.py": [280.0, 0.0]})
+    assert opcount.compare(table["rows"], fresh,
+                           columns=tuple(table["columns"])) == [
+        "repro/serve/http.py (service): 274 -> 280 (+2.2%)",
+        "repro/serve/client.py (client): 191 -> 196 (+2.6%)"]
+
+
+def test_serve_rows_put_each_module_in_both_columns():
+    """A module one side never runs reads 0 in that side's column; the
+    rows are per POST, ``all`` first."""
+    from collections import Counter
+
+    from repro.serve.client import ServeClient
+    from repro.serve.http import _Connection
+    service = Counter({_Connection._serve.__code__: 40 * opcount.SERVE_POSTS})
+    client = Counter({ServeClient._exchange.__code__: 10 * opcount.SERVE_POSTS,
+                      ServeClient.request.__code__: 20 * opcount.SERVE_POSTS})
+    assert opcount.serve_rows((service, client)) == {
+        "all": [40.0, 30.0], "repro/serve/http.py": [40.0, 0.0],
+        "repro/serve/client.py": [0.0, 30.0]}

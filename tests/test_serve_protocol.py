@@ -25,6 +25,7 @@ import errno
 import gc
 import io
 import json
+import math
 import os
 import signal
 import socket
@@ -699,6 +700,94 @@ def test_edge_encoders_write_the_bytes_json_dumps_writes():
     prop()
 
 
+class _Opaque:
+    """A value JSON cannot hold: ``default=str`` writes its ``str``."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def __str__(self):
+        return f"<opaque {self.label}>"
+
+
+#: The encoders the serve layer builds once, each with the ``JSONEncoder``
+#: that is its oracle: the same arguments, an encoder built per call.
+_ORACLES = [
+    (CANONICAL_JSON, dict(sort_keys=True, separators=(",", ":"))),
+    (cache_mod._PLAIN, dict(sort_keys=False, separators=(",", ":"))),
+]
+
+
+def _encoded(encode, doc):
+    """``(text, None)``, or ``(None, exception type)`` if ``encode`` raised."""
+    try:
+        return encode(doc), None
+    except (TypeError, ValueError) as exc:
+        return None, type(exc)
+
+
+def _oracle(arguments):
+    """The ``encode`` of a ``JSONEncoder`` built for this call."""
+    return json.JSONEncoder(default=str, **arguments).encode
+
+
+def test_the_built_encoders_write_what_json_encoder_writes():
+    """Over nested dicts keyed by strings, numbers, booleans or None,
+    tuples, NaN and infinities, non-ASCII text and values only
+    ``default=str`` can write, each encoder built once writes the bytes
+    (or raises the error) of a ``JSONEncoder`` built for the call."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+        st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+        st.text(), st.text(st.characters(min_codepoint=0x80)),
+        st.builds(_Opaque, st.text(max_size=4)),
+        st.frozensets(st.integers(), max_size=3),
+        st.complex_numbers(allow_nan=False, max_magnitude=1e6))
+    # Keys of one dict share a type (strings; numbers and booleans, which
+    # sort together; None), or mix strings and numbers, which raises.
+    keys = [st.text(max_size=8),
+            st.one_of(st.integers(), st.floats(), st.booleans()),
+            st.none(), st.one_of(st.text(max_size=2), st.integers(0, 9))]
+    docs = st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        *[st.dictionaries(key, inner, max_size=4) for key in keys]),
+        max_leaves=16)
+
+    @hypothesis.given(docs)
+    @hypothesis.settings(max_examples=300, deadline=None)
+    def prop(doc):
+        for encoder, arguments in _ORACLES:
+            assert _encoded(encoder.encode, doc) == \
+                _encoded(_oracle(arguments), doc)
+
+    prop()
+
+
+def test_a_failed_encode_leaves_the_next_one_whole():
+    """A cycle (``ValueError``) or keys that do not sort (``TypeError``)
+    leave the encoder's cycle markers behind; the next encode of the same
+    objects, mended, still succeeds and still matches its oracle."""
+    leaf = [1, "é"]
+    cyclic = {"a": leaf, "b": {"nested": leaf}}
+    leaf.append(cyclic)
+    unsortable = {"k": {"x": 1}, "z": {1: "a", "b": 2}}
+    for encoder, arguments in _ORACLES:
+        with pytest.raises(ValueError, match="Circular reference"):
+            encoder.encode(cyclic)
+        leaf.pop()
+        assert encoder.encode(cyclic) == _oracle(arguments)(cyclic)
+        leaf.append(cyclic)
+        if arguments["sort_keys"]:
+            with pytest.raises(TypeError):
+                encoder.encode(unsortable)
+        del unsortable["z"][1]
+        assert encoder.encode(unsortable) == _oracle(arguments)(unsortable)
+        unsortable["z"][1] = "a"
+
+
 # -- HTTP edge (tier 1, in-process server) ---------------------------------
 @contextlib.contextmanager
 def _serving(tmp_path):
@@ -1117,6 +1206,90 @@ def test_client_reads_a_response_however_it_arrives():
                         b"GET /closing HTTP/1.1", b"GET /again HTTP/1.1"]
 
 
+def test_client_reads_header_fields_in_any_case_and_spacing():
+    """Field names in any case, with or without whitespace after the
+    colon, frame a body; ``Connection: close`` in any case drops the
+    connection, ``Connection: keep-alive`` keeps it."""
+    heads = [b"HTTP/1.1 200 OK\r\ncontent-length:2\r\n",
+             b"HTTP/1.1 200 OK\r\nCONTENT-LENGTH: \t2\t \r\n"
+             b"CoNnEcTiOn: Keep-Alive\r\n",
+             b"HTTP/1.1 200 OK\r\nConnection:  Close \r\n"
+             b"Content-length: 2\r\n",
+             b"HTTP/1.1 200 OK\r\ncONTENT-lENGTH: 2\r\n"
+             b"connection:CLOSE\r\n"]
+    closes = [False, False, True, True]
+    with _scripted_server([[heads[0] + b"\r\n{}", heads[1] + b"\r\n{}",
+                            heads[2] + b"\r\n{}"],
+                           [heads[3] + b"\r\n{}"]]) as (url, _received):
+        with ServeClient(url, timeout=5) as client:
+            for close in closes:
+                assert client.request("GET", "/x") == (200, {})
+                assert (client._sock is None) is close
+
+
+@pytest.mark.parametrize("field", [
+    b"", b"Content-Length: \r\n", b"Content-Length: two\r\n",
+    b"Content-Length: 2x\r\n", b"Content-Length: -2\r\n",
+    b"Content-Length: 2.0\r\n", b"Content-Size: 2\r\n",
+    b"X-Content-Length: 2\r\n"],
+    ids=["missing", "empty", "word", "suffix", "negative", "float",
+         "other-name", "longer-name"])
+def test_client_refuses_a_response_without_a_byte_count(field):
+    """A response head without a numeric ``Content-Length`` frames no
+    body: the request raises ``ServeError`` and drops the connection."""
+    with _scripted_server([[b"HTTP/1.1 200 OK\r\n" + field + b"\r\n{}"]]
+                          ) as (url, _received):
+        with ServeClient(url, timeout=5) as client:
+            with pytest.raises(ServeError, match="Content-Length"):
+                client.request("GET", "/x")
+            assert client._sock is None
+
+
+def test_client_returns_every_status_and_raises_on_errors():
+    """The status comes from the status line: a 2xx is the document, a
+    4xx or 5xx is returned by ``request`` and raised, with the
+    document's ``error``, by the convenience methods; an empty body is
+    ``None``."""
+    answers = [(201, "Created", {"job_id": "job-00001"}),
+               (204, "No Content", None),
+               (404, "Not Found", {"error": "no such job"}),
+               (409, "Conflict", {"error": "job still running"}),
+               (500, "Internal Server Error", {"error": "boom"}),
+               (503, "Service Unavailable", {})]
+
+    def response(status, phrase, doc):
+        body = b"" if doc is None else json.dumps(doc).encode()
+        return (b"HTTP/1.1 %d %s\r\nContent-Length: %d\r\n\r\n"
+                % (status, phrase.encode(), len(body)) + body)
+
+    script = [[response(*answer) for answer in answers] * 2]
+    with _scripted_server(script) as (url, _received):
+        with ServeClient(url, timeout=5) as client:
+            assert [client.request("GET", "/x") for _ in answers] == [
+                (status, doc) for status, _phrase, doc in answers]
+            assert client.job("job-00001") == {"job_id": "job-00001"}
+            assert client.job("job-00001") is None
+            for error in ("no such job", "job still running", "boom",
+                          "HTTP 503"):
+                with pytest.raises(ServeError, match=error):
+                    client.job("job-00001")
+
+
+def test_client_reads_a_response_split_at_any_byte():
+    """A response sent in two pieces, split at every byte offset, reads
+    as the same document on one kept-alive connection."""
+    body = '{"é":[1,2.5]}'.encode()
+    whole = (b"HTTP/1.1 201 Created\r\nContent-Length: %d\r\n"
+             b"Connection: keep-alive\r\n\r\n" % len(body)) + body
+    splits = range(1, len(whole))
+    with _scripted_server([[(whole[:at], whole[at:]) for at in splits]]
+                          ) as (url, _received):
+        with ServeClient(url, timeout=5) as client:
+            for _at in splits:
+                assert client.request("GET", "/x") == (201, {"é": [1, 2.5]})
+                assert client._sock is not None
+
+
 def test_client_of_a_killed_service_raises_and_does_not_hang(tmp_path):
     handle = spawn_service(str(tmp_path / "state"), workers=1)
     try:
@@ -1486,7 +1659,8 @@ def test_a_client_that_never_reads_keeps_the_write_buffer_bounded(tmp_path):
 def test_a_canonical_job_text_reads_back_to_itself():
     """A POST body that is a known document's canonical text is that
     document, unparsed; this holds because the text is a fixpoint of
-    parsing and re-canonicalising, for any document a JSON body holds."""
+    parsing and re-canonicalising, for any document a JSON body holds
+    and for one whose keys are numbers (a YAML body's ``10:``)."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     leaves = st.one_of(
@@ -1494,7 +1668,9 @@ def test_a_canonical_job_text_reads_back_to_itself():
         st.integers(), st.integers(-2**200, 2**200), st.text())
     values = st.recursive(leaves, lambda inner: st.one_of(
         st.lists(inner, max_size=4),
-        st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+        st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats()), inner,
+                        max_size=4)),
         max_leaves=16)
 
     @hypothesis.given(st.text(min_size=1), st.dictionaries(
@@ -1564,23 +1740,41 @@ def test_every_spelling_of_a_known_document_is_one_job(tmp_path):
         assert len(orch.expansions) == 1
 
 
-def test_a_known_text_that_does_not_read_back_is_parsed(tmp_path):
-    """A YAML key that is no string makes a canonical text that reads
-    back to another one: a body of those bytes is parsed, so it lands on
-    the text JSON reads it as, as it would if the first were unknown."""
+def test_a_document_with_keys_that_are_no_strings_is_one_text_resumed(
+        tmp_path, monkeypatch):
+    """A YAML key that is no string (``10:``) is sorted before it becomes
+    a string; the document's text is the one JSON reads back, sorted as
+    strings. POSTed as YAML, then, on the orchestrator reopened on its
+    state, as the document bytes of its journal line, it is one
+    expansion: the second body is not parsed and its job is done."""
     body = b"kind: selftest\nspec: {n: 2, extra: {10: a, 9: b}}\n"
+    text = '{"kind":"selftest","spec":{"extra":{"10":"a","9":"b"},"n":2}}'
     state = str(tmp_path / "s")
     with _edge(tmp_path, {"n": 2}) as (orch, connection, transport):
-        _ask(connection, transport, _post_body(body))
-        text = '{"kind":"selftest","spec":{"extra":{"9":"b","10":"a"},"n":2}}'
-        assert text in orch.expansions
-        before = _journal(state)
         [(status, _h, answer)] = _ask(connection, transport,
-                                      _post_body(text.encode()))
-        assert status == 201
-        assert _journal(state) == before + _line(
-            answer["job_id"], "selftest",
-            {"n": 2, "extra": {"10": "a", "9": "b"}})
+                                      _post_body(body))
+        assert status == 201 and text in orch.expansions
+    prefix = b'{"job_id":"%s",' % answer["job_id"].encode()
+    line = _journal(state).splitlines()[-1]
+    assert line == prefix + text[1:].encode()
+    journalled = b"{" + line[len(prefix):]
+    parsed = _count_calls(monkeypatch, http_mod, "parse_job_document")
+    expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
+    reopened = Orchestrator(state)
+    try:
+        reopened.resume_jobs()
+        connection = http_mod._Connection(HttpApi(reopened))
+        transport = _MemoryTransport(connection)
+        [(status, _h, answer)] = _ask(connection, transport,
+                                      _post_body(journalled))
+        assert (status, answer["status"]) == (201, "done")
+        assert parsed == []
+        assert [args[1] for args in expanded] == [{"n": 2}, {
+            "n": 2, "extra": {"10": "a", "9": "b"}}]
+        assert list(reopened.expansions) == [
+            job_text("selftest", {"n": 2}), text]
+    finally:
+        reopened.close()
 
 
 def test_warm_posts_count_as_store_lookups_count(tmp_path):
