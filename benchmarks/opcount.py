@@ -302,7 +302,7 @@ def serve_census() -> tuple[Counter, Counter]:
                        "seed": [1]}}
     # The bytes a ServeClient sends: the job document's canonical JSON.
     body = CANONICAL_JSON.encode({"kind": "sweep", "spec": spec}).encode()
-    post = (b"POST /jobs HTTP/1.1\r\nHost: census\r\n"
+    post = (b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
             b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n"
             % len(body)) + body
     with tempfile.TemporaryDirectory() as state:
@@ -333,7 +333,7 @@ def serve_census() -> tuple[Counter, Counter]:
             response = bytes(transport.written[last:])
         finally:
             orch.close()
-    client = ServeClient("http://census")
+    client = ServeClient("census.sock")  # never dialled: _sock is set
     client._sock = sock = _ReplaySocket(response)
 
     def submits() -> list[dict]:

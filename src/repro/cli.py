@@ -468,21 +468,22 @@ def _cmd_campaign_replay(args) -> int:
     return 1
 
 
-def _serve_url(args) -> str:
-    """Resolve the service URL: --url wins, else the discovery file."""
+def _serve_socket(args) -> str:
+    """Resolve the service's socket path: --socket wins, else the
+    discovery file."""
     from .errors import ServeError
-    if getattr(args, "url", None):
-        return args.url
+    if args.socket:
+        return args.socket
     import os
     path = os.path.join(args.state_dir, "serve.json")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["url"]
+            return json.load(fh)["socket"]
     except (OSError, ValueError, KeyError) as exc:
         raise ServeError(
             f"no running service found via {path!r} "
             f"(start one with 'repro serve --state-dir "
-            f"{args.state_dir}', or pass --url): {exc}") from exc
+            f"{args.state_dir}', or pass --socket): {exc}") from exc
 
 
 def _cmd_serve(args) -> int:
@@ -506,7 +507,7 @@ def _cmd_submit(args) -> int:
         with open(args.job, "rb") as fh:
             body = fh.read()
     kind, spec = parse_job_document(body)
-    with ServeClient(_serve_url(args)) as client:
+    with ServeClient(_serve_socket(args)) as client:
         status = client.submit(kind, spec)
         print(f"submitted {status['job_id']} ({kind}, "
               f"{status['total']} points, "
@@ -520,7 +521,7 @@ def _cmd_submit(args) -> int:
 
 def _cmd_jobs(args) -> int:
     from .serve.client import ServeClient
-    with ServeClient(_serve_url(args)) as client:
+    with ServeClient(_serve_socket(args)) as client:
         jobs = client.jobs()
     table = Table("jobs", ["job", "kind", "status", "done", "hits", "sec"],
                   widths=[10, 10, 8, 11, 6, 9])
@@ -793,16 +794,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "campaign|scenarios|selftest, spec: {...}}) to the "
                     "service and wait up to 600 s for it to complete.")
     sb.add_argument("job", help="job document path, or - for stdin")
-    sb.add_argument("--url", help="service URL (default: read "
-                                  "--state-dir/serve.json)")
+    sb.add_argument("--socket", help="the service's Unix socket (default: "
+                                     "read --state-dir/serve.json)")
     sb.add_argument("--state-dir", default=".repro-serve")
     sb.add_argument("--result", action="store_true",
                     help="print the full result document, not the status")
     sb.set_defaults(fn=_cmd_submit)
 
     jb = sub.add_parser("jobs", help="list a running service's jobs")
-    jb.add_argument("--url", help="service URL (default: read "
-                                  "--state-dir/serve.json)")
+    jb.add_argument("--socket", help="the service's Unix socket (default: "
+                                     "read --state-dir/serve.json)")
     jb.add_argument("--state-dir", default=".repro-serve")
     jb.set_defaults(fn=_cmd_jobs)
     return p

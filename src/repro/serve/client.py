@@ -1,15 +1,16 @@
-"""Stdlib HTTP client for the serve API (used by the CLI and tests), and
-the job-document parser both ends share: ``repro submit`` checks a job
-with it before it dials, and the HTTP edge parses with it every ``POST
-/jobs`` body that is not the canonical text of a document it knows."""
+"""Stdlib HTTP client for the serve API over its Unix socket (used by the
+CLI and tests), and the job-document parser both ends share: ``repro
+submit`` checks a job with it before it dials, and the HTTP edge parses
+with it every ``POST /jobs`` body that is not the canonical text of a
+document it knows."""
 
 from __future__ import annotations
 
 import json
 import re
 import socket
+import struct
 import time
-import urllib.parse
 from typing import Any, Optional
 
 from ..errors import ServeError
@@ -34,13 +35,21 @@ _DECODER = json.JSONDecoder()
 
 
 def parse_job_document(body: bytes) -> tuple[str, dict]:
-    """Parse a POST /jobs body (JSON or YAML) into ``(kind, spec)``."""
+    """Parse a POST /jobs body (JSON or YAML) into ``(kind, spec)``.
+
+    A body nested deeper than the parsers recurse is a bad document too
+    (:class:`~repro.errors.ServeError`), not the parser's
+    ``RecursionError``."""
     try:
         doc = json.loads(body.decode("utf-8"))
+    except RecursionError as exc:
+        raise ServeError("job document nests too deeply") from exc
     except (ValueError, UnicodeDecodeError):
         import yaml  # here, not at module level: most importers parse no job
         try:
             doc = yaml.safe_load(body.decode("utf-8", "replace"))
+        except RecursionError as exc:
+            raise ServeError("job document nests too deeply") from exc
         except yaml.YAMLError as exc:
             raise ServeError(f"job body is neither JSON nor YAML: {exc}"
                              ) from exc
@@ -64,7 +73,8 @@ def _more(sock: socket.socket, buf: bytearray) -> None:
 
 
 class ServeClient:
-    """Synchronous client for one service URL, on one kept-alive connection.
+    """Synchronous client for the service listening on the Unix socket
+    ``path``, on one kept-alive connection.
 
     Dialled on first use, dropped by :meth:`close` (``with`` does it) or
     the server's ``Connection: close``. A request is re-sent, once, on a
@@ -74,18 +84,40 @@ class ServeClient:
     returns the decoded JSON document; the convenience methods raise
     :class:`~repro.errors.ServeError` on non-2xx answers, :meth:`request`
     returns ``(status, doc)`` raw for callers that care about 409/500.
+
+    ``timeout`` bounds the connect and every send and receive, in the
+    kernel: the socket blocks, with ``SO_SNDTIMEO`` and ``SO_RCVTIMEO``
+    set before it connects, so a request costs no ``poll`` beside each
+    call (a Python socket timeout would add one before every ``send`` and
+    ``recv``). The send timeout bounds a connect to a listener whose
+    backlog is full, which a Python timed connect on a Unix socket does
+    not wait for. A missing or stale socket, and a service that does not
+    answer in time, raise ``ServeError``.
     """
 
-    def __init__(self, url: str, timeout: float = 30.0):
-        parsed = urllib.parse.urlsplit(url)
-        if parsed.scheme != "http" or not parsed.hostname:
-            raise ServeError(f"unsupported service URL {url!r}")
-        self.url = url
-        self._netloc = parsed.netloc
-        self._address = (parsed.hostname, parsed.port or 80)
+    def __init__(self, path: str, timeout: float = 30.0):
+        self.path = path
         self._timeout = timeout
+        #: ``timeout`` as a ``struct timeval``, at least 1 µs (0 would
+        #: wait for ever).
+        self._timeval = struct.pack(
+            "@ll", *divmod(max(1, round(timeout * 1e6)), 1_000_000))
         #: The connection, once dialled.
         self._sock: Optional[socket.socket] = None
+
+    def _dial(self) -> socket.socket:
+        """A connection to the service, its kernel timeouts set."""
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
+                            self._timeval)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                            self._timeval)
+            sock.connect(self.path)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
 
     def close(self) -> None:
         """Drop the connection (the next request dials a new one)."""
@@ -111,9 +143,7 @@ class ServeClient:
         raises ``ValueError``) and a ``Connection: close``."""
         sock = self._sock
         if sock is None:
-            sock = socket.create_connection(self._address, self._timeout)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock = sock
+            sock = self._sock = self._dial()
         try:
             sock.sendall(message)
             data = sock.recv(READ_SIZE)
@@ -143,7 +173,7 @@ class ServeClient:
                 body: Optional[Any] = None) -> tuple[int, Any]:
         """One HTTP round-trip; returns ``(status, decoded JSON)``."""
         head, payload = (f"{method} {path} HTTP/1.1\r\n"
-                         f"Host: {self._netloc}\r\n"), b""
+                         "Host: localhost\r\n"), b""
         if body is not None:
             head += "Content-Type: application/json\r\n"
             payload = CANONICAL_JSON.encode(body).encode("utf-8")
@@ -157,9 +187,13 @@ class ServeClient:
             if answer is None:
                 raise ConnectionError("connection closed before a response")
             return answer
+        except BlockingIOError as exc:  # a kernel timeout ran out
+            self.close()
+            raise ServeError(f"service at {self.path} did not answer in "
+                             f"{self._timeout}s") from exc
         except (OSError, ValueError, LookupError) as exc:  # or garbled
             self.close()
-            raise ServeError(f"service at {self.url} unreachable: {exc}"
+            raise ServeError(f"service at {self.path} unreachable: {exc}"
                              ) from exc
 
     def _ok(self, method: str, path: str,

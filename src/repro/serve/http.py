@@ -1,10 +1,12 @@
 """Stdlib-only HTTP API over the orchestrator.
 
-One asyncio server with one :class:`asyncio.Protocol` per connection,
-HTTP/1.1 keep-alive (a framing error is answered 400 and closes the
-connection, cleanly like every close the server starts; a bad document
-is a 400 and any other error of a route a 500, and both keep it) — no
-framework, no dependency beyond the interpreter. The surface:
+One asyncio server on a Unix socket in the state directory
+(``serve.sock``, owner-only), with one :class:`asyncio.Protocol` per
+connection, HTTP/1.1 keep-alive (a framing error is answered 400 and
+closes the connection, cleanly like every close the server starts; a
+bad document is a 400 and any other error of a route a 500, and both
+keep it) — no framework, no dependency beyond the interpreter. The
+surface:
 
 ========================== =============================================
 ``GET  /healthz``            liveness: workers (with pids), queue, cache
@@ -27,6 +29,9 @@ POSTed as-is by ``python -m repro submit``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
+import socket
 import traceback
 from http import HTTPStatus
 from typing import Any, Optional
@@ -37,6 +42,13 @@ from .orchestrator import Orchestrator, job_text
 from .protocol import CANONICAL_JSON, bound_reads
 
 __all__ = ["HttpApi"]
+
+#: The name of a service's socket, in its state directory.
+_SOCKET = "serve.sock"
+
+#: The longest path a Unix socket address holds: ``sun_path`` less the
+#: NUL that ends it.
+_SUN_PATH = 107
 
 _MAX_BODY = 8 * 1024 * 1024
 
@@ -253,11 +265,14 @@ class HttpApi:
     touching scheduler state.
     """
 
-    def __init__(self, orchestrator: Orchestrator, host: str = "127.0.0.1"):
+    def __init__(self, orchestrator: Orchestrator):
         self.orchestrator = orchestrator
         self._count = orchestrator.count
-        self._host = host
-        self.port: Optional[int] = None
+        #: The listening socket's path, once started.
+        self.path: Optional[str] = None
+        #: The private directory that holds it when the state directory's
+        #: path is too long for a socket address (else None).
+        self._private: Optional[str] = None
         self._server: Optional[asyncio.AbstractServer] = None
         #: Open connections: protocol -> its transport (see :meth:`stop`).
         self._conns: dict[_Connection, asyncio.BaseTransport] = {}
@@ -266,23 +281,61 @@ class HttpApi:
         #: Set when a POST /shutdown arrives; the service loop awaits it.
         self.shutdown_requested: asyncio.Event = asyncio.Event()
 
-    async def start(self) -> int:
-        """Bind the API port (ephemeral by default); returns it.
+    async def start(self) -> str:
+        """Listen on ``<state-dir>/serve.sock``; returns its path.
+
+        The orchestrator holds the state directory's journal lock, so a
+        socket file already there was left by a killed service, and is
+        unlinked. When the socket's absolute path is longer than a socket
+        address holds (107 bytes), it is bound in a private
+        ``tempfile.mkdtemp`` directory instead. The socket is made
+        owner-only (0600) before it listens, so no other user ever
+        connects.
 
         Nothing is preloaded: a job kind's modules load with its first
         job, inside that request's answer (DESIGN §2a). The loop stalls
         for that import, and no client is reset by it, because every
         close the server starts half-closes and drains first."""
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), self._host, 0)
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
+        path = os.path.abspath(os.path.join(self.orchestrator.state_dir,
+                                            _SOCKET))
+        if len(os.fsencode(path)) > _SUN_PATH:
+            import tempfile  # here: most state directories are not this deep
+            self._private = tempfile.mkdtemp(prefix="repro-serve-")
+            path = os.path.join(self._private, _SOCKET)
+        else:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)  # stale: the service that bound it is dead
+        self.path = path
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.bind(path)
+            os.chmod(path, 0o600)
+            self._server = await asyncio.get_running_loop(
+            ).create_unix_server(lambda: _Connection(self), sock=sock)
+        except BaseException:
+            sock.close()
+            self._remove()
+            raise
+        return path
+
+    def _remove(self) -> None:
+        """Remove the socket file and the private directory that held it
+        (if any): nothing can connect any more."""
+        assert self.path is not None
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.path)
+        if self._private is not None:
+            with contextlib.suppress(OSError):
+                os.rmdir(self._private)
+            self._private = None
 
     async def stop(self) -> None:
         """Close the API server and every open connection (an idle
-        keep-alive client would hold its connection for ever)."""
+        keep-alive client would hold its connection for ever), and
+        remove the socket file."""
         if self._server is not None:
             self._server.close()
+            self._remove()
             for transport in list(self._conns.values()):
                 transport.close()  # flushes a response in flight, then EOF
             if self._conns:  # each goes once its buffer is sent

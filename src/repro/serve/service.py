@@ -4,12 +4,15 @@
 ``python -m repro serve`` is a thin wrapper): fork the worker pool, each
 worker on its own socketpair attached to the orchestrator, start the
 HTTP API on the same event loop, and announce readiness by atomically
-writing ``state_dir/serve.json`` (``pid``, ``url``, ``workers``) — the
-discovery file tests and ``repro submit`` read to find the URL. The HTTP
-port is the only port a service binds. Each worker has one slot: when
-its connection ends, however it ends, the orchestrator has requeued its
-point, and the slot kills and reaps the process and forks a replacement.
-Workers beat every tenth of the heartbeat timeout.
+writing ``state_dir/serve.json`` (``pid``, ``socket``, ``workers``) —
+the discovery file tests and ``repro submit`` read to find the service.
+The API's Unix socket (``state_dir/serve.sock``, owner-only) is the only
+address a service listens on; it binds no port (a path too long for a
+socket address puts the socket in a private temporary directory, and
+``serve.json`` names it). Each worker has one slot: when its connection
+ends, however it ends, the orchestrator has requeued its point, and the
+slot kills and reaps the process and forks a replacement. Workers beat
+every tenth of the heartbeat timeout.
 
 :func:`run_local` is the same orchestrator, store and workers without
 the HTTP API: submit one job (or resume the job journal of a state
@@ -74,8 +77,8 @@ def import_asyncio() -> ModuleType:
     ``ssl`` is blocked (``sys.modules["ssl"] = None``) for this one
     import and unblocked after it, so a later ``import ssl`` anywhere
     still works; asyncio guards each of its ``ssl`` imports with
-    ``except ImportError`` and then serves plain TCP only, which is all
-    a serve process speaks. Where ``ssl`` or asyncio is loaded already
+    ``except ImportError`` and then serves plain sockets only, which is
+    all a serve process speaks. Where ``ssl`` or asyncio is loaded already
     there is nothing to save, and a normal import is all this does; if
     asyncio ever fails to import with ``ssl`` blocked, its partial
     import is dropped and it is imported normally.
@@ -294,7 +297,7 @@ def _write_discovery(state_dir: str, doc: dict) -> str:
 
 
 async def _serve(state_dir: str, workers: Optional[int],
-                 oversubscribe: bool, heartbeat_timeout: float, host: str,
+                 oversubscribe: bool, heartbeat_timeout: float,
                  announce: Callable[[str], None]) -> None:
     from .http import HttpApi
     from .orchestrator import Orchestrator
@@ -302,11 +305,11 @@ async def _serve(state_dir: str, workers: Optional[int],
     n = auto_jobs(requested=workers, oversubscribe=oversubscribe)
     async with _workers(orch, n):
         orch.resume_jobs()
-        api = HttpApi(orch, host=host)
-        url = f"http://{host}:{await api.start()}"
-        _write_discovery(state_dir, {"url": url, "pid": os.getpid(),
+        api = HttpApi(orch)
+        path = await api.start()
+        _write_discovery(state_dir, {"socket": path, "pid": os.getpid(),
                                      "workers": n})
-        announce(f"serving on {url} ({n} worker(s), state={state_dir})")
+        announce(f"serving on {path} ({n} worker(s), state={state_dir})")
         try:
             await api.shutdown_requested.wait()
         finally:
@@ -319,7 +322,6 @@ async def _serve(state_dir: str, workers: Optional[int],
 
 def run_service(state_dir: str, workers: Optional[int] = None,
                 oversubscribe: bool = False, heartbeat_timeout: float = 5.0,
-                host: str = "127.0.0.1",
                 announce: Optional[Callable[[str], None]] = None) -> None:
     """Run the service until a ``POST /shutdown`` arrives (blocking).
 
@@ -333,7 +335,7 @@ def run_service(state_dir: str, workers: Optional[int] = None,
     asyncio = import_asyncio()
     os.makedirs(state_dir, exist_ok=True)
     asyncio.run(_serve(state_dir, workers, oversubscribe, heartbeat_timeout,
-                       host, announce or (lambda _: None)))
+                       announce or (lambda _: None)))
 
 
 async def _drain_with_workers(orch: Orchestrator, n: int) -> None:
@@ -382,13 +384,14 @@ class ServiceHandle:
     """A forked service process and how to reach (and kill) it."""
 
     state_dir: str
-    url: str
+    #: The path of the service's Unix socket.
+    socket: str
     pid: int
     proc: ForkedProcess
 
     def client(self) -> ServeClient:
         """An HTTP client bound to this service."""
-        return ServeClient(self.url)
+        return ServeClient(self.socket)
 
     def worker_pids(self) -> list[int]:
         """Pids of the currently attached workers (for kill tests)."""
@@ -423,7 +426,7 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
                   timeout: float = 30.0) -> ServiceHandle:
     """Fork :func:`run_service` and wait for its discovery file.
 
-    Returns once ``state_dir/serve.json`` names the child's URL, so the
+    Returns once ``state_dir/serve.json`` names the child's socket, so the
     caller can immediately submit jobs. Raises
     :class:`~repro.errors.ServeError` if the child dies or the file
     does not appear within ``timeout`` seconds; a child given up on is
@@ -456,9 +459,10 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
                     doc = json.load(fh)
             except (OSError, ValueError):
                 doc = None  # not written (or mid-write) yet
-            if doc and doc.get("pid") == proc.pid and doc.get("url"):
-                return ServiceHandle(state_dir=state_dir, url=doc["url"],
-                                     pid=proc.pid, proc=proc)
+            if doc and doc.get("pid") == proc.pid and doc.get("socket"):
+                return ServiceHandle(state_dir=state_dir,
+                                     socket=doc["socket"], pid=proc.pid,
+                                     proc=proc)
             if not proc.is_alive():
                 raise ServeError(
                     f"service process died during startup "

@@ -123,6 +123,8 @@ BAD_INPUTS = [
     (["campaign", "report", "/missing"], 2, "error: '/missing' has no"),
     (["stencil", "--plan", "drop=oops"], 2, "error: bad fault plan:"),
     (["jobs", "--state-dir", "/missing"], 1, "error: no running service"),
+    (["jobs", "--socket", "/missing.sock"], 1,
+     "error: service at /missing.sock unreachable"),
 ]
 
 

@@ -5,10 +5,11 @@
 reports. Every child a serve path gives up on is terminated, killed if
 it outlives the grace period, and reaped: a process left running would
 outlive the run that started it. A service's workers are forked children
-on socketpairs: it binds no port but its HTTP API's, and its workers
-exit when it is killed. :func:`repro.serve.service.import_asyncio`
-imports the event loop as an interpreter without ``ssl`` would, and
-leaves ``ssl`` importable afterwards.
+on socketpairs: it listens on its owner-only Unix socket only, binds no
+port, and its workers exit when it is killed.
+:func:`repro.serve.service.import_asyncio` imports the event loop as an
+interpreter without ``ssl`` would, and leaves ``ssl`` importable
+afterwards.
 """
 
 import asyncio
@@ -17,6 +18,7 @@ import json
 import os
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import time
@@ -222,21 +224,76 @@ linux_only = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                                 reason="reads /proc")
 
 
+def _listening_unix_paths(pid):
+    """The paths of the listening Unix sockets process ``pid`` holds."""
+    inodes = _socket_inodes(pid)
+    with open(f"/proc/{pid}/net/unix", encoding="ascii") as fh:
+        rows = [row.split() for row in fh.read().splitlines()[1:]]
+    return [row[7] for row in rows  # __SO_ACCEPTCON: listening
+            if len(row) > 7 and row[6] in inodes and int(row[3], 16) & 1 << 16]
+
+
 @linux_only
-def test_a_service_listens_on_its_http_port_only(tmp_path):
-    """Workers are forked children on socketpairs: the one port a service
-    binds is its HTTP API's, and neither ``serve.json`` nor ``/healthz``
-    publishes a worker port."""
-    handle = spawn_service(str(tmp_path / "s"), workers=1)
+def test_a_service_listens_on_its_owner_only_socket_only(tmp_path):
+    """Clients come over the service's Unix socket and workers are forked
+    children on socketpairs: the one socket a service listens on is
+    ``<state-dir>/serve.sock``, owner-only, which ``serve.json`` names;
+    it holds no listening TCP socket, and neither ``serve.json`` nor
+    ``/healthz`` publishes a worker port."""
+    state = tmp_path / "s"
+    handle = spawn_service(str(state), workers=1)
     try:
-        with open(tmp_path / "s" / "serve.json", encoding="utf-8") as fh:
+        with open(state / "serve.json", encoding="utf-8") as fh:
             discovery = json.load(fh)
-        assert sorted(discovery) == ["pid", "url", "workers"]
+        assert sorted(discovery) == ["pid", "socket", "workers"]
+        assert discovery["socket"] == handle.socket == str(state /
+                                                           "serve.sock")
+        assert stat.S_IMODE(os.stat(handle.socket).st_mode) == 0o600
         with handle.client() as client:
             health = client.healthz()
         assert "worker_port" not in health and len(health["workers"]) == 1
-        port = int(handle.url.rpartition(":")[2])
-        assert _listening_tcp_ports(handle.pid) == [port]
+        assert _listening_tcp_ports(handle.pid) == []
+        assert _listening_unix_paths(handle.pid) == [handle.socket]
+    finally:
+        handle.stop()
+    assert sorted(os.listdir(state)) == ["cache", "jobs.log"]
+
+
+def test_a_state_directory_too_deep_for_a_socket_address_serves(tmp_path):
+    """A state directory whose socket path is over the 107 bytes of a
+    socket address still serves: the socket is bound in a private
+    directory (0700), ``serve.json`` names it, and a clean stop removes
+    both."""
+    state = tmp_path / ("deep-" * 20)
+    assert len(os.fsencode(os.path.join(state, "serve.sock"))) > 107
+    handle = spawn_service(str(state), workers=1)
+    private = os.path.dirname(handle.socket)
+    try:
+        assert private != str(state)
+        assert stat.S_IMODE(os.stat(private).st_mode) == 0o700
+        assert stat.S_IMODE(os.stat(handle.socket).st_mode) == 0o600
+        with open(state / "serve.json", encoding="utf-8") as fh:
+            assert json.load(fh)["socket"] == handle.socket
+        with handle.client() as client:
+            job = client.submit("selftest", {"n": 2})
+            assert client.wait(job["job_id"], timeout=30)["done"] == 2
+    finally:
+        handle.stop()
+    assert not os.path.exists(private)
+
+
+def test_a_second_service_on_a_live_state_directory_leaves_its_socket(
+        tmp_path):
+    """Only the holder of the journal lock unlinks a socket in the state
+    directory: a second service on a live directory dies at start-up,
+    and the first still answers on its socket."""
+    state = str(tmp_path / "s")
+    handle = spawn_service(state, workers=1)
+    try:
+        with pytest.raises(ServeError, match="died during startup"):
+            spawn_service(state, workers=1)
+        with handle.client() as client:
+            assert client.healthz()["ok"]
     finally:
         handle.stop()
 
@@ -365,7 +422,7 @@ def _unix_inodes(pid):
 @linux_only
 @pytest.mark.tier2
 def test_a_respawned_worker_holds_only_its_own_end(tmp_path):
-    """A worker forked while the HTTP port listens and a client is
+    """A worker forked while the service's socket listens and a client is
     connected inherits neither, nor the job journal: its one socket is
     its own end of its pair."""
     handle = spawn_service(str(tmp_path / "s"), workers=1)
@@ -406,7 +463,8 @@ def test_a_state_directory_takes_one_orchestrator(tmp_path):
 def test_a_service_restarts_at_once_on_a_killed_ones_directory(tmp_path):
     """A killed service's busy worker outlives it for its point, but holds
     no descriptor of the journal, so a new service takes the directory
-    at once and resumes the job."""
+    at once, unlinks the socket file the killed one left, binds its own
+    and resumes the job."""
     state = str(tmp_path / "s")
     handle = spawn_service(state, workers=1)
     with handle.client() as client:
@@ -415,6 +473,10 @@ def test_a_service_restarts_at_once_on_a_killed_ones_directory(tmp_path):
                            client.healthz()["workers"].values()),
                10, "a busy worker")
     handle.kill()
+    assert os.path.exists(handle.socket)  # stale: nothing listens on it
+    with pytest.raises(ServeError, match="unreachable"):
+        with handle.client() as client:
+            client.healthz()
     handle = spawn_service(state, workers=1)
     try:
         with handle.client() as client:

@@ -16,6 +16,7 @@ an operator would hit.
 import json
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -253,16 +254,17 @@ def test_yaml_job_document_over_http(tmp_path):
     handle = spawn_service(str(tmp_path / "s"), workers=1)
     try:
         with handle.client() as client:
-            body = "kind: selftest\nspec:\n  n: 3\n"
-            import http.client as hc
-            import urllib.parse
-            parsed = urllib.parse.urlsplit(handle.url)
-            conn = hc.HTTPConnection(parsed.hostname, parsed.port, timeout=30)
-            conn.request("POST", "/jobs", body=body.encode())
-            response = conn.getresponse()
-            doc = json.loads(response.read())
-            conn.close()
-            assert response.status == 201 and doc["total"] == 3
+            body = b"kind: selftest\nspec:\n  n: 3\n"
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+                conn.settimeout(30)
+                conn.connect(handle.socket)
+                conn.sendall(b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                             b"Connection: close\r\nContent-Length: %d\r\n"
+                             b"\r\n%s" % (len(body), body))
+                response = b"".join(iter(lambda: conn.recv(65536), b""))
+            head, _, payload = response.partition(b"\r\n\r\n")
+            doc = json.loads(payload)
+            assert head.startswith(b"HTTP/1.1 201 ") and doc["total"] == 3
             client.wait(doc["job_id"], timeout=60)
             assert client.result(doc["job_id"])["results"] == \
                 [{"i": 0, "value": 0}, {"i": 1, "value": 1},

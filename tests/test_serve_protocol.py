@@ -29,6 +29,7 @@ import math
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -821,8 +822,17 @@ def _serving(tmp_path):
     assert not thread.is_alive() and unhandled == []
 
 
-def _url(api):
-    return f"http://127.0.0.1:{api.port}"
+def _dial(path, timeout=10):
+    """A raw connection to the Unix socket ``path``, with a Python
+    socket timeout of ``timeout`` seconds."""
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        s.settimeout(timeout)
+        s.connect(path)
+    except BaseException:
+        s.close()
+        raise
+    return s
 
 
 def _response(stream):
@@ -849,8 +859,7 @@ def _raw(api, payload, chunks=None):
     half-close, and return every response up to the server's EOF. The
     server may close first (after a 400): what it wrote before is still
     read in full, the rest of the send is dropped."""
-    with socket.create_connection(("127.0.0.1", api.port), timeout=10) as s:
-        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    with _dial(api.path) as s:
         cuts = sorted(chunks or [])
         try:
             for a, b in zip([0] + cuts, cuts + [len(payload)]):
@@ -878,8 +887,7 @@ def _post_job(n):
 
 def test_keep_alive_requests_are_answered_in_order(tmp_path):
     with _serving(tmp_path) as (api, _call):
-        with socket.create_connection(("127.0.0.1", api.port),
-                                      timeout=10) as s:
+        with _dial(api.path) as s:
             stream = s.makefile("rb")
             for n in (1, 2, 3):  # one at a time...
                 s.sendall(_post_job(n))
@@ -969,9 +977,7 @@ def test_a_client_still_sending_after_a_framing_400_reads_eof(tmp_path):
     next read raises ``ECONNRESET`` instead of returning EOF."""
     with _serving(tmp_path) as (api, _call):
         for _ in range(10):  # a server that resets loses most rounds
-            with socket.create_connection(("127.0.0.1", api.port),
-                                          timeout=10) as s, \
-                    s.makefile("rb") as stream:
+            with _dial(api.path) as s, s.makefile("rb") as stream:
                 s.sendall(b"\r\n\r\n")
                 status, headers, _doc = _response(stream)
                 assert (status, headers["connection"]) == (400, "close")
@@ -991,9 +997,7 @@ def test_a_client_still_sending_after_a_close_reads_eof(tmp_path, closing):
     client's shutdown or read would raise."""
     with _serving(tmp_path) as (api, _call):
         for _ in range(5):
-            with socket.create_connection(("127.0.0.1", api.port),
-                                          timeout=10) as s, \
-                    s.makefile("rb") as stream:
+            with _dial(api.path) as s, s.makefile("rb") as stream:
                 s.sendall(closing)
                 status, headers, _doc = _response(stream)
                 assert (status, headers["connection"]) == (200, "close")
@@ -1051,6 +1055,27 @@ def test_a_document_json_reads_but_no_job_takes_is_a_400(tmp_path, body,
         assert api.orchestrator.job_ids() == []
 
 
+@pytest.mark.parametrize("body", [
+    b'{"kind": "selftest", "spec": {"x": ' + b"[" * 5000 + b"]" * 5000
+    + b"}}",
+    b"kind: selftest\nspec:\n  x: " + b"[" * 5000 + b"]" * 5000 + b"\n",
+], ids=["json", "yaml"])
+def test_a_document_nested_past_the_parsers_is_a_400(tmp_path, body):
+    """A body nested 5 000 deep makes the JSON parser (and, for a body
+    that is not JSON, the YAML one) recurse past the interpreter's
+    limit: that is the submitter's bad document, a 400 on a kept
+    connection, not an internal error."""
+    with _serving(tmp_path) as (api, _call):
+        responses = _raw(api, _post_body(body) + _get("/healthz"))
+        assert [(status, headers["connection"])
+                for status, headers, _doc in responses] == [
+            (400, "keep-alive"), (200, "keep-alive")]
+        assert "nests too deeply" in responses[0][2]["error"]
+        assert api.orchestrator.metrics.value(
+            "serve.http.internal_errors") == 0
+        assert api.orchestrator.job_ids() == []
+
+
 def test_a_failed_journal_append_is_a_500_and_keeps_the_connection(
         tmp_path, monkeypatch):
     """A submit whose journal line cannot be written (the disk is full)
@@ -1083,7 +1108,7 @@ def test_a_failed_journal_append_is_a_500_and_keeps_the_connection(
 def test_connection_reuse_is_visible_in_the_metrics(tmp_path):
     with _serving(tmp_path) as (api, _call):
         value = api.orchestrator.metrics.value
-        with ServeClient(_url(api)) as client:
+        with ServeClient(api.path) as client:
             for _ in range(50):
                 client.healthz()
             assert value("serve.http.connections") == 1
@@ -1092,7 +1117,7 @@ def test_connection_reuse_is_visible_in_the_metrics(tmp_path):
             assert served["serve.http.connections"][0]["value"] == 1
             assert served["serve.http.requests"][0]["value"] == 50
         for _ in range(50):
-            with ServeClient(_url(api)) as client:
+            with ServeClient(api.path) as client:
                 client.healthz()
         assert value("serve.http.connections") == 51
         assert value("serve.http.requests") == 101
@@ -1106,7 +1131,7 @@ def test_client_redials_a_connection_closed_while_idle(tmp_path):
             await asyncio.sleep(0.05)  # let the FINs out
 
         orch = api.orchestrator
-        with ServeClient(_url(api)) as client:
+        with ServeClient(api.path) as client:
             assert client.healthz()["jobs"] == 0
             call(close_idle_connections())
             status = client.submit("selftest", {"n": 3})  # re-dialled...
@@ -1119,13 +1144,17 @@ def test_client_redials_a_connection_closed_while_idle(tmp_path):
 
 @contextlib.contextmanager
 def _scripted_server(script):
-    """A one-thread TCP server: per accepted connection, ``script`` gives
-    a list of responses (bytes; a tuple of bytes = sent in pieces, a
-    pause between each; ``None`` = read the request, then hang up
-    without a byte). Yields ``(url, received)``; ``received`` collects
-    every request head seen."""
+    """A one-thread server on a Unix socket: per accepted connection,
+    ``script`` gives a list of responses (bytes; a tuple of bytes = sent
+    in pieces, a pause between each; ``None`` = read the request, then
+    hang up without a byte). Yields ``(path, received)``; ``received``
+    collects every request head seen."""
     received = []
-    listener = socket.create_server(("127.0.0.1", 0))
+    scratch = tempfile.TemporaryDirectory()
+    path = os.path.join(scratch.name, "scripted.sock")
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(path)
+    listener.listen()
 
     def serve():
         for answers in script:
@@ -1146,10 +1175,11 @@ def _scripted_server(script):
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{listener.getsockname()[1]}", received
+        yield path, received
     finally:
         listener.close()
         thread.join(10)
+        scratch.cleanup()
 
 
 _OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
@@ -1158,22 +1188,22 @@ _OK = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
 def test_client_retry_rule_is_once_and_only_on_a_reused_connection():
     # Fresh connection, no response byte: the server may have acted on
     # the request, so it is not sent again.
-    with _scripted_server([[None]]) as (url, received):
+    with _scripted_server([[None]]) as (path, received):
         with pytest.raises(ServeError, match="closed before a response"):
-            ServeClient(url, timeout=5).request("GET", "/fresh")
+            ServeClient(path, timeout=5).request("GET", "/fresh")
     assert received == [b"GET /fresh HTTP/1.1"]
     # Reused connection, no response byte: re-dialled exactly once; the
     # fresh connection's failure is final.
-    with _scripted_server([[_OK, None], [None]]) as (url, received):
-        with ServeClient(url, timeout=5) as client:
+    with _scripted_server([[_OK, None], [None]]) as (path, received):
+        with ServeClient(path, timeout=5) as client:
             assert client.request("GET", "/first") == (200, {})
             with pytest.raises(ServeError, match="closed before a response"):
                 client.request("GET", "/second")
     assert received == [b"GET /first HTTP/1.1"] + [b"GET /second HTTP/1.1"] * 2
     # Reused connection dying after the first response byte: not re-sent.
     with _scripted_server([[_OK, b"HTTP/1.1 200 OK\r\nContent-Le"]]
-                          ) as (url, received):
-        with ServeClient(url, timeout=5) as client:
+                          ) as (path, received):
+        with ServeClient(path, timeout=5) as client:
             assert client.request("GET", "/first") == (200, {})
             with pytest.raises(ServeError, match="unreachable"):
                 client.request("POST", "/jobs", {"kind": "selftest"})
@@ -1194,8 +1224,8 @@ def test_client_reads_a_response_however_it_arrives():
                b"HTTP/1.1 404 Not Found\r\nConnection: close\r\n"
                b"Content-Length: 2\r\n\r\n{}"],
               [_OK]]
-    with _scripted_server(script) as (url, received):
-        with ServeClient(url, timeout=5) as client:
+    with _scripted_server(script) as (path, received):
+        with ServeClient(path, timeout=5) as client:
             assert client.request("GET", "/cut") == (201, {"a": [1, 2]})
             assert client.request("GET", "/big") == (
                 200, {"x": "y" * 200_000})
@@ -1220,8 +1250,8 @@ def test_client_reads_header_fields_in_any_case_and_spacing():
     closes = [False, False, True, True]
     with _scripted_server([[heads[0] + b"\r\n{}", heads[1] + b"\r\n{}",
                             heads[2] + b"\r\n{}"],
-                           [heads[3] + b"\r\n{}"]]) as (url, _received):
-        with ServeClient(url, timeout=5) as client:
+                           [heads[3] + b"\r\n{}"]]) as (path, _received):
+        with ServeClient(path, timeout=5) as client:
             for close in closes:
                 assert client.request("GET", "/x") == (200, {})
                 assert (client._sock is None) is close
@@ -1238,8 +1268,8 @@ def test_client_refuses_a_response_without_a_byte_count(field):
     """A response head without a numeric ``Content-Length`` frames no
     body: the request raises ``ServeError`` and drops the connection."""
     with _scripted_server([[b"HTTP/1.1 200 OK\r\n" + field + b"\r\n{}"]]
-                          ) as (url, _received):
-        with ServeClient(url, timeout=5) as client:
+                          ) as (path, _received):
+        with ServeClient(path, timeout=5) as client:
             with pytest.raises(ServeError, match="Content-Length"):
                 client.request("GET", "/x")
             assert client._sock is None
@@ -1263,8 +1293,8 @@ def test_client_returns_every_status_and_raises_on_errors():
                 % (status, phrase.encode(), len(body)) + body)
 
     script = [[response(*answer) for answer in answers] * 2]
-    with _scripted_server(script) as (url, _received):
-        with ServeClient(url, timeout=5) as client:
+    with _scripted_server(script) as (path, _received):
+        with ServeClient(path, timeout=5) as client:
             assert [client.request("GET", "/x") for _ in answers] == [
                 (status, doc) for status, _phrase, doc in answers]
             assert client.job("job-00001") == {"job_id": "job-00001"}
@@ -1283,11 +1313,67 @@ def test_client_reads_a_response_split_at_any_byte():
              b"Connection: keep-alive\r\n\r\n" % len(body)) + body
     splits = range(1, len(whole))
     with _scripted_server([[(whole[:at], whole[at:]) for at in splits]]
-                          ) as (url, _received):
-        with ServeClient(url, timeout=5) as client:
+                          ) as (path, _received):
+        with ServeClient(path, timeout=5) as client:
             for _at in splits:
                 assert client.request("GET", "/x") == (201, {"é": [1, 2.5]})
                 assert client._sock is not None
+
+
+def test_client_timeouts_are_the_kernel_s():
+    """The client's socket blocks, and its timeout is the kernel's
+    ``SO_RCVTIMEO``/``SO_SNDTIMEO``: a Python socket timeout would
+    ``poll`` before every ``send`` and ``recv``."""
+    timeval = struct.Struct("@ll")
+    with _scripted_server([[_OK]]) as (path, _received):
+        with ServeClient(path, timeout=2.5) as client:
+            assert client.request("GET", "/x") == (200, {})
+            sock = client._sock
+            assert sock.gettimeout() is None
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                assert timeval.unpack(sock.getsockopt(
+                    socket.SOL_SOCKET, option, timeval.size)) == (2, 500_000)
+
+
+def test_client_of_a_silent_peer_raises_once_its_timeout_runs_out(tmp_path):
+    """A peer that accepts and never answers: the request raises
+    ``ServeError`` when the client's timeout runs out, and the
+    connection is dropped."""
+    path = str(tmp_path / "silent.sock")
+    accepted = []
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
+        listener.bind(path)
+        listener.listen()
+        thread = threading.Thread(
+            target=lambda: accepted.append(listener.accept()[0]))
+        thread.start()
+        try:
+            with ServeClient(path, timeout=0.5) as client:
+                started = time.monotonic()
+                with pytest.raises(ServeError, match="did not answer"):
+                    client.healthz()
+                assert 0.4 < time.monotonic() - started < 1.2
+                assert client._sock is None
+        finally:
+            thread.join(10)
+            for conn in accepted:
+                conn.close()
+
+
+def test_client_of_a_missing_or_stale_socket_raises_at_once(tmp_path):
+    """No socket file, or one whose service is gone (nothing listens on
+    it): the request raises ``ServeError`` ("unreachable") at once,
+    whatever the timeout, and never hangs."""
+    stale = str(tmp_path / "stale.sock")
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as dead:
+        dead.bind(stale)  # the file outlives the socket
+    for path in (str(tmp_path / "missing.sock"), stale):
+        started = time.monotonic()
+        with ServeClient(path, timeout=30) as client:
+            with pytest.raises(ServeError, match="unreachable"):
+                client.healthz()
+        assert time.monotonic() - started < 1
+    assert os.path.exists(stale)
 
 
 def test_client_of_a_killed_service_raises_and_does_not_hang(tmp_path):
@@ -1313,7 +1399,7 @@ def test_stop_closes_idle_keep_alive_connections(tmp_path):
     service's ``stop()`` exits promptly (on Python >= 3.12
     ``Server.wait_closed()`` waits for open connections)."""
     with _serving(tmp_path) as (api, _call):
-        clients = [ServeClient(_url(api)) for _ in range(3)]
+        clients = [ServeClient(api.path) for _ in range(3)]
         assert all(client.healthz()["ok"] for client in clients)
         assert len(api._conns) == 3
     assert api._conns == {}
@@ -1338,7 +1424,8 @@ def test_stop_closes_idle_keep_alive_connections(tmp_path):
 def _fresh_service(tmp_path, workers):
     """``python -m repro serve`` in a fresh interpreter, as a user starts
     one: nothing this test process imported is in it. Yields ``(pid,
-    url)`` once it is serving; shuts it down (or kills it) on exit."""
+    socket path)`` once it is serving; shuts it down (or kills it) on
+    exit."""
     state = str(tmp_path / "fresh")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -1353,9 +1440,9 @@ def _fresh_service(tmp_path, workers):
                 "the service did not start"
             time.sleep(0.01)
         with open(discovery, encoding="utf-8") as fh:
-            url = json.load(fh)["url"]
-        yield proc.pid, url
-        with ServeClient(url) as client:
+            path = json.load(fh)["socket"]
+        yield proc.pid, path
+        with ServeClient(path) as client:
             client.shutdown()
         proc.wait(10)
     finally:
@@ -1382,8 +1469,8 @@ def test_a_warm_post_maps_no_memory(tmp_path):
     forked from this process's heap has freed large blocks before, which
     raises glibc's threshold and hides the cost."""
     spec = {"n": 35}
-    with _fresh_service(tmp_path, workers=1) as (pid, url), \
-            ServeClient(url) as client:
+    with _fresh_service(tmp_path, workers=1) as (pid, path), \
+            ServeClient(path) as client:
         client.wait(client.submit("selftest", spec)["job_id"], poll=0.01)
         for _ in range(20):
             client.submit("selftest", spec)
@@ -1467,12 +1554,9 @@ def test_a_first_job_of_a_kind_resets_no_pipelining_client(tmp_path):
         except OSError as exc:
             errors.append(exc)
 
-    with _fresh_service(tmp_path, workers=1) as (_pid, url):
-        port = int(url.rpartition(":")[2])
-        clients = [socket.create_connection(("127.0.0.1", port), timeout=10)
-                   for _ in range(3)]
-        with socket.create_connection(("127.0.0.1", port),
-                                      timeout=10) as submitter:
+    with _fresh_service(tmp_path, workers=1) as (_pid, path):
+        clients = [_dial(path) for _ in range(3)]
+        with _dial(path) as submitter:
             submitter.sendall(post)
             senders = [threading.Thread(target=pipeline, args=(s,))
                        for s in clients]
@@ -1637,8 +1721,7 @@ def test_a_client_that_never_reads_keeps_the_write_buffer_bounded(tmp_path):
     of growing with every request sent."""
     request = _get("/healthz")
     with _serving(tmp_path) as (api, call):
-        with socket.create_connection(("127.0.0.1", api.port)) as s:
-            s.settimeout(1.0)
+        with _dial(api.path, timeout=1.0) as s:
             sent = 0
             try:
                 while sent < 200_000:  # stops long before: the send stalls

@@ -344,9 +344,9 @@ with tempfile.TemporaryDirectory() as state:
     while not os.path.exists(discovery):
         time.sleep(0.01)
     with open(discovery, encoding="utf-8") as fh:
-        url = json.load(fh)["url"]
+        path = json.load(fh)["socket"]
     report = {}
-    with ServeClient(url) as client:
+    with ServeClient(path) as client:
         while not client.healthz()["workers"]:
             time.sleep(0.01)
         pids = [w["pid"] for w in client.healthz()["workers"].values()]
