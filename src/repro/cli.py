@@ -472,14 +472,14 @@ def _serve_socket(args) -> str:
     """Resolve the service's socket path: --socket wins, else the
     discovery file."""
     from .errors import ServeError
+    from .serve.service import DISCOVERY, read_discovery
     if args.socket:
         return args.socket
-    import os
-    path = os.path.join(args.state_dir, "serve.json")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["socket"]
-    except (OSError, ValueError, KeyError) as exc:
+        return read_discovery(args.state_dir)["socket"]
+    except (OSError, ValueError) as exc:
+        import os
+        path = os.path.join(args.state_dir, DISCOVERY)
         raise ServeError(
             f"no running service found via {path!r} "
             f"(start one with 'repro serve --state-dir "

@@ -112,24 +112,22 @@ class ResultCache:
     (the head *is* the record, canonically serialised), so a reformatted,
     foreign, torn or lying file is a miss.
 
-    The instance remembers ``blob -> result`` for every record it saved
-    or verified. The store is content-addressed and points are
-    deterministic, so a remembered result cannot be wrong, and asking
-    again costs a dictionary lookup (counted as a hit). Nothing is ever
-    forgotten, so a caller that kept the results of an all-hit lookup
-    may answer the same blobs from them and count the hits itself (the
-    orchestrator's ``Expansion.warm``). Remembered results are handed
-    out as the same object every time: treat them as read-only. ``load``/``save`` are :meth:`load_blobs`/:meth:`save_blob`
-    for callers that do not keep the blob.
+    The instance remembers ``blob -> result`` for every record it was
+    asked to save (even if the write failed) or verified: it is the one
+    owner of finished results. The store is content-addressed and points
+    are deterministic, so a remembered result cannot be wrong, and asking
+    again costs a dictionary lookup. Nothing is ever forgotten, so a
+    caller that kept the results of an all-hit lookup may answer the
+    same blobs from them (the orchestrator's ``Expansion.warm``).
+    Remembered results are handed out as the same object every time:
+    treat them as read-only. The store counts no hits; its caller does.
+    ``load``/``save`` are :meth:`load_blobs`/:meth:`save_blob` for
+    callers that do not keep the blob.
     """
 
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        #: Lifetime hit/miss counts (also mirrored into the service's
-        #: metrics registry by the orchestrator).
-        self.hits = 0
-        self.misses = 0
         self._known: dict[str, Any] = {}
 
     def _path(self, blob: str) -> str:
@@ -152,13 +150,11 @@ class ResultCache:
 
     def load_blobs(self, blobs: list[str]) -> list[Any]:
         """The stored result for each point ``blobs`` name, in one pass: a
-        new list, :data:`PENDING` for each miss, and one hit or miss
-        counted per blob. A file is read only for a blob the store has
-        not proved, and only the first time."""
+        new list, :data:`PENDING` for each miss. A file is read only for
+        a blob the store has not proved, and only the first time."""
         known = self._known
         results = list(map(known.get, blobs, repeat(PENDING)))
-        misses = results.count(PENDING)
-        if misses:
+        if PENDING in results:
             for index, blob in enumerate(blobs):
                 if results[index] is PENDING:
                     result = known.get(blob, PENDING)
@@ -166,22 +162,19 @@ class ResultCache:
                         result = self._read(blob)
                         if result is not PENDING:
                             known[blob] = result
-                    if result is not PENDING:
-                        results[index] = result
-                        misses -= 1
-        self.hits += len(blobs) - misses
-        self.misses += misses
+                    results[index] = result
         return results
 
     def save_blob(self, blob: str, result: Any) -> None:
         """Atomically persist ``result`` (a JSON document, as
-        :func:`json_roundtrip` returns it) for the point ``blob`` names."""
+        :func:`json_roundtrip` returns it) for the point ``blob`` names.
+        It is remembered first, so a write that raises loses no result."""
+        self._known[blob] = result
         path = self._path(blob)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(f'{{"point":{blob},"result":{_canonical(result)}}}')
         os.replace(tmp, path)
-        self._known[blob] = result
 
     def load(self, kind: str, point: dict) -> Any:
         """The stored result for ``(kind, point)``, or :data:`PENDING`.

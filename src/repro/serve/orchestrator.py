@@ -16,7 +16,7 @@ each point in order either way, plus:
   resubmitted job is answered without running anything.
 - **requeue on worker death** — a worker that drops its socket or
   stops heartbeating (``heartbeat_timeout``) has its in-flight point
-  put back on the queue, up to ``max_attempts`` tries.
+  put back on the queue, up to :data:`MAX_ATTEMPTS` tries.
 - **crash resume** — every accepted job's ``(kind, spec)`` document is
   appended, as one line, to the journal ``state_dir/jobs.log`` before
   the submit call returns: one ``os.write`` on a descriptor opened once.
@@ -73,11 +73,13 @@ from .protocol import (
 )
 
 __all__ = ["Expansion", "Job", "JournalLine", "PointTask", "Orchestrator",
-           "JOURNAL", "job_text", "read_journal"]
+           "JOURNAL", "MAX_ATTEMPTS", "job_text", "read_journal"]
 
 _JOB_ID = re.compile(r"job-([0-9]{5,})")
 #: The job journal's name in a state directory: one line per accepted job.
 JOURNAL = "jobs.log"
+#: How many workers may be lost running one point before it fails.
+MAX_ATTEMPTS = 3
 
 
 def job_text(kind: str, spec: Any) -> str:
@@ -184,7 +186,9 @@ class PointTask:
 
     ``waiters`` lists every ``(job_id, index)`` slot awaiting this
     point's result — the in-flight dedupe table is exactly the mapping
-    from cache key to one of these. ``blob`` is the point's canonical
+    from cache key to one of these, from the first job that misses the
+    point until it is done or failed. A task is queued (its key is on the
+    queue) or running on one worker. ``blob`` is the point's canonical
     key record (:func:`repro.serve.cache.point_blob`), serialised once
     per job document (its :class:`Expansion`) and reused to save the
     result.
@@ -194,10 +198,7 @@ class PointTask:
     kind: str
     point: dict
     blob: str
-    status: str = "queued"  # queued | running | done | failed
     attempts: int = 0
-    result: Any = None
-    error: Optional[str] = None
     waiters: list[tuple[str, int]] = field(default_factory=list)
 
 
@@ -303,7 +304,6 @@ class _WorkerLink(asyncio.Protocol):
 
     def run(self, task: PointTask) -> None:
         """Send ``task`` to the worker and start its deadline."""
-        task.status = "running"
         self.task = task
         self.transport.write(encode_frame(job_frame(task.key, task.kind,
                                                     task.point)))
@@ -357,9 +357,8 @@ class _WorkerLink(asyncio.Protocol):
         if self in orch._ready:
             orch._ready.remove(self)
         orch.count["serve.worker.lost"].inc()
-        task = self.task
-        if task is not None and task.status == "running":
-            orch._requeue(task, self.reason)
+        if self.task is not None:
+            orch._requeue(self.task, self.reason)
         self.ended.set_result(None)
 
 
@@ -377,10 +376,15 @@ class Orchestrator:
     (:func:`read_journal`). :meth:`stop` (or :meth:`close`) closes the
     journal and so releases the directory. ``heartbeat_timeout`` must be
     a positive, finite number of seconds.
+
+    The store (:attr:`cache`) owns finished results, the ``serve.cache.hit``
+    and ``serve.cache.miss`` counters own the hit counts
+    (:meth:`cache_counts`), and :attr:`tasks` holds only the points
+    queued or running: a finished or failed point leaves it, so a later
+    job asking for a failed point runs it again.
     """
 
-    def __init__(self, state_dir: str, heartbeat_timeout: float = 5.0,
-                 max_attempts: int = 3):
+    def __init__(self, state_dir: str, heartbeat_timeout: float = 5.0):
         if not (math.isfinite(heartbeat_timeout) and heartbeat_timeout > 0):
             raise ValueError(f"heartbeat_timeout must be a positive, finite "
                              f"number of seconds, not {heartbeat_timeout!r}")
@@ -388,7 +392,6 @@ class Orchestrator:
         os.makedirs(state_dir, exist_ok=True)
         self.cache = ResultCache(os.path.join(state_dir, "cache"))
         self.heartbeat_timeout = heartbeat_timeout
-        self.max_attempts = max_attempts
         self.metrics = MetricsRegistry()
         #: Held counter handles of ``metrics`` (the HTTP edge's too).
         self.count = Counters(self.metrics)
@@ -400,7 +403,7 @@ class Orchestrator:
         self.tasks: dict[str, PointTask] = {}
         self._t0 = time.monotonic()
         self._trace: dict[str, list[dict]] = {}
-        #: Keys of queued points, in claim order (stale entries skipped).
+        #: Keys of queued points, in claim order.
         self._queue: deque[str] = deque()
         #: Every attached worker's link, and the idle ones in wait order.
         self._links: set[_WorkerLink] = set()
@@ -573,8 +576,7 @@ class Orchestrator:
         or queued."""
         points, blobs = expansion.points, expansion.blobs
         results = expansion.warm
-        if results is not None:  # counted as the lookup would count it
-            self.cache.hits += len(blobs)
+        if results is not None:
             misses = 0
         else:
             results = self.cache.load_blobs(blobs)
@@ -593,18 +595,12 @@ class Orchestrator:
                     continue
                 key = blob_key(blob)
                 task = self.tasks.get(key)
-                if task is None or task.status == "failed":
+                if task is None:
                     task = PointTask(key=key, kind=expansion.point_kind,
                                      point=points[index], blob=blob)
                     self.tasks[key] = task
                     self._queue.append(key)
                     self.count["serve.point.queued"].inc()
-                elif task.status == "done":
-                    # Completed in memory but not in the store (its
-                    # ``save_blob`` raised): serve it like a hit.
-                    job.fill(index, task.result)
-                    job.cache_hits += 1
-                    continue
                 task.waiters.append((job_id, index))
             self.count["serve.cache.miss"].inc(misses)
             self._dispatch()
@@ -635,9 +631,7 @@ class Orchestrator:
         """Pair queued points with idle workers while both wait."""
         queue, ready = self._queue, self._ready
         while queue and ready:
-            task = self.tasks.get(queue.popleft())
-            if task is not None and task.status == "queued":
-                ready.popleft().run(task)
+            ready.popleft().run(self.tasks[queue.popleft()])
 
     def drain_inline(self) -> None:
         """Run the queue in this process until no job is waiting.
@@ -648,10 +642,7 @@ class Orchestrator:
         sweep and buys no parallelism).
         """
         while self.active and self._queue:
-            task = self.tasks.get(self._queue.popleft())
-            if task is None or task.status != "queued":
-                continue
-            task.status = "running"
+            task = self.tasks[self._queue.popleft()]
             started = time.monotonic()
             try:
                 result = execute_point(task.kind, task.point)
@@ -665,25 +656,23 @@ class Orchestrator:
         """Put a lost worker's point back on the queue (bounded tries)."""
         task.attempts += 1
         self.count["serve.point.requeued"].inc()
-        if task.attempts >= self.max_attempts:
+        if task.attempts >= MAX_ATTEMPTS:
             self._fail_task(
                 task, f"gave up after {task.attempts} attempts "
                 f"(last worker: {reason})")
         else:
-            task.status = "queued"
             self._queue.append(task.key)
             self._dispatch()
 
     def _complete(self, task: PointTask, result: Any, worker: str,
                   started: float) -> None:
         now = time.monotonic()
-        task.status = "done"
-        task.result = result
+        del self.tasks[task.key]
         try:
             self.cache.save_blob(task.blob, result)
         except OSError:
-            # The result is kept on the task: its waiters are filled now,
-            # and a later job asking for it is served from memory.
+            # The store remembers the result all the same: its waiters
+            # are filled now, and a later job asking for it hits.
             self.count["serve.cache.save_failed"].inc()
         self.count["serve.point.done"].inc()
         self.metrics.observe("serve.point.host_sec", now - started)
@@ -699,8 +688,7 @@ class Orchestrator:
             self._maybe_finish(job)
 
     def _fail_task(self, task: PointTask, error: str) -> None:
-        task.status = "failed"
-        task.error = error
+        del self.tasks[task.key]
         self.count["serve.point.failed"].inc()
         for job_id, index in task.waiters:
             job = self.jobs[job_id]
@@ -789,12 +777,19 @@ class Orchestrator:
                                       key=lambda e: e["ts"]),
                 "displayTimeUnit": "ms"}
 
+    def cache_counts(self) -> dict[str, int]:
+        """The store's lifetime lookups, read off the ``serve.cache.hit``
+        and ``serve.cache.miss`` counters, and its point files: the
+        ``cache`` document of ``/healthz`` and ``/metrics``."""
+        value = self.metrics.value
+        return {"hits": int(value("serve.cache.hit")),
+                "misses": int(value("serve.cache.miss")),
+                "stored": len(self.cache)}
+
     def healthz(self) -> dict[str, Any]:
         """Liveness document: workers (with pids), queue and cache state."""
         return {"ok": True,
                 "workers": dict(sorted(self.workers.items())),
                 "jobs": len(self.jobs),
                 "queue_depth": self.queue_depth,
-                "cache": {"hits": self.cache.hits,
-                          "misses": self.cache.misses,
-                          "stored": len(self.cache)}}
+                "cache": self.cache_counts()}

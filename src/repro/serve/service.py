@@ -26,7 +26,7 @@ CPUs this process may run on (:func:`usable_cpus`) unless
 dispatch overhead.
 
 :func:`spawn_service` forks the service into a child process and waits
-for the discovery file, returning a :class:`ServiceHandle` that tests
+for its announcement, returning a :class:`ServiceHandle` that tests
 use to ``kill -9`` the service (crash-resume) or individual workers
 (requeue), then restart on the same ``state_dir``.
 
@@ -63,10 +63,12 @@ from .client import ServeClient
 if TYPE_CHECKING:
     from .orchestrator import Orchestrator
 
-__all__ = ["ForkedProcess", "ServiceHandle", "auto_jobs", "import_asyncio",
-           "run_local", "run_service", "spawn_service"]
+__all__ = ["DISCOVERY", "ForkedProcess", "ServiceHandle", "auto_jobs",
+           "import_asyncio", "read_discovery", "run_local", "run_service",
+           "spawn_service"]
 
-_DISCOVERY = "serve.json"
+#: The discovery file's name in a state directory.
+DISCOVERY = "serve.json"
 #: Seconds a terminated child has to exit before it is killed.
 _GRACE = 5.0
 
@@ -288,12 +290,24 @@ async def _workers(orch: Orchestrator, n: int):
 
 
 def _write_discovery(state_dir: str, doc: dict) -> str:
-    path = os.path.join(state_dir, _DISCOVERY)
+    path = os.path.join(state_dir, DISCOVERY)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
     os.replace(tmp, path)
     return path
+
+
+def read_discovery(state_dir: str) -> dict[str, Any]:
+    """The discovery document in ``state_dir`` (``pid``, ``socket``,
+    ``workers``): the one reader of ``serve.json``. Raises ``OSError``
+    when there is none and ``ValueError`` when it names no socket. A
+    killed service's file stays until the next service replaces it."""
+    with open(os.path.join(state_dir, DISCOVERY), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not (isinstance(doc, dict) and isinstance(doc.get("socket"), str)):
+        raise ValueError(f"{fh.name} names no socket")
+    return doc
 
 
 async def _serve(state_dir: str, workers: Optional[int],
@@ -314,10 +328,8 @@ async def _serve(state_dir: str, workers: Optional[int],
             await api.shutdown_requested.wait()
         finally:
             await api.stop()
-            try:
-                os.remove(os.path.join(state_dir, _DISCOVERY))
-            except OSError:
-                pass  # crash-killed earlier run already removed it
+            with contextlib.suppress(OSError):  # removed by hand
+                os.remove(os.path.join(state_dir, DISCOVERY))
 
 
 def run_service(state_dir: str, workers: Optional[int] = None,
@@ -424,22 +436,17 @@ class ServiceHandle:
 def spawn_service(state_dir: str, workers: Optional[int] = None,
                   oversubscribe: bool = False, heartbeat_timeout: float = 5.0,
                   timeout: float = 30.0) -> ServiceHandle:
-    """Fork :func:`run_service` and wait for its discovery file.
+    """Fork :func:`run_service` and wait until it serves.
 
-    Returns once ``state_dir/serve.json`` names the child's socket, so the
-    caller can immediately submit jobs. Raises
-    :class:`~repro.errors.ServeError` if the child dies or the file
-    does not appear within ``timeout`` seconds; a child given up on is
-    terminated (killed if it outlives :data:`_GRACE`) and reaped.
+    The child announces, one line on a pipe, once it has written
+    ``state_dir/serve.json``; that line is the one wait, and the file is
+    read once after it, so the caller can immediately submit jobs.
+    Raises :class:`~repro.errors.ServeError` if the child dies (the pipe
+    ends with no line) or does not announce within ``timeout`` seconds;
+    a child given up on is terminated (killed if it outlives
+    :data:`_GRACE`) and reaped.
     """
     os.makedirs(state_dir, exist_ok=True)
-    discovery = os.path.join(state_dir, _DISCOVERY)
-    try:
-        os.remove(discovery)
-    except OSError:
-        pass  # no stale file to clear
-    # The child also announces on a pipe once the file is written, so the
-    # wait below wakes then instead of at the end of a poll interval.
     ready, announced = os.pipe()
 
     def announce(line: str) -> None:
@@ -450,27 +457,16 @@ def spawn_service(state_dir: str, workers: Optional[int] = None,
         run_service, state_dir, workers=workers, oversubscribe=oversubscribe,
         heartbeat_timeout=heartbeat_timeout, announce=announce)
     os.close(announced)
-    deadline = time.monotonic() + timeout
     try:
-        while time.monotonic() < deadline:
-            doc: Optional[dict[str, Any]] = None
-            try:
-                with open(discovery, encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except (OSError, ValueError):
-                doc = None  # not written (or mid-write) yet
-            if doc and doc.get("pid") == proc.pid and doc.get("socket"):
-                return ServiceHandle(state_dir=state_dir,
-                                     socket=doc["socket"], pid=proc.pid,
-                                     proc=proc)
-            if not proc.is_alive():
-                raise ServeError(
-                    f"service process died during startup "
-                    f"(exitcode {proc.exitcode})")
-            if (select.select([ready], [], [], 0.02)[0]
-                    and not os.read(ready, 4096)):
-                time.sleep(0.02)  # every writer has closed: poll
-        raise ServeError(f"service did not become ready in {timeout}s")
+        if not select.select([ready], [], [], timeout)[0]:
+            raise ServeError(f"service did not become ready in {timeout}s")
+        if not os.read(ready, 4096):
+            proc.join(_GRACE)  # its end closes as it exits
+            raise ServeError(f"service process died during startup "
+                             f"(exitcode {proc.exitcode})")
+        return ServiceHandle(state_dir=state_dir,
+                             socket=read_discovery(state_dir)["socket"],
+                             pid=proc.pid, proc=proc)
     except BaseException:
         _end([proc])
         raise

@@ -21,15 +21,17 @@ import socket
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
 
 import repro.serve.service as service_mod
 import repro.serve.worker as worker_mod
+from repro.cli import main
 from repro.errors import ServeError
 from repro.serve.orchestrator import Orchestrator
-from repro.serve.service import ForkedProcess, spawn_service
+from repro.serve.service import ForkedProcess, read_discovery, spawn_service
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -283,19 +285,56 @@ def test_a_state_directory_too_deep_for_a_socket_address_serves(tmp_path):
 
 
 def test_a_second_service_on_a_live_state_directory_leaves_its_socket(
-        tmp_path):
+        tmp_path, capsys):
     """Only the holder of the journal lock unlinks a socket in the state
-    directory: a second service on a live directory dies at start-up,
-    and the first still answers on its socket."""
+    directory or touches its ``serve.json``: a second service on a live
+    directory dies at start-up, the first still answers on its socket,
+    ``serve.json`` still names it, and ``repro jobs`` finds it there."""
     state = str(tmp_path / "s")
     handle = spawn_service(state, workers=1)
     try:
+        with handle.client() as client:
+            job = client.submit("selftest", {"n": 1})
         with pytest.raises(ServeError, match="died during startup"):
             spawn_service(state, workers=1)
         with handle.client() as client:
             assert client.healthz()["ok"]
+        assert read_discovery(state)["pid"] == handle.pid
+        assert read_discovery(state)["socket"] == handle.socket
+        capsys.readouterr()
+        assert main(["jobs", "--state-dir", state]) == 0
+        assert job["job_id"] in capsys.readouterr().out
     finally:
         handle.stop()
+
+
+@pytest.mark.tier2
+def test_a_killed_service_leaves_no_private_socket_directory(
+        tmp_path, monkeypatch):
+    """The private directory of a state directory too deep for a socket
+    address goes with the service even when it is killed: the next
+    service on the state directory removes the socket its ``serve.json``
+    names and the directory that holds it."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    state = str(tmp_path / ("deep-" * 20))
+
+    def private_dirs():
+        return [name for name in os.listdir(tmp_path)
+                if name.startswith("repro-serve-")]
+
+    handle = spawn_service(state, workers=1)
+    assert os.path.dirname(handle.socket) == str(tmp_path /
+                                                 private_dirs()[0])
+    handle.kill()
+    assert len(private_dirs()) == 1  # the killed one's, with its socket
+    handle = spawn_service(state, workers=1)
+    try:
+        assert private_dirs() == [os.path.basename(
+            os.path.dirname(handle.socket))]
+    finally:
+        handle.stop()
+    assert private_dirs() == []
 
 
 @linux_only

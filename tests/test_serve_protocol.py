@@ -397,7 +397,6 @@ def test_completion_counters_agree_with_a_recount(tmp_path, monkeypatch):
     recount()
     assert orch.job_status(mixed)["done"] == orch.jobs[mixed].cache_hits == 2
     task = orch.tasks[orch._queue.popleft()]  # a worker claims a point...
-    task.status = "running"
     orch._requeue(task, "test")                  # ...and is lost
     recount()
     orch.drain_inline()
@@ -433,12 +432,12 @@ def test_second_submit_touches_no_point_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_mod, "open", spy(open), raising=False)
     monkeypatch.setattr(os, "stat", spy(os.stat))
     monkeypatch.setattr(cache_mod, "_canonical", counted)
-    hits = orch.cache.hits
+    hits = orch.cache_counts()["hits"]
     again = orch.submit("selftest", {"n": total})
     assert touched == [] and len(canonicalised) == 0
     status = orch.job_status(again)
     assert status["status"] == "done" and status["cache_hits"] == total
-    assert orch.cache.hits == hits + total
+    assert orch.cache_counts()["hits"] == hits + total
     assert orch.metrics.value("serve.cache.hit") == total
     assert orch.job_result(again)["results"] == \
         orch.job_result(first)["results"]
@@ -447,7 +446,8 @@ def test_second_submit_touches_no_point_file(tmp_path, monkeypatch):
     restarted = Orchestrator(state)
     restarted.resume_jobs()  # two journal lines, the same six points
     assert len(touched) == total
-    assert restarted.cache.hits == 2 * total and not restarted.active
+    assert restarted.cache_counts()["hits"] == 2 * total
+    assert not restarted.active
 
 
 # -- known job documents (tier 1, no sockets) ------------------------------
@@ -1861,8 +1861,8 @@ def test_a_document_with_keys_that_are_no_strings_is_one_text_resumed(
 
 
 def test_warm_posts_count_as_store_lookups_count(tmp_path):
-    """N warm POSTs of a 35-point document raise the store's hits by
-    35 N, its misses by nothing, ``serve.cache.hit`` by 35 N and
+    """N warm POSTs of a 35-point document raise the ``cache`` document's
+    hits by 35 N, its misses by nothing, ``serve.cache.hit`` by 35 N and
     ``serve.job.submitted`` by N, and load no point from the store."""
     posts = 7
     spec = {"n": 35}
@@ -1870,7 +1870,7 @@ def test_warm_posts_count_as_store_lookups_count(tmp_path):
     with _edge(tmp_path, spec) as (orch, connection, transport):
         _ask(connection, transport, post)  # the first warm POST
         metrics = orch.metrics
-        before = (orch.cache.hits, orch.cache.misses,
+        before = (orch.cache_counts()["hits"], orch.cache_counts()["misses"],
                   metrics.value("serve.cache.hit"),
                   metrics.value("serve.job.submitted"),
                   metrics.value("serve.cache.miss"))
@@ -1879,7 +1879,7 @@ def test_warm_posts_count_as_store_lookups_count(tmp_path):
         answers = _ask(connection, transport, post * posts)
         assert [(status, doc["cache_hits"]) for status, _h, doc
                 in answers] == [(201, 35)] * posts
-        assert (orch.cache.hits, orch.cache.misses,
+        assert (orch.cache_counts()["hits"], orch.cache_counts()["misses"],
                 metrics.value("serve.cache.hit"),
                 metrics.value("serve.job.submitted"),
                 metrics.value("serve.cache.miss")) == (
@@ -1967,29 +1967,31 @@ async def _wait_status(orch, job_id, timeout=10.0):
         await asyncio.sleep(0.02)
 
 
-def _save_fails_once(orch):
-    """Make ``orch``'s next result save raise ENOSPC, and only that one."""
-    real = orch.cache.save_blob
+def _save_fails_once(monkeypatch):
+    """Make the store's next result file write raise ENOSPC, and only
+    that one."""
     calls = []
 
-    def save_blob(blob, result):
-        calls.append(blob)
-        if len(calls) == 1:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        real(blob, result)
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            calls.append(path)
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return open(path, mode, *args, **kwargs)
 
-    orch.cache.save_blob = save_blob
+    monkeypatch.setattr(cache_mod, "open", failing_open, raising=False)
 
 
-def test_a_failed_result_save_still_finishes_the_job(tmp_path):
+def test_a_failed_result_save_still_finishes_the_job(tmp_path, monkeypatch):
     """A point whose result cannot be stored is still done: the worker
     that computed it stays attached, every waiter is filled from memory,
-    and the failure is counted."""
+    and the failure is counted. The store remembers the result, so a
+    later job asking for it is a hit in the job and the counters alike."""
     async def scenario():
         orch = Orchestrator(str(tmp_path / "s"))
         await orch.start()
         worker = await _TestWorker(orch).connect(name="w")
-        _save_fails_once(orch)
+        _save_fails_once(monkeypatch)
         job_id = orch.submit("selftest", {"n": 3})
         for _ in range(3):
             await worker.work_one()
@@ -1999,22 +2001,49 @@ def test_a_failed_result_save_still_finishes_the_job(tmp_path):
             {"i": i, "value": i * i} for i in range(3)]
         assert "w" in orch.workers
         assert orch.metrics.value("serve.cache.save_failed") == 1
+        assert len(os.listdir(tmp_path / "s" / "cache")) == 2
         # A second job wanting the unsaved point is answered from memory.
         again = orch.submit("selftest", {"n": 3})
         assert orch.job_status(again)["status"] == "done"
+        assert orch.job_status(again)["cache_hits"] == 3
+        assert orch.metrics.value("serve.cache.hit") == 3
+        assert orch.tasks == {}
         worker.close()
         await orch.stop()
 
     asyncio.run(scenario())
 
 
-def test_a_failed_result_save_does_not_stop_an_inline_drain(tmp_path):
+def test_a_failed_result_save_does_not_stop_an_inline_drain(tmp_path,
+                                                            monkeypatch):
     orch = Orchestrator(str(tmp_path / "s"))
-    _save_fails_once(orch)
+    _save_fails_once(monkeypatch)
     job_id = orch.submit("selftest", {"n": 3})
     orch.drain_inline()
     assert orch.job_status(job_id)["status"] == "done"
     assert orch.metrics.value("serve.cache.save_failed") == 1
+    orch.close()
+
+
+def test_the_task_table_holds_only_unfinished_points(tmp_path):
+    """A point is in ``tasks`` from the first job that misses it until it
+    is done or failed: once every job has ended the table is empty,
+    whether its points were done or failed, and a later job asking for
+    a point that failed runs it again."""
+    orch = Orchestrator(str(tmp_path / "s"))
+    good = orch.submit("selftest", {"n": 2})
+    bad = orch.submit("selftest", {"n": 1, "fail_at": 0})
+    assert len(orch.tasks) == 3
+    orch.drain_inline()
+    assert orch.job_status(good)["status"] == "done"
+    assert orch.job_status(bad)["status"] == "failed"
+    assert orch.tasks == {} and not orch.active
+    again = orch.submit("selftest", {"n": 1, "fail_at": 0})
+    assert len(orch.tasks) == 1 and orch.queue_depth == 1
+    orch.drain_inline()
+    assert orch.job_status(again)["status"] == "failed"
+    assert orch.metrics.value("serve.point.failed") == 2
+    assert orch.tasks == {}
     orch.close()
 
 
@@ -2064,17 +2093,17 @@ def test_worker_death_mid_job_requeues(tmp_path):
 @pytest.mark.tier2
 def test_requeue_gives_up_after_max_attempts(tmp_path):
     async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=5.0,
-                            max_attempts=2)
+        orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=5.0)
         await orch.start()
         job_id = orch.submit("selftest", {"n": 1})
-        for _attempt in range(2):
+        for _attempt in range(orch_mod.MAX_ATTEMPTS):
             w = await _TestWorker(orch).connect(name="flaky")
             await w.next_frame()
             w.close()
         status = await _wait_status(orch, job_id)
         assert status["status"] == "failed"
-        assert "gave up after 2 attempts" in status["error"]
+        assert (f"gave up after {orch_mod.MAX_ATTEMPTS} attempts"
+                in status["error"])
         await orch.stop()
 
     asyncio.run(scenario())
