@@ -472,18 +472,16 @@ def _serve_socket(args) -> str:
     """Resolve the service's socket path: --socket wins, else the
     discovery file."""
     from .errors import ServeError
-    from .serve.service import DISCOVERY, read_discovery
+    from .serve.service import read_discovery
     if args.socket:
         return args.socket
     try:
         return read_discovery(args.state_dir)["socket"]
-    except (OSError, ValueError) as exc:
-        import os
-        path = os.path.join(args.state_dir, DISCOVERY)
+    except ServeError as exc:
         raise ServeError(
-            f"no running service found via {path!r} "
-            f"(start one with 'repro serve --state-dir "
-            f"{args.state_dir}', or pass --socket): {exc}") from exc
+            f"{exc} (start one with 'repro serve --state-dir "
+            f"{args.state_dir}', or pass --socket): {exc.__cause__}"
+        ) from exc
 
 
 def _cmd_serve(args) -> int:

@@ -112,17 +112,16 @@ class ResultCache:
     (the head *is* the record, canonically serialised), so a reformatted,
     foreign, torn or lying file is a miss.
 
-    The instance remembers ``blob -> result`` for every record it was
-    asked to save (even if the write failed) or verified: it is the one
-    owner of finished results. The store is content-addressed and points
-    are deterministic, so a remembered result cannot be wrong, and asking
-    again costs a dictionary lookup. Nothing is ever forgotten, so a
-    caller that kept the results of an all-hit lookup may answer the
-    same blobs from them (the orchestrator's ``Expansion.warm``).
-    Remembered results are handed out as the same object every time:
-    treat them as read-only. The store counts no hits; its caller does.
-    ``load``/``save`` are :meth:`load_blobs`/:meth:`save_blob` for
-    callers that do not keep the blob.
+    The instance remembers ``blob -> result`` for every record it saved
+    (even if the write failed) or verified: it owns finished results. The
+    store is content-addressed and points are deterministic, so a
+    remembered result cannot be wrong, and asking again costs a
+    dictionary lookup. Nothing is ever forgotten, so a caller that kept
+    the results of an all-hit lookup may answer the same blobs from them
+    (the orchestrator's ``Expansion.warm``). Remembered results are
+    handed out as the same object every time: treat them as read-only.
+    The caller counts hits. ``load``/``save`` are :meth:`load_blobs`/
+    :meth:`save_blob` for callers that do not keep the blob.
     """
 
     def __init__(self, directory: str):

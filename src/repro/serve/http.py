@@ -40,7 +40,6 @@ from ..errors import ServeError
 from .client import parse_job_document
 from .orchestrator import Orchestrator, job_text
 from .protocol import CANONICAL_JSON, bound_reads
-from .service import read_discovery
 
 __all__ = ["HttpApi"]
 
@@ -96,18 +95,6 @@ def _parse_head(head: str) -> tuple[str, str, int, bool]:
     keep = (parts[2] == "HTTP/1.1"
             and headers.get("connection", "").lower() != "close")
     return parts[0].upper(), parts[1].rstrip("/") or "/", int(length), keep
-
-
-def _unbind(path: str, state_dir: str) -> None:
-    """Remove the socket file at ``path`` and, when it is outside
-    ``state_dir`` (the private directory of a path too long for a socket
-    address), the directory that holds it: nothing can connect any
-    more."""
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(path)
-    if os.path.dirname(path) != state_dir:
-        with contextlib.suppress(OSError):
-            os.rmdir(os.path.dirname(path))
 
 
 class _Connection(asyncio.Protocol):
@@ -283,7 +270,9 @@ class HttpApi:
         self._count = orchestrator.count
         #: The listening socket's path, once started.
         self.path: Optional[str] = None
-        self._state_dir = os.path.abspath(orchestrator.state_dir)
+        #: The private directory that holds it when the state directory's
+        #: path is too long for a socket address (else None).
+        self._private: Optional[str] = None
         self._server: Optional[asyncio.AbstractServer] = None
         #: Open connections: protocol -> its transport (see :meth:`stop`).
         self._conns: dict[_Connection, asyncio.BaseTransport] = {}
@@ -296,12 +285,9 @@ class HttpApi:
         """Listen on ``<state-dir>/serve.sock``; returns its path.
 
         The orchestrator holds the state directory's journal lock, so a
-        socket file already there, and the socket a ``serve.json`` names
-        (:func:`~repro.serve.service.read_discovery`), were left by a
-        killed service: both are unlinked, and so is the private
-        directory that holds the second when it is outside the state
-        directory. When the socket's absolute path is longer than a
-        socket address holds (107 bytes), it is bound in a private
+        socket file already there was left by a killed service, and is
+        unlinked. When the socket's absolute path is longer than a socket
+        address holds (107 bytes), it is bound in a private
         ``tempfile.mkdtemp`` directory instead. The socket is made
         owner-only (0600) before it listens, so no other user ever
         connects.
@@ -310,15 +296,15 @@ class HttpApi:
         job, inside that request's answer (DESIGN §2a). The loop stalls
         for that import, and no client is reset by it, because every
         close the server starts half-closes and drains first."""
-        state_dir = self._state_dir
-        path = os.path.join(state_dir, _SOCKET)
-        _unbind(path, state_dir)
-        with contextlib.suppress(OSError, ValueError):  # no file left
-            _unbind(read_discovery(state_dir)["socket"], state_dir)
+        path = os.path.abspath(os.path.join(self.orchestrator.state_dir,
+                                            _SOCKET))
         if len(os.fsencode(path)) > _SUN_PATH:
             import tempfile  # here: most state directories are not this deep
-            path = os.path.join(tempfile.mkdtemp(prefix="repro-serve-"),
-                                _SOCKET)
+            self._private = tempfile.mkdtemp(prefix="repro-serve-")
+            path = os.path.join(self._private, _SOCKET)
+        else:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)  # stale: the service that bound it is dead
         self.path = path
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
@@ -328,9 +314,20 @@ class HttpApi:
             ).create_unix_server(lambda: _Connection(self), sock=sock)
         except BaseException:
             sock.close()
-            _unbind(path, state_dir)
+            self._remove()
             raise
         return path
+
+    def _remove(self) -> None:
+        """Remove the socket file and the private directory that held it
+        (if any): nothing can connect any more."""
+        assert self.path is not None
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.path)
+        if self._private is not None:
+            with contextlib.suppress(OSError):
+                os.rmdir(self._private)
+            self._private = None
 
     async def stop(self) -> None:
         """Close the API server and every open connection (an idle
@@ -338,8 +335,7 @@ class HttpApi:
         remove the socket file."""
         if self._server is not None:
             self._server.close()
-            assert self.path is not None
-            _unbind(self.path, self._state_dir)
+            self._remove()
             for transport in list(self._conns.values()):
                 transport.close()  # flushes a response in flight, then EOF
             if self._conns:  # each goes once its buffer is sent

@@ -186,9 +186,8 @@ class PointTask:
 
     ``waiters`` lists every ``(job_id, index)`` slot awaiting this
     point's result — the in-flight dedupe table is exactly the mapping
-    from cache key to one of these, from the first job that misses the
-    point until it is done or failed. A task is queued (its key is on the
-    queue) or running on one worker. ``blob`` is the point's canonical
+    from cache key to one of these, queued or running, until it is done
+    or failed. ``blob`` is the point's canonical
     key record (:func:`repro.serve.cache.point_blob`), serialised once
     per job document (its :class:`Expansion`) and reused to save the
     result.
@@ -377,11 +376,9 @@ class Orchestrator:
     journal and so releases the directory. ``heartbeat_timeout`` must be
     a positive, finite number of seconds.
 
-    The store (:attr:`cache`) owns finished results, the ``serve.cache.hit``
-    and ``serve.cache.miss`` counters own the hit counts
-    (:meth:`cache_counts`), and :attr:`tasks` holds only the points
-    queued or running: a finished or failed point leaves it, so a later
-    job asking for a failed point runs it again.
+    The store (:attr:`cache`) owns finished results, the counters own the
+    hit counts (:meth:`cache_counts`), and :attr:`tasks` holds only the
+    points queued or running, so a later job reruns a failed point.
     """
 
     def __init__(self, state_dir: str, heartbeat_timeout: float = 5.0):
@@ -634,14 +631,15 @@ class Orchestrator:
             ready.popleft().run(self.tasks[queue.popleft()])
 
     def drain_inline(self) -> None:
-        """Run the queue in this process until no job is waiting.
+        """Run the whole queue in this process, as a service's workers do
+        (a failed job's other points too): :attr:`tasks` ends empty.
 
         The one-worker executor: same claim → :func:`execute_point` →
         complete/fail steps as a socket worker's link, minus
         the socket (a single socket worker measured +14% on the Fig 1(a)
         sweep and buys no parallelism).
         """
-        while self.active and self._queue:
+        while self._queue:
             task = self.tasks[self._queue.popleft()]
             started = time.monotonic()
             try:
@@ -778,9 +776,8 @@ class Orchestrator:
                 "displayTimeUnit": "ms"}
 
     def cache_counts(self) -> dict[str, int]:
-        """The store's lifetime lookups, read off the ``serve.cache.hit``
-        and ``serve.cache.miss`` counters, and its point files: the
-        ``cache`` document of ``/healthz`` and ``/metrics``."""
+        """The ``cache`` document of ``/healthz`` and ``/metrics``: the
+        ``serve.cache.hit``/``.miss`` counters and the stored points."""
         value = self.metrics.value
         return {"hits": int(value("serve.cache.hit")),
                 "misses": int(value("serve.cache.miss")),

@@ -46,11 +46,14 @@ forked it never does.
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import json
 import os
 import select
 import signal
+import socket
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -63,12 +66,10 @@ from .client import ServeClient
 if TYPE_CHECKING:
     from .orchestrator import Orchestrator
 
-__all__ = ["DISCOVERY", "ForkedProcess", "ServiceHandle", "auto_jobs",
-           "import_asyncio", "read_discovery", "run_local", "run_service",
-           "spawn_service"]
+__all__ = ["ForkedProcess", "ServiceHandle", "auto_jobs", "import_asyncio",
+           "read_discovery", "run_local", "run_service", "spawn_service"]
 
-#: The discovery file's name in a state directory.
-DISCOVERY = "serve.json"
+_DISCOVERY = "serve.json"
 #: Seconds a terminated child has to exit before it is killed.
 _GRACE = 5.0
 
@@ -290,7 +291,7 @@ async def _workers(orch: Orchestrator, n: int):
 
 
 def _write_discovery(state_dir: str, doc: dict) -> str:
-    path = os.path.join(state_dir, DISCOVERY)
+    path = os.path.join(state_dir, _DISCOVERY)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -300,14 +301,37 @@ def _write_discovery(state_dir: str, doc: dict) -> str:
 
 def read_discovery(state_dir: str) -> dict[str, Any]:
     """The discovery document in ``state_dir`` (``pid``, ``socket``,
-    ``workers``): the one reader of ``serve.json``. Raises ``OSError``
-    when there is none and ``ValueError`` when it names no socket. A
-    killed service's file stays until the next service replaces it."""
-    with open(os.path.join(state_dir, DISCOVERY), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not (isinstance(doc, dict) and isinstance(doc.get("socket"), str)):
-        raise ValueError(f"{fh.name} names no socket")
+    ``workers``), the one reader of ``serve.json``; a ServeError naming
+    the file, caused by the error that read it, if none names a socket."""
+    path = os.path.join(state_dir, _DISCOVERY)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not (isinstance(doc, dict) and isinstance(doc.get("socket"), str)):
+            raise ValueError("it names no socket")
+    except (OSError, ValueError) as exc:
+        raise ServeError(f"no running service found via {path!r}") from exc
     return doc
+
+
+def _remove_stale_socket(state_dir: str) -> None:
+    """As the journal lock's holder, remove the private directory and
+    socket a killed service's ``serve.json`` names: only a socket in a
+    ``repro-serve-*`` directory that refuses a connection. A copy of a
+    live state directory names a socket that accepts, and a damaged file
+    may name anything; both are left alone."""
+    with contextlib.suppress(ServeError, OSError):
+        path = read_discovery(state_dir)["socket"]
+        private = os.path.dirname(path)
+        if not (os.path.basename(private).startswith("repro-serve-")
+                and stat.S_ISSOCK(os.lstat(path).st_mode)):
+            return
+        with socket.socket(socket.AF_UNIX) as probe:
+            probe.settimeout(1.0)
+            if probe.connect_ex(path) != errno.ECONNREFUSED:
+                return  # a live service listens on it
+        os.unlink(path)
+        os.rmdir(private)
 
 
 async def _serve(state_dir: str, workers: Optional[int],
@@ -316,6 +340,7 @@ async def _serve(state_dir: str, workers: Optional[int],
     from .http import HttpApi
     from .orchestrator import Orchestrator
     orch = Orchestrator(state_dir, heartbeat_timeout=heartbeat_timeout)
+    _remove_stale_socket(state_dir)
     n = auto_jobs(requested=workers, oversubscribe=oversubscribe)
     async with _workers(orch, n):
         orch.resume_jobs()
@@ -329,7 +354,7 @@ async def _serve(state_dir: str, workers: Optional[int],
         finally:
             await api.stop()
             with contextlib.suppress(OSError):  # removed by hand
-                os.remove(os.path.join(state_dir, DISCOVERY))
+                os.remove(os.path.join(state_dir, _DISCOVERY))
 
 
 def run_service(state_dir: str, workers: Optional[int] = None,
@@ -436,15 +461,13 @@ class ServiceHandle:
 def spawn_service(state_dir: str, workers: Optional[int] = None,
                   oversubscribe: bool = False, heartbeat_timeout: float = 5.0,
                   timeout: float = 30.0) -> ServiceHandle:
-    """Fork :func:`run_service` and wait until it serves.
+    """Fork :func:`run_service` and wait for its announcement.
 
-    The child announces, one line on a pipe, once it has written
-    ``state_dir/serve.json``; that line is the one wait, and the file is
-    read once after it, so the caller can immediately submit jobs.
-    Raises :class:`~repro.errors.ServeError` if the child dies (the pipe
-    ends with no line) or does not announce within ``timeout`` seconds;
-    a child given up on is terminated (killed if it outlives
-    :data:`_GRACE`) and reaped.
+    The child writes one line on a pipe once ``state_dir/serve.json`` is
+    written, so the caller can immediately submit jobs. Raises
+    :class:`~repro.errors.ServeError` if the child dies (EOF, no line)
+    or does not announce within ``timeout`` seconds; a child given up on
+    is terminated (killed if it outlives :data:`_GRACE`) and reaped.
     """
     os.makedirs(state_dir, exist_ok=True)
     ready, announced = os.pipe()

@@ -16,6 +16,7 @@ import asyncio
 import contextlib
 import json
 import os
+import shutil
 import signal
 import socket
 import stat
@@ -335,6 +336,58 @@ def test_a_killed_service_leaves_no_private_socket_directory(
     finally:
         handle.stop()
     assert private_dirs() == []
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["shallow", "deep"])
+def test_a_service_on_a_copied_state_directory_leaves_the_live_socket(
+        tmp_path, monkeypatch, deep):
+    """A state directory copied from a live one (a backup restore, a
+    seeded cache) has a ``serve.json`` naming the live service's socket:
+    a service started on the copy removes none of it, and the live
+    service still answers, in its state directory or in a private
+    ``repro-serve-*`` directory."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+    live = str(tmp_path / ("deep-" * 20 if deep else "live"))
+    handle = spawn_service(live, workers=1)
+    try:
+        assert (os.path.dirname(handle.socket) != live) == deep
+        copy = str(tmp_path / "copy")
+        shutil.copytree(live, copy,
+                        ignore=shutil.ignore_patterns("serve.sock"))
+        assert read_discovery(copy)["socket"] == handle.socket
+        second = spawn_service(copy, workers=1)
+        try:
+            with second.client() as client:
+                assert client.healthz()["ok"]
+        finally:
+            second.stop()
+        assert stat.S_ISSOCK(os.lstat(handle.socket).st_mode)
+        with handle.client() as client:
+            assert client.healthz()["ok"]
+    finally:
+        handle.stop()
+
+
+def test_a_damaged_discovery_file_removes_nothing_it_names(tmp_path):
+    """Only a refused socket in a ``repro-serve-*`` directory is taken
+    for a killed service's: a ``serve.json`` naming a regular file there,
+    or a socket elsewhere, costs the file nothing."""
+    private = tmp_path / "repro-serve-x"
+    private.mkdir()
+    (private / "serve.sock").write_text("keep")
+    elsewhere = tmp_path / "sockets"
+    elsewhere.mkdir()
+    dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    dead.bind(str(elsewhere / "dead.sock"))
+    dead.close()  # bound, never listened: a connect is refused
+    for target in (private / "serve.sock", elsewhere / "dead.sock"):
+        state = tmp_path / f"s-{target.name}"
+        state.mkdir()
+        (state / "serve.json").write_text(json.dumps({"socket": str(target)}))
+        spawn_service(str(state), workers=1).stop()
+        assert os.path.lexists(target)
+    assert (private / "serve.sock").read_text() == "keep"
 
 
 @linux_only

@@ -2027,17 +2027,22 @@ def test_a_failed_result_save_does_not_stop_an_inline_drain(tmp_path,
 
 def test_the_task_table_holds_only_unfinished_points(tmp_path):
     """A point is in ``tasks`` from the first job that misses it until it
-    is done or failed: once every job has ended the table is empty,
-    whether its points were done or failed, and a later job asking for
-    a point that failed runs it again."""
+    is done or failed: once every job has ended and the queue has run
+    the table is empty, whether its points were done or failed (a
+    failed job's other points run and are stored, as a service's
+    workers run them), and a later job asking for a point that failed
+    runs it again."""
     orch = Orchestrator(str(tmp_path / "s"))
     good = orch.submit("selftest", {"n": 2})
-    bad = orch.submit("selftest", {"n": 1, "fail_at": 0})
-    assert len(orch.tasks) == 3
+    bad = orch.submit("selftest", {"n": 3, "fail_at": 0})
+    assert len(orch.tasks) == 4  # bad's point 1 is good's
     orch.drain_inline()
     assert orch.job_status(good)["status"] == "done"
     assert orch.job_status(bad)["status"] == "failed"
-    assert orch.tasks == {} and not orch.active
+    assert orch.tasks == {} and orch.queue_depth == 0 and not orch.active
+    assert orch.metrics.value("serve.point.done") == 3
+    stored = orch.submit("selftest", {"n": 3})
+    assert orch.job_status(stored)["cache_hits"] == 3
     again = orch.submit("selftest", {"n": 1, "fail_at": 0})
     assert len(orch.tasks) == 1 and orch.queue_depth == 1
     orch.drain_inline()
