@@ -1,12 +1,14 @@
 """Start-up cost per front end: ``repro`` modules loaded, whether numpy
-loaded, and import time; and what a service costs to start.
+and the checker loaded, and import time; and what a service costs to
+start.
 
     PYTHONPATH=src python benchmarks/startup.py [--runs N] [--out-dir DIR]
 
 Each front end is imported in ``--runs`` fresh interpreters (default 5);
 one line per front end gives the ``repro`` modules it loaded, ``yes`` or
-``no`` for numpy, and the median milliseconds its import took (numpy's
-own import included where it loads). The
+``no`` for numpy and for the dynamic checker (``repro.check.checker``,
+which only a World that checks imports), and the median milliseconds its
+import took (numpy's own import included where it loads). The
 ``fig1a-point`` row also runs one small Fig 1(a) point of every mode, so
 it counts what a run loads, not only what its import does.
 
@@ -56,8 +58,8 @@ FRONT_ENDS = {
         "    run_msgrate(MsgRateConfig(mode=mode, cores=2, msgs_per_core=2))"),
 }
 
-#: Prints ``<repro modules> <numpy: yes|no> <milliseconds>`` for the code
-#: in argv[1].
+#: Prints ``<repro modules> <numpy: yes|no> <check: yes|no>
+#: <milliseconds>`` for the code in argv[1].
 _PROBE = (
     "import sys, time\n"
     "started = time.perf_counter()\n"
@@ -65,7 +67,8 @@ _PROBE = (
     "elapsed = time.perf_counter() - started\n"
     "count = sum(m.partition('.')[0] == 'repro' for m in sys.modules)\n"
     "numpy = 'yes' if sys.modules.get('numpy') else 'no'\n"
-    "print(count, numpy, round(elapsed * 1e3, 1))\n")
+    "check = 'yes' if sys.modules.get('repro.check.checker') else 'no'\n"
+    "print(count, numpy, check, round(elapsed * 1e3, 1))\n")
 
 
 #: Prints ``<ready ms> <sweep ms> <driver MiB> <service MiB> <worker MiB>
@@ -126,15 +129,16 @@ def _run(args: list[str]) -> subprocess.CompletedProcess:
                           text=True, check=True)
 
 
-def measure(code: str, runs: int) -> tuple[int, str, float]:
-    """``(repro modules loaded, numpy loaded, median import ms)`` over
+def measure(code: str, runs: int) -> tuple[int, str, str, float]:
+    """``(repro modules loaded, numpy loaded, checker loaded, median
+    import ms)`` over
     ``runs``, after one untimed run (the first interpreter after a pause
     reads ~60 % slower, which would charge whichever front end comes
     first)."""
     samples = [_run(["-c", _PROBE, code]).stdout.split()
                for _ in range(runs + 1)][1:]
-    return (int(samples[0][0]), samples[0][1],
-            statistics.median(float(ms) for _, _, ms in samples))
+    return (int(samples[0][0]), samples[0][1], samples[0][2],
+            statistics.median(float(ms) for *_, ms in samples))
 
 
 def measure_service(runs: int) -> list[str]:
@@ -155,10 +159,11 @@ def main(argv: list[str] | None = None) -> int:
                                       "-X importtime logs here")
     args = ap.parse_args(argv)
     lines = [f"{'front end':<20} {'repro modules':>13} {'numpy':>5} "
-             f"{'import ms':>10}"]
+             f"{'check':>5} {'import ms':>10}"]
     for name, code in FRONT_ENDS.items():
-        count, numpy, ms = measure(code, args.runs)
-        lines.append(f"{name:<20} {count:>13} {numpy:>5} {ms:>10.1f}")
+        count, numpy, check, ms = measure(code, args.runs)
+        lines.append(f"{name:<20} {count:>13} {numpy:>5} {check:>5} "
+                     f"{ms:>10.1f}")
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)
             log = _run(["-X", "importtime", "-c", code]).stderr

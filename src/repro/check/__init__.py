@@ -23,17 +23,18 @@ catalogs and suppression syntax.
 """
 
 from .. import _lazy
-from .checker import CheckConfig, Checker
-from .report import CheckReport, CheckWarning, Violation
-from .rules import ALL_RULES, CHK_EQUIVALENT, DYNAMIC_RULES, LINT_RULES, \
-    STATIC_FOR_DYNAMIC, STATIC_RULES, Rule, rule
-from .session import checking
 
-#: A simulation needs the dynamic side only, so the static side's names
-#: load on first use: ``from repro.check import analyze_path`` works as
-#: before.
+#: Nothing loads with the package: a World imports the checker only when
+#: it checks, a session or ``hb`` loads without the static side, and the
+#: static side loads where it is run. ``from repro.check import
+#: analyze_path`` works as before.
 __getattr__, __dir__ = _lazy(__name__, {
+    ".checker": ("CheckConfig", "Checker"),
     ".lint": ("Finding", "run_lint"),
+    ".report": ("CheckReport", "CheckWarning", "Violation"),
+    ".rules": ("ALL_RULES", "CHK_EQUIVALENT", "DYNAMIC_RULES", "LINT_RULES",
+               "STATIC_FOR_DYNAMIC", "STATIC_RULES", "Rule", "rule"),
+    ".session": ("checking",),
     ".static_": ("StaticFinding", "StaticReport", "analyze_path",
                  "analyze_paths", "analyze_source", "to_sarif"),
 })

@@ -15,7 +15,10 @@ Design constraints, in order:
 2. **Zero-cost when off**: every hook site guards on
    ``sim.checker is not None``; with no checker the added work is one
    attribute load per site (``benchmarks/stack`` runs Fig 1(a) with the
-   checker off and on: ``fig1a_eager`` / ``fig1a_checked``).
+   checker off and on: ``fig1a_eager`` / ``fig1a_checked``). An
+   unchecked World imports nothing of :mod:`repro.check`: it looks for
+   an active session only in ``sys.modules``, and imports this module
+   only to build a checker.
 3. **Epoch-cheap when on**: per-object access checks use the FastTrack
    epoch shortcut, and a release point publishes its clock as one small
    ``(pid, epoch, shared dict, zeros)`` tuple — no copy; a join looks at

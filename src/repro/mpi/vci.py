@@ -30,7 +30,6 @@ from typing import Optional
 from ..errors import HintViolationError, MpiUsageError
 from ..netsim.config import CpuCosts
 from ..netsim.nic import HardwareContext, Nic
-from ..obs.metrics import instrument_lock
 from ..sim.core import Simulator
 from ..sim.resources import FIFOServer
 from ..sim.sync import Lock
@@ -85,6 +84,7 @@ class Vci:
         labels = {"rank": rank, "vci": index}
         metrics = sim.metrics
         if metrics is not None:
+            from ..obs.metrics import instrument_lock
             self.engine = MatchingEngine(metrics, labels)
             self.m_issue = metrics.counter("mpi.issue.count", **labels)
             self.m_issue_async = metrics.counter("mpi.issue.async", **labels)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..obs.metrics import instrument_lock
 from ..sim.core import Event, Simulator
 from ..sim.resources import FIFOServer
 from ..sim.sync import Lock
@@ -71,6 +70,7 @@ class HardwareContext:
         160-context pool doesn't flood the registry with unused series."""
         metrics = self.sim.metrics
         if metrics is not None:
+            from ..obs.metrics import instrument_lock
             self.m_inject_queue = metrics.histogram(
                 "nic.inject.queue_delay", node=self._node_id, ctx=self.index)
             instrument_lock(self.doorbell_lock, metrics, node=self._node_id,

@@ -17,30 +17,30 @@ Typical use::
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
-from ..check.checker import CheckConfig, Checker
-from ..check.report import CheckReport
-from ..check.session import current_session
 from ..errors import MpiUsageError
 from ..mpi.comm import Communicator
 from ..mpi.library import MpiLibrary
 from ..netsim.fabric import Fabric
 from ..netsim.nic import Nic
 from ..netsim.topology import ClusterSpec
-from ..obs.metrics import MetricsRegistry
 from ..sim.core import Event, Process, Simulator
 from ..sim.random import RandomStreams
 from ..sim.sync import Gate
 from ..sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..check.checker import CheckConfig, Checker
+    from ..check.report import CheckReport
     from ..faults.injector import FaultInjector
     from ..faults.plan import FaultPlan
     from ..faults.transport import TransportParams
     from ..netsim.config import NetworkConfig
     from ..netsim.message import WireMessage
+    from ..obs.metrics import MetricsRegistry
 
 __all__ = ["Node", "MpiProcess", "World"]
 
@@ -192,15 +192,18 @@ class World:
         # check=None adopts the session default (set by `python -m repro
         # check`), check=False forces it off, check=True/CheckConfig(...)
         # turns it on for this world. Installed before any simulation
-        # object exists so every task spawn is observed.
-        session = current_session()
+        # object exists so every task spawn is observed. No session is
+        # active before its module is imported, and only a checked world
+        # imports the checker.
+        sessions = sys.modules.get("repro.check.session")
+        session = None if sessions is None else sessions.current_session()
         if check is None and session is not None:
             check = session.config
-        if check is True:
-            check = CheckConfig()
         self.checker: Optional[Checker] = None
         if check:
-            self.checker = Checker(self.sim, check)
+            from ..check.checker import CheckConfig, Checker
+            self.checker = Checker(self.sim,
+                                   CheckConfig() if check is True else check)
             self.sim.checker = self.checker
         # The instruments ride on the simulator like the checker, so every
         # layer built below finds them there. An absent instrument is None,
@@ -416,6 +419,7 @@ class World:
         ``check=`` the report is trivially clean.
         """
         if self.checker is None:
+            from ..check.report import CheckReport
             return CheckReport([], mode="warn")
         return self.checker.finalize()
 

@@ -14,19 +14,21 @@ See ``docs/scenarios.md`` for the workflow and the CLI
 (``python -m repro campaign run|resume|report|replay``).
 """
 
-from ..snap.reproduction import load_artifact, verify_artifact, write_artifact
-from .apps import APP_REGISTRY, AppAdapter, app_names, get_app
-from .campaign import (
-    campaign_report,
-    load_manifest,
-    render_report,
-    run_campaign,
-    summarize_outcomes,
-)
-from .executor import STATUSES, outcome_signature, run_scenario
-from .sample import sample_one, sample_scenarios
-from .shrink import ShrinkResult, shrink_scenario
-from .spec import ScenarioSpec
+from .. import _lazy
+
+#: A scenario run loads the executor with the spec and app table it
+#: imports; campaigns, the shrinker and artifact replay load on first use.
+__getattr__, __dir__ = _lazy(__name__, {
+    "..snap.reproduction": ("load_artifact", "verify_artifact",
+                            "write_artifact"),
+    ".apps": ("APP_REGISTRY", "AppAdapter", "app_names", "get_app"),
+    ".campaign": ("campaign_report", "load_manifest", "render_report",
+                  "run_campaign", "summarize_outcomes"),
+    ".executor": ("STATUSES", "outcome_signature", "run_scenario"),
+    ".sample": ("sample_one", "sample_scenarios"),
+    ".shrink": ("ShrinkResult", "shrink_scenario"),
+    ".spec": ("ScenarioSpec",),
+})
 
 __all__ = [
     "APP_REGISTRY", "AppAdapter", "app_names", "get_app",

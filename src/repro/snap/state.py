@@ -33,7 +33,6 @@ from collections import deque
 from dataclasses import is_dataclass
 from typing import Any, Iterable, Optional
 
-from ..check.hb import PublishedClock
 from ..mpi.matching import PostedRecv
 from ..mpi.request import Request
 from ..netsim.message import WireMessage
@@ -112,10 +111,12 @@ def describe_value(value: Any, depth: int = 0) -> Any:
         return {"__event__": {"kind": type(value).__name__,
                               "triggered": value._triggered,
                               "processed": value._processed}}
-    if isinstance(value, PublishedClock):
-        # The sender's clock in ``WireMessage.meta["_hb"]``: described as
-        # the ``{pid: counter}`` mapping it stands for, not as the tuple
-        # it is (hence before the sequence branch).
+    # The sender's clock in ``WireMessage.meta["_hb"]``: described as the
+    # ``{pid: counter}`` mapping it stands for, not as the tuple it is
+    # (hence before the sequence branch). Only a checker publishes one,
+    # so none exists before its module is imported.
+    hb = sys.modules.get("repro.check.hb")
+    if hb is not None and isinstance(value, hb.PublishedClock):
         return describe_value(value.mapping(), depth)
     if isinstance(value, (list, tuple, deque)):
         return [describe_value(v, depth + 1) for v in value]

@@ -8,11 +8,13 @@ interpreters because this one has imported everything long ago:
 - the lazy namespaces behave like eager ones (``__all__``, ``dir()``,
   ``from pkg import *``, the error for a name that does not exist);
 - the import fences: ``import repro``, the kernel alone and one Fig 1(a)
-  point load no layer they do not run, a process that submits to a
-  service loads no event loop, and neither a Fig 1(a) point nor the CLI
+  point load no layer they do not run (an unchecked World imports
+  nothing of ``repro.check``, a checked one its checker), a process that
+  submits to a service loads no event loop, and neither a Fig 1(a) point nor the CLI
   and serve front ends load numpy;
 - the results: a run's state digest, trace and check report are the
-  same bytes whether or not everything was imported first;
+  same bytes whether or not everything was imported first, and whether
+  the checker was imported before a checked World or by it;
 - the hot paths: a warmed-up Fig 1(a) point executes the same number of
   import statements at 1 and at 64 cores, and a service loads a job
   kind with its first job (numpy never, for sweep and selftest jobs) and
@@ -35,8 +37,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Every package whose root resolves names on first use.
 LAZY_PACKAGES = ("repro", "repro.bench", "repro.check", "repro.faults",
                  "repro.mapping", "repro.mpi", "repro.netsim",
-                 "repro.netsim.topology", "repro.obs", "repro.serve",
-                 "repro.snap")
+                 "repro.netsim.topology", "repro.obs", "repro.scenarios",
+                 "repro.serve", "repro.snap")
 
 FIG1A_MODES = ("everywhere", "threads-original", "threads-tags",
                "threads-comms", "threads-endpoints")
@@ -127,9 +129,102 @@ def test_a_fig1a_point_loads_no_layer_it_does_not_run(checked):
         "from repro.bench import MODES, MsgRateConfig, run_msgrate\n"
         "for mode in MODES:\n"
         f"    {run}\n")
-    assert "repro.check" in loaded  # World builds its checker in set-up
-    assert sorted(m for m in loaded
-                  if m.startswith(NOT_IN_FIG1A)) == []
+    if checked:
+        assert "repro.check.checker" in loaded
+        assert sorted(m for m in loaded if m.startswith(NOT_IN_FIG1A)) == []
+    else:  # only a World that checks imports the checker
+        assert sorted(m for m in loaded if m.startswith(
+            NOT_IN_FIG1A + ("repro.check", "repro.obs"))) == []
+
+
+#: A fresh interpreter holding ``World`` and nothing of ``repro.check``.
+FRESH_WORLD = """
+import json, sys
+from repro.runtime import World
+assert not [m for m in sys.modules if m.startswith("repro.check")]
+"""
+
+
+def test_a_world_with_check_true_imports_and_installs_its_checker():
+    report = json.loads(_python(FRESH_WORLD + """
+world = World(check=True)
+from repro.check import CheckConfig
+print(json.dumps({"checker": type(world.checker).__qualname__,
+                  "installed": world.sim.checker is world.checker,
+                  "defaults": world.checker.config == CheckConfig()}))
+"""))
+    assert report == {"checker": "Checker", "installed": True,
+                      "defaults": True}
+
+
+def test_a_world_in_a_checking_block_adopts_its_config():
+    report = json.loads(_python(FRESH_WORLD + """
+from repro.check import CheckConfig, checking
+config = CheckConfig(mode="raise", emit_warnings=False)
+with checking(config) as session:
+    world = World()
+    off = World(check=False)
+print(json.dumps({"adopted": world.checker.config is config,
+                  "off": off.checker is None,
+                  "listed": [w is world for w in session.worlds]}))
+"""))
+    assert report == {"adopted": True, "off": True, "listed": [True, False]}
+
+
+def test_an_unchecked_worlds_report_is_clean_without_the_checker():
+    report = json.loads(_python(FRESH_WORLD + """
+world = World()
+report = world.check_report()
+print(json.dumps({"checker": world.checker, "clean": report.clean,
+                  "checker_loaded": "repro.check.checker" in sys.modules}))
+"""))
+    assert report == {"checker": None, "clean": True,
+                      "checker_loaded": False}
+
+
+#: One checked Fig 1(a) point, its World built with ``check=True``;
+#: argv[1] is ``before`` to import the checker first.
+CHECKED_POINT = """
+import hashlib, json, sys
+if sys.argv[1] == "before":
+    import repro.check.checker
+from repro.apps import harness
+from repro.bench import MsgRateConfig, run_msgrate
+from repro.sim.trace import Tracer
+assert ("repro.check" in sys.modules) == (sys.argv[1] == "before")
+worlds = []
+
+
+class CheckedWorld(harness.World):
+    def __init__(self, **kwargs):
+        super().__init__(check=True, **kwargs)
+        worlds.append(self)
+
+
+harness.World = CheckedWorld
+tracer = Tracer()
+run_msgrate(MsgRateConfig(mode="threads-comms", cores=8, msgs_per_core=16),
+            tracer=tracer)
+from repro.snap import capture_state, state_digest
+(world,) = worlds
+trace = repr([(r.time, r.category.name, r.payload) for r in tracer.records])
+print(json.dumps({
+    "checked": world.checker is not None,
+    "digest": state_digest(capture_state(world)),
+    "trace": hashlib.sha256(trace.encode()).hexdigest(),
+    "records": len(tracer.records),
+    "report": world.check_report().render()}))
+"""
+
+
+def test_a_checked_point_is_the_same_whoever_imports_the_checker():
+    """The CHK text, the trace and the state digest (which holds the
+    checker's clocks) of a checked Fig 1(a) point are the same bytes
+    whether the checker was imported before the World or by it."""
+    by_world = json.loads(_python(CHECKED_POINT, "by-world"))
+    before = json.loads(_python(CHECKED_POINT, "before"))
+    assert by_world["checked"] and by_world["records"] > 0
+    assert by_world == before
 
 
 #: What a submitting process never loads: what only a serving process
