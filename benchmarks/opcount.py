@@ -18,6 +18,15 @@ sample of ``workloads.py`` at the same size (its ``scenarios`` count from
 scenario by call site (a task's sleep is a yielded delay and builds
 none).
 
+Opcodes miss what a message costs in host objects, so two more tables
+count those: the generators started per simulated message, by function
+(each mode of the unchecked grid, and the grid), and the host objects
+alive at the busiest sampled step of the grid's busiest point (64
+``everywhere`` ranks, at the size's messages per core), by type. An
+object is one ``gc.get_objects()`` lists that the point added: sampled
+every ``LIVE_INTERVAL`` kernel steps, the busiest sample is the one
+with the most.
+
 A wall clock on a shared host moves several per cent between runs of
 the same tree; a step that small (a fused hook, a cheaper join) cannot
 be told from noise there, and it can here: the counts depend only on the
@@ -43,9 +52,10 @@ service wrote to one more POST of them.
 
 ``--check TABLE`` re-runs the census at the size TABLE was recorded at
 (``benchmarks/results/opcount_quick.txt`` and ``opcount_serve.txt`` in
-CI) and exits 1 when the ``all`` row or any module row of TABLE, in any
-column, rises more than 2 % over it; it exits 2, naming both, when TABLE
-was recorded on another CPython minor version (the counts are that
+CI) and exits 1 when any row of TABLE's gated tables (opcodes by
+module, generators by function, live objects by type), in any column,
+rises more than 2 % over it; it exits 2, naming both, when TABLE was
+recorded on another CPython minor version (the counts are that
 version's bytecode). A change that means to raise a row re-records the
 table and says why.
 """
@@ -53,11 +63,14 @@ table and says why.
 from __future__ import annotations
 
 import argparse
+import dis
 import gc
+import inspect
 import os
 import platform
 import sys
 from collections import Counter
+from functools import lru_cache
 from typing import Any, Callable
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -80,6 +93,20 @@ SERVE_POSTS = 20
 #: The census's header line names the CPython it ran on; a table from
 #: another minor version cannot gate this one.
 PYTHON = f"{platform.python_implementation()} {platform.python_version()}"
+
+#: The point whose live host objects are sampled: the grid's busiest.
+LIVE_POINT = ("everywhere", 64)
+
+#: Kernel steps between two samples of the live host objects.
+LIVE_INTERVAL = 32
+
+#: What a sleeping task's wake-up is named in the event census: the
+#: callback of the Timeout its entry stands for in every schedule view.
+WAKE_UP = "Process._resume"
+
+#: The first column's heading of each gated table -> the decimals its
+#: values are printed, and compared, with.
+GATED = {"module": 0, "generator": 2, "type": 0}
 
 
 def count_opcodes(fn: Callable[[], Any]) -> tuple[Any, Counter]:
@@ -110,34 +137,56 @@ def count_opcodes(fn: Callable[[], Any]) -> tuple[Any, Counter]:
     return result, counts
 
 
-def count_events(fn: Callable[[], Any]) -> tuple[Counter, int]:
-    """``(kernel events by first callback, messages)`` over the Worlds
-    ``fn()`` builds.
+@lru_cache(maxsize=None)
+def _first_resume(code) -> int:
+    """Offset of ``code``'s first ``RESUME``: a generator frame that calls
+    in at or before it is starting, not resuming after a yield (-1 where
+    the bytecode has no ``RESUME``, and a starting frame reads -1)."""
+    return next((ins.offset for ins in dis.get_instructions(code)
+                 if ins.opname == "RESUME"), -1)
+
+
+def is_start(frame) -> bool:
+    """Whether a profiler's ``call`` of ``frame`` starts a generator."""
+    code = frame.f_code
+    return bool(code.co_flags & inspect.CO_GENERATOR) \
+        and frame.f_lasti <= _first_resume(code)
+
+
+def count_events(fn: Callable[[], Any]) -> tuple[Counter, Counter, int]:
+    """``(kernel events by first callback, generators started by
+    function, messages)`` over the Worlds ``fn()`` builds.
 
     A profiler sees every Python callable the dispatch loop calls; the
-    first one per step names the event (a sleeping task's wake-up is
-    ``Process._resume``, like the Timeout it replaces). Events whose
-    callbacks list is empty count as ``(no callback)``. A message is a
-    completed receive, the denominator of ``sim.events_per_msg``.
+    first one per step names the event. The loop wakes a sleeping task
+    itself, so a generator it calls is a wake-up, named ``WAKE_UP``.
+    Events whose callbacks list is empty count as ``(no callback)``. The
+    same profiler sees every generator start. A message is a completed
+    receive, the denominator of ``sim.events_per_msg``.
     """
     from repro.runtime.world import World
     from repro.sim.core import Simulator
 
     loop = Simulator.run_steps.__code__
     kinds: Counter = Counter()
+    starts: Counter = Counter()
     worlds: list[Any] = []
     last: list[Any] = [None, -1]  # (simulator, step) counted last
 
     def on_profile(frame, event, _arg):
         if event != "call":
             return
+        code = frame.f_code
+        if is_start(frame):
+            starts[f"{module_of(code)}:{code.co_qualname}"] += 1
         caller = frame.f_back
         if caller is None or caller.f_code is not loop:
             return
         sim = caller.f_locals["self"]
         if sim is not last[0] or sim.steps != last[1]:
             last[:] = [sim, sim.steps]
-            kinds[frame.f_code.co_qualname] += 1
+            kinds[WAKE_UP if code.co_flags & inspect.CO_GENERATOR
+                  else code.co_qualname] += 1
 
     init = World.__dict__["__init__"]
 
@@ -156,7 +205,58 @@ def count_events(fn: Callable[[], Any]) -> tuple[Counter, int]:
     kinds["(no callback)"] = events - sum(kinds.values())
     messages = sum(proc.lib.recvs_completed
                    for world in worlds for proc in world.procs)
-    return kinds, messages
+    return kinds, starts, messages
+
+
+def type_name(cls: type) -> str:
+    """A type's name in the live-object table: builtins bare, the rest
+    with their module."""
+    if cls.__module__ == "builtins":
+        return cls.__qualname__
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def count_live_objects(fn: Callable[[], Any]) -> tuple[int, int, Counter]:
+    """``(busiest step, steps, objects by type then)`` of the one World
+    ``fn()`` runs: every ``LIVE_INTERVAL`` kernel steps (at the step's first
+    Python call, before its event runs), the objects ``gc.get_objects()``
+    lists beyond those alive before ``fn()``; the busiest sample is the
+    one with the most, the earliest of equals."""
+    from repro.sim.core import Simulator
+
+    loop = Simulator.run_steps.__code__
+    gc.collect()
+    before = Counter(map(type, gc.get_objects()))
+    busiest: list[Any] = [-1, -1, Counter()]  # step, total, by type
+    last: list[Any] = [None, -1]
+
+    def on_profile(frame, event, _arg):
+        if event != "call":
+            return
+        caller = frame.f_back
+        if caller is None or caller.f_code is not loop:
+            return
+        sim = caller.f_locals["self"]
+        step = sim.steps
+        if step % LIVE_INTERVAL or (sim is last[0] and step == last[1]):
+            return
+        last[:] = [sim, step]
+        alive = Counter(map(type, gc.get_objects()))
+        alive.subtract(before)
+        alive = +alive  # what the point added
+        total = sum(alive.values())
+        if total > busiest[1]:
+            busiest[:] = [step, total, alive]
+
+    sys.setprofile(on_profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    steps = last[0].steps if last[0] is not None else 0
+    step, _total, alive = busiest
+    return step, steps, Counter({type_name(cls): n
+                                 for cls, n in alive.items()})
 
 
 def count_timeouts(fn: Callable[[], Any]) -> Counter:
@@ -234,18 +334,22 @@ def census(size: str, checked: bool) -> dict[str, tuple[int, Counter]]:
 
 
 def event_census(size: str) -> tuple[dict[str, tuple[int, Counter]],
+                                      dict[str, tuple[int, Counter]],
                                       Counter]:
-    """``(column -> (messages, kernel events by first callback), chaos
-    Timeouts by call site)``: each mode of the unchecked grid, then
-    ``chaos``."""
+    """``(column -> (messages, kernel events by first callback), mode ->
+    (messages, generators started by function), chaos Timeouts by call
+    site)``: each mode of the unchecked grid, then ``chaos`` (events
+    only)."""
     from repro.scenarios import run_scenario, sample_scenarios
     sizes = SIZES[size]
     out: dict[str, tuple[int, Counter]] = {}
+    generators: dict[str, tuple[int, Counter]] = {}
     for mode in MODES:
-        kinds, messages = count_events(lambda: [
+        kinds, starts, messages = count_events(lambda: [
             run_point(config(mode, cores, sizes["msgs_per_core"]), False)
             for cores in sizes["cores"]])
         out[mode] = (messages, kinds)
+        generators[mode] = (messages, starts)
     specs = sample_scenarios(CAMPAIGN_SEED, sizes["scenarios"])
     timeouts: Counter = Counter()
 
@@ -253,9 +357,46 @@ def event_census(size: str) -> tuple[dict[str, tuple[int, Counter]],
         timeouts.update(count_timeouts(lambda: [run_scenario(spec)
                                                 for spec in specs]))
 
-    kinds, messages = count_events(chaos)
+    kinds, _starts, messages = count_events(chaos)
     out["chaos"] = (messages, kinds)
-    return out, timeouts
+    return out, generators, timeouts
+
+
+def live_census(size: str) -> tuple[int, int, int, Counter]:
+    """``(messages, busiest step, steps, live objects by type)`` of the
+    ``LIVE_POINT`` at ``size``'s messages per core. A first sampled run
+    is discarded: it builds what the point and the sampler build on
+    first use (an ABC's instance cache, a NIC's pristine record)."""
+    mode, cores = LIVE_POINT
+    cfg = config(mode, cores, SIZES[size]["msgs_per_core"])
+    sent: list[int] = []
+    count_live_objects(lambda: sent.append(run_point(cfg, False)))
+    return (sent[0],
+            *count_live_objects(lambda: run_point(cfg, False)))
+
+
+def generator_rows(generators: dict[str, tuple[int, Counter]]
+                   ) -> dict[str, list[float]]:
+    """``row -> [per mode..., grid]`` generators started per message:
+    ``(all)``, then every function, by the grid's count."""
+    grid = Counter()
+    for _sent, starts in generators.values():
+        grid.update(starts)
+    columns = [*generators.values(),
+               (sum(sent for sent, _ in generators.values()), grid)]
+    rows = {"(all)": [sum(starts.values()) / sent
+                      for sent, starts in columns]}
+    for name, _n in grid.most_common():
+        rows[name] = [starts[name] / sent for sent, starts in columns]
+    return rows
+
+
+def live_rows(live: tuple[int, int, int, Counter]) -> dict[str, list[float]]:
+    """``row -> [live]``: ``(all)``, then every type, most first."""
+    alive = live[3]
+    rows = {"(all)": [float(sum(alive.values()))]}
+    rows.update((name, [float(n)]) for name, n in alive.most_common())
+    return rows
 
 
 class _MemoryTransport:
@@ -414,7 +555,8 @@ def module_rows(runs: dict[bool, dict]) -> tuple[int, dict[str, list[float]]]:
 
 def render(size: str, top: int, runs: dict[bool, dict],
            events: dict[str, tuple[int, Counter]],
-           timeouts: Counter) -> str:
+           generators: dict[str, tuple[int, Counter]],
+           timeouts: Counter, live: tuple[int, int, int, Counter]) -> str:
     """The census as plain-text tables."""
     messages, rows = module_rows(runs)
     sizes = SIZES[size]
@@ -470,28 +612,52 @@ def render(size: str, top: int, runs: dict[bool, dict],
               f"{'(all)':<60} {sum(timeouts.values()) / scenarios:>12.2f}"]
     lines += [f"{name[-60:]:<60} {n / scenarios:>12.2f}"
               for name, n in timeouts.most_common(top)]
+
+    shown = list(generator_rows(generators).items())[:top + 1]
+    width = max(56, *(len(name) for name, _ in shown))
+    lines += ["", "Generators started per simulated message, by function "
+              "(unchecked grid by mode, and the grid)", "",
+              f"{'generator':<{width}} "
+              + " ".join(f"{c:>17}" for c in [*generators, "grid"])]
+    lines += [f"{name:<{width}} " + " ".join(f"{v:>17.2f}" for v in values)
+              for name, values in shown]
+
+    messages, step, steps, _alive = live
+    mode, cores = LIVE_POINT
+    lines += ["", f"Host objects alive at the busiest step of the {cores}-"
+              f"core {mode} point, by type ({messages} messages; step "
+              f"{step} of {steps}, sampled every {LIVE_INTERVAL} steps)", "",
+              f"{'type':<56} {'live':>10}"]
+    lines += [f"{name:<56} {value:>10.0f}"
+              for name, (value,) in list(live_rows(live).items())[:top + 1]]
     return "\n".join(lines) + "\n"
 
 
 def parse_table(text: str) -> dict[str, Any]:
-    """A rendered census's gated part: ``{"size", "python", "rows"}``,
-    ``rows`` mapping ``all`` and each module row to ``[unchecked,
-    checked]`` as printed."""
+    """A rendered census's gated part: ``{"size", "python", "columns",
+    "rows", "tables"}``. ``tables`` maps the first heading of each gated
+    table (``GATED``) to its ``{"columns", "rows"}``, each row name to
+    its values as printed; ``columns`` and ``rows`` are the ``module``
+    table's (``all`` and each module)."""
     lines = text.splitlines()
     head = lines[0]
     size = head.split(" grid (", 1)[1].split(":", 1)[0]
     python = head.rsplit(", ", 1)[1]
-    start = next(i for i, line in enumerate(lines)
-                 if line.startswith("module "))
-    columns = lines[start].split()[1:]
-    rows: dict[str, list[float]] = {}
-    for line in lines[start + 1:]:
-        if not line.strip():
-            break
-        name, *values = line.rsplit(None, len(columns))
-        rows[name] = [float(value) for value in values]
-    return {"size": size, "python": python, "columns": columns,
-            "rows": rows}
+    tables: dict[str, dict[str, Any]] = {}
+    for i, line in enumerate(lines):
+        heading = line.split(None, 1)[0] if line.strip() else ""
+        if heading not in GATED or lines[i - 1].strip():
+            continue
+        columns = line.split()[1:]
+        rows: dict[str, list[float]] = {}
+        for row in lines[i + 1:]:
+            if not row.strip():
+                break
+            name, *values = row.rsplit(None, len(columns))
+            rows[name] = [float(value) for value in values]
+        tables[heading] = {"columns": columns, "rows": rows}
+    return {"size": size, "python": python, **tables["module"],
+            "tables": tables}
 
 
 def minor_version(python: str) -> str:
@@ -503,21 +669,23 @@ def minor_version(python: str) -> str:
 def compare(committed: dict[str, list[float]],
             fresh: dict[str, list[float]],
             tolerance: float = TOLERANCE,
-            columns: tuple[str, ...] = ("unchecked", "checked")
-            ) -> list[str]:
+            columns: tuple[str, ...] = ("unchecked", "checked"),
+            digits: int = 0) -> list[str]:
     """The committed rows ``fresh`` raises by more than ``tolerance``,
     each as a line naming row, column and both values. A row compares
-    as printed (whole opcodes); a row gone from ``fresh`` reads 0."""
+    as printed (``digits`` decimals: whole opcodes by default); a row
+    gone from ``fresh`` reads 0."""
     risen = []
     for name, old in committed.items():
         new = fresh.get(name, [0.0] * len(old))
         for column, before, after in zip(columns, old, new):
-            after = round(after)
+            after = round(after, digits)
             if after > before * (1.0 + tolerance):
-                risen.append(f"{name} ({column}): {before:.0f} -> "
-                             f"{after:.0f} (+{after / before - 1:.1%})"
+                risen.append(f"{name} ({column}): {before:.{digits}f} -> "
+                             f"{after:.{digits}f} "
+                             f"(+{after / before - 1:.1%})"
                              if before else
-                             f"{name} ({column}): 0 -> {after:.0f}")
+                             f"{name} ({column}): 0 -> {after:.{digits}f}")
     return risen
 
 
@@ -537,20 +705,30 @@ def check(path: str, top: int) -> int:
     if size == SERVE:
         counts = serve_census()
         print(render_serve(top, counts), end="")
-        fresh = serve_rows(counts)
+        fresh = {"module": serve_rows(counts)}
     else:
         runs = {checked: census(size, checked) for checked in (False, True)}
-        print(render(size, top, runs, *event_census(size)), end="")
-        fresh = module_rows(runs)[1]
-    risen = compare(table["rows"], fresh, columns=tuple(table["columns"]))
+        events, generators, timeouts = event_census(size)
+        live = live_census(size)
+        print(render(size, top, runs, events, generators, timeouts, live),
+              end="")
+        fresh = {"module": module_rows(runs)[1],
+                 "generator": generator_rows(generators),
+                 "type": live_rows(live)}
+    risen = []
+    for heading, committed in table["tables"].items():
+        risen += compare(committed["rows"], fresh[heading],
+                         columns=tuple(committed["columns"]),
+                         digits=GATED[heading])
     if risen:
         print(f"\nopcount check FAILED against {path}: rows rose more than "
               f"{TOLERANCE:.0%}:")
         print("\n".join(f"  {line}" for line in risen))
         print("Re-record the table if the rise is meant, and say why.")
         return 1
+    gated = sum(len(t["rows"]) for t in table["tables"].values())
     print(f"\nopcount check passed against {path} "
-          f"({len(table['rows'])} rows, tolerance {TOLERANCE:.0%}).")
+          f"({gated} rows, tolerance {TOLERANCE:.0%}).")
     return 0
 
 
@@ -562,7 +740,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="the Fig 1(a) grid's size, or serve: opcodes per "
                          "warm POST /jobs of the served_warm job")
     ap.add_argument("--top", type=int, default=12,
-                    help="modules, checker functions and callbacks listed")
+                    help="modules, checker functions, callbacks, generators "
+                         "and object types listed")
     ap.add_argument("--check", metavar="TABLE",
                     help="hold a fresh census to this committed table "
                          "(recorded at its own size; --size is ignored)")
@@ -573,8 +752,9 @@ def main(argv: list[str] | None = None) -> int:
         print(render_serve(args.top, serve_census()), end="")
         return 0
     runs = {checked: census(args.size, checked) for checked in (False, True)}
-    print(render(args.size, args.top, runs, *event_census(args.size)),
-          end="")
+    events, generators, timeouts = event_census(args.size)
+    print(render(args.size, args.top, runs, events, generators, timeouts,
+                 live_census(args.size)), end="")
     return 0
 
 

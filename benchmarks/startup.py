@@ -6,9 +6,11 @@ start.
 
 Each front end is imported in ``--runs`` fresh interpreters (default 5);
 one line per front end gives the ``repro`` modules it loaded, ``yes`` or
-``no`` for numpy and for the dynamic checker (``repro.check.checker``,
-which only a World that checks imports), and the median milliseconds its
-import took (numpy's own import included where it loads). The
+``no`` for numpy, for the dynamic checker (``repro.check.checker``,
+which only a World that checks imports) and for the simulation kernel
+(``repro.sim.core``, which a service does not load), and the median
+milliseconds its import took (numpy's own import included where it
+loads). The
 ``fig1a-point`` row also runs one small Fig 1(a) point of every mode, so
 it counts what a run loads, not only what its import does.
 
@@ -52,6 +54,7 @@ FRONT_ENDS = {
     "repro.serve.client": "import repro.serve.client",
     "repro.serve.worker": "import repro.serve.worker",
     "repro.serve.service": "import repro.serve.service",
+    "repro.serve.orchestrator": "import repro.serve.orchestrator",
     "fig1a-point": (
         "from repro.bench import MODES, MsgRateConfig, run_msgrate\n"
         "for mode in MODES:\n"
@@ -59,7 +62,7 @@ FRONT_ENDS = {
 }
 
 #: Prints ``<repro modules> <numpy: yes|no> <check: yes|no>
-#: <milliseconds>`` for the code in argv[1].
+#: <sim: yes|no> <milliseconds>`` for the code in argv[1].
 _PROBE = (
     "import sys, time\n"
     "started = time.perf_counter()\n"
@@ -68,7 +71,8 @@ _PROBE = (
     "count = sum(m.partition('.')[0] == 'repro' for m in sys.modules)\n"
     "numpy = 'yes' if sys.modules.get('numpy') else 'no'\n"
     "check = 'yes' if sys.modules.get('repro.check.checker') else 'no'\n"
-    "print(count, numpy, check, round(elapsed * 1e3, 1))\n")
+    "sim = 'yes' if sys.modules.get('repro.sim.core') else 'no'\n"
+    "print(count, numpy, check, sim, round(elapsed * 1e3, 1))\n")
 
 
 #: Prints ``<ready ms> <sweep ms> <driver MiB> <service MiB> <worker MiB>
@@ -129,15 +133,14 @@ def _run(args: list[str]) -> subprocess.CompletedProcess:
                           text=True, check=True)
 
 
-def measure(code: str, runs: int) -> tuple[int, str, str, float]:
-    """``(repro modules loaded, numpy loaded, checker loaded, median
-    import ms)`` over
-    ``runs``, after one untimed run (the first interpreter after a pause
-    reads ~60 % slower, which would charge whichever front end comes
-    first)."""
+def measure(code: str, runs: int) -> tuple[int, str, str, str, float]:
+    """``(repro modules loaded, numpy loaded, checker loaded, kernel
+    loaded, median import ms)`` over ``runs``, after one untimed run (the
+    first interpreter after a pause reads ~60 % slower, which would
+    charge whichever front end comes first)."""
     samples = [_run(["-c", _PROBE, code]).stdout.split()
                for _ in range(runs + 1)][1:]
-    return (int(samples[0][0]), samples[0][1], samples[0][2],
+    return (int(samples[0][0]), *samples[0][1:4],
             statistics.median(float(ms) for *_, ms in samples))
 
 
@@ -158,12 +161,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out-dir", help="write the table and the "
                                       "-X importtime logs here")
     args = ap.parse_args(argv)
-    lines = [f"{'front end':<20} {'repro modules':>13} {'numpy':>5} "
-             f"{'check':>5} {'import ms':>10}"]
+    lines = [f"{'front end':<24} {'repro modules':>13} {'numpy':>5} "
+             f"{'check':>5} {'sim':>5} {'import ms':>10}"]
     for name, code in FRONT_ENDS.items():
-        count, numpy, check, ms = measure(code, args.runs)
-        lines.append(f"{name:<20} {count:>13} {numpy:>5} {check:>5} "
-                     f"{ms:>10.1f}")
+        count, numpy, check, sim, ms = measure(code, args.runs)
+        lines.append(f"{name:<24} {count:>13} {numpy:>5} {check:>5} "
+                     f"{sim:>5} {ms:>10.1f}")
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)
             log = _run(["-X", "importtime", "-c", code]).stderr
@@ -172,10 +175,10 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(log)
     ready, sweep, driver, service, worker, numpy, ssl, mp = \
         measure_service(args.runs)
-    lines += ["", f"{'service':<20} {'ready ms':>9} {'sweep ms':>9} "
+    lines += ["", f"{'service':<24} {'ready ms':>9} {'sweep ms':>9} "
                   f"{'driver MiB':>10} {'service MiB':>11} "
                   f"{'worker MiB':>10} {'numpy':>5} {'ssl':>3} {'mp':>3}",
-              f"{'serve':<20} {ready:>9} {sweep:>9} {driver:>10} "
+              f"{'serve':<24} {ready:>9} {sweep:>9} {driver:>10} "
               f"{service:>11} {worker:>10} {numpy:>5} {ssl:>3} {mp:>3}"]
     table = "\n".join(lines) + "\n"
     print(table, end="")

@@ -16,6 +16,7 @@ never consult Python's randomized ``hash`` or wall-clock state.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, replace as dc_replace
 from typing import TYPE_CHECKING
 
@@ -35,13 +36,16 @@ def payload_checksum(payload) -> int:
     """Deterministic checksum of a wire payload (crc32).
 
     Hash-seed independent, so the same payload checksums identically in
-    every interpreter run (``hash()`` would not).
+    every interpreter run (``hash()`` would not). An array is read as its
+    bytes in C order, in place when it is C-contiguous (a strided view
+    is copied contiguous first).
     """
-    import zlib
     if payload is None:
         return 0
     if isinstance(payload, np.ndarray):
-        return zlib.crc32(np.ascontiguousarray(payload).tobytes())
+        if not payload.flags.c_contiguous:
+            payload = np.ascontiguousarray(payload)
+        return zlib.crc32(payload)
     return zlib.crc32(repr(payload).encode())
 
 

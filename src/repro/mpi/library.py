@@ -395,15 +395,14 @@ class MpiLibrary:
         the two preserves the processing order of every other event — only
         the host-side event count changes, never simulated timings. The
         request is finalized (``_completed`` set) by the first callback,
-        before any waiter resumes.
+        before any waiter resumes. With no waiter yet, the scheduled
+        callback *is* the request's ``_done``; a waiter's pending one is
+        scheduled in its place.
         """
-        if req._completed or req._done._triggered:
+        done = req._done
+        if req._completed or (done is not None and done._triggered):
             raise MpiUsageError(f"request {req.rid} completed twice")
         req._status = status = Status(source, tag, count)
-        done = req._done
-        done._triggered = True
-        done._value = status
-        done.callbacks.insert(0, req._finalize)
         sim = self.sim
         if sim.checker is not None:
             # The completion is scheduled, not immediate, but the
@@ -411,4 +410,12 @@ class MpiLibrary:
             # (a local send completion), so record it here.
             sim.checker.on_request_complete(req)
         delay = when - sim._now
-        sim._schedule(done, delay if delay > 0.0 else 0.0)
+        if not delay > 0.0:
+            delay = 0.0
+        if done is None:
+            req._done = sim.call_after(delay, req._finalize, status)
+            return
+        done._triggered = True
+        done._value = status
+        done.callbacks.insert(0, req._finalize)
+        sim._schedule(done, delay)

@@ -52,16 +52,10 @@ class Request:
         # compare diagnostics byte for byte.
         self.rid = rid = sim._next_rid
         sim._next_rid = rid + 1
-        # Hand-built pending Event: requests are the hot path's dominant
-        # allocation after timeouts, and the shell needs no __init__ logic.
-        done = Event.__new__(Event)
-        done.sim = sim
-        done.callbacks = []
-        done._value = None
-        done._exc = None
-        done._triggered = False
-        done._processed = False
-        self._done: Event = done
+        # The completion event, built when something needs it (see
+        # :meth:`_event`): an eager receive completed before anyone waits
+        # never builds one.
+        self._done: Optional[Event] = None
         # Built by whatever completes the request, with its fields: none
         # is read before then (see :attr:`status`).
         self._status: Optional[Status] = None
@@ -74,6 +68,22 @@ class Request:
         if sim.checker is not None:
             sim.checker.on_request_new(self)
 
+    def _event(self) -> Event:
+        """The ``_done`` event, built on first need: by a waiter, or by a
+        completion that schedules it (``MpiLibrary.complete_at`` builds
+        its own, already triggered)."""
+        done = self._done
+        if done is None:
+            # Hand-built pending Event: the shell needs no __init__ logic.
+            done = self._done = Event.__new__(Event)
+            done.sim = self.sim
+            done.callbacks = []
+            done._value = None
+            done._exc = None
+            done._triggered = False
+            done._processed = False
+        return done
+
     # -- library side ------------------------------------------------------
     def complete(self, source: int = -1, tag: int = -1, count: int = 0) -> None:
         """Mark the request complete (library-internal)."""
@@ -83,7 +93,7 @@ class Request:
         self._status = status = Status(source, tag, count)
         if self.sim.checker is not None:
             self.sim.checker.on_request_complete(self)
-        self._done.succeed(status)
+        self._event().succeed(status)
 
     def _complete_inline(self, source: int, tag: int, count: int) -> None:
         """Like :meth:`complete`, but processes ``_done`` synchronously
@@ -94,6 +104,8 @@ class Request:
         event the normal path would enqueue), so the waiters' resume point
         in the global event order is identical either way. The eager
         receive-completion path qualifies; see ``MpiLibrary._complete_recv``.
+        With no waiter yet there is no ``_done`` to process, and none is
+        built: a later wait finds the request complete.
         """
         if self._completed:
             raise MpiUsageError(f"request {self.rid} completed twice")
@@ -102,9 +114,10 @@ class Request:
         if self.sim.checker is not None:
             self.sim.checker.on_request_complete(self)
         done = self._done
-        done._triggered = True
-        done._value = status
-        done._process()
+        if done is not None:
+            done._triggered = True
+            done._value = status
+            done._process()
 
     def _finalize(self, event: Event) -> None:
         """First callback of a pre-scheduled completion (see
@@ -120,7 +133,7 @@ class Request:
         self._status = Status(error=exc)
         if self.sim.checker is not None:
             self.sim.checker.on_request_complete(self)
-        self._done.fail(exc)
+        self._event().fail(exc)
 
     # -- user side ----------------------------------------------------------
     def cancel(self) -> bool:
@@ -144,7 +157,7 @@ class Request:
         self._status = status = Status(cancelled=True)
         if self.sim.checker is not None:
             self.sim.checker.on_request_complete(self)
-        self._done.succeed(status)
+        self._event().succeed(status)
         return True
 
     @property
@@ -165,21 +178,23 @@ class Request:
         if chk is not None:
             chk.on_request_access(self)
         if self._completed:
-            if chk is not None:
-                chk.on_request_join(self)
-            status = self._status
-            if status.error is not None:
-                raise status.error
-            return status
+            return self._result(chk)
         return None
 
     def wait(self) -> Generator[Event, Any, Status]:
-        """Block (in simulated time) until complete; returns the Status."""
+        """Block (in simulated time) until complete; returns the Status.
+        (:func:`waitall` does the same for a plain request, inline.)"""
         chk = self.sim.checker
         if chk is not None:
             chk.on_request_access(self)
         if not self._completed:
-            yield self._done
+            yield self._event()
+        return self._result(chk)
+
+    def _result(self, chk) -> Status:
+        """What a completed request's test or wait returns: its status,
+        after the checker (``chk``, or None) joins the completion's clocks;
+        raises the error it completed with."""
         if chk is not None:
             chk.on_request_join(self)
         status = self._status
@@ -201,8 +216,21 @@ def startall(requests: list[Any]) -> Generator[Event, Any, None]:
 def waitall(requests: list[Any]) -> Generator[Event, Any, list[Status]]:
     """Wait for all requests — plain, persistent or partitioned; returns
     what each ``wait`` returned (a partitioned one returns None), in
-    order."""
+    order.
+
+    A plain :class:`Request` is waited on here, as :meth:`Request.wait`
+    does it, without a generator of its own: a message rate's window is
+    one ``waitall`` over many plain requests.
+    """
     statuses = []
     for req in requests:
-        statuses.append((yield from req.wait()))
+        if type(req) is not Request:
+            statuses.append((yield from req.wait()))
+            continue
+        chk = req.sim.checker
+        if chk is not None:
+            chk.on_request_access(req)
+        if not req._completed:
+            yield req._event()
+        statuses.append(req._result(chk))
     return statuses

@@ -29,7 +29,6 @@ Typical use (or just run ``python -m repro msgrate --profile``)::
 """
 
 from .. import _lazy
-from ..sim.trace import Category, SpanPairing, TraceCategory, Tracer
 from .metrics import (
     DEPTH_BUCKETS,
     DURATION_BUCKETS,
@@ -42,7 +41,10 @@ from .metrics import (
 
 #: Every hot layer records into a registry; the harvest, the reports and
 #: the trace export run after a run, so they load then.
+#: The tracer lives with the kernel: a registry alone (a service's
+#: counters) loads no simulator.
 __getattr__, __dir__ = _lazy(__name__, {
+    "..sim.trace": ("Category", "SpanPairing", "TraceCategory", "Tracer"),
     ".chrome": ("build_chrome_trace", "export_chrome_trace"),
     ".collect": ("collect_world",),
     ".report": ("render_metrics_report", "render_report",

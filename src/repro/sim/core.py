@@ -265,54 +265,56 @@ class Process(Event):
         self.sim._processes.pop(self._pid, None)
         return super().fail(exc)
 
-    def _resume(self, trigger: Optional[Event]) -> Optional[float]:
-        """Run the task to its next yield; ``trigger`` is the event it
-        waited on, or None when a sleep ends (a Timeout's value).
-
-        ``_resume(None)`` is the run loop's wake-up, and a sleep the task
-        yields then is returned for the loop to schedule; any other call
-        schedules the sleep itself and returns None.
-        """
+    def _resume(self, trigger: Event) -> None:
+        """Run the task to its next yield: ``trigger`` is the processed
+        event it waited on. (A sleep's end is the run loop's own wake-up,
+        in :meth:`Simulator.run_steps`.)"""
         self._waiting_on = None
         sim = self.sim
         # Only a finished task (or a set of them) carries a clock to join.
-        if trigger is not None and sim.checker is not None \
-                and isinstance(trigger, (Process, AllOf)):
+        if sim.checker is not None and isinstance(trigger, (Process, AllOf)):
             sim.checker.on_resume(self, trigger)
         sim._active_process = self
         try:
-            if trigger is None:
-                target = self.gen.send(None)
-            elif trigger._exc is not None:
+            if trigger._exc is not None:
                 target = self.gen.throw(trigger._exc)
             else:
                 target = self.gen.send(trigger._value)
-        except StopIteration as stop:
-            sim._active_process = None
-            if not self._triggered:
-                self.succeed(stop.value)
-            return
         except BaseException as exc:
             sim._active_process = None
-            if not self._triggered:
-                self.fail(exc)
-                return
-            raise
+            self._finish(exc)
+            return
         sim._active_process = None
         # A sleep: the overwhelmingly common yield. The task's own entry
         # goes where a Timeout's would (same sum, same seq) and stands for
         # that Timeout in every view of the schedule.
+        if type(target) is float and target >= 0.0:
+            self._waiting_on = target
+            sim._schedule(self, target)
+        else:
+            self._wait_on(target)
+
+    def _finish(self, exc: BaseException) -> None:
+        """The generator raised ``exc`` on a resume: a StopIteration
+        succeeds the task with its return value, anything else fails it
+        (or propagates, if the task already triggered)."""
+        if isinstance(exc, StopIteration):
+            if not self._triggered:
+                self.succeed(exc.value)
+        elif not self._triggered:
+            self.fail(exc)
+        else:
+            raise exc
+
+    def _wait_on(self, target: Any) -> None:
+        """The task yielded ``target``, which is not a sleep: an event to
+        wait on, or a bad yield (a negative delay, anything but an event
+        of this simulator), which fails the task."""
         if type(target) is float:
-            if target >= 0.0:
-                self._waiting_on = target
-                if trigger is None:
-                    return target
-                sim._schedule(self, target)
-                return None
             self.gen.close()
             self.fail(ValueError(f"timeout delay must be >= 0, got {target}"))
             return
-        if not isinstance(target, Event) or target.sim is not sim:
+        if not isinstance(target, Event) or target.sim is not self.sim:
             self.gen.close()
             self.fail(SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may "
@@ -640,21 +642,32 @@ class Simulator:
             self.steps = steps = steps + 1
             if type(event) is Process and not event._triggered:
                 # A sleeping task's own entry (a finished task's is
-                # triggered): wake it as its Timeout would have, and
-                # when it sleeps again, schedule it as
-                # :meth:`_schedule` does.
-                delay = event._resume(None)
-                if delay is not None:
-                    event._seq = self._seq = self._seq + 1
-                    when = self._now + delay
-                    bucket = buckets.get(when)
-                    if bucket is not None:
-                        bucket.append(event)
-                    elif when == self._cur_time:
-                        cur.append(event)
+                # triggered): wake it as its Timeout would have (see
+                # :meth:`Process._resume`), and when it sleeps again,
+                # schedule it as :meth:`_schedule` does.
+                event._waiting_on = None
+                self._active_process = event
+                try:
+                    target = event.gen.send(None)
+                except BaseException as exc:
+                    self._active_process = None
+                    event._finish(exc)
+                else:
+                    self._active_process = None
+                    if type(target) is float and target >= 0.0:
+                        event._waiting_on = target
+                        event._seq = self._seq = self._seq + 1
+                        when = self._now + target
+                        bucket = buckets.get(when)
+                        if bucket is not None:
+                            bucket.append(event)
+                        elif when == self._cur_time:
+                            cur.append(event)
+                        else:
+                            buckets[when] = [event]
+                            heappush(times, when)
                     else:
-                        buckets[when] = [event]
-                        heappush(times, when)
+                        event._wait_on(target)
             else:
                 callbacks = event.callbacks
                 event._processed = True

@@ -83,7 +83,9 @@ class Lock:
         sim._next_lock_serial += 1
         self._hb: Optional["Publication"] = None
         self.locked = False
-        self._waiters: Deque[Event] = deque()
+        #: The FIFO of blocked acquirers, built at the first contention:
+        #: most locks never see one (see :attr:`queue_length`).
+        self._waiters: Optional[Deque[Event]] = None
         self.stats = ContentionStats()
         self._acquired_at = 0.0
         self.observer: Optional[Callable[[str, float, int], None]] = None
@@ -105,9 +107,12 @@ class Lock:
                 self._checker.lock_acquired(self)
             return
         stats.contended_acquisitions += 1
+        waiters = self._waiters
+        if waiters is None:
+            waiters = self._waiters = deque()
         waiter = sim.event()
-        self._waiters.append(waiter)
-        queue_position = len(self._waiters)
+        waiters.append(waiter)
+        queue_position = len(waiters)
         if queue_position > stats.max_queue_length:
             stats.max_queue_length = queue_position
         t0 = sim._now
@@ -142,7 +147,7 @@ class Lock:
         hold = now - self._acquired_at
         self.stats.total_hold_time += hold
         if self.observer is not None:
-            self.observer("hold", hold, len(self._waiters))
+            self.observer("hold", hold, self.queue_length)
         # Publish before any handoff so a directly-resumed waiter joins
         # this holder's clock when its acquire() continues.
         if self._checker is not None:
@@ -156,7 +161,9 @@ class Lock:
 
     @property
     def queue_length(self) -> int:
-        return len(self._waiters)
+        """Acquirers blocked now (0 before the first contention)."""
+        waiters = self._waiters
+        return 0 if waiters is None else len(waiters)
 
 
 class Semaphore:

@@ -10,11 +10,13 @@ by running it a second time to the same stop (:func:`reproduce`; the
 
 from .. import _lazy
 
-#: A capture needs only :mod:`.state`; reproduction loads where it runs.
+#: A capture needs only :mod:`.state`; reproduction loads where it runs;
+#: the format version (a service's cache key) loads nothing else.
 __getattr__, __dir__ = _lazy(__name__, {
     ".reproduction": ("Reproduction", "reproduce", "run_replay"),
-    ".state": ("STATE_FORMAT_VERSION", "capture_state", "canonical_json",
-               "diff_states", "prune_state", "state_digest"),
+    ".state": ("capture_state", "canonical_json", "diff_states",
+               "prune_state", "state_digest"),
+    ".version": ("STATE_FORMAT_VERSION",),
 })
 
 __all__ = [

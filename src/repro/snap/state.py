@@ -38,16 +38,11 @@ from ..mpi.request import Request
 from ..netsim.message import WireMessage
 from ..netsim.nic import HardwareContext
 from ..sim.core import Event, Process, Timeout, _waiting_kind
+from .version import STATE_FORMAT_VERSION
 
 __all__ = ["capture_state", "canonical_json", "state_digest",
            "diff_states", "prune_state", "canon_key", "describe_value",
            "STATE_FORMAT_VERSION"]
-
-#: Version of the state-tree layout itself (bumped whenever the shape of
-#: the captured tree changes; see docs/snapshot.md).
-#: v2: added the ``topology`` subtree (per-link queue/counter state on
-#: worlds built over a routed interconnect; None on direct fabrics).
-STATE_FORMAT_VERSION = 2
 
 #: Depth cap for user payload description — deep enough for every wire
 #: payload the library produces, shallow enough to stop runaway graphs.
@@ -227,7 +222,7 @@ def _server_state(server: Any) -> dict[str, Any]:
 
 def _lock_state(lock: Any) -> dict[str, Any]:
     stats = lock.stats
-    return {"locked": lock.locked, "waiters": len(lock._waiters),
+    return {"locked": lock.locked, "waiters": lock.queue_length,
             "acquisitions": stats.acquisitions,
             "contended": stats.contended_acquisitions,
             "total_wait_time": stats.total_wait_time,

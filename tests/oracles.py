@@ -50,6 +50,10 @@ from repro.netsim.message import WireMessage
 from repro.sim.core import (PRIORITY_NORMAL, PRIORITY_URGENT, Event, Process,
                             SimulationError, Simulator, _canonical)
 
+#: What a sleeping task resumes from in :class:`HeapSimulator`: an event
+#: with no value and no exception, as the end of a sleep is.
+_WOKEN = Event(None)
+
 
 class HeapSimulator(Simulator):
     """The production event/process machinery on a plain binary heap: no
@@ -104,11 +108,10 @@ class HeapSimulator(Simulator):
             self.steps += 1
             processed += 1
             if type(event) is Process and not event._triggered:
-                # A sleeping task wakes; a sleep it yields now is ours to
-                # schedule.
-                delay = event._resume(None)
-                if delay is not None:
-                    self._schedule(event, delay)
+                # A sleeping task wakes as from a processed event with no
+                # value; a sleep it yields now is scheduled through our
+                # ``_schedule``.
+                event._resume(_WOKEN)
             else:
                 event._process()
         return processed

@@ -8,6 +8,7 @@ give-up path, deadlock diagnostics, and the reliability report/CLI.
 
 import json
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -160,6 +161,31 @@ def test_corruption_copies_never_mutate_the_original():
     assert d.msg is not msg
     assert np.array_equal(msg.payload, np.arange(4.0))  # sender copy clean
     assert payload_checksum(d.msg.payload) != d.msg.checksum
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(-2**31, 2**31 - 1), min_size=1,
+                       max_size=24),
+       dtype=st.sampled_from(["float64", "int32", "uint8", "bool",
+                              "complex128"]),
+       step=st.integers(1, 3))
+def test_payload_checksum_is_the_crc_of_the_c_order_bytes(values, dtype,
+                                                          step):
+    """An array checksums as the crc32 of its C-order bytes whether it is
+    C-contiguous (read in place), strided or 0-d; anything else as the
+    crc32 of its ``repr``."""
+    base = np.array(values).astype(dtype)
+    rows = len(values) // 2
+    arrays = [base, base[::step], base[::-1], np.array(values[0]).astype(
+        dtype), base[:2 * rows].reshape(rows, 2).T]
+    for a in arrays:
+        before = a.copy()
+        assert payload_checksum(a) == zlib.crc32(
+            np.ascontiguousarray(a).tobytes())
+        assert np.array_equal(a, before)
+    for other in (values, tuple(values), bytes(len(values)),
+                  {"n": values[0]}, "text", 7):
+        assert payload_checksum(other) == zlib.crc32(repr(other).encode())
 
 
 def test_stall_until():

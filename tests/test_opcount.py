@@ -90,6 +90,46 @@ def test_compare_tolerates_2_percent_and_compares_whole_opcodes():
         "m (unchecked): 0 -> 1"]
 
 
+HOST_OBJECT_TABLES = TABLE + """
+Generators started per simulated message, by function (unchecked grid by \
+mode, and the grid)
+
+generator                                         everywhere              grid
+(all)                                                   4.29              4.51
+repro/mpi/comm.py:Communicator.Isend                    1.00              1.00
+
+Host objects alive at the busiest step of the 64-core everywhere point, by \
+type (512 messages; step 2432 of 3841, sampled every 32 steps)
+
+type                                                    live
+(all)                                                  12876
+repro.sim.core.Event                                    1086
+"""
+
+
+def test_parse_table_reads_every_gated_table():
+    table = opcount.parse_table(HOST_OBJECT_TABLES)
+    assert table["rows"] == opcount.parse_table(TABLE)["rows"]
+    assert sorted(table["tables"]) == ["generator", "module", "type"]
+    generators = table["tables"]["generator"]
+    assert generators["columns"] == ["everywhere", "grid"]
+    assert generators["rows"] == {
+        "(all)": [4.29, 4.51],
+        "repro/mpi/comm.py:Communicator.Isend": [1.0, 1.0]}
+    assert table["tables"]["type"]["rows"] == {
+        "(all)": [12876.0], "repro.sim.core.Event": [1086.0]}
+
+
+def test_compare_holds_a_per_message_count_to_its_printed_decimals():
+    committed = {"(all)": [4.29, 4.51]}
+    columns = ("everywhere", "grid")
+    assert opcount.compare(committed, {"(all)": [4.3749, 4.51]},
+                           columns=columns, digits=2) == []
+    assert opcount.compare(committed, {"(all)": [4.29, 4.6051]},
+                           columns=columns, digits=2) == [
+        "(all) (grid): 4.51 -> 4.61 (+2.2%)"]
+
+
 def test_check_refuses_a_table_from_another_minor_version(tmp_path, capsys):
     path = tmp_path / "opcount_quick.txt"
     path.write_text(TABLE.replace("CPython 3.11.7", "CPython 3.99.0"))

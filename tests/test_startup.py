@@ -10,8 +10,9 @@ interpreters because this one has imported everything long ago:
 - the import fences: ``import repro``, the kernel alone and one Fig 1(a)
   point load no layer they do not run (an unchecked World imports
   nothing of ``repro.check``, a checked one its checker), a process that
-  submits to a service loads no event loop, and neither a Fig 1(a) point nor the CLI
-  and serve front ends load numpy;
+  submits to a service loads no event loop, a service loads no simulator,
+  and neither a Fig 1(a) point nor the CLI and serve front ends load
+  numpy;
 - the results: a run's state digest, trace and check report are the
   same bytes whether or not everything was imported first, and whether
   the checker was imported before a checked World or by it;
@@ -267,6 +268,17 @@ def test_a_submitting_process_loads_no_server():
     loop, the orchestrator, the HTTP API and the workers."""
     loaded = json.loads(_python(SUBMITTER, *SERVER_ONLY).splitlines()[-1])
     assert loaded == []
+
+
+def test_a_service_loads_no_simulator():
+    """A service orchestrates points its workers simulate: its result
+    cache keys on the state format version (``repro.snap.version``) and
+    its registry counts requests, and neither loads the MPI library, the
+    fabric or the kernel."""
+    loaded = _loaded_by("import repro.serve.orchestrator")
+    assert sorted(m for m in loaded
+                  if m.startswith(("repro.mpi", "repro.netsim"))
+                  or m == "repro.sim.core") == []
 
 
 #: Forks a service with one worker from a lean interpreter; prints which
