@@ -53,11 +53,11 @@ service wrote to one more POST of them.
 ``--check TABLE`` re-runs the census at the size TABLE was recorded at
 (``benchmarks/results/opcount_quick.txt`` and ``opcount_serve.txt`` in
 CI) and exits 1 when any row of TABLE's gated tables (opcodes by
-module, generators by function, live objects by type), in any column,
-rises more than 2 % over it; it exits 2, naming both, when TABLE was
-recorded on another CPython minor version (the counts are that
-version's bytecode). A change that means to raise a row re-records the
-table and says why.
+module, kernel events by first callback, generators by function, live
+objects by type), in any column, rises more than 2 % over it; it exits
+2, naming both, when TABLE was recorded on another CPython minor
+version (the counts are that version's bytecode). A change that means
+to raise a row re-records the table and says why.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ WAKE_UP = "Process._resume"
 
 #: The first column's heading of each gated table -> the decimals its
 #: values are printed, and compared, with.
-GATED = {"module": 0, "generator": 2, "type": 0}
+GATED = {"module": 0, "callback": 2, "generator": 2, "type": 0}
 
 
 def count_opcodes(fn: Callable[[], Any]) -> tuple[Any, Counter]:
@@ -375,6 +375,20 @@ def live_census(size: str) -> tuple[int, int, int, Counter]:
             *count_live_objects(lambda: run_point(cfg, False)))
 
 
+def event_rows(events: dict[str, tuple[int, Counter]]
+               ) -> dict[str, list[float]]:
+    """``row -> [per column...]`` kernel events per message: ``(all)``,
+    then every first callback, most events first over all columns."""
+    kinds = Counter()
+    for _sent, counts in events.values():
+        kinds.update(counts)
+    rows = {"(all)": [sum(counts.values()) / sent
+                      for sent, counts in events.values()]}
+    for name, _n in kinds.most_common():
+        rows[name] = [counts[name] / sent for sent, counts in events.values()]
+    return rows
+
+
 def generator_rows(generators: dict[str, tuple[int, Counter]]
                    ) -> dict[str, list[float]]:
     """``row -> [per mode..., grid]`` generators started per message:
@@ -587,23 +601,15 @@ def render(size: str, top: int, runs: dict[bool, dict],
     lines += [row(name, lambda funcs, name=name: funcs[name])
               for name, _n in names.most_common(top)]
 
+    shown = list(event_rows(events).items())[:top + 1]
+    width = max(48, *(len(name) for name, _ in shown))
     lines += ["", f"Kernel events per simulated message, by first callback "
               f"(unchecked grid by mode; chaos: {sizes['scenarios']} "
               f"scenarios of seed {CAMPAIGN_SEED}, checker on)", "",
-              f"{'callback':<48} " + " ".join(f"{c:>17}" for c in events)]
-    kinds = Counter()
-    for _sent, counts in events.values():
-        kinds.update(counts)
-
-    def per_msg(pick: Callable[[Counter], int]) -> str:
-        return " ".join(f"{pick(counts) / sent:>17.2f}"
-                        for sent, counts in events.values())
-
-    lines.append(f"{'(all)':<48} "
-                 + per_msg(lambda counts: sum(counts.values())))
-    lines += [f"{name[:48]:<48} "
-              + per_msg(lambda counts, name=name: counts[name])
-              for name, _n in kinds.most_common(top)]
+              f"{'callback':<{width}} "
+              + " ".join(f"{c:>17}" for c in events)]
+    lines += [f"{name:<{width}} " + " ".join(f"{v:>17.2f}" for v in values)
+              for name, values in shown]
 
     scenarios = sizes["scenarios"]
     lines += ["", f"Timeouts built per chaos scenario, by call site "
@@ -713,6 +719,7 @@ def check(path: str, top: int) -> int:
         print(render(size, top, runs, events, generators, timeouts, live),
               end="")
         fresh = {"module": module_rows(runs)[1],
+                 "callback": event_rows(events),
                  "generator": generator_rows(generators),
                  "type": live_rows(live)}
     risen = []

@@ -42,6 +42,7 @@ from ..mpi.info import Info
 from ..mpi.request import waitall
 from ..netsim.config import NetworkConfig
 from ..sim.core import gc_suspended
+from . import MODES
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.metrics import MetricsRegistry
@@ -68,7 +69,7 @@ _MODES: dict[str, tuple[str, Callable[[int], dict[str, Any]], bool]] = {
         "mpich_num_vcis": str(n)})}, True),
 }
 
-MODES = tuple(_MODES)
+assert tuple(_MODES) == MODES, "repro.bench.MODES names every mode, in order"
 
 
 @dataclass

@@ -39,8 +39,7 @@ import json
 import sys
 from typing import Any, Optional, Sequence
 
-from .bench.msgrate import MODES, MsgRateConfig, run_msgrate
-from .bench.report import Table
+from .bench import MODES
 
 __all__ = ["main", "build_parser"]
 
@@ -69,6 +68,7 @@ def _cmd_msgrate(args) -> int:
     import csv
     import time
 
+    from .bench.report import Table
     from .serve import run_local
     from .serve.service import auto_jobs
 
@@ -103,6 +103,7 @@ def _profile_msgrate(args) -> int:
     returns neither."""
     import os
 
+    from .bench.msgrate import MsgRateConfig, run_msgrate
     from .obs import (
         MetricsRegistry,
         Tracer,
@@ -140,6 +141,7 @@ def _cmd_stencil(args) -> int:
     """The halo exchange under each mechanism; with ``--plan``, on a
     lossy fabric behind the reliable transport."""
     from .apps.stencil import StencilConfig, run_stencil
+    from .bench.report import Table
     plan = None
     if args.plan is not None:
         from .faults import parse_plan
@@ -174,6 +176,7 @@ def _cmd_stencil(args) -> int:
 def _stencil_on_lossy_fabric(plan, seed: int, configs: list) -> int:
     """Per mechanism: the reliability and per-VCI reports, then a table."""
     from .apps.stencil import run_stencil
+    from .bench.report import Table
     from .errors import TransportError
     from .faults import render_reliability_report
     from .obs import MetricsRegistry, render_vci_report
@@ -269,6 +272,7 @@ _APP_COMMANDS = {
 
 def _cmd_app(args) -> int:
     """Run one proxy app under each of its mechanisms."""
+    from .bench.report import Table
     from .scenarios.apps import APP_REGISTRY
     _help, title, columns, flags, cells = _APP_COMMANDS[args.command]
     adapter = APP_REGISTRY[args.command]
@@ -518,6 +522,7 @@ def _cmd_submit(args) -> int:
 
 
 def _cmd_jobs(args) -> int:
+    from .bench.report import Table
     from .serve.client import ServeClient
     with ServeClient(_serve_socket(args)) as client:
         jobs = client.jobs()

@@ -248,13 +248,16 @@ class MpiLibrary:
             payload = self._trace_payload(vci, msg, span)
             payload["task"] = f"vci{vci.index}.match"
             tracer.emit(TraceCategory.MATCH_BEGIN, payload)
-        # A closure, not a value on the event: a capture describes a
-        # pending event's value and names its callback.
+        # A function, not a value on the event: a capture describes a
+        # pending event's value and names its callback. Its arguments
+        # are defaults, one tuple where closure cells would be five.
         vci.match_server.submit(
-            service, lambda e: self._match_incoming(vci, msg, span, hint))
+            service, lambda e, self=self, vci=vci, msg=msg, span=span,
+            hint=hint: self._match_incoming(vci, msg, span, hint))
 
     def _match_incoming(self, vci: Vci, msg: WireMessage,
-                        span: Optional[int], hint: list | int) -> None:
+                        span: Optional[int], hint: PostedRecv | int
+                        ) -> None:
         entry, scanned = vci.engine.incoming(msg, hint)
         tracer = self.tracer
         if tracer is not None:

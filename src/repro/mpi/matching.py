@@ -75,12 +75,16 @@ def key_matches(context_id: int, source: int, tag: int, dst_addr: int,
 
 @dataclass(slots=True)
 class PostedRecv:
-    """One posted receive awaiting a message.
+    """One posted receive awaiting a message, and its own record in the
+    posted queue's buckets.
 
     ``seq`` is the receive's position in its engine's posted stream; it is
     assigned by the engine when the receive is appended to the posted
     queue (engines number their queues independently, so unrelated Worlds
-    in one host process never interleave sequence numbers).
+    in one host process never interleave sequence numbers). ``alive`` is
+    True while the receive waits there: the engine clears it when the
+    receive matches or is cancelled, and drops the dead entry from its
+    buckets later.
     """
 
     req: Request
@@ -91,35 +95,43 @@ class PostedRecv:
     tag: int
     dst_addr: int
     seq: int = -1
+    alive: bool = False
 
     def matches(self, msg: WireMessage) -> bool:
         return key_matches(self.context_id, self.source, self.tag,
                            self.dst_addr, msg)
 
 
-# Bucket-record field indices: a record is the mutable triple
-# ``[seq, item, alive]`` shared by every bucket that indexes the item.
-_SEQ, _ITEM, _ALIVE = 0, 1, 2
+@dataclass(slots=True, eq=False)
+class _Unexpected:
+    """An unexpected message's record, shared by every bucket that
+    indexes it: its position in the unexpected stream, and whether it
+    is still queued."""
+
+    seq: int
+    msg: WireMessage
+    alive: bool = True
 
 
-def _live_head(bucket: Optional[deque]) -> Optional[list]:
-    """Drop dead records off the bucket head; return the live head."""
+def _live_head(bucket: Optional[deque]):
+    """Drop dead records off the bucket head; return the live head (a
+    :class:`PostedRecv` or an :class:`_Unexpected`)."""
     if not bucket:
         return None
     while bucket:
         rec = bucket[0]
-        if rec[_ALIVE]:
+        if rec.alive:
             return rec
         bucket.popleft()
     return None
 
 
-def _live_items(buckets: dict[tuple, deque]) -> list:
-    """The items of a bucket map's live records, in sequence order."""
+def _live_records(buckets: dict[tuple, deque]) -> list:
+    """A bucket map's live records, in sequence order."""
     live = [rec for bucket in buckets.values() for rec in bucket
-            if rec[_ALIVE]]
-    live.sort(key=lambda rec: rec[_SEQ])
-    return [rec[_ITEM] for rec in live]
+            if rec.alive]
+    live.sort(key=lambda rec: rec.seq)
+    return live
 
 
 class MatchingEngine:
@@ -143,8 +155,8 @@ class MatchingEngine:
     __slots__ = ("max_posted_depth", "max_unexpected_depth", "total_scans",
                  "_h_scan_posted", "_h_scan_unexpected",
                  "_h_posted_depth", "_h_unexpected_depth",
-                 "_po_seq", "_po_seqs", "_po_buckets", "_po_by_req",
-                 "_po_dead", "_po_w_src", "_po_w_tag", "_po_w_both",
+                 "_po_seq", "_po_seqs", "_po_buckets", "_po_dead",
+                 "_po_w_src", "_po_w_tag", "_po_w_both",
                  "_ux_seq", "_ux_seqs", "_ux_full", "_ux_by_src",
                  "_ux_by_tag", "_ux_any", "_ux_wild", "_ux_dead")
 
@@ -177,11 +189,11 @@ class MatchingEngine:
         #: queue and the order-statistics structure behind the analytic
         #: scan counts (appends are monotonic, so the list stays sorted).
         self._po_seqs: list[int] = []
-        #: (context, dst_addr, source, tag) -> deque of records; wildcard
-        #: receives live under their literal ANY_* key, so an incoming
-        #: message has at most four candidate buckets.
+        #: (context, dst_addr, source, tag) -> deque of posted receives;
+        #: wildcard receives live under their literal ANY_* key, so an
+        #: incoming message has at most four candidate buckets. A cancel
+        #: finds its receive through the request (``Request._posted``).
         self._po_buckets: dict[tuple, deque] = {}
-        self._po_by_req: dict[Request, list] = {}
         self._po_dead = 0
         #: Live posted receives per wildcard class; arrivals only consult
         #: a wildcard bucket when its class has live entries.
@@ -205,15 +217,11 @@ class MatchingEngine:
         """First wildcard lookup: build the side-indexes from the full
         buckets; they are maintained incrementally from here on."""
         self._ux_wild = True
-        live = []
-        for bucket in self._ux_full.values():
-            live.extend(rec for rec in bucket if rec[_ALIVE])
-        live.sort(key=lambda rec: rec[_SEQ])
-        for rec in live:
+        for rec in _live_records(self._ux_full):
             self._index_ux_wild(rec)
 
-    def _index_ux_wild(self, rec: list) -> None:
-        msg = rec[_ITEM]
+    def _index_ux_wild(self, rec: _Unexpected) -> None:
+        msg = rec.msg
         meta = msg.meta
         ctx = msg.context_id
         dst = meta.get("dst_addr", msg.dst_rank)
@@ -227,7 +235,7 @@ class MatchingEngine:
             bucket.append(rec)
 
     def _find_unexpected(self, context_id: int, source: int, tag: int,
-                         dst_addr: int) -> Optional[list]:
+                         dst_addr: int) -> Optional[_Unexpected]:
         """Earliest live unexpected record matching the pattern."""
         if source != ANY_SOURCE and tag != ANY_TAG:
             if not self._ux_seqs:  # pre-posted receives: nothing queued
@@ -244,10 +252,10 @@ class MatchingEngine:
             bucket = self._ux_any.get((context_id, dst_addr))
         return _live_head(bucket)
 
-    def _remove_unexpected(self, rec: list) -> None:
-        rec[_ALIVE] = False
+    def _remove_unexpected(self, rec: _Unexpected) -> None:
+        rec.alive = False
         seqs = self._ux_seqs
-        seqs.pop(bisect_left(seqs, rec[_SEQ]))
+        seqs.pop(bisect_left(seqs, rec.seq))
         self._ux_dead += 1
         if self._ux_dead > len(seqs) + 64:
             self._compact_unexpected()
@@ -255,10 +263,7 @@ class MatchingEngine:
     def _compact_unexpected(self) -> None:
         """Rebuild the unexpected buckets without dead records (removals
         are lazy tombstones; this bounds their accumulation)."""
-        live = []
-        for bucket in self._ux_full.values():
-            live.extend(rec for rec in bucket if rec[_ALIVE])
-        live.sort(key=lambda rec: rec[_SEQ])
+        live = _live_records(self._ux_full)
         self._ux_full = {}
         self._ux_by_src = {}
         self._ux_by_tag = {}
@@ -267,8 +272,8 @@ class MatchingEngine:
         for rec in live:
             self._index_unexpected(rec)
 
-    def _index_unexpected(self, rec: list) -> None:
-        msg = rec[_ITEM]
+    def _index_unexpected(self, rec: _Unexpected) -> None:
+        msg = rec.msg
         meta = msg.meta
         key = (msg.context_id, meta.get("dst_addr", msg.dst_rank),
                meta.get("src_addr", msg.src_rank), msg.tag)
@@ -279,7 +284,7 @@ class MatchingEngine:
         if self._ux_wild:
             self._index_ux_wild(rec)
 
-    def _find_posted(self, msg: WireMessage) -> Optional[list]:
+    def _find_posted(self, msg: WireMessage) -> Optional[PostedRecv]:
         """Earliest live posted receive matching a concrete message: the
         minimum-seq live head over the (up to four) candidate buckets."""
         if not self._po_seqs:
@@ -293,15 +298,15 @@ class MatchingEngine:
         best = _live_head(buckets.get((ctx, dst, src, tag)))
         if self._po_w_tag:
             rec = _live_head(buckets.get((ctx, dst, src, ANY_TAG)))
-            if rec is not None and (best is None or rec[_SEQ] < best[_SEQ]):
+            if rec is not None and (best is None or rec.seq < best.seq):
                 best = rec
         if self._po_w_src:
             rec = _live_head(buckets.get((ctx, dst, ANY_SOURCE, tag)))
-            if rec is not None and (best is None or rec[_SEQ] < best[_SEQ]):
+            if rec is not None and (best is None or rec.seq < best.seq):
                 best = rec
         if self._po_w_both:
             rec = _live_head(buckets.get((ctx, dst, ANY_SOURCE, ANY_TAG)))
-            if rec is not None and (best is None or rec[_SEQ] < best[_SEQ]):
+            if rec is not None and (best is None or rec.seq < best.seq):
                 best = rec
         return best
 
@@ -314,14 +319,17 @@ class MatchingEngine:
         elif entry.tag == ANY_TAG:
             self._po_w_tag -= 1
 
-    def _remove_posted(self, rec: list) -> None:
-        rec[_ALIVE] = False
+    def _remove_posted(self, entry: PostedRecv) -> None:
+        """Take a matched or cancelled receive out of the queue: a
+        tombstone in its bucket, and no longer its request's entry (which
+        would keep the two alive as a cycle until a collection)."""
+        entry.alive = False
+        req = entry.req
+        if req is not None:
+            req._posted = None
         seqs = self._po_seqs
-        seqs.pop(bisect_left(seqs, rec[_SEQ]))
-        entry = rec[_ITEM]
+        seqs.pop(bisect_left(seqs, entry.seq))
         self._uncount_posted(entry)
-        if entry.req is not None:
-            self._po_by_req.pop(entry.req, None)
         self._po_dead += 1
         if self._po_dead > len(seqs) + 64:
             self._compact_posted()
@@ -329,14 +337,15 @@ class MatchingEngine:
     def _compact_posted(self) -> None:
         buckets = {}
         for key, bucket in self._po_buckets.items():
-            live = deque(rec for rec in bucket if rec[_ALIVE])
+            live = deque(entry for entry in bucket if entry.alive)
             if live:
                 buckets[key] = live
         self._po_buckets = buckets
         self._po_dead = 0
 
     # -- receive side ------------------------------------------------------
-    def post_recv(self, entry: PostedRecv, hint: list | int | None = None
+    def post_recv(self, entry: PostedRecv,
+                  hint: _Unexpected | int | None = None
                   ) -> tuple[Optional[WireMessage], int]:
         """Try to match ``entry`` against the unexpected queue.
 
@@ -349,7 +358,7 @@ class MatchingEngine:
         since have later sequence numbers); a miss still stands while no
         message was queued since. Any other hint is looked up again.
         """
-        if type(hint) is list and hint[_ALIVE]:
+        if type(hint) is _Unexpected and hint.alive:
             rec = hint
         elif hint == self._ux_seq:
             rec = None
@@ -357,22 +366,25 @@ class MatchingEngine:
             rec = self._find_unexpected(entry.context_id, entry.source,
                                         entry.tag, entry.dst_addr)
         if rec is not None:
-            scanned = bisect_right(self._ux_seqs, rec[_SEQ])
+            scanned = bisect_right(self._ux_seqs, rec.seq)
             self._remove_unexpected(rec)
             self.total_scans += scanned
             if self._h_scan_unexpected is not None:
                 self._h_scan_unexpected.observe(scanned)
                 self._h_unexpected_depth.observe(len(self._ux_seqs))
-            return rec[_ITEM], scanned
+            return rec.msg, scanned
         scanned = len(self._ux_seqs)
         entry.seq = seq = self._po_seq
         self._po_seq = seq + 1
-        posted_rec = [seq, entry, True]
+        entry.alive = True
+        req = entry.req
+        if req is not None:  # a request-less receive cannot be cancelled
+            req._posted = entry
         key = (entry.context_id, entry.dst_addr, entry.source, entry.tag)
         bucket = self._po_buckets.get(key)
         if bucket is None:
             self._po_buckets[key] = bucket = deque()
-        bucket.append(posted_rec)
+        bucket.append(entry)
         self._po_seqs.append(seq)
         if entry.source == ANY_SOURCE:
             if entry.tag == ANY_TAG:
@@ -381,8 +393,6 @@ class MatchingEngine:
                 self._po_w_src += 1
         elif entry.tag == ANY_TAG:
             self._po_w_tag += 1
-        if entry.req is not None:
-            self._po_by_req[entry.req] = posted_rec
         depth = len(self._po_seqs)
         if depth > self.max_posted_depth:
             self.max_posted_depth = depth
@@ -400,9 +410,9 @@ class MatchingEngine:
         ``benchmarks/stack/layers.py``, which wraps both by name."""
         rec = self._find_unexpected(context_id, source, tag, dst_addr)
         if rec is not None:
-            scanned = bisect_right(self._ux_seqs, rec[_SEQ])
+            scanned = bisect_right(self._ux_seqs, rec.seq)
             self.total_scans += scanned
-            return rec[_ITEM], scanned
+            return rec.msg, scanned
         scanned = len(self._ux_seqs)
         self.total_scans += scanned
         return None, scanned
@@ -413,16 +423,16 @@ class MatchingEngine:
         the earliest matching unexpected message."""
         rec = self._find_unexpected(context_id, source, tag, dst_addr)
         if rec is not None:
-            scanned = bisect_right(self._ux_seqs, rec[_SEQ])
+            scanned = bisect_right(self._ux_seqs, rec.seq)
             self._remove_unexpected(rec)
             self.total_scans += scanned
-            return rec[_ITEM], scanned
+            return rec.msg, scanned
         scanned = len(self._ux_seqs)
         self.total_scans += scanned
         return None, scanned
 
     def lookup_unexpected(self, context_id: int, source: int, tag: int,
-                          dst_addr: int) -> tuple[list | int, int]:
+                          dst_addr: int) -> tuple[_Unexpected | int, int]:
         """``(hint, scanned)`` for a receive about to be posted, without
         mutating the queues: the hint for :meth:`post_recv` (the matching
         unexpected record, or on a miss the unexpected stream's next
@@ -430,21 +440,23 @@ class MatchingEngine:
         (the whole queue on a miss) for the cost model."""
         rec = self._find_unexpected(context_id, source, tag, dst_addr)
         if rec is not None:
-            return rec, bisect_right(self._ux_seqs, rec[_SEQ])
+            return rec, bisect_right(self._ux_seqs, rec.seq)
         return self._ux_seq, len(self._ux_seqs)
 
-    def lookup_posted(self, msg: WireMessage) -> tuple[list | int, int]:
+    def lookup_posted(self, msg: WireMessage
+                      ) -> tuple[PostedRecv | int, int]:
         """``(hint, scanned)`` for an arrival, without mutating the
         queues: the hint for :meth:`incoming` (the matching posted
-        record, or on a miss the posted stream's next sequence number)
+        receive, or on a miss the posted stream's next sequence number)
         and the elements a scan of the posted queue would visit."""
         rec = self._find_posted(msg)
         if rec is not None:
-            return rec, bisect_right(self._po_seqs, rec[_SEQ])
+            return rec, bisect_right(self._po_seqs, rec.seq)
         return self._po_seq, len(self._po_seqs)
 
     # -- arrival side --------------------------------------------------------
-    def incoming(self, msg: WireMessage, hint: list | int | None = None
+    def incoming(self, msg: WireMessage,
+                 hint: PostedRecv | int | None = None
                  ) -> tuple[Optional[PostedRecv], int]:
         """Try to match an arriving message against the posted queue.
 
@@ -452,29 +464,28 @@ class MatchingEngine:
         message has been appended to the unexpected queue. ``hint`` is
         what :meth:`lookup_posted` returned for ``msg`` earlier: posted
         sequence numbers only grow, so a receive posted since cannot
-        precede a live record, and a miss stands while nothing was posted
+        precede a live receive, and a miss stands while nothing was posted
         since; any other hint is looked up again (``scanned`` is counted
         now either way).
         """
-        if type(hint) is list and hint[_ALIVE]:
-            rec = hint
+        if type(hint) is PostedRecv and hint.alive:
+            entry = hint
         elif hint == self._po_seq:
-            rec = None
+            entry = None
         else:
-            rec = self._find_posted(msg)
-        if rec is not None:
-            scanned = bisect_right(self._po_seqs, rec[_SEQ])
-            self._remove_posted(rec)
+            entry = self._find_posted(msg)
+        if entry is not None:
+            scanned = bisect_right(self._po_seqs, entry.seq)
+            self._remove_posted(entry)
             self.total_scans += scanned
             if self._h_scan_posted is not None:
                 self._h_scan_posted.observe(scanned)
                 self._h_posted_depth.observe(len(self._po_seqs))
-            return rec[_ITEM], scanned
+            return entry, scanned
         scanned = len(self._po_seqs)
         seq = self._ux_seq
         self._ux_seq = seq + 1
-        ux_rec = [seq, msg, True]
-        self._index_unexpected(ux_rec)
+        self._index_unexpected(_Unexpected(seq, msg))
         self._ux_seqs.append(seq)
         depth = len(self._ux_seqs)
         if depth > self.max_unexpected_depth:
@@ -500,11 +511,11 @@ class MatchingEngine:
     # bookkeeping a cross-implementation comparison ignores.
     def live_posted(self) -> list[PostedRecv]:
         """The posted receives still waiting, in FIFO order."""
-        return _live_items(self._po_buckets)
+        return _live_records(self._po_buckets)
 
     def live_unexpected(self) -> list[WireMessage]:
         """The unexpected messages still queued, in FIFO order."""
-        return _live_items(self._ux_full)
+        return [rec.msg for rec in _live_records(self._ux_full)]
 
     def internals(self) -> dict:
         """Implementation-private state: sequence counters, tombstone
@@ -520,17 +531,12 @@ class MatchingEngine:
     def cancel_posted(self, req: Request) -> bool:
         """Remove a posted receive by request (MPI_Cancel, simplified).
 
-        O(1) through the request index — ``del queue[i]`` on a deque is
-        O(n) and cancel storms are exactly when queues are deep."""
-        rec = self._po_by_req.pop(req, None)
-        if rec is None or not rec[_ALIVE]:
+        O(1) through the request, which holds its receive while it waits
+        here (``Request._posted``) — ``del queue[i]`` on a deque is O(n)
+        and cancel storms are exactly when queues are deep."""
+        entry = req._posted
+        if entry is None:  # never queued, matched, or cancelled already
             return False
-        rec[_ALIVE] = False
-        seqs = self._po_seqs
-        seqs.pop(bisect_left(seqs, rec[_SEQ]))
-        self._uncount_posted(rec[_ITEM])
-        self._po_dead += 1
-        if self._po_dead > len(seqs) + 64:
-            self._compact_posted()
+        self._remove_posted(entry)
         return True
 

@@ -34,7 +34,7 @@ class Request:
     """
 
     __slots__ = ("sim", "kind", "rid", "_done", "_status", "_completed",
-                 "user_data", "vci", "_hb_access", "_hb_edges")
+                 "user_data", "vci", "_posted", "_hb_access", "_hb_edges")
 
     # Checker-only, assigned by ``Checker.on_request_new`` and never set on
     # an unchecked simulator: the last wait/test/cancel on this request,
@@ -60,11 +60,15 @@ class Request:
         # is read before then (see :attr:`status`).
         self._status: Optional[Status] = None
         self._completed = False
-        #: Scratch slot for library internals (e.g. matching bookkeeping).
+        #: Scratch slot for library internals (a partitioned or RMA
+        #: operation's state).
         self.user_data: Any = None
         #: The VCI the operation was posted on (set by the posting path);
         #: MPI_Test on the request serializes on this channel's lock.
         self.vci = None
+        #: The receive's entry while it waits in its engine's posted
+        #: queue (set and cleared by the engine): how a cancel finds it.
+        self._posted = None
         if sim.checker is not None:
             sim.checker.on_request_new(self)
 

@@ -47,6 +47,9 @@ class Fabric:
         self._h_ingress: dict[int, object] = {}
         self.messages_delivered = 0
         self.bytes_delivered = 0
+        #: Every arrival's callback, bound once (as ``Process._resume_cb``)
+        #: rather than once per message.
+        self._arrival_cb = self._on_arrival
 
     def register_node(self, node_id: int, handler: DeliveryHandler) -> None:
         """Attach a node's message handler to the fabric."""
@@ -154,7 +157,7 @@ class Fabric:
         if self._h_ingress:
             self._h_ingress[dst_node].observe(queued)
         # A delay, not the absolute time: the kernel adds it back to now.
-        sim.call_after(arrival - now, self._on_arrival, msg)
+        sim.call_after(arrival - now, self._arrival_cb, msg)
 
     def _on_arrival(self, event: Event) -> None:
         msg: WireMessage = event._value

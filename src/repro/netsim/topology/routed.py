@@ -86,7 +86,7 @@ class RoutedFabric(Fabric):
         if h is not None:
             h.observe(queued)
         sim = self.sim
-        sim.call_after(arrival - sim._now, self._on_arrival, msg)
+        sim.call_after(arrival - sim._now, self._arrival_cb, msg)
 
     def latency_for(self, wire_bytes: int) -> float:
         """Unloaded latency bound: the topology's longest route, a per-hop

@@ -8,6 +8,11 @@ the same sequence numbers, the same pending entries, and the same names
 for what a blocked task waits on. Each check here holds a run to an
 "eager" one, whose requests build their event when they are created,
 as they all once did.
+
+A message also builds nothing that no capture reads: a posted receive is
+its own record in the matching engine, a fabric schedules every arrival
+with one callback bound once, and the match completion carries its
+arguments without closure cells, under the name captures always gave it.
 """
 
 import importlib.util
@@ -18,12 +23,18 @@ import numpy as np
 import pytest
 
 from repro.check.session import Session
+from repro.mpi.matching import MatchingEngine, PostedRecv
 from repro.mpi.request import Request, waitall
+from repro.netsim import ClusterSpec
+from repro.netsim.fabric import Fabric
+from repro.netsim.topology.routed import RoutedFabric
+from repro.runtime.world import World
 from repro.sim.core import SimulationError, Simulator
 from repro.sim.sync import Lock
 from repro.snap import capture_state
 from repro.snap.state import _lock_state
 from tests.helpers import flat_world, lockstep, run_ranks
+from tests.test_matching_indexed import mk_msg
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -286,3 +297,87 @@ def test_a_stopped_capture_names_a_waitall_target_as_before(eager_events):
     assert lazy == tasks(True)
     assert Counter(t["waiting_on"] for t in lazy[-1].values()) \
         == Counter({"Event": 1})
+
+
+# ------------------------------ (f) nothing per message that no one reads
+def test_posted_receives_are_their_own_records():
+    """After N posts the engine keeps no index by request: its buckets
+    hold the posted receives themselves, and each request names its own
+    while it waits, so a cancel finds it in O(1)."""
+    sim = Simulator()
+    engine = MatchingEngine()
+    entries = [PostedRecv(Request(sim, "recv"), bytearray(1), 1, 0, 0,
+                          tag % 3, 0) for tag in range(12)]
+    for entry in entries:
+        assert engine.post_recv(entry) == (None, 0)
+    for name in type(engine).__slots__:
+        value = getattr(engine, name)
+        if isinstance(value, dict):
+            assert not any(isinstance(key, Request) for key in value), name
+    held = [rec for bucket in engine._po_buckets.values() for rec in bucket]
+    assert sorted(map(id, held)) == sorted(map(id, entries))
+    assert all(type(rec) is PostedRecv and rec.alive for rec in held)
+    assert all(entry.req._posted is entry for entry in entries)
+    # A cancelled and a matched receive are no longer their request's.
+    assert engine.cancel_posted(entries[0].req)
+    assert not engine.cancel_posted(entries[0].req)
+    matched, _scanned = engine.incoming(mk_msg(0, 0, 1, 0))
+    assert matched is entries[1]
+    for entry in entries[:2]:
+        assert entry.req._posted is None and not entry.alive
+    assert engine.live_posted() == entries[2:]
+    # A receive with no request (the stack benchmark's matching probe
+    # posts these) queues and matches as well.
+    bare = PostedRecv(None, bytearray(1), 1, 0, 0, 7, 0)
+    assert engine.post_recv(bare) == (None, 0)
+    assert engine.incoming(mk_msg(0, 0, 7, 0))[0] is bare
+
+
+def _ring(proc):
+    """Four messages to the next rank, four from the previous."""
+    comm, n = proc.comm_world, proc.comm_world.size
+    reqs = []
+    for tag in range(4):
+        reqs.append((yield from comm.Irecv(np.zeros(1), (proc.rank - 1) % n,
+                                           tag)))
+        reqs.append((yield from comm.Isend(np.ones(1), (proc.rank + 1) % n,
+                                           tag)))
+    yield from waitall(reqs)
+
+
+@pytest.mark.parametrize("cluster", [
+    ClusterSpec(nodes=4), ClusterSpec(nodes=4, topology="fat_tree", k=4)],
+    ids=["direct", "fat_tree"])
+def test_every_arrival_carries_one_callback_object(cluster):
+    world = World(cluster=cluster)
+    fabric = world.fabric
+    assert type(fabric) is (Fabric if cluster.topology == "direct"
+                            else RoutedFabric)
+    for proc in world.procs:
+        proc.spawn(_ring(proc))
+    arrivals = {}  # event -> its callback, while the event is pending
+    while world.sim.run_steps(1):
+        for _when, _prio, _seq, event in world.sim.pending_entries():
+            callback = event.callbacks[0] if event.callbacks else None
+            if getattr(callback, "__func__", None) is Fabric._on_arrival:
+                arrivals[event] = callback
+    assert len(arrivals) == 16 == fabric.messages_delivered
+    assert len({id(cb) for cb in arrivals.values()}) == 1
+    assert next(iter(arrivals.values())) is fabric._arrival_cb
+
+
+def test_a_capture_names_a_pending_match_completion_as_before():
+    """The match completion is still a lambda of ``_on_pt2pt_arrival``,
+    with no value on its event: a capture names and describes it as the
+    pinned digests recorded it."""
+    world = flat_world(2)
+    for proc in world.procs:
+        proc.spawn(_ring(proc))
+    seen = []
+    while world.sim.run_steps(1):
+        seen += [entry[3] for entry in capture_state(world)["kernel"]["heap"]
+                 if entry[3].get("callbacks") == [
+                     "MpiLibrary._on_pt2pt_arrival.<locals>.<lambda>"]]
+    assert seen and all(desc == {"kind": "Event", "triggered": True,
+                                 "callbacks": desc["callbacks"]}
+                        for desc in seen)

@@ -81,22 +81,31 @@ class EnginePair:
         assert sa == sb and ra is rb
 
     def lookup_ux(self, ctx, src, tag, dst):
-        """Look up a receive's pattern; returns both engines' hints."""
+        """Look up a receive's pattern; returns both engines' hints. A
+        hit names the message the linear scan finds; a miss names the
+        unexpected stream's next sequence number."""
         ha, sa = self.a.lookup_unexpected(ctx, src, tag, dst)
         hb, sb = self.b.lookup_unexpected(ctx, src, tag, dst)
         assert sa == sb
-        assert (ha[1] if type(ha) is list else None) is hb
+        if hb is None:
+            assert ha == self.a.internals()["ux_seq"]
+        else:
+            assert ha.msg is hb and ha.alive
         return ha, hb
 
     def lookup_po(self, ctx, src, tag, dst):
-        """Look up an arrival; returns the message and both hints."""
+        """Look up an arrival; returns the message and both hints. A hit
+        names the receive the linear scan finds (same request, same
+        place in the posted stream); a miss names the posted stream's
+        next sequence number."""
         msg = mk_msg(ctx, src, tag, dst)
         ha, sa = self.a.lookup_posted(msg)
         hb, sb = self.b.lookup_posted(msg)
         assert sa == sb
-        assert (type(ha) is list) == (hb is not None)
-        if hb is not None:
-            assert ha[1].req is hb.req
+        if hb is None:
+            assert ha == self.a.internals()["po_seq"]
+        else:
+            assert ha.req is hb.req and ha.seq == hb.seq and ha.alive
         return msg, ha, hb
 
     def post_hinted(self, pattern, ha, hb):

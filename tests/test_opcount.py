@@ -91,6 +91,20 @@ def test_compare_tolerates_2_percent_and_compares_whole_opcodes():
 
 
 HOST_OBJECT_TABLES = TABLE + """
+Kernel events per simulated message, by first callback (unchecked grid by \
+mode; chaos: 8 scenarios of seed 42, checker on)
+
+callback                                                everywhere             chaos
+(all)                                                         7.25             30.26
+Process._resume                                               4.12             23.21
+MpiLibrary._on_pt2pt_arrival.<locals>.<lambda>                1.00              1.00
+(no callback)                                                 0.00              0.16
+
+Timeouts built per chaos scenario, by call site (8 scenarios of seed 42)
+
+call site                                                    per_scenario
+(all)                                                               48.10
+
 Generators started per simulated message, by function (unchecked grid by \
 mode, and the grid)
 
@@ -110,7 +124,14 @@ repro.sim.core.Event                                    1086
 def test_parse_table_reads_every_gated_table():
     table = opcount.parse_table(HOST_OBJECT_TABLES)
     assert table["rows"] == opcount.parse_table(TABLE)["rows"]
-    assert sorted(table["tables"]) == ["generator", "module", "type"]
+    assert sorted(table["tables"]) == ["callback", "generator", "module",
+                                       "type"]
+    events = table["tables"]["callback"]
+    assert events["columns"] == ["everywhere", "chaos"]
+    assert events["rows"] == {
+        "(all)": [7.25, 30.26], "Process._resume": [4.12, 23.21],
+        "MpiLibrary._on_pt2pt_arrival.<locals>.<lambda>": [1.0, 1.0],
+        "(no callback)": [0.0, 0.16]}
     generators = table["tables"]["generator"]
     assert generators["columns"] == ["everywhere", "grid"]
     assert generators["rows"] == {
@@ -128,6 +149,30 @@ def test_compare_holds_a_per_message_count_to_its_printed_decimals():
     assert opcount.compare(committed, {"(all)": [4.29, 4.6051]},
                            columns=columns, digits=2) == [
         "(all) (grid): 4.51 -> 4.61 (+2.2%)"]
+
+
+def test_event_rows_gate_a_new_kernel_event_per_message():
+    """The events table is rendered from the rows ``--check`` compares:
+    one more event per message under any callback, chaos included, is a
+    rise; the Timeouts table below it is not gated."""
+    from collections import Counter
+    events = {"everywhere": (100, Counter({"Process._resume": 412,
+                                           "Fabric._on_arrival": 100})),
+              "chaos": (50, Counter({"Process._resume": 1160}))}
+    rows = opcount.event_rows(events)
+    assert rows == {"(all)": [5.12, 23.2],
+                    "Process._resume": [4.12, 23.2],
+                    "Fabric._on_arrival": [1.0, 0.0]}
+    table = opcount.parse_table(HOST_OBJECT_TABLES)["tables"]["callback"]
+    fresh = dict(table["rows"], **{
+        "MpiLibrary._on_pt2pt_arrival.<locals>.<lambda>": [2.0, 1.0],
+        "(no callback)": [0.0, 0.2]})
+    assert opcount.compare(table["rows"], fresh,
+                           columns=tuple(table["columns"]), digits=2) == [
+        "MpiLibrary._on_pt2pt_arrival.<locals>.<lambda> (everywhere): "
+        "1.00 -> 2.00 (+100.0%)",
+        "(no callback) (chaos): 0.16 -> 0.20 (+25.0%)"]
+    assert "call" not in opcount.GATED
 
 
 def test_check_refuses_a_table_from_another_minor_version(tmp_path, capsys):

@@ -10,9 +10,9 @@ interpreters because this one has imported everything long ago:
 - the import fences: ``import repro``, the kernel alone and one Fig 1(a)
   point load no layer they do not run (an unchecked World imports
   nothing of ``repro.check``, a checked one its checker), a process that
-  submits to a service loads no event loop, a service loads no simulator,
-  and neither a Fig 1(a) point nor the CLI and serve front ends load
-  numpy;
+  submits to a service loads no event loop, a service and the CLI load
+  no simulator, and neither a Fig 1(a) point nor the CLI and serve front
+  ends load numpy;
 - the results: a run's state digest, trace and check report are the
   same bytes whether or not everything was imported first, and whether
   the checker was imported before a checked World or by it;
@@ -279,6 +279,16 @@ def test_a_service_loads_no_simulator():
     assert sorted(m for m in loaded
                   if m.startswith(("repro.mpi", "repro.netsim"))
                   or m == "repro.sim.core") == []
+
+
+def test_the_cli_loads_no_simulator():
+    """``repro submit``, ``repro jobs`` and a ``repro serve`` parent never
+    simulate: the CLI lists the Fig 1(a) modes from ``repro.bench``,
+    whose root loads nothing, and imports what a command runs in its
+    handler."""
+    loaded = _loaded_by("import repro.cli")
+    assert sorted(m for m in loaded if m.startswith(
+        ("repro.sim", "repro.mpi", "repro.netsim"))) == []
 
 
 #: Forks a service with one worker from a lean interpreter; prints which
