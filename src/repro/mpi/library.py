@@ -200,10 +200,10 @@ class MpiLibrary:
             sim = self.sim
             delay = max(0.0, depart - sim._now) \
                 + self.cpu.shm_copy_base + msg.size / self.cpu.shm_bandwidth
-            sim.call_after(
-                delay,
-                lambda e: self.world.proc(msg.dst_rank).lib.deliver(e._value),
-                msg)
+            # The message is the event's value and the world a default:
+            # no closure cells, and the name a capture records.
+            sim.call_after(delay, lambda e, world=self.world: world.proc(
+                e._value.dst_rank).lib.deliver(e._value), msg)
         elif self.transport is not None:
             # Reliable transport: sequence + checksum the message, track
             # it for ACK/retransmission, then hand it to the fabric.

@@ -1,5 +1,8 @@
 """Shared test helpers (importable as tests.helpers)."""
 
+import inspect
+import sys
+import types
 from typing import Optional
 
 import numpy as np
@@ -10,6 +13,24 @@ from repro.check import CheckConfig, checking
 from repro.netsim import ClusterSpec, NetworkConfig
 from repro.runtime import World
 from repro.snap import capture_state, diff_states, prune_state, state_digest
+
+
+def mutated(module: types.ModuleType, fragment: str,
+            replacement: str) -> types.ModuleType:
+    """A copy of ``module`` built from its source with ``fragment``, which
+    must occur exactly once, replaced: a mutant for a battery to kill."""
+    source = inspect.getsource(module)
+    assert source.count(fragment) == 1, \
+        f"{fragment!r} is not in {module.__name__} exactly once"
+    mutant = types.ModuleType(f"{module.__name__}_mutant")
+    mutant.__package__ = module.__package__
+    sys.modules[mutant.__name__] = mutant  # dataclasses look it up
+    try:
+        exec(compile(source.replace(fragment, replacement),
+                     f"<{module.__name__}, mutant>", "exec"), mutant.__dict__)
+    finally:
+        del sys.modules[mutant.__name__]
+    return mutant
 
 
 def flat_world(nprocs: int, threads_per_proc: int = 1,

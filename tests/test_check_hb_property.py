@@ -24,7 +24,6 @@ adoptions. Each entry of :data:`MUTANTS`, a one-line change to the source
 of ``hb.py``, must fail the battery.
 """
 
-import inspect
 import types
 
 import pytest
@@ -32,6 +31,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.check import hb
+from tests.helpers import mutated
 from tests.oracles import NaiveTaskClock
 
 MAX_TASKS = 8
@@ -241,13 +241,7 @@ MUTANTS = {
 
 def mutant(name: str) -> types.ModuleType:
     """``repro.check.hb`` with one fragment of its source replaced."""
-    fragment, replacement = MUTANTS[name]
-    source = inspect.getsource(hb)
-    assert source.count(fragment) == 1, f"{name}: fragment is gone from hb.py"
-    module = types.ModuleType(f"{hb.__name__}_mutant")
-    exec(compile(source.replace(fragment, replacement),
-                 f"<hb.py, mutant {name!r}>", "exec"), module.__dict__)
-    return module
+    return mutated(hb, *MUTANTS[name])
 
 
 @pytest.mark.parametrize("name", MUTANTS)

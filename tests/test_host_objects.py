@@ -12,7 +12,8 @@ as they all once did.
 A message also builds nothing that no capture reads: a posted receive is
 its own record in the matching engine, a fabric schedules every arrival
 with one callback bound once, and the match completion carries its
-arguments without closure cells, under the name captures always gave it.
+arguments without closure cells, under the name captures always gave it,
+as does a shared-memory delivery.
 """
 
 import importlib.util
@@ -364,6 +365,22 @@ def test_every_arrival_carries_one_callback_object(cluster):
     assert len(arrivals) == 16 == fabric.messages_delivered
     assert len({id(cb) for cb in arrivals.values()}) == 1
     assert next(iter(arrivals.values())) is fabric._arrival_cb
+
+
+def test_a_shared_memory_delivery_carries_no_closure():
+    """An intra-node message is scheduled with a lambda of ``_transmit``
+    that takes the world as a default and its message as the event's
+    value: no closure cells, under the name captures record."""
+    world = World(num_nodes=1, procs_per_node=2)
+    for proc in world.procs:
+        proc.spawn(_ring(proc))
+    seen = []
+    while world.sim.run_steps(1):
+        seen += [callback for *_, event in world.sim.pending_entries()
+                 for callback in event.callbacks
+                 if getattr(callback, "__qualname__", None)
+                 == "MpiLibrary._transmit.<locals>.<lambda>"]
+    assert seen and all(callback.__closure__ is None for callback in seen)
 
 
 def test_a_capture_names_a_pending_match_completion_as_before():

@@ -1,22 +1,22 @@
-"""Worker protocol, HTTP framing and orchestrator scheduling semantics.
+"""Worker protocol, HTTP framing, the client and heartbeat timing.
 
 Framing first (tier 1, pure unit): length-prefixed JSON frames must
 round-trip under any chunking, and truncated, corrupt or oversized
 frames must raise :class:`ProtocolError` — a damaged stream drops the
-peer, it never silently drops a job. Then the HTTP edge (tier 1, an
-in-process :class:`HttpApi` on a loop in a thread): requests on one
-connection are answered in order, a framing error is answered 400 and
-closes, the client re-dials only a connection the server closed while
-idle, and no byte sequence in any chunking gets anything but well-formed
-responses or a clean close. Then a warm resubmission (tier 1, no
-sockets): a known document in any spelling is one job, counted as a
-store lookup counts it, and a repeated head is parsed once. Then the
-orchestrator contract (tier 2, real sockets on one event loop): a
-worker that stops heartbeating or drops its connection has its
-in-flight point requeued and finished by another worker (and only such
-a worker: slow-but-beating and idle ones stay); a point that *raises*
-fails the job immediately; duplicate in-flight points are deduped to
-one execution.
+peer, it never silently drops a job. Then job documents and the journal:
+a bad document is a :class:`ServeError`, a journal line that is no job
+fails only its own job, and ids past 99999 keep their order. Then the
+encoders, and the HTTP edge (tier 1, an in-process :class:`HttpApi` on a
+loop in a thread): requests on one connection are answered in order, a
+framing error is answered 400 and closes, the client re-dials only a
+connection the server closed while idle, and no byte sequence in any
+chunking gets anything but well-formed responses or a clean close. Then
+a warm resubmission: a canonical job text reads back to itself, and a
+repeated head is parsed once. Last, heartbeats (tier 2 where timed, real
+sockets on one event loop): a worker keeps one heart, a busy worker gone
+silent or stopped is requeued on time, and a slow but beating one is
+left alone. What the orchestrator does with jobs, points, the store and
+workers, step by step, is the model's (``tests/test_serve_model.py``).
 """
 
 import asyncio
@@ -36,18 +36,17 @@ import tempfile
 import threading
 import time
 from collections import deque
+from unittest import mock
 
 import pytest
 
 import repro.serve.cache as cache_mod
 import repro.serve.http as http_mod
-import repro.serve.orchestrator as orch_mod
 from repro.errors import ProtocolError, ServeError
-from repro.serve.cache import PENDING
 from repro.serve.client import ServeClient, parse_job_document
 from repro.serve.http import HttpApi
 from repro.serve.orchestrator import Orchestrator, job_text
-from repro.serve.points import JOB_KINDS, execute_point, expand_job
+from repro.serve.points import execute_point, expand_job
 from repro.serve.protocol import (
     CANONICAL_JSON,
     MAX_FRAME_BYTES,
@@ -362,201 +361,8 @@ def test_the_heartbeat_timeout_is_positive_and_finite(tmp_path, timeout,
     assert "positive, finite" in capsys.readouterr().err
 
 
-# -- completion bookkeeping (tier 1, no sockets) ---------------------------
-def test_completion_counters_agree_with_a_recount(tmp_path, monkeypatch):
-    """``Job.remaining`` and the running-jobs count are maintained, not
-    recomputed: hold them against a recount after every completion of a
-    job with duplicate points, cache hits, a failed point and a requeue
-    (and of a second job waiting on one of the same points)."""
-    monkeypatch.setitem(JOB_KINDS, "mixed", lambda spec: ("selftest", [
-        {"i": 0}, {"i": 2}, {"i": 2}, {"i": 3}, {"i": 1},
-        {"i": 4, "fail": True}, {"i": 5}]))
-    orch = Orchestrator(str(tmp_path / "s"))
-    orch.submit("selftest", {"n": 2})
-    orch.drain_inline()  # i=0 and i=1 are cache hits from here on
-    checks = []
-
-    def recount():
-        for job in orch.jobs.values():
-            pending = sum(r is PENDING for r in job.results)
-            assert job.remaining == pending
-            assert orch.job_status(job.job_id)["done"] == \
-                job.done_count == job.total - pending
-        running = sum(j.status == "running" for j in orch.jobs.values())
-        assert orch.active == bool(running) and orch._running == running
-        checks.append(running)
-
-    def checked_execute(kind, point):
-        recount()
-        return execute_point(kind, point)
-
-    monkeypatch.setattr("repro.serve.orchestrator.execute_point",
-                        checked_execute)
-    mixed = orch.submit("mixed", {})
-    other = orch.submit("selftest", {"n": 4})  # shares i=2 and i=3
-    recount()
-    assert orch.job_status(mixed)["done"] == orch.jobs[mixed].cache_hits == 2
-    task = orch.tasks[orch._queue.popleft()]  # a worker claims a point...
-    orch._requeue(task, "test")                  # ...and is lost
-    recount()
-    orch.drain_inline()
-    recount()
-    assert orch.job_status(mixed)["status"] == "failed"
-    assert orch.job_status(mixed)["done"] == 6  # all but the failed point
-    assert orch.job_status(other)["status"] == "done"
-    assert not orch.active and len(checks) >= 7 and checks[-1] == 0
-
-
-def test_second_submit_touches_no_point_file(tmp_path, monkeypatch):
-    """A point the store has proved costs a lookup: a resubmitted job
-    opens and stats no point file and serialises no key record (its
-    document's expansion kept them); a restarted orchestrator reads each
-    file once, however many of its jobs ask."""
-    state, total = str(tmp_path / "s"), 6
-    orch = Orchestrator(state)
-    first = orch.submit("selftest", {"n": total})
-    orch.drain_inline()
-    touched, canonicalised = [], []
-
-    def spy(real):
-        def call(path, *args, **kwargs):
-            if "point-" in os.fspath(path):
-                touched.append(path)
-            return real(path, *args, **kwargs)
-        return call
-
-    def counted(record, real=cache_mod._canonical):
-        canonicalised.append(record)
-        return real(record)
-
-    monkeypatch.setattr(cache_mod, "open", spy(open), raising=False)
-    monkeypatch.setattr(os, "stat", spy(os.stat))
-    monkeypatch.setattr(cache_mod, "_canonical", counted)
-    hits = orch.cache_counts()["hits"]
-    again = orch.submit("selftest", {"n": total})
-    assert touched == [] and len(canonicalised) == 0
-    status = orch.job_status(again)
-    assert status["status"] == "done" and status["cache_hits"] == total
-    assert orch.cache_counts()["hits"] == hits + total
-    assert orch.metrics.value("serve.cache.hit") == total
-    assert orch.job_result(again)["results"] == \
-        orch.job_result(first)["results"]
-
-    orch.close()  # the state directory takes one orchestrator at a time
-    restarted = Orchestrator(state)
-    restarted.resume_jobs()  # two journal lines, the same six points
-    assert len(touched) == total
-    assert restarted.cache_counts()["hits"] == 2 * total
-    assert not restarted.active
-
-
-# -- known job documents (tier 1, no sockets) ------------------------------
-def _count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` so that every call is recorded; returns the
-    record (one argument tuple per call)."""
-    calls, real = [], getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def _canonical_json(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
-
-
-@pytest.mark.parametrize("again", [{"n": 6, "ms": 0}, {"ms": 0, "n": 6}],
-                         ids=["same-key-order", "other-key-order"])
-def test_a_known_document_is_not_expanded_again(tmp_path, monkeypatch, again):
-    """A resubmitted document, its keys in any order, is one table
-    lookup: nothing expands, no key record is serialised, one journal
-    line is appended (the bytes every build wrote as a manifest, and a
-    newline), and the result document is the first job's but for its id
-    and hit count."""
-    state = str(tmp_path / "s")
-    orch = Orchestrator(state)
-    first = orch.submit("selftest", {"n": 6, "ms": 0})
-    orch.drain_inline()
-    expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
-    canonicalised = _count_calls(monkeypatch, cache_mod, "_canonical")
-    before = _journal(state)
-    second = orch.submit("selftest", again)
-    assert expanded == [] and canonicalised == []
-    assert _journal(state) == before + _line(second, "selftest", again)
-    assert sorted(os.listdir(state)) == ["cache", "jobs.log"]
-    docs = [orch.job_result(job_id) for job_id in (first, second)]
-    assert [doc.pop("cache_hits") for doc in docs] == [0, 6]
-    assert [doc.pop("job_id") for doc in docs] == [first, second]
-    assert _canonical_json(docs[1]) == _canonical_json(docs[0])
-
-
-def test_resume_expands_each_document_once(tmp_path, monkeypatch):
-    """Manifests of one document expand once on resume and share one
-    point list; each point file is still read once."""
-    state = str(tmp_path / "s")
-    orch = Orchestrator(state)
-    ids = [orch.submit("selftest", {"n": 4}) for _ in range(3)]
-    ids.append(orch.submit("selftest", {"n": 6}))
-    orch.drain_inline()
-    expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
-    opened = []
-
-    def spy(path, *args, real=open, **kwargs):
-        if "point-" in os.fspath(path):
-            opened.append(path)
-        return real(path, *args, **kwargs)
-
-    monkeypatch.setattr(cache_mod, "open", spy, raising=False)
-    orch.close()  # the state directory takes one orchestrator at a time
-    restarted = Orchestrator(state)
-    restarted.resume_jobs()
-    assert len(expanded) == len(restarted.expansions) == 2
-    assert len(opened) == len(set(opened)) == 6
-    jobs = [restarted.jobs[job_id] for job_id in ids]
-    assert jobs[0].points is jobs[1].points is jobs[2].points
-    assert all(job.status == "done" and job.cache_hits == job.total
-               for job in jobs)
-    assert [restarted.job_result(job_id)["results"] for job_id in ids] == \
-        [orch.job_result(job_id)["results"] for job_id in ids]
-
-
-def test_a_document_that_fails_to_expand_is_never_remembered(tmp_path,
-                                                             monkeypatch):
-    """A bad document raises on every submit (the HTTP layer's 400),
-    expanding afresh each time; it never enters the table and appends no
-    journal line, nor does one JSON cannot hold."""
-    state = str(tmp_path / "s")
-    orch = Orchestrator(state)
-    expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
-    for attempt in (1, 2):
-        with pytest.raises(ServeError, match="n >= 1"):
-            orch.submit("selftest", {"n": 0})
-        assert len(expanded) == attempt
-    with pytest.raises(ServeError, match="not JSON"):
-        orch.submit("selftest", {"n": 1, 2: "keys of two types"})
-    assert orch.expansions == {} and _journal(state) == b""
-    assert orch.submit("selftest", {"n": 1}) == "job-00001"
-
-
-def test_a_tuple_expands_alike_live_and_resumed(tmp_path):
-    """A live job expands its document as JSON reads it back, as a resume
-    always did: a Python caller's tuple is a list both times."""
-    state = str(tmp_path / "s")
-    spec = {"params": {"mode": ("everywhere", "threads-original"),
-                       "cores": (1,), "msgs_per_core": 4}}
-    live = Orchestrator(state)
-    job_id = live.submit("sweep", spec)
-    live.close()  # the state directory takes one orchestrator at a time
-    resumed = Orchestrator(state)
-    resumed.resume_jobs()
-    assert resumed.jobs[job_id].points == live.jobs[job_id].points == [
-        {"cores": 1, "mode": mode, "msgs_per_core": 4}
-        for mode in ("everywhere", "threads-original")]
-    assert resumed.jobs[job_id].spec == live.jobs[job_id].spec == \
-        json.loads(json.dumps(spec))
 
 
 def test_job_ids_past_99999_neither_collide_nor_misorder(tmp_path):
@@ -578,100 +384,6 @@ def test_job_ids_past_99999_neither_collide_nor_misorder(tmp_path):
     assert orch.jobs["job-100000"].total == 3
     assert [status["job_id"] for status in orch.list_jobs()] == \
         order + ["job-100001"]
-
-
-def _submit_all(state, docs):
-    """Submit every ``(kind, spec)`` of ``docs`` on a fresh orchestrator
-    and close it; returns the ids."""
-    orch = Orchestrator(state)
-    ids = [orch.submit(kind, spec) for kind, spec in docs]
-    orch.close()
-    return ids
-
-
-def _resumed(state):
-    """A restarted orchestrator on ``state``, its journal resumed (and
-    closed: it is only read)."""
-    orch = Orchestrator(state)
-    orch.resume_jobs()
-    orch.close()
-    return orch
-
-
-def test_a_cut_journal_resumes_exactly_its_whole_lines(tmp_path):
-    """Any sequence of submits, repeated documents included, with the
-    journal cut at any byte: a restart resumes the jobs of the whole
-    lines, with their ids and in order, cuts the torn rest off and
-    numbers the next job one past the largest. An interior line
-    overwritten with garbage is then exactly one failed job, naming it."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    docs = st.lists(st.sampled_from([("selftest", {"n": 1}),
-                                     ("selftest", {"n": 2, "ms": 0}),
-                                     ("selftest", {"n": 3, "fail_at": 1})]),
-                    min_size=1, max_size=6)
-    garbage = st.binary(max_size=24).filter(lambda raw: b"\n" not in raw)
-
-    @hypothesis.given(docs, st.data())
-    def prop(submitted, data):
-        state = tempfile.mkdtemp(dir=tmp_path)
-        ids = _submit_all(state, submitted)
-        journal = _journal(state)
-        cut = data.draw(st.integers(0, len(journal)), label="cut")
-        _write_journal(state, journal[:cut])
-        whole = journal[:cut].count(b"\n")
-        orch = _resumed(state)
-        assert orch.job_ids() == ids[:whole]
-        assert [orch.jobs[job_id].spec for job_id in ids[:whole]] == \
-            [json.loads(json.dumps(spec)) for _kind, spec in submitted[:whole]]
-        assert _journal(state) == journal[:journal[:cut].rfind(b"\n") + 1]
-        assert orch.metrics.value("serve.job.corrupt") == 0
-
-        ids = ids[:whole] + _submit_all(state, [("selftest", {"n": 1})])
-        assert ids[-1] == f"job-{whole + 1:05d}"
-        lines = _journal(state).split(b"\n")[:-1]
-        number = data.draw(st.integers(1, len(lines)), label="line")
-        if number == len(lines):
-            return  # the last line is the one an append may tear
-        lines[number - 1] = data.draw(garbage, label="garbage")
-        _write_journal(state, b"\n".join(lines) + b"\n")
-        orch = _resumed(state)
-        failed = [job_id for job_id in orch.job_ids()
-                  if "corrupt job line" in (orch.jobs[job_id].error or "")]
-        assert failed == [f"line-{number}"]
-        assert f"jobs.log:{number}: " in orch.jobs[failed[0]].error
-        kept = ids[:number - 1] + failed + ids[number:]
-        assert orch.job_ids() == kept
-        assert orch.metrics.value("serve.job.corrupt") == 1
-
-    prop()
-
-
-def test_a_failed_append_leaves_no_fragment_and_consumes_no_id(
-        tmp_path, monkeypatch):
-    """A journal write that fails, or writes only part of the line, is
-    cut back off: the submit raises, and the next one gets the id."""
-    state = str(tmp_path / "s")
-    orch = Orchestrator(state)
-    assert orch.submit("selftest", {"n": 1}) == "job-00001"
-    before = _journal(state)
-    real = os.write
-
-    def short(fd, data):
-        return real(fd, data[:len(data) // 2])
-
-    def full(fd, data):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    for broken, blame in ((short, "short write"), (full, "No space")):
-        monkeypatch.setattr(os, "write", broken)
-        with pytest.raises(OSError, match=blame):
-            orch.submit("selftest", {"n": 2})
-        monkeypatch.setattr(os, "write", real)
-        assert _journal(state) == before and orch.job_ids() == ["job-00001"]
-    assert orch.submit("selftest", {"n": 2}) == "job-00002"
-    orch.close()
-    assert _resumed(state).job_ids() == ["job-00001", "job-00002"]
 
 
 def test_edge_encoders_write_the_bytes_json_dumps_writes():
@@ -1772,146 +1484,38 @@ def _ask(connection, transport, data):
     return _responses(transport.written[start:])
 
 
-@contextlib.contextmanager
-def _edge(tmp_path, spec):
-    """One connection of an in-process service whose store holds every
-    point of the selftest job ``spec``, asked once (the cold fill)."""
-    orch = Orchestrator(str(tmp_path / "s"))
-    try:
-        orch.submit("selftest", spec)
-        orch.drain_inline()
-        connection = http_mod._Connection(HttpApi(orch))
-        yield orch, connection, _MemoryTransport(connection)
-    finally:
-        orch.close()
-
-
-def _without(doc, *keys):
-    return _canonical_json({k: v for k, v in doc.items() if k not in keys})
-
-
-def test_every_spelling_of_a_known_document_is_one_job(tmp_path):
-    """A known document POSTed as its canonical text (taken unparsed),
-    as pretty JSON, as YAML or with its keys in another order is the
-    same job: each appends the same journal line but for its id, is
-    answered the same status and has the same result document."""
-    import yaml
-    spec = {"n": 5, "ms": 0}
-    doc = {"kind": "selftest", "spec": spec}
-    bodies = [
-        job_text("selftest", spec).encode(),
-        json.dumps(doc, indent=2).encode(),
-        yaml.safe_dump(doc).encode(),
-        json.dumps({"spec": {"n": 5, "ms": 0}, "kind": "selftest"}).encode(),
-    ]
-    state = str(tmp_path / "s")
-    with _edge(tmp_path, spec) as (orch, connection, transport):
-        for body in bodies:
-            before = _journal(state)
-            [(status, _headers, answer)] = _ask(connection, transport,
-                                                _post_body(body))
-            job_id = answer["job_id"]
-            assert status == 201
-            assert _journal(state) == before + _line(job_id, "selftest",
-                                                     spec)
-            assert _without(answer, "job_id", "elapsed_sec") == \
-                _canonical_json({"kind": "selftest", "status": "done",
-                                 "error": None, "total": 5, "done": 5,
-                                 "cache_hits": 5})
-            assert _without(orch.job_result(job_id), "job_id") == \
-                _without(orch.job_result("job-00002"), "job_id")
-        assert len(orch.expansions) == 1
-
-
-def test_a_document_with_keys_that_are_no_strings_is_one_text_resumed(
-        tmp_path, monkeypatch):
-    """A YAML key that is no string (``10:``) is sorted before it becomes
-    a string; the document's text is the one JSON reads back, sorted as
-    strings. POSTed as YAML, then, on the orchestrator reopened on its
-    state, as the document bytes of its journal line, it is one
-    expansion: the second body is not parsed and its job is done."""
-    body = b"kind: selftest\nspec: {n: 2, extra: {10: a, 9: b}}\n"
-    text = '{"kind":"selftest","spec":{"extra":{"10":"a","9":"b"},"n":2}}'
-    state = str(tmp_path / "s")
-    with _edge(tmp_path, {"n": 2}) as (orch, connection, transport):
-        [(status, _h, answer)] = _ask(connection, transport,
-                                      _post_body(body))
-        assert status == 201 and text in orch.expansions
-    prefix = b'{"job_id":"%s",' % answer["job_id"].encode()
-    line = _journal(state).splitlines()[-1]
-    assert line == prefix + text[1:].encode()
-    journalled = b"{" + line[len(prefix):]
-    parsed = _count_calls(monkeypatch, http_mod, "parse_job_document")
-    expanded = _count_calls(monkeypatch, orch_mod, "expand_job")
-    reopened = Orchestrator(state)
-    try:
-        reopened.resume_jobs()
-        connection = http_mod._Connection(HttpApi(reopened))
-        transport = _MemoryTransport(connection)
-        [(status, _h, answer)] = _ask(connection, transport,
-                                      _post_body(journalled))
-        assert (status, answer["status"]) == (201, "done")
-        assert parsed == []
-        assert [args[1] for args in expanded] == [{"n": 2}, {
-            "n": 2, "extra": {"10": "a", "9": "b"}}]
-        assert list(reopened.expansions) == [
-            job_text("selftest", {"n": 2}), text]
-    finally:
-        reopened.close()
-
-
-def test_warm_posts_count_as_store_lookups_count(tmp_path):
-    """N warm POSTs of a 35-point document raise the ``cache`` document's
-    hits by 35 N, its misses by nothing, ``serve.cache.hit`` by 35 N and
-    ``serve.job.submitted`` by N, and load no point from the store."""
-    posts = 7
-    spec = {"n": 35}
-    post = _post_body(job_text("selftest", spec).encode())
-    with _edge(tmp_path, spec) as (orch, connection, transport):
-        _ask(connection, transport, post)  # the first warm POST
-        metrics = orch.metrics
-        before = (orch.cache_counts()["hits"], orch.cache_counts()["misses"],
-                  metrics.value("serve.cache.hit"),
-                  metrics.value("serve.job.submitted"),
-                  metrics.value("serve.cache.miss"))
-        loaded = []
-        orch.cache.load_blobs = loaded.append
-        answers = _ask(connection, transport, post * posts)
-        assert [(status, doc["cache_hits"]) for status, _h, doc
-                in answers] == [(201, 35)] * posts
-        assert (orch.cache_counts()["hits"], orch.cache_counts()["misses"],
-                metrics.value("serve.cache.hit"),
-                metrics.value("serve.job.submitted"),
-                metrics.value("serve.cache.miss")) == (
-            before[0] + 35 * posts, before[1], before[2] + 35 * posts,
-            before[3] + posts, before[4])
-        assert loaded == []
-
-
-def test_a_repeated_head_is_parsed_once(tmp_path, monkeypatch):
+def test_a_repeated_head_is_parsed_once(tmp_path):
     """One connection sends POST, POST, GET, GET, POST, then an empty
     head: every request is answered right, a head equal to the one
     before it is not parsed again, and the empty head is a 400."""
-    parsed = _count_calls(monkeypatch, http_mod, "_parse_head")
     post = _post_body(job_text("selftest", {"n": 3}).encode())
 
     async def converse():  # a close arms a timer on the running loop
-        with _edge(tmp_path, {"n": 3}) as (orch, connection, transport):
+        orch = Orchestrator(str(tmp_path / "s"))
+        try:
+            orch.submit("selftest", {"n": 3})  # the cold fill
+            orch.drain_inline()
+            connection = http_mod._Connection(HttpApi(orch))
+            transport = _MemoryTransport(connection)
             answers = [_ask(connection, transport, request)
                        for request in (post, post, _get("/jobs/job-00002"),
                                        _get("/jobs/job-00002"), post,
                                        b"\r\n\r\n")]
             transport.close()
             return answers, orch.job_ids()
+        finally:
+            orch.close()
 
-    answers, job_ids = asyncio.run(converse())
+    with mock.patch.object(http_mod, "_parse_head",
+                           wraps=http_mod._parse_head) as parsed:
+        answers, job_ids = asyncio.run(converse())
     assert [(status, headers["connection"], doc.get("job_id"))
             for ((status, headers, doc),) in answers] == [
         (201, "keep-alive", "job-00002"), (201, "keep-alive", "job-00003"),
         (200, "keep-alive", "job-00002"), (200, "keep-alive", "job-00002"),
         (201, "keep-alive", "job-00004"), (400, "close", None)]
     assert "malformed request line" in answers[-1][0][2]["error"]
-    assert len(parsed) == 4  # POST, GET, POST and the empty head
+    assert parsed.call_count == 4  # POST, GET, POST and the empty head
     assert job_ids == [f"job-0000{n}" for n in (1, 2, 3, 4)]
 
 
@@ -1924,7 +1528,6 @@ class _TestWorker:
         self.orch = orch
         self.decoder = FrameDecoder()
         self.frames = deque()
-        self.jobs_seen = []
 
     async def connect(self, name="tw"):
         ours, theirs = socket.socketpair()
@@ -1948,7 +1551,6 @@ class _TestWorker:
         """Claim one job frame and answer it correctly."""
         frame = await self.next_frame()
         assert frame["type"] == "job"
-        self.jobs_seen.append(frame)
         result = execute_point(frame["kind"], frame["point"])
         await self.send(result_frame(frame["id"], result))
         return frame
@@ -1965,196 +1567,6 @@ async def _wait_status(orch, job_id, timeout=10.0):
             return status
         assert asyncio.get_event_loop().time() < deadline, status
         await asyncio.sleep(0.02)
-
-
-def _save_fails_once(monkeypatch):
-    """Make the store's next result file write raise ENOSPC, and only
-    that one."""
-    calls = []
-
-    def failing_open(path, mode="r", *args, **kwargs):
-        if "w" in mode:
-            calls.append(path)
-            if len(calls) == 1:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return open(path, mode, *args, **kwargs)
-
-    monkeypatch.setattr(cache_mod, "open", failing_open, raising=False)
-
-
-def test_a_failed_result_save_still_finishes_the_job(tmp_path, monkeypatch):
-    """A point whose result cannot be stored is still done: the worker
-    that computed it stays attached, every waiter is filled from memory,
-    and the failure is counted. The store remembers the result, so a
-    later job asking for it is a hit in the job and the counters alike."""
-    async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"))
-        await orch.start()
-        worker = await _TestWorker(orch).connect(name="w")
-        _save_fails_once(monkeypatch)
-        job_id = orch.submit("selftest", {"n": 3})
-        for _ in range(3):
-            await worker.work_one()
-        status = await _wait_status(orch, job_id)
-        assert status["status"] == "done"
-        assert orch.job_result(job_id)["results"] == [
-            {"i": i, "value": i * i} for i in range(3)]
-        assert "w" in orch.workers
-        assert orch.metrics.value("serve.cache.save_failed") == 1
-        assert len(os.listdir(tmp_path / "s" / "cache")) == 2
-        # A second job wanting the unsaved point is answered from memory.
-        again = orch.submit("selftest", {"n": 3})
-        assert orch.job_status(again)["status"] == "done"
-        assert orch.job_status(again)["cache_hits"] == 3
-        assert orch.metrics.value("serve.cache.hit") == 3
-        assert orch.tasks == {}
-        worker.close()
-        await orch.stop()
-
-    asyncio.run(scenario())
-
-
-def test_a_failed_result_save_does_not_stop_an_inline_drain(tmp_path,
-                                                            monkeypatch):
-    orch = Orchestrator(str(tmp_path / "s"))
-    _save_fails_once(monkeypatch)
-    job_id = orch.submit("selftest", {"n": 3})
-    orch.drain_inline()
-    assert orch.job_status(job_id)["status"] == "done"
-    assert orch.metrics.value("serve.cache.save_failed") == 1
-    orch.close()
-
-
-def test_the_task_table_holds_only_unfinished_points(tmp_path):
-    """A point is in ``tasks`` from the first job that misses it until it
-    is done or failed: once every job has ended and the queue has run
-    the table is empty, whether its points were done or failed (a
-    failed job's other points run and are stored, as a service's
-    workers run them), and a later job asking for a point that failed
-    runs it again."""
-    orch = Orchestrator(str(tmp_path / "s"))
-    good = orch.submit("selftest", {"n": 2})
-    bad = orch.submit("selftest", {"n": 3, "fail_at": 0})
-    assert len(orch.tasks) == 4  # bad's point 1 is good's
-    orch.drain_inline()
-    assert orch.job_status(good)["status"] == "done"
-    assert orch.job_status(bad)["status"] == "failed"
-    assert orch.tasks == {} and orch.queue_depth == 0 and not orch.active
-    assert orch.metrics.value("serve.point.done") == 3
-    stored = orch.submit("selftest", {"n": 3})
-    assert orch.job_status(stored)["cache_hits"] == 3
-    again = orch.submit("selftest", {"n": 1, "fail_at": 0})
-    assert len(orch.tasks) == 1 and orch.queue_depth == 1
-    orch.drain_inline()
-    assert orch.job_status(again)["status"] == "failed"
-    assert orch.metrics.value("serve.point.failed") == 2
-    assert orch.tasks == {}
-    orch.close()
-
-
-@pytest.mark.tier2
-def test_heartbeat_timeout_requeues_job(tmp_path):
-    async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=0.3)
-        await orch.start()
-        silent = await _TestWorker(orch).connect(name="silent")
-        job_id = orch.submit("selftest", {"n": 1})
-        claimed = await silent.next_frame()
-        assert claimed["type"] == "job"  # silent worker holds the point...
-        good = await _TestWorker(orch).connect(name="good")
-        await good.work_one()            # ...requeued after the timeout
-        status = await _wait_status(orch, job_id)
-        assert status["status"] == "done"
-        assert orch.metrics.value("serve.point.requeued") == 1
-        assert orch.job_result(job_id)["results"] == [{"i": 0, "value": 0}]
-        assert "silent" not in orch.workers  # declared dead and dropped
-        silent.close()
-        good.close()
-        await orch.stop()
-
-    asyncio.run(scenario())
-
-
-@pytest.mark.tier2
-def test_worker_death_mid_job_requeues(tmp_path):
-    async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=5.0)
-        await orch.start()
-        doomed = await _TestWorker(orch).connect(name="doomed")
-        job_id = orch.submit("selftest", {"n": 1})
-        await doomed.next_frame()  # claim...
-        doomed.close()             # ...and die (socket EOF, no result)
-        good = await _TestWorker(orch).connect(name="good")
-        await good.work_one()
-        status = await _wait_status(orch, job_id)
-        assert status["status"] == "done"
-        assert orch.metrics.value("serve.point.requeued") == 1
-        good.close()
-        await orch.stop()
-
-    asyncio.run(scenario())
-
-
-@pytest.mark.tier2
-def test_requeue_gives_up_after_max_attempts(tmp_path):
-    async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=5.0)
-        await orch.start()
-        job_id = orch.submit("selftest", {"n": 1})
-        for _attempt in range(orch_mod.MAX_ATTEMPTS):
-            w = await _TestWorker(orch).connect(name="flaky")
-            await w.next_frame()
-            w.close()
-        status = await _wait_status(orch, job_id)
-        assert status["status"] == "failed"
-        assert (f"gave up after {orch_mod.MAX_ATTEMPTS} attempts"
-                in status["error"])
-        await orch.stop()
-
-    asyncio.run(scenario())
-
-
-@pytest.mark.tier2
-def test_point_exception_fails_job_immediately(tmp_path):
-    async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"))
-        await orch.start()
-        job_id = orch.submit("selftest", {"n": 2, "fail_at": 1})
-        w = await _TestWorker(orch).connect()
-        frame = await w.next_frame()
-        await w.send(error_frame(frame["id"], "ValueError: asked to fail"))
-        status = await _wait_status(orch, job_id)
-        assert status["status"] == "failed"
-        assert "asked to fail" in status["error"]
-        assert orch.metrics.value("serve.point.requeued") == 0  # no retry
-        w.close()
-        await orch.stop()
-
-    asyncio.run(scenario())
-
-
-@pytest.mark.tier2
-def test_inflight_dedupe_one_execution_many_waiters(tmp_path):
-    async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"))
-        await orch.start()
-        job_a = orch.submit("selftest", {"n": 2})
-        job_b = orch.submit("selftest", {"n": 2})  # identical points
-        w = await _TestWorker(orch).connect()
-        await w.work_one()
-        await w.work_one()
-        for job_id in (job_a, job_b):
-            status = await _wait_status(orch, job_id)
-            assert status["status"] == "done"
-        # Two points existed; two (not four) executions happened.
-        assert len(w.jobs_seen) == 2
-        assert orch.metrics.value("serve.point.done") == 2
-        assert orch.job_result(job_a)["results"] == \
-            orch.job_result(job_b)["results"]
-        w.close()
-        await orch.stop()
-
-    asyncio.run(scenario())
 
 
 # -- heartbeats: one heart per worker, one watchdog per orchestrator -------
@@ -2299,26 +1711,3 @@ def test_slow_but_heartbeating_worker_is_left_alone(tmp_path):
 
     asyncio.run(scenario())
 
-
-@pytest.mark.tier2
-def test_idle_silent_worker_stays_attached(tmp_path):
-    timeout = 0.2
-
-    async def scenario():
-        orch = Orchestrator(str(tmp_path / "s"), heartbeat_timeout=timeout)
-        await orch.start()
-        idle = await _TestWorker(orch).connect(name="idle")
-        await asyncio.sleep(3 * timeout)  # never a byte
-        assert "idle" in orch.workers
-        for n in (1, 2):
-            job_id = orch.submit("selftest", {"n": n})  # one new point
-            await idle.work_one()
-            assert (await _wait_status(orch, job_id))["status"] == "done"
-            await asyncio.sleep(3 * timeout)  # idle again between two jobs
-        assert "idle" in orch.workers
-        assert orch.metrics.value("serve.worker.lost") == 0
-        assert orch.metrics.value("serve.point.requeued") == 0
-        idle.close()
-        await orch.stop()
-
-    asyncio.run(scenario())

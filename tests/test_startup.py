@@ -7,12 +7,13 @@ interpreters because this one has imported everything long ago:
 
 - the lazy namespaces behave like eager ones (``__all__``, ``dir()``,
   ``from pkg import *``, the error for a name that does not exist);
-- the import fences: ``import repro``, the kernel alone and one Fig 1(a)
-  point load no layer they do not run (an unchecked World imports
-  nothing of ``repro.check``, a checked one its checker), a process that
-  submits to a service loads no event loop, a service and the CLI load
-  no simulator, and neither a Fig 1(a) point nor the CLI and serve front
-  ends load numpy;
+- the import fences: one table (:data:`IMPORT_FENCES`) holds what
+  ``import repro``, the kernel, a service and the CLI and serve front
+  ends may load (no simulator for a service or the CLI, no numpy for a
+  front end), and one Fig 1(a) point loads no layer it does not run (an
+  unchecked World imports nothing of ``repro.check``, a checked one its
+  checker, and neither numpy), and a process that submits to a service
+  loads no event loop;
 - the results: a run's state digest, trace and check report are the
   same bytes whether or not everything was imported first, and whether
   the checker was imported before a checked World or by it;
@@ -109,14 +110,43 @@ def test_lazy_namespace_behaves_like_an_eager_one(package):
 
 
 # -- the import fences ------------------------------------------------------
-def test_import_repro_loads_no_layer():
-    assert _loaded_by("import repro") <= {"repro", "repro.errors"}
+#: One row a fence, keyed by its test id: ``(module, rule, prefixes)``.
+#: What importing ``module`` may load beside the ``repro`` root:
+#: ``"only"`` prefixes are all it may load, ``"not"`` prefixes what it
+#: must not. A prefix names a module and every module below it.
+IMPORT_FENCES = {
+    "repro": ("repro", "only", ("repro.errors",)),
+    "repro.sim.core": ("repro.sim.core", "only", ("repro.sim",)),  # kernel
+    # A service orchestrates points its workers simulate: its store keys
+    # on the state format version (``repro.snap.version``) and its
+    # registry counts requests, and neither loads the MPI library, the
+    # fabric or the kernel.
+    "repro.serve.orchestrator": ("repro.serve.orchestrator", "not",
+                                 ("repro.mpi", "repro.netsim",
+                                  "repro.sim.core")),
+    # ``repro submit``, ``repro jobs`` and a ``repro serve`` parent never
+    # simulate: the CLI lists the Fig 1(a) modes from ``repro.bench``,
+    # whose root loads nothing, and imports what a command runs in its
+    # handler.
+    "repro.cli-no-simulator": ("repro.cli", "not",
+                               ("repro.sim", "repro.mpi", "repro.netsim")),
+    # numpy loads where a run computes with it: a service loads it with
+    # its first campaign or scenarios job, not when it is imported or
+    # started.
+    "repro.cli": ("repro.cli", "not", ("numpy",)),
+    "repro.serve.http": ("repro.serve.http", "not", ("numpy",)),
+    "repro.serve.service": ("repro.serve.service", "not", ("numpy",)),
+    "repro.serve.worker": ("repro.serve.worker", "not", ("numpy",)),
+}
 
 
-def test_the_kernel_loads_nothing_outside_it():
-    outside = {m for m in _loaded_by("import repro.sim.core")
-               if m != "repro" and not m.startswith("repro.sim")}
-    assert outside == set()
+@pytest.mark.parametrize("fence", IMPORT_FENCES)
+def test_an_import_loads_only_what_it_may(fence):
+    module, rule, prefixes = IMPORT_FENCES[fence]
+    loaded = _loaded_by(f"import {module}") - {"repro"}
+    fenced = {m for m in loaded
+              if any(m == p or m.startswith(p + ".") for p in prefixes)}
+    assert sorted(loaded - fenced if rule == "only" else fenced) == []
 
 
 @pytest.mark.parametrize("checked", [False, True],
@@ -270,27 +300,6 @@ def test_a_submitting_process_loads_no_server():
     assert loaded == []
 
 
-def test_a_service_loads_no_simulator():
-    """A service orchestrates points its workers simulate: its result
-    cache keys on the state format version (``repro.snap.version``) and
-    its registry counts requests, and neither loads the MPI library, the
-    fabric or the kernel."""
-    loaded = _loaded_by("import repro.serve.orchestrator")
-    assert sorted(m for m in loaded
-                  if m.startswith(("repro.mpi", "repro.netsim"))
-                  or m == "repro.sim.core") == []
-
-
-def test_the_cli_loads_no_simulator():
-    """``repro submit``, ``repro jobs`` and a ``repro serve`` parent never
-    simulate: the CLI lists the Fig 1(a) modes from ``repro.bench``,
-    whose root loads nothing, and imports what a command runs in its
-    handler."""
-    loaded = _loaded_by("import repro.cli")
-    assert sorted(m for m in loaded if m.startswith(
-        ("repro.sim", "repro.mpi", "repro.netsim"))) == []
-
-
 #: Forks a service with one worker from a lean interpreter; prints which
 #: of the extensions in argv each of the two processes maps.
 SERVE_MAPS = """
@@ -324,17 +333,6 @@ def test_a_serve_process_maps_no_tls_and_no_process_pool():
     or the process-pool package's extension."""
     report = json.loads(_python(SERVE_MAPS, "_ssl", "_multiprocessing"))
     assert report == {"service": [], "worker": []}
-
-
-@pytest.mark.parametrize("front_end", ["repro.cli", "repro.serve.http",
-                                       "repro.serve.service",
-                                       "repro.serve.worker"])
-def test_a_front_end_loads_no_numpy(front_end):
-    """numpy loads where a run computes with it: a service loads it with
-    its first campaign or scenarios job, not when it is imported or
-    started."""
-    assert sorted(m for m in _loaded_by(f"import {front_end}")
-                  if m.startswith("numpy")) == []
 
 
 # -- results do not depend on what was imported first --------------------------
