@@ -1,18 +1,18 @@
-"""Start-up cost per front end: ``repro`` modules loaded, whether numpy
-and the checker loaded, and import time; and what a service costs to
-start.
+"""Start-up cost per entry point, what each may load, and what a service
+costs to start.
 
     PYTHONPATH=src python benchmarks/startup.py [--runs N] [--out-dir DIR]
 
-Each front end is imported in ``--runs`` fresh interpreters (default 5);
-one line per front end gives the ``repro`` modules it loaded, ``yes`` or
-``no`` for numpy, for the dynamic checker (``repro.check.checker``,
-which only a World that checks imports) and for the simulation kernel
-(``repro.sim.core``, which a service does not load), and the median
-milliseconds its import took (numpy's own import included where it
-loads). The
-``fig1a-point`` row also runs one small Fig 1(a) point of every mode, so
-it counts what a run loads, not only what its import does.
+:data:`ENTRY_POINTS` is the one table of entry points: the code a fresh
+interpreter runs for each (an import, a Fig 1(a) point, a CLI command)
+and the modules that code must not load. ``tests/test_startup.py`` reads
+it to check each row; this script reads it to measure each row in
+``--runs`` fresh interpreters (default 5). One line per row gives the
+``repro`` modules it loaded, ``yes`` or ``no`` for numpy, for the
+dynamic checker (``repro.check.checker``, which only a World that checks
+imports) and for the simulation kernel (``repro.sim.core``, which a
+service does not load), and the median milliseconds the code took
+(numpy's own import included where it loads).
 
 The ``serve`` row forks ``spawn_service(workers=1)`` from a fresh
 interpreter that imported nothing else, and gives the median
@@ -28,8 +28,8 @@ so ``ssl`` and ``mp`` read ``no``. RSS and the mapped columns need
 ``/proc`` (Linux); elsewhere they read ``-``.
 
 With ``--out-dir`` both tables are also written to
-``DIR/front-ends.txt``, next to a ``python -X importtime`` log per front
-end (``DIR/importtime-<front end>.log``): a start-up regression then
+``DIR/front-ends.txt``, next to a ``python -X importtime`` log per entry
+point (``DIR/importtime-<entry point>.log``): a start-up regression then
 shows from those files alone.
 
 Compare two trees only in the same bytecode state (both compiled, or
@@ -39,40 +39,203 @@ neither): compiling a module's source costs more than importing it.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
 import subprocess
 import sys
+from typing import NamedTuple
 
-#: front end -> the code a fresh interpreter runs for it.
-FRONT_ENDS = {
-    "repro": "import repro",
-    "repro.sim.core": "import repro.sim.core",
-    "repro.bench": "import repro.bench",
-    "repro.cli": "import repro.cli",
-    "repro.scenarios": "import repro.scenarios",
-    "repro.serve.client": "import repro.serve.client",
-    "repro.serve.worker": "import repro.serve.worker",
-    "repro.serve.service": "import repro.serve.service",
-    "repro.serve.orchestrator": "import repro.serve.orchestrator",
-    "fig1a-point": (
-        "from repro.bench import MODES, MsgRateConfig, run_msgrate\n"
-        "for mode in MODES:\n"
-        "    run_msgrate(MsgRateConfig(mode=mode, cores=2, msgs_per_core=2))"),
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+class EntryPoint(NamedTuple):
+    """What a fresh interpreter runs for one entry point, and what that
+    code may load. A prefix names a module and every module below it."""
+
+    code: str
+    #: Prefixes the code must not load. It prints the same stdout with
+    #: all of them unimportable (``sys.modules[p] = None``), so it needs
+    #: none of them and has no fallback for their absence.
+    never: tuple[str, ...] = ()
+    #: Or: the only prefixes it may load beside the standard library and
+    #: the ``repro`` root.
+    only: tuple[str, ...] | None = None
+    #: The code forks a service, which needs what ``never`` names: its
+    #: stdout is not compared with those modules blocked.
+    forks_service: bool = False
+
+
+#: Loaded where first used: no front end imports an app, the graph
+#: oracle, YAML, the lint or the static analyzer.
+_LATE = ("repro.apps", "networkx", "yaml", "repro.check.lint",
+         "repro.check.static_")
+#: Layers a Fig 1(a) point never runs, checked or not. numpy is one: the
+#: point's buffers are bytes (``repro.mpi.datatypes``).
+_NOT_IN_FIG1A = ("numpy", "repro.faults", "repro.scenarios", "repro.snap",
+                 "repro.mpi.coll", "repro.mpi.rma", "repro.mpi.partitioned",
+                 "repro.mpi.persistent", "repro.netsim.topology.generators",
+                 "repro.netsim.topology.routed", "repro.obs.chrome",
+                 "repro.obs.report", "repro.bench.report",
+                 "repro.netsim.traffic")
+#: What only a serving process runs (the event loop and the service's
+#: own layers), TLS, and the process-pool package: serve processes are
+#: forked with ``os.fork``.
+_SERVER_ONLY = ("asyncio", "ssl", "multiprocessing",
+                "repro.serve.orchestrator", "repro.serve.http",
+                "repro.serve.worker")
+#: The simulator: MPI library, fabric and kernel.
+_SIMULATOR = ("repro.sim", "repro.mpi", "repro.netsim")
+
+_FIG1A = """
+from repro.bench import MODES, MsgRateConfig, run_msgrate
+for mode in MODES:
+    print(mode, run_msgrate(MsgRateConfig(mode=mode, cores=2,
+                                          msgs_per_core=2)).rate)
+"""
+_CLI = """
+from repro.cli import main
+assert main({argv!r}) == 0
+"""
+_MSGRATE = ["msgrate", "--modes", "everywhere", "threads-original",
+            "--cores", "1", "8"]
+
+#: entry point -> its row. The ``submit-jobs`` row is a process that
+#: submits: the client every way it is imported, then ``repro submit``
+#: (a YAML job parsed, POSTed and waited for) and ``repro jobs`` against
+#: a forked service. ``serve-parent`` is a ``repro serve`` parent that
+#: runs a sweep job on its forked worker; ``serve-worker`` is what that
+#: worker runs on top of what it inherits.
+ENTRY_POINTS = {
+    "repro": EntryPoint("import repro", only=("repro.errors",)),
+    "repro.sim.core": EntryPoint("import repro.sim.core",  # the kernel
+                                 only=("repro.sim",)),
+    "repro.bench": EntryPoint("import repro.bench",
+                              ("numpy", *_SIMULATOR, *_LATE)),
+    # The CLI lists the Fig 1(a) modes from ``repro.bench``, whose root
+    # loads nothing, and imports what a command runs in its handler. Its
+    # simulator and numpy fences are two rows, so a failure names which.
+    "repro.cli-no-simulator": EntryPoint("import repro.cli", _SIMULATOR),
+    "repro.cli": EntryPoint("import repro.cli", ("numpy", *_LATE)),
+    "repro.scenarios": EntryPoint("import repro.scenarios",
+                                  ("numpy", *_LATE)),
+    "repro.serve.client": EntryPoint("import repro.serve.client",
+                                     ("numpy", *_LATE, *_SERVER_ONLY)),
+    # numpy loads where a run computes with it: a service loads it with
+    # its first campaign or scenarios job, not when it is imported.
+    "repro.serve.worker": EntryPoint("import repro.serve.worker",
+                                     ("numpy", *_LATE)),
+    "repro.serve.http": EntryPoint("import repro.serve.http",
+                                   ("numpy", *_LATE)),
+    # asyncio is imported where a service runs, without TLS.
+    "repro.serve.service": EntryPoint("import repro.serve.service",
+                                      ("numpy", *_LATE, "asyncio", "ssl")),
+    # A service orchestrates points its workers simulate: its store keys
+    # on the state format version (``repro.snap.version``) and its
+    # registry counts requests, and neither loads the simulator.
+    "repro.serve.orchestrator": EntryPoint("import repro.serve.orchestrator",
+                                           ("numpy", *_SIMULATOR)),
+    # Only a World that checks imports the checker, and only a layer
+    # built under a metrics registry imports the metrics layer.
+    "fig1a-point": EntryPoint(
+        _FIG1A, (*_NOT_IN_FIG1A, "repro.check", "repro.obs")),
+    "fig1a-checked": EntryPoint("""
+import sys
+from repro.bench import MODES, MsgRateConfig, run_msgrate
+from repro.check import checking
+for mode in MODES:
+    with checking():
+        print(mode, run_msgrate(MsgRateConfig(mode=mode, cores=2,
+                                              msgs_per_core=2)).rate)
+assert "repro.check.checker" in sys.modules
+""", _NOT_IN_FIG1A),
+    # The sweep's orchestrator keeps its service counters in a registry
+    # by design, so a CLI run blocks the checker alone. Forked workers
+    # inherit what is blocked.
+    "msgrate": EntryPoint(_CLI.format(argv=_MSGRATE),
+                          ("numpy", "repro.check")),
+    "msgrate-jobs-2": EntryPoint(_CLI.format(argv=_MSGRATE + ["--jobs", "2"]),
+                                 ("numpy", "repro.check")),
+    "submit-jobs": EntryPoint("""
+import os, tempfile
+from repro import serve
+from repro.serve import ServeClient
+from repro.serve.service import spawn_service
+from repro.cli import main
+with tempfile.TemporaryDirectory() as state:
+    job = os.path.join(state, "job.yaml")
+    with open(job, "w") as fh:
+        fh.write("kind: selftest\\nspec: {n: 2}\\n")
+    handle = spawn_service(os.path.join(state, "s"), workers=1)
+    try:
+        for argv in (["submit", job], ["jobs"]):
+            assert main([*argv, "--state-dir", handle.state_dir]) == 0
+    finally:
+        handle.stop()
+""", ("numpy", *_SERVER_ONLY), forks_service=True),
+    "serve-parent": EntryPoint("""
+import os, tempfile, time
+from repro.cli import main
+from repro.serve.client import ServeClient
+from repro.serve.service import ForkedProcess, read_discovery
+
+
+def sweep(state):
+    while not os.path.exists(os.path.join(state, "serve.json")):
+        time.sleep(0.01)
+    with ServeClient(read_discovery(state)["socket"]) as client:
+        job = client.submit("sweep", {"params": {
+            "mode": ["threads-comms"], "cores": [2], "msgs_per_core": [2]}})
+        client.wait(job["job_id"], poll=0.01)
+        client.shutdown()
+
+
+with tempfile.TemporaryDirectory() as state:
+    client = ForkedProcess(sweep, state)  # before the service has threads
+    assert main(["serve", "--state-dir", state, "--workers", "1"]) == 0
+    client.join(30)
+    assert client.exitcode == 0
+""", ("numpy", *_LATE, "ssl", "multiprocessing"), forks_service=True),
+    "serve-worker": EntryPoint("""
+import socket
+from repro.serve.protocol import FrameDecoder, job_frame, write_frame
+from repro.serve.worker import worker_main
+ours, theirs = socket.socketpair()
+write_frame(ours, job_frame("p", "msgrate", {
+    "cores": 2, "mode": "threads-comms", "msgs_per_core": 2}))
+ours.shutdown(socket.SHUT_WR)
+worker_main(theirs)
+decoder, frames = FrameDecoder(), []
+while data := ours.recv(65536):
+    frames += decoder.feed(data)
+print([frame for frame in frames if frame["type"] != "heartbeat"])
+""", ("numpy", "yaml", "repro.check", "asyncio", "ssl", "multiprocessing")),
+    # The Vite proxy grows its own Barabasi-Albert graph; networkx is a
+    # test oracle. A campaign is compared by its summary document.
+    "campaign": EntryPoint("""
+import contextlib, io, os, tempfile
+from repro.cli import main
+with tempfile.TemporaryDirectory() as out:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["campaign", "run", out, "--seed", "7", "-n", "12"]) == 0
+    with open(os.path.join(out, "summary.json")) as fh:
+        print(fh.read())
+""", ("networkx",)),
+    "graph": EntryPoint(_CLI.format(argv=["graph"]), ("networkx",)),
 }
 
-#: Prints ``<repro modules> <numpy: yes|no> <check: yes|no>
-#: <sim: yes|no> <milliseconds>`` for the code in argv[1].
+#: Runs the code in argv[1] with every module argv[2:] names made
+#: unimportable; its last line is ``[<milliseconds>, <modules loaded>]``.
 _PROBE = (
-    "import sys, time\n"
+    "import json, sys, time\n"
+    "sys.modules.update(dict.fromkeys(sys.argv[2:]))\n"
+    "before = set(sys.modules)\n"
     "started = time.perf_counter()\n"
-    "exec(sys.argv[1])\n"
+    "exec(sys.argv[1], {'__name__': '__main__'})\n"
     "elapsed = time.perf_counter() - started\n"
-    "count = sum(m.partition('.')[0] == 'repro' for m in sys.modules)\n"
-    "numpy = 'yes' if sys.modules.get('numpy') else 'no'\n"
-    "check = 'yes' if sys.modules.get('repro.check.checker') else 'no'\n"
-    "sim = 'yes' if sys.modules.get('repro.sim.core') else 'no'\n"
-    "print(count, numpy, check, sim, round(elapsed * 1e3, 1))\n")
+    "print(json.dumps([round(elapsed * 1e3, 1),"
+    " sorted(set(sys.modules) - before)]))\n")
 
 
 #: Prints ``<ready ms> <sweep ms> <driver MiB> <service MiB> <worker MiB>
@@ -129,27 +292,50 @@ with tempfile.TemporaryDirectory() as state:
 
 
 def _run(args: list[str]) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, check=True)
+    """``python args`` on this tree's ``src``; raises with its stderr if
+    it fails."""
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=600,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    if proc.returncode:
+        raise RuntimeError(f"{args[:2]} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-3000:]}")
+    return proc
+
+
+def probe(code: str, blocked: tuple[str, ...] = ()
+          ) -> tuple[str, float, list[str]]:
+    """Run ``code`` in a fresh interpreter with the ``blocked`` modules
+    unimportable: ``(its stdout, milliseconds, modules it loaded)``."""
+    stdout, _, last = _run(["-c", _PROBE, code, *blocked]).stdout.rstrip(
+        "\n").rpartition("\n")
+    ms, loaded = json.loads(last)
+    return stdout, ms, loaded
 
 
 def measure(code: str, runs: int) -> tuple[int, str, str, str, float]:
     """``(repro modules loaded, numpy loaded, checker loaded, kernel
-    loaded, median import ms)`` over ``runs``, after one untimed run (the
-    first interpreter after a pause reads ~60 % slower, which would
-    charge whichever front end comes first)."""
-    samples = [_run(["-c", _PROBE, code]).stdout.split()
-               for _ in range(runs + 1)][1:]
-    return (int(samples[0][0]), *samples[0][1:4],
-            statistics.median(float(ms) for *_, ms in samples))
+    loaded, median ms)`` over ``runs``, after one untimed run (the first
+    interpreter after a pause reads ~60 % slower, which would charge
+    whichever entry point comes first)."""
+    samples = [probe(code)[1:] for _ in range(runs + 1)][1:]
+    loaded = samples[0][1]
+    return (sum(m.partition(".")[0] == "repro" for m in loaded),
+            *("yes" if name in loaded else "no" for name in
+              ("numpy", "repro.check.checker", "repro.sim.core")),
+            statistics.median(ms for ms, _ in samples))
+
+
+def serve_probe() -> list[str]:
+    """One run of the ``serve`` row: its fields, as printed."""
+    return _run(["-c", _SERVE_PROBE]).stdout.split()
 
 
 def measure_service(runs: int) -> list[str]:
     """The ``serve`` row's fields: median ready and sweep ms over
     ``runs``, after one untimed run; RSS and the mapped columns from the
     last run."""
-    samples = [_run(["-c", _SERVE_PROBE]).stdout.split()
-               for _ in range(runs + 1)][1:]
+    samples = [serve_probe() for _ in range(runs + 1)][1:]
     return [f"{statistics.median(float(s[i]) for s in samples):.1f}"
             for i in (0, 1)] + samples[-1][2:]
 
@@ -161,15 +347,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out-dir", help="write the table and the "
                                       "-X importtime logs here")
     args = ap.parse_args(argv)
-    lines = [f"{'front end':<24} {'repro modules':>13} {'numpy':>5} "
-             f"{'check':>5} {'sim':>5} {'import ms':>10}"]
-    for name, code in FRONT_ENDS.items():
-        count, numpy, check, sim, ms = measure(code, args.runs)
+    lines = [f"{'entry point':<24} {'repro modules':>13} {'numpy':>5} "
+             f"{'check':>5} {'sim':>5} {'ms':>10}"]
+    for name, row in ENTRY_POINTS.items():
+        count, numpy, check, sim, ms = measure(row.code, args.runs)
         lines.append(f"{name:<24} {count:>13} {numpy:>5} {check:>5} "
                      f"{sim:>5} {ms:>10.1f}")
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)
-            log = _run(["-X", "importtime", "-c", code]).stderr
+            log = _run(["-X", "importtime", "-c", row.code]).stderr
             path = os.path.join(args.out_dir, f"importtime-{name}.log")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(log)

@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 from itertools import repeat
-from typing import Any
+from typing import Any, Iterable
 
 from ..snap import STATE_FORMAT_VERSION
 from .protocol import CANONICAL_JSON, JsonEncoder
@@ -147,19 +147,24 @@ class ResultCache:
             pass  # unreadable, not UTF-8, not JSON: a miss like any other
         return PENDING
 
-    def load_blobs(self, blobs: list[str]) -> list[Any]:
+    def load_blobs(self, blobs: list[str],
+                   missed: Iterable[str] = ()) -> list[Any]:
         """The stored result for each point ``blobs`` name, in one pass: a
         new list, :data:`PENDING` for each miss. A file is read only for
-        a blob the store has not proved, and only the first time."""
+        a blob the store has not proved and ``missed`` does not name,
+        and at most once a call."""
         known = self._known
         results = list(map(known.get, blobs, repeat(PENDING)))
         if PENDING in results:
+            missed = set(missed)
             for index, blob in enumerate(blobs):
-                if results[index] is PENDING:
+                if results[index] is PENDING and blob not in missed:
                     result = known.get(blob, PENDING)
                     if result is PENDING:
                         result = self._read(blob)
-                        if result is not PENDING:
+                        if result is PENDING:
+                            missed.add(blob)
+                        else:
                             known[blob] = result
                     results[index] = result
         return results

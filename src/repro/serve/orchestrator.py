@@ -568,15 +568,16 @@ class Orchestrator:
 
     def _register_job(self, job_id: str, expansion: Expansion) -> None:
         """Add a job and fill it from the store in one lookup (none once
-        the store has proved every point of its document); only the
-        points the store lacks are deduped against the tasks in flight
-        or queued."""
+        the store has proved every point of its document) that skips the
+        points in flight or queued; only the points the store lacks are
+        deduped against those tasks."""
         points, blobs = expansion.points, expansion.blobs
         results = expansion.warm
         if results is not None:
             misses = 0
         else:
-            results = self.cache.load_blobs(blobs)
+            results = self.cache.load_blobs(
+                blobs, [task.blob for task in self.tasks.values()])
             misses = results.count(PENDING)
             if not misses:
                 expansion.warm = results

@@ -265,23 +265,11 @@ def _python(code):
     return proc.stdout.strip()
 
 
-def test_front_ends_import_no_app_and_no_networkx():
-    """``repro.scenarios`` names drivers lazily; nothing on the path of a
-    served Fig 1(a) job may import an app, and no front end or worker
-    pays at start-up for the static analyzer, the lint or YAML (each
-    loads where it is first used). Sampling a campaign and running one
-    scenario of every app then loads nothing but the standard library
-    and ``repro`` on top of numpy and PyYAML."""
-    assert _python(
-        "import sys\n"
-        "import repro.cli, repro.scenarios, repro.serve.service, "
-        "repro.bench, repro.serve.worker\n"
-        "late = ('networkx', 'yaml', 'repro.check.lint', "
-        "'repro.check.static_')\n"
-        "print(sorted(m for m in sys.modules if m in late or "
-        "m.startswith(('networkx.', 'repro.apps'))))\n"
-        "from repro.check import analyze_path, run_lint\n"
-        "assert all(m in sys.modules for m in late[2:])\n") == "[]"
+def test_every_app_runs_on_the_standard_library_numpy_and_yaml():
+    """Sampling a campaign and running one scenario of every app loads
+    nothing but the standard library and ``repro`` on top of numpy and
+    PyYAML: no graph library. What a front end loads before its first
+    run is a row of ``benchmarks/startup.py::ENTRY_POINTS``."""
     # whatever the interpreter, numpy and PyYAML load by themselves
     # (site hooks, numpy's compiled helpers) is this host's, not ours
     assert _python(

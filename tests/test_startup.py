@@ -7,13 +7,11 @@ interpreters because this one has imported everything long ago:
 
 - the lazy namespaces behave like eager ones (``__all__``, ``dir()``,
   ``from pkg import *``, the error for a name that does not exist);
-- the import fences: one table (:data:`IMPORT_FENCES`) holds what
-  ``import repro``, the kernel, a service and the CLI and serve front
-  ends may load (no simulator for a service or the CLI, no numpy for a
-  front end), and one Fig 1(a) point loads no layer it does not run (an
-  unchecked World imports nothing of ``repro.check``, a checked one its
-  checker, and neither numpy), and a process that submits to a service
-  loads no event loop;
+- the import fences: each row of ``benchmarks/startup.py::ENTRY_POINTS``
+  (an import, a Fig 1(a) point, a CLI command, a service and its worker)
+  loads none of the modules it must not, and prints the same with all of
+  them unimportable; a service and its worker map no TLS and no
+  process-pool extension;
 - the results: a run's state digest, trace and check report are the
   same bytes whether or not everything was imported first, and whether
   the checker was imported before a checked World or by it;
@@ -24,6 +22,7 @@ interpreters because this one has imported everything long ago:
 """
 
 import builtins
+import importlib.util
 import json
 import os
 import subprocess
@@ -45,14 +44,11 @@ LAZY_PACKAGES = ("repro", "repro.bench", "repro.check", "repro.faults",
 FIG1A_MODES = ("everywhere", "threads-original", "threads-tags",
                "threads-comms", "threads-endpoints")
 
-#: Layers a Fig 1(a) point never runs, checked or not. numpy is one: the
-#: point's buffers are bytes (``repro.mpi.datatypes``).
-NOT_IN_FIG1A = ("numpy", "repro.faults", "repro.scenarios", "repro.snap",
-                "repro.mpi.coll", "repro.mpi.rma", "repro.mpi.partitioned",
-                "repro.mpi.persistent", "repro.netsim.topology.generators",
-                "repro.netsim.topology.routed", "repro.obs.chrome",
-                "repro.obs.report", "repro.bench.report",
-                "repro.netsim.traffic")
+#: ``benchmarks/startup.py``: the table of entry points and its probes.
+_spec = importlib.util.spec_from_file_location(
+    "startup", os.path.join(ROOT, "benchmarks", "startup.py"))
+startup = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(startup)
 
 
 def _python(code: str, *args: str) -> str:
@@ -63,17 +59,6 @@ def _python(code: str, *args: str) -> str:
                           cwd=ROOT, env=env)
     assert proc.returncode == 0, proc.stderr[-3000:]
     return proc.stdout.strip()
-
-
-def _loaded_by(code: str) -> set[str]:
-    """The ``repro`` and ``numpy`` modules ``code`` adds to a fresh
-    interpreter."""
-    return set(json.loads(_python(
-        "import json, sys\n"
-        "before = set(sys.modules)\n"
-        + code +
-        "\nprint(json.dumps(sorted(m for m in set(sys.modules) - before "
-        "if m.partition('.')[0] in ('repro', 'numpy'))))\n")))
 
 
 # -- the lazy namespaces ----------------------------------------------------
@@ -110,62 +95,40 @@ def test_lazy_namespace_behaves_like_an_eager_one(package):
 
 
 # -- the import fences ------------------------------------------------------
-#: One row a fence, keyed by its test id: ``(module, rule, prefixes)``.
-#: What importing ``module`` may load beside the ``repro`` root:
-#: ``"only"`` prefixes are all it may load, ``"not"`` prefixes what it
-#: must not. A prefix names a module and every module below it.
-IMPORT_FENCES = {
-    "repro": ("repro", "only", ("repro.errors",)),
-    "repro.sim.core": ("repro.sim.core", "only", ("repro.sim",)),  # kernel
-    # A service orchestrates points its workers simulate: its store keys
-    # on the state format version (``repro.snap.version``) and its
-    # registry counts requests, and neither loads the MPI library, the
-    # fabric or the kernel.
-    "repro.serve.orchestrator": ("repro.serve.orchestrator", "not",
-                                 ("repro.mpi", "repro.netsim",
-                                  "repro.sim.core")),
-    # ``repro submit``, ``repro jobs`` and a ``repro serve`` parent never
-    # simulate: the CLI lists the Fig 1(a) modes from ``repro.bench``,
-    # whose root loads nothing, and imports what a command runs in its
-    # handler.
-    "repro.cli-no-simulator": ("repro.cli", "not",
-                               ("repro.sim", "repro.mpi", "repro.netsim")),
-    # numpy loads where a run computes with it: a service loads it with
-    # its first campaign or scenarios job, not when it is imported or
-    # started.
-    "repro.cli": ("repro.cli", "not", ("numpy",)),
-    "repro.serve.http": ("repro.serve.http", "not", ("numpy",)),
-    "repro.serve.service": ("repro.serve.service", "not", ("numpy",)),
-    "repro.serve.worker": ("repro.serve.worker", "not", ("numpy",)),
-}
+def _under(module: str, prefixes: tuple[str, ...]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
 
 
-@pytest.mark.parametrize("fence", IMPORT_FENCES)
-def test_an_import_loads_only_what_it_may(fence):
-    module, rule, prefixes = IMPORT_FENCES[fence]
-    loaded = _loaded_by(f"import {module}") - {"repro"}
-    fenced = {m for m in loaded
-              if any(m == p or m.startswith(p + ".") for p in prefixes)}
-    assert sorted(loaded - fenced if rule == "only" else fenced) == []
+@pytest.mark.parametrize("entry", startup.ENTRY_POINTS)
+def test_an_import_loads_only_what_it_may(entry):
+    """One row of the table: its code loads none of its ``never``
+    prefixes (an ``only`` row: nothing of ``repro`` or beyond the
+    standard library outside its prefixes), and, unless it forks a
+    service that needs them, prints the same stdout with every ``never``
+    prefix unimportable: no ``except ImportError`` path stands in."""
+    row = startup.ENTRY_POINTS[entry]
+    prefixes = row.never if row.only is None else row.only
+    # a misspelt prefix would fence nothing
+    assert [p for p in prefixes if p.startswith("repro")
+            and importlib.util.find_spec(p) is None] == []
+    out, _ms, loaded = startup.probe(row.code)
+    if row.only is None:
+        assert [m for m in loaded if _under(m, row.never)] == []
+    else:
+        assert [m for m in loaded if m != "repro" and not _under(m, row.only)
+                and m.partition(".")[0] not in sys.stdlib_module_names] == []
+    if row.never and not row.forks_service:
+        assert startup.probe(row.code, row.never)[0] == out
 
 
-@pytest.mark.parametrize("checked", [False, True],
-                         ids=["unchecked", "checked"])
-def test_a_fig1a_point_loads_no_layer_it_does_not_run(checked):
-    run = "run_msgrate(MsgRateConfig(mode=mode, cores=4, msgs_per_core=4))"
-    if checked:
-        run = f"from repro.check import checking\n    with checking():\n" \
-              f"        {run}"
-    loaded = _loaded_by(
-        "from repro.bench import MODES, MsgRateConfig, run_msgrate\n"
-        "for mode in MODES:\n"
-        f"    {run}\n")
-    if checked:
-        assert "repro.check.checker" in loaded
-        assert sorted(m for m in loaded if m.startswith(NOT_IN_FIG1A)) == []
-    else:  # only a World that checks imports the checker
-        assert sorted(m for m in loaded if m.startswith(
-            NOT_IN_FIG1A + ("repro.check", "repro.obs"))) == []
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/<pid>/maps")
+def test_a_serve_process_maps_no_tls_and_no_process_pool():
+    """The service imports asyncio without ``ssl`` and forks its workers
+    with ``os.fork``: after a sweep job, neither it nor its worker maps
+    numpy, OpenSSL's binding or the process-pool package's extension
+    (the ``numpy``, ``ssl`` and ``mp`` columns of ``startup.py``)."""
+    assert startup.serve_probe()[-3:] == ["no", "no", "no"]
 
 
 #: A fresh interpreter holding ``World`` and nothing of ``repro.check``.
@@ -256,83 +219,6 @@ def test_a_checked_point_is_the_same_whoever_imports_the_checker():
     before = json.loads(_python(CHECKED_POINT, "before"))
     assert by_world["checked"] and by_world["records"] > 0
     assert by_world == before
-
-
-#: What a submitting process never loads: what only a serving process
-#: runs (the event loop and the service's own layers), TLS, and the
-#: process-pool package (serve processes are forked with ``os.fork``).
-SERVER_ONLY = ("asyncio", "ssl", "multiprocessing",
-               "repro.serve.orchestrator", "repro.serve.http",
-               "repro.serve.worker")
-
-
-#: A fresh interpreter that imports the client side every way there is,
-#: then forks a service and runs ``repro submit`` against it to the
-#: result; its last line lists the server-only modules it holds.
-SUBMITTER = """
-import contextlib, io, json, os, sys, tempfile
-from repro.serve.client import ServeClient
-from repro.serve.service import spawn_service
-from repro import serve
-from repro.serve import ServeClient
-from repro.cli import main
-with tempfile.TemporaryDirectory() as state:
-    job = os.path.join(state, "job.yaml")
-    with open(job, "w") as fh:
-        fh.write("kind: selftest\\nspec: {n: 2}\\n")
-    handle = spawn_service(os.path.join(state, "s"), workers=1)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = main(["submit", "--state-dir", handle.state_dir, job])
-    finally:
-        handle.stop()
-assert code == 0 and json.loads(out.getvalue())["status"] == "done"
-print(json.dumps([m for m in sys.argv[1:] if m in sys.modules]))
-"""
-
-
-def test_a_submitting_process_loads_no_server():
-    """The client, ``spawn_service``, the package root and a whole
-    ``repro submit`` (a YAML job parsed, POSTed and waited for) are all
-    a submitting process runs; the forked service child loads the event
-    loop, the orchestrator, the HTTP API and the workers."""
-    loaded = json.loads(_python(SUBMITTER, *SERVER_ONLY).splitlines()[-1])
-    assert loaded == []
-
-
-#: Forks a service with one worker from a lean interpreter; prints which
-#: of the extensions in argv each of the two processes maps.
-SERVE_MAPS = """
-import json, sys, tempfile, time
-from repro.serve.service import spawn_service
-
-
-def mapped(pid):
-    with open(f"/proc/{pid}/maps", encoding="utf-8") as fh:
-        maps = fh.read()
-    return [name for name in sys.argv[1:] if f"/{name}." in maps]
-
-
-with tempfile.TemporaryDirectory() as state:
-    handle = spawn_service(state, workers=1)
-    try:
-        while not handle.worker_pids():
-            time.sleep(0.01)
-        print(json.dumps({"service": mapped(handle.pid),
-                          "worker": mapped(handle.worker_pids()[0])}))
-    finally:
-        handle.stop()
-"""
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="reads /proc/<pid>/maps")
-def test_a_serve_process_maps_no_tls_and_no_process_pool():
-    """The service imports asyncio without ``ssl`` and forks its workers
-    with ``os.fork``: neither it nor its worker maps OpenSSL's binding
-    or the process-pool package's extension."""
-    report = json.loads(_python(SERVE_MAPS, "_ssl", "_multiprocessing"))
-    assert report == {"service": [], "worker": []}
 
 
 # -- results do not depend on what was imported first --------------------------
